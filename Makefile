@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint lint-changed build test race chaos chaos-faults bench bench-all bench-smoke experiments
+.PHONY: all ci vet lint lint-changed build test race chaos chaos-faults bench bench-compare bench-all bench-smoke experiments
 
 all: ci
 
@@ -123,18 +123,31 @@ chaos:
 chaos-faults:
 	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestReadRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable' ./internal/...
 
-# The hot-path benchmarks tracked across PRs: raw engine overhead,
-# the three execution strategies, and concurrent-session throughput.
-BENCH_HOT = BenchmarkExecuteFindUser|BenchmarkFig12ExecutionStrategies|BenchmarkConcurrentSessions
+# bench records the repo benchmark (BENCHMARK.json, bench/) as the
+# perf-trajectory artifact BENCH_$(N).json, N being the PR number:
+# BENCH_RUNS runs of each of the four workloads, one JSON report per
+# line — the "set" format bench-compare reads. Each report carries
+# GOMAXPROCS, the go version, the seed and the digest of its inputs.
+# Takes BENCH_RUNS × about two minutes.
+#   make bench N=15
+#   make bench-compare A=BENCH_15.parent.json B=BENCH_15.json
+BENCH_WORKLOADS = scadr_home tpcw_order prepare_cold scadr_sim
+BENCH_RUNS = 5
 
-# bench runs the hot benchmarks once with allocation stats and records
-# the raw run — newline-delimited test2json events, including every
-# ns/op / B/op / allocs/op line — as the perf-trajectory artifact
-# BENCH_5.json (compare against BENCH_4.json for the version envelope's
-# overhead on Get/Put p99 and FindUser allocs/op).
 bench:
-	$(GO) test -run xxx -bench '$(BENCH_HOT)' -benchtime 1x -benchmem -v -json . > BENCH_5.json
-	@grep -oE '(Benchmark[A-Za-z]+)?[^"]*allocs/op' BENCH_5.json | sed 's/\\t/  /g' || true
+	@test -n "$(N)" || { echo "usage: make bench N=<PR number>   (writes BENCH_<N>.json)"; exit 2; }
+	rm -f BENCH_$(N).json
+	for run in $$(seq $(BENCH_RUNS)); do for w in $(BENCH_WORKLOADS); do \
+		echo "run $$run/$(BENCH_RUNS): $$w"; \
+		bash bench/run.sh --workload $$w --json BENCH_$(N).json > /dev/null || exit 1; \
+	done; done
+
+# bench-compare prints, per workload and metric, both sets' medians and
+# quartiles, the gap, the bound from BENCHMARK.json and a verdict; it
+# fails if anything regressed beyond its bound.
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<set.json> B=<set.json>"; exit 2; }
+	bash bench/run.sh -compare $(A) $(B)
 
 # bench-smoke is the short-mode gate inside ci: the cheapest hot
 # benchmark, enough to catch an executor hot path that stopped compiling

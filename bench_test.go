@@ -7,6 +7,8 @@ package piql
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -238,9 +240,9 @@ func BenchmarkCompileThoughtstream(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteFindUser measures end-to-end execution of a Class I
-// query in immediate mode (no simulated latency): pure engine overhead.
-func BenchmarkExecuteFindUser(b *testing.B) {
+// findUserQuery loads 1000 users on an immediate-mode cluster and
+// prepares the Class I point query over them.
+func findUserQuery(tb testing.TB) *Query {
 	db := Open(Config{Nodes: 4})
 	db.MustExec(`CREATE TABLE users (username VARCHAR(20), bio VARCHAR(140), PRIMARY KEY (username))`)
 	for i := 0; i < 1000; i++ {
@@ -248,8 +250,15 @@ func BenchmarkExecuteFindUser(b *testing.B) {
 	}
 	q, err := db.Prepare(`SELECT * FROM users WHERE username = ?`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return q
+}
+
+// BenchmarkExecuteFindUser measures end-to-end execution of a Class I
+// query in immediate mode (no simulated latency): pure engine overhead.
+func BenchmarkExecuteFindUser(b *testing.B) {
+	q := findUserQuery(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,6 +266,33 @@ func BenchmarkExecuteFindUser(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestExecuteFindUserAllocs gates the benchmark's deterministic number:
+// one iteration of BenchmarkExecuteFindUser, parameter formatting
+// included, stays within 15 allocations. Not under the race detector,
+// whose instrumentation allocates on its own account.
+func TestExecuteFindUserAllocs(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts differ under -race")
+	}
+	q := findUserQuery(t)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := q.Execute(Str(fmt.Sprintf("u%04d", i%1000))); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 15 {
+		t.Fatalf("FindUser: %v allocs per execution, want <= 15", allocs)
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

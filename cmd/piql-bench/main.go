@@ -26,7 +26,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,16 +38,36 @@ import (
 	"piql/internal/workload/tpcw"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all",
-		"which experiment to run: all, table1, fig1, fig6, fig7, fig8-9, fig10-11, fig12, admission, concurrent, faults")
-	quick := flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
-	flag.Parse()
+// experiments are the names -experiment accepts.
+var experiments = []string{"all", "table1", "fig1", "fig6", "fig7", "fig8-9", "fig10-11", "fig12", "admission", "concurrent", "faults"}
 
-	run := func(name string) bool {
-		return *experiment == "all" || strings.EqualFold(*experiment, name)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process exit: 0 on success, 1 when an
+// experiment fails, 2 on a usage error, an unknown experiment name
+// included.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("piql-bench", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	experiment := fs.String("experiment", "all", "which experiment to run: "+strings.Join(experiments, ", "))
+	quick := fs.Bool("quick", false, "smaller sweeps for a fast smoke run")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	out := os.Stdout
+	name := strings.ToLower(*experiment)
+	if !slices.Contains(experiments, name) {
+		fmt.Fprintf(errOut, "piql-bench: unknown experiment %q\nvalid experiments: %s\n", *experiment, strings.Join(experiments, ", "))
+		return 2
+	}
+	if err := runExperiments(out, name, *quick); err != nil {
+		fmt.Fprintln(errOut, "piql-bench:", err)
+		return 1
+	}
+	return 0
+}
+
+func runExperiments(out io.Writer, experiment string, quick bool) error {
+	run := func(name string) bool { return experiment == "all" || experiment == name }
 	start := time.Now()
 
 	var model *predict.Model
@@ -53,13 +75,13 @@ func main() {
 	if needModel {
 		fmt.Fprintln(out, "training SLO prediction model (Section 6)...")
 		cfg := predict.DefaultTrainConfig()
-		if *quick {
+		if quick {
 			cfg.Intervals = 8
 			cfg.RepsPerInterval = 5
 		}
 		m, err := predict.Train(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		model = m
 		fmt.Fprintf(out, "model trained in %v\n\n", time.Since(start).Round(time.Second))
@@ -67,83 +89,83 @@ func main() {
 
 	if run("table1") {
 		cfg := harness.DefaultTable1Config()
-		if *quick {
+		if quick {
 			cfg.Intervals = 5
 			cfg.PerQuery = 20
 		}
 		rows, err := harness.RunTable1(model, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		harness.PrintTable1(out, rows)
 	}
 
 	if run("fig1") {
 		sizes := []int{100, 1000, 10000, 50000}
-		if *quick {
+		if quick {
 			sizes = []int{100, 1000, 5000}
 		}
 		rows, err := harness.RunFig1(sizes, 5)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		harness.PrintFig1(out, rows)
 	}
 
 	if run("fig6") {
 		cfg := harness.DefaultFig6Config()
-		if *quick {
+		if quick {
 			cfg.Executions = 60
 		}
 		res, err := harness.RunFig6(model, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out)
 	}
 
 	if run("fig7") {
 		cfg := harness.DefaultFig7Config()
-		if *quick {
+		if quick {
 			cfg.Subscribers = []int{0, 1000, 3000, 5000}
 			cfg.Executions = 120
 		}
 		points, err := harness.RunFig7(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		harness.PrintFig7(out, points)
 	}
 
 	if run("fig8-9") {
 		cfg := harness.DefaultScaleConfig()
-		if *quick {
+		if quick {
 			cfg.NodeCounts = []int{10, 20, 40}
 			cfg.Measure = 2 * time.Second
 		}
 		res, err := harness.RunScale(harness.TPCWWorkload(tpcw.DefaultConfig()), cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out, "Fig 8", "Fig 9")
 	}
 
 	if run("fig10-11") {
 		cfg := harness.DefaultScaleConfig()
-		if *quick {
+		if quick {
 			cfg.NodeCounts = []int{10, 20, 40}
 			cfg.Measure = 2 * time.Second
 		}
 		res, err := harness.RunScale(harness.SCADrWorkload(scadr.DefaultConfig()), cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out, "Fig 10", "Fig 11")
 	}
 
 	if run("admission") {
 		cfg := harness.DefaultAdmissionConfig()
-		if *quick {
+		if quick {
 			cfg.Subscribers = 2000
 			cfg.GoodExecutions = 120
 			cfg.BadWorkers = 24
@@ -151,7 +173,7 @@ func main() {
 		}
 		res, err := harness.RunAdmission(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		harness.PrintAdmission(out, cfg, res)
 	}
@@ -159,15 +181,15 @@ func main() {
 	if run("fig12") {
 		res, err := harness.RunFig12(9)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out)
 	}
 
 	// Not part of "all": wall-clock numbers depend on the host's cores.
-	if strings.EqualFold(*experiment, "concurrent") {
+	if experiment == "concurrent" {
 		cfg := harness.DefaultConcurrentConfig()
-		if *quick {
+		if quick {
 			cfg.Goroutines = []int{1, 2, 4}
 			cfg.InteractionsPerGoroutine = 100
 		}
@@ -175,7 +197,7 @@ func main() {
 		scadrCfg.UsersPerNode = 250
 		res, err := harness.RunConcurrent(harness.SCADrWorkload(scadrCfg), cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out)
 
@@ -184,13 +206,13 @@ func main() {
 		tpcwCfg.Items = 5000
 		res, err = harness.RunConcurrent(harness.TPCWWorkload(tpcwCfg), cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res.Print(out)
 	}
 
 	// Not part of "all": the fault windows are wall-clock paced.
-	if strings.EqualFold(*experiment, "faults") {
+	if experiment == "faults" {
 		for _, sc := range []struct {
 			name string
 			f    harness.FaultSchedule
@@ -204,16 +226,12 @@ func main() {
 			cfg.Faults = &f
 			res, err := harness.RunChaos(cfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			res.Print(out)
 		}
 	}
 
 	fmt.Fprintf(out, "total: %v\n", time.Since(start).Round(time.Second))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "piql-bench:", err)
-	os.Exit(1)
+	return nil
 }

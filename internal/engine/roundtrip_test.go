@@ -152,6 +152,34 @@ func TestPerOperatorRoundTripBudgets(t *testing.T) {
 	}
 }
 
+// TestSortedJoinRunAllocations pins what one exec.Run of the
+// thoughtstream shape allocates: K=3 streams of 10 primary-index
+// entries merged to a page of 10. Rows come out of one slab per
+// operator, so the count moves with the number of operators and string
+// values decoded, never with the number of rows materialised; a change
+// that brings back a per-row or per-branch allocation shows here as an
+// exact difference.
+func TestSortedJoinRunAllocations(t *testing.T) {
+	s := newRoundTripFixture(t)
+	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+		ORDER BY thoughts.timestamp DESC LIMIT 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str("u00")}, Strategy: exec.Parallel}
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := exec.Run(q.Plan(), ctx)
+		if err != nil || len(res.Rows) != 10 {
+			t.Fatalf("thoughtstream: %v rows, err %v", res, err)
+		}
+	})
+	const want = 104
+	if allocs != want {
+		t.Fatalf("exec.Run(thoughtstream, K=3): %v allocs, pinned at %d", allocs, want)
+	}
+}
+
 // TestResidualOnJoinedRelation: residual predicates bind relation-local
 // column indexes, but operators evaluate them against the combined row
 // — the compiler must rebase them by the relation's offset. Before that

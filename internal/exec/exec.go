@@ -6,8 +6,10 @@
 // those requests are issued.
 //
 // Because every compiled plan is statically bounded, operators
-// materialize their (small) outputs; the Rows facade exposes the
-// classic open/next/close iterator interface on top.
+// materialize their (small) outputs. Each operator knows how many rows
+// it is about to produce before it produces them, so it makes one
+// allocation for all of their values (a slab) and carves the rows out
+// of it: the cost is per operator, not per row.
 package exec
 
 import (
@@ -214,9 +216,29 @@ func (e *executor) filterResidual(rows []value.Row, preds []core.LocalPred) ([]v
 	return out, nil
 }
 
-// newRow allocates a combined row of the plan's width.
-func (e *executor) newRow() value.Row {
-	return make(value.Row, e.plan.RowWidth)
+// slab hands out rows of one width carved from a single allocation.
+// Rows are capped at their width (three-index slices), so appending to
+// one can never run into its neighbour.
+type slab struct {
+	vals  []value.Value
+	width int
+}
+
+// newSlab allocates room for count rows. Callers size it from the
+// number of rows actually fetched, never from the plan's static bound:
+// a scan limited by a cardinality constraint in the thousands usually
+// returns a page.
+func newSlab(count, width int) slab {
+	return slab{vals: make([]value.Value, count*width), width: width}
+}
+
+// rows is newSlab for combined rows of the plan's width.
+func (e *executor) rows(count int) slab { return newSlab(count, e.plan.RowWidth) }
+
+func (s *slab) row() value.Row {
+	r := s.vals[:s.width:s.width]
+	s.vals = s.vals[s.width:]
+	return r
 }
 
 // placeRecord decodes a stored record directly into the combined row at

@@ -49,8 +49,9 @@ func (e *executor) runProject(n *core.LocalProject) ([]value.Row, error) {
 		return nil, err
 	}
 	out := make([]value.Row, len(rows))
+	projs := newSlab(len(rows), len(n.Cols))
 	for i, row := range rows {
-		proj := make(value.Row, len(n.Cols))
+		proj := projs.row()
 		for j, c := range n.Cols {
 			proj[j] = row[c]
 		}

@@ -23,19 +23,30 @@ func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 		}
 		keys = append(keys, index.RecordKeyFromPK(n.Table, pk))
 	}
-	recs := e.getBatch(keys)
-	var rows []value.Row
+	rows, err := e.placeRecords(e.getBatch(keys), n.TableOffset)
+	if err != nil {
+		return nil, err
+	}
+	return e.filterResidual(rows, n.Residual)
+}
+
+// placeRecords decodes each fetched record into a fresh combined row at
+// the table's offset, skipping the nil entries of keys that had no
+// record.
+func (e *executor) placeRecords(recs [][]byte, offset int) ([]value.Row, error) {
+	rows := make([]value.Row, 0, len(recs))
+	slab := e.rows(len(recs))
 	for _, rec := range recs {
 		if rec == nil {
 			continue
 		}
-		row := e.newRow()
-		if err := placeRecord(row, n.TableOffset, rec); err != nil {
+		row := slab.row()
+		if err := placeRecord(row, offset, rec); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	return e.filterResidual(rows, n.Residual)
+	return rows, nil
 }
 
 // scanBounds computes the byte range of an index scan from its equality
@@ -183,21 +194,23 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	var rows []value.Row
 	switch {
 	case n.Index.Primary:
-		for _, kv := range kvs {
-			row := e.newRow()
-			if err := placeRecord(row, n.TableOffset, kv.Value); err != nil {
+		rows = make([]value.Row, len(kvs))
+		slab := e.rows(len(kvs))
+		for i, kv := range kvs {
+			rows[i] = slab.row()
+			if err := placeRecord(rows[i], n.TableOffset, kv.Value); err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
 		}
 	case !n.NeedDeref:
 		// Covering index: every column is embedded in the entry key.
-		for _, kv := range kvs {
-			row := e.newRow()
-			if err := index.RowFromCoveringEntry(n.Index, n.Table, kv.Key, row, n.TableOffset); err != nil {
+		rows = make([]value.Row, len(kvs))
+		slab := e.rows(len(kvs))
+		for i, kv := range kvs {
+			rows[i] = slab.row()
+			if err := index.RowFromCoveringEntry(n.Index, n.Table, kv.Key, rows[i], n.TableOffset); err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
 		}
 	default:
 		rows, err = e.derefEntries(n.Index, n.Table, n.TableOffset, kvs)
@@ -229,19 +242,7 @@ func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset in
 	if err != nil {
 		return nil, err
 	}
-	recs := e.getBatch(keys)
-	var rows []value.Row
-	for _, rec := range recs {
-		if rec == nil {
-			continue // dangling entry awaiting GC
-		}
-		row := e.newRow()
-		if err := placeRecord(row, offset, rec); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return e.placeRecords(e.getBatch(keys), offset) // a nil record is a dangling entry awaiting GC
 }
 
 // runFKJoin extends each child row with at most one record of the
@@ -261,7 +262,7 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 		keys[i] = index.RecordKeyFromPK(n.Table, pk)
 	}
 	recs := e.getBatch(keys)
-	var rows []value.Row
+	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
 	for i, rec := range recs {
 		if rec == nil {
 			continue // no matching row: inner join drops it
@@ -358,14 +359,13 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	// request set. (This used to dereference stream by stream — K
 	// sequential MultiGets after the parallel range fetch, serializing K
 	// round trips; now every operator costs a constant number of trips.)
+	total := 0
+	for _, sc := range scans {
+		total += len(sc.kvs)
+	}
 	var recs [][]byte // flat across streams, parallel to the scans' kvs
 	if !n.Index.Primary {
-		var keys [][]byte
-		total := 0
-		for _, sc := range scans {
-			total += len(sc.kvs)
-		}
-		keys = make([][]byte, 0, total)
+		keys := make([][]byte, 0, total)
 		for _, sc := range scans {
 			keys, err = appendEntryRecordKeys(keys, n.Index, n.Table, sc.kvs)
 			if err != nil {
@@ -377,9 +377,10 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 
 	// Materialize joined rows, remembering each row's stream and
 	// entry-key suffix.
-	var joined []value.Row
-	var suffixes [][]byte
-	var stream []int
+	joined := make([]value.Row, 0, total)
+	suffixes := make([][]byte, 0, total)
+	stream := make([]int, 0, total)
+	slab := e.rows(total)
 	flat := 0 // position in recs
 	for i, sc := range scans {
 		for _, kv := range sc.kvs {
@@ -391,7 +392,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 					continue // dangling entry awaiting GC
 				}
 			}
-			row := e.newRow()
+			row := slab.row()
 			copy(row, childRows[i])
 			if err := placeRecord(row, n.TableOffset, rec); err != nil {
 				return nil, err

@@ -268,9 +268,9 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 	// Bounded in practice by the constraint itself once enforced.
 	prefix := RecordPrefix(t)
 	n := 0
+	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
 	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}) {
-		other, err := value.DecodeRow(kv.Value)
-		if err != nil {
+		if _, err := value.DecodeRowInto(other, kv.Value); err != nil {
 			continue
 		}
 		match := true

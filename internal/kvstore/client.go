@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -20,9 +19,11 @@ import (
 //
 // A Client is not safe for concurrent use — its op counter and RNG are
 // unsynchronized by design, keeping the per-operation hot path free of
-// atomics. Spawn one Client per goroutine/session (the Parallel method
-// creates children automatically); the Cluster behind them is safe for
-// any number of concurrent Clients, including while it rebalances.
+// atomics. Spawn one Client per goroutine/session; the Cluster behind
+// them is safe for any number of concurrent Clients, including while it
+// rebalances. Parallel gives each simulated branch a child of its own
+// (one allocation: the generator is a value inside the struct) and runs
+// immediate-mode branches on the caller itself.
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
@@ -33,9 +34,9 @@ import (
 // loses no concurrent write.
 type Client struct {
 	c    *Cluster
-	proc *sim.Proc  // nil in immediate mode
-	rng  *rand.Rand // replica choice + RTT sampling
-	id   int64      // cluster-unique; the version tiebreaker on writes
+	proc *sim.Proc // nil in immediate mode
+	rng  rng       // replica choice + RTT sampling
+	id   int64     // cluster-unique; the version tiebreaker on writes
 
 	ops          int64 // operations issued through this client (and its children)
 	fenceRetries int64 // conditional ops retried after an epoch-fencing reject
@@ -69,7 +70,7 @@ func (c *Cluster) NewClient(proc *sim.Proc) *Client {
 	return &Client{
 		c:    c,
 		proc: proc,
-		rng:  rand.New(rand.NewSource(c.cfg.Seed ^ seq*0x5DEECE66D)),
+		rng:  seededRNG(uint64(c.cfg.Seed), uint64(seq)),
 		id:   seq,
 	}
 }
@@ -161,7 +162,7 @@ func (cl *Client) visit(id int, items, payloadBytes int) {
 		return
 	}
 	cfg := cl.c.cfg.Latency
-	rtt := cfg.rtt(cl.rng)
+	rtt := cfg.rtt(&cl.rng)
 	cl.proc.Sleep(rtt / 2)
 	n := cl.c.nodes[id]
 	service := n.sampleService(cfg, cl.c.cfg.Seed, cl.proc.Now(), items, payloadBytes)
@@ -184,7 +185,7 @@ const readRetryAttempts = 3
 func (cl *Client) pickReplica(rt *routing, p int) int {
 	owners := rt.owners[p]
 	for attempt := 0; ; attempt++ {
-		r := cl.rng.Intn(len(owners))
+		r := cl.rng.intn(len(owners))
 		if id := owners[r]; cl.c.reachable(id) {
 			return id
 		}
@@ -268,7 +269,7 @@ func (cl *Client) GetQuorum(key []byte, r int) ([]byte, bool, error) {
 	// Gather r reachable owners starting from a uniform offset, so
 	// quorum reads spread load across replicas like plain reads do.
 	picked := make([]int, 0, r)
-	off := cl.rng.Intn(len(owners))
+	off := cl.rng.intn(len(owners))
 	for i := 0; i < len(owners) && len(picked) < r; i++ {
 		if id := owners[(off+i)%len(owners)]; cl.c.reachable(id) {
 			picked = append(picked, id)
@@ -923,7 +924,11 @@ func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int
 			bytesTotal += len(kv.Value)
 		}
 		cl.visit(id, max(1, len(kvs)), bytesTotal)
-		out = append(out, kvs...)
+		if out == nil {
+			out = kvs // the node's slice is fresh: no copy when one partition serves the request
+		} else {
+			out = append(out, kvs...)
+		}
 		if req.Limit > 0 {
 			remaining -= len(kvs)
 			if remaining <= 0 {
@@ -1107,16 +1112,17 @@ func boundedEnd(rt *routing, p int, end []byte) []byte {
 // spawn one real goroutine per fn over detached child clients and merge
 // their operation counts into this client's chain after the join (the
 // detachment keeps the per-op counter walk in countOp race-free while
-// the goroutines run). The children are scratch, pooled on the parent
-// and reused across calls like the other per-op buffers. Callers must
-// pre-draw any RNG decisions — the fns must not touch cl.rng.
+// the goroutines run). The children are scratch — one Client allocation
+// each, with a generator derived from the parent's — pooled on the
+// parent and reused across calls like the other per-op buffers. Callers
+// must pre-draw any RNG decisions — the fns must not touch cl.rng.
 func (cl *Client) fanOut(fns ...func(sub *Client)) {
 	if cl.proc != nil {
 		cl.Parallel(fns...)
 		return
 	}
 	for len(cl.subs) < len(fns) {
-		cl.subs = append(cl.subs, &Client{c: cl.c, rng: rand.New(rand.NewSource(cl.rng.Int63())), id: cl.id})
+		cl.subs = append(cl.subs, &Client{c: cl.c, rng: cl.rng.child(), id: cl.id})
 	}
 	var wg sync.WaitGroup
 	for i, fn := range fns {
@@ -1144,11 +1150,12 @@ func (cl *Client) fanOut(fns ...func(sub *Client)) {
 
 // Parallel runs fns concurrently (virtual-time children sharing this
 // client's op counter) and returns when all complete. In immediate mode
-// the functions run sequentially.
+// the functions run sequentially on cl itself: there is no concurrency
+// to isolate, so no child is created.
 func (cl *Client) Parallel(fns ...func(sub *Client)) {
 	if cl.proc == nil {
 		for _, fn := range fns {
-			fn(cl.child(nil))
+			fn(cl)
 		}
 		return
 	}
@@ -1160,13 +1167,14 @@ func (cl *Client) Parallel(fns ...func(sub *Client)) {
 	cl.proc.Parallel(wrapped...)
 }
 
-// child derives a client for a parallel branch, with its own RNG stream
-// but op counts rolled up into the parent.
+// child derives a client for a simulated parallel branch, with its own
+// RNG stream (seeded from two draws of the parent's) but op counts and
+// degraded-read errors rolled up into the parent.
 func (cl *Client) child(proc *sim.Proc) *Client {
 	return &Client{
 		c:          cl.c,
 		proc:       proc,
-		rng:        rand.New(rand.NewSource(cl.rng.Int63())),
+		rng:        cl.rng.child(),
 		id:         cl.id,
 		parent:     cl,
 		readQuorum: cl.readQuorum,

@@ -54,14 +54,14 @@ func DefaultLatency() LatencyConfig {
 }
 
 // lognormal samples exp(N(ln(median), sigma)).
-func lognormal(rng *rand.Rand, median time.Duration, sigma float64) time.Duration {
-	f := math.Exp(math.Log(float64(median)) + sigma*rng.NormFloat64())
+func lognormal(rng *rng, median time.Duration, sigma float64) time.Duration {
+	f := math.Exp(math.Log(float64(median)) + sigma*rng.normFloat64())
 	return time.Duration(f)
 }
 
 // serviceTime samples the node-side processing time for a request
 // touching the given number of items and payload bytes.
-func (c LatencyConfig) serviceTime(rng *rand.Rand, items, bytes int) time.Duration {
+func (c LatencyConfig) serviceTime(rng *rng, items, bytes int) time.Duration {
 	d := lognormal(rng, c.ServiceMedian, c.ServiceSigma)
 	if items > 1 {
 		d += time.Duration(items-1) * c.PerItem
@@ -71,14 +71,17 @@ func (c LatencyConfig) serviceTime(rng *rand.Rand, items, bytes int) time.Durati
 }
 
 // rtt samples a network round-trip time.
-func (c LatencyConfig) rtt(rng *rand.Rand) time.Duration {
+func (c LatencyConfig) rtt(rng *rng) time.Duration {
 	return lognormal(rng, c.RTTMedian, c.RTTSigma)
 }
 
 // volatility returns the deterministic service-time multiplier for a node
 // at virtual time t. The multiplier is piecewise-constant per interval so
 // per-interval 99th-percentile latencies vary the way public-cloud tails
-// do (Section 6.3 of the paper).
+// do (Section 6.3 of the paper). It seeds a whole math/rand generator
+// per call: that stream is what the paper-figure experiments were
+// calibrated on, so it stays bit for bit (TestVolatilityGolden) while
+// the clients and nodes draw from the value-type rng.
 func (c LatencyConfig) volatility(seed int64, nodeID int, t time.Duration) float64 {
 	if c.VolatilityInterval <= 0 {
 		return 1

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +24,9 @@ type node struct {
 
 	mu        sync.Mutex
 	tree      *btree.Tree
-	rng       *rand.Rand // service-time sampling; guarded by mu
-	tombs     int        // live tombstone count; guarded by mu
-	lastSweep time.Time  // last inline tombstone sweep; guarded by mu
+	rng       rng       // service-time sampling; guarded by mu
+	tombs     int       // live tombstone count; guarded by mu
+	lastSweep time.Time // last inline tombstone sweep; guarded by mu
 
 	// hlc is this node's own hybrid logical clock. It observes the
 	// timestamp of every envelope the node applies (observe-on-apply),
@@ -76,7 +75,7 @@ func newNode(id int, seed int64, env *sim.Env, servers int, gcAge time.Duration)
 	n := &node{
 		id:       id,
 		tree:     btree.New(),
-		rng:      rand.New(rand.NewSource(seed ^ int64(id)*0x7F4A7C159E3779B9)),
+		rng:      seededRNG(uint64(seed), ^uint64(id)),
 		hlc:      &HLC{},
 		gcAge:    gcAge,
 		autoGC:   env == nil,
@@ -279,7 +278,7 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 func (n *node) scan(start, end []byte, limit int, reverse bool) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []KV
+	out := scanBuf(limit)
 	visit := func(it btree.Item) bool {
 		if envIsTombstone(it.Value) {
 			return true
@@ -295,13 +294,23 @@ func (n *node) scan(start, end []byte, limit int, reverse bool) []KV {
 	return out
 }
 
+// scanBuf pre-sizes a limited scan's result. The cap is deliberate: a
+// plan's limit is its static bound (a cardinality limit can be in the
+// thousands) while the range typically holds a page of items.
+func scanBuf(limit int) []KV {
+	if limit <= 0 {
+		return nil
+	}
+	return make([]KV, 0, min(limit, 16))
+}
+
 // scanRaw returns up to limit stored envelopes in [start, end),
 // tombstones included — the rebalance copy's view, which must carry
 // versions (and deletions) to the destination nodes.
 func (n *node) scanRaw(start, end []byte, limit int) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []KV
+	out := scanBuf(limit)
 	n.tree.Ascend(start, end, func(it btree.Item) bool {
 		out = append(out, KV{Key: it.Key, Value: it.Value})
 		return limit <= 0 || len(out) < limit
@@ -334,7 +343,7 @@ func (n *node) size() int {
 // bytes) under the node's current volatility and slowdown.
 func (n *node) sampleService(cfg LatencyConfig, seed int64, now time.Duration, items, bytes int) time.Duration {
 	n.mu.Lock()
-	d := cfg.serviceTime(n.rng, items, bytes)
+	d := cfg.serviceTime(&n.rng, items, bytes)
 	slow := n.slowdown
 	n.mu.Unlock()
 	v := cfg.volatility(seed, n.id, now)

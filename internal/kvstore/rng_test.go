@@ -1,0 +1,149 @@
+package kvstore
+
+import (
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"piql/internal/sim"
+)
+
+// The read path's random source is a value inside the Client, so neither
+// a Parallel branch nor a child costs a generator: these pin the
+// allocation counts the bounded read path was profiled down to.
+
+func TestParallelImmediateAllocatesNothing(t *testing.T) {
+	_, cl := newImmediate(4, 2)
+	branches := make([]func(*Client), 10)
+	for i := range branches {
+		branches[i] = func(sub *Client) {
+			if sub != cl {
+				t.Error("immediate-mode branch ran on a child, not on the caller")
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { cl.Parallel(branches...) }); n != 0 {
+		t.Fatalf("immediate Parallel with 10 empty branches: %v allocs, want 0", n)
+	}
+}
+
+var childSink *Client
+
+func TestSimulatedChildAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
+	var perChild float64
+	env.Spawn(func(p *sim.Proc) {
+		cl := c.NewClient(p)
+		perChild = testing.AllocsPerRun(100, func() { childSink = cl.child(p) })
+	})
+	env.Run(0)
+	env.Stop()
+	if perChild > 2 {
+		t.Errorf("simulated child: %v allocs, want <= 2", perChild)
+	}
+}
+
+// simTrace runs a fixed mix of reads from several simulated clients and
+// returns the virtual time at which each operation of each client ended.
+func simTrace(seed int64) [][]time.Duration {
+	env := sim.NewEnv()
+	c := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: seed}, env)
+	loadAndSplit(c, 400)
+	traces := make([][]time.Duration, 8)
+	for w := range traces {
+		env.Spawn(func(p *sim.Proc) {
+			cl := c.NewClient(p)
+			for i := 0; i < 40; i++ {
+				k := (w*53 + i*17) % 400
+				switch i % 4 {
+				case 0:
+					cl.Get(key(k))
+				case 1:
+					cl.MultiGet([][]byte{key(k), key((k + 131) % 400), key((k + 262) % 400)})
+				case 2:
+					cl.GetRangeScatter(RangeRequest{Start: key(k), End: key(k + 120), Limit: 100})
+				default:
+					cl.Put(key(k), val(i))
+				}
+				traces[w] = append(traces[w], p.Now())
+			}
+		})
+	}
+	env.Run(0)
+	env.Stop()
+	return traces
+}
+
+func TestSimulatedRunsRepeatFromOneSeed(t *testing.T) {
+	a, b := simTrace(7), simTrace(7)
+	for w := range a {
+		if !slices.Equal(a[w], b[w]) {
+			t.Fatalf("client %d: two runs from one seed diverge:\n%v\n%v", w, a[w], b[w])
+		}
+	}
+	if other := simTrace(8); slices.Equal(a[0], other[0]) {
+		t.Fatal("a different seed produced the same trace: the seed is not reaching the generators")
+	}
+}
+
+func TestPickReplicaUniformAndRTTMedian(t *testing.T) {
+	const draws = 100_000
+	c, cl := newImmediate(5, 3)
+	rt := c.beginOp()
+	defer c.endOp(rt)
+	counts := make(map[int]int)
+	for i := 0; i < draws; i++ {
+		counts[cl.pickReplica(rt, 0)]++
+	}
+	owners := rt.owners[0]
+	if len(counts) != len(owners) {
+		t.Fatalf("picked %d distinct replicas of %d owners", len(counts), len(owners))
+	}
+	want := float64(draws) / float64(len(owners))
+	for id, n := range counts {
+		if math.Abs(float64(n)-want) > 0.02*want {
+			t.Errorf("replica %d picked %d times, want %.0f within 2%%", id, n, want)
+		}
+	}
+
+	cfg := DefaultLatency()
+	rtts := make([]time.Duration, draws)
+	for i := range rtts {
+		rtts[i] = cfg.rtt(&cl.rng)
+	}
+	slices.Sort(rtts)
+	median := float64(rtts[draws/2])
+	if math.Abs(median-float64(cfg.RTTMedian)) > 0.02*float64(cfg.RTTMedian) {
+		t.Errorf("sampled RTT median %v, want %v within 2%%", time.Duration(median), cfg.RTTMedian)
+	}
+}
+
+// TestVolatilityGolden pins the "cloud weather" itself: the paper-figure
+// experiments were calibrated on these multipliers, so the generator
+// behind volatility must never change with the one behind the clients.
+func TestVolatilityGolden(t *testing.T) {
+	cfg := DefaultLatency()
+	for _, g := range volatilityGolden {
+		got := cfg.volatility(g.seed, g.node, time.Duration(g.interval)*cfg.VolatilityInterval)
+		if got != g.want {
+			t.Errorf("volatility(seed %d, node %d, interval %d) = %v, want %v", g.seed, g.node, g.interval, got, g.want)
+		}
+	}
+}
+
+var volatilityGolden = []struct {
+	seed     int64
+	node     int
+	interval int64
+	want     float64
+}{
+	{20110829, 0, 0, math.Float64frombits(0x3fefcc5d573c41be)}, // 0.9936968520942668
+	{20110829, 3, 0, math.Float64frombits(0x3fef283fd977b127)}, // 0.9736632583058381
+	{20110829, 9, 1, math.Float64frombits(0x3fef327a96d84f22)}, // 0.9749119707289291
+	{1, 0, 0, math.Float64frombits(0x3fef45c76c947e79)},        // 0.9772679444030948
+	{1, 0, 17, math.Float64frombits(0x3feec3ee0a2b6ef7)},       // 0.9614172171236238
+	{1, 0, 20, math.Float64frombits(0x4001c676cbfe4110)},       // 2.2219062745063027: a noisy-neighbour interval
+	{42, 7, 123, math.Float64frombits(0x3fec1d2ab1797d2a)},     // 0.8785603967952842
+}
