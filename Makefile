@@ -94,7 +94,7 @@ test:
 # race runs the full suite under the race detector, including the
 # concurrent-session tests (TestConcurrentSessions,
 # TestPublicAPIConcurrentUse), the simulated scatter-gather range
-# reads (TestGetRangeScatter*, TestScatterConcurrentClients), and the
+# reads (TestScanParallel*, TestScatterConcurrentClients), and the
 # online-maintenance chaos tests (TestChaosOnlineOperations,
 # TestRebalanceUnderTraffic, TestCreateIndexUnderConcurrentWrites,
 # TestInsertRollbackRacingDelete) that gate index backfill and
@@ -119,9 +119,11 @@ chaos:
 # the chaos storms with a node crashed or partitioned mid-rebalance
 # (plus the falsification subtests proving read failover and catch-up
 # replay are each load-bearing), lease-expiry fencing recovery, quorum
-# staleness bounds, and the catch-up/crash interleavings.
+# staleness bounds, the catch-up/crash interleavings, and the
+# kill-during-write table (every write with a partition unreachable ends
+# in a Retryable error or its full effect).
 chaos-faults:
-	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestReadRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable' ./internal/...
+	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestAllRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable|TestKillDuringWrite' ./internal/...
 
 # bench records the repo benchmark (BENCHMARK.json, bench/) as the
 # perf-trajectory artifact BENCH_$(N).json, N being the PR number:

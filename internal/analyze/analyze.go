@@ -2,7 +2,7 @@
 // compile-time half of PIQL's scale-independence contract (Sections 4
 // and 6 of the paper). It walks a compiled physical plan, derives a
 // symbolic worst-case operation bound for every remote operator — point
-// gets, MultiGet batch sizes, range-scan limits, join fan-out — from
+// gets, ReadBatch batch sizes, range-scan limits, join fan-out — from
 // the schema's declared cardinality constraints and the plan's pinned
 // limits, and classifies the plan bounded or unbounded.
 //

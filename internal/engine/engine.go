@@ -606,17 +606,15 @@ func (s *Session) update(stmt *parser.Update, params []value.Value) error {
 	if err != nil {
 		return err
 	}
-	rkey := index.RecordKeyFromPK(t, pk)
-	s.client.TakeErr()
-	rec, ok := s.client.Get(rkey)
+	// "The row is absent" and "the row's replicas are unreachable" are
+	// different answers: the latter is transient and must not be reported
+	// as a missing row (callers treat missing-row as a fatal semantic
+	// error and would drop the update on the floor).
+	rec, _, ok, err := s.client.Read(index.RecordKeyFromPK(t, pk), kvstore.ReadOpts{})
+	if err != nil {
+		return fmt.Errorf("engine: update %s: %w", t.Name, err)
+	}
 	if !ok {
-		// Distinguish "the row is absent" from "the row's replicas are
-		// unreachable": the latter is transient and must not be reported
-		// as a missing row (callers treat missing-row as a fatal semantic
-		// error and would drop the update on the floor).
-		if derr := s.client.TakeErr(); derr != nil {
-			return fmt.Errorf("engine: update %s: %w", t.Name, derr)
-		}
 		return fmt.Errorf("engine: no row in %s with primary key %s", t.Name, pk)
 	}
 	row, err := value.DecodeRow(rec)

@@ -94,14 +94,14 @@ func TestCreateIndexUnderConcurrentWrites(t *testing.T) {
 		cl := cluster.NewClient(nil)
 		prefix := index.RecordPrefix(tbl)
 		records := 0
-		for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: prefix, End: prefixEnd(prefix)}) {
+		for _, kv := range scanPrefix(cl, prefix) {
 			row, err := value.DecodeRow(kv.Value)
 			if err != nil {
 				t.Fatal(err)
 			}
 			records++
 			for _, ekey := range index.EntryKeys(ix, tbl, row) {
-				if _, ok := cl.Get(ekey); !ok {
+				if _, _, ok, err := cl.Read(ekey, kvstore.ReadOpts{}); err != nil || !ok {
 					t.Fatalf("round %d: row %v written during backfill is missing its index entry", round, row)
 				}
 			}
@@ -127,6 +127,16 @@ func TestCreateIndexUnderConcurrentWrites(t *testing.T) {
 
 // prefixEnd is codec.PrefixEnd without the import cycle concern in this
 // test: smallest key greater than every key with the prefix.
+// scanPrefix reads every key under prefix. The tests that use it inject
+// no fault, so an error is a bug and panics.
+func scanPrefix(cl *kvstore.Client, prefix []byte) []kvstore.KV {
+	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: prefixEnd(prefix)}, kvstore.ReadOpts{})
+	if err != nil {
+		panic(err)
+	}
+	return kvs
+}
+
 func prefixEnd(prefix []byte) []byte {
 	end := append([]byte(nil), prefix...)
 	for i := len(end) - 1; i >= 0; i-- {
@@ -216,14 +226,14 @@ func TestSimulatedCreateIndexDrainsWriters(t *testing.T) {
 		cl := cluster.NewClient(nil)
 		prefix := index.RecordPrefix(tbl)
 		records := 0
-		for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: prefix, End: prefixEnd(prefix)}) {
+		for _, kv := range scanPrefix(cl, prefix) {
 			row, err := value.DecodeRow(kv.Value)
 			if err != nil {
 				t.Fatal(err)
 			}
 			records++
 			for _, ekey := range index.EntryKeys(ix, tbl, row) {
-				if _, ok := cl.Get(ekey); !ok {
+				if _, _, ok, err := cl.Read(ekey, kvstore.ReadOpts{}); err != nil || !ok {
 					t.Fatalf("round %d: row %v written during the simulated backfill is missing its entry", round, row)
 				}
 			}
@@ -309,7 +319,7 @@ func TestCreateIndexRacingDeletesNoDangling(t *testing.T) {
 		cl := cluster.NewClient(nil)
 		want := make(map[string]bool)
 		rp := index.RecordPrefix(tbl)
-		for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: rp, End: prefixEnd(rp)}) {
+		for _, kv := range scanPrefix(cl, rp) {
 			row, err := value.DecodeRow(kv.Value)
 			if err != nil {
 				t.Fatal(err)
@@ -319,7 +329,7 @@ func TestCreateIndexRacingDeletesNoDangling(t *testing.T) {
 			}
 		}
 		ip := index.IndexPrefix(ix)
-		for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: ip, End: prefixEnd(ip)}) {
+		for _, kv := range scanPrefix(cl, ip) {
 			if !want[string(kv.Key)] {
 				t.Fatalf("round %d: dangling entry %q survived the post-flip sweep", round, kv.Key)
 			}
@@ -348,7 +358,7 @@ func TestCreateIndexFailureIsRetryable(t *testing.T) {
 	tbl := eng.Catalog().Table("things")
 	cl := cluster.NewClient(nil)
 	var rkey []byte
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: index.RecordPrefix(tbl), End: prefixEnd(index.RecordPrefix(tbl))}) {
+	for _, kv := range scanPrefix(cl, index.RecordPrefix(tbl)) {
 		rkey = kv.Key
 		cl.Put(kv.Key, []byte{0xff, 0xfe, 0xfd})
 	}

@@ -106,19 +106,9 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	if plan.PageSize > 0 {
 		e.nextResume = ResumeState{}
 	}
-	// Store reads degrade silently when replicas are down: a Get against
-	// an unreachable partition reads as a miss and the client records the
-	// condition on the side (Client.TakeErr). Clear any stale record from
-	// an earlier operation, then surface what this execution deposits —
-	// otherwise a partitioned range would quietly subtract rows from the
-	// result instead of failing the query with a retryable error.
-	e.ctx.Client.TakeErr()
 	rows, err := e.run(plan.Root)
 	if err != nil {
 		return nil, err
-	}
-	if derr := e.ctx.Client.TakeErr(); derr != nil {
-		return nil, fmt.Errorf("exec: degraded read: %w", derr)
 	}
 	res := &Result{Rows: rows, Names: plan.OutputNames}
 	if plan.PageSize > 0 {
@@ -250,23 +240,35 @@ func placeRecord(row value.Row, offset int, rec []byte) error {
 	return nil
 }
 
+// degraded wraps a store read's error. Every store error is transient
+// (it unwraps to kvstore.ErrTransient), so a read that could not reach a
+// partition fails the query with a retryable error instead of quietly
+// subtracting that partition's rows from the result.
+func degraded(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("exec: degraded read: %w", err)
+}
+
 // getBatch resolves record keys according to the strategy: Lazy issues
-// one Get per key (tuple at a time, the paper's strawman); Simple issues
+// one read per key (tuple at a time, the paper's strawman); Simple issues
 // one batched request set with the per-node batches sequential; Parallel
 // issues them concurrently. Missing keys yield nil entries.
-func (e *executor) getBatch(keys [][]byte) [][]byte {
-	switch e.ctx.Strategy {
-	case Lazy:
-		recs := make([][]byte, len(keys))
-		for i, k := range keys {
-			if v, ok := e.ctx.Client.Get(k); ok {
-				recs[i] = v
-			}
-		}
-		return recs
-	case Simple:
-		return e.ctx.Client.MultiGetSeq(keys)
-	default:
-		return e.ctx.Client.MultiGet(keys)
+func (e *executor) getBatch(keys [][]byte) ([][]byte, error) {
+	if e.ctx.Strategy != Lazy {
+		recs, err := e.ctx.Client.ReadBatch(keys, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+		return recs, degraded(err)
 	}
+	recs := make([][]byte, len(keys))
+	for i, k := range keys {
+		v, _, ok, err := e.ctx.Client.Read(k, kvstore.ReadOpts{})
+		if err != nil {
+			return nil, degraded(err)
+		}
+		if ok {
+			recs[i] = v
+		}
+	}
+	return recs, nil
 }

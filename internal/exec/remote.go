@@ -23,17 +23,21 @@ func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 		}
 		keys = append(keys, index.RecordKeyFromPK(n.Table, pk))
 	}
-	rows, err := e.placeRecords(e.getBatch(keys), n.TableOffset)
+	rows, err := e.fetchRecords(keys, n.TableOffset)
 	if err != nil {
 		return nil, err
 	}
 	return e.filterResidual(rows, n.Residual)
 }
 
-// placeRecords decodes each fetched record into a fresh combined row at
-// the table's offset, skipping the nil entries of keys that had no
-// record.
-func (e *executor) placeRecords(recs [][]byte, offset int) ([]value.Row, error) {
+// fetchRecords resolves keys in one batch and decodes each record found
+// into a fresh combined row at the table's offset, skipping the nil
+// entries of keys that had no record.
+func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) {
+	recs, err := e.getBatch(keys)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]value.Row, 0, len(recs))
 	slab := e.rows(len(recs))
 	for _, rec := range recs {
@@ -117,28 +121,29 @@ func scanBounds(n *core.IndexScan, params []value.Value) (start, end []byte, err
 // batch in one request, walking partitions sequentially; Parallel
 // scatter-gathers the per-partition scans concurrently. limit <= 0 means
 // "everything" (cost-based unbounded plans only).
-func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) []kvstore.KV {
-	req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
-	switch {
-	case e.ctx.Strategy == Parallel:
-		return e.ctx.Client.GetRangeScatter(req)
-	case e.ctx.Strategy != Lazy || limit <= 0:
-		return e.ctx.Client.GetRange(req)
+func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvstore.KV, error) {
+	if e.ctx.Strategy != Lazy || limit <= 0 {
+		req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
+		kvs, err := e.ctx.Client.Scan(req, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+		return kvs, degraded(err)
 	}
 	// Tuple-at-a-time walk: each fetched key becomes the next request's
 	// start bound. The successor key lives in a scratch buffer reused
 	// across tuples — and, when the caller threads a Scratch through
 	// (Cursor pagination), across pages — so the walk's only per-tuple
 	// cost is the request itself, not an allocation. Rebinding the
-	// buffer between iterations is safe: GetRange reads its bounds only
-	// for the duration of the call.
+	// buffer between iterations is safe: Scan reads its bounds only for
+	// the duration of the call.
 	var buf []byte
 	if e.ctx.Scratch != nil {
 		buf = e.ctx.Scratch.key
 	}
 	var out []kvstore.KV
 	for len(out) < limit {
-		kvs := e.ctx.Client.GetRange(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse})
+		kvs, err := e.ctx.Client.Scan(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse}, kvstore.ReadOpts{})
+		if err != nil {
+			return nil, degraded(err)
+		}
 		if len(kvs) == 0 {
 			break
 		}
@@ -154,7 +159,7 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) []kvst
 	if e.ctx.Scratch != nil {
 		e.ctx.Scratch.key = buf
 	}
-	return out
+	return out, nil
 }
 
 // successor returns the smallest key greater than k.
@@ -184,7 +189,10 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 			limit = n.DataStopCard
 		}
 	}
-	kvs := e.fetchRange(start, end, limit, reverse)
+	kvs, err := e.fetchRange(start, end, limit, reverse)
+	if err != nil {
+		return nil, err
+	}
 	if len(kvs) > 0 {
 		e.storeResume(ord, kvs[len(kvs)-1].Key)
 	} else {
@@ -242,7 +250,7 @@ func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset in
 	if err != nil {
 		return nil, err
 	}
-	return e.placeRecords(e.getBatch(keys), offset) // a nil record is a dangling entry awaiting GC
+	return e.fetchRecords(keys, offset) // a nil record is a dangling entry awaiting GC
 }
 
 // runFKJoin extends each child row with at most one record of the
@@ -261,7 +269,10 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 		}
 		keys[i] = index.RecordKeyFromPK(n.Table, pk)
 	}
-	recs := e.getBatch(keys)
+	recs, err := e.getBatch(keys)
+	if err != nil {
+		return nil, err
+	}
 	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
 	for i, rec := range recs {
 		if rec == nil {
@@ -291,6 +302,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		prefix     []byte
 		start, end []byte
 		kvs        []kvstore.KV
+		err        error // this stream's fetch: each Parallel branch owns its slot
 	}
 	scans := make([]perKey, len(childRows))
 	for i, row := range childRows {
@@ -320,18 +332,10 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		scans[i] = perKey{prefix: prefix, start: start, end: end}
 	}
 
-	fetch := func(sub *kvstore.Client, i int, scatter bool) {
-		req := kvstore.RangeRequest{
-			Start:   scans[i].start,
-			End:     scans[i].end,
-			Limit:   n.PerKeyLimit,
-			Reverse: !n.Ascending,
-		}
-		if scatter {
-			scans[i].kvs = sub.GetRangeScatter(req)
-		} else {
-			scans[i].kvs = sub.GetRange(req)
-		}
+	fetch := func(sub *kvstore.Client, sc *perKey, scatter bool) {
+		req := kvstore.RangeRequest{Start: sc.start, End: sc.end, Limit: n.PerKeyLimit, Reverse: !n.Ascending}
+		kvs, err := sub.Scan(req, kvstore.ReadOpts{Parallel: scatter})
+		sc.kvs, sc.err = kvs, degraded(err)
 	}
 	switch e.ctx.Strategy {
 	case Parallel:
@@ -339,18 +343,17 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		// across the partitions its range spans.
 		fns := make([]func(*kvstore.Client), len(scans))
 		for i := range scans {
-			i := i
-			fns[i] = func(sub *kvstore.Client) { fetch(sub, i, true) }
+			fns[i] = func(sub *kvstore.Client) { fetch(sub, &scans[i], true) }
 		}
 		e.ctx.Client.Parallel(fns...)
 	default:
 		// Lazy and Simple both issue the per-key requests sequentially;
 		// Lazy additionally fetches tuple by tuple.
 		for i := range scans {
-			if e.ctx.Strategy == Lazy {
-				scans[i].kvs = e.fetchRange(scans[i].start, scans[i].end, n.PerKeyLimit, !n.Ascending)
+			if sc := &scans[i]; e.ctx.Strategy == Lazy {
+				sc.kvs, sc.err = e.fetchRange(sc.start, sc.end, n.PerKeyLimit, !n.Ascending)
 			} else {
-				fetch(e.ctx.Client, i, false)
+				fetch(e.ctx.Client, sc, false)
 			}
 		}
 	}
@@ -361,6 +364,9 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	// round trips; now every operator costs a constant number of trips.)
 	total := 0
 	for _, sc := range scans {
+		if sc.err != nil {
+			return nil, sc.err
+		}
 		total += len(sc.kvs)
 	}
 	var recs [][]byte // flat across streams, parallel to the scans' kvs
@@ -372,7 +378,9 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 				return nil, err
 			}
 		}
-		recs = e.getBatch(keys)
+		if recs, err = e.getBatch(keys); err != nil {
+			return nil, err
+		}
 	}
 
 	// Materialize joined rows, remembering each row's stream and

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -329,14 +330,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			cl := cluster.NewClient(nil)
 			for i := 0; i < cfg.CASOpsPerWriter; i++ {
 				k := casKey(g + i)
-				cur, _ := cl.Get(k) // nil = absent
+				cur, _, _, err := cl.Read(k, kvstore.ReadOpts{}) // nil = absent
 				up := []byte(fmt.Sprintf("cas-w%02d-%06d", g, i))
-				swapped, err := cl.TestAndSet(k, cur, up)
+				var swapped bool
+				if err == nil {
+					swapped, err = cl.TestAndSet(k, cur, up)
+				}
 				if err != nil {
-					// Transient (primary dead past the retry budget): no
-					// decision was made, so this attempt simply retries —
-					// after a pause, so the fleet does not burn its whole
-					// attempt budget inside one fault window.
+					// Transient (key unreadable, or primary dead past the
+					// retry budget): no decision was made, so this attempt
+					// simply retries — after a pause, so the fleet does not
+					// burn its whole attempt budget inside one fault window.
 					time.Sleep(time.Millisecond) //lint:allow simsleep — wall-clock fault-window pacing; the cluster is immediate-mode
 					continue
 				}
@@ -483,6 +487,37 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// flip); a short or mis-terminated chain means an accepted swap was
 	// lost.
 	auditCl := cluster.NewClient(nil)
+	// The audit's own reads can fail too. One that does is retried while
+	// it is transient and then reported as what it is — a range the audit
+	// could not read — never as the lost write or missing index entry that
+	// an unread range would otherwise pass for.
+	unreadable := func(key []byte, err error) error {
+		return fmt.Errorf("chaos: audit could not read partition owning %q: %w", key, err)
+	}
+	auditScan := func(prefix []byte) (kvs []kvstore.KV, err error) {
+		end := codec.PrefixEnd(prefix)
+		err = retry(func() (err error) {
+			kvs, err = auditCl.Scan(kvstore.RangeRequest{Start: prefix, End: end}, kvstore.ReadOpts{})
+			return err
+		})
+		if err == nil {
+			return kvs, nil
+		}
+		// Name a key the unreadable partition owns: probe the lower bound
+		// of every partition the range spans.
+		probes := [][]byte{prefix}
+		for _, split := range cluster.Splits() {
+			if bytes.Compare(split, prefix) > 0 && bytes.Compare(split, end) < 0 {
+				probes = append(probes, split)
+			}
+		}
+		for _, k := range probes {
+			if _, _, _, perr := auditCl.Read(k, kvstore.ReadOpts{}); perr != nil {
+				return nil, unreadable(k, perr)
+			}
+		}
+		return nil, unreadable(prefix, err)
+	}
 	chains := make(map[string]map[string]casSwap)
 	for _, sw := range casAccepted {
 		m := chains[sw.key]
@@ -513,7 +548,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return nil, fmt.Errorf("chaos: %s has %d accepted swaps but the serial chain explains %d",
 				k, len(chain), steps)
 		}
-		got, ok := auditCl.Get([]byte(k))
+		var got []byte
+		var ok bool
+		if err := retry(func() (err error) {
+			got, _, ok, err = auditCl.Read([]byte(k), kvstore.ReadOpts{})
+			return err
+		}); err != nil {
+			return nil, unreadable([]byte(k), err)
+		}
 		if cur == "" {
 			if ok {
 				return nil, fmt.Errorf("chaos: %s should be absent, holds %q", k, got)
@@ -556,10 +598,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if st := cat.IndexState(ix); st != schema.StateReady {
 		return nil, fmt.Errorf("chaos: index state %v after build, want ready", st)
 	}
-	cl := cluster.NewClient(nil)
-	rp := index.RecordPrefix(tbl)
+	records, err := auditScan(index.RecordPrefix(tbl))
+	if err != nil {
+		return nil, err
+	}
 	want := make(map[string]bool)
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: rp, End: codec.PrefixEnd(rp)}) {
+	for _, kv := range records {
 		row, err := value.DecodeRow(kv.Value)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: corrupt record: %w", err)
@@ -577,11 +621,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// to mirror the records exactly. A *missing* entry is never
 	// tolerable: that is the write gap the online-build protocol closes.
 	gc := index.NewMaintainer(eng)
-	if _, err := gc.GCDangling(cl, ix); err != nil {
+	if err := retry(func() error {
+		_, err := gc.GCDangling(auditCl, ix)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("chaos: gc: %w", err)
 	}
-	ip := index.IndexPrefix(ix)
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: ip, End: codec.PrefixEnd(ip)}) {
+	entries, err := auditScan(index.IndexPrefix(ix))
+	if err != nil {
+		return nil, err
+	}
+	for _, kv := range entries {
 		res.Entries++
 		if !want[string(kv.Key)] {
 			return nil, fmt.Errorf("chaos: dangling index entry %q survived GC", kv.Key)

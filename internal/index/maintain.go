@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -170,17 +171,23 @@ func (m *Maintainer) snapshot(t *schema.Table) (*schema.Catalog, []*schema.Index
 // Insert writes a full row following the paper's protocol: secondary
 // index entries first, then the record via test-and-set (uniqueness),
 // then the cardinality count-check (deleting the row again on
-// violation). crashAfter optionally injects a crash for recovery tests:
-// 0 disables; n > 0 panics after n storage writes.
+// violation).
 func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("index: row has %d values, table %s has %d columns", len(row), t.Name, len(t.Columns))
 	}
 	cat, ixs := m.snapshot(t)
 	rec := value.EncodeRow(row)
+	// Every store error below is transient and returned wrapped (so
+	// engine.Retryable holds): whatever this insert already wrote stays
+	// behind as benign dangling entries that index GC collects — the same
+	// class a crash at that point leaves — and the caller retries.
+	fail := func(err error) error { return fmt.Errorf("index: insert %s: %w", t.Name, err) }
 	// (1) Insert all secondary index entries (in parallel: ordering only
 	// matters between the entries and the record, not among entries).
-	putEntries(cl, entryKeysFor(ixs, t, row))
+	if err := putEntries(cl, entryKeysFor(ixs, t, row)); err != nil {
+		return fail(err)
+	}
 	// (2) Insert the record if absent (uniqueness via test-and-set).
 	// TestAndSet is linearizable across rebalances: the store absorbs
 	// epoch-fencing retries internally (a fenced decision was never made,
@@ -189,13 +196,11 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	// authoritative primary — never a routing artifact. Duplicate-key
 	// detection and the rollback below rely on that exactness. An error
 	// (retry budget exhausted against a dead primary) means no decision
-	// was made: surface it without the duplicate rollback — the entries
-	// written in (1) stay behind as benign dangling entries that index
-	// GC collects, the same class a crash between (1) and (2) leaves.
+	// was made: surface it without the duplicate rollback.
 	rkey := RecordKey(t, row)
-	swapped, tasErr := cl.TestAndSet(rkey, nil, rec)
-	if tasErr != nil {
-		return fmt.Errorf("index: insert %s: %w", t.Name, tasErr)
+	swapped, err := cl.TestAndSet(rkey, nil, rec)
+	if err != nil {
+		return fail(err)
 	}
 	if !swapped {
 		// Roll back the entries we just wrote. While the colliding row
@@ -203,13 +208,19 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 		// delete ones the stored row does not also produce. If it was
 		// deleted between the failed test-and-set and this read, nothing
 		// is shared anymore — delete everything this insert wrote, or the
-		// entries would dangle forever.
-		if existing, ok := cl.Get(rkey); ok {
-			if old, err := value.DecodeRow(existing); err == nil {
-				m.deleteStaleEntries(cl, ixs, t, row, old)
+		// entries would dangle forever. A read that failed is neither:
+		// which entries are shared is unknown, so none is deleted —
+		// taking "unreachable" for "deleted" would strip a surviving row
+		// of the entries it shares with this one.
+		existing, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
+		if err != nil {
+			return fail(err)
+		}
+		if ok {
+			if old, derr := value.DecodeRow(existing); derr == nil {
+				err = m.deleteStaleEntries(cl, ixs, t, row, old)
 			}
-		} else {
-			m.deleteRowEntries(cl, ixs, t, row)
+		} else if err = m.deleteRowEntries(cl, ixs, t, row); err == nil {
 			// A concurrent insert of the same key may have committed while
 			// we were deleting — and its entry keys can coincide with the
 			// ones just removed. Restore whatever the winner's row needs.
@@ -217,11 +228,15 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 			// puts preceded our deletions remains exposed for that sliver;
 			// the alternative — never rolling back — leaked the entries
 			// permanently.)
-			if rec2, ok := cl.Get(rkey); ok {
-				if winner, err := value.DecodeRow(rec2); err == nil {
-					putEntries(cl, entryKeysFor(ixs, t, winner))
+			var rec2 []byte
+			if rec2, _, ok, err = cl.Read(rkey, kvstore.ReadOpts{}); ok {
+				if winner, derr := value.DecodeRow(rec2); derr == nil {
+					err = putEntries(cl, entryKeysFor(ixs, t, winner))
 				}
 			}
+		}
+		if err != nil {
+			return fail(err)
 		}
 		pk := make(value.Row, len(t.PrimaryKey))
 		for i, col := range t.PrimaryKey {
@@ -231,14 +246,19 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	}
 	// (3) Check cardinality constraints with count-range requests.
 	for _, card := range t.Cardinalities {
-		n := m.countMatching(cl, cat, ixs, t, card, row)
-		if n > card.Limit {
-			// Violation: undo the insert (record first so readers stop
-			// seeing it, then entries).
-			cl.Delete(rkey)
-			m.deleteRowEntries(cl, ixs, t, row)
-			return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
+		n, err := m.countMatching(cl, cat, ixs, t, card, row)
+		if err == nil && n <= card.Limit {
+			continue
 		}
+		// Over the limit — or the count could not be completed, which
+		// must not admit either: a count that skipped an unreachable
+		// partition is an undercount, and the row would stay past the
+		// limit every static bound rests on. Undo the insert (record
+		// first so readers stop seeing it, then entries).
+		if err := errors.Join(err, cl.Delete(rkey), m.deleteRowEntries(cl, ixs, t, row)); err != nil {
+			return fail(err)
+		}
+		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
 	}
 	return nil
 }
@@ -248,28 +268,32 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 // (the compiler will have created one for any constraint it exploits);
 // otherwise it falls back to counting over the record range, which is
 // only valid when the constraint columns prefix the primary key.
-func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality, row value.Row) int {
+func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality, row value.Row) (int, error) {
 	if ix := constraintIndex(cat, ixs, card); ix != nil {
 		prefix := IndexPrefix(ix)
 		for i := range card.Columns {
 			f := ix.Fields[i]
 			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(f.Column)], f.Desc)
 		}
-		return cl.CountRange(prefix, codec.PrefixEnd(prefix))
+		return cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{Parallel: true})
 	}
 	if m.prefixesPrimaryKey(t, card.Columns) {
 		prefix := RecordPrefix(t)
 		for _, col := range card.Columns {
 			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(col)], false)
 		}
-		return cl.CountRange(prefix, codec.PrefixEnd(prefix))
+		return cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{Parallel: true})
 	}
 	// No efficient path: scan-count via the record range with a filter.
 	// Bounded in practice by the constraint itself once enforced.
 	prefix := RecordPrefix(t)
+	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	if err != nil {
+		return 0, err
+	}
 	n := 0
 	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}) {
+	for _, kv := range kvs {
 		if _, err := value.DecodeRowInto(other, kv.Value); err != nil {
 			continue
 		}
@@ -285,7 +309,7 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 			n++
 		}
 	}
-	return n
+	return n, nil
 }
 
 // constraintIndex finds a ready secondary index whose leading non-token
@@ -364,7 +388,14 @@ func (m *Maintainer) prefixesPrimaryKey(t *schema.Table, cols []string) bool {
 func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, newRow value.Row) error {
 	ixs := m.secondaryIndexes(t)
 	rkey := RecordKey(t, newRow)
-	oldRec, ok := cl.Get(rkey)
+	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
+	// An unreachable row is a transient failure, not a missing row:
+	// callers treat missing as a fatal semantic error and would drop the
+	// update on the floor.
+	oldRec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
+	if err != nil {
+		return fail(err)
+	}
 	if !ok {
 		return fmt.Errorf("index: update of missing row in %s", t.Name)
 	}
@@ -373,17 +404,23 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, newRow value.Ro
 		return fmt.Errorf("index: corrupt record in %s: %w", t.Name, err)
 	}
 	// (1) New entries, in parallel.
-	putEntries(cl, entryKeysFor(ixs, t, newRow))
+	if err := putEntries(cl, entryKeysFor(ixs, t, newRow)); err != nil {
+		return fail(err)
+	}
 	// (2) Record.
-	cl.Put(rkey, value.EncodeRow(newRow))
+	if err := cl.Put(rkey, value.EncodeRow(newRow)); err != nil {
+		return fail(err)
+	}
 	// (3) Stale entries.
-	m.deleteStaleEntries(cl, ixs, t, oldRow, newRow)
+	if err := m.deleteStaleEntries(cl, ixs, t, oldRow, newRow); err != nil {
+		return fail(err)
+	}
 	return nil
 }
 
 // deleteStaleEntries removes index entries produced by oldRow but not by
 // keepRow.
-func (m *Maintainer) deleteStaleEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, oldRow, keepRow value.Row) {
+func (m *Maintainer) deleteStaleEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, oldRow, keepRow value.Row) error {
 	var stale [][]byte
 	for _, ix := range ixs {
 		keep := make(map[string]bool)
@@ -399,19 +436,19 @@ func (m *Maintainer) deleteStaleEntries(cl *kvstore.Client, ixs []*schema.Index,
 		m.recordBuildTombstones(ix, ixStale)
 		stale = append(stale, ixStale...)
 	}
-	deleteEntries(cl, stale)
+	return deleteEntries(cl, stale)
 }
 
 // deleteRowEntries removes every entry row produces, recording build
 // tombstones first for any index whose backfill is in flight.
-func (m *Maintainer) deleteRowEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, row value.Row) {
+func (m *Maintainer) deleteRowEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, row value.Row) error {
 	var keys [][]byte
 	for _, ix := range ixs {
 		eks := EntryKeys(ix, t, row)
 		m.recordBuildTombstones(ix, eks)
 		keys = append(keys, eks...)
 	}
-	deleteEntries(cl, keys)
+	return deleteEntries(cl, keys)
 }
 
 // Delete removes a row and its index entries (record first, so readers
@@ -419,7 +456,11 @@ func (m *Maintainer) deleteRowEntries(cl *kvstore.Client, ixs []*schema.Index, t
 func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) error {
 	ixs := m.secondaryIndexes(t)
 	rkey := RecordKeyFromPK(t, pk)
-	rec, ok := cl.Get(rkey)
+	fail := func(err error) error { return fmt.Errorf("index: delete %s: %w", t.Name, err) }
+	rec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
+	if err != nil {
+		return fail(err) // unreachable is not missing: nothing was deleted, say so
+	}
 	if !ok {
 		return nil // idempotent
 	}
@@ -427,8 +468,12 @@ func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) e
 	if err != nil {
 		return fmt.Errorf("index: corrupt record in %s: %w", t.Name, err)
 	}
-	cl.Delete(rkey)
-	m.deleteRowEntries(cl, ixs, t, row)
+	if err := cl.Delete(rkey); err != nil {
+		return fail(err)
+	}
+	if err := m.deleteRowEntries(cl, ixs, t, row); err != nil {
+		return fail(err)
+	}
 	return nil
 }
 
@@ -442,35 +487,31 @@ func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte 
 }
 
 // putEntries writes entry keys concurrently.
-func putEntries(cl *kvstore.Client, keys [][]byte) {
-	if len(keys) <= 1 {
-		for _, k := range keys {
-			cl.Put(k, nil)
-		}
-		return
-	}
-	fns := make([]func(*kvstore.Client), len(keys))
-	for i, k := range keys {
-		k := k
-		fns[i] = func(sub *kvstore.Client) { sub.Put(k, nil) }
-	}
-	cl.Parallel(fns...)
+func putEntries(cl *kvstore.Client, keys [][]byte) error {
+	return writeEntries(cl, keys, func(sub *kvstore.Client, k []byte) error { return sub.Put(k, nil) })
 }
 
 // deleteEntries removes entry keys concurrently.
-func deleteEntries(cl *kvstore.Client, keys [][]byte) {
-	if len(keys) <= 1 {
-		for _, k := range keys {
-			cl.Delete(k)
-		}
-		return
+func deleteEntries(cl *kvstore.Client, keys [][]byte) error {
+	return writeEntries(cl, keys, (*kvstore.Client).Delete)
+}
+
+// writeEntries issues one write per key, concurrently when there are
+// several; each Parallel branch reports into its own slot.
+func writeEntries(cl *kvstore.Client, keys [][]byte, write func(*kvstore.Client, []byte) error) error {
+	if len(keys) == 0 {
+		return nil
 	}
+	if len(keys) == 1 {
+		return write(cl, keys[0])
+	}
+	errs := make([]error, len(keys))
 	fns := make([]func(*kvstore.Client), len(keys))
 	for i, k := range keys {
-		k := k
-		fns[i] = func(sub *kvstore.Client) { sub.Delete(k) }
+		fns[i] = func(sub *kvstore.Client) { errs[i] = write(sub, k) }
 	}
 	cl.Parallel(fns...)
+	return errors.Join(errs...)
 }
 
 // Backfill builds a newly created secondary index from the existing
@@ -513,15 +554,23 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 	// replication a lagged replica can still show a row whose delete
 	// predates the build — no entry tombstone exists for it (the index
 	// didn't), so an entry minted from that stale read would dangle
-	// with nothing to outrank it.
+	// with nothing to outrank it. A partition whose primary cannot be
+	// read fails the build: the caller must never flip the index ready
+	// over a scan that skipped rows.
 	prefix := RecordPrefix(t)
-	for _, kv := range cl.GetRangePrimary(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}) {
+	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{From: kvstore.Primary})
+	if err != nil {
+		return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
+	}
+	for _, kv := range kvs {
 		row, err := value.DecodeRow(kv.Value)
 		if err != nil {
 			return fmt.Errorf("index: corrupt record during backfill of %s: %w", ix.Name, err)
 		}
 		for _, key := range EntryKeys(ix, t, row) {
-			cl.PutStamped(key, nil, snap)
+			if err := cl.PutStamped(key, nil, snap); err != nil {
+				return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
+			}
 		}
 	}
 	return nil
@@ -530,7 +579,9 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 // GCDangling scans an index for entries whose record no longer exists
 // and removes them — the garbage collection the paper mentions for the
 // dangling pointers the crash-tolerant ordering can leave behind. It
-// returns how many entries were collected.
+// returns how many entries were collected. A read that fails stops the
+// sweep with its error: an entry whose record could not be read is not
+// known to dangle, and deleting it would unindex a live row.
 func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, error) {
 	if ix.Primary {
 		return 0, nil
@@ -540,16 +591,24 @@ func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, erro
 		return 0, fmt.Errorf("index: gc of index on unknown table %q", ix.Table)
 	}
 	prefix := IndexPrefix(ix)
+	fail := func(err error) error { return fmt.Errorf("index: gc of %s: %w", ix.Name, err) }
+	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	if err != nil {
+		return 0, fail(err)
+	}
 	removed := 0
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}) {
+	for _, kv := range kvs {
 		dangling, err := m.entryDangling(cl, ix, t, kv.Key)
 		if err != nil {
-			return removed, err
+			return removed, fail(err)
 		}
-		if dangling {
-			cl.Delete(kv.Key)
-			removed++
+		if !dangling {
+			continue
 		}
+		if err := cl.Delete(kv.Key); err != nil {
+			return removed, fail(err)
+		}
+		removed++
 	}
 	return removed, nil
 }
@@ -564,9 +623,9 @@ func (m *Maintainer) entryDangling(cl *kvstore.Client, ix *schema.Index, t *sche
 	if err != nil {
 		return false, err
 	}
-	rec, ok := cl.Get(RecordKeyFromPK(t, pk))
-	if !ok {
-		return true, nil
+	rec, _, ok, err := cl.Read(RecordKeyFromPK(t, pk), kvstore.ReadOpts{})
+	if err != nil || !ok {
+		return err == nil, err
 	}
 	row, err := value.DecodeRow(rec)
 	if err != nil {
@@ -605,7 +664,10 @@ func (m *Maintainer) VerifyBuildSuspects(cl *kvstore.Client, ix *schema.Index, s
 		return nil
 	}
 	for _, ekey := range suspects {
-		_, ver, ok := cl.GetVersionedPrimary(ekey)
+		_, ver, ok, err := cl.Read(ekey, kvstore.ReadOpts{From: kvstore.Primary})
+		if err != nil {
+			return fmt.Errorf("index: verifying build of %s: %w", ix.Name, err)
+		}
 		if ok && !ver.After(snap) {
 			return fmt.Errorf("index: build ghost on %s: entry %q deleted during the backfill still carries scan version %+v (snap %+v)",
 				ix.Name, ekey, ver, snap)

@@ -83,7 +83,7 @@ func TestInsertRollbackRacingDelete(t *testing.T) {
 	cl := cluster.NewClient(nil)
 	live := make(map[string]bool)
 	rp := RecordPrefix(tab)
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: rp, End: codec.PrefixEnd(rp)}) {
+	for _, kv := range scanPrefix(cl, rp) {
 		row, err := value.DecodeRow(kv.Value)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestInsertRollbackRacingDelete(t *testing.T) {
 		}
 	}
 	ip := IndexPrefix(ix)
-	for _, kv := range cl.GetRange(kvstore.RangeRequest{Start: ip, End: codec.PrefixEnd(ip)}) {
+	for _, kv := range scanPrefix(cl, ip) {
 		if !live[string(kv.Key)] {
 			t.Fatalf("dangling index entry %q leaked by the insert rollback", kv.Key)
 		}
@@ -173,7 +173,7 @@ func TestConstraintIndexAnyOrder(t *testing.T) {
 	// but assert directly via the index path: a count over the index
 	// prefix equals the rows sharing (owner, approved).
 	prefix := ScanPrefix(tab2Index(cat, "subs", "by_approved_owner"), value.Row{value.Str("yes"), value.Str("ann")})
-	if got := cl.CountRange(prefix, codec.PrefixEnd(prefix)); got != 2 {
+	if got, err := cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{}); err != nil || got != 2 {
 		t.Fatalf("index-prefix count = %d, want 2 surviving rows", got)
 	}
 	// A different owner is unaffected.
@@ -189,4 +189,14 @@ func tab2Index(cat *schema.Catalog, table, name string) *schema.Index {
 		}
 	}
 	return nil
+}
+
+// scanPrefix reads every key under prefix. The tests that use it inject
+// no fault, so an error is a bug and panics.
+func scanPrefix(cl *kvstore.Client, prefix []byte) []kvstore.KV {
+	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	if err != nil {
+		panic(err)
+	}
+	return kvs
 }

@@ -36,7 +36,7 @@ func TestBackfillStampLosesToRacingDelete(t *testing.T) {
 	snap := cl.StampVersion()      // the backfill's scan-begin stamp
 	cl.Delete(ekey)                // a writer's racing delete, stamped later
 	cl.PutStamped(ekey, nil, snap) // the backfill's stale re-put lands last
-	if _, ok := cl.Get(ekey); ok {
+	if _, _, ok, err := cl.Read(ekey, kvstore.ReadOpts{}); err != nil || ok {
 		t.Fatal("backfill's stale stamped put resurrected a deleted entry")
 	}
 

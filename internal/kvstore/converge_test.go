@@ -193,7 +193,7 @@ func TestAsyncCatchUpRespectsOwnership(t *testing.T) {
 		if p := rt.partitionOf(key(i)); !rt.isOwner(p, 1) {
 			moved = true
 		}
-		if v, ok := c.NewClient(nil).Get(key(i)); !ok || !bytes.Equal(v, val(i)) {
+		if v, ok := get(c.NewClient(nil), key(i)); !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("key %d lost: %q (present=%v)", i, v, ok)
 		}
 	}
@@ -254,7 +254,7 @@ func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
 	}
 	cl := c.NewClient(nil)
 	for i := 0; i < n; i++ {
-		if v, ok := cl.Get(key(i)); !ok || !bytes.Equal(v, val(i)) {
+		if v, ok := get(cl, key(i)); !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("key %d lost across the crash: %q (present=%v)", i, v, ok)
 		}
 	}
@@ -263,10 +263,10 @@ func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
 	}
 }
 
-// TestReadRepairConvergesStaleReplica: a read that fans out to all
+// TestAllRepairConvergesStaleReplica: a read that fans out to all
 // replicas returns the newest value and repairs the stale replica
 // immediately, without waiting for the replication lag to drain.
-func TestReadRepairConvergesStaleReplica(t *testing.T) {
+func TestAllRepairConvergesStaleReplica(t *testing.T) {
 	env := sim.NewEnv()
 	lag := 500 * time.Millisecond
 	c := New(Config{
@@ -284,8 +284,8 @@ func TestReadRepairConvergesStaleReplica(t *testing.T) {
 		if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v1")) {
 			panic(fmt.Sprintf("replica should still hold v1, has %q", v))
 		}
-		if v, ok := cl.ReadRepair(k); !ok || !bytes.Equal(v, []byte("v2")) {
-			panic(fmt.Sprintf("ReadRepair returned %q (ok=%v), want v2", v, ok))
+		if v, _, ok, err := cl.Read(k, ReadOpts{From: AllRepair}); err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
+			panic(fmt.Sprintf("AllRepair read returned %q (ok=%v, err=%v), want v2", v, ok, err))
 		}
 		// The repair converged the replica before the catch-up fires.
 		if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v2")) {
@@ -356,11 +356,11 @@ func TestReplicasConvergeUnderRacingWrites(t *testing.T) {
 	}
 }
 
-// TestGetRangeScatterImmediateMode: in immediate mode the scatter path
+// TestScanParallelImmediateMode: in immediate mode the scatter path
 // fans out on real goroutines instead of falling back to the
 // sequential walk; results and operation accounting must match the
 // sequential reference exactly.
-func TestGetRangeScatterImmediateMode(t *testing.T) {
+func TestScanParallelImmediateMode(t *testing.T) {
 	c, cl := newImmediate(5, 2)
 	for i := 0; i < 500; i++ {
 		cl.Put(key(i), val(i))
@@ -377,13 +377,13 @@ func TestGetRangeScatterImmediateMode(t *testing.T) {
 		{Start: key(77), End: key(78), Limit: 5},
 		{Start: nil, End: nil, Reverse: true, Limit: 499},
 	}
-	scatter := c.NewClient(nil)
+	par := c.NewClient(nil)
 	seq := c.NewClient(nil)
 	for i, req := range reqs {
-		before := scatter.Ops()
-		got := scatter.GetRangeScatter(req)
-		opsUsed := scatter.Ops() - before
-		want := seq.GetRange(req)
+		before := par.Ops()
+		got := scatter(par, req)
+		opsUsed := par.Ops() - before
+		want := scan(seq, req)
 		if len(got) != len(want) {
 			t.Fatalf("req %d: scatter %d kvs, sequential %d", i, len(got), len(want))
 		}
@@ -398,9 +398,9 @@ func TestGetRangeScatterImmediateMode(t *testing.T) {
 	}
 }
 
-// TestGetRangeScatterImmediateConcurrentClients: the goroutine fan-out
+// TestScanParallelImmediateConcurrentClients: the goroutine fan-out
 // under -race, many clients at once.
-func TestGetRangeScatterImmediateConcurrentClients(t *testing.T) {
+func TestScanParallelImmediateConcurrentClients(t *testing.T) {
 	c, loader := newImmediate(6, 2)
 	for i := 0; i < 600; i++ {
 		loader.Put(key(i), val(i))
@@ -413,7 +413,7 @@ func TestGetRangeScatterImmediateConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			cl := c.NewClient(nil)
 			for i := 0; i < 50; i++ {
-				kvs := cl.GetRangeScatter(RangeRequest{Start: key(g * 10), End: key(g*10 + 300), Limit: 40})
+				kvs := scatter(cl, RangeRequest{Start: key(g * 10), End: key(g*10 + 300), Limit: 40})
 				if len(kvs) != 40 {
 					panic(fmt.Sprintf("client %d: got %d kvs, want 40", g, len(kvs)))
 				}

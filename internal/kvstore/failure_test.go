@@ -72,7 +72,7 @@ func TestQuorumReadBoundsStaleness(t *testing.T) {
 	}
 
 	// Quorum short: R=2 with one replica away makes no decision.
-	if _, _, err := cl.GetQuorum(k, 2); err == nil {
+	if _, _, _, err := cl.Read(k, ReadOpts{From: Quorum(2)}); err == nil {
 		t.Fatal("R=2 read with one replica partitioned returned no error")
 	} else if !errors.Is(err, ErrTransient) {
 		t.Fatalf("quorum-short error is not transient: %v", err)
@@ -84,7 +84,7 @@ func TestQuorumReadBoundsStaleness(t *testing.T) {
 	// replica within a few draws.
 	sawStale, sawFresh := false, false
 	for i := 0; i < 400 && !(sawStale && sawFresh); i++ {
-		v, ok := cl.Get(k)
+		v, ok := get(cl, k)
 		if !ok {
 			t.Fatal("key read as absent")
 		}
@@ -106,7 +106,7 @@ func TestQuorumReadBoundsStaleness(t *testing.T) {
 
 	// R=2 is never stale: both replicas are read, v2's newer version wins.
 	for i := 0; i < 50; i++ {
-		v, ok, err := cl.GetQuorum(k, 2)
+		v, _, ok, err := cl.Read(k, ReadOpts{From: Quorum(2)})
 		if err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
 			t.Fatalf("R=2 read %d returned %q (ok=%v, err=%v), want v2 always", i, v, ok, err)
 		}
@@ -118,7 +118,7 @@ func TestQuorumReadBoundsStaleness(t *testing.T) {
 	}
 	// ...so even R=1 reads are fresh from here on.
 	for i := 0; i < 50; i++ {
-		if v, ok := cl.Get(k); !ok || !bytes.Equal(v, []byte("v2")) {
+		if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v2")) {
 			t.Fatalf("post-repair R=1 read returned %q (ok=%v), want v2", v, ok)
 		}
 	}
@@ -174,7 +174,7 @@ func TestLeaseExpiryUnwedgesTestAndSet(t *testing.T) {
 	if ok, err := cl.TestAndSet(k, []byte("v0"), []byte("v1")); err != nil || !ok {
 		t.Fatalf("TestAndSet still wedged after expiry + reclaim: ok=%v err=%v", ok, err)
 	}
-	if v, ok := cl.Get(k); !ok || !bytes.Equal(v, []byte("v1")) {
+	if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("key holds %q (ok=%v) after the post-reclaim swap, want v1", v, ok)
 	}
 
@@ -182,17 +182,17 @@ func TestLeaseExpiryUnwedgesTestAndSet(t *testing.T) {
 	if err := c.AuditConvergence(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := cl.Get(k); !ok || !bytes.Equal(v, []byte("v1")) {
+	if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("restart disturbed the key: %q (ok=%v)", v, ok)
 	}
 }
 
-// TestReadRepairLaggedThenKilledReplica: ReadRepair against a replica
+// TestAllRepairLaggedThenKilledReplica: an AllRepair read against a replica
 // set where the lagged replica has crashed must serve the newest value
 // from the live primary without error, skip the unreachable replica,
 // and leave convergence to catch-up replay at restart — the catch-up
 // that fires mid-outage queues instead of applying to the dead node.
-func TestReadRepairLaggedThenKilledReplica(t *testing.T) {
+func TestAllRepairLaggedThenKilledReplica(t *testing.T) {
 	env := sim.NewEnv()
 	lag := 500 * time.Millisecond
 	c := New(Config{Nodes: 2, ReplicationFactor: 2, Seed: 13,
@@ -205,11 +205,12 @@ func TestReadRepairLaggedThenKilledReplica(t *testing.T) {
 		p.Sleep(2 * lag) // v1 fully replicated
 		cl.Put(k, []byte("v2"))
 		c.Kill(1) // the lagged replica dies before v2's catch-up fires
-		if v, ok := cl.ReadRepair(k); !ok || !bytes.Equal(v, []byte("v2")) {
-			panic(fmt.Sprintf("ReadRepair with a dead replica returned %q (ok=%v), want v2 from the live primary", v, ok))
+		v, _, ok, err := cl.Read(k, ReadOpts{From: AllRepair})
+		if !ok || !bytes.Equal(v, []byte("v2")) {
+			panic(fmt.Sprintf("AllRepair read with a dead replica returned %q (ok=%v), want v2 from the live primary", v, ok))
 		}
-		if err := cl.TakeErr(); err != nil {
-			panic(fmt.Sprintf("ReadRepair noted %v despite a reachable replica serving the read", err))
+		if err != nil {
+			panic(fmt.Sprintf("AllRepair read failed with %v despite a reachable replica serving it", err))
 		}
 		p.Sleep(2 * lag) // v2's catch-up fires mid-outage: must queue
 		c.Restart(1)     // replay converges the replica

@@ -22,16 +22,16 @@ func newImmediate(nodes, rf int) (*Cluster, *Client) {
 
 func TestGetPutDelete(t *testing.T) {
 	_, cl := newImmediate(4, 2)
-	if _, ok := cl.Get(key(1)); ok {
+	if _, ok := get(cl, key(1)); ok {
 		t.Fatal("Get on empty cluster")
 	}
 	cl.Put(key(1), val(1))
-	v, ok := cl.Get(key(1))
+	v, ok := get(cl, key(1))
 	if !ok || !bytes.Equal(v, val(1)) {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
 	cl.Delete(key(1))
-	if _, ok := cl.Get(key(1)); ok {
+	if _, ok := get(cl, key(1)); ok {
 		t.Fatal("Get after Delete")
 	}
 }
@@ -46,7 +46,7 @@ func TestReplicationSurvivesAllReplicaReads(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		cl2 := c.NewClient(nil)
 		for i := 0; i < 100; i++ {
-			v, ok := cl2.Get(key(i))
+			v, ok := get(cl2, key(i))
 			if !ok || !bytes.Equal(v, val(i)) {
 				t.Fatalf("trial %d: key %d missing on some replica", trial, i)
 			}
@@ -74,13 +74,13 @@ func TestRebalanceSpreadsData(t *testing.T) {
 	}
 	// All data still readable after rebalance.
 	for i := 0; i < n; i++ {
-		if _, ok := cl.Get(key(i)); !ok {
+		if _, ok := get(cl, key(i)); !ok {
 			t.Fatalf("key %d lost in rebalance", i)
 		}
 	}
 }
 
-func TestGetRangeAcrossPartitions(t *testing.T) {
+func TestScanAcrossPartitions(t *testing.T) {
 	c, cl := newImmediate(6, 2)
 	const n = 1200
 	for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestGetRangeAcrossPartitions(t *testing.T) {
 	}
 	c.Rebalance()
 
-	kvs := cl.GetRange(RangeRequest{Start: key(100), End: key(1100)})
+	kvs := scan(cl, RangeRequest{Start: key(100), End: key(1100)})
 	if len(kvs) != 1000 {
 		t.Fatalf("range returned %d items, want 1000", len(kvs))
 	}
@@ -99,13 +99,13 @@ func TestGetRangeAcrossPartitions(t *testing.T) {
 	}
 
 	// Limited scan stops early.
-	kvs = cl.GetRange(RangeRequest{Start: key(100), End: key(1100), Limit: 7})
+	kvs = scan(cl, RangeRequest{Start: key(100), End: key(1100), Limit: 7})
 	if len(kvs) != 7 || !bytes.Equal(kvs[6].Key, key(106)) {
 		t.Fatalf("limited scan = %d items, last %q", len(kvs), kvs[len(kvs)-1].Key)
 	}
 
 	// Reverse scan returns descending order from the end.
-	kvs = cl.GetRange(RangeRequest{Start: key(100), End: key(1100), Limit: 5, Reverse: true})
+	kvs = scan(cl, RangeRequest{Start: key(100), End: key(1100), Limit: 5, Reverse: true})
 	if len(kvs) != 5 {
 		t.Fatalf("reverse scan = %d items", len(kvs))
 	}
@@ -116,44 +116,44 @@ func TestGetRangeAcrossPartitions(t *testing.T) {
 	}
 
 	// Unbounded scans.
-	if got := len(cl.GetRange(RangeRequest{})); got != n {
+	if got := len(scan(cl, RangeRequest{})); got != n {
 		t.Fatalf("full scan = %d", got)
 	}
-	if got := len(cl.GetRange(RangeRequest{Reverse: true})); got != n {
+	if got := len(scan(cl, RangeRequest{Reverse: true})); got != n {
 		t.Fatalf("full reverse scan = %d", got)
 	}
 }
 
-func TestCountRange(t *testing.T) {
+func TestCount(t *testing.T) {
 	c, cl := newImmediate(4, 2)
 	for i := 0; i < 500; i++ {
 		cl.Put(key(i), val(i))
 	}
 	c.Rebalance()
-	if got := cl.CountRange(key(10), key(60)); got != 50 {
-		t.Fatalf("CountRange = %d, want 50", got)
+	if got := count(cl, key(10), key(60)); got != 50 {
+		t.Fatalf("Count = %d, want 50", got)
 	}
-	if got := cl.CountRange(nil, nil); got != 500 {
-		t.Fatalf("CountRange all = %d, want 500", got)
+	if got := count(cl, nil, nil); got != 500 {
+		t.Fatalf("Count all = %d, want 500", got)
 	}
-	if got := cl.CountRange(key(600), nil); got != 0 {
-		t.Fatalf("CountRange empty = %d, want 0", got)
+	if got := count(cl, key(600), nil); got != 0 {
+		t.Fatalf("Count empty = %d, want 0", got)
 	}
 }
 
-func TestMultiGet(t *testing.T) {
+func TestReadBatch(t *testing.T) {
 	c, cl := newImmediate(5, 2)
 	for i := 0; i < 300; i++ {
 		cl.Put(key(i), val(i))
 	}
 	c.Rebalance()
 	keys := [][]byte{key(5), key(250), []byte("missing"), key(99)}
-	got := cl.MultiGet(keys)
+	got := batch(cl, keys)
 	if !bytes.Equal(got[0], val(5)) || !bytes.Equal(got[1], val(250)) || got[2] != nil || !bytes.Equal(got[3], val(99)) {
-		t.Fatalf("MultiGet = %q", got)
+		t.Fatalf("ReadBatch = %q", got)
 	}
-	if out := cl.MultiGet(nil); len(out) != 0 {
-		t.Fatalf("empty MultiGet = %v", out)
+	if out := batch(cl, nil); len(out) != 0 {
+		t.Fatalf("empty ReadBatch = %v", out)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestTestAndSet(t *testing.T) {
 	if !tas([]byte("v1"), []byte("v2")) {
 		t.Fatal("swap with right expectation failed")
 	}
-	v, _ := cl.Get(k)
+	v, _ := get(cl, k)
 	if !bytes.Equal(v, []byte("v2")) {
 		t.Fatalf("value = %q", v)
 	}
@@ -190,7 +190,7 @@ func TestTestAndSet(t *testing.T) {
 	if !tas([]byte("v2"), nil) {
 		t.Fatal("conditional delete failed")
 	}
-	if _, ok := cl.Get(k); ok {
+	if _, ok := get(cl, k); ok {
 		t.Fatal("key survived conditional delete")
 	}
 }
@@ -201,7 +201,7 @@ func TestOpCounting(t *testing.T) {
 	if cl.Ops() != 2 {
 		t.Fatalf("ops after put = %d, want 2", cl.Ops())
 	}
-	cl.Get(key(1)) // 1 op
+	get(cl, key(1)) // 1 op
 	if cl.Ops() != 3 {
 		t.Fatalf("ops after get = %d, want 3", cl.Ops())
 	}
@@ -250,7 +250,7 @@ func TestRangeMatchesReferenceProperty(t *testing.T) {
 		}
 		limit := r.Intn(20)
 		reverse := r.Intn(2) == 0
-		got := cl.GetRange(RangeRequest{Start: lo, End: hi, Limit: limit, Reverse: reverse})
+		got := scan(cl, RangeRequest{Start: lo, End: hi, Limit: limit, Reverse: reverse})
 		expected := want
 		if reverse {
 			expected = make([]string, len(want))
@@ -269,7 +269,7 @@ func TestRangeMatchesReferenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return cl.CountRange(lo, hi) == len(want)
+		return count(cl, lo, hi) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -288,7 +288,7 @@ func TestSimulatedOpsTakeVirtualTime(t *testing.T) {
 		cl.Put(key(1), val(1))
 		putLatency = p.Now() - t0
 		t0 = p.Now()
-		cl.Get(key(1))
+		get(cl, key(1))
 		getLatency = p.Now() - t0
 	})
 	env.Run(0)
@@ -300,7 +300,7 @@ func TestSimulatedOpsTakeVirtualTime(t *testing.T) {
 	}
 }
 
-func TestSimulatedMultiGetParallelFasterThanSerial(t *testing.T) {
+func TestSimulatedReadBatchParallelFasterThanSerial(t *testing.T) {
 	build := func() (*Cluster, *sim.Env) {
 		env := sim.NewEnv()
 		c := New(Config{Nodes: 8, ReplicationFactor: 1, Seed: 11}, env)
@@ -322,7 +322,7 @@ func TestSimulatedMultiGetParallelFasterThanSerial(t *testing.T) {
 		cl := c1.NewClient(p)
 		t0 := p.Now()
 		for _, k := range keys {
-			cl.Get(k)
+			get(cl, k)
 		}
 		serial = p.Now() - t0
 	})
@@ -333,13 +333,13 @@ func TestSimulatedMultiGetParallelFasterThanSerial(t *testing.T) {
 	env2.Spawn(func(p *sim.Proc) {
 		cl := c2.NewClient(p)
 		t0 := p.Now()
-		cl.MultiGet(keys)
+		batch(cl, keys)
 		batched = p.Now() - t0
 	})
 	env2.Run(0)
 
 	if batched*3 > serial {
-		t.Fatalf("MultiGet (%v) not substantially faster than serial gets (%v)", batched, serial)
+		t.Fatalf("ReadBatch (%v) not substantially faster than serial gets (%v)", batched, serial)
 	}
 }
 
@@ -355,7 +355,7 @@ func TestSlowNodeInjection(t *testing.T) {
 			cl := c.NewClient(p)
 			t0 := p.Now()
 			for i := 0; i < 50; i++ {
-				cl.Get(key(i))
+				get(cl, key(i))
 			}
 			total = p.Now() - t0
 		})
@@ -409,7 +409,7 @@ func TestNodeSaturationInflatesLatency(t *testing.T) {
 			env.Spawn(func(p *sim.Proc) {
 				cl := c.NewClient(p)
 				t0 := p.Now()
-				cl.Get(key(1))
+				get(cl, key(1))
 				if d := p.Now() - t0; d > worst {
 					worst = d
 				}
@@ -452,4 +452,33 @@ func TestClusterString(t *testing.T) {
 	if c.TotalOps() == 0 {
 		t.Fatal("TotalOps not counted")
 	}
+}
+
+// The tests' reads. No fault is in play unless a test injects one — and
+// those tests call Read/ReadBatch/Scan/Count themselves to look at the
+// error — so here an error is a bug and panics (tests read from
+// goroutines and simulated processes, where t.Fatal is off limits).
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func get(cl *Client, k []byte) ([]byte, bool) {
+	v, _, ok, err := cl.Read(k, ReadOpts{})
+	if err != nil {
+		panic(err)
+	}
+	return v, ok
+}
+
+func batch(cl *Client, keys [][]byte) [][]byte {
+	return must(cl.ReadBatch(keys, ReadOpts{Parallel: true}))
+}
+func batchSeq(cl *Client, keys [][]byte) [][]byte { return must(cl.ReadBatch(keys, ReadOpts{})) }
+func scan(cl *Client, req RangeRequest) []KV      { return must(cl.Scan(req, ReadOpts{})) }
+func scatter(cl *Client, req RangeRequest) []KV   { return must(cl.Scan(req, ReadOpts{Parallel: true})) }
+func count(cl *Client, start, end []byte) int {
+	return must(cl.Count(start, end, ReadOpts{Parallel: true}))
 }

@@ -96,7 +96,7 @@ func TestTestAndSetLinearizableAcrossRebalance(t *testing.T) {
 			for i := 0; stop.Load() == 0; i++ {
 				totalOps.Add(1)
 				k := casKey(rnd.Intn(casKeys))
-				cur, _ := cl.Get(k) // nil = absent, the initial state
+				cur, _ := get(cl, k) // nil = absent, the initial state
 				up := []byte(fmt.Sprintf("w%02d-%07d", g, i))
 				swapped, err := cl.TestAndSet(k, cur, up)
 				if err != nil {
@@ -145,7 +145,7 @@ func TestTestAndSetLinearizableAcrossRebalance(t *testing.T) {
 	audit := c.NewClient(nil)
 	for i := 0; i < casKeys; i++ {
 		k := casKey(i)
-		v, ok := audit.Get(k)
+		v, ok := get(audit, k)
 		checkCASLinear(t, string(k), byKey[string(k)], string(v), ok)
 	}
 	t.Logf("%d accepted swaps over %d ops, %d fence rejects, epoch %d",
@@ -219,13 +219,13 @@ func TestTestAndSetEpochFencing(t *testing.T) {
 
 	// A current claim decides; the value was untouched by the fenced
 	// attempts above.
-	if got, _ := cl.Get(k); !bytes.Equal(got, val(ki)) {
+	if got, _ := get(cl, k); !bytes.Equal(got, val(ki)) {
 		t.Fatalf("fenced attempts mutated the store: %q", got)
 	}
 	if swapped, err := cl.TestAndSet(k, val(ki), []byte("swapped")); err != nil || !swapped {
 		t.Fatalf("current-epoch TestAndSet = (%v, %v), want accepted", swapped, err)
 	}
-	if got, _ := cl.Get(k); !bytes.Equal(got, []byte("swapped")) {
+	if got, _ := get(cl, k); !bytes.Equal(got, []byte("swapped")) {
 		t.Fatalf("accepted swap not visible: %q", got)
 	}
 }
@@ -269,7 +269,7 @@ func TestRebalanceChunkedCopy(t *testing.T) {
 				}
 			}
 			for ks, want := range model {
-				if got, ok := w.Get([]byte(ks)); !ok || !bytes.Equal(got, want) {
+				if got, ok := get(w, []byte(ks)); !ok || !bytes.Equal(got, want) {
 					select {
 					case errs <- fmt.Errorf("writer %d: key %q = %q (present=%v), want %q", g, ks, got, ok, want):
 					default:
@@ -289,7 +289,7 @@ func TestRebalanceChunkedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1500; i++ {
-		if got, ok := cl.Get(key(i)); !ok || !bytes.Equal(got, val(i)) {
+		if got, ok := get(cl, key(i)); !ok || !bytes.Equal(got, val(i)) {
 			t.Fatalf("key %d = %q (present=%v) after chunked rebalances", i, got, ok)
 		}
 	}
@@ -330,7 +330,7 @@ func TestRebalanceDeleteInEarlierChunkNoResurrect(t *testing.T) {
 		t.Fatal("hook never found a copied key to delete — chunking did not engage")
 	}
 	for i := 0; i < n; i++ {
-		got, ok := cl.Get(key(i))
+		got, ok := get(cl, key(i))
 		if gone[i] {
 			if ok {
 				t.Fatalf("deleted key %d resurrected by a later chunk: %q", i, got)

@@ -73,7 +73,7 @@ func TestRebalanceUnderTraffic(t *testing.T) {
 				// Read-your-writes after every op: the routing table may be
 				// mid-move or freshly flipped, but reads must never fail.
 				chk := mykey(rnd.Intn(200))
-				got, ok := cl.Get(chk)
+				got, ok := get(cl, chk)
 				want, exists := model[string(chk)]
 				if ok != exists {
 					fail("Get(%q) present=%v, model says %v (op %d)", chk, ok, exists, i)
@@ -91,7 +91,7 @@ func TestRebalanceUnderTraffic(t *testing.T) {
 			audit := c.NewClient(nil)
 			for i := 0; i < 200; i++ {
 				k := mykey(i)
-				got, ok := audit.Get(k)
+				got, ok := get(audit, k)
 				want, exists := model[string(k)]
 				if ok != exists {
 					fail("audit Get(%q) present=%v, model says %v", k, ok, exists)
@@ -159,7 +159,7 @@ func TestRebalanceRangeReadsUnderTraffic(t *testing.T) {
 			default:
 			}
 			start, end := 100+(n%900), 100+(n%900)+100
-			kvs := scanner.GetRange(RangeRequest{Start: key(start), End: key(end)})
+			kvs := scan(scanner, RangeRequest{Start: key(start), End: key(end)})
 			if len(kvs) != 100 {
 				scanErr = fmt.Errorf("scan [%d,%d) returned %d items, want 100", start, end, len(kvs))
 				return
@@ -170,7 +170,7 @@ func TestRebalanceRangeReadsUnderTraffic(t *testing.T) {
 					return
 				}
 			}
-			if got := scanner.CountRange(key(start), key(end)); got != 100 {
+			if got := count(scanner, key(start), key(end)); got != 100 {
 				scanErr = fmt.Errorf("count [%d,%d) = %d, want 100", start, end, got)
 				return
 			}
@@ -266,7 +266,7 @@ func TestRebalanceEpochAdvances(t *testing.T) {
 		t.Fatalf("epoch after two rebalances = %d, want 4", c.Epoch())
 	}
 	for i := 0; i < 100; i++ {
-		if v, ok := cl.Get(key(i)); !ok || !bytes.Equal(v, val(i)) {
+		if v, ok := get(cl, key(i)); !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("key %d lost across rebalances", i)
 		}
 	}

@@ -59,11 +59,11 @@ func simTrace(seed int64) [][]time.Duration {
 				k := (w*53 + i*17) % 400
 				switch i % 4 {
 				case 0:
-					cl.Get(key(k))
+					get(cl, key(k))
 				case 1:
-					cl.MultiGet([][]byte{key(k), key((k + 131) % 400), key((k + 262) % 400)})
+					batch(cl, [][]byte{key(k), key((k + 131) % 400), key((k + 262) % 400)})
 				case 2:
-					cl.GetRangeScatter(RangeRequest{Start: key(k), End: key(k + 120), Limit: 100})
+					scatter(cl, RangeRequest{Start: key(k), End: key(k + 120), Limit: 100})
 				default:
 					cl.Put(key(k), val(i))
 				}

@@ -20,10 +20,10 @@ func loadAndSplit(c *Cluster, n int) {
 	c.Rebalance()
 }
 
-// TestGetRangeScatterMatchesSequential: scatter-gather must return
+// TestScanParallelMatchesSequential: scatter-gather must return
 // exactly what the sequential partition walk returns, forward and
 // reverse, bounded and unbounded, across partition boundaries.
-func TestGetRangeScatterMatchesSequential(t *testing.T) {
+func TestScanParallelMatchesSequential(t *testing.T) {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: 11}, env)
 	loadAndSplit(c, 500)
@@ -42,7 +42,7 @@ func TestGetRangeScatterMatchesSequential(t *testing.T) {
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
 		for _, req := range reqs {
-			got = append(got, cl.GetRangeScatter(req))
+			got = append(got, scatter(cl, req))
 		}
 	})
 	env.Run(0)
@@ -50,7 +50,7 @@ func TestGetRangeScatterMatchesSequential(t *testing.T) {
 
 	seq := c.NewClient(nil)
 	for i, req := range reqs {
-		want := seq.GetRange(req)
+		want := scan(seq, req)
 		if len(got[i]) != len(want) {
 			t.Fatalf("req %d: scatter returned %d kvs, sequential %d", i, len(got[i]), len(want))
 		}
@@ -62,12 +62,12 @@ func TestGetRangeScatterMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGetRangeScatterConcurrency: a bounded range spanning P partitions
+// TestScanParallelConcurrency: a bounded range spanning P partitions
 // must cost P storage operations but roughly ONE round trip of virtual
 // time — the per-partition scans are issued concurrently, so elapsed
 // time is the max of the scans, not the sum (the sequential walk pays
 // the sum).
-func TestGetRangeScatterConcurrency(t *testing.T) {
+func TestScanParallelConcurrency(t *testing.T) {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 8, ReplicationFactor: 1, Seed: 3}, env)
 	loadAndSplit(c, 800)
@@ -83,10 +83,10 @@ func TestGetRangeScatterConcurrency(t *testing.T) {
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
 		t0 := p.Now()
-		cl.GetRange(req)
+		scan(cl, req)
 		seqT, seqOps = p.Now()-t0, cl.ResetOps()
 		t0 = p.Now()
-		cl.GetRangeScatter(req)
+		scatter(cl, req)
 		scatT, scatOps = p.Now()-t0, cl.ResetOps()
 	})
 	env.Run(0)
@@ -103,51 +103,51 @@ func TestGetRangeScatterConcurrency(t *testing.T) {
 	}
 }
 
-// TestCountRangeParallel: the partition counts are gathered concurrently
+// TestCountParallel: the partition counts are gathered concurrently
 // in simulated mode, with the same total as the immediate-mode count.
-func TestCountRangeParallel(t *testing.T) {
+func TestCountParallel(t *testing.T) {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 6, ReplicationFactor: 2, Seed: 9}, env)
 	loadAndSplit(c, 600)
 
-	wantTotal := c.NewClient(nil).CountRange(key(100), key(500))
+	wantTotal := count(c.NewClient(nil), key(100), key(500))
 	if wantTotal != 400 {
-		t.Fatalf("immediate CountRange = %d, want 400", wantTotal)
+		t.Fatalf("immediate Count = %d, want 400", wantTotal)
 	}
 
 	var gotTotal int
 	var ops int64
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
-		gotTotal = cl.CountRange(key(100), key(500))
+		gotTotal = count(cl, key(100), key(500))
 		ops = cl.Ops()
 	})
 	env.Run(0)
 	env.Stop()
 
 	if gotTotal != wantTotal {
-		t.Fatalf("simulated CountRange = %d, want %d", gotTotal, wantTotal)
+		t.Fatalf("simulated Count = %d, want %d", gotTotal, wantTotal)
 	}
 	parts := int64(len(c.Splits()) + 1)
 	if ops < 2 || ops > parts {
-		t.Fatalf("CountRange ops = %d, want in [2, %d]", ops, parts)
+		t.Fatalf("Count ops = %d, want in [2, %d]", ops, parts)
 	}
 }
 
-// TestMultiGetDeduplicates: repeated keys are fetched once and fanned
+// TestReadBatchDeduplicates: repeated keys are fetched once and fanned
 // out to every requesting position, in both batched modes.
-func TestMultiGetDeduplicates(t *testing.T) {
+func TestReadBatchDeduplicates(t *testing.T) {
 	c, cl := newImmediate(4, 2)
 	for i := 0; i < 20; i++ {
 		cl.Put(key(i), val(i))
 	}
 	keys := [][]byte{key(3), key(7), key(3), key(3), key(19), key(7), key(3)}
-	for _, mode := range []string{"MultiGet", "MultiGetSeq"} {
+	for _, mode := range []string{"parallel ReadBatch", "sequential ReadBatch"} {
 		var out [][]byte
-		if mode == "MultiGet" {
-			out = cl.MultiGet(keys)
+		if mode == "parallel ReadBatch" {
+			out = batch(cl, keys)
 		} else {
-			out = cl.MultiGetSeq(keys)
+			out = batchSeq(cl, keys)
 		}
 		if len(out) != len(keys) {
 			t.Fatalf("%s returned %d values for %d keys", mode, len(out), len(keys))
@@ -170,11 +170,11 @@ func TestMultiGetDeduplicates(t *testing.T) {
 	_ = c
 }
 
-// TestMultiGetDedupSavesWork: on a single node, a batch of N copies of
+// TestReadBatchDedupSavesWork: on a single node, a batch of N copies of
 // one key visits the node with ONE item, observable through simulated
 // service time — a batch of duplicates must not cost more than the
 // same batch deduplicated by hand.
-func TestMultiGetDedupSavesWork(t *testing.T) {
+func TestReadBatchDedupSavesWork(t *testing.T) {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 21}, env)
 	loader := c.NewClient(nil)
@@ -189,13 +189,13 @@ func TestMultiGetDedupSavesWork(t *testing.T) {
 	var out [][]byte
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
-		out = cl.MultiGet(dup)
+		out = batch(cl, dup)
 		ops = cl.Ops()
 	})
 	env.Run(0)
 	env.Stop()
 	if ops != 1 {
-		t.Fatalf("single-node MultiGet ops = %d, want 1", ops)
+		t.Fatalf("single-node ReadBatch ops = %d, want 1", ops)
 	}
 	for i := range dup {
 		if len(out[i]) != 4096 {
@@ -204,20 +204,20 @@ func TestMultiGetDedupSavesWork(t *testing.T) {
 	}
 }
 
-// TestMultiGetMissingAndEmpty covers the dedup path's edge cases: keys
+// TestReadBatchMissingAndEmpty covers the dedup path's edge cases: keys
 // that do not exist stay nil at every position, and empty/single-key
 // batches use their fast paths.
-func TestMultiGetMissingAndEmpty(t *testing.T) {
+func TestReadBatchMissingAndEmpty(t *testing.T) {
 	_, cl := newImmediate(3, 1)
 	cl.Put(key(5), val(5))
-	if out := cl.MultiGet(nil); len(out) != 0 {
+	if out := batch(cl, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d values", len(out))
 	}
-	out := cl.MultiGet([][]byte{key(5)})
+	out := batch(cl, [][]byte{key(5)})
 	if !bytes.Equal(out[0], val(5)) {
 		t.Fatalf("single-key fast path = %q", out[0])
 	}
-	out = cl.MultiGet([][]byte{key(9), key(5), key(9)})
+	out = batch(cl, [][]byte{key(9), key(5), key(9)})
 	if out[0] != nil || out[2] != nil || !bytes.Equal(out[1], val(5)) {
 		t.Fatalf("missing-key batch = %q %q %q", out[0], out[1], out[2])
 	}
@@ -241,18 +241,18 @@ func TestScatterConcurrentClients(t *testing.T) {
 			cl := c.NewClient(nil)
 			for i := 0; i < 50; i++ {
 				lo := (g*37 + i*13) % 250
-				kvs := cl.GetRangeScatter(RangeRequest{Start: key(lo), End: key(lo + 40), Limit: 10})
+				kvs := scatter(cl, RangeRequest{Start: key(lo), End: key(lo + 40), Limit: 10})
 				if len(kvs) != 10 {
 					t.Errorf("goroutine %d: got %d kvs, want 10", g, len(kvs))
 					return
 				}
-				if n := cl.CountRange(key(lo), key(lo+40)); n != 40 {
+				if n := count(cl, key(lo), key(lo+40)); n != 40 {
 					t.Errorf("goroutine %d: count = %d, want 40", g, n)
 					return
 				}
-				batch := [][]byte{key(lo), key(lo + 1), key(lo), key(lo + 2)}
-				out := cl.MultiGet(batch)
-				for j, k := range batch {
+				keys := [][]byte{key(lo), key(lo + 1), key(lo), key(lo + 2)}
+				out := batch(cl, keys)
+				for j, k := range keys {
 					if out[j] == nil {
 						t.Errorf("goroutine %d: key %q missing", g, k)
 						return

@@ -101,11 +101,11 @@ func TestDeclaredFuncKeys(t *testing.T) {
 
 func TestParseEscapeBudget(t *testing.T) {
 	counts, order, err := lint.ParseEscapeBudget([]byte(
-		"# comment\n\npiql/internal/codec.DecodeKey 3\npiql/internal/kvstore.(*Client).MultiGet 0\n"))
+		"# comment\n\npiql/internal/codec.DecodeKey 3\npiql/internal/kvstore.(*Client).ReadBatch 0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["piql/internal/codec.DecodeKey"] != 3 || counts["piql/internal/kvstore.(*Client).MultiGet"] != 0 {
+	if counts["piql/internal/codec.DecodeKey"] != 3 || counts["piql/internal/kvstore.(*Client).ReadBatch"] != 0 {
 		t.Fatalf("parsed counts wrong: %v", counts)
 	}
 	if len(order) != 2 || order[0] != "piql/internal/codec.DecodeKey" {
@@ -132,7 +132,7 @@ func TestParseEscapeBudget(t *testing.T) {
 func TestEscapeBudgetImportPath(t *testing.T) {
 	for _, tc := range []struct{ entry, ip, key string }{
 		{"piql/internal/codec.DecodeKey", "piql/internal/codec", "DecodeKey"},
-		{"piql/internal/kvstore.(*Client).MultiGet", "piql/internal/kvstore", "(*Client).MultiGet"},
+		{"piql/internal/kvstore.(*Client).ReadBatch", "piql/internal/kvstore", "(*Client).ReadBatch"},
 		{"piql.Top", "piql", "Top"},
 	} {
 		ip, key, ok := lint.EscapeBudgetImportPath(tc.entry)

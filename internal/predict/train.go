@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -134,12 +135,16 @@ func Train(cfg TrainConfig) (*Model, error) {
 		}
 		for p := 0; p < deepPrefixes; p++ {
 			for i := 0; i < maxAlpha+1; i++ {
-				loader.Put(calKey(beta, true, p, i), payload)
+				if err := loader.Put(calKey(beta, true, p, i), payload); err != nil {
+					return nil, err
+				}
 			}
 		}
 		for p := 0; p < shallowPrefixes; p++ {
 			for i := 0; i < maxAlphaJ+1; i++ {
-				loader.Put(calKey(beta, false, p, i), payload)
+				if err := loader.Put(calKey(beta, false, p, i), payload); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -165,11 +170,19 @@ func Train(cfg TrainConfig) (*Model, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7E57))
+	// A sample whose read failed measured nothing, so the first failure
+	// ends training (no fault is injected here: it would mean a bug).
+	var trainErr error
+	note := func(err error) {
+		if trainErr == nil {
+			trainErr = err
+		}
+	}
 	env.Spawn(func(p *sim.Proc) {
 		cl := cluster.NewClient(p)
-		for interval := 0; interval < cfg.Intervals; interval++ {
+		for interval := 0; interval < cfg.Intervals && trainErr == nil; interval++ {
 			intervalEnd := time.Duration(interval+1) * cfg.IntervalLength
-			for rep := 0; rep < cfg.RepsPerInterval; rep++ {
+			for rep := 0; rep < cfg.RepsPerInterval && trainErr == nil; rep++ {
 				for _, beta := range cfg.Betas {
 					for _, alpha := range cfg.Alphas {
 						// Lookup(α, β): batched parallel random gets.
@@ -178,27 +191,30 @@ func Train(cfg TrainConfig) (*Model, error) {
 							keys[i] = calKey(beta, false, rng.Intn(shallowPrefixes), rng.Intn(maxAlphaJ))
 						}
 						t0 := p.Now()
-						cl.MultiGet(keys)
+						_, err := cl.ReadBatch(keys, kvstore.ReadOpts{Parallel: true})
+						note(err)
 						histFor(gridKey{kind: KindLookup, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
 
 						// Scan(α, β): one contiguous range read.
 						prefix := calPrefix(beta, true, rng.Intn(deepPrefixes))
 						t0 = p.Now()
-						cl.GetRange(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha})
+						_, err = cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha}, kvstore.ReadOpts{})
+						note(err)
 						histFor(gridKey{kind: KindScan, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
 
 						// SortedJoin(αc, αj, β): αc parallel bounded ranges.
 						for _, alphaJ := range cfg.AlphaJs {
 							fns := make([]func(*kvstore.Client), alpha)
+							errs := make([]error, alpha) // one slot per branch
 							for i := range fns {
 								pfx := calPrefix(beta, false, rng.Intn(shallowPrefixes))
-								aj := alphaJ
 								fns[i] = func(sub *kvstore.Client) {
-									sub.GetRange(kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: aj, Reverse: true})
+									_, errs[i] = sub.Scan(kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: alphaJ, Reverse: true}, kvstore.ReadOpts{})
 								}
 							}
 							t0 = p.Now()
 							cl.Parallel(fns...)
+							note(errors.Join(errs...))
 							histFor(gridKey{kind: KindSortedJoin, alpha: alpha, alphaJ: alphaJ, beta: beta}, interval).Add(p.Now() - t0)
 						}
 					}
@@ -216,5 +232,8 @@ func Train(cfg TrainConfig) (*Model, error) {
 	})
 	env.Run(0)
 	env.Stop()
+	if trainErr != nil {
+		return nil, fmt.Errorf("predict: training read failed: %w", trainErr)
+	}
 	return model, nil
 }
