@@ -126,23 +126,46 @@ chaos-faults:
 	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestAllRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable|TestKillDuringWrite' ./internal/...
 
 # bench records the repo benchmark (BENCHMARK.json, bench/) as the
-# perf-trajectory artifact BENCH_$(N).json, N being the PR number:
-# BENCH_RUNS runs of each of the four workloads, one JSON report per
-# line — the "set" format bench-compare reads. Each report carries
-# GOMAXPROCS, the go version, the seed and the digest of its inputs.
-# Takes BENCH_RUNS × about two minutes.
-#   make bench N=15
-#   make bench-compare A=BENCH_15.parent.json B=BENCH_15.json
+# perf-trajectory artifacts BENCH_$(N).parent.json and BENCH_$(N).json,
+# N being the PR number: PAIRS alternating pairs of runs of each of the
+# four workloads, one side the commit PARENT (copied by `git archive`
+# into .bench_build/parent), the other the working tree, each built by
+# its own bench/run.sh from its own directory, the order flipped every
+# pair so neither side always runs on the warmer machine. One JSON report
+# per line — the "set" format bench-compare reads — carrying GOMAXPROCS,
+# the go version, the seed and the digest of its inputs. It ends with
+# bench-compare and, per workload, the number of pairs in which the
+# change's throughput_ips was higher (bench-compare judges medians; a
+# claim also has to win nearly every pair). Takes PAIRS × about four
+# minutes.
+#   make bench N=17 [PARENT=HEAD] [PAIRS=10]
 BENCH_WORKLOADS = scadr_home tpcw_order prepare_cold scadr_sim
-BENCH_RUNS = 5
+PARENT ?= HEAD
+PAIRS ?= 10
 
 bench:
-	@test -n "$(N)" || { echo "usage: make bench N=<PR number>   (writes BENCH_<N>.json)"; exit 2; }
-	rm -f BENCH_$(N).json
-	for run in $$(seq $(BENCH_RUNS)); do for w in $(BENCH_WORKLOADS); do \
-		echo "run $$run/$(BENCH_RUNS): $$w"; \
-		bash bench/run.sh --workload $$w --json BENCH_$(N).json > /dev/null || exit 1; \
+	@test -n "$(N)" || { echo "usage: make bench N=<PR number>   (writes BENCH_<N>.parent.json and BENCH_<N>.json)"; exit 2; }
+	rm -rf .bench_build/parent BENCH_$(N).parent.json BENCH_$(N).json
+	mkdir -p .bench_build/parent
+	git archive $(PARENT) | tar -x -C .bench_build/parent
+	@for pair in $$(seq $(PAIRS)); do for w in $(BENCH_WORKLOADS); do \
+		sides="parent change"; if [ $$((pair % 2)) -eq 0 ]; then sides="change parent"; fi; \
+		for side in $$sides; do \
+			echo "pair $$pair/$(PAIRS): $$w ($$side)"; \
+			if [ $$side = parent ]; then \
+				(cd .bench_build/parent && bash bench/run.sh --workload $$w --json $(CURDIR)/BENCH_$(N).parent.json) > /dev/null || exit 1; \
+			else \
+				bash bench/run.sh --workload $$w --json BENCH_$(N).json > /dev/null || exit 1; \
+			fi; \
+		done; \
 	done; done
+	@$(MAKE) --no-print-directory bench-compare A=BENCH_$(N).parent.json B=BENCH_$(N).json; status=$$?; \
+	for w in $(BENCH_WORKLOADS); do awk -v w=$$w 'index($$0, "\"workload\":\"" w "\"") && match($$0, /"throughput_ips":\{"value":[^,]*/) { \
+			v = substr($$0, RSTART + 26, RLENGTH - 26) + 0; \
+			if (FNR == NR) parent[++n] = v; else { m++; hi += v > parent[m]; lo += v < parent[m] } } \
+		END { printf "%s throughput_ips: change higher in %d, lower in %d of %d pairs\n", w, hi, lo, m }' \
+		BENCH_$(N).parent.json BENCH_$(N).json; done; \
+	exit $$status
 
 # bench-compare prints, per workload and metric, both sets' medians and
 # quartiles, the gap, the bound from BENCHMARK.json and a verdict; it

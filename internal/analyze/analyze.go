@@ -168,25 +168,36 @@ func (b *Bound) addSortedJoin(n *core.SortedIndexJoin) {
 		)
 		return
 	}
-	t := ct * n.PerKeyLimit
+	fetched := n.FetchBound()
+	t := n.Bounds().Tuples // the query's stop, when the join may apply it
 	beta := n.Table.RowSizeEstimate()
+	d := fmt.Sprintf("%d parallel range read(s), one per child tuple, at most %d entries each (%s): ≤ %d tuples",
+		ct, n.PerKeyLimit, joinLimitSource(n), fetched)
+	if t < fetched {
+		d += fmt.Sprintf(", merged on their entry keys and stopped at %d", t)
+	}
 	b.Chain = append(b.Chain, OpBound{
-		Operator: n.Label(),
-		Kind:     "per-key ranges",
-		Ops:      ct,
-		Tuples:   t,
-		Derivation: fmt.Sprintf("%d parallel range read(s), one per child tuple, at most %d entries each (%s): ≤ %d tuples",
-			ct, n.PerKeyLimit, joinLimitSource(n), t),
+		Operator:   n.Label(),
+		Kind:       "per-key ranges",
+		Ops:        ct,
+		Tuples:     t,
+		Derivation: d,
 		PredictOps: []predict.Op{{Kind: predict.KindSortedJoin, Alpha: ct, AlphaJ: n.PerKeyLimit, Beta: beta}},
 	})
 	if n.NeedDeref {
+		d := fmt.Sprintf("%d batched get(s): one primary-key dereference per matching index entry", fetched)
+		if t < fetched {
+			// Ops stays the worst case, every fetched entry read once: a
+			// bound that is tight but false is worth nothing.
+			d = fmt.Sprintf("at most %d batched get(s) in at most 2 request sets: %d when no entry dangles; a dangling survivor pulls the rest in a second set, none is read twice", fetched, t)
+		}
 		b.Chain = append(b.Chain, OpBound{
 			Operator:   "└ deref " + n.Table.Name,
 			Kind:       "deref gets",
-			Ops:        t,
+			Ops:        fetched,
 			Tuples:     t,
-			Derivation: fmt.Sprintf("%d batched get(s): one primary-key dereference per matching index entry", t),
-			PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: t, Beta: beta}},
+			Derivation: d,
+			PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: fetched, Beta: beta}},
 		})
 	}
 }

@@ -125,6 +125,46 @@ func TestThoughtstreamBoundAndDerivations(t *testing.T) {
 	}
 }
 
+// TestStoppedSortedJoinBound: a sorted join that stops at the page hands
+// the operator above LIMIT tuples, while its own dereference stays
+// booked at the worst case (every fetched entry read once, should the
+// survivors dangle) — and says which of the two figures is which.
+func TestStoppedSortedJoinBound(t *testing.T) {
+	cat := scadrCatalog(t)
+	stmt, err := parser.Parse(`CREATE TABLE articles (id VARCHAR(20), author VARCHAR(20), ts INT, PRIMARY KEY (id))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
+		t.Fatal(err)
+	}
+	plan := compile(t, cat, `
+		SELECT a.*, u.* FROM subscriptions s JOIN articles a JOIN users u
+		WHERE a.author = s.target AND s.owner = [1: me] AND u.username = s.target
+		ORDER BY a.ts DESC LIMIT 10`)
+	b := analyze.Plan(plan)
+	if !b.Bounded || len(b.Chain) != 4 {
+		t.Fatalf("chain = %+v", b.Chain)
+	}
+	if b.Ops != 1+100+1000+10 || b.Ops != plan.OpBound() || b.Tuples != 10 {
+		t.Errorf("bound = %d ops / %d tuples (compiler: %d ops), want 1111 / 10\n%s", b.Ops, b.Tuples, plan.OpBound(), b)
+	}
+	join, deref, fk := b.Chain[1], b.Chain[2], b.Chain[3]
+	if join.Ops != 100 || join.Tuples != 10 || !strings.Contains(join.Derivation, "≤ 1000 tuples, merged on their entry keys and stopped at 10") {
+		t.Errorf("join = %+v", join)
+	}
+	const want = "at most 1000 batched get(s) in at most 2 request sets: 10 when no entry dangles; a dangling survivor pulls the rest in a second set, none is read twice"
+	if deref.Kind != "deref gets" || deref.Ops != 1000 || deref.Tuples != 10 || deref.Derivation != want {
+		t.Errorf("deref = %+v", deref)
+	}
+	if fk.Ops != 10 || !strings.Contains(fk.Derivation, "10 batched get(s), one per child tuple") {
+		t.Errorf("fk join above the stopped join = %+v, want 10 gets", fk)
+	}
+	if got, want := b.PredictOps(), predict.PlanOps(plan); !reflect.DeepEqual(got, want) {
+		t.Errorf("analyzer ops %+v\n predict ops %+v", got, want)
+	}
+}
+
 // TestPredictOpsMatchModelExtraction pins the analyzer's Θ(α, β)
 // extraction to predict.PlanOps — the two walk the same plans and must
 // agree, or predictions made from bounds diverge from predictions made

@@ -109,6 +109,10 @@ func TestThoughtstreamPlan(t *testing.T) {
 	if join.PerKeyLimit != 10 {
 		t.Errorf("SortedIndexJoin limit hint = %d, want 10", join.PerKeyLimit)
 	}
+	if join.Stop != 10 || join.Bounds().Tuples != 10 {
+		t.Errorf("SortedIndexJoin stop = %d, tuples <= %d: the join is the top remote operator, it should stop at the page",
+			join.Stop, join.Bounds().Tuples)
+	}
 	if join.Ascending {
 		t.Error("timestamp DESC should scan the (owner, timestamp) primary index in reverse")
 	}
@@ -133,7 +137,7 @@ func TestThoughtstreamPlan(t *testing.T) {
 	}
 
 	// Static bounds: 1 range request + 100 sorted-join range requests;
-	// tuples: 100 subs × 10 thoughts before the stop.
+	// tuples: the merge of 100 subs × 10 thoughts stops at the page.
 	if got := plan.OpBound(); got != 101 {
 		t.Errorf("OpBound = %d, want 101", got)
 	}
@@ -447,4 +451,173 @@ func TestRangeNotFirstSortColumnRejected(t *testing.T) {
 		SELECT * FROM thoughts
 		WHERE owner = [1: u] AND timestamp > 1000
 		ORDER BY text, timestamp LIMIT 5`)
+}
+
+// stopCatalog is the schema of the stop-pushdown cases: a thought has a
+// category, and only visible categories are shown.
+func stopCatalog(t *testing.T, thoughtsCard string) *schema.Catalog {
+	t.Helper()
+	cat := schema.NewCatalog()
+	for _, ddl := range []string{
+		`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`,
+		`CREATE TABLE cats (cid INT, visible BOOLEAN, PRIMARY KEY (cid))`,
+		`CREATE TABLE subs (owner VARCHAR(20), target VARCHAR(20), PRIMARY KEY (owner, target),
+			FOREIGN KEY (target) REFERENCES users, CARDINALITY LIMIT 10 (owner))`,
+		`CREATE TABLE thoughts (owner VARCHAR(20), ts INT, cid INT, PRIMARY KEY (owner, ts),
+			FOREIGN KEY (cid) REFERENCES cats` + thoughtsCard + `)`,
+	} {
+		stmt, err := parser.Parse(ddl)
+		if err != nil {
+			t.Fatalf("parse DDL: %v", err)
+		}
+		if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
+			t.Fatalf("add table: %v", err)
+		}
+	}
+	return cat
+}
+
+func findOp[T Physical](p *Plan) (op T, ok bool) {
+	for n := p.Root; n != nil; n = n.Child() {
+		if op, ok = n.(T); ok {
+			return op, true
+		}
+	}
+	return op, false
+}
+
+// TestStopIsNoFetchLimitUnderReductiveJoin: a join that can drop rows
+// (here: only visible categories) sits between the relation and the
+// query's stop, so the first 5 entries are not the first 5 results and
+// the stop must not cap the fetch — the schema's cardinality does, or
+// the query is refused.
+func TestStopIsNoFetchLimitUnderReductiveJoin(t *testing.T) {
+	const streamSQL = `
+		SELECT thoughts.* FROM subs s JOIN thoughts JOIN cats c
+		WHERE thoughts.owner = s.target AND s.owner = [1: me]
+		  AND c.cid = thoughts.cid AND c.visible = true
+		ORDER BY thoughts.ts DESC LIMIT 5`
+	const scanSQL = `
+		SELECT t.* FROM thoughts t JOIN cats c
+		WHERE t.owner = [1: me] AND c.cid = t.cid AND c.visible = true
+		ORDER BY t.ts DESC LIMIT 5`
+
+	// Sorted join, no cardinality on thoughts: nothing bounds the fetch.
+	nsi := compileErr(t, stopCatalog(t, ""), streamSQL)
+	if !strings.Contains(nsi.Segment, "thoughts") || len(nsi.Suggestions) == 0 ||
+		!strings.Contains(nsi.Suggestions[0], "CARDINALITY LIMIT n (owner)") {
+		t.Errorf("refusal should point at thoughts and suggest its cardinality limit: %v", nsi)
+	}
+
+	// With one declared, the join fetches the cardinality, emits every
+	// match, and the sort runs above the filtering join.
+	bounded := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
+	plan := compile(t, bounded, streamSQL)
+	join, ok := findOp[*SortedIndexJoin](plan)
+	if !ok || join.PerKeyLimit != 50 || join.Stop != 0 {
+		t.Errorf("want the cardinality flavour (limitHint=50, no stop):\n%s", plan.Explain())
+	}
+	if _, ok := findOp[*LocalSort](plan); !ok {
+		t.Errorf("cardinality-flavour join output needs a sort:\n%s", plan.Explain())
+	}
+
+	// Base scan: up to the cardinality, not the stop.
+	plan = compile(t, bounded, scanSQL)
+	scan, ok := findOp[*IndexScan](plan)
+	if !ok || scan.LimitHint != 0 || scan.Bounds().Tuples != 50 {
+		t.Errorf("scan must fetch up to card(50), not the stop:\n%s", plan.Explain())
+	}
+
+	// Without the predicate on cats the join is a declared foreign key
+	// that keeps every row: the stop is the fetch limit again.
+	plan = compile(t, bounded, `
+		SELECT t.* FROM thoughts t JOIN cats c
+		WHERE t.owner = [1: me] AND c.cid = t.cid
+		ORDER BY t.ts DESC LIMIT 5`)
+	if scan, ok := findOp[*IndexScan](plan); !ok || scan.LimitHint != 5 {
+		t.Errorf("non-reductive FK join should let the stop limit the scan:\n%s", plan.Explain())
+	}
+}
+
+// TestSortedJoinStop: the join carries the query's stop exactly when
+// nothing above it can drop or regroup rows; an operator above is then
+// bounded by the page, not by every fetched entry.
+func TestSortedJoinStop(t *testing.T) {
+	cat := stopCatalog(t, "")
+	cases := []struct {
+		name, sql           string
+		stop, tuples, bound int
+	}{
+		{
+			name: "join on top", stop: 5, tuples: 5, bound: 1 + 10,
+			sql: `SELECT thoughts.* FROM subs s JOIN thoughts
+			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
+			      ORDER BY thoughts.ts DESC LIMIT 5`,
+		},
+		{
+			// 1 scan + 10 ranges + 5 gets, not a get for each of the
+			// 10 × 5 entries the join may fetch.
+			name: "non-reductive FK join above", stop: 5, tuples: 5, bound: 1 + 10 + 5,
+			sql: `SELECT thoughts.*, u.* FROM subs s JOIN thoughts JOIN users u
+			      WHERE thoughts.owner = s.target AND s.owner = [1: me] AND u.username = s.target
+			      ORDER BY thoughts.ts DESC LIMIT 5`,
+		},
+		{
+			name: "paginated", stop: 5, tuples: 5, bound: 1 + 10,
+			sql: `SELECT thoughts.* FROM subs s JOIN thoughts
+			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
+			      ORDER BY thoughts.ts DESC PAGINATE 5`,
+		},
+		{
+			// The stop applies to groups, not to joined rows.
+			name: "aggregate above", stop: 0, tuples: 50, bound: 1 + 10,
+			sql: `SELECT thoughts.ts, COUNT(*) FROM subs s JOIN thoughts
+			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
+			      GROUP BY thoughts.ts ORDER BY thoughts.ts DESC LIMIT 5`,
+		},
+	}
+	for _, tc := range cases {
+		plan := compile(t, cat, tc.sql)
+		join, ok := findOp[*SortedIndexJoin](plan)
+		if !ok {
+			t.Fatalf("%s: no SortedIndexJoin:\n%s", tc.name, plan.Explain())
+		}
+		if join.Stop != tc.stop || join.Bounds().Tuples != tc.tuples || join.PerKeyLimit != 5 {
+			t.Errorf("%s: stop=%d tuples<=%d limitHint=%d, want %d, %d, 5", tc.name,
+				join.Stop, join.Bounds().Tuples, join.PerKeyLimit, tc.stop, tc.tuples)
+		}
+		if got := plan.OpBound(); got != tc.bound {
+			t.Errorf("%s: OpBound = %d, want %d\n%s", tc.name, got, tc.bound, plan.Explain())
+		}
+		if shown := strings.Contains(join.Label(), "stop=5"); shown != (tc.stop > 0) {
+			t.Errorf("%s: label %q", tc.name, join.Label())
+		}
+	}
+}
+
+// TestPageScan: the cursor of a paginated base scan is the last row the
+// stop kept exactly when the scan fetches past the page and its order
+// reaches the stop; a scan pinned to the page keeps its own last key.
+func TestPageScan(t *testing.T) {
+	cat := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
+	const filtered = `SELECT t.* FROM thoughts t JOIN cats c
+		WHERE t.owner = [1: me] AND c.cid = t.cid AND c.visible = true ORDER BY t.ts DESC`
+	for _, tc := range []struct {
+		name, sql string
+		want      bool
+	}{
+		{"filtering join, paginated", filtered + " PAGINATE 5", true},
+		{"filtering join, LIMIT", filtered + " LIMIT 5", false},
+		{"residual on the scan", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 PAGINATE 5`, true},
+		{"fetch pinned to the page", `SELECT * FROM thoughts WHERE owner = [1: me] ORDER BY ts DESC PAGINATE 5`, false},
+		{"local sort above", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 ORDER BY ts DESC PAGINATE 5`, false},
+		{"sorted join drives the pages", `SELECT thoughts.* FROM subs s JOIN thoughts
+			WHERE thoughts.owner = s.target AND s.owner = [1: me] ORDER BY thoughts.ts DESC PAGINATE 5`, false},
+	} {
+		plan := compile(t, cat, tc.sql)
+		scan, _ := findOp[*IndexScan](plan)
+		if got := plan.PageScan(); (got != nil) != tc.want || (tc.want && got != scan) {
+			t.Errorf("%s: PageScan = %v, want set: %v\n%s", tc.name, got, tc.want, plan.Explain())
+		}
+	}
 }

@@ -100,39 +100,48 @@ func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
 	// Case 3: no schema bound; a stop with a fully index-expressible
 	// predicate set still yields a bounded plan (Class I: fixed LIMIT
 	// without joins). With joins, the stop may push below them only when
-	// every later join is provably non-reductive (a declared foreign key
-	// covering the target's primary key, with no extra predicates) — the
-	// rule that admits the paper's search-by-title plan, where the stop
-	// of 50 sits under the author join.
-	if ctx.q.stopK > 0 && ctx.stopPushableToBase() {
+	// every later join is provably non-reductive — the rule that admits
+	// the paper's search-by-title plan, where the stop of 50 sits under
+	// the author join.
+	if ctx.stopLimitsFetch(r) {
 		return ctx.limitHintScan(r, split)
 	}
 	return nil, ctx.unboundedRelation(r)
 }
 
-// stopPushableToBase reports whether the query-level stop may act as the
-// base scan's limit hint: every subsequent relation must join 1:1
-// through a declared foreign key (guaranteed existence, so the join
-// never drops rows) and carry no predicates of its own.
-func (ctx *phase2Ctx) stopPushableToBase() bool {
-	for _, r := range ctx.order[1:] {
-		if len(r.eqPreds) > 0 || len(r.otherPreds) > 0 {
+// stopLimitsFetch reports whether the query-level stop may act as the
+// fetch limit of r's access: every relation after r must join 1:1
+// through a declared foreign key covering its primary key (guaranteed
+// existence, so the join never drops rows) and carry no predicates of
+// its own. Under a join that can drop rows the first stopK entries are
+// not the first stopK results, and fetching only them returns a
+// silently short page.
+func (ctx *phase2Ctx) stopLimitsFetch(r *rel) bool {
+	if ctx.q.stopK == 0 {
+		return false
+	}
+	at := 0
+	for ctx.order[at] != r {
+		at++
+	}
+	for _, later := range ctx.order[at+1:] {
+		if len(later.eqPreds) > 0 || len(later.otherPreds) > 0 {
 			return false
 		}
-		// The join columns must cover r's full primary key...
+		// The join columns must cover the full primary key...
 		covered := make(map[string]bool)
 		var outerCols []int
-		for _, jp := range r.joinPreds {
-			covered[strings.ToLower(r.colName(jp.col))] = true
+		for _, jp := range later.joinPreds {
+			covered[strings.ToLower(later.colName(jp.col))] = true
 			outerCols = append(outerCols, jp.outerCol)
 		}
-		for _, pk := range r.table.PrimaryKey {
+		for _, pk := range later.table.PrimaryKey {
 			if !covered[strings.ToLower(pk)] {
 				return false
 			}
 		}
 		// ...and come from a declared FOREIGN KEY on the source relation.
-		if !ctx.backedByForeignKey(r, outerCols) {
+		if !ctx.backedByForeignKey(later, outerCols) {
 			return false
 		}
 	}
@@ -240,16 +249,15 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel, split predSplit) (Physical, error
 	limitHint := 0
 	sortSatisfied := false
 	if len(residual) == 0 {
-		if sortCols, ok := ctx.sortOnRelation(r); ok {
+		sortCols, ok := ctx.sortOnRelation(r)
+		if ok {
 			// Extend the index with the sort columns: the scan then
-			// yields rows in query order and the stop becomes a fetch
+			// yields rows in query order and the stop can become a fetch
 			// limit.
 			fields = append(fields, sortCols...)
 			sortSatisfied = true
-			if ctx.q.stopK > 0 {
-				limitHint = boundMin(ctx.q.stopK, r.dataStopCard)
-			}
-		} else if len(ctx.q.sort) == 0 && ctx.q.stopK > 0 {
+		}
+		if (ok || len(ctx.q.sort) == 0) && ctx.stopLimitsFetch(r) {
 			limitHint = boundMin(ctx.q.stopK, r.dataStopCard)
 		}
 	}
@@ -422,9 +430,10 @@ func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel, split predSplit) (Physic
 }
 
 // trySortedJoin matches the thoughtstream pattern: ORDER BY columns all
-// on r, a stop above, and no residual predicates on r outside the index.
+// on r, a stop above that may limit r's fetch, and no residual
+// predicates on r outside the index.
 func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Physical, bool) {
-	if ctx.q.stopK == 0 || len(ctx.q.sort) == 0 {
+	if !ctx.stopLimitsFetch(r) || len(ctx.q.sort) == 0 {
 		return nil, false
 	}
 	sortCols, ok := ctx.sortOnRelation(r)
@@ -449,6 +458,13 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 	fields = append(fields, sortCols...)
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
 	ctx.ordered = true
+	// Every later join keeps each row and its order, so the first stopK
+	// rows of the merge are the page — unless an aggregate regroups them
+	// before the stop applies.
+	stop := 0
+	if len(ctx.q.aggs) == 0 {
+		stop = ctx.q.stopK
+	}
 	return &SortedIndexJoin{
 		ChildPlan:   child,
 		Table:       r.table,
@@ -456,6 +472,7 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 		Index:       ix,
 		JoinKey:     jk,
 		PerKeyLimit: ctx.q.stopK,
+		Stop:        stop,
 		Ascending:   !reversed,
 		MergeSort:   ctx.q.sort,
 		NeedDeref:   !ix.Primary,

@@ -187,7 +187,11 @@ type SortedIndexJoin struct {
 	Index       *schema.Index
 	JoinKey     KeySpec // child columns / constants forming the index prefix
 	PerKeyLimit int
-	Ascending   bool
+	// Stop is how many rows of the merge the query keeps, when nothing
+	// between this join and the query's stop can drop or regroup rows;
+	// 0 means emit every match.
+	Stop      int
+	Ascending bool
 	// MergeSort is the output ordering (combined-row indexes) produced
 	// by merging the per-key sorted streams; empty when the join output
 	// needs no ordering.
@@ -198,12 +202,24 @@ type SortedIndexJoin struct {
 
 func (n *SortedIndexJoin) Child() Physical { return n.ChildPlan }
 
+// FetchBound is how many index entries the join may pull: PerKeyLimit
+// for each child tuple. With NeedDeref it is also the bound on record
+// reads — normally Stop of them, but a dangling entry among the
+// survivors pulls the rest in a second request set, so the worst case
+// reads every fetched entry once.
+func (n *SortedIndexJoin) FetchBound() int {
+	return boundMul(n.ChildPlan.Bounds().Tuples, n.PerKeyLimit)
+}
+
 func (n *SortedIndexJoin) Bounds() Bounds {
 	c := n.ChildPlan.Bounds()
-	t := boundMul(c.Tuples, n.PerKeyLimit)
+	t := n.FetchBound()
 	ops := boundAdd(c.Ops, c.Tuples) // one range request per child tuple
 	if n.NeedDeref {
 		ops = boundAdd(ops, t)
+	}
+	if n.Stop > 0 {
+		t = boundMin(t, n.Stop)
 	}
 	return Bounds{Tuples: t, Ops: ops}
 }
@@ -217,9 +233,13 @@ func (n *SortedIndexJoin) Label() string {
 	for i, e := range n.JoinKey {
 		keys[i] = e.String()
 	}
-	return fmt.Sprintf("SortedIndexJoin(%s, key=(%s), sortProjection=(%s), ascending=%v, limitHint=%d%s)",
+	stop := ""
+	if n.Stop > 0 {
+		stop = fmt.Sprintf(", stop=%d", n.Stop)
+	}
+	return fmt.Sprintf("SortedIndexJoin(%s, key=(%s), sortProjection=(%s), ascending=%v, limitHint=%d%s%s)",
 		n.Index.String(), strings.Join(keys, ", "), strings.Join(sortProj, ", "),
-		n.Ascending, n.PerKeyLimit, residualStr(n.Residual))
+		n.Ascending, n.PerKeyLimit, stop, residualStr(n.Residual))
 }
 
 // LocalSelection filters tuples in the application tier.

@@ -29,6 +29,7 @@ type Plan struct {
 	order       []*rel // join order, for explain output
 	q           *boundQuery
 	paginDriver int
+	pageScan    *IndexScan
 }
 
 // Compile runs the full PIQL compilation pipeline on a parsed SELECT:
@@ -75,12 +76,29 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 		order:    order,
 		q:        q,
 	}
-	for i, op := range plan.RemoteOps() {
+	ops := plan.RemoteOps()
+	for i, op := range ops {
 		if _, ok := op.(*SortedIndexJoin); ok {
 			plan.paginDriver = i
 		}
 	}
+	if scan, ok := ops[0].(*IndexScan); ok && q.page && plan.paginDriver == 0 && scan.LimitHint == 0 && keepsScanOrder(root) {
+		plan.pageScan = scan
+	}
 	return plan, nil
+}
+
+// keepsScanOrder reports whether the rows reaching the plan's stop are
+// the base scan's rows in the base scan's order: nothing re-sorts or
+// regroups them on the way up.
+func keepsScanOrder(root Physical) bool {
+	for n := root; n != nil; n = n.Child() {
+		switch n.(type) {
+		case *LocalSort, *LocalAgg:
+			return false
+		}
+	}
+	return true
 }
 
 // OpBound returns the static upper bound on key/value store operations
@@ -215,6 +233,15 @@ func (p *Plan) RemoteOps() []Physical {
 // page), or the base scan otherwise. Cached at compile time so the
 // executor's hot path does not re-walk the operator tree per execution.
 func (p *Plan) PaginationDriver() int { return p.paginDriver }
+
+// PageScan returns the base scan when it drives pagination but fetches
+// past the page — a cardinality-bounded section under a residual or
+// under a join that may drop rows, where the stop is no fetch limit —
+// and its order survives up to the stop; nil otherwise. The cursor of
+// such a plan is the key of the last row the stop kept: the last entry
+// fetched lies at the end of the section, and resuming there would
+// silently lose every row the page fetched and did not keep.
+func (p *Plan) PageScan() *IndexScan { return p.pageScan }
 
 // Tables returns the tables referenced by the plan in join order.
 func (p *Plan) Tables() []*schema.Table {

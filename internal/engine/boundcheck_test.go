@@ -83,6 +83,27 @@ func TestStaticBoundCoversMeasuredOps(t *testing.T) {
 			      ORDER BY a.ts DESC LIMIT 10`,
 			bound: 1101, slack: 221,
 		},
+		{
+			// 1 + 100 ranges + 10 join gets = 111 vs 1 + K + 1 = 5
+			// requests: the join above a sorted join that stops at the page
+			// is booked (and run) at LIMIT 10 rows, not 100 x 10.
+			name: "fk join above sorted join", arg: value.Str("u00"),
+			sql: `SELECT thoughts.*, u.* FROM subscriptions s JOIN thoughts JOIN users u
+			      WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+			        AND u.username = s.target
+			      ORDER BY thoughts.timestamp DESC LIMIT 10`,
+			bound: 111, slack: 23,
+		},
+		{
+			// 1 + 100 ranges + 100x10 derefs (worst case: danglers refill)
+			// + 10 join gets = 1111 vs 1 + K + 1 + 1 = 6 requests.
+			name: "fk join above secondary sorted join", arg: value.Str("u00"),
+			sql: `SELECT a.*, u.* FROM subscriptions s JOIN articles a JOIN users u
+			      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
+			        AND u.username = s.target
+			      ORDER BY a.ts DESC LIMIT 10`,
+			bound: 1111, slack: 186,
+		},
 	}
 	for _, tc := range cases {
 		q, err := s.Prepare(tc.sql)

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"piql/internal/core"
 	"piql/internal/exec"
+	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -120,12 +122,13 @@ func TestPerOperatorRoundTripBudgets(t *testing.T) {
 			// child scan + K per-stream entry reads + ONE batched
 			// cross-stream dereference — NOT one dereference per stream
 			// (which would be 7 = 1+K+K, the pre-batching behavior).
-			// Lazy: (3+1) child + 3x10 entries + 30 record gets.
+			// Lazy: (3+1) child + 3x10 entries + 10 record gets — only
+			// the page the merge keeps is dereferenced, not all 30.
 			name: "sorted join secondary", arg: value.Str("u00"),
 			sql: `SELECT a.* FROM subscriptions s JOIN articles a
 			      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
 			      ORDER BY a.ts DESC LIMIT 10`,
-			lazy: 64, simple: 5, parallel: 5,
+			lazy: 44, simple: 5, parallel: 5,
 		},
 	}
 	for _, tc := range cases {
@@ -154,11 +157,11 @@ func TestPerOperatorRoundTripBudgets(t *testing.T) {
 
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K=3 streams of 10 primary-index
-// entries merged to a page of 10. Rows come out of one slab per
-// operator, so the count moves with the number of operators and string
-// values decoded, never with the number of rows materialised; a change
-// that brings back a per-row or per-branch allocation shows here as an
-// exact difference.
+// entries merged to a page of 10. Only the page is decoded, out of one
+// slab per operator, so the count moves with the number of operators,
+// streams and string values of the 10 rows kept, never with the 30
+// entries fetched; a change that brings back a per-entry, per-row or
+// per-branch allocation shows here as an exact difference.
 func TestSortedJoinRunAllocations(t *testing.T) {
 	s := newRoundTripFixture(t)
 	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
@@ -174,7 +177,7 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 			t.Fatalf("thoughtstream: %v rows, err %v", res, err)
 		}
 	})
-	const want = 104
+	const want = 57
 	if allocs != want {
 		t.Fatalf("exec.Run(thoughtstream, K=3): %v allocs, pinned at %d", allocs, want)
 	}
@@ -322,5 +325,138 @@ func TestSortedJoinDerefIsBatchedAcrossStreams(t *testing.T) {
 	k3, k5 := opsWithK(3), opsWithK(5)
 	if k3 != 5 || k5 != 7 {
 		t.Fatalf("ops(K=3)=%d ops(K=5)=%d, want 5 and 7: request count must grow by K, not 2K", k3, k5)
+	}
+}
+
+// TestSortedJoinDanglingSurvivors: index entries whose record is gone
+// (deleted underneath the index, awaiting GC) rank in the top L of the
+// merge. The join must replace each with the next live entry of the
+// merge — the page stays full and in order — in a constant number of
+// request sets: the L of the page alone when none of them dangles;
+// otherwise one more set with everything else fetched, every entry read
+// exactly once — K·L, which is what the static bound books.
+func TestSortedJoinDanglingSurvivors(t *testing.T) {
+	const sql = `SELECT a.id, a.ts FROM subscriptions s JOIN articles a
+		WHERE a.author = s.target AND s.owner = ? AND s.approved = true
+		ORDER BY a.ts DESC LIMIT 10`
+	const K, L, perAuthor = 3, 10, 12
+	for _, tc := range []struct {
+		name      string
+		dangling  int // records deleted under the top-ranked entries
+		rows      int
+		reads     int // Lazy: one request per record read
+		batchSets int // Simple/Parallel: dereference request sets
+	}{
+		{"none", 0, L, L, 1},
+		{"one", 1, L, K * L, 2},
+		{"a whole page", L, L, K * L, 2},
+		{"all but a page", K*L - L, L, K * L, 2},
+		// Each stream fetches its first L entries, as before: rows whose
+		// entry lies beyond them (ts 0 and 1) stay out of this page's reach.
+		{"all but three of the entries fetched", K*L - 3, 3, K * L, 2},
+	} {
+		s := newRoundTripFixture(t)
+		q, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The index is (author, ts DESC, id), so across the three streams
+		// entries rank by ts descending and, within a ts, by id: the top d
+		// entries are ts 11 of u01, u02, u03, then ts 10 of u01, ...
+		articles := s.eng.Catalog().Table("articles")
+		deleted := map[string]bool{}
+		for ts := perAuthor - 1; len(deleted) < tc.dangling; ts-- {
+			for _, author := range []string{"u01", "u02", "u03"} {
+				if len(deleted) == tc.dangling {
+					break
+				}
+				id := fmt.Sprintf("a-%s-%02d", author, ts)
+				if err := s.Client().Delete(index.RecordKeyFromPK(articles, value.Row{value.Str(id)})); err != nil {
+					t.Fatal(err)
+				}
+				deleted[id] = true
+			}
+		}
+		derefBound := 0
+		for _, ob := range q.Bound().Chain {
+			if ob.Kind == "deref gets" {
+				derefBound = ob.Ops
+			}
+		}
+		for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+			s.SetStrategy(strat)
+			s.Client().ResetOps()
+			res, err := q.Execute(s, value.Str("u00"))
+			if err != nil {
+				t.Fatalf("%s (%v): %v", tc.name, strat, err)
+			}
+			// 1 child scan + K entry range reads, tuple at a time for Lazy:
+			// (K + 1 empty probe) + K×L.
+			ops, entryOps, want := int(s.Client().Ops()), 1+K, tc.batchSets
+			if strat == exec.Lazy {
+				entryOps, want = K+1+K*L, tc.reads
+			}
+			if got := ops - entryOps; got != want || got > derefBound {
+				t.Errorf("%s (%v): %d dereference requests, want exactly %d (static deref bound %d)",
+					tc.name, strat, got, want, derefBound)
+			}
+			if len(res.Rows) != tc.rows {
+				t.Fatalf("%s (%v): %d rows, want %d: %v", tc.name, strat, len(res.Rows), tc.rows, res.Rows)
+			}
+			// The live articles in ts DESC order: ts repeats once per
+			// author until the deleted ones are skipped.
+			seen := map[string]bool{}
+			for i, row := range res.Rows {
+				id, ts := row[0].S, row[1].I
+				if deleted[id] || seen[id] || id[len(id)-2:] != fmt.Sprintf("%02d", ts) {
+					t.Errorf("%s (%v): row %d = %v is deleted, repeated or mismatched", tc.name, strat, i, row)
+				}
+				seen[id] = true
+				if wantTs := int64(perAuthor - 1 - (tc.dangling+i)/K); ts != wantTs {
+					t.Errorf("%s (%v): row %d has ts %d, want %d: %v", tc.name, strat, i, ts, wantTs, res.Rows)
+				}
+			}
+		}
+	}
+}
+
+// TestSortedJoinStopWithResidual: the compiler never puts a residual on
+// a join that carries the stop, but the executor's loop does not depend
+// on that. The residual of the cardinality flavour is grafted onto the
+// stopped plan and drops one whole stream of three: the first round of
+// ten candidates keeps six or seven, the second takes everything else,
+// and the page is the ten newest articles of the two streams left.
+func TestSortedJoinStopWithResidual(t *testing.T) {
+	s := newRoundTripFixture(t)
+	const sql = `SELECT a.id, a.ts FROM subscriptions s JOIN articles a
+		WHERE a.author = s.target AND s.owner = ? AND s.approved = true%s
+		ORDER BY a.ts DESC LIMIT 10`
+	filtered, err := s.Prepare(fmt.Sprintf(sql, ` AND a.author <> 'u02'`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, err := s.Prepare(fmt.Sprintf(sql, ``))
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := filtered.Plan().RemoteOps()[1].(*core.SortedIndexJoin)
+	join := stopped.Plan().RemoteOps()[1].(*core.SortedIndexJoin)
+	if len(from.Residual) != 1 || join.Stop != 10 || len(join.Residual) != 0 {
+		t.Fatalf("unexpected plans:\n%s\n%s", filtered.Plan().Explain(), stopped.Plan().Explain())
+	}
+	join.Residual = from.Residual
+	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+		s.SetStrategy(strat)
+		want, err := filtered.Execute(s, value.Str("u00"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stopped.Execute(s, value.Str("u00"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != 10 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%v: stopped join with the residual returns %v, the cardinality flavour %v", strat, got.Rows, want.Rows)
+		}
 	}
 }

@@ -9,7 +9,11 @@
 // materialize their (small) outputs. Each operator knows how many rows
 // it is about to produce before it produces them, so it makes one
 // allocation for all of their values (a slab) and carves the rows out
-// of it: the cost is per operator, not per row.
+// of it: the cost is per operator, not per row. The sorted join
+// materializes the page, not the candidates: its streams are merged on
+// their entry keys, which the order-preserving codec makes the sort
+// key, and only the entries the query keeps are dereferenced and
+// decoded.
 package exec
 
 import (

@@ -30,7 +30,23 @@ func (e *executor) runSort(n *core.LocalSort) ([]value.Row, error) {
 	return rows, nil
 }
 
-// runStop truncates after K rows.
+func lessBySortKeys(a, b value.Row, keys []core.SortKey) bool {
+	for _, k := range keys {
+		c := value.Compare(a[k.Col], b[k.Col])
+		if c == 0 {
+			continue
+		}
+		if k.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
+// runStop truncates after K rows. Under a scan that fetched past the
+// page (plan.PageScan) it also moves the cursor back from the last entry
+// fetched to the last row kept.
 func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
 	rows, err := e.run(n.ChildPlan)
 	if err != nil {
@@ -38,6 +54,9 @@ func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
 	}
 	if len(rows) > n.K {
 		rows = rows[:n.K]
+	}
+	if scan := e.plan.PageScan(); scan != nil && len(rows) > 0 {
+		e.storeResume(e.driverOrd, scanKeyOf(scan, rows[len(rows)-1]))
 	}
 	return rows, nil
 }

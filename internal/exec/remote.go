@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sort"
 
@@ -193,6 +194,8 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The next page resumes after the last entry fetched; where the page
+	// keeps fewer rows than that (plan.PageScan), runStop corrects it.
 	if len(kvs) > 0 {
 		e.storeResume(ord, kvs[len(kvs)-1].Key)
 	} else {
@@ -229,26 +232,38 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	return e.filterResidual(rows, n.Residual)
 }
 
-// appendEntryRecordKeys decodes secondary index entries into the record
-// keys they reference, appending to dst.
-func appendEntryRecordKeys(dst [][]byte, ix *schema.Index, table *schema.Table, kvs []kvstore.KV) ([][]byte, error) {
-	for _, kv := range kvs {
-		pk, err := index.DecodeEntry(ix, table, kv.Key)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, index.RecordKeyFromPK(table, pk))
+// scanKeyOf rebuilds the key under which scan n read row: the cursor
+// position of a page that ends at that row.
+func scanKeyOf(n *core.IndexScan, row value.Row) []byte {
+	rec := row[n.TableOffset : n.TableOffset+len(n.Table.Columns)]
+	if n.Index.Primary {
+		return index.RecordKey(n.Table, rec)
 	}
-	return dst, nil
+	// One entry per row: a scan that fetches past its page is bounded by
+	// a cardinality constraint, whose index has no token field.
+	return index.EntryKeys(n.Index, n.Table, rec)[0]
+}
+
+// entryRecordKey decodes a secondary index entry into the key of the
+// record it references.
+func entryRecordKey(ix *schema.Index, table *schema.Table, entryKey []byte) ([]byte, error) {
+	pk, err := index.DecodeEntry(ix, table, entryKey)
+	if err != nil {
+		return nil, err
+	}
+	return index.RecordKeyFromPK(table, pk), nil
 }
 
 // derefEntries resolves secondary index entries to full records with one
 // batched request set, preserving entry order (rows whose record
 // vanished — dangling entries — are skipped).
 func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
-	keys, err := appendEntryRecordKeys(make([][]byte, 0, len(kvs)), ix, table, kvs)
-	if err != nil {
-		return nil, err
+	keys := make([][]byte, len(kvs))
+	for i, kv := range kvs {
+		var err error
+		if keys[i], err = entryRecordKey(ix, table, kv.Key); err != nil {
+			return nil, err
+		}
 	}
 	return e.fetchRecords(keys, offset) // a nil record is a dangling entry awaiting GC
 }
@@ -286,10 +301,54 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	return e.filterResidual(rows, n.Residual)
 }
 
-// runSortedJoin fetches up to PerKeyLimit pre-sorted matches per child
-// row and merges the streams into the output order. For paginated
-// queries the cursor keeps one resume position per join-key stream —
-// a shared position would skip tied sort values in sibling streams.
+// stream is one child row's pre-sorted run of matching index entries.
+type stream struct {
+	row        value.Row // the child row every entry of the stream joins to
+	prefix     []byte
+	start, end []byte
+	kvs        []kvstore.KV // fetched entries the merge has not handed out yet
+	err        error        // this stream's fetch: each Parallel branch owns its slot
+	last       []byte       // suffix of the last entry this page consumed
+}
+
+// nextHead returns the stream whose head entry comes next in the output,
+// or nil when all are drained. The entry-key suffix past a stream's
+// prefix is the sort key in the order-preserving codec, so comparing
+// suffixes bytewise in the scan's direction orders the heads by
+// MergeSort with no record decoded; ties go to the earlier stream.
+// Without a merge order the streams are laid end to end.
+func nextHead(streams []stream, merge, ascending bool) *stream {
+	var best *stream
+	for i := range streams {
+		sc := &streams[i]
+		if len(sc.kvs) == 0 {
+			continue
+		}
+		if best == nil {
+			if best = sc; !merge {
+				break
+			}
+			continue
+		}
+		c := bytes.Compare(suffixOf(sc.kvs[0].Key, sc.prefix), suffixOf(best.kvs[0].Key, best.prefix))
+		if c != 0 && (c < 0) == ascending {
+			best = sc
+		}
+	}
+	return best
+}
+
+// runSortedJoin fetches up to PerKeyLimit pre-sorted index entries per
+// child row, merges the streams on their entry keys and turns only the
+// entries the query keeps (n.Stop of them; all, when Stop is 0) into
+// joined rows: those alone are dereferenced, decoded and filtered. An
+// entry that dangles or fails the residual is replaced by the next one
+// of the merge, so a page is full whenever enough live matches were
+// fetched. The dereference stays a constant number of request sets: the
+// page and, only if one of its entries was dropped, everything else that
+// was fetched — at most two, no entry read twice. For paginated queries
+// the cursor keeps one resume position per join-key stream — a shared
+// position would skip tied sort values in sibling streams.
 func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	childRows, err := e.run(n.ChildPlan)
 	if err != nil {
@@ -298,13 +357,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	ord, resumeBlob := e.nextRemoteOrdinal()
 	resume := decodeStreamResume(resumeBlob)
 
-	type perKey struct {
-		prefix     []byte
-		start, end []byte
-		kvs        []kvstore.KV
-		err        error // this stream's fetch: each Parallel branch owns its slot
-	}
-	scans := make([]perKey, len(childRows))
+	scans := make([]stream, len(childRows))
 	for i, row := range childRows {
 		jk, err := n.JoinKey.Eval(e.ctx.Params, row)
 		if err != nil {
@@ -329,10 +382,10 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 				end = append(append([]byte{}, prefix...), suffix...)
 			}
 		}
-		scans[i] = perKey{prefix: prefix, start: start, end: end}
+		scans[i] = stream{row: row, prefix: prefix, start: start, end: end}
 	}
 
-	fetch := func(sub *kvstore.Client, sc *perKey, scatter bool) {
+	fetch := func(sub *kvstore.Client, sc *stream, scatter bool) {
 		req := kvstore.RangeRequest{Start: sc.start, End: sc.end, Limit: n.PerKeyLimit, Reverse: !n.Ascending}
 		kvs, err := sub.Scan(req, kvstore.ReadOpts{Parallel: scatter})
 		sc.kvs, sc.err = kvs, degraded(err)
@@ -357,113 +410,97 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			}
 		}
 	}
-
-	// Resolve secondary-index entries from ALL streams with one batched
-	// request set. (This used to dereference stream by stream — K
-	// sequential MultiGets after the parallel range fetch, serializing K
-	// round trips; now every operator costs a constant number of trips.)
-	total := 0
+	fetched := 0
 	for _, sc := range scans {
 		if sc.err != nil {
 			return nil, sc.err
 		}
-		total += len(sc.kvs)
+		fetched += len(sc.kvs)
 	}
-	var recs [][]byte // flat across streams, parallel to the scans' kvs
-	if !n.Index.Primary {
-		keys := make([][]byte, 0, total)
-		for _, sc := range scans {
-			keys, err = appendEntryRecordKeys(keys, n.Index, n.Table, sc.kvs)
-			if err != nil {
+	want := fetched
+	if n.Stop > 0 && n.Stop < want {
+		want = n.Stop
+	}
+
+	// A round takes entries off the merge and resolves them with one
+	// batched request set across streams: the first want of them, then —
+	// if that left the page short — all the rest. With Stop == 0 the first
+	// round is everything fetched.
+	type candidate struct {
+		sc *stream
+		kv kvstore.KV
+	}
+	joined := make([]value.Row, 0, want)
+	batch := make([]candidate, 0, want)
+	var keys, recs [][]byte
+	for take, live := want, scans; len(joined) < want; take = fetched {
+		batch = batch[:0]
+		for len(batch) < take {
+			for len(live) > 0 && len(live[0].kvs) == 0 {
+				live = live[1:]
+			}
+			sc := nextHead(live, len(n.MergeSort) > 0, n.Ascending)
+			if sc == nil {
+				break
+			}
+			batch = append(batch, candidate{sc, sc.kvs[0]})
+			sc.kvs = sc.kvs[1:]
+		}
+		if len(batch) == 0 {
+			break // fewer live matches than the page holds
+		}
+		if !n.Index.Primary {
+			keys = keys[:0]
+			for _, c := range batch {
+				key, err := entryRecordKey(n.Index, n.Table, c.kv.Key)
+				if err != nil {
+					return nil, err
+				}
+				keys = append(keys, key)
+			}
+			if recs, err = e.getBatch(keys); err != nil {
 				return nil, err
 			}
 		}
-		if recs, err = e.getBatch(keys); err != nil {
-			return nil, err
-		}
-	}
-
-	// Materialize joined rows, remembering each row's stream and
-	// entry-key suffix.
-	joined := make([]value.Row, 0, total)
-	suffixes := make([][]byte, 0, total)
-	stream := make([]int, 0, total)
-	slab := e.rows(total)
-	flat := 0 // position in recs
-	for i, sc := range scans {
-		for _, kv := range sc.kvs {
-			rec := kv.Value
+		slab := e.rows(len(batch))
+		for i, c := range batch {
+			if len(joined) == want {
+				break
+			}
+			rec := c.kv.Value
 			if !n.Index.Primary {
-				rec = recs[flat]
-				flat++
-				if rec == nil {
+				if rec = recs[i]; rec == nil {
 					continue // dangling entry awaiting GC
 				}
 			}
 			row := slab.row()
-			copy(row, childRows[i])
+			copy(row, c.sc.row)
 			if err := placeRecord(row, n.TableOffset, rec); err != nil {
 				return nil, err
 			}
-			joined = append(joined, row)
-			suffixes = append(suffixes, suffixOf(kv.Key, sc.prefix))
-			stream = append(stream, i)
-		}
-	}
-
-	// Merge into output order.
-	if len(n.MergeSort) > 0 {
-		idx := make([]int, len(joined))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return lessBySortKeys(joined[idx[a]], joined[idx[b]], n.MergeSort)
-		})
-		ordered := make([]value.Row, len(joined))
-		orderedSuffix := make([][]byte, len(joined))
-		orderedStream := make([]int, len(joined))
-		for i, j := range idx {
-			ordered[i] = joined[j]
-			orderedSuffix[i] = suffixes[j]
-			orderedStream[i] = stream[j]
-		}
-		joined, suffixes, stream = ordered, orderedSuffix, orderedStream
-	}
-	// Residual filtering must compact suffixes and stream in lockstep
-	// with joined: the cursor below indexes all three by output position,
-	// so dropping a row from joined alone would resume the next page at a
-	// stale (earlier) key of the wrong stream.
-	if len(n.Residual) > 0 {
-		outRows, outSuffix, outStream := joined[:0], suffixes[:0], stream[:0]
-		for i, row := range joined {
 			keep, err := e.evalPreds(row, n.Residual)
 			if err != nil {
 				return nil, err
 			}
-			if keep {
-				outRows = append(outRows, row)
-				outSuffix = append(outSuffix, suffixes[i])
-				outStream = append(outStream, stream[i])
+			if !keep {
+				continue
+			}
+			joined = append(joined, row)
+			// Cursor state: per stream, the suffix of the last row this
+			// page consumed — the rows the query's stop will keep.
+			if len(joined) <= e.plan.PageSize {
+				c.sc.last = suffixOf(c.kv.Key, c.sc.prefix)
 			}
 		}
-		joined, suffixes, stream = outRows, outSuffix, outStream
 	}
-	// Cursor state: per stream, the suffix of the last element consumed
-	// by this page; untouched streams keep their previous position.
 	if e.plan.PageSize > 0 {
-		cut := len(joined)
-		if e.plan.PageSize < cut {
-			cut = e.plan.PageSize
+		// Untouched streams keep their previous position.
+		for i := range scans {
+			if sc := &scans[i]; sc.last != nil {
+				resume[string(sc.prefix)] = sc.last
+			}
 		}
-		next := make(map[string][]byte, len(resume))
-		for k, v := range resume {
-			next[k] = v
-		}
-		for i := 0; i < cut && i < len(stream); i++ {
-			next[string(scans[stream[i]].prefix)] = suffixes[i]
-		}
-		e.storeResume(ord, encodeStreamResume(next))
+		e.storeResume(ord, encodeStreamResume(resume))
 	}
 	return joined, nil
 }
@@ -520,18 +557,4 @@ func decodeStreamResume(b []byte) map[string][]byte {
 // safe (the resume encoder copies the bytes it serializes).
 func suffixOf(key []byte, prefix []byte) []byte {
 	return key[len(prefix):]
-}
-
-func lessBySortKeys(a, b value.Row, keys []core.SortKey) bool {
-	for _, k := range keys {
-		c := value.Compare(a[k.Col], b[k.Col])
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
 }

@@ -186,7 +186,10 @@ func PlanOps(plan *core.Plan) []Op {
 				Beta:   n.Table.RowSizeEstimate(),
 			})
 			if n.NeedDeref {
-				ops = append(ops, Op{Kind: KindLookup, Alpha: n.Bounds().Tuples, Beta: n.Table.RowSizeEstimate()})
+				// The worst case, as one lookup: the executor reads Stop
+				// records in one set, or all FetchBound in two when an entry
+				// of the page dangles.
+				ops = append(ops, Op{Kind: KindLookup, Alpha: n.FetchBound(), Beta: n.Table.RowSizeEstimate()})
 			}
 		}
 	}
