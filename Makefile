@@ -2,88 +2,29 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint lint-changed build test race chaos chaos-faults bench bench-compare bench-all bench-smoke experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults bench bench-compare experiments
 
 all: ci
 
-# ci publishes bin/lint-findings.json (the piql-vet -json payload from
-# the lint step) as its static-analysis artifact; on a clean run the
-# payload is an empty findings object, so the file always exists for
-# collection.
-ci: lint build race chaos-faults bench-smoke
-	@echo "lint findings artifact: bin/lint-findings.json"
+ci: lint build test race chaos-faults
 
 vet:
 	$(GO) vet ./...
 
-# lint is the static gate: formatting, the standard vet analyzers, and
-# the project's own fourteen analyzers (internal/lint) —
-# routing-snapshot claims, envelope integrity, virtual clock
-# discipline, lease-table swaps, lock-order cycles,
-# blocking-under-mutex, transient-error taxonomy conformance,
-# goroutine-lifecycle termination (goroleak), release-on-all-exits for
-# mutexes and beginOp/endOp claims (releasepath), the hot-path
-# heap-escape budget (escapebudget), and the three dataflow analyzers
-# built on the def-use core: atomic/plain access mixing (atomicmix),
-# snapshot lifetime escapes (snapshotescape), and cancel-func leak
-# paths (cancelpath). Per-function facts (locks held, may-block, error
-# types, net acquire/release, park risk, atomic fields, acquire-helper
-# results) propagate across packages, so diagnostics here are
-# interprocedural. Suppressions are //lint:allow directives at the
-# annotated site; stale directives are themselves findings. See the
-# "Static analysis" section of README.md.
-#
-# The tree-wide run uses -cache: per-package facts and diagnostics are
-# keyed by a content hash (files + dependency facts + tool binary)
-# under bin/lintcache, so a warm `make lint` replays in seconds and
-# any source or tool change invalidates exactly the affected packages.
-# Findings are also written as bin/lint-findings.json (the -json
-# payload, including a "timing" entry recording elapsed time and the
-# analyzed/replayed split — compare a cold run against a warm one),
-# which `make ci` publishes as its lint artifact.
-#
-# The escape gate compares `go build -gcflags=-m` attribution against
-# the checked-in escape.budget. After deliberately changing a hot
-# path's allocation profile, re-measure with:
-#   make lint ESCAPE_BUDGET=update
-# which rewrites escape.budget in place (review the diff like any
-# other file). Any other value leaves the budget enforced as-is.
-#
-# Without make in the loop:
-#   go run ./cmd/piql-vet -standalone ./...             # from-source, whole module
-#   go run ./cmd/piql-vet -standalone -json ./...       # findings as JSON on stdout
-#   go run ./cmd/piql-vet -standalone -lockgraph ./...  # print the lock hierarchy
-#   go run ./cmd/piql-vet -escapebudget ./...           # escape gate only
-#   go vet -vettool=bin/piql-vet ./...                  # via the go vet driver
+# lint is the static gate: gofmt, go vet, and piql-vet (the project's own
+# analyzers, then the escape budget) — see "Static analysis" in
+# README.md. After deliberately changing a hot path's allocation profile,
+# rewrite escape.budget with `bin/piql-vet -escapebudget -update` and
+# review the diff like any other file.
 VETTOOL = bin/piql-vet
-ESCAPE_BUDGET ?=
 
 lint:
 	@out=$$(gofmt -l cmd internal *.go); if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -standalone -cache bin/lintcache -timing -json ./... > bin/lint-findings.json || \
-		{ cat bin/lint-findings.json; exit 1; }
-	@if [ "$(ESCAPE_BUDGET)" = "update" ]; then \
-		echo "$(VETTOOL) -escapebudget -update ./..."; \
-		$(VETTOOL) -escapebudget -update ./... && echo "escape.budget rewritten"; \
-	else \
-		echo "$(VETTOOL) -escapebudget ./..."; \
-		$(VETTOOL) -escapebudget ./...; \
-	fi
-
-# lint-changed runs the analyzers over only the packages whose files
-# differ from the merge-base with LINT_BASE (default HEAD: the working
-# tree's uncommitted edits), plus their module-local dependents — the
-# fast inner-loop check before a full `make lint`. Every package still
-# runs so cross-package facts stay coherent; the cache makes the
-# unchanged ones replays, and only the affected set is reported.
-LINT_BASE ?= HEAD
-
-lint-changed:
-	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -standalone -cache bin/lintcache -changed $(LINT_BASE) ./...
+	$(VETTOOL) ./...
+	$(VETTOOL) -escapebudget
 
 build:
 	$(GO) build ./...
@@ -173,17 +114,6 @@ bench:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<set.json> B=<set.json>"; exit 2; }
 	bash bench/run.sh -compare $(A) $(B)
-
-# bench-smoke is the short-mode gate inside ci: the cheapest hot
-# benchmark, enough to catch an executor hot path that stopped compiling
-# or regressed to pathological allocation.
-bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkExecuteFindUser' -benchtime 100x -benchmem .
-
-# bench-all runs every paper figure benchmark plus the concurrent-session
-# throughput benchmarks once.
-bench-all:
-	$(GO) test -run xxx -bench . -benchtime 1x -v .
 
 # experiments regenerates the paper's tables and figures in full.
 experiments:

@@ -1,343 +1,118 @@
-// Command piql-vet runs the project's concurrency-invariant analyzers
-// (internal/lint) as a `go vet` tool:
+// Command piql-vet runs the project's invariant analyzers
+// (internal/lint) over the module that contains the working directory:
 //
-//	go build -o bin/piql-vet ./cmd/piql-vet
-//	go vet -vettool=bin/piql-vet ./...
+//	piql-vet [-C dir] ./...              # analyze every package
+//	piql-vet [-C dir] -lockgraph ./...   # ...and print the lock hierarchy
+//	piql-vet [-C dir] -escapebudget      # hot-path heap-escape gate
+//	piql-vet [-C dir] -escapebudget -update
 //
-// or directly, with no go vet handshake:
+// There is one analysis path: the module is parsed and typechecked from
+// source (lint.Loader — no export data, no go vet handshake), packages
+// are analyzed in dependency order, and each package's function
+// summaries (may-block, lock-acquisition sets, transient-error returns,
+// net acquires/releases — see internal/lint) stay in memory for the
+// packages that import it, so diagnostics see across package
+// boundaries. -escapebudget is the one analyzer that needs a build
+// instead: it runs `go build -gcflags=-m` and compares the compiler's
+// escape decisions with escape.budget.
 //
-//	piql-vet -standalone ./...             # parse+typecheck from source
-//	piql-vet -standalone -json ./...       # machine-readable diagnostics
-//	piql-vet -standalone -lockgraph        # print the inferred lock hierarchy
-//	piql-vet -standalone -cache DIR ./...  # incremental: replay per-package
-//	                                       # results keyed by content+facts
-//	piql-vet -standalone -changed BASE ./... # only packages differing from
-//	                                       # the merge-base with BASE, plus
-//	                                       # their module-local dependents
-//	piql-vet -standalone -timing ./...     # append run timing (elapsed,
-//	                                       # analyzed vs replayed) to output
-//	piql-vet -standalone -dataflow FUNC    # dump FUNC's def-use chains
-//	                                       # (dataflow core debug printer)
-//	piql-vet -escapebudget [-update]       # hot-path heap-escape gate
-//	                                       # (runs go build -gcflags=-m)
-//
-// It speaks the go command's vettool protocol (the same one
-// golang.org/x/tools/go/analysis/unitchecker implements, re-created
-// here on the standard library because this build cannot fetch
-// modules): `-V=full` prints a version line ending in a buildID derived
-// from the executable's contents so `go vet` can cache results, and
-// each analysis unit arrives as a JSON *.cfg file naming the package's
-// Go files, its dependencies' compiler export data (for typechecking),
-// and their vetx facts files. Module-local units are typechecked and
-// analyzed interprocedurally; their function summaries (may-block,
-// lock-acquisition sets, transient-error returns — see internal/lint)
-// are written to the unit's VetxOutput so dependent packages' analyses
-// can see across the package boundary. Units outside the module are
-// acknowledged with an empty facts file and skipped.
-//
-// Violations print as file:line:col diagnostics and exit with status 2,
-// which `go vet` reports as a failure; a site that is allowed to break
-// a rule carries a //lint:allow directive (see internal/lint).
+// Violations print as file:line:col diagnostics on stderr. Exit status:
+// 0 clean, 1 operational error, 2 findings. A site that is allowed to
+// break a rule carries a //lint:allow directive (see internal/lint).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
-	"time"
+	"slices"
 
 	"piql/internal/lint"
 )
-
-// config mirrors the go command's vet configuration (the fields of
-// unitchecker.Config this tool consumes).
-type config struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole tool; main only binds it to the process. Exit
-// codes: 0 clean, 1 operational error, 2 findings.
+// run is the whole tool; main only binds it to the process.
 func run(args []string, stdout, stderr io.Writer) int {
-	var (
-		cfgPath    string
-		jsonOut    bool
-		standalone bool
-		lockgraph  bool
-		escBudget  bool
-		escUpdate  bool
-		timing     bool
-		cacheDir   string
-		chdir      string
-		dataflowFn string
-		changed    string
-		patterns   []string
-	)
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			return printVersion(stdout, stderr)
-		case arg == "-flags" || arg == "--flags":
-			// go vet asks for the tool's flag list (JSON) so it can
-			// validate pass-through flags before invoking it per unit.
-			fmt.Fprintln(stdout, `[{"Name":"json","Bool":true,"Usage":"emit JSON output"}]`)
-			return 0
-		case arg == "-json" || arg == "--json":
-			jsonOut = true
-		case arg == "-standalone" || arg == "--standalone":
-			standalone = true
-		case arg == "-lockgraph" || arg == "--lockgraph":
-			standalone = true
-			lockgraph = true
-		case arg == "-escapebudget" || arg == "--escapebudget":
-			escBudget = true
-		case arg == "-update" || arg == "--update":
-			escUpdate = true
-		case arg == "-timing" || arg == "--timing":
-			timing = true
-		case arg == "-cache" || arg == "--cache":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "piql-vet: -cache needs a directory")
-				return 1
-			}
-			i++
-			cacheDir = args[i]
-		case strings.HasPrefix(arg, "-cache="):
-			cacheDir = strings.TrimPrefix(arg, "-cache=")
-		case arg == "-dataflow" || arg == "--dataflow":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "piql-vet: -dataflow needs a function name")
-				return 1
-			}
-			i++
-			standalone = true
-			dataflowFn = args[i]
-		case strings.HasPrefix(arg, "-dataflow="):
-			standalone = true
-			dataflowFn = strings.TrimPrefix(arg, "-dataflow=")
-		case arg == "-changed" || arg == "--changed":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "piql-vet: -changed needs a git base ref")
-				return 1
-			}
-			i++
-			changed = args[i]
-		case strings.HasPrefix(arg, "-changed="):
-			changed = strings.TrimPrefix(arg, "-changed=")
-		case arg == "-C" || arg == "--C":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "piql-vet: -C needs a directory")
-				return 1
-			}
-			i++
-			chdir = args[i]
-		case strings.HasPrefix(arg, "-C="):
-			chdir = strings.TrimPrefix(arg, "-C=")
-		case strings.HasSuffix(arg, ".cfg"):
-			cfgPath = arg
-		case strings.HasPrefix(arg, "-"):
-			// Other vet flags (e.g. analyzer toggles for the standard
-			// tool) do not apply to this checker; ignore them.
-		default:
-			patterns = append(patterns, arg)
-		}
-	}
-	if escBudget {
-		return runEscapeBudget(chdir, escUpdate, jsonOut, stdout, stderr)
-	}
-	if standalone {
-		return runStandalone(chdir, patterns, standaloneOpts{
-			jsonOut:     jsonOut,
-			lockgraph:   lockgraph,
-			timing:      timing,
-			cacheDir:    cacheDir,
-			dataflowFn:  dataflowFn,
-			changedBase: changed,
-		}, stdout, stderr)
-	}
-	if cfgPath == "" {
-		fmt.Fprintln(stderr, "piql-vet: no .cfg argument; run via go vet -vettool, or use -standalone ./...")
+	fs := flag.NewFlagSet("piql-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chdir := fs.String("C", ".", "analyze the module containing `dir`")
+	lockgraph := fs.Bool("lockgraph", false, "print the inferred lock hierarchy")
+	escBudget := fs.Bool("escapebudget", false, "run only the heap-escape gate (go build -gcflags=-m against escape.budget)")
+	update := fs.Bool("update", false, "with -escapebudget: rewrite escape.budget to the measured counts")
+	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	return runUnit(cfgPath, jsonOut, stdout, stderr)
-}
-
-// moduleUnit reports whether a vet unit belongs to this module. Test
-// variants arrive as `piql/x [piql/x.test]` and external test packages
-// as `piql/x_test`; both count (their non-test files are analyzed, the
-// rest are skipped by the framework).
-func moduleUnit(importPath string) bool {
-	base, _, _ := strings.Cut(importPath, " ")
-	return base == "piql" || strings.HasPrefix(base, "piql/")
-}
-
-// runUnit handles one go vet analysis unit.
-func runUnit(cfgPath string, jsonOut bool, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
+	for _, p := range fs.Args() {
+		if p != "./..." {
+			fmt.Fprintf(stderr, "piql-vet: the whole module is analyzed; unsupported pattern %q (use ./...)\n", p)
+			return 1
+		}
+	}
+	if *update && !*escBudget {
+		fmt.Fprintln(stderr, "piql-vet: -update applies to -escapebudget only")
+		return 1
+	}
+	loader, err := lint.NewLoader(*chdir)
 	if err != nil {
 		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
 		return 1
 	}
-	var cfg config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "piql-vet: parsing %s: %v\n", cfgPath, err)
+	if *escBudget {
+		return runEscapeBudget(loader, *update, stderr)
+	}
+	return runAnalyzers(loader, *lockgraph, stdout, stderr)
+}
+
+// runAnalyzers runs every analyzer over every package of the module in
+// dependency order, threading facts in memory.
+func runAnalyzers(loader *lint.Loader, lockgraph bool, stdout, stderr io.Writer) int {
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
 		return 1
 	}
-	// Units outside the module carry no piql invariants and no facts
-	// worth computing; acknowledge and move on. go vet still requires
-	// the facts file to exist before it will cache the unit.
-	if !moduleUnit(cfg.ImportPath) {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintf(stderr, "piql-vet: writing facts: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	unit := &lint.Unit{
-		Fset:       fset,
-		Files:      files,
-		ImportPath: cfg.ImportPath,
-		Facts:      readDepFacts(cfg.PackageVetx, stderr),
-	}
-	if len(files) > 0 {
-		pkg, info, err := typecheckUnit(fset, files, &cfg)
-		if err != nil {
-			// go vet hands us units that already compiled, so this is
-			// a tool limitation, not a user error: degrade to the
-			// syntactic analyzers rather than failing the build.
-			fmt.Fprintf(stderr, "piql-vet: %s: typecheck failed (%v); running syntactic analyzers only\n",
-				cfg.ImportPath, err)
-		} else {
-			unit.Pkg, unit.Info = pkg, info
-		}
-	}
-	diags, facts := lint.RunUnit(unit, lint.Analyzers)
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, lint.EncodeFacts(facts), 0o666); err != nil {
-			fmt.Fprintf(stderr, "piql-vet: writing facts: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		// Facts-only unit (a dependency of the requested pattern):
-		// dependents report their own diagnostics; this unit's were
-		// either already reported or not asked for.
-		return 0
-	}
-	return emit(map[string][]lint.Diagnostic{cfg.ImportPath: diags}, jsonOut, nil, stdout, stderr)
-}
-
-// typecheckUnit typechecks one vet unit against its dependencies'
-// compiler export data, exactly as the compiler resolved them.
-func typecheckUnit(fset *token.FileSet, files []*ast.File, cfg *config) (*types.Package, *types.Info, error) {
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, compiler, lookup)}
-	importPath, _, _ := strings.Cut(cfg.ImportPath, " ")
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
-}
-
-// readDepFacts loads every dependency's vetx facts file. Missing or
-// foreign files (std acknowledgements) contribute nothing; corrupt
-// files are reported as a diagnostic on stderr and skipped — the unit
-// is analyzed without those facts rather than crashing the vet run.
-func readDepFacts(vetx map[string]string, stderr io.Writer) *lint.FactStore {
 	store := lint.NewFactStore()
-	for path, file := range vetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			continue
-		}
-		facts, err := lint.DecodeFacts(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: ignoring facts for %s (%s): %v\n", path, file, err)
-			continue
-		}
-		store.Add(path, facts)
+	findings := 0
+	for _, lp := range pkgs {
+		lp.Unit.Facts = store
+		diags, facts := lint.RunUnit(lp.Unit, lint.Analyzers)
+		findings += report(diags, stderr)
+		store.Add(lp.Unit.ImportPath, facts)
 	}
-	return store
+	if lockgraph {
+		fmt.Fprintln(stdout, "lock hierarchy (acquired-while-held, roots first):")
+		for _, line := range lint.LockHierarchy(store.AllLockEdges(nil)) {
+			fmt.Fprintln(stdout, "  "+line)
+		}
+	}
+	if findings > 0 {
+		return 2
+	}
+	return 0
+}
+
+// report prints diagnostics and returns how many there were.
+func report(diags []lint.Diagnostic, stderr io.Writer) int {
+	for _, d := range diags {
+		fmt.Fprintln(stderr, d)
+	}
+	return len(diags)
 }
 
 // runEscapeBudget is the escapebudget analyzer's driver: it needs the
-// compiler's escape decisions, which no vet unit carries, so it builds
-// the whole module with -gcflags=-m, attributes the heap escapes to
-// the budgeted functions, and runs just that analyzer over the
-// packages the budget file names. With update=true it rewrites the
-// budget file to the measured counts instead of reporting.
-func runEscapeBudget(chdir string, update, jsonOut bool, stdout, stderr io.Writer) int {
-	start := chdir
-	if start == "" {
-		start = "."
-	}
-	loader, err := lint.NewLoader(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
+// compiler's escape decisions, so it builds the whole module with
+// -gcflags=-m, attributes the heap escapes to the budgeted functions,
+// and runs just that analyzer over the packages the budget file names.
+// With update=true it rewrites the budget file to the measured counts
+// instead of reporting.
+func runEscapeBudget(loader *lint.Loader, update bool, stderr io.Writer) int {
 	root := loader.ModuleRoot
 	budgetPath := filepath.Join(root, "escape.budget")
 	data, err := os.ReadFile(budgetPath)
@@ -384,38 +159,16 @@ func runEscapeBudget(chdir string, update, jsonOut bool, stdout, stderr io.Write
 		byPkg[ip][fn] = n
 	}
 
-	all := map[string][]lint.Diagnostic{}
+	var diags []lint.Diagnostic
 	measured := map[string]int{}
-	for _, ip := range sortedKeys(byPkg) {
-		dir := root
-		if ip != loader.ModulePath {
-			if !strings.HasPrefix(ip, loader.ModulePath+"/") {
-				fmt.Fprintf(stderr, "piql-vet: %s: %s is outside module %s\n", budgetPath, ip, loader.ModulePath)
-				return 1
-			}
-			dir = filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(ip, loader.ModulePath+"/")))
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		entries, err := os.ReadDir(dir)
+	for _, ip := range slices.Sorted(maps.Keys(byPkg)) {
+		files, err := loader.ParsePackage(ip)
 		if err != nil {
 			fmt.Fprintf(stderr, "piql-vet: budgeted package %s: %v\n", ip, err)
 			return 1
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-			if err != nil {
-				fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-				return 1
-			}
-			files = append(files, f)
-		}
 		declared := lint.DeclaredFuncKeys(files)
-		sites := lint.AttributeEscapes(fset, files, ip, raws)
+		sites := lint.AttributeEscapes(loader.Fset(), files, ip, raws)
 		for fn := range byPkg[ip] {
 			_, key, _ := lint.EscapeBudgetImportPath(fn)
 			if !declared[key] {
@@ -426,15 +179,13 @@ func runEscapeBudget(chdir string, update, jsonOut bool, stdout, stderr io.Write
 			measured[fn] = len(sites[fn])
 		}
 		unit := &lint.Unit{
-			Fset:       fset,
+			Fset:       loader.Fset(),
 			Files:      files,
 			ImportPath: ip,
 			Escapes:    &lint.EscapeInfo{Budget: byPkg[ip], Sites: sites},
 		}
-		diags, _ := lint.RunUnit(unit, []*lint.Analyzer{lint.EscapeBudget})
-		if len(diags) > 0 {
-			all[ip] = diags
-		}
+		over, _ := lint.RunUnit(unit, []*lint.Analyzer{lint.EscapeBudget})
+		diags = append(diags, over...)
 	}
 
 	if update {
@@ -452,437 +203,12 @@ func runEscapeBudget(chdir string, update, jsonOut bool, stdout, stderr io.Write
 	// high lets regressions hide under it.
 	for _, fn := range order {
 		if measured[fn] < counts[fn] {
-			fmt.Fprintf(stderr, "piql-vet: note: %s has %d heap escapes, under its budget of %d; tighten with make lint ESCAPE_BUDGET=update\n",
+			fmt.Fprintf(stderr, "piql-vet: note: %s has %d heap escapes, under its budget of %d; tighten with piql-vet -escapebudget -update\n",
 				fn, measured[fn], counts[fn])
 		}
 	}
-	return emit(all, jsonOut, nil, stdout, stderr)
-}
-
-func sortedKeys(m map[string]map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// standaloneOpts bundles the standalone driver's modes: plain, cached
-// (-cache), filtered to changed packages (-changed BASE), timed
-// (-timing), and the def-use debug printer (-dataflow FUNC).
-type standaloneOpts struct {
-	jsonOut     bool
-	lockgraph   bool
-	timing      bool
-	cacheDir    string
-	dataflowFn  string
-	changedBase string
-}
-
-// runTiming is the -timing measurement: wall-clock for the whole run
-// and how much of it was replayed from cache rather than analyzed.
-type runTiming struct {
-	ElapsedMS int64 `json:"elapsed_ms"`
-	Packages  int   `json:"packages"`
-	Analyzed  int   `json:"analyzed"`
-	Replayed  int   `json:"replayed"`
-}
-
-// runStandalone loads the whole module from source — no export data,
-// no go vet — and runs every analyzer over every package in dependency
-// order, threading facts in memory. With a cache directory it becomes
-// incremental: per-package results are replayed when neither the
-// package's files, its dependencies' facts, nor the tool changed. With
-// -changed BASE, every package still contributes facts (cache-warm
-// ones replay), but only packages differing from the merge-base with
-// BASE — or depending on one that does — report diagnostics.
-func runStandalone(chdir string, patterns []string, opts standaloneOpts, stdout, stderr io.Writer) int {
-	for _, p := range patterns {
-		if p != "./..." && p != "all" {
-			fmt.Fprintf(stderr, "piql-vet: -standalone analyzes the whole module; unsupported pattern %q (use ./...)\n", p)
-			return 1
-		}
-	}
-	start := chdir
-	if start == "" {
-		start = "."
-	}
-	if opts.dataflowFn != "" {
-		return runDataflowDump(start, opts.dataflowFn, stdout, stderr)
-	}
-	var affected map[string]bool
-	if opts.changedBase != "" {
-		var err error
-		affected, err = changedPackages(start, opts.changedBase, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		if len(affected) == 0 {
-			fmt.Fprintf(stderr, "piql-vet: no module packages changed relative to %s\n", opts.changedBase)
-			return emit(map[string][]lint.Diagnostic{}, opts.jsonOut, nil, stdout, stderr)
-		}
-	}
-	if opts.cacheDir != "" {
-		return runCached(start, opts, affected, stdout, stderr)
-	}
-	startTime := time.Now()
-	loader, err := lint.NewLoader(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	store := lint.NewFactStore()
-	all := map[string][]lint.Diagnostic{}
-	var edges []lint.LockEdge
-	for _, lp := range pkgs {
-		lp.Unit.Facts = store
-		diags, facts := lint.RunUnit(lp.Unit, lint.Analyzers)
-		if len(diags) > 0 {
-			all[lp.Unit.ImportPath] = diags
-		}
-		if facts != nil {
-			store.Add(lp.Unit.ImportPath, facts)
-			edges = append(edges, facts.LockEdges...)
-		}
-	}
-	if opts.lockgraph {
-		fmt.Fprintln(stdout, "lock hierarchy (acquired-while-held, roots first):")
-		for _, line := range lint.LockHierarchy(lint.NewFactStore().AllLockEdges(edges)) {
-			fmt.Fprintln(stdout, "  "+line)
-		}
-	}
-	filterAffected(all, affected)
-	var timing *runTiming
-	if opts.timing {
-		timing = &runTiming{
-			ElapsedMS: time.Since(startTime).Milliseconds(),
-			Packages:  len(pkgs),
-			Analyzed:  len(pkgs),
-		}
-	}
-	return emit(all, opts.jsonOut, timing, stdout, stderr)
-}
-
-// runDataflowDump is the -dataflow debug printer: it typechecks the
-// module and prints the def-use chains of every function matching the
-// given name (bare, method-key, or package-qualified).
-func runDataflowDump(start, name string, stdout, stderr io.Writer) int {
-	loader, err := lint.NewLoader(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	found := false
-	for _, lp := range pkgs {
-		if dump, ok := lint.DumpDefUse(lp.Unit, name); ok {
-			found = true
-			io.WriteString(stdout, dump)
-		}
-	}
-	if !found {
-		fmt.Fprintf(stderr, "piql-vet: -dataflow: no function matches %q (try a bare name, \"(*Type).Method\", or \"pkg.Func\")\n", name)
-		return 1
-	}
-	return 0
-}
-
-// changedPackages maps `git diff --name-only` against the merge-base
-// with base (plus untracked files) to the module packages whose
-// directories contain a changed file, expanded to their module-local
-// dependents — an edit to a package invalidates every package whose
-// analysis could see it through facts.
-func changedPackages(start, base string, stderr io.Writer) (map[string]bool, error) {
-	scan, err := lint.ScanModule(start)
-	if err != nil {
-		return nil, err
-	}
-	topOut, err := exec.Command("git", "-C", start, "rev-parse", "--show-toplevel").Output()
-	if err != nil {
-		return nil, fmt.Errorf("-changed needs a git checkout: %v", err)
-	}
-	top := strings.TrimSpace(string(topOut))
-	ref := base
-	if out, err := exec.Command("git", "-C", start, "merge-base", "HEAD", base).Output(); err == nil {
-		if mb := strings.TrimSpace(string(out)); mb != "" {
-			ref = mb
-		}
-	}
-	diff, err := exec.Command("git", "-C", start, "diff", "--name-only", ref, "--").Output()
-	if err != nil {
-		return nil, fmt.Errorf("git diff --name-only %s: %v", ref, err)
-	}
-	untracked, _ := exec.Command("git", "-C", start, "ls-files", "--others", "--exclude-standard").Output()
-	dirs := map[string]bool{}
-	for _, name := range strings.Split(string(diff)+"\n"+string(untracked), "\n") {
-		if name = strings.TrimSpace(name); name != "" {
-			dirs[filepath.Dir(filepath.Join(top, filepath.FromSlash(name)))] = true
-		}
-	}
-	changed := map[string]bool{}
-	for _, sp := range scan {
-		if dirs[filepath.Clean(sp.Dir)] {
-			changed[sp.ImportPath] = true
-		}
-	}
-	// Dependents closure over the module-local import edges.
-	for grew := true; grew; {
-		grew = false
-		for _, sp := range scan {
-			if changed[sp.ImportPath] {
-				continue
-			}
-			for _, dep := range sp.LocalImports {
-				if changed[dep] {
-					changed[sp.ImportPath] = true
-					grew = true
-					break
-				}
-			}
-		}
-	}
-	return changed, nil
-}
-
-// filterAffected drops diagnostics for packages outside the -changed
-// set; a nil set keeps everything.
-func filterAffected(all map[string][]lint.Diagnostic, affected map[string]bool) {
-	if affected == nil {
-		return
-	}
-	for pkg := range all {
-		if !affected[pkg] {
-			delete(all, pkg)
-		}
-	}
-}
-
-// cacheEntry is one package's cached lint result. Its key (the file
-// name) is a hash of the tool, the package's file contents, and its
-// module-local dependencies' encoded facts — so an edit anywhere
-// invalidates exactly the edited package and its transitive
-// dependents, and a tool rebuild invalidates everything.
-type cacheEntry struct {
-	Diags []lint.Diagnostic `json:"diags,omitempty"`
-	Facts json.RawMessage   `json:"facts,omitempty"`
-}
-
-// runCached is the incremental standalone mode behind `make lint`: a
-// parse-only scan orders the packages, each package's cache key is
-// computed from content + dependency facts, and only missed packages
-// are typechecked and analyzed. A warm clean tree replays entirely
-// from cache.
-func runCached(start string, opts standaloneOpts, affected map[string]bool, stdout, stderr io.Writer) int {
-	startTime := time.Now()
-	replayed := 0
-	scan, err := lint.ScanModule(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	if err := os.MkdirAll(opts.cacheDir, 0o777); err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	salt := toolSalt()
-	store := lint.NewFactStore()
-	factBytes := map[string][]byte{}
-	all := map[string][]lint.Diagnostic{}
-	var edges []lint.LockEdge
-	var loader *lint.Loader
-	for _, sp := range scan {
-		h := sha256.New()
-		io.WriteString(h, "piql-vet lint cache v1\n")
-		io.WriteString(h, salt+"\n")
-		io.WriteString(h, sp.ImportPath+"\n")
-		for _, file := range sp.Files {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(h, "file %s %d\n", filepath.Base(file), len(data))
-			h.Write(data)
-		}
-		for _, dep := range sp.LocalImports {
-			fmt.Fprintf(h, "dep %s %d\n", dep, len(factBytes[dep]))
-			h.Write(factBytes[dep])
-		}
-		entryPath := filepath.Join(opts.cacheDir, fmt.Sprintf("%02x", h.Sum(nil))+".json")
-
-		if data, err := os.ReadFile(entryPath); err == nil {
-			var ce cacheEntry
-			if json.Unmarshal(data, &ce) == nil {
-				if facts, ferr := lint.DecodeFacts(ce.Facts); ferr == nil {
-					if facts != nil {
-						store.Add(sp.ImportPath, facts)
-						edges = append(edges, facts.LockEdges...)
-					}
-					factBytes[sp.ImportPath] = ce.Facts
-					if len(ce.Diags) > 0 {
-						all[sp.ImportPath] = ce.Diags
-					}
-					replayed++
-					continue
-				}
-			}
-			// A corrupt entry under a valid key is recomputed, never
-			// trusted.
-			fmt.Fprintf(stderr, "piql-vet: discarding corrupt cache entry for %s\n", sp.ImportPath)
-		}
-
-		if loader == nil {
-			loader, err = lint.NewLoader(start)
-			if err != nil {
-				fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-				return 1
-			}
-		}
-		lp, err := loader.LoadDir(sp.Dir, sp.ImportPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		lp.Unit.Facts = store
-		diags, facts := lint.RunUnit(lp.Unit, lint.Analyzers)
-		if len(diags) > 0 {
-			all[sp.ImportPath] = diags
-		}
-		enc := lint.EncodeFacts(facts)
-		if facts != nil {
-			store.Add(sp.ImportPath, facts)
-			edges = append(edges, facts.LockEdges...)
-		}
-		factBytes[sp.ImportPath] = enc
-		if out, err := json.Marshal(cacheEntry{Diags: diags, Facts: enc}); err == nil {
-			if werr := os.WriteFile(entryPath, out, 0o666); werr != nil {
-				fmt.Fprintf(stderr, "piql-vet: writing cache entry: %v\n", werr)
-			}
-		}
-	}
-	if opts.lockgraph {
-		fmt.Fprintln(stdout, "lock hierarchy (acquired-while-held, roots first):")
-		for _, line := range lint.LockHierarchy(lint.NewFactStore().AllLockEdges(edges)) {
-			fmt.Fprintln(stdout, "  "+line)
-		}
-	}
-	filterAffected(all, affected)
-	var timing *runTiming
-	if opts.timing {
-		timing = &runTiming{
-			ElapsedMS: time.Since(startTime).Milliseconds(),
-			Packages:  len(scan),
-			Analyzed:  len(scan) - replayed,
-			Replayed:  replayed,
-		}
-	}
-	return emit(all, opts.jsonOut, timing, stdout, stderr)
-}
-
-// toolSalt keys the lint cache to this build of the tool, the same way
-// the -V=full buildID keys go vet's cache.
-func toolSalt() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown-tool"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown-tool"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%02x", sum)
-}
-
-// emit prints diagnostics in the chosen format; exit status 2 when any
-// exist. JSON mode always writes the payload — an empty object on a
-// clean run — so redirecting it produces a findings artifact either
-// way. A non-nil timing adds a "timing" entry to the JSON payload (or
-// a stderr note in text mode): comparing elapsed_ms across a cold run
-// (analyzed == packages) and a warm one (replayed == packages) is the
-// lint-timing record make lint keeps in bin/lint-findings.json.
-func emit(byPkg map[string][]lint.Diagnostic, jsonOut bool, timing *runTiming, stdout, stderr io.Writer) int {
-	n := 0
-	for _, ds := range byPkg {
-		n += len(ds)
-	}
-	if jsonOut {
-		type jsonDiag struct {
-			Posn    string `json:"posn"`
-			Message string `json:"message"`
-		}
-		payload := map[string]any{}
-		for pkg, ds := range byPkg {
-			byAnalyzer := map[string][]jsonDiag{}
-			for _, d := range ds {
-				byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-					Posn:    d.Pos.String(),
-					Message: d.Message,
-				})
-			}
-			payload[pkg] = byAnalyzer
-		}
-		if timing != nil {
-			payload["timing"] = timing
-		}
-		out, _ := json.MarshalIndent(payload, "", "\t")
-		stdout.Write(append(out, '\n'))
-		if n == 0 {
-			return 0
-		}
+	if report(diags, stderr) > 0 {
 		return 2
 	}
-	if n == 0 {
-		if timing != nil {
-			fmt.Fprintf(stderr, "piql-vet: timing: %dms, %d packages (%d analyzed, %d replayed)\n",
-				timing.ElapsedMS, timing.Packages, timing.Analyzed, timing.Replayed)
-		}
-		return 0
-	}
-	for _, ds := range byPkg {
-		for _, d := range ds {
-			fmt.Fprintf(stderr, "%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
-		}
-	}
-	if timing != nil {
-		fmt.Fprintf(stderr, "piql-vet: timing: %dms, %d packages (%d analyzed, %d replayed)\n",
-			timing.ElapsedMS, timing.Packages, timing.Analyzed, timing.Replayed)
-	}
-	return 2
-}
-
-// printVersion emits the version line `go vet` hashes for its build
-// cache; the buildID must change whenever the tool's behavior could,
-// so it is the hash of the executable itself.
-func printVersion(stdout, stderr io.Writer) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(os.Args[0]), h.Sum(nil))
 	return 0
 }

@@ -2,259 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"piql/internal/lint"
 )
-
-// TestVersionLine drives the -V=full handshake: go vet hashes the
-// reported buildID for its action cache, so the line must parse and
-// must end in a hex digest.
-func TestVersionLine(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, stderr.String())
-	}
-	line := strings.TrimSpace(stdout.String())
-	i := strings.LastIndex(line, "buildID=")
-	if i < 0 {
-		t.Fatalf("version line missing buildID: %q", line)
-	}
-	digest := line[i+len("buildID="):]
-	if len(digest) != 64 || strings.Trim(digest, "0123456789abcdef") != "" {
-		t.Fatalf("buildID is not a sha256 hex digest: %q", digest)
-	}
-}
-
-// TestFlagsHandshake drives -flags: go vet validates pass-through
-// flags against this JSON before invoking the tool per unit.
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, stderr.String())
-	}
-	var flags []struct {
-		Name string
-		Bool bool
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(flags) == 0 || flags[0].Name != "json" {
-		t.Fatalf("unexpected flag list: %+v", flags)
-	}
-}
-
-// listedPackage is the slice of `go list -json` output the synthetic
-// cfg needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-}
-
-// listExport runs `go list -export -deps -json` for pkg and returns
-// every listed package keyed by import path. This is exactly the
-// information the go command hands a vettool in each .cfg: compiler
-// export data for the dependency graph.
-func listExport(t *testing.T, repoRoot, pkg string) map[string]*listedPackage {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", pkg)
-	cmd.Dir = repoRoot
-	out, err := cmd.Output()
-	if err != nil {
-		stderr := ""
-		if ee, ok := err.(*exec.ExitError); ok {
-			stderr = string(ee.Stderr)
-		}
-		t.Fatalf("go list -export %s: %v\n%s", pkg, err, stderr)
-	}
-	pkgs := map[string]*listedPackage{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		pkgs[p.ImportPath] = &p
-	}
-	return pkgs
-}
-
-func writeCfg(t *testing.T, dir, name string, cfg *config) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestVettoolProtocolFactsRoundTrip drives the tool through two
-// synthetic .cfg units exactly as `go vet` would: first
-// piql/internal/kvstore as a facts-only (VetxOnly) unit whose
-// summaries land in a vetx file, then piql/internal/engine — with one
-// seeded violation file added — whose errtaxonomy diagnostic must cite
-// the fact imported from kvstore's vetx. This is the cross-package
-// acceptance path: the engine unit never sees kvstore source, only its
-// export data and facts file.
-func TestVettoolProtocolFactsRoundTrip(t *testing.T) {
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-
-	// Unit 1: kvstore, facts only.
-	kvPkgs := listExport(t, repoRoot, "piql/internal/kvstore")
-	kv := kvPkgs["piql/internal/kvstore"]
-	if kv == nil {
-		t.Fatal("go list did not return piql/internal/kvstore")
-	}
-	packageFile := map[string]string{}
-	for path, p := range kvPkgs {
-		if p.Export != "" {
-			packageFile[path] = p.Export
-		}
-	}
-	var kvFiles []string
-	for _, f := range kv.GoFiles {
-		kvFiles = append(kvFiles, filepath.Join(kv.Dir, f))
-	}
-	kvVetx := filepath.Join(tmp, "kvstore.vetx")
-	kvCfg := writeCfg(t, tmp, "kvstore.cfg", &config{
-		ID:          "piql/internal/kvstore",
-		Compiler:    "gc",
-		Dir:         kv.Dir,
-		ImportPath:  "piql/internal/kvstore",
-		GoFiles:     kvFiles,
-		PackageFile: packageFile,
-		VetxOnly:    true,
-		VetxOutput:  kvVetx,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{kvCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("kvstore unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(kvVetx)
-	if err != nil {
-		t.Fatalf("facts file not written: %v", err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("kvstore vetx did not decode (err=%v): %q", err, data[:min(len(data), 80)])
-	}
-	tas, ok := facts.Funcs["(*Client).TestAndSet"]
-	if !ok {
-		t.Fatal("kvstore facts missing (*Client).TestAndSet")
-	}
-	if !tas.Transient {
-		t.Fatalf("TestAndSet fact should be transient: %+v", tas)
-	}
-	if len(tas.Acquires) == 0 {
-		t.Fatalf("TestAndSet fact should acquire node locks: %+v", tas)
-	}
-	if len(facts.LockEdges) == 0 {
-		t.Fatal("kvstore facts exported no lock edges")
-	}
-
-	// Unit 2: engine + one seeded violation, consuming kvstore's vetx.
-	enPkgs := listExport(t, repoRoot, "piql/internal/engine")
-	en := enPkgs["piql/internal/engine"]
-	if en == nil {
-		t.Fatal("go list did not return piql/internal/engine")
-	}
-	enPackageFile := map[string]string{}
-	for path, p := range enPkgs {
-		if p.Export != "" {
-			enPackageFile[path] = p.Export
-		}
-	}
-	seeded := filepath.Join(tmp, "zz_seeded.go")
-	seed := `package engine
-
-import "piql/internal/kvstore"
-
-// seededBadClassify compares a wrapped transient error with ==; the
-// errtaxonomy consumer rule must flag it using the fact imported from
-// kvstore's vetx file.
-func seededBadClassify(cl *kvstore.Client, key []byte) bool {
-	_, err := cl.TestAndSet(key, nil, nil)
-	return err == kvstore.ErrTransient
-}
-`
-	if err := os.WriteFile(seeded, []byte(seed), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var enFiles []string
-	for _, f := range en.GoFiles {
-		enFiles = append(enFiles, filepath.Join(en.Dir, f))
-	}
-	enFiles = append(enFiles, seeded)
-	enVetx := filepath.Join(tmp, "engine.vetx")
-	enCfg := writeCfg(t, tmp, "engine.cfg", &config{
-		ID:          "piql/internal/engine",
-		Compiler:    "gc",
-		Dir:         en.Dir,
-		ImportPath:  "piql/internal/engine",
-		GoFiles:     enFiles,
-		PackageFile: enPackageFile,
-		PackageVetx: map[string]string{"piql/internal/kvstore": kvVetx},
-		VetxOutput:  enVetx,
-	})
-	stdout.Reset()
-	stderr.Reset()
-	code := run([]string{enCfg}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("engine unit with seeded violation exited %d (want 2)\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "zz_seeded.go") {
-		t.Fatalf("diagnostic not at the seeded site:\n%s", out)
-	}
-	if !strings.Contains(out, "errtaxonomy") {
-		t.Fatalf("diagnostic not from errtaxonomy:\n%s", out)
-	}
-	if !strings.Contains(out, "per fact from piql/internal/kvstore") {
-		t.Fatalf("diagnostic does not cite the kvstore vetx fact:\n%s", out)
-	}
-	if _, err := os.ReadFile(enVetx); err != nil {
-		t.Fatalf("engine facts not written: %v", err)
-	}
-
-	// Same unit without the kvstore facts: the trace has nothing to
-	// cite, so the seeded comparison must pass silently — proving the
-	// diagnostic above really came from the imported facts file. (The
-	// run as a whole is not clean: engine.go's justified
-	// `//lint:allow holdblock` correctly turns stale once the
-	// cross-package blocking fact it suppresses is missing.)
-	enCfgNoFacts := writeCfg(t, tmp, "engine-nofacts.cfg", &config{
-		ID:          "piql/internal/engine#nofacts",
-		Compiler:    "gc",
-		Dir:         en.Dir,
-		ImportPath:  "piql/internal/engine",
-		GoFiles:     enFiles,
-		PackageFile: enPackageFile,
-		VetxOutput:  filepath.Join(tmp, "engine-nofacts.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	run([]string{enCfgNoFacts}, &stdout, &stderr)
-	if out := stderr.String(); strings.Contains(out, "zz_seeded.go") || strings.Contains(out, "per fact from") {
-		t.Fatalf("seeded site diagnosed even without the kvstore facts file:\n%s", out)
-	}
-}
 
 // writeTree writes a file tree under root from path→contents.
 func writeTree(t *testing.T, root string, files map[string]string) {
@@ -270,13 +23,31 @@ func writeTree(t *testing.T, root string, files map[string]string) {
 	}
 }
 
-// TestReleasePathCrossPackageFacts is the releasepath acceptance test
-// for the facts protocol: an acquire-helper in one package (justified
+// oneDiagnostic runs the driver over the scratch module in root, which
+// must end in exactly one diagnostic, at file:line (file relative to
+// root), and returns it.
+func oneDiagnostic(t *testing.T, root, file string, line int) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-C", root, "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exited %d (want 2)\nstderr: %s", code, stderr.String())
+	}
+	out := strings.TrimSpace(stderr.String())
+	pos := fmt.Sprintf("%s:%d:", filepath.Join(root, filepath.FromSlash(file)), line)
+	if strings.Contains(out, "\n") || !strings.HasPrefix(out, pos) {
+		t.Fatalf("want exactly one diagnostic, at %s\n%s", pos, out)
+	}
+	return out
+}
+
+// TestReleasePathCrossPackageFacts drives cross-package facts end to
+// end through the driver: an acquire-helper in one package (justified
 // with //lint:allow, which still exports the hold as a NetAcquires
-// fact) and a caller in another package that leaks the hold on an
-// early return. The leak is witnessed only through the vetx facts file
-// — the caller's unit never sees the helper's source — and vanishes
-// when the facts are withheld, proving the wiring carries it.
+// fact) and a caller in another package that leaks the hold on an early
+// return. The caller's source never names the mutex, so a diagnostic
+// citing lockutil.Guard.Mu can only have come through the helper
+// package's facts; the balanced caller next to it shows the release
+// half (NetReleases) arrives the same way.
 func TestReleasePathCrossPackageFacts(t *testing.T) {
 	tmp := t.TempDir()
 	// The scratch module is also named piql so its packages count as
@@ -314,111 +85,66 @@ func LeakyHold(g *lockutil.Guard, bad bool) {
 	}
 	lockutil.EndHold(g)
 }
+
+// BalancedHold releases on its only path.
+func BalancedHold(g *lockutil.Guard) {
+	lockutil.BeginHold(g)
+	lockutil.EndHold(g)
+}
 `,
 	})
-
-	// Unit 1: lockutil, facts only. The allow suppresses the
-	// acquire-helper report but the NetAcquires fact must still export.
-	luPkgs := listExport(t, tmp, "piql/lockutil")
-	lu := luPkgs["piql/lockutil"]
-	if lu == nil {
-		t.Fatal("go list did not return piql/lockutil")
-	}
-	luPackageFile := map[string]string{}
-	for path, p := range luPkgs {
-		if p.Export != "" {
-			luPackageFile[path] = p.Export
-		}
-	}
-	var luFiles []string
-	for _, f := range lu.GoFiles {
-		luFiles = append(luFiles, filepath.Join(lu.Dir, f))
-	}
-	luVetx := filepath.Join(tmp, "lockutil.vetx")
-	luCfg := writeCfg(t, tmp, "lockutil.cfg", &config{
-		ID:          "piql/lockutil",
-		Compiler:    "gc",
-		Dir:         lu.Dir,
-		ImportPath:  "piql/lockutil",
-		GoFiles:     luFiles,
-		PackageFile: luPackageFile,
-		VetxOnly:    true,
-		VetxOutput:  luVetx,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{luCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("lockutil unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(luVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("lockutil vetx did not decode (err=%v)", err)
-	}
-	bh, ok := facts.Funcs["BeginHold"]
-	if !ok || len(bh.NetAcquires) != 1 || bh.NetAcquires[0] != "lockutil.Guard.Mu" {
-		t.Fatalf("BeginHold must export NetAcquires [lockutil.Guard.Mu]: %+v", bh)
-	}
-	eh, ok := facts.Funcs["EndHold"]
-	if !ok || len(eh.NetReleases) != 1 || eh.NetReleases[0] != "lockutil.Guard.Mu" {
-		t.Fatalf("EndHold must export NetReleases [lockutil.Guard.Mu]: %+v", eh)
-	}
-
-	// Unit 2: user, consuming lockutil's facts — the early return must
-	// be reported as a leak of the imported hold.
-	usPkgs := listExport(t, tmp, "piql/user")
-	us := usPkgs["piql/user"]
-	if us == nil {
-		t.Fatal("go list did not return piql/user")
-	}
-	usPackageFile := map[string]string{}
-	for path, p := range usPkgs {
-		if p.Export != "" {
-			usPackageFile[path] = p.Export
-		}
-	}
-	var usFiles []string
-	for _, f := range us.GoFiles {
-		usFiles = append(usFiles, filepath.Join(us.Dir, f))
-	}
-	usCfg := writeCfg(t, tmp, "user.cfg", &config{
-		ID:          "piql/user",
-		Compiler:    "gc",
-		Dir:         us.Dir,
-		ImportPath:  "piql/user",
-		GoFiles:     usFiles,
-		PackageFile: usPackageFile,
-		PackageVetx: map[string]string{"piql/lockutil": luVetx},
-		VetxOutput:  filepath.Join(tmp, "user.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{usCfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("user unit exited %d (want 2)\nstderr: %s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "lockutil.Guard.Mu") || !strings.Contains(out, "releasepath") ||
-		!strings.Contains(out, "still held at this return") {
+	out := oneDiagnostic(t, tmp, "user/user.go", 9) // LeakyHold's early return
+	if !strings.Contains(out, "mutex lockutil.Guard.Mu is still held at this return") || !strings.Contains(out, "(releasepath)") {
 		t.Fatalf("diagnostic does not witness the imported hold:\n%s", out)
 	}
+}
 
-	// Without the facts the caller's unit has no idea BeginHold holds
-	// anything: silence here proves the report above came from the vetx.
-	usCfgNoFacts := writeCfg(t, tmp, "user-nofacts.cfg", &config{
-		ID:          "piql/user#nofacts",
-		Compiler:    "gc",
-		Dir:         us.Dir,
-		ImportPath:  "piql/user",
-		GoFiles:     usFiles,
-		PackageFile: usPackageFile,
-		VetxOutput:  filepath.Join(tmp, "user-nofacts.vetx"),
+// TestAtomicMixCrossPackageFacts is the same end-to-end check for the
+// AtomicResults fact: a helper in one package returns the value it
+// Load()ed from an atomic pointer, and a caller in another package
+// writes through it in place instead of copying and storing. The
+// caller's package never mentions sync/atomic; the diagnostic cites the
+// fact that told it the pointer is published state.
+func TestAtomicMixCrossPackageFacts(t *testing.T) {
+	tmp := t.TempDir()
+	writeTree(t, tmp, map[string]string{
+		"go.mod": "module piql\n\ngo 1.24\n",
+		"eng/eng.go": `package eng
+
+import "sync/atomic"
+
+type Policy struct{ MaxOps int }
+
+type Engine struct{ admission atomic.Pointer[Policy] }
+
+// Admission returns the published policy.
+func (e *Engine) Admission() *Policy { return e.admission.Load() }
+
+// SetAdmission publishes a new one.
+func (e *Engine) SetAdmission(p *Policy) { e.admission.Store(p) }
+`,
+		"app/app.go": `package app
+
+import "piql/eng"
+
+// Raise mutates the published policy under its readers.
+func Raise(e *eng.Engine) {
+	p := e.Admission()
+	p.MaxOps = 100
+}
+
+// RaiseCopy is the copy-on-write spelling.
+func RaiseCopy(e *eng.Engine) {
+	p := *e.Admission()
+	p.MaxOps = 100
+	e.SetAdmission(&p)
+}
+`,
 	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{usCfgNoFacts}, &stdout, &stderr); code != 0 {
-		t.Fatalf("user unit without facts exited %d:\n%s", code, stderr.String())
+	out := oneDiagnostic(t, tmp, "app/app.go", 8) // Raise's write
+	if !strings.Contains(out, "loaded from atomic field eng.Engine.admission via (*Engine).Admission (per fact from piql/eng)") ||
+		!strings.Contains(out, "(atomicmix)") {
+		t.Fatalf("diagnostic does not cite the imported fact:\n%s", out)
 	}
 }
 
@@ -503,403 +229,18 @@ func DecodeRow(b []byte) (int, []byte) {
 	}
 }
 
-// TestStandaloneCacheReplay drives the incremental mode: a cold run
-// computes and caches per-package results, a warm run replays them
-// byte-for-byte (diagnostics included) without typechecking, and an
-// edit invalidates exactly the edited package.
-func TestStandaloneCacheReplay(t *testing.T) {
-	tmp := t.TempDir()
-	leaky := `package g
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": leaky,
-	})
-	cache := filepath.Join(tmp, "lintcache")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
-	}
-	cold := stderr.String()
-	if !strings.Contains(cold, "releasepath") {
-		t.Fatalf("cold run missing the releasepath finding:\n%s", cold)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run wrote no cache entries: %v", err)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("warm run exited %d (want 2)\n%s", code, stderr.String())
-	}
-	if warm := stderr.String(); warm != cold {
-		t.Fatalf("warm run did not replay the cold diagnostics\ncold: %s\nwarm: %s", cold, warm)
-	}
-
-	// Fix the leak: the package's key changes, the stale entry is
-	// bypassed, and the tree goes clean.
-	writeTree(t, tmp, map[string]string{"g/g.go": strings.Replace(leaky, "if bad {\n\t\treturn\n\t}\n", "", 1)})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("fixed tree exited %d:\n%s", code, stderr.String())
-	}
-
-	// A corrupt cache entry is recomputed, not trusted.
-	entries, _ = os.ReadDir(cache)
-	for _, e := range entries {
-		if err := os.WriteFile(filepath.Join(cache, e.Name()), []byte("{torn"), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("corrupt cache entries broke the run (%d):\n%s", code, stderr.String())
-	}
-
-	// JSON mode always emits a findings payload, clean tree included —
-	// that is what make ci archives as the artifact.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("json run exited %d:\n%s", code, stderr.String())
-	}
-	var payload map[string]any
-	if err := json.Unmarshal(stdout.Bytes(), &payload); err != nil {
-		t.Fatalf("clean -json run did not emit a JSON payload: %v\n%s", err, stdout.String())
-	}
-}
-
-// TestAtomicMixCrossPackageFacts is the atomicmix acceptance test for
-// the facts protocol: a kvstore-like package whose only atomic
-// discipline is a function-style atomic.AddUint64 on a plain uint64
-// field, and an engine-like package that reads the same field plainly.
-// The mixed access is visible only through the AtomicFields fact in
-// the first package's vetx — the reader's unit never sees the atomic
-// site's source — and the diagnostic vanishes when the facts are
-// withheld.
-func TestAtomicMixCrossPackageFacts(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"kv/kv.go": `package kv
-
-import "sync/atomic"
-
-// Stats counts per-node operations; Hits is written by concurrent
-// request goroutines, so every access must be atomic.
-type Stats struct{ Hits uint64 }
-
-// Bump is the sanctioned write path.
-func Bump(s *Stats) {
-	atomic.AddUint64(&s.Hits, 1)
-}
-`,
-		"eng/eng.go": `package eng
-
-import "piql/kv"
-
-// Report reads the counter plainly — a torn read against Bump's
-// atomic writes, witnessed only through kv's AtomicFields fact.
-func Report(s *kv.Stats) uint64 {
-	return s.Hits
-}
-`,
-	})
-
-	// Unit 1: kv, facts only — the atomic.AddUint64 site must export
-	// Stats.Hits as an atomic field.
-	kvPkgs := listExport(t, tmp, "piql/kv")
-	kv := kvPkgs["piql/kv"]
-	if kv == nil {
-		t.Fatal("go list did not return piql/kv")
-	}
-	kvPackageFile := map[string]string{}
-	for path, p := range kvPkgs {
-		if p.Export != "" {
-			kvPackageFile[path] = p.Export
-		}
-	}
-	var kvFiles []string
-	for _, f := range kv.GoFiles {
-		kvFiles = append(kvFiles, filepath.Join(kv.Dir, f))
-	}
-	kvVetx := filepath.Join(tmp, "kv.vetx")
-	kvCfg := writeCfg(t, tmp, "kv.cfg", &config{
-		ID:          "piql/kv",
-		Compiler:    "gc",
-		Dir:         kv.Dir,
-		ImportPath:  "piql/kv",
-		GoFiles:     kvFiles,
-		PackageFile: kvPackageFile,
-		VetxOnly:    true,
-		VetxOutput:  kvVetx,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{kvCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("kv unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(kvVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("kv vetx did not decode (err=%v)", err)
-	}
-	if len(facts.AtomicFields) != 1 || facts.AtomicFields[0] != "kv.Stats.Hits" {
-		t.Fatalf("kv must export AtomicFields [kv.Stats.Hits]: %+v", facts.AtomicFields)
-	}
-
-	// Unit 2: eng, consuming kv's facts — the plain read must be
-	// reported with the cross-package citation.
-	engPkgs := listExport(t, tmp, "piql/eng")
-	eng := engPkgs["piql/eng"]
-	if eng == nil {
-		t.Fatal("go list did not return piql/eng")
-	}
-	engPackageFile := map[string]string{}
-	for path, p := range engPkgs {
-		if p.Export != "" {
-			engPackageFile[path] = p.Export
-		}
-	}
-	var engFiles []string
-	for _, f := range eng.GoFiles {
-		engFiles = append(engFiles, filepath.Join(eng.Dir, f))
-	}
-	engCfg := writeCfg(t, tmp, "eng.cfg", &config{
-		ID:          "piql/eng",
-		Compiler:    "gc",
-		Dir:         eng.Dir,
-		ImportPath:  "piql/eng",
-		GoFiles:     engFiles,
-		PackageFile: engPackageFile,
-		PackageVetx: map[string]string{"piql/kv": kvVetx},
-		VetxOutput:  filepath.Join(tmp, "eng.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{engCfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("eng unit exited %d (want 2)\nstderr: %s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "plain read of field kv.Stats.Hits") ||
-		!strings.Contains(out, "per fact from piql/kv") ||
-		!strings.Contains(out, "atomicmix") {
-		t.Fatalf("diagnostic does not witness the imported atomic field:\n%s", out)
-	}
-
-	// Without the facts the reader's unit sees an ordinary uint64
-	// field: silence proves the report came from the vetx.
-	engCfgNoFacts := writeCfg(t, tmp, "eng-nofacts.cfg", &config{
-		ID:          "piql/eng#nofacts",
-		Compiler:    "gc",
-		Dir:         eng.Dir,
-		ImportPath:  "piql/eng",
-		GoFiles:     engFiles,
-		PackageFile: engPackageFile,
-		VetxOutput:  filepath.Join(tmp, "eng-nofacts.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{engCfgNoFacts}, &stdout, &stderr); code != 0 {
-		t.Fatalf("eng unit without facts exited %d:\n%s", code, stderr.String())
-	}
-}
-
-// TestStandaloneCacheDirectiveEdit pins the cache-invalidation contract
-// for suppression directives: an edit whose only change is adding or
-// removing a //lint:allow comment still changes the package's content
-// hash, so the warm run recomputes instead of replaying the stale
-// verdict. (A cache keyed on anything that skipped comments would
-// replay the pre-directive diagnostics forever.)
-func TestStandaloneCacheDirectiveEdit(t *testing.T) {
-	tmp := t.TempDir()
-	leaky := `package g
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-// Leak returns holding the guard on the bad path.
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": leaky,
-	})
-	cache := filepath.Join(tmp, "lintcache")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
-	}
-	cold := stderr.String()
-	if !strings.Contains(cold, "releasepath") {
-		t.Fatalf("cold run missing the releasepath finding:\n%s", cold)
-	}
-
-	// The only edit: a justified //lint:allow in Leak's doc comment.
-	allowed := strings.Replace(leaky,
-		"// Leak returns holding the guard on the bad path.\n",
-		"// Leak returns holding the guard on the bad path.\n//\n//lint:allow releasepath — intentional hold, released by the caller\n", 1)
-	writeTree(t, tmp, map[string]string{"g/g.go": allowed})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("directive-only edit replayed the stale verdict (%d):\n%s", code, stderr.String())
-	}
-
-	// Reverting the directive restores the original content hash: the
-	// warm run replays the first entry byte-for-byte, diagnostics
-	// included.
-	writeTree(t, tmp, map[string]string{"g/g.go": leaky})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("reverted tree exited %d (want 2)\n%s", code, stderr.String())
-	}
-	if warm := stderr.String(); warm != cold {
-		t.Fatalf("reverted tree did not replay the cold diagnostics\ncold: %s\nwarm: %s", cold, warm)
-	}
-}
-
-// TestStandaloneChangedFilter drives -changed in a scratch git
-// checkout: two packages each carrying a violation, with only one
-// edited since the base commit — the edited package reports, the
-// untouched one stays silent, and a fully committed tree reports
-// nothing at all.
-func TestStandaloneChangedFilter(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not available")
-	}
-	tmp := t.TempDir()
-	leak := func(pkg string) string {
-		return `package ` + pkg + `
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	}
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"a/a.go": leak("a"),
-		"b/b.go": leak("b"),
-	})
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", append([]string{"-C", tmp,
-			"-c", "user.name=piql", "-c", "user.email=piql@test"}, args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "base")
-
-	// Nothing differs from HEAD: both violations are filtered out.
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("committed tree exited %d:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "no module packages changed") {
-		t.Fatalf("committed tree should report an empty changed set:\n%s", stderr.String())
-	}
-
-	// Edit only a: its violation reports, b's identical one does not.
-	writeTree(t, tmp, map[string]string{"a/a.go": leak("a") + "\n// touched\n"})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("edited tree exited %d (want 2)\n%s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, filepath.Join("a", "a.go")) {
-		t.Fatalf("edited package's finding missing:\n%s", out)
-	}
-	if strings.Contains(out, filepath.Join("b", "b.go")) {
-		t.Fatalf("untouched package's finding not filtered:\n%s", out)
-	}
-}
-
-// TestDataflowDump smoke-tests the -dataflow debug printer: a known
-// function dumps its def-use chains, an unknown name is an error with
-// a usage hint.
-func TestDataflowDump(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": `package g
-
-func Twice(n int) int {
-	m := n + n
-	return m
-}
-`,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-dataflow", "Twice", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-dataflow Twice exited %d:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "Twice") || !strings.Contains(out, "m") {
-		t.Fatalf("dump does not show the function's def-use chains:\n%s", out)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-standalone", "-dataflow", "NoSuchFunc", "-C", tmp, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("unknown -dataflow name exited %d (want 1)", code)
-	}
-	if !strings.Contains(stderr.String(), "no function matches") {
-		t.Fatalf("unknown name should print a hint:\n%s", stderr.String())
-	}
-}
-
-// TestStandaloneCleanTree runs the from-source mode over the whole
-// module: the tree must be clean (every finding fixed or justified),
-// and the lock hierarchy must contain the documented roots.
+// TestStandaloneCleanTree runs the driver over the whole module: the
+// tree must be clean (every finding fixed or justified), and the lock
+// hierarchy must contain the documented roots.
 func TestStandaloneCleanTree(t *testing.T) {
 	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-standalone", "-lockgraph", "-C", repoRoot, "./..."}, &stdout, &stderr)
+	code := run([]string{"-lockgraph", "-C", repoRoot, "./..."}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("standalone run exited %d:\n%s%s", code, stdout.String(), stderr.String())
+		t.Fatalf("run exited %d:\n%s%s", code, stdout.String(), stderr.String())
 	}
 	graph := stdout.String()
 	for _, want := range []string{
@@ -913,11 +254,4 @@ func TestStandaloneCleanTree(t *testing.T) {
 			t.Errorf("lock hierarchy missing %s:\n%s", want, graph)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -543,13 +543,13 @@ func TestStopIsNoFetchLimitUnderReductiveJoin(t *testing.T) {
 // nothing above it can drop or regroup rows; an operator above is then
 // bounded by the page, not by every fetched entry.
 func TestSortedJoinStop(t *testing.T) {
-	cat := stopCatalog(t, "")
+	cat := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
 	cases := []struct {
-		name, sql           string
-		stop, tuples, bound int
+		name, sql                   string
+		stop, perKey, tuples, bound int
 	}{
 		{
-			name: "join on top", stop: 5, tuples: 5, bound: 1 + 10,
+			name: "join on top", stop: 5, perKey: 5, tuples: 5, bound: 1 + 10,
 			sql: `SELECT thoughts.* FROM subs s JOIN thoughts
 			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
 			      ORDER BY thoughts.ts DESC LIMIT 5`,
@@ -557,20 +557,22 @@ func TestSortedJoinStop(t *testing.T) {
 		{
 			// 1 scan + 10 ranges + 5 gets, not a get for each of the
 			// 10 × 5 entries the join may fetch.
-			name: "non-reductive FK join above", stop: 5, tuples: 5, bound: 1 + 10 + 5,
+			name: "non-reductive FK join above", stop: 5, perKey: 5, tuples: 5, bound: 1 + 10 + 5,
 			sql: `SELECT thoughts.*, u.* FROM subs s JOIN thoughts JOIN users u
 			      WHERE thoughts.owner = s.target AND s.owner = [1: me] AND u.username = s.target
 			      ORDER BY thoughts.ts DESC LIMIT 5`,
 		},
 		{
-			name: "paginated", stop: 5, tuples: 5, bound: 1 + 10,
+			name: "paginated", stop: 5, perKey: 5, tuples: 5, bound: 1 + 10,
 			sql: `SELECT thoughts.* FROM subs s JOIN thoughts
 			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
 			      ORDER BY thoughts.ts DESC PAGINATE 5`,
 		},
 		{
-			// The stop applies to groups, not to joined rows.
-			name: "aggregate above", stop: 0, tuples: 50, bound: 1 + 10,
+			// The stop applies to groups, not to joined rows: neither the
+			// merge nor the per-stream fetch may stop at it, the schema's
+			// cardinality bounds the fetch.
+			name: "aggregate above", stop: 0, perKey: 50, tuples: 10 * 50, bound: 1 + 10,
 			sql: `SELECT thoughts.ts, COUNT(*) FROM subs s JOIN thoughts
 			      WHERE thoughts.owner = s.target AND s.owner = [1: me]
 			      GROUP BY thoughts.ts ORDER BY thoughts.ts DESC LIMIT 5`,
@@ -582,9 +584,9 @@ func TestSortedJoinStop(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no SortedIndexJoin:\n%s", tc.name, plan.Explain())
 		}
-		if join.Stop != tc.stop || join.Bounds().Tuples != tc.tuples || join.PerKeyLimit != 5 {
-			t.Errorf("%s: stop=%d tuples<=%d limitHint=%d, want %d, %d, 5", tc.name,
-				join.Stop, join.Bounds().Tuples, join.PerKeyLimit, tc.stop, tc.tuples)
+		if join.Stop != tc.stop || join.Bounds().Tuples != tc.tuples || join.PerKeyLimit != tc.perKey {
+			t.Errorf("%s: stop=%d tuples<=%d limitHint=%d, want %d, %d, %d", tc.name,
+				join.Stop, join.Bounds().Tuples, join.PerKeyLimit, tc.stop, tc.tuples, tc.perKey)
 		}
 		if got := plan.OpBound(); got != tc.bound {
 			t.Errorf("%s: OpBound = %d, want %d\n%s", tc.name, got, tc.bound, plan.Explain())
@@ -592,6 +594,37 @@ func TestSortedJoinStop(t *testing.T) {
 		if shown := strings.Contains(join.Label(), "stop=5"); shown != (tc.stop > 0) {
 			t.Errorf("%s: label %q", tc.name, join.Label())
 		}
+	}
+}
+
+// TestStopIsNoFetchLimitUnderAggregate: the stop above an aggregate
+// counts groups, so the first stopK entries are not what the first stopK
+// groups are made of. The stop caps no fetch below the aggregate — the
+// schema's cardinality does, or the query is refused.
+func TestStopIsNoFetchLimitUnderAggregate(t *testing.T) {
+	const streamSQL = `
+		SELECT thoughts.cid, COUNT(*) FROM subs s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = [1: me]
+		GROUP BY thoughts.cid ORDER BY thoughts.cid LIMIT 2`
+	const scanSQL = `
+		SELECT cid, COUNT(*) FROM thoughts WHERE owner = [1: me]
+		GROUP BY cid ORDER BY cid LIMIT 2`
+
+	for _, sql := range []string{streamSQL, scanSQL} {
+		nsi := compileErr(t, stopCatalog(t, ""), sql)
+		if !strings.Contains(nsi.Segment, "thoughts") {
+			t.Errorf("refusal should point at thoughts: %v", nsi)
+		}
+	}
+
+	bounded := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
+	plan := compile(t, bounded, streamSQL)
+	if join, ok := findOp[*SortedIndexJoin](plan); !ok || join.PerKeyLimit != 50 || join.Stop != 0 {
+		t.Errorf("want the cardinality flavour (limitHint=50, no stop):\n%s", plan.Explain())
+	}
+	plan = compile(t, bounded, scanSQL)
+	if scan, ok := findOp[*IndexScan](plan); !ok || scan.LimitHint != 0 || scan.Bounds().Tuples != 50 {
+		t.Errorf("scan must fetch up to card(50), not the stop:\n%s", plan.Explain())
 	}
 }
 

@@ -113,11 +113,13 @@ func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
 // fetch limit of r's access: every relation after r must join 1:1
 // through a declared foreign key covering its primary key (guaranteed
 // existence, so the join never drops rows) and carry no predicates of
-// its own. Under a join that can drop rows the first stopK entries are
-// not the first stopK results, and fetching only them returns a
-// silently short page.
+// its own, and no aggregate may sit between them and the stop. Under a
+// join that can drop rows the first stopK entries are not the first
+// stopK results, and fetching only them returns a silently short page;
+// under an aggregate the stop counts groups, and fetching only stopK
+// entries counts stopK rows where the group holds more.
 func (ctx *phase2Ctx) stopLimitsFetch(r *rel) bool {
-	if ctx.q.stopK == 0 {
+	if ctx.q.stopK == 0 || len(ctx.q.aggs) > 0 {
 		return false
 	}
 	at := 0
@@ -458,13 +460,9 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 	fields = append(fields, sortCols...)
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
 	ctx.ordered = true
-	// Every later join keeps each row and its order, so the first stopK
-	// rows of the merge are the page — unless an aggregate regroups them
-	// before the stop applies.
-	stop := 0
-	if len(ctx.q.aggs) == 0 {
-		stop = ctx.q.stopK
-	}
+	// Every later join keeps each row and its order and nothing regroups
+	// them (stopLimitsFetch), so the first stopK rows of the merge are the
+	// page.
 	return &SortedIndexJoin{
 		ChildPlan:   child,
 		Table:       r.table,
@@ -472,7 +470,7 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 		Index:       ix,
 		JoinKey:     jk,
 		PerKeyLimit: ctx.q.stopK,
-		Stop:        stop,
+		Stop:        ctx.q.stopK,
 		Ascending:   !reversed,
 		MergeSort:   ctx.q.sort,
 		NeedDeref:   !ix.Primary,

@@ -101,6 +101,47 @@ func TestStopIsNoFetchLimitUnderReductiveJoin(t *testing.T) {
 	}
 }
 
+// TestStopIsNoFetchLimitUnderAggregate: LIMIT 2 above GROUP BY asks for
+// two groups, not for two rows to count. Every owner has 5 thoughts in
+// category 0 and 7 in category 1; a fetch capped at the stop counts the
+// first two entries of each stream and never reaches category 1.
+func TestStopIsNoFetchLimitUnderAggregate(t *testing.T) {
+	const streamSQL = `SELECT thoughts.cid, COUNT(*) FROM subs s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = ?
+		GROUP BY thoughts.cid ORDER BY thoughts.cid LIMIT 2`
+	const scanSQL = `SELECT cid, COUNT(*) FROM thoughts WHERE owner = ?
+		GROUP BY cid ORDER BY cid LIMIT 2`
+
+	unbounded := newStopFixture(t, "")
+	for _, sql := range []string{streamSQL, scanSQL} {
+		var nsi *core.NotScaleIndependentError
+		if _, err := unbounded.Prepare(sql); !errors.As(err, &nsi) {
+			t.Fatalf("%s\nno cardinality: err = %v, want NotScaleIndependentError", sql, err)
+		}
+	}
+
+	s := newStopFixture(t, ", CARDINALITY LIMIT 50 (owner)")
+	for _, tc := range []struct{ name, sql, arg, want string }{
+		{"sorted join", streamSQL, "me", "[(0, 10) (1, 14)]"},
+		{"base scan", scanSQL, "o1", "[(0, 5) (1, 7)]"},
+	} {
+		q, err := s.Prepare(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+			s.SetStrategy(strat)
+			res, err := q.Execute(s, value.Str(tc.arg))
+			if err != nil {
+				t.Fatalf("%s (%v): %v", tc.name, strat, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Errorf("%s (%v): %s, want %s\n%s", tc.name, strat, got, tc.want, q.Plan().Explain())
+			}
+		}
+	}
+}
+
 // TestPaginateUnderFetchPastThePage: where the stop is no fetch limit the
 // base scan fetches its whole cardinality-bounded section, and a cursor
 // left at the last entry fetched resumes past every row the page did not

@@ -53,7 +53,10 @@ func newJoinFixture(t *testing.T, rng *rand.Rand, targets, maxPerTarget int) *jo
 	do(`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`)
 	do(`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20), approved BOOLEAN,
 		PRIMARY KEY (owner, target), FOREIGN KEY (target) REFERENCES users, CARDINALITY LIMIT 20 (owner))`)
-	do(`CREATE TABLE thoughts (owner VARCHAR(20), ts INT, text VARCHAR(40), PRIMARY KEY (owner, ts))`)
+	// No owner holds more than 24 thoughts (maxPerTarget is at most 20);
+	// the limit is what bounds a join no stop may cut short.
+	do(`CREATE TABLE thoughts (owner VARCHAR(20), ts INT, text VARCHAR(40), PRIMARY KEY (owner, ts),
+		CARDINALITY LIMIT 24 (owner))`)
 	do(`CREATE TABLE articles (id VARCHAR(20), author VARCHAR(20), ts INT, PRIMARY KEY (id))`)
 	// Serves ORDER BY ts ASC by a reversed scan; ORDER BY ts DESC gets its
 	// own forward index from the compiler.
@@ -295,15 +298,16 @@ func TestSortedJoinUnderOperatorsAbove(t *testing.T) {
 	}
 
 	// An aggregate regroups the rows before the stop applies to them: the
-	// join emits every match (5 per stream), the stop counts groups.
+	// stop counts groups, so the join fetches every match the schema's
+	// cardinality admits, not 5 per stream.
 	agg, err := fx.s.Prepare(`SELECT thoughts.ts, COUNT(*) FROM subscriptions s JOIN thoughts
 		WHERE thoughts.owner = s.target AND s.owner = ?
 		GROUP BY thoughts.ts ORDER BY thoughts.ts DESC LIMIT 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if join := sortedJoin(t, agg); join.Stop != 0 || join.PerKeyLimit != 5 {
-		t.Fatalf("aggregate above: join %s, want no stop", join.Label())
+	if join := sortedJoin(t, agg); join.Stop != 0 || join.PerKeyLimit != 24 {
+		t.Fatalf("aggregate above: join %s, want the cardinality flavour", join.Label())
 	}
 	// A declared foreign-key join keeps every row in order: the join below
 	// stops at the page and the join above fetches 5 users, not 3 × 5.

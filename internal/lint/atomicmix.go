@@ -6,66 +6,35 @@ import (
 	"go/types"
 )
 
-// AtomicMix: a field that is accessed atomically anywhere in the
-// module must never be read or written plainly.
-//
-// Three rules, in increasing order of reach:
-//
-//  1. A field of a sync/atomic type (atomic.Pointer[T], atomic.Int64,
-//     atomic.Value, …) may only be evaluated as the receiver of one of
-//     its atomic methods or have its address taken. Copying the value
-//     (`r := c.routing`), assigning over it, or passing it by value
-//     silently forks the atomic cell — two goroutines end up
-//     publishing through different cells.
-//
-//  2. A plain-typed field that some site touches with a sync/atomic
-//     function call (atomic.AddUint64(&s.n, 1)) is an atomic field
-//     everywhere: a plain `s.n++` or `x := s.n` races with the atomic
-//     sites and can tear. The declaring package exports the field in
-//     the AtomicFields fact, so a plain access in a *different*
-//     package is flagged too — type information cannot carry this
-//     property, only the fact can.
-//
-//  3. A value obtained from an atomic Load is a published snapshot:
-//     writing through it (directly, via locals, or via a helper's
-//     returned Load — the AtomicResults fact) mutates state other
-//     readers believe immutable. Copy-on-write is the contract: build
-//     a new value and Store it. Provenance is tracked by the dataflow
-//     core (dataflow.go) and stops at leaf data (ints, byte slices)
-//     and at sub-objects guarded by their own mutex, whose lock — not
-//     the atomic publication — governs their mutation.
+// AtomicMix: a value obtained from an atomic Load is a published
+// snapshot. Writing through it (directly, via locals, or via a helper's
+// returned Load — the AtomicResults fact) mutates state other readers
+// believe immutable. Copy-on-write is the contract: build a new value
+// and Store it. Provenance is tracked by the dataflow core
+// (dataflow.go) and stops at leaf data (ints, byte slices) and at
+// sub-objects guarded by their own mutex, whose lock — not the atomic
+// publication — governs their mutation.
 //
 // The targets in this tree: Cluster.routing, the node lease tables,
-// and Engine's admission-policy and catalog pointers.
+// and Engine's admission-policy and catalog pointers. (Copying or
+// passing an atomic cell itself by value is go vet's copylocks.)
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "atomically-accessed fields must never be read or written plainly, and Load()ed values are immutable",
+	Doc:  "values obtained from an atomic Load are copy-on-write: never written through in place",
 	Run:  runAtomicMix,
-}
-
-// isAtomicType reports whether t is declared in sync/atomic
-// (atomic.Int64, atomic.Pointer[T], …).
-func isAtomicType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // fieldIDOfSelection renders the canonical ID of a selected struct
 // field — "<pkg>.<Struct>.<field>" — matching the lock-ID convention,
-// so kvstore.Cluster.routing is one name everywhere. Returns the field
-// object too.
-func fieldIDOfSelection(info *types.Info, sel *ast.SelectorExpr) (string, *types.Var, bool) {
+// so kvstore.Cluster.routing is one name everywhere.
+func fieldIDOfSelection(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
-		return "", nil, false
+		return "", false
 	}
 	v, _ := s.Obj().(*types.Var)
 	if v == nil || v.Pkg() == nil {
-		return "", nil, false
+		return "", false
 	}
 	t := s.Recv()
 	for {
@@ -77,85 +46,16 @@ func fieldIDOfSelection(info *types.Info, sel *ast.SelectorExpr) (string, *types
 	}
 	named, isNamed := t.(*types.Named)
 	if !isNamed {
-		return "", nil, false
+		return "", false
 	}
-	return v.Pkg().Name() + "." + named.Obj().Name() + "." + v.Name(), v, true
+	return v.Pkg().Name() + "." + named.Obj().Name() + "." + v.Name(), true
 }
 
-// isAtomicFunc reports whether fn is a package-level function of
-// sync/atomic (atomic.AddUint64, atomic.LoadInt64, …) — the
-// function-style API over plain-typed words.
-func isAtomicFunc(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// atomicPrepass collects the package's atomic fields, the sanctioned
-// &x.f sites inside sync/atomic calls, each function's AtomicResults
-// summary, and the plain-write-through-Load findings. Runs during
-// buildInterproc so Facts() can export the results.
-func (ip *Interproc) atomicPrepass(files []*ast.File) {
-	ip.atomicFields = map[string]bool{}
-	ip.atomicSanctioned = map[ast.Node]bool{}
-	pkgName := ip.pkg.Name()
-	// Rule-1 fields: sync/atomic-typed struct fields declared here.
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				obj, _ := ip.info.Defs[ts.Name].(*types.TypeName)
-				if obj == nil {
-					continue
-				}
-				st, ok := obj.Type().Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					fld := st.Field(i)
-					if isAtomicType(fld.Type()) {
-						ip.atomicFields[pkgName+"."+ts.Name.Name+"."+fld.Name()] = true
-					}
-				}
-			}
-		}
-	}
-	// Rule-2 fields: &x.f arguments of sync/atomic function calls. The
-	// argument sites themselves are sanctioned.
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicFunc(calleeOf(ip.info, call)) {
-				return true
-			}
-			for _, a := range call.Args {
-				u, ok := ast.Unparen(a).(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if id, _, ok := fieldIDOfSelection(ip.info, sel); ok {
-					ip.atomicFields[id] = true
-					ip.atomicSanctioned[sel] = true
-				}
-			}
-			return true
-		})
-	}
-	// Rule 3: per-function Load provenance. Two rounds: the first fills
+// atomicPrepass computes each function's AtomicResults summary and
+// collects the plain-write-through-Load findings. Runs during
+// buildInterproc so Facts() can export the summaries.
+func (ip *Interproc) atomicPrepass() {
+	// Per-function Load provenance. Two rounds: the first fills
 	// every function's AtomicResults summary (so a same-package helper
 	// seen before its caller still seeds the caller's taint in round
 	// two), the second collects the plain-write findings with the
@@ -213,7 +113,7 @@ func (p *atomicProv) seed(e ast.Expr) (provTag, bool) {
 	if !ok {
 		return provTag{}, false
 	}
-	id, _, ok := fieldIDOfSelection(p.ip.info, fieldSel)
+	id, ok := fieldIDOfSelection(p.ip.info, fieldSel)
 	if !ok {
 		return provTag{}, false
 	}
@@ -254,7 +154,7 @@ func (p *atomicProv) call(call *ast.CallExpr, fn *types.Func, recvTag, argTag *p
 	return provTag{}, false
 }
 
-// atomicWriteFindings records rule-3 violations for one function:
+// atomicWriteFindings records the violations in one function:
 // assignments and inc/dec through a projection of a loaded value.
 func (ip *Interproc) atomicWriteFindings(fi *funcInfo, ft *funcTaint) {
 	report := func(pos token.Pos, tag provTag) {
@@ -342,104 +242,7 @@ func runAtomicMix(p *Pass) {
 	if p.ip == nil {
 		return
 	}
-	ip := p.ip
-	// Merged atomic-field set: this package's plus every dependency's
-	// (fact), with the exporting path kept for the cross-package
-	// citation.
-	factFields := p.unit.Facts.AtomicFields()
-	for _, f := range p.Files {
-		inspectStack(f, func(n ast.Node, stack []ast.Node) {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			id, fld, ok := fieldIDOfSelection(p.unit.Info, sel)
-			if !ok {
-				return
-			}
-			local := ip.atomicFields[id]
-			factPath, fromFact := factFields[id]
-			if !local && !fromFact {
-				return
-			}
-			if isAtomicType(fld.Type()) {
-				checkTypedAtomicUse(p, sel, id, stack)
-				return
-			}
-			if ip.atomicSanctioned[sel] {
-				return
-			}
-			cite := ""
-			if !local && fromFact {
-				cite = " (per fact from " + factPath + ")"
-			}
-			p.Reportf(sel.Pos(),
-				"plain %s of field %s, which is accessed with sync/atomic operations%s; mixed plain/atomic access tears",
-				accessKind(sel, stack), id, cite)
-		})
-	}
-	for _, fdg := range ip.atomicFindings {
+	for _, fdg := range p.ip.atomicFindings {
 		p.Reportf(fdg.pos, "%s", fdg.msg)
 	}
-}
-
-// accessKind classifies a flagged selector as a read or a write for
-// the diagnostic.
-func accessKind(sel *ast.SelectorExpr, stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if containsNode(lhs, sel) {
-					return "write"
-				}
-			}
-			return "read"
-		case *ast.IncDecStmt:
-			return "write"
-		case ast.Stmt:
-			return "read"
-		}
-	}
-	return "read"
-}
-
-// containsNode reports whether target appears in the tree rooted at e.
-func containsNode(e ast.Expr, target ast.Node) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkTypedAtomicUse enforces rule 1: a sync/atomic-typed field may
-// only appear as the receiver of an atomic method call or under &.
-func checkTypedAtomicUse(p *Pass, sel *ast.SelectorExpr, id string, stack []ast.Node) {
-	if len(stack) > 0 {
-		switch parent := stack[len(stack)-1].(type) {
-		case *ast.SelectorExpr:
-			// c.routing.Load — the method access itself.
-			if parent.X == sel {
-				return
-			}
-		case *ast.UnaryExpr:
-			// &c.routing — an alias for method calls; a plain write
-			// through the pointer would still need a Store.
-			if parent.Op == token.AND {
-				return
-			}
-		}
-	}
-	kind := accessKind(sel, stack)
-	verb := "copies"
-	if kind == "write" {
-		verb = "overwrites"
-	}
-	p.Reportf(sel.Pos(),
-		"plain %s of atomic field %s %s the atomic cell; every access must go through its Load/Store/CAS methods",
-		kind, id, verb)
 }

@@ -1,21 +1,13 @@
 package lint
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// The dataflow core.
-//
-// This file owns the three pieces of machinery the flow-sensitive
-// analyzers share, extracted from the interprocedural walk so that one
-// implementation of Go control flow serves every client:
+// The dataflow core: the two pieces of machinery the flow analyzers
+// share.
 //
 //  1. A branch-sensitive statement walker (flowWalker) over a lowered
 //     view of a function body. "Lowered" here means control flow is
@@ -23,97 +15,44 @@ import (
 //     two-pass loop bodies with a back-edge union, switch/select
 //     clause merges with default-totality, and a single exit
 //     enumeration (every return plus the implicit fall-through at the
-//     closing brace) — rather than a full basic-block CFG. Clients
-//     implement flowClient and thread an abstract flowState through
-//     the walk; the held-lock walk in interproc.go and the cancelpath
-//     analyzer are both clients, so exit paths are enumerated in
-//     exactly one place.
+//     closing brace) — rather than a full basic-block CFG. It carries
+//     the held-lock walk of interproc.go, which lockorder, holdblock,
+//     releasepath and goroleak all read.
 //
-//  2. Per-function def-use chains (buildDefUse), keyed by the local
-//     *types.Var: where each local is defined (with its defining
-//     expression) and where it is read. piql-vet's -dataflow flag
-//     dumps these for a named function.
-//
-//  3. A value-provenance engine (taintFunc): a client seeds tags on
-//     expressions that mint tracked values (a routing snapshot from
-//     beginOp, the result of an atomic Load) and the engine propagates
-//     them through locals, field selections, container elements,
-//     range loops, and closures to a fixpoint. Propagation is
-//     flow-insensitive within a function (a local tainted on any path
-//     is tainted everywhere) and field-granular: the client's derive
-//     hook decides whether a tag survives a projection, which is where
-//     leaf types ([]byte key bounds, counters) drop out. There is no
-//     alias analysis: taint follows names and values, not the heap.
+//  2. A value-provenance engine (taintFunc) for atomicmix and
+//     snapshotescape: a client seeds tags on expressions that mint
+//     tracked values (a routing snapshot from beginOp, the result of an
+//     atomic Load) and the engine propagates them through locals, field
+//     selections, container elements, range loops, and closures to a
+//     fixpoint. Propagation is flow-insensitive within a function (a
+//     local tainted on any path is tainted everywhere) and
+//     field-granular: the client's derive hook decides whether a tag
+//     survives a projection, which is where leaf types ([]byte key
+//     bounds, counters) drop out. There is no alias analysis: taint
+//     follows names and values, not the heap.
 
 // ---------------------------------------------------------------------
 // Branch-sensitive walker.
 
-// flowState is the abstract per-path state a client threads through
-// the walk: the held-lock multiset for interproc, the outstanding
-// cancel obligations for cancelpath.
-type flowState interface {
-	// cloneFlow returns an independent copy for a branch.
-	cloneFlow() flowState
-	// unionFlow merges a sibling branch's exit state into a fresh
-	// state: an obligation survives the merge if either branch carries
-	// it.
-	unionFlow(other flowState) flowState
-	// copyFlow overwrites this state in place with other's contents
-	// (the walker joins branches back into the caller's state).
-	copyFlow(other flowState)
-}
-
-// flowClient receives the walk's observations. The walker owns all
-// control flow; the client owns statement/expression semantics.
-type flowClient interface {
-	// leafStmt handles a non-control-flow statement (expression, send,
-	// assign, decl, inc/dec, defer, go). The walker is passed back in
-	// for clients that recurse (immediately-invoked literals).
-	leafStmt(w *flowWalker, s ast.Stmt, st flowState)
-	// flowExpr evaluates one expression for effects (conditions, tags,
-	// range operands, return results). Never called with nil.
-	flowExpr(e ast.Expr, st flowState)
-	// flowComm handles a select case's communication statement (the
-	// select itself is the blocking point, so the comm must not be
-	// recorded as a standalone operation).
-	flowComm(w *flowWalker, s ast.Stmt, st flowState)
-	// forObs / rangeObs / selectObs observe a loop or select head
-	// before its body is walked.
-	forObs(s *ast.ForStmt, st flowState)
-	rangeObs(s *ast.RangeStmt, st flowState)
-	selectObs(s *ast.SelectStmt, st flowState)
-	// returnObs observes a return statement (results already routed
-	// through flowExpr); exitPath follows immediately after.
-	returnObs(s *ast.ReturnStmt, st flowState)
-	// exitPath is the shared exit-path enumeration: called once per
-	// return statement and once for the implicit fall-through at the
-	// body's closing brace, with the state at that exit.
-	exitPath(pos token.Pos, st flowState)
-}
-
-// flowWalker drives one client through one function body.
+// flowWalker drives the held-lock walk (interproc.go) through one
+// function body: the walker owns all control flow, its leafStmt /
+// comm / *Obs methods there own statement and expression semantics.
+// Branches clone the held set, joins union it (a lock is may-held after
+// a join if either arm held it).
 type flowWalker struct {
-	client flowClient
+	ip *Interproc
+	fi *funcInfo
 }
 
-// walkBody walks a function (or pseudo-function) body, recording the
-// implicit fall-through exit at the closing brace when control can
-// reach it.
-func (w *flowWalker) walkBody(body *ast.BlockStmt, st flowState) {
-	if !w.stmt(body, st) {
-		w.client.exitPath(body.Rbrace, st)
-	}
-}
-
-func (w *flowWalker) expr(e ast.Expr, st flowState) {
+func (w *flowWalker) expr(e ast.Expr, h *held) {
 	if e != nil {
-		w.client.flowExpr(e, st)
+		w.ip.walkExpr(w.fi, e, h)
 	}
 }
 
-// stmt walks one statement, mutating st, and reports whether control
+// stmt walks one statement, mutating fs, and reports whether control
 // cannot fall through (return / branch).
-func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
+func (w *flowWalker) stmt(st ast.Stmt, fs *held) bool {
 	switch s := st.(type) {
 	case nil:
 		return false
@@ -127,9 +66,9 @@ func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
 	case *ast.IfStmt:
 		w.stmt(s.Init, fs)
 		w.expr(s.Cond, fs)
-		thenSt := fs.cloneFlow()
+		thenSt := fs.clone()
 		thenTerm := w.stmt(s.Body, thenSt)
-		elseSt := fs.cloneFlow()
+		elseSt := fs.clone()
 		elseTerm := false
 		if s.Else != nil {
 			elseTerm = w.stmt(s.Else, elseSt)
@@ -138,34 +77,34 @@ func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
 		case thenTerm && elseTerm:
 			return true
 		case thenTerm:
-			fs.copyFlow(elseSt)
+			*fs = *elseSt
 		case elseTerm:
-			fs.copyFlow(thenSt)
+			*fs = *thenSt
 		default:
-			fs.copyFlow(thenSt.unionFlow(elseSt))
+			*fs = *unionHeld(thenSt, elseSt)
 		}
 	case *ast.ForStmt:
 		w.stmt(s.Init, fs)
 		w.expr(s.Cond, fs)
-		w.client.forObs(s, fs)
+		w.forObs(s)
 		// Two passes over the body: the second starts from the union of
 		// entry and first-iteration exit, so an obligation still open
 		// across the back edge is seen by iteration-two statements.
-		body := fs.cloneFlow()
+		body := fs.clone()
 		w.stmt(s.Body, body)
 		w.stmt(s.Post, body)
-		again := fs.unionFlow(body)
+		again := unionHeld(fs, body)
 		w.stmt(s.Body, again)
 		w.stmt(s.Post, again)
-		fs.copyFlow(fs.unionFlow(again))
+		*fs = *unionHeld(fs, again)
 	case *ast.RangeStmt:
 		w.expr(s.X, fs)
-		w.client.rangeObs(s, fs)
-		body := fs.cloneFlow()
+		w.rangeObs(s, fs)
+		body := fs.clone()
 		w.stmt(s.Body, body)
-		again := fs.unionFlow(body)
+		again := unionHeld(fs, body)
 		w.stmt(s.Body, again)
-		fs.copyFlow(fs.unionFlow(again))
+		*fs = *unionHeld(fs, again)
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, fs)
 		w.expr(s.Tag, fs)
@@ -175,14 +114,14 @@ func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
 		w.stmt(s.Assign, fs)
 		w.cases(s.Body, fs)
 	case *ast.SelectStmt:
-		w.client.selectObs(s, fs)
+		w.selectObs(s, fs)
 		w.cases(s.Body, fs)
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.expr(e, fs)
 		}
-		w.client.returnObs(s, fs)
-		w.client.exitPath(s.Pos(), fs)
+		w.ip.recordReturn(w.fi, s)
+		w.ip.recordExit(w.fi, s.Pos(), fs)
 		return true
 	case *ast.BranchStmt:
 		// break/continue/goto: stops fall-through here; the loop's
@@ -191,7 +130,7 @@ func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
 	case *ast.LabeledStmt:
 		return w.stmt(s.Stmt, fs)
 	default:
-		w.client.leafStmt(w, st, fs)
+		w.leafStmt(st, fs)
 	}
 	return false
 }
@@ -200,18 +139,18 @@ func (w *flowWalker) stmt(st ast.Stmt, fs flowState) bool {
 // the pre-state; the post-state is the union of every clause exit that
 // falls through, plus the pre-state unless a default clause makes the
 // dispatch total.
-func (w *flowWalker) cases(body *ast.BlockStmt, fs flowState) {
-	var out flowState
+func (w *flowWalker) cases(body *ast.BlockStmt, fs *held) {
+	var out *held
 	hasDefault := false
-	merge := func(x flowState) {
+	merge := func(x *held) {
 		if out == nil {
 			out = x
 		} else {
-			out = out.unionFlow(x)
+			out = unionHeld(out, x)
 		}
 	}
 	for _, c := range body.List {
-		clauseSt := fs.cloneFlow()
+		clauseSt := fs.clone()
 		term := false
 		switch cc := c.(type) {
 		case *ast.CaseClause:
@@ -231,7 +170,7 @@ func (w *flowWalker) cases(body *ast.BlockStmt, fs flowState) {
 				hasDefault = true
 			}
 			if cc.Comm != nil {
-				w.client.flowComm(w, cc.Comm, clauseSt)
+				w.comm(cc.Comm, clauseSt)
 			}
 			for _, st := range cc.Body {
 				if term = w.stmt(st, clauseSt); term {
@@ -244,10 +183,10 @@ func (w *flowWalker) cases(body *ast.BlockStmt, fs flowState) {
 		}
 	}
 	if !hasDefault {
-		merge(fs.cloneFlow())
+		merge(fs.clone())
 	}
 	if out != nil {
-		fs.copyFlow(out)
+		*fs = *out
 	}
 }
 
@@ -359,187 +298,7 @@ func commRecvChan(st ast.Stmt) ast.Expr {
 }
 
 // ---------------------------------------------------------------------
-// Def-use chains.
-
-// defSite is one definition of a local: where, and the defining
-// expression when there is one (nil for parameters and zero-value
-// declarations). forRange marks definitions minted by a range clause.
-type defSite struct {
-	pos      token.Pos
-	rhs      ast.Expr
-	forRange bool
-}
-
-// defUse holds one function's def-use chains, keyed by the local
-// variable object.
-type defUse struct {
-	decl *ast.FuncDecl
-	objs []*types.Var // stable (declaration-position) order
-	defs map[*types.Var][]defSite
-	uses map[*types.Var][]token.Pos
-}
-
-// localVarOf resolves an identifier to the local variable it denotes
-// inside decl (parameters and receivers included), or nil.
-func localVarOf(info *types.Info, decl *ast.FuncDecl, id *ast.Ident) *types.Var {
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return nil
-	}
-	if v.Pos() < decl.Pos() || v.Pos() > decl.End() {
-		return nil
-	}
-	return v
-}
-
-// buildDefUse computes def-use chains for one function declaration.
-func buildDefUse(info *types.Info, decl *ast.FuncDecl) *defUse {
-	du := &defUse{
-		decl: decl,
-		defs: map[*types.Var][]defSite{},
-		uses: map[*types.Var][]token.Pos{},
-	}
-	seen := map[*types.Var]bool{}
-	note := func(v *types.Var) {
-		if !seen[v] {
-			seen[v] = true
-			du.objs = append(du.objs, v)
-		}
-	}
-	addDef := func(v *types.Var, d defSite) {
-		note(v)
-		du.defs[v] = append(du.defs[v], d)
-	}
-	// Parameters, receiver, and named results are definitions with no
-	// defining expression.
-	fields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v := localVarOf(info, decl, name); v != nil {
-					addDef(v, defSite{pos: name.Pos()})
-				}
-			}
-		}
-	}
-	fields(decl.Recv)
-	fields(decl.Type.Params)
-	fields(decl.Type.Results)
-	if decl.Body == nil {
-		return du
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				v := localVarOf(info, decl, id)
-				if v == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(s.Rhs) == len(s.Lhs) {
-					rhs = s.Rhs[i]
-				} else if len(s.Rhs) == 1 {
-					rhs = s.Rhs[0] // tuple: all LHS share the call/comma-ok source
-				}
-				addDef(v, defSite{pos: id.Pos(), rhs: rhs})
-			}
-		case *ast.ValueSpec:
-			for i, name := range s.Names {
-				if name.Name == "_" {
-					continue
-				}
-				v := localVarOf(info, decl, name)
-				if v == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if i < len(s.Values) {
-					rhs = s.Values[i]
-				}
-				addDef(v, defSite{pos: name.Pos(), rhs: rhs})
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{s.Key, s.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if v := localVarOf(info, decl, id); v != nil {
-						addDef(v, defSite{pos: id.Pos(), rhs: s.X, forRange: true})
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := s.X.(*ast.Ident); ok {
-				if v := localVarOf(info, decl, id); v != nil {
-					addDef(v, defSite{pos: id.Pos(), rhs: s.X})
-				}
-			}
-		case *ast.Ident:
-			if _, isUse := info.Uses[s]; isUse {
-				if v := localVarOf(info, decl, s); v != nil {
-					note(v)
-					du.uses[v] = append(du.uses[v], s.Pos())
-				}
-			}
-		}
-		return true
-	})
-	sort.SliceStable(du.objs, func(i, j int) bool { return du.objs[i].Pos() < du.objs[j].Pos() })
-	return du
-}
-
-// dump renders the chains for the -dataflow debug printer.
-func (du *defUse) dump(fset *token.FileSet, out *strings.Builder) {
-	short := func(pos token.Pos) string {
-		p := fset.Position(pos)
-		name := p.Filename
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		return fmt.Sprintf("%s:%d", name, p.Line)
-	}
-	render := func(e ast.Expr) string {
-		var buf bytes.Buffer
-		if err := printer.Fprint(&buf, fset, e); err != nil {
-			return "?"
-		}
-		s := buf.String()
-		s = strings.Join(strings.Fields(s), " ")
-		if len(s) > 60 {
-			s = s[:57] + "..."
-		}
-		return s
-	}
-	for _, v := range du.objs {
-		fmt.Fprintf(out, "  %s %s\n", v.Name(), v.Type())
-		for _, d := range du.defs[v] {
-			switch {
-			case d.forRange:
-				fmt.Fprintf(out, "    def %s  <- range %s\n", short(d.pos), render(d.rhs))
-			case d.rhs != nil:
-				fmt.Fprintf(out, "    def %s  <- %s\n", short(d.pos), render(d.rhs))
-			default:
-				fmt.Fprintf(out, "    def %s  (param)\n", short(d.pos))
-			}
-		}
-		if us := du.uses[v]; len(us) > 0 {
-			parts := make([]string, len(us))
-			for i, p := range us {
-				parts[i] = short(p)
-			}
-			fmt.Fprintf(out, "    use %s\n", strings.Join(parts, ", "))
-		}
-	}
-}
+// Lvalue and return utilities shared by the provenance clients.
 
 // sharedMemoryWrite reports whether an lvalue path can reach memory
 // shared with other holders of the root: an explicit or implicit
@@ -597,45 +356,6 @@ func funcReturns(body *ast.BlockStmt, fn func(*ast.ReturnStmt)) {
 		}
 		return true
 	})
-}
-
-// DumpDefUse renders the def-use chains of the named function for the
-// piql-vet -dataflow debug printer. name matches the bare function
-// name ("beginOp"), the method key ("(*Cluster).beginOp"), or either
-// prefixed with the package name ("kvstore.beginOp"). Returns false
-// when the unit has no type information or no declaration matches.
-func DumpDefUse(unit *Unit, name string) (string, bool) {
-	if unit.Info == nil {
-		return "", false
-	}
-	pkgName := ""
-	if unit.Pkg != nil {
-		pkgName = unit.Pkg.Name()
-	}
-	var out strings.Builder
-	found := false
-	for _, f := range unit.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name == nil {
-				continue
-			}
-			fn, _ := unit.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			key := funcKey(fn)
-			if name != key && name != fd.Name.Name &&
-				(pkgName == "" || (name != pkgName+"."+key && name != pkgName+"."+fd.Name.Name)) {
-				continue
-			}
-			found = true
-			p := unit.Fset.Position(fd.Pos())
-			fmt.Fprintf(&out, "func %s.%s (%s:%d)\n", pkgName, key, p.Filename, p.Line)
-			buildDefUse(unit.Info, fd).dump(unit.Fset, &out)
-		}
-	}
-	return out.String(), found
 }
 
 // ---------------------------------------------------------------------

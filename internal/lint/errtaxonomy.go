@@ -26,8 +26,8 @@ import (
 //
 // Consumer rules run everywhere and are fact-powered: an operand of a
 // ==/!= error comparison (or an Error()-text match) that traces to a
-// call whose summary — local, or imported from a dependency's vetx
-// facts — says it may return a transient error is a bug: such errors
+// call whose summary — local, or imported from a dependency's facts
+// — says it may return a transient error is a bug: such errors
 // arrive wrapped, so identity comparison silently misclassifies them
 // as fatal.
 var ErrTaxonomy = &Analyzer{
@@ -348,7 +348,7 @@ func traceTransient(ip *Interproc, e ast.Expr, fd *ast.FuncDecl, depth int) stri
 }
 
 // calleeTransientFact renders the provenance of a transient-returning
-// callee, naming the vetx facts file when the summary crossed a
+// callee, naming the exporting package when the summary crossed a
 // package boundary.
 func calleeTransientFact(ip *Interproc, call *ast.CallExpr) string {
 	fn := calleeOf(ip.info, call)

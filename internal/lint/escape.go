@@ -24,7 +24,7 @@ import (
 //
 // e.g. `piql/internal/codec.DecodeKey 0`. A function exceeding its
 // number fails lint at the first over-budget escape site;
-// `make lint ESCAPE_BUDGET=update` rewrites the counts after a
+// `piql-vet -escapebudget -update` rewrites the counts after a
 // deliberate change.
 
 // EscapeRaw is one compiler escape diagnostic: a heap escape at
@@ -221,7 +221,7 @@ func FormatEscapeBudget(counts map[string]int, order []string) []byte {
 	b.WriteString("# (escapebudget analyzer). Each line: <import/path>.<Func> <count>,\n")
 	b.WriteString("# the number of `escapes to heap`/`moved to heap` decisions\n")
 	b.WriteString("# `go build -gcflags=-m` reports inside that function. Regenerate\n")
-	b.WriteString("# after a deliberate change with: make lint ESCAPE_BUDGET=update\n")
+	b.WriteString("# after a deliberate change with: piql-vet -escapebudget -update\n")
 	for _, fn := range order {
 		fmt.Fprintf(&b, "%s %d\n", fn, counts[fn])
 	}

@@ -147,7 +147,7 @@ func TestEscapeBudgetImportPath(t *testing.T) {
 
 // TestEscapeBudgetAnalyzer drives the analyzer directly: over budget
 // reports at the first excess site, at or under budget stays silent,
-// and a unit with no escape info (a plain vet unit) is skipped rather
+// and a unit with no escape info (the ordinary run) is skipped rather
 // than run — so its //lint:allow directives are not audited as stale.
 func TestEscapeBudgetAnalyzer(t *testing.T) {
 	a := byName(t, "escapebudget")

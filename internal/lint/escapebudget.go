@@ -14,10 +14,10 @@ import "sort"
 // envelope codec are the gated set; the budget file is the allowlist.
 //
 // Unlike the other analyzers this one needs a build, so it only runs
-// under `piql-vet -escapebudget` (which make lint invokes); in plain
-// vet units Unit.Escapes is nil and Skip keeps the analyzer out of
-// the run entirely, so //lint:allow escapebudget directives do not
-// read as stale there.
+// under `piql-vet -escapebudget` (which make lint invokes); in the
+// ordinary run Unit.Escapes is nil and Skip keeps the analyzer out
+// entirely, so //lint:allow escapebudget directives do not read as
+// stale there.
 var EscapeBudget = &Analyzer{
 	Name: "escapebudget",
 	Doc:  "hot-path functions must not exceed their checked-in heap-escape budget",
@@ -41,7 +41,7 @@ func runEscapeBudget(pass *Pass) {
 		// points at itself.
 		over := sites[budget]
 		pass.ReportAt(over.Pos,
-			"%s has %d heap escapes, over its budget of %d (%s); keep the value on the stack, or raise the budget deliberately with `make lint ESCAPE_BUDGET=update`",
+			"%s has %d heap escapes, over its budget of %d (%s); keep the value on the stack, or raise the budget deliberately with `piql-vet -escapebudget -update`",
 			fn, len(sites), budget, over.What)
 	}
 }

@@ -1,26 +1,18 @@
 package lint
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Cross-package facts.
 //
-// The interprocedural analyzers (lockorder, holdblock, errtaxonomy)
-// need to know things about functions in *other* packages: does
-// (*kvstore.Client).Get park the simulated process? which locks does
-// (*Cluster).Rebalance end up acquiring? can (*Client).TestAndSet
-// return an error that unwraps to kvstore.ErrTransient? Those summaries
-// are computed once per package (see interproc.go) and serialized into
-// the vetx facts files the `go vet` vettool protocol already threads
-// between units: each unit's facts are written to cfg.VetxOutput, and a
-// dependent unit finds its dependencies' facts in cfg.PackageVetx. The
-// standalone driver keeps the same facts in memory, in dependency
-// order. Only module-local packages carry facts; the behavior of the
-// few standard-library blocking primitives is hardcoded in the
-// analyzers instead of analyzed.
+// The interprocedural analyzers need to know things about functions in
+// *other* packages: does (*kvstore.Client).Get park the simulated
+// process? which locks does (*Cluster).Rebalance end up acquiring? can
+// (*Client).TestAndSet return an error that unwraps to
+// kvstore.ErrTransient? Those summaries are computed once per package
+// (see interproc.go) and kept in a FactStore the driver threads through
+// the packages in dependency order. Only module-local packages carry
+// facts; the behavior of the few standard-library blocking primitives
+// is hardcoded in the analyzers instead of analyzed.
 
 // FuncFact is one function's externally visible summary. Functions are
 // keyed the way they read at a call site: "FuncName" for package
@@ -30,47 +22,47 @@ type FuncFact struct {
 	// (or park the simulated process): a channel operation, a
 	// sync.Cond/WaitGroup wait, a time.Sleep, or a call to something
 	// that does — transitively.
-	Blocks bool `json:"blocks,omitempty"`
+	Blocks bool
 	// BlockPath is a human-readable witness for Blocks: the call chain
 	// from this function to the primitive that blocks.
-	BlockPath string `json:"blockPath,omitempty"`
+	BlockPath string
 	// Acquires lists the canonical lock IDs (see interproc.go) the
 	// function may acquire, directly or transitively.
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// Transient reports that the function may return an error that
 	// unwraps to the package's ErrTransient sentinel (or to a typed
 	// error that does).
-	Transient bool `json:"transient,omitempty"`
+	Transient bool
 	// ErrTypes lists the typed errors the function can return, e.g.
 	// "*kvstore.ErrNodeDown".
-	ErrTypes []string `json:"errTypes,omitempty"`
+	ErrTypes []string
 	// ParkRisk is goroleak's witness that a run of this function may
 	// never terminate: the first non-escapable blocking operation,
 	// unbounded loop, or function-value call on some path ("" = the
 	// analysis found a termination path everywhere). Dependents chain
 	// it through their own call sites, so a `go` statement three
 	// packages away can cite the primitive that parks.
-	ParkRisk string `json:"parkRisk,omitempty"`
+	ParkRisk string
 	// NetAcquires lists the canonical lock IDs the function returns
 	// holding on some exit without ever releasing — an intentional
 	// acquire-helper contract. A dependent's walk extends its held set
 	// across calls to such helpers, so releasepath and holdblock see
 	// cross-package critical sections.
-	NetAcquires []string `json:"netAcquires,omitempty"`
+	NetAcquires []string
 	// NetReleases lists the lock IDs the function releases without a
 	// matching acquisition of its own — the releasing half of a
 	// cross-package helper pair.
-	NetReleases []string `json:"netReleases,omitempty"`
+	NetReleases []string
 	// AtomicResults lists the atomic-field IDs whose Load()ed value the
 	// function may return. A caller treats such a result as
 	// atomically-published state: plain writes through it are atomicmix
 	// violations even though the Load happened a package away.
-	AtomicResults []string `json:"atomicResults,omitempty"`
+	AtomicResults []string
 	// SnapshotTainted reports that some result derives from a claimed
 	// routing snapshot (beginOp) the function does not itself release —
 	// the acquire-helper shape. Callers inherit the scoping obligation:
 	// snapshotescape seeds its provenance at calls to such functions.
-	SnapshotTainted bool `json:"snapshotTainted,omitempty"`
+	SnapshotTainted bool
 }
 
 // LockEdge is one acquired-while-held observation: To was acquired at
@@ -78,108 +70,18 @@ type FuncFact struct {
 // can stitch its own acquisitions into the global lock graph and catch
 // cycles that span packages.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 	// Pos is the acquisition site, as file:line (the exporting unit's
 	// file positions).
-	Pos string `json:"pos,omitempty"`
+	Pos string
 }
 
 // PackageFacts is everything one package exports to its dependents.
 type PackageFacts struct {
-	// Version guards the encoding; readers ignore files with a
-	// different version (stale caches across tool upgrades).
-	Version int                 `json:"version"`
-	Funcs   map[string]FuncFact `json:"funcs,omitempty"`
+	Funcs map[string]FuncFact
 	// LockEdges are the package's acquired-while-held observations.
-	LockEdges []LockEdge `json:"lockEdges,omitempty"`
-	// AtomicFields lists the canonical IDs ("pkg.Struct.field") of this
-	// package's fields that are accessed atomically: fields of a
-	// sync/atomic type, and plain-typed fields some site touches with a
-	// sync/atomic function call. atomicmix uses the fact to flag plain
-	// accesses from other packages, where the declaring package's
-	// atomic call sites are invisible.
-	AtomicFields []string `json:"atomicFields,omitempty"`
-}
-
-// factsVersion bumps whenever the encoding or the meaning of a fact
-// changes. Version 2 added ParkRisk and NetAcquires/NetReleases;
-// version 3 added AtomicFields, AtomicResults, and SnapshotTainted
-// (the dataflow-analyzer facts). Decode-compat is by design version
-// skew: DecodeFacts returns (nil, nil) for any other version, so a
-// stale cache reads as "no facts", never as wrong facts.
-const factsVersion = 3
-
-// EncodeFacts serializes facts for a vetx file.
-func EncodeFacts(f *PackageFacts) []byte {
-	if f == nil {
-		f = &PackageFacts{}
-	}
-	f.Version = factsVersion
-	out, err := json.Marshal(f)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// DecodeFacts parses a vetx facts file. Three outcomes:
-//
-//   - (facts, nil): a well-formed file from this tool version;
-//   - (nil, nil): content to silently ignore — the zero-length
-//     acknowledgement files written for out-of-module units, or a
-//     well-formed file from a different tool version (a stale cache
-//     across upgrades is expected, not an error);
-//   - (nil, err): corrupt or truncated content. Drivers must surface
-//     this as a diagnostic and run without the facts — never panic,
-//     never trust a partial decode. The go build cache and the lint
-//     cache both replay these files long after they were written, so
-//     torn writes and truncation are inputs, not impossibilities.
-func DecodeFacts(data []byte) (*PackageFacts, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var f PackageFacts
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("corrupt facts (%d bytes): %w", len(data), err)
-	}
-	if f.Version != factsVersion {
-		return nil, nil
-	}
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// validate rejects decoded facts whose shape would break the
-// analyzers: JSON that parses but carries nonsense (an object where a
-// fuzzer flipped a field into the wrong container) must read as
-// corrupt, not as facts.
-func (f *PackageFacts) validate() error {
-	for key, fn := range f.Funcs {
-		if key == "" {
-			return fmt.Errorf("corrupt facts: empty function key")
-		}
-		for _, lists := range [][]string{fn.Acquires, fn.ErrTypes, fn.NetAcquires, fn.NetReleases, fn.AtomicResults} {
-			for _, id := range lists {
-				if id == "" {
-					return fmt.Errorf("corrupt facts: empty ID in %q", key)
-				}
-			}
-		}
-	}
-	for _, id := range f.AtomicFields {
-		if id == "" {
-			return fmt.Errorf("corrupt facts: empty atomic-field ID")
-		}
-	}
-	for _, e := range f.LockEdges {
-		if e.From == "" || e.To == "" {
-			return fmt.Errorf("corrupt facts: lock edge with empty endpoint")
-		}
-	}
-	return nil
+	LockEdges []LockEdge
 }
 
 // FactStore holds the facts of every dependency package, keyed by
@@ -206,29 +108,6 @@ func (s *FactStore) Pkg(path string) *PackageFacts {
 		return nil
 	}
 	return s.pkgs[path]
-}
-
-// AtomicFields returns every atomic-field ID in the store mapped to
-// the exporting package's import path (first exporter wins, in sorted
-// path order, for deterministic fact citations).
-func (s *FactStore) AtomicFields() map[string]string {
-	out := map[string]string{}
-	if s == nil {
-		return out
-	}
-	var paths []string
-	for p := range s.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		for _, id := range s.pkgs[p].AtomicFields {
-			if _, ok := out[id]; !ok {
-				out[id] = p
-			}
-		}
-	}
-	return out
 }
 
 // Func looks up one function's fact by package path and key.

@@ -17,7 +17,7 @@ package lint
 // time.Sleep — and every `for {` loop needs a break, return, or
 // never-returning call. Calls chain through the may-block facts, so a
 // spawned named function is judged by its own summary, including one
-// imported from another package's vetx file. Two shapes stay
+// imported from another package's facts. Two shapes stay
 // unknowable and are reported as such: spawning a function value, and
 // a body that calls through a function value (the walk cannot see the
 // callee, so it cannot see it terminate).

@@ -10,7 +10,7 @@ import (
 // only caught by luck. Blocking here means: a channel send or receive,
 // a select with no default, sync.Cond.Wait, sync.WaitGroup.Wait,
 // time.Sleep, or a call to any function whose summary says it may do
-// one of those — which, through the vetx facts, includes cross-node
+// one of those — which, through the facts, includes cross-node
 // client calls ((*kvstore.Client).Get parks the simulated process in
 // sim.Resource.Use) and every sim primitive built on park/wake.
 //

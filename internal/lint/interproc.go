@@ -83,14 +83,6 @@ type Interproc struct {
 	// with a constant positive capacity.
 	chanCaps map[string]*chanCap
 
-	// atomicFields holds the canonical IDs of this package's
-	// atomically-accessed fields (sync/atomic-typed, or plain-typed but
-	// touched via sync/atomic calls); atomicSanctioned marks the
-	// &x.field selector nodes that appear inside those sanctioned
-	// sync/atomic calls. Both feed the atomicmix analyzer and the
-	// AtomicFields fact (see atomicmix.go for the prepass).
-	atomicFields     map[string]bool
-	atomicSanctioned map[ast.Node]bool
 	// atomicFindings / snapshotFindings are the provenance violations
 	// the prepasses collected; the atomicmix and snapshotescape
 	// analyzers report them (directive suppression happens at report
@@ -363,7 +355,7 @@ func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 	// Dataflow prepasses after the walk: snapshot provenance needs the
 	// walk's releasedIDs, and both need the fixpoint-free per-function
 	// view only.
-	ip.atomicPrepass(files)
+	ip.atomicPrepass()
 	ip.snapshotPrepass()
 	return ip
 }
@@ -481,20 +473,20 @@ func (ip *Interproc) chanPrepass(files []*ast.File) {
 				if _, isBuiltin := ip.info.Uses[id].(*types.Builtin); !isBuiltin {
 					return
 				}
-				ip.closedChans[ip.chanIDIn(stack, v.Args[0])] = true
+				ip.closedChans[ip.chanKey(v.Args[0])] = true
 			case *ast.AssignStmt:
 				if len(v.Lhs) != len(v.Rhs) {
 					return
 				}
 				for i := range v.Rhs {
-					ip.recordChanMake(stack, v.Lhs[i], v.Rhs[i])
+					ip.recordChanMake(ip.chanKey(v.Lhs[i]), v.Rhs[i])
 				}
 			case *ast.ValueSpec:
 				if len(v.Names) != len(v.Values) {
 					return
 				}
 				for i := range v.Values {
-					ip.recordChanMake(stack, v.Names[i], v.Values[i])
+					ip.recordChanMake(ip.chanKey(v.Names[i]), v.Values[i])
 				}
 			case *ast.KeyValueExpr:
 				// Struct-literal field init: indexBuild{done: make(chan …)}.
@@ -507,7 +499,7 @@ func (ip *Interproc) chanPrepass(files []*ast.File) {
 					return
 				}
 				if owner := ip.compositeTypeName(lit); owner != "" {
-					ip.recordChanMakeID(owner+"."+key.Name, v.Value)
+					ip.recordChanMake(owner+"."+key.Name, v.Value)
 				}
 			}
 		})
@@ -525,28 +517,9 @@ func enclosingComposite(stack []ast.Node) *ast.CompositeLit {
 	return nil
 }
 
-// recordChanMake notes rhs when it is a make(chan …) assigned to lhs.
-func (ip *Interproc) recordChanMake(stack []ast.Node, lhs, rhs ast.Expr) {
-	if _, buffered, known, isChan := ip.makeChanCap(rhs); isChan {
-		id := ip.chanIDIn(stack, lhs)
-		cc := ip.chanCaps[id]
-		if cc == nil {
-			cc = &chanCap{}
-			ip.chanCaps[id] = cc
-		}
-		switch {
-		case !known:
-			cc.unknown = true
-		case buffered:
-			cc.buffered = true
-		default:
-			cc.unbuffered = true
-		}
-	}
-}
-
-// recordChanMakeID is recordChanMake with a precomputed canonical ID.
-func (ip *Interproc) recordChanMakeID(id string, rhs ast.Expr) {
+// recordChanMake notes rhs when it is a make(chan …) of the channel
+// with canonical ID id.
+func (ip *Interproc) recordChanMake(id string, rhs ast.Expr) {
 	if _, buffered, known, isChan := ip.makeChanCap(rhs); isChan {
 		cc := ip.chanCaps[id]
 		if cc == nil {
@@ -598,16 +571,6 @@ func (ip *Interproc) makeChanCap(e ast.Expr) (capArg ast.Expr, buffered, known, 
 	return capArg, false, false, true
 }
 
-// chanIDIn canonicalizes a channel expression seen during the prepass.
-func (ip *Interproc) chanIDIn(stack []ast.Node, x ast.Expr) string {
-	return ip.chanKey(x)
-}
-
-// chanID canonicalizes a channel expression inside a walked function.
-func (ip *Interproc) chanID(fi *funcInfo, x ast.Expr) string {
-	return ip.chanKey(x)
-}
-
 // chanKey names a channel so every reference to the same variable gets
 // the same key. Locals are keyed by declaration position, not by
 // enclosing function the way locks are: the common leak shape is a
@@ -653,8 +616,8 @@ func (ip *Interproc) doneLike(x ast.Expr) bool {
 // recvEscapes reports whether a receive from x has a termination path:
 // some statement in this package closes the channel, or the channel is
 // a shutdown signal by name.
-func (ip *Interproc) recvEscapes(fi *funcInfo, x ast.Expr) bool {
-	return ip.closedChans[ip.chanID(fi, x)] || ip.doneLike(x)
+func (ip *Interproc) recvEscapes(x ast.Expr) bool {
+	return ip.closedChans[ip.chanKey(x)] || ip.doneLike(x)
 }
 
 // sendEscapes reports whether a send on x is provably non-parking:
@@ -662,8 +625,8 @@ func (ip *Interproc) recvEscapes(fi *funcInfo, x ast.Expr) bool {
 // capacity. (A buffered send can still park when the buffer is full;
 // the analyzers treat bounded-capacity sends as the spawner's
 // responsibility and flag only never-drained shapes.)
-func (ip *Interproc) sendEscapes(fi *funcInfo, x ast.Expr) bool {
-	cc := ip.chanCaps[ip.chanID(fi, x)]
+func (ip *Interproc) sendEscapes(x ast.Expr) bool {
+	cc := ip.chanCaps[ip.chanKey(x)]
 	return cc != nil && cc.buffered && !cc.unbuffered && !cc.unknown
 }
 
@@ -716,34 +679,19 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // ---------------------------------------------------------------------
 // The walk.
 //
-// Control flow lives in the shared branch-sensitive walker
-// (dataflow.go); this section is the held-lock client: *held is the
-// flowState, ipFlow supplies the statement/expression semantics.
+// Control flow lives in the branch-sensitive walker (dataflow.go); this
+// section supplies its statement and expression semantics.
 
-func (h *held) cloneFlow() flowState            { return h.clone() }
-func (h *held) unionFlow(o flowState) flowState { return unionHeld(h, o.(*held)) }
-func (h *held) copyFlow(o flowState)            { *h = *o.(*held) }
-
-// ipFlow adapts one function's held-lock walk onto the shared walker.
-type ipFlow struct {
-	ip *Interproc
-	fi *funcInfo
-}
-
-// walkStmt drives the shared walker with this package's held-lock
-// client, preserving the pre-refactor entry point (walkCall reuses it
+// walkStmt walks one statement of fi's body under h (walkCall reuses it
 // for immediately-invoked literals).
 func (ip *Interproc) walkStmt(fi *funcInfo, st ast.Stmt, h *held) bool {
-	w := &flowWalker{client: &ipFlow{ip: ip, fi: fi}}
-	return w.stmt(st, h)
+	return (&flowWalker{ip: ip, fi: fi}).stmt(st, h)
 }
 
-func (c *ipFlow) flowExpr(e ast.Expr, fs flowState) {
-	c.ip.walkExpr(c.fi, e, fs.(*held))
-}
-
-func (c *ipFlow) leafStmt(w *flowWalker, st ast.Stmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+// leafStmt handles a non-control-flow statement (expression, send,
+// assign, decl, inc/dec, defer, go).
+func (w *flowWalker) leafStmt(st ast.Stmt, h *held) {
+	ip, fi := w.ip, w.fi
 	switch s := st.(type) {
 	case *ast.ExprStmt:
 		ip.walkExpr(fi, s.X, h)
@@ -751,8 +699,8 @@ func (c *ipFlow) leafStmt(w *flowWalker, st ast.Stmt, fs flowState) {
 		ip.walkExpr(fi, s.Chan, h)
 		ip.walkExpr(fi, s.Value, h)
 		park := ""
-		if !ip.sendEscapes(fi, s.Chan) {
-			park = "send on " + ip.chanID(fi, s.Chan) + " with no provable capacity"
+		if !ip.sendEscapes(s.Chan) {
+			park = "send on " + ip.chanKey(s.Chan) + " with no provable capacity"
 		}
 		ip.block(fi, "channel send", s.Arrow, h, park)
 	case *ast.AssignStmt:
@@ -801,28 +749,28 @@ func (c *ipFlow) leafStmt(w *flowWalker, st ast.Stmt, fs flowState) {
 	}
 }
 
-func (c *ipFlow) forObs(s *ast.ForStmt, fs flowState) {
+func (w *flowWalker) forObs(s *ast.ForStmt) {
 	if s.Cond == nil && !loopExits(s.Body) {
-		c.fi.parkCands = append(c.fi.parkCands,
-			"infinite for-loop with no break or return ("+c.ip.shortPos(s.For)+")")
+		w.fi.parkCands = append(w.fi.parkCands,
+			"infinite for-loop with no break or return ("+w.ip.shortPos(s.For)+")")
 	}
 }
 
-func (c *ipFlow) rangeObs(s *ast.RangeStmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) rangeObs(s *ast.RangeStmt, h *held) {
+	ip, fi := w.ip, w.fi
 	if t := ip.typeOf(s.X); t != nil {
 		if _, isChan := t.Underlying().(*types.Chan); isChan {
 			park := ""
-			if !ip.recvEscapes(fi, s.X) {
-				park = "range over " + ip.chanID(fi, s.X) + ", which no analyzed path closes"
+			if !ip.recvEscapes(s.X) {
+				park = "range over " + ip.chanKey(s.X) + ", which no analyzed path closes"
 			}
 			ip.block(fi, "range over channel", s.For, h, park)
 		}
 	}
 }
 
-func (c *ipFlow) selectObs(s *ast.SelectStmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) selectObs(s *ast.SelectStmt, h *held) {
+	ip, fi := w.ip, w.fi
 	hasDefault := false
 	hasEscape := false
 	for _, cl := range s.Body.List {
@@ -836,7 +784,7 @@ func (c *ipFlow) selectObs(s *ast.SelectStmt, fs flowState) {
 		}
 		// A case receiving from a closed/done channel is the select's
 		// termination path.
-		if x := commRecvChan(cc.Comm); x != nil && ip.recvEscapes(fi, x) {
+		if x := commRecvChan(cc.Comm); x != nil && ip.recvEscapes(x) {
 			hasEscape = true
 		}
 	}
@@ -849,23 +797,15 @@ func (c *ipFlow) selectObs(s *ast.SelectStmt, fs flowState) {
 	}
 }
 
-func (c *ipFlow) returnObs(s *ast.ReturnStmt, fs flowState) {
-	c.ip.recordReturn(c.fi, s)
-}
-
-func (c *ipFlow) exitPath(pos token.Pos, fs flowState) {
-	c.ip.recordExit(c.fi, pos, fs.(*held))
-}
-
-// flowComm walks a select case's communication statement without
+// comm walks a select case's communication statement without
 // recording it as a standalone blocking operation: the select itself
 // is the block (already recorded, with a default clause making it
 // non-blocking), so routing the comm through the walker's leaf path
 // would fabricate a "channel send/receive" observation inside
 // select{…: default:} shapes. Operand subexpressions still get walked
 // (they can contain calls).
-func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) comm(st ast.Stmt, h *held) {
+	ip, fi := w.ip, w.fi
 	switch s := st.(type) {
 	case nil:
 	case *ast.SendStmt:
@@ -876,7 +816,7 @@ func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
 			ip.walkExpr(fi, u.X, h)
 			return
 		}
-		w.stmt(s, fs)
+		w.stmt(s, h)
 	case *ast.AssignStmt:
 		for _, e := range s.Lhs {
 			ip.walkExpr(fi, e, h)
@@ -889,7 +829,7 @@ func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
 			}
 		}
 	default:
-		w.stmt(st, fs)
+		w.stmt(st, h)
 	}
 }
 
@@ -1071,8 +1011,8 @@ func (ip *Interproc) walkExpr(fi *funcInfo, e ast.Expr, h *held) {
 		ip.walkExpr(fi, x.X, h)
 		if x.Op == token.ARROW {
 			park := ""
-			if !ip.recvEscapes(fi, x.X) {
-				park = "receive on " + ip.chanID(fi, x.X) + ", which no analyzed path closes"
+			if !ip.recvEscapes(x.X) {
+				park = "receive on " + ip.chanKey(x.X) + ", which no analyzed path closes"
 			}
 			ip.block(fi, "channel receive", x.OpPos, h, park)
 		}
@@ -1154,10 +1094,17 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 	case path == "time" && fn.Name() == "Sleep":
 		ip.block(fi, "time.Sleep", call.Pos(), h, "")
 	case ip.moduleLocal(path):
-		// Apply an imported acquire/release summary to the held set:
-		// a cross-package helper that returns holding a lock
+		fi.calls = append(fi.calls, callObs{
+			fn:   fn,
+			pos:  call.Pos(),
+			held: append([]heldLock(nil), h.locks...),
+		})
+		// Then apply an imported acquire/release summary to the held
+		// set: a cross-package helper that returns holding a lock
 		// (NetAcquires) extends the caller's critical section past the
-		// call; a releasing helper (NetReleases) closes it.
+		// call; a releasing helper (NetReleases) closes it. After the
+		// observation, not before: what the helper itself acquires is
+		// not held while it is being called.
 		if path != pkgPathOf(ip.pkg) {
 			if fact, ok := ip.unit.Facts.Func(path, funcKey(fn)); ok {
 				for _, id := range fact.NetAcquires {
@@ -1170,11 +1117,6 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 				}
 			}
 		}
-		fi.calls = append(fi.calls, callObs{
-			fn:   fn,
-			pos:  call.Pos(),
-			held: append([]heldLock(nil), h.locks...),
-		})
 	}
 }
 
@@ -1638,7 +1580,6 @@ func (ip *Interproc) Facts() *PackageFacts {
 		}
 		pf.Funcs[fi.key] = f
 	}
-	pf.AtomicFields = sortedKeys(ip.atomicFields)
 	seen := map[[2]string]bool{}
 	for _, e := range ip.allEdges() {
 		k := [2]string{e.from, e.to}

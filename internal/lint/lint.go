@@ -2,10 +2,10 @@
 // concurrency-invariant analyzers. It plays the role of
 // golang.org/x/tools/go/analysis for this repository — built on the
 // standard library's go/ast, go/token, and go/types only, because the
-// build must not fetch modules — and is driven three ways: by
-// cmd/piql-vet through `go vet -vettool` (see that command for the
-// protocol), by `piql-vet -standalone`, and by the analyzers' own
-// tests through linttest.
+// build must not fetch modules. There is one way in: a Loader
+// typechecks packages from source and RunUnit analyzes them in
+// dependency order with the dependencies' facts in memory; cmd/piql-vet
+// does that for the whole module, linttest for one fixture package.
 //
 // The analyzers enforce structural invariants of the concurrent
 // engine/kvstore code that the type system cannot express: how routing
@@ -88,8 +88,8 @@ type Unit struct {
 	Facts *FactStore
 	// Escapes carries the compiler's attributed heap-escape decisions
 	// for this package, when the driver ran `go build -gcflags=-m`
-	// (piql-vet -escapebudget). nil in ordinary vet units, which makes
-	// the escapebudget analyzer skip itself.
+	// (piql-vet -escapebudget). nil in the ordinary run, which makes the
+	// escapebudget analyzer skip itself.
 	Escapes *EscapeInfo
 }
 
@@ -128,7 +128,6 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 // core (atomicmix, snapshotescape, cancelpath).
 var Analyzers = []*Analyzer{
 	RoutingClaim,
-	EnvelopeIntegrity,
 	SimSleep,
 	SimTimer,
 	LeaseSwap,
@@ -140,7 +139,6 @@ var Analyzers = []*Analyzer{
 	EscapeBudget,
 	AtomicMix,
 	SnapshotEscape,
-	CancelPath,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.
@@ -162,14 +160,6 @@ func ByName(name string) *Analyzer {
 // and cannot itself be suppressed — a directive cannot justify its own
 // existence.
 const StaleAllowName = "staleallow"
-
-// Run applies every analyzer to the files syntactically and returns
-// the surviving diagnostics sorted by position. It is RunUnit without
-// type information, kept for the syntactic-only callers.
-func Run(fset *token.FileSet, files []*ast.File, importPath string, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunUnit(&Unit{Fset: fset, Files: files, ImportPath: importPath}, analyzers)
-	return diags
-}
 
 // RunUnit applies every analyzer to the unit and returns the surviving
 // diagnostics sorted by position, plus the package's exported facts

@@ -10,7 +10,7 @@ import (
 
 // byName fetches an analyzer through the registry, so deleting a
 // registration from lint.Analyzers fails that analyzer's fixture suite
-// here rather than silently shrinking the vettool.
+// here rather than silently shrinking the gate.
 func byName(t *testing.T, name string) *lint.Analyzer {
 	t.Helper()
 	a := lint.ByName(name)
@@ -22,10 +22,6 @@ func byName(t *testing.T, name string) *lint.Analyzer {
 
 func TestRoutingClaim(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "routingclaim"), byName(t, "routingclaim"))
-}
-
-func TestEnvelopeIntegrity(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "envelopeintegrity"), byName(t, "envelopeintegrity"))
 }
 
 func TestSimSleep(t *testing.T) {
@@ -76,64 +72,10 @@ func TestSnapshotEscape(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "snapshotescape"), byName(t, "snapshotescape"))
 }
 
-func TestCancelPath(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "cancelpath"), byName(t, "cancelpath"))
-}
-
 // TestStaleAllow drives the framework-level stale-directive report: a
 // //lint:allow for an analyzer that ran but suppressed nothing is
 // itself diagnosed, at the directive's position.
 func TestStaleAllow(t *testing.T) {
 	linttest.RunAnalyzers(t, filepath.Join("testdata", "staleallow"),
 		[]*lint.Analyzer{byName(t, "routingclaim")})
-}
-
-func TestFactsRoundTrip(t *testing.T) {
-	in := &lint.PackageFacts{
-		Funcs: map[string]lint.FuncFact{
-			"(*Client).TestAndSet": {
-				Blocks:    true,
-				BlockPath: "visit → sim",
-				Acquires:  []string{"kvstore.node.mu"},
-				Transient: true,
-				ErrTypes:  []string{"*kvstore.ErrNodeDown"},
-			},
-			"beginOp": {
-				AtomicResults:   []string{"kvstore.Cluster.routing"},
-				SnapshotTainted: true,
-			},
-		},
-		LockEdges:    []lint.LockEdge{{From: "a", To: "b", Pos: "x.go:1:1"}},
-		AtomicFields: []string{"kvstore.Cluster.routing", "kvstore.node.leases"},
-	}
-	out, err := lint.DecodeFacts(lint.EncodeFacts(in))
-	if err != nil {
-		t.Fatalf("round-trip decode: %v", err)
-	}
-	if out == nil {
-		t.Fatal("round-trip decoded to nil")
-	}
-	got, ok := out.Funcs["(*Client).TestAndSet"]
-	if !ok || !got.Transient || !got.Blocks || len(got.Acquires) != 1 || len(got.ErrTypes) != 1 {
-		t.Fatalf("round-trip mangled the fact: %+v", got)
-	}
-	if len(out.LockEdges) != 1 || out.LockEdges[0] != (lint.LockEdge{From: "a", To: "b", Pos: "x.go:1:1"}) {
-		t.Fatalf("round-trip mangled edges: %+v", out.LockEdges)
-	}
-	if bo, ok := out.Funcs["beginOp"]; !ok || !bo.SnapshotTainted ||
-		len(bo.AtomicResults) != 1 || bo.AtomicResults[0] != "kvstore.Cluster.routing" {
-		t.Fatalf("round-trip mangled dataflow facts: %+v", bo)
-	}
-	if len(out.AtomicFields) != 2 {
-		t.Fatalf("round-trip mangled AtomicFields: %+v", out.AtomicFields)
-	}
-	// Empty payloads decode to nil without error (the std-unit
-	// acknowledgement files must not be mistaken for facts); corrupt
-	// payloads are an error, never a panic and never silent.
-	if pf, err := lint.DecodeFacts(nil); pf != nil || err != nil {
-		t.Fatalf("empty payload: got %v, %v; want nil, nil", pf, err)
-	}
-	if pf, err := lint.DecodeFacts([]byte("not json")); pf != nil || err == nil {
-		t.Fatal("corrupt payload must error")
-	}
 }

@@ -11,10 +11,10 @@
 // directive can carry a want for the stale-directive diagnostic
 // reported at its own position.
 //
-// Fixture packages are fully typechecked (via the lint package's
-// source loader, so they may import piql/... packages), which is what
-// lets the interprocedural analyzers — lockorder, holdblock,
-// errtaxonomy — run against them exactly as they run in the vettool.
+// Fixture packages are fully typechecked by the same lint.Loader
+// cmd/piql-vet uses (so they may import piql/... packages), which is
+// what lets the interprocedural analyzers run against them exactly as
+// they run over the tree.
 package linttest
 
 import (

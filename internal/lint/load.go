@@ -18,9 +18,8 @@ import (
 // with no go/packages and no network: module-local imports resolve
 // recursively through the loader itself, standard-library imports
 // through the source importer (which reads $GOROOT/src — the
-// toolchain ships it). It exists for the two drivers that run outside
-// the `go vet` handshake and therefore have no compiler export data:
-// `piql-vet -standalone` and the linttest fixtures.
+// toolchain ships it). cmd/piql-vet and the linttest fixtures both
+// load through it.
 type Loader struct {
 	fset *token.FileSet
 	// ModuleRoot is the directory containing go.mod; ModulePath the
@@ -101,31 +100,42 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
+// dirOf returns the directory of a module-local import path.
+func (l *Loader) dirOf(path string) (string, error) {
+	if path == l.ModulePath {
+		return l.ModuleRoot, nil
+	}
+	rel, ok := strings.CutPrefix(path, l.ModulePath+"/")
+	if !ok {
+		return "", fmt.Errorf("lint: %s is outside module %s", path, l.ModulePath)
+	}
+	return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), nil
+}
+
 // loadImportPath loads a module-local package by import path.
 func (l *Loader) loadImportPath(path string) (*LoadedPackage, error) {
 	if lp, ok := l.pkgs[path]; ok {
 		return lp, nil
 	}
-	dir := l.ModuleRoot
-	if path != l.ModulePath {
-		dir = filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/")))
+	dir, err := l.dirOf(path)
+	if err != nil {
+		return nil, err
 	}
 	return l.LoadDir(dir, path)
 }
 
-// LoadDir parses and typechecks the non-test .go files of one
-// directory under the given import path (which may be synthetic, as
-// for test fixtures). Results are memoized by import path.
-func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
-	if lp, ok := l.pkgs[path]; ok {
-		return lp, nil
+// ParsePackage parses, without typechecking, the non-test .go files of
+// a module-local package — all the escape-budget gate needs.
+func (l *Loader) ParsePackage(path string) ([]*ast.File, error) {
+	dir, err := l.dirOf(path)
+	if err != nil {
+		return nil, err
 	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
+	return l.parseDir(dir)
+}
 
+// parseDir parses the non-test .go files of dir, comments included.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -144,6 +154,26 @@ func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
+	}
+	return files, nil
+}
+
+// LoadDir parses and typechecks the non-test .go files of one
+// directory under the given import path (which may be synthetic, as
+// for test fixtures). Results are memoized by import path.
+func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
+	if lp, ok := l.pkgs[path]; ok {
+		return lp, nil
+	}
+	if l.loading[path] {
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -172,9 +202,9 @@ func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 	return lp, nil
 }
 
-// LoadAll loads every package in the module (the `./...` of standalone
-// mode) and returns them in dependency order: each package after all
-// module-local packages it imports.
+// LoadAll loads every package in the module and returns them in
+// dependency order: each package after all module-local packages it
+// imports.
 func (l *Loader) LoadAll() ([]*LoadedPackage, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {

@@ -9,7 +9,7 @@ import (
 // planner proves op bounds: statically, before anything runs. The
 // interprocedural walk (interproc.go) records every acquired-while-held
 // pair — directly, and through calls via each callee's transitive
-// acquire set, stitched across packages by the vetx facts — and this
+// acquire set, stitched across packages by the facts — and this
 // analyzer rejects any cycle in that graph. Locks are nodes by *class*
 // (kvstore.Cluster.rebalanceMu, kvstore.move.mu, ...), so a cycle
 // means two code paths can take the same two lock classes in opposite
@@ -19,8 +19,7 @@ import (
 // must cite.
 //
 // The acyclic graph that survives is the lock hierarchy, printable
-// with `piql-vet -standalone -lockgraph ./...` and documented in the
-// README.
+// with `piql-vet -lockgraph ./...` and documented in the README.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the acquired-while-held graph over all mutexes must stay acyclic",

@@ -23,9 +23,9 @@ package lint
 // defer'd Unlock/RUnlock/endOp marks the hold released on every exit,
 // so the defer idiom passes without special cases. Cross-package
 // helper pairs are balanced through the NetAcquires/NetReleases facts
-// the walk applies at call sites, which is what the vetx acceptance
-// test in cmd/piql-vet exercises: an acquire in kvstore, the missing
-// release witnessed from engine.
+// the walk applies at call sites, which is what
+// TestReleasePathCrossPackageFacts in cmd/piql-vet exercises: an
+// acquire in one package, the missing release witnessed from another.
 var ReleasePath = &Analyzer{
 	Name: "releasepath",
 	Doc:  "every acquire (mutex, claim, imported net-acquire) must release on all exits",

@@ -1,10 +1,6 @@
-// Test fixture for the atomicmix analyzer: a field accessed atomically
-// anywhere must never be read or written plainly. Rule 1 covers
-// sync/atomic-typed fields (copying or overwriting the cell), rule 2
-// covers plain-typed fields touched by function-style atomics, rule 3
-// covers plain writes through a value obtained from an atomic Load —
-// directly or via a helper whose AtomicResults summary marks its
-// return as loaded.
+// Test fixture for the atomicmix analyzer: plain writes through a
+// value obtained from an atomic Load — directly or via a helper whose
+// AtomicResults summary marks its return as loaded.
 package atomicmixfix
 
 import "sync/atomic"
@@ -16,50 +12,9 @@ type payload struct {
 
 type box struct {
 	val atomic.Pointer[payload]
-	n   atomic.Int64
 }
 
-// okMethods: the typed-atomic API — Load/Store receivers and
-// address-taking — is the sanctioned surface.
-func okMethods(b *box, p *payload) *payload {
-	b.val.Store(p)
-	b.n.Add(1)
-	ptr := &b.val
-	return ptr.Load()
-}
-
-// badCopyCell: copying the atomic value forks the cell — the copy's
-// Store is invisible to readers of the original.
-func badCopyCell(b *box) int64 {
-	n := b.n // want `plain read of atomic field atomicmixfix\.box\.n copies the atomic cell; every access must go through its Load/Store/CAS methods`
-	return n.Load()
-}
-
-// badOverwriteCell: assigning over the cell races with every method
-// call on it.
-func badOverwriteCell(b *box) {
-	b.n = atomic.Int64{} // want `plain write of atomic field atomicmixfix\.box\.n overwrites the atomic cell`
-}
-
-// counter is rule 2: hits is plain-typed, but bump touches it with
-// function-style atomics, so it is an atomic field everywhere.
-type counter struct {
-	hits uint64
-}
-
-func bump(c *counter) {
-	atomic.AddUint64(&c.hits, 1) // sanctioned: the atomic site itself
-}
-
-func badPlainRead(c *counter) uint64 {
-	return c.hits // want `plain read of field atomicmixfix\.counter\.hits, which is accessed with sync/atomic operations; mixed plain/atomic access tears`
-}
-
-func badPlainInc(c *counter) {
-	c.hits++ // want `plain write of field atomicmixfix\.counter\.hits, which is accessed with sync/atomic operations`
-}
-
-// badWriteThroughLoad is rule 3: the Load result is a published
+// badWriteThroughLoad: the Load result is a published
 // snapshot other goroutines read concurrently; mutating it in place
 // breaks copy-on-write.
 func badWriteThroughLoad(b *box) {

@@ -3,6 +3,8 @@ package piql
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -253,4 +255,47 @@ func TestPublicAPIAdmissionControl(t *testing.T) {
 	if over.MaxOps != 10 {
 		t.Fatalf("refusal = %+v", over)
 	}
+}
+
+// findUserQuery loads 1000 users on an immediate-mode cluster and
+// prepares the Class I point query over them.
+func findUserQuery(t *testing.T) *Query {
+	db := Open(Config{Nodes: 4})
+	db.MustExec(`CREATE TABLE users (username VARCHAR(20), bio VARCHAR(140), PRIMARY KEY (username))`)
+	for i := 0; i < 1000; i++ {
+		db.MustExec(`INSERT INTO users VALUES (?, 'hi')`, Str(fmt.Sprintf("u%04d", i)))
+	}
+	q, err := db.Prepare(`SELECT * FROM users WHERE username = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestExecuteFindUserAllocs gates the point lookup's deterministic
+// number: one execution through the public API, parameter formatting
+// included, stays within 15 allocations (bench/ times the same path as
+// exec.run_us.pk_lookup). Not under the race detector, whose
+// instrumentation allocates on its own account.
+func TestExecuteFindUserAllocs(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts differ under -race")
+	}
+	q := findUserQuery(t)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := q.Execute(Str(fmt.Sprintf("u%04d", i%1000))); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 15 {
+		t.Fatalf("FindUser: %v allocs per execution, want <= 15", allocs)
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
