@@ -2,11 +2,11 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint build test race chaos chaos-faults bench bench-compare experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults bench-check bench bench-compare experiments
 
 all: ci
 
-ci: lint build test race chaos-faults
+ci: lint build test race chaos-faults bench-check
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +65,13 @@ chaos:
 # in a Retryable error or its full effect).
 chaos-faults:
 	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestAllRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable|TestKillDuringWrite' ./internal/...
+
+# bench-check vets and tests the benchmark harness. bench/ is its own
+# module (replace piql => ../, so this runs offline) and is frozen, so
+# nothing above compiles it: a PR that renames or deletes something the
+# harness calls would otherwise only find out in the pipeline.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # bench records the repo benchmark (BENCHMARK.json, bench/) as the
 # perf-trajectory artifacts BENCH_$(N).parent.json and BENCH_$(N).json,

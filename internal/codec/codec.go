@@ -13,7 +13,9 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -146,94 +148,135 @@ func DecodeKey(key []byte, n int, desc []bool) (value.Row, error) {
 	return row, nil
 }
 
-func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
-	if len(b) == 0 {
-		return value.Value{}, nil, fmt.Errorf("truncated key")
-	}
-	tag := b[0]
-	if desc {
-		tag = ^tag
-	}
-	inv := func(x byte) byte {
-		if desc {
-			return ^x
+// ComponentEnds walks a composite key without decoding it: it appends to
+// dst the offset at which each of the key's len(desc) components ends.
+// It accepts exactly the keys DecodeKey accepts, with the same errors,
+// and allocates nothing beyond dst's growth.
+func ComponentEnds(dst []int, key []byte, desc []bool) ([]int, error) {
+	off := 0
+	for i, d := range desc {
+		n, err := componentLen(key[off:], d)
+		if err != nil {
+			return nil, fmt.Errorf("codec: component %d: %w", i, err)
 		}
-		return x
+		off += n
+		dst = append(dst, off)
 	}
-	switch tag {
+	if off != len(key) {
+		return nil, fmt.Errorf("codec: %d trailing key bytes", len(key)-off)
+	}
+	return dst, nil
+}
+
+// componentLen returns the length of the component b starts with. It is
+// the only place a component is validated — decodeValue decodes what it
+// measured — so the walker and the decoder cannot disagree.
+func componentLen(b []byte, desc bool) (int, error) {
+	if len(b) == 0 {
+		return 0, errors.New("truncated key")
+	}
+	var inv byte // xor mask that un-inverts a descending component
+	if desc {
+		inv = 0xFF
+	}
+	switch tag := b[0] ^ inv; tag {
 	case tagNull:
-		return value.Null(), b[1:], nil
+		return 1, nil
 	case tagBool:
 		if len(b) < 2 {
-			return value.Value{}, nil, fmt.Errorf("truncated bool")
+			return 0, errors.New("truncated bool")
 		}
-		return value.Bool(inv(b[1]) != 0), b[2:], nil
+		if v := b[1] ^ inv; v > 1 {
+			return 0, fmt.Errorf("bad bool 0x%02x", v)
+		}
+		return 2, nil
 	case tagInt:
 		if len(b) < 9 {
-			return value.Value{}, nil, fmt.Errorf("truncated int")
+			return 0, errors.New("truncated int")
 		}
-		raw := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			raw[i] = inv(b[1+i])
-		}
-		u := binary.BigEndian.Uint64(raw)
-		return value.Int(int64(u ^ (1 << 63))), b[9:], nil
+		return 9, nil
 	case tagFloat:
 		if len(b) < 9 {
-			return value.Value{}, nil, fmt.Errorf("truncated float")
+			return 0, errors.New("truncated float")
 		}
-		raw := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			raw[i] = inv(b[1+i])
+		u := binary.BigEndian.Uint64(b[1:])
+		if desc {
+			u = ^u
 		}
-		return value.Float(floatFromSortBits(binary.BigEndian.Uint64(raw))), b[9:], nil
+		if u != 0 && math.IsNaN(floatFromSortBits(u)) {
+			return 0, fmt.Errorf("non-canonical NaN 0x%016x in float key", u)
+		}
+		return 9, nil
 	case tagString, tagBytes:
-		payload, tail, err := decodeEscaped(b[1:], desc)
-		if err != nil {
-			return value.Value{}, nil, err
+		for i := 1; ; {
+			j := bytes.IndexByte(b[i:], escByte^inv)
+			if j < 0 {
+				return 0, errors.New("unterminated string key")
+			}
+			if i += j + 2; i > len(b) {
+				return 0, errors.New("dangling escape in string key")
+			}
+			switch next := b[i-1] ^ inv; next {
+			case escPad:
+			case termByte:
+				return i, nil
+			default:
+				return 0, fmt.Errorf("bad escape 0x%02x in string key", next)
+			}
 		}
-		if tag == tagString {
-			return value.Str(string(payload)), tail, nil
-		}
-		return value.Bytes(payload), tail, nil
 	default:
-		return value.Value{}, nil, fmt.Errorf("unknown key tag 0x%02x", tag)
+		return 0, fmt.Errorf("unknown key tag 0x%02x", tag)
 	}
 }
 
-func decodeEscaped(b []byte, desc bool) (payload, tail []byte, err error) {
-	out := make([]byte, 0, len(b))
-	i := 0
-	for {
-		if i >= len(b) {
-			return nil, nil, fmt.Errorf("unterminated string key")
+func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
+	n, err := componentLen(b, desc)
+	if err != nil {
+		return value.Value{}, nil, err
+	}
+	var inv byte
+	var inv64 uint64
+	if desc {
+		inv, inv64 = 0xFF, ^uint64(0)
+	}
+	var v value.Value
+	switch tag := b[0] ^ inv; tag {
+	case tagNull:
+		v = value.Null()
+	case tagBool:
+		v = value.Bool(b[1]^inv == 1)
+	case tagInt:
+		v = value.Int(int64(binary.BigEndian.Uint64(b[1:]) ^ inv64 ^ 1<<63))
+	case tagFloat:
+		v = value.Float(floatFromSortBits(binary.BigEndian.Uint64(b[1:]) ^ inv64))
+	default: // tagString, tagBytes
+		p := b[1 : n-2] // the escaped payload, without its terminator
+		// An ascending string without a 0x00 is stored as it reads, and
+		// the conversion below is its only copy.
+		if tag == tagBytes || desc || bytes.IndexByte(p, escByte) >= 0 {
+			p = unescape(p, inv)
 		}
-		c := b[i]
-		if desc {
-			c = ^c
-		}
-		if c != escByte {
-			out = append(out, c)
-			i++
-			continue
-		}
-		if i+1 >= len(b) {
-			return nil, nil, fmt.Errorf("dangling escape in string key")
-		}
-		next := b[i+1]
-		if desc {
-			next = ^next
-		}
-		switch next {
-		case escPad:
-			out = append(out, escByte)
-			i += 2
-		case termByte:
-			return out, b[i+2:], nil
-		default:
-			return nil, nil, fmt.Errorf("bad escape 0x%02x in string key", next)
+		if tag == tagBytes {
+			v = value.Bytes(p)
+		} else {
+			v = value.Str(string(p))
 		}
 	}
+	return v, b[n:], nil
+}
+
+// unescape undoes appendEscaped (and a descending component's inversion)
+// on a payload componentLen has validated.
+func unescape(p []byte, inv byte) []byte {
+	out := make([]byte, 0, len(p))
+	for i := 0; i < len(p); i++ {
+		c := p[i] ^ inv
+		out = append(out, c)
+		if c == escByte {
+			i++ // the pad
+		}
+	}
+	return out
 }
 
 func floatFromSortBits(u uint64) float64 {

@@ -196,6 +196,40 @@ func TestDecodeKeyErrors(t *testing.T) {
 	if _, err := DecodeKey(nil, 1, nil); err == nil {
 		t.Error("empty key accepted")
 	}
+	// A bool is 0 or 1 once un-inverted: the walker's spans are copied
+	// into record keys as they are, so nothing non-canonical may pass.
+	if _, err := DecodeKey([]byte{tagBool, 2}, 1, nil); err == nil {
+		t.Error("bool payload 2 accepted")
+	}
+	if _, err := DecodeKey([]byte{^tagBool, ^byte(1)}, 1, []bool{Desc}); err != nil {
+		t.Errorf("descending true rejected: %v", err)
+	}
+	if _, err := DecodeKey([]byte{^tagBool, 1}, 1, []bool{Desc}); err == nil {
+		t.Error("descending bool payload 0xfe accepted")
+	}
+	// Likewise a NaN is the one the encoder writes (sort bits 0).
+	if _, err := DecodeKey([]byte{tagFloat, 0xFF, 0xF8, 0, 0, 0, 0, 0, 1}, 1, nil); err == nil {
+		t.Error("non-canonical NaN accepted")
+	}
+	if row, err := DecodeKey(EncodeKey(value.Row{value.Float(math.NaN())}, []bool{Desc}), 1, []bool{Desc}); err != nil || row[0].F == row[0].F {
+		t.Errorf("descending NaN: %v, %v", row, err)
+	}
+}
+
+// TestComponentEndsAllocatesNothing: the walk is what the dereference
+// path runs per index entry, into a buffer its caller keeps on the stack.
+func TestComponentEndsAllocatesNothing(t *testing.T) {
+	desc := []bool{Asc, Desc, Asc, Desc}
+	key := EncodeKey(value.Row{value.Str("x:by_title"), value.Str("a\x00b"), value.Int(-3), value.Bool(true)}, desc)
+	var buf [8]int
+	allocs := testing.AllocsPerRun(100, func() {
+		if ends, err := ComponentEnds(buf[:0], key, desc); err != nil || ends[3] != len(key) {
+			t.Fatalf("ends %v, err %v", ends, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ComponentEnds allocated %v times", allocs)
+	}
 }
 
 func TestIntBoundaries(t *testing.T) {

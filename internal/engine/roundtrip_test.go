@@ -460,3 +460,71 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 		}
 	}
 }
+
+// TestDerefRunAllocations pins what one exec.Run allocates when it
+// dereferences a secondary index: a token-index search, alone and joined
+// through a foreign key (TPC-W's searchByTitle), at 10 and at 50 matching
+// entries. The record keys of a dereference are carved from one buffer and
+// no entry is decoded, so 40 more entries cost what 40 more kept rows cost
+// and nothing per entry: each row's one decoded string per table, and
+// under the join the key row and the key runFKJoin still builds per child
+// row. The only other term is the store's: Client.Scan's result outgrows
+// its 16-entry pre-size twice on the way to 50.
+func TestDerefRunAllocations(t *testing.T) {
+	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2}, nil)
+	s := New(cluster).Session(nil)
+	for _, ddl := range []string{
+		`CREATE TABLE author (a_id INT, a_name VARCHAR(20), PRIMARY KEY (a_id))`,
+		`CREATE TABLE item (i_id INT, i_title VARCHAR(60), i_a_id INT, i_cost INT,
+			PRIMARY KEY (i_id), FOREIGN KEY (i_a_id) REFERENCES author)`,
+	} {
+		if err := s.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := 0; a < 5; a++ {
+		if err := s.Exec(`INSERT INTO author VALUES (?, ?)`, value.Int(int64(a)), value.Str(fmt.Sprintf("author %d", a))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		word := "fifty"
+		if i < 10 {
+			word = "ten"
+		}
+		if err := s.Exec(`INSERT INTO item VALUES (?, ?, ?, 7)`,
+			value.Int(int64(i)), value.Str(fmt.Sprintf("%s volume %02d", word, i)), value.Int(int64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const scanGrowth = 2
+	for _, tc := range []struct {
+		name, sql    string
+		at10, perRow float64 // allocations at 10 entries, and per further kept row
+	}{
+		{name: "token scan", at10: 24, perRow: 1, // i_title
+			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
+		{name: "token scan + fk join", at10: 57, perRow: 4, // i_title, a_name, runFKJoin's key row and key
+			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
+			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
+	} {
+		q, err := s.Prepare(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		run := func(word string, rows int) float64 {
+			ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str(word)}, Strategy: exec.Parallel}
+			return testing.AllocsPerRun(200, func() {
+				res, err := exec.Run(q.Plan(), ctx)
+				if err != nil || len(res.Rows) != rows {
+					t.Fatalf("%s(%s): %v rows, err %v", tc.name, word, res, err)
+				}
+			})
+		}
+		at10, at50 := run("ten", 10), run("fifty", 50)
+		if want50 := tc.at10 + 40*tc.perRow + scanGrowth; at10 != tc.at10 || at50 != want50 {
+			t.Errorf("%s: %v allocs at 10 entries, %v at 50; pinned at %v and %v (%v per further row)",
+				tc.name, at10, at50, tc.at10, want50, tc.perRow)
+		}
+	}
+}

@@ -219,7 +219,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		slab := e.rows(len(kvs))
 		for i, kv := range kvs {
 			rows[i] = slab.row()
-			if err := index.RowFromCoveringEntry(n.Index, n.Table, kv.Key, rows[i], n.TableOffset); err != nil {
+			if err := index.RowFromCoveringEntry(n.Index, kv.Key, rows[i], n.TableOffset); err != nil {
 				return nil, err
 			}
 		}
@@ -244,26 +244,34 @@ func scanKeyOf(n *core.IndexScan, row value.Row) []byte {
 	return index.EntryKeys(n.Index, n.Table, rec)[0]
 }
 
-// entryRecordKey decodes a secondary index entry into the key of the
-// record it references.
-func entryRecordKey(ix *schema.Index, table *schema.Table, entryKey []byte) ([]byte, error) {
-	pk, err := index.DecodeEntry(ix, table, entryKey)
-	if err != nil {
-		return nil, err
+// recordKeys turns the n secondary index entries of one dereference round
+// into the keys of the records they point at, all carved from one buffer.
+// A record key is never longer than the record prefix plus its entry key,
+// so the buffer is sized up front and does not regrow.
+func recordKeys(ix *schema.Index, table *schema.Table, n int, entryKey func(i int) []byte) ([][]byte, error) {
+	size := n * len(index.RecordPrefix(table))
+	for i := 0; i < n; i++ {
+		size += len(entryKey(i))
 	}
-	return index.RecordKeyFromPK(table, pk), nil
+	buf, keys := make([]byte, 0, size), make([][]byte, n)
+	for i := range keys {
+		from := len(buf)
+		var err error
+		if buf, err = index.AppendRecordKey(buf, ix, table, entryKey(i)); err != nil {
+			return nil, err
+		}
+		keys[i] = buf[from:len(buf):len(buf)]
+	}
+	return keys, nil
 }
 
 // derefEntries resolves secondary index entries to full records with one
 // batched request set, preserving entry order (rows whose record
 // vanished — dangling entries — are skipped).
 func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
-	keys := make([][]byte, len(kvs))
-	for i, kv := range kvs {
-		var err error
-		if keys[i], err = entryRecordKey(ix, table, kv.Key); err != nil {
-			return nil, err
-		}
+	keys, err := recordKeys(ix, table, len(kvs), func(i int) []byte { return kvs[i].Key })
+	if err != nil {
+		return nil, err
 	}
 	return e.fetchRecords(keys, offset) // a nil record is a dangling entry awaiting GC
 }
@@ -432,7 +440,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	}
 	joined := make([]value.Row, 0, want)
 	batch := make([]candidate, 0, want)
-	var keys, recs [][]byte
+	var recs [][]byte
 	for take, live := want, scans; len(joined) < want; take = fetched {
 		batch = batch[:0]
 		for len(batch) < take {
@@ -450,13 +458,9 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			break // fewer live matches than the page holds
 		}
 		if !n.Index.Primary {
-			keys = keys[:0]
-			for _, c := range batch {
-				key, err := entryRecordKey(n.Index, n.Table, c.kv.Key)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, key)
+			keys, err := recordKeys(n.Index, n.Table, len(batch), func(i int) []byte { return batch[i].kv.Key })
+			if err != nil {
+				return nil, err
 			}
 			if recs, err = e.getBatch(keys); err != nil {
 				return nil, err

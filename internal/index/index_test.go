@@ -68,12 +68,12 @@ func TestEntryKeysAndDecode(t *testing.T) {
 	if len(keys) != 1 {
 		t.Fatalf("entries = %d", len(keys))
 	}
-	pk, err := DecodeEntry(ix, tab, keys[0])
+	rkey, err := AppendRecordKey(nil, ix, tab, keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk[0].S != "ann" || pk[1].I != 42 {
-		t.Fatalf("decoded pk = %v", pk)
+	if !bytes.Equal(rkey, RecordKey(tab, row)) {
+		t.Fatalf("record key from entry = %q, want %q", rkey, RecordKey(tab, row))
 	}
 	// DESC component: larger timestamps sort earlier.
 	later := EntryKeys(ix, tab, value.Row{value.Str("ann"), value.Int(100), value.Str("x")})[0]
@@ -103,12 +103,12 @@ func TestTokenEntryKeys(t *testing.T) {
 		t.Fatalf("token entries = %d, want 4", len(keys))
 	}
 	for _, k := range keys {
-		pk, err := DecodeEntry(ix, tab, k)
+		rkey, err := AppendRecordKey(nil, ix, tab, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pk[0].S != "ann" || pk[1].I != 7 {
-			t.Fatalf("pk from token entry = %v", pk)
+		if !bytes.Equal(rkey, RecordKey(tab, row)) {
+			t.Fatalf("record key from token entry = %q, want %q", rkey, RecordKey(tab, row))
 		}
 		if !bytes.HasPrefix(k, IndexPrefix(ix)) {
 			t.Fatal("entry outside index prefix")
@@ -149,8 +149,9 @@ func TestNormalizeTokens(t *testing.T) {
 	}
 }
 
-// TestEntryDecodeProperty: DecodeEntry inverts EntryKeys for random rows
-// and random index shapes over the primary key columns.
+// TestEntryDecodeProperty: AppendRecordKey turns the entry EntryKeys built
+// for a random row into that row's RecordKey, whatever the order and
+// direction in which the index holds the primary key columns.
 func TestEntryDecodeProperty(t *testing.T) {
 	cat, tab := thoughtsTable(t)
 	ixAsc, _ := cat.AddIndex(&schema.Index{Name: "pa", Table: tab.Name,
@@ -169,8 +170,8 @@ func TestEntryDecodeProperty(t *testing.T) {
 			if len(keys) != 1 {
 				return false
 			}
-			pk, err := DecodeEntry(ix, tab, keys[0])
-			if err != nil || pk[0].S != row[0].S || pk[1].I != row[1].I {
+			rkey, err := AppendRecordKey(nil, ix, tab, keys[0])
+			if err != nil || !bytes.Equal(rkey, RecordKey(tab, row)) {
 				return false
 			}
 		}
@@ -191,7 +192,7 @@ func TestRowFromCoveringEntry(t *testing.T) {
 	row := value.Row{value.Str("ann"), value.Int(5), value.Str("covered")}
 	key := EntryKeys(cover, tab, row)[0]
 	dest := make(value.Row, 3)
-	if err := RowFromCoveringEntry(cover, tab, key, dest, 0); err != nil {
+	if err := RowFromCoveringEntry(cover, key, dest, 0); err != nil {
 		t.Fatal(err)
 	}
 	if value.CompareRows(dest, row) != 0 {
@@ -201,7 +202,7 @@ func TestRowFromCoveringEntry(t *testing.T) {
 	partial, _ := cat.AddIndex(&schema.Index{Name: "part", Table: tab.Name,
 		Fields: []schema.IndexField{{Column: "owner"}, {Column: "timestamp"}}})
 	pkey := EntryKeys(partial, tab, row)[0]
-	if err := RowFromCoveringEntry(partial, tab, pkey, make(value.Row, 3), 0); err == nil {
+	if err := RowFromCoveringEntry(partial, pkey, make(value.Row, 3), 0); err == nil {
 		t.Fatal("non-covering index accepted")
 	}
 }

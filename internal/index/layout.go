@@ -120,57 +120,34 @@ func EntryKeys(ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
 	return keys
 }
 
-// entryDesc returns the desc flags of an entry key's components: the
-// namespace, then the fields in entry-key order (token first).
-func entryDesc(ix *schema.Index) []bool {
-	return append([]bool{false}, entryFieldFlags(ix)...)
-}
-
-// DecodeEntry extracts the primary key values from a secondary index
-// entry key, using the positions of the table's primary key columns
-// within the index fields.
-func DecodeEntry(ix *schema.Index, t *schema.Table, key []byte) (value.Row, error) {
-	vals, err := codec.DecodeKey(key, 1+len(ix.Fields), entryDesc(ix))
+// AppendRecordKey appends to dst the key of the record a secondary index
+// entry points at. Nothing is decoded: EntryKeys and RecordKey encode a
+// primary-key column with the same codec.AppendValue, so the entry's
+// components are walked (with every check decoding them would make) and
+// the primary-key ones copied, un-inverted where the index holds them
+// descending. The result is never longer than RecordPrefix(t) plus the
+// entry key.
+func AppendRecordKey(dst []byte, ix *schema.Index, t *schema.Table, entryKey []byte) ([]byte, error) {
+	lay := ix.EntryLayout()
+	var buf [16]int // component ends stay on the stack for any index this narrow
+	ends, err := codec.ComponentEnds(buf[:0], entryKey, lay.Desc)
 	if err != nil {
 		return nil, fmt.Errorf("index %s: %w", ix.Name, err)
 	}
-	// vals[0] = namespace; the token value (if any) comes next; then the
-	// non-token field values in field order.
-	fieldVal := make(map[string]value.Value)
-	pos := 1
-	for _, f := range ix.Fields {
-		if f.Token {
-			pos = 2 // skip the token value: it is not a column value
-			break
+	dst = append(dst, RecordPrefix(t)...)
+	for i, c := range lay.PK {
+		if c < 0 {
+			return nil, fmt.Errorf("index %s does not embed primary key column %s", ix.Name, t.PrimaryKey[i])
+		}
+		from := len(dst)
+		dst = append(dst, entryKey[ends[c-1]:ends[c]]...) // c >= 1: component 0 is the namespace
+		if lay.Desc[c] {
+			for j := from; j < len(dst); j++ {
+				dst[j] = ^dst[j]
+			}
 		}
 	}
-	for _, f := range ix.Fields {
-		if f.Token {
-			continue
-		}
-		fieldVal[strings.ToLower(f.Column)] = vals[pos]
-		pos++
-	}
-	pk := make(value.Row, len(t.PrimaryKey))
-	for i, col := range t.PrimaryKey {
-		v, ok := fieldVal[strings.ToLower(col)]
-		if !ok {
-			return nil, fmt.Errorf("index %s does not embed primary key column %s", ix.Name, col)
-		}
-		pk[i] = v
-	}
-	return pk, nil
-}
-
-// FieldValues decodes all non-token field column values from an entry
-// key (used by covering reads of sort columns).
-func FieldValues(ix *schema.Index, key []byte) (value.Row, error) {
-	n := 1 + len(ix.Fields)
-	vals, err := codec.DecodeKey(key, n, entryDesc(ix))
-	if err != nil {
-		return nil, err
-	}
-	return vals[1:], nil
+	return dst, nil
 }
 
 // ScanPrefix builds the scan prefix for an index access: namespace, then
@@ -178,35 +155,18 @@ func FieldValues(ix *schema.Index, key []byte) (value.Row, error) {
 // For tokenized indexes the first value is the token.
 func ScanPrefix(ix *schema.Index, leading value.Row) []byte {
 	key := IndexPrefix(ix)
-	flags := entryFieldFlags(ix)
+	desc := ix.EntryLayout().Desc[1:] // past the namespace
 	for i, v := range leading {
-		key = codec.AppendValue(key, v, flags[i])
+		key = codec.AppendValue(key, v, desc[i])
 	}
 	return key
-}
-
-// entryFieldFlags returns desc flags in entry-key order (token first).
-func entryFieldFlags(ix *schema.Index) []bool {
-	var flags []bool
-	for _, f := range ix.Fields {
-		if f.Token {
-			flags = append(flags, f.Desc)
-		}
-	}
-	for _, f := range ix.Fields {
-		if !f.Token {
-			flags = append(flags, f.Desc)
-		}
-	}
-	return flags
 }
 
 // RangeComponentDesc returns the desc flag of the entry component at
 // position i (0-based over token-then-nontoken order) — needed to encode
 // inequality range bounds.
 func RangeComponentDesc(ix *schema.Index, i int) bool {
-	flags := entryFieldFlags(ix)
-	return flags[i]
+	return ix.EntryLayout().Desc[1+i]
 }
 
 // NormalizeTokens lower-cases the leading token value of a scan prefix,
@@ -235,34 +195,18 @@ func NormalizeTokens(ix *schema.Index, leading value.Row) {
 // the table — writing the columns into dest starting at offset. The
 // cost-based baseline's unbounded scans read rows this way without a
 // dereference round trip.
-func RowFromCoveringEntry(ix *schema.Index, t *schema.Table, key []byte, dest value.Row, offset int) error {
-	vals, err := codec.DecodeKey(key, 1+len(ix.Fields), entryDesc(ix))
+func RowFromCoveringEntry(ix *schema.Index, key []byte, dest value.Row, offset int) error {
+	lay := ix.EntryLayout()
+	if lay.Uncovered != "" {
+		return fmt.Errorf("index %s does not cover column %s", ix.Name, lay.Uncovered)
+	}
+	vals, err := codec.DecodeKey(key, len(lay.Desc), lay.Desc)
 	if err != nil {
 		return fmt.Errorf("index %s: %w", ix.Name, err)
 	}
-	pos := 1
-	for _, f := range ix.Fields {
-		if f.Token {
-			pos = 2
-			break
-		}
-	}
-	seen := make(map[string]bool, len(ix.Fields))
-	for _, f := range ix.Fields {
-		if f.Token {
-			continue
-		}
-		ci := t.ColumnIndex(f.Column)
-		if ci < 0 {
-			return fmt.Errorf("index %s: unknown column %s", ix.Name, f.Column)
-		}
-		dest[offset+ci] = vals[pos]
-		seen[strings.ToLower(f.Column)] = true
-		pos++
-	}
-	for _, c := range t.Columns {
-		if !seen[strings.ToLower(c.Name)] {
-			return fmt.Errorf("index %s does not cover column %s", ix.Name, c.Name)
+	for i, c := range lay.Column {
+		if c >= 0 {
+			dest[offset+c] = vals[i]
 		}
 	}
 	return nil

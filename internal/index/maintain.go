@@ -619,11 +619,11 @@ func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, erro
 // entry may still be live, and deleting on corruption would hide the
 // corruption.
 func (m *Maintainer) entryDangling(cl *kvstore.Client, ix *schema.Index, t *schema.Table, ekey []byte) (bool, error) {
-	pk, err := DecodeEntry(ix, t, ekey)
+	rkey, err := AppendRecordKey(nil, ix, t, ekey)
 	if err != nil {
 		return false, err
 	}
-	rec, _, ok, err := cl.Read(RecordKeyFromPK(t, pk), kvstore.ReadOpts{})
+	rec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
 	if err != nil || !ok {
 		return err == nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -934,6 +935,14 @@ func (ip *Interproc) claimRelease(fn *types.Func) (string, bool) {
 // channel discipline is its own design, and exporting park risks from
 // sim would condemn every simulated client operation downstream.
 func (ip *Interproc) block(fi *funcInfo, desc string, pos token.Pos, h *held, park string) {
+	// Loop bodies are walked twice: like recordExit, the second visit of
+	// a position unions its holds into the first's record.
+	for i, o := range fi.blocksDirect {
+		if o.pos == pos {
+			fi.blocksDirect[i].held = unionHeld(&held{locks: o.held}, h).locks
+			return
+		}
+	}
 	if ip.isSimPkg() {
 		park = ""
 	}
@@ -1094,11 +1103,17 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 	case path == "time" && fn.Name() == "Sleep":
 		ip.block(fi, "time.Sleep", call.Pos(), h, "")
 	case ip.moduleLocal(path):
-		fi.calls = append(fi.calls, callObs{
-			fn:   fn,
-			pos:  call.Pos(),
-			held: append([]heldLock(nil), h.locks...),
-		})
+		// A loop body's second pass unions into the first's record, as
+		// in block.
+		if i := slices.IndexFunc(fi.calls, func(c callObs) bool { return c.pos == call.Pos() }); i >= 0 {
+			fi.calls[i].held = unionHeld(&held{locks: fi.calls[i].held}, h).locks
+		} else {
+			fi.calls = append(fi.calls, callObs{
+				fn:   fn,
+				pos:  call.Pos(),
+				held: append([]heldLock(nil), h.locks...),
+			})
+		}
 		// Then apply an imported acquire/release summary to the held
 		// set: a cross-package helper that returns holding a lock
 		// (NetAcquires) extends the caller's critical section past the

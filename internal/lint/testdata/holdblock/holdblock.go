@@ -88,3 +88,25 @@ func branchRelease(b *box, early bool) {
 	b.ch <- 7 // want `channel send while holding`
 	b.mu.Unlock()
 }
+
+// loopUnderMutex: a loop body is walked twice (so holds acquired late in
+// the body reach its head on the second pass), but a blocking operation
+// or call inside it is still one finding, not one per pass.
+func loopUnderMutex(b *box, n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := 0; i < n; i++ {
+		b.ch <- i         // want `channel send while holding`
+		blockingHelper(b) // want `may block .* while holding`
+	}
+}
+
+// lockLateInLoop: the first pass reaches the send with nothing held, the
+// second with the lock the previous iteration left held — the finding
+// comes from the pass that saw it.
+func lockLateInLoop(b *box, n int) {
+	for i := 0; i < n; i++ {
+		b.ch <- i // want `channel send while holding`
+		b.mu.Lock()
+	}
+}

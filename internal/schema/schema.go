@@ -176,6 +176,68 @@ type Index struct {
 	Table   string
 	Fields  []IndexField
 	Primary bool
+
+	layout *EntryLayout
+}
+
+// EntryLayout is what AddIndex compiles, once, about the entry keys of a
+// secondary index, so that nothing is re-derived per entry. An entry key
+// has one component per slot below: the index namespace, then the token
+// (when a field is tokenized), then the non-token fields in declaration
+// order.
+type EntryLayout struct {
+	// Desc is each component's direction.
+	Desc []bool
+	// Column is the table column each component carries; -1 for the
+	// namespace and the token (a word of its column, not the column).
+	Column []int
+	// PK is, per primary-key column in key order, the component that
+	// carries it, or -1 when the index does not embed that column.
+	PK []int
+	// Uncovered names a table column no component carries; "" when the
+	// index covers the table.
+	Uncovered string
+}
+
+// EntryLayout returns the compiled layout of a registered index; it is
+// nil for an Index no catalog has taken. (The primary index has one too,
+// since AddIndex hands it out as the canonical form of a secondary index
+// declared over exactly the primary key.)
+func (ix *Index) EntryLayout() *EntryLayout { return ix.layout }
+
+// compileLayout fills ix.layout for table t, whose columns AddIndex has
+// already checked the fields against.
+func (ix *Index) compileLayout(t *Table) {
+	lay := &EntryLayout{Desc: []bool{false}, Column: []int{-1}, PK: make([]int, len(t.PrimaryKey))}
+	for _, f := range ix.Fields {
+		if f.Token {
+			lay.Desc, lay.Column = append(lay.Desc, f.Desc), append(lay.Column, -1)
+		}
+	}
+	for _, f := range ix.Fields {
+		if !f.Token {
+			lay.Desc, lay.Column = append(lay.Desc, f.Desc), append(lay.Column, t.ColumnIndex(f.Column))
+		}
+	}
+	component := make([]int, len(t.Columns)) // the component carrying each column
+	for c := range component {
+		component[c] = -1
+	}
+	for i, c := range lay.Column {
+		if c >= 0 {
+			component[c] = i
+		}
+	}
+	for i, col := range t.PrimaryKey {
+		lay.PK[i] = component[t.ColumnIndex(col)]
+	}
+	for c, i := range component {
+		if i < 0 {
+			lay.Uncovered = t.Columns[c].Name
+			break
+		}
+	}
+	ix.layout = lay
 }
 
 // KeyColumns returns the index field column names in order.
@@ -353,6 +415,7 @@ func (c *Catalog) AddTable(t *Table) error {
 	for _, col := range t.PrimaryKey {
 		pk.Fields = append(pk.Fields, IndexField{Column: col})
 	}
+	pk.compileLayout(t)
 	c.indexes[key] = append(c.indexes[key], pk)
 	c.state[pk.Signature()] = StateReady // the record layout needs no backfill
 	return nil
@@ -398,6 +461,7 @@ func (c *Catalog) AddIndex(ix *Index) (*Index, error) {
 			return existing, nil
 		}
 	}
+	ix.compileLayout(t)
 	c.indexes[strings.ToLower(ix.Table)] = append(c.indexes[strings.ToLower(ix.Table)], ix)
 	// A new secondary index starts life building: the write path maintains
 	// it from this moment, but the planner must wait for the backfill to
