@@ -1,0 +1,78 @@
+package harness
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"testing"
+
+	"piql/internal/engine"
+	"piql/internal/kvstore"
+	"piql/internal/workload/scadr"
+	"piql/internal/workload/tpcw"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/bounds.golden from the current code")
+
+// TestWorkloadBoundsGolden pins, for every query of the SCADr and TPC-W
+// workloads, the plan, its per-operator bound with the derivation texts,
+// and the Θ(α, β) list handed to the SLO model. A change to the bound is
+// a reviewed diff of testdata/bounds.golden:
+//
+//	go test ./internal/harness -run TestWorkloadBoundsGolden -update
+func TestWorkloadBoundsGolden(t *testing.T) {
+	var got bytes.Buffer
+	render := func(workload string, qs map[string]*engine.Prepared) {
+		names := make([]string, 0, len(qs))
+		for name := range qs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			q := qs[name]
+			b := q.Bound()
+			fmt.Fprintf(&got, "== %s / %s\n%s%s  ops=%d tuples=%d predict=%+v\n\n",
+				workload, name, q.Plan().Explain(), b, b.Ops, b.Tuples, b.PredictOps())
+		}
+	}
+	session := func(ddl []string) *engine.Session {
+		s := engine.New(kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 2, Seed: 3}, nil)).Session(nil)
+		for _, d := range ddl {
+			if err := s.Exec(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+
+	scfg := scadr.DefaultConfig()
+	sw, err := scadr.NewWorker(session(scadr.DDL(scfg)), scfg, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render("scadr", sw.Queries())
+
+	tcfg := tpcw.DefaultConfig()
+	tw, err := tpcw.NewWorker(session(tpcw.DDL(tcfg)), tcfg, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render("tpcw", tw.Queries())
+
+	const path = "testdata/bounds.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("bounds differ from %s (regenerate with -update and review the diff)\n--- got\n%s\n--- want\n%s", path, got.Bytes(), want)
+	}
+}
