@@ -11,17 +11,23 @@ ci: lint build test race chaos-faults bench-check
 vet:
 	$(GO) vet ./...
 
-# lint is the static gate: gofmt, go vet, and piql-vet (the project's own
-# analyzers, then the escape budget) — see "Static analysis" in
-# README.md. After deliberately changing a hot path's allocation profile,
-# rewrite escape.budget with `bin/piql-vet -escapebudget -update` and
-# review the diff like any other file.
+# lint is the static gate: gofmt, go vet, the layering that keeps the
+# static bound derived once (internal/core derives it, internal/analyze
+# words and admits it, internal/predict prices it and imports neither),
+# and piql-vet (the project's own analyzers, then the escape budget) —
+# see "Static analysis" in README.md. After deliberately changing a hot
+# path's allocation profile, rewrite escape.budget with
+# `bin/piql-vet -escapebudget -update` and review the diff like any
+# other file.
 VETTOOL = bin/piql-vet
 
 lint:
 	@out=$$(gofmt -l cmd internal *.go); if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	@if $(GO) list -deps ./internal/predict | grep -xE 'piql/internal/(core|analyze)' || \
+		$(GO) list -deps ./internal/core | grep -xE 'piql/internal/(analyze|predict)'; then \
+		echo "layering: predict prices operator lists and core derives the bound; neither may import the packages listed above"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget

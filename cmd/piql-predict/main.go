@@ -55,24 +55,22 @@ func main() {
 		return
 	}
 
-	subsGrid := []int{100, 150, 200, 250, 300, 350, 400, 450, 500}
-	pageGrid := []int{10, 15, 20, 25, 30, 35, 40, 45, 50}
-	const subBytes, thoughtBytes = 44, 186
-
+	grid := harness.DefaultFig6Config()
 	fmt.Printf("thoughtstream predicted p99 (ms); * = meets %v SLO in >=%.0f%% of intervals\n",
 		*slo, *quantile*100)
 	fmt.Printf("%10s", "subs\\page")
-	for _, p := range pageGrid {
+	for _, p := range grid.Pages {
 		fmt.Printf("%7d", p)
 	}
 	fmt.Println()
-	for _, subs := range subsGrid {
+	for _, subs := range grid.Subs {
 		fmt.Printf("%10d", subs)
-		for _, page := range pageGrid {
-			pred, err := model.PredictOps([]predict.Op{
-				{Kind: predict.KindScan, Alpha: subs, Beta: subBytes},
-				{Kind: predict.KindSortedJoin, Alpha: subs, AlphaJ: page, Beta: thoughtBytes},
-			})
+		for _, page := range grid.Pages {
+			ops, err := harness.ThoughtstreamOps(subs, page)
+			var pred *predict.Prediction
+			if err == nil {
+				pred, err = model.PredictOps(ops)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "piql-predict:", err)
 				os.Exit(1)

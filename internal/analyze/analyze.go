@@ -1,17 +1,18 @@
 // Package analyze is the static plan boundedness analyzer: the
 // compile-time half of PIQL's scale-independence contract (Sections 4
-// and 6 of the paper). It walks a compiled physical plan, derives a
-// symbolic worst-case operation bound for every remote operator — point
-// gets, ReadBatch batch sizes, range-scan limits, join fan-out — from
-// the schema's declared cardinality constraints and the plan's pinned
-// limits, and classifies the plan bounded or unbounded.
+// and 6 of the paper). It derives nothing itself: internal/core's one
+// walk yields, per remote operator, the request sets it issues in the
+// worst case — point gets, batch sizes, range-scan limits, join fan-out
+// — and the plan's totals; this package words each as a line of the
+// bound (which pinned limit or declared cardinality constraint it came
+// from), words the first one with no bound as a refusal, and decides
+// admission.
 //
 // The bound doubles as the input to the SLO prediction model
-// (internal/predict): each operator contributes its Θ(α, β) parameters,
-// so a Bound can be turned into a predicted p99 without re-walking the
-// plan. An admission Policy combines both: unbounded plans are rejected
-// outright, bounded plans optionally against an operation budget or a
-// predicted-latency SLO.
+// (internal/predict): each line carries its request's Θ(α, β), and
+// Bound.Predict is the one way to price a query. An admission Policy
+// combines both: unbounded plans are rejected outright, bounded plans
+// optionally against an operation budget or a predicted-latency SLO.
 package analyze
 
 import (
@@ -24,7 +25,8 @@ import (
 	"piql/internal/schema"
 )
 
-// OpBound is one remote operator's contribution to the plan bound.
+// OpBound is one request set's contribution to the plan bound: a remote
+// operator's own read, or its dereference of secondary-index entries.
 type OpBound struct {
 	// Operator is the operator's EXPLAIN label.
 	Operator string
@@ -39,9 +41,9 @@ type OpBound struct {
 	// Derivation explains the bound symbolically: which pinned limit or
 	// declared cardinality constraint it came from.
 	Derivation string
-	// PredictOps are the operator's Θ(α, β) parameters for the SLO
-	// prediction model (empty when the operator is unbounded).
-	PredictOps []predict.Op
+	// PredictOp is the request's Θ(α, β) for the SLO prediction model
+	// (zero when the operator is unbounded).
+	PredictOp predict.Op
 }
 
 // Bound is the static analysis result for one plan.
@@ -62,157 +64,110 @@ type Bound struct {
 	Suggestions []string
 }
 
-// Plan statically analyzes a compiled plan. Every plan the PIQL
-// compiler emits analyzes as bounded (the compiler rejects the rest);
-// plans from the cost-based baseline optimizer (Section 8.3) may carry
-// unbounded scans and analyze accordingly.
+// Plan words a compiled plan's static bound: one line per request set
+// of core.Plan.Requests, the plan's own totals, and, for the first
+// request with no bound, the refusal. Every plan the PIQL compiler
+// emits is bounded (the compiler rejects the rest); plans from the
+// cost-based baseline optimizer (Section 8.3) may carry unbounded scans.
 func Plan(p *core.Plan) *Bound {
-	b := &Bound{Bounded: true}
-	for _, n := range p.RemoteOps() {
-		switch n := n.(type) {
-		case *core.PKLookup:
-			b.addLookup(n)
-		case *core.IndexScan:
-			b.addScan(n)
-		case *core.IndexFKJoin:
-			b.addFKJoin(n)
-		case *core.SortedIndexJoin:
-			b.addSortedJoin(n)
-		}
-		if !b.Bounded {
+	reqs := p.Requests()
+	b := &Bound{Bounded: true, Ops: p.OpBound(), Tuples: p.TupleBound(), Chain: make([]OpBound, 0, len(reqs))}
+	for _, r := range reqs {
+		if r.Ops == core.Unbounded {
+			b.refuse(r)
 			break
 		}
-	}
-	if b.Bounded {
-		b.Ops = 0
-		for _, ob := range b.Chain {
-			b.Ops += ob.Ops
-		}
-		b.Tuples = p.TupleBound()
-	} else {
-		b.Ops = core.Unbounded
-		b.Tuples = core.Unbounded
+		b.Chain = append(b.Chain, wordRequest(r))
 	}
 	return b
 }
 
-func (b *Bound) addLookup(n *core.PKLookup) {
-	d := fmt.Sprintf("%d batched random get(s), one per bound primary key of %s", len(n.Keys), n.Table.Name)
-	if len(n.Keys) > 1 {
-		d += fmt.Sprintf(" (IN list expands to %d keys)", len(n.Keys))
-	}
-	b.Chain = append(b.Chain, OpBound{
-		Operator:   n.Label(),
-		Kind:       "point gets",
-		Ops:        len(n.Keys),
-		Tuples:     len(n.Keys),
-		Derivation: d,
-		PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: len(n.Keys), Beta: n.Table.RowSizeEstimate()}},
-	})
+// predictKinds maps a request's shape onto the operator model that
+// prices it.
+var predictKinds = [...]predict.OpKind{
+	core.Gets:         predict.KindLookup,
+	core.Range:        predict.KindScan,
+	core.PerKeyRanges: predict.KindSortedJoin,
 }
 
-func (b *Bound) addScan(n *core.IndexScan) {
-	if n.Unbounded {
-		cols := prefixCols(n.Index, len(n.Eq))
-		b.markUnbounded(n.Label(),
-			fmt.Sprintf("index scan on %s has no pinned limit and no cardinality constraint covering (%s)",
-				n.Index.String(), strings.Join(cols, ", ")),
-			fmt.Sprintf("declare CARDINALITY LIMIT n (%s) on %s", strings.Join(cols, ", "), n.Table.Name),
-			"add LIMIT or PAGINATE with ORDER BY on an indexed column to pin the fetch size",
-		)
-		return
-	}
-	t := n.Bounds().Tuples // min(LimitHint, DataStopCard) per fetchBound
-	beta := n.Table.RowSizeEstimate()
-	b.Chain = append(b.Chain, OpBound{
-		Operator:   n.Label(),
-		Kind:       "range scan",
-		Ops:        1,
-		Tuples:     t,
-		Derivation: fmt.Sprintf("1 range read of at most %d entries (%s)", t, scanLimitSource(n)),
-		PredictOps: []predict.Op{{Kind: predict.KindScan, Alpha: t, Beta: beta}},
-	})
-	if n.NeedDeref {
-		b.Chain = append(b.Chain, OpBound{
-			Operator:   "└ deref " + n.Table.Name,
-			Kind:       "deref gets",
-			Ops:        t,
-			Tuples:     t,
-			Derivation: fmt.Sprintf("%d batched get(s): one primary-key dereference per secondary-index entry", t),
-			PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: t, Beta: beta}},
-		})
-	}
-}
-
-func (b *Bound) addFKJoin(n *core.IndexFKJoin) {
-	ct := n.ChildPlan.Bounds().Tuples
-	b.Chain = append(b.Chain, OpBound{
-		Operator: n.Label(),
-		Kind:     "point gets",
-		Ops:      ct,
-		Tuples:   ct,
-		Derivation: fmt.Sprintf("%d batched get(s), one per child tuple; the foreign key targets the full primary key of %s, so each joins to at most 1 row",
-			ct, n.Table.Name),
-		PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: ct, Beta: n.Table.RowSizeEstimate()}},
-	})
-}
-
-func (b *Bound) addSortedJoin(n *core.SortedIndexJoin) {
-	ct := n.ChildPlan.Bounds().Tuples
-	if n.PerKeyLimit <= 0 {
-		cols := prefixCols(n.Index, len(n.JoinKey))
-		b.markUnbounded(n.Label(),
-			fmt.Sprintf("join fan-out on %s has no per-key bound: no cardinality constraint covers (%s)",
-				n.Index.String(), strings.Join(cols, ", ")),
-			fmt.Sprintf("declare CARDINALITY LIMIT n (%s) on %s", strings.Join(cols, ", "), n.Table.Name),
-		)
-		return
-	}
-	fetched := n.FetchBound()
-	t := n.Bounds().Tuples // the query's stop, when the join may apply it
-	beta := n.Table.RowSizeEstimate()
-	d := fmt.Sprintf("%d parallel range read(s), one per child tuple, at most %d entries each (%s): ≤ %d tuples",
-		ct, n.PerKeyLimit, joinLimitSource(n), fetched)
-	if t < fetched {
-		d += fmt.Sprintf(", merged on their entry keys and stopped at %d", t)
-	}
-	b.Chain = append(b.Chain, OpBound{
-		Operator:   n.Label(),
-		Kind:       "per-key ranges",
-		Ops:        ct,
-		Tuples:     t,
-		Derivation: d,
-		PredictOps: []predict.Op{{Kind: predict.KindSortedJoin, Alpha: ct, AlphaJ: n.PerKeyLimit, Beta: beta}},
-	})
-	if n.NeedDeref {
-		d := fmt.Sprintf("%d batched get(s): one primary-key dereference per matching index entry", fetched)
-		if t < fetched {
+// wordRequest renders one bounded request set as a line of the bound.
+func wordRequest(r core.Request) OpBound {
+	var table *schema.Table
+	var kind, d string
+	switch n := r.Node.(type) {
+	case *core.PKLookup:
+		table, kind = n.Table, "point gets"
+		d = fmt.Sprintf("%d batched random get(s), one per bound primary key of %s", r.Alpha, table.Name)
+		if r.Alpha > 1 {
+			d += fmt.Sprintf(" (IN list expands to %d keys)", r.Alpha)
+		}
+	case *core.IndexScan:
+		table, kind = n.Table, "range scan"
+		if r.Deref {
+			d = fmt.Sprintf("%d batched get(s): one primary-key dereference per secondary-index entry", r.Alpha)
+		} else {
+			d = fmt.Sprintf("1 range read of at most %d entries (%s)", r.Fetched, scanLimitSource(n))
+		}
+	case *core.IndexFKJoin:
+		table, kind = n.Table, "point gets"
+		d = fmt.Sprintf("%d batched get(s), one per child tuple; the foreign key targets the full primary key of %s, so each joins to at most 1 row",
+			r.Alpha, table.Name)
+	case *core.SortedIndexJoin:
+		table, kind = n.Table, "per-key ranges"
+		switch {
+		case r.Deref && r.Tuples < r.Fetched:
 			// Ops stays the worst case, every fetched entry read once: a
 			// bound that is tight but false is worth nothing.
-			d = fmt.Sprintf("at most %d batched get(s) in at most 2 request sets: %d when no entry dangles; a dangling survivor pulls the rest in a second set, none is read twice", fetched, t)
+			d = fmt.Sprintf("at most %d batched get(s) in at most 2 request sets: %d when no entry dangles; a dangling survivor pulls the rest in a second set, none is read twice", r.Alpha, r.Tuples)
+		case r.Deref:
+			d = fmt.Sprintf("%d batched get(s): one primary-key dereference per matching index entry", r.Alpha)
+		default:
+			d = fmt.Sprintf("%d parallel range read(s), one per child tuple, at most %d entries each (%s): ≤ %d tuples",
+				r.Alpha, r.AlphaJ, joinLimitSource(n), r.Fetched)
+			if r.Tuples < r.Fetched {
+				d += fmt.Sprintf(", merged on their entry keys and stopped at %d", r.Tuples)
+			}
 		}
-		b.Chain = append(b.Chain, OpBound{
-			Operator:   "└ deref " + n.Table.Name,
-			Kind:       "deref gets",
-			Ops:        fetched,
-			Tuples:     t,
-			Derivation: d,
-			PredictOps: []predict.Op{{Kind: predict.KindLookup, Alpha: fetched, Beta: beta}},
-		})
 	}
+	ob := OpBound{
+		Kind:       kind,
+		Ops:        r.Ops,
+		Tuples:     r.Tuples,
+		Derivation: d,
+		PredictOp:  predict.Op{Kind: predictKinds[r.Kind], Alpha: r.Alpha, AlphaJ: r.AlphaJ, Beta: r.Beta},
+	}
+	if r.Deref {
+		ob.Operator, ob.Kind = "└ deref "+table.Name, "deref gets"
+	} else {
+		ob.Operator = r.Node.Label()
+	}
+	return ob
 }
 
-func (b *Bound) markUnbounded(operator, reason string, suggestions ...string) {
+// refuse records the first request set with no bound as the plan's
+// offender: which fan-out is uncapped and what would cap it.
+func (b *Bound) refuse(r core.Request) {
 	b.Bounded = false
-	b.Offender = operator
-	b.Reason = reason
-	b.Suggestions = suggestions
+	b.Offender = r.Node.Label()
+	switch n := r.Node.(type) {
+	case *core.IndexScan:
+		cols := strings.Join(prefixCols(n.Index, len(n.Eq)), ", ")
+		b.Reason = fmt.Sprintf("index scan on %s has no pinned limit and no cardinality constraint covering (%s)", n.Index.String(), cols)
+		b.Suggestions = []string{
+			fmt.Sprintf("declare CARDINALITY LIMIT n (%s) on %s", cols, n.Table.Name),
+			"add LIMIT or PAGINATE with ORDER BY on an indexed column to pin the fetch size",
+		}
+	case *core.SortedIndexJoin:
+		cols := strings.Join(prefixCols(n.Index, len(n.JoinKey)), ", ")
+		b.Reason = fmt.Sprintf("join fan-out on %s has no per-key bound: no cardinality constraint covers (%s)", n.Index.String(), cols)
+		b.Suggestions = []string{fmt.Sprintf("declare CARDINALITY LIMIT n (%s) on %s", cols, n.Table.Name)}
+	}
 	b.Chain = append(b.Chain, OpBound{
-		Operator:   operator,
+		Operator:   b.Offender,
 		Kind:       "unbounded",
 		Ops:        core.Unbounded,
 		Tuples:     core.Unbounded,
-		Derivation: reason,
+		Derivation: b.Reason,
 	})
 }
 
@@ -269,9 +224,9 @@ func (b *Bound) PredictOps() []predict.Op {
 	if !b.Bounded {
 		return nil
 	}
-	var ops []predict.Op
-	for _, ob := range b.Chain {
-		ops = append(ops, ob.PredictOps...)
+	ops := make([]predict.Op, len(b.Chain))
+	for i, ob := range b.Chain {
+		ops[i] = ob.PredictOp
 	}
 	return ops
 }

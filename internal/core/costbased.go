@@ -1,73 +1,45 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"piql/internal/parser"
 	"piql/internal/schema"
 )
 
-// Stats holds the table statistics a traditional cost-based optimizer
-// would consult: the average number of rows sharing one value of a
-// column. Keys are "table.column" (lower case).
-type Stats struct {
-	AvgRowsPerKey map[string]float64
-}
-
-// AvgFor returns the average rows per distinct value of table.column,
-// defaulting to 1.
-func (s Stats) AvgFor(table, column string) float64 {
-	if s.AvgRowsPerKey == nil {
-		return 1
-	}
-	if v, ok := s.AvgRowsPerKey[strings.ToLower(table+"."+column)]; ok {
-		return v
-	}
-	return 1
-}
-
 // CompileCostBased is the Section 8.3 baseline: a traditional optimizer
-// that minimizes the *average* number of key/value operations using
-// table statistics, with no regard for worst-case bounds. For queries
-// like the subscriber-intersection query it will happily pick an
-// unbounded index scan (cheap for the average user, catastrophic for
-// Lady GaGa); the PIQL compiler never does.
+// that minimizes the *average* number of key/value operations, with no
+// regard for worst-case bounds. For a single-relation query with a
+// simple equality predicate it reads the matching section of a covering
+// index on that column, however long — one range request on average —
+// unless the PIQL plan is bounded by no more than that. For queries
+// like the subscriber-intersection query that is an unbounded index
+// scan (cheap for the average user, catastrophic for Lady GaGa); the
+// PIQL compiler never emits one.
 //
-// Only single-relation queries are supported — enough for the paper's
-// comparison; joins fall back to the PIQL plan.
-func CompileCostBased(cat *schema.Catalog, stmt *parser.Select, stats Stats) (*Plan, error) {
+// Joins, and queries with no simple equality predicate, get the PIQL
+// plan — enough for the paper's comparison.
+func CompileCostBased(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
+	const scanCost = 1 // one range request, whatever it returns
 	piqlPlan, piqlErr := Compile(cat, stmt)
-
+	if piqlErr == nil && piqlPlan.OpBound() <= scanCost {
+		return piqlPlan, nil
+	}
 	q, _, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.rels) != 1 {
-		if piqlErr != nil {
-			return nil, piqlErr
-		}
-		return piqlPlan, nil
+		return piqlPlan, piqlErr
 	}
 	r := q.rels[0]
 	order, err := phase1(q, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	// Candidate: for each simple equality predicate, an unbounded scan
-	// over an index on that column, filtering the rest locally. The
-	// average cost is ~1 range request plus the average matching rows
-	// for dereferencing.
-	type candidate struct {
-		plan Physical
-		cost float64
-	}
-	var cands []candidate
-	if piqlErr == nil {
-		cands = append(cands, candidate{plan: piqlPlan.Root, cost: avgCostOf(piqlPlan.Root, stats)})
-	}
 	ctx := &phase2Ctx{cat: cat, q: q, order: order}
+	// The first simple equality predicate decides: every such scan costs
+	// the same.
 	for _, p := range r.eqPreds {
 		if p.Op != parser.OpEq || p.InList != nil {
 			continue
@@ -90,7 +62,7 @@ func CompileCostBased(cat *schema.Catalog, stmt *parser.Select, stats Stats) (*P
 			}
 			residual = append(residual, o)
 		}
-		scan := &IndexScan{
+		var plan Physical = &IndexScan{
 			Table:       r.table,
 			TableOffset: r.offset,
 			Index:       ix,
@@ -100,9 +72,6 @@ func CompileCostBased(cat *schema.Catalog, stmt *parser.Select, stats Stats) (*P
 			Unbounded:   true,
 			NeedDeref:   false, // covering: entries embed the whole row
 		}
-		_ = stats.AvgFor(r.table.Name, col) // retained for future per-byte costing
-		cost := 1.0                         // one range RPC on average
-		var plan Physical = scan
 		if len(q.sort) > 0 {
 			plan = &LocalSort{ChildPlan: plan, Keys: q.sort}
 		}
@@ -110,53 +79,7 @@ func CompileCostBased(cat *schema.Catalog, stmt *parser.Select, stats Stats) (*P
 			plan = &LocalStop{ChildPlan: plan, K: q.stopK}
 		}
 		plan = &LocalProject{ChildPlan: plan, Cols: q.projCols, Names: q.projNames}
-		cands = append(cands, candidate{plan: plan, cost: cost})
+		return newPlan(plan, stmt, q, order, ctx.required), nil
 	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: cost-based optimizer found no plan")
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
-	width := len(r.table.Columns)
-	return &Plan{
-		Root:            best.plan,
-		Stmt:            stmt,
-		NumParams:       q.numParams,
-		OutputNames:     q.projNames,
-		RequiredIndexes: ctx.required,
-		RowWidth:        width,
-		order:           order,
-		q:               q,
-	}, nil
-}
-
-// avgCostOf estimates the expected operations of a bounded plan using
-// average (not worst-case) cardinalities: bounded random lookups cost
-// one get per key.
-func avgCostOf(n Physical, stats Stats) float64 {
-	switch n := n.(type) {
-	case nil:
-		return 0
-	case *PKLookup:
-		return float64(len(n.Keys))
-	case *IndexScan:
-		c := 1.0
-		if n.NeedDeref {
-			c += float64(n.Bounds().Tuples)
-		}
-		return c
-	case *IndexFKJoin:
-		return avgCostOf(n.ChildPlan, stats) + float64(n.ChildPlan.Bounds().Tuples)
-	case *SortedIndexJoin:
-		return avgCostOf(n.ChildPlan, stats) + float64(n.ChildPlan.Bounds().Tuples)
-	default:
-		if n.Child() != nil {
-			return avgCostOf(n.Child(), stats)
-		}
-		return 0
-	}
+	return piqlPlan, piqlErr
 }

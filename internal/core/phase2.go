@@ -95,7 +95,7 @@ func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
 	}
 	// Case 2: a data-stop bounds the matching tuples.
 	if r.dataStopCard > 0 {
-		return ctx.boundedIndexScan(r, split)
+		return ctx.boundedIndexScan(r)
 	}
 	// Case 3: no schema bound; a stop with a fully index-expressible
 	// predicate set still yields a bounded plan (Class I: fixed LIMIT
@@ -234,14 +234,19 @@ func (ctx *phase2Ctx) tryPKLookup(r *rel, split predSplit) (Physical, bool) {
 // cardinality, with remaining predicates as a local selection — the
 // paper's preferred shape, since it avoids indexing volatile attributes
 // like SCADr's `approved` flag.
-func (ctx *phase2Ctx) boundedIndexScan(r *rel, split predSplit) (Physical, error) {
+func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 	var fields []schema.IndexField
 	var eq []KeyExpr
 	for _, p := range r.belowPreds {
 		if p.InList != nil {
-			// IN over constraint columns: fall back to fetching the whole
-			// per-element section; expansion handled via residual checks.
-			return ctx.inExpandedScan(r, split)
+			return nil, &NotScaleIndependentError{
+				Query:   ctx.q.stmt.String(),
+				Segment: fmt.Sprintf("relation %s", r.ref.Name()),
+				Reason:  "IN predicates over cardinality-constraint columns are only supported when the full primary key is covered",
+				Suggestions: []string{
+					"cover the full primary key with equality predicates so the IN list expands to bounded random lookups",
+				},
+			}
 		}
 		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
 		eq = append(eq, p.RHS)
@@ -277,20 +282,6 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel, split predSplit) (Physical, error
 	}
 	ctx.ordered = sortSatisfied || len(ctx.q.sort) == 0
 	return scan, nil
-}
-
-// inExpandedScan handles a data-stop whose covering predicates include an
-// IN list: one bounded scan per list element, unioned. Modeled as a
-// PKLookup-style expansion over the constraint prefix.
-func (ctx *phase2Ctx) inExpandedScan(r *rel, split predSplit) (Physical, error) {
-	return nil, &NotScaleIndependentError{
-		Query:   ctx.q.stmt.String(),
-		Segment: fmt.Sprintf("relation %s", r.ref.Name()),
-		Reason:  "IN predicates over cardinality-constraint columns are only supported when the full primary key is covered",
-		Suggestions: []string{
-			"cover the full primary key with equality predicates so the IN list expands to bounded random lookups",
-		},
-	}
 }
 
 // limitHintScan builds a purely limit-hint-bounded scan: every predicate

@@ -12,21 +12,10 @@ import (
 // IndexScan, IndexFKJoin, SortedIndexJoin) issue key/value store
 // operations; local nodes run entirely in the application tier.
 type Physical interface {
-	// Bounds returns the static guarantees for this subtree.
-	Bounds() Bounds
 	// Child returns the input subtree (nil for leaves).
 	Child() Physical
 	// Label renders just this node for EXPLAIN output.
 	Label() string
-}
-
-// Bounds is the static analysis result for a plan subtree: the maximum
-// number of tuples it can emit and the maximum number of key/value store
-// operations it can issue, both independent of database size. Unbounded
-// (-1) never appears in a successfully compiled plan.
-type Bounds struct {
-	Tuples int
-	Ops    int
 }
 
 // RangeBound is an inequality limit on the scan component following the
@@ -50,10 +39,6 @@ type PKLookup struct {
 }
 
 func (n *PKLookup) Child() Physical { return nil }
-
-func (n *PKLookup) Bounds() Bounds {
-	return Bounds{Tuples: len(n.Keys), Ops: len(n.Keys)}
-}
 
 func (n *PKLookup) Label() string {
 	return fmt.Sprintf("PKLookup(%s, keys=%d%s)", n.Table.Name, len(n.Keys), residualStr(n.Residual))
@@ -82,33 +67,6 @@ type IndexScan struct {
 }
 
 func (n *IndexScan) Child() Physical { return nil }
-
-// fetchBound is how many index entries the scan may pull.
-func (n *IndexScan) fetchBound() int {
-	if n.Unbounded {
-		return Unbounded
-	}
-	switch {
-	case n.LimitHint > 0 && n.DataStopCard > 0:
-		return boundMin(n.LimitHint, n.DataStopCard)
-	case n.LimitHint > 0:
-		return n.LimitHint
-	default:
-		return n.DataStopCard
-	}
-}
-
-func (n *IndexScan) Bounds() Bounds {
-	t := n.fetchBound()
-	if t == Unbounded {
-		return Bounds{Tuples: Unbounded, Ops: Unbounded}
-	}
-	ops := 1 // one range request
-	if n.NeedDeref {
-		ops = boundAdd(ops, t) // one get per matching entry, batched
-	}
-	return Bounds{Tuples: t, Ops: ops}
-}
 
 func (n *IndexScan) Label() string {
 	var parts []string
@@ -162,11 +120,6 @@ type IndexFKJoin struct {
 
 func (n *IndexFKJoin) Child() Physical { return n.ChildPlan }
 
-func (n *IndexFKJoin) Bounds() Bounds {
-	c := n.ChildPlan.Bounds()
-	return Bounds{Tuples: c.Tuples, Ops: boundAdd(c.Ops, c.Tuples)}
-}
-
 func (n *IndexFKJoin) Label() string {
 	keys := make([]string, len(n.Keys))
 	for i, e := range n.Keys {
@@ -202,28 +155,6 @@ type SortedIndexJoin struct {
 
 func (n *SortedIndexJoin) Child() Physical { return n.ChildPlan }
 
-// FetchBound is how many index entries the join may pull: PerKeyLimit
-// for each child tuple. With NeedDeref it is also the bound on record
-// reads — normally Stop of them, but a dangling entry among the
-// survivors pulls the rest in a second request set, so the worst case
-// reads every fetched entry once.
-func (n *SortedIndexJoin) FetchBound() int {
-	return boundMul(n.ChildPlan.Bounds().Tuples, n.PerKeyLimit)
-}
-
-func (n *SortedIndexJoin) Bounds() Bounds {
-	c := n.ChildPlan.Bounds()
-	t := n.FetchBound()
-	ops := boundAdd(c.Ops, c.Tuples) // one range request per child tuple
-	if n.NeedDeref {
-		ops = boundAdd(ops, t)
-	}
-	if n.Stop > 0 {
-		t = boundMin(t, n.Stop)
-	}
-	return Bounds{Tuples: t, Ops: ops}
-}
-
 func (n *SortedIndexJoin) Label() string {
 	var sortProj []string
 	for _, k := range n.MergeSort {
@@ -249,7 +180,6 @@ type LocalSelection struct {
 }
 
 func (n *LocalSelection) Child() Physical { return n.ChildPlan }
-func (n *LocalSelection) Bounds() Bounds  { return n.ChildPlan.Bounds() }
 func (n *LocalSelection) Label() string {
 	return fmt.Sprintf("LocalSelection(%s)", predsStr(n.Preds))
 }
@@ -261,7 +191,6 @@ type LocalSort struct {
 }
 
 func (n *LocalSort) Child() Physical { return n.ChildPlan }
-func (n *LocalSort) Bounds() Bounds  { return n.ChildPlan.Bounds() }
 func (n *LocalSort) Label() string {
 	var keys []string
 	for _, k := range n.Keys {
@@ -278,11 +207,7 @@ type LocalStop struct {
 }
 
 func (n *LocalStop) Child() Physical { return n.ChildPlan }
-func (n *LocalStop) Bounds() Bounds {
-	c := n.ChildPlan.Bounds()
-	return Bounds{Tuples: boundMin(n.K, c.Tuples), Ops: c.Ops}
-}
-func (n *LocalStop) Label() string { return fmt.Sprintf("Stop(%d)", n.K) }
+func (n *LocalStop) Label() string   { return fmt.Sprintf("Stop(%d)", n.K) }
 
 // LocalProject narrows the combined row to the projected columns.
 type LocalProject struct {
@@ -292,7 +217,6 @@ type LocalProject struct {
 }
 
 func (n *LocalProject) Child() Physical { return n.ChildPlan }
-func (n *LocalProject) Bounds() Bounds  { return n.ChildPlan.Bounds() }
 func (n *LocalProject) Label() string {
 	return fmt.Sprintf("Project(%s)", strings.Join(n.Names, ", "))
 }
@@ -306,10 +230,6 @@ type LocalAgg struct {
 }
 
 func (n *LocalAgg) Child() Physical { return n.ChildPlan }
-func (n *LocalAgg) Bounds() Bounds {
-	c := n.ChildPlan.Bounds()
-	return Bounds{Tuples: c.Tuples, Ops: c.Ops} // at most one group per input tuple
-}
 func (n *LocalAgg) Label() string {
 	return fmt.Sprintf("LocalAgg(groups=%d, aggs=%s)", len(n.GroupBy), strings.Join(n.Names, ", "))
 }

@@ -28,6 +28,7 @@ type Plan struct {
 
 	order       []*rel // join order, for explain output
 	q           *boundQuery
+	ops, tuples int // the static bound (walkBound's totals)
 	paginDriver int
 	pageScan    *IndexScan
 }
@@ -50,31 +51,33 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := root.Bounds()
-	if b.Ops == Unbounded || b.Tuples == Unbounded {
+	plan := newPlan(root, stmt, q, order, required)
+	if plan.ops == Unbounded || plan.tuples == Unbounded {
 		// Phase II only emits bounded operators; reaching this means a
 		// compiler bug, not a user error.
-		return nil, fmt.Errorf("core: internal: compiled plan is unbounded:\n%s", ExplainPhysical(root))
+		return nil, fmt.Errorf("core: internal: compiled plan is unbounded:\n%s", plan.Explain())
 	}
-	width := 0
-	for _, r := range q.rels {
-		width += len(r.table.Columns)
-	}
+	return plan, nil
+}
+
+// newPlan wraps an operator tree as a Plan: its static bound, the width
+// of its combined row, and how it paginates.
+func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, required []*schema.Index) *Plan {
 	plan := &Plan{
 		Root:            root,
 		Stmt:            stmt,
 		NumParams:       q.numParams,
 		OutputNames:     q.projNames,
 		RequiredIndexes: required,
-		PageSize: func() int {
-			if q.page {
-				return q.stopK
-			}
-			return 0
-		}(),
-		RowWidth: width,
-		order:    order,
-		q:        q,
+		order:           order,
+		q:               q,
+	}
+	plan.tuples, plan.ops, _ = walkBound(root, nil, nil)
+	for _, r := range q.rels {
+		plan.RowWidth += len(r.table.Columns)
+	}
+	if q.page {
+		plan.PageSize = q.stopK
 	}
 	ops := plan.RemoteOps()
 	for i, op := range ops {
@@ -85,7 +88,7 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	if scan, ok := ops[0].(*IndexScan); ok && q.page && plan.paginDriver == 0 && scan.LimitHint == 0 && keepsScanOrder(root) {
 		plan.pageScan = scan
 	}
-	return plan, nil
+	return plan
 }
 
 // keepsScanOrder reports whether the rows reaching the plan's stop are
@@ -104,31 +107,24 @@ func keepsScanOrder(root Physical) bool {
 // OpBound returns the static upper bound on key/value store operations
 // for one execution of the plan (one page, for paginated queries) — the
 // core scale-independence guarantee.
-func (p *Plan) OpBound() int { return p.Root.Bounds().Ops }
+func (p *Plan) OpBound() int { return p.ops }
 
-// TupleBound returns the static upper bound on tuples flowing through
-// the plan's widest remote cut.
-func (p *Plan) TupleBound() int { return p.Root.Bounds().Tuples }
+// TupleBound returns the static upper bound on tuples the plan emits.
+func (p *Plan) TupleBound() int { return p.tuples }
 
-// Explain renders the physical plan with per-operator bounds.
+// Explain renders the physical plan, one operator per line, children
+// indented (remote operators are the indented leaves), each with the
+// tuples it emits and the operations issued up to and including it.
 func (p *Plan) Explain() string {
+	var lines []string // leaf first, as walkBound visits
+	walkBound(p.Root, nil, func(n Physical, tuples, ops int) {
+		lines = append(lines, fmt.Sprintf("%s   [tuples<=%s ops<=%s]\n", n.Label(), boundStr(tuples), boundStr(ops)))
+	})
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "-- bound: %d key/value operations, %d tuples\n", p.OpBound(), p.TupleBound())
-	sb.WriteString(ExplainPhysical(p.Root))
-	return sb.String()
-}
-
-// ExplainPhysical renders a physical operator tree, one operator per
-// line, children indented (remote operators are the indented leaves).
-func ExplainPhysical(root Physical) string {
-	var sb strings.Builder
-	depth := 0
-	for n := root; n != nil; n = n.Child() {
+	fmt.Fprintf(&sb, "-- bound: %d key/value operations, %d tuples\n", p.ops, p.tuples)
+	for depth := range lines {
 		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(n.Label())
-		b := n.Bounds()
-		fmt.Fprintf(&sb, "   [tuples<=%s ops<=%s]\n", boundStr(b.Tuples), boundStr(b.Ops))
-		depth++
+		sb.WriteString(lines[len(lines)-1-depth])
 	}
 	return sb.String()
 }
@@ -242,21 +238,3 @@ func (p *Plan) PaginationDriver() int { return p.paginDriver }
 // fetched lies at the end of the section, and resuming there would
 // silently lose every row the page fetched and did not keep.
 func (p *Plan) PageScan() *IndexScan { return p.pageScan }
-
-// Tables returns the tables referenced by the plan in join order.
-func (p *Plan) Tables() []*schema.Table {
-	out := make([]*schema.Table, len(p.order))
-	for i, r := range p.order {
-		out[i] = r.table
-	}
-	return out
-}
-
-// GroupBy exposes the aggregate grouping columns for the executor.
-func (p *Plan) GroupBy() []int { return p.q.groupBy }
-
-// Aggs exposes the aggregate outputs for the executor.
-func (p *Plan) Aggs() []AggSpec { return p.q.aggs }
-
-// SortKeys exposes the resolved ORDER BY for cursor serialization.
-func (p *Plan) SortKeys() []SortKey { return p.q.sort }

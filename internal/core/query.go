@@ -4,9 +4,13 @@
 // inserts and pushes down stop and data-stop operators (Algorithm 1),
 // Phase II matches plan sections onto the three bounded remote operators
 // (Algorithm 2) — selects the indexes the plan needs (Section 5.3),
-// computes the static bound on key/value operations, and, when a query
-// cannot be bounded, produces Performance Insight Assistant feedback
-// (Section 6.4).
+// and, when a query cannot be bounded, produces Performance Insight
+// Assistant feedback (Section 6.4). The static bound on key/value
+// operations is derived here and only here: one walk over the operator
+// tree (bound.go) yields each remote operator's request sets and the
+// plan's totals, and every other statement of the bound — EXPLAIN,
+// internal/analyze's wording and admission, the SLO model's input —
+// reads that walk.
 package core
 
 import (

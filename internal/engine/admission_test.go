@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"piql/internal/analyze"
-	"piql/internal/core"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -54,14 +53,11 @@ func TestPrepareAttachesBound(t *testing.T) {
 	if b == nil || !b.Bounded {
 		t.Fatalf("prepared plan carries bound %+v, want a bounded analysis", b)
 	}
-	if b.Ops != p.Plan().OpBound() {
-		t.Errorf("bound %d != compiler bound %d", b.Ops, p.Plan().OpBound())
-	}
 }
 
 func TestPrepareCostBasedRunsWithoutPolicy(t *testing.T) {
 	_, s := newAdmissionFixture(t)
-	p, err := s.PrepareCostBased(subscriberSQL, core.Stats{})
+	p, err := s.PrepareCostBased(subscriberSQL)
 	if err != nil {
 		t.Fatalf("cost-based prepare: %v", err)
 	}
@@ -77,17 +73,45 @@ func TestPrepareCostBasedRunsWithoutPolicy(t *testing.T) {
 	}
 }
 
+// TestPrepareCostBasedKeepsWinningPIQLPlan: where the baseline finds
+// nothing cheaper (no simple equality predicate to scan on), the PIQL
+// plan is what it returns — with the indexes it needs built and its
+// page size kept, not a bare tree whose indexes nobody builds.
+func TestPrepareCostBasedKeepsWinningPIQLPlan(t *testing.T) {
+	_, s := newAdmissionFixture(t)
+	for _, tc := range []struct {
+		sql, arg       string
+		rows, pageSize int
+	}{
+		{`SELECT username FROM users WHERE bio CONTAINS [1: w] ORDER BY bio LIMIT 10`, "hi", 3, 0},
+		{`SELECT owner FROM subscriptions WHERE target CONTAINS [1: w] ORDER BY target PAGINATE 1`, "celeb", 1, 1},
+	} {
+		p, err := s.PrepareCostBased(tc.sql)
+		if err != nil {
+			t.Fatalf("cost-based prepare %s: %v", tc.sql, err)
+		}
+		res, err := p.Execute(s, value.Str(tc.arg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if len(res.Rows) != tc.rows || p.Plan().PageSize != tc.pageSize {
+			t.Errorf("%s: %d rows, page size %d; want %d rows, page size %d\n%s",
+				tc.sql, len(res.Rows), p.Plan().PageSize, tc.rows, tc.pageSize, p.Plan().Explain())
+		}
+	}
+}
+
 func TestAdmissionRefusesUnbounded(t *testing.T) {
 	eng, s := newAdmissionFixture(t)
 
 	// Cache the unbounded plan before enforcement: re-admission on the
 	// cache hit must still refuse it afterwards.
-	if _, err := s.PrepareCostBased(subscriberSQL, core.Stats{}); err != nil {
+	if _, err := s.PrepareCostBased(subscriberSQL); err != nil {
 		t.Fatalf("pre-enforcement prepare: %v", err)
 	}
 
 	eng.SetAdmission(&analyze.Policy{Enforce: true})
-	_, err := s.PrepareCostBased(subscriberSQL, core.Stats{})
+	_, err := s.PrepareCostBased(subscriberSQL)
 	var eu *analyze.ErrUnbounded
 	if !errors.As(err, &eu) {
 		t.Fatalf("got %v, want *analyze.ErrUnbounded", err)
@@ -101,7 +125,7 @@ func TestAdmissionRefusesUnbounded(t *testing.T) {
 	}
 	// Dropping the policy re-admits the cached plan.
 	eng.SetAdmission(nil)
-	if _, err := s.PrepareCostBased(subscriberSQL, core.Stats{}); err != nil {
+	if _, err := s.PrepareCostBased(subscriberSQL); err != nil {
 		t.Errorf("prepare after policy removal: %v", err)
 	}
 }

@@ -446,9 +446,7 @@ type Prepared struct {
 // refused here — before any index is built or cached — with a typed
 // *analyze.ErrUnbounded or *analyze.ErrOverSLO.
 func (s *Session) Prepare(sql string) (*Prepared, error) {
-	return s.prepare(sql, sql, func(cat *schema.Catalog, sel *parser.Select) (*core.Plan, error) {
-		return core.Compile(cat, sel)
-	})
+	return s.prepare(sql, sql, core.Compile)
 }
 
 // PrepareCostBased compiles a SELECT the way the Section 8.3 baseline
@@ -457,10 +455,8 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 // the PIQL compiler refuses. This is the misbehaving-tenant path: with
 // an enforcing admission policy installed, such plans are refused at
 // Prepare with *analyze.ErrUnbounded; without one, they run.
-func (s *Session) PrepareCostBased(sql string, stats core.Stats) (*Prepared, error) {
-	return s.prepare("cost-based\x00"+sql, sql, func(cat *schema.Catalog, sel *parser.Select) (*core.Plan, error) {
-		return core.CompileCostBased(cat, sel, stats)
-	})
+func (s *Session) PrepareCostBased(sql string) (*Prepared, error) {
+	return s.prepare("cost-based\x00"+sql, sql, core.CompileCostBased)
 }
 
 func (s *Session) prepare(cacheKey, sql string, compile func(*schema.Catalog, *parser.Select) (*core.Plan, error)) (*Prepared, error) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"piql/internal/analyze"
-	"piql/internal/core"
 	"piql/internal/engine"
 	"piql/internal/exec"
 	"piql/internal/kvstore"
@@ -94,7 +93,6 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 		params[i] = fmt.Sprintf("[%d]", i+2)
 	}
 	goodSQL := fmt.Sprintf(fig7Query, joinStrings(params, ", "))
-	badStats := core.Stats{AvgRowsPerKey: map[string]float64{"subscriptions.target": 126}}
 
 	// Warm both plans in immediate mode so index builds happen before
 	// the clock starts; the unbounded plan is admitted because no
@@ -102,7 +100,7 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 	if _, err := loader.Prepare(goodSQL); err != nil {
 		return nil, err
 	}
-	if _, err := loader.PrepareCostBased(admissionBadSQL, badStats); err != nil {
+	if _, err := loader.PrepareCostBased(admissionBadSQL); err != nil {
 		return nil, err
 	}
 	cluster.Rebalance()
@@ -146,7 +144,7 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 					s := eng.Session(p)
 					s.SetStrategy(exec.Parallel)
 					for i := 0; i < cfg.BadExecutions; i++ {
-						q, err := s.PrepareCostBased(admissionBadSQL, badStats)
+						q, err := s.PrepareCostBased(admissionBadSQL)
 						if err != nil {
 							var unb *analyze.ErrUnbounded
 							if errors.As(err, &unb) {

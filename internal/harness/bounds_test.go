@@ -5,11 +5,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
 	"piql/internal/engine"
 	"piql/internal/kvstore"
+	"piql/internal/predict"
 	"piql/internal/workload/scadr"
 	"piql/internal/workload/tpcw"
 )
@@ -74,5 +76,25 @@ func TestWorkloadBoundsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("bounds differ from %s (regenerate with -update and review the diff)\n--- got\n%s\n--- want\n%s", path, got.Bytes(), want)
+	}
+}
+
+// TestThoughtstreamOps pins what a cell of the Figure 6 heat map asks
+// the model: the compiled thoughtstream's own scan and sorted join, the
+// subscription limit as α and the page as αj, β from the schema.
+func TestThoughtstreamOps(t *testing.T) {
+	for _, cell := range [][2]int{{100, 10}, {500, 50}} {
+		subs, page := cell[0], cell[1]
+		got, err := ThoughtstreamOps(subs, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []predict.Op{
+			{Kind: predict.KindScan, Alpha: subs, Beta: 44},
+			{Kind: predict.KindSortedJoin, Alpha: subs, AlphaJ: page, Beta: 171},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("thoughtstream(%d subscriptions, page %d) = %+v, want %+v", subs, page, got, want)
+		}
 	}
 }

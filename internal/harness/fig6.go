@@ -6,13 +6,17 @@ import (
 	"math/rand"
 	"time"
 
+	"piql/internal/analyze"
+	"piql/internal/core"
 	"piql/internal/engine"
 	"piql/internal/exec"
 	"piql/internal/kvstore"
+	"piql/internal/parser"
 	"piql/internal/predict"
 	"piql/internal/sim"
 	"piql/internal/stats"
 	"piql/internal/value"
+	"piql/internal/workload/scadr"
 )
 
 // Fig6Config sizes the thoughtstream cardinality heatmap: predicted
@@ -49,11 +53,27 @@ type Fig6Result struct {
 	MeanDiff  time.Duration // mean (predicted - actual) over the subset
 }
 
-// thoughtstream per-tuple sizes (β) from the SCADr schema estimates.
-const (
-	subTupleBytes     = 44
-	thoughtTupleBytes = 186
-)
+// ThoughtstreamOps compiles the SCADr thoughtstream query for a page of
+// `page` records against the SCADr schema with at most subs
+// subscriptions per user, and returns the operator parameters its
+// static bound hands the SLO model — one heat-map cell's input.
+func ThoughtstreamOps(subs, page int) ([]predict.Op, error) {
+	cfg := scadr.DefaultConfig()
+	cfg.MaxSubscriptions = subs
+	cat, err := catalogOf(scadr.DDL(cfg))
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := parser.Parse(scadr.ThoughtstreamSQL(page))
+	if err != nil {
+		return nil, err
+	}
+	plan, err := core.Compile(cat, stmt.(*parser.Select))
+	if err != nil {
+		return nil, err
+	}
+	return analyze.Plan(plan).PredictOps(), nil
+}
 
 // RunFig6 computes the predicted heatmap from the trained model and
 // measures a subset of cells for the accuracy claim.
@@ -62,10 +82,11 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	for _, subs := range cfg.Subs {
 		var row []time.Duration
 		for _, page := range cfg.Pages {
-			pred, err := model.PredictOps([]predict.Op{
-				{Kind: predict.KindScan, Alpha: subs, Beta: subTupleBytes},
-				{Kind: predict.KindSortedJoin, Alpha: subs, AlphaJ: page, Beta: thoughtTupleBytes},
-			})
+			ops, err := ThoughtstreamOps(subs, page)
+			if err != nil {
+				return nil, err
+			}
+			pred, err := model.PredictOps(ops)
 			if err != nil {
 				return nil, err
 			}
@@ -127,11 +148,7 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	// Prepare one query per page size.
 	plans := make(map[int]*engine.Prepared)
 	for _, page := range cfg.ActualPages {
-		q, err := loader.Prepare(fmt.Sprintf(`
-			SELECT thoughts.owner, thoughts.timestamp, thoughts.text
-			FROM subscriptions s JOIN thoughts
-			WHERE thoughts.owner = s.target AND s.owner = [1: me] AND s.approved = true
-			ORDER BY thoughts.timestamp DESC LIMIT %d`, page))
+		q, err := loader.Prepare(scadr.ThoughtstreamSQL(page))
 		if err != nil {
 			return nil, err
 		}

@@ -65,8 +65,8 @@ var fig7DDL = []string{
 
 // fig7Plans compiles the subscriber-intersection query both ways
 // against cat: the PIQL bounded-random-lookup plan and the cost-based
-// baseline's unbounded covering scan (fed the 2009 Twitter average of
-// 126 followers per user, which makes the scan look cheap).
+// baseline's unbounded covering scan (one range request for the
+// average user, which makes the scan look cheap).
 func fig7Plans(cat *schema.Catalog, friends int) (bounded, unbounded *core.Plan, err error) {
 	params := make([]string, friends)
 	for i := range params {
@@ -82,13 +82,11 @@ func fig7Plans(cat *schema.Catalog, friends int) (bounded, unbounded *core.Plan,
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig7: PIQL plan: %w", err)
 	}
-	unbounded, err = core.CompileCostBased(cat, sel, core.Stats{
-		AvgRowsPerKey: map[string]float64{"subscriptions.target": 126},
-	})
+	unbounded, err = core.CompileCostBased(cat, sel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig7: cost-based plan: %w", err)
 	}
-	if !isUnboundedPlan(unbounded.Root) {
+	if unbounded.OpBound() != core.Unbounded {
 		return nil, nil, fmt.Errorf("fig7: cost-based optimizer unexpectedly chose a bounded plan:\n%s", unbounded.Explain())
 	}
 	return bounded, unbounded, nil
@@ -97,17 +95,27 @@ func fig7Plans(cat *schema.Catalog, friends int) (bounded, unbounded *core.Plan,
 // Fig7Plans compiles the two Figure 7 plans against a fresh catalog —
 // for static analysis and SLO prediction without running a cluster.
 func Fig7Plans(friends int) (bounded, unbounded *core.Plan, err error) {
-	cat := schema.NewCatalog()
-	for _, ddl := range fig7DDL {
-		stmt, err := parser.Parse(ddl)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
-			return nil, nil, err
-		}
+	cat, err := catalogOf(fig7DDL)
+	if err != nil {
+		return nil, nil, err
 	}
 	return fig7Plans(cat, friends)
+}
+
+// catalogOf builds a catalog from CREATE TABLE statements: a schema to
+// compile against, with no cluster behind it.
+func catalogOf(ddl []string) (*schema.Catalog, error) {
+	cat := schema.NewCatalog()
+	for _, d := range ddl {
+		stmt, err := parser.Parse(d)
+		if err != nil {
+			return nil, err
+		}
+		if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
+			return nil, err
+		}
+	}
+	return cat, nil
 }
 
 // RunFig7 loads users of increasing popularity and measures both plans.
@@ -198,15 +206,6 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 	}
 	env.Stop()
 	return points, nil
-}
-
-func isUnboundedPlan(n core.Physical) bool {
-	for ; n != nil; n = n.Child() {
-		if s, ok := n.(*core.IndexScan); ok && s.Unbounded {
-			return true
-		}
-	}
-	return false
 }
 
 func joinStrings(xs []string, sep string) string {

@@ -163,7 +163,7 @@ func runTable1TPCW(model *predict.Model, cfg Table1Config) ([]Table1Row, error) 
 
 	var rows []Table1Row
 	for _, sp := range specs {
-		pred, err := model.PredictPlan(sp.q.Plan())
+		pred, err := sp.q.Bound().Predict(model)
 		if err != nil {
 			return nil, fmt.Errorf("predict %s: %w", sp.name, err)
 		}
@@ -243,7 +243,7 @@ func runTable1SCADr(model *predict.Model, cfg Table1Config) ([]Table1Row, error)
 
 	var rows []Table1Row
 	for _, sp := range specs {
-		pred, err := model.PredictPlan(sp.q.Plan())
+		pred, err := sp.q.Bound().Predict(model)
 		if err != nil {
 			return nil, fmt.Errorf("predict %s: %w", sp.name, err)
 		}

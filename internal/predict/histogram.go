@@ -1,10 +1,11 @@
 // Package predict implements PIQL's SLO compliance prediction model
 // (Section 6): per-operator response-time distributions Θ(α, β) captured
-// as histograms during a training run, composed per query plan by
-// convolution (serial sections) and max (parallel sections), evaluated
-// per time interval to expose the cloud's tail-latency volatility
-// (Fig. 5), and summarized as the distribution of per-interval
-// 99th-percentile latencies.
+// as histograms during a training run, composed by convolution over
+// the operator list a query's static bound hands it (analyze.Bound;
+// the model itself knows no plan and no schema), evaluated per time
+// interval to expose the cloud's tail-latency volatility (Fig. 5), and
+// summarized as the distribution of per-interval 99th-percentile
+// latencies.
 package predict
 
 import (
@@ -131,42 +132,6 @@ func Convolve(a, b *Histogram) *Histogram {
 			}
 			out.counts[bin] += x * y
 		}
-	}
-	for _, c := range out.counts {
-		out.total += c
-	}
-	return out
-}
-
-// MaxOf returns the distribution of max(A, B) for independent latencies
-// — the composition rule for parallel plan sections such as the branches
-// of a union.
-func MaxOf(a, b *Histogram) *Histogram {
-	if a == nil || a.total == 0 {
-		return cloneNormalized(b)
-	}
-	if b == nil || b.total == 0 {
-		return cloneNormalized(a)
-	}
-	pa, pb := a.normalized(), b.normalized()
-	n := len(pa)
-	if len(pb) > n {
-		n = len(pb)
-	}
-	// P(max = k) = Fa(k)Fb(k) - Fa(k-1)Fb(k-1)
-	out := &Histogram{counts: make([]float64, n)}
-	ca, cb := 0.0, 0.0
-	prev := 0.0
-	for k := 0; k < n; k++ {
-		if k < len(pa) {
-			ca += pa[k]
-		}
-		if k < len(pb) {
-			cb += pb[k]
-		}
-		cur := ca * cb
-		out.counts[k] = cur - prev
-		prev = cur
 	}
 	for _, c := range out.counts {
 		out.total += c

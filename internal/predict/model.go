@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"piql/internal/core"
 	"piql/internal/stats"
 )
 
@@ -160,43 +159,4 @@ func (m *Model) PredictOps(ops []Op) (*Prediction, error) {
 	}
 	pred.Mean99 = sum / time.Duration(m.intervals)
 	return pred, nil
-}
-
-// PlanOps extracts the Θ(α, β) parameters of a compiled plan's remote
-// operators, leaf first.
-func PlanOps(plan *core.Plan) []Op {
-	var ops []Op
-	for _, n := range plan.RemoteOps() {
-		switch n := n.(type) {
-		case *core.PKLookup:
-			ops = append(ops, Op{Kind: KindLookup, Alpha: len(n.Keys), Beta: n.Table.RowSizeEstimate()})
-		case *core.IndexScan:
-			ops = append(ops, Op{Kind: KindScan, Alpha: n.Bounds().Tuples, Beta: n.Table.RowSizeEstimate()})
-			if n.NeedDeref {
-				// Secondary-index dereference: one extra batch of gets.
-				ops = append(ops, Op{Kind: KindLookup, Alpha: n.Bounds().Tuples, Beta: n.Table.RowSizeEstimate()})
-			}
-		case *core.IndexFKJoin:
-			ops = append(ops, Op{Kind: KindLookup, Alpha: n.ChildPlan.Bounds().Tuples, Beta: n.Table.RowSizeEstimate()})
-		case *core.SortedIndexJoin:
-			ops = append(ops, Op{
-				Kind:   KindSortedJoin,
-				Alpha:  n.ChildPlan.Bounds().Tuples,
-				AlphaJ: n.PerKeyLimit,
-				Beta:   n.Table.RowSizeEstimate(),
-			})
-			if n.NeedDeref {
-				// The worst case, as one lookup: the executor reads Stop
-				// records in one set, or all FetchBound in two when an entry
-				// of the page dangles.
-				ops = append(ops, Op{Kind: KindLookup, Alpha: n.FetchBound(), Beta: n.Table.RowSizeEstimate()})
-			}
-		}
-	}
-	return ops
-}
-
-// PredictPlan predicts a compiled plan's SLO behavior.
-func (m *Model) PredictPlan(plan *core.Plan) (*Prediction, error) {
-	return m.PredictOps(PlanOps(plan))
 }

@@ -81,32 +81,6 @@ func TestConvolveDeterministic(t *testing.T) {
 	}
 }
 
-func TestMaxOf(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Add(ms(10))
-	b.Add(ms(25))
-	c := MaxOf(a, b)
-	got := c.Quantile(0.5)
-	if got < ms(24) || got > ms(26) {
-		t.Fatalf("max(10, 25) = %v", got)
-	}
-	// Max against empty is identity.
-	if d := MaxOf(nil, b); d.Quantile(0.5) != b.Quantile(0.5) {
-		t.Fatalf("identity max = %v", d.Quantile(0.5))
-	}
-	// Max of distributions is stochastically >= both.
-	r := rand.New(rand.NewSource(2))
-	x, y := NewHistogram(), NewHistogram()
-	for i := 0; i < 3000; i++ {
-		x.Add(time.Duration(r.Intn(8e6)))
-		y.Add(time.Duration(r.Intn(8e6)))
-	}
-	m := MaxOf(x, y)
-	if m.Mean() < x.Mean() || m.Mean() < y.Mean() {
-		t.Fatalf("max mean %v below inputs %v %v", m.Mean(), x.Mean(), y.Mean())
-	}
-}
-
 func TestRoundUp(t *testing.T) {
 	grid := []int{1, 10, 50}
 	cases := map[int]int{0: 1, 1: 1, 2: 10, 10: 10, 11: 50, 50: 50, 999: 50}

@@ -306,8 +306,9 @@ func (q *Query) Execute(params ...Value) (*Result, error) {
 }
 
 // OpBound returns the static upper bound on key/value store operations
-// one execution may perform — the scale-independence guarantee.
-func (q *Query) OpBound() int { return q.pre.Plan().OpBound() }
+// one execution may perform — the scale-independence guarantee. It is
+// Bound().Ops.
+func (q *Query) OpBound() int { return q.pre.Bound().Ops }
 
 // Bound returns the full static analysis: the per-operator operation
 // bounds with their symbolic derivations.
@@ -405,7 +406,7 @@ func (p *SLOPrediction) MeetsSLO(slo time.Duration, q float64) bool {
 
 // Predict evaluates a compiled query against the model.
 func (m *SLOModel) Predict(q *Query) (*SLOPrediction, error) {
-	pred, err := m.model.PredictPlan(q.pre.Plan())
+	pred, err := q.pre.Bound().Predict(m.model)
 	if err != nil {
 		return nil, err
 	}
