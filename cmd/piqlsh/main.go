@@ -6,6 +6,7 @@
 //	piql> SELECT * FROM users WHERE name = 'ann';
 //	piql> EXPLAIN SELECT * FROM users WHERE name = 'ann';
 //	piql> EXPLAIN LOGICAL SELECT ...;
+//	piql> SELECT * FROM users WHERE name > '' ORDER BY name PAGINATE 2;
 //
 // Statements end with a semicolon and may span lines. Unbounded queries
 // print the Performance Insight Assistant's suggestions.
@@ -103,18 +104,48 @@ func runStatement(db *piql.DB, model *piql.SLOModel, stmt string) {
 			fmt.Printf("-- predicted p99: mean %v, worst interval %v\n", pred.Mean99, pred.Max99)
 		}
 	case strings.HasPrefix(upper, "SELECT"):
-		res, err := db.Query(stmt)
-		if err != nil {
+		if err := runSelect(db, stmt); err != nil {
 			fmt.Println(err)
-			return
 		}
-		printResult(res)
 	default:
 		if err := db.Exec(stmt); err != nil {
 			fmt.Println(err)
 			return
 		}
 		fmt.Println("ok")
+	}
+}
+
+// runSelect prints a query's result — page by page for a PAGINATE
+// statement, each cursor passed through Serialize and RestoreCursor as
+// an application server would ship it to the user and get it back.
+func runSelect(db *piql.DB, stmt string) error {
+	q, err := db.Prepare(stmt)
+	if err != nil {
+		return err
+	}
+	cur, err := q.Paginate()
+	if err != nil { // no PAGINATE clause: one result
+		res, err := q.Execute()
+		if err != nil {
+			return err
+		}
+		printResult(res)
+		return nil
+	}
+	for page := 1; ; page++ {
+		res, err := cur.Next()
+		if err != nil || res == nil {
+			return err
+		}
+		printResult(res)
+		if cur.Done() {
+			return nil
+		}
+		fmt.Printf("-- page %d (more)\n", page)
+		if cur, err = db.RestoreCursor(cur.Serialize()); err != nil {
+			return err
+		}
 	}
 }
 

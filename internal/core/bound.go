@@ -67,12 +67,7 @@ func walkBound(n Physical, sink *[]Request, visit func(n Physical, tuples, ops i
 		keys := len(n.Keys)
 		emit(Request{Node: n, Kind: Gets, Alpha: keys, Beta: n.Table.RowSizeEstimate(), Ops: keys, Fetched: keys, Tuples: keys})
 	case *IndexScan:
-		// The tighter of the pinned limit and the declared cardinality:
-		// the section cannot hold more entries than the latter.
-		fetch := boundMin(fetchLimit(n.LimitHint), fetchLimit(n.DataStopCard))
-		if n.Unbounded {
-			fetch = Unbounded
-		}
+		fetch := fetchLimit(n.FetchLimit())
 		beta := n.Table.RowSizeEstimate()
 		emit(Request{Node: n, Kind: Range, Alpha: fetch, Beta: beta, Ops: 1, Fetched: fetch, Tuples: fetch})
 		if n.NeedDeref {

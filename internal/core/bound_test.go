@@ -6,8 +6,11 @@ import (
 
 	"piql/internal/analyze"
 	"piql/internal/core"
+	"piql/internal/engine"
+	"piql/internal/kvstore"
 	"piql/internal/parser"
 	"piql/internal/schema"
+	"piql/internal/value"
 )
 
 // TestZeroFetchLimitIsUnbounded: a fetch limit of 0 asks the store for
@@ -79,5 +82,42 @@ func TestZeroFetchLimitIsUnbounded(t *testing.T) {
 		if len(b.Chain) == 0 || b.Chain[len(b.Chain)-1].Kind != "unbounded" {
 			t.Errorf("%s: chain = %+v", tc.name, b.Chain)
 		}
+	}
+}
+
+// TestScanFetchLimitIsOneRule: what a scan fetches and what its bound
+// books are one method, IndexScan.FetchLimit — the tighter of the pinned
+// limit and the cardinality. The compiler never emits a scan whose
+// cardinality is tighter than its pin, so one is built by hand: the walk
+// must book 5 entries and the executor, over 10 stored rows, fetch 5.
+func TestScanFetchLimitIsOneRule(t *testing.T) {
+	s := engine.New(kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 1}, nil)).Session(nil)
+	if err := s.Exec(`CREATE TABLE thoughts (owner VARCHAR(20), ts INT, PRIMARY KEY (owner, ts), CARDINALITY LIMIT 40 (owner))`); err != nil {
+		t.Fatal(err)
+	}
+	for ts := 0; ts < 10; ts++ {
+		if err := s.Exec(`INSERT INTO thoughts VALUES ('me', ?)`, value.Int(int64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := s.Prepare(`SELECT ts FROM thoughts WHERE owner = ? ORDER BY ts LIMIT 30`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, ok := q.Plan().RemoteOps()[0].(*core.IndexScan)
+	if !ok || scan.LimitHint != 30 || scan.DataStopCard != 40 || scan.FetchLimit() != 30 {
+		t.Fatalf("unexpected plan:\n%s", q.Plan().Explain())
+	}
+	scan.DataStopCard = 5
+	if reqs := q.Plan().Requests(); scan.FetchLimit() != 5 || len(reqs) != 1 || reqs[0].Fetched != 5 || reqs[0].Alpha != 5 {
+		t.Errorf("pin 30, cardinality 5: FetchLimit %d, the walk books %+v", scan.FetchLimit(), reqs)
+	}
+	res, err := q.Execute(s, value.Str("me"))
+	if err != nil || len(res.Rows) != 5 {
+		t.Errorf("pin 30, cardinality 5, 10 rows stored: the executor returns %v (err %v), want 5 rows", res, err)
+	}
+	scan.LimitHint, scan.DataStopCard, scan.Unbounded = 0, 0, true
+	if reqs := q.Plan().Requests(); scan.FetchLimit() != 0 || reqs[0].Fetched != core.Unbounded {
+		t.Errorf("unbounded scan: FetchLimit %d, the walk books %+v", scan.FetchLimit(), reqs)
 	}
 }

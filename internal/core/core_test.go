@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -640,29 +642,86 @@ func TestStopIsNoFetchLimitUnderAggregate(t *testing.T) {
 	}
 }
 
-// TestPageScan: the cursor of a paginated base scan is the last row the
-// stop kept exactly when the scan fetches past the page and its order
-// reaches the stop; a scan pinned to the page keeps its own last key.
-func TestPageScan(t *testing.T) {
+// TestPlanPager: a paginated plan has exactly one pager — the topmost
+// sorted join, else the base scan, whether or not the scan fetches past
+// the page — and a plan that does not paginate has none.
+func TestPlanPager(t *testing.T) {
 	cat := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
 	const filtered = `SELECT t.* FROM thoughts t JOIN cats c
 		WHERE t.owner = [1: me] AND c.cid = t.cid AND c.visible = true ORDER BY t.ts DESC`
+	const stream = `SELECT thoughts.* FROM subs s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = [1: me]`
 	for _, tc := range []struct {
-		name, sql string
-		want      bool
+		name, sql, want string // want: the start of the pager's label
 	}{
-		{"filtering join, paginated", filtered + " PAGINATE 5", true},
-		{"filtering join, LIMIT", filtered + " LIMIT 5", false},
-		{"residual on the scan", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 PAGINATE 5`, true},
-		{"fetch pinned to the page", `SELECT * FROM thoughts WHERE owner = [1: me] ORDER BY ts DESC PAGINATE 5`, false},
-		{"local sort above", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 ORDER BY ts DESC PAGINATE 5`, false},
-		{"sorted join drives the pages", `SELECT thoughts.* FROM subs s JOIN thoughts
-			WHERE thoughts.owner = s.target AND s.owner = [1: me] ORDER BY thoughts.ts DESC PAGINATE 5`, false},
+		{"filtering join above the scan", filtered + " PAGINATE 5", "IndexScan(thoughts"},
+		{"the same with LIMIT", filtered + " LIMIT 5", ""},
+		{"residual on the scan", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 PAGINATE 5`, "IndexScan(thoughts"},
+		{"fetch pinned to the page", `SELECT * FROM thoughts WHERE owner = [1: me] ORDER BY ts DESC PAGINATE 5`, "IndexScan(thoughts"},
+		{"sort+stop sorted join", stream + ` ORDER BY thoughts.ts DESC PAGINATE 5`, "SortedIndexJoin(thoughts"},
+		{"the same with LIMIT", stream + ` ORDER BY thoughts.ts DESC LIMIT 5`, ""},
+		{"cardinality sorted join under a filtering join", `SELECT thoughts.* FROM subs s JOIN thoughts JOIN cats c
+			WHERE thoughts.owner = s.target AND s.owner = [1: me] AND c.cid = thoughts.cid AND c.visible = true PAGINATE 5`, "SortedIndexJoin(thoughts"},
 	} {
 		plan := compile(t, cat, tc.sql)
-		scan, _ := findOp[*IndexScan](plan)
-		if got := plan.PageScan(); (got != nil) != tc.want || (tc.want && got != scan) {
-			t.Errorf("%s: PageScan = %v, want set: %v\n%s", tc.name, got, tc.want, plan.Explain())
+		got := ""
+		if plan.Pager != nil {
+			got = plan.Pager.Label()
+		}
+		if !strings.HasPrefix(got, tc.want) || (tc.want == "") != (plan.Pager == nil) {
+			t.Errorf("%s: pager %q, want %q\n%s", tc.name, got, tc.want, plan.Explain())
+		}
+		if named := strings.Contains(plan.Explain(), "-- cursor: a position in "+got); named != (plan.Pager != nil) {
+			t.Errorf("%s: Explain names the pager: %v\n%s", tc.name, named, plan.Explain())
 		}
 	}
+}
+
+// TestPaginateRefusedWithoutPager: a cursor is a position in one
+// operator's key order. Where a sort or an aggregate rearranges the rows
+// on their way to the stop, or the base is a primary-key lookup with no
+// sorted join above it, no operator has such a position and PAGINATE is
+// refused — typed, with a way out, and with nothing left in the catalog —
+// while the same query with LIMIT compiles.
+func TestPaginateRefusedWithoutPager(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql, segment, suggestion string
+	}{
+		{"sort over a scan with a residual", `SELECT * FROM thoughts WHERE owner = [1: me] AND cid = 1 ORDER BY ts DESC`,
+			"LocalSort(", "relation read by IndexScan(thoughts("},
+		{"sort on a column of the joined table", `SELECT s.target FROM subs s JOIN users u
+			WHERE s.owner = [1: me] AND u.username = s.target ORDER BY u.username DESC`,
+			"LocalSort(", "relation read by IndexScan(subs("},
+		{"sort over a cardinality-flavour sorted join", `SELECT thoughts.* FROM subs s JOIN thoughts JOIN cats c
+			WHERE thoughts.owner = s.target AND s.owner = [1: me] AND c.cid = thoughts.cid AND c.visible = true
+			ORDER BY thoughts.ts DESC`, "LocalSort(", "relation read by SortedIndexJoin(thoughts("},
+		{"aggregate", `SELECT cid, COUNT(*) FROM thoughts WHERE owner = [1: me] GROUP BY cid`, "LocalAgg(", "use LIMIT"},
+		{"IN list of primary keys", `SELECT * FROM users WHERE username IN ('a', 'b', 'c')`, "PKLookup(", "use LIMIT"},
+	} {
+		cat := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
+		before := indexNames(cat)
+		nsi := compileErr(t, cat, tc.sql+" PAGINATE 2")
+		if !strings.HasPrefix(nsi.Segment, tc.segment) || !strings.Contains(nsi.Reason, "PAGINATE") {
+			t.Errorf("%s: refused for %q (%s)", tc.name, nsi.Reason, nsi.Segment)
+		}
+		if len(nsi.Suggestions) == 0 || !strings.Contains(strings.Join(nsi.Suggestions, "\n"), tc.suggestion) {
+			t.Errorf("%s: suggestions %q, want one with %q", tc.name, nsi.Suggestions, tc.suggestion)
+		}
+		if after := indexNames(cat); after != before {
+			t.Errorf("%s: the refusal left indexes behind: %s, before %s", tc.name, after, before)
+		}
+		compile(t, cat, tc.sql+" LIMIT 2")
+	}
+}
+
+// indexNames lists every index of the catalog with its state.
+func indexNames(cat *schema.Catalog) string {
+	var names []string
+	for _, t := range cat.Tables() {
+		for _, ix := range cat.Indexes(t.Name) {
+			names = append(names, fmt.Sprintf("%s:%v", ix.Name, cat.IndexState(ix)))
+		}
+	}
+	sort.Strings(names)
+	return strings.Join(names, " ")
 }

@@ -21,16 +21,25 @@ import (
 // plan — enough for the paper's comparison.
 func CompileCostBased(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	const scanCost = 1 // one range request, whatever it returns
-	piqlPlan, piqlErr := Compile(cat, stmt)
+	// The candidate is priced on a copy of the catalog: compiled for real,
+	// its automatic index would stay registered when the scan wins, never
+	// backfilled and maintained by every later write.
+	piqlPlan, piqlErr := Compile(cat.Clone(), stmt)
+	usePIQL := func() (*Plan, error) {
+		if piqlErr != nil {
+			return nil, piqlErr
+		}
+		return Compile(cat, stmt)
+	}
 	if piqlErr == nil && piqlPlan.OpBound() <= scanCost {
-		return piqlPlan, nil
+		return usePIQL()
 	}
 	q, _, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.rels) != 1 {
-		return piqlPlan, piqlErr
+		return usePIQL()
 	}
 	r := q.rels[0]
 	order, err := phase1(q, nil)
@@ -79,7 +88,7 @@ func CompileCostBased(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 			plan = &LocalStop{ChildPlan: plan, K: q.stopK}
 		}
 		plan = &LocalProject{ChildPlan: plan, Cols: q.projCols, Names: q.projNames}
-		return newPlan(plan, stmt, q, order, ctx.required), nil
+		return newPlan(plan, stmt, q, order, ctx.required)
 	}
-	return piqlPlan, piqlErr
+	return usePIQL()
 }

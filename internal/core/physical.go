@@ -68,6 +68,20 @@ type IndexScan struct {
 
 func (n *IndexScan) Child() Physical { return nil }
 
+// FetchLimit is how many entries the scan asks the store for, and so
+// what its bound books: the tighter of the pinned limit and the declared
+// cardinality — the section cannot hold more entries than the latter.
+// 0 asks for everything; the compiler emits that only with Unbounded.
+func (n *IndexScan) FetchLimit() int {
+	switch {
+	case n.Unbounded:
+		return 0
+	case n.LimitHint == 0 || n.DataStopCard > 0 && n.DataStopCard < n.LimitHint:
+		return n.DataStopCard
+	}
+	return n.LimitHint
+}
+
 func (n *IndexScan) Label() string {
 	var parts []string
 	parts = append(parts, n.Index.String())

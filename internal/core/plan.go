@@ -23,14 +23,17 @@ type Plan struct {
 	RequiredIndexes []*schema.Index
 	// PageSize is the PAGINATE page size (0 for non-paginated queries).
 	PageSize int
+	// Pager is the one operator a paginated plan's cursor belongs to: the
+	// topmost SortedIndexJoin, else the base IndexScan. It alone reads and
+	// writes the cursor's position, and its key order is the order rows
+	// reach the stop. Nil for non-paginated queries.
+	Pager Physical
 	// RowWidth is the width of the combined row during execution.
 	RowWidth int
 
 	order       []*rel // join order, for explain output
 	q           *boundQuery
 	ops, tuples int // the static bound (walkBound's totals)
-	paginDriver int
-	pageScan    *IndexScan
 }
 
 // Compile runs the full PIQL compilation pipeline on a parsed SELECT:
@@ -47,11 +50,27 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if q.page {
+		// Whether the plan has a pager shows only once Phase II has chosen —
+		// and registered — its indexes: find out on a copy, so that a refused
+		// PAGINATE leaves none behind.
+		if _, err := generate(cat.Clone(), stmt, q, order); err != nil {
+			return nil, err
+		}
+	}
+	return generate(cat, stmt, q, order)
+}
+
+// generate is Phase II and the checks on what it emits.
+func generate(cat *schema.Catalog, stmt *parser.Select, q *boundQuery, order []*rel) (*Plan, error) {
 	root, required, err := phase2(cat, q, order)
 	if err != nil {
 		return nil, err
 	}
-	plan := newPlan(root, stmt, q, order, required)
+	plan, err := newPlan(root, stmt, q, order, required)
+	if err != nil {
+		return nil, err
+	}
 	if plan.ops == Unbounded || plan.tuples == Unbounded {
 		// Phase II only emits bounded operators; reaching this means a
 		// compiler bug, not a user error.
@@ -61,8 +80,8 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 }
 
 // newPlan wraps an operator tree as a Plan: its static bound, the width
-// of its combined row, and how it paginates.
-func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, required []*schema.Index) *Plan {
+// of its combined row, and — or the PAGINATE is refused — its pager.
+func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, required []*schema.Index) (*Plan, error) {
 	plan := &Plan{
 		Root:            root,
 		Stmt:            stmt,
@@ -76,32 +95,45 @@ func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, re
 	for _, r := range q.rels {
 		plan.RowWidth += len(r.table.Columns)
 	}
+	var err error
 	if q.page {
 		plan.PageSize = q.stopK
+		plan.Pager, err = pagerOf(root, q)
 	}
-	ops := plan.RemoteOps()
-	for i, op := range ops {
-		if _, ok := op.(*SortedIndexJoin); ok {
-			plan.paginDriver = i
-		}
-	}
-	if scan, ok := ops[0].(*IndexScan); ok && q.page && plan.paginDriver == 0 && scan.LimitHint == 0 && keepsScanOrder(root) {
-		plan.pageScan = scan
-	}
-	return plan
+	return plan, err
 }
 
-// keepsScanOrder reports whether the rows reaching the plan's stop are
-// the base scan's rows in the base scan's order: nothing re-sorts or
-// regroups them on the way up.
-func keepsScanOrder(root Physical) bool {
+// pagerOf chooses a paginated plan's pager. A cursor is a position in
+// one operator's key order, so that order has to be the order rows reach
+// the stop: a sort or an aggregate on the way up rearranges them, and a
+// primary-key lookup has no order at all. A position in sort-value
+// order would still re-fetch and re-sort the whole section for every
+// page — what PAGINATE exists to avoid — so those plans are refused.
+func pagerOf(root Physical, q *boundQuery) (Physical, error) {
+	refuse := func(n Physical, reason string, suggestions ...string) (Physical, error) {
+		return nil, &NotScaleIndependentError{Query: q.stmt.String(), Segment: n.Label(), Reason: reason, Suggestions: suggestions}
+	}
+	const useLimit = "use LIMIT instead of PAGINATE: the result is bounded and comes back in one page"
+	var rearranged Physical // the sort or aggregate between the stop and n
 	for n := root; n != nil; n = n.Child() {
 		switch n.(type) {
 		case *LocalSort, *LocalAgg:
-			return false
+			rearranged = n
+		case *PKLookup:
+			return refuse(n, "PAGINATE over a primary-key lookup: its rows come back in one request set and have no position to resume from", useLimit)
+		case *SortedIndexJoin, *IndexScan:
+			switch rearranged.(type) {
+			case *LocalAgg:
+				return refuse(rearranged, "PAGINATE over an aggregate: groups are formed after the fetch and have no position in any index", useLimit)
+			case *LocalSort:
+				return refuse(rearranged, "PAGINATE over a sort in the application tier: rows are ordered after the fetch, so no index position says where the next page starts",
+					"make the order a scan order: ORDER BY only columns of the relation read by "+n.Label()+", with no predicate on it that its index cannot serve and no join above it that can drop rows; the compiler then reads it through an index that ends in the ORDER BY columns",
+					useLimit)
+			}
+			return n, nil
 		}
 	}
-	return true
+	return nil, fmt.Errorf("core: internal: paginated plan %s has no remote operator", root.Label())
 }
 
 // OpBound returns the static upper bound on key/value store operations
@@ -122,6 +154,9 @@ func (p *Plan) Explain() string {
 	})
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "-- bound: %d key/value operations, %d tuples\n", p.ops, p.tuples)
+	if p.Pager != nil {
+		fmt.Fprintf(&sb, "-- cursor: a position in %s\n", p.Pager.Label())
+	}
 	for depth := range lines {
 		sb.WriteString(strings.Repeat("  ", depth))
 		sb.WriteString(lines[len(lines)-1-depth])
@@ -221,20 +256,3 @@ func (p *Plan) RemoteOps() []Physical {
 	}
 	return out
 }
-
-// PaginationDriver returns the ordinal (leaf first, matching RemoteOps)
-// of the remote operator that drives pagination: the last
-// SortedIndexJoin (it re-merges output order, so only its per-key
-// positions advance between pages — the child scan re-runs in full each
-// page), or the base scan otherwise. Cached at compile time so the
-// executor's hot path does not re-walk the operator tree per execution.
-func (p *Plan) PaginationDriver() int { return p.paginDriver }
-
-// PageScan returns the base scan when it drives pagination but fetches
-// past the page — a cardinality-bounded section under a residual or
-// under a join that may drop rows, where the stop is no fetch limit —
-// and its order survives up to the stop; nil otherwise. The cursor of
-// such a plan is the key of the last row the stop kept: the last entry
-// fetched lies at the end of the section, and resuming there would
-// silently lose every row the page fetched and did not keep.
-func (p *Plan) PageScan() *IndexScan { return p.pageScan }

@@ -6,6 +6,7 @@ import (
 
 	"piql/internal/analyze"
 	"piql/internal/kvstore"
+	"piql/internal/schema"
 	"piql/internal/value"
 )
 
@@ -98,6 +99,46 @@ func TestPrepareCostBasedKeepsWinningPIQLPlan(t *testing.T) {
 			t.Errorf("%s: %d rows, page size %d; want %d rows, page size %d\n%s",
 				tc.sql, len(res.Rows), p.Plan().PageSize, tc.rows, tc.pageSize, p.Plan().Explain())
 		}
+	}
+}
+
+// TestCostBasedCandidateLeavesNoIndex: the baseline prices a PIQL
+// candidate and, where the covering scan is cheaper, throws it away —
+// with the index the candidate would have read. Compiled against the
+// published catalog, that index stayed registered as building: never
+// backfilled, and maintained by every later write to the table.
+func TestCostBasedCandidateLeavesNoIndex(t *testing.T) {
+	eng, s := newAdmissionFixture(t)
+	insertOps := func(owner string) int64 {
+		t.Helper()
+		s.Client().ResetOps()
+		if err := s.Exec(`INSERT INTO subscriptions VALUES (?, 'celeb', true)`, value.Str(owner)); err != nil {
+			t.Fatal(err)
+		}
+		return s.Client().Ops()
+	}
+	before := insertOps("fan1")
+	for _, sql := range []string{
+		`SELECT * FROM subscriptions WHERE target = [1: t] LIMIT 10`,                          // an index on (target, owner) + 10 gets against 1 range
+		`SELECT * FROM subscriptions WHERE target = [1: t] AND owner IN ('ann', 'bob', 'cy')`, // Figure 7: 3 gets
+	} {
+		p, err := s.PrepareCostBased(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Bound().Bounded {
+			t.Fatalf("%s: the baseline should pick the unbounded covering scan:\n%s", sql, p.Plan().Explain())
+		}
+		for _, ix := range eng.Catalog().Indexes("subscriptions") {
+			if eng.Catalog().IndexState(ix) == schema.StateBuilding {
+				t.Errorf("%s: index %s left building", sql, ix)
+			}
+		}
+	}
+	// One entry more per insert, written to both its replicas: the scan's
+	// covering index, which is ready and read. Nothing for the candidates.
+	if after := insertOps("fan2"); after != before+2 {
+		t.Errorf("an insert into subscriptions costs %d operations after the Prepares, %d before", after, before)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 type Cursor struct {
 	prepared *Prepared
 	params   value.Row
-	resume   exec.ResumeState
+	resume   []byte       // exec.Result.Resume of the last page
 	scratch  exec.Scratch // buffers reused across pages (Lazy walk keys)
 	done     bool
 }
@@ -57,80 +57,52 @@ func (c *Cursor) Next(s *Session) (*exec.Result, error) {
 // Done reports whether the cursor is exhausted.
 func (c *Cursor) Done() bool { return c.done }
 
-// cursorVersion guards the serialized layout.
-const cursorVersion = 1
+// cursorVersion guards the serialized layout: version, done flag, then
+// query text, parameters and the pager's position, each length-prefixed.
+const cursorVersion = 2
 
 // Serialize captures the cursor's state: query text, parameters, and
-// the per-scan resume keys. The result is small — typically under a
-// hundred bytes plus the query text.
+// the position of the plan's pager. The result is small — typically
+// under a hundred bytes plus the query text.
 func (c *Cursor) Serialize() []byte {
-	buf := []byte{cursorVersion}
+	buf := []byte{cursorVersion, 0}
 	if c.done {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		buf[1] = 1
 	}
 	buf = appendBytes(buf, []byte(c.prepared.sql))
 	buf = appendBytes(buf, value.EncodeRow(c.params))
-	buf = binary.AppendUvarint(buf, uint64(len(c.resume)))
-	for ord, key := range c.resume {
-		buf = binary.AppendUvarint(buf, uint64(ord))
-		buf = appendBytes(buf, key)
-	}
-	return buf
+	return appendBytes(buf, c.resume)
 }
 
 // RestoreCursor reconstructs a cursor from Serialize output on any
-// engine instance (re-preparing the query if needed).
+// engine instance (re-preparing the query if needed). The bytes have been
+// in the user's hands: the layout is checked here, the statement goes
+// through Prepare — compiler and admission — like any other, and the
+// position is checked by the pager against its own range on the next page.
 func (e *Engine) RestoreCursor(s *Session, data []byte) (*Cursor, error) {
 	if len(data) < 2 || data[0] != cursorVersion {
 		return nil, fmt.Errorf("engine: unsupported cursor version")
 	}
-	done := data[1] == 1
+	var fields [3][]byte // query text, parameters, position
 	rest := data[2:]
-	sqlBytes, rest, err := readBytes(rest)
-	if err != nil {
-		return nil, fmt.Errorf("engine: corrupt cursor: %w", err)
+	for i := range fields {
+		var err error
+		if fields[i], rest, err = readBytes(rest); err != nil {
+			return nil, fmt.Errorf("engine: corrupt cursor: %w", err)
+		}
 	}
-	paramBytes, rest, err := readBytes(rest)
-	if err != nil {
-		return nil, fmt.Errorf("engine: corrupt cursor: %w", err)
-	}
-	params, err := value.DecodeRow(paramBytes)
+	params, err := value.DecodeRow(fields[1])
 	if err != nil {
 		return nil, fmt.Errorf("engine: corrupt cursor params: %w", err)
 	}
-	n, sz := binary.Uvarint(rest)
-	if sz <= 0 {
-		return nil, fmt.Errorf("engine: corrupt cursor resume count")
-	}
-	rest = rest[sz:]
-	resume := exec.ResumeState{}
-	for i := uint64(0); i < n; i++ {
-		ord, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return nil, fmt.Errorf("engine: corrupt cursor resume entry")
-		}
-		rest = rest[sz:]
-		var key []byte
-		key, rest, err = readBytes(rest)
-		if err != nil {
-			return nil, fmt.Errorf("engine: corrupt cursor resume key: %w", err)
-		}
-		resume[int(ord)] = key
-	}
-	p, err := s.Prepare(string(sqlBytes))
+	p, err := s.Prepare(string(fields[0]))
 	if err != nil {
 		return nil, err
 	}
 	if p.plan.PageSize == 0 {
 		return nil, fmt.Errorf("engine: restored cursor for non-paginated query")
 	}
-	c := &Cursor{prepared: p, params: params, done: done}
-	if len(resume) > 0 {
-		c.resume = resume
-	}
-	return c, nil
+	return &Cursor{prepared: p, params: params, resume: fields[2], done: data[1] == 1}, nil
 }
 
 func appendBytes(buf, b []byte) []byte {

@@ -613,10 +613,11 @@ func (s *Session) update(stmt *parser.Update, params []value.Value) error {
 	if !ok {
 		return fmt.Errorf("engine: no row in %s with primary key %s", t.Name, pk)
 	}
-	row, err := value.DecodeRow(rec)
+	old, err := value.DecodeRow(rec)
 	if err != nil {
 		return fmt.Errorf("engine: corrupt record: %w", err)
 	}
+	row := append(value.Row(nil), old...) // the maintainer finds the stale entries from old
 	for _, a := range stmt.Set {
 		ci := t.ColumnIndex(a.Column)
 		if ci < 0 {
@@ -634,7 +635,7 @@ func (s *Session) update(stmt *parser.Update, params []value.Value) error {
 			return fmt.Errorf("engine: UPDATE may not modify primary key column %q", col)
 		}
 	}
-	return s.eng.maint.Update(s.client, t, row)
+	return s.eng.maint.Update(s.client, t, old, row)
 }
 
 func (s *Session) delete(stmt *parser.Delete, params []value.Value) error {

@@ -14,7 +14,7 @@ import (
 	"piql/internal/value"
 )
 
-func newTestEngine(t *testing.T, nodes int) (*Engine, *Session) {
+func newTestEngine(t testing.TB, nodes int) (*Engine, *Session) {
 	t.Helper()
 	cluster := kvstore.New(kvstore.Config{Nodes: nodes, ReplicationFactor: 2, Seed: 42}, nil)
 	eng := New(cluster)
@@ -41,7 +41,7 @@ func newTestEngine(t *testing.T, nodes int) (*Engine, *Session) {
 }
 
 // loadSCADr populates a small deterministic social graph.
-func loadSCADr(t *testing.T, s *Session, users, thoughtsPer, subsPer int) {
+func loadSCADr(t testing.TB, s *Session, users, thoughtsPer, subsPer int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(7))
 	for u := 0; u < users; u++ {

@@ -74,14 +74,14 @@ func TestKillDuringWrite(t *testing.T) {
 			refusal:  new(*index.ErrDuplicateKey),
 		},
 		{
-			// The engine read the row (1 op); the maintainer's own read of it
-			// then failed and was reported as "update of missing row" —
-			// fatal, so the caller dropped the update.
-			name:     "update, record partition down before the maintainer reads",
-			victim:   func(f *killFixture) []byte { return f.recordKey("o10", "a") },
-			afterOps: 1,
-			stmt:     func(f *killFixture, s *Session) error { return s.Exec(update) },
-			effect:   func(f *killFixture) error { return f.wantTag("o10", "a", "tz") },
+			// An UPDATE reads its row once, in the engine; that read failing
+			// must not be reported as a missing row — fatal, so the caller
+			// would drop the update. (The maintainer used to read the row a
+			// second time, and did report exactly that.)
+			name:   "update, record partition down before the read",
+			victim: func(f *killFixture) []byte { return f.recordKey("o10", "a") },
+			stmt:   func(f *killFixture, s *Session) error { return s.Exec(update) },
+			effect: func(f *killFixture) error { return f.wantTag("o10", "a", "tz") },
 		},
 		{
 			// Delete read "unreachable" as "already gone" and returned nil

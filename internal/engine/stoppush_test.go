@@ -16,7 +16,7 @@ import (
 // the newest five of them in the invisible category 0, the rest in the
 // visible category 1. thoughts.owner references users in fact but not by
 // declaration.
-func newStopFixture(t *testing.T, thoughtsCard string) *Session {
+func newStopFixture(t testing.TB, thoughtsCard string) *Session {
 	t.Helper()
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 5}, nil)
 	s := New(cluster).Session(nil)

@@ -58,10 +58,10 @@ type Ctx struct {
 	Client   *kvstore.Client
 	Params   []value.Value
 	Strategy Strategy
-	// Resume holds per-remote-operator resume keys for paginated
-	// queries; nil means start from the beginning. Run replaces it with
-	// the state to pass to the next page.
-	Resume ResumeState
+	// Resume is the position plan.Pager resumes after: the previous page's
+	// Result.Resume, nil for the first. It may have been in the user's
+	// hands; the pager takes it only as a position inside its own range.
+	Resume []byte
 	// Scratch optionally carries buffers reused across executions. A
 	// Cursor threads the same Scratch through every page, so the Lazy
 	// strategy's tuple-at-a-time pagination walk reuses one successor-key
@@ -77,24 +77,19 @@ type Scratch struct {
 	key []byte // successor-key buffer for the Lazy tuple-at-a-time walk
 }
 
-// ResumeState maps a remote operator's ordinal (leaf first) to the
-// serialized position after the last tuple it returned. It is the whole
-// of a client-side cursor's stored state, matching the paper's
-// observation that only the last key of each uncompleted index scan
-// needs to be remembered.
-type ResumeState map[int][]byte
-
 // Result is one (fully materialized) query result page.
 type Result struct {
 	// Rows are the projected output rows.
 	Rows []value.Row
 	// Names are the output column names.
 	Names []string
-	// More reports whether a paginated query may have further pages.
+	// More reports whether a paginated plan's pager has entries it has not
+	// handed out yet. The page's length says nothing about it: a page whose
+	// rows were dropped above the pager is short, even empty, with More set.
 	More bool
-	// Resume is the cursor state for the next page (nil when done or
-	// not paginated).
-	Resume ResumeState
+	// Resume is the next page's Ctx.Resume (nil unless More): the whole of
+	// a client-side cursor, the paper's last key of the uncompleted scan.
+	Resume []byte
 }
 
 // Run executes a compiled plan and returns its result (one page, for
@@ -106,51 +101,30 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	if len(ctx.Params) < plan.NumParams {
 		return nil, fmt.Errorf("exec: query needs %d parameters, got %d", plan.NumParams, len(ctx.Params))
 	}
-	e := &executor{plan: plan, ctx: ctx, driverOrd: plan.PaginationDriver()}
-	if plan.PageSize > 0 {
-		e.nextResume = ResumeState{}
-	}
+	e := &executor{plan: plan, ctx: ctx}
 	rows, err := e.run(plan.Root)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: rows, Names: plan.OutputNames}
-	if plan.PageSize > 0 {
-		res.More = len(rows) == plan.PageSize
-		if res.More {
-			res.Resume = e.nextResume
-		}
+	res := &Result{Rows: rows, Names: plan.OutputNames, More: e.cur != nil && !e.cur.drained}
+	if res.More {
+		res.Resume = e.cur.position()
 	}
 	return res, nil
 }
 
 type executor struct {
-	plan       *core.Plan
-	ctx        *Ctx
-	remoteSeq  int
-	nextResume ResumeState
-	driverOrd  int
+	plan *core.Plan
+	ctx  *Ctx
+	cur  *cursor // set by plan.Pager, rewound by runStop; nil without a pager
 }
 
-// nextRemoteOrdinal returns the next remote operator's ordinal and its
-// incoming resume key. Remote ordinals are assigned leaf-first in
-// execution order, matching plan.RemoteOps. Only the pagination-driving
-// operator (plan.PaginationDriver) receives and stores resume state.
-func (e *executor) nextRemoteOrdinal() (ord int, resume []byte) {
-	ord = e.remoteSeq
-	e.remoteSeq++
-	if e.ctx.Resume != nil && ord == e.driverOrd {
-		resume = e.ctx.Resume[ord]
-	}
-	return ord, resume
-}
-
-// storeResume records an operator's outgoing cursor position if it is
-// the pagination driver (non-paginated executions keep no cursor state).
-func (e *executor) storeResume(ord int, key []byte) {
-	if e.nextResume != nil && ord == e.driverOrd && key != nil {
-		e.nextResume[ord] = key
-	}
+// cursor is what a page leaves for the next.
+type cursor struct {
+	pos     []byte            // a paging scan: the last key the page consumed
+	at      map[string][]byte // a paging sorted join: the suffix each stream resumed after,
+	streams []stream          // and the streams with the last one this page consumed
+	drained bool              // the pager has nothing left to hand out
 }
 
 func (e *executor) run(n core.Physical) ([]value.Row, error) {

@@ -29,8 +29,8 @@ func TestStreamResumeRoundTrip(t *testing.T) {
 		"prefix-b": {},
 		"":         {9},
 	}
-	out := decodeStreamResume(encodeStreamResume(in))
-	if len(out) != len(in) {
+	out, err := decodeStreamResume(encodeStreamResume(in))
+	if err != nil || len(out) != len(in) {
 		t.Fatalf("lost entries: %v", out)
 	}
 	for k, v := range in {
@@ -44,19 +44,24 @@ func TestStreamResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamResumeCorruptInputs: the position is bytes from outside the
+// program. No bytes are a fresh cursor; anything that does not parse is
+// an error, never a panic and never a silent restart from the first page.
 func TestStreamResumeCorruptInputs(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{},
-		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // huge count
-		{2, 5, 'a'},                 // truncated key
-		{1, 1, 'k', 5, 1},           // truncated value
-		encodeStreamResume(nil)[:0], // empty again
+	for i, b := range [][]byte{nil, {}} {
+		if m, err := decodeStreamResume(b); err != nil || m == nil || len(m) != 0 {
+			t.Errorf("empty case %d: %v, %v", i, m, err)
+		}
 	}
-	for i, b := range cases {
-		m := decodeStreamResume(b)
-		if m == nil {
-			t.Errorf("case %d: nil map", i)
+	for i, b := range [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // huge count
+		{0xFF},            // count cut short
+		{2, 5, 'a'},       // truncated key
+		{1, 1, 'k', 5, 1}, // truncated value
+		{2, 1, 'k', 0},    // fewer entries than counted
+	} {
+		if m, err := decodeStreamResume(b); err == nil {
+			t.Errorf("corrupt case %d decoded to %v", i, m)
 		}
 	}
 }

@@ -44,9 +44,9 @@ func lessBySortKeys(a, b value.Row, keys []core.SortKey) bool {
 	return false
 }
 
-// runStop truncates after K rows. Under a scan that fetched past the
-// page (plan.PageScan) it also moves the cursor back from the last entry
-// fetched to the last row kept.
+// runStop truncates after K rows. Where that cuts rows off a paginated
+// plan, the cursor moves back from the last entry the pager consumed to
+// the last row kept.
 func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
 	rows, err := e.run(n.ChildPlan)
 	if err != nil {
@@ -54,9 +54,9 @@ func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
 	}
 	if len(rows) > n.K {
 		rows = rows[:n.K]
-	}
-	if scan := e.plan.PageScan(); scan != nil && len(rows) > 0 {
-		e.storeResume(e.driverOrd, scanKeyOf(scan, rows[len(rows)-1]))
+		if e.cur != nil {
+			e.rewindTo(rows[n.K-1])
+		}
 	}
 	return rows, nil
 }

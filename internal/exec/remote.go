@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"piql/internal/codec"
@@ -15,7 +16,6 @@ import (
 
 // runPKLookup fetches at most one record per key.
 func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
-	e.nextRemoteOrdinal() // PKLookup has no resumable position
 	keys := make([][]byte, 0, len(n.Keys))
 	for _, spec := range n.Keys {
 		pk, err := spec.Eval(e.ctx.Params, nil)
@@ -170,36 +170,35 @@ func successor(k []byte) []byte {
 
 // runIndexScan reads one contiguous index section.
 func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
-	ord, resume := e.nextRemoteOrdinal()
 	start, end, err := scanBounds(n, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
-	reverse := !n.Ascending
-	if resume != nil {
+	paging, reverse := e.plan.Pager == core.Physical(n), !n.Ascending
+	if at := e.ctx.Resume; paging && len(at) > 0 {
+		// The position is bytes from outside the program: inside the scan's
+		// own section it moves a bound inward, anywhere else it is refused —
+		// taken as the bound it would read another section.
+		if bytes.Compare(at, start) < 0 || bytes.Compare(at, end) >= 0 {
+			return nil, fmt.Errorf("exec: cursor position lies outside %s", n.Label())
+		}
 		if reverse {
-			end = resume
+			end = at
 		} else {
-			start = successor(resume)
+			start = successor(at)
 		}
 	}
-	limit := 0
-	if !n.Unbounded {
-		limit = n.LimitHint
-		if limit == 0 {
-			limit = n.DataStopCard
-		}
-	}
+	limit := n.FetchLimit()
 	kvs, err := e.fetchRange(start, end, limit, reverse)
 	if err != nil {
 		return nil, err
 	}
-	// The next page resumes after the last entry fetched; where the page
-	// keeps fewer rows than that (plan.PageScan), runStop corrects it.
-	if len(kvs) > 0 {
-		e.storeResume(ord, kvs[len(kvs)-1].Key)
-	} else {
-		e.storeResume(ord, resume)
+	if paging {
+		// A short fetch was the last. Otherwise the next page resumes after
+		// the last entry fetched — unless runStop cuts rows and rewinds that.
+		if e.cur = (&cursor{drained: limit == 0 || len(kvs) < limit}); !e.cur.drained {
+			e.cur.pos = kvs[len(kvs)-1].Key
+		}
 	}
 
 	var rows []value.Row
@@ -232,16 +231,54 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	return e.filterResidual(rows, n.Residual)
 }
 
-// scanKeyOf rebuilds the key under which scan n read row: the cursor
-// position of a page that ends at that row.
-func scanKeyOf(n *core.IndexScan, row value.Row) []byte {
-	rec := row[n.TableOffset : n.TableOffset+len(n.Table.Columns)]
-	if n.Index.Primary {
-		return index.RecordKey(n.Table, rec)
+// entryKeyOf rebuilds the key under which row's columns of table were
+// read through ix: the position of a page that ends at that row.
+func entryKeyOf(ix *schema.Index, table *schema.Table, offset int, row value.Row) []byte {
+	rec := row[offset : offset+len(table.Columns)]
+	if ix.Primary {
+		return index.RecordKey(table, rec)
 	}
-	// One entry per row: a scan that fetches past its page is bounded by
-	// a cardinality constraint, whose index has no token field.
-	return index.EntryKeys(n.Index, n.Table, rec)[0]
+	// One entry per row: the stop cuts only what was fetched past the page
+	// under a cardinality constraint, whose index has no token field.
+	return index.EntryKeys(ix, table, rec)[0]
+}
+
+// rewindTo moves the cursor back to row, the last the stop kept of more
+// rows than the page holds: what was consumed behind it is the next
+// page's, so the pager is not drained either.
+func (e *executor) rewindTo(row value.Row) {
+	e.cur.drained = false
+	switch n := e.plan.Pager.(type) {
+	case *core.IndexScan:
+		e.cur.pos = entryKeyOf(n.Index, n.Table, n.TableOffset, row)
+	case *core.SortedIndexJoin:
+		// A join that merges carries the stop itself; this one laid its
+		// streams end to end. Those before row's keep what they consumed,
+		// row's own ends at row, the rest were not reached.
+		key, reached := entryKeyOf(n.Index, n.Table, n.TableOffset, row), false
+		for i := range e.cur.streams {
+			if sc := &e.cur.streams[i]; reached {
+				sc.last = nil
+			} else if reached = bytes.HasPrefix(key, sc.prefix); reached {
+				sc.last = suffixOf(key, sc.prefix)
+			}
+		}
+	}
+}
+
+// position serializes the cursor: the scan's key, or the sorted join's
+// per-stream suffixes — streams this page did not touch keep the
+// position they came with.
+func (c *cursor) position() []byte {
+	if c.at == nil {
+		return c.pos
+	}
+	for i := range c.streams {
+		if sc := &c.streams[i]; sc.last != nil {
+			c.at[string(sc.prefix)] = sc.last
+		}
+	}
+	return encodeStreamResume(c.at)
 }
 
 // recordKeys turns the n secondary index entries of one dereference round
@@ -283,7 +320,6 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.nextRemoteOrdinal() // order preserved; no resumable position of its own
 	keys := make([][]byte, len(childRows))
 	for i, row := range childRows {
 		pk, err := n.Keys.Eval(e.ctx.Params, row)
@@ -316,7 +352,8 @@ type stream struct {
 	start, end []byte
 	kvs        []kvstore.KV // fetched entries the merge has not handed out yet
 	err        error        // this stream's fetch: each Parallel branch owns its slot
-	last       []byte       // suffix of the last entry this page consumed
+	full       bool         // came back with PerKeyLimit entries: the store may hold more
+	last       []byte       // suffix of the last entry this page consumed, kept or dropped
 }
 
 // nextHead returns the stream whose head entry comes next in the output,
@@ -354,16 +391,23 @@ func nextHead(streams []stream, merge, ascending bool) *stream {
 // of the merge, so a page is full whenever enough live matches were
 // fetched. The dereference stays a constant number of request sets: the
 // page and, only if one of its entries was dropped, everything else that
-// was fetched — at most two, no entry read twice. For paginated queries
-// the cursor keeps one resume position per join-key stream — a shared
-// position would skip tied sort values in sibling streams.
+// was fetched — at most two, no entry read twice. As the pager it keeps
+// one position per join-key stream (a shared one would skip tied sort
+// values in sibling streams), and its merge ends where a stream that came
+// back full runs dry: the store may hold entries of that stream that sort
+// before every other stream's next, and they are the next page's.
 func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	childRows, err := e.run(n.ChildPlan)
 	if err != nil {
 		return nil, err
 	}
-	ord, resumeBlob := e.nextRemoteOrdinal()
-	resume := decodeStreamResume(resumeBlob)
+	paging := e.plan.Pager == core.Physical(n)
+	var at map[string][]byte // the suffix each stream resumes after
+	if paging {
+		if at, err = decodeStreamResume(e.ctx.Resume); err != nil {
+			return nil, err
+		}
+	}
 
 	scans := make([]stream, len(childRows))
 	for i, row := range childRows {
@@ -381,9 +425,9 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			prefix = index.ScanPrefix(n.Index, jk)
 		}
 		start, end := prefix, codec.PrefixEnd(prefix)
-		// Resume this stream just past the last element it contributed
-		// to a previous page.
-		if suffix, ok := resume[string(prefix)]; ok {
+		// Resume this stream just past the last entry an earlier page
+		// consumed of it; prefix + suffix cannot leave the stream's range.
+		if suffix, ok := at[string(prefix)]; ok {
 			if n.Ascending {
 				start = successor(append(append([]byte{}, prefix...), suffix...))
 			} else {
@@ -419,11 +463,13 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		}
 	}
 	fetched := 0
-	for _, sc := range scans {
+	for i := range scans {
+		sc := &scans[i]
 		if sc.err != nil {
 			return nil, sc.err
 		}
 		fetched += len(sc.kvs)
+		sc.full = len(sc.kvs) == n.PerKeyLimit
 	}
 	want := fetched
 	if n.Stop > 0 && n.Stop < want {
@@ -441,9 +487,10 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	joined := make([]value.Row, 0, want)
 	batch := make([]candidate, 0, want)
 	var recs [][]byte
+	consumed, blocked := 0, false
 	for take, live := want, scans; len(joined) < want; take = fetched {
 		batch = batch[:0]
-		for len(batch) < take {
+		for len(batch) < take && !blocked {
 			for len(live) > 0 && len(live[0].kvs) == 0 {
 				live = live[1:]
 			}
@@ -453,6 +500,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			}
 			batch = append(batch, candidate{sc, sc.kvs[0]})
 			sc.kvs = sc.kvs[1:]
+			blocked = paging && sc.full && len(sc.kvs) == 0
 		}
 		if len(batch) == 0 {
 			break // fewer live matches than the page holds
@@ -471,6 +519,8 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			if len(joined) == want {
 				break
 			}
+			consumed++
+			c.sc.last = suffixOf(c.kv.Key, c.sc.prefix)
 			rec := c.kv.Value
 			if !n.Index.Primary {
 				if rec = recs[i]; rec == nil {
@@ -490,21 +540,12 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 				continue
 			}
 			joined = append(joined, row)
-			// Cursor state: per stream, the suffix of the last row this
-			// page consumed — the rows the query's stop will keep.
-			if len(joined) <= e.plan.PageSize {
-				c.sc.last = suffixOf(c.kv.Key, c.sc.prefix)
-			}
 		}
 	}
-	if e.plan.PageSize > 0 {
-		// Untouched streams keep their previous position.
-		for i := range scans {
-			if sc := &scans[i]; sc.last != nil {
-				resume[string(sc.prefix)] = sc.last
-			}
-		}
-		e.storeResume(ord, encodeStreamResume(resume))
+	if paging {
+		// Drained: every entry fetched was consumed and no stream came back
+		// full — one that did has blocked the merge by now.
+		e.cur = &cursor{at: at, streams: scans, drained: consumed == fetched && !blocked}
 	}
 	return joined, nil
 }
@@ -526,34 +567,28 @@ func encodeStreamResume(m map[string][]byte) []byte {
 	return buf
 }
 
-// decodeStreamResume parses encodeStreamResume output; nil or corrupt
-// input yields an empty map (a fresh cursor).
-func decodeStreamResume(b []byte) map[string][]byte {
+// decodeStreamResume parses encodeStreamResume output; no bytes at all
+// are a fresh cursor's empty map.
+func decodeStreamResume(b []byte) (map[string][]byte, error) {
 	m := make(map[string][]byte)
-	if len(b) == 0 {
-		return m
-	}
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return m
-	}
-	b = b[sz:]
-	for i := uint64(0); i < n; i++ {
-		kl, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < kl {
-			return map[string][]byte{}
+	ok := sz > 0 || len(b) == 0
+	b = b[max(sz, 0):]
+	field := func() (f []byte) { // the next length-prefixed field
+		l, sz := binary.Uvarint(b)
+		if ok = ok && sz > 0 && uint64(len(b)-sz) >= l; ok {
+			f, b = b[sz:sz+int(l)], b[sz+int(l):]
 		}
-		k := string(b[sz : sz+int(kl)])
-		b = b[sz+int(kl):]
-		vl, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < vl {
-			return map[string][]byte{}
-		}
-		v := append([]byte{}, b[sz:sz+int(vl)]...)
-		b = b[sz+int(vl):]
-		m[k] = v
+		return f
 	}
-	return m
+	for i := uint64(0); ok && i < n; i++ {
+		k, v := field(), field()
+		m[string(k)] = v
+	}
+	if !ok {
+		return nil, fmt.Errorf("exec: corrupt cursor position")
+	}
+	return m, nil
 }
 
 // suffixOf slices the per-stream suffix out of an entry key. Stored keys

@@ -19,7 +19,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/bounds.golden from the current code")
 
 // TestWorkloadBoundsGolden pins, for every query of the SCADr and TPC-W
-// workloads, the plan, its per-operator bound with the derivation texts,
+// workloads and three shapes they lack, the plan, its per-operator bound with the derivation texts,
 // and the Θ(α, β) list handed to the SLO model. A change to the bound is
 // a reviewed diff of testdata/bounds.golden:
 //
@@ -62,6 +62,29 @@ func TestWorkloadBoundsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	render("tpcw", tw.Queries())
+
+	// Shapes no workload query has: a stopped sorted join that has to
+	// dereference what it keeps, and the two kinds of pager.
+	shapes := map[string]*engine.Prepared{}
+	ss := session(scadr.DDL(scfg))
+	for name, sql := range map[string]string{
+		"Thoughtstream By Text": `
+			SELECT thoughts.owner, thoughts.text FROM subscriptions s JOIN thoughts
+			WHERE thoughts.owner = s.target AND s.owner = [1: me] AND s.approved = true
+			ORDER BY thoughts.text LIMIT 10`,
+		"Recent Thoughts Paginated": `
+			SELECT timestamp, text FROM thoughts WHERE owner = [1: me]
+			ORDER BY timestamp DESC PAGINATE 10`,
+		"Thoughtstream Paginated": `
+			SELECT thoughts.owner, thoughts.timestamp, thoughts.text FROM subscriptions s JOIN thoughts
+			WHERE thoughts.owner = s.target AND s.owner = [1: me] AND s.approved = true
+			ORDER BY thoughts.timestamp DESC PAGINATE 10`,
+	} {
+		if shapes[name], err = ss.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render("shapes", shapes)
 
 	const path = "testdata/bounds.golden"
 	if *update {

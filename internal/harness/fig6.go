@@ -103,13 +103,7 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	cluster := kvstore.New(kvstore.Config{Nodes: 10, ReplicationFactor: 2, Seed: cfg.Seed}, env)
 	eng := engine.New(cluster)
 	loader := eng.Session(nil)
-	ddl := []string{
-		`CREATE TABLE users (username VARCHAR(20), password VARCHAR(20), hometown VARCHAR(30), PRIMARY KEY (username))`,
-		fmt.Sprintf(`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20), approved BOOLEAN,
-			PRIMARY KEY (owner, target), FOREIGN KEY (target) REFERENCES users,
-			CARDINALITY LIMIT %d (owner))`, maxSubs),
-		`CREATE TABLE thoughts (owner VARCHAR(20), timestamp INT, text VARCHAR(140), PRIMARY KEY (owner, timestamp))`,
-	}
+	ddl := scadr.DDL(scadr.Config{MaxSubscriptions: maxSubs})
 	for _, d := range ddl {
 		if err := loader.Exec(d); err != nil {
 			return nil, err

@@ -381,28 +381,14 @@ func (m *Maintainer) prefixesPrimaryKey(t *schema.Table, cols []string) bool {
 	return true
 }
 
-// Update rewrites an existing row (identified by its primary key inside
-// newRow): new index entries first, then the record, then stale entry
-// deletion — the ordering that tolerates a crash at any point with only
-// dangling entries as fallout.
-func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, newRow value.Row) error {
+// Update rewrites an existing row from oldRow, as the caller just read
+// it, to newRow (same primary key): new index entries first, then the
+// record, then stale entry deletion — the ordering that tolerates a
+// crash at any point with only dangling entries as fallout.
+func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow value.Row) error {
 	ixs := m.secondaryIndexes(t)
 	rkey := RecordKey(t, newRow)
 	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
-	// An unreachable row is a transient failure, not a missing row:
-	// callers treat missing as a fatal semantic error and would drop the
-	// update on the floor.
-	oldRec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
-	if err != nil {
-		return fail(err)
-	}
-	if !ok {
-		return fmt.Errorf("index: update of missing row in %s", t.Name)
-	}
-	oldRow, err := value.DecodeRow(oldRec)
-	if err != nil {
-		return fmt.Errorf("index: corrupt record in %s: %w", t.Name, err)
-	}
 	// (1) New entries, in parallel.
 	if err := putEntries(cl, entryKeysFor(ixs, t, newRow)); err != nil {
 		return fail(err)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"piql/internal/sim"
@@ -60,7 +59,6 @@ type Client struct {
 	ids    []int         // ReadBatch: deterministic node order
 	order  []int         // ReadBatch: key indexes sorted for deduplication
 	dups   []int         // ReadBatch: flattened (dup, first) index pairs
-	subs   []*Client     // fanOut goroutine children, reused across calls
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -463,9 +461,8 @@ type RangeRequest struct {
 // every compiled plan is statically bounded: Limit is always a small
 // constant. Latency becomes the max of the per-partition round trips
 // instead of their sum, at one storage operation per intersecting
-// partition. In immediate mode the fan-out runs on real goroutines (see
-// fanOut), so non-simulated backends get the same intra-operator
-// parallelism the virtual-time path models.
+// partition. In immediate mode the per-partition scans run one after the
+// other (see Parallel): they are microseconds of in-memory work.
 func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -501,7 +498,7 @@ func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	for i, id := range ids {
 		fns[i] = func(sub *Client) { parts[i] = cl.scanPart(sub, rt, lo+i, id, req, req.Limit) }
 	}
-	cl.fanOut(fns...)
+	cl.Parallel(fns...)
 	if req.Reverse {
 		slices.Reverse(parts)
 	}
@@ -605,42 +602,6 @@ func boundedEnd(rt *routing, p int, end []byte) []byte {
 		return upper
 	}
 	return end
-}
-
-// fanOut runs fns concurrently even in immediate mode: simulated
-// clients defer to Parallel (virtual-time children), immediate clients
-// spawn one real goroutine per fn over detached child clients and merge
-// their operation counts into this client's chain after the join (the
-// detachment keeps the per-op counter walk in countOp race-free while
-// the goroutines run). The children are scratch — one Client allocation
-// each, with a generator derived from the parent's — pooled on the
-// parent and reused across calls like the other per-op buffers. Callers
-// must pre-draw any RNG decisions — the fns must not touch cl.rng.
-func (cl *Client) fanOut(fns ...func(sub *Client)) {
-	if cl.proc != nil {
-		cl.Parallel(fns...)
-		return
-	}
-	for len(cl.subs) < len(fns) {
-		cl.subs = append(cl.subs, &Client{c: cl.c, rng: cl.rng.child(), id: cl.id})
-	}
-	var wg sync.WaitGroup
-	for i, fn := range fns {
-		sub := cl.subs[i]
-		sub.ops = 0
-		wg.Add(1)
-		//lint:allow goroleak — fan-out children are wg-joined before fanOut returns; fn is the caller's sub-operation and shares its lifetime.
-		go func(sub *Client, fn func(*Client)) {
-			defer wg.Done()
-			fn(sub)
-		}(sub, fn)
-	}
-	wg.Wait()
-	for _, sub := range cl.subs[:len(fns)] {
-		for p := cl; p != nil; p = p.parent {
-			p.ops += sub.ops
-		}
-	}
 }
 
 // Parallel runs fns concurrently (virtual-time children sharing this

@@ -357,9 +357,9 @@ func TestReplicasConvergeUnderRacingWrites(t *testing.T) {
 }
 
 // TestScanParallelImmediateMode: in immediate mode the scatter path
-// fans out on real goroutines instead of falling back to the
-// sequential walk; results and operation accounting must match the
-// sequential reference exactly.
+// visits every partition of the range with the speculative per-partition
+// limit, one after the other; results must match the sequential walk
+// exactly and the operations must be accounted.
 func TestScanParallelImmediateMode(t *testing.T) {
 	c, cl := newImmediate(5, 2)
 	for i := 0; i < 500; i++ {
@@ -398,8 +398,8 @@ func TestScanParallelImmediateMode(t *testing.T) {
 	}
 }
 
-// TestScanParallelImmediateConcurrentClients: the goroutine fan-out
-// under -race, many clients at once.
+// TestScanParallelImmediateConcurrentClients: the scatter path under
+// -race, many clients at once.
 func TestScanParallelImmediateConcurrentClients(t *testing.T) {
 	c, loader := newImmediate(6, 2)
 	for i := 0; i < 600; i++ {

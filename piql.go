@@ -322,6 +322,12 @@ func (q *Query) Explain() string { return q.pre.Plan().Explain() }
 func (q *Query) ExplainLogical() string { return q.pre.Plan().ExplainLogical() }
 
 // Cursor iterates a PAGINATE query one scale-independent page at a time.
+// Its whole state is a position in the key order of one operator of the
+// plan, the pager (Explain names it): the topmost sorted join, else the
+// base index scan. A statement whose rows reach the stop in no
+// operator's key order — a sort or an aggregate in the application tier,
+// a primary-key IN list — has no such position, and Prepare refuses its
+// PAGINATE with an *UnboundedQueryError that says what to change.
 type Cursor struct {
 	db  *DB
 	cur *engine.Cursor
@@ -336,7 +342,11 @@ func (q *Query) Paginate(params ...Value) (*Cursor, error) {
 	return &Cursor{db: q.db, cur: cur}, nil
 }
 
-// Next returns the next page, or nil when exhausted. A Cursor tracks
+// Next returns the next page, or nil when exhausted. A page holds at most
+// the PAGINATE size and may hold fewer rows, even none, before the last:
+// rows dropped above the pager (a join partner that is gone, an index
+// entry whose record is) shorten the page without ending the cursor —
+// Done, not a short page, says there is no more. A Cursor tracks
 // its page position without synchronization: share it across goroutines
 // only hand-off style (or via Serialize/RestoreCursor).
 func (c *Cursor) Next() (*Result, error) {
@@ -352,12 +362,19 @@ func (c *Cursor) Next() (*Result, error) {
 // Done reports whether the cursor is exhausted.
 func (c *Cursor) Done() bool { return c.cur.Done() }
 
-// Serialize captures the cursor state (query, parameters, scan
-// positions) so it can be shipped to the user with the page and resumed
+// Serialize captures the cursor state (query, parameters, the pager's
+// position) so it can be shipped to the user with the page and resumed
 // on any application server.
 func (c *Cursor) Serialize() []byte { return c.cur.Serialize() }
 
-// RestoreCursor reconstructs a serialized cursor.
+// RestoreCursor reconstructs a serialized cursor. The bytes are
+// untrusted input: the layout and its version are checked, the statement
+// is prepared — compiled and admitted — like any other, and the pager
+// accepts the position only inside the range its statement and
+// parameters select, so a forged position moves within those rows or
+// fails the next page. The statement and parameters themselves are part
+// of the bytes; an application that must not let users pick them keeps
+// its own copy or signs what it ships.
 func (db *DB) RestoreCursor(data []byte) (*Cursor, error) {
 	s := db.acquire()
 	cur, err := db.eng.RestoreCursor(s, data)
