@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -681,8 +679,9 @@ func TestPlanPager(t *testing.T) {
 // operator's key order. Where a sort or an aggregate rearranges the rows
 // on their way to the stop, or the base is a primary-key lookup with no
 // sorted join above it, no operator has such a position and PAGINATE is
-// refused — typed, with a way out, and with nothing left in the catalog —
-// while the same query with LIMIT compiles.
+// refused — typed and with a way out — while the same query with LIMIT
+// compiles. (That a refused Prepare leaves no index behind is the
+// engine's promise: TestPaginatedSortedJoinWithResidual there.)
 func TestPaginateRefusedWithoutPager(t *testing.T) {
 	for _, tc := range []struct {
 		name, sql, segment, suggestion string
@@ -699,7 +698,6 @@ func TestPaginateRefusedWithoutPager(t *testing.T) {
 		{"IN list of primary keys", `SELECT * FROM users WHERE username IN ('a', 'b', 'c')`, "PKLookup(", "use LIMIT"},
 	} {
 		cat := stopCatalog(t, ", CARDINALITY LIMIT 50 (owner)")
-		before := indexNames(cat)
 		nsi := compileErr(t, cat, tc.sql+" PAGINATE 2")
 		if !strings.HasPrefix(nsi.Segment, tc.segment) || !strings.Contains(nsi.Reason, "PAGINATE") {
 			t.Errorf("%s: refused for %q (%s)", tc.name, nsi.Reason, nsi.Segment)
@@ -707,21 +705,6 @@ func TestPaginateRefusedWithoutPager(t *testing.T) {
 		if len(nsi.Suggestions) == 0 || !strings.Contains(strings.Join(nsi.Suggestions, "\n"), tc.suggestion) {
 			t.Errorf("%s: suggestions %q, want one with %q", tc.name, nsi.Suggestions, tc.suggestion)
 		}
-		if after := indexNames(cat); after != before {
-			t.Errorf("%s: the refusal left indexes behind: %s, before %s", tc.name, after, before)
-		}
 		compile(t, cat, tc.sql+" LIMIT 2")
 	}
-}
-
-// indexNames lists every index of the catalog with its state.
-func indexNames(cat *schema.Catalog) string {
-	var names []string
-	for _, t := range cat.Tables() {
-		for _, ix := range cat.Indexes(t.Name) {
-			names = append(names, fmt.Sprintf("%s:%v", ix.Name, cat.IndexState(ix)))
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, " ")
 }

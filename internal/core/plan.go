@@ -39,7 +39,9 @@ type Plan struct {
 // Compile runs the full PIQL compilation pipeline on a parsed SELECT:
 // bind → Phase I (Algorithm 1) → Phase II (Algorithm 2) → static bound
 // verification. New secondary indexes required by the plan are registered
-// in the catalog; the caller (engine) must backfill them before running
+// in the catalog — also when a later step refuses the query, so a caller
+// that promises a refusal leaves no trace compiles on cat.Clone(), as
+// engine.Prepare does — and the caller must backfill them before running
 // the plan.
 func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	q, edges, err := bind(cat, stmt)
@@ -50,19 +52,6 @@ func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if q.page {
-		// Whether the plan has a pager shows only once Phase II has chosen —
-		// and registered — its indexes: find out on a copy, so that a refused
-		// PAGINATE leaves none behind.
-		if _, err := generate(cat.Clone(), stmt, q, order); err != nil {
-			return nil, err
-		}
-	}
-	return generate(cat, stmt, q, order)
-}
-
-// generate is Phase II and the checks on what it emits.
-func generate(cat *schema.Catalog, stmt *parser.Select, q *boundQuery, order []*rel) (*Plan, error) {
 	root, required, err := phase2(cat, q, order)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -266,8 +267,6 @@ func TestPaginatedSortedJoinWithResidual(t *testing.T) {
 	}
 	// One stream, read in entry-key order (by id); keep/drop alternates so
 	// a page boundary lands right after rows preceded by a dropped one.
-	// (With an ORDER BY the residual forces a sort above the join, and
-	// PAGINATE over that is refused: TestPaginateRefusedWithoutPager.)
 	if err := s.Exec(`INSERT INTO users VALUES ('u01')`); err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +285,26 @@ func TestPaginatedSortedJoinWithResidual(t *testing.T) {
 			kept = append(kept, id)
 		}
 	}
-	q, err := s.Prepare(`SELECT a.id FROM subscriptions s JOIN articles a
-		WHERE a.author = s.target AND s.owner = ? AND a.title <> 'drop' PAGINATE 2`)
+	const stream = `SELECT a.id FROM subscriptions s JOIN articles a
+		WHERE a.author = s.target AND s.owner = ? AND a.title <> 'drop'`
+	// This statement ordered by a.ts paginated until the pager: with one
+	// stream the sort above the join happened to agree with the join's
+	// order. It is refused now, and the refused Prepare leaves behind none
+	// of the indexes its compilation chose.
+	before := len(s.eng.Catalog().Indexes("articles"))
+	var nsi *core.NotScaleIndependentError
+	if _, err := s.Prepare(stream + ` ORDER BY a.ts DESC PAGINATE 2`); !errors.As(err, &nsi) || !strings.HasPrefix(nsi.Segment, "LocalSort(") {
+		t.Fatalf("PAGINATE over the sort above the join: err = %v, want it refused", err)
+	}
+	if after := len(s.eng.Catalog().Indexes("articles")); after != before {
+		t.Fatalf("the refused Prepare left articles with %d indexes, %d before", after, before)
+	}
+	q, err := s.Prepare(stream + ` PAGINATE 2`)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(s.eng.Catalog().Indexes("articles")) == before { // or the check above proves nothing
+		t.Fatal("the accepted statement reads articles through no new index")
 	}
 	// The test is only meaningful if the title predicate really is a
 	// residual on the SortedIndexJoin (not pushed into a scan).

@@ -571,22 +571,28 @@ func encodeStreamResume(m map[string][]byte) []byte {
 // are a fresh cursor's empty map.
 func decodeStreamResume(b []byte) (map[string][]byte, error) {
 	m := make(map[string][]byte)
+	if len(b) == 0 {
+		return m, nil
+	}
+	corrupt := fmt.Errorf("exec: corrupt cursor position")
 	n, sz := binary.Uvarint(b)
-	ok := sz > 0 || len(b) == 0
-	b = b[max(sz, 0):]
-	field := func() (f []byte) { // the next length-prefixed field
-		l, sz := binary.Uvarint(b)
-		if ok = ok && sz > 0 && uint64(len(b)-sz) >= l; ok {
-			f, b = b[sz:sz+int(l)], b[sz+int(l):]
+	if sz <= 0 {
+		return nil, corrupt
+	}
+	b = b[sz:]
+	for i := uint64(0); i < n; i++ {
+		kl, sz := binary.Uvarint(b)
+		if sz <= 0 || uint64(len(b)-sz) < kl {
+			return nil, corrupt
 		}
-		return f
-	}
-	for i := uint64(0); ok && i < n; i++ {
-		k, v := field(), field()
-		m[string(k)] = v
-	}
-	if !ok {
-		return nil, fmt.Errorf("exec: corrupt cursor position")
+		k := string(b[sz : sz+int(kl)])
+		b = b[sz+int(kl):]
+		vl, sz := binary.Uvarint(b)
+		if sz <= 0 || uint64(len(b)-sz) < vl {
+			return nil, corrupt
+		}
+		m[k] = append([]byte{}, b[sz:sz+int(vl)]...)
+		b = b[sz+int(vl):]
 	}
 	return m, nil
 }
