@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint build test race chaos chaos-faults bench-check bench bench-compare experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults bench-check bench bench-compare profile experiments
 
 all: ci
 
@@ -127,6 +127,21 @@ bench:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<set.json> B=<set.json>"; exit 2; }
 	bash bench/run.sh -compare $(A) $(B)
+
+# profile runs one workload with both profiles on (into .bench_build/)
+# and prints what lies under the workload's interactions: CPU by
+# cumulative time, then objects and bytes allocated. TOP is the number of
+# lines of each.
+#   make profile W=tpcw_order [TOP=40]
+TOP ?= 40
+PPROF = $(GO) tool pprof -top -cum -focus interaction -nodecount $(TOP)
+
+profile:
+	@test -n "$(W)" || { echo "usage: make profile W=<workload>   (one of: $(BENCH_WORKLOADS))"; exit 2; }
+	bash bench/run.sh --workload $(W) --cpuprofile .bench_build/$(W).cpu.prof --memprofile .bench_build/$(W).mem.prof | grep -v '^{'
+	$(PPROF) .bench_build/piql-bench .bench_build/$(W).cpu.prof
+	$(PPROF) -sample_index=alloc_objects .bench_build/piql-bench .bench_build/$(W).mem.prof
+	$(PPROF) -sample_index=alloc_space .bench_build/piql-bench .bench_build/$(W).mem.prof
 
 # experiments regenerates the paper's tables and figures in full.
 experiments:

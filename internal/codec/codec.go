@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"piql/internal/value"
 )
@@ -54,7 +55,7 @@ func AppendValue(dst []byte, v value.Value, desc bool) []byte {
 	case value.TypeNull:
 		dst = append(dst, tagNull)
 	case value.TypeBool:
-		if v.B {
+		if v.Bool() {
 			dst = append(dst, tagBool, 1)
 		} else {
 			dst = append(dst, tagBool, 0)
@@ -65,13 +66,13 @@ func AppendValue(dst []byte, v value.Value, desc bool) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(v.I)^(1<<63))
 	case value.TypeFloat:
 		dst = append(dst, tagFloat)
-		dst = binary.BigEndian.AppendUint64(dst, floatSortBits(v.F))
+		dst = binary.BigEndian.AppendUint64(dst, floatSortBits(v.Float()))
 	case value.TypeString:
 		dst = append(dst, tagString)
-		dst = appendEscaped(dst, []byte(v.S))
+		dst = appendEscaped(dst, v.S)
 	case value.TypeBytes:
 		dst = append(dst, tagBytes)
-		dst = appendEscaped(dst, v.R)
+		dst = appendEscaped(dst, v.S)
 	default:
 		panic(fmt.Sprintf("codec: unknown value type %d", v.T))
 	}
@@ -83,9 +84,9 @@ func AppendValue(dst []byte, v value.Value, desc bool) []byte {
 	return dst
 }
 
-func appendEscaped(dst, payload []byte) []byte {
-	for _, b := range payload {
-		if b == escByte {
+func appendEscaped(dst []byte, payload string) []byte {
+	for i := 0; i < len(payload); i++ {
+		if b := payload[i]; b == escByte {
 			dst = append(dst, escByte, escPad)
 		} else {
 			dst = append(dst, b)
@@ -206,6 +207,9 @@ func componentLen(b []byte, desc bool) (int, error) {
 		if u != 0 && math.IsNaN(floatFromSortBits(u)) {
 			return 0, fmt.Errorf("non-canonical NaN 0x%016x in float key", u)
 		}
+		if u == 1<<63-1 { // what -0 would sort as; value.Float stores +0
+			return 0, errors.New("negative zero in float key")
+		}
 		return 9, nil
 	case tagString, tagBytes:
 		for i := 1; ; {
@@ -249,17 +253,18 @@ func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
 		v = value.Int(int64(binary.BigEndian.Uint64(b[1:]) ^ inv64 ^ 1<<63))
 	case tagFloat:
 		v = value.Float(floatFromSortBits(binary.BigEndian.Uint64(b[1:]) ^ inv64))
-	default: // tagString, tagBytes
-		p := b[1 : n-2] // the escaped payload, without its terminator
-		// An ascending string without a 0x00 is stored as it reads, and
-		// the conversion below is its only copy.
-		if tag == tagBytes || desc || bytes.IndexByte(p, escByte) >= 0 {
-			p = unescape(p, inv)
-		}
+	default: // tagString, tagBytes: both are their bytes in S
+		v.T = value.TypeString
 		if tag == tagBytes {
-			v = value.Bytes(p)
+			v.T = value.TypeBytes
+		}
+		p := b[1 : n-2] // the escaped payload, without its terminator
+		// An ascending payload without a 0x00 is stored as it reads, and
+		// the conversion is its only copy.
+		if desc || bytes.IndexByte(p, escByte) >= 0 {
+			v.S = unescape(p, inv)
 		} else {
-			v = value.Str(string(p))
+			v.S = string(p)
 		}
 	}
 	return v, b[n:], nil
@@ -267,16 +272,17 @@ func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
 
 // unescape undoes appendEscaped (and a descending component's inversion)
 // on a payload componentLen has validated.
-func unescape(p []byte, inv byte) []byte {
-	out := make([]byte, 0, len(p))
+func unescape(p []byte, inv byte) string {
+	var out strings.Builder
+	out.Grow(len(p))
 	for i := 0; i < len(p); i++ {
 		c := p[i] ^ inv
-		out = append(out, c)
+		out.WriteByte(c)
 		if c == escByte {
 			i++ // the pad
 		}
 	}
-	return out
+	return out.String()
 }
 
 func floatFromSortBits(u uint64) float64 {

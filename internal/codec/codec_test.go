@@ -211,7 +211,11 @@ func TestDecodeKeyErrors(t *testing.T) {
 	if _, err := DecodeKey([]byte{tagFloat, 0xFF, 0xF8, 0, 0, 0, 0, 0, 1}, 1, nil); err == nil {
 		t.Error("non-canonical NaN accepted")
 	}
-	if row, err := DecodeKey(EncodeKey(value.Row{value.Float(math.NaN())}, []bool{Desc}), 1, []bool{Desc}); err != nil || row[0].F == row[0].F {
+	// And a zero is +0: value.Float never holds the other one.
+	if _, err := DecodeKey([]byte{tagFloat, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 1, nil); err == nil {
+		t.Error("negative zero accepted")
+	}
+	if row, err := DecodeKey(EncodeKey(value.Row{value.Float(math.NaN())}, []bool{Desc}), 1, []bool{Desc}); err != nil || !math.IsNaN(row[0].Float()) {
 		t.Errorf("descending NaN: %v, %v", row, err)
 	}
 }
@@ -252,5 +256,55 @@ func sign(x int) int {
 		return 1
 	default:
 		return 0
+	}
+}
+
+// TestCompareAgreesWithKeyOrder holds value.Compare to the promise in its
+// package comment — ordering follows key-encoding order — where the
+// random tests above almost never look: every pair of an edge table
+// (±0, NaN, ±Inf, the bools, "" against "\x00", the empty blob against
+// nil, every type against every other), then random values against the
+// edges and each other, ascending and descending. In particular values
+// that are Equal are the same key.
+func TestCompareAgreesWithKeyOrder(t *testing.T) {
+	edges := []value.Value{
+		value.Null(),
+		value.Bool(false), value.Bool(true),
+		value.Int(math.MinInt64), value.Int(-1), value.Int(0), value.Int(1), value.Int(math.MaxInt64),
+		value.Float(math.NaN()), value.Float(math.Float64frombits(0xFFF8_0000_0000_BEEF)),
+		value.Float(math.Inf(-1)), value.Float(-math.MaxFloat64), value.Float(-math.SmallestNonzeroFloat64),
+		value.Float(math.Copysign(0, -1)), value.Float(0),
+		value.Float(math.SmallestNonzeroFloat64), value.Float(1), value.Float(math.Inf(1)),
+		value.Str(""), value.Str("\x00"), value.Str("\x00\x00"), value.Str("\x00\x01"), value.Str("\x01"), value.Str("a"), value.Str("a\x00"), value.Str("\xff"),
+		value.Bytes(nil), value.Bytes([]byte{}), value.Bytes([]byte{0}), value.Bytes([]byte{0, 0xFF}), value.Bytes([]byte{1}), value.Bytes([]byte{0xFF}),
+	}
+	check := func(a, b value.Value) {
+		t.Helper()
+		want := sign(value.Compare(a, b))
+		for _, desc := range []bool{Asc, Desc} {
+			ea, eb := EncodeKey(value.Row{a}, []bool{desc}), EncodeKey(value.Row{b}, []bool{desc})
+			got := sign(bytes.Compare(ea, eb))
+			if desc {
+				got = -got
+			}
+			if got != want {
+				t.Errorf("Compare(%v, %v) = %d, but their keys (desc=%v) %x and %x order %d", a, b, want, desc, ea, eb, got)
+			}
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(22))
+	pick := func() value.Value {
+		if r.Intn(3) == 0 {
+			return edges[r.Intn(len(edges))]
+		}
+		return randomValue(r)
+	}
+	for i := 0; i < 20000; i++ {
+		check(pick(), pick())
 	}
 }

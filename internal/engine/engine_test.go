@@ -661,7 +661,7 @@ func TestGroupByAggregate(t *testing.T) {
 	if row[0].I != 9 || row[1].I != 1000 || row[2].I != 1008 {
 		t.Fatalf("aggs = %v", row)
 	}
-	if row[3].F != 1004 || row[4].I != 9036 {
+	if row[3].Float() != 1004 || row[4].I != 9036 {
 		t.Fatalf("avg/sum = %v", row)
 	}
 }

@@ -138,7 +138,7 @@ func (e *executor) runAgg(n *core.LocalAgg) ([]value.Row, error) {
 				st.sums[i] += float64(v.I)
 			case value.TypeFloat:
 				st.isFloat[i] = true
-				st.sums[i] += v.F
+				st.sums[i] += v.Float()
 			default:
 				if a.Kind == parser.AggSum || a.Kind == parser.AggAvg {
 					return nil, fmt.Errorf("exec: %s over non-numeric column %s", a.Kind, a.Name)

@@ -458,6 +458,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if f.Partition {
 			cluster.Heal()
 		}
+		// The recovered node now serves on what replay alone gave it:
+		// hold the rebalances back until every writer has read each of
+		// its 119 ids once more (two read-backs an iteration). A
+		// rebalance re-copies the ranges it moves, and the remaining
+		// ones would repair a node that rejoined stale before any read
+		// reached it — the falsification run without replay used to pass
+		// once in a hundred runs that way.
+		waitReads(int64(cfg.Writers) * 119 * 2)
 		for ; used < cfg.Rebalances; used++ {
 			doRebalance()
 		}

@@ -21,21 +21,14 @@ func EncodeRow(r Row) []byte {
 		switch v.T {
 		case TypeNull:
 		case TypeBool:
-			if v.B {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, byte(v.I))
 		case TypeInt:
 			buf = binary.AppendVarint(buf, v.I)
 		case TypeFloat:
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.F))
-		case TypeString:
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v.I))
+		case TypeString, TypeBytes:
 			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
 			buf = append(buf, v.S...)
-		case TypeBytes:
-			buf = binary.AppendUvarint(buf, uint64(len(v.R)))
-			buf = append(buf, v.R...)
 		}
 	}
 	return buf
@@ -102,21 +95,12 @@ func DecodeRowInto(dst Row, b []byte) (int, error) {
 			}
 			dst[i] = Float(math.Float64frombits(binary.BigEndian.Uint64(b)))
 			b = b[8:]
-		case TypeString:
+		case TypeString, TypeBytes:
 			l, n := binary.Uvarint(b)
 			if n <= 0 || uint64(len(b)-n) < l {
-				return 0, fmt.Errorf("value: corrupt string")
+				return 0, fmt.Errorf("value: corrupt %s", t)
 			}
-			dst[i] = Str(string(b[n : n+int(l)]))
-			b = b[n+int(l):]
-		case TypeBytes:
-			l, n := binary.Uvarint(b)
-			if n <= 0 || uint64(len(b)-n) < l {
-				return 0, fmt.Errorf("value: corrupt bytes")
-			}
-			raw := make([]byte, l)
-			copy(raw, b[n:n+int(l)])
-			dst[i] = Bytes(raw)
+			dst[i] = Value{T: t, S: string(b[n : n+int(l)])}
 			b = b[n+int(l):]
 		default:
 			return 0, fmt.Errorf("value: unknown type tag %d", t)

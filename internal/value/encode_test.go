@@ -36,7 +36,7 @@ func TestEncodeRowNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(dec[0].F) {
+	if !math.IsNaN(dec[0].Float()) {
 		t.Fatalf("NaN did not survive round trip: %v", dec[0])
 	}
 }

@@ -2,8 +2,9 @@
 // through the PIQL engine: table cells, query parameters, and key parts.
 //
 // Values are small immutable structs. The zero Value is NULL. Ordering
-// follows key-encoding order (see internal/codec): NULL < bool < int <
-// float < string < bytes, with natural ordering within a type.
+// follows key-encoding order (see internal/codec, whose
+// TestCompareAgreesWithKeyOrder holds the two together): NULL < bool <
+// int < float < string < bytes, with natural ordering within a type.
 package value
 
 import (
@@ -46,41 +47,71 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single dynamically typed datum. Exactly one payload field is
-// meaningful, selected by T. The zero value is NULL.
+// Value is a single dynamically typed datum: 32 bytes, and every row of
+// every executor slab pays them per column (TestValueLayout pins the
+// size). T selects which payload is meaningful: an int is I, a bool is I
+// 0 or 1, a float is its IEEE-754 bits in I, a string or a blob is its
+// bytes in S. Build values with the constructors — Float canonicalises
+// what it packs — and read the folded payloads through Bool, Float and
+// Bytes. The zero value is NULL.
 type Value struct {
 	T Type
-	B bool
 	I int64
-	F float64
 	S string
-	R []byte // raw bytes payload for TypeBytes
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{T: TypeBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{T: TypeBool, I: 1}
+	}
+	return Value{T: TypeBool}
+}
 
 // Int returns a 64-bit integer value.
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
-// Float returns a 64-bit float value.
-func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
+// canonicalNaN is the one bit pattern a NaN is stored as: math.NaN()'s.
+const canonicalNaN = 0x7FF8000000000001
+
+// Float returns a 64-bit float value. -0 is stored as +0 and every NaN
+// as one NaN, so two floats are Equal exactly when their I, and with it
+// their key bytes, are the same.
+func Float(f float64) Value {
+	switch {
+	case f == 0:
+		return Value{T: TypeFloat}
+	case math.IsNaN(f):
+		return Value{T: TypeFloat, I: canonicalNaN}
+	}
+	return Value{T: TypeFloat, I: int64(math.Float64bits(f))}
+}
 
 // Str returns a string value.
 func Str(s string) Value { return Value{T: TypeString, S: s} }
 
-// Bytes returns a raw bytes value. The slice is retained, not copied.
-func Bytes(b []byte) Value { return Value{T: TypeBytes, R: b} }
+// Bytes returns a raw bytes value. It copies b: the value does not change
+// when the caller's slice does.
+func Bytes(b []byte) Value { return Value{T: TypeBytes, S: string(b)} }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.T == TypeNull }
 
+// Bool returns the payload of a boolean value.
+func (v Value) Bool() bool { return v.I != 0 }
+
+// Float returns the payload of a float value.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// Bytes returns a copy of the payload of a bytes value.
+func (v Value) Bytes() []byte { return []byte(v.S) }
+
 // Truthy reports whether v is the boolean true. Non-boolean values are
 // never truthy; predicates in PIQL are strictly typed.
-func (v Value) Truthy() bool { return v.T == TypeBool && v.B }
+func (v Value) Truthy() bool { return v.T == TypeBool && v.I != 0 }
 
 // String renders the value for plans, logs, and the shell.
 func (v Value) String() string {
@@ -88,18 +119,18 @@ func (v Value) String() string {
 	case TypeNull:
 		return "NULL"
 	case TypeBool:
-		if v.B {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case TypeInt:
 		return fmt.Sprintf("%d", v.I)
 	case TypeFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	case TypeString:
 		return fmt.Sprintf("%q", v.S)
 	case TypeBytes:
-		return fmt.Sprintf("x'%x'", v.R)
+		return fmt.Sprintf("x'%x'", v.S)
 	default:
 		return fmt.Sprintf("Value(%d)", uint8(v.T))
 	}
@@ -117,16 +148,7 @@ func Compare(a, b Value) int {
 	switch a.T {
 	case TypeNull:
 		return 0
-	case TypeBool:
-		switch {
-		case a.B == b.B:
-			return 0
-		case !a.B:
-			return -1
-		default:
-			return 1
-		}
-	case TypeInt:
+	case TypeBool, TypeInt:
 		switch {
 		case a.I < b.I:
 			return -1
@@ -136,11 +158,9 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case TypeFloat:
-		return compareFloat(a.F, b.F)
-	case TypeString:
+		return compareFloat(a.Float(), b.Float())
+	case TypeString, TypeBytes:
 		return strings.Compare(a.S, b.S)
-	case TypeBytes:
-		return compareBytes(a.R, b.R)
 	default:
 		return 0
 	}
@@ -165,29 +185,6 @@ func compareFloat(a, b float64) int {
 	}
 }
 
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Equal reports whether a and b are the same value.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
@@ -201,10 +198,8 @@ func (v Value) Size() int {
 		return 2
 	case TypeInt, TypeFloat:
 		return 9
-	case TypeString:
+	case TypeString, TypeBytes:
 		return 1 + len(v.S)
-	case TypeBytes:
-		return 1 + len(v.R)
 	default:
 		return 1
 	}
@@ -222,17 +217,11 @@ func (r Row) Size() int {
 	return n
 }
 
-// Clone returns a deep copy of the row (bytes payloads included).
+// Clone returns a copy of the row. Values hold no mutable memory, so
+// copying them is a deep copy.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)
-	for i, v := range out {
-		if v.T == TypeBytes && v.R != nil {
-			b := make([]byte, len(v.R))
-			copy(b, v.R)
-			out[i].R = b
-		}
-	}
 	return out
 }
 

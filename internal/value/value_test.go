@@ -5,7 +5,39 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueLayout pins the struct the executor's slabs are made of: every
+// row pays Sizeof(Value) per column, so a fourth field is a decision, not
+// a convenience.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestFloatIsCanonical: for floats Equal means the same I, which is what
+// makes it mean the same key and the same record bytes.
+func TestFloatIsCanonical(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if a, b := Float(negZero), Float(0); a != b || math.Signbit(a.Float()) {
+		t.Errorf("Float(-0) = %+v, Float(0) = %+v", a, b)
+	}
+	payload := math.Float64frombits(0xFFF8_0000_0000_BEEF)
+	if a, b := Float(payload), Float(math.NaN()); a != b || uint64(a.I) != math.Float64bits(math.NaN()) {
+		t.Errorf("Float(NaN with a payload) = %+v, Float(NaN) = %+v", a, b)
+	}
+	for _, f := range []float64{1.5, -1.5, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64} {
+		if got := Float(f).Float(); got != f {
+			t.Errorf("Float(%g).Float() = %g", f, got)
+		}
+	}
+	dec, err := DecodeRow([]byte{1, byte(TypeFloat), 0x80, 0, 0, 0, 0, 0, 0, 0})
+	if err != nil || dec[0] != Float(0) {
+		t.Errorf("a stored -0 decodes to %+v, %v", dec, err)
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
@@ -107,7 +139,7 @@ func TestRowCloneIsDeep(t *testing.T) {
 	r := Row{Str("a"), Bytes(raw)}
 	c := r.Clone()
 	raw[0] = 99
-	if c[1].R[0] != 1 {
+	if c[1].Bytes()[0] != 1 || r[1].Bytes()[0] != 1 {
 		t.Fatal("Clone shares bytes payload with original")
 	}
 	if CompareRows(r[:1], c[:1]) != 0 {

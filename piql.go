@@ -67,7 +67,12 @@ import (
 )
 
 // Value is a dynamically typed PIQL value (query parameter or result
-// cell).
+// cell). T says which payload it holds: read an INT as v.I, a VARCHAR as
+// v.S, and the three payloads folded into those fields through their
+// accessors — v.Float() for a DOUBLE, v.Bool() for a BOOLEAN, v.Bytes()
+// (a copy) for a BLOB. Build values with the constructors below, never as
+// struct literals: Float stores -0 as 0 and every NaN as one NaN, so that
+// equal values are equal keys.
 type Value = value.Value
 
 // Row is an ordered tuple of values.

@@ -3,6 +3,7 @@ package piql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -298,4 +299,41 @@ func TestExecuteFindUserAllocs(t *testing.T) {
 func raceDetector() bool {
 	info, _ := debug.ReadBuildInfo()
 	return info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestNegativeZeroIsZero: value.Equal has always called -0.0 and 0.0
+// equal; their keys were not, so an equality on a DOUBLE column found
+// only the rows spelled like the parameter and a DOUBLE primary key held
+// both. Float stores one zero.
+func TestNegativeZeroIsZero(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	db := Open(Config{Nodes: 2})
+	db.MustExec(`CREATE TABLE readings (
+		id INT, temp DOUBLE, PRIMARY KEY (id), CARDINALITY LIMIT 10 (temp))`)
+	db.MustExec(`INSERT INTO readings VALUES (1, ?)`, negZero)
+	db.MustExec(`INSERT INTO readings VALUES (2, ?)`, Float(0))
+	db.MustExec(`INSERT INTO readings VALUES (3, ?)`, Float(1))
+	for _, param := range []Value{Float(0), negZero} {
+		res, err := db.Query(`SELECT id FROM readings WHERE temp = ?`, param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Errorf("WHERE temp = %v (sign bit %v): %d rows %v, want ids 1 and 2",
+				param, math.Signbit(param.Float()), len(res.Rows), res.Rows)
+		}
+	}
+
+	db.MustExec(`CREATE TABLE marks (at DOUBLE, note VARCHAR(10), PRIMARY KEY (at))`)
+	db.MustExec(`INSERT INTO marks VALUES (?, 'first')`, negZero)
+	if err := db.Exec(`INSERT INTO marks VALUES (?, 'second')`, Float(0)); err == nil {
+		t.Error("a DOUBLE primary key admitted 0.0 beside -0.0")
+	}
+	res, err := db.Query(`SELECT note FROM marks WHERE at = ?`, Float(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "first" {
+		t.Errorf("marks WHERE at = 0.0: %v, want the one row inserted as -0.0", res.Rows)
+	}
 }
