@@ -134,7 +134,7 @@ bench-compare:
 # lines of each.
 #   make profile W=tpcw_order [TOP=40]
 TOP ?= 40
-PPROF = $(GO) tool pprof -top -cum -focus interaction -nodecount $(TOP)
+PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction' -nodecount $(TOP)
 
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>   (one of: $(BENCH_WORKLOADS))"; exit 2; }
@@ -145,4 +145,4 @@ profile:
 
 # experiments regenerates the paper's tables and figures in full.
 experiments:
-	$(GO) run ./cmd/piql-bench -experiment all
+	$(GO) run ./cmd/piql-figures -experiment all

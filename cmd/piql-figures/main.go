@@ -1,9 +1,20 @@
-// Command piql-bench regenerates every table and figure from the
+// Command piql-figures regenerates every table and figure from the
 // paper's evaluation (Section 8) on the simulated cluster:
 //
-//	piql-bench -experiment all
-//	piql-bench -experiment table1
-//	piql-bench -experiment fig1|fig6|fig7|fig8-9|fig10-11|fig12
+//	piql-figures -experiment all
+//	piql-figures -experiment table1
+//	piql-figures -experiment fig1|fig6|fig7|fig8-9|fig10-11|fig12
+//
+// table1, fig6 and fig7 train the SLO prediction model first, once.
+// fig6 stars the (subscriptions, page size) cells of its heat map that
+// meet -slo in at least -quantile of the model's intervals — the
+// Performance Insight Assistant's cardinality-sizing tool (Section 6.4):
+//
+//	piql-figures -experiment fig6 -slo 500ms -quantile 0.9
+//
+// fig7 ends with the PIQL plan's one static prediction against its
+// measured p99 at every popularity level; the cost-based plan analyzes
+// as unbounded, so no prediction exists for it.
 //
 // Beyond the paper, -experiment concurrent runs the SCADr and TPC-W
 // workloads from real concurrent goroutines against one shared engine
@@ -47,32 +58,34 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // experiment fails, 2 on a usage error, an unknown experiment name
 // included.
 func run(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("piql-bench", flag.ContinueOnError)
+	fs := flag.NewFlagSet("piql-figures", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	experiment := fs.String("experiment", "all", "which experiment to run: "+strings.Join(experiments, ", "))
 	quick := fs.Bool("quick", false, "smaller sweeps for a fast smoke run")
+	fig6 := harness.DefaultFig6Config()
+	slo := fs.Duration("slo", fig6.SLO, "fig6: target 99th-percentile response time")
+	quantile := fs.Float64("quantile", fig6.Quantile, "fig6: required fraction of compliant intervals")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	name := strings.ToLower(*experiment)
 	if !slices.Contains(experiments, name) {
-		fmt.Fprintf(errOut, "piql-bench: unknown experiment %q\nvalid experiments: %s\n", *experiment, strings.Join(experiments, ", "))
+		fmt.Fprintf(errOut, "piql-figures: unknown experiment %q\nvalid experiments: %s\n", *experiment, strings.Join(experiments, ", "))
 		return 2
 	}
-	if err := runExperiments(out, name, *quick); err != nil {
-		fmt.Fprintln(errOut, "piql-bench:", err)
+	if err := runExperiments(out, name, *quick, *slo, *quantile); err != nil {
+		fmt.Fprintln(errOut, "piql-figures:", err)
 		return 1
 	}
 	return 0
 }
 
-func runExperiments(out io.Writer, experiment string, quick bool) error {
+func runExperiments(out io.Writer, experiment string, quick bool, slo time.Duration, quantile float64) error {
 	run := func(name string) bool { return experiment == "all" || experiment == name }
 	start := time.Now()
 
 	var model *predict.Model
-	needModel := run("table1") || run("fig6")
-	if needModel {
+	if run("table1") || run("fig6") || run("fig7") {
 		fmt.Fprintln(out, "training SLO prediction model (Section 6)...")
 		cfg := predict.DefaultTrainConfig()
 		if quick {
@@ -114,6 +127,7 @@ func runExperiments(out io.Writer, experiment string, quick bool) error {
 
 	if run("fig6") {
 		cfg := harness.DefaultFig6Config()
+		cfg.SLO, cfg.Quantile = slo, quantile
 		if quick {
 			cfg.Executions = 60
 		}
@@ -135,6 +149,9 @@ func runExperiments(out io.Writer, experiment string, quick bool) error {
 			return err
 		}
 		harness.PrintFig7(out, points)
+		if err := harness.PrintFig7Prediction(out, model, cfg.Friends, points); err != nil {
+			return err
+		}
 	}
 
 	if run("fig8-9") {

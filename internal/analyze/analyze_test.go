@@ -2,6 +2,7 @@ package analyze_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"slices"
@@ -11,23 +12,22 @@ import (
 
 	"piql/internal/analyze"
 	"piql/internal/core"
+	"piql/internal/engine"
+	"piql/internal/kvstore"
 	"piql/internal/parser"
 	"piql/internal/predict"
 	"piql/internal/schema"
 )
 
-// scadrCatalog builds the SCADr schema of Section 8.1.2.
-func scadrCatalog(t *testing.T) *schema.Catalog {
-	t.Helper()
-	cat := schema.NewCatalog()
-	ddls := []string{
-		`CREATE TABLE users (
+// scadrDDL is the SCADr schema of Section 8.1.2.
+var scadrDDL = []string{
+	`CREATE TABLE users (
 			username VARCHAR(20),
 			password VARCHAR(20),
 			hometown VARCHAR(30),
 			PRIMARY KEY (username)
 		)`,
-		`CREATE TABLE subscriptions (
+	`CREATE TABLE subscriptions (
 			owner VARCHAR(20),
 			target VARCHAR(20),
 			approved BOOLEAN,
@@ -35,14 +35,19 @@ func scadrCatalog(t *testing.T) *schema.Catalog {
 			FOREIGN KEY (target) REFERENCES users,
 			CARDINALITY LIMIT 100 (owner)
 		)`,
-		`CREATE TABLE thoughts (
+	`CREATE TABLE thoughts (
 			owner VARCHAR(20),
 			timestamp INT,
 			text VARCHAR(140),
 			PRIMARY KEY (owner, timestamp)
 		)`,
-	}
-	for _, ddl := range ddls {
+}
+
+// scadrCatalog builds the SCADr schema.
+func scadrCatalog(t *testing.T) *schema.Catalog {
+	t.Helper()
+	cat := schema.NewCatalog()
+	for _, ddl := range scadrDDL {
 		stmt, err := parser.Parse(ddl)
 		if err != nil {
 			t.Fatalf("parse DDL: %v", err)
@@ -318,7 +323,12 @@ func TestPrepareAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := stmt.(*parser.Select)
-		plan := compile(t, cat, tc.sql) // registers the index the plan needs
+		plan := compile(t, cat, tc.sql)
+		for _, ix := range plan.RequiredIndexes { // so the measured compiles find their index
+			if _, err := cat.AddIndex(ix); err != nil {
+				t.Fatal(err)
+			}
+		}
 		compiling := testing.AllocsPerRun(100, func() {
 			if _, err := core.Compile(cat, sel); err != nil {
 				t.Fatal(err)
@@ -329,5 +339,30 @@ func TestPrepareAllocations(t *testing.T) {
 			t.Errorf("%s: core.Compile %v + analyze.Plan %v allocations, want at most %v and %v in sum",
 				tc.name, compiling, analyzing, tc.compile, tc.both)
 		}
+	}
+
+	// The same through the engine: a first-seen text whose index exists
+	// pays the parse, the compile and the bound above and a plan-cache
+	// entry — no copy of the catalog (which cost 15 more).
+	s := engine.New(kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 1}, nil)).Session(nil)
+	for _, ddl := range scadrDDL {
+		if err := s.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	texts := make([]string, 102) // AllocsPerRun's warm-up run included
+	for i := range texts {
+		texts[i] = fmt.Sprintf(`SELECT * FROM users WHERE hometown = 'town%03d' LIMIT 10`, i)
+	}
+	next := 0
+	cold := func() {
+		if _, err := s.Prepare(texts[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	cold() // registers and builds the index
+	if got, want := testing.AllocsPerRun(100, cold), 80.0; got > want {
+		t.Errorf("cold Session.Prepare: %v allocations, want at most %v", got, want)
 	}
 }

@@ -18,7 +18,7 @@ type edge struct {
 
 // binder resolves a parsed SELECT against the catalog.
 type binder struct {
-	cat    *schema.Catalog
+	cat    Catalog
 	stmt   *parser.Select
 	rels   []*rel
 	byName map[string]int // alias/table (lower) -> rel index
@@ -28,7 +28,7 @@ type binder struct {
 }
 
 // bind produces a boundQuery plus the undirected join edges.
-func bind(cat *schema.Catalog, stmt *parser.Select) (*boundQuery, []edge, error) {
+func bind(cat Catalog, stmt *parser.Select) (*boundQuery, []edge, error) {
 	b := &binder{cat: cat, stmt: stmt, byName: make(map[string]int)}
 	if err := b.bindFrom(); err != nil {
 		return nil, nil, err

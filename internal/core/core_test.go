@@ -361,17 +361,51 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// TestIndexReuseAcrossCompiles: an index a plan asked for and the caller
+// registered serves the next compile; and a plan that reads the same new
+// index twice names it once.
 func TestIndexReuseAcrossCompiles(t *testing.T) {
 	cat := scadrCatalog(t)
-	p1 := compile(t, cat, `SELECT * FROM users WHERE hometown = 'SF' AND username = 'x'`)
-	before := len(cat.Indexes("users"))
-	p2 := compile(t, cat, `SELECT * FROM users WHERE hometown = 'SF' AND username = 'x'`)
-	after := len(cat.Indexes("users"))
-	if before != after {
-		t.Errorf("recompilation created %d new indexes", after-before)
+	stmt, err := parser.Parse(`CREATE TABLE follows (a VARCHAR(20), b VARCHAR(20), PRIMARY KEY (a, b), CARDINALITY LIMIT 10 (b))`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = p1
-	_ = p2
+	if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		table, sql string
+		asks       int // for new indexes
+	}{
+		{"users", `SELECT * FROM users WHERE hometown = 'SF' AND username = 'x'`, 0},
+		// followers of followers: both relations are read through (b, a)
+		{"follows", `SELECT f2.a FROM follows f1 JOIN follows f2 WHERE f1.b = [1: who] AND f2.b = f1.a`, 1},
+	} {
+		// register hands a plan's indexes to the catalog and counts the
+		// ones the catalog did not hold.
+		register := func(p *Plan) (asked int) {
+			for _, ix := range p.RequiredIndexes {
+				if ix.EntryLayout() == nil {
+					asked++
+				}
+				if _, err := cat.AddIndex(ix); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return asked
+		}
+		p1 := compile(t, cat, tc.sql)
+		if asked := register(p1); asked != tc.asks {
+			t.Errorf("%s: the plan names %d new indexes, want %d:\n%s", tc.sql, asked, tc.asks, p1.Explain())
+		}
+		before := len(cat.Indexes(tc.table))
+		if asked := register(compile(t, cat, tc.sql)); asked != 0 {
+			t.Errorf("%s: recompilation names %d new indexes", tc.sql, asked)
+		}
+		if after := len(cat.Indexes(tc.table)); before != after {
+			t.Errorf("%s: recompilation created %d new indexes", tc.sql, after-before)
+		}
+	}
 }
 
 func TestAggregateOverBoundedInput(t *testing.T) {

@@ -19,27 +19,20 @@ import (
 //
 // Joins, and queries with no simple equality predicate, get the PIQL
 // plan — enough for the paper's comparison.
-func CompileCostBased(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
+func CompileCostBased(cat Catalog, stmt *parser.Select) (*Plan, error) {
 	const scanCost = 1 // one range request, whatever it returns
-	// The candidate is priced on a copy of the catalog: compiled for real,
-	// its automatic index would stay registered when the scan wins, never
-	// backfilled and maintained by every later write.
-	piqlPlan, piqlErr := Compile(cat.Clone(), stmt)
-	usePIQL := func() (*Plan, error) {
-		if piqlErr != nil {
-			return nil, piqlErr
-		}
-		return Compile(cat, stmt)
-	}
+	// The candidate: where the scan wins it is dropped, and the index it
+	// would have read with it.
+	piqlPlan, piqlErr := Compile(cat, stmt)
 	if piqlErr == nil && piqlPlan.OpBound() <= scanCost {
-		return usePIQL()
+		return piqlPlan, nil
 	}
 	q, _, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.rels) != 1 {
-		return usePIQL()
+		return piqlPlan, piqlErr
 	}
 	r := q.rels[0]
 	order, err := phase1(q, nil)
@@ -90,5 +83,5 @@ func CompileCostBased(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
 		plan = &LocalProject{ChildPlan: plan, Cols: q.projCols, Names: q.projNames}
 		return newPlan(plan, stmt, q, order, ctx.required)
 	}
-	return usePIQL()
+	return piqlPlan, piqlErr
 }

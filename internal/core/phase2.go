@@ -15,14 +15,14 @@ import (
 // sort, stop, aggregation, and projection as local operators. Any
 // section it cannot bound aborts compilation with assistant feedback.
 type phase2Ctx struct {
-	cat      *schema.Catalog
+	cat      Catalog
 	q        *boundQuery
 	order    []*rel
 	required []*schema.Index
 	ordered  bool // current plan emits rows in q.sort order
 }
 
-func phase2(cat *schema.Catalog, q *boundQuery, order []*rel) (Physical, []*schema.Index, error) {
+func phase2(cat Catalog, q *boundQuery, order []*rel) (Physical, []*schema.Index, error) {
 	ctx := &phase2Ctx{cat: cat, q: q, order: order}
 	plan, err := ctx.matchBase(order[0])
 	if err != nil {
@@ -544,7 +544,7 @@ func (ctx *phase2Ctx) sortOnRelation(r *rel) ([]schema.IndexField, bool) {
 	return fields, true
 }
 
-// ensureIndex finds or registers an index serving the given fields, of
+// ensureIndex finds or names an index serving the given fields, of
 // which the first prefixLen components are bound by equality (their
 // direction is irrelevant). An existing index — including the table's
 // primary index — whose suffix directions are all inverted serves the
@@ -554,24 +554,32 @@ func (ctx *phase2Ctx) sortOnRelation(r *rel) ([]schema.IndexField, bool) {
 // Ready indexes are preferred over building ones: a building index is
 // maintained by the write path but not yet fully backfilled, so a plan
 // that selects it only runs after engine.ensureBuilt flips it ready.
+// When nothing serves the scan the index is only constructed: it joins
+// ctx.required, where a later scan of the same plan finds it again, and
+// the catalog hears of it from whoever registers Plan.RequiredIndexes.
 func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, prefixLen int) (*schema.Index, bool) {
 	fields = ctx.completeWithPK(t, fields)
 	var building *schema.Index
 	var buildingRev bool
-	for _, ix := range ctx.cat.Indexes(t.Name) {
-		rev := false
-		if !matchIndex(ix, fields, prefixLen, false) {
-			if !matchIndex(ix, fields, prefixLen, true) {
+	for _, ixs := range [2][]*schema.Index{ctx.cat.Indexes(t.Name), ctx.required} {
+		for _, ix := range ixs {
+			if !strings.EqualFold(ix.Table, t.Name) {
 				continue
 			}
-			rev = true
-		}
-		if ctx.cat.IndexState(ix) == schema.StateReady {
-			ctx.noteRequired(ix)
-			return ix, rev
-		}
-		if building == nil {
-			building, buildingRev = ix, rev
+			rev := false
+			if !matchIndex(ix, fields, prefixLen, false) {
+				if !matchIndex(ix, fields, prefixLen, true) {
+					continue
+				}
+				rev = true
+			}
+			if ctx.cat.IndexState(ix) == schema.StateReady {
+				ctx.noteRequired(ix)
+				return ix, rev
+			}
+			if building == nil {
+				building, buildingRev = ix, rev
+			}
 		}
 	}
 	if building != nil {
@@ -579,12 +587,8 @@ func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, p
 		return building, buildingRev
 	}
 	name := fmt.Sprintf("auto_%s_%s", strings.ToLower(t.Name), fieldsSlug(fields))
-	ix, err := ctx.cat.AddIndex(&schema.Index{Name: name, Table: t.Name, Fields: fields})
-	if err != nil {
-		// Field names were validated during binding; AddIndex cannot fail.
-		panic(fmt.Sprintf("core: internal: %v", err))
-	}
-	ctx.noteRequired(ix)
+	ix := &schema.Index{Name: name, Table: t.Name, Fields: fields}
+	ctx.required = append(ctx.required, ix)
 	return ix, false
 }
 

@@ -18,8 +18,8 @@ type Plan struct {
 	NumParams int
 	// OutputNames are the result column names.
 	OutputNames []string
-	// RequiredIndexes are the secondary indexes the plan reads; the
-	// engine must build (and backfill) any that are new (Section 5.3).
+	// RequiredIndexes are the indexes the plan reads; the engine must
+	// register and backfill any that are new (Section 5.3).
 	RequiredIndexes []*schema.Index
 	// PageSize is the PAGINATE page size (0 for non-paginated queries).
 	PageSize int
@@ -36,14 +36,22 @@ type Plan struct {
 	ops, tuples int // the static bound (walkBound's totals)
 }
 
+// Catalog is the compiler's view of a catalog: it reads tables, indexes
+// and their states and has no method that writes one. *schema.Catalog
+// satisfies it.
+type Catalog interface {
+	Table(name string) *schema.Table
+	Indexes(table string) []*schema.Index
+	IndexState(ix *schema.Index) schema.IndexState
+}
+
 // Compile runs the full PIQL compilation pipeline on a parsed SELECT:
 // bind → Phase I (Algorithm 1) → Phase II (Algorithm 2) → static bound
-// verification. New secondary indexes required by the plan are registered
-// in the catalog — also when a later step refuses the query, so a caller
-// that promises a refusal leaves no trace compiles on cat.Clone(), as
-// engine.Prepare does — and the caller must backfill them before running
-// the plan.
-func Compile(cat *schema.Catalog, stmt *parser.Select) (*Plan, error) {
+// verification. It is a function of (cat, stmt) and leaves cat as it
+// was: an index the plan reads and cat does not hold is constructed and
+// listed in Plan.RequiredIndexes, for the caller to register and
+// backfill before running the plan.
+func Compile(cat Catalog, stmt *parser.Select) (*Plan, error) {
 	q, edges, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err

@@ -5,12 +5,17 @@
 // Phase II matches plan sections onto the three bounded remote operators
 // (Algorithm 2) — selects the indexes the plan needs (Section 5.3),
 // and, when a query cannot be bounded, produces Performance Insight
-// Assistant feedback (Section 6.4). The static bound on key/value
-// operations is derived here and only here: one walk over the operator
-// tree (bound.go) yields each remote operator's request sets and the
-// plan's totals, and every other statement of the bound — EXPLAIN,
-// internal/analyze's wording and admission, the SLO model's input —
-// reads that walk.
+// Assistant feedback (Section 6.4). Compile and CompileCostBased are
+// functions of (catalog, statement): they read the catalog through the
+// Catalog view, which has no writing method, and name the indexes a
+// plan needs in Plan.RequiredIndexes. Registering and building those is
+// the engine's work, so a refused statement leaves nothing behind.
+//
+// The static bound on key/value operations is derived here and only
+// here: one walk over the operator tree (bound.go) yields each remote
+// operator's request sets and the plan's totals, and every other
+// statement of the bound — EXPLAIN, internal/analyze's wording and
+// admission, the SLO model's input — reads that walk.
 package core
 
 import (

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
-	"piql/internal/exec"
+	"piql/internal/core"
 	"piql/internal/kvstore"
+	"piql/internal/parser"
 	"piql/internal/sim"
 	"piql/internal/value"
 )
@@ -177,23 +179,94 @@ func TestSimulatedSessionsColdPrepareSameIndex(t *testing.T) {
 	}
 }
 
-// TestSetDefaultStrategyConcurrent races SetDefaultStrategy against
-// Session creation — the seed read defStrat with no synchronization.
-func TestSetDefaultStrategyConcurrent(t *testing.T) {
-	eng, _ := newTestEngine(t, 2)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if g%2 == 0 {
-					eng.SetDefaultStrategy(exec.Strategy(i % 3))
-				} else {
-					_ = eng.Session(nil)
-				}
-			}
-		}(g)
+// TestLostRegistrationRecompiles plays a lost registration in order:
+// one session compiles a statement that asks for a new index, a second
+// registers and builds its own copy of that index first. Registering the
+// first plan's copy reports the loss and publishes nothing — the write
+// path maintains the winner's — and the first session's Prepare, which
+// compiles on the newer snapshot, reads the catalog's index.
+func TestLostRegistrationRecompiles(t *testing.T) {
+	eng, s1 := newTestEngine(t, 2)
+	loadSCADr(t, s1, 7, 0, 0) // seven users, all of Berkeley
+	const sql = `SELECT username FROM users WHERE hometown = [1: h] LIMIT 10`
+	stmt, err := parser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	loser, err := core.Compile(eng.Catalog(), stmt.(*parser.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same index under another text, so the Prepare below is cold.
+	if _, err := eng.Session(nil).Prepare(`SELECT username FROM users WHERE hometown = [1: h] LIMIT 5`); err != nil {
+		t.Fatal(err)
+	}
+	published := eng.Catalog()
+	if won, err := eng.register(loser.RequiredIndexes); won || err != nil {
+		t.Fatalf("register after another session took the signature: won=%v err=%v, want a reported loss", won, err)
+	}
+	if eng.Catalog() != published {
+		t.Error("a lost registration published a catalog")
+	}
+
+	p, err := s1.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Plan().RequiredIndexes) != 1 || p.Plan().RequiredIndexes[0] == loser.RequiredIndexes[0] {
+		t.Fatalf("the prepared plan reads %v, want the registered copy", p.Plan().RequiredIndexes)
+	}
+	for _, ix := range p.Plan().RequiredIndexes {
+		if !slices.Contains(eng.Catalog().Indexes(ix.Table), ix) {
+			t.Errorf("the plan reads a copy of %s that the catalog does not hold", ix)
+		}
+	}
+	res, err := p.Execute(s1, value.Str("Berkeley"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 7 {
+		t.Errorf("%d rows, want 7", len(res.Rows))
+	}
+}
+
+// TestColdPreparesRaceForOneIndex is the same loss with real goroutines:
+// sessions released together each prepare a first-seen text that asks
+// for the same new index, so all but one of them lose the registration
+// (about one round in five on two CPUs) and go round prepare's loop.
+// Whoever won, every plan reads the catalog's copy and the right rows.
+func TestColdPreparesRaceForOneIndex(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		eng, s0 := newTestEngine(t, 2)
+		loadSCADr(t, s0, 3, 0, 0)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := eng.Session(nil)
+				<-start
+				p, err := s.Prepare(fmt.Sprintf(`SELECT username FROM users WHERE hometown = [1: h] LIMIT %d`, 5+g))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, ix := range p.Plan().RequiredIndexes {
+					if !slices.Contains(eng.Catalog().Indexes(ix.Table), ix) {
+						t.Errorf("session %d reads a copy of %s that the catalog does not hold", g, ix)
+					}
+				}
+				res, err := p.Execute(s, value.Str("Berkeley"))
+				if err != nil {
+					t.Error(err)
+				} else if len(res.Rows) != 3 {
+					t.Errorf("session %d: %d rows, want 3", g, len(res.Rows))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
 }

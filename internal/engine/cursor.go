@@ -16,8 +16,7 @@ import (
 type Cursor struct {
 	prepared *Prepared
 	params   value.Row
-	resume   []byte       // exec.Result.Resume of the last page
-	scratch  exec.Scratch // buffers reused across pages (Lazy walk keys)
+	resume   []byte // exec.Result.Resume of the last page
 	done     bool
 }
 
@@ -40,7 +39,6 @@ func (c *Cursor) Next(s *Session) (*exec.Result, error) {
 		Params:   c.params,
 		Strategy: s.strat,
 		Resume:   c.resume,
-		Scratch:  &c.scratch,
 	}
 	res, err := exec.Run(c.prepared.plan, ctx)
 	if err != nil {

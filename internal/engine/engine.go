@@ -10,9 +10,13 @@
 // organized so the hot path never blocks:
 //
 //   - the catalog is an immutable snapshot published through an atomic
-//     pointer; DDL (and the compiler's automatic index creation) clones
-//     the snapshot, mutates the clone under a writer lock, and publishes
-//     it — queries keep reading the old snapshot without locking;
+//     pointer, and updateCatalog is its one writer: DDL, the
+//     registration of the indexes an admitted plan asks for, and the
+//     flip to ready each clone the snapshot, mutate the clone under a
+//     writer lock, and publish it — queries keep reading the old
+//     snapshot without locking. The compiler only reads a snapshot
+//     (core.Compile is a function), so a cold Prepare compiles on the
+//     published snapshot itself and a refused query leaves nothing;
 //   - the compiled-plan cache is guarded by an RWMutex, so cache hits
 //     (the steady state) take only a read lock;
 //   - index backfills are deduplicated by signature with a single-flight
@@ -42,7 +46,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -100,9 +106,6 @@ type Engine struct {
 	// non-enforcing policies admit everything; the bound is attached to
 	// the prepared plan either way.
 	admission atomic.Pointer[analyze.Policy]
-
-	defStrat   atomic.Int32 // exec.Strategy
-	readQuorum atomic.Int32 // replicas per point read for new sessions
 }
 
 // New creates an engine over a cluster.
@@ -114,21 +117,8 @@ func New(cluster *kvstore.Cluster) *Engine {
 	}
 	e.cat.Store(schema.NewCatalog())
 	e.maint = index.NewMaintainer(e) // live source: writes see new indexes immediately
-	e.defStrat.Store(int32(exec.Parallel))
 	return e
 }
-
-// SetDefaultStrategy changes the execution strategy used by sessions
-// created afterwards that do not override it (Section 8.5's executor
-// comparison).
-func (e *Engine) SetDefaultStrategy(s exec.Strategy) { e.defStrat.Store(int32(s)) }
-
-// SetReadQuorum sets how many replicas sessions created afterwards
-// consult per point read (see kvstore.Client.SetReadQuorum). r <= 1 is
-// the default single-replica read; r = 2 with replication factor 2
-// bounds staleness to zero while any one replica is partitioned,
-// because an acked write reaches every reachable owner synchronously.
-func (e *Engine) SetReadQuorum(r int) { e.readQuorum.Store(int32(r)) }
 
 // SetAdmission installs (or, with nil, removes) the admission-control
 // policy. The policy applies to every subsequent Prepare, including
@@ -160,16 +150,11 @@ type Session struct {
 
 // Session creates a session. proc may be nil for immediate mode.
 func (e *Engine) Session(proc *sim.Proc) *Session {
-	client := e.cluster.NewClient(proc)
-	client.SetReadQuorum(int(e.readQuorum.Load()))
-	return &Session{
-		eng:    e,
-		client: client,
-		strat:  exec.Strategy(e.defStrat.Load()),
-	}
+	return &Session{eng: e, client: e.cluster.NewClient(proc), strat: exec.Parallel}
 }
 
-// SetStrategy overrides the execution strategy for this session.
+// SetStrategy overrides the execution strategy for this session
+// (Section 8.5's executor comparison); sessions start Parallel.
 func (s *Session) SetStrategy(st exec.Strategy) { s.strat = st }
 
 // Client exposes the session's store client (op counting, timing).
@@ -202,7 +187,7 @@ func (s *Session) Exec(sql string, params ...value.Value) error {
 // updateCatalog runs one copy-on-write catalog mutation: clone the
 // latest snapshot under ddlMu, apply fn to the clone, and publish it
 // only if fn succeeds — a failing mutation leaves no trace. Every
-// catalog writer (DDL and the compiler) goes through here.
+// catalog write goes through here.
 func (e *Engine) updateCatalog(fn func(next *schema.Catalog) error) error {
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
@@ -443,7 +428,8 @@ type Prepared struct {
 // hit — the steady state under load — takes only a read lock. Every
 // prepared plan carries its static operation bound (Prepared.Bound);
 // if an admission policy is enforced, unbounded or over-SLO plans are
-// refused here — before any index is built or cached — with a typed
+// refused here — before any index is registered or built and before the
+// plan is cached — with a typed
 // *analyze.ErrUnbounded or *analyze.ErrOverSLO.
 func (s *Session) Prepare(sql string) (*Prepared, error) {
 	return s.prepare(sql, sql, core.Compile)
@@ -459,7 +445,7 @@ func (s *Session) PrepareCostBased(sql string) (*Prepared, error) {
 	return s.prepare("cost-based\x00"+sql, sql, core.CompileCostBased)
 }
 
-func (s *Session) prepare(cacheKey, sql string, compile func(*schema.Catalog, *parser.Select) (*core.Plan, error)) (*Prepared, error) {
+func (s *Session) prepare(cacheKey, sql string, compile func(core.Catalog, *parser.Select) (*core.Plan, error)) (*Prepared, error) {
 	e := s.eng
 	e.plansMu.RLock()
 	p, hit := e.plans[cacheKey]
@@ -481,36 +467,28 @@ func (s *Session) prepare(cacheKey, sql string, compile func(*schema.Catalog, *p
 	if !ok {
 		return nil, fmt.Errorf("engine: Prepare expects a SELECT, got %T", stmt)
 	}
-	// The compiler registers any secondary indexes the plan needs, so it
-	// is potentially a catalog writer. Compile optimistically against a
-	// throwaway clone with no lock held: when every index the plan reads
-	// already exists in the published snapshot — the common case — the
-	// result needs no publishing and cold compilations run fully in
-	// parallel. Only a plan that created a genuinely new index recompiles
-	// under ddlMu so the index lands in a published snapshot. (A rejected
-	// query leaves no trace either way.)
-	snap := e.cat.Load()
-	plan, err := compile(snap.Clone(), sel)
-	if err != nil {
-		return nil, err
-	}
-	// Static boundedness analysis + admission control (Section 6). This
-	// runs before any index build or catalog publish: a refused query
-	// leaves no trace — no backfill work, no cache entry.
-	bound := analyze.Plan(plan)
-	if err := e.Admission().Admit(sql, bound); err != nil {
-		return nil, err
-	}
-	if !snapshotHasIndexes(snap, plan.RequiredIndexes) {
-		err = e.updateCatalog(func(next *schema.Catalog) error {
-			var err error
-			plan, err = compile(next, sel)
-			return err
-		})
+	var plan *core.Plan
+	var bound *analyze.Bound
+	for registered := false; !registered; {
+		// The compiler only reads the catalog, so cold compilations run on
+		// the published snapshot with no lock held, fully in parallel.
+		plan, err = compile(e.cat.Load(), sel)
 		if err != nil {
 			return nil, err
 		}
+		// Static boundedness analysis + admission control (Section 6),
+		// before anything is registered, built or cached: a refused query
+		// leaves no trace.
 		bound = analyze.Plan(plan)
+		if err := e.Admission().Admit(sql, bound); err != nil {
+			return nil, err
+		}
+		// A lost registration compiles once more, on the snapshot that
+		// holds the winner's index.
+		registered, err = e.register(plan.RequiredIndexes)
+		if err != nil {
+			return nil, err
+		}
 	}
 	if err := e.ensureBuilt(s, plan.RequiredIndexes); err != nil {
 		return nil, err
@@ -526,22 +504,40 @@ func (s *Session) prepare(cacheKey, sql string, compile func(*schema.Catalog, *p
 	return p, nil
 }
 
-// snapshotHasIndexes reports whether every index in ixs is already
-// registered (by structural signature) in the catalog snapshot.
-func snapshotHasIndexes(cat *schema.Catalog, ixs []*schema.Index) bool {
-	for _, ix := range ixs {
-		found := false
-		for _, have := range cat.Indexes(ix.Table) {
-			if have == ix || have.Signature() == ix.Signature() {
-				found = true
-				break
+// errLostRegistration aborts register's catalog update unpublished.
+var errLostRegistration = errors.New("engine: another session registered the index first")
+
+// register publishes, as building, the indexes of an admitted plan that
+// the compiler constructed — the ones no catalog has taken yet, which
+// have no entry layout. AddIndex compiles the layout in place, so the
+// plan's pointer becomes the catalog's. When another session registered
+// one of the signatures first, nothing is published and register
+// reports false: the plan holds an index the write path does not know,
+// and the caller compiles again.
+func (e *Engine) register(ixs []*schema.Index) (bool, error) {
+	isNew := func(ix *schema.Index) bool { return ix.EntryLayout() == nil }
+	if !slices.ContainsFunc(ixs, isNew) {
+		return true, nil // the common case: no lock, no clone
+	}
+	err := e.updateCatalog(func(next *schema.Catalog) error {
+		for _, ix := range ixs {
+			if !isNew(ix) {
+				continue
+			}
+			canonical, err := next.AddIndex(ix)
+			if err != nil {
+				return err
+			}
+			if canonical != ix {
+				return errLostRegistration
 			}
 		}
-		if !found {
-			return false
-		}
+		return nil
+	})
+	if errors.Is(err, errLostRegistration) {
+		return false, nil
 	}
-	return true
+	return err == nil, err
 }
 
 // Plan exposes the compiled plan (bounds, explain output).

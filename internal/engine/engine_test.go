@@ -362,11 +362,9 @@ func TestPaginationFullTraversal(t *testing.T) {
 
 // TestPaginationLazyStrategy pages the same cursor query under the
 // LazyExecutor, whose tuple-at-a-time range walk advances a successor
-// key per tuple. The cursor threads one scratch buffer through every
-// page (exec.Scratch), so the walk reuses it instead of allocating per
-// tuple — this pins the results staying identical to the batched
-// strategies across page boundaries, where a stale or clobbered buffer
-// would skip or repeat tuples.
+// key per tuple in one reused buffer — this pins the results staying
+// identical to the batched strategies across page boundaries, where a
+// stale or clobbered buffer would skip or repeat tuples.
 func TestPaginationLazyStrategy(t *testing.T) {
 	_, s := newTestEngine(t, 4)
 	loadSCADr(t, s, 5, 47, 2)

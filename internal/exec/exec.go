@@ -62,19 +62,6 @@ type Ctx struct {
 	// Result.Resume, nil for the first. It may have been in the user's
 	// hands; the pager takes it only as a position inside its own range.
 	Resume []byte
-	// Scratch optionally carries buffers reused across executions. A
-	// Cursor threads the same Scratch through every page, so the Lazy
-	// strategy's tuple-at-a-time pagination walk reuses one successor-key
-	// buffer across all Next calls instead of allocating per tuple.
-	Scratch *Scratch
-}
-
-// Scratch is a reusable buffer set for repeated executions of the same
-// query (one page after another through a Cursor). The zero value is
-// ready to use; a Scratch must not be shared between concurrent
-// executions.
-type Scratch struct {
-	key []byte // successor-key buffer for the Lazy tuple-at-a-time walk
 }
 
 // Result is one (fully materialized) query result page.

@@ -129,16 +129,10 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvs
 		return kvs, degraded(err)
 	}
 	// Tuple-at-a-time walk: each fetched key becomes the next request's
-	// start bound. The successor key lives in a scratch buffer reused
-	// across tuples — and, when the caller threads a Scratch through
-	// (Cursor pagination), across pages — so the walk's only per-tuple
-	// cost is the request itself, not an allocation. Rebinding the
-	// buffer between iterations is safe: Scan reads its bounds only for
-	// the duration of the call.
+	// start bound. The successor key lives in one buffer reused across
+	// the page's tuples. Rebinding it between iterations is safe: Scan
+	// reads its bounds only for the duration of the call.
 	var buf []byte
-	if e.ctx.Scratch != nil {
-		buf = e.ctx.Scratch.key
-	}
 	var out []kvstore.KV
 	for len(out) < limit {
 		kvs, err := e.ctx.Client.Scan(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse}, kvstore.ReadOpts{})
@@ -156,9 +150,6 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvs
 			buf = append(buf, 0x00)
 			start = buf
 		}
-	}
-	if e.ctx.Scratch != nil {
-		e.ctx.Scratch.key = buf
 	}
 	return out, nil
 }

@@ -88,11 +88,7 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 	}
 
 	// The good tenant's bounded plan: intersection over an IN list.
-	params := make([]string, cfg.Friends)
-	for i := range params {
-		params[i] = fmt.Sprintf("[%d]", i+2)
-	}
-	goodSQL := fmt.Sprintf(fig7Query, joinStrings(params, ", "))
+	goodSQL := fig7SQL(cfg.Friends)
 
 	// Warm both plans in immediate mode so index builds happen before
 	// the clock starts; the unbounded plan is admitted because no

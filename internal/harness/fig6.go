@@ -31,6 +31,11 @@ type Fig6Config struct {
 	ActualPages []int
 	Executions  int
 	Seed        int64
+	// SLO and Quantile decide which cells the printed map stars: those
+	// whose predicted p99 meets SLO in at least Quantile of the model's
+	// intervals — the pairs a developer may pick as cardinality limits.
+	SLO      time.Duration
+	Quantile float64
 }
 
 // DefaultFig6Config mirrors the paper's axes.
@@ -42,6 +47,8 @@ func DefaultFig6Config() Fig6Config {
 		ActualPages: []int{10, 30, 50},
 		Executions:  150,
 		Seed:        21,
+		SLO:         500 * time.Millisecond,
+		Quantile:    0.9,
 	}
 }
 
@@ -49,6 +56,7 @@ func DefaultFig6Config() Fig6Config {
 type Fig6Result struct {
 	Cfg       Fig6Config
 	Predicted [][]time.Duration // [subIdx][pageIdx]
+	MeetsSLO  [][]bool          // [subIdx][pageIdx]
 	Actual    map[[2]int]time.Duration
 	MeanDiff  time.Duration // mean (predicted - actual) over the subset
 }
@@ -81,6 +89,7 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	res := &Fig6Result{Cfg: cfg, Actual: make(map[[2]int]time.Duration)}
 	for _, subs := range cfg.Subs {
 		var row []time.Duration
+		var meets []bool
 		for _, page := range cfg.Pages {
 			ops, err := ThoughtstreamOps(subs, page)
 			if err != nil {
@@ -91,8 +100,10 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 				return nil, err
 			}
 			row = append(row, pred.Max99)
+			meets = append(meets, pred.MeetsSLO(cfg.SLO, cfg.Quantile))
 		}
 		res.Predicted = append(res.Predicted, row)
+		res.MeetsSLO = append(res.MeetsSLO, meets)
 	}
 
 	// Measure the subset on a live simulated cluster: owners with
@@ -202,21 +213,29 @@ func (r *Fig6Result) predictedFor(subs, page int) time.Duration {
 }
 
 // Print renders the heatmap the way Figure 6 does: subscriptions per
-// user (rows) by records per page (columns), milliseconds per cell.
+// user (rows) by records per page (columns), milliseconds per cell, the
+// cells that meet the SLO starred (Section 6.4's cardinality sizing).
 func (r *Fig6Result) Print(out io.Writer) {
-	fmt.Fprintln(out, "Fig 6: predicted 99th-percentile latency (ms) for the thoughtstream query")
+	fmt.Fprintf(out, "Fig 6: predicted 99th-percentile latency (ms) for the thoughtstream query; * = meets %v SLO in >=%.0f%% of intervals\n",
+		r.Cfg.SLO, r.Cfg.Quantile*100)
 	fmt.Fprintf(out, "%22s", "subs\\page")
 	for _, p := range r.Cfg.Pages {
-		fmt.Fprintf(out, "%6d", p)
+		fmt.Fprintf(out, "%7d", p)
 	}
 	fmt.Fprintln(out)
 	for i, subs := range r.Cfg.Subs {
 		fmt.Fprintf(out, "%22d", subs)
 		for j := range r.Cfg.Pages {
-			fmt.Fprintf(out, "%6.0f", msF(r.Predicted[i][j]))
+			mark := " "
+			if r.MeetsSLO[i][j] {
+				mark = "*"
+			}
+			fmt.Fprintf(out, "%6.0f%s", msF(r.Predicted[i][j]), mark)
 		}
 		fmt.Fprintln(out)
 	}
+	fmt.Fprintln(out, "pick any starred (subscriptions, page) pair to satisfy the SLO;")
+	fmt.Fprintln(out, "the paper recommends treating it as a starting point and loosening later.")
 	fmt.Fprintln(out, "\nmeasured subset (actual 99th percentile, ms):")
 	for _, subs := range r.Cfg.ActualSubs {
 		for _, page := range r.Cfg.ActualPages {

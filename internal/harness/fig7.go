@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
+	"piql/internal/analyze"
 	"piql/internal/core"
 	"piql/internal/engine"
-	"piql/internal/exec"
-	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/parser"
+	"piql/internal/predict"
 	"piql/internal/schema"
 	"piql/internal/sim"
 	"piql/internal/stats"
@@ -63,17 +64,27 @@ var fig7DDL = []string{
 		CARDINALITY LIMIT 100 (owner))`,
 }
 
-// fig7Plans compiles the subscriber-intersection query both ways
-// against cat: the PIQL bounded-random-lookup plan and the cost-based
-// baseline's unbounded covering scan (one range request for the
-// average user, which makes the scan look cheap).
-func fig7Plans(cat *schema.Catalog, friends int) (bounded, unbounded *core.Plan, err error) {
+// fig7SQL is the subscriber-intersection query with an IN list of
+// friends parameters.
+func fig7SQL(friends int) string {
 	params := make([]string, friends)
 	for i := range params {
 		params[i] = fmt.Sprintf("[%d]", i+2)
 	}
-	sql := fmt.Sprintf(fig7Query, joinStrings(params, ", "))
-	stmt, err := parser.Parse(sql)
+	return fmt.Sprintf(fig7Query, strings.Join(params, ", "))
+}
+
+// Fig7Plans compiles the subscriber-intersection query both ways
+// against a fresh catalog — for static analysis and SLO prediction
+// without running a cluster: the PIQL bounded-random-lookup plan and the
+// cost-based baseline's unbounded covering scan (one range request for
+// the average user, which makes the scan look cheap).
+func Fig7Plans(friends int) (bounded, unbounded *core.Plan, err error) {
+	cat, err := catalogOf(fig7DDL)
+	if err != nil {
+		return nil, nil, err
+	}
+	stmt, err := parser.Parse(fig7SQL(friends))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,20 +97,7 @@ func fig7Plans(cat *schema.Catalog, friends int) (bounded, unbounded *core.Plan,
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig7: cost-based plan: %w", err)
 	}
-	if unbounded.OpBound() != core.Unbounded {
-		return nil, nil, fmt.Errorf("fig7: cost-based optimizer unexpectedly chose a bounded plan:\n%s", unbounded.Explain())
-	}
 	return bounded, unbounded, nil
-}
-
-// Fig7Plans compiles the two Figure 7 plans against a fresh catalog —
-// for static analysis and SLO prediction without running a cluster.
-func Fig7Plans(friends int) (bounded, unbounded *core.Plan, err error) {
-	cat, err := catalogOf(fig7DDL)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fig7Plans(cat, friends)
 }
 
 // catalogOf builds a catalog from CREATE TABLE statements: a schema to
@@ -145,22 +143,19 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 		}
 	}
 
-	// Build both plans for the IN list, compiling against a private
-	// clone: published catalog snapshots are immutable, and the compiler
-	// registers the indexes it creates.
-	cat := eng.Catalog().Clone()
-	bounded, unbounded, err := fig7Plans(cat, cfg.Friends)
+	// Both plans are prepared like any statement: the engine registers
+	// and backfills the covering index the cost-based plan reads.
+	sql := fig7SQL(cfg.Friends)
+	bounded, err := loader.Prepare(sql)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig7: PIQL plan: %w", err)
 	}
-	// Backfill any indexes the plans created (the by-target index).
-	maint := index.NewMaintainer(cat)
-	for _, plan := range []*core.Plan{bounded, unbounded} {
-		for _, ix := range plan.RequiredIndexes {
-			if _, err := maint.Backfill(loader.Client(), ix); err != nil {
-				return nil, err
-			}
-		}
+	unbounded, err := loader.PrepareCostBased(sql)
+	if err != nil {
+		return nil, fmt.Errorf("fig7: cost-based plan: %w", err)
+	}
+	if unbounded.Bound().Bounded {
+		return nil, fmt.Errorf("fig7: cost-based optimizer unexpectedly chose a bounded plan:\n%s", unbounded.Plan().Explain())
 	}
 	cluster.Rebalance()
 
@@ -171,8 +166,9 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 		pt := Fig7Point{Subscribers: subs}
 		var runErr error
 		env.Spawn(func(p *sim.Proc) {
-			cl := cluster.NewClient(p)
-			run := func(plan *core.Plan) ([]time.Duration, int64) {
+			s := eng.Session(p)
+			cl := s.Client()
+			run := func(plan *engine.Prepared) ([]time.Duration, int64) {
 				var lat []time.Duration
 				cl.ResetOps()
 				for i := 0; i < cfg.Executions; i++ {
@@ -182,7 +178,7 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 						args = append(args, value.Str(fmt.Sprintf("fan%07d", 1+rng.Intn(max(1, fan)))))
 					}
 					t0 := p.Now()
-					if _, err := exec.Run(plan, &exec.Ctx{Client: cl, Params: args, Strategy: exec.Parallel}); err != nil {
+					if _, err := plan.Execute(s, args...); err != nil {
 						runErr = err
 						return lat, cl.Ops()
 					}
@@ -208,17 +204,6 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 	return points, nil
 }
 
-func joinStrings(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
-}
-
 // PrintFig7 renders the comparison.
 func PrintFig7(out io.Writer, points []Fig7Point) {
 	fmt.Fprintln(out, "Fig 7: subscriber-intersection query, 99th-percentile response time (ms)")
@@ -229,4 +214,49 @@ func PrintFig7(out io.Writer, points []Fig7Point) {
 			p.Subscribers, msF(p.BoundedP99), msF(p.UnboundedP99), p.BoundedOps, p.UnboundedOps)
 	}
 	fmt.Fprintln(out)
+}
+
+// PrintFig7Prediction sets the measured sweep against what is known
+// before anything runs: both plans' static analyses and the PIQL plan's
+// one predicted p99, which does not depend on the database's size. The
+// cost-based plan analyzes as unbounded, so no prediction exists for it.
+// The verdict says whether the prediction covered the worst measured
+// p99; a miss means the trained model's intervals under-sampled the
+// simulator's service-time volatility.
+func PrintFig7Prediction(out io.Writer, model *predict.Model, friends int, points []Fig7Point) error {
+	bounded, unbounded, err := Fig7Plans(friends)
+	if err != nil {
+		return err
+	}
+	bb, ub := analyze.Plan(bounded), analyze.Plan(unbounded)
+	if !bb.Bounded {
+		return fmt.Errorf("fig7: PIQL plan analyzed unbounded: %s", bb.Reason)
+	}
+	if ub.Bounded {
+		return fmt.Errorf("fig7: cost-based plan analyzed bounded")
+	}
+	pred, err := bb.Predict(model)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "PIQL plan — static analysis:\n%s", bb)
+	fmt.Fprintf(out, "predicted p99: mean %.1f ms, worst interval %.1f ms (one static prediction, independent of database size)\n\n",
+		msF(pred.Mean99), msF(pred.Max99))
+	fmt.Fprintf(out, "cost-based plan — static analysis:\n%s", ub)
+	fmt.Fprintln(out, "no prediction exists: the operator chain has no closed-form bound.")
+
+	var worst time.Duration
+	for _, p := range points {
+		worst = max(worst, p.BoundedP99)
+	}
+	verdict := "conservative (measured under prediction at every size)"
+	switch {
+	case worst > pred.Max99*5/4:
+		verdict = fmt.Sprintf("VIOLATED by %.1f ms", msF(worst-pred.Max99))
+	case worst > pred.Max99:
+		verdict = "within the model's grid round-up tolerance"
+	}
+	fmt.Fprintf(out, "\nprediction vs worst measured PIQL p99: %.1f ms predicted, %.1f ms measured — %s\n\n",
+		msF(pred.Max99), msF(worst), verdict)
+	return nil
 }

@@ -500,34 +500,26 @@ func writeEntries(cl *kvstore.Client, keys [][]byte, write func(*kvstore.Client,
 	return errors.Join(errs...)
 }
 
-// Backfill builds a newly created secondary index from the existing
-// records of its table, returning the scan-begin version its entry
-// writes were stamped with. It is the scan half of the online build
+// BackfillAt builds a newly created secondary index from the existing
+// records of its table. It is the scan half of the online build
 // protocol: the index is registered (building) before the scan starts,
 // so concurrent writes maintain it, and the caller flips it ready
 // afterwards (engine.ensureBuilt, which also drains writers that could
 // still hold a pre-registration catalog snapshot).
 //
-// Every entry the backfill writes is stamped at one version drawn
-// before the scan reads anything (PutStamped). That makes the scan a
-// consistent "as of" replay: any write racing the build — in
+// Every entry the backfill writes is stamped at snap, a version the
+// caller drew before the scan reads anything (PutStamped). That makes
+// the scan a consistent "as of" replay: any write racing the build — in
 // particular a delete whose entries the stale scan would re-put —
 // carries a later version and outranks the backfill on every replica,
 // so the delete-racing-backfill dangle (and its replica-diverged ghost
 // variant) is structurally impossible rather than swept up afterwards.
-// Entry puts are idempotent, so concurrent or duplicate backfills are
-// harmless.
-func (m *Maintainer) Backfill(cl *kvstore.Client, ix *schema.Index) (kvstore.Version, error) {
-	snap := cl.StampVersion()
-	return snap, m.BackfillAt(cl, ix, snap)
-}
-
-// BackfillAt is Backfill with a caller-drawn scan stamp. The caller
-// must draw snap before any write it intends to outrank the scan can
-// stamp itself — the engine draws it before opening the build-tombstone
-// registry and draining writers, so every write that could race the
-// scan (and so every registry suspect) provably carries a version newer
-// than snap.
+// The caller must draw snap before any write it intends to outrank the
+// scan can stamp itself — the engine draws it before opening the
+// build-tombstone registry and draining writers, so every write that
+// could race the scan (and so every registry suspect) provably carries
+// a version newer than snap. Entry puts are idempotent, so concurrent or
+// duplicate backfills are harmless.
 func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvstore.Version) error {
 	if ix.Primary {
 		return nil

@@ -47,11 +47,6 @@ type Client struct {
 	fenceRetries int64 // conditional ops retried after an epoch-fencing reject
 	parent       *Client
 
-	// readQuorum > 1 makes point reads that leave ReadOpts.From at its
-	// zero value read Quorum(readQuorum) — staleness-bounded reads,
-	// threaded from piql.Config.ReadQuorum.
-	readQuorum int
-
 	// Scratch reused across operations to keep the per-request hot path
 	// allocation-lean. Safe because a Client is single-goroutine and the
 	// scratch is only read (never written) while Parallel children run.
@@ -71,12 +66,6 @@ func (c *Cluster) NewClient(proc *sim.Proc) *Client {
 		id:   seq,
 	}
 }
-
-// SetReadQuorum makes this client's Read and ReadBatch consult r
-// replicas per key (Quorum(r): newest version wins, stale replicas are
-// read-repaired) wherever the caller leaves ReadOpts.From at Any. r <= 1
-// restores plain single-replica reads.
-func (cl *Client) SetReadQuorum(r int) { cl.readQuorum = r }
 
 // Ops returns the number of storage operations issued through this client
 // since creation (including operations issued by Parallel children).
@@ -193,8 +182,7 @@ type Replicas int
 const (
 	// Any is one replica chosen uniformly, failing over to a live one
 	// when the choice is unreachable — the default, and the cheapest: one
-	// visit, no staleness bound. On a client with SetReadQuorum(r > 1),
-	// point reads resolve Any to Quorum(r).
+	// visit, no staleness bound.
 	Any Replicas = 0
 	// Primary is the partition's authoritative primary and nothing else.
 	// The primary receives every write synchronously — replica catch-ups
@@ -239,15 +227,6 @@ type ReadOpts struct {
 	// concurrently instead of one after another, so the latency is the
 	// slowest request rather than their sum, at the same operation count.
 	Parallel bool
-}
-
-// from resolves a point read's replica policy against the client's
-// configured read quorum.
-func (cl *Client) from(o ReadOpts) Replicas {
-	if o.From == Any && cl.readQuorum > 1 {
-		return Quorum(cl.readQuorum)
-	}
-	return o.From
 }
 
 // pick chooses the node serving partition p for a single-replica read,
@@ -337,7 +316,7 @@ func (cl *Client) read(rt *routing, key []byte, from Replicas) ([]byte, error) {
 // tombstone's version; a never-written key reports the zero Version.
 func (cl *Client) Read(key []byte, o ReadOpts) (val []byte, ver Version, ok bool, err error) {
 	rt := cl.c.beginOp()
-	env, err := cl.read(rt, key, cl.from(o))
+	env, err := cl.read(rt, key, o.From)
 	cl.c.endOp(rt)
 	if env == nil {
 		return nil, Version{}, false, err
@@ -358,14 +337,13 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 	if len(keys) == 0 {
 		return out, nil
 	}
-	from := cl.from(o)
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
-	if from != Any || len(keys) == 1 {
+	if o.From != Any || len(keys) == 1 {
 		// One read per key; a lone key also skips the grouping and dedup
 		// scratch below (the point-lookup fast path).
 		for i, k := range keys {
-			env, err := cl.read(rt, k, from)
+			env, err := cl.read(rt, k, o.From)
 			if err != nil {
 				return nil, err
 			}
@@ -627,11 +605,10 @@ func (cl *Client) Parallel(fns ...func(sub *Client)) {
 // rolled up into the parent.
 func (cl *Client) child(proc *sim.Proc) *Client {
 	return &Client{
-		c:          cl.c,
-		proc:       proc,
-		rng:        cl.rng.child(),
-		id:         cl.id,
-		parent:     cl,
-		readQuorum: cl.readQuorum,
+		c:      cl.c,
+		proc:   proc,
+		rng:    cl.rng.child(),
+		id:     cl.id,
+		parent: cl,
 	}
 }

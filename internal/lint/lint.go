@@ -37,6 +37,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,13 +113,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ReportAt records a violation at an already-resolved position —
 // for diagnostics whose site comes from outside the FileSet, like the
 // compiler's escape-analysis output. Suppression directives match on
-// the position, so //lint:allow works for these too.
+// the position, so //lint:allow works for these too. A (position,
+// message) pair is recorded once: the walkers visit a loop body twice
+// and keep both rows of a held-set union, so an analyzer can reach the
+// same finding more than once.
 func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	d := Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)}
+	if !slices.Contains(p.diags, d) {
+		p.diags = append(p.diags, d)
+	}
 }
 
 // Analyzers is the registry cmd/piql-vet and the tests run: the five

@@ -37,20 +37,14 @@ func runReleasePath(pass *Pass) {
 		return
 	}
 	for _, fi := range pass.ip.funcs {
-		// One report per (exit, lock class): the two-pass loop walk can
-		// surface the same leak under both the shared and exclusive
-		// rows of a union.
-		reported := map[string]bool{}
+		// The two-pass loop walk can surface the same leak under both the
+		// shared and exclusive rows of a union: the same report twice,
+		// which RunUnit keeps once.
 		for _, e := range fi.exits {
 			for _, l := range e.held {
 				if l.deferred {
 					continue
 				}
-				key := pass.Fset.Position(e.pos).String() + "\x00" + l.id
-				if reported[key] {
-					continue
-				}
-				reported[key] = true
 				what := "mutex " + l.id
 				if l.kind == kindClaim {
 					what = fi.claimNames[l.id]

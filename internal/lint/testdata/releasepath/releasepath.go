@@ -111,3 +111,15 @@ func okClaimDeferred(t *table, bad bool) int {
 func allowAcquireHelper(g *guarded) {
 	g.mu.Lock()
 }
+
+// leakBothRows: the exit's held set carries the lock twice — the shared
+// row from one branch, the exclusive row from the other — and each row
+// words the same finding at the same return. It is reported once.
+func leakBothRows(g *guarded, exclusive bool) {
+	if exclusive {
+		g.rw.Lock()
+	} else {
+		g.rw.RLock()
+	}
+	return // want `mutex .*guarded\.rw is never released on any path`
+}

@@ -6,6 +6,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"piql/internal/schema"
@@ -33,10 +34,18 @@ type Literal struct {
 
 func (Literal) expr() {}
 func (l Literal) String() string {
-	// Strings render SQL-style ('it''s') so Statement.String output
+	// Strings render SQL-style ('it''s') and floats in the lexer's
+	// digits-and-a-dot form (never 1e+06) so Statement.String output
 	// reparses; other types share the value rendering.
-	if l.Val.T == value.TypeString {
+	switch l.Val.T {
+	case value.TypeString:
 		return "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
+	case value.TypeFloat:
+		s := strconv.FormatFloat(l.Val.Float(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return l.Val.String()
 }

@@ -29,8 +29,11 @@
 // checked out per call, so calls never contend on each other's
 // key/value client. The engine underneath shares only
 //
-//   - a copy-on-write catalog (DDL publishes immutable snapshots;
-//     queries never block on CREATE TABLE / CREATE INDEX backfills),
+//   - a copy-on-write catalog with one writer (DDL, and Prepare once it
+//     has admitted a plan that needs a new index, publish immutable
+//     snapshots; the compiler only reads one, a refused query leaves
+//     nothing in it, and queries never block on CREATE TABLE / CREATE
+//     INDEX backfills),
 //   - an RWMutex-guarded compiled-plan cache (cache hits take a read
 //     lock only), and
 //   - a single-flight index-backfill table (concurrent Prepares of
@@ -115,12 +118,6 @@ type Config struct {
 	ReplicationFactor int
 	// Seed drives all simulation randomness (default 1).
 	Seed int64
-	// ReadQuorum is how many replicas each point read consults (default
-	// 1). With ReplicationFactor 2, a quorum of 2 bounds read staleness
-	// to zero while any single replica is partitioned: the newest of the
-	// returned versions wins and stale copies are read-repaired in the
-	// background.
-	ReadQuorum int
 
 	// SLO is the response-time objective queries are admitted against:
 	// with Enforce set and a model installed (UseSLOModel), Prepare
@@ -165,7 +162,6 @@ func Open(cfg Config) *DB {
 		Seed:              cfg.Seed,
 	}, nil)
 	eng := engine.New(cluster)
-	eng.SetReadQuorum(cfg.ReadQuorum)
 	eng.SetAdmission(&analyze.Policy{
 		Enforce: cfg.Enforce,
 		SLO:     cfg.SLO,
@@ -278,8 +274,8 @@ type Query struct {
 }
 
 // Prepare compiles a SELECT. Unbounded queries fail with
-// *UnboundedQueryError; the compiler automatically creates and
-// backfills any secondary indexes the plan needs.
+// *UnboundedQueryError; an admitted plan's new secondary indexes are
+// registered and backfilled before Prepare returns.
 func (db *DB) Prepare(sql string) (*Query, error) {
 	s := db.acquire()
 	pre, err := s.Prepare(sql)
