@@ -13,8 +13,10 @@ vet:
 
 # lint is the static gate: gofmt, go vet, the layering that keeps the
 # static bound derived once (internal/core derives it, internal/analyze
-# words and admits it, internal/predict prices it and imports neither),
-# and piql-vet (the project's own analyzers, then the escape budget) —
+# words and admits it, internal/predict prices it and imports neither)
+# and statements bound once (internal/engine names no expression type of
+# the AST: internal/core binds, the engine runs what it bound), and
+# piql-vet (the project's own analyzers, then the escape budget) —
 # see "Static analysis" in README.md. After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
 # `bin/piql-vet -escapebudget -update` and review the diff like any
@@ -25,9 +27,12 @@ lint:
 	@out=$$(gofmt -l cmd internal *.go); if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	@if $(GO) list -deps ./internal/predict | grep -xE 'piql/internal/(core|analyze)' || \
-		$(GO) list -deps ./internal/core | grep -xE 'piql/internal/(analyze|predict)'; then \
-		echo "layering: predict prices operator lists and core derives the bound; neither may import the packages listed above"; exit 1; fi
+	@if $(GO) list -deps ./internal/predict | grep -xE 'piql/internal/(core|analyze)'; then \
+		echo "layering: predict prices operator lists; it may not import the packages listed above"; exit 1; fi
+	@if $(GO) list -deps ./internal/core | grep -xE 'piql/internal/(analyze|predict)'; then \
+		echo "layering: core derives the bound; it may not import the packages listed above"; exit 1; fi
+	@if grep -nE 'parser\.(Expr|Literal|Param|Predicate|Assignment)\b' $$(ls internal/engine/*.go | grep -v _test.go); then \
+		echo "layering: engine runs bound statements (core.BindWrite, core.Compile); it reads the AST only to tell DDL from DML from SELECT"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget

@@ -84,7 +84,7 @@ func joinOrder(q *boundQuery, edges []edge) ([]*rel, error) {
 // accessScore ranks how tightly a relation's own predicates bound it:
 // full primary key (3) > cardinality constraint (2) > any equality (1).
 func accessScore(r *rel) int {
-	cols := eqColNames(r)
+	cols := eqColNames(r, true)
 	switch {
 	case len(cols) > 0 && r.table.IsPrimaryKey(cols):
 		return 3
@@ -97,13 +97,14 @@ func accessScore(r *rel) int {
 	}
 }
 
-// eqColNames returns the column names with simple equality or IN
-// predicates (CONTAINS is excluded: a token match is not equality on the
-// column, so it cannot satisfy key or cardinality coverage).
-func eqColNames(r *rel) []string {
+// eqColNames returns the column names with simple equality or, with
+// inLists, IN predicates (CONTAINS is excluded: a token match is not
+// equality on the column, so it cannot satisfy key or cardinality
+// coverage).
+func eqColNames(r *rel, inLists bool) []string {
 	var cols []string
 	for _, p := range r.eqPreds {
-		if p.Op == parser.OpEq {
+		if p.Op == parser.OpEq && (inLists || p.InList == nil) {
 			cols = append(cols, r.table.Columns[p.Col].Name)
 		}
 	}
@@ -150,7 +151,10 @@ func orientEdges(q *boundQuery, r *rel, ri int, chosen []bool, edges []edge) {
 // legal precisely because the constraint bounds how many matching tuples
 // can exist in the database, not how many the query wants.
 func insertDataStop(r *rel, joined bool) {
-	eqCols := eqColNames(r)
+	// A joined relation is read with one key per child row, and an IN
+	// list can be no part of such a key: there it neither covers a
+	// constraint nor multiplies one, and stays a selection above.
+	eqCols := eqColNames(r, !joined)
 	if joined {
 		for _, jp := range r.joinPreds {
 			eqCols = append(eqCols, r.table.Columns[jp.col].Name)
@@ -173,13 +177,13 @@ func insertDataStop(r *rel, joined bool) {
 	// IN-lists on covering columns multiply the bound: each list element
 	// is a separate equality binding.
 	for _, p := range r.eqPreds {
-		if p.Op == parser.OpEq && p.InList != nil && containsFold(coverCols, r.table.Columns[p.Col].Name) {
+		if !joined && p.Op == parser.OpEq && p.InList != nil && containsFold(coverCols, r.table.Columns[p.Col].Name) {
 			card = boundMul(card, len(p.InList))
 		}
 	}
 	r.dataStopCard = card
 	for _, p := range r.eqPreds {
-		if p.Op == parser.OpEq && containsFold(coverCols, r.table.Columns[p.Col].Name) {
+		if p.Op == parser.OpEq && (p.InList == nil || !joined) && containsFold(coverCols, r.table.Columns[p.Col].Name) {
 			r.belowPreds = append(r.belowPreds, p)
 		} else {
 			r.abovePreds = append(r.abovePreds, p)

@@ -53,14 +53,13 @@ func phase2(cat Catalog, q *boundQuery, order []*rel) (Physical, []*schema.Index
 	return plan, ctx.required, nil
 }
 
-// splitPreds partitions a relation's own predicates for access-path
-// selection.
+// splitPreds partitions a relation's own predicates by the part of a
+// contiguous index section each can be (limitHintScan).
 type predSplit struct {
 	eqSimple []LocalPred         // col = const/param
-	eqIn     []LocalPred         // col IN (...)
 	token    []LocalPred         // col CONTAINS word
 	ranges   map[int][]LocalPred // inequalities by column ordinal
-	other    []LocalPred         // != and anything unusable for access
+	other    []LocalPred         // IN lists, != and anything else that can be none
 }
 
 func splitPreds(r *rel) predSplit {
@@ -68,9 +67,7 @@ func splitPreds(r *rel) predSplit {
 	all := append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...)
 	for _, p := range all {
 		switch {
-		case p.Op == parser.OpEq && p.InList != nil:
-			s.eqIn = append(s.eqIn, p)
-		case p.Op == parser.OpEq:
+		case p.Op == parser.OpEq && p.InList == nil:
 			s.eqSimple = append(s.eqSimple, p)
 		case p.Op == parser.OpContains:
 			s.token = append(s.token, p)
@@ -86,11 +83,10 @@ func splitPreds(r *rel) predSplit {
 // --- base relation access ---
 
 func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
-	split := splitPreds(r)
-
 	// Case 1: equality (or IN) coverage of the full primary key —
 	// bounded random lookups (Fig. 7's PIQL plan).
-	if plan, ok := ctx.tryPKLookup(r, split); ok {
+	if plan, ok := pkLookup(r); ok {
+		ctx.ordered = len(ctx.q.sort) == 0
 		return plan, nil
 	}
 	// Case 2: a data-stop bounds the matching tuples.
@@ -104,7 +100,7 @@ func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
 	// the paper's search-by-title plan, where the stop of 50 sits under
 	// the author join.
 	if ctx.stopLimitsFetch(r) {
-		return ctx.limitHintScan(r, split)
+		return ctx.limitHintScan(r, splitPreds(r))
 	}
 	return nil, ctx.unboundedRelation(r)
 }
@@ -181,31 +177,89 @@ func (ctx *phase2Ctx) backedByForeignKey(r *rel, outerCols []int) bool {
 	return false
 }
 
-// tryPKLookup matches equality predicates against the full primary key.
-func (ctx *phase2Ctx) tryPKLookup(r *rel, split predSplit) (Physical, bool) {
-	byCol := make(map[int]LocalPred)
-	for _, p := range split.eqSimple {
-		byCol[p.Col] = p
+// keyPick chooses, column by column, the one predicate that supplies a
+// key component and remembers the choice, so that rest returns every
+// predicate the key does not stand for. A second equality on a keyed
+// column, or a join predicate the key has no place for, still has to
+// hold: dropped, the operator returns rows that fail it.
+type keyPick struct {
+	r *rel
+	// used has a bit per claimed predicate of r.joinPreds followed by
+	// r.eqPreds. The shift drops the bits of a 65th predicate and later:
+	// one that keys a column stays in rest as well, checked twice.
+	used uint64
+}
+
+// take claims the predicate that keys column ci and returns it: the
+// first join predicate on the column (as col = outer column), else the
+// first plain equality, else — where the key may fan out, inList — the
+// first IN list. It reports false when there is none or the column is
+// keyed already.
+func (k *keyPick) take(ci int, inList bool) (LocalPred, bool) {
+	joins, at := len(k.r.joinPreds), -1
+	for i, jp := range k.r.joinPreds {
+		if jp.col == ci {
+			at = i
+			break
+		}
 	}
-	for _, p := range split.eqIn {
-		byCol[p.Col] = p
+	if at < 0 {
+		for i, p := range k.r.eqPreds {
+			if p.Col != ci || p.Op != parser.OpEq {
+				continue
+			}
+			if p.InList == nil {
+				at = joins + i
+				break
+			}
+			if inList && at < 0 {
+				at = joins + i
+			}
+		}
 	}
-	keyed := make(map[int]bool)
+	if at < 0 || k.used&(1<<at) != 0 {
+		return LocalPred{}, false
+	}
+	k.used |= 1 << at
+	if at < joins {
+		return k.r.joinPreds[at].local(), true
+	}
+	return k.r.eqPreds[at-joins], true
+}
+
+// rest returns the predicates no key component stands for, in r's own
+// column numbering: join predicates first, then r's own in their order.
+func (k *keyPick) rest() []LocalPred {
+	var rest []LocalPred
+	for i, jp := range k.r.joinPreds {
+		if k.used&(1<<i) == 0 {
+			rest = append(rest, jp.local())
+		}
+	}
+	for i, p := range k.r.eqPreds {
+		if k.used&(1<<(len(k.r.joinPreds)+i)) == 0 {
+			rest = append(rest, p)
+		}
+	}
+	return append(rest, k.r.otherPreds...)
+}
+
+// pkLookup matches equality predicates (or IN lists, expanded to their
+// cartesian product) against the full primary key.
+func pkLookup(r *rel) (*PKLookup, bool) {
+	pick := keyPick{r: r}
 	keys := []KeySpec{{}}
 	for _, pk := range r.table.PrimaryKey {
-		ci := r.table.ColumnIndex(pk)
-		p, ok := byCol[ci]
+		p, ok := pick.take(r.table.ColumnIndex(pk), true)
 		if !ok {
 			return nil, false
 		}
-		keyed[ci] = true
 		if p.InList == nil {
 			for i := range keys {
 				keys[i] = append(keys[i], p.RHS)
 			}
 			continue
 		}
-		// IN-list: cartesian expansion.
 		expanded := make([]KeySpec, 0, len(keys)*len(p.InList))
 		for _, k := range keys {
 			for _, e := range p.InList {
@@ -216,16 +270,7 @@ func (ctx *phase2Ctx) tryPKLookup(r *rel, split predSplit) (Physical, bool) {
 		}
 		keys = expanded
 	}
-	var residual []LocalPred
-	for _, p := range append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...) {
-		if keyed[p.Col] && (p.Op == parser.OpEq) {
-			continue
-		}
-		residual = append(residual, p)
-	}
-	plan := Physical(&PKLookup{Table: r.table, TableOffset: r.offset, Keys: keys, Residual: shiftPreds(residual, r.offset)})
-	ctx.ordered = len(ctx.q.sort) == 0
-	return plan, true
+	return &PKLookup{Table: r.table, TableOffset: r.offset, Keys: keys, Residual: shiftPreds(pick.rest(), r.offset)}, true
 }
 
 // boundedIndexScan builds the access path when a data-stop bounds the
@@ -287,7 +332,7 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 // limitHintScan builds a purely limit-hint-bounded scan: every predicate
 // must be expressible as a contiguous index section.
 func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
-	if len(split.other) > 0 || len(split.eqIn) > 0 || len(split.token) > 1 || len(split.ranges) > 1 {
+	if len(split.other) > 0 || len(split.token) > 1 || len(split.ranges) > 1 {
 		return nil, ctx.unboundedRelation(r)
 	}
 	var fields []schema.IndexField
@@ -365,17 +410,15 @@ func (ctx *phase2Ctx) matchJoin(child Physical, r *rel) (Physical, error) {
 			},
 		}
 	}
-	split := splitPreds(r)
-
 	// IndexFKJoin: join columns (plus constant equalities) cover the
 	// target primary key, so each child row matches at most one record.
-	if plan, ok := ctx.tryFKJoin(child, r, split); ok {
+	if plan, ok := ctx.tryFKJoin(child, r); ok {
 		return plan, nil
 	}
 	// SortedIndexJoin (sort+stop flavor): the query's sort is entirely on
 	// this relation and a stop exists; pre-sorted composite index entries
 	// let us fetch only the top-K per join key.
-	if plan, ok := ctx.trySortedJoin(child, r, split); ok {
+	if plan, ok := ctx.trySortedJoin(child, r); ok {
 		return plan, nil
 	}
 	// SortedIndexJoin (cardinality flavor): the schema bounds tuples per
@@ -386,31 +429,15 @@ func (ctx *phase2Ctx) matchJoin(child Physical, r *rel) (Physical, error) {
 	return nil, ctx.unboundedJoin(r)
 }
 
-func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel, split predSplit) (Physical, bool) {
-	exprByCol := make(map[int]KeyExpr)
-	for _, p := range split.eqSimple {
-		exprByCol[p.Col] = p.RHS
-	}
-	for _, jp := range r.joinPreds {
-		exprByCol[jp.col] = childColExpr(jp.outerCol, jp.outerStr)
-	}
+func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel) (Physical, bool) {
+	pick := keyPick{r: r}
 	var keys KeySpec
-	used := make(map[int]bool)
 	for _, pk := range r.table.PrimaryKey {
-		ci := r.table.ColumnIndex(pk)
-		e, ok := exprByCol[ci]
+		p, ok := pick.take(r.table.ColumnIndex(pk), false)
 		if !ok {
 			return nil, false
 		}
-		keys = append(keys, e)
-		used[ci] = true
-	}
-	var residual []LocalPred
-	for _, p := range append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...) {
-		if used[p.Col] && p.Op == parser.OpEq && p.InList == nil {
-			continue
-		}
-		residual = append(residual, p)
+		keys = append(keys, p.RHS)
 	}
 	// A 1:1 join preserves the child's ordering; ctx.ordered unchanged.
 	return &IndexFKJoin{
@@ -418,14 +445,32 @@ func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel, split predSplit) (Physic
 		Table:       r.table,
 		TableOffset: r.offset,
 		Keys:        keys,
-		Residual:    shiftPreds(residual, r.offset),
+		Residual:    shiftPreds(pick.rest(), r.offset),
 	}, true
+}
+
+// joinPrefix is the equality prefix of a sorted join's index: one
+// component per column, join columns first, then the columns of eqs.
+func joinPrefix(pick *keyPick, eqs []LocalPred) (fields []schema.IndexField, jk KeySpec) {
+	add := func(ci int) {
+		if p, ok := pick.take(ci, false); ok {
+			fields = append(fields, schema.IndexField{Column: pick.r.colName(ci)})
+			jk = append(jk, p.RHS)
+		}
+	}
+	for _, jp := range pick.r.joinPreds {
+		add(jp.col)
+	}
+	for _, p := range eqs {
+		add(p.Col)
+	}
+	return fields, jk
 }
 
 // trySortedJoin matches the thoughtstream pattern: ORDER BY columns all
 // on r, a stop above that may limit r's fetch, and no residual
 // predicates on r outside the index.
-func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Physical, bool) {
+func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel) (Physical, bool) {
 	if !ctx.stopLimitsFetch(r) || len(ctx.q.sort) == 0 {
 		return nil, false
 	}
@@ -433,20 +478,13 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 	if !ok {
 		return nil, false
 	}
-	// Residuals (IN lists, !=, inequalities, tokens) would invalidate the
-	// per-key top-K shortcut.
-	if len(split.eqIn) > 0 || len(split.token) > 0 || len(split.ranges) > 0 || len(split.other) > 0 {
+	pick := keyPick{r: r}
+	fields, jk := joinPrefix(&pick, r.eqPreds)
+	// Anything left for a residual (IN lists, !=, inequalities, tokens, a
+	// second equality on a column) would invalidate the per-key top-K
+	// shortcut.
+	if len(pick.rest()) > 0 {
 		return nil, false
-	}
-	var fields []schema.IndexField
-	var jk KeySpec
-	for _, jp := range r.joinPreds {
-		fields = append(fields, schema.IndexField{Column: r.colName(jp.col)})
-		jk = append(jk, childColExpr(jp.outerCol, jp.outerStr))
-	}
-	for _, p := range split.eqSimple {
-		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
-		jk = append(jk, p.RHS)
 	}
 	fields = append(fields, sortCols...)
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
@@ -471,25 +509,8 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel, split predSplit) (Ph
 // cardBoundedJoin fetches all (at most dataStopCard) matches per join
 // key and applies the remaining predicates locally.
 func (ctx *phase2Ctx) cardBoundedJoin(child Physical, r *rel) (Physical, error) {
-	var fields []schema.IndexField
-	var jk KeySpec
-	seen := make(map[int]bool)
-	for _, jp := range r.joinPreds {
-		if seen[jp.col] {
-			continue
-		}
-		seen[jp.col] = true
-		fields = append(fields, schema.IndexField{Column: r.colName(jp.col)})
-		jk = append(jk, childColExpr(jp.outerCol, jp.outerStr))
-	}
-	for _, p := range r.belowPreds {
-		if seen[p.Col] || p.InList != nil {
-			continue
-		}
-		seen[p.Col] = true
-		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
-		jk = append(jk, p.RHS)
-	}
+	pick := keyPick{r: r}
+	fields, jk := joinPrefix(&pick, r.belowPreds)
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
 	ctx.ordered = false // per-key fetch order is not the query order
 	join := &SortedIndexJoin{
@@ -500,7 +521,7 @@ func (ctx *phase2Ctx) cardBoundedJoin(child Physical, r *rel) (Physical, error) 
 		JoinKey:     jk,
 		PerKeyLimit: r.dataStopCard,
 		Ascending:   !reversed,
-		Residual:    shiftPreds(r.abovePreds, r.offset),
+		Residual:    shiftPreds(pick.rest(), r.offset),
 		NeedDeref:   !ix.Primary,
 	}
 	return join, nil
@@ -664,7 +685,7 @@ func (ctx *phase2Ctx) noteRequired(ix *schema.Index) {
 // --- assistant feedback ---
 
 func (ctx *phase2Ctx) unboundedRelation(r *rel) error {
-	eqCols := eqColNames(r)
+	eqCols := eqColNames(r, true)
 	sug := []string{}
 	if len(eqCols) > 0 {
 		sug = append(sug, fmt.Sprintf("add `CARDINALITY LIMIT n (%s)` to table %s so the matching tuples are bounded",

@@ -94,15 +94,6 @@ func childColExpr(idx int, display string) KeyExpr {
 
 func (e KeyExpr) String() string { return e.display }
 
-// IsChildCol reports whether the expression reads from the outer row,
-// and if so which combined-row column.
-func (e KeyExpr) IsChildCol() (int, bool) {
-	if e.kind == keyChildCol {
-		return e.childCol, true
-	}
-	return 0, false
-}
-
 // Eval resolves the expression against query parameters and (for child
 // column references) the combined outer row.
 func (e KeyExpr) Eval(params []value.Value, outer value.Row) (value.Value, error) {
@@ -276,6 +267,13 @@ type joinPred struct {
 	name     string
 	outerCol int // combined-row index of the matching outer column
 	outerStr string
+}
+
+// local is the join predicate as a predicate on the joined row, in the
+// relation's own column numbering: what an operator whose key has no
+// place for it checks as a residual.
+func (p joinPred) local() LocalPred {
+	return LocalPred{Col: p.col, Name: p.name, Op: parser.OpEq, RHS: childColExpr(p.outerCol, p.outerStr)}
 }
 
 func (p joinPred) String() string {

@@ -25,6 +25,8 @@ func TestConcurrentSessions(t *testing.T) {
 
 	const goroutines = 16
 	const iterations = 30
+	const updateThought = `UPDATE thoughts SET text = ? WHERE owner = ? AND timestamp = ?`
+	const deleteThought = `DELETE FROM thoughts WHERE owner = ? AND timestamp = ?`
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -71,6 +73,19 @@ func TestConcurrentSessions(t *testing.T) {
 					fail("insert: %v", err)
 					return
 				}
+				// The same UPDATE and DELETE texts from every session, first
+				// seen while all of them run: racing binds keep one binding
+				// and every session's writes go through it.
+				if err := s.Exec(updateThought, value.Str(fmt.Sprintf("thought %d of writer %d", i, g)), owner, value.Int(ts)); err != nil {
+					fail("update: %v", err)
+					return
+				}
+				if i%2 == 1 {
+					if err := s.Exec(deleteThought, owner, value.Int(ts)); err != nil {
+						fail("delete: %v", err)
+						return
+					}
+				}
 				// Concurrent DDL: every goroutine creates its own table
 				// once, and all goroutines race the same CREATE INDEX
 				// (the single-flight backfill must build it exactly once).
@@ -116,6 +131,31 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if len(res.Rows) != 40 {
 		t.Fatalf("hometown index query returned %d rows, want 40", len(res.Rows))
+	}
+	// Every writer's rows are as its last statement left them, and each
+	// DML text has one binding: the loader's three INSERTs and the two
+	// above.
+	written, err := s.Prepare(`SELECT text FROM thoughts WHERE owner = ? AND timestamp = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < iterations; i++ {
+			res, err := written.Execute(s, value.Str(fmt.Sprintf("user%03d", (g+i)%40)), value.Int(int64(100_000+g*10_000+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf(`[("thought %d of writer %d")]`, i, g)
+			if i%2 == 1 {
+				want = "[]"
+			}
+			if got := fmt.Sprint(res.Rows); got != want {
+				t.Fatalf("writer %d, thought %d: %s, want %s", g, i, got, want)
+			}
+		}
+	}
+	if n := len(eng.writes); n != 5 {
+		t.Errorf("%d bound writes cached, want one per DML text (5)", n)
 	}
 	// All goroutine-private tables registered despite racing CoW writers.
 	for g := 0; g < goroutines; g++ {

@@ -17,8 +17,9 @@
 //     snapshot without locking. The compiler only reads a snapshot
 //     (core.Compile is a function), so a cold Prepare compiles on the
 //     published snapshot itself and a refused query leaves nothing;
-//   - the compiled-plan cache is guarded by an RWMutex, so cache hits
-//     (the steady state) take only a read lock;
+//   - the statement cache — a SELECT's compiled plan, a DML statement's
+//     bound form, by text — is guarded by an RWMutex, so cache hits (the
+//     steady state) take only a read lock and neither parse nor bind;
 //   - index backfills are deduplicated by signature with a single-flight
 //     table: the first session builds, racing sessions wait for the
 //     build to finish instead of double-building or — worse — reading an
@@ -64,7 +65,7 @@ import (
 )
 
 // Engine is one application-tier PIQL library instance. It is stateless
-// between requests apart from the catalog and compiled-plan cache; all
+// between requests apart from the catalog and the statement cache; all
 // data lives in the key/value store. An Engine is safe for concurrent
 // use by multiple sessions (see the package comment).
 type Engine struct {
@@ -77,8 +78,11 @@ type Engine struct {
 	cat   atomic.Pointer[schema.Catalog]
 	ddlMu sync.Mutex
 
-	plansMu sync.RWMutex
-	plans   map[string]*Prepared // by SQL text
+	// The statement cache, by SQL text: a SELECT's compiled plan, a DML
+	// statement's bound form, both immutable.
+	stmtMu sync.RWMutex
+	plans  map[string]*Prepared
+	writes map[string]*core.Write
 
 	buildMu sync.Mutex
 	builds  map[string]*indexBuild // in-flight/completed backfills by signature
@@ -113,6 +117,7 @@ func New(cluster *kvstore.Cluster) *Engine {
 	e := &Engine{
 		cluster: cluster,
 		plans:   make(map[string]*Prepared),
+		writes:  make(map[string]*core.Write),
 		builds:  make(map[string]*indexBuild),
 	}
 	e.cat.Store(schema.NewCatalog())
@@ -161,27 +166,37 @@ func (s *Session) SetStrategy(st exec.Strategy) { s.strat = st }
 func (s *Session) Client() *kvstore.Client { return s.client }
 
 // Exec runs a DDL or DML statement. Queries must go through Prepare.
+// An INSERT, UPDATE or DELETE is parsed and bound once (core.BindWrite)
+// and its bound form cached by text beside the compiled plans, so a text
+// seen before costs one read-locked lookup and its execution. DDL runs
+// uncached.
 func (s *Session) Exec(sql string, params ...value.Value) error {
+	e := s.eng
+	e.stmtMu.RLock()
+	w, hit := e.writes[sql]
+	e.stmtMu.RUnlock()
+	if hit {
+		return s.write(w, params)
+	}
 	stmt, err := parser.Parse(sql)
 	if err != nil {
 		return err
 	}
 	switch stmt := stmt.(type) {
 	case *parser.CreateTable:
-		return s.eng.createTable(stmt.Table)
+		return e.createTable(stmt.Table)
 	case *parser.CreateIndex:
-		return s.eng.createIndex(s, stmt.Index)
-	case *parser.Insert:
-		return s.insert(stmt, params)
-	case *parser.Update:
-		return s.update(stmt, params)
-	case *parser.Delete:
-		return s.delete(stmt, params)
+		return e.createIndex(s, stmt.Index)
 	case *parser.Select:
 		return fmt.Errorf("engine: use Prepare/Query for SELECT statements")
-	default:
-		return fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
+	if w, err = core.BindWrite(e.cat.Load(), stmt); err != nil {
+		return err
+	}
+	e.stmtMu.Lock()
+	e.writes[sql] = w // sessions that raced to bind the text store equal bindings
+	e.stmtMu.Unlock()
+	return s.write(w, params)
 }
 
 // updateCatalog runs one copy-on-write catalog mutation: clone the
@@ -417,7 +432,6 @@ func (e *Engine) markReady(ix *schema.Index) {
 
 // Prepared is a compiled, reusable query.
 type Prepared struct {
-	eng   *Engine
 	plan  *core.Plan
 	sql   string
 	bound *analyze.Bound
@@ -447,9 +461,9 @@ func (s *Session) PrepareCostBased(sql string) (*Prepared, error) {
 
 func (s *Session) prepare(cacheKey, sql string, compile func(core.Catalog, *parser.Select) (*core.Plan, error)) (*Prepared, error) {
 	e := s.eng
-	e.plansMu.RLock()
+	e.stmtMu.RLock()
 	p, hit := e.plans[cacheKey]
-	e.plansMu.RUnlock()
+	e.stmtMu.RUnlock()
 	if hit {
 		// Re-admit under the current policy: the plan may have been
 		// cached before enforcement was tightened.
@@ -493,14 +507,14 @@ func (s *Session) prepare(cacheKey, sql string, compile func(core.Catalog, *pars
 	if err := e.ensureBuilt(s, plan.RequiredIndexes); err != nil {
 		return nil, err
 	}
-	p = &Prepared{eng: e, plan: plan, sql: sql, bound: bound}
-	e.plansMu.Lock()
+	p = &Prepared{plan: plan, sql: sql, bound: bound}
+	e.stmtMu.Lock()
 	if existing, ok := e.plans[cacheKey]; ok {
 		p = existing // another session won the compile race; use its plan
 	} else {
 		e.plans[cacheKey] = p
 	}
-	e.plansMu.Unlock()
+	e.stmtMu.Unlock()
 	return p, nil
 }
 
@@ -567,63 +581,53 @@ func (s *Session) Query(sql string, params ...value.Value) (*exec.Result, error)
 
 // --- write path ---
 
-// Write operations hold writeGate shared for their whole duration —
-// including the catalog load — so an index backfill can drain them (see
-// ensureBuilt). Shared acquisition is uncontended in the steady state.
-
-func (s *Session) insert(stmt *parser.Insert, params []value.Value) error {
+// write runs a bound INSERT, UPDATE or DELETE. It holds writeGate shared
+// for its whole duration, so an index backfill can drain it (see
+// ensureBuilt): the binding names the table only, and the maintainer
+// reads the table's indexes from the live catalog inside the gate, so a
+// text bound before a CREATE INDEX maintains the new index. Shared
+// acquisition is uncontended in the steady state.
+func (s *Session) write(w *core.Write, params []value.Value) error {
+	if len(params) < w.NumParams {
+		return fmt.Errorf("engine: statement needs %d parameters, got %d", w.NumParams, len(params))
+	}
 	s.awaitDrains()
 	s.eng.writeGate.RLock()
 	defer s.eng.writeGate.RUnlock()
-	t := s.eng.Catalog().Table(stmt.Table)
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", stmt.Table)
-	}
-	row, err := buildRow(t, stmt.Columns, stmt.Values, params)
-	if err != nil {
-		return err
-	}
-	return s.eng.maint.Insert(s.client, t, row)
-}
-
-func (s *Session) update(stmt *parser.Update, params []value.Value) error {
-	s.awaitDrains()
-	s.eng.writeGate.RLock()
-	defer s.eng.writeGate.RUnlock()
-	t := s.eng.Catalog().Table(stmt.Table)
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", stmt.Table)
-	}
-	pk, err := pkFromWhere(t, stmt.Where, params)
-	if err != nil {
-		return err
-	}
-	// "The row is absent" and "the row's replicas are unreachable" are
-	// different answers: the latter is transient and must not be reported
-	// as a missing row (callers treat missing-row as a fatal semantic
-	// error and would drop the update on the floor).
-	rec, _, ok, err := s.client.Read(index.RecordKeyFromPK(t, pk), kvstore.ReadOpts{})
-	if err != nil {
-		return fmt.Errorf("engine: update %s: %w", t.Name, err)
-	}
-	if !ok {
-		return fmt.Errorf("engine: no row in %s with primary key %s", t.Name, pk)
-	}
-	old, err := value.DecodeRow(rec)
-	if err != nil {
-		return fmt.Errorf("engine: corrupt record: %w", err)
-	}
-	row := append(value.Row(nil), old...) // the maintainer finds the stale entries from old
-	for _, a := range stmt.Set {
-		ci := t.ColumnIndex(a.Column)
-		if ci < 0 {
-			return fmt.Errorf("engine: unknown column %q in %s", a.Column, t.Name)
-		}
-		v, err := evalExpr(a.Value, params)
-		if err != nil {
+	t := w.Table
+	var pk, old value.Row // what an UPDATE or DELETE names: its key, the row under it
+	if w.Key != nil {
+		var err error
+		if pk, err = w.Key.Eval(params, nil); err != nil {
 			return err
 		}
-		row[ci] = v
+		if w.Row == nil { // DELETE
+			return s.eng.maint.Delete(s.client, t, pk)
+		}
+		// "The row is absent" and "the row's replicas are unreachable" are
+		// different answers: the latter is transient and must not be reported
+		// as a missing row (callers treat missing-row as a fatal semantic
+		// error and would drop the update on the floor).
+		rec, _, ok, err := s.client.Read(index.RecordKeyFromPK(t, pk), kvstore.ReadOpts{})
+		if err != nil {
+			return fmt.Errorf("engine: update %s: %w", t.Name, err)
+		}
+		if !ok {
+			return fmt.Errorf("engine: no row in %s with primary key %s", t.Name, pk)
+		}
+		if old, err = value.DecodeRow(rec); err != nil {
+			return fmt.Errorf("engine: corrupt record: %w", err)
+		}
+	}
+	row, err := w.Row.Eval(params, old)
+	if err != nil {
+		return err
+	}
+	if err := checkTypes(t, row); err != nil {
+		return err
+	}
+	if w.Key == nil { // INSERT
+		return s.eng.maint.Insert(s.client, t, row)
 	}
 	// Primary key columns must not change through UPDATE.
 	for i, col := range t.PrimaryKey {
@@ -631,55 +635,13 @@ func (s *Session) update(stmt *parser.Update, params []value.Value) error {
 			return fmt.Errorf("engine: UPDATE may not modify primary key column %q", col)
 		}
 	}
-	return s.eng.maint.Update(s.client, t, old, row)
+	return s.eng.maint.Update(s.client, t, old, row) // the maintainer finds the stale entries from old
 }
 
-func (s *Session) delete(stmt *parser.Delete, params []value.Value) error {
-	s.awaitDrains()
-	s.eng.writeGate.RLock()
-	defer s.eng.writeGate.RUnlock()
-	t := s.eng.Catalog().Table(stmt.Table)
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", stmt.Table)
-	}
-	pk, err := pkFromWhere(t, stmt.Where, params)
-	if err != nil {
-		return err
-	}
-	return s.eng.maint.Delete(s.client, t, pk)
-}
-
-// buildRow assembles a full table row from INSERT columns and values.
-func buildRow(t *schema.Table, cols []string, exprs []parser.Expr, params []value.Value) (value.Row, error) {
-	row := make(value.Row, len(t.Columns))
-	if len(cols) == 0 {
-		if len(exprs) != len(t.Columns) {
-			return nil, fmt.Errorf("engine: INSERT into %s needs %d values, got %d", t.Name, len(t.Columns), len(exprs))
-		}
-		for i, e := range exprs {
-			v, err := evalExpr(e, params)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return checkTypes(t, row)
-	}
-	for i, col := range cols {
-		ci := t.ColumnIndex(col)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q in %s", col, t.Name)
-		}
-		v, err := evalExpr(exprs[i], params)
-		if err != nil {
-			return nil, err
-		}
-		row[ci] = v
-	}
-	return checkTypes(t, row)
-}
-
-func checkTypes(t *schema.Table, row value.Row) (value.Row, error) {
+// checkTypes holds an assembled row to its table's declaration — the
+// values parameters supplied can only be checked here, at run time — and
+// widens an integer stored in a DOUBLE column in place.
+func checkTypes(t *schema.Table, row value.Row) error {
 	for i, col := range t.Columns {
 		v := row[i]
 		if v.IsNull() {
@@ -690,63 +652,16 @@ func checkTypes(t *schema.Table, row value.Row) (value.Row, error) {
 			continue
 		}
 		if v.T != col.Type {
-			return nil, fmt.Errorf("engine: column %s.%s is %s, got %s", t.Name, col.Name, col.Type, v.T)
+			return fmt.Errorf("engine: column %s.%s is %s, got %s", t.Name, col.Name, col.Type, v.T)
 		}
 		if col.MaxLen > 0 && v.T == value.TypeString && len(v.S) > col.MaxLen {
-			return nil, fmt.Errorf("engine: value for %s.%s exceeds VARCHAR(%d)", t.Name, col.Name, col.MaxLen)
+			return fmt.Errorf("engine: value for %s.%s exceeds VARCHAR(%d)", t.Name, col.Name, col.MaxLen)
 		}
 	}
-	return row, nil
-}
-
-// pkFromWhere requires the WHERE clause to be exactly an equality on the
-// full primary key — PIQL's scale-independent contract for point writes.
-func pkFromWhere(t *schema.Table, where []parser.Predicate, params []value.Value) (value.Row, error) {
-	byCol := make(map[string]value.Value)
-	for _, p := range where {
-		if p.Op != parser.OpEq || p.InList != nil {
-			return nil, fmt.Errorf("engine: writes require equality predicates on the primary key, got %s", p)
-		}
-		v, err := evalExpr(p.Right, params)
-		if err != nil {
-			return nil, err
-		}
-		byCol[lower(p.Left.Column)] = v
-	}
-	if len(byCol) != len(t.PrimaryKey) {
-		return nil, fmt.Errorf("engine: writes to %s must name exactly the primary key (%v)", t.Name, t.PrimaryKey)
-	}
-	pk := make(value.Row, len(t.PrimaryKey))
-	for i, col := range t.PrimaryKey {
-		v, ok := byCol[lower(col)]
-		if !ok {
-			return nil, fmt.Errorf("engine: writes to %s must constrain primary key column %q", t.Name, col)
-		}
-		pk[i] = v
-	}
-	return pk, nil
-}
-
-func evalExpr(e parser.Expr, params []value.Value) (value.Value, error) {
-	switch e := e.(type) {
-	case parser.Literal:
-		return e.Val, nil
-	case parser.Param:
-		if e.Index < 1 || e.Index > len(params) {
-			return value.Value{}, fmt.Errorf("engine: parameter %d not supplied (%d given)", e.Index, len(params))
-		}
-		return params[e.Index-1], nil
-	default:
-		return value.Value{}, fmt.Errorf("engine: unsupported expression %s", e)
-	}
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+	for _, col := range t.PrimaryKey {
+		if row[t.ColumnIndex(col)].IsNull() {
+			return fmt.Errorf("engine: primary key column %s.%s is NULL", t.Name, col)
 		}
 	}
-	return string(b)
+	return nil
 }

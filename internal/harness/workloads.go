@@ -43,18 +43,6 @@ type tpcwCtx struct {
 
 // TPCWWorkload builds the Figure 8/9 workload (ordering mix).
 func TPCWWorkload(cfg tpcw.Config) Workload {
-	return tpcwWorkload(cfg, false)
-}
-
-// TPCWReadWorkload is the query-only variant used by the executor
-// comparison.
-func TPCWReadWorkload(cfg tpcw.Config) Workload {
-	w := tpcwWorkload(cfg, true)
-	w.Name = "TPC-W (queries)"
-	return w
-}
-
-func tpcwWorkload(cfg tpcw.Config, readOnly bool) Workload {
 	return Workload{
 		Name: "TPC-W",
 		DDL:  func(nodes int) []string { return tpcw.DDL(cfg) },
@@ -71,7 +59,6 @@ func tpcwWorkload(cfg tpcw.Config, readOnly bool) Workload {
 			if err != nil {
 				return nil, err
 			}
-			w.SetReadOnly(readOnly)
 			return w.Interaction, nil
 		},
 	}

@@ -60,11 +60,6 @@ type Config struct {
 	// conditional-op authority lapses after this long. 0 means
 	// DefaultLeaseDuration.
 	LeaseDuration time.Duration
-	// FenceRetryBudget bounds how many times a conditional operation is
-	// retried after an epoch-fencing reject or an unreachable primary
-	// before TestAndSet gives up with *ErrFenceExhausted. 0 means
-	// DefaultFenceRetryBudget.
-	FenceRetryBudget int
 }
 
 // DefaultMoveChunkKeys is the per-chunk key budget of a rebalance copy
@@ -78,10 +73,6 @@ const DefaultTombstoneGCAge = 5 * time.Second
 // DefaultLeaseDuration is the unreachable-primary lease expiry when
 // Config.LeaseDuration is zero.
 const DefaultLeaseDuration = time.Second
-
-// DefaultFenceRetryBudget is the conditional-op retry bound when
-// Config.FenceRetryBudget is zero.
-const DefaultFenceRetryBudget = 64
 
 // Cluster is a simulated SCADS-style key/value store. It is safe for
 // concurrent use by any number of Clients: node record stores are
@@ -122,7 +113,6 @@ type Cluster struct {
 	noAutoReplay atomic.Bool // test knob: skip catch-up replay on rejoin
 	cuQueued     atomic.Int64
 	cuReplayed   atomic.Int64
-	cuDropped    atomic.Int64
 
 	// chunkHook, when set (tests only), runs after each non-final chunk
 	// of a move lands, with the cursor the next chunk will start from.
@@ -245,9 +235,6 @@ func New(cfg Config, env *sim.Env) *Cluster {
 	}
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = DefaultLeaseDuration
-	}
-	if cfg.FenceRetryBudget <= 0 {
-		cfg.FenceRetryBudget = DefaultFenceRetryBudget
 	}
 	c := &Cluster{cfg: cfg, env: env}
 	for i := 0; i < cfg.Nodes; i++ {

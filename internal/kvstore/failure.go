@@ -253,8 +253,6 @@ func (c *Cluster) replayOn(id int, queued []catchUp) {
 		if rt.isOwner(rt.partitionOf(cu.key), id) {
 			c.nodes[id].applyIfNewer(cu.key, cu.env)
 			c.cuReplayed.Add(1)
-		} else {
-			c.cuDropped.Add(1)
 		}
 	}
 	c.endOp(rt)
@@ -282,27 +280,6 @@ func (c *Cluster) regrantLeases(id int, rt *routing) {
 	c.nodes[id].leases.Store(&leaseTable{leases: leases})
 }
 
-// ReplayCatchUps synchronously replays every queued catch-up whose
-// target node is reachable again. Only needed when automatic replay on
-// rejoin is disabled (SetCatchUpReplay(false)) — staleness and
-// falsification tests use that to hold recovered replicas stale on
-// purpose.
-func (c *Cluster) ReplayCatchUps() {
-	for id := range c.nodes {
-		for {
-			c.faultMu.Lock()
-			if c.nodes[id].down.Load() != 0 || len(c.pending[id]) == 0 {
-				c.faultMu.Unlock()
-				break
-			}
-			queued := c.pending[id]
-			c.pending[id] = nil
-			c.faultMu.Unlock()
-			c.replayOn(id, queued)
-		}
-	}
-}
-
 // SetFailover toggles read failover (default on). Disabling it makes a
 // read whose uniformly-chosen replica is unreachable fail instead of
 // rerouting — the chaos falsification knob that demonstrates the fault
@@ -311,8 +288,7 @@ func (c *Cluster) SetFailover(on bool) { c.noFailover.Store(!on) }
 
 // SetCatchUpReplay toggles automatic catch-up replay on rejoin
 // (default on). With it off, a restarted/healed node serves its stale
-// state until an explicit ReplayCatchUps — the staleness-bound and
-// falsification tests' knob.
+// state — the staleness-bound and falsification tests' knob.
 func (c *Cluster) SetCatchUpReplay(on bool) { c.noAutoReplay.Store(!on) }
 
 func (c *Cluster) failover() bool   { return !c.noFailover.Load() }
@@ -325,7 +301,3 @@ func (c *Cluster) CatchUpsQueued() int64 { return c.cuQueued.Load() }
 // CatchUpsReplayed returns how many queued catch-ups have been
 // replayed onto rejoined nodes.
 func (c *Cluster) CatchUpsReplayed() int64 { return c.cuReplayed.Load() }
-
-// CatchUpsDropped returns how many catch-ups were dropped at replay or
-// fire time because the target no longer owned the range.
-func (c *Cluster) CatchUpsDropped() int64 { return c.cuDropped.Load() }

@@ -60,6 +60,11 @@ func (cl *Client) PutStamped(key, value []byte, ver Version) error {
 // a *ErrFenceExhausted instead of spinning forever.
 const writeRetryBudget = 64
 
+// fenceRetryBudget bounds how many times TestAndSet retries after an
+// epoch-fencing reject or an unreachable primary before it gives up
+// with *ErrFenceExhausted.
+const fenceRetryBudget = 64
+
 // writeStamped routes one versioned put/delete. Unpinned writes (pin ==
 // nil) are stamped from the key's primary clock — the node that orders
 // the key's writes; observe-on-apply keeps the order intact across
@@ -143,8 +148,6 @@ func (cl *Client) writeUnder(rt *routing, key, env []byte) {
 			for _, id := range rest {
 				if crt.isOwner(cp, id) {
 					cl.c.applyOrQueue(id, key, env)
-				} else {
-					cl.c.cuDropped.Add(1)
 				}
 			}
 			cl.c.endOp(crt)
@@ -235,7 +238,7 @@ func (cl *Client) doubleApply(mv *move, key, env []byte, written []int) {
 // decided meanwhile, and an accepted swap is never re-applied under a
 // newer routing table (the end of the loop says why).
 //
-// The retry loop is bounded by Config.FenceRetryBudget: when the
+// The retry loop is bounded by fenceRetryBudget: when the
 // primary is unreachable (crashed mid-lease) or keeps fencing, the
 // operation backs off and retries until the budget runs out, then
 // returns *ErrFenceExhausted. No decision was made in that case — the
@@ -245,9 +248,8 @@ func (cl *Client) doubleApply(mv *move, key, env []byte, written []int) {
 // artifact — the exactness the index maintainer's duplicate detection
 // depends on.
 func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
-	budget := cl.c.cfg.FenceRetryBudget
 	var last error
-	for attempt := 0; attempt < budget; attempt++ {
+	for attempt := 0; attempt < fenceRetryBudget; attempt++ {
 		rt := cl.c.beginOp()
 		p := rt.partitionOf(key)
 		ids := rt.owners[p]
@@ -334,7 +336,7 @@ func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
 		// older value. The decision — either way — is final.
 		return ok, nil
 	}
-	return false, &ErrFenceExhausted{Op: "testandset", Attempts: budget, Last: last}
+	return false, &ErrFenceExhausted{Op: "testandset", Attempts: fenceRetryBudget, Last: last}
 }
 
 // FenceRetries returns how many times this client's conditional

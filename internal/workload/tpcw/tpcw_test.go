@@ -5,12 +5,7 @@ import (
 
 	"piql/internal/engine"
 	"piql/internal/kvstore"
-	"piql/internal/value"
 )
-
-type valueT = value.Value
-
-var valueStr = value.Str
 
 func testEngine(t *testing.T) (*engine.Session, Config) {
 	t.Helper()
@@ -64,24 +59,4 @@ func TestOrderingMixRuns(t *testing.T) {
 			t.Fatalf("interaction %d: %v", i, err)
 		}
 	}
-	// Read-only mode never writes; run it and confirm order count
-	// doesn't change.
-	before, err := s.Query(`SELECT COUNT(*) FROM orders WHERE o_c_uname = ?`,
-		strValue(CustomerName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetReadOnly(true)
-	for i := 0; i < 40; i++ {
-		if err := w.Interaction(); err != nil {
-			t.Fatalf("read-only interaction %d: %v", i, err)
-		}
-	}
-	after, _ := s.Query(`SELECT COUNT(*) FROM orders WHERE o_c_uname = ?`,
-		strValue(CustomerName(0)))
-	if before.Rows[0][0].I != after.Rows[0][0].I {
-		t.Error("read-only mix wrote orders")
-	}
 }
-
-func strValue(s string) valueT { return valueStr(s) }

@@ -23,13 +23,7 @@ type Worker struct {
 	orderSeq int64
 	workerID int64
 	lastCart int64
-	readOnly bool
 }
-
-// SetReadOnly restricts the mix to query-only interactions (the paper's
-// measurements concentrate on query execution; the ordering mix's
-// writes are kept by default).
-func (w *Worker) SetReadOnly(ro bool) { w.readOnly = ro }
 
 // NewWorker prepares all benchmark queries for one client thread.
 func NewWorker(s *engine.Session, cfg Config, customers, items int, workerID int64) (*Worker, error) {
@@ -84,15 +78,10 @@ var totalWeight = func() int {
 	return t
 }()
 
-// Interaction executes one web interaction drawn from the ordering mix
-// (or, in read-only mode, from the query interactions only).
+// Interaction executes one web interaction drawn from the ordering mix.
 func (w *Worker) Interaction() error {
-	ms, total := mix, totalWeight
-	if w.readOnly {
-		ms, total = readMix, readWeight
-	}
-	n := w.rng.Intn(total)
-	for _, m := range ms {
+	n := w.rng.Intn(totalWeight)
+	for _, m := range mix {
 		if n < m.weight {
 			return m.run(w)
 		}
@@ -100,16 +89,6 @@ func (w *Worker) Interaction() error {
 	}
 	return nil
 }
-
-var readMix = mix[:6] // every interaction before the write-heavy pair
-
-var readWeight = func() int {
-	t := 0
-	for _, m := range readMix {
-		t += m.weight
-	}
-	return t
-}()
 
 func (w *Worker) randCustomer() value.Value {
 	return value.Str(CustomerName(w.rng.Intn(w.customers)))

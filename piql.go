@@ -34,8 +34,9 @@
 //     snapshots; the compiler only reads one, a refused query leaves
 //     nothing in it, and queries never block on CREATE TABLE / CREATE
 //     INDEX backfills),
-//   - an RWMutex-guarded compiled-plan cache (cache hits take a read
-//     lock only), and
+//   - an RWMutex-guarded statement cache, by text: a SELECT's compiled
+//     plan, an INSERT/UPDATE/DELETE's bound form (a hit takes a read lock
+//     only and neither parses nor binds; DDL is not cached), and
 //   - a single-flight index-backfill table (concurrent Prepares of
 //     plans needing the same new index build it exactly once).
 //
@@ -127,10 +128,10 @@ type Config struct {
 	// MaxOps refuses queries whose static operation bound exceeds this
 	// budget (0 = no budget). Unlike SLO it needs no trained model.
 	MaxOps int
-	// Enforce turns admission control on: unbounded plans are refused
-	// with *ErrUnbounded, over-budget or over-SLO plans with
-	// *ErrOverSLO. Off, the same analysis still runs and is available
-	// through Query.Bound, but nothing is refused.
+	// Enforce turns admission control on: over-budget or over-SLO plans
+	// are refused with *ErrOverSLO (a query with no bound at all never
+	// gets that far: the compiler rejects it whatever Enforce says). Off,
+	// the same analysis still runs and is available through Query.Bound.
 	Enforce bool
 }
 
@@ -200,7 +201,9 @@ func (db *DB) release(s *engine.Session) { db.pool.Put(s) }
 func (db *DB) SetStrategy(s Strategy) { db.strat.Store(int32(s)) }
 
 // Exec runs a DDL or DML statement (CREATE TABLE/INDEX, INSERT, UPDATE,
-// DELETE).
+// DELETE). DML is parsed and bound to the catalog once per text — its
+// literals type-checked, the WHERE of an UPDATE or DELETE held to one
+// equality per primary-key column — so pass values as parameters.
 func (db *DB) Exec(sql string, params ...Value) error {
 	s := db.acquire()
 	defer db.release(s)
@@ -257,9 +260,9 @@ func (e *UnboundedQueryError) Error() string {
 type Bound = analyze.Bound
 
 // ErrUnbounded reports a query refused by admission control because no
-// static operation bound exists (only possible through the cost-based
-// baseline path; the PIQL compiler rejects such queries earlier with
-// *UnboundedQueryError).
+// static operation bound exists. No call of this package returns it: the
+// PIQL compiler rejects such a query first, with *UnboundedQueryError;
+// only the engine's cost-based baseline compiles an unbounded plan.
 type ErrUnbounded = analyze.ErrUnbounded
 
 // ErrOverSLO reports a bounded query refused by admission control: its
