@@ -6,6 +6,7 @@ import (
 
 	"piql/internal/parser"
 	"piql/internal/schema"
+	"piql/internal/value"
 )
 
 // phase2 implements Algorithm 2 (PlanGenerate): it maps each relation's
@@ -345,21 +346,21 @@ func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
 		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
 		eq = append(eq, p.RHS)
 	}
-	// The single range column, if any.
+	// The single range column, if any, and its one bound on each side.
 	var rangeCol = -1
 	var lower, upper *RangeBound
 	for ci, preds := range split.ranges {
 		rangeCol = ci
 		for _, p := range preds {
-			switch p.Op {
-			case parser.OpGt:
-				lower = &RangeBound{Expr: p.RHS}
-			case parser.OpGe:
-				lower = &RangeBound{Expr: p.RHS, Inclusive: true}
-			case parser.OpLt:
-				upper = &RangeBound{Expr: p.RHS}
-			case parser.OpLe:
-				upper = &RangeBound{Expr: p.RHS, Inclusive: true}
+			b := &RangeBound{Expr: p.RHS, Inclusive: p.Op == parser.OpGe || p.Op == parser.OpLe}
+			var err error
+			if p.Op == parser.OpGt || p.Op == parser.OpGe {
+				lower, err = ctx.tighterBound(r, p, lower, b, 1)
+			} else {
+				upper, err = ctx.tighterBound(r, p, upper, b, -1)
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -395,6 +396,33 @@ func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
 	}
 	ctx.ordered = sortSatisfied
 	return scan, nil
+}
+
+// tighterBound merges a second bound b of predicate p into one side of a
+// limit-hint scan's range, have (nil before the first): the scan reads
+// one section, and a bound it dropped could not become a residual — under
+// the limit hint that returns short pages. Of two constants the tighter
+// wins (dir 1 keeps the larger lower bound, -1 the smaller upper one), at
+// equal values the exclusive one; a parameter cannot be ordered before it
+// is bound, so it is refused.
+func (ctx *phase2Ctx) tighterBound(r *rel, p LocalPred, have, b *RangeBound, dir int) (*RangeBound, error) {
+	if have == nil {
+		return b, nil
+	}
+	if have.Expr.kind != keyConst || b.Expr.kind != keyConst {
+		return nil, &NotScaleIndependentError{
+			Query:   ctx.q.stmt.String(),
+			Segment: fmt.Sprintf("access to relation %s (%s)", r.ref.Name(), describePreds(r)),
+			Reason:  fmt.Sprintf("two bounds on one side of column %s, a parameter among them: which is tighter is unknown until run time", p.Name),
+			Suggestions: []string{
+				fmt.Sprintf("keep one lower and one upper bound on %s", p.Name),
+			},
+		}
+	}
+	if c := value.Compare(b.Expr.constant, have.Expr.constant) * dir; c > 0 || c == 0 && !b.Inclusive {
+		return b, nil
+	}
+	return have, nil
 }
 
 // --- joined relation access ---

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"piql/internal/core"
 	"piql/internal/exec"
 	"piql/internal/index"
 	"piql/internal/kvstore"
@@ -725,5 +726,76 @@ func TestInequalityRange(t *testing.T) {
 		if row[0].I != int64(1025-i) {
 			t.Fatalf("row %d = %v", i, row)
 		}
+	}
+}
+
+// newEventTable holds ts 0–9 in a table whose primary key is not ts, so
+// ORDER BY ts LIMIT k is a limit-hint scan of a secondary index on ts.
+func newEventTable(t *testing.T) *Session {
+	t.Helper()
+	s := New(kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 1, Seed: 3}, nil)).Session(nil)
+	if err := s.Exec(`CREATE TABLE ev (id INT, ts INT, PRIMARY KEY (id))`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := s.Exec(`INSERT INTO ev VALUES (?, ?)`, value.Int(int64(100+i)), value.Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestLimitHintScanKeepsTighterBound: two constant bounds on one side of
+// a limit-hint scan's range column scan from the tighter one — at equal
+// values from the exclusive one — whichever comes first in the WHERE.
+// Until they did, the last one written won and the page read past the
+// other: `ts > 5 AND ts > 1` returned 2, 3, 4.
+func TestLimitHintScanKeepsTighterBound(t *testing.T) {
+	s := newEventTable(t)
+	for _, tc := range []struct{ where, order, want, explain string }{
+		{"ts > 5 AND ts > 1", "ASC", "[(6) (7) (8)]", "range>5"},
+		{"ts > 1 AND ts > 5", "ASC", "[(6) (7) (8)]", "range>5"},
+		{"ts < 3 AND ts < 8", "DESC", "[(2) (1) (0)]", "range<3"},
+		{"ts < 8 AND ts <= 2", "DESC", "[(2) (1) (0)]", "range<=2"},
+		{"ts >= 4 AND ts > 4", "ASC", "[(5) (6) (7)]", "range>4"},
+		{"ts > 4 AND ts >= 4", "ASC", "[(5) (6) (7)]", "range>4"},
+		{"ts <= 6 AND ts < 6", "DESC", "[(5) (4) (3)]", "range<6"},
+		{"ts >= 2 AND ts >= 7 AND ts < 9 AND ts <= 8", "ASC", "[(7) (8)]", "range>=7"},
+	} {
+		sql := fmt.Sprintf("SELECT ts FROM ev WHERE %s ORDER BY ts %s LIMIT 3", tc.where, tc.order)
+		q, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if expl := q.Plan().Explain(); !strings.Contains(expl, tc.explain) {
+			t.Errorf("%s: plan does not scan %s:\n%s", sql, tc.explain, expl)
+		}
+		res, err := q.Execute(s)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != tc.want {
+			t.Errorf("%s: %s, want %s", sql, got, tc.want)
+		}
+	}
+}
+
+// TestLimitHintScanRefusesParameterPair: with a parameter among two
+// bounds on one side of the range column, which is tighter is not known
+// until run time, and the one dropped could not stay as a residual under
+// the limit hint, so Prepare refuses and names the column. One bound per
+// side, parameter or not, still prepares.
+func TestLimitHintScanRefusesParameterPair(t *testing.T) {
+	s := newEventTable(t)
+	for _, where := range []string{"ts > ? AND ts > 1", "ts >= 1 AND ts > ?", "ts < ? AND ts <= ?"} {
+		_, err := s.Prepare(fmt.Sprintf("SELECT ts FROM ev WHERE %s ORDER BY ts LIMIT 3", where))
+		var nsi *core.NotScaleIndependentError
+		if !errors.As(err, &nsi) || !strings.Contains(err.Error(), "column ev.ts") {
+			t.Errorf("%s: err = %v, want a refusal naming column ev.ts", where, err)
+		}
+	}
+	res, err := s.Query(`SELECT ts FROM ev WHERE ts > ? AND ts < 8 ORDER BY ts LIMIT 3`, value.Int(5))
+	if err != nil || fmt.Sprint(res.Rows) != "[(6) (7)]" {
+		t.Fatalf("one bound a side: %v (err %v)", res, err)
 	}
 }

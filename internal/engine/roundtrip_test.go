@@ -189,11 +189,12 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K=3 streams of 10 primary-index
-// entries merged to a page of 10. Only the page is decoded, out of one
-// slab per operator, so the count moves with the number of operators,
-// streams and string values of the 10 rows kept, never with the 30
-// entries fetched; a change that brings back a per-entry, per-row or
-// per-branch allocation shows here as an exact difference.
+// entries merged to a page of 10. Only the page is decoded, into one
+// slab and one string arena per operator, so the count moves with the
+// number of operators and streams, never with the 30 entries fetched or
+// the strings of the 10 rows kept; a change that brings back a
+// per-entry, per-row, per-string or per-branch allocation shows here as
+// an exact difference.
 func TestSortedJoinRunAllocations(t *testing.T) {
 	s := newRoundTripFixture(t)
 	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
@@ -209,7 +210,7 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 			t.Fatalf("thoughtstream: %v rows, err %v", res, err)
 		}
 	})
-	const want = 56 // 57 until the per-stream position map became the pager's alone
+	const want = 32 // 56 until each operator decoded its strings into one arena
 	if allocs != want {
 		t.Fatalf("exec.Run(thoughtstream, K=3): %v allocs, pinned at %d", allocs, want)
 	}
@@ -510,12 +511,13 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 // TestDerefRunAllocations pins what one exec.Run allocates when it
 // dereferences a secondary index: a token-index search, alone and joined
 // through a foreign key (TPC-W's searchByTitle), at 10 and at 50 matching
-// entries. The record keys of a dereference are carved from one buffer and
-// no entry is decoded, so 40 more entries cost what 40 more kept rows cost
-// and nothing per entry: each row's one decoded string per table, and
-// under the join the key row and the key runFKJoin still builds per child
-// row. The only other term is the store's: Client.Scan's result outgrows
-// its 16-entry pre-size twice on the way to 50.
+// entries. The record keys of a dereference are carved from one buffer, no
+// entry is decoded and a decoded row's strings land in its operator's one
+// arena, so 40 more entries cost what 40 more kept rows cost and nothing
+// per entry: nothing at all for the scan, and under the join the key row
+// and the key runFKJoin still builds per child row (ROADMAP 9(d)). The
+// only other term is the store's: Client.Scan's result outgrows its
+// 16-entry pre-size twice on the way to 50.
 func TestDerefRunAllocations(t *testing.T) {
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2}, nil)
 	s := New(cluster).Session(nil)
@@ -548,9 +550,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql    string
 		at10, perRow float64 // allocations at 10 entries, and per further kept row
 	}{
-		{name: "token scan", at10: 24, perRow: 1, // i_title
+		{name: "token scan", at10: 15, perRow: 0,
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 57, perRow: 4, // i_title, a_name, runFKJoin's key row and key
+		{name: "token scan + fk join", at10: 39, perRow: 2, // runFKJoin's key row and key
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

@@ -9,7 +9,10 @@
 // materialize their (small) outputs. Each operator knows how many rows
 // it is about to produce before it produces them, so it makes one
 // allocation for all of their values (a slab) and carves the rows out
-// of it: the cost is per operator, not per row. The sorted join
+// of it; it knows the records it is about to decode too, so it grows one
+// string arena by their exact value.StringBytes and decodes every string
+// and blob of the batch into it. An operator's cost is its slab, its
+// string arena and nothing per row. The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort
 // key, and only the entries the query keeps are dereferenced and
@@ -18,6 +21,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"piql/internal/core"
 	"piql/internal/kvstore"
@@ -197,12 +201,23 @@ func (s *slab) row() value.Row {
 }
 
 // placeRecord decodes a stored record directly into the combined row at
-// the table's offset — no intermediate row allocation.
-func placeRecord(row value.Row, offset int, rec []byte) error {
-	if _, err := value.DecodeRowInto(row[offset:], rec); err != nil {
+// the table's offset — no intermediate row allocation — with its strings
+// in the operator's arena.
+func placeRecord(row value.Row, offset int, rec []byte, arena *strings.Builder) error {
+	if _, err := value.DecodeRowArena(row[offset:], rec, arena); err != nil {
 		return fmt.Errorf("exec: corrupt record: %w", err)
 	}
 	return nil
+}
+
+// stringBytes sizes an operator's string arena: the exact payload of the
+// strings and blobs of the records it decodes (nil ones are none).
+func stringBytes(recs [][]byte) int {
+	n := 0
+	for _, rec := range recs {
+		n += value.StringBytes(rec)
+	}
+	return n
 }
 
 // degraded wraps a store read's error. Every store error is transient

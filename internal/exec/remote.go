@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"piql/internal/codec"
 	"piql/internal/core"
@@ -41,12 +42,14 @@ func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) 
 	}
 	rows := make([]value.Row, 0, len(recs))
 	slab := e.rows(len(recs))
+	var arena strings.Builder
+	arena.Grow(stringBytes(recs))
 	for _, rec := range recs {
 		if rec == nil {
 			continue
 		}
 		row := slab.row()
-		if err := placeRecord(row, offset, rec); err != nil {
+		if err := placeRecord(row, offset, rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -197,9 +200,15 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	case n.Index.Primary:
 		rows = make([]value.Row, len(kvs))
 		slab := e.rows(len(kvs))
+		var arena strings.Builder
+		size := 0
+		for _, kv := range kvs {
+			size += value.StringBytes(kv.Value)
+		}
+		arena.Grow(size)
 		for i, kv := range kvs {
 			rows[i] = slab.row()
-			if err := placeRecord(rows[i], n.TableOffset, kv.Value); err != nil {
+			if err := placeRecord(rows[i], n.TableOffset, kv.Value, &arena); err != nil {
 				return nil, err
 			}
 		}
@@ -324,11 +333,13 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 		return nil, err
 	}
 	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
+	var arena strings.Builder
+	arena.Grow(stringBytes(recs))
 	for i, rec := range recs {
 		if rec == nil {
 			continue // no matching row: inner join drops it
 		}
-		if err := placeRecord(childRows[i], n.TableOffset, rec); err != nil {
+		if err := placeRecord(childRows[i], n.TableOffset, rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, childRows[i])
@@ -472,12 +483,11 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	// if that left the page short — all the rest. With Stop == 0 the first
 	// round is everything fetched.
 	type candidate struct {
-		sc *stream
-		kv kvstore.KV
+		sc       *stream
+		key, rec []byte // the entry's key and the record it resolves to (nil: dangling)
 	}
 	joined := make([]value.Row, 0, want)
 	batch := make([]candidate, 0, want)
-	var recs [][]byte
 	consumed, blocked := 0, false
 	for take, live := want, scans; len(joined) < want; take = fetched {
 		batch = batch[:0]
@@ -489,7 +499,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			if sc == nil {
 				break
 			}
-			batch = append(batch, candidate{sc, sc.kvs[0]})
+			batch = append(batch, candidate{sc, sc.kvs[0].Key, sc.kvs[0].Value})
 			sc.kvs = sc.kvs[1:]
 			blocked = paging && sc.full && len(sc.kvs) == 0
 		}
@@ -497,30 +507,39 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			break // fewer live matches than the page holds
 		}
 		if !n.Index.Primary {
-			keys, err := recordKeys(n.Index, n.Table, len(batch), func(i int) []byte { return batch[i].kv.Key })
+			keys, err := recordKeys(n.Index, n.Table, len(batch), func(i int) []byte { return batch[i].key })
 			if err != nil {
 				return nil, err
 			}
-			if recs, err = e.getBatch(keys); err != nil {
+			recs, err := e.getBatch(keys)
+			if err != nil {
 				return nil, err
 			}
+			for i := range batch {
+				batch[i].rec = recs[i]
+			}
 		}
+		// The round's arena holds its candidates' strings; the last round
+		// may stop before its last candidate, whose bytes then go unused.
+		var arena strings.Builder
+		size := 0
+		for _, c := range batch {
+			size += value.StringBytes(c.rec)
+		}
+		arena.Grow(size)
 		slab := e.rows(len(batch))
-		for i, c := range batch {
+		for _, c := range batch {
 			if len(joined) == want {
 				break
 			}
 			consumed++
-			c.sc.last = suffixOf(c.kv.Key, c.sc.prefix)
-			rec := c.kv.Value
-			if !n.Index.Primary {
-				if rec = recs[i]; rec == nil {
-					continue // dangling entry awaiting GC
-				}
+			c.sc.last = suffixOf(c.key, c.sc.prefix)
+			if c.rec == nil {
+				continue // dangling entry awaiting GC
 			}
 			row := slab.row()
 			copy(row, c.sc.row)
-			if err := placeRecord(row, n.TableOffset, rec); err != nil {
+			if err := placeRecord(row, n.TableOffset, c.rec, &arena); err != nil {
 				return nil, err
 			}
 			keep, err := e.evalPreds(row, n.Residual)

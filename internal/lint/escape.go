@@ -54,7 +54,9 @@ type EscapeInfo struct {
 // `go build -gcflags=-m` stderr dump. Only decisions that cost an
 // allocation are kept: "escapes to heap" and "moved to heap".
 // "does not escape", "leaking param", and inlining chatter are not
-// allocations and are dropped.
+// allocations and are dropped, as is a string literal that "escapes" into
+// an interface (a panic message inlined from strings.Builder): the
+// compiler points the interface at static data, so nothing is allocated.
 func ParseEscapeDiagnostics(output []byte) []EscapeRaw {
 	var out []EscapeRaw
 	for _, line := range bytes.Split(output, []byte("\n")) {
@@ -75,14 +77,15 @@ func ParseEscapeDiagnostics(output []byte) []EscapeRaw {
 		}
 		ln, err1 := strconv.Atoi(parts[1])
 		col, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
+		what := strings.TrimSpace(parts[3])
+		if err1 != nil || err2 != nil || strings.HasPrefix(what, `"`) {
 			continue
 		}
 		out = append(out, EscapeRaw{
 			File: parts[0],
 			Line: ln,
 			Col:  col,
-			What: strings.TrimSpace(parts[3]),
+			What: what,
 		})
 	}
 	return out

@@ -46,6 +46,7 @@ func TestParseEscapeDiagnostics(t *testing.T) {
 		"fix.go:6:7: &T{} escapes to heap",
 		"fix.go:11:13: make([]int, 0, len(xs) + 1) escapes to heap",
 		"fix.go:12:9: moved to heap: out",
+		`fix.go:12:15: "strings: illegal use of non-zero Builder copied by value" escapes to heap`,
 		"fix.go:17:2: v does not escape",
 		"fix.go:5:6: can inline Alloc",
 		"fix.go:10:7: leaking param: xs",

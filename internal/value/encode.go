@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // EncodeRow serializes a row into a compact binary record payload. The
@@ -50,12 +51,63 @@ func DecodeRow(b []byte) (Row, error) {
 	return row, nil
 }
 
+// StringBytes returns the payload bytes of a record's strings and blobs:
+// what decoding it writes into an arena. It walks the value headers and
+// copies nothing; on a corrupt record it stops where the decoder fails,
+// so it never exceeds len(b).
+func StringBytes(b []byte) int {
+	count, i := binary.Uvarint(b)
+	if i <= 0 {
+		return 0
+	}
+	total := 0
+	// i may run past len(b) on a truncated record; the loop then ends.
+	for ; count > 0 && i < len(b); count-- {
+		t := Type(b[i])
+		i++
+		switch t {
+		case TypeNull:
+		case TypeBool:
+			i++
+		case TypeInt:
+			for i < len(b) && b[i] >= 0x80 {
+				i++
+			}
+			i++
+		case TypeFloat:
+			i += 8
+		case TypeString, TypeBytes:
+			l, n := binary.Uvarint(b[i:])
+			if n <= 0 || uint64(len(b)-i-n) < l {
+				return total
+			}
+			total += int(l)
+			i += n + int(l)
+		default:
+			return total
+		}
+	}
+	return total
+}
+
 // DecodeRowInto decodes a record payload produced by EncodeRow directly
-// into dst[0:count], returning the number of values written. It is the
-// allocation-lean path used by the executor to decode records straight
-// into a combined row instead of allocating a row and copying. dst must
-// be at least as wide as the stored row.
+// into dst[0:count], returning the number of values written. dst must be
+// at least as wide as the stored row. It is the one-record DecodeRowArena:
+// its own arena, sized by StringBytes, holds all of the record's strings.
 func DecodeRowInto(dst Row, b []byte) (int, error) {
+	var arena strings.Builder
+	arena.Grow(StringBytes(b))
+	return DecodeRowArena(dst, b, &arena)
+}
+
+// DecodeRowArena is DecodeRowInto for a batch of records: each string and
+// blob payload is appended to arena and the value's S is sliced out of
+// arena.String(), so the strings of every record decoded into one arena
+// grown beforehand by their StringBytes cost one allocation between them.
+// A builder's strings stay valid when it regrows, so an arena sized short
+// costs an allocation, never a wrong value. A decoded string keeps the
+// whole arena alive, as a row keeps its slab.
+func DecodeRowArena(dst Row, b []byte, arena *strings.Builder) (int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, fmt.Errorf("value: corrupt row header")
@@ -100,7 +152,9 @@ func DecodeRowInto(dst Row, b []byte) (int, error) {
 			if n <= 0 || uint64(len(b)-n) < l {
 				return 0, fmt.Errorf("value: corrupt %s", t)
 			}
-			dst[i] = Value{T: t, S: string(b[n : n+int(l)])}
+			from := arena.Len()
+			arena.Write(b[n : n+int(l)])
+			dst[i] = Value{T: t, S: arena.String()[from:]}
 			b = b[n+int(l):]
 		default:
 			return 0, fmt.Errorf("value: unknown type tag %d", t)

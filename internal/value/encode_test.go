@@ -1,8 +1,10 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +110,37 @@ func TestDecodeRowInto(t *testing.T) {
 		if _, err := DecodeRowInto(make(Row, 8), b); err == nil {
 			t.Errorf("%s: DecodeRowInto accepted corrupt input", name)
 		}
+	}
+}
+
+// TestDecodeBatchAllocations pins the batch decode: the strings of ten
+// records, three apiece, land in one arena grown by their StringBytes —
+// one allocation for all thirty, none per string.
+func TestDecodeBatchAllocations(t *testing.T) {
+	const width = 4
+	recs := make([][]byte, 10)
+	for i := range recs {
+		recs[i] = EncodeRow(Row{Str(fmt.Sprintf("user%02d", i)), Int(int64(i)), Str("Berkeley"), Str("")})
+	}
+	dst := make(Row, len(recs)*width)
+	allocs := testing.AllocsPerRun(100, func() {
+		var arena strings.Builder
+		size := 0
+		for _, rec := range recs {
+			size += StringBytes(rec)
+		}
+		arena.Grow(size)
+		for i, rec := range recs {
+			if _, err := DecodeRowArena(dst[i*width:(i+1)*width], rec, &arena); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ten records of three strings: %v allocations, want 1", allocs)
+	}
+	if got := dst[9*width : 10*width].String(); got != `("user09", 9, "Berkeley", "")` {
+		t.Fatalf("last record decodes to %s", got)
 	}
 }
 

@@ -5,6 +5,12 @@
 // follows key-encoding order (see internal/codec, whose
 // TestCompareAgreesWithKeyOrder holds the two together): NULL < bool <
 // int < float < string < bytes, with natural ordering within a type.
+//
+// A batch of records decodes its strings and blobs into one arena
+// (DecodeRowArena), so a decoded string shares memory with every other
+// string of its batch: keeping one keeps the batch's strings alive, as a
+// kept row keeps its executor slab. That is bounded by the plan's tuple
+// bound times the declared VARCHAR widths.
 package value
 
 import (
