@@ -54,6 +54,19 @@ test:
 race:
 	$(GO) test -race ./...
 
+# raced-gate runs the tests named in $(1), and only those, under the
+# race detector. It first lists every test in ./internal/... and fails
+# naming any listed name that matches none: `go test -run 'A|B'` passes
+# when B no longer exists, so a renamed or deleted test would otherwise
+# drop out of the gate without a sound.
+define raced-gate
+	@defined=$$($(GO) test -list . ./internal/...) || { echo "$$defined"; exit 1; }; \
+	for name in $(1); do echo "$$defined" | grep -qx "$$name" || \
+		{ echo "$@: no test in ./internal/... is named $$name"; exit 1; }; done
+	$(GO) test -race -run '^($(subst $(space),|,$(strip $(1))))$$' ./internal/...
+endef
+space := $(subst ,, )
+
 # chaos runs just the online-maintenance gate, raced — the quick check
 # after touching the index lifecycle, write path, or routing table. It
 # includes the conditional-writer fleet (TestChaosOnlineOperations and
@@ -62,20 +75,37 @@ race:
 # regressions, and the replica-convergence gates (RunChaos's
 # byte-for-byte per-key audit across all replicas after every storm,
 # plus TestReplicasConvergeUnderRacingWrites racing unordered Put/Delete
-# across rebalances and TestAsyncReplicationRacingWritersConverge for
-# the lagged-replica write-order inversion).
+# across rebalances, and TestRejoinPurgesRangesMovedWhileDown and
+# TestAsyncCatchUpRespectsOwnership for the ranges a node lost while it
+# was down).
+CHAOS_TESTS = TestChaosOnlineOperations TestRebalanceUnderTraffic \
+	TestRebalanceRangeReadsUnderTraffic TestCreateIndexUnderConcurrentWrites \
+	TestInsertRollbackRacingDelete TestTestAndSetLinearizableAcrossRebalance \
+	TestRebalanceChunkedCopy TestRebalanceDeleteInEarlierChunkNoResurrect \
+	TestCreateIndexRacingDeletesNoDangling TestSimulatedCreateIndexDrainsWriters \
+	TestReplicasConvergeUnderRacingWrites TestRejoinPurgesRangesMovedWhileDown \
+	TestAsyncCatchUpRespectsOwnership TestBackfillStampLosesToRacingDelete
+
 chaos:
-	$(GO) test -race -run 'TestChaosOnlineOperations|TestRebalanceUnderTraffic|TestRebalanceRangeReadsUnderTraffic|TestCreateIndexUnderConcurrentWrites|TestInsertRollbackRacingDelete|TestTestAndSetLinearizableAcrossRebalance|TestRebalanceChunkedCopy|TestRebalanceDeleteInEarlierChunkNoResurrect|TestCreateIndexRacingDeletesNoDangling|TestSimulatedCreateIndexDrainsWriters|TestReplicasConvergeUnderRacingWrites|TestAsyncReplicationRacingWritersConverge|TestAsyncCatchUpRespectsOwnership|TestBackfillStampLosesToRacingDelete' ./internal/...
+	$(call raced-gate,$(CHAOS_TESTS))
 
 # chaos-faults is the failure-injection gate, raced and explicit in ci:
 # the chaos storms with a node crashed or partitioned mid-rebalance
 # (plus the falsification subtests proving read failover and catch-up
-# replay are each load-bearing), lease-expiry fencing recovery, quorum
-# staleness bounds, the catch-up/crash interleavings, and the
-# kill-during-write table (every write with a partition unreachable ends
-# in a Retryable error or its full effect).
+# replay are each load-bearing), the same two mechanisms falsified on a
+# fixed seed with no waiting, lease-expiry fencing recovery, ownership
+# at rejoin (also across two crashes on the virtual clock), and the
+# kill-during-write table (every write with a
+# partition unreachable ends in a Retryable error or its full effect).
+CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
+	TestChaosSurvivesPartitionedReplica TestCatchUpReplayAndFailoverAreLoadBearing \
+	TestLeaseExpiryUnwedgesTestAndSet TestRejoinPurgesRangesMovedWhileDown \
+	TestErrorChainsRoundTrip TestRetryableClassification \
+	TestDegradedReadSurfacesRetryable TestKillDuringWrite \
+	TestAsyncCatchUpKillRestartInterleaving
+
 chaos-faults:
-	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestAllRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable|TestKillDuringWrite' ./internal/...
+	$(call raced-gate,$(CHAOS_FAULTS_TESTS))
 
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (replace piql => ../, so this runs offline) and is frozen, so

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"sync"
@@ -417,6 +418,34 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				time.Sleep(100 * time.Microsecond) //lint:allow simsleep — wall-clock fleet pacing; the cluster is immediate-mode
 			}
 		}
+		// Outage rows are written once while the victim is away and read
+		// back by the storm, not retried: during the outage some reads
+		// pick the victim and only failover serves them; after recovery
+		// some read its copy, which only replay brought up to date. The
+		// fleet rewrites its keys too often, and picks replicas too much
+		// by timing, to fail a falsified run for certain. Interleaved with
+		// the seed rows and every writer's ids, they land in every record
+		// partition. An insert whose primary is the dead victim decides
+		// nothing; it is retried after recovery instead of read back.
+		var failed error // kept while the schedule runs on and recovers
+		var outage, acked, late []string
+		for i := 0; i < 200; i += 4 {
+			outage = append(outage, fmt.Sprintf("seed-%04d-outage", i))
+		}
+		for i := 0; i < cfg.Writers*119; i += 4 {
+			outage = append(outage, fmt.Sprintf("w%02d-%05d-outage", i/119, i%119))
+		}
+		insertOutage := func(id string) error {
+			return s.Exec(`INSERT INTO chaos_rows VALUES (?, 'grp-outage', 'outage row')`, value.Str(id))
+		}
+		readOutage := func(when string) {
+			for _, id := range acked {
+				if q, err := s.Query(`SELECT id FROM chaos_rows WHERE id = ? LIMIT 1`, value.Str(id)); err != nil || len(q.Rows) != 1 {
+					failed = cmp.Or(failed, fmt.Errorf("chaos: outage row %s unread %s (read error: %v)", id, when, err))
+					return
+				}
+			}
+		}
 		doRebalance()
 		used++
 		waitReads(300)
@@ -442,6 +471,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			}
 			cluster.Partition(keep)
 			partitions.Add(1)
+		}
+		for _, id := range outage {
+			if err := insertOutage(id); err != nil {
+				late = append(late, id) // a lasting error fails its retry below
+			} else {
+				acked = append(acked, id)
+			}
+		}
+		readOutage("during the outage")
+		if f.Partition {
 			// Let the victim's leases lapse, then rebalance: the victim's
 			// ranges are reclaimed while it is still partitioned away.
 			time.Sleep(f.lease() + f.lease()/4) //lint:allow simsleep — wall-clock lease expiry; the cluster is immediate-mode
@@ -458,14 +497,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if f.Partition {
 			cluster.Heal()
 		}
-		// The recovered node now serves on what replay alone gave it:
-		// hold the rebalances back until every writer has read each of
-		// its 119 ids once more (two read-backs an iteration). A
-		// rebalance re-copies the ranges it moves, and the remaining
-		// ones would repair a node that rejoined stale before any read
-		// reached it — the falsification run without replay used to pass
-		// once in a hundred runs that way.
-		waitReads(int64(cfg.Writers) * 119 * 2)
+		// Before a rebalance can re-copy a range onto a stale node.
+		readOutage("after recovery")
+		for _, id := range late {
+			if err := retry(func() error { return insertOutage(id) }); err != nil {
+				failed = cmp.Or(failed, fmt.Errorf("chaos: outage insert %s: %w", id, err))
+				break
+			}
+		}
 		for ; used < cfg.Rebalances; used++ {
 			doRebalance()
 		}
@@ -477,7 +516,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if cluster.NodeDown(victim) {
 			cluster.Restart(victim)
 		}
-		stormErr <- nil
+		stormErr <- failed
 	}()
 	wg.Wait()
 	close(errs)

@@ -528,8 +528,9 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 	if t == nil {
 		return fmt.Errorf("index: backfill of index on unknown table %q", ix.Table)
 	}
-	// Scan each partition's primary, not a random replica: under async
-	// replication a lagged replica can still show a row whose delete
+	// Scan each partition's primary, not a random replica: the primary
+	// takes every write first, so a replica may trail it, and a
+	// trailing replica can still show a row whose delete
 	// predates the build — no entry tombstone exists for it (the index
 	// didn't), so an entry minted from that stale read would dangle
 	// with nothing to outrank it. A partition whose primary cannot be
@@ -634,9 +635,9 @@ func (m *Maintainer) entryDangling(cl *kvstore.Client, ix *schema.Index, t *sche
 // For the check to be free of false positives the caller must exclude
 // concurrent writers (e.g. hold the engine's write gate exclusively, or
 // drain them), so no delete is mid-propagation when the versions are
-// read. The read goes to each key's authoritative primary — the one
-// replica that holds every write synchronously — so a lagged replica
-// under async replication can never masquerade as a ghost.
+// read. The read goes to each key's authoritative primary — the
+// replica every write reaches first — so a replica trailing it can
+// never masquerade as a ghost.
 func (m *Maintainer) VerifyBuildSuspects(cl *kvstore.Client, ix *schema.Index, snap kvstore.Version, suspects [][]byte) error {
 	if ix.Primary {
 		return nil

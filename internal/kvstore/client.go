@@ -25,14 +25,16 @@ import (
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
-// until its move completes, so reads never fail mid-rebalance). Writes
+// until its move completes, so reads never fail mid-rebalance), each
+// partition served by one replica: a uniform choice with failover, or
+// the primary (see Replicas). Writes reach every owner synchronously,
 // additionally double-write to the destinations of any in-flight move
 // covering their key, and re-apply themselves if the routing table
 // changed while they ran — the pair of rules that guarantees a rebalance
 // loses no concurrent write.
 //
 // Every operation that can degrade returns an error: a read that found
-// none of the replicas it needs reachable returns *ErrNodeDown and no
+// no replica it may use reachable returns *ErrNodeDown and no
 // data (never a silently short result), a write or conditional write
 // that ran out of retries returns *ErrFenceExhausted. All of them unwrap
 // to ErrTransient — no decision was made and the caller may retry. A nil
@@ -120,11 +122,10 @@ func (cl *Client) visit(id int, items, payloadBytes int) {
 	if cl.proc == nil {
 		return
 	}
-	cfg := cl.c.cfg.Latency
-	rtt := cfg.rtt(&cl.rng)
+	rtt := sampleRTT(&cl.rng)
 	cl.proc.Sleep(rtt / 2)
 	n := cl.c.nodes[id]
-	service := n.sampleService(cfg, cl.c.cfg.Seed, cl.proc.Now(), items, payloadBytes)
+	service := n.sampleService(cl.c.cfg.Seed, cl.proc.Now(), items, payloadBytes)
 	n.queue.Use(cl.proc, service)
 	cl.proc.Sleep(rtt - rtt/2)
 }
@@ -176,51 +177,30 @@ func (cl *Client) backoff(attempt int) {
 	runtime.Gosched()
 }
 
-// Replicas selects which of a partition's replicas serve a read.
+// Replicas selects which of a partition's replicas serves a read.
 type Replicas int
 
 const (
 	// Any is one replica chosen uniformly, failing over to a live one
-	// when the choice is unreachable — the default, and the cheapest: one
-	// visit, no staleness bound.
+	// when the choice is unreachable — the default: one visit, spread
+	// over the replica set.
 	Any Replicas = 0
-	// Primary is the partition's authoritative primary and nothing else.
-	// The primary receives every write synchronously — replica catch-ups
-	// lag only the non-primary copies — so it observes the newest version
-	// even under AsyncReplication. Readers that must not act on lagged
-	// state use it: the index backfill (a stale read of an already-deleted
-	// row would mint a dangling entry no tombstone outranks) and the
-	// build's ghost assertion (a lagged replica must not pass for a
-	// violation) — the same reasoning that makes Rebalance collect from
-	// primaries.
+	// Primary is the partition's authoritative primary and nothing else:
+	// the copy whose clock stamps the key's writes and which every write
+	// reaches first, while another replica may still trail it. Readers
+	// that must see every write the primary took use it: the index
+	// backfill (a stale read of an already-deleted row would mint a
+	// dangling entry no tombstone outranks) and the build's ghost
+	// assertion (a trailing replica must not pass for a violation) — the
+	// copy Rebalance collects from too. It draws nothing from the
+	// client's generator.
 	Primary Replicas = -1
-	// AllRepair reads every reachable replica, converges any it observed
-	// stale onto the newest version, and returns the winner: the on-demand
-	// repair for a key whose reads were seen stale or flip-flopping under
-	// async replication, without waiting for the lag to drain.
-	// Unreachable replicas are skipped — the read succeeds from the live
-	// ones, and catch-up replay converges the rest when they rejoin — so
-	// it fails only when no replica at all is reachable.
-	AllRepair Replicas = -2
 )
-
-// Quorum reads r distinct replicas and returns the newest version among
-// them, repairing any replica it could tell was stale. In this store an
-// acknowledged write reaches every reachable owner synchronously, so at
-// most the currently-unreachable (or recently recovered, not yet
-// caught-up) replicas can be stale: while at most r-1 replicas are in
-// that state, a quorum read never returns a value older than the last
-// acknowledged write — the R/N staleness bound (r = 1 carries none).
-// With fewer than r owners reachable the read fails with *ErrNodeDown
-// instead of degrading. r is clamped to [1, replication factor].
-func Quorum(r int) Replicas { return Replicas(max(r, 1)) }
 
 // ReadOpts shapes one read. The zero value is the plain read: any
 // replica, sequential.
 type ReadOpts struct {
-	// From selects the serving replicas. Range reads and counts are
-	// served by one replica per partition, so for Scan and Count
-	// anything but Primary means Any.
+	// From selects the serving replica of each partition.
 	From Replicas
 	// Parallel issues the read's independent requests — ReadBatch's
 	// per-node batches, Scan's and Count's per-partition scans —
@@ -259,56 +239,16 @@ func (cl *Client) readNode(id int, key []byte) []byte {
 	return env
 }
 
-// read is the one point-read path: it returns the newest envelope for
-// key among the replicas from selects, tombstones included (nil = never
-// written), so callers derive value, presence and version from one
-// result. Any and Primary visit a single node. Quorum(r) and AllRepair
-// visit several — r reachable owners starting at a uniform offset, so
-// quorum reads spread load the way plain reads do, or every reachable
-// owner — and, if the copies disagreed or some owner went unread, bring
-// every reachable owner up to the winner with put-if-newer, paying one
-// more visit per replica that actually needed it.
+// read is the one point-read path: it returns key's stored envelope on
+// the replica from selects, tombstones included (nil = never written),
+// so callers derive value, presence and version from one result.
 func (cl *Client) read(rt *routing, key []byte, from Replicas) ([]byte, error) {
 	p := rt.partitionOf(key)
-	owners := rt.owners[p]
-	if from == Any || from == Primary {
-		id := cl.pick(rt, p, from)
-		if id < 0 {
-			return nil, cl.c.downErr(owners)
-		}
-		return cl.readNode(id, key), nil
+	id := cl.pick(rt, p, from)
+	if id < 0 {
+		return nil, cl.c.downErr(rt.owners[p])
 	}
-	want, need, off := len(owners), 1, 0 // AllRepair
-	if from > 0 {
-		want = min(int(from), len(owners))
-		need, off = want, cl.rng.intn(len(owners))
-	}
-	var best []byte
-	read, differ := 0, false
-	for i := 0; i < len(owners) && read < want; i++ {
-		id := owners[(off+i)%len(owners)]
-		if !cl.c.reachable(id) {
-			continue
-		}
-		env := cl.readNode(id, key)
-		if read++; read > 1 && !bytes.Equal(env, best) {
-			differ = true
-		}
-		if env != nil && (best == nil || envVersion(env).After(envVersion(best))) {
-			best = env
-		}
-	}
-	if read < need {
-		return nil, cl.c.downErr(owners)
-	}
-	if best != nil && (differ || read < len(owners)) {
-		for _, id := range owners {
-			if cl.c.reachable(id) && cl.c.nodes[id].applyIfNewer(key, best) {
-				cl.visit(id, 1, len(best))
-			}
-		}
-	}
-	return best, nil
+	return cl.readNode(id, key), nil
 }
 
 // Read returns the value under key and the version it was written at.
@@ -330,8 +270,7 @@ func (cl *Client) Read(key []byte, o ReadOpts) (val []byte, ver Version, ok bool
 // path, or one after another, the Simple executor's batching without
 // intra-operator parallelism. Repeated keys are deduplicated (fetched
 // once, fanned out to every requesting position). Missing keys yield nil
-// entries. A replica policy other than Any trades the per-node batching
-// for its guarantee: each key is read on its own (Quorum(r): r visits).
+// entries.
 func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	if len(keys) == 0 {
@@ -339,16 +278,13 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 	}
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
-	if o.From != Any || len(keys) == 1 {
-		// One read per key; a lone key also skips the grouping and dedup
-		// scratch below (the point-lookup fast path).
-		for i, k := range keys {
-			env, err := cl.read(rt, k, o.From)
-			if err != nil {
-				return nil, err
-			}
-			out[i], _ = live(env)
+	if len(keys) == 1 {
+		// The point-lookup fast path: no grouping or dedup scratch.
+		env, err := cl.read(rt, keys[0], o.From)
+		if err != nil {
+			return nil, err
 		}
+		out[0], _ = live(env)
 		return out, nil
 	}
 	// Deduplicate repeated keys — FK joins re-fetch the same parent
@@ -373,7 +309,7 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 			cl.dups = append(cl.dups, cl.order[j], rep)
 		}
 		p := rt.partitionOf(keys[rep])
-		id := cl.pickReplica(rt, p)
+		id := cl.pick(rt, p, o.From)
 		if id < 0 {
 			return nil, cl.c.downErr(rt.owners[p])
 		}

@@ -1,7 +1,9 @@
 // Package kvstore simulates the distributed key/value store PIQL runs on
 // (SCADS in the paper): a range-partitioned, replicated, ordered store
 // with get/put/test-and-set, range and count-range reads, and predictable
-// per-operation latency independent of total database size.
+// per-operation latency independent of total database size. Writes
+// reach every replica synchronously; a read is served by one replica
+// per partition.
 //
 // The cluster can run in two modes:
 //
@@ -25,33 +27,20 @@ import (
 	"piql/internal/sim"
 )
 
-// Config describes a simulated cluster.
+// Config describes a cluster. Every write reaches every owner of its
+// key synchronously; the latency model (latency.go), each node's request
+// capacity and the tombstone grace period are the package's own.
 type Config struct {
 	// Nodes is the number of storage servers.
 	Nodes int
 	// ReplicationFactor is how many nodes hold each item (paper: 2).
 	ReplicationFactor int
-	// NodeServers is each node's concurrent request capacity.
-	NodeServers int
 	// Seed drives all randomness (latency sampling, replica choice).
 	Seed int64
-	// Latency shapes the simulated latency; zero value = DefaultLatency.
-	Latency LatencyConfig
-	// AsyncReplication delays replica writes by ReplicaLag (eventual
-	// consistency). Only observable in simulated mode.
-	AsyncReplication bool
-	// ReplicaLag is the replication delay under AsyncReplication.
-	ReplicaLag time.Duration
 	// MoveChunkKeys bounds how many keys Rebalance copies per scan
 	// chunk, keeping the copy's memory footprint independent of
 	// partition size. 0 means DefaultMoveChunkKeys.
 	MoveChunkKeys int
-	// TombstoneGCAge is the grace period before a delete's tombstone may
-	// be swept. It must exceed replica lag plus in-flight operation
-	// latency: sweeping a tombstone forgets the delete's version, so a
-	// write older than the delete that is still undelivered could
-	// resurrect the key. 0 means DefaultTombstoneGCAge.
-	TombstoneGCAge time.Duration
 	// LeaseDuration is how long an unreachable node's ranges stay
 	// assigned to it (measured on the wall clock from the moment it
 	// went down) before Rebalance may reclaim them. It is the primary
@@ -66,10 +55,6 @@ type Config struct {
 // when Config.MoveChunkKeys is zero.
 const DefaultMoveChunkKeys = 256
 
-// DefaultTombstoneGCAge is the tombstone grace period when
-// Config.TombstoneGCAge is zero.
-const DefaultTombstoneGCAge = 5 * time.Second
-
 // DefaultLeaseDuration is the unreachable-primary lease expiry when
 // Config.LeaseDuration is zero.
 const DefaultLeaseDuration = time.Second
@@ -80,11 +65,9 @@ const DefaultLeaseDuration = time.Second
 // epoch-stamped routing table behind an atomic pointer. Rebalance models
 // the SCADS Director's live repartitioning and runs concurrently with
 // traffic: ranges are copied while writers double-write to old and new
-// owners, then the routing epoch flips (see Rebalance). SetNodeSlowdown
-// may also run at any time.
+// owners, then the routing epoch flips (see Rebalance).
 type Cluster struct {
 	cfg   Config
-	env   *sim.Env // nil in immediate mode
 	nodes []*node
 
 	// routing is the current epoch-stamped partition map. Operations
@@ -221,24 +204,15 @@ func New(cfg Config, env *sim.Env) *Cluster {
 	if cfg.ReplicationFactor > cfg.Nodes {
 		cfg.ReplicationFactor = cfg.Nodes
 	}
-	if cfg.NodeServers <= 0 {
-		cfg.NodeServers = 12
-	}
-	if cfg.Latency == (LatencyConfig{}) {
-		cfg.Latency = DefaultLatency()
-	}
 	if cfg.MoveChunkKeys <= 0 {
 		cfg.MoveChunkKeys = DefaultMoveChunkKeys
-	}
-	if cfg.TombstoneGCAge <= 0 {
-		cfg.TombstoneGCAge = DefaultTombstoneGCAge
 	}
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = DefaultLeaseDuration
 	}
-	c := &Cluster{cfg: cfg, env: env}
+	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.nodes = append(c.nodes, newNode(i, cfg.Seed, env, cfg.NodeServers, cfg.TombstoneGCAge))
+		c.nodes = append(c.nodes, newNode(i, cfg.Seed, env))
 	}
 	c.pending = make([][]catchUp, cfg.Nodes)
 	// epoch 0: one partition, all keys on node 0's replicas.
@@ -275,9 +249,6 @@ func (c *Cluster) drain(rt *routing) {
 	}
 }
 
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // NumNodes returns the number of storage nodes.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
@@ -300,15 +271,6 @@ func (c *Cluster) TotalItems() int {
 		total += n.size()
 	}
 	return total
-}
-
-// SetNodeSlowdown injects a service-time multiplier on one node
-// (failure/degradation injection for tests).
-func (c *Cluster) SetNodeSlowdown(nodeID int, factor float64) {
-	n := c.nodes[nodeID]
-	n.mu.Lock()
-	n.slowdown = factor
-	n.mu.Unlock()
 }
 
 // replicaNodes returns the node IDs the placement rule prefers for
@@ -429,9 +391,7 @@ func (c *Cluster) Rebalance() {
 	// Sample the key distribution from each partition's primary replica
 	// (or the first live owner when the primary is down). Scans are
 	// clipped to the partition's own range so replica-held data of
-	// neighboring partitions is not double-counted, and under async
-	// replication only the primary — the authoritative copy — is read
-	// (a lagging replica must never resurrect a stale value).
+	// neighboring partitions is not double-counted.
 	var keys [][]byte
 	for p := 0; p < old.parts(); p++ {
 		lo, hi := old.bounds(p)
@@ -538,7 +498,7 @@ func (c *Cluster) copyMove(old *routing, mv *move) {
 	plo, phi := old.rangeParts(mv.lo, mv.hi)
 	for p := plo; p <= phi; p++ {
 		// Copy from the primary, or the first live owner when it is
-		// down (put-if-newer tolerates a lagged source: anything it is
+		// down (put-if-newer tolerates a stale source: anything it is
 		// missing arrives later by catch-up replay or double-write).
 		src := c.liveOwner(old, p)
 		if src < 0 {
@@ -600,11 +560,10 @@ func (c *Cluster) cleanup(rt *routing) {
 // GCTombstones force-sweeps delete tombstones older than the given age
 // from every node, returning how many were collected. age <= 0 sweeps
 // every tombstone, which is only safe on a quiesced cluster (no write
-// in flight, replication lag drained): a sweep forgets the deletes'
-// versions, so an undelivered older write could otherwise resurrect a
-// key. Nodes also sweep expired tombstones inline once they accumulate
-// past a threshold, so unbounded tombstone growth never depends on this
-// call.
+// in flight): a sweep forgets the deletes' versions, so an undelivered
+// older write could otherwise resurrect a key. Immediate-mode nodes
+// also sweep expired tombstones inline once they accumulate past a
+// threshold, so unbounded tombstone growth never depends on this call.
 func (c *Cluster) GCTombstones(age time.Duration) int {
 	cutoff := wallHLC(time.Now().Add(-age))
 	if age <= 0 {
@@ -621,7 +580,7 @@ func (c *Cluster) GCTombstones(age time.Duration) int {
 // partition, all replicas hold byte-identical live state — same keys,
 // same value bytes, same versions (a tombstone and a swept/absent key
 // are equivalent, both meaning "deleted"). It is meaningful on a
-// quiesced cluster (writers joined, replication lag drained); the chaos
+// quiesced cluster (writers joined, every node rejoined); the chaos
 // harness runs it after every storm. Returns nil when converged.
 // It audits a quiesced cluster — no rebalance can run concurrently, so
 // there is no snapshot lifecycle to join.

@@ -86,7 +86,7 @@ func TestApplyIfNewerConverges(t *testing.T) {
 	}
 	orders := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}}
 	for _, order := range orders {
-		nd := newNode(9, 1, nil, 1, time.Hour)
+		nd := newNode(9, 1, nil)
 		for _, i := range order {
 			nd.applyIfNewer(k, envs[i])
 		}
@@ -99,163 +99,70 @@ func TestApplyIfNewerConverges(t *testing.T) {
 	}
 }
 
-// TestAsyncReplicationRacingWritersConverge is the regression for the
-// store's documented divergence: under AsyncReplication, replica
-// catch-ups apply lagged writes, so a second client's write that
-// reaches the replicas *before* an earlier write's catch-up fires is
-// applied to the primary and the replicas in opposite orders. The
-// unversioned store kept the last arrival per replica — permanent
-// divergence, flip-flopping reads. Versioned writes converge on the
-// newest stamp regardless of arrival order.
-func TestAsyncReplicationRacingWritersConverge(t *testing.T) {
-	env := sim.NewEnv()
-	lag := 500 * time.Millisecond
-	c := New(Config{
-		Nodes: 2, ReplicationFactor: 2, Seed: 7,
-		AsyncReplication: true, ReplicaLag: lag,
-	}, env)
-	kPut, kDel := []byte("race-putput"), []byte("race-putdel")
-
-	env.Spawn(func(p *sim.Proc) {
-		slow := c.NewClient(p)
-		// Client A: lagged writes — the replica sees them at +lag.
-		slow.Put(kPut, []byte("older-put"))
-		slow.Put(kDel, []byte("doomed"))
-		// Client B: an immediate-mode client (no simulated latency, e.g.
-		// a maintenance task) writes the same keys *now*: its writes hit
-		// every replica before A's catch-up fires, so the replicas apply
-		// B-then-A — the opposite of the primary's A-then-B.
-		fast := c.NewClient(nil)
-		fast.Put(kPut, []byte("newer-put"))
-		fast.Delete(kDel)
-		p.Sleep(4 * lag) // drain the catch-ups
-	})
-	env.Run(0)
-	env.Stop()
-
-	for id := 0; id < 2; id++ {
-		if v, ok := c.nodes[id].get(kPut); !ok || !bytes.Equal(v, []byte("newer-put")) {
-			t.Fatalf("node %d holds %q (present=%v) for %q, want newer-put on every replica", id, v, ok, kPut)
+// assertOwnedOnly fails if any node holds a live key outside the ranges
+// the current routing table gives it.
+func assertOwnedOnly(t *testing.T, c *Cluster) {
+	t.Helper()
+	rt := c.routing.Load()
+	for id, nd := range c.nodes {
+		for _, kv := range nd.scanRaw(nil, nil, 0) {
+			if !envIsTombstone(kv.Value) && !rt.isOwner(rt.partitionOf(kv.Key), id) {
+				t.Fatalf("node %d holds %q outside its ranges", id, kv.Key)
+			}
 		}
-		if v, ok := c.nodes[id].get(kDel); ok {
-			t.Fatalf("node %d resurrected deleted key %q as %q", id, kDel, v)
-		}
-	}
-	if err := c.AuditConvergence(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestAsyncCatchUpRespectsOwnership: a replica catch-up firing after a
-// rebalance moved its key's range must not resurrect the key on the
-// former owner (cleanup purged it; the copy already carried the write
-// from the old primary to the new owners). The catch-up revalidates
-// ownership under a claimed routing table at fire time. Without the
-// check, a later rebalance could even promote the resurrected value
-// back to owned state after the delete's tombstone was GC'd —
-// permanent divergence through a side door.
+// TestAsyncCatchUpRespectsOwnership: a catch-up is the one write a node
+// takes after the fact — queued while it was unreachable, applied when
+// it rejoins. On the virtual clock, node 1 is partitioned away while
+// every key is written (replica writes fan out through Client.Parallel)
+// and while a rebalance moves part of its keyspace away, so the heal
+// replays a queue that partly targets ranges it no longer owns. A copy
+// left on a former owner could be promoted back to owned state by a
+// later rebalance after the delete's tombstone was swept, so rejoin must
+// leave no live key outside a node's ranges, lose no key, and converge
+// the replicas.
 func TestAsyncCatchUpRespectsOwnership(t *testing.T) {
 	env := sim.NewEnv()
-	lag := 500 * time.Millisecond
-	c := New(Config{
-		Nodes: 3, ReplicationFactor: 2, Seed: 17,
-		AsyncReplication: true, ReplicaLag: lag,
-	}, env)
+	c := New(Config{Nodes: 3, ReplicationFactor: 2, Seed: 17}, env)
 	const n = 200
+	var errs []error
+	moved := 0
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
+		c.Partition([]int{0, 2})
 		for i := 0; i < n; i++ {
-			cl.Put(key(i), val(i)) // catch-ups to node 1 pending at +lag
+			if err := cl.Put(key(i), val(i)); err != nil {
+				errs = append(errs, err)
+			}
 		}
-		// Rebalance inside the lag window: epoch 0 owned everything on
-		// nodes {0,1}; the new layout hands some ranges to {1,2}/{2,0},
-		// so node 1 loses part of the keyspace while its catch-ups are
-		// still queued.
 		c.Rebalance()
-		p.Sleep(4 * lag) // let every catch-up fire
-	})
-	env.Run(0)
-	env.Stop()
-
-	rt := c.routing.Load()
-	moved := false
-	for id, nd := range c.nodes {
-		for _, kv := range nd.scanRaw(nil, nil, 0) {
-			if envIsTombstone(kv.Value) {
-				continue
-			}
-			if !rt.isOwner(rt.partitionOf(kv.Key), id) {
-				t.Fatalf("node %d holds %q but no longer owns its range — a lagged catch-up resurrected it", id, kv.Key)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if p := rt.partitionOf(key(i)); !rt.isOwner(p, 1) {
-			moved = true
-		}
-		if v, ok := get(c.NewClient(nil), key(i)); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("key %d lost: %q (present=%v)", i, v, ok)
-		}
-	}
-	if !moved {
-		t.Fatal("rebalance moved nothing off node 1 — the test exercised no catch-up/ownership race")
-	}
-	if err := c.AuditConvergence(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAsyncCatchUpKillRestartInterleaving extends the ownership race
-// with a crash: node 1's catch-ups are pending when a rebalance moves
-// part of its keyspace away AND the node is killed before they fire.
-// At fire time each catch-up must revalidate ownership (lost ranges
-// drop) and liveness (kept ranges queue for the dead node rather than
-// applying to it); at restart the queued ones replay under the same
-// ownership check. No key may be lost, nothing may be resurrected on a
-// non-owner, and the replicas must converge.
-func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
-	env := sim.NewEnv()
-	lag := 500 * time.Millisecond
-	c := New(Config{
-		Nodes: 3, ReplicationFactor: 2, Seed: 17,
-		AsyncReplication: true, ReplicaLag: lag,
-	}, env)
-	const n = 200
-	env.Spawn(func(p *sim.Proc) {
-		cl := c.NewClient(p)
+		rt := c.routing.Load()
 		for i := 0; i < n; i++ {
-			cl.Put(key(i), val(i)) // catch-ups to node 1 pending at +lag
+			if !rt.isOwner(rt.partitionOf(key(i)), 1) {
+				moved++
+			}
 		}
-		c.Rebalance()    // node 1 loses part of the keyspace...
-		c.Kill(1)        // ...and crashes before the catch-ups fire
-		p.Sleep(2 * lag) // fire mid-outage: drop (lost ranges) or queue (kept)
-		c.Restart(1)     // replay revalidates ownership again
-		p.Sleep(2 * lag)
+		c.Heal()
 	})
 	env.Run(0)
 	env.Stop()
 
-	if c.CatchUpsQueued() == 0 {
-		t.Fatal("no catch-up queued while node 1 was down — the kill missed the lag window")
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
 	}
-	if c.CatchUpsReplayed() == 0 {
-		t.Fatal("no queued catch-up replayed at restart")
+	if moved == 0 {
+		t.Fatal("the rebalance moved nothing off node 1: no catch-up targeted a lost range")
 	}
-	rt := c.routing.Load()
-	for id, nd := range c.nodes {
-		for _, kv := range nd.scanRaw(nil, nil, 0) {
-			if envIsTombstone(kv.Value) {
-				continue
-			}
-			if !rt.isOwner(rt.partitionOf(kv.Key), id) {
-				t.Fatalf("node %d holds %q but no longer owns its range — a catch-up resurrected it across the crash", id, kv.Key)
-			}
-		}
+	if q, r := c.CatchUpsQueued(), c.CatchUpsReplayed(); q == 0 || r != q {
+		t.Fatalf("catch-ups queued %d, replayed %d: want every queued one replayed", q, r)
 	}
+	assertOwnedOnly(t, c)
 	cl := c.NewClient(nil)
 	for i := 0; i < n; i++ {
 		if v, ok := get(cl, key(i)); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("key %d lost across the crash: %q (present=%v)", i, v, ok)
+			t.Fatalf("key %d reads %q (present=%v), want %q", i, v, ok, val(i))
 		}
 	}
 	if err := c.AuditConvergence(); err != nil {
@@ -263,38 +170,72 @@ func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
 	}
 }
 
-// TestAllRepairConvergesStaleReplica: a read that fans out to all
-// replicas returns the newest value and repairs the stale replica
-// immediately, without waiting for the replication lag to drain.
-func TestAllRepairConvergesStaleReplica(t *testing.T) {
+// TestAsyncCatchUpKillRestartInterleaving interleaves catch-ups with two
+// crashes of node 1 on the virtual clock. First, writes queue for it
+// before and after a rebalance moves part of its keyspace away, and it
+// restarts. Then it dies again while a third of the keys are deleted and
+// the rest overwritten, and restarts once more. Every owner of every key
+// must end at the key's last write (a deleted key absent), no node may
+// hold a live key outside its ranges, and the replicas must converge.
+func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
 	env := sim.NewEnv()
-	lag := 500 * time.Millisecond
-	c := New(Config{
-		Nodes: 2, ReplicationFactor: 2, Seed: 13,
-		AsyncReplication: true, ReplicaLag: lag,
-	}, env)
-	k := []byte("repair-key")
-
+	c := New(Config{Nodes: 3, ReplicationFactor: 2, Seed: 17}, env)
+	const n = 200
+	second := func(i int) []byte { return []byte(fmt.Sprintf("second-%06d", i)) }
+	third := func(i int) []byte { return []byte(fmt.Sprintf("third-%06d", i)) }
+	deleted := func(i int) bool { return i%3 == 0 }
+	var errs []error
+	note := func(err error) {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
 	env.Spawn(func(p *sim.Proc) {
 		cl := c.NewClient(p)
-		cl.Put(k, []byte("v1"))
-		p.Sleep(2 * lag) // v1 fully replicated
-		cl.Put(k, []byte("v2"))
-		// Mid-lag: the replica still holds v1.
-		if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v1")) {
-			panic(fmt.Sprintf("replica should still hold v1, has %q", v))
+		for i := 0; i < n; i++ {
+			note(cl.Put(key(i), val(i)))
 		}
-		if v, _, ok, err := cl.Read(k, ReadOpts{From: AllRepair}); err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
-			panic(fmt.Sprintf("AllRepair read returned %q (ok=%v, err=%v), want v2", v, ok, err))
+		c.Kill(1)
+		for i := 0; i < n; i += 2 {
+			note(cl.Put(key(i), second(i)))
 		}
-		// The repair converged the replica before the catch-up fires.
-		if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v2")) {
-			panic(fmt.Sprintf("replica not repaired: holds %q", v))
+		c.Rebalance() // node 1 loses part of the keyspace while down
+		for i := 1; i < n; i += 2 {
+			note(cl.Put(key(i), second(i)))
 		}
-		p.Sleep(2 * lag) // the late catch-up of v2's write must be a no-op
+		c.Restart(1)
+		c.Kill(1)
+		for i := 0; i < n; i++ {
+			if deleted(i) {
+				note(cl.Delete(key(i)))
+			} else {
+				note(cl.Put(key(i), third(i)))
+			}
+		}
+		c.Restart(1)
 	})
 	env.Run(0)
 	env.Stop()
+
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	if q, r := c.CatchUpsQueued(), c.CatchUpsReplayed(); q == 0 || r != q {
+		t.Fatalf("catch-ups queued %d, replayed %d: want every queued one replayed", q, r)
+	}
+	assertOwnedOnly(t, c)
+	rt := c.routing.Load()
+	for i := 0; i < n; i++ {
+		for _, id := range rt.owners[rt.partitionOf(key(i))] {
+			v, ok := c.nodes[id].get(key(i))
+			switch {
+			case deleted(i) && ok:
+				t.Fatalf("node %d resurrected deleted key %d as %q", id, i, v)
+			case !deleted(i) && (!ok || !bytes.Equal(v, third(i))):
+				t.Fatalf("node %d holds %q (present=%v) for key %d, want %q", id, v, ok, i, third(i))
+			}
+		}
+	}
 	if err := c.AuditConvergence(); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +394,8 @@ func TestReplicaNodesIntoMatches(t *testing.T) {
 // explicit GC call. (Tombstones younger than the grace age are never
 // swept, so the test lets the wall clock tick past them first.)
 func TestTombstoneGCBounded(t *testing.T) {
-	c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 3, TombstoneGCAge: time.Nanosecond}, nil)
+	c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 3}, nil)
+	c.nodes[0].gcAge = time.Nanosecond
 	cl := c.NewClient(nil)
 	n := tombstoneSweepThreshold + 1
 	for i := 0; i < n; i++ {

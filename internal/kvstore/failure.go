@@ -21,8 +21,8 @@ import (
 
 // ErrTransient is the sentinel every transient, retry-worthy kvstore
 // error unwraps to. errors.Is(err, ErrTransient) is the one test a
-// caller needs to separate "back off and try again" (node down, quorum
-// short, fenced, retry budget exhausted) from a semantic failure.
+// caller needs to separate "back off and try again" (node down, fenced,
+// retry budget exhausted) from a semantic failure.
 var ErrTransient = errors.New("kvstore: transient cluster condition")
 
 // ErrNodeDown reports an operation that could not reach a required
@@ -84,11 +84,10 @@ type catchUp struct {
 // allowing Rebalance to reclaim its ranges.
 func (c *Cluster) Kill(id int) { c.markDown(id, nodeKilled) }
 
-// Restart brings a killed node back: queued catch-ups are replayed
-// (revalidating ownership — ranges reclaimed during the outage are
-// dropped, and stale non-owned data is purged), then the node rejoins
-// the serving set and its primary leases are re-granted from the
-// current routing table.
+// Restart brings a killed node back: queued catch-ups are replayed,
+// everything it holds for ranges it no longer owns is purged, then the
+// node rejoins the serving set and its primary leases are re-granted
+// from the current routing table.
 func (c *Cluster) Restart(id int) { c.rejoin(id, nodeKilled) }
 
 // Partition cuts the cluster: groups[0] is the side that keeps client
@@ -230,9 +229,11 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 		c.replayOn(id, queued)
 	}
 	// Self-clean: purge anything the node holds but no longer owns —
-	// the rebalance cleanups that ran while it was unreachable could
-	// not reach it, and stale non-owned envelopes must never survive to
-	// a future rebalance that re-places the range here.
+	// catch-ups replayed for ranges moved away during the outage, and
+	// what the rebalance cleanups that ran meanwhile could not reach.
+	// Stale non-owned envelopes must never survive to a future
+	// rebalance that re-places the range here. This is the one place
+	// rejoin enforces ownership.
 	rt := c.routing.Load()
 	for _, kv := range nd.scanRaw(nil, nil, 0) {
 		if !rt.isOwner(rt.partitionOf(kv.Key), id) {
@@ -242,20 +243,17 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 	c.regrantLeases(id, rt)
 }
 
-// replayOn applies queued catch-ups to node id, revalidating ownership
-// under a claimed routing table at replay time: the cluster may have
-// reclaimed the node's ranges while it was down, and replaying a write
-// for a range it no longer owns would resurrect data cleanup can no
-// longer purge. Versioned envelopes make replay order-free.
+// replayOn applies queued catch-ups to node id, every one of them:
+// versioned envelopes make replay order-free, and what lands for a
+// range the node lost while down is purged by rejoin's self-clean
+// after the last replay (no read routes to a non-owner, and rejoin
+// holds rebalanceMu, so no Rebalance can re-place the range on it
+// first).
 func (c *Cluster) replayOn(id int, queued []catchUp) {
-	rt := c.beginOp()
 	for _, cu := range queued {
-		if rt.isOwner(rt.partitionOf(cu.key), id) {
-			c.nodes[id].applyIfNewer(cu.key, cu.env)
-			c.cuReplayed.Add(1)
-		}
+		c.nodes[id].applyIfNewer(cu.key, cu.env)
 	}
-	c.endOp(rt)
+	c.cuReplayed.Add(int64(len(queued)))
 }
 
 // regrantLeases restores node id's primary leases from the current
@@ -288,7 +286,7 @@ func (c *Cluster) SetFailover(on bool) { c.noFailover.Store(!on) }
 
 // SetCatchUpReplay toggles automatic catch-up replay on rejoin
 // (default on). With it off, a restarted/healed node serves its stale
-// state — the staleness-bound and falsification tests' knob.
+// state — the falsification tests' knob.
 func (c *Cluster) SetCatchUpReplay(on bool) { c.noAutoReplay.Store(!on) }
 
 func (c *Cluster) failover() bool   { return !c.noFailover.Load() }
@@ -299,5 +297,7 @@ func (c *Cluster) autoReplay() bool { return !c.noAutoReplay.Load() }
 func (c *Cluster) CatchUpsQueued() int64 { return c.cuQueued.Load() }
 
 // CatchUpsReplayed returns how many queued catch-ups have been
-// replayed onto rejoined nodes.
+// replayed onto rejoined nodes: every replayed envelope counts,
+// including those for ranges the node lost while down, which rejoin
+// then purges.
 func (c *Cluster) CatchUpsReplayed() int64 { return c.cuReplayed.Load() }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"piql/internal/sim"
 )
 
 // TestErrorChainsRoundTrip pins the error taxonomy the engine's retry
@@ -48,82 +46,6 @@ func TestErrorChainsRoundTrip(t *testing.T) {
 	}
 	if errors.Is(errors.New("kvstore: malformed envelope"), ErrTransient) {
 		t.Error("a semantic error must not classify as transient")
-	}
-}
-
-// TestQuorumReadBoundsStaleness is the staleness-bound acceptance test
-// for quorum reads: with RF=2 and one replica recovered stale (its
-// catch-ups held back), an R=1 read demonstrably CAN return the
-// pre-outage value, while an R=2 read never does — the newest envelope
-// among the quorum wins, and the read repairs the stale replica as a
-// side effect. While the replica is still partitioned, an R=2 read
-// refuses with a typed transient error instead of silently degrading.
-func TestQuorumReadBoundsStaleness(t *testing.T) {
-	c := New(Config{Nodes: 2, ReplicationFactor: 2, Seed: 3}, nil)
-	c.SetCatchUpReplay(false) // hold the recovered replica stale
-	cl := c.NewClient(nil)
-	k := []byte("quorum-key")
-
-	cl.Put(k, []byte("v1"))
-	c.Partition([]int{0}) // node 1 unreachable
-	cl.Put(k, []byte("v2"))
-	if c.CatchUpsQueued() == 0 {
-		t.Fatal("the acked write was not queued for the partitioned replica")
-	}
-
-	// Quorum short: R=2 with one replica away makes no decision.
-	if _, _, _, err := cl.Read(k, ReadOpts{From: Quorum(2)}); err == nil {
-		t.Fatal("R=2 read with one replica partitioned returned no error")
-	} else if !errors.Is(err, ErrTransient) {
-		t.Fatalf("quorum-short error is not transient: %v", err)
-	}
-
-	c.Heal() // replay disabled: node 1 rejoins serving v1
-
-	// R=1 carries no staleness bound: a uniform pick lands on the stale
-	// replica within a few draws.
-	sawStale, sawFresh := false, false
-	for i := 0; i < 400 && !(sawStale && sawFresh); i++ {
-		v, ok := get(cl, k)
-		if !ok {
-			t.Fatal("key read as absent")
-		}
-		switch string(v) {
-		case "v1":
-			sawStale = true
-		case "v2":
-			sawFresh = true
-		default:
-			t.Fatalf("impossible value %q", v)
-		}
-	}
-	if !sawStale {
-		t.Fatal("R=1 reads never observed the stale replica — the scenario exercises nothing")
-	}
-	if !sawFresh {
-		t.Fatal("R=1 reads never observed the fresh replica")
-	}
-
-	// R=2 is never stale: both replicas are read, v2's newer version wins.
-	for i := 0; i < 50; i++ {
-		v, _, ok, err := cl.Read(k, ReadOpts{From: Quorum(2)})
-		if err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
-			t.Fatalf("R=2 read %d returned %q (ok=%v, err=%v), want v2 always", i, v, ok, err)
-		}
-	}
-
-	// The quorum read read-repaired the stale replica in passing...
-	if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v2")) {
-		t.Fatalf("stale replica not read-repaired: holds %q", v)
-	}
-	// ...so even R=1 reads are fresh from here on.
-	for i := 0; i < 50; i++ {
-		if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v2")) {
-			t.Fatalf("post-repair R=1 read returned %q (ok=%v), want v2", v, ok)
-		}
-	}
-	if err := c.AuditConvergence(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -187,42 +109,111 @@ func TestLeaseExpiryUnwedgesTestAndSet(t *testing.T) {
 	}
 }
 
-// TestAllRepairLaggedThenKilledReplica: an AllRepair read against a replica
-// set where the lagged replica has crashed must serve the newest value
-// from the live primary without error, skip the unreachable replica,
-// and leave convergence to catch-up replay at restart — the catch-up
-// that fires mid-outage queues instead of applying to the dead node.
-func TestAllRepairLaggedThenKilledReplica(t *testing.T) {
-	env := sim.NewEnv()
-	lag := 500 * time.Millisecond
-	c := New(Config{Nodes: 2, ReplicationFactor: 2, Seed: 13,
-		AsyncReplication: true, ReplicaLag: lag}, env)
-	k := []byte("repair-dead-key")
-
-	env.Spawn(func(p *sim.Proc) {
-		cl := c.NewClient(p)
-		cl.Put(k, []byte("v1"))
-		p.Sleep(2 * lag) // v1 fully replicated
-		cl.Put(k, []byte("v2"))
-		c.Kill(1) // the lagged replica dies before v2's catch-up fires
-		v, _, ok, err := cl.Read(k, ReadOpts{From: AllRepair})
-		if !ok || !bytes.Equal(v, []byte("v2")) {
-			panic(fmt.Sprintf("AllRepair read with a dead replica returned %q (ok=%v), want v2 from the live primary", v, ok))
+// TestCatchUpReplayAndFailoverAreLoadBearing shows that catch-up replay
+// and read failover each decide what reads observe, on a named seed and
+// with no waiting: every row injects one fault into a 2-node, RF 2
+// cluster and takes 400 point reads. With the mechanism on, none
+// observes the fault; with it off, some do — a stale value when replay
+// is off, an *ErrNodeDown when failover is off.
+func TestCatchUpReplayAndFailoverAreLoadBearing(t *testing.T) {
+	k := []byte("k")
+	cases := []struct {
+		name    string
+		disable func(*Cluster)
+		fault   func(*Cluster, *Client) // after k = v1 is written
+		want    string                  // the value a correct read returns
+		failure string                  // what a read shows with the mechanism off
+	}{{
+		name:    "replay",
+		disable: func(c *Cluster) { c.SetCatchUpReplay(false) },
+		fault: func(c *Cluster, cl *Client) {
+			c.Partition([]int{0})
+			cl.Put(k, []byte("v2")) // queued for node 1
+			c.Heal()
+		},
+		want:    "v2",
+		failure: "stale",
+	}, {
+		name:    "failover",
+		disable: func(c *Cluster) { c.SetFailover(false) },
+		fault:   func(c *Cluster, _ *Client) { c.Kill(1) },
+		want:    "v1",
+		failure: "down",
+	}}
+	for _, tc := range cases {
+		for _, on := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/on=%v", tc.name, on), func(t *testing.T) {
+				c := New(Config{Nodes: 2, ReplicationFactor: 2, Seed: 3}, nil)
+				if !on {
+					tc.disable(c)
+				}
+				cl := c.NewClient(nil)
+				if err := cl.Put(k, []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
+				tc.fault(c, cl)
+				seen := map[string]int{}
+				for i := 0; i < 400; i++ {
+					v, _, _, err := cl.Read(k, ReadOpts{})
+					var nd *ErrNodeDown
+					switch {
+					case errors.As(err, &nd):
+						seen["down"]++
+					case err != nil:
+						t.Fatalf("read %d: %v", i, err)
+					case string(v) != tc.want:
+						seen["stale"]++
+					}
+				}
+				if on && len(seen) != 0 {
+					t.Fatalf("with %s on, reads observed the fault: %v of 400", tc.name, seen)
+				}
+				if !on && seen[tc.failure] == 0 {
+					t.Fatalf("with %s off, no read of 400 was %s (%v): the mechanism is not load-bearing here", tc.name, tc.failure, seen)
+				}
+				t.Logf("%v of 400 reads", seen)
+			})
 		}
-		if err != nil {
-			panic(fmt.Sprintf("AllRepair read failed with %v despite a reachable replica serving it", err))
-		}
-		p.Sleep(2 * lag) // v2's catch-up fires mid-outage: must queue
-		c.Restart(1)     // replay converges the replica
-	})
-	env.Run(0)
-	env.Stop()
-
-	if c.CatchUpsQueued() == 0 {
-		t.Fatal("the mid-outage catch-up was not queued — it applied to a killed node")
 	}
-	if v, _ := c.nodes[1].get(k); !bytes.Equal(v, []byte("v2")) {
-		t.Fatalf("replica not converged after restart: holds %q", v)
+}
+
+// TestRejoinPurgesRangesMovedWhileDown: node 1 is down while every key
+// is written and while a rebalance moves part of its keyspace away, so
+// its catch-up queue holds writes for ranges it no longer owns. Replay
+// applies the whole queue; rejoin's self-clean is what enforces
+// ownership. No node may hold a live key outside its ranges, every key
+// must read back, and the replicas must converge.
+func TestRejoinPurgesRangesMovedWhileDown(t *testing.T) {
+	c := New(Config{Nodes: 3, ReplicationFactor: 2, Seed: 17}, nil)
+	cl := c.NewClient(nil)
+	const n = 200
+	c.Kill(1)
+	for i := 0; i < n; i++ {
+		if err := cl.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Rebalance()
+	rt := c.routing.Load()
+	lost := 0
+	for i := 0; i < n; i++ {
+		if !rt.isOwner(rt.partitionOf(key(i)), 1) {
+			lost++
+		}
+	}
+	if lost == 0 {
+		t.Fatal("the rebalance moved nothing off node 1: the scenario exercises no ownership change")
+	}
+	c.Restart(1)
+	if q, r := c.CatchUpsQueued(), c.CatchUpsReplayed(); q == 0 || r != q {
+		t.Fatalf("catch-ups queued %d, replayed %d: want every queued one replayed", q, r)
+	}
+
+	assertOwnedOnly(t, c)
+	for i := 0; i < n; i++ {
+		if v, ok := get(cl, key(i)); !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("key %d reads %q (present=%v), want %q", i, v, ok, val(i))
+		}
 	}
 	if err := c.AuditConvergence(); err != nil {
 		t.Fatal(err)

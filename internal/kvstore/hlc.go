@@ -13,9 +13,9 @@ import (
 // from the cluster-wide HLC plus the writing client's id as a tiebreaker.
 // Replicas apply a write only when its version is newer than what they
 // hold (node.applyIfNewer), and deletes store versioned tombstones
-// instead of erasing, so all replicas of a key — synchronous, async-
-// lagged, and rebalance copies alike — converge to the same winner
-// regardless of the order writes arrive in. This is what turns the
+// instead of erasing, so all replicas of a key — synchronous writes,
+// catch-up replays and rebalance copies alike — converge to the same
+// winner regardless of the order writes arrive in. This is what turns the
 // store's Put/Delete from "last writer wins per replica" (which could
 // diverge replicas permanently; see ROADMAP, PR 4 follow-ons) into
 // convergent last-writer-wins.

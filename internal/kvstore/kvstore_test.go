@@ -343,67 +343,13 @@ func TestSimulatedReadBatchParallelFasterThanSerial(t *testing.T) {
 	}
 }
 
-func TestSlowNodeInjection(t *testing.T) {
-	measure := func(slow bool) time.Duration {
-		env := sim.NewEnv()
-		c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 3}, env)
-		if slow {
-			c.SetNodeSlowdown(0, 50)
-		}
-		var total time.Duration
-		env.Spawn(func(p *sim.Proc) {
-			cl := c.NewClient(p)
-			t0 := p.Now()
-			for i := 0; i < 50; i++ {
-				get(cl, key(i))
-			}
-			total = p.Now() - t0
-		})
-		env.Run(0)
-		return total
-	}
-	fast, slow := measure(false), measure(true)
-	if slow < 10*fast {
-		t.Fatalf("slowdown not observed: fast=%v slow=%v", fast, slow)
-	}
-}
-
-func TestAsyncReplicationIsEventuallyConsistent(t *testing.T) {
-	env := sim.NewEnv()
-	c := New(Config{
-		Nodes: 2, ReplicationFactor: 2, Seed: 5,
-		AsyncReplication: true, ReplicaLag: 500 * time.Millisecond,
-	}, env)
-	k := []byte("ec-key")
-
-	staleSeen, freshSeen := false, false
-	env.Spawn(func(p *sim.Proc) {
-		cl := c.NewClient(p)
-		cl.Put(k, []byte("v"))
-		// Immediately afterwards the secondary replica is still empty.
-		if _, ok := c.nodes[1].get(k); !ok {
-			staleSeen = true
-		}
-		p.Sleep(time.Second)
-		if v, ok := c.nodes[1].get(k); ok && bytes.Equal(v, []byte("v")) {
-			freshSeen = true
-		}
-	})
-	env.Run(0)
-	if !staleSeen {
-		t.Error("secondary replica was synchronously updated despite AsyncReplication")
-	}
-	if !freshSeen {
-		t.Error("secondary replica never converged")
-	}
-}
-
 func TestNodeSaturationInflatesLatency(t *testing.T) {
 	// One node with tiny capacity: 64 clients hammering it must see far
 	// higher latency than a single client.
 	run := func(clients int) time.Duration {
 		env := sim.NewEnv()
-		c := New(Config{Nodes: 1, ReplicationFactor: 1, NodeServers: 2, Seed: 9}, env)
+		c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 9}, env)
+		c.nodes[0].queue = env.NewResource(2)
 		var worst time.Duration
 		for i := 0; i < clients; i++ {
 			env.Spawn(func(p *sim.Proc) {
@@ -425,13 +371,12 @@ func TestNodeSaturationInflatesLatency(t *testing.T) {
 }
 
 func TestVolatilityVariesByInterval(t *testing.T) {
-	cfg := DefaultLatency()
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		v := cfg.volatility(1, 0, time.Duration(i)*cfg.VolatilityInterval)
+		v := volatility(1, 0, time.Duration(i)*volatilityInterval)
 		seen[fmt.Sprintf("%.3f", v)] = true
 		// Deterministic: same inputs, same multiplier.
-		if v2 := cfg.volatility(1, 0, time.Duration(i)*cfg.VolatilityInterval); v2 != v {
+		if v2 := volatility(1, 0, time.Duration(i)*volatilityInterval); v2 != v {
 			t.Fatal("volatility not deterministic")
 		}
 	}

@@ -7,51 +7,35 @@ import (
 	"time"
 )
 
-// LatencyConfig shapes the simulated per-operation latency of the cluster.
-// Defaults (see DefaultLatency) are calibrated to resemble the EC2 numbers
-// the paper reports: single-get round trips of a few milliseconds with a
-// heavy right tail, plus interval-scale "cloud volatility".
-type LatencyConfig struct {
-	// ServiceMedian is the median node-side service time of a single get.
-	ServiceMedian time.Duration
-	// ServiceSigma is the σ of the lognormal service-time distribution.
-	ServiceSigma float64
-	// PerItem is the additional service time per tuple returned by a
+// The simulated per-operation latency of the cluster: the one model every
+// experiment runs on, calibrated to resemble the EC2 numbers the paper
+// reports — single-get round trips of a few milliseconds with a heavy
+// right tail, plus interval-scale "cloud volatility".
+const (
+	// serviceMedian is the median node-side service time of a single get.
+	serviceMedian = 900 * time.Microsecond
+	// serviceSigma is the σ of the lognormal service-time distribution.
+	serviceSigma = 0.45
+	// perItem is the additional service time per tuple returned by a
 	// range scan beyond the first.
-	PerItem time.Duration
-	// PerByte is the additional transfer time per payload byte.
-	PerByte time.Duration
-	// RTTMedian is the median client<->node network round-trip time.
-	RTTMedian time.Duration
-	// RTTSigma is the σ of the lognormal RTT distribution.
-	RTTSigma float64
-	// VolatilityInterval is the length of a "cloud weather" interval;
+	perItem = 18 * time.Microsecond
+	// perByte is the additional transfer time per payload byte.
+	perByte = 2 * time.Nanosecond
+	// rttMedian is the median client<->node network round-trip time.
+	rttMedian = 450 * time.Microsecond
+	// rttSigma is the σ of the lognormal RTT distribution.
+	rttSigma = 0.35
+	// volatilityInterval is the length of a "cloud weather" interval;
 	// each node draws a fresh service-time multiplier every interval.
-	VolatilityInterval time.Duration
-	// VolatilitySigma is the σ of the per-interval multiplier lognormal.
-	VolatilitySigma float64
-	// NoisyNeighborProb is the chance a node spends an interval
+	volatilityInterval = 30 * time.Second
+	// volatilitySigma is the σ of the per-interval multiplier lognormal.
+	volatilitySigma = 0.10
+	// noisyNeighborProb is the chance a node spends an interval
 	// co-located with a heavy tenant, inflating service times.
-	NoisyNeighborProb float64
-	// NoisyNeighborFactor scales service time during such intervals.
-	NoisyNeighborFactor float64
-}
-
-// DefaultLatency returns the latency model used by all experiments.
-func DefaultLatency() LatencyConfig {
-	return LatencyConfig{
-		ServiceMedian:       900 * time.Microsecond,
-		ServiceSigma:        0.45,
-		PerItem:             18 * time.Microsecond,
-		PerByte:             2 * time.Nanosecond,
-		RTTMedian:           450 * time.Microsecond,
-		RTTSigma:            0.35,
-		VolatilityInterval:  30 * time.Second,
-		VolatilitySigma:     0.10,
-		NoisyNeighborProb:   0.04,
-		NoisyNeighborFactor: 2.2,
-	}
-}
+	noisyNeighborProb = 0.04
+	// noisyNeighborFactor scales service time during such intervals.
+	noisyNeighborFactor = 2.2
+)
 
 // lognormal samples exp(N(ln(median), sigma)).
 func lognormal(rng *rng, median time.Duration, sigma float64) time.Duration {
@@ -61,18 +45,18 @@ func lognormal(rng *rng, median time.Duration, sigma float64) time.Duration {
 
 // serviceTime samples the node-side processing time for a request
 // touching the given number of items and payload bytes.
-func (c LatencyConfig) serviceTime(rng *rng, items, bytes int) time.Duration {
-	d := lognormal(rng, c.ServiceMedian, c.ServiceSigma)
+func serviceTime(rng *rng, items, bytes int) time.Duration {
+	d := lognormal(rng, serviceMedian, serviceSigma)
 	if items > 1 {
-		d += time.Duration(items-1) * c.PerItem
+		d += time.Duration(items-1) * perItem
 	}
-	d += time.Duration(bytes) * c.PerByte
+	d += time.Duration(bytes) * perByte
 	return d
 }
 
-// rtt samples a network round-trip time.
-func (c LatencyConfig) rtt(rng *rng) time.Duration {
-	return lognormal(rng, c.RTTMedian, c.RTTSigma)
+// sampleRTT samples a network round-trip time.
+func sampleRTT(rng *rng) time.Duration {
+	return lognormal(rng, rttMedian, rttSigma)
 }
 
 // volatility returns the deterministic service-time multiplier for a node
@@ -82,11 +66,8 @@ func (c LatencyConfig) rtt(rng *rng) time.Duration {
 // per call: that stream is what the paper-figure experiments were
 // calibrated on, so it stays bit for bit (TestVolatilityGolden) while
 // the clients and nodes draw from the value-type rng.
-func (c LatencyConfig) volatility(seed int64, nodeID int, t time.Duration) float64 {
-	if c.VolatilityInterval <= 0 {
-		return 1
-	}
-	interval := int64(t / c.VolatilityInterval)
+func volatility(seed int64, nodeID int, t time.Duration) float64 {
+	interval := int64(t / volatilityInterval)
 	h := fnv.New64a()
 	var buf [24]byte
 	put64 := func(off int, v uint64) {
@@ -99,9 +80,9 @@ func (c LatencyConfig) volatility(seed int64, nodeID int, t time.Duration) float
 	put64(16, uint64(interval))
 	h.Write(buf[:])
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	m := math.Exp(rng.NormFloat64() * c.VolatilitySigma)
-	if rng.Float64() < c.NoisyNeighborProb {
-		m *= c.NoisyNeighborFactor
+	m := math.Exp(rng.NormFloat64() * volatilitySigma)
+	if rng.Float64() < noisyNeighborProb {
+		m *= noisyNeighborFactor
 	}
 	return m
 }

@@ -48,12 +48,9 @@ type node struct {
 	downSince time.Time
 
 	// autoGC enables the inline threshold sweep. Only immediate-mode
-	// clusters set it: the sweep's age cutoff is wall-clock while a
-	// simulated environment delivers replica catch-ups in virtual time,
-	// so a long-running sim could sweep a tombstone before an older
-	// write's catch-up event fires and let it resurrect the key.
-	// Simulated clusters keep every tombstone until an explicit
-	// quiesced Cluster.GCTombstones.
+	// clusters set it: the sweep reads the wall clock, which a simulated
+	// run must not depend on. Simulated clusters keep every tombstone
+	// until an explicit quiesced Cluster.GCTombstones.
 	autoGC bool
 
 	// leases are the key ranges this node serves as authoritative primary
@@ -62,8 +59,7 @@ type node struct {
 	// fencing check never takes a lock Rebalance also needs.
 	leases atomic.Pointer[leaseTable]
 
-	queue    *sim.Resource // request-processing capacity (nil in immediate mode)
-	slowdown float64       // failure injection: service-time multiplier
+	queue *sim.Resource // request-processing capacity (nil in immediate mode)
 }
 
 // tombstoneSweepThreshold is how many tombstones a node accumulates
@@ -71,19 +67,27 @@ type node struct {
 // tombstone memory without a background task.
 const tombstoneSweepThreshold = 4096
 
-func newNode(id int, seed int64, env *sim.Env, servers int, gcAge time.Duration) *node {
+// nodeServers is each node's concurrent request capacity.
+const nodeServers = 12
+
+// tombstoneGCAge is the grace period before a delete's tombstone may be
+// swept. It must exceed in-flight operation latency: sweeping a
+// tombstone forgets the delete's version, so a write older than the
+// delete that is still undelivered could resurrect the key.
+const tombstoneGCAge = 5 * time.Second
+
+func newNode(id int, seed int64, env *sim.Env) *node {
 	n := &node{
-		id:       id,
-		tree:     btree.New(),
-		rng:      seededRNG(uint64(seed), ^uint64(id)),
-		hlc:      &HLC{},
-		gcAge:    gcAge,
-		autoGC:   env == nil,
-		slowdown: 1,
+		id:     id,
+		tree:   btree.New(),
+		rng:    seededRNG(uint64(seed), ^uint64(id)),
+		hlc:    &HLC{},
+		gcAge:  tombstoneGCAge,
+		autoGC: env == nil,
 	}
 	n.leases.Store(emptyLeases)
 	if env != nil {
-		n.queue = env.NewResource(servers)
+		n.queue = env.NewResource(nodeServers)
 	}
 	return n
 }
@@ -178,8 +182,9 @@ func (n *node) storeLocked(key, env, cur []byte, ok bool) {
 }
 
 // purge hard-removes key, envelope and all. Only for data the node does
-// not own (rebalance cleanup): purging an owned key would forget its
-// version and let an older lagged write resurrect it.
+// not own (rebalance cleanup, rejoin's self-clean): purging an owned key
+// would forget its version and let an older write still in flight
+// resurrect it.
 func (n *node) purge(key []byte) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -198,9 +203,9 @@ func (n *node) purge(key []byte) bool {
 //
 // Dropping a tombstone forgets the delete's version, so the cutoff must
 // be old enough that no yet-undelivered write could predate it — the
-// grace period (gcAge) has to exceed replica lag plus in-flight
-// operation latency. That bounded-staleness window is the standard
-// tombstone-GC tradeoff; within it, convergence is unconditional.
+// grace period (gcAge) has to exceed in-flight operation latency. That
+// bounded-staleness window is the standard tombstone-GC tradeoff;
+// within it, convergence is unconditional.
 func (n *node) sweepTombstonesLocked(cutoff int64) int {
 	var dead [][]byte
 	n.tree.Ascend(nil, nil, func(it btree.Item) bool {
@@ -340,12 +345,10 @@ func (n *node) size() int {
 }
 
 // sampleService draws a service time for a request (items tuples, payload
-// bytes) under the node's current volatility and slowdown.
-func (n *node) sampleService(cfg LatencyConfig, seed int64, now time.Duration, items, bytes int) time.Duration {
+// bytes) under the node's current volatility.
+func (n *node) sampleService(seed int64, now time.Duration, items, bytes int) time.Duration {
 	n.mu.Lock()
-	d := cfg.serviceTime(&n.rng, items, bytes)
-	slow := n.slowdown
+	d := serviceTime(&n.rng, items, bytes)
 	n.mu.Unlock()
-	v := cfg.volatility(seed, n.id, now)
-	return time.Duration(float64(d) * v * slow)
+	return time.Duration(float64(d) * volatility(seed, n.id, now))
 }

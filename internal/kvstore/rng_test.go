@@ -108,15 +108,14 @@ func TestPickReplicaUniformAndRTTMedian(t *testing.T) {
 		}
 	}
 
-	cfg := DefaultLatency()
 	rtts := make([]time.Duration, draws)
 	for i := range rtts {
-		rtts[i] = cfg.rtt(&cl.rng)
+		rtts[i] = sampleRTT(&cl.rng)
 	}
 	slices.Sort(rtts)
 	median := float64(rtts[draws/2])
-	if math.Abs(median-float64(cfg.RTTMedian)) > 0.02*float64(cfg.RTTMedian) {
-		t.Errorf("sampled RTT median %v, want %v within 2%%", time.Duration(median), cfg.RTTMedian)
+	if math.Abs(median-float64(rttMedian)) > 0.02*float64(rttMedian) {
+		t.Errorf("sampled RTT median %v, want %v within 2%%", time.Duration(median), rttMedian)
 	}
 }
 
@@ -124,9 +123,8 @@ func TestPickReplicaUniformAndRTTMedian(t *testing.T) {
 // experiments were calibrated on these multipliers, so the generator
 // behind volatility must never change with the one behind the clients.
 func TestVolatilityGolden(t *testing.T) {
-	cfg := DefaultLatency()
 	for _, g := range volatilityGolden {
-		got := cfg.volatility(g.seed, g.node, time.Duration(g.interval)*cfg.VolatilityInterval)
+		got := volatility(g.seed, g.node, time.Duration(g.interval)*volatilityInterval)
 		if got != g.want {
 			t.Errorf("volatility(seed %d, node %d, interval %d) = %v, want %v", g.seed, g.node, g.interval, got, g.want)
 		}

@@ -3,15 +3,13 @@ package kvstore
 import (
 	"errors"
 	"slices"
-
-	"piql/internal/sim"
 )
 
 // The write path of Client: plain versioned writes (Put, Delete,
 // PutStamped) and the linearizable conditional write (TestAndSet).
 
-// Put stores value under key on every replica (parallel in simulated
-// mode, or primary-then-async under AsyncReplication). The write is
+// Put stores value under key on every replica, synchronously (the
+// replicas in parallel in simulated mode). The write is
 // stamped from the key's primary clock, so racing Puts/Deletes from
 // any number of clients converge every replica to the same winner.
 // An outage never fails a write: a replica that is down gets the
@@ -70,11 +68,11 @@ const fenceRetryBudget = 64
 // the key's writes; observe-on-apply keeps the order intact across
 // fail-overs — falling back to a cluster barrier stamp when the whole
 // replica set is unreachable. The envelope is built once and applied
-// with put-if-newer on every target — current replicas, lagged
-// replicas, and the destinations of any in-flight move covering the
-// key — and the operation retries (bounded by writeRetryBudget) if the
-// routing table changed while it ran, so a concurrent rebalance can
-// never strand it on a node that is no longer the key's owner.
+// with put-if-newer on every target — current replicas and the
+// destinations of any in-flight move covering the key — and the
+// operation retries (bounded by writeRetryBudget) if the routing table
+// changed while it ran, so a concurrent rebalance can never strand it
+// on a node that is no longer the key's owner.
 // Re-application is naturally idempotent: the same envelope applied
 // twice is a no-op.
 func (cl *Client) writeStamped(key, val []byte, del bool, pin *Version) error {
@@ -119,44 +117,7 @@ func (cl *Client) stampOn(rt *routing, key []byte) int64 {
 // applied (applyOrQueue); the visit is paid either way — the attempt
 // is part of the operation's cost.
 func (cl *Client) writeUnder(rt *routing, key, env []byte) {
-	p := rt.partitionOf(key)
-	ids := rt.owners[p]
-	mv := coveringMove(rt, key)
-	if cl.c.cfg.AsyncReplication && cl.proc != nil && len(ids) > 1 {
-		// Synchronous primary write; replicas catch up after ReplicaLag.
-		// The lagged applies reuse the stamped envelope, so however the
-		// catch-ups of racing writers interleave, every replica keeps the
-		// newest version — the divergence the unversioned store allowed.
-		primary := ids[0]
-		cl.c.applyOrQueue(primary, key, env)
-		cl.visit(primary, 1, len(key))
-		lag := cl.c.cfg.ReplicaLag
-		rest := append([]int(nil), ids[1:]...) // outlives this op's scratch
-		cl.proc.Env().Spawn(func(p *sim.Proc) {
-			p.Sleep(lag)
-			// Revalidate ownership *and* liveness under a claimed routing
-			// table at fire time: the cluster may have rebalanced during
-			// the lag — a catch-up landing on a node that lost the range
-			// would resurrect the key there after cleanup purged it — and
-			// the target may have been killed meanwhile, in which case
-			// the envelope must queue for its rejoin replay rather than
-			// being applied to a crashed node (applyOrQueue decides). The
-			// claim also serializes the catch-up against cleanup —
-			// Rebalance drains claim holders before purging.
-			crt := cl.c.beginOp()
-			cp := crt.partitionOf(key)
-			for _, id := range rest {
-				if crt.isOwner(cp, id) {
-					cl.c.applyOrQueue(id, key, env)
-				}
-			}
-			cl.c.endOp(crt)
-		})
-		// Move destinations are written synchronously even under async
-		// replication: the flip must find them complete.
-		cl.doubleApply(mv, key, env, ids[:1])
-		return
-	}
+	ids := rt.owners[rt.partitionOf(key)]
 	if cl.proc == nil || len(ids) == 1 {
 		for _, id := range ids {
 			cl.c.applyOrQueue(id, key, env)
@@ -172,7 +133,7 @@ func (cl *Client) writeUnder(rt *routing, key, env []byte) {
 		}
 		cl.Parallel(fns...)
 	}
-	cl.doubleApply(mv, key, env, ids)
+	cl.doubleApply(coveringMove(rt, key), key, env, ids)
 }
 
 // coveringMove returns the in-flight move whose range contains key, or
