@@ -43,14 +43,16 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the full suite under the race detector, including the
-# concurrent-session tests (TestConcurrentSessions,
-# TestPublicAPIConcurrentUse), the simulated scatter-gather range
-# reads (TestScanParallel*, TestScatterConcurrentClients), and the
-# online-maintenance chaos tests (TestChaosOnlineOperations,
-# TestRebalanceUnderTraffic, TestCreateIndexUnderConcurrentWrites,
-# TestInsertRollbackRacingDelete) that gate index backfill and
-# rebalance under live writes.
+# race runs the full suite under the race detector. Its real-concurrency
+# input is the kvstore and engine tests that run goroutines: the
+# concurrent sessions (TestConcurrentSessions, TestPublicAPIConcurrentUse),
+# the scatter-gather range reads (TestScanParallel*,
+# TestScatterConcurrentClients), and the online-maintenance tests
+# (TestRebalanceUnderTraffic, TestCreateIndexUnderConcurrentWrites,
+# TestInsertRollbackRacingDelete, TestKillRacingRebalanceUnderTraffic)
+# that gate index backfill, rebalance and a crash under live writes. The
+# RunChaos storms run on the virtual clock — one process at a time — so
+# they are not a real-goroutine gate.
 race:
 	$(GO) test -race ./...
 
@@ -68,16 +70,17 @@ endef
 space := $(subst ,, )
 
 # chaos runs just the online-maintenance gate, raced — the quick check
-# after touching the index lifecycle, write path, or routing table. It
-# includes the conditional-writer fleet (TestChaosOnlineOperations and
-# TestTestAndSetLinearizableAcrossRebalance model-check every TestAndSet
-# outcome across repeated chunked rebalances), the chunked-copy
-# regressions, and the replica-convergence gates (RunChaos's
-# byte-for-byte per-key audit across all replicas after every storm,
-# plus TestReplicasConvergeUnderRacingWrites racing unordered Put/Delete
-# across rebalances, and TestRejoinPurgesRangesMovedWhileDown and
-# TestAsyncCatchUpRespectsOwnership for the ranges a node lost while it
-# was down).
+# after touching the index lifecycle, write path, or routing table. Its
+# concurrency comes from the kvstore and engine goroutine tests:
+# TestTestAndSetLinearizableAcrossRebalance model-checks every TestAndSet
+# outcome of a racing fleet across repeated chunked rebalances,
+# TestReplicasConvergeUnderRacingWrites races unordered Put/Delete
+# across rebalances, plus the chunked-copy regressions and the index
+# build tests. TestChaosOnlineOperations runs the same model check and
+# RunChaos's byte-for-byte per-key replica audit on the virtual clock;
+# TestRejoinPurgesRangesMovedWhileDown and
+# TestAsyncCatchUpRespectsOwnership cover the ranges a node lost while it
+# was down.
 CHAOS_TESTS = TestChaosOnlineOperations TestRebalanceUnderTraffic \
 	TestRebalanceRangeReadsUnderTraffic TestCreateIndexUnderConcurrentWrites \
 	TestInsertRollbackRacingDelete TestTestAndSetLinearizableAcrossRebalance \
@@ -89,16 +92,20 @@ CHAOS_TESTS = TestChaosOnlineOperations TestRebalanceUnderTraffic \
 chaos:
 	$(call raced-gate,$(CHAOS_TESTS))
 
-# chaos-faults is the failure-injection gate, raced and explicit in ci:
-# the chaos storms with a node crashed or partitioned mid-rebalance
+# chaos-faults is the failure-injection gate, raced and explicit in ci.
+# Its real-goroutine input is TestKillRacingRebalanceUnderTraffic (a
+# replica killed while a rebalance copies under writer goroutines, and
+# restarted a rebalance later). The rest: the simulated chaos storms with
+# a node crashed or partitioned mid-rebalance, each on several seeds
 # (plus the falsification subtests proving read failover and catch-up
-# replay are each load-bearing), the same two mechanisms falsified on a
-# fixed seed with no waiting, lease-expiry fencing recovery, ownership
-# at rejoin (also across two crashes on the virtual clock), and the
-# kill-during-write table (every write with a
-# partition unreachable ends in a Retryable error or its full effect).
+# replay are each load-bearing, on a named seed), the same two
+# mechanisms falsified at unit level, lease-expiry fencing recovery,
+# ownership at rejoin (also across two crashes on the virtual clock),
+# and the kill-during-write table (every write with a partition
+# unreachable ends in a Retryable error or its full effect).
 CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
 	TestChaosSurvivesPartitionedReplica TestCatchUpReplayAndFailoverAreLoadBearing \
+	TestKillRacingRebalanceUnderTraffic \
 	TestLeaseExpiryUnwedgesTestAndSet TestRejoinPurgesRangesMovedWhileDown \
 	TestErrorChainsRoundTrip TestRetryableClassification \
 	TestDegradedReadSurfacesRetryable TestKillDuringWrite \

@@ -23,15 +23,15 @@
 // It is excluded from "all" since its numbers depend on host cores.
 //
 // -experiment faults runs the failure-injection chaos storms (node
-// crash/restart mid-rebalance and partition with lease reclaim) and
-// reports the recovery evidence: catch-ups queued and replayed, ops
-// retried, and the post-heal integrity audits. Also excluded from
-// "all" — the fault windows are wall-clock paced.
+// crash/restart mid-rebalance and partition with lease reclaim) on the
+// simulated cluster and reports the recovery evidence: catch-ups queued
+// and replayed, ops retried, and the post-heal integrity audits. Each
+// storm is a function of its seed.
 //
 // Absolute numbers come from the latency model of the simulated
 // key/value store, not EC2 hardware; the shapes (linear scaling, flat
 // tails, conservative predictions, bounded-vs-unbounded crossover,
-// executor ordering) are the reproduction targets. See EXPERIMENTS.md.
+// executor ordering) are the reproduction targets. See README.md.
 package main
 
 import (
@@ -228,8 +228,7 @@ func runExperiments(out io.Writer, experiment string, quick bool, slo time.Durat
 		res.Print(out)
 	}
 
-	// Not part of "all": the fault windows are wall-clock paced.
-	if experiment == "faults" {
+	if run("faults") {
 		for _, sc := range []struct {
 			name string
 			f    harness.FaultSchedule

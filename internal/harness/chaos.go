@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"piql/internal/codec"
@@ -14,26 +11,28 @@ import (
 	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/schema"
+	"piql/internal/sim"
 	"piql/internal/value"
 )
 
-// ChaosConfig drives the online-operations chaos workload: real
-// goroutines hammer the write path of one engine while a secondary
+// ChaosConfig drives the online-operations chaos workload: simulated
+// writer processes hammer the write path of one engine while a secondary
 // index is built and the cluster rebalances, repeatedly, under it all.
-// It is the end-to-end proof (run under -race in CI) that the two
-// formerly quiescent operations — backfill and rebalance — are safe
-// under live traffic.
+// It is the end-to-end proof that the two formerly quiescent operations
+// — backfill and rebalance — are safe under live traffic. The storm runs
+// on a sim.Env, so a run is a function of its config: one seed replays
+// one interleaving, faults included.
 type ChaosConfig struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Writers is the number of concurrent writer goroutines.
+	// Writers is the number of concurrent writer processes.
 	Writers int
 	// OpsPerWriter is each writer's operation count (inserts, updates,
 	// deletes, and read-back checks).
 	OpsPerWriter int
 	// Rebalances is how many times the cluster rebalances during the run.
 	Rebalances int
-	// CASWriters is the number of conditional-writer goroutines racing
+	// CASWriters is the number of conditional-writer processes racing
 	// TestAndSet on CASKeys shared keys. Every accepted swap is recorded
 	// and replayed against a serial model after the run: with unique
 	// update values, a linearizable register admits exactly one accepted
@@ -44,13 +43,9 @@ type ChaosConfig struct {
 	CASKeys int
 	// CASOpsPerWriter is each conditional writer's attempt count.
 	CASOpsPerWriter int
-	// MoveChunkKeys bounds the rebalance copy's chunk windows (0 =
-	// store default); the chaos run keeps it small so every rebalance
-	// crosses many windows.
-	MoveChunkKeys int
-	// Seed drives the cluster's randomness.
+	// Seed drives the cluster's randomness, and so the whole storm.
 	Seed int64
-	// Faults, when non-nil, injects real failures into the storm: node
+	// Faults, when non-nil, injects failures into the storm: node
 	// crashes, partitions, and the falsification knobs that prove the
 	// recovery machinery is load-bearing.
 	Faults *FaultSchedule
@@ -61,25 +56,20 @@ type ChaosConfig struct {
 // record-carrying head partitions), so the schedule is deterministic
 // given the config.
 type FaultSchedule struct {
-	// KillRestart crashes the victim concurrently with a mid-storm
-	// rebalance and restarts it two rebalances later — the catch-up
-	// replay and lease re-grant path. Writes acked during the outage
-	// must survive it.
+	// KillRestart crashes the victim inside a mid-storm rebalance and
+	// restarts it two rebalances later — the catch-up replay and lease
+	// re-grant path. Writes acked during the outage must survive it.
 	KillRestart bool
 	// Partition cuts the victim away from the client side mid-storm and
 	// heals it two rebalances later, with the storm paced so the
 	// victim's leases expire and a rebalance reclaims its ranges while
 	// it is unreachable.
 	Partition bool
-	// LeaseMs overrides the cluster's lease duration in milliseconds
-	// (default 40). Short leases let reclaim happen inside the run;
-	// a long lease (e.g. 60000) pins ownership across the outage so
-	// recovery rides on catch-up replay alone.
+	// LeaseMs overrides the cluster's lease duration in milliseconds of
+	// virtual time (default 40). Short leases let reclaim happen inside
+	// the run; a long lease (e.g. 60000) pins ownership across the
+	// outage so recovery rides on catch-up replay alone.
 	LeaseMs int
-	// OpDeadlineMs bounds each writer operation's retry-on-transient
-	// loop (default 10000). An op still failing past the deadline fails
-	// the run: that is a wedge, not a transient.
-	OpDeadlineMs int
 	// DisableFailover is a falsification knob: reads no longer reroute
 	// around an unreachable replica. A faulted run with it set must
 	// fail — proving the survival tests actually depend on failover.
@@ -98,18 +88,34 @@ func (f *FaultSchedule) lease() time.Duration {
 	return 40 * time.Millisecond
 }
 
-func (f *FaultSchedule) opDeadline() time.Duration {
-	if f.OpDeadlineMs > 0 {
-		return time.Duration(f.OpDeadlineMs) * time.Millisecond
-	}
-	return 10 * time.Second
-}
+// The storm's constants, all on the virtual clock but the chunk size.
+const (
+	// chaosMoveChunkKeys keeps each rebalance copy's chunks small, so
+	// every rebalance crosses many chunk windows.
+	chaosMoveChunkKeys = 32
+	// chaosOpDeadline bounds a writer operation's retry-on-transient
+	// loop. An op still failing past it fails the run: that is a wedge,
+	// not a transient.
+	chaosOpDeadline = 10 * time.Second
+	// chaosRetryPause paces retries, so a retrying process does not burn
+	// its attempts inside one fault window.
+	chaosRetryPause = time.Millisecond
+	// chaosWindow is how long the fleet writes before a fault is
+	// injected, and again before the recovery: acked writes, failover
+	// reads and conditional decisions all land inside the outage.
+	chaosWindow = 300 * time.Millisecond
+	// chaosTimeLimit is the virtual time a storm must finish by, about
+	// twenty times what one takes. One that has not is wedged, and
+	// RunChaos says where.
+	chaosTimeLimit = time.Minute
+)
 
-// DefaultChaosConfig keeps the run under a second in immediate mode.
+// DefaultChaosConfig simulates a few seconds of virtual time, about
+// half a second of wall time.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Nodes: 6, Writers: 8, OpsPerWriter: 300, Rebalances: 8,
-		CASWriters: 6, CASKeys: 4, CASOpsPerWriter: 400, MoveChunkKeys: 32,
+		CASWriters: 6, CASKeys: 4, CASOpsPerWriter: 400,
 		Seed: 1,
 	}
 }
@@ -138,14 +144,19 @@ type ChaosResult struct {
 	RetriedOps       int64 // writer ops that needed at least one transient retry
 }
 
-// RunChaos builds a table, starts the writer fleet, and — while the
+// RunChaos builds a table, spawns the writer fleet, and — while the
 // fleet runs — creates a secondary index (online backfill) and
-// rebalances the cluster repeatedly. Every writer checks
-// read-your-writes after each operation through a bounded point query.
-// After the fleet drains, RunChaos audits the store: each surviving row
-// must have exactly its index entries (none missing, none dangling) and
-// be readable through the ready index.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
+// rebalances the cluster repeatedly, all as processes of one sim.Env.
+// Every writer checks read-your-writes after each operation through a
+// bounded point query. After the fleet drains, RunChaos audits the
+// store: each surviving row must have exactly its index entries (none
+// missing, none dangling) and be readable through the ready index. A
+// storm still running at chaosTimeLimit of virtual time is wedged: it
+// fails, naming the schedule's last step.
+func RunChaos(cfg ChaosConfig) (*ChaosResult, error) { return runChaos(cfg, chaosTimeLimit) }
+
+// runChaos is RunChaos with the storm cut off at limit of virtual time.
+func runChaos(cfg ChaosConfig, limit time.Duration) (*ChaosResult, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
@@ -163,12 +174,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Nodes:             cfg.Nodes,
 		ReplicationFactor: 2,
 		Seed:              cfg.Seed,
-		MoveChunkKeys:     cfg.MoveChunkKeys,
+		MoveChunkKeys:     chaosMoveChunkKeys,
 	}
 	if f != nil {
 		kcfg.LeaseDuration = f.lease()
 	}
-	cluster := kvstore.New(kcfg, nil)
+	env := sim.NewEnv()
+	cluster := kvstore.New(kcfg, env)
 	if f != nil {
 		cluster.SetFailover(!f.DisableFailover)
 		cluster.SetCatchUpReplay(!f.DisableCatchUpReplay)
@@ -188,110 +200,97 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	cluster.Rebalance() // spread the seed data before the storm
 
+	// The processes run one at a time, so they share this state
+	// without locks. failed keeps the first error any of them hit.
 	res := &ChaosResult{}
-	var inserted, deleted, reads, retried atomic.Int64
+	var failed error
+	fail := func(err error) { failed = cmp.Or(failed, err) }
 	// Under a fault schedule, transient errors — a dead primary inside
 	// its lease window, a fence retry budget exhausted against it — are
-	// legal write outcomes; the writers retry them against a generous
-	// deadline. An op still transient past the deadline fails the run:
-	// that is a wedge (or a lost acked write), not a blip. Reads are
-	// never retried — failover is supposed to make them succeed on the
-	// first try, and retrying would mask its absence.
-	opDeadline := 10 * time.Second
-	if f != nil {
-		opDeadline = f.opDeadline()
-	}
-	retry := func(op func() error) error {
-		var once bool
-		deadline := time.Now().Add(opDeadline)
-		for {
-			err := op()
-			if err == nil || !engine.Retryable(err) || time.Now().After(deadline) {
-				return err
-			}
-			if !once {
-				once = true
-				retried.Add(1)
-			}
-			time.Sleep(time.Millisecond) //lint:allow simsleep — wall-clock fault-window pacing; the cluster is immediate-mode
+	// legal write outcomes; the writers retry them until chaosOpDeadline.
+	// An op still transient past the deadline fails the run: that is a
+	// wedge (or a lost acked write), not a blip. Reads are never retried
+	// — failover is supposed to make them succeed on the first try, and
+	// retrying would mask its absence.
+	retry := func(p *sim.Proc, op func() error) error {
+		deadline := p.Now() + chaosOpDeadline
+		err := op()
+		if engine.Retryable(err) {
+			res.RetriedOps++
 		}
+		for engine.Retryable(err) && p.Now() <= deadline {
+			p.Sleep(chaosRetryPause)
+			err = op()
+		}
+		return err
 	}
-	errs := make(chan error, cfg.Writers)
-	var wg sync.WaitGroup
-	var writersAlive atomic.Int64
 	// stormDone releases the writer fleet: each writer runs at least its
 	// OpsPerWriter and then keeps going until the storm (index build,
 	// rebalances, fault schedule) has finished, so faults always land on
 	// live traffic no matter how long the backfill took.
-	var stormDone atomic.Bool
-	writersAlive.Store(int64(cfg.Writers))
+	stormDone := false
+	running := cfg.Writers + cfg.CASWriters
 	for g := 0; g < cfg.Writers; g++ {
-		wg.Add(1)
-		//lint:allow goroleak — writer fleet is wg-joined below; the loop is bounded by stormDone, which the storm goroutine sets via defer. The opaque call is the retry closure, whose attempts are capped.
-		go func(g int) {
-			defer wg.Done()
-			defer writersAlive.Add(-1)
-			s := eng.Session(nil)
-			fail := func(format string, args ...any) {
-				select {
-				case errs <- fmt.Errorf("writer %d: "+format, append([]any{g}, args...)...):
-				default:
-				}
+		env.Spawn(func(p *sim.Proc) {
+			defer func() { running-- }()
+			s := eng.Session(p)
+			failf := func(format string, args ...any) {
+				fail(fmt.Errorf("writer %d: "+format, append([]any{g}, args...)...))
 			}
 			alive := make(map[int]bool) // writer-local row ids believed live
-			for i := 0; i < cfg.OpsPerWriter || !stormDone.Load(); i++ {
+			for i := 0; i < cfg.OpsPerWriter || !stormDone; i++ {
 				id := fmt.Sprintf("w%02d-%05d", g, i%119)
 				switch i % 5 {
 				case 0, 1, 2: // insert a fresh row (or collide with a live one)
-					err := retry(func() error {
+					err := retry(p, func() error {
 						return s.Exec(`INSERT INTO chaos_rows VALUES (?, ?, ?)`,
 							value.Str(id), value.Str(grpName(g)), value.Str(fmt.Sprintf("body-%d", i)))
 					})
 					if err == nil {
 						if alive[i%119] {
-							fail("insert of live row %s succeeded", id)
+							failf("insert of live row %s succeeded", id)
 							return
 						}
 						alive[i%119] = true
-						inserted.Add(1)
+						res.Inserted++
 					} else if alive[i%119] {
 						// duplicate collision with our own live row: expected
 					} else {
-						fail("insert %s: %v", id, err)
+						failf("insert %s: %v", id, err)
 						return
 					}
 				case 3: // update a live row
 					if alive[i%119] {
-						if err := retry(func() error {
+						if err := retry(p, func() error {
 							return s.Exec(`UPDATE chaos_rows SET body = ? WHERE id = ?`,
 								value.Str(fmt.Sprintf("upd-%d", i)), value.Str(id))
 						}); err != nil {
-							fail("update %s: %v", id, err)
+							failf("update %s: %v", id, err)
 							return
 						}
 					}
 				case 4: // delete a live row
 					if alive[i%119] {
-						if err := retry(func() error {
+						if err := retry(p, func() error {
 							return s.Exec(`DELETE FROM chaos_rows WHERE id = ?`, value.Str(id))
 						}); err != nil {
-							fail("delete %s: %v", id, err)
+							failf("delete %s: %v", id, err)
 							return
 						}
 						delete(alive, i%119)
-						deleted.Add(1)
+						res.Deleted++
 					}
 				}
 				// Read-your-writes through the query path: a point query on
 				// the primary key must see exactly what this writer believes.
 				q, err := s.Query(`SELECT id FROM chaos_rows WHERE id = ? LIMIT 1`, value.Str(id))
 				if err != nil {
-					fail("point query %s: %v", id, err)
+					failf("point query %s: %v", id, err)
 					return
 				}
-				reads.Add(1)
+				res.Reads++
 				if got, want := len(q.Rows), alive[i%119]; (got == 1) != want {
-					fail("point query %s returned %d rows, want live=%v (op %d)", id, got, want, i)
+					failf("point query %s returned %d rows, want live=%v (op %d)", id, got, want, i)
 					return
 				}
 				// Coverage read: one immutable seed row per iteration. The
@@ -303,16 +302,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				sid := fmt.Sprintf("seed-%04d", (g*53+i)%200)
 				q, err = s.Query(`SELECT id FROM chaos_rows WHERE id = ? LIMIT 1`, value.Str(sid))
 				if err != nil {
-					fail("seed read %s: %v", sid, err)
+					failf("seed read %s: %v", sid, err)
 					return
 				}
-				reads.Add(1)
+				res.Reads++
 				if len(q.Rows) != 1 {
-					fail("seed row %s unreadable: got %d rows", sid, len(q.Rows))
+					failf("seed row %s unreadable: got %d rows", sid, len(q.Rows))
 					return
 				}
 			}
-		}(g)
+		})
 	}
 
 	// The conditional-writer fleet: raw TestAndSet races on shared store
@@ -320,15 +319,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// globally unique one. Accepted swaps are recorded for the serial
 	// model audit after the run.
 	type casSwap struct{ key, expect, update string }
-	var casMu sync.Mutex
 	var casAccepted []casSwap
 	casKey := func(i int) []byte { return []byte(fmt.Sprintf("chaos-cas-%02d", i%cfg.CASKeys)) }
 	for g := 0; g < cfg.CASWriters; g++ {
-		wg.Add(1)
-		//lint:allow goroleak — CAS fleet is wg-joined with a bounded CASOpsPerWriter loop; the opaque call is the casKey closure, which only formats a key.
-		go func(g int) {
-			defer wg.Done()
-			cl := cluster.NewClient(nil)
+		env.Spawn(func(p *sim.Proc) {
+			defer func() { running-- }()
+			cl := cluster.NewClient(p)
 			for i := 0; i < cfg.CASOpsPerWriter; i++ {
 				k := casKey(g + i)
 				cur, _, _, err := cl.Read(k, kvstore.ReadOpts{}) // nil = absent
@@ -340,28 +336,24 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				if err != nil {
 					// Transient (key unreadable, or primary dead past the
 					// retry budget): no decision was made, so this attempt
-					// simply retries — after a pause, so the fleet does not
-					// burn its whole attempt budget inside one fault window.
-					time.Sleep(time.Millisecond) //lint:allow simsleep — wall-clock fault-window pacing; the cluster is immediate-mode
+					// simply retries after a pause.
+					p.Sleep(chaosRetryPause)
 					continue
 				}
 				if swapped {
-					casMu.Lock()
 					casAccepted = append(casAccepted, casSwap{string(k), string(cur), string(up)})
-					casMu.Unlock()
 				}
 			}
-		}(g)
+		})
 	}
 
 	// The storm: build an index and rebalance, all while the fleet
 	// writes — and, under a fault schedule, crash/partition the victim
-	// node mid-storm. The kill is issued concurrently with a rebalance
-	// so it lands inside the move windows; the partition window is paced
-	// past the lease duration so a later rebalance reclaims the victim's
-	// ranges while it is unreachable.
-	stormErr := make(chan error, 1)
-	var rebalanced, kills, partitions atomic.Int64
+	// node mid-storm. The kill lands inside a rebalance, so inside its
+	// move windows; the partition window is paced past the lease
+	// duration so a later rebalance reclaims the victim's ranges while
+	// it is unreachable.
+	//
 	// The victim choice is load-bearing. Record keys sort before
 	// index-entry keys, so the head partitions hold the table's records
 	// and the tail partitions hold index entries; under the arithmetic
@@ -379,55 +371,33 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// while its own primary ranges hold only index entries, whose plain
 	// puts queue rather than park.
 	victim := 3
-	wg.Add(1)
-	//lint:allow goroleak — storm driver is wg-joined; the opaque call is the doRebalance closure over Cluster.Rebalance, which returns, and the fault schedule is finite.
-	go func() {
-		defer wg.Done()
-		defer stormDone.Store(true)
-		s := eng.Session(nil)
+	step := "create index" // the schedule's last step, for a wedged storm's error
+	env.Spawn(func(p *sim.Proc) {
+		defer func() { stormDone, step = true, "done" }()
+		s := eng.Session(p)
 		if err := s.Exec(`CREATE INDEX chaos_grp ON chaos_rows (grp, id)`); err != nil {
-			stormErr <- err
+			fail(err)
 			return
 		}
 		doRebalance := func() {
-			cluster.Rebalance()
-			rebalanced.Add(1)
+			res.Rebalances++
+			step = fmt.Sprintf("rebalance %d", res.Rebalances)
+			s.Client().Rebalance()
 		}
-		used := 0
 		if f == nil {
-			for ; used < cfg.Rebalances; used++ {
+			for res.Rebalances < cfg.Rebalances {
 				doRebalance()
 			}
-			stormErr <- nil
 			return
-		}
-		// Fault schedule, gated on the writer fleet's read-back count so
-		// the outage window always has live traffic inside it: the fleet
-		// keeps writing until stormDone, so waiting for a delta of
-		// read-backs before the fault — and another before recovery —
-		// guarantees acked writes, failover reads, and conditional
-		// decisions inside the window. The timeout matters during an
-		// outage: once every writer is parked retrying an op whose
-		// primary is the dead victim, reads stop advancing — and the
-		// recovery this wait gates is the only thing that can unpark
-		// them.
-		waitReads := func(delta int64) {
-			target := reads.Load() + delta
-			deadline := time.Now().Add(2 * time.Second)
-			for reads.Load() < target && writersAlive.Load() > 0 && time.Now().Before(deadline) {
-				time.Sleep(100 * time.Microsecond) //lint:allow simsleep — wall-clock fleet pacing; the cluster is immediate-mode
-			}
 		}
 		// Outage rows are written once while the victim is away and read
 		// back by the storm, not retried: during the outage some reads
 		// pick the victim and only failover serves them; after recovery
-		// some read its copy, which only replay brought up to date. The
-		// fleet rewrites its keys too often, and picks replicas too much
-		// by timing, to fail a falsified run for certain. Interleaved with
-		// the seed rows and every writer's ids, they land in every record
-		// partition. An insert whose primary is the dead victim decides
-		// nothing; it is retried after recovery instead of read back.
-		var failed error // kept while the schedule runs on and recovers
+		// some read its copy, which only replay brought up to date.
+		// Interleaved with the seed rows and every writer's ids, they
+		// land in every record partition. An insert whose primary is the
+		// dead victim decides nothing; it is retried after recovery
+		// instead of read back.
 		var outage, acked, late []string
 		for i := 0; i < 200; i += 4 {
 			outage = append(outage, fmt.Sprintf("seed-%04d-outage", i))
@@ -439,28 +409,29 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return s.Exec(`INSERT INTO chaos_rows VALUES (?, 'grp-outage', 'outage row')`, value.Str(id))
 		}
 		readOutage := func(when string) {
+			step = "read outage rows " + when
 			for _, id := range acked {
 				if q, err := s.Query(`SELECT id FROM chaos_rows WHERE id = ? LIMIT 1`, value.Str(id)); err != nil || len(q.Rows) != 1 {
-					failed = cmp.Or(failed, fmt.Errorf("chaos: outage row %s unread %s (read error: %v)", id, when, err))
+					fail(fmt.Errorf("chaos: outage row %s unread %s (read error: %v)", id, when, err))
 					return
 				}
 			}
 		}
 		doRebalance()
-		used++
-		waitReads(300)
+		step = "traffic before the fault"
+		p.Sleep(chaosWindow)
 		if f.KillRestart {
-			// The crash is issued concurrently with a rebalance so it
-			// lands inside the move windows.
-			killDone := make(chan struct{})
-			go func() {
+			// The killer runs at the storm's first park inside the
+			// rebalance — its writer drain or its first copied chunk —
+			// while the move table (an odd epoch) is published.
+			env.Spawn(func(*sim.Proc) {
+				if e := cluster.Epoch(); e%2 == 0 {
+					fail(fmt.Errorf("chaos: the kill missed the rebalance (epoch %d)", e))
+				}
 				cluster.Kill(victim)
-				kills.Add(1)
-				close(killDone)
-			}()
+				res.Kills++
+			})
 			doRebalance()
-			used++
-			<-killDone
 		}
 		if f.Partition {
 			keep := make([]int, 0, cfg.Nodes-1)
@@ -470,8 +441,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				}
 			}
 			cluster.Partition(keep)
-			partitions.Add(1)
+			res.Partitions++
 		}
+		step = "insert outage rows"
 		for _, id := range outage {
 			if err := insertOutage(id); err != nil {
 				late = append(late, id) // a lasting error fails its retry below
@@ -483,14 +455,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if f.Partition {
 			// Let the victim's leases lapse, then rebalance: the victim's
 			// ranges are reclaimed while it is still partitioned away.
-			time.Sleep(f.lease() + f.lease()/4) //lint:allow simsleep — wall-clock lease expiry; the cluster is immediate-mode
+			step = "wait out the lease"
+			p.Sleep(f.lease() + f.lease()/4)
 			doRebalance()
-			used++
 		}
 		// Mid-outage rebalance: moves must survive a dead owner.
 		doRebalance()
-		used++
-		waitReads(800)
+		step = "outage traffic"
+		p.Sleep(chaosWindow)
 		if f.KillRestart {
 			cluster.Restart(victim)
 		}
@@ -499,72 +471,51 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		}
 		// Before a rebalance can re-copy a range onto a stale node.
 		readOutage("after recovery")
+		step = "retry late outage inserts"
 		for _, id := range late {
-			if err := retry(func() error { return insertOutage(id) }); err != nil {
-				failed = cmp.Or(failed, fmt.Errorf("chaos: outage insert %s: %w", id, err))
+			if err := retry(p, func() error { return insertOutage(id) }); err != nil {
+				fail(fmt.Errorf("chaos: outage insert %s: %w", id, err))
 				break
 			}
 		}
-		for ; used < cfg.Rebalances; used++ {
+		for res.Rebalances < cfg.Rebalances {
 			doRebalance()
 		}
-		// Safety net: whatever the schedule left down comes back now, so
-		// the drain converges. The falsification knobs
-		// (DisableCatchUpReplay) still leave recovered nodes stale —
-		// that breakage is the point.
-		cluster.Heal()
-		if cluster.NodeDown(victim) {
-			cluster.Restart(victim)
-		}
-		stormErr <- failed
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
+	})
+	env.Run(limit)
+	// Read the verdict before Stop: it unwinds the parked processes,
+	// running their defers.
+	now, finished, last, left := env.Now(), stormDone, step, running
+	env.Stop()
+	if failed != nil {
+		return nil, failed
 	}
-	if err := <-stormErr; err != nil {
-		return nil, err
+	if !finished || left > 0 {
+		return nil, fmt.Errorf("chaos: storm unfinished at virtual time %v (last step: %s; %d writers still running)",
+			now, last, left)
 	}
 
+	// Every process has finished and every node is back up, so no audit
+	// read meets a transient condition: an error is reported as what it
+	// is — a range the audit could not read — never as the lost write or
+	// missing index entry an unread range would otherwise pass for.
+	auditCl := cluster.NewClient(nil)
+	unreadable := func(key []byte, err error) error {
+		return fmt.Errorf("chaos: audit could not read %q: %w", key, err)
+	}
+	auditScan := func(prefix []byte) ([]kvstore.KV, error) {
+		kvs, err := auditCl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+		if err != nil {
+			return nil, unreadable(prefix, err)
+		}
+		return kvs, nil
+	}
 	// Serial model check of every conditional outcome: per key the
 	// accepted swaps must chain — one accept per state, starting from
 	// absent, ending at the stored value. A fork means two swaps were
 	// accepted from the same state (a double-accept across an epoch
 	// flip); a short or mis-terminated chain means an accepted swap was
 	// lost.
-	auditCl := cluster.NewClient(nil)
-	// The audit's own reads can fail too. One that does is retried while
-	// it is transient and then reported as what it is — a range the audit
-	// could not read — never as the lost write or missing index entry that
-	// an unread range would otherwise pass for.
-	unreadable := func(key []byte, err error) error {
-		return fmt.Errorf("chaos: audit could not read partition owning %q: %w", key, err)
-	}
-	auditScan := func(prefix []byte) (kvs []kvstore.KV, err error) {
-		end := codec.PrefixEnd(prefix)
-		err = retry(func() (err error) {
-			kvs, err = auditCl.Scan(kvstore.RangeRequest{Start: prefix, End: end}, kvstore.ReadOpts{})
-			return err
-		})
-		if err == nil {
-			return kvs, nil
-		}
-		// Name a key the unreadable partition owns: probe the lower bound
-		// of every partition the range spans.
-		probes := [][]byte{prefix}
-		for _, split := range cluster.Splits() {
-			if bytes.Compare(split, prefix) > 0 && bytes.Compare(split, end) < 0 {
-				probes = append(probes, split)
-			}
-		}
-		for _, k := range probes {
-			if _, _, _, perr := auditCl.Read(k, kvstore.ReadOpts{}); perr != nil {
-				return nil, unreadable(k, perr)
-			}
-		}
-		return nil, unreadable(prefix, err)
-	}
 	chains := make(map[string]map[string]casSwap)
 	for _, sw := range casAccepted {
 		m := chains[sw.key]
@@ -595,12 +546,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return nil, fmt.Errorf("chaos: %s has %d accepted swaps but the serial chain explains %d",
 				k, len(chain), steps)
 		}
-		var got []byte
-		var ok bool
-		if err := retry(func() (err error) {
-			got, _, ok, err = auditCl.Read([]byte(k), kvstore.ReadOpts{})
-			return err
-		}); err != nil {
+		got, _, ok, err := auditCl.Read([]byte(k), kvstore.ReadOpts{})
+		if err != nil {
 			return nil, unreadable([]byte(k), err)
 		}
 		if cur == "" {
@@ -625,7 +572,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if err := cluster.AuditConvergence(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	res.TombsSwept = int64(cluster.GCTombstones(0))
+	res.TombsSwept = int64(cluster.GCTombstones())
 	if err := cluster.AuditConvergence(); err != nil {
 		return nil, fmt.Errorf("chaos: post-GC: %w", err)
 	}
@@ -667,11 +614,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// 7.2's GC-able fallout class. Collect that, then require the index
 	// to mirror the records exactly. A *missing* entry is never
 	// tolerable: that is the write gap the online-build protocol closes.
-	gc := index.NewMaintainer(eng)
-	if err := retry(func() error {
-		_, err := gc.GCDangling(auditCl, ix)
-		return err
-	}); err != nil {
+	if _, err := index.NewMaintainer(eng).GCDangling(auditCl, ix); err != nil {
 		return nil, fmt.Errorf("chaos: gc: %w", err)
 	}
 	entries, err := auditScan(index.IndexPrefix(ix))
@@ -689,16 +632,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, fmt.Errorf("chaos: record missing its index entry %q", []byte(k))
 	}
 
-	res.Inserted = inserted.Load()
-	res.Deleted = deleted.Load()
-	res.Reads = reads.Load()
-	res.Rebalances = int(rebalanced.Load())
 	res.Epoch = cluster.Epoch()
-	res.Kills = kills.Load()
-	res.Partitions = partitions.Load()
 	res.CatchUpsQueued = cluster.CatchUpsQueued()
 	res.CatchUpsReplayed = cluster.CatchUpsReplayed()
-	res.RetriedOps = retried.Load()
 	return res, nil
 }
 

@@ -88,7 +88,8 @@ func TestFig7Crossover(t *testing.T) {
 	}
 }
 
-// TestFig1Classes checks the class growth shapes.
+// TestFig1Classes checks the class growth shapes, and Class II's
+// measured operations against its query's static bound.
 func TestFig1Classes(t *testing.T) {
 	rows, err := RunFig1([]int{50, 500}, 3)
 	if err != nil {
@@ -100,6 +101,11 @@ func TestFig1Classes(t *testing.T) {
 	}
 	if small.ClassII != large.ClassII {
 		t.Error("Class II grew with database size")
+	}
+	for _, r := range rows {
+		if r.ClassII <= 0 || r.ClassII > r.ClassIIBound {
+			t.Errorf("%d users: Class II took %d storage operations, static bound %d", r.Users, r.ClassII, r.ClassIIBound)
+		}
 	}
 	if large.ClassIII != 10*small.ClassIII {
 		t.Errorf("Class III not linear: %d -> %d", small.ClassIII, large.ClassIII)

@@ -12,6 +12,10 @@
 //   - simulated mode (with a sim.Env): every operation pays a sampled
 //     network round trip and queues for the target node's service
 //     capacity in virtual time — used by the experiment harness.
+//
+// Either way a cluster reads one clock (see clock): the HLC, the lease
+// countdown and the tombstone sweep all take their time from it, so a
+// simulated run never depends on the wall clock.
 package kvstore
 
 import (
@@ -42,8 +46,8 @@ type Config struct {
 	// partition size. 0 means DefaultMoveChunkKeys.
 	MoveChunkKeys int
 	// LeaseDuration is how long an unreachable node's ranges stay
-	// assigned to it (measured on the wall clock from the moment it
-	// went down) before Rebalance may reclaim them. It is the primary
+	// assigned to it (measured on the cluster's clock from the moment
+	// it went down) before Rebalance may reclaim them. It is the primary
 	// lease's expiry: while a primary is reachable its authority is
 	// implicitly renewed; once it crashes or partitions away, its
 	// conditional-op authority lapses after this long. 0 means
@@ -68,6 +72,7 @@ const DefaultLeaseDuration = time.Second
 // owners, then the routing epoch flips (see Rebalance).
 type Cluster struct {
 	cfg   Config
+	clock clock
 	nodes []*node
 
 	// routing is the current epoch-stamped partition map. Operations
@@ -85,7 +90,7 @@ type Cluster struct {
 	clientSeq atomic.Int64
 
 	// faultMu guards the failure-injection state: each node's downSince
-	// timestamp and the queued catch-up writes for unreachable nodes
+	// reading and the queued catch-up writes for unreachable nodes
 	// (see failure.go). The hot-path reachability check is the node's
 	// atomic down word and never takes it. Lock order: rebalanceMu
 	// before faultMu.
@@ -210,9 +215,9 @@ func New(cfg Config, env *sim.Env) *Cluster {
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = DefaultLeaseDuration
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, clock: clock{env: env, born: time.Now()}}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.nodes = append(c.nodes, newNode(i, cfg.Seed, env))
+		c.nodes = append(c.nodes, newNode(i, cfg.Seed, &c.clock))
 	}
 	c.pending = make([][]catchUp, cfg.Nodes)
 	// epoch 0: one partition, all keys on node 0's replicas.
@@ -241,11 +246,17 @@ func (c *Cluster) beginOp() *routing {
 func (c *Cluster) endOp(rt *routing) { rt.active.Add(-1) }
 
 // drain waits until no operation still holds the retired table. Only
-// called by Rebalance, after a successor table is published, so the wait
-// is bounded by in-flight operation latency.
-func (c *Cluster) drain(rt *routing) {
+// called by rebalance, after a successor table is published, so the wait
+// is bounded by in-flight operation latency. A simulated rebalancer
+// (proc non-nil) yields its process between polls: the holders are
+// parked processes that need the scheduler's token to finish.
+func (c *Cluster) drain(rt *routing, proc *sim.Proc) {
 	for rt.active.Load() > 0 {
-		runtime.Gosched()
+		if proc != nil {
+			proc.Yield()
+		} else {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -340,7 +351,7 @@ func (c *Cluster) maxClock() int64 {
 func (c *Cluster) barrierStamp() int64 {
 	var m int64
 	for _, nd := range c.nodes {
-		if t := nd.hlc.Next(); t > m {
+		if t := nd.stamp(); t > m {
 			m = t
 		}
 	}
@@ -378,12 +389,27 @@ func (c *Cluster) barrierStamp() int64 {
 // owners, which remain complete; after the flip by the new owners, which
 // the copy plus double-writes have made complete. Concurrent Rebalance
 // calls serialize among themselves.
-// Rebalance is the writer of the routing pointer — it serializes
+//
+// Rebalance runs with no simulated process, so its drains spin on the
+// OS scheduler; under a simulated workload, rebalance from a process
+// with Client.Rebalance instead.
+func (c *Cluster) Rebalance() { c.rebalance(nil) }
+
+// Rebalance is Cluster.Rebalance run by the client's simulated process:
+// its drains and each chunk of its copy yield the process, so the
+// workload it rebalances under keeps running in virtual time. In
+// immediate mode it is Cluster.Rebalance.
+func (cl *Client) Rebalance() { cl.c.rebalance(cl.proc) }
+
+// rebalance is the writer of the routing pointer — it serializes
 // against other rebalances via rebalanceMu and quiesces claimed
-// snapshots itself, so it never claims one.
+// snapshots itself, so it never claims one. rebalanceMu is the one
+// store lock held across a park (proc's yields), so in a simulated run
+// only the rebalancing process may take it: rebalance, Restart, Heal.
 //
 //lint:allow routingclaim
-func (c *Cluster) Rebalance() {
+//lint:allow holdblock — a simulated rebalance yields under rebalanceMu, which no other process takes
+func (c *Cluster) rebalance(proc *sim.Proc) {
 	c.rebalanceMu.Lock()
 	defer c.rebalanceMu.Unlock()
 	old := c.routing.Load()
@@ -451,10 +477,10 @@ func (c *Cluster) Rebalance() {
 	// primary at the flip (a lost accepted swap). Waiting here makes the
 	// copy's source snapshot complete with respect to every pre-publish
 	// operation; everything after double-writes through the move.
-	c.drain(old)
+	c.drain(old, proc)
 
 	for _, mv := range moves {
-		c.copyMove(old, mv)
+		c.copyMove(old, mv, proc)
 	}
 
 	// Flip while holding every move window: no conditional decision can
@@ -477,7 +503,7 @@ func (c *Cluster) Rebalance() {
 
 	// Retire the move table: once no operation holds it, no read can
 	// touch a former owner, and the moved ranges can be deleted.
-	c.drain(mid)
+	c.drain(mid, proc)
 	c.cleanup(next)
 	//lint:allow releasepath — mv.mu is released by the second symmetric loop over the same moves slice; the branch-sensitive walker cannot pair a lock with an unlock in a different loop.
 }
@@ -492,8 +518,8 @@ func (c *Cluster) Rebalance() {
 // chunk bound (Config.MoveChunkKeys) only limits the scan's memory;
 // no per-chunk coordination with writers remains (the pre-versioning
 // protocol needed a published chunk window plus delete-tombstone
-// bookkeeping here).
-func (c *Cluster) copyMove(old *routing, mv *move) {
+// bookkeeping here). A simulated rebalancer yields after each chunk.
+func (c *Cluster) copyMove(old *routing, mv *move, proc *sim.Proc) {
 	chunk := c.cfg.MoveChunkKeys
 	plo, phi := old.rangeParts(mv.lo, mv.hi)
 	for p := plo; p <= phi; p++ {
@@ -512,6 +538,9 @@ func (c *Cluster) copyMove(old *routing, mv *move) {
 				for _, id := range mv.dst {
 					c.applyOrQueue(id, kv.Key, kv.Value)
 				}
+			}
+			if proc != nil {
+				proc.Yield()
 			}
 			if len(kvs) < chunk {
 				break
@@ -557,18 +586,15 @@ func (c *Cluster) cleanup(rt *routing) {
 	}
 }
 
-// GCTombstones force-sweeps delete tombstones older than the given age
-// from every node, returning how many were collected. age <= 0 sweeps
-// every tombstone, which is only safe on a quiesced cluster (no write
-// in flight): a sweep forgets the deletes' versions, so an undelivered
-// older write could otherwise resurrect a key. Immediate-mode nodes
-// also sweep expired tombstones inline once they accumulate past a
-// threshold, so unbounded tombstone growth never depends on this call.
-func (c *Cluster) GCTombstones(age time.Duration) int {
-	cutoff := wallHLC(time.Now().Add(-age))
-	if age <= 0 {
-		cutoff = c.maxClock() + 1
-	}
+// GCTombstones force-sweeps every delete tombstone from every node,
+// returning how many were collected. That is only safe on a quiesced
+// cluster (no write in flight): a sweep forgets the deletes' versions,
+// so an undelivered older write could otherwise resurrect a key. Nodes
+// also sweep tombstones past the grace period inline once they
+// accumulate past a threshold, so unbounded tombstone growth never
+// depends on this call.
+func (c *Cluster) GCTombstones() int {
+	cutoff := c.maxClock() + 1
 	total := 0
 	for _, nd := range c.nodes {
 		total += nd.gcTombstones(cutoff)

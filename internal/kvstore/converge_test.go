@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,21 +12,42 @@ import (
 )
 
 // TestHLCMonotonic: timestamps are strictly increasing, including under
-// concurrent draws, and loosely track the wall clock.
+// concurrent draws, and never behind the cluster's clock — wall time
+// since New for an immediate cluster, virtual time for a simulated one,
+// whose stamps are therefore a function of the run alone.
 func TestHLCMonotonic(t *testing.T) {
-	var h HLC
-	last := h.Next()
+	c := New(Config{Nodes: 1, Seed: 1}, nil)
+	nd := c.nodes[0]
+	last := nd.stamp()
 	for i := 0; i < 10_000; i++ {
-		next := h.Next()
+		next := nd.stamp()
 		if next <= last {
 			t.Fatalf("HLC went backwards: %d after %d", next, last)
 		}
 		last = next
 	}
-	if wall := wallHLC(time.Now()); last < wall-int64(time.Minute/time.Millisecond)<<hlcLogicalBits {
-		t.Fatalf("HLC fell far behind the wall clock: %d vs %d", last, wall)
+	now := hlcTime(c.clock.now())
+	if got := nd.stamp(); got < now {
+		t.Fatalf("HLC fell behind the cluster clock: %d vs %d", got, now)
 	}
 
+	env := sim.NewEnv()
+	sc := New(Config{Nodes: 1, Seed: 1}, env)
+	var stamps []int64
+	env.Spawn(func(p *sim.Proc) {
+		for _, d := range []time.Duration{0, time.Millisecond, 3 * time.Second} {
+			p.Sleep(d)
+			stamps = append(stamps, sc.nodes[0].stamp())
+		}
+	})
+	env.Run(0)
+	// The first stamp is the logical successor of the zero clock; the
+	// others are the virtual milliseconds at which they were drawn.
+	if want := []int64{1, hlcTime(time.Millisecond), hlcTime(3001 * time.Millisecond)}; !slices.Equal(stamps, want) {
+		t.Fatalf("simulated stamps %v, want %v: the HLC is not reading virtual time", stamps, want)
+	}
+
+	h := nd.hlc
 	const workers, draws = 8, 5_000
 	seen := make([]map[int64]struct{}, workers)
 	var wg sync.WaitGroup
@@ -35,7 +57,7 @@ func TestHLCMonotonic(t *testing.T) {
 			defer wg.Done()
 			mine := make(map[int64]struct{}, draws)
 			for i := 0; i < draws; i++ {
-				mine[h.Next()] = struct{}{}
+				mine[h.Next(c.clock.now())] = struct{}{}
 			}
 			seen[w] = mine
 		}(w)
@@ -86,7 +108,7 @@ func TestApplyIfNewerConverges(t *testing.T) {
 	}
 	orders := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}}
 	for _, order := range orders {
-		nd := newNode(9, 1, nil)
+		nd := newNode(9, 1, &clock{born: time.Now()})
 		for _, i := range order {
 			nd.applyIfNewer(k, envs[i])
 		}
@@ -289,7 +311,7 @@ func TestReplicasConvergeUnderRacingWrites(t *testing.T) {
 	}
 	// Tombstone GC must not disturb convergence: sweep everything (the
 	// cluster is quiesced) and re-audit.
-	if swept := c.GCTombstones(0); swept == 0 {
+	if swept := c.GCTombstones(); swept == 0 {
 		t.Fatal("racing deletes left no tombstones to GC — the sweep path was not exercised")
 	}
 	if err := c.AuditConvergence(); err != nil {
@@ -391,28 +413,37 @@ func TestReplicaNodesIntoMatches(t *testing.T) {
 
 // TestTombstoneGCBounded: a node that accumulates tombstones past the
 // sweep threshold collects the expired ones inline, without any
-// explicit GC call. (Tombstones younger than the grace age are never
-// swept, so the test lets the wall clock tick past them first.)
+// explicit GC call, on the cluster's clock: here virtual time, which a
+// process advances past the grace period before tripping the threshold
+// once more. (The first crossing, at virtual time zero, finds nothing
+// old enough to collect.)
 func TestTombstoneGCBounded(t *testing.T) {
-	c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 3}, nil)
-	c.nodes[0].gcAge = time.Nanosecond
-	cl := c.NewClient(nil)
+	env := sim.NewEnv()
+	c := New(Config{Nodes: 1, ReplicationFactor: 1, Seed: 3}, env)
+	loader := c.NewClient(nil)
 	n := tombstoneSweepThreshold + 1
 	for i := 0; i < n; i++ {
-		cl.Put(key(i), val(i))
-		cl.Delete(key(i))
+		loader.Put(key(i), val(i))
+		loader.Delete(key(i))
 	}
-	// All n tombstones may share the current wall millisecond and so be
-	// too young for the first threshold crossings to collect; age them
-	// past the grace period, then trip the threshold once more.
-	time.Sleep(5 * time.Millisecond)
-	cl.Put(key(n), val(n))
-	cl.Delete(key(n))
-	c.nodes[0].mu.Lock()
-	tombs := c.nodes[0].tombs
-	c.nodes[0].mu.Unlock()
-	if tombs > n/2 {
-		t.Fatalf("inline sweep never fired: %d tombstones (threshold %d)", tombs, tombstoneSweepThreshold)
+	tombs := func() int {
+		c.nodes[0].mu.Lock()
+		defer c.nodes[0].mu.Unlock()
+		return c.nodes[0].tombs
+	}
+	if got := tombs(); got != n {
+		t.Fatalf("%d tombstones before the grace period, want all %d", got, n)
+	}
+	env.Spawn(func(p *sim.Proc) {
+		p.Sleep(tombstoneGCAge + time.Millisecond)
+		cl := c.NewClient(p)
+		cl.Put(key(n), val(n))
+		cl.Delete(key(n))
+	})
+	env.Run(0)
+	env.Stop()
+	if got := tombs(); got != 1 {
+		t.Fatalf("%d tombstones after the sweep, want 1: only the last delete is younger than the grace period", got)
 	}
 	if live := c.TotalItems(); live != 0 {
 		t.Fatalf("store reports %d live items after deleting everything", live)

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Failure injection and recovery.
@@ -125,14 +124,15 @@ func (c *Cluster) NodeDown(id int) bool { return !c.reachable(id) }
 // one atomic load, never a lock.
 func (c *Cluster) reachable(id int) bool { return c.nodes[id].down.Load() == 0 }
 
-// markDown makes node id unreachable. The wall-clock downSince starts
-// the lease-expiry countdown on the first bit set.
+// markDown makes node id unreachable. downSince, read from the
+// cluster's clock, starts the lease-expiry countdown on the first bit
+// set.
 func (c *Cluster) markDown(id int, bit int32) {
 	c.faultMu.Lock()
 	defer c.faultMu.Unlock()
 	nd := c.nodes[id]
 	if nd.down.Load() == 0 {
-		nd.downSince = time.Now()
+		nd.downSince = c.clock.now()
 	}
 	nd.down.Store(nd.down.Load() | bit)
 }
@@ -146,7 +146,7 @@ func (c *Cluster) markDown(id int, bit int32) {
 // Caller holds faultMu.
 func (c *Cluster) reclaimableLocked(id int) bool {
 	nd := c.nodes[id]
-	return nd.down.Load() != 0 && time.Since(nd.downSince) >= c.cfg.LeaseDuration
+	return nd.down.Load() != 0 && c.clock.now()-nd.downSince >= c.cfg.LeaseDuration
 }
 
 // downErr builds the typed error for the first unreachable node among
@@ -193,7 +193,9 @@ func (c *Cluster) queueCatchUp(id int, key, env []byte) {
 // reachable again, replays its queued catch-ups, purges data it no
 // longer owns, and re-grants its primary leases from the current
 // routing table. It runs under rebalanceMu so the lease re-grant and
-// self-cleanup cannot interleave with a concurrent Rebalance.
+// self-cleanup cannot interleave with a concurrent Rebalance; in a
+// simulated run, call Restart and Heal only from the process that
+// rebalances, which holds rebalanceMu across its yields.
 //
 // The drain loop holds faultMu for the take-and-clear: a concurrent
 // writer either queued before a take (and is replayed) or sees the
@@ -220,7 +222,6 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 		queued := c.pending[id]
 		if len(queued) == 0 || !c.autoReplay() {
 			nd.down.Store(0)
-			nd.downSince = time.Time{}
 			c.faultMu.Unlock()
 			break
 		}

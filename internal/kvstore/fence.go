@@ -25,7 +25,7 @@ import (
 // Exactly one node can therefore ever accept a swap for a key, even
 // while the key's ownership is mid-flight.
 //
-// Leases expire in real time when their holder fails: a primary's
+// Leases expire on the cluster's clock when their holder fails: a primary's
 // authority is implicitly renewed while it is reachable and lapses
 // Config.LeaseDuration after it crashes or partitions away. Rebalance
 // reassigns (reclaims) an unreachable node's ranges only after that

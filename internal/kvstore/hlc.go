@@ -5,7 +5,27 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
+
+	"piql/internal/sim"
 )
+
+// clock is a cluster's one time source: its sim.Env's virtual time when
+// it has one, otherwise monotonic wall time since New. The HLC's
+// physical component, the lease countdown (markDown, reclaimableLocked)
+// and the inline tombstone sweep all read it, so a simulated run is a
+// function of its seed and never of the host's clock.
+type clock struct {
+	env  *sim.Env
+	born time.Time
+}
+
+// now returns the time elapsed on the cluster's clock.
+func (k *clock) now() time.Duration {
+	if k.env != nil {
+		return k.env.Now()
+	}
+	return time.Since(k.born)
+}
 
 // Hybrid logical clock + version envelope.
 //
@@ -21,26 +41,26 @@ import (
 // convergent last-writer-wins.
 
 // hlcLogicalBits is how many low bits of a hybrid timestamp hold the
-// logical counter; the rest hold wall-clock milliseconds. 16 bits allow
-// 65k distinct stamps per millisecond before the clock runs ahead of
-// wall time (it stays monotonic either way).
+// logical counter; the rest hold milliseconds of the cluster's clock. 16
+// bits allow 65k distinct stamps per millisecond before the HLC runs
+// ahead of the clock (it stays monotonic either way).
 const hlcLogicalBits = 16
 
-// HLC is a hybrid logical clock: timestamps are the maximum of the wall
-// clock (in ms, shifted left by hlcLogicalBits) and last-issued+1, so
-// they are strictly increasing across the cluster and still loosely
-// track real time — which is what lets tombstone GC use a wall-clock
-// grace period. Safe for concurrent use.
+// HLC is a hybrid logical clock: timestamps are the maximum of the
+// physical time (in ms, shifted left by hlcLogicalBits) and
+// last-issued+1, so they are strictly increasing across the cluster and
+// still loosely track the cluster's clock — which is what lets tombstone
+// GC use a grace period on that clock. Safe for concurrent use.
 type HLC struct {
 	last atomic.Int64
 }
 
-// Next issues a new hybrid timestamp, strictly greater than every
-// timestamp previously issued by this clock.
-func (h *HLC) Next() int64 {
+// Next issues a new hybrid timestamp at physical time now, strictly
+// greater than every timestamp previously issued by this clock.
+func (h *HLC) Next(now time.Duration) int64 {
 	for {
 		last := h.last.Load()
-		next := wallHLC(time.Now())
+		next := hlcTime(now)
 		if next <= last {
 			next = last + 1
 		}
@@ -65,8 +85,9 @@ func (h *HLC) Observe(ts int64) {
 	}
 }
 
-// wallHLC converts a wall-clock instant to the hybrid-timestamp scale.
-func wallHLC(t time.Time) int64 { return t.UnixMilli() << hlcLogicalBits }
+// hlcTime converts a reading of the cluster's clock to the
+// hybrid-timestamp scale.
+func hlcTime(d time.Duration) int64 { return d.Milliseconds() << hlcLogicalBits }
 
 // Version orders all writes to one key: hybrid timestamp first, writing
 // client as the tiebreaker. The zero Version is older than any stamped

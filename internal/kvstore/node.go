@@ -24,9 +24,12 @@ type node struct {
 
 	mu        sync.Mutex
 	tree      *btree.Tree
-	rng       rng       // service-time sampling; guarded by mu
-	tombs     int       // live tombstone count; guarded by mu
-	lastSweep time.Time // last inline tombstone sweep; guarded by mu
+	rng       rng           // service-time sampling; guarded by mu
+	tombs     int           // live tombstone count; guarded by mu
+	lastSweep time.Duration // clock reading at the last inline tombstone sweep; guarded by mu
+
+	// clock is the cluster's one time source, shared by every node.
+	clock *clock
 
 	// hlc is this node's own hybrid logical clock. It observes the
 	// timestamp of every envelope the node applies (observe-on-apply),
@@ -36,22 +39,15 @@ type node struct {
 	// clocks replaced the original shared cluster clock when nodes
 	// learned to fail: a crashed node's clock must not be consultable
 	// by live traffic.
-	hlc   *HLC
-	gcAge time.Duration // tombstones older than this are sweepable
+	hlc *HLC
 
 	// down marks the node unreachable (killed/partitioned bits, see
 	// failure.go). Clients check it before every contact; writes
 	// targeting a down node queue as catch-ups instead. downSince is
-	// the wall-clock start of the outage — the lease-expiry countdown —
-	// and is guarded by the cluster's faultMu.
+	// the clock reading at the start of the outage — the lease-expiry
+	// countdown — and is guarded by the cluster's faultMu.
 	down      atomic.Int32
-	downSince time.Time
-
-	// autoGC enables the inline threshold sweep. Only immediate-mode
-	// clusters set it: the sweep reads the wall clock, which a simulated
-	// run must not depend on. Simulated clusters keep every tombstone
-	// until an explicit quiesced Cluster.GCTombstones.
-	autoGC bool
+	downSince time.Duration
 
 	// leases are the key ranges this node serves as authoritative primary
 	// for conditional operations, installed by Rebalance at each flip
@@ -76,21 +72,24 @@ const nodeServers = 12
 // delete that is still undelivered could resurrect the key.
 const tombstoneGCAge = 5 * time.Second
 
-func newNode(id int, seed int64, env *sim.Env) *node {
+func newNode(id int, seed int64, clk *clock) *node {
 	n := &node{
-		id:     id,
-		tree:   btree.New(),
-		rng:    seededRNG(uint64(seed), ^uint64(id)),
-		hlc:    &HLC{},
-		gcAge:  tombstoneGCAge,
-		autoGC: env == nil,
+		id:    id,
+		tree:  btree.New(),
+		rng:   seededRNG(uint64(seed), ^uint64(id)),
+		clock: clk,
+		hlc:   &HLC{},
 	}
 	n.leases.Store(emptyLeases)
-	if env != nil {
-		n.queue = env.NewResource(nodeServers)
+	if clk.env != nil {
+		n.queue = clk.env.NewResource(nodeServers)
 	}
 	return n
 }
+
+// stamp issues a write timestamp from the node's HLC at the cluster
+// clock's current reading.
+func (n *node) stamp() int64 { return n.hlc.Next(n.clock.now()) }
 
 // KV is a key/value pair returned by range reads.
 type KV struct {
@@ -162,19 +161,22 @@ func (n *node) applyIfNewer(key, env []byte) bool {
 
 // storeLocked writes env over the current envelope (cur/ok from a prior
 // Get), maintaining the tombstone count and triggering the inline sweep
-// when tombstones pile up. The sweep is rate-limited to one per gcAge
-// per node: a delete burst inside one grace window has nothing
-// collectible yet, and re-scanning the whole tree under mu on every
-// further delete would turn the burst quadratic. Caller holds mu.
+// when tombstones pile up. The sweep is rate-limited to one per grace
+// period of the cluster's clock per node: a delete burst inside one
+// grace window has nothing collectible yet, and re-scanning the whole
+// tree under mu on every further delete would turn the burst quadratic.
+// Caller holds mu.
 func (n *node) storeLocked(key, env, cur []byte, ok bool) {
 	n.tree.Put(key, env)
 	wasTomb := ok && envIsTombstone(cur)
 	isTomb := envIsTombstone(env)
 	if isTomb && !wasTomb {
 		n.tombs++
-		if n.autoGC && n.tombs > tombstoneSweepThreshold && time.Since(n.lastSweep) >= n.gcAge {
-			n.lastSweep = time.Now()
-			n.sweepTombstonesLocked(wallHLC(n.lastSweep.Add(-n.gcAge)))
+		if n.tombs > tombstoneSweepThreshold {
+			if now := n.clock.now(); now-n.lastSweep >= tombstoneGCAge {
+				n.lastSweep = now
+				n.sweepTombstonesLocked(hlcTime(now - tombstoneGCAge))
+			}
 		}
 	} else if !isTomb && wasTomb {
 		n.tombs--
@@ -203,9 +205,9 @@ func (n *node) purge(key []byte) bool {
 //
 // Dropping a tombstone forgets the delete's version, so the cutoff must
 // be old enough that no yet-undelivered write could predate it — the
-// grace period (gcAge) has to exceed in-flight operation latency. That
-// bounded-staleness window is the standard tombstone-GC tradeoff;
-// within it, convergence is unconditional.
+// grace period (tombstoneGCAge) has to exceed in-flight operation
+// latency. That bounded-staleness window is the standard tombstone-GC
+// tradeoff; within it, convergence is unconditional.
 func (n *node) sweepTombstonesLocked(cutoff int64) int {
 	var dead [][]byte
 	n.tree.Ascend(nil, nil, func(it btree.Item) bool {
@@ -271,7 +273,7 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 			return nil, false, nil
 		}
 	}
-	ver := Version{TS: n.hlc.Next(), Client: client}
+	ver := Version{TS: n.stamp(), Client: client}
 	env := makeEnvelope(ver, update == nil, update)
 	n.storeLocked(key, env, curEnv, ok)
 	return env, true, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,5 +208,116 @@ func TestRebalanceEpochAdvances(t *testing.T) {
 		if v, ok := get(cl, key(i)); !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("key %d lost across rebalances", i)
 		}
+	}
+}
+
+// TestKillRacingRebalanceUnderTraffic is the race detector's input for
+// the failure paths under real concurrency (the chaos storms run on the
+// virtual clock): writer goroutines put and delete their own keys,
+// reading each back, while one goroutine rebalances back to back and
+// another kills a replica while a rebalance is copying and restarts it
+// one full rebalance later. Every acked write must read back, every
+// queued catch-up must replay, and the replicas must converge.
+func TestKillRacingRebalanceUnderTraffic(t *testing.T) {
+	c := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: 23, MoveChunkKeys: 16}, nil)
+	loader := c.NewClient(nil)
+	for i := 0; i < 1000; i++ {
+		loader.Put(key(i), val(i))
+	}
+	c.Rebalance()
+	// The first copied chunk holds the rebalance until the kill lands.
+	copying, killed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c.chunkHook = func(*move, []byte) {
+		once.Do(func() {
+			copying <- struct{}{}
+			<-killed
+		})
+	}
+
+	const writers, rebalances, victim = 6, 5, 2
+	var stop atomic.Bool
+	errs := make(chan error, writers+1)
+	models := make([]map[string][]byte, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl := c.NewClient(nil)
+			model := make(map[string][]byte)
+			defer func() { models[g] = model }()
+			for i := 0; i < 300 || !stop.Load(); i++ {
+				k := []byte(fmt.Sprintf("w%02d-%04d", g, i%97))
+				var err error
+				if i%3 == 2 {
+					err = cl.Delete(k)
+					delete(model, string(k))
+				} else {
+					v := []byte(fmt.Sprintf("w%02d-val-%06d", g, i))
+					err = cl.Put(k, v)
+					model[string(k)] = v
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d: write %q: %v", g, k, err)
+					return
+				}
+				got, _, ok, err := cl.Read(k, ReadOpts{})
+				if want, live := model[string(k)]; err != nil || ok != live || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("writer %d: read %q = %q (present=%v, err %v), want %q (present=%v)", g, k, got, ok, err, want, live)
+					return
+				}
+			}
+		}(g)
+	}
+	rebalanced := make(chan struct{})
+	go func() {
+		defer close(rebalanced)
+		for i := 0; i < rebalances; i++ {
+			c.Rebalance()
+		}
+	}()
+	killer := make(chan struct{})
+	go func() {
+		defer close(killer)
+		select {
+		case <-copying:
+		case <-rebalanced:
+			errs <- fmt.Errorf("no rebalance copied a chunk: the kill had no copy to land in")
+			return
+		}
+		c.Kill(victim)
+		close(killed)
+		// One full rebalance (move table, then flip) runs while the
+		// victim is down; Restart then waits for the rebalancer's lock.
+		for e := c.Epoch(); c.Epoch() < e+3; {
+			runtime.Gosched()
+		}
+		c.Restart(victim)
+	}()
+	<-rebalanced
+	<-killer
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if q, r := c.CatchUpsQueued(), c.CatchUpsReplayed(); q == 0 || r != q {
+		t.Fatalf("catch-ups queued %d, replayed %d: want the outage to queue writes and every one replayed", q, r)
+	}
+	audit := c.NewClient(nil)
+	for g, model := range models {
+		for i := 0; i < 97; i++ {
+			k := []byte(fmt.Sprintf("w%02d-%04d", g, i))
+			got, ok := get(audit, k)
+			if want, live := model[string(k)]; ok != live || !bytes.Equal(got, want) {
+				t.Fatalf("acked write lost: %q reads %q (present=%v), want %q (present=%v)", k, got, ok, want, live)
+			}
+		}
+	}
+	if err := c.AuditConvergence(); err != nil {
+		t.Fatal(err)
 	}
 }

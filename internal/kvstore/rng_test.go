@@ -45,18 +45,26 @@ func TestSimulatedChildAllocs(t *testing.T) {
 	}
 }
 
-// simTrace runs a fixed mix of reads from several simulated clients and
-// returns the virtual time at which each operation of each client ended.
-func simTrace(seed int64) [][]time.Duration {
+// traceEvent is one operation of a simulated client: the virtual time
+// it ended at and, for a Put, the version the store holds for its key.
+type traceEvent struct {
+	at  time.Duration
+	ver Version
+}
+
+// simTrace runs a fixed mix of reads and writes from several simulated
+// clients and returns each client's operations in order.
+func simTrace(seed int64) [][]traceEvent {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: seed}, env)
 	loadAndSplit(c, 400)
-	traces := make([][]time.Duration, 8)
+	traces := make([][]traceEvent, 8)
 	for w := range traces {
 		env.Spawn(func(p *sim.Proc) {
 			cl := c.NewClient(p)
 			for i := 0; i < 40; i++ {
 				k := (w*53 + i*17) % 400
+				var ver Version
 				switch i % 4 {
 				case 0:
 					get(cl, key(k))
@@ -66,8 +74,9 @@ func simTrace(seed int64) [][]time.Duration {
 					scatter(cl, RangeRequest{Start: key(k), End: key(k + 120), Limit: 100})
 				default:
 					cl.Put(key(k), val(i))
+					ver = storedVersion(c, key(k))
 				}
-				traces[w] = append(traces[w], p.Now())
+				traces[w] = append(traces[w], traceEvent{p.Now(), ver})
 			}
 		})
 	}
@@ -76,6 +85,21 @@ func simTrace(seed int64) [][]time.Duration {
 	return traces
 }
 
+// storedVersion returns the newest version any node holds for k, read
+// without a visit.
+func storedVersion(c *Cluster, k []byte) Version {
+	var newest Version
+	for _, nd := range c.nodes {
+		if _, v, _ := nd.getVersioned(k); v.After(newest) {
+			newest = v
+		}
+	}
+	return newest
+}
+
+// TestSimulatedRunsRepeatFromOneSeed: a simulated run is a function of
+// its seed — the same operation end times and the same stored write
+// versions, which the HLC draws from virtual time.
 func TestSimulatedRunsRepeatFromOneSeed(t *testing.T) {
 	a, b := simTrace(7), simTrace(7)
 	for w := range a {

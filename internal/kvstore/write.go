@@ -106,7 +106,7 @@ func (cl *Client) writeStamped(key, val []byte, del bool, pin *Version) error {
 func (cl *Client) stampOn(rt *routing, key []byte) int64 {
 	for _, id := range rt.owners[rt.partitionOf(key)] {
 		if cl.c.reachable(id) {
-			return cl.c.nodes[id].hlc.Next()
+			return cl.c.nodes[id].stamp()
 		}
 	}
 	return cl.c.barrierStamp()

@@ -82,15 +82,17 @@ func (e *Env) Spawn(fn func(p *Proc)) {
 	e.schedule(e.now, p.wake)
 	//lint:allow goroleak — sim process: the cooperative scheduler owns termination (Run wakes each process in turn and drains via yield; stopped processes Goexit).
 	go func() {
-		<-p.wake
-		if e.stopped {
+		// The token goes back only once fn has returned, or Stop has
+		// unwound it, defers and all, so Stop unwinds one process at a
+		// time.
+		defer func() {
 			e.procs--
 			e.yield <- struct{}{}
-			runtime.Goexit()
+		}()
+		<-p.wake
+		if !e.stopped {
+			fn(p)
 		}
-		fn(p)
-		e.procs--
-		e.yield <- struct{}{}
 	}()
 }
 
@@ -107,8 +109,6 @@ func (p *Proc) park() {
 	p.env.yield <- struct{}{}
 	<-p.wake
 	if p.env.stopped {
-		p.env.procs--
-		p.env.yield <- struct{}{}
 		runtime.Goexit()
 	}
 }
@@ -195,7 +195,8 @@ func (e *Env) Run(until time.Duration) time.Duration {
 }
 
 // Stop terminates all remaining processes (parked on events or resources)
-// so their goroutines exit. The environment is unusable afterwards.
+// so their goroutines exit, one at a time: each process's deferred calls
+// run before the next is woken. The environment is unusable afterwards.
 func (e *Env) Stop() {
 	e.stopped = true
 	for len(e.events) > 0 {

@@ -199,6 +199,25 @@ func TestStopReleasesParkedProcesses(t *testing.T) {
 	}
 }
 
+// TestStopUnwindsOneProcessAtATime: Stop runs each parked process's
+// deferred calls before it wakes the next, so defers may share state
+// without locks, as the processes themselves do (-race checks it).
+func TestStopUnwindsOneProcessAtATime(t *testing.T) {
+	e := NewEnv()
+	unwound := 0
+	for i := 0; i < 4; i++ {
+		e.Spawn(func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(time.Hour)
+		})
+	}
+	e.Run(10 * ms)
+	e.Stop()
+	if unwound != 4 {
+		t.Fatalf("%d of 4 processes unwound by the time Stop returned", unwound)
+	}
+}
+
 func TestSpawnFromInsideProcess(t *testing.T) {
 	e := NewEnv()
 	var childTime time.Duration
