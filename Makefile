@@ -24,7 +24,7 @@ vet:
 VETTOOL = bin/piql-vet
 
 lint:
-	@out=$$(gofmt -l cmd internal *.go); if [ -n "$$out" ]; then \
+	@out=$$(gofmt -l cmd internal examples *.go); if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	@if $(GO) list -deps ./internal/predict | grep -xE 'piql/internal/(core|analyze)'; then \

@@ -99,55 +99,6 @@ func BalancedHold(g *lockutil.Guard) {
 	}
 }
 
-// TestAtomicMixCrossPackageFacts is the same end-to-end check for the
-// AtomicResults fact: a helper in one package returns the value it
-// Load()ed from an atomic pointer, and a caller in another package
-// writes through it in place instead of copying and storing. The
-// caller's package never mentions sync/atomic; the diagnostic cites the
-// fact that told it the pointer is published state.
-func TestAtomicMixCrossPackageFacts(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"eng/eng.go": `package eng
-
-import "sync/atomic"
-
-type Policy struct{ MaxOps int }
-
-type Engine struct{ admission atomic.Pointer[Policy] }
-
-// Admission returns the published policy.
-func (e *Engine) Admission() *Policy { return e.admission.Load() }
-
-// SetAdmission publishes a new one.
-func (e *Engine) SetAdmission(p *Policy) { e.admission.Store(p) }
-`,
-		"app/app.go": `package app
-
-import "piql/eng"
-
-// Raise mutates the published policy under its readers.
-func Raise(e *eng.Engine) {
-	p := e.Admission()
-	p.MaxOps = 100
-}
-
-// RaiseCopy is the copy-on-write spelling.
-func RaiseCopy(e *eng.Engine) {
-	p := *e.Admission()
-	p.MaxOps = 100
-	e.SetAdmission(&p)
-}
-`,
-	})
-	out := oneDiagnostic(t, tmp, "app/app.go", 8) // Raise's write
-	if !strings.Contains(out, "loaded from atomic field eng.Engine.admission via (*Engine).Admission (per fact from piql/eng)") ||
-		!strings.Contains(out, "(atomicmix)") {
-		t.Fatalf("diagnostic does not cite the imported fact:\n%s", out)
-	}
-}
-
 // TestEscapeBudgetGate seeds a one-line heap-escape regression on a
 // row-decode path in a scratch module and proves the gate trips: lint
 // exits 2 citing the function and its budget. The clean module passes,

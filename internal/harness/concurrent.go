@@ -141,7 +141,7 @@ func runConcurrentPoint(eng *engine.Engine, cluster *kvstore.Cluster, w Workload
 		workerID := *nextWorker
 		*nextWorker++
 		wg.Add(1)
-		//lint:allow goroleak — wg-joined worker with a bounded interaction loop; the opaque call is the workload's NewInteraction func field.
+		//lint:allow goroleak — lifetime bounded by wg: joined by wg.Wait below, and its loop runs at most cfg.InteractionsPerGoroutine interactions.
 		go func(g int, workerID int64) {
 			defer wg.Done()
 			s := eng.Session(nil)

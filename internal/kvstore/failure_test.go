@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"piql/internal/sim"
 )
 
 // TestErrorChainsRoundTrip pins the error taxonomy the engine's retry
@@ -55,56 +57,84 @@ func TestErrorChainsRoundTrip(t *testing.T) {
 // returns *ErrFenceExhausted (no decision, value untouched). Once the
 // lease lapses, Rebalance reclaims the range onto live nodes and the
 // same operation succeeds. The dead node's eventual restart must not
-// disturb the converged state.
+// disturb the converged state. A rebalance inside the lease moves
+// nothing. The cluster is simulated, so the lease runs out on the
+// virtual clock: the wedge, the wait and the reclaim take no wall time.
 func TestLeaseExpiryUnwedgesTestAndSet(t *testing.T) {
-	c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 5,
-		LeaseDuration: 60 * time.Millisecond}, nil)
-	cl := c.NewClient(nil)
+	// The lease outlasts the wedged operation's retry budget (64
+	// backoffs of 1..64 ms, about 2 s), so the wedge is seen inside it.
+	const lease = 5 * time.Second
+	env := sim.NewEnv()
+	c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 5, LeaseDuration: lease}, env)
 	k := []byte("lease-key")
-	if ok, err := cl.TestAndSet(k, nil, []byte("v0")); err != nil || !ok {
-		t.Fatalf("seed swap: ok=%v err=%v", ok, err)
+	var failure error
+	env.Spawn(func(p *sim.Proc) {
+		failure = func() error {
+			cl := c.NewClient(p)
+			if ok, err := cl.TestAndSet(k, nil, []byte("v0")); err != nil || !ok {
+				return fmt.Errorf("seed swap: ok=%v err=%v", ok, err)
+			}
+			// Settle the table first, so a later rebalance moves the key's
+			// range only if its primary's lease has lapsed.
+			cl.Rebalance()
+			rt := c.routing.Load()
+			primary := rt.owners[rt.partitionOf(k)][0]
+			c.Kill(primary)
+			killed := p.Now()
+
+			// Wedged: the budget drains against the unreachable primary.
+			ok, err := cl.TestAndSet(k, []byte("v0"), []byte("v1"))
+			if err == nil {
+				return fmt.Errorf("TestAndSet decided (ok=%v) against a dead primary inside its lease window", ok)
+			}
+			if wedged := p.Now() - killed; wedged >= lease {
+				return fmt.Errorf("the wedged TestAndSet took %v, past the %v lease", wedged, lease)
+			}
+			var ex *ErrFenceExhausted
+			if !errors.As(err, &ex) {
+				return fmt.Errorf("wedged TestAndSet returned %v, want *ErrFenceExhausted", err)
+			}
+			var nd *ErrNodeDown
+			if !errors.As(ex.Last, &nd) || nd.Node != primary {
+				return fmt.Errorf("exhaustion cause is %v, want *ErrNodeDown for node %d", ex.Last, primary)
+			}
+			if !errors.Is(err, ErrTransient) {
+				return fmt.Errorf("wedge error is not transient: %v", err)
+			}
+			// Inside the lease, a rebalance leaves the range where it is.
+			cl.Rebalance()
+			rt = c.routing.Load()
+			if np := rt.owners[rt.partitionOf(k)][0]; np != primary {
+				return fmt.Errorf("a rebalance %v after the kill, inside the lease, moved the key from node %d to %d", p.Now()-killed, primary, np)
+			}
+
+			// Lease expiry, then reclaim: the range moves to live nodes.
+			p.Sleep(killed + lease + lease/2 - p.Now())
+			cl.Rebalance()
+			rt = c.routing.Load()
+			if np := rt.owners[rt.partitionOf(k)][0]; np == primary {
+				return fmt.Errorf("rebalance left the dead node %d as the key's primary", np)
+			}
+			if ok, err := cl.TestAndSet(k, []byte("v0"), []byte("v1")); err != nil || !ok {
+				return fmt.Errorf("TestAndSet still wedged after expiry + reclaim: ok=%v err=%v", ok, err)
+			}
+			if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v1")) {
+				return fmt.Errorf("key holds %q (ok=%v) after the post-reclaim swap, want v1", v, ok)
+			}
+			c.Restart(primary)
+			return nil
+		}()
+	})
+	env.Run(0)
+	env.Stop()
+	if failure != nil {
+		t.Fatal(failure)
 	}
 
-	rt := c.routing.Load()
-	primary := rt.owners[rt.partitionOf(k)][0]
-	c.Kill(primary)
-
-	// Wedged: the budget drains against the unreachable primary.
-	ok, err := cl.TestAndSet(k, []byte("v0"), []byte("v1"))
-	if err == nil {
-		t.Fatalf("TestAndSet decided (ok=%v) against a dead primary inside its lease window", ok)
-	}
-	var ex *ErrFenceExhausted
-	if !errors.As(err, &ex) {
-		t.Fatalf("wedged TestAndSet returned %v, want *ErrFenceExhausted", err)
-	}
-	var nd *ErrNodeDown
-	if !errors.As(ex.Last, &nd) || nd.Node != primary {
-		t.Fatalf("exhaustion cause is %v, want *ErrNodeDown for node %d", ex.Last, primary)
-	}
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("wedge error is not transient: %v", err)
-	}
-
-	// Lease expiry, then reclaim: the range moves to live nodes.
-	time.Sleep(c.cfg.LeaseDuration + c.cfg.LeaseDuration/2)
-	c.Rebalance()
-	rt = c.routing.Load()
-	if np := rt.owners[rt.partitionOf(k)][0]; np == primary {
-		t.Fatalf("rebalance left the dead node %d as the key's primary", np)
-	}
-	if ok, err := cl.TestAndSet(k, []byte("v0"), []byte("v1")); err != nil || !ok {
-		t.Fatalf("TestAndSet still wedged after expiry + reclaim: ok=%v err=%v", ok, err)
-	}
-	if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v1")) {
-		t.Fatalf("key holds %q (ok=%v) after the post-reclaim swap, want v1", v, ok)
-	}
-
-	c.Restart(primary)
 	if err := c.AuditConvergence(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := get(cl, k); !ok || !bytes.Equal(v, []byte("v1")) {
+	if v, ok := get(c.NewClient(nil), k); !ok || !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("restart disturbed the key: %q (ok=%v)", v, ok)
 	}
 }

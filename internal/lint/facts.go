@@ -4,8 +4,9 @@ import "sort"
 
 // Cross-package facts.
 //
-// The interprocedural analyzers need to know things about functions in
-// *other* packages: does (*kvstore.Client).Get park the simulated
+// The interprocedural analyzers (lockorder, holdblock, releasepath,
+// errtaxonomy) need to know things about functions in *other*
+// packages: does (*kvstore.Client).Get park the simulated
 // process? which locks does (*Cluster).Rebalance end up acquiring? can
 // (*Client).TestAndSet return an error that unwraps to
 // kvstore.ErrTransient? Those summaries are computed once per package
@@ -36,13 +37,6 @@ type FuncFact struct {
 	// ErrTypes lists the typed errors the function can return, e.g.
 	// "*kvstore.ErrNodeDown".
 	ErrTypes []string
-	// ParkRisk is goroleak's witness that a run of this function may
-	// never terminate: the first non-escapable blocking operation,
-	// unbounded loop, or function-value call on some path ("" = the
-	// analysis found a termination path everywhere). Dependents chain
-	// it through their own call sites, so a `go` statement three
-	// packages away can cite the primitive that parks.
-	ParkRisk string
 	// NetAcquires lists the canonical lock IDs the function returns
 	// holding on some exit without ever releasing — an intentional
 	// acquire-helper contract. A dependent's walk extends its held set
@@ -53,16 +47,6 @@ type FuncFact struct {
 	// matching acquisition of its own — the releasing half of a
 	// cross-package helper pair.
 	NetReleases []string
-	// AtomicResults lists the atomic-field IDs whose Load()ed value the
-	// function may return. A caller treats such a result as
-	// atomically-published state: plain writes through it are atomicmix
-	// violations even though the Load happened a package away.
-	AtomicResults []string
-	// SnapshotTainted reports that some result derives from a claimed
-	// routing snapshot (beginOp) the function does not itself release —
-	// the acquire-helper shape. Callers inherit the scoping obligation:
-	// snapshotescape seeds its provenance at calls to such functions.
-	SnapshotTainted bool
 }
 
 // LockEdge is one acquired-while-held observation: To was acquired at

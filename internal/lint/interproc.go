@@ -3,10 +3,8 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -15,7 +13,7 @@ import (
 // Interprocedural analysis.
 //
 // This file builds, for one typechecked package, the summaries the
-// lockorder/holdblock/errtaxonomy analyzers consume:
+// lockorder/holdblock/releasepath/errtaxonomy analyzers consume:
 //
 //   - a branch-sensitive walk of every function body tracking the
 //     multiset of sync.Mutex/RWMutex locks held at each statement,
@@ -47,10 +45,10 @@ import (
 //   - defer'd Unlock/RUnlock keeps the lock held to the end of the
 //     body (that is its meaning); any other deferred call is analyzed
 //     as if it ran with no locks held.
-//   - go statements and non-invoked func literals are analyzed as
-//     separate pseudo-functions starting with an empty held set; their
-//     blocking does not propagate to the spawning function (spawning
-//     does not block).
+//   - a go statement's literal and non-invoked func literals are
+//     analyzed as separate pseudo-functions starting with an empty held
+//     set; their blocking does not propagate to the spawning function
+//     (spawning does not block).
 //   - a helper that returns while still holding a lock it acquired is
 //     modeled only across package boundaries: its unbalanced
 //     acquisitions export as NetAcquires/NetReleases facts, which a
@@ -74,36 +72,6 @@ type Interproc struct {
 	transientTypes map[string]bool
 	// hasTransientSentinel reports a package-level `var ErrTransient`.
 	hasTransientSentinel bool
-
-	// closedChans holds the canonical IDs (see chanID) of every channel
-	// some statement in the package closes: a receive or range on one
-	// of these can terminate, so it is not a park risk.
-	closedChans map[string]bool
-	// chanCaps records how each package-made channel was made; a send
-	// is only provably non-parking when every make site is buffered
-	// with a constant positive capacity.
-	chanCaps map[string]*chanCap
-
-	// atomicFindings / snapshotFindings are the provenance violations
-	// the prepasses collected; the atomicmix and snapshotescape
-	// analyzers report them (directive suppression happens at report
-	// time, in the framework).
-	atomicFindings   []provFinding
-	snapshotFindings []provFinding
-}
-
-// provFinding is one provenance violation found during a prepass,
-// emitted later by the owning analyzer.
-type provFinding struct {
-	pos token.Pos
-	msg string
-}
-
-// chanCap accumulates the make() sites of one channel ID.
-type chanCap struct {
-	buffered   bool // some make(chan T, n) with constant n > 0
-	unbuffered bool // some make(chan T) or constant zero capacity
-	unknown    bool // some make with a non-constant capacity
 }
 
 // hold kinds: a real sync.Mutex/RWMutex, or a paired-call claim
@@ -210,26 +178,10 @@ func unionHeld(a, b *held) *held {
 }
 
 // blockObs is one direct blocking operation and the locks held there.
-// park, when non-empty, is the goroleak witness: why this operation
-// has no provable escape (an unbuffered send, a receive no path
-// closes, a select with no done case). Escapable blocks — WaitGroup
-// joins, buffered sends, receives on closed channels, time.Sleep —
-// carry park == "".
 type blockObs struct {
 	desc string
 	pos  token.Pos
 	held []heldLock
-	park string
-}
-
-// spawnObs is one `go` statement: the spawned body (a pseudo-function
-// for literals, a named object otherwise, or dynamic for spawns of
-// function values).
-type spawnObs struct {
-	pos     token.Pos
-	target  *funcInfo   // literal body
-	fn      *types.Func // named callee
-	dynamic bool
 }
 
 // exitObs is one function exit (a return statement or the implicit
@@ -274,13 +226,6 @@ type funcInfo struct {
 	netReleases map[string]bool   // ids released with no matching local hold
 	claimNames  map[string]string // claim id → human name ("routing claim kvstore.beginOp/endOp")
 
-	// goroutine-lifecycle observations (for goroleak)
-	spawns []spawnObs
-	// parkCands are the in-order park-risk witnesses found directly in
-	// the body: non-escapable blocking ops, loops with no exit, calls
-	// through function values.
-	parkCands []string
-
 	// error-return structure (for the transient fixpoint)
 	retTypes    map[string]bool // typed errors returned directly, "*pkg.T"
 	retSentinel bool            // returns ErrTransient itself
@@ -294,18 +239,6 @@ type funcInfo struct {
 	transient    bool
 	allErrTypes  map[string]bool
 	transientVia string // witness: callee chain or "returns *pkg.T"
-	// parkRisk is the goroleak witness: the first reason a run of this
-	// function may never terminate ("" = terminates as far as the
-	// analysis can tell). Propagated through local calls and imported
-	// facts like blockPath.
-	parkRisk string
-
-	// dataflow-prepass results (atomicmix / snapshotescape facts):
-	// atomic-field IDs whose loaded value this function may return, and
-	// the claim ID whose snapshot it returns without releasing (the
-	// acquire-helper shape; "" = none).
-	atomicResults   map[string]bool
-	snapshotTaintID string
 }
 
 // buildInterproc runs the walk and fixpoint over the unit's non-test
@@ -342,9 +275,6 @@ func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 			ip.byObj[obj] = fi
 		}
 	}
-	// Channel close/capacity prepass before any body walk: escapability
-	// of a receive depends on close() sites anywhere in the package.
-	ip.chanPrepass(files)
 	// Walk after registration so local calls resolve during the walk.
 	for _, fi := range append([]*funcInfo(nil), ip.funcs...) {
 		h := &held{}
@@ -353,11 +283,6 @@ func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 		}
 	}
 	ip.fixpoint()
-	// Dataflow prepasses after the walk: snapshot provenance needs the
-	// walk's releasedIDs, and both need the fixpoint-free per-function
-	// view only.
-	ip.atomicPrepass()
-	ip.snapshotPrepass()
 	return ip
 }
 
@@ -452,185 +377,6 @@ func (ip *Interproc) findTransientTypes(files []*ast.File) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Channel prepass (for goroleak escapability).
-
-// chanPrepass records, before any body walk, every channel the package
-// closes and how every package-made channel is buffered, keyed by the
-// same canonical naming scheme as locks. A receive can escape if some
-// statement in the package closes the channel; a send can escape only
-// if every make() site gives it constant positive capacity.
-func (ip *Interproc) chanPrepass(files []*ast.File) {
-	ip.closedChans = map[string]bool{}
-	ip.chanCaps = map[string]*chanCap{}
-	for _, f := range files {
-		inspectStack(f, func(n ast.Node, stack []ast.Node) {
-			switch v := n.(type) {
-			case *ast.CallExpr:
-				id, ok := ast.Unparen(v.Fun).(*ast.Ident)
-				if !ok || id.Name != "close" || len(v.Args) != 1 {
-					return
-				}
-				if _, isBuiltin := ip.info.Uses[id].(*types.Builtin); !isBuiltin {
-					return
-				}
-				ip.closedChans[ip.chanKey(v.Args[0])] = true
-			case *ast.AssignStmt:
-				if len(v.Lhs) != len(v.Rhs) {
-					return
-				}
-				for i := range v.Rhs {
-					ip.recordChanMake(ip.chanKey(v.Lhs[i]), v.Rhs[i])
-				}
-			case *ast.ValueSpec:
-				if len(v.Names) != len(v.Values) {
-					return
-				}
-				for i := range v.Values {
-					ip.recordChanMake(ip.chanKey(v.Names[i]), v.Values[i])
-				}
-			case *ast.KeyValueExpr:
-				// Struct-literal field init: indexBuild{done: make(chan …)}.
-				key, ok := v.Key.(*ast.Ident)
-				if !ok {
-					return
-				}
-				lit := enclosingComposite(stack)
-				if lit == nil {
-					return
-				}
-				if owner := ip.compositeTypeName(lit); owner != "" {
-					ip.recordChanMake(owner+"."+key.Name, v.Value)
-				}
-			}
-		})
-	}
-}
-
-// enclosingComposite returns the innermost composite literal on the
-// stack (the direct parent of a KeyValueExpr being visited).
-func enclosingComposite(stack []ast.Node) *ast.CompositeLit {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if cl, ok := stack[i].(*ast.CompositeLit); ok {
-			return cl
-		}
-	}
-	return nil
-}
-
-// recordChanMake notes rhs when it is a make(chan …) of the channel
-// with canonical ID id.
-func (ip *Interproc) recordChanMake(id string, rhs ast.Expr) {
-	if _, buffered, known, isChan := ip.makeChanCap(rhs); isChan {
-		cc := ip.chanCaps[id]
-		if cc == nil {
-			cc = &chanCap{}
-			ip.chanCaps[id] = cc
-		}
-		switch {
-		case !known:
-			cc.unknown = true
-		case buffered:
-			cc.buffered = true
-		default:
-			cc.unbuffered = true
-		}
-	}
-}
-
-// makeChanCap classifies a make(chan …) expression: its capacity
-// argument, whether it is constant-positive (buffered), whether the
-// capacity is statically known, and whether this is a channel make at
-// all.
-func (ip *Interproc) makeChanCap(e ast.Expr) (capArg ast.Expr, buffered, known, isChan bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil, false, false, false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return nil, false, false, false
-	}
-	if _, isBuiltin := ip.info.Uses[id].(*types.Builtin); !isBuiltin {
-		return nil, false, false, false
-	}
-	t := ip.typeOf(call)
-	if t == nil {
-		return nil, false, false, false
-	}
-	if _, ok := t.Underlying().(*types.Chan); !ok {
-		return nil, false, false, false
-	}
-	if len(call.Args) < 2 {
-		return nil, false, true, true // make(chan T): unbuffered
-	}
-	capArg = call.Args[1]
-	if tv, ok := ip.info.Types[capArg]; ok && tv.Value != nil {
-		n, exact := constant.Int64Val(tv.Value)
-		return capArg, exact && n > 0, true, true
-	}
-	return capArg, false, false, true
-}
-
-// chanKey names a channel so every reference to the same variable gets
-// the same key. Locals are keyed by declaration position, not by
-// enclosing function the way locks are: the common leak shape is a
-// goroutine literal sending on a channel its *enclosing* function
-// made, and the closure and the maker must agree on the channel's
-// identity for the make-site capacity to reach the send site.
-func (ip *Interproc) chanKey(x ast.Expr) string {
-	x = ast.Unparen(x)
-	if id, ok := x.(*ast.Ident); ok {
-		if obj := ip.info.ObjectOf(id); obj != nil {
-			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				return obj.Pkg().Name() + "." + obj.Name()
-			}
-			if obj.Pos().IsValid() {
-				return ip.pkg.Name() + "." + id.Name + "@" + ip.shortPos(obj.Pos())
-			}
-		}
-	}
-	return ip.lockIDKeyed("func", x)
-}
-
-// doneNameRe matches channel names that by convention signal shutdown;
-// receiving from one is treated as having a termination path even when
-// the close() lives in another package.
-var doneNameRe = regexp.MustCompile(`(?i)^(done|stop|quit|cancel|close|closing|closed|kill|exit|term|finish|wake)`)
-
-// doneLike reports whether a channel expression is a shutdown signal:
-// a done-named channel or a context's Done() stream.
-func (ip *Interproc) doneLike(x ast.Expr) bool {
-	switch v := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		return doneNameRe.MatchString(v.Name)
-	case *ast.SelectorExpr:
-		return doneNameRe.MatchString(v.Sel.Name)
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-			return sel.Sel.Name == "Done"
-		}
-	}
-	return false
-}
-
-// recvEscapes reports whether a receive from x has a termination path:
-// some statement in this package closes the channel, or the channel is
-// a shutdown signal by name.
-func (ip *Interproc) recvEscapes(x ast.Expr) bool {
-	return ip.closedChans[ip.chanKey(x)] || ip.doneLike(x)
-}
-
-// sendEscapes reports whether a send on x is provably non-parking:
-// every make() site of the channel is buffered with constant positive
-// capacity. (A buffered send can still park when the buffer is full;
-// the analyzers treat bounded-capacity sends as the spawner's
-// responsibility and flag only never-drained shapes.)
-func (ip *Interproc) sendEscapes(x ast.Expr) bool {
-	cc := ip.chanCaps[ip.chanKey(x)]
-	return cc != nil && cc.buffered && !cc.unbuffered && !cc.unknown
-}
-
 // recvTypeName returns the bare receiver type name of a method object.
 func recvTypeName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
@@ -699,11 +445,7 @@ func (w *flowWalker) leafStmt(st ast.Stmt, h *held) {
 	case *ast.SendStmt:
 		ip.walkExpr(fi, s.Chan, h)
 		ip.walkExpr(fi, s.Value, h)
-		park := ""
-		if !ip.sendEscapes(s.Chan) {
-			park = "send on " + ip.chanKey(s.Chan) + " with no provable capacity"
-		}
-		ip.block(fi, "channel send", s.Arrow, h, park)
+		ip.block(fi, "channel send", s.Arrow, h)
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
 			ip.walkExpr(fi, e, h)
@@ -729,73 +471,30 @@ func (w *flowWalker) leafStmt(st ast.Stmt, h *held) {
 		for _, a := range s.Call.Args {
 			ip.walkExpr(fi, a, h)
 		}
-		// Spawning blocks nothing here, but goroleak needs the spawned
-		// body: a literal gets its own pseudo-function, a named callee
-		// resolves through facts, anything else is a dynamic spawn.
-		// The two-pass loop walk revisits go statements; record each
-		// site once.
-		for _, sp := range fi.spawns {
-			if sp.pos == s.Pos() {
-				return
-			}
-		}
+		// Spawning blocks nothing here; a literal's body runs on its own
+		// goroutine, so it is walked as a pseudo-function with no locks
+		// held.
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			target := ip.pseudoFunc(fi, lit, "goroutine")
-			fi.spawns = append(fi.spawns, spawnObs{pos: s.Pos(), target: target})
-		} else if fn := calleeOf(ip.info, s.Call); fn != nil {
-			fi.spawns = append(fi.spawns, spawnObs{pos: s.Pos(), fn: fn})
-		} else {
-			fi.spawns = append(fi.spawns, spawnObs{pos: s.Pos(), dynamic: true})
+			ip.pseudoFunc(fi, lit, "goroutine")
 		}
-	}
-}
-
-func (w *flowWalker) forObs(s *ast.ForStmt) {
-	if s.Cond == nil && !loopExits(s.Body) {
-		w.fi.parkCands = append(w.fi.parkCands,
-			"infinite for-loop with no break or return ("+w.ip.shortPos(s.For)+")")
 	}
 }
 
 func (w *flowWalker) rangeObs(s *ast.RangeStmt, h *held) {
-	ip, fi := w.ip, w.fi
-	if t := ip.typeOf(s.X); t != nil {
+	if t := w.ip.typeOf(s.X); t != nil {
 		if _, isChan := t.Underlying().(*types.Chan); isChan {
-			park := ""
-			if !ip.recvEscapes(s.X) {
-				park = "range over " + ip.chanKey(s.X) + ", which no analyzed path closes"
-			}
-			ip.block(fi, "range over channel", s.For, h, park)
+			w.ip.block(w.fi, "range over channel", s.For, h)
 		}
 	}
 }
 
 func (w *flowWalker) selectObs(s *ast.SelectStmt, h *held) {
-	ip, fi := w.ip, w.fi
-	hasDefault := false
-	hasEscape := false
 	for _, cl := range s.Body.List {
-		cc, ok := cl.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
-			hasDefault = true
-			continue
-		}
-		// A case receiving from a closed/done channel is the select's
-		// termination path.
-		if x := commRecvChan(cc.Comm); x != nil && ip.recvEscapes(x) {
-			hasEscape = true
+		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
+			return // a default clause: the select never blocks
 		}
 	}
-	if !hasDefault {
-		park := ""
-		if !hasEscape {
-			park = "select with no default and no done/close case"
-		}
-		ip.block(fi, "select with no default", s.Select, h, park)
-	}
+	w.ip.block(w.fi, "select with no default", s.Select, h)
 }
 
 // comm walks a select case's communication statement without
@@ -928,13 +627,8 @@ func (ip *Interproc) claimRelease(fn *types.Func) (string, bool) {
 	return "", false
 }
 
-// block records a direct blocking operation at pos under h. park is
-// the goroleak witness when the operation has no provable escape ("" =
-// it can terminate). Inside the simulator package itself every block
-// is treated as escapable: the cooperative scheduler's park/wake
-// channel discipline is its own design, and exporting park risks from
-// sim would condemn every simulated client operation downstream.
-func (ip *Interproc) block(fi *funcInfo, desc string, pos token.Pos, h *held, park string) {
+// block records a direct blocking operation at pos under h.
+func (ip *Interproc) block(fi *funcInfo, desc string, pos token.Pos, h *held) {
 	// Loop bodies are walked twice: like recordExit, the second visit of
 	// a position unions its holds into the first's record.
 	for i, o := range fi.blocksDirect {
@@ -943,43 +637,16 @@ func (ip *Interproc) block(fi *funcInfo, desc string, pos token.Pos, h *held, pa
 			return
 		}
 	}
-	if ip.isSimPkg() {
-		park = ""
-	}
-	if park != "" {
-		fi.parkCands = append(fi.parkCands, park+" ("+ip.shortPos(pos)+")")
-	}
 	fi.blocksDirect = append(fi.blocksDirect, blockObs{
 		desc: desc,
 		pos:  pos,
 		held: append([]heldLock(nil), h.locks...),
-		park: park,
 	})
 }
 
-// isSimPkg reports whether the package under analysis is the simulator.
-func (ip *Interproc) isSimPkg() bool {
-	if ip.pkg == nil {
-		return false
-	}
-	path := ip.pkg.Path()
-	return path == simImportPath || strings.HasSuffix(path, "/internal/sim")
-}
-
-// shortPos renders pos as "file.go:line" for park-path witnesses.
-func (ip *Interproc) shortPos(pos token.Pos) string {
-	p := ip.unit.Fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
-}
-
 // pseudoFunc analyzes a func literal as its own function with an empty
-// held set (it runs on its own goroutine or at defer time) and returns
-// its summary (goroleak reads a spawned literal's park risk from it).
-func (ip *Interproc) pseudoFunc(parent *funcInfo, lit *ast.FuncLit, kind string) *funcInfo {
+// held set (it runs on its own goroutine or at defer time).
+func (ip *Interproc) pseudoFunc(parent *funcInfo, lit *ast.FuncLit, kind string) {
 	fi := &funcInfo{
 		key:         "",
 		display:     fmt.Sprintf("%s in %s", kind, parent.display),
@@ -995,7 +662,6 @@ func (ip *Interproc) pseudoFunc(parent *funcInfo, lit *ast.FuncLit, kind string)
 	if !ip.walkStmt(fi, lit.Body, h) {
 		ip.recordExit(fi, lit.Body.Rbrace, h)
 	}
-	return fi
 }
 
 // isSyncMethod reports whether fn is a method of sync.Mutex/RWMutex.
@@ -1019,11 +685,7 @@ func (ip *Interproc) walkExpr(fi *funcInfo, e ast.Expr, h *held) {
 	case *ast.UnaryExpr:
 		ip.walkExpr(fi, x.X, h)
 		if x.Op == token.ARROW {
-			park := ""
-			if !ip.recvEscapes(x.X) {
-				park = "receive on " + ip.chanKey(x.X) + ", which no analyzed path closes"
-			}
-			ip.block(fi, "channel receive", x.OpPos, h, park)
+			ip.block(fi, "channel receive", x.OpPos, h)
 		}
 	case *ast.FuncLit:
 		ip.pseudoFunc(fi, x, "func literal")
@@ -1061,17 +723,7 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 		return
 	}
 	fn := calleeOf(ip.info, call)
-	if fn == nil {
-		// A call through a function value: nothing blocks here that the
-		// walk can see, but its termination is unknowable, which is a
-		// park risk for any goroutine reaching this point.
-		if ip.isDynamicCall(call) {
-			fi.parkCands = append(fi.parkCands,
-				"calls a function value ("+ip.shortPos(call.Pos())+"), whose termination is not analyzable")
-		}
-		return
-	}
-	if fn.Pkg() == nil {
+	if fn == nil || fn.Pkg() == nil {
 		return
 	}
 	if isSyncMethod(fn) {
@@ -1094,14 +746,11 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 	path := fn.Pkg().Path()
 	switch {
 	case path == "sync" && fn.Name() == "Wait" && recvTypeName(fn) == "Cond":
-		ip.block(fi, "sync.Cond.Wait", call.Pos(), h,
-			"sync.Cond.Wait with no analyzable wake guarantee")
+		ip.block(fi, "sync.Cond.Wait", call.Pos(), h)
 	case path == "sync" && fn.Name() == "Wait" && recvTypeName(fn) == "WaitGroup":
-		// A WaitGroup join is bounded by its Add/Done discipline; the
-		// children it joins are analyzed at their own go statements.
-		ip.block(fi, "sync.WaitGroup.Wait", call.Pos(), h, "")
+		ip.block(fi, "sync.WaitGroup.Wait", call.Pos(), h)
 	case path == "time" && fn.Name() == "Sleep":
-		ip.block(fi, "time.Sleep", call.Pos(), h, "")
+		ip.block(fi, "time.Sleep", call.Pos(), h)
 	case ip.moduleLocal(path):
 		// A loop body's second pass unions into the first's record, as
 		// in block.
@@ -1133,29 +782,6 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 			}
 		}
 	}
-}
-
-// isDynamicCall reports whether call invokes a function value (not a
-// named function, builtin, conversion, or literal).
-func (ip *Interproc) isDynamicCall(call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	if tv, ok := ip.info.Types[fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
-		return false
-	}
-	switch f := fun.(type) {
-	case *ast.FuncLit:
-		return false
-	case *ast.Ident:
-		switch ip.info.Uses[f].(type) {
-		case *types.Builtin, *types.TypeName:
-			return false
-		}
-	case *ast.SelectorExpr:
-		if _, isType := ip.info.Uses[f.Sel].(*types.TypeName); isType {
-			return false
-		}
-	}
-	return true
 }
 
 // moduleLocal reports whether path is in this module (facts exist or
@@ -1218,12 +844,6 @@ func (ip *Interproc) lockID(fi *funcInfo, x ast.Expr) string {
 	if fnName == "" {
 		fnName = "func"
 	}
-	return ip.lockIDKeyed(fnName, x)
-}
-
-// lockIDKeyed is lockID with the enclosing-function key supplied
-// directly (the channel prepass runs outside any funcInfo).
-func (ip *Interproc) lockIDKeyed(fnName string, x ast.Expr) string {
 	x = ast.Unparen(x)
 	switch v := x.(type) {
 	case *ast.SelectorExpr:
@@ -1436,7 +1056,6 @@ func (ip *Interproc) calleeFact(fn *types.Func) (FuncFact, bool) {
 			Acquires:    sortedKeys(fi.allAcquires),
 			Transient:   fi.transient,
 			ErrTypes:    sortedKeys(fi.allErrTypes),
-			ParkRisk:    fi.parkRisk,
 			NetAcquires: fi.netAcquireIDs(),
 			NetReleases: sortedKeys(fi.netReleases),
 		}, true
@@ -1484,9 +1103,6 @@ func (ip *Interproc) fixpoint() {
 			fi.mayBlock = true
 			fi.blockPath = fi.blocksDirect[0].desc
 		}
-		if len(fi.parkCands) > 0 {
-			fi.parkRisk = fi.parkCands[0]
-		}
 		if fi.retSentinel {
 			fi.transient = true
 			fi.transientVia = "returns ErrTransient"
@@ -1520,13 +1136,6 @@ func (ip *Interproc) fixpoint() {
 						fi.allAcquires[id] = true
 						changed = true
 					}
-				}
-				if fact.ParkRisk != "" && fi.parkRisk == "" {
-					fi.parkRisk = calleeDisplay(c.fn)
-					if len(fact.ParkRisk) < 160 {
-						fi.parkRisk += " → " + fact.ParkRisk
-					}
-					changed = true
 				}
 			}
 			for _, fn := range fi.retCallees {
@@ -1577,20 +1186,16 @@ func (ip *Interproc) Facts() *PackageFacts {
 			continue
 		}
 		f := FuncFact{
-			Blocks:          fi.mayBlock,
-			BlockPath:       fi.blockPath,
-			Acquires:        sortedKeys(fi.allAcquires),
-			Transient:       fi.transient,
-			ErrTypes:        sortedKeys(fi.allErrTypes),
-			ParkRisk:        fi.parkRisk,
-			NetAcquires:     fi.netAcquireIDs(),
-			NetReleases:     sortedKeys(fi.netReleases),
-			AtomicResults:   sortedKeys(fi.atomicResults),
-			SnapshotTainted: fi.snapshotTaintID != "",
+			Blocks:      fi.mayBlock,
+			BlockPath:   fi.blockPath,
+			Acquires:    sortedKeys(fi.allAcquires),
+			Transient:   fi.transient,
+			ErrTypes:    sortedKeys(fi.allErrTypes),
+			NetAcquires: fi.netAcquireIDs(),
+			NetReleases: sortedKeys(fi.netReleases),
 		}
 		if !f.Blocks && !f.Transient && len(f.Acquires) == 0 && len(f.ErrTypes) == 0 &&
-			f.ParkRisk == "" && len(f.NetAcquires) == 0 && len(f.NetReleases) == 0 &&
-			len(f.AtomicResults) == 0 && !f.SnapshotTainted {
+			len(f.NetAcquires) == 0 && len(f.NetReleases) == 0 {
 			continue
 		}
 		pf.Funcs[fi.key] = f

@@ -9,13 +9,14 @@
 //
 // The analyzers enforce structural invariants of the concurrent
 // engine/kvstore code that the type system cannot express: how routing
-// snapshots are claimed, that version envelopes reach replicas intact,
-// that simulated processes never block the real clock, that lease
-// tables are swapped whole — and, interprocedurally (see interproc.go),
-// that the lock-acquisition graph stays acyclic, that nothing blocks
-// while holding a mutex, and that client/op-path errors conform to the
-// ErrTransient taxonomy. Each analyzer documents its invariant on its
-// Analyzer value.
+// snapshots are claimed, that simulated processes never wait on the
+// real clock, that lease tables are swapped whole, that every
+// goroutine's lifetime is argued for at its spawn — and,
+// interprocedurally (see interproc.go), that the lock-acquisition graph
+// stays acyclic, that nothing blocks while holding a mutex, that every
+// acquire is released on all exits, and that client/op-path errors
+// conform to the ErrTransient taxonomy. Each analyzer documents its
+// invariant on its Analyzer value.
 //
 // A site that violates the letter of a rule for a documented reason is
 // suppressed with a directive comment naming the analyzer:
@@ -39,7 +40,6 @@ import (
 	"regexp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -57,10 +57,9 @@ type Analyzer struct {
 
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
-// unit — type information and interprocedural summaries. The original
-// five analyzers are purely syntactic and ignore the typed side; the
-// interprocedural ones (lockorder, holdblock, errtaxonomy) no-op when
-// it is absent.
+// unit — type information and interprocedural summaries. The syntactic
+// analyzers ignore the typed side; the interprocedural ones (lockorder,
+// holdblock, releasepath, errtaxonomy) no-op when it is absent.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -124,15 +123,14 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	}
 }
 
-// Analyzers is the registry cmd/piql-vet and the tests run: the five
-// syntactic invariants, the five interprocedural ones (lockorder,
-// holdblock, errtaxonomy, goroleak, releasepath), the build-diagnostic
-// escapebudget, and the three dataflow analyzers built on the dataflow
-// core (atomicmix, snapshotescape, cancelpath).
+// Analyzers is the registry cmd/piql-vet and the tests run: four
+// syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
+// four interprocedural ones over the held-lock walk and its facts
+// (lockorder, holdblock, errtaxonomy, releasepath), and the
+// build-diagnostic escapebudget.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
-	SimSleep,
-	SimTimer,
+	SimClock,
 	LeaseSwap,
 	LockOrder,
 	HoldBlock,
@@ -140,8 +138,6 @@ var Analyzers = []*Analyzer{
 	GoroLeak,
 	ReleasePath,
 	EscapeBudget,
-	AtomicMix,
-	SnapshotEscape,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.
@@ -323,25 +319,6 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) *directiveSet {
 		}
 	}
 	return s
-}
-
-// simImportPath is the discrete-event simulator package; the sim
-// analyzers gate on a package importing it.
-const simImportPath = "piql/internal/sim"
-
-// importsSim reports whether any of the files imports the simulator
-// package (by canonical path, or any path ending in /internal/sim so
-// fixture modules qualify).
-func importsSim(files []*ast.File) bool {
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if path, err := strconv.Unquote(imp.Path.Value); err == nil &&
-				(path == simImportPath || strings.HasSuffix(path, "/internal/sim")) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // inspectStack walks the file calling fn with each node and the stack

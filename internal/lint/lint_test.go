@@ -25,19 +25,19 @@ func TestRoutingClaim(t *testing.T) {
 }
 
 func TestSimSleep(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simsleep"), byName(t, "simsleep"))
+	linttest.Run(t, filepath.Join("testdata", "simsleep"), byName(t, "simclock"))
 }
 
 func TestSimSleepIgnoresNonSimPackages(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simsleepnosim"), byName(t, "simsleep"))
+	linttest.Run(t, filepath.Join("testdata", "simsleepnosim"), byName(t, "simclock"))
 }
 
 func TestSimTimer(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simtimer"), byName(t, "simtimer"))
+	linttest.Run(t, filepath.Join("testdata", "simtimer"), byName(t, "simclock"))
 }
 
 func TestSimTimerIgnoresNonSimPackages(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simsleepnosim"), byName(t, "simtimer"))
+	linttest.Run(t, filepath.Join("testdata", "simtimernosim"), byName(t, "simclock"))
 }
 
 func TestLeaseSwap(t *testing.T) {
@@ -62,14 +62,6 @@ func TestGoroLeak(t *testing.T) {
 
 func TestReleasePath(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "releasepath"), byName(t, "releasepath"))
-}
-
-func TestAtomicMix(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "atomicmix"), byName(t, "atomicmix"))
-}
-
-func TestSnapshotEscape(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "snapshotescape"), byName(t, "snapshotescape"))
 }
 
 // TestStaleAllow drives the framework-level stale-directive report: a

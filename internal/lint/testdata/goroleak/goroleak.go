@@ -1,138 +1,76 @@
-// Test fixture for the goroleak analyzer: every go statement needs a
-// provable termination path. Parked-forever shapes — unbuffered sends
-// nobody drains, receives on channels no path closes, selects with no
-// escape, unbounded loops — are flagged at the spawn; bounded loops,
-// buffered sends, done-channel receives, and WaitGroup discipline stay
-// silent.
+// Test fixture for the goroleak census: every go statement is a
+// finding unless a //lint:allow goroleak directive — on its line, on
+// the line above, or in the enclosing function's doc comment — names
+// what bounds the goroutine's lifetime. What the goroutine does is not
+// the census's business: a spawn that plainly terminates is reported
+// like one that plainly leaks.
 package goroleakfix
 
 import "sync"
 
-// leakUnbufferedSend: the spawned body sends on a channel every make
-// site leaves unbuffered, and no receiver is in sight.
-func leakUnbufferedSend() {
-	ch := make(chan int)
-	go func() { // want `send on .*ch.* with no provable capacity`
-		ch <- 1
-	}()
+// leak parks forever on a channel nobody sends on.
+func leak() {
+	idle := make(chan struct{})
+	go func() { <-idle }() // want `go statement with no stated lifetime`
 }
 
-// okBufferedSend: constant positive capacity means the send completes
-// even if the result is never read.
-func okBufferedSend() chan int {
-	ch := make(chan int, 1)
+// terminating is reported too: the census asks for the argument, not
+// a proof.
+func terminating() {
+	go busyStep() // want `go statement with no stated lifetime`
+}
+
+// dynamic spawns a function value.
+func dynamic(fn func()) {
+	go fn() // want `go statement with no stated lifetime`
+}
+
+// nested: a go statement inside a spawned literal is a spawn of its
+// own and needs its own argument.
+func nested(wg *sync.WaitGroup) {
+	wg.Add(1)
+	//lint:allow goroleak — fixture: joined by the caller's wg.Wait
 	go func() {
-		ch <- 1
-	}()
-	return ch
-}
-
-// leakRecvNeverClosed: receiving from a channel this package never
-// closes, with no done-like name to vouch for it.
-func leakRecvNeverClosed(feed chan int) {
-	go func() { // want `range over .*feed.*, which no analyzed path closes`
-		for v := range feed {
-			_ = v
-		}
+		defer wg.Done()
+		go busyStep() // want `go statement with no stated lifetime`
 	}()
 }
 
-// okRecvClosed: some path in the package closes the channel, so the
-// range terminates.
-func okRecvClosed() {
-	feedClosed := make(chan int)
-	go func() {
-		for v := range feedClosed {
-			_ = v
-		}
-	}()
-	close(feedClosed)
-}
-
-// okRecvDoneName: a done-named channel is a shutdown signal by
-// convention even when the close lives in another package.
-func okRecvDoneName(done chan struct{}) {
-	go func() {
-		<-done
-	}()
-}
-
-// leakSelectNoEscape: neither case terminates — both receive from
-// channels nothing closes — and there is no default.
-func leakSelectNoEscape(a, b chan int) {
-	go func() { // want `select with no default and no done/close case`
-		select {
-		case <-a:
-		case <-b:
-		}
-	}()
-}
-
-// okSelectDone: the done case gives the loop an exit.
-func okSelectDone(a chan int, done chan struct{}) {
-	go func() {
-		for {
-			select {
-			case <-a:
-			case <-done:
-				return
-			}
-		}
-	}()
-}
-
-// leakInfiniteLoop: `for {}` with no break, return, or panic.
-func leakInfiniteLoop() {
-	go func() { // want `infinite for-loop with no break or return`
-		for {
+// joined carries its argument on the line above.
+func joined(n int) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		//lint:allow goroleak — fixture: wg-joined worker with a bounded body
+		go func() {
+			defer wg.Done()
 			busyStep()
-		}
-	}()
-}
-
-// okBoundedLoop: a plain counted loop terminates.
-func okBoundedLoop() {
-	go func() {
-		for i := 0; i < 10; i++ {
-			busyStep()
-		}
-	}()
-}
-
-// okWaitGroup: Wait always escapes — the analyzers treat WaitGroup
-// discipline (every Add matched by a Done) as the spawner's contract.
-func okWaitGroup(wg *sync.WaitGroup) {
-	go func() {
-		wg.Wait()
-	}()
-}
-
-// leakNamedBlocker: spawning a named function whose summary carries a
-// park risk reports at the spawn, with the callee chain as witness.
-func leakNamedBlocker(feed chan int) {
-	go drainForever(feed) // want `goroutine has no provable termination path: .*drainForever`
-}
-
-func drainForever(feed chan int) {
-	for v := range feed {
-		_ = v
+		}()
 	}
+	wg.Wait()
 }
 
-// okNamedTerminating: a named callee with no park risk is trusted.
-func okNamedTerminating() {
-	go busyStep()
+// sameLine carries it on the spawn's own line.
+func sameLine(done chan struct{}) {
+	go func() { <-done }() //lint:allow goroleak — fixture: ends when the caller closes done
 }
 
-// leakDynamicSpawn: a function value's termination is not analyzable.
-func leakDynamicSpawn(fn func()) {
-	go fn() // want `spawns a function value`
+// docAllowed carries it in the doc comment, covering the whole body.
+//
+//lint:allow goroleak — fixture: the one worker this function starts is joined below
+func docAllowed() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+	}()
+	wg.Wait()
 }
 
-// allowDynamicSpawn: a justified dynamic spawn is suppressed.
-func allowDynamicSpawn(fn func()) {
-	//lint:allow goroleak — fixture: caller joins via its own discipline
-	go fn()
+// stale: the spawn this directive excused is gone.
+func stale() {
+	//lint:allow goroleak — fixture: excused a spawn since deleted // want `suppresses no diagnostic`
+	busyStep()
 }
 
 func busyStep() {}

@@ -1,5 +1,5 @@
-// Test fixture for the simsleep analyzer: this package imports the
-// simulator, so wall-clock sleeps are forbidden.
+// Test fixture for the simclock analyzer's sleep rule: this package
+// imports the simulator, so wall-clock sleeps are forbidden.
 package simsleep
 
 import (
@@ -21,4 +21,9 @@ func shadowed() {
 	type fake struct{}
 	time := struct{ f fake }{}
 	_ = time
+}
+
+//lint:allow simclock — harness pacing documented at the site
+func suppressed() {
+	time.Sleep(time.Millisecond)
 }

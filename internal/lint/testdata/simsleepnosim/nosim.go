@@ -1,4 +1,4 @@
-// Test fixture for the simsleep analyzer's scope: this package does
+// Test fixture for the simclock analyzer's scope: this package does
 // not import the simulator, so wall-clock sleeps are allowed.
 package simsleepnosim
 

@@ -1,5 +1,5 @@
-// Test fixture for the simtimer analyzer: this package imports the
-// simulator, so wall-clock timer constructors are forbidden.
+// Test fixture for the simclock analyzer's timer rule: this package
+// imports the simulator, so wall-clock timer constructors are forbidden.
 package simtimer
 
 import (
@@ -18,7 +18,8 @@ func ticker() {
 	defer t.Stop()
 	tm := time.NewTimer(time.Second) // want `time.NewTimer in simulation code`
 	_ = tm
-	_ = time.Tick(time.Second) // want `time.Tick in simulation code`
+	_ = time.Tick(time.Second)                 // want `time.Tick in simulation code`
+	_ = time.AfterFunc(time.Second, func() {}) // want `time.AfterFunc in simulation code`
 }
 
 func reading() {
@@ -26,7 +27,7 @@ func reading() {
 	_ = time.Since(time.Now()) // so is measuring with it
 }
 
-//lint:allow simtimer — harness pacing documented at the site
+//lint:allow simclock — harness pacing documented at the site
 func suppressed() {
 	<-time.After(time.Millisecond)
 }

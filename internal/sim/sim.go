@@ -80,7 +80,7 @@ func (e *Env) Spawn(fn func(p *Proc)) {
 	p := &Proc{env: e, wake: make(chan struct{})}
 	e.procs++
 	e.schedule(e.now, p.wake)
-	//lint:allow goroleak — sim process: the cooperative scheduler owns termination (Run wakes each process in turn and drains via yield; stopped processes Goexit).
+	//lint:allow goroleak — lifetime bounded by the scheduler: the goroutine ends when fn returns or when Stop wakes it unstarted or unwinds it parked (Goexit), and either way hands the token back on yield before it exits.
 	go func() {
 		// The token goes back only once fn has returned, or Stop has
 		// unwound it, defers and all, so Stop unwinds one process at a

@@ -8,7 +8,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"piql/internal/predict"
 )
 
 func exampleDB(t *testing.T) *DB {
@@ -255,6 +259,81 @@ func TestPublicAPIAdmissionControl(t *testing.T) {
 	}
 	if over.MaxOps != 10 {
 		t.Fatalf("refusal = %+v", over)
+	}
+}
+
+// TestUseSLOModelRacingPrepare installs an SLO model while other
+// goroutines Prepare, and checks that admission then prices plans with
+// that model. Prepare reads the admission policy with no lock, so
+// UseSLOModel must publish a new policy rather than write the model
+// into the one being read: run under -race, an in-place write is a data
+// race here.
+func TestUseSLOModelRacingPrepare(t *testing.T) {
+	m, err := predict.Train(predict.TrainConfig{
+		Nodes: 2, ReplicationFactor: 2, Seed: 1,
+		Intervals: 2, IntervalLength: time.Second, RepsPerInterval: 2,
+		Alphas: []int{1, 10}, AlphaJs: []int{1}, Betas: []int{40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &SLOModel{model: m}
+	// An SLO no prediction can meet: once the model is installed, every
+	// Prepare is refused with the model's own prediction.
+	db := Open(Config{Nodes: 2, Enforce: true, SLO: time.Nanosecond, MaxOps: 100})
+	db.MustExec(`CREATE TABLE users (username VARCHAR(20), bio VARCHAR(140), PRIMARY KEY (username))`)
+	const sql = `SELECT * FROM users WHERE username = ?`
+	q, err := db.Prepare(sql) // no model yet: the latency check is off
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines = 4
+	var ready, done sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for i := 0; i < 10000 && !stop.Load(); i++ {
+				_, err := db.Prepare(sql)
+				if i == 0 {
+					ready.Done()
+				}
+				var over *ErrOverSLO
+				if err != nil && !errors.As(err, &over) {
+					errs <- err
+					break
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	db.UseSLOModel(model)
+	stop.Store(true)
+	done.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	p := db.eng.Admission()
+	if p.Model != m || !p.Enforce || p.SLO != time.Nanosecond || p.MaxOps != 100 {
+		t.Fatalf("admission policy after UseSLOModel = %+v, want the Open policy with the installed model", p)
+	}
+	want, err := model.Predict(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.Prepare(sql)
+	var over *ErrOverSLO
+	if !errors.As(err, &over) {
+		t.Fatalf("Prepare after UseSLOModel: err = %v, want *ErrOverSLO", err)
+	}
+	if got := want.pred.Quantile99(0.9); over.Predicted != got || got <= 0 {
+		t.Fatalf("refusal predicted %v, the installed model predicts %v", over.Predicted, got)
 	}
 }
 
