@@ -13,7 +13,8 @@ vet:
 
 # lint is the static gate: gofmt, go vet, the layering that keeps the
 # static bound derived once (internal/core derives it, internal/analyze
-# words and admits it, internal/predict prices it and imports neither)
+# admits it and words it on demand, internal/predict prices it and
+# imports neither)
 # and statements bound once (internal/engine names no expression type of
 # the AST: internal/core binds, the engine runs what it bound), and
 # piql-vet (the project's own analyzers, then the escape budget) —

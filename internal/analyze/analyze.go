@@ -3,13 +3,14 @@
 // and 6 of the paper). It derives nothing itself: internal/core's one
 // walk yields, per remote operator, the request sets it issues in the
 // worst case — point gets, batch sizes, range-scan limits, join fan-out
-// — and the plan's totals; this package words each as a line of the
-// bound (which pinned limit or declared cardinality constraint it came
-// from), words the first one with no bound as a refusal, and decides
-// admission.
+// — and the plan's totals. The bound keeps those numbers; admission and
+// the SLO model read them, and the words — each request set as a line
+// of the bound naming the pinned limit or declared cardinality
+// constraint it came from — are rendered only when asked for
+// (Bound.Chain, Bound.String, a refusal).
 //
 // The bound doubles as the input to the SLO prediction model
-// (internal/predict): each line carries its request's Θ(α, β), and
+// (internal/predict): each request carries its Θ(α, β), and
 // Bound.Predict is the one way to price a query. An admission Policy
 // combines both: unbounded plans are rejected outright, bounded plans
 // optionally against an operation budget or a predicted-latency SLO.
@@ -25,8 +26,9 @@ import (
 	"piql/internal/schema"
 )
 
-// OpBound is one request set's contribution to the plan bound: a remote
-// operator's own read, or its dereference of secondary-index entries.
+// OpBound is one request set's contribution to the plan bound, in
+// words: a remote operator's own read, or its dereference of
+// secondary-index entries. Bound.Chain renders them.
 type OpBound struct {
 	// Operator is the operator's EXPLAIN label.
 	Operator string
@@ -41,9 +43,6 @@ type OpBound struct {
 	// Derivation explains the bound symbolically: which pinned limit or
 	// declared cardinality constraint it came from.
 	Derivation string
-	// PredictOp is the request's Θ(α, β) for the SLO prediction model
-	// (zero when the operator is unbounded).
-	PredictOp predict.Op
 }
 
 // Bound is the static analysis result for one plan.
@@ -53,10 +52,14 @@ type Bound struct {
 	// Ops is the worst-case total key/value operations per execution
 	// (one page, for paginated queries); core.Unbounded if !Bounded.
 	Ops int
-	// Tuples is the worst-case tuples emitted by the plan root.
+	// Tuples is the worst-case tuples emitted by the plan root. A stop
+	// caps rows, not reads: an unbounded plan under LIMIT n emits at most
+	// n tuples, so its Tuples is n while its Ops is core.Unbounded.
 	Tuples int
-	// Chain lists the remote operators leaf-first with their bounds.
-	Chain []OpBound
+	// Requests are the plan's request sets leaf first
+	// (core.Plan.Requests): the bound as numbers, which admission and the
+	// SLO model read. Chain words them.
+	Requests []core.Request
 	// Offender, Reason, and Suggestions describe the first unbounded
 	// operator when !Bounded.
 	Offender    string
@@ -64,22 +67,40 @@ type Bound struct {
 	Suggestions []string
 }
 
-// Plan words a compiled plan's static bound: one line per request set
-// of core.Plan.Requests, the plan's own totals, and, for the first
-// request with no bound, the refusal. Every plan the PIQL compiler
-// emits is bounded (the compiler rejects the rest); plans from the
-// cost-based baseline optimizer (Section 8.3) may carry unbounded scans.
+// Plan takes a compiled plan's static bound: its request sets
+// (core.Plan.Requests), its own totals, and, for the first request with
+// no bound, the refusal. A bounded plan's bound is numbers only; Chain
+// and String word it on demand. Every plan the PIQL compiler emits is
+// bounded (the compiler rejects the rest); plans from the cost-based
+// baseline optimizer (Section 8.3) may carry unbounded scans.
 func Plan(p *core.Plan) *Bound {
-	reqs := p.Requests()
-	b := &Bound{Bounded: true, Ops: p.OpBound(), Tuples: p.TupleBound(), Chain: make([]OpBound, 0, len(reqs))}
-	for _, r := range reqs {
+	b := &Bound{Bounded: true, Ops: p.OpBound(), Tuples: p.TupleBound(), Requests: p.Requests()}
+	for _, r := range b.Requests {
 		if r.Ops == core.Unbounded {
 			b.refuse(r)
 			break
 		}
-		b.Chain = append(b.Chain, wordRequest(r))
 	}
 	return b
+}
+
+// Chain words the bound leaf first, one line per request set; an
+// unbounded plan's chain ends at its offender.
+func (b *Bound) Chain() []OpBound {
+	chain := make([]OpBound, 0, len(b.Requests))
+	for _, r := range b.Requests {
+		if r.Ops == core.Unbounded {
+			return append(chain, OpBound{
+				Operator:   b.Offender,
+				Kind:       "unbounded",
+				Ops:        core.Unbounded,
+				Tuples:     core.Unbounded,
+				Derivation: b.Reason,
+			})
+		}
+		chain = append(chain, wordRequest(r))
+	}
+	return chain
 }
 
 // predictKinds maps a request's shape onto the operator model that
@@ -90,30 +111,43 @@ var predictKinds = [...]predict.OpKind{
 	core.PerKeyRanges: predict.KindSortedJoin,
 }
 
+// operator labels a request set's operator: its EXPLAIN label, or, for
+// a dereference, the table whose records it gets.
+func operator(r core.Request) string {
+	if r.Deref {
+		switch n := r.Node.(type) {
+		case *core.IndexScan:
+			return "└ deref " + n.Table.Name
+		case *core.SortedIndexJoin:
+			return "└ deref " + n.Table.Name
+		}
+	}
+	return r.Node.Label()
+}
+
 // wordRequest renders one bounded request set as a line of the bound.
 func wordRequest(r core.Request) OpBound {
-	var table *schema.Table
 	var kind, d string
 	switch n := r.Node.(type) {
 	case *core.PKLookup:
-		table, kind = n.Table, "point gets"
-		d = fmt.Sprintf("%d batched random get(s), one per bound primary key of %s", r.Alpha, table.Name)
+		kind = "point gets"
+		d = fmt.Sprintf("%d batched random get(s), one per bound primary key of %s", r.Alpha, n.Table.Name)
 		if r.Alpha > 1 {
 			d += fmt.Sprintf(" (IN list expands to %d keys)", r.Alpha)
 		}
 	case *core.IndexScan:
-		table, kind = n.Table, "range scan"
+		kind = "range scan"
 		if r.Deref {
 			d = fmt.Sprintf("%d batched get(s): one primary-key dereference per secondary-index entry", r.Alpha)
 		} else {
 			d = fmt.Sprintf("1 range read of at most %d entries (%s)", r.Fetched, scanLimitSource(n))
 		}
 	case *core.IndexFKJoin:
-		table, kind = n.Table, "point gets"
+		kind = "point gets"
 		d = fmt.Sprintf("%d batched get(s), one per child tuple; the foreign key targets the full primary key of %s, so each joins to at most 1 row",
-			r.Alpha, table.Name)
+			r.Alpha, n.Table.Name)
 	case *core.SortedIndexJoin:
-		table, kind = n.Table, "per-key ranges"
+		kind = "per-key ranges"
 		switch {
 		case r.Deref && r.Tuples < r.Fetched:
 			// Ops stays the worst case, every fetched entry read once: a
@@ -129,23 +163,15 @@ func wordRequest(r core.Request) OpBound {
 			}
 		}
 	}
-	ob := OpBound{
-		Kind:       kind,
-		Ops:        r.Ops,
-		Tuples:     r.Tuples,
-		Derivation: d,
-		PredictOp:  predict.Op{Kind: predictKinds[r.Kind], Alpha: r.Alpha, AlphaJ: r.AlphaJ, Beta: r.Beta},
-	}
 	if r.Deref {
-		ob.Operator, ob.Kind = "└ deref "+table.Name, "deref gets"
-	} else {
-		ob.Operator = r.Node.Label()
+		kind = "deref gets"
 	}
-	return ob
+	return OpBound{Operator: operator(r), Kind: kind, Ops: r.Ops, Tuples: r.Tuples, Derivation: d}
 }
 
 // refuse records the first request set with no bound as the plan's
-// offender: which fan-out is uncapped and what would cap it.
+// offender: which fan-out is uncapped and what would cap it. Only a
+// refusal is worded eagerly.
 func (b *Bound) refuse(r core.Request) {
 	b.Bounded = false
 	b.Offender = r.Node.Label()
@@ -162,13 +188,6 @@ func (b *Bound) refuse(r core.Request) {
 		b.Reason = fmt.Sprintf("join fan-out on %s has no per-key bound: no cardinality constraint covers (%s)", n.Index.String(), cols)
 		b.Suggestions = []string{fmt.Sprintf("declare CARDINALITY LIMIT n (%s) on %s", cols, n.Table.Name)}
 	}
-	b.Chain = append(b.Chain, OpBound{
-		Operator:   b.Offender,
-		Kind:       "unbounded",
-		Ops:        core.Unbounded,
-		Tuples:     core.Unbounded,
-		Derivation: b.Reason,
-	})
 }
 
 // scanLimitSource names where an IndexScan's fetch bound came from:
@@ -224,9 +243,9 @@ func (b *Bound) PredictOps() []predict.Op {
 	if !b.Bounded {
 		return nil
 	}
-	ops := make([]predict.Op, len(b.Chain))
-	for i, ob := range b.Chain {
-		ops[i] = ob.PredictOp
+	ops := make([]predict.Op, len(b.Requests))
+	for i, r := range b.Requests {
+		ops[i] = predict.Op{Kind: predictKinds[r.Kind], Alpha: r.Alpha, AlphaJ: r.AlphaJ, Beta: r.Beta}
 	}
 	return ops
 }
@@ -243,7 +262,7 @@ func (b *Bound) Predict(m *predict.Model) (*predict.Prediction, error) {
 // remote operator with its operation bound and symbolic derivation.
 func (b *Bound) String() string {
 	var sb strings.Builder
-	for _, ob := range b.Chain {
+	for _, ob := range b.Chain() {
 		sb.WriteString(fmt.Sprintf("  %-14s %8s  %s\n", ob.Kind, opsStr(ob.Ops), ob.Derivation))
 	}
 	if b.Bounded {
@@ -347,12 +366,15 @@ type Policy struct {
 	Model *predict.Model
 }
 
-// OperatorChain renders the bound's operators leaf-first for error
-// reporting.
+// OperatorChain labels the bound's operators leaf-first, ending at an
+// unbounded plan's offender, for a refusal to report.
 func (b *Bound) OperatorChain() []string {
-	out := make([]string, len(b.Chain))
-	for i, ob := range b.Chain {
-		out[i] = ob.Operator
+	out := make([]string, 0, len(b.Requests))
+	for _, r := range b.Requests {
+		if r.Ops == core.Unbounded {
+			return append(out, b.Offender)
+		}
+		out = append(out, operator(r))
 	}
 	return out
 }

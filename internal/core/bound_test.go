@@ -79,8 +79,8 @@ func TestZeroFetchLimitIsUnbounded(t *testing.T) {
 		if len(b.Suggestions) == 0 || !strings.Contains(b.Suggestions[0], "CARDINALITY LIMIT n (owner)") {
 			t.Errorf("%s: suggestions = %q", tc.name, b.Suggestions)
 		}
-		if len(b.Chain) == 0 || b.Chain[len(b.Chain)-1].Kind != "unbounded" {
-			t.Errorf("%s: chain = %+v", tc.name, b.Chain)
+		if chain := b.Chain(); len(chain) == 0 || chain[len(chain)-1].Kind != "unbounded" {
+			t.Errorf("%s: chain = %+v", tc.name, chain)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"piql/internal/parser"
 	"piql/internal/schema"
+	"piql/internal/value"
 )
 
 // scadrCatalog builds the SCADr schema from Section 8.1.2: users,
@@ -441,6 +442,50 @@ func TestExplainOutputs(t *testing.T) {
 		if !strings.Contains(logical, want) {
 			t.Errorf("logical explain missing %q:\n%s", want, logical)
 		}
+	}
+}
+
+// TestKeyExprString: a key expression keeps no pre-rendered text, so
+// String words each kind on demand — a literal as its value, a
+// parameter as it was written, a child column by the name it was given
+// — in exactly the text labels and EXPLAIN have always shown.
+func TestKeyExprString(t *testing.T) {
+	for _, tc := range []struct {
+		e    KeyExpr
+		want string
+	}{
+		{constExpr(value.Str(`it's "x"`)), `"it's \"x\""`},
+		{constExpr(value.Int(-42)), "-42"},
+		{constExpr(value.Float(2.5)), "2.5"},
+		{constExpr(value.Null()), "NULL"},
+		{constExpr(value.Bool(true)), "true"},
+		{constExpr(value.Bytes([]byte{0x00, 0xff})), "x'00ff'"},
+		{paramExpr(parser.Param{Index: 1, Name: "uname"}), "[1: uname]"},
+		{paramExpr(parser.Param{Index: 3}), "[3]"},
+		{childColExpr(4, "s.target"), "s.target"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("%+v: String() = %q, want %q", tc.e, got, tc.want)
+		}
+	}
+}
+
+// TestExplainUnboundedHeader: the header of an unbounded plan's EXPLAIN
+// states its totals the way its operator lines do, ∞ for no bound — and
+// a stop above an unbounded scan still caps the tuples.
+func TestExplainUnboundedHeader(t *testing.T) {
+	cat := scadrCatalog(t)
+	stmt, err := parser.Parse(`SELECT * FROM subscriptions WHERE target = [1: t] LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := CompileCostBased(cat, stmt.(*parser.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "-- bound: ∞ key/value operations, 5 tuples\n"
+	if got := plan.Explain(); !strings.HasPrefix(got, want) || !strings.Contains(got, "ops<=∞") {
+		t.Errorf("EXPLAIN =\n%s\nwant it to open with %q", got, want)
 	}
 }
 

@@ -150,7 +150,7 @@ func (p *Plan) Explain() string {
 		lines = append(lines, fmt.Sprintf("%s   [tuples<=%s ops<=%s]\n", n.Label(), boundStr(tuples), boundStr(ops)))
 	})
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "-- bound: %d key/value operations, %d tuples\n", p.ops, p.tuples)
+	fmt.Fprintf(&sb, "-- bound: %s key/value operations, %s tuples\n", boundStr(p.ops), boundStr(p.tuples))
 	if p.Pager != nil {
 		fmt.Fprintf(&sb, "-- cursor: a position in %s\n", p.Pager.Label())
 	}

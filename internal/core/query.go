@@ -64,12 +64,13 @@ func boundMin(a, b int) int {
 
 // KeyExpr is a value source for a key component or comparison: a
 // literal, a query parameter, or a column of the combined outer row.
+// Its text is rendered when asked for, not when it is bound.
 type KeyExpr struct {
 	kind     keyExprKind
 	constant value.Value
-	param    int // 1-based
-	childCol int // combined-row index
-	display  string
+	param    int    // 1-based
+	childCol int    // combined-row index
+	name     string // a parameter's name, or the child column's display name
 }
 
 type keyExprKind int
@@ -81,18 +82,27 @@ const (
 )
 
 func constExpr(v value.Value) KeyExpr {
-	return KeyExpr{kind: keyConst, constant: v, display: v.String()}
+	return KeyExpr{kind: keyConst, constant: v}
 }
 
 func paramExpr(p parser.Param) KeyExpr {
-	return KeyExpr{kind: keyParam, param: p.Index, display: p.String()}
+	return KeyExpr{kind: keyParam, param: p.Index, name: p.Name}
 }
 
 func childColExpr(idx int, display string) KeyExpr {
-	return KeyExpr{kind: keyChildCol, childCol: idx, display: display}
+	return KeyExpr{kind: keyChildCol, childCol: idx, name: display}
 }
 
-func (e KeyExpr) String() string { return e.display }
+func (e KeyExpr) String() string {
+	switch e.kind {
+	case keyConst:
+		return e.constant.String()
+	case keyParam:
+		return parser.Param{Index: e.param, Name: e.name}.String()
+	default:
+		return e.name
+	}
+}
 
 // Eval resolves the expression against query parameters and (for child
 // column references) the combined outer row.

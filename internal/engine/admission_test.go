@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"piql/internal/analyze"
@@ -157,8 +158,9 @@ func TestAdmissionRefusesUnbounded(t *testing.T) {
 	if !errors.As(err, &eu) {
 		t.Fatalf("got %v, want *analyze.ErrUnbounded", err)
 	}
-	if len(eu.Chain) == 0 || len(eu.Suggestions) == 0 {
-		t.Errorf("refusal lacks context: %+v", eu)
+	want := []string{`IndexScan(subscriptions(target, owner, approved), key=([1: t]), ascending=true, UNBOUNDED)`}
+	if !slices.Equal(eu.Chain, want) || len(eu.Suggestions) == 0 {
+		t.Errorf("refusal = %+v, want chain %q and suggestions", eu, want)
 	}
 	// Bounded traffic is unaffected by enforcement.
 	if _, err := s.Prepare(`SELECT * FROM subscriptions WHERE owner = [1: o]`); err != nil {
@@ -186,8 +188,8 @@ func TestAdmissionOpBudget(t *testing.T) {
 	if !errors.As(err, &eo) {
 		t.Fatalf("got %v, want *analyze.ErrOverSLO", err)
 	}
-	if eo.Ops != 5 || eo.MaxOps != 3 {
-		t.Errorf("refusal = %+v, want ops 5 over budget 3", eo)
+	if want := []string{"PKLookup(users, keys=5)"}; eo.Ops != 5 || eo.MaxOps != 3 || !slices.Equal(eo.Chain, want) {
+		t.Errorf("refusal = %+v, want ops 5 over budget 3 and chain %q", eo, want)
 	}
 	eng.SetAdmission(nil)
 	if _, err := s.Prepare(over); err != nil {

@@ -425,7 +425,7 @@ func TestSortedJoinDanglingSurvivors(t *testing.T) {
 			}
 		}
 		derefBound := 0
-		for _, ob := range q.Bound().Chain {
+		for _, ob := range q.Bound().Chain() {
 			if ob.Kind == "deref gets" {
 				derefBound = ob.Ops
 			}

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"piql/internal/analyze"
@@ -42,8 +43,9 @@ func TestAdmissionProtectsGoodTenant(t *testing.T) {
 	if !errors.As(res.RefusalErr, &unb) {
 		t.Fatalf("refusal error = %v (%T), want *analyze.ErrUnbounded", res.RefusalErr, res.RefusalErr)
 	}
-	if unb.Operator == "" || len(unb.Chain) == 0 {
-		t.Errorf("refusal carries no operator chain: %+v", unb)
+	const scan = `IndexScan(subscriptions(target, owner, approved), key=([1: t]), ascending=true, UNBOUNDED)`
+	if unb.Operator != scan || !slices.Equal(unb.Chain, []string{scan}) {
+		t.Errorf("refusal = %+v, want operator and chain %q", unb, scan)
 	}
 	// The scan must visibly hurt the good tenant, and enforcement must
 	// undo the damage.

@@ -315,7 +315,7 @@ func (q *Query) Execute(params ...Value) (*Result, error) {
 func (q *Query) OpBound() int { return q.pre.Bound().Ops }
 
 // Bound returns the full static analysis: the per-operator operation
-// bounds with their symbolic derivations.
+// bounds, whose symbolic derivations Bound.Chain and Bound.String word.
 func (q *Query) Bound() *Bound { return q.pre.Bound() }
 
 // Explain renders the physical plan with per-operator bounds.
