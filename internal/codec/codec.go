@@ -84,6 +84,25 @@ func AppendValue(dst []byte, v value.Value, desc bool) []byte {
 	return dst
 }
 
+// Size returns the number of bytes AppendValue appends for v, in either
+// direction, so a caller can size one buffer for several keys up front.
+func Size(v value.Value) int {
+	switch v.T {
+	case value.TypeNull:
+		return 1
+	case value.TypeBool:
+		return 2
+	case value.TypeInt, value.TypeFloat:
+		return 9
+	case value.TypeString, value.TypeBytes:
+		// The tag, the payload with each 0x00 escaped to two bytes, and the
+		// two-byte terminator.
+		return 1 + len(v.S) + strings.Count(v.S, "\x00") + 2
+	default:
+		panic(fmt.Sprintf("codec: unknown value type %d", v.T))
+	}
+}
+
 func appendEscaped(dst []byte, payload string) []byte {
 	for i := 0; i < len(payload); i++ {
 		if b := payload[i]; b == escByte {
@@ -299,13 +318,20 @@ func floatFromSortBits(u uint64) float64 {
 // given prefix, or nil if no such key exists (prefix is all 0xFF). It is
 // used as the exclusive upper bound of prefix range scans.
 func PrefixEnd(prefix []byte) []byte {
-	end := make([]byte, len(prefix))
-	copy(end, prefix)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xFF {
-			end[i]++
-			return end[:i+1]
+	return AppendPrefixEnd(nil, prefix)
+}
+
+// AppendPrefixEnd appends PrefixEnd(prefix) to dst. A prefix with no end
+// appends nothing, so AppendPrefixEnd(nil, prefix) is PrefixEnd(prefix),
+// nil included. The end is never longer than prefix, and prefix may lie
+// in dst's own backing array below len(dst).
+func AppendPrefixEnd(dst, prefix []byte) []byte {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xFF {
+			dst = append(dst, prefix[:i+1]...)
+			dst[len(dst)-1]++
+			return dst
 		}
 	}
-	return nil
+	return dst
 }

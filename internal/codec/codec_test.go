@@ -167,6 +167,68 @@ func TestPrefixEndBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestSizeIsEncodedLength: Size is the number of bytes AppendValue
+// appends, in both directions — what a caller sizes one buffer for
+// several keys by. Half the draws are strings and blobs dense in 0x00,
+// each of which the encoding escapes to two bytes.
+func TestSizeIsEncodedLength(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		v := randomValue(r)
+		if r.Intn(2) == 0 {
+			b := make([]byte, r.Intn(10))
+			for i := range b {
+				if r.Intn(2) == 0 {
+					b[i] = byte(r.Intn(256))
+				}
+			}
+			if v = value.Str(string(b)); r.Intn(2) == 0 {
+				v = value.Bytes(b)
+			}
+		}
+		for _, desc := range []bool{Asc, Desc} {
+			if got := len(AppendValue([]byte{0xAA}, v, desc)) - 1; got != Size(v) {
+				t.Logf("%v (desc=%v): AppendValue appends %d bytes, Size says %d", v, desc, got, Size(v))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendPrefixEnd: AppendPrefixEnd(dst, p) is dst followed by
+// PrefixEnd(p), and a prefix with no end appends nothing — so from nil it
+// is PrefixEnd itself, its nil included. Prefixes are drawn heavy in 0xFF,
+// and p is also given where an operator's key buffer holds it: in dst's
+// own array, below its length.
+func TestAppendPrefixEnd(t *testing.T) {
+	if got := AppendPrefixEnd(nil, []byte{0xFF, 0xFF}); got != nil {
+		t.Errorf("AppendPrefixEnd(nil, ff ff) = % x, want nil", got)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := make([]byte, r.Intn(6))
+		for i := range p {
+			if p[i] = 0xFF; r.Intn(3) == 0 {
+				p[i] = byte(r.Intn(256))
+			}
+		}
+		want := PrefixEnd(p)
+		if got := AppendPrefixEnd(nil, p); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			return false
+		}
+		buf := append([]byte{7}, p...)
+		got := AppendPrefixEnd(buf, buf[1:])
+		return bytes.Equal(got[:len(buf)], append([]byte{7}, p...)) && bytes.Equal(got[len(buf):], want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDecodeKeyErrors(t *testing.T) {
 	good := EncodeKey(value.Row{value.Str("hi"), value.Int(1)}, nil)
 	if _, err := DecodeKey(good[:3], 2, nil); err == nil {

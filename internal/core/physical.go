@@ -263,15 +263,16 @@ func predsStr(preds []LocalPred) string {
 	return strings.Join(parts, " AND ")
 }
 
-// Eval resolves a KeySpec against query parameters and an outer row.
-func (ks KeySpec) Eval(params []value.Value, outer value.Row) (value.Row, error) {
-	row := make(value.Row, len(ks))
-	for i, e := range ks {
+// AppendEval resolves a KeySpec against query parameters and an outer row,
+// appending one value per key column to dst: a caller that encodes the
+// key and drops the values passes a row on its own stack.
+func (ks KeySpec) AppendEval(dst value.Row, params []value.Value, outer value.Row) (value.Row, error) {
+	for _, e := range ks {
 		v, err := e.Eval(params, outer)
 		if err != nil {
 			return nil, err
 		}
-		row[i] = v
+		dst = append(dst, v)
 	}
-	return row, nil
+	return dst, nil
 }

@@ -598,7 +598,7 @@ func (s *Session) write(w *core.Write, params []value.Value) error {
 	var pk, old value.Row // what an UPDATE or DELETE names: its key, the row under it
 	if w.Key != nil {
 		var err error
-		if pk, err = w.Key.Eval(params, nil); err != nil {
+		if pk, err = w.Key.AppendEval(make(value.Row, 0, len(w.Key)), params, nil); err != nil {
 			return err
 		}
 		if w.Row == nil { // DELETE
@@ -619,7 +619,7 @@ func (s *Session) write(w *core.Write, params []value.Value) error {
 			return fmt.Errorf("engine: corrupt record: %w", err)
 		}
 	}
-	row, err := w.Row.Eval(params, old)
+	row, err := w.Row.AppendEval(make(value.Row, 0, len(w.Row)), params, old)
 	if err != nil {
 		return err
 	}

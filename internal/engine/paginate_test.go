@@ -26,11 +26,20 @@ func TestPaginateEveryShape(t *testing.T) {
 		fkJoin     = `SELECT t.ts FROM thoughts t JOIN cats c WHERE t.owner = ? AND c.cid = t.cid ORDER BY t.ts DESC`
 		stream     = `SELECT thoughts.owner, thoughts.ts FROM subs s JOIN thoughts WHERE thoughts.owner = s.target AND s.owner = ?`
 		byCategory = stream + ` ORDER BY thoughts.cid, thoughts.ts`
+		// Two child rows join the same owner: two streams with one prefix.
+		twice = `SELECT f.slot, thoughts.owner, thoughts.ts FROM follows f JOIN thoughts WHERE thoughts.owner = f.target AND f.owner = ?`
 	)
 	do := func(s *Session, sql string, params ...value.Value) {
 		t.Helper()
 		if err := s.Exec(sql, params...); err != nil {
 			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	followTwice := func(s *Session) {
+		do(s, `CREATE TABLE follows (owner VARCHAR(20), slot INT, target VARCHAR(20), PRIMARY KEY (owner, slot),
+			CARDINALITY LIMIT 10 (owner))`)
+		for slot, target := range []string{"o1", "o1", "o2"} {
+			do(s, `INSERT INTO follows VALUES ('me', ?, ?)`, value.Int(int64(slot+1)), value.Str(target))
 		}
 	}
 	for _, tc := range []struct {
@@ -79,6 +88,10 @@ func TestPaginateEveryShape(t *testing.T) {
 					}
 				}
 			}},
+		{name: "sort+stop sorted join, two streams with one join key", sql: twice + ` ORDER BY thoughts.ts DESC`,
+			arg: "me", k: 5, rows: 36, plan: "stop=5", prep: followTwice},
+		{name: "cardinality sorted join, two streams with one join key", sql: twice,
+			arg: "me", k: 5, rows: 36, plan: "limitHint=50", prep: followTwice},
 		{name: "the empty result, scan", sql: scan, arg: "nobody", k: 3, plan: "IndexScan"},
 		{name: "the empty result, sorted join", sql: stream + ` ORDER BY thoughts.ts DESC`, arg: "nobody", k: 3, plan: "SortedIndexJoin"},
 	} {

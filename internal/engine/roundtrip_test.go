@@ -210,7 +210,9 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 			t.Fatalf("thoughtstream: %v rows, err %v", res, err)
 		}
 	})
-	const want = 32 // 56 until each operator decoded its strings into one arena
+	// 56 until each operator decoded its strings into one arena, 32 until
+	// each encoded its keys into one buffer.
+	const want = 22
 	if allocs != want {
 		t.Fatalf("exec.Run(thoughtstream, K=3): %v allocs, pinned at %d", allocs, want)
 	}
@@ -511,13 +513,13 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 // TestDerefRunAllocations pins what one exec.Run allocates when it
 // dereferences a secondary index: a token-index search, alone and joined
 // through a foreign key (TPC-W's searchByTitle), at 10 and at 50 matching
-// entries. The record keys of a dereference are carved from one buffer, no
-// entry is decoded and a decoded row's strings land in its operator's one
-// arena, so 40 more entries cost what 40 more kept rows cost and nothing
-// per entry: nothing at all for the scan, and under the join the key row
-// and the key runFKJoin still builds per child row (ROADMAP 9(d)). The
-// only other term is the store's: Client.Scan's result outgrows its
-// 16-entry pre-size twice on the way to 50.
+// entries. Every key an operator sends — the scan's bounds, the record
+// keys of its dereference, the join's record keys — is carved from one
+// buffer, no entry is decoded and a decoded row's strings land in its
+// operator's one arena, so 40 more entries cost nothing per entry or per
+// kept row, scan and join alike. The only term that grows is the store's:
+// Client.Scan's result outgrows its 16-entry pre-size twice on the way
+// to 50.
 func TestDerefRunAllocations(t *testing.T) {
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2}, nil)
 	s := New(cluster).Session(nil)
@@ -547,12 +549,12 @@ func TestDerefRunAllocations(t *testing.T) {
 	}
 	const scanGrowth = 2
 	for _, tc := range []struct {
-		name, sql    string
-		at10, perRow float64 // allocations at 10 entries, and per further kept row
+		name, sql string
+		at10      float64 // allocations at 10 entries
 	}{
-		{name: "token scan", at10: 15, perRow: 0,
+		{name: "token scan", at10: 13,
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 39, perRow: 2, // runFKJoin's key row and key
+		{name: "token scan + fk join", at10: 18,
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {
@@ -570,9 +572,9 @@ func TestDerefRunAllocations(t *testing.T) {
 			})
 		}
 		at10, at50 := run("ten", 10), run("fifty", 50)
-		if want50 := tc.at10 + 40*tc.perRow + scanGrowth; at10 != tc.at10 || at50 != want50 {
-			t.Errorf("%s: %v allocs at 10 entries, %v at 50; pinned at %v and %v (%v per further row)",
-				tc.name, at10, at50, tc.at10, want50, tc.perRow)
+		if want50 := tc.at10 + scanGrowth; at10 != tc.at10 || at50 != want50 {
+			t.Errorf("%s: %v allocs at 10 entries, %v at 50; pinned at %v and %v",
+				tc.name, at10, at50, tc.at10, want50)
 		}
 	}
 }

@@ -11,8 +11,10 @@
 // allocation for all of their values (a slab) and carves the rows out
 // of it; it knows the records it is about to decode too, so it grows one
 // string arena by their exact value.StringBytes and decodes every string
-// and blob of the batch into it. An operator's cost is its slab, its
-// string arena and nothing per row. The sorted join
+// and blob of the batch into it; and it knows the keys it is about to
+// send, so it evaluates them into a row on its stack and encodes them all
+// into one buffer sized by codec.Size. An operator's cost is its slab, its
+// string arena and its key buffer, and nothing per row. The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort
 // key, and only the entries the query keeps are dereferenced and
@@ -112,10 +114,11 @@ type executor struct {
 
 // cursor is what a page leaves for the next.
 type cursor struct {
-	pos     []byte            // a paging scan: the last key the page consumed
-	at      map[string][]byte // a paging sorted join: the suffix each stream resumed after,
-	streams []stream          // and the streams with the last one this page consumed
-	drained bool              // the pager has nothing left to hand out
+	pos     []byte                   // a paging scan: the last key the page consumed
+	at      map[string][]byte        // a paging sorted join: the suffix each stream resumed after, by stream key,
+	streams []stream                 // the streams with the last one this page consumed,
+	origin  map[*value.Value]*stream // and the stream each row it joined came from, by the row's first cell
+	drained bool                     // the pager has nothing left to hand out
 }
 
 func (e *executor) run(n core.Physical) ([]value.Row, error) {

@@ -15,15 +15,93 @@ import (
 	"piql/internal/value"
 )
 
-// runPKLookup fetches at most one record per key.
-func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
-	keys := make([][]byte, 0, len(n.Keys))
-	for _, spec := range n.Keys {
-		pk, err := spec.Eval(e.ctx.Params, nil)
+// An operator builds its keys in two passes. The first evaluates its key
+// specs into a row on its own stack (an [8]value.Value; a key of more
+// columns grows onto the heap) and sums codec.Size; the second encodes
+// every key into one buffer of that size and carves each key from it. An
+// operator's keys cost that buffer and the slice of their headers, never
+// an allocation per key. The row stays on the stack only while nothing it
+// is passed to keeps it: escape.budget gates the builders.
+
+// keySpace returns what every key of ix starts with — the table's record
+// prefix for the primary index, else the index's namespace — and the
+// direction of each component after it (nil: all ascending).
+func keySpace(ix *schema.Index, t *schema.Table) (ns []byte, desc []bool) {
+	if ix.Primary {
+		return index.RecordPrefix(t), nil
+	}
+	return index.IndexPrefix(ix), ix.EntryLayout().Desc[1:]
+}
+
+// keySize is the length of appendKey(nil, ns, vals, desc), whatever desc.
+func keySize(ns []byte, vals value.Row) int {
+	n := len(ns)
+	for _, v := range vals {
+		n += codec.Size(v)
+	}
+	return n
+}
+
+// appendKey appends ns, then vals encoded in the directions desc gives.
+func appendKey(dst, ns []byte, vals value.Row, desc []bool) []byte {
+	dst = append(dst, ns...)
+	for i, v := range vals {
+		dst = codec.AppendValue(dst, v, desc != nil && desc[i])
+	}
+	return dst
+}
+
+// carve returns the key buf[from:], capped at its length so that appending
+// to it can never run into the key after it; nil when it is empty, which
+// for an end is PrefixEnd's "no end".
+func carve(buf []byte, from int) []byte {
+	if len(buf) == from {
+		return nil
+	}
+	return buf[from:len(buf):len(buf)]
+}
+
+// pkRecordKeys builds n record keys of table t: key i is the values of
+// specs[i] or, given outer rows, of specs[0] against outer[i] — a lookup's
+// keys, or a join's one key on each child row.
+func pkRecordKeys(t *schema.Table, n int, specs []core.KeySpec, outer []value.Row, params []value.Value) ([][]byte, error) {
+	var scratch [8]value.Value
+	ns, size := index.RecordPrefix(t), 0
+	for i := 0; i < n; i++ {
+		spec, row := pkSpec(specs, outer, i)
+		pk, err := spec.AppendEval(scratch[:0], params, row)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, index.RecordKeyFromPK(n.Table, pk))
+		size += keySize(ns, pk)
+	}
+	buf, keys := make([]byte, 0, size), make([][]byte, n)
+	for i := range keys {
+		spec, row := pkSpec(specs, outer, i)
+		pk, err := spec.AppendEval(scratch[:0], params, row)
+		if err != nil {
+			return nil, err
+		}
+		from := len(buf)
+		buf = appendKey(buf, ns, pk, nil)
+		keys[i] = carve(buf, from)
+	}
+	return keys, nil
+}
+
+// pkSpec is pkRecordKeys' key i: its spec and the row the spec reads.
+func pkSpec(specs []core.KeySpec, outer []value.Row, i int) (core.KeySpec, value.Row) {
+	if outer == nil {
+		return specs[i], nil
+	}
+	return specs[0], outer[i]
+}
+
+// runPKLookup fetches at most one record per key.
+func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
+	keys, err := pkRecordKeys(n.Table, len(n.Keys), n.Keys, nil, e.ctx.Params)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := e.fetchRecords(keys, n.TableOffset)
 	if err != nil {
@@ -59,65 +137,59 @@ func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) 
 
 // scanBounds computes the byte range of an index scan from its equality
 // prefix and optional inequality bounds, honoring the direction of the
-// range component's encoding.
+// range component's encoding. The prefix, its end and each bound (or its
+// end) share one buffer.
 func scanBounds(n *core.IndexScan, params []value.Value) (start, end []byte, err error) {
-	eq, err := core.KeySpec(n.Eq).Eval(params, nil)
+	var scratch [8]value.Value
+	eq, err := core.KeySpec(n.Eq).AppendEval(scratch[:0], params, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	index.NormalizeTokens(n.Index, eq)
-	var prefix []byte
-	var compDesc bool
-	if n.Index.Primary {
-		prefix = index.RecordPrefix(n.Table)
-		for _, v := range eq {
-			prefix = codec.AppendValue(prefix, v, false)
-		}
-		compDesc = false
-	} else {
-		prefix = index.ScanPrefix(n.Index, eq)
-		if n.Lower != nil || n.Upper != nil {
-			compDesc = index.RangeComponentDesc(n.Index, len(eq))
-		}
-	}
-	start, end = prefix, codec.PrefixEnd(prefix)
-
-	bound := func(b *core.RangeBound, desc bool) ([]byte, error) {
-		v, err := b.Expr.Eval(params, nil)
-		if err != nil {
-			return nil, err
-		}
-		return codec.AppendValue(append([]byte{}, prefix...), v, desc), nil
-	}
+	ns, desc := keySpace(n.Index, n.Table)
 	// In value space Lower/Upper are fixed; in byte space a descending
 	// component swaps their roles.
 	lo, hi := n.Lower, n.Upper
+	compDesc := desc != nil && (lo != nil || hi != nil) && desc[len(eq)]
 	if compDesc {
 		lo, hi = hi, lo
 	}
-	if lo != nil {
-		k, err := bound(lo, compDesc)
-		if err != nil {
+	var vals [2]value.Value     // lo's and hi's
+	size := 2 * keySize(ns, eq) // the prefix and its end
+	for i, b := range [2]*core.RangeBound{lo, hi} {
+		if b == nil {
+			continue
+		}
+		if vals[i], err = b.Expr.Eval(params, nil); err != nil {
 			return nil, nil, err
 		}
-		if lo.Inclusive {
-			start = k
-		} else {
-			start = codec.PrefixEnd(k)
-		}
+		size += 2 * (keySize(ns, eq) + codec.Size(vals[i])) // the bound and its end
 	}
-	if hi != nil {
-		k, err := bound(hi, compDesc)
-		if err != nil {
-			return nil, nil, err
-		}
-		if hi.Inclusive {
-			end = codec.PrefixEnd(k)
-		} else {
-			end = k
-		}
+	buf := appendKey(make([]byte, 0, size), ns, eq, desc)
+	prefix := carve(buf, 0)
+	buf = codec.AppendPrefixEnd(buf, prefix)
+	start, end = prefix, carve(buf, len(prefix))
+	if lo != nil { // an exclusive lower bound starts past every key it prefixes
+		buf, start = appendBound(buf, prefix, vals[0], compDesc, !lo.Inclusive)
+	}
+	if hi != nil { // an inclusive upper bound ends past every key it prefixes
+		_, end = appendBound(buf, prefix, vals[1], compDesc, hi.Inclusive)
 	}
 	return start, end, nil
+}
+
+// appendBound appends to buf the key prefix+v — a range bound on the
+// component after the prefix — and, if past, that key's PrefixEnd after
+// it. It returns buf and the last key it appended.
+func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []byte) {
+	from := len(buf)
+	buf = codec.AppendValue(append(buf, prefix...), v, desc)
+	if !past {
+		return buf, carve(buf, from)
+	}
+	end := len(buf)
+	buf = codec.AppendPrefixEnd(buf, buf[from:])
+	return buf, carve(buf, end)
 }
 
 // fetchRange reads up to limit entries of [start, end), honoring the
@@ -254,13 +326,14 @@ func (e *executor) rewindTo(row value.Row) {
 	case *core.SortedIndexJoin:
 		// A join that merges carries the stop itself; this one laid its
 		// streams end to end. Those before row's keep what they consumed,
-		// row's own ends at row, the rest were not reached.
-		key, reached := entryKeyOf(n.Index, n.Table, n.TableOffset, row), false
+		// row's own ends at row, the rest were not reached. Row's own is the
+		// one it came from: two streams may share a prefix.
+		own, reached := e.cur.origin[&row[0]], false
 		for i := range e.cur.streams {
 			if sc := &e.cur.streams[i]; reached {
 				sc.last = nil
-			} else if reached = bytes.HasPrefix(key, sc.prefix); reached {
-				sc.last = suffixOf(key, sc.prefix)
+			} else if reached = sc == own; reached {
+				sc.last = suffixOf(entryKeyOf(n.Index, n.Table, n.TableOffset, row), sc.prefix)
 			}
 		}
 	}
@@ -275,7 +348,7 @@ func (c *cursor) position() []byte {
 	}
 	for i := range c.streams {
 		if sc := &c.streams[i]; sc.last != nil {
-			c.at[string(sc.prefix)] = sc.last
+			c.at[sc.key] = sc.last
 		}
 	}
 	return encodeStreamResume(c.at)
@@ -297,7 +370,7 @@ func recordKeys(ix *schema.Index, table *schema.Table, n int, entryKey func(i in
 		if buf, err = index.AppendRecordKey(buf, ix, table, entryKey(i)); err != nil {
 			return nil, err
 		}
-		keys[i] = buf[from:len(buf):len(buf)]
+		keys[i] = carve(buf, from)
 	}
 	return keys, nil
 }
@@ -320,13 +393,9 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([][]byte, len(childRows))
-	for i, row := range childRows {
-		pk, err := n.Keys.Eval(e.ctx.Params, row)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = index.RecordKeyFromPK(n.Table, pk)
+	keys, err := pkRecordKeys(n.Table, len(childRows), []core.KeySpec{n.Keys}, childRows, e.ctx.Params)
+	if err != nil {
+		return nil, err
 	}
 	recs, err := e.getBatch(keys)
 	if err != nil {
@@ -351,6 +420,7 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 type stream struct {
 	row        value.Row // the child row every entry of the stream joins to
 	prefix     []byte
+	key        string // paging: the stream's name in the cursor (streamKey)
 	start, end []byte
 	kvs        []kvstore.KV // fetched entries the merge has not handed out yet
 	err        error        // this stream's fetch: each Parallel branch owns its slot
@@ -394,8 +464,9 @@ func nextHead(streams []stream, merge, ascending bool) *stream {
 // fetched. The dereference stays a constant number of request sets: the
 // page and, only if one of its entries was dropped, everything else that
 // was fetched — at most two, no entry read twice. As the pager it keeps
-// one position per join-key stream (a shared one would skip tied sort
-// values in sibling streams), and its merge ends where a stream that came
+// one position per stream (a shared one would skip tied sort values in
+// sibling streams, and two child rows with one join key are two streams
+// over one range), and its merge ends where a stream that came
 // back full runs dry: the store may hold entries of that stream that sort
 // before every other stream's next, and they are the next page's.
 func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
@@ -403,40 +474,19 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	scans, err := openStreams(n, childRows, e.ctx.Params)
+	if err != nil {
+		return nil, err
+	}
 	paging := e.plan.Pager == core.Physical(n)
-	var at map[string][]byte // the suffix each stream resumes after
+	var at map[string][]byte            // paging: the suffix each stream resumes after,
+	var origin map[*value.Value]*stream // and the stream each joined row came from, by its first cell
 	if paging {
 		if at, err = decodeStreamResume(e.ctx.Resume); err != nil {
 			return nil, err
 		}
-	}
-
-	scans := make([]stream, len(childRows))
-	for i, row := range childRows {
-		jk, err := n.JoinKey.Eval(e.ctx.Params, row)
-		if err != nil {
-			return nil, err
-		}
-		var prefix []byte
-		if n.Index.Primary {
-			prefix = index.RecordPrefix(n.Table)
-			for _, v := range jk {
-				prefix = codec.AppendValue(prefix, v, false)
-			}
-		} else {
-			prefix = index.ScanPrefix(n.Index, jk)
-		}
-		start, end := prefix, codec.PrefixEnd(prefix)
-		// Resume this stream just past the last entry an earlier page
-		// consumed of it; prefix + suffix cannot leave the stream's range.
-		if suffix, ok := at[string(prefix)]; ok {
-			if n.Ascending {
-				start = successor(append(append([]byte{}, prefix...), suffix...))
-			} else {
-				end = append(append([]byte{}, prefix...), suffix...)
-			}
-		}
-		scans[i] = stream{row: row, prefix: prefix, start: start, end: end}
+		resumeStreams(scans, at, n.Ascending)
+		origin = make(map[*value.Value]*stream)
 	}
 
 	fetch := func(sub *kvstore.Client, sc *stream, scatter bool) {
@@ -550,14 +600,79 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 				continue
 			}
 			joined = append(joined, row)
+			if origin != nil {
+				origin[&row[0]] = c.sc
+			}
 		}
 	}
 	if paging {
 		// Drained: every entry fetched was consumed and no stream came back
 		// full — one that did has blocked the merge by now.
-		e.cur = &cursor{at: at, streams: scans, drained: consumed == fetched && !blocked}
+		e.cur = &cursor{at: at, streams: scans, origin: origin, drained: consumed == fetched && !blocked}
 	}
 	return joined, nil
+}
+
+// openStreams opens the stream of each child row over the range of its
+// join key: the prefix and the prefix's end of every stream are carved
+// from one buffer.
+func openStreams(n *core.SortedIndexJoin, childRows []value.Row, params []value.Value) ([]stream, error) {
+	var scratch [8]value.Value
+	ns, desc := keySpace(n.Index, n.Table)
+	size := 0
+	for _, row := range childRows {
+		jk, err := n.JoinKey.AppendEval(scratch[:0], params, row)
+		if err != nil {
+			return nil, err
+		}
+		size += 2 * keySize(ns, jk) // the prefix and its end
+	}
+	buf, scans := make([]byte, 0, size), make([]stream, len(childRows))
+	for i, row := range childRows {
+		jk, err := n.JoinKey.AppendEval(scratch[:0], params, row)
+		if err != nil {
+			return nil, err
+		}
+		from := len(buf)
+		buf = appendKey(buf, ns, jk, desc)
+		prefix := carve(buf, from)
+		buf = codec.AppendPrefixEnd(buf, prefix)
+		scans[i] = stream{row: row, prefix: prefix, start: prefix, end: carve(buf, from+len(prefix))}
+	}
+	return scans, nil
+}
+
+// resumeStreams names each stream's position in the cursor (streamKey)
+// and resumes the stream just past the last entry an earlier page consumed
+// of it; prefix + suffix cannot leave the stream's range.
+func resumeStreams(scans []stream, at map[string][]byte, ascending bool) {
+	seen := make(map[string]int) // streams so far with each prefix
+	for i := range scans {
+		sc := &scans[i]
+		sc.key = streamKey(sc.prefix, seen[string(sc.prefix)])
+		seen[string(sc.prefix)]++
+		suffix, ok := at[sc.key]
+		if !ok {
+			continue
+		}
+		if pos := append(append([]byte{}, sc.prefix...), suffix...); ascending {
+			sc.start = successor(pos)
+		} else {
+			sc.end = pos
+		}
+	}
+}
+
+// streamKey names a stream's position in the cursor: its prefix, followed,
+// for every stream after the first with that prefix (two child rows with
+// one join key), by its occurrence among them. Every stream's prefix holds
+// the same number of whole components, so no name is another stream's
+// prefix with bytes appended.
+func streamKey(prefix []byte, occurrence int) string {
+	if occurrence == 0 {
+		return string(prefix)
+	}
+	return string(binary.AppendUvarint(append([]byte{}, prefix...), uint64(occurrence)))
 }
 
 // encodeStreamResume serializes per-stream cursor positions.

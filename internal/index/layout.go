@@ -162,13 +162,6 @@ func ScanPrefix(ix *schema.Index, leading value.Row) []byte {
 	return key
 }
 
-// RangeComponentDesc returns the desc flag of the entry component at
-// position i (0-based over token-then-nontoken order) — needed to encode
-// inequality range bounds.
-func RangeComponentDesc(ix *schema.Index, i int) bool {
-	return ix.EntryLayout().Desc[1+i]
-}
-
 // NormalizeTokens lower-cases the leading token value of a scan prefix,
 // so CONTAINS lookups match the tokenizer's casing regardless of how the
 // search word was supplied. Non-token indexes are untouched.
