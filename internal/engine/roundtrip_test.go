@@ -188,33 +188,51 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 }
 
 // TestSortedJoinRunAllocations pins what one exec.Run of the
-// thoughtstream shape allocates: K=3 streams of 10 primary-index
-// entries merged to a page of 10. Only the page is decoded, into one
-// slab and one string arena per operator, so the count moves with the
-// number of operators and streams, never with the 30 entries fetched or
-// the strings of the 10 rows kept; a change that brings back a
-// per-entry, per-row, per-string or per-branch allocation shows here as
-// an exact difference.
+// thoughtstream shape allocates: K streams of 10 primary-index entries
+// merged to a page of 10, at K=3 and at K=10. Only the page is decoded,
+// into one slab and one string arena per operator, and the K ranges are
+// one request set read into one result buffer, so the count moves with
+// the number of operators, never with the streams, the entries fetched
+// or the strings of the 10 rows kept; a change that brings back a
+// per-entry, per-row, per-string, per-stream or per-branch allocation
+// shows here as an exact difference, and K=10 costing more than K=3 is
+// one per stream.
 func TestSortedJoinRunAllocations(t *testing.T) {
 	s := newRoundTripFixture(t)
+	// "w10" subscribes to ten users, each of whom owns 12 thoughts.
+	for u := 0; u < 10; u++ {
+		name := fmt.Sprintf("u%02d", u)
+		for i := 0; u >= 6 && i < 12; i++ {
+			if err := s.Exec(`INSERT INTO thoughts VALUES (?, ?, 'txt')`, value.Str(name), value.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Exec(`INSERT INTO subscriptions VALUES ('w10', ?, true)`, value.Str(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
 		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
 		ORDER BY thoughts.timestamp DESC LIMIT 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str("u00")}, Strategy: exec.Parallel}
-	allocs := testing.AllocsPerRun(200, func() {
-		res, err := exec.Run(q.Plan(), ctx)
-		if err != nil || len(res.Rows) != 10 {
-			t.Fatalf("thoughtstream: %v rows, err %v", res, err)
-		}
-	})
+	run := func(owner string) float64 {
+		ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str(owner)}, Strategy: exec.Parallel}
+		return testing.AllocsPerRun(200, func() {
+			res, err := exec.Run(q.Plan(), ctx)
+			if err != nil || len(res.Rows) != 10 {
+				t.Fatalf("thoughtstream(%s): %v rows, err %v", owner, res, err)
+			}
+		})
+	}
 	// 56 until each operator decoded its strings into one arena, 32 until
-	// each encoded its keys into one buffer.
-	const want = 22
-	if allocs != want {
-		t.Fatalf("exec.Run(thoughtstream, K=3): %v allocs, pinned at %d", allocs, want)
+	// each encoded its keys into one buffer, 22 until the K ranges went to
+	// the store as one ScanRanges in place of a closure and a result
+	// buffer per stream.
+	const want = 17
+	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
+		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
 	}
 }
 

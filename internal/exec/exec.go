@@ -3,7 +3,12 @@
 // exploit the compiler's limit hints to batch their requests and can
 // issue them in parallel; the three strategies of Section 8.5 —
 // LazyExecutor, SimpleExecutor, ParallelExecutor — differ only in how
-// those requests are issued.
+// those requests are issued. An operator hands each of its request sets
+// to the store in one call — its keys to ReadBatch, its range to Scan, a
+// sorted join's K per-key ranges to ScanRanges — and the strategy only
+// sets that call's ReadOpts: whether the store issues the set's requests
+// concurrently is the store's business, not the operator's, which builds
+// no branch of its own.
 //
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
@@ -13,8 +18,10 @@
 // string arena by their exact value.StringBytes and decodes every string
 // and blob of the batch into it; and it knows the keys it is about to
 // send, so it evaluates them into a row on its stack and encodes them all
-// into one buffer sized by codec.Size. An operator's cost is its slab, its
-// string arena and its key buffer, and nothing per row. The sorted join
+// into one buffer sized by codec.Size. The store answers a request set
+// from one result buffer too. An operator's cost is its slab, its string
+// arena, its key buffer and its result buffer, and nothing per row or per
+// request. The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort
 // key, and only the entries the query keeps are dereferenced and
@@ -41,7 +48,13 @@ const (
 	// hints but waits for each batch before issuing the next.
 	Simple
 	// Parallel batches and issues all of an operator's requests to the
-	// key/value store concurrently (the default).
+	// key/value store concurrently (the default). It hands each request
+	// set to the store in the same one call Simple does, with
+	// ReadOpts.Parallel set: a multiget's per-node batches, a range's
+	// per-partition scans and a sorted join's K per-key ranges then run
+	// as concurrent branches on a simulated client, so the set costs its
+	// slowest request. In immediate mode, where a request is in-memory
+	// work, the store runs them one after another.
 	Parallel
 )
 

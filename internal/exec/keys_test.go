@@ -133,7 +133,7 @@ func TestStreamKeysAreCarved(t *testing.T) {
 	} {
 		ops, plan := keysPlan(t, sql)
 		join := ops[1].(*core.SortedIndexJoin)
-		scans, err := openStreams(join, childRows(plan, ops[0].(*core.IndexScan)), []value.Value{value.Str("me")})
+		scans, reqs, err := openStreams(join, childRows(plan, ops[0].(*core.IndexScan)), []value.Value{value.Str("me")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,10 @@ func TestStreamKeysAreCarved(t *testing.T) {
 			if join.Index.Primary {
 				prefix = index.RecordKeyFromPK(join.Table, value.Row{value.Str(target)})
 			}
-			got = append(got, scans[i].prefix, scans[i].start, scans[i].end)
+			if reqs[i].Limit != join.PerKeyLimit || reqs[i].Reverse == join.Ascending {
+				t.Fatalf("%s: stream %d requests %+v", join.Label(), i, reqs[i])
+			}
+			got = append(got, scans[i].prefix, reqs[i].Start, reqs[i].End)
 			want = append(want, prefix, prefix, codec.PrefixEnd(prefix))
 		}
 		checkCarved(t, join.Label(), got, want)

@@ -192,6 +192,25 @@ func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []
 	return buf, carve(buf, end)
 }
 
+// fetchRanges reads a request set of ranges, honoring the strategy: Lazy
+// walks each range tuple at a time; Simple and Parallel hand the whole
+// set to the store in one ScanRanges, which issues the ranges one after
+// another or concurrently.
+func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, error) {
+	if e.ctx.Strategy != Lazy {
+		out, err := e.ctx.Client.ScanRanges(reqs, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+		return out, degraded(err)
+	}
+	out := make([][]kvstore.KV, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if out[i], err = e.fetchRange(r.Start, r.End, r.Limit, r.Reverse); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // fetchRange reads up to limit entries of [start, end), honoring the
 // strategy: Lazy fetches one entry per request; Simple fetches the whole
 // batch in one request, walking partitions sequentially; Parallel
@@ -417,15 +436,14 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 }
 
 // stream is one child row's pre-sorted run of matching index entries.
+// Its range is the request of the same index in the join's request set.
 type stream struct {
-	row        value.Row // the child row every entry of the stream joins to
-	prefix     []byte
-	key        string // paging: the stream's name in the cursor (streamKey)
-	start, end []byte
-	kvs        []kvstore.KV // fetched entries the merge has not handed out yet
-	err        error        // this stream's fetch: each Parallel branch owns its slot
-	full       bool         // came back with PerKeyLimit entries: the store may hold more
-	last       []byte       // suffix of the last entry this page consumed, kept or dropped
+	row    value.Row // the child row every entry of the stream joins to
+	prefix []byte
+	key    string       // paging: the stream's name in the cursor (streamKey)
+	kvs    []kvstore.KV // fetched entries the merge has not handed out yet
+	full   bool         // came back with PerKeyLimit entries: the store may hold more
+	last   []byte       // suffix of the last entry this page consumed, kept or dropped
 }
 
 // nextHead returns the stream whose head entry comes next in the output,
@@ -456,9 +474,10 @@ func nextHead(streams []stream, merge, ascending bool) *stream {
 }
 
 // runSortedJoin fetches up to PerKeyLimit pre-sorted index entries per
-// child row, merges the streams on their entry keys and turns only the
-// entries the query keeps (n.Stop of them; all, when Stop is 0) into
-// joined rows: those alone are dereferenced, decoded and filtered. An
+// child row — the K ranges one request set — merges the streams on their
+// entry keys and turns only the entries the query keeps (n.Stop of them;
+// all, when Stop is 0) into joined rows: those alone are dereferenced,
+// decoded and filtered. An
 // entry that dangles or fails the residual is replaced by the next one
 // of the merge, so a page is full whenever enough live matches were
 // fetched. The dereference stays a constant number of request sets: the
@@ -474,7 +493,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	scans, err := openStreams(n, childRows, e.ctx.Params)
+	scans, reqs, err := openStreams(n, childRows, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -485,43 +504,19 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		if at, err = decodeStreamResume(e.ctx.Resume); err != nil {
 			return nil, err
 		}
-		resumeStreams(scans, at, n.Ascending)
+		resumeStreams(scans, reqs, at)
 		origin = make(map[*value.Value]*stream)
 	}
 
-	fetch := func(sub *kvstore.Client, sc *stream, scatter bool) {
-		req := kvstore.RangeRequest{Start: sc.start, End: sc.end, Limit: n.PerKeyLimit, Reverse: !n.Ascending}
-		kvs, err := sub.Scan(req, kvstore.ReadOpts{Parallel: scatter})
-		sc.kvs, sc.err = kvs, degraded(err)
-	}
-	switch e.ctx.Strategy {
-	case Parallel:
-		// All K per-key scans concurrently, each itself scatter-gathering
-		// across the partitions its range spans.
-		fns := make([]func(*kvstore.Client), len(scans))
-		for i := range scans {
-			fns[i] = func(sub *kvstore.Client) { fetch(sub, &scans[i], true) }
-		}
-		e.ctx.Client.Parallel(fns...)
-	default:
-		// Lazy and Simple both issue the per-key requests sequentially;
-		// Lazy additionally fetches tuple by tuple.
-		for i := range scans {
-			if sc := &scans[i]; e.ctx.Strategy == Lazy {
-				sc.kvs, sc.err = e.fetchRange(sc.start, sc.end, n.PerKeyLimit, !n.Ascending)
-			} else {
-				fetch(e.ctx.Client, sc, false)
-			}
-		}
+	kvs, err := e.fetchRanges(reqs)
+	if err != nil {
+		return nil, err
 	}
 	fetched := 0
 	for i := range scans {
 		sc := &scans[i]
-		if sc.err != nil {
-			return nil, sc.err
-		}
+		sc.kvs, sc.full = kvs[i], len(kvs[i]) == n.PerKeyLimit
 		fetched += len(sc.kvs)
-		sc.full = len(sc.kvs) == n.PerKeyLimit
 	}
 	want := fetched
 	if n.Stop > 0 && n.Stop < want {
@@ -613,39 +608,42 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	return joined, nil
 }
 
-// openStreams opens the stream of each child row over the range of its
-// join key: the prefix and the prefix's end of every stream are carved
-// from one buffer.
-func openStreams(n *core.SortedIndexJoin, childRows []value.Row, params []value.Value) ([]stream, error) {
+// openStreams opens the stream of each child row and, beside it, the
+// stream's request: up to PerKeyLimit entries of the range of its join
+// key, in the join's direction. The prefix and the prefix's end of every
+// stream are carved from one buffer.
+func openStreams(n *core.SortedIndexJoin, childRows []value.Row, params []value.Value) ([]stream, []kvstore.RangeRequest, error) {
 	var scratch [8]value.Value
 	ns, desc := keySpace(n.Index, n.Table)
 	size := 0
 	for _, row := range childRows {
 		jk, err := n.JoinKey.AppendEval(scratch[:0], params, row)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		size += 2 * keySize(ns, jk) // the prefix and its end
 	}
-	buf, scans := make([]byte, 0, size), make([]stream, len(childRows))
+	buf, scans, reqs := make([]byte, 0, size), make([]stream, len(childRows)), make([]kvstore.RangeRequest, len(childRows))
 	for i, row := range childRows {
 		jk, err := n.JoinKey.AppendEval(scratch[:0], params, row)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		from := len(buf)
 		buf = appendKey(buf, ns, jk, desc)
 		prefix := carve(buf, from)
 		buf = codec.AppendPrefixEnd(buf, prefix)
-		scans[i] = stream{row: row, prefix: prefix, start: prefix, end: carve(buf, from+len(prefix))}
+		scans[i] = stream{row: row, prefix: prefix}
+		reqs[i] = kvstore.RangeRequest{Start: prefix, End: carve(buf, from+len(prefix)), Limit: n.PerKeyLimit, Reverse: !n.Ascending}
 	}
-	return scans, nil
+	return scans, reqs, nil
 }
 
 // resumeStreams names each stream's position in the cursor (streamKey)
-// and resumes the stream just past the last entry an earlier page consumed
-// of it; prefix + suffix cannot leave the stream's range.
-func resumeStreams(scans []stream, at map[string][]byte, ascending bool) {
+// and moves the bound of its request to just past the last entry an
+// earlier page consumed of it; prefix + suffix cannot leave the stream's
+// range.
+func resumeStreams(scans []stream, reqs []kvstore.RangeRequest, at map[string][]byte) {
 	seen := make(map[string]int) // streams so far with each prefix
 	for i := range scans {
 		sc := &scans[i]
@@ -655,10 +653,10 @@ func resumeStreams(scans []stream, at map[string][]byte, ascending bool) {
 		if !ok {
 			continue
 		}
-		if pos := append(append([]byte{}, sc.prefix...), suffix...); ascending {
-			sc.start = successor(pos)
+		if pos := append(append([]byte{}, sc.prefix...), suffix...); reqs[i].Reverse {
+			reqs[i].End = pos
 		} else {
-			sc.end = pos
+			reqs[i].Start = successor(pos)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"piql/internal/core"
 	"piql/internal/engine"
 	"piql/internal/exec"
+	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -31,19 +33,22 @@ type match struct {
 var strategies = []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel}
 
 type joinFixture struct {
-	eng *engine.Engine
-	s   *engine.Session
+	cluster *kvstore.Cluster
+	eng     *engine.Engine
+	s       *engine.Session
 	// thoughts and articles are every row that joins to an approved
-	// subscription of "me".
+	// subscription of "me", whose targets are approved.
 	thoughts, articles []match
+	approved           []string
 	streams            int
+	pads               int // keys splitInside wrote outside every table
 }
 
 func newJoinFixture(t *testing.T, rng *rand.Rand, targets, maxPerTarget int) *joinFixture {
 	t.Helper()
 	cluster := kvstore.New(kvstore.Config{Nodes: 3, ReplicationFactor: 2, Seed: rng.Int64()}, nil)
 	eng := engine.New(cluster)
-	fx := &joinFixture{eng: eng, s: eng.Session(nil)}
+	fx := &joinFixture{cluster: cluster, eng: eng, s: eng.Session(nil)}
 	do := func(sql string, params ...value.Value) {
 		t.Helper()
 		if err := fx.s.Exec(sql, params...); err != nil {
@@ -68,6 +73,7 @@ func newJoinFixture(t *testing.T, rng *rand.Rand, targets, maxPerTarget int) *jo
 		do(`INSERT INTO subscriptions VALUES ('me', ?, ?)`, value.Str(name), value.Bool(approved))
 		if approved {
 			fx.streams++
+			fx.approved = append(fx.approved, name)
 		}
 		// A third of the streams are empty or a row or two long.
 		count := func() int {
@@ -145,6 +151,72 @@ func sortedJoin(t *testing.T, q *engine.Prepared) *core.SortedIndexJoin {
 	return nil
 }
 
+// splitInside rebalances the cluster so that a partition boundary falls
+// inside one of join's streams — the approved target whose range holds
+// the most keys, between its first and its last — and reports whether
+// one held two keys or more. Rebalance splits at every third of the
+// sorted keys (three nodes), so it first pads the key space below or
+// above every table's keys until the first split lands there: a pad
+// below moves the stream up by one key and the split by a third, a pad
+// above moves only the split.
+func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) bool {
+	t.Helper()
+	cl := fx.cluster.NewClient(nil)
+	all, err := cl.Scan(kvstore.RangeRequest{}, kvstore.ReadOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := 0, 0 // the stream's keys are all[a:b]
+	for _, target := range fx.approved {
+		prefix := index.ScanPrefix(join.Index, value.Row{value.Str(target)})
+		if join.Index.Primary {
+			prefix = index.RecordKeyFromPK(join.Table, value.Row{value.Str(target)})
+		}
+		from := sort.Search(len(all), func(i int) bool { return bytes.Compare(all[i].Key, prefix) >= 0 })
+		to := from
+		for to < len(all) && bytes.HasPrefix(all[to].Key, prefix) {
+			to++
+		}
+		if to-from > b-a {
+			a, b = from, to
+		}
+	}
+	if b-a < 2 {
+		return false
+	}
+	if first, last := all[a].Key[0], all[b-1].Key[0]; first == 0x00 || last == 0xff {
+		t.Fatalf("the stream's keys start with %#x and %#x: no room to pad below or above them", first, last)
+	}
+	n, keys := fx.cluster.NumNodes(), len(all)
+	for pad := 0; ; pad++ {
+		below, above := (keys+pad)/n-pad, (keys+pad)/n // the split's position among the unpadded keys
+		var at byte
+		switch {
+		case a < below && below < b:
+			at = 0x00
+		case a < above && above < b:
+			at = 0xff
+		default:
+			continue
+		}
+		for i := 0; i < pad; i++ {
+			fx.pads++
+			if err := cl.Put(fmt.Appendf([]byte{at}, "pad%06d", fx.pads), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		break
+	}
+	fx.cluster.Rebalance()
+	for _, split := range fx.cluster.Splits() {
+		if bytes.Compare(all[a].Key, split) < 0 && bytes.Compare(split, all[b-1].Key) <= 0 {
+			return true
+		}
+	}
+	t.Fatalf("no split of %q lands inside (%q, %q]", fx.cluster.Splits(), all[a].Key, all[b-1].Key)
+	return false
+}
+
 // run executes q under every strategy, requires the three results to be
 // equal row for row, and returns them reduced to matches.
 func (fx *joinFixture) run(t *testing.T, sh shape, q *engine.Prepared) []match {
@@ -204,7 +276,8 @@ func checkAgainstReference(t *testing.T, what string, got, all []match, desc boo
 }
 
 func TestSortedJoinDifferential(t *testing.T) {
-	scans := map[string]bool{} // which (index kind, direction) pairs ran
+	scans := map[string]bool{}    // which (index kind, direction) pairs ran
+	straddled := map[string]int{} // and how often over a stream split in two
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		fx := newJoinFixture(t, rng, 1+rng.IntN(12), 20)
@@ -219,8 +292,17 @@ func TestSortedJoinDifferential(t *testing.T) {
 				if join.Index.Primary != sh.primary || join.Stop != limit || join.PerKeyLimit != limit {
 					t.Fatalf("%s: unexpected join %s", what, join.Label())
 				}
-				scans[fmt.Sprintf("primary=%v ascending=%v", join.Index.Primary, join.Ascending)] = true
+				pair := fmt.Sprintf("primary=%v ascending=%v", join.Index.Primary, join.Ascending)
+				scans[pair] = true
 				checkAgainstReference(t, what+fmt.Sprintf(" LIMIT %d", limit), fx.run(t, sh, q), sh.all(fx), dir == "DESC", limit)
+
+				// A rebalance splits one stream's range in two: each strategy
+				// now reads it from two partitions — Parallel speculatively,
+				// both in full — and every check from here on runs over it.
+				if fx.splitInside(t, join) {
+					straddled[pair]++
+					checkAgainstReference(t, what+fmt.Sprintf(" LIMIT %d, split", limit), fx.run(t, sh, q), sh.all(fx), dir == "DESC", limit)
+				}
 
 				// The whole result, for the pages to be compared with.
 				full := fx.run(t, sh, fx.prepare(t, sh, dir, "LIMIT 500"))
@@ -261,8 +343,8 @@ func TestSortedJoinDifferential(t *testing.T) {
 			}
 		}
 	}
-	if len(scans) != 4 {
-		t.Errorf("want forward and reversed scans of a primary and a secondary index, ran only %v", scans)
+	if len(scans) != 4 || len(straddled) != 4 {
+		t.Errorf("want forward and reversed scans of a primary and a secondary index, each over a split stream; ran %v, split %v", scans, straddled)
 	}
 }
 

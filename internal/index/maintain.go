@@ -252,9 +252,10 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 		}
 		// Over the limit — or the count could not be completed, which
 		// must not admit either: a count that skipped an unreachable
-		// partition is an undercount, and the row would stay past the
-		// limit every static bound rests on. Undo the insert (record
-		// first so readers stop seeing it, then entries).
+		// partition or a record it could not decode is an undercount, and
+		// the row would stay past the limit every static bound rests on.
+		// Undo the insert (record first so readers stop seeing it, then
+		// entries).
 		if err := errors.Join(err, cl.Delete(rkey), m.deleteRowEntries(cl, ixs, t, row)); err != nil {
 			return fail(err)
 		}
@@ -294,8 +295,10 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 	n := 0
 	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
 	for _, kv := range kvs {
+		// A record that does not decode may match: skipping it would
+		// undercount, as a skipped partition would.
 		if _, err := value.DecodeRowInto(other, kv.Value); err != nil {
-			continue
+			return 0, fmt.Errorf("count for %s's cardinality limit: record %q: %w", t.Name, kv.Key, err)
 		}
 		match := true
 		for _, col := range card.Columns {

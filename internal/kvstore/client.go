@@ -23,6 +23,14 @@ import (
 // (one allocation: the generator is a value inside the struct) and runs
 // immediate-mode branches on the caller itself.
 //
+// Reads come in four shapes: Read (one key), ReadBatch (a set of keys),
+// Scan (one range) and ScanRanges (a request set of ranges, a sorted
+// join's one per key). Each is one call however its requests are issued;
+// ReadOpts says whether they go one after another or concurrently.
+// Parallel remains for callers whose branches are not reads of one
+// shape: index maintenance, model training, the write path's replica
+// fan-out and the benchmark's probes.
+//
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
 // until its move completes, so reads never fail mid-rebalance), each
@@ -53,7 +61,7 @@ type Client struct {
 	// allocation-lean. Safe because a Client is single-goroutine and the
 	// scratch is only read (never written) while Parallel children run.
 	byNode map[int][]int // ReadBatch: unique-key indexes grouped by node
-	ids    []int         // ReadBatch: deterministic node order
+	ids    []int         // ReadBatch: deterministic node order; pickParts: each partition's serving node
 	order  []int         // ReadBatch: key indexes sorted for deduplication
 	dups   []int         // ReadBatch: flattened (dup, first) index pairs
 }
@@ -203,9 +211,10 @@ type ReadOpts struct {
 	// From selects the serving replica of each partition.
 	From Replicas
 	// Parallel issues the read's independent requests — ReadBatch's
-	// per-node batches, Scan's and Count's per-partition scans —
-	// concurrently instead of one after another, so the latency is the
-	// slowest request rather than their sum, at the same operation count.
+	// per-node batches, Scan's and Count's per-partition scans,
+	// ScanRanges' ranges — concurrently instead of one after another, so
+	// the latency is the slowest request rather than their sum, at the
+	// same operation count.
 	Parallel bool
 }
 
@@ -368,49 +377,38 @@ type RangeRequest struct {
 //
 // Sequentially, partitions are walked in key order and the walk stops as
 // soon as Limit items are in hand. Under o.Parallel, when the range
-// spans several partitions, the per-partition scans are issued
-// concurrently — each speculatively fetching up to Limit items — then
-// concatenated in key order (partitions are disjoint, ordered byte
-// ranges) and truncated to Limit. Speculation is sound for PIQL because
-// every compiled plan is statically bounded: Limit is always a small
-// constant. Latency becomes the max of the per-partition round trips
-// instead of their sum, at one storage operation per intersecting
-// partition. In immediate mode the per-partition scans run one after the
-// other (see Parallel): they are microseconds of in-memory work.
+// spans several partitions, every partition is visited speculatively —
+// each for up to Limit items, its serving node drawn up front — and the
+// results, in key order (partitions are disjoint, ordered byte ranges),
+// are truncated to Limit. Speculation is sound for PIQL because every
+// compiled plan is statically bounded: Limit is always a small constant.
+// On a simulated client the per-partition scans are concurrent, so the
+// latency is the max of their round trips instead of their sum, at one
+// storage operation per intersecting partition. In immediate mode they
+// run one after the other, appending into the one result: they are
+// microseconds of in-memory work.
 func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
-	lo, hi := rt.rangeParts(req.Start, req.End)
-	if !o.Parallel || lo == hi {
-		step, p, last := 1, lo, hi
-		if req.Reverse {
-			step, p, last = -1, hi, lo
-		}
-		var out []KV
-		for remaining := req.Limit; ; p += step {
-			id := cl.pick(rt, p, o.From)
-			if id < 0 {
-				return nil, cl.c.downErr(rt.owners[p])
-			}
-			kvs := cl.scanPart(cl, rt, p, id, req, remaining)
-			if out == nil {
-				out = kvs // the node's slice is fresh: no copy when one partition serves the request
-			} else {
-				out = append(out, kvs...)
-			}
-			if remaining -= len(kvs); p == last || (req.Limit > 0 && remaining <= 0) {
-				return out, nil
-			}
+	if o.Parallel && cl.proc != nil {
+		if lo, hi := rt.rangeParts(req.Start, req.End); lo != hi {
+			return cl.scatter(rt, req, o.From, lo, hi)
 		}
 	}
-	ids, err := cl.pickParts(rt, lo, hi, o.From)
+	return cl.appendRange(scanBuf(req.Limit), rt, req, o)
+}
+
+// scatter is Scan's concurrent path on a simulated client: one branch
+// per partition in [lo, hi].
+func (cl *Client) scatter(rt *routing, req RangeRequest, from Replicas, lo, hi int) ([]KV, error) {
+	ids, err := cl.pickParts(rt, lo, hi, from)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([][]KV, len(ids))
 	fns := make([]func(*Client), len(ids))
 	for i, id := range ids {
-		fns[i] = func(sub *Client) { parts[i] = cl.scanPart(sub, rt, lo+i, id, req, req.Limit) }
+		fns[i] = func(sub *Client) { parts[i] = cl.scanPart(sub, scanBuf(req.Limit), rt, lo+i, id, req, req.Limit) }
 	}
 	cl.Parallel(fns...)
 	if req.Reverse {
@@ -423,29 +421,145 @@ func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	return out, nil
 }
 
-// scanPart scans the slice of req that partition p holds on node id
-// (limit <= 0: all of it), with sub paying the visit.
-func (cl *Client) scanPart(sub *Client, rt *routing, p, id int, req RangeRequest, limit int) []KV {
-	kvs := cl.c.nodes[id].scan(boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), limit, req.Reverse)
+// appendRange appends what Scan(req, o) returns to dst — the one body of
+// every range read but a simulated client's concurrent scatter. A
+// sequential read walks the partitions in req's direction and stops as
+// soon as Limit items are in hand. Under o.Parallel a range that spans
+// partitions is read as the scatter reads it, one partition after
+// another: every partition visited for up to Limit items, the serving
+// nodes drawn lo..hi up front, the result cut to Limit.
+func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpts) ([]KV, error) {
+	lo, hi := rt.rangeParts(req.Start, req.End)
+	var ids []int // speculating: the serving node of each partition
+	if o.Parallel && lo != hi {
+		var err error
+		if ids, err = cl.pickParts(rt, lo, hi, o.From); err != nil {
+			return nil, err
+		}
+	}
+	step, p, last := 1, lo, hi
+	if req.Reverse {
+		step, p, last = -1, hi, lo
+	}
+	from := len(dst)
+	for limit := req.Limit; ; p += step {
+		var id int
+		if ids != nil {
+			id = ids[p-lo]
+		} else if id = cl.pick(rt, p, o.From); id < 0 {
+			return nil, cl.c.downErr(rt.owners[p])
+		}
+		n := len(dst)
+		if dst = cl.scanPart(cl, dst, rt, p, id, req, limit); ids == nil {
+			limit -= len(dst) - n
+		}
+		if p == last || (req.Limit > 0 && limit <= 0) {
+			break
+		}
+	}
+	if req.Limit > 0 && len(dst)-from > req.Limit {
+		dst = dst[:from+req.Limit]
+	}
+	return dst, nil
+}
+
+// ScanRanges reads a request set of ranges — a sorted join's per-key
+// ranges — in one call: out[i] is what Scan(reqs[i], o) returns, at the
+// same operations and with the same draws from the client's generator.
+// Under o.Parallel on a simulated client each range is a concurrent
+// branch whose child client scans it as Scan does, so the set costs its
+// slowest range. Otherwise the ranges are read one after another under
+// one routing snapshot and appended into one buffer, sized as their
+// Scans' results would be together. Every out[i] has its capacity at its
+// length, so appending to one range cannot overwrite the next. A range
+// that fails fails the set with the error of the first such range and no
+// data; in the sequential case the ranges after it are not read.
+func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
+	out := make([][]KV, len(reqs))
+	if o.Parallel && cl.proc != nil {
+		return cl.scanBranches(out, reqs, o)
+	}
+	rt := cl.c.beginOp()
+	defer cl.c.endOp(rt)
+	size := 0
+	for _, req := range reqs {
+		size += scanCap(req.Limit)
+	}
+	buf := make([]KV, 0, size)
+	for i, req := range reqs {
+		from := len(buf)
+		var err error
+		if buf, err = cl.appendRange(buf, rt, req, o); err != nil {
+			return nil, err
+		}
+		out[i] = buf[from:len(buf):len(buf)]
+	}
+	return out, nil
+}
+
+// rangeSet is one concurrent ScanRanges, which its branches share: they
+// run one at a time on the cooperative scheduler.
+type rangeSet struct {
+	cl     *Client
+	reqs   []RangeRequest
+	o      ReadOpts
+	out    [][]KV
+	err    error
+	failed int // the range err came from
+}
+
+// scanBranches runs each range of reqs as a branch of its own — the draws
+// Client.Parallel over per-range Scans makes — into out.
+func (cl *Client) scanBranches(out [][]KV, reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
+	s := &rangeSet{cl: cl, reqs: reqs, o: o, out: out}
+	branches := make([]func(*sim.Proc), len(reqs))
+	for i := range reqs {
+		branches[i] = func(p *sim.Proc) { s.scan(p, i) }
+	}
+	cl.proc.Parallel(branches...)
+	if s.err != nil {
+		return nil, s.err
+	}
+	return out, nil
+}
+
+// scan is branch i of a rangeSet.
+func (s *rangeSet) scan(p *sim.Proc, i int) {
+	kvs, err := s.cl.child(p).Scan(s.reqs[i], s.o)
+	if err != nil && (s.err == nil || i < s.failed) {
+		s.err, s.failed = err, i
+	}
+	s.out[i] = kvs[:len(kvs):len(kvs)]
+}
+
+// scanPart appends to dst the slice of req that partition p holds on
+// node id (limit <= 0: all of it), with sub paying the visit.
+func (cl *Client) scanPart(sub *Client, dst []KV, rt *routing, p, id int, req RangeRequest, limit int) []KV {
+	from := len(dst)
+	dst = cl.c.nodes[id].scan(dst, boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), limit, req.Reverse)
 	payload := 0
-	for _, kv := range kvs {
+	for _, kv := range dst[from:] {
 		payload += len(kv.Value)
 	}
-	sub.visit(id, max(1, len(kvs)), payload)
-	return kvs
+	sub.visit(id, max(1, len(dst)-from), payload)
+	return dst
 }
 
 // pickParts draws the serving node of every partition in [lo, hi] up
 // front, in partition order on this client's generator: concurrent
 // branches must not touch it, and the draw order stays deterministic.
+// The result is the client's scratch, which ReadBatch shares: good until
+// the client's next read.
 func (cl *Client) pickParts(rt *routing, lo, hi int, from Replicas) ([]int, error) {
-	ids := make([]int, hi-lo+1)
+	cl.ids = slices.Grow(cl.ids[:0], hi-lo+1)
 	for p := lo; p <= hi; p++ {
-		if ids[p-lo] = cl.pick(rt, p, from); ids[p-lo] < 0 {
+		id := cl.pick(rt, p, from)
+		if id < 0 {
 			return nil, cl.c.downErr(rt.owners[p])
 		}
+		cl.ids = append(cl.ids, id)
 	}
-	return ids, nil
+	return cl.ids, nil
 }
 
 // Count returns the number of keys in [start, end), visiting every

@@ -425,7 +425,7 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 		if src < 0 {
 			continue // whole replica set unreachable; sample what we can
 		}
-		for _, kv := range c.nodes[src].scan(lo, hi, 0, false) {
+		for _, kv := range c.nodes[src].scan(nil, lo, hi, 0, false) {
 			keys = append(keys, kv.Key)
 		}
 	}

@@ -279,36 +279,45 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 	return env, true, nil
 }
 
-// scan returns up to limit live items in [start, end), ascending or
-// descending, envelopes stripped and tombstones skipped. limit <= 0
-// means unlimited.
-func (n *node) scan(start, end []byte, limit int, reverse bool) []KV {
+// scan appends to dst up to limit live items in [start, end), ascending
+// or descending, envelopes stripped and tombstones skipped, and returns
+// it. limit <= 0 means unlimited.
+func (n *node) scan(dst []KV, start, end []byte, limit int, reverse bool) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := scanBuf(limit)
+	from := len(dst)
 	visit := func(it btree.Item) bool {
 		if envIsTombstone(it.Value) {
 			return true
 		}
-		out = append(out, KV{Key: it.Key, Value: envValue(it.Value)})
-		return limit <= 0 || len(out) < limit
+		dst = append(dst, KV{Key: it.Key, Value: envValue(it.Value)})
+		return limit <= 0 || len(dst)-from < limit
 	}
 	if reverse {
 		n.tree.Descend(start, end, visit)
 	} else {
 		n.tree.Ascend(start, end, visit)
 	}
-	return out
+	return dst
 }
 
-// scanBuf pre-sizes a limited scan's result. The cap is deliberate: a
-// plan's limit is its static bound (a cardinality limit can be in the
-// thousands) while the range typically holds a page of items.
+// scanBuf pre-sizes a limited scan's result: scanCap(limit) items.
 func scanBuf(limit int) []KV {
 	if limit <= 0 {
 		return nil
 	}
-	return make([]KV, 0, min(limit, 16))
+	return make([]KV, 0, scanCap(limit))
+}
+
+// scanCap is the room a range read of limit items starts with. The cap
+// is deliberate: a plan's limit is its static bound (a cardinality limit
+// can be in the thousands) while the range typically holds a page of
+// items. An unlimited read starts with none.
+func scanCap(limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	return min(limit, 16)
 }
 
 // scanRaw returns up to limit stored envelopes in [start, end),

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,140 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 		for j := range want {
 			if !bytes.Equal(got[i][j].Key, want[j].Key) || !bytes.Equal(got[i][j].Value, want[j].Value) {
 				t.Fatalf("req %d: kv %d differs: %q vs %q", i, j, got[i][j].Key, want[j].Key)
+			}
+		}
+	}
+}
+
+// scanSetRun is what one read of a request set left behind: its items,
+// the operations it counted on its client and on the cluster, and, on a
+// simulated client, the virtual time at return and the client's next
+// draw.
+type scanSetRun struct {
+	out      [][]KV
+	ops      int64
+	totalOps int64
+	now      time.Duration
+	next     uint64
+}
+
+// readScanSet loads and splits a fresh cluster — the same one on every
+// call — and reads reqs with read through a client of its own, on a
+// simulated process when simulated.
+func readScanSet(simulated bool, reqs []RangeRequest, read func(*Client, []RangeRequest) [][]KV) scanSetRun {
+	var env *sim.Env
+	if simulated {
+		env = sim.NewEnv()
+	}
+	c := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: 11}, env)
+	loadAndSplit(c, 500)
+	var r scanSetRun
+	body := func(p *sim.Proc) {
+		cl := c.NewClient(p)
+		r.out = read(cl, reqs)
+		r.ops, r.now, r.next = cl.Ops(), cl.Now(), cl.rng.src.Uint64()
+	}
+	if env == nil {
+		body(nil)
+	} else {
+		env.Spawn(body)
+		env.Run(0)
+		env.Stop()
+	}
+	r.totalOps = c.TotalOps()
+	return r
+}
+
+// TestScanRangesMatchesScans: one ScanRanges reads a request set exactly
+// as the executor read it with one Scan per range — issued through
+// Client.Parallel under Parallel, one after another without: the same
+// items, the same operations on the client and the cluster, and on a
+// simulated client the same virtual time at return and the same next
+// draw. The ranges lie inside one partition or straddle a split, run in
+// both directions, and are limited to 0, 1, 3 and more items than they
+// hold.
+func TestScanRangesMatchesScans(t *testing.T) {
+	probe := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: 11}, nil)
+	loadAndSplit(probe, 500)
+	rt := probe.routing.Load()
+	var reqs []RangeRequest
+	var spans []int64 // partitions each range spans: what Parallel visits
+	straddling, inside := 0, 0
+	for _, split := range probe.Splits() {
+		var s int
+		if _, err := fmt.Sscanf(string(split), "key-%06d", &s); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{s - 5, s + 5}, {s + 10, s + 20}} {
+			lo, hi := rt.rangeParts(key(r[0]), key(r[1]))
+			if lo != hi {
+				straddling++
+			} else {
+				inside++
+			}
+			for _, reverse := range []bool{false, true} {
+				for _, limit := range []int{0, 1, 3, 50} {
+					reqs = append(reqs, RangeRequest{Start: key(r[0]), End: key(r[1]), Limit: limit, Reverse: reverse})
+					spans = append(spans, int64(hi-lo+1))
+				}
+			}
+		}
+	}
+	if straddling == 0 || inside == 0 {
+		t.Fatalf("%d ranges straddle a split and %d lie inside a partition: want some of each", straddling, inside)
+	}
+
+	for _, simulated := range []bool{false, true} {
+		for _, o := range []ReadOpts{{}, {Parallel: true}} {
+			for _, set := range [][]RangeRequest{reqs, reqs[:1], nil} {
+				what := fmt.Sprintf("simulated=%v parallel=%v, %d ranges", simulated, o.Parallel, len(set))
+				got := readScanSet(simulated, set, func(cl *Client, reqs []RangeRequest) [][]KV {
+					return must(cl.ScanRanges(reqs, o))
+				})
+				want := readScanSet(simulated, set, func(cl *Client, reqs []RangeRequest) [][]KV {
+					out := make([][]KV, len(reqs))
+					if !o.Parallel {
+						for i := range reqs {
+							out[i] = must(cl.Scan(reqs[i], o))
+						}
+						return out
+					}
+					fns := make([]func(*Client), len(reqs))
+					for i := range reqs {
+						fns[i] = func(sub *Client) { out[i] = must(sub.Scan(reqs[i], o)) }
+					}
+					cl.Parallel(fns...)
+					return out
+				})
+				if got.ops != want.ops || got.totalOps != want.totalOps || got.now != want.now || got.next != want.next {
+					t.Fatalf("%s: ScanRanges left ops %d, total %d, time %v, next draw %x; the Scans %d, %d, %v, %x",
+						what, got.ops, got.totalOps, got.now, got.next, want.ops, want.totalOps, want.now, want.next)
+				}
+				// Parallel speculates: every partition a range spans is visited,
+				// however few items the limit asks for.
+				var visits int64
+				for _, n := range spans[:len(set)] {
+					visits += n
+				}
+				if o.Parallel && got.ops != visits {
+					t.Fatalf("%s: %d operations, want one per partition spanned, %d", what, got.ops, visits)
+				}
+				if len(got.out) != len(set) {
+					t.Fatalf("%s: %d results", what, len(got.out))
+				}
+				for i, kvs := range got.out {
+					if cap(kvs) != len(kvs) {
+						t.Fatalf("%s: range %d has cap %d past its %d items", what, i, cap(kvs), len(kvs))
+					}
+					if len(kvs) != len(want.out[i]) {
+						t.Fatalf("%s: range %d (%+v) has %d items, its Scan %d", what, i, set[i], len(kvs), len(want.out[i]))
+					}
+					for j := range kvs {
+						if !bytes.Equal(kvs[j].Key, want.out[i][j].Key) || !bytes.Equal(kvs[j].Value, want.out[i][j].Value) {
+							t.Fatalf("%s: range %d item %d is %q, its Scan's %q", what, i, j, kvs[j].Key, want.out[i][j].Key)
+						}
+					}
+				}
 			}
 		}
 	}
