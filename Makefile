@@ -16,7 +16,9 @@ vet:
 # admits it and words it on demand, internal/predict prices it and
 # imports neither)
 # and statements bound once (internal/engine names no expression type of
-# the AST: internal/core binds, the engine runs what it bound), and
+# the AST: internal/core binds, the engine runs what it bound), one
+# experiment rig (no non-test file of internal/harness but rig.go calls
+# kvstore.New or engine.New), and
 # piql-vet (the project's own analyzers, then the escape budget) —
 # see "Static analysis" in README.md. After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
@@ -34,6 +36,8 @@ lint:
 		echo "layering: core derives the bound; it may not import the packages listed above"; exit 1; fi
 	@if grep -nE 'parser\.(Expr|Literal|Param|Predicate|Assignment)\b' $$(ls internal/engine/*.go | grep -v _test.go); then \
 		echo "layering: engine runs bound statements (core.BindWrite, core.Compile); it reads the AST only to tell DDL from DML from SELECT"; exit 1; fi
+	@if grep -nE '\b(kvstore|engine)\.New\(' $$(ls internal/harness/*.go | grep -v _test.go | grep -v '/rig.go$$'); then \
+		echo "layering: every experiment builds its cluster and engine with newRig (internal/harness/rig.go)"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget

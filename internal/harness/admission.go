@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"piql/internal/analyze"
-	"piql/internal/engine"
-	"piql/internal/exec"
 	"piql/internal/kvstore"
 	"piql/internal/sim"
 	"piql/internal/stats"
@@ -67,21 +65,16 @@ const admissionBadSQL = `SELECT * FROM subscriptions WHERE target = [1: t]`
 // phases on a shared engine. The simulation is deterministic for a
 // given config.
 func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	for _, ddl := range fig7DDL {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, err
-		}
+	r, err := newRig(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed}, sim.NewEnv(), fig7DDL)
+	if err != nil {
+		return nil, err
 	}
 	const target = "celeb"
-	if err := loader.Exec(`INSERT INTO users VALUES (?, 'pw')`, value.Str(target)); err != nil {
+	if err := r.loader.Exec(`INSERT INTO users VALUES (?, 'pw')`, value.Str(target)); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.Subscribers; i++ {
-		if err := loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
+		if err := r.loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
 			value.Str(fmt.Sprintf("fan%07d", i+1)), value.Str(target)); err != nil {
 			return nil, err
 		}
@@ -93,26 +86,25 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 	// Warm both plans in immediate mode so index builds happen before
 	// the clock starts; the unbounded plan is admitted because no
 	// enforcement is installed yet.
-	if _, err := loader.Prepare(goodSQL); err != nil {
+	if _, err := r.loader.Prepare(goodSQL); err != nil {
 		return nil, err
 	}
-	if _, err := loader.PrepareCostBased(admissionBadSQL); err != nil {
+	if _, err := r.loader.PrepareCostBased(admissionBadSQL); err != nil {
 		return nil, err
 	}
-	cluster.Rebalance()
+	r.cluster.Rebalance()
 
 	res := &AdmissionResult{}
 	phase := func(withBad, enforce bool) (time.Duration, error) {
 		if enforce {
-			eng.SetAdmission(&analyze.Policy{Enforce: true})
+			r.eng.SetAdmission(&analyze.Policy{Enforce: true})
 		} else {
-			eng.SetAdmission(&analyze.Policy{})
+			r.eng.SetAdmission(&analyze.Policy{})
 		}
 		var goodLat []time.Duration
 		var goodErr, badErr error
-		env.Spawn(func(p *sim.Proc) {
-			s := eng.Session(p)
-			s.SetStrategy(exec.Parallel)
+		r.env.Spawn(func(p *sim.Proc) {
+			s := r.eng.Session(p)
 			q, err := s.Prepare(goodSQL)
 			if err != nil {
 				goodErr = err
@@ -120,25 +112,19 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed + 1))
 			for i := 0; i < cfg.GoodExecutions; i++ {
-				args := make([]value.Value, 0, cfg.Friends+1)
-				args = append(args, value.Str(target))
-				for f := 0; f < cfg.Friends; f++ {
-					args = append(args, value.Str(fmt.Sprintf("fan%07d", 1+rng.Intn(max(1, cfg.Subscribers)))))
-				}
-				t0 := p.Now()
-				if _, err := q.Execute(s, args...); err != nil {
+				lat, err := timed(p, s, q, fig7Args(rng, target, cfg.Friends, cfg.Subscribers)...)
+				if err != nil {
 					goodErr = err
 					return
 				}
-				goodLat = append(goodLat, p.Now()-t0)
+				goodLat = append(goodLat, lat)
 				p.Sleep(2 * time.Millisecond)
 			}
 		})
 		if withBad {
 			for w := 0; w < cfg.BadWorkers; w++ {
-				env.Spawn(func(p *sim.Proc) {
-					s := eng.Session(p)
-					s.SetStrategy(exec.Parallel)
+				r.env.Spawn(func(p *sim.Proc) {
+					s := r.eng.Session(p)
 					for i := 0; i < cfg.BadExecutions; i++ {
 						q, err := s.PrepareCostBased(admissionBadSQL)
 						if err != nil {
@@ -161,7 +147,7 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 				})
 			}
 		}
-		env.Run(0)
+		r.env.Run(0)
 		if goodErr != nil {
 			return 0, goodErr
 		}
@@ -171,7 +157,6 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 		return stats.Percentile(goodLat, 99), nil
 	}
 
-	var err error
 	if res.BaselineP99, err = phase(false, false); err != nil {
 		return nil, err
 	}
@@ -181,7 +166,6 @@ func RunAdmission(cfg AdmissionConfig) (*AdmissionResult, error) {
 	if res.EnforcedP99, err = phase(true, true); err != nil {
 		return nil, err
 	}
-	env.Stop()
 	return res, nil
 }
 

@@ -16,7 +16,7 @@ import (
 	"piql/internal/workload/tpcw"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/bounds.golden from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 // TestWorkloadBoundsGolden pins, for every query of the SCADr and TPC-W
 // workloads and three shapes they lack, the plan, its per-operator bound with the derivation texts,

@@ -157,15 +157,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) { return runChaos(cfg, chao
 
 // runChaos is RunChaos with the storm cut off at limit of virtual time.
 func runChaos(cfg ChaosConfig, limit time.Duration) (*ChaosResult, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 4
-	}
-	if cfg.OpsPerWriter <= 0 {
-		cfg.OpsPerWriter = 200
-	}
 	if cfg.CASWriters > 0 && cfg.CASKeys <= 0 {
 		cfg.CASKeys = 1 // the audit loop must cover every key the fleet touches
 	}
@@ -179,21 +170,19 @@ func runChaos(cfg ChaosConfig, limit time.Duration) (*ChaosResult, error) {
 	if f != nil {
 		kcfg.LeaseDuration = f.lease()
 	}
-	env := sim.NewEnv()
-	cluster := kvstore.New(kcfg, env)
+	r, err := newRig(kcfg, sim.NewEnv(), []string{`CREATE TABLE chaos_rows (
+		id VARCHAR(40), grp VARCHAR(20), body VARCHAR(60),
+		PRIMARY KEY (id))`})
+	if err != nil {
+		return nil, err
+	}
+	env, cluster, eng := r.env, r.cluster, r.eng
 	if f != nil {
 		cluster.SetFailover(!f.DisableFailover)
 		cluster.SetCatchUpReplay(!f.DisableCatchUpReplay)
 	}
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	if err := loader.Exec(`CREATE TABLE chaos_rows (
-		id VARCHAR(40), grp VARCHAR(20), body VARCHAR(60),
-		PRIMARY KEY (id))`); err != nil {
-		return nil, err
-	}
 	for i := 0; i < 200; i++ {
-		if err := loader.Exec(`INSERT INTO chaos_rows VALUES (?, ?, 'seed row')`,
+		if err := r.loader.Exec(`INSERT INTO chaos_rows VALUES (?, ?, 'seed row')`,
 			value.Str(fmt.Sprintf("seed-%04d", i)), value.Str(grpName(i))); err != nil {
 			return nil, err
 		}

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"piql/internal/engine"
 	"piql/internal/exec"
-	"piql/internal/kvstore"
 	"piql/internal/stats"
 )
 
@@ -82,46 +80,14 @@ func (r *ConcurrentResult) Speedup() float64 {
 // parallelism. Worker IDs are unique across the whole sweep so the
 // workloads' writes (carts, orders, thoughts) never collide.
 func RunConcurrent(w Workload, cfg ConcurrentConfig) (*ConcurrentResult, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if len(cfg.Goroutines) == 0 {
-		cfg.Goroutines = []int{1, 2, 4, 8}
-	}
-	if cfg.InteractionsPerGoroutine <= 0 {
-		cfg.InteractionsPerGoroutine = 200
-	}
-
-	cluster := kvstore.New(kvstore.Config{
-		Nodes:             cfg.Nodes,
-		ReplicationFactor: 2,
-		Seed:              cfg.Seed,
-	}, nil)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	for _, ddl := range w.DDL(cfg.Nodes) {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, fmt.Errorf("harness: ddl: %w", err)
-		}
-	}
-	ctx, err := w.Load(loader, cfg.Nodes)
+	r, newInteraction, err := loadWorkload(w, cfg.Nodes, cfg.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Warm the plan cache (building all indexes) before the fleet runs,
-	// then spread the data as the SCADS Director would.
-	if _, err := w.NewInteraction(eng.Session(nil), ctx, -1); err != nil {
-		return nil, err
-	}
-	cluster.Rebalance()
-
 	res := &ConcurrentResult{Workload: w.Name}
 	nextWorker := int64(0)
 	for _, n := range cfg.Goroutines {
-		pt, err := runConcurrentPoint(eng, cluster, w, ctx, cfg, n, &nextWorker)
+		pt, err := runConcurrentPoint(r, newInteraction, cfg, n, &nextWorker)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s at %d goroutines: %w", w.Name, n, err)
 		}
@@ -130,12 +96,11 @@ func RunConcurrent(w Workload, cfg ConcurrentConfig) (*ConcurrentResult, error) 
 	return res, nil
 }
 
-func runConcurrentPoint(eng *engine.Engine, cluster *kvstore.Cluster, w Workload, ctx any,
-	cfg ConcurrentConfig, n int, nextWorker *int64) (ConcurrentPoint, error) {
+func runConcurrentPoint(r *rig, newInteraction NewInteraction, cfg ConcurrentConfig, n int, nextWorker *int64) (ConcurrentPoint, error) {
 	latencies := make([][]time.Duration, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	opsBefore := cluster.TotalOps()
+	opsBefore := r.cluster.TotalOps()
 	start := time.Now()
 	for g := 0; g < n; g++ {
 		workerID := *nextWorker
@@ -144,9 +109,9 @@ func runConcurrentPoint(eng *engine.Engine, cluster *kvstore.Cluster, w Workload
 		//lint:allow goroleak — lifetime bounded by wg: joined by wg.Wait below, and its loop runs at most cfg.InteractionsPerGoroutine interactions.
 		go func(g int, workerID int64) {
 			defer wg.Done()
-			s := eng.Session(nil)
+			s := r.eng.Session(nil)
 			s.SetStrategy(cfg.Strategy)
-			interact, err := w.NewInteraction(s, ctx, workerID)
+			interact, err := newInteraction(s, workerID)
 			if err != nil {
 				errs[g] = err
 				return
@@ -181,7 +146,7 @@ func runConcurrentPoint(eng *engine.Engine, cluster *kvstore.Cluster, w Workload
 		QPS:          float64(len(all)) / elapsed.Seconds(),
 		P99:          stats.Percentile(all, 99),
 		Mean:         stats.Mean(all),
-		StoreOps:     cluster.TotalOps() - opsBefore,
+		StoreOps:     r.cluster.TotalOps() - opsBefore,
 	}, nil
 }
 

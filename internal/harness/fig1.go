@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"piql/internal/engine"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -29,18 +28,15 @@ type Fig1Row struct {
 func RunFig1(sizes []int, seed int64) ([]Fig1Row, error) {
 	var rows []Fig1Row
 	for _, users := range sizes {
-		cluster := kvstore.New(kvstore.Config{Nodes: 4, ReplicationFactor: 1, Seed: seed}, nil)
-		eng := engine.New(cluster)
-		s := eng.Session(nil)
-		for _, ddl := range []string{
+		r, err := newRig(kvstore.Config{Nodes: 4, ReplicationFactor: 1, Seed: seed}, nil, []string{
 			`CREATE TABLE users (username VARCHAR(20), hometown VARCHAR(20), PRIMARY KEY (username))`,
 			`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20),
 				PRIMARY KEY (owner, target), CARDINALITY LIMIT 100 (owner))`,
-		} {
-			if err := s.Exec(ddl); err != nil {
-				return nil, err
-			}
+		})
+		if err != nil {
+			return nil, err
 		}
+		s := r.loader
 		for u := 0; u < users; u++ {
 			name := fmt.Sprintf("u%06d", u)
 			if err := s.Exec(`INSERT INTO users VALUES (?, 'SF')`, value.Str(name)); err != nil {

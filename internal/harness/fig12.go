@@ -75,57 +75,44 @@ func RunFig12(seed int64) (*Fig12Result, error) {
 // on a lightly loaded cluster, reporting p99 latency and mean storage
 // requests per execution.
 func measureFanOutQuery(wcfg tpcw.Config, seed int64) (map[exec.Strategy]time.Duration, map[exec.Strategy]float64, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: 10, ReplicationFactor: 2, Seed: seed}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	for _, ddl := range tpcw.DDL(wcfg) {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, _, err := tpcw.Load(loader, wcfg, 10); err != nil {
-		return nil, nil, err
-	}
-	q, err := loader.Prepare(tpcw.QuerySQL()["New Products WI"])
+	r, err := newRig(kvstore.Config{Nodes: 10, ReplicationFactor: 2, Seed: seed}, sim.NewEnv(), tpcw.DDL(wcfg))
 	if err != nil {
 		return nil, nil, err
 	}
-	cluster.Rebalance()
+	if _, _, err := tpcw.Load(r.loader, wcfg, 10); err != nil {
+		return nil, nil, err
+	}
+	q, err := r.loader.Prepare(tpcw.QuerySQL()["New Products WI"])
+	if err != nil {
+		return nil, nil, err
+	}
+	r.cluster.Rebalance()
 
 	const executions = 400
 	out := make(map[exec.Strategy]time.Duration)
 	outOps := make(map[exec.Strategy]float64)
 	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
 		var lat []time.Duration
-		var ops int64
-		var runErr error
-		strat := strat
-		env.Spawn(func(p *sim.Proc) {
-			s := eng.Session(p)
+		err := r.run(func(p *sim.Proc, s *engine.Session) error {
 			s.SetStrategy(strat)
-			s.Client().ResetOps()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < executions; i++ {
 				subject := tpcw.Subjects[rng.Intn(len(tpcw.Subjects))]
-				t0 := p.Now()
-				if _, err := q.Execute(s, value.Str(subject)); err != nil {
-					runErr = err
-					return
+				d, err := timed(p, s, q, value.Str(subject))
+				if err != nil {
+					return err
 				}
-				lat = append(lat, p.Now()-t0)
+				lat = append(lat, d)
 				p.Sleep(25 * time.Millisecond)
 			}
-			ops = s.Client().Ops()
+			outOps[strat] = float64(s.Client().Ops()) / executions
+			return nil
 		})
-		env.Run(0)
-		if runErr != nil {
-			return nil, nil, runErr
+		if err != nil {
+			return nil, nil, err
 		}
 		out[strat] = stats.Percentile(lat, 99)
-		outOps[strat] = float64(ops) / executions
 	}
-	env.Stop()
 	return out, outOps, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"piql/internal/analyze"
 	"piql/internal/core"
 	"piql/internal/engine"
-	"piql/internal/exec"
 	"piql/internal/kvstore"
 	"piql/internal/parser"
 	"piql/internal/predict"
@@ -110,24 +109,19 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	// exactly S subscriptions, targets with enough thoughts per page.
 	maxSubs := cfg.ActualSubs[len(cfg.ActualSubs)-1]
 	maxPage := cfg.ActualPages[len(cfg.ActualPages)-1]
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: 10, ReplicationFactor: 2, Seed: cfg.Seed}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	ddl := scadr.DDL(scadr.Config{MaxSubscriptions: maxSubs})
-	for _, d := range ddl {
-		if err := loader.Exec(d); err != nil {
-			return nil, err
-		}
+	r, err := newRig(kvstore.Config{Nodes: 10, ReplicationFactor: 2, Seed: cfg.Seed}, sim.NewEnv(),
+		scadr.DDL(scadr.Config{MaxSubscriptions: maxSubs}))
+	if err != nil {
+		return nil, err
 	}
 	// Shared target pool with thoughts.
 	for tgt := 0; tgt < maxSubs; tgt++ {
 		name := fmt.Sprintf("tgt%04d", tgt)
-		if err := loader.Exec(`INSERT INTO users VALUES (?, 'pw', 'SF')`, value.Str(name)); err != nil {
+		if err := r.loader.Exec(`INSERT INTO users VALUES (?, 'pw', 'SF')`, value.Str(name)); err != nil {
 			return nil, err
 		}
 		for i := 0; i <= maxPage; i++ {
-			if err := loader.Exec(`INSERT INTO thoughts VALUES (?, ?, 'text of a thought that is reasonably sized for scadr')`,
+			if err := r.loader.Exec(`INSERT INTO thoughts VALUES (?, ?, 'text of a thought that is reasonably sized for scadr')`,
 				value.Str(name), value.Int(int64(1000+tgt*1000+i))); err != nil {
 				return nil, err
 			}
@@ -139,11 +133,11 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	for _, subs := range cfg.ActualSubs {
 		for o := 0; o < ownersPer; o++ {
 			owner := fmt.Sprintf("own%d_%d", subs, o)
-			if err := loader.Exec(`INSERT INTO users VALUES (?, 'pw', 'SF')`, value.Str(owner)); err != nil {
+			if err := r.loader.Exec(`INSERT INTO users VALUES (?, 'pw', 'SF')`, value.Str(owner)); err != nil {
 				return nil, err
 			}
 			for tgt := 0; tgt < subs; tgt++ {
-				if err := loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
+				if err := r.loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
 					value.Str(owner), value.Str(fmt.Sprintf("tgt%04d", tgt))); err != nil {
 					return nil, err
 				}
@@ -153,35 +147,35 @@ func RunFig6(model *predict.Model, cfg Fig6Config) (*Fig6Result, error) {
 	// Prepare one query per page size.
 	plans := make(map[int]*engine.Prepared)
 	for _, page := range cfg.ActualPages {
-		q, err := loader.Prepare(scadr.ThoughtstreamSQL(page))
+		q, err := r.loader.Prepare(scadr.ThoughtstreamSQL(page))
 		if err != nil {
 			return nil, err
 		}
 		plans[page] = q
 	}
-	cluster.Rebalance()
+	r.cluster.Rebalance()
 
 	samples := make(map[[2]int][]time.Duration)
-	env.Spawn(func(p *sim.Proc) {
-		s := eng.Session(p)
-		s.SetStrategy(exec.Parallel)
+	err = r.run(func(p *sim.Proc, s *engine.Session) error {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		for rep := 0; rep < cfg.Executions; rep++ {
 			for _, subs := range cfg.ActualSubs {
 				owner := fmt.Sprintf("own%d_%d", subs, rng.Intn(ownersPer))
 				for _, page := range cfg.ActualPages {
-					t0 := p.Now()
-					if _, err := plans[page].Execute(s, value.Str(owner)); err != nil {
-						panic(fmt.Sprintf("harness: fig6: %v", err))
+					lat, err := timed(p, s, plans[page], value.Str(owner))
+					if err != nil {
+						return fmt.Errorf("harness: fig6: %w", err)
 					}
-					samples[[2]int{subs, page}] = append(samples[[2]int{subs, page}], p.Now()-t0)
+					samples[[2]int{subs, page}] = append(samples[[2]int{subs, page}], lat)
 				}
 			}
 			p.Sleep(40 * time.Millisecond) // spread across volatility windows
 		}
+		return nil
 	})
-	env.Run(0)
-	env.Stop()
+	if err != nil {
+		return nil, err
+	}
 
 	var diffSum time.Duration
 	n := 0

@@ -118,25 +118,20 @@ func catalogOf(ddl []string) (*schema.Catalog, error) {
 
 // RunFig7 loads users of increasing popularity and measures both plans.
 func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	for _, ddl := range fig7DDL {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, err
-		}
+	r, err := newRig(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed}, sim.NewEnv(), fig7DDL)
+	if err != nil {
+		return nil, err
 	}
 	// One target user per popularity level, followed by that many fans.
 	fan := 0
 	for _, subs := range cfg.Subscribers {
 		target := fmt.Sprintf("celeb%05d", subs)
-		if err := loader.Exec(`INSERT INTO users VALUES (?, 'pw')`, value.Str(target)); err != nil {
+		if err := r.loader.Exec(`INSERT INTO users VALUES (?, 'pw')`, value.Str(target)); err != nil {
 			return nil, err
 		}
 		for i := 0; i < subs; i++ {
 			fan++
-			if err := loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
+			if err := r.loader.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`,
 				value.Str(fmt.Sprintf("fan%07d", fan)), value.Str(target)); err != nil {
 				return nil, err
 			}
@@ -146,62 +141,64 @@ func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
 	// Both plans are prepared like any statement: the engine registers
 	// and backfills the covering index the cost-based plan reads.
 	sql := fig7SQL(cfg.Friends)
-	bounded, err := loader.Prepare(sql)
+	bounded, err := r.loader.Prepare(sql)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: PIQL plan: %w", err)
 	}
-	unbounded, err := loader.PrepareCostBased(sql)
+	unbounded, err := r.loader.PrepareCostBased(sql)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: cost-based plan: %w", err)
 	}
 	if unbounded.Bound().Bounded {
 		return nil, fmt.Errorf("fig7: cost-based optimizer unexpectedly chose a bounded plan:\n%s", unbounded.Plan().Explain())
 	}
-	cluster.Rebalance()
+	r.cluster.Rebalance()
 
 	var points []Fig7Point
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, subs := range cfg.Subscribers {
 		target := fmt.Sprintf("celeb%05d", subs)
 		pt := Fig7Point{Subscribers: subs}
-		var runErr error
-		env.Spawn(func(p *sim.Proc) {
-			s := eng.Session(p)
-			cl := s.Client()
-			run := func(plan *engine.Prepared) ([]time.Duration, int64) {
+		err := r.run(func(p *sim.Proc, s *engine.Session) error {
+			// measure returns plan's p99 and its mean operations per
+			// execution.
+			measure := func(plan *engine.Prepared) (time.Duration, int64, error) {
 				var lat []time.Duration
-				cl.ResetOps()
+				s.Client().ResetOps()
 				for i := 0; i < cfg.Executions; i++ {
-					args := make([]value.Value, 0, cfg.Friends+1)
-					args = append(args, value.Str(target))
-					for f := 0; f < cfg.Friends; f++ {
-						args = append(args, value.Str(fmt.Sprintf("fan%07d", 1+rng.Intn(max(1, fan)))))
+					d, err := timed(p, s, plan, fig7Args(rng, target, cfg.Friends, fan)...)
+					if err != nil {
+						return 0, 0, err
 					}
-					t0 := p.Now()
-					if _, err := plan.Execute(s, args...); err != nil {
-						runErr = err
-						return lat, cl.Ops()
-					}
-					lat = append(lat, p.Now()-t0)
+					lat = append(lat, d)
 					p.Sleep(5 * time.Millisecond)
 				}
-				return lat, cl.Ops()
+				return stats.Percentile(lat, 99), s.Client().Ops() / int64(cfg.Executions), nil
 			}
-			bl, bops := run(bounded)
-			ul, uops := run(unbounded)
-			pt.BoundedP99 = stats.Percentile(bl, 99)
-			pt.UnboundedP99 = stats.Percentile(ul, 99)
-			pt.BoundedOps = bops / int64(cfg.Executions)
-			pt.UnboundedOps = uops / int64(cfg.Executions)
+			var err error
+			if pt.BoundedP99, pt.BoundedOps, err = measure(bounded); err != nil {
+				return err
+			}
+			pt.UnboundedP99, pt.UnboundedOps, err = measure(unbounded)
+			return err
 		})
-		env.Run(0)
-		if runErr != nil {
-			return nil, runErr
+		if err != nil {
+			return nil, err
 		}
 		points = append(points, pt)
 	}
-	env.Stop()
 	return points, nil
+}
+
+// fig7Args binds the intersection query: the target, then friends fans
+// drawn from the first fans loaded.
+func fig7Args(rng *rand.Rand, target string, friends, fans int) []value.Value {
+	args := make([]value.Value, 0, friends+1)
+	args = append(args, value.Str(target))
+	for f := 0; f < friends; f++ {
+		args = append(args, value.Str(fmt.Sprintf("fan%07d", 1+rng.Intn(max(1, fans)))))
+	}
+	return args
 }
 
 // PrintFig7 renders the comparison.

@@ -2,10 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"piql/internal/exec"
+	"piql/internal/kvstore"
+	"piql/internal/sim"
+	"piql/internal/value"
 	"piql/internal/workload/scadr"
 )
 
@@ -85,6 +90,27 @@ func TestFig7Crossover(t *testing.T) {
 	PrintFig7(&buf, points)
 	if buf.Len() == 0 {
 		t.Error("empty print")
+	}
+}
+
+// TestMeasureQueriesReturnsExecutionError: an execution that fails
+// inside Table 1's measuring process is the driver's error, not a panic
+// that ends the program running it.
+func TestMeasureQueriesReturnsExecutionError(t *testing.T) {
+	r, err := newRig(kvstore.Config{Nodes: 2, ReplicationFactor: 2, Seed: 3}, sim.NewEnv(),
+		[]string{`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := r.loader.Prepare(`SELECT * FROM users WHERE username = [1: name]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noParams := func(*rand.Rand) []value.Value { return nil }
+	_, err = measureQueries(r, []preparedSpec{{name: "q", q: q, gen: noParams}},
+		Table1Config{Intervals: 1, IntervalMS: 100, PerQuery: 1, Seed: 1})
+	if want := "table1 q: exec: query needs 1 parameters, got 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one saying %q", err, want)
 	}
 }
 

@@ -4,6 +4,14 @@
 // Figure 7, the executor comparison of Figure 12, and the query scaling
 // classes of Figure 1. Each driver prints the same rows/series the
 // paper reports.
+//
+// Every driver builds its cluster, engine and schema with newRig (rig.go),
+// on a sim.Env or, for the wall-clock runs, in immediate mode, and times
+// its executions with rig.run and timed. A benchmark the scale and
+// concurrent runners drive is a Workload: its schema, and a Load that
+// fills the cluster and returns the function that builds one client
+// thread's interaction; loadWorkload does schema, load, warm-up and
+// rebalance for both runners.
 package harness
 
 import (
@@ -13,7 +21,6 @@ import (
 
 	"piql/internal/engine"
 	"piql/internal/exec"
-	"piql/internal/kvstore"
 	"piql/internal/sim"
 	"piql/internal/stats"
 )
@@ -47,17 +54,20 @@ func DefaultScaleConfig() ScaleConfig {
 	}
 }
 
-// Workload abstracts a benchmark for the scale runner.
+// Workload abstracts a benchmark for the scale and concurrent runners.
 type Workload struct {
 	Name string
 	// DDL returns the schema statements.
 	DDL func(nodes int) []string
-	// Load bulk-loads data sized for the node count and returns a
-	// context handle passed to NewInteraction.
-	Load func(s *engine.Session, nodes int) (any, error)
-	// NewInteraction builds one client thread's interaction function.
-	NewInteraction func(s *engine.Session, ctx any, workerID int64) (func() error, error)
+	// Load bulk-loads data sized for the node count and returns the
+	// function that builds a client thread's interaction on that data.
+	Load func(s *engine.Session, nodes int) (NewInteraction, error)
 }
+
+// NewInteraction builds one client thread's interaction function on
+// session s. workerID keeps the threads' writes apart; -1 is the
+// warm-up.
+type NewInteraction func(s *engine.Session, workerID int64) (func() error, error)
 
 // ScalePoint is one measured cluster size.
 type ScalePoint struct {
@@ -73,31 +83,10 @@ type ScalePoint struct {
 // cluster, loads proportional data, runs the client fleet on virtual
 // time, and reports throughput and tail latency.
 func RunScalePoint(w Workload, cfg ScaleConfig, nodes int) (ScalePoint, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{
-		Nodes:             nodes,
-		ReplicationFactor: 2,
-		Seed:              cfg.Seed,
-	}, env)
-	eng := engine.New(cluster)
-
-	loader := eng.Session(nil)
-	for _, ddl := range w.DDL(nodes) {
-		if err := loader.Exec(ddl); err != nil {
-			return ScalePoint{}, fmt.Errorf("harness: ddl: %w", err)
-		}
-	}
-	ctx, err := w.Load(loader, nodes)
+	r, newInteraction, err := loadWorkload(w, nodes, cfg.Seed, sim.NewEnv())
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	// Warm the plan cache (and build all indexes) before data spreads,
-	// then repartition evenly, as the SCADS Director would.
-	warm := eng.Session(nil)
-	if _, err := w.NewInteraction(warm, ctx, -1); err != nil {
-		return ScalePoint{}, err
-	}
-	cluster.Rebalance()
 
 	clients := nodes / 2
 	if clients < 1 {
@@ -111,10 +100,10 @@ func RunScalePoint(w Workload, cfg ScaleConfig, nodes int) (ScalePoint, error) {
 	for c := 0; c < clients; c++ {
 		for th := 0; th < cfg.ThreadsPerClient; th++ {
 			workerID := int64(c*cfg.ThreadsPerClient + th)
-			env.Spawn(func(p *sim.Proc) {
-				s := eng.Session(p)
+			r.env.Spawn(func(p *sim.Proc) {
+				s := r.eng.Session(p)
 				s.SetStrategy(cfg.Strategy)
-				interact, err := w.NewInteraction(s, ctx, workerID)
+				interact, err := newInteraction(s, workerID)
 				if err != nil {
 					if runErr == nil {
 						runErr = err
@@ -144,8 +133,8 @@ func RunScalePoint(w Workload, cfg ScaleConfig, nodes int) (ScalePoint, error) {
 			})
 		}
 	}
-	env.Run(end)
-	env.Stop()
+	r.env.Run(end)
+	r.env.Stop()
 	if runErr != nil {
 		return ScalePoint{}, runErr
 	}

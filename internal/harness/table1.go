@@ -9,24 +9,14 @@ import (
 	"time"
 
 	"piql/internal/engine"
-	"piql/internal/exec"
 	"piql/internal/kvstore"
 	"piql/internal/predict"
 	"piql/internal/sim"
 	"piql/internal/stats"
+	"piql/internal/value"
 	"piql/internal/workload/scadr"
 	"piql/internal/workload/tpcw"
 )
-
-// QuerySpec is one Table 1 row: a prepared query plus a parameter
-// generator.
-type QuerySpec struct {
-	Name string
-	SQL  string
-	Gen  func(r *rand.Rand) []valueT
-}
-
-type valueT = valueValue
 
 // Table1Row is one measured/predicted query.
 type Table1Row struct {
@@ -57,40 +47,84 @@ func DefaultTable1Config() Table1Config {
 // RunTable1 measures every TPC-W and SCADr query from Table 1 and
 // predicts each with the model.
 func RunTable1(model *predict.Model, cfg Table1Config) ([]Table1Row, error) {
+	tcfg := tpcw.DefaultConfig()
+	tcfg.CustomersPerNode = 300
+	tp, err := runTable1(model, cfg, "TPC-W", cfg.Seed, tpcw.DDL(tcfg),
+		func(s *engine.Session) ([]preparedSpec, error) { return tpcwTable1(s, tcfg, cfg.Nodes) })
+	if err != nil {
+		return nil, err
+	}
+	scfg := scadr.DefaultConfig()
+	scfg.UsersPerNode = 500
+	sc, err := runTable1(model, cfg, "SCADr", cfg.Seed+1, scadr.DDL(scfg),
+		func(s *engine.Session) ([]preparedSpec, error) { return scadrTable1(s, scfg, cfg.Nodes) })
+	if err != nil {
+		return nil, err
+	}
+	return append(tp, sc...), nil
+}
+
+type preparedSpec struct {
+	name string
+	q    *engine.Prepared
+	gen  func(r *rand.Rand) []value.Value
+}
+
+// runTable1 measures one benchmark's rows: load fills the cluster
+// through the loader session and prepares the benchmark's queries in
+// the table's row order.
+func runTable1(model *predict.Model, cfg Table1Config, bench string, seed int64, ddl []string,
+	load func(loader *engine.Session) ([]preparedSpec, error)) ([]Table1Row, error) {
+	r, err := newRig(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: seed}, sim.NewEnv(), ddl)
+	if err != nil {
+		return nil, err
+	}
+	specs, err := load(r.loader)
+	if err != nil {
+		return nil, err
+	}
+	r.cluster.Rebalance()
+	actuals, err := measureQueries(r, specs, cfg)
+	if err != nil {
+		return nil, err
+	}
+
 	var rows []Table1Row
-	tp, err := runTable1TPCW(model, cfg)
-	if err != nil {
-		return nil, err
+	for _, sp := range specs {
+		pred, err := sp.q.Bound().Predict(model)
+		if err != nil {
+			return nil, fmt.Errorf("predict %s: %w", sp.name, err)
+		}
+		rows = append(rows, Table1Row{
+			Benchmark: bench,
+			Name:      sp.name,
+			Indexes:   secondaryIndexNames(sp.q),
+			Actual99:  actuals[sp.name],
+			Predicted: pred.Max99,
+		})
 	}
-	rows = append(rows, tp...)
-	sc, err := runTable1SCADr(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return append(rows, sc...), nil
+	return rows, nil
 }
 
 // measureQueries runs each prepared query repeatedly per interval and
 // returns the max per-interval 99th percentile per query.
-func measureQueries(env *sim.Env, eng *engine.Engine, specs []preparedSpec, cfg Table1Config) map[string]time.Duration {
+func measureQueries(r *rig, specs []preparedSpec, cfg Table1Config) (map[string]time.Duration, error) {
 	interval := time.Duration(cfg.IntervalMS) * time.Millisecond
 	perInterval := make(map[string][][]time.Duration) // name -> interval -> samples
 	for _, sp := range specs {
 		perInterval[sp.name] = make([][]time.Duration, cfg.Intervals)
 	}
-	env.Spawn(func(p *sim.Proc) {
-		s := eng.Session(p)
-		s.SetStrategy(exec.Parallel)
+	err := r.run(func(p *sim.Proc, s *engine.Session) error {
 		rng := rand.New(rand.NewSource(cfg.Seed ^ 0xBEEF))
 		for iv := 0; iv < cfg.Intervals; iv++ {
 			intervalEnd := time.Duration(iv+1) * interval
 			for rep := 0; rep < cfg.PerQuery; rep++ {
 				for _, sp := range specs {
-					t0 := p.Now()
-					if _, err := sp.q.Execute(s, sp.gen(rng)...); err != nil {
-						panic(fmt.Sprintf("harness: table1 %s: %v", sp.name, err))
+					lat, err := timed(p, s, sp.q, sp.gen(rng)...)
+					if err != nil {
+						return fmt.Errorf("harness: table1 %s: %w", sp.name, err)
 					}
-					perInterval[sp.name][iv] = append(perInterval[sp.name][iv], p.Now()-t0)
+					perInterval[sp.name][iv] = append(perInterval[sp.name][iv], lat)
 				}
 				if remaining := intervalEnd - p.Now(); remaining > 0 {
 					p.Sleep(remaining / time.Duration(cfg.PerQuery-rep))
@@ -100,9 +134,11 @@ func measureQueries(env *sim.Env, eng *engine.Engine, specs []preparedSpec, cfg 
 				p.Sleep(intervalEnd - p.Now())
 			}
 		}
+		return nil
 	})
-	env.Run(0)
-	env.Stop()
+	if err != nil {
+		return nil, err
+	}
 
 	out := make(map[string]time.Duration)
 	for name, ivs := range perInterval {
@@ -114,68 +150,34 @@ func measureQueries(env *sim.Env, eng *engine.Engine, specs []preparedSpec, cfg 
 		}
 		out[name] = worst
 	}
-	return out
+	return out, nil
 }
 
-type preparedSpec struct {
-	name string
-	q    *engine.Prepared
-	gen  func(r *rand.Rand) []valueT
-}
-
-func runTable1TPCW(model *predict.Model, cfg Table1Config) ([]Table1Row, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	wcfg := tpcw.DefaultConfig()
-	wcfg.CustomersPerNode = 300
-	for _, ddl := range tpcw.DDL(wcfg) {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, err
-		}
-	}
-	customers, items, err := tpcw.Load(loader, wcfg, cfg.Nodes)
+// tpcwTable1 loads TPC-W, seeds a shopping cart for the Buy Request row,
+// and prepares the TPC-W rows.
+func tpcwTable1(loader *engine.Session, wcfg tpcw.Config, nodes int) ([]preparedSpec, error) {
+	customers, items, err := tpcw.Load(loader, wcfg, nodes)
 	if err != nil {
 		return nil, err
 	}
-	// Seed a shopping cart for the Buy Request row.
 	for i := 0; i < 25; i++ {
 		if err := loader.Exec(`INSERT INTO cart_line VALUES (?, ?, ?)`,
-			intV(777), intV(int64(i)), intV(1)); err != nil {
+			value.Int(777), value.Int(int64(i)), value.Int(1)); err != nil {
 			return nil, err
 		}
 	}
 
-	names := tpcwTable1Order
 	sqls := tpcw.QuerySQL()
 	gens := tpcwGens(customers, items)
 	var specs []preparedSpec
-	for _, name := range names {
+	for _, name := range tpcwTable1Order {
 		q, err := loader.Prepare(sqls[name])
 		if err != nil {
 			return nil, fmt.Errorf("prepare %s: %w", name, err)
 		}
 		specs = append(specs, preparedSpec{name: name, q: q, gen: gens[name]})
 	}
-	cluster.Rebalance()
-	actuals := measureQueries(env, eng, specs, cfg)
-
-	var rows []Table1Row
-	for _, sp := range specs {
-		pred, err := sp.q.Bound().Predict(model)
-		if err != nil {
-			return nil, fmt.Errorf("predict %s: %w", sp.name, err)
-		}
-		rows = append(rows, Table1Row{
-			Benchmark: "TPC-W",
-			Name:      sp.name,
-			Indexes:   secondaryIndexNames(sp.q),
-			Actual99:  actuals[sp.name],
-			Predicted: pred.Max99,
-		})
-	}
-	return rows, nil
+	return specs, nil
 }
 
 var tpcwTable1Order = []string{
@@ -190,40 +192,35 @@ var tpcwTable1Order = []string{
 	"Buy Request WI",
 }
 
-func tpcwGens(customers, items int) map[string]func(*rand.Rand) []valueT {
-	uname := func(r *rand.Rand) []valueT { return []valueT{strV(tpcw.CustomerName(r.Intn(customers)))} }
-	item := func(r *rand.Rand) []valueT { return []valueT{intV(int64(r.Intn(items)))} }
-	return map[string]func(*rand.Rand) []valueT{
-		"Home WI":           uname,
-		"New Products WI":   func(r *rand.Rand) []valueT { return []valueT{strV(tpcw.Subjects[r.Intn(len(tpcw.Subjects))])} },
-		"Product Detail WI": item,
-		"Search By Author WI": func(r *rand.Rand) []valueT {
-			return []valueT{intV(int64(r.Intn(items/10 + 1)))}
+func tpcwGens(customers, items int) map[string]func(*rand.Rand) []value.Value {
+	uname := func(r *rand.Rand) []value.Value {
+		return []value.Value{value.Str(tpcw.CustomerName(r.Intn(customers)))}
+	}
+	item := func(r *rand.Rand) []value.Value { return []value.Value{value.Int(int64(r.Intn(items)))} }
+	return map[string]func(*rand.Rand) []value.Value{
+		"Home WI": uname,
+		"New Products WI": func(r *rand.Rand) []value.Value {
+			return []value.Value{value.Str(tpcw.Subjects[r.Intn(len(tpcw.Subjects))])}
 		},
-		"Search By Title WI": func(r *rand.Rand) []valueT {
+		"Product Detail WI": item,
+		"Search By Author WI": func(r *rand.Rand) []value.Value {
+			return []value.Value{value.Int(int64(r.Intn(items/10 + 1)))}
+		},
+		"Search By Title WI": func(r *rand.Rand) []value.Value {
 			words := []string{"shadow", "river", "night", "garden", "empire"}
-			return []valueT{strV(words[r.Intn(len(words))])}
+			return []value.Value{value.Str(words[r.Intn(len(words))])}
 		},
 		"Order Display WI Get Customer":   uname,
 		"Order Display WI Get Last Order": uname,
-		"Order Display WI Get OrderLines": func(r *rand.Rand) []valueT { return []valueT{intV(int64(1 + r.Intn(customers)))} },
-		"Buy Request WI":                  func(r *rand.Rand) []valueT { return []valueT{intV(777)} },
+		"Order Display WI Get OrderLines": func(r *rand.Rand) []value.Value { return []value.Value{value.Int(int64(1 + r.Intn(customers)))} },
+		"Buy Request WI":                  func(r *rand.Rand) []value.Value { return []value.Value{value.Int(777)} },
 	}
 }
 
-func runTable1SCADr(model *predict.Model, cfg Table1Config) ([]Table1Row, error) {
-	env := sim.NewEnv()
-	cluster := kvstore.New(kvstore.Config{Nodes: cfg.Nodes, ReplicationFactor: 2, Seed: cfg.Seed + 1}, env)
-	eng := engine.New(cluster)
-	loader := eng.Session(nil)
-	wcfg := scadr.DefaultConfig()
-	wcfg.UsersPerNode = 500
-	for _, ddl := range scadr.DDL(wcfg) {
-		if err := loader.Exec(ddl); err != nil {
-			return nil, err
-		}
-	}
-	users, err := scadr.Load(loader, wcfg, cfg.Nodes)
+// scadrTable1 loads SCADr and takes the SCADr rows from one worker's
+// prepared queries.
+func scadrTable1(loader *engine.Session, wcfg scadr.Config, nodes int) ([]preparedSpec, error) {
+	users, err := scadr.Load(loader, wcfg, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -231,31 +228,13 @@ func runTable1SCADr(model *predict.Model, cfg Table1Config) ([]Table1Row, error)
 	if err != nil {
 		return nil, err
 	}
-	gen := func(r *rand.Rand) []valueT { return []valueT{strV(scadr.UserName(r.Intn(users)))} }
+	gen := func(r *rand.Rand) []value.Value { return []value.Value{value.Str(scadr.UserName(r.Intn(users)))} }
 	var specs []preparedSpec
-	order := []string{"Users Followed", "Recent Thoughts", "Thoughtstream", "Find User"}
 	qs := worker.Queries()
-	for _, name := range order {
+	for _, name := range []string{"Users Followed", "Recent Thoughts", "Thoughtstream", "Find User"} {
 		specs = append(specs, preparedSpec{name: name, q: qs[name], gen: gen})
 	}
-	cluster.Rebalance()
-	actuals := measureQueries(env, eng, specs, cfg)
-
-	var rows []Table1Row
-	for _, sp := range specs {
-		pred, err := sp.q.Bound().Predict(model)
-		if err != nil {
-			return nil, fmt.Errorf("predict %s: %w", sp.name, err)
-		}
-		rows = append(rows, Table1Row{
-			Benchmark: "SCADr",
-			Name:      sp.name,
-			Indexes:   secondaryIndexNames(sp.q),
-			Actual99:  actuals[sp.name],
-			Predicted: pred.Max99,
-		})
-	}
-	return rows, nil
+	return specs, nil
 }
 
 // secondaryIndexNames lists the non-primary indexes a plan reads, as
