@@ -18,7 +18,8 @@ vet:
 # and statements bound once (internal/engine names no expression type of
 # the AST: internal/core binds, the engine runs what it bound), one
 # experiment rig (no non-test file of internal/harness but rig.go calls
-# kvstore.New or engine.New), and
+# kvstore.New or engine.New), one branch runner (no non-test code of
+# internal/kvstore but (*Client).branches calls proc.Parallel), and
 # piql-vet (the project's own analyzers, then the escape budget) —
 # see "Static analysis" in README.md. After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
@@ -38,6 +39,9 @@ lint:
 		echo "layering: engine runs bound statements (core.BindWrite, core.Compile); it reads the AST only to tell DDL from DML from SELECT"; exit 1; fi
 	@if grep -nE '\b(kvstore|engine)\.New\(' $$(ls internal/harness/*.go | grep -v _test.go | grep -v '/rig.go$$'); then \
 		echo "layering: every experiment builds its cluster and engine with newRig (internal/harness/rig.go)"; exit 1; fi
+	@if awk '/^func /{fn=$$0} /^[^\/]*proc\.Parallel\(/ && fn !~ /\) branches\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
+			$$(ls internal/kvstore/*.go | grep -v _test.go); then \
+		echo "layering: the store runs requests concurrently only in its branch runner, (*Client).branches"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget

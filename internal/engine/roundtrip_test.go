@@ -570,9 +570,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql string
 		at10      float64 // allocations at 10 entries
 	}{
-		{name: "token scan", at10: 13,
+		{name: "token scan", at10: 12,
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 18,
+		{name: "token scan + fk join", at10: 16,
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

@@ -5,10 +5,10 @@
 // LazyExecutor, SimpleExecutor, ParallelExecutor — differ only in how
 // those requests are issued. An operator hands each of its request sets
 // to the store in one call — its keys to ReadBatch, its range to Scan, a
-// sorted join's K per-key ranges to ScanRanges — and the strategy only
-// sets that call's ReadOpts: whether the store issues the set's requests
-// concurrently is the store's business, not the operator's, which builds
-// no branch of its own.
+// sorted join's K per-key ranges to ScanRanges — and Run resolves the
+// strategy once, into that call's ReadOpts (Lazy: a tuple-at-a-time
+// walk). Whether the store issues a set's requests concurrently is its
+// branch runner's business, not the operator's, which builds no branch.
 //
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
@@ -37,7 +37,8 @@ import (
 	"piql/internal/value"
 )
 
-// Strategy selects how remote operators issue key/value requests.
+// Strategy selects how remote operators issue key/value requests. Run
+// resolves it once per execution; no operator reads it.
 type Strategy int
 
 const (
@@ -107,7 +108,7 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	if len(ctx.Params) < plan.NumParams {
 		return nil, fmt.Errorf("exec: query needs %d parameters, got %d", plan.NumParams, len(ctx.Params))
 	}
-	e := &executor{plan: plan, ctx: ctx}
+	e := &executor{plan: plan, ctx: ctx, lazy: ctx.Strategy == Lazy, opts: kvstore.ReadOpts{Parallel: ctx.Strategy == Parallel}}
 	rows, err := e.run(plan.Root)
 	if err != nil {
 		return nil, err
@@ -122,7 +123,9 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 type executor struct {
 	plan *core.Plan
 	ctx  *Ctx
-	cur  *cursor // set by plan.Pager, rewound by runStop; nil without a pager
+	cur  *cursor          // set by plan.Pager, rewound by runStop; nil without a pager
+	lazy bool             // the strategy is Lazy: remote operators walk tuple at a time
+	opts kvstore.ReadOpts // what every store read passes: the strategy, resolved once by Run
 }
 
 // cursor is what a page leaves for the next.
@@ -252,18 +255,15 @@ func degraded(err error) error {
 // one batched request set with the per-node batches sequential; Parallel
 // issues them concurrently. Missing keys yield nil entries.
 func (e *executor) getBatch(keys [][]byte) ([][]byte, error) {
-	if e.ctx.Strategy != Lazy {
-		recs, err := e.ctx.Client.ReadBatch(keys, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+	if !e.lazy {
+		recs, err := e.ctx.Client.ReadBatch(keys, e.opts)
 		return recs, degraded(err)
 	}
 	recs := make([][]byte, len(keys))
 	for i, k := range keys {
-		v, _, ok, err := e.ctx.Client.Read(k, kvstore.ReadOpts{})
-		if err != nil {
+		var err error // an absent key reads as a nil value
+		if recs[i], _, _, err = e.ctx.Client.Read(k, e.opts); err != nil {
 			return nil, degraded(err)
-		}
-		if ok {
-			recs[i] = v
 		}
 	}
 	return recs, nil

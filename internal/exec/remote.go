@@ -197,8 +197,8 @@ func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []
 // set to the store in one ScanRanges, which issues the ranges one after
 // another or concurrently.
 func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, error) {
-	if e.ctx.Strategy != Lazy {
-		out, err := e.ctx.Client.ScanRanges(reqs, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+	if !e.lazy {
+		out, err := e.ctx.Client.ScanRanges(reqs, e.opts)
 		return out, degraded(err)
 	}
 	out := make([][]kvstore.KV, len(reqs))
@@ -217,9 +217,9 @@ func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, err
 // scatter-gathers the per-partition scans concurrently. limit <= 0 means
 // "everything" (cost-based unbounded plans only).
 func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvstore.KV, error) {
-	if e.ctx.Strategy != Lazy || limit <= 0 {
+	if !e.lazy || limit <= 0 {
 		req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
-		kvs, err := e.ctx.Client.Scan(req, kvstore.ReadOpts{Parallel: e.ctx.Strategy == Parallel})
+		kvs, err := e.ctx.Client.Scan(req, e.opts)
 		return kvs, degraded(err)
 	}
 	// Tuple-at-a-time walk: each fetched key becomes the next request's
@@ -229,7 +229,7 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvs
 	var buf []byte
 	var out []kvstore.KV
 	for len(out) < limit {
-		kvs, err := e.ctx.Client.Scan(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse}, kvstore.ReadOpts{})
+		kvs, err := e.ctx.Client.Scan(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse}, e.opts)
 		if err != nil {
 			return nil, degraded(err)
 		}

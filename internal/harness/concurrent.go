@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"piql/internal/exec"
 	"piql/internal/stats"
 )
 
@@ -15,7 +14,8 @@ import (
 // one shared engine in immediate mode (no simulated latency), measuring
 // wall-clock aggregate QPS and tail latency. This is the proof that one
 // engine serves concurrent sessions — throughput should grow with the
-// goroutine count instead of serializing on an engine-wide lock.
+// goroutine count instead of serializing on an engine-wide lock. Every
+// session runs the engine's default, the ParallelExecutor.
 type ConcurrentConfig struct {
 	// Nodes is the simulated cluster size (data volume scales with it).
 	Nodes int
@@ -26,8 +26,6 @@ type ConcurrentConfig struct {
 	InteractionsPerGoroutine int
 	// Seed drives data generation and worker mixes.
 	Seed int64
-	// Strategy is the execution strategy for every session.
-	Strategy exec.Strategy
 }
 
 // DefaultConcurrentConfig sweeps 1..16 sessions.
@@ -37,7 +35,6 @@ func DefaultConcurrentConfig() ConcurrentConfig {
 		Goroutines:               []int{1, 2, 4, 8, 16},
 		InteractionsPerGoroutine: 300,
 		Seed:                     1,
-		Strategy:                 exec.Parallel,
 	}
 }
 
@@ -109,9 +106,7 @@ func runConcurrentPoint(r *rig, newInteraction NewInteraction, cfg ConcurrentCon
 		//lint:allow goroleak — lifetime bounded by wg: joined by wg.Wait below, and its loop runs at most cfg.InteractionsPerGoroutine interactions.
 		go func(g int, workerID int64) {
 			defer wg.Done()
-			s := r.eng.Session(nil)
-			s.SetStrategy(cfg.Strategy)
-			interact, err := newInteraction(s, workerID)
+			interact, err := newInteraction(r.eng.Session(nil), workerID)
 			if err != nil {
 				errs[g] = err
 				return

@@ -19,17 +19,22 @@ import (
 // unsynchronized by design, keeping the per-operation hot path free of
 // atomics. Spawn one Client per goroutine/session; the Cluster behind
 // them is safe for any number of concurrent Clients, including while it
-// rebalances. Parallel gives each simulated branch a child of its own
-// (one allocation: the generator is a value inside the struct) and runs
-// immediate-mode branches on the caller itself.
+// rebalances.
 //
 // Reads come in four shapes: Read (one key), ReadBatch (a set of keys),
 // Scan (one range) and ScanRanges (a request set of ranges, a sorted
 // join's one per key). Each is one call however its requests are issued;
 // ReadOpts says whether they go one after another or concurrently.
-// Parallel remains for callers whose branches are not reads of one
-// shape: index maintenance, model training, the write path's replica
-// fan-out and the benchmark's probes.
+// Concurrency lives in one place, the branch runner (branches): every
+// request set the store issues concurrently — ReadBatch's per-node
+// batches, Scan's and Count's per-partition reads, ScanRanges' ranges, a
+// write's replica fan-out — and Parallel, for callers whose branches are
+// not one store call (index maintenance, model training, the benchmark's
+// probes), run through it. It only runs on a simulated client, giving
+// each branch a child of its own (one allocation: the generator is a
+// value inside the struct); in immediate mode the same per-node or
+// per-partition method runs on the caller itself, one request after
+// another, and builds no closure.
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
@@ -59,7 +64,7 @@ type Client struct {
 
 	// Scratch reused across operations to keep the per-request hot path
 	// allocation-lean. Safe because a Client is single-goroutine and the
-	// scratch is only read (never written) while Parallel children run.
+	// scratch is only read (never written) while branches run.
 	byNode map[int][]int // ReadBatch: unique-key indexes grouped by node
 	ids    []int         // ReadBatch: deterministic node order; pickParts: each partition's serving node
 	order  []int         // ReadBatch: key indexes sorted for deduplication
@@ -78,7 +83,7 @@ func (c *Cluster) NewClient(proc *sim.Proc) *Client {
 }
 
 // Ops returns the number of storage operations issued through this client
-// since creation (including operations issued by Parallel children).
+// since creation (including operations issued by its branches' children).
 func (cl *Client) Ops() int64 { return cl.ops }
 
 // ResetOps zeroes the operation counter and returns the previous value.
@@ -324,17 +329,6 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 		}
 		cl.byNode[id] = append(cl.byNode[id], rep)
 	}
-	fetch := func(sub *Client, id int, idxs []int) {
-		bytesTotal := 0
-		for _, i := range idxs {
-			v, ok := cl.c.nodes[id].get(keys[i])
-			if ok {
-				out[i] = v
-				bytesTotal += len(v)
-			}
-		}
-		sub.visit(id, len(idxs), bytesTotal)
-	}
 	// Deterministic node order for both modes.
 	cl.ids = cl.ids[:0]
 	for id, idxs := range cl.byNode {
@@ -345,19 +339,27 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 	sort.Ints(cl.ids)
 	if len(cl.ids) == 1 || cl.proc == nil || !o.Parallel {
 		for _, id := range cl.ids {
-			fetch(cl, id, cl.byNode[id])
+			cl.readNodeBatch(id, cl.byNode[id], keys, out)
 		}
 	} else {
-		fns := make([]func(*Client), len(cl.ids))
-		for i, id := range cl.ids {
-			fns[i] = func(sub *Client) { fetch(sub, id, cl.byNode[id]) }
-		}
-		cl.Parallel(fns...)
+		cl.branches(len(cl.ids), func(sub *Client, i int) { sub.readNodeBatch(cl.ids[i], cl.byNode[cl.ids[i]], keys, out) })
 	}
 	for j := 0; j < len(cl.dups); j += 2 {
 		out[cl.dups[j]] = out[cl.dups[j+1]]
 	}
 	return out, nil
+}
+
+// readNodeBatch reads keys[i] for every i in idxs from node id into
+// out[i] in one batched request, paying its visit.
+func (cl *Client) readNodeBatch(id int, idxs []int, keys, out [][]byte) {
+	bytesTotal := 0
+	for _, i := range idxs {
+		env, _ := cl.c.nodes[id].getRaw(keys[i])
+		out[i], _ = live(env)
+		bytesTotal += len(out[i])
+	}
+	cl.visit(id, len(idxs), bytesTotal)
 }
 
 // RangeRequest describes a range read over [Start, End). A nil Start or
@@ -390,27 +392,18 @@ type RangeRequest struct {
 func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
-	if o.Parallel && cl.proc != nil {
-		if lo, hi := rt.rangeParts(req.Start, req.End); lo != hi {
-			return cl.scatter(rt, req, o.From, lo, hi)
-		}
+	lo, hi := rt.rangeParts(req.Start, req.End)
+	if !o.Parallel || cl.proc == nil || lo == hi {
+		return cl.appendRange(scanBuf(req.Limit), rt, req, o)
 	}
-	return cl.appendRange(scanBuf(req.Limit), rt, req, o)
-}
-
-// scatter is Scan's concurrent path on a simulated client: one branch
-// per partition in [lo, hi].
-func (cl *Client) scatter(rt *routing, req RangeRequest, from Replicas, lo, hi int) ([]KV, error) {
-	ids, err := cl.pickParts(rt, lo, hi, from)
+	ids, err := cl.pickParts(rt, lo, hi, o.From)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([][]KV, len(ids))
-	fns := make([]func(*Client), len(ids))
-	for i, id := range ids {
-		fns[i] = func(sub *Client) { parts[i] = cl.scanPart(sub, scanBuf(req.Limit), rt, lo+i, id, req, req.Limit) }
-	}
-	cl.Parallel(fns...)
+	cl.branches(len(ids), func(sub *Client, i int) {
+		parts[i] = sub.scanPart(scanBuf(req.Limit), rt, lo+i, ids[i], req, req.Limit)
+	})
 	if req.Reverse {
 		slices.Reverse(parts)
 	}
@@ -422,10 +415,10 @@ func (cl *Client) scatter(rt *routing, req RangeRequest, from Replicas, lo, hi i
 }
 
 // appendRange appends what Scan(req, o) returns to dst — the one body of
-// every range read but a simulated client's concurrent scatter. A
+// every range read but a simulated client's concurrent one. A
 // sequential read walks the partitions in req's direction and stops as
 // soon as Limit items are in hand. Under o.Parallel a range that spans
-// partitions is read as the scatter reads it, one partition after
+// partitions is read as the concurrent one reads it, one partition after
 // another: every partition visited for up to Limit items, the serving
 // nodes drawn lo..hi up front, the result cut to Limit.
 func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpts) ([]KV, error) {
@@ -450,7 +443,7 @@ func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpt
 			return nil, cl.c.downErr(rt.owners[p])
 		}
 		n := len(dst)
-		if dst = cl.scanPart(cl, dst, rt, p, id, req, limit); ids == nil {
+		if dst = cl.scanPart(dst, rt, p, id, req, limit); ids == nil {
 			limit -= len(dst) - n
 		}
 		if p == last || (req.Limit > 0 && limit <= 0) {
@@ -477,7 +470,23 @@ func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpt
 func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
 	out := make([][]KV, len(reqs))
 	if o.Parallel && cl.proc != nil {
-		return cl.scanBranches(out, reqs, o)
+		// The branches share first: they run one at a time on the
+		// cooperative scheduler.
+		var first struct {
+			err error
+			i   int // the range err came from
+		}
+		cl.branches(len(reqs), func(sub *Client, i int) {
+			kvs, err := sub.Scan(reqs[i], o)
+			if err != nil && (first.err == nil || i < first.i) {
+				first.err, first.i = err, i
+			}
+			out[i] = kvs[:len(kvs):len(kvs)]
+		})
+		if first.err != nil {
+			return nil, first.err
+		}
+		return out, nil
 	}
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -497,51 +506,16 @@ func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
 	return out, nil
 }
 
-// rangeSet is one concurrent ScanRanges, which its branches share: they
-// run one at a time on the cooperative scheduler.
-type rangeSet struct {
-	cl     *Client
-	reqs   []RangeRequest
-	o      ReadOpts
-	out    [][]KV
-	err    error
-	failed int // the range err came from
-}
-
-// scanBranches runs each range of reqs as a branch of its own — the draws
-// Client.Parallel over per-range Scans makes — into out.
-func (cl *Client) scanBranches(out [][]KV, reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
-	s := &rangeSet{cl: cl, reqs: reqs, o: o, out: out}
-	branches := make([]func(*sim.Proc), len(reqs))
-	for i := range reqs {
-		branches[i] = func(p *sim.Proc) { s.scan(p, i) }
-	}
-	cl.proc.Parallel(branches...)
-	if s.err != nil {
-		return nil, s.err
-	}
-	return out, nil
-}
-
-// scan is branch i of a rangeSet.
-func (s *rangeSet) scan(p *sim.Proc, i int) {
-	kvs, err := s.cl.child(p).Scan(s.reqs[i], s.o)
-	if err != nil && (s.err == nil || i < s.failed) {
-		s.err, s.failed = err, i
-	}
-	s.out[i] = kvs[:len(kvs):len(kvs)]
-}
-
 // scanPart appends to dst the slice of req that partition p holds on
-// node id (limit <= 0: all of it), with sub paying the visit.
-func (cl *Client) scanPart(sub *Client, dst []KV, rt *routing, p, id int, req RangeRequest, limit int) []KV {
+// node id (limit <= 0: all of it), paying the visit.
+func (cl *Client) scanPart(dst []KV, rt *routing, p, id int, req RangeRequest, limit int) []KV {
 	from := len(dst)
 	dst = cl.c.nodes[id].scan(dst, boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), limit, req.Reverse)
 	payload := 0
 	for _, kv := range dst[from:] {
 		payload += len(kv.Value)
 	}
-	sub.visit(id, max(1, len(dst)-from), payload)
+	cl.visit(id, max(1, len(dst)-from), payload)
 	return dst
 }
 
@@ -574,19 +548,14 @@ func (cl *Client) Count(start, end []byte, o ReadOpts) (int, error) {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
 	lo, hi := rt.rangeParts(start, end)
-	countPart := func(sub *Client, p, id int) int {
-		n := cl.c.nodes[id].count(boundedStart(rt, p, start), boundedEnd(rt, p, end))
-		sub.visit(id, max(1, n), 0)
-		return n
-	}
-	total := 0
 	if !o.Parallel || cl.proc == nil || lo == hi {
+		total := 0
 		for p := lo; p <= hi; p++ {
 			id := cl.pick(rt, p, o.From)
 			if id < 0 {
 				return 0, cl.c.downErr(rt.owners[p])
 			}
-			total += countPart(cl, p, id)
+			total += cl.countPart(rt, p, id, start, end)
 		}
 		return total, nil
 	}
@@ -594,16 +563,19 @@ func (cl *Client) Count(start, end []byte, o ReadOpts) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	counts := make([]int, len(ids))
-	fns := make([]func(*Client), len(ids))
-	for i, id := range ids {
-		fns[i] = func(sub *Client) { counts[i] = countPart(sub, lo+i, id) }
-	}
-	cl.Parallel(fns...)
-	for _, n := range counts {
-		total += n
-	}
+	// The branches share total: they run one at a time on the cooperative
+	// scheduler.
+	total := 0
+	cl.branches(len(ids), func(sub *Client, i int) { total += sub.countPart(rt, lo+i, ids[i], start, end) })
 	return total, nil
+}
+
+// countPart counts the live keys of [start, end) that partition p holds
+// on node id, paying the visit.
+func (cl *Client) countPart(rt *routing, p, id int, start, end []byte) int {
+	n := cl.c.nodes[id].count(boundedStart(rt, p, start), boundedEnd(rt, p, end))
+	cl.visit(id, max(1, n), 0)
+	return n
 }
 
 // boundedStart clips start to partition p's lower bound. Since replicas
@@ -643,11 +615,21 @@ func (cl *Client) Parallel(fns ...func(sub *Client)) {
 		}
 		return
 	}
-	wrapped := make([]func(*sim.Proc), len(fns))
-	for i, fn := range fns {
-		wrapped[i] = func(p *sim.Proc) { fn(cl.child(p)) }
+	cl.branches(len(fns), func(sub *Client, i int) { fns[i](sub) })
+}
+
+// branches is the branch runner, the one place the store runs requests
+// concurrently: it runs body(sub, i) for every i in [0, n) as a branch
+// of this simulated client's process and returns when all have
+// completed, so the set costs its slowest branch. Each branch creates
+// its child client as it starts, in index order: the children's
+// generator streams, drawn from cl's, are a function of the seed.
+func (cl *Client) branches(n int, body func(sub *Client, i int)) {
+	fns := make([]func(*sim.Proc), n)
+	for i := range fns {
+		fns[i] = func(p *sim.Proc) { body(cl.child(p), i) }
 	}
-	cl.proc.Parallel(wrapped...)
+	cl.proc.Parallel(fns...)
 }
 
 // child derives a client for a simulated parallel branch, with its own

@@ -642,7 +642,7 @@ func (c *Cluster) AuditConvergence() error {
 			}
 			if live != len(ref) {
 				for k := range ref {
-					if _, _, ok := c.nodes[id].getVersioned([]byte(k)); !ok {
+					if env, _ := c.nodes[id].getRaw([]byte(k)); env == nil || envIsTombstone(env) {
 						return fmt.Errorf("kvstore: divergence on %q: live on primary %d, deleted/absent on node %d",
 							k, ids[0], id)
 					}

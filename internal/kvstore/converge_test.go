@@ -112,10 +112,11 @@ func TestApplyIfNewerConverges(t *testing.T) {
 		for _, i := range order {
 			nd.applyIfNewer(k, envs[i])
 		}
-		if _, ok := nd.get(k); ok {
+		env, _ := nd.getRaw(k)
+		if _, ok := live(env); ok {
 			t.Fatalf("order %v: tombstone TS=20 did not win", order)
 		}
-		if _, ver, _ := nd.getVersioned(k); ver != (Version{TS: 20, Client: 2}) {
+		if ver := envVersion(env); ver != (Version{TS: 20, Client: 2}) {
 			t.Fatalf("order %v: final version %+v", order, ver)
 		}
 	}
@@ -138,7 +139,7 @@ func assertOwnedOnly(t *testing.T, c *Cluster) {
 // TestAsyncCatchUpRespectsOwnership: a catch-up is the one write a node
 // takes after the fact — queued while it was unreachable, applied when
 // it rejoins. On the virtual clock, node 1 is partitioned away while
-// every key is written (replica writes fan out through Client.Parallel)
+// every key is written (replica writes fan out as concurrent branches)
 // and while a rebalance moves part of its keyspace away, so the heal
 // replays a queue that partly targets ranges it no longer owns. A copy
 // left on a former owner could be promoted back to owned state by a
@@ -249,7 +250,8 @@ func TestAsyncCatchUpKillRestartInterleaving(t *testing.T) {
 	rt := c.routing.Load()
 	for i := 0; i < n; i++ {
 		for _, id := range rt.owners[rt.partitionOf(key(i))] {
-			v, ok := c.nodes[id].get(key(i))
+			env, _ := c.nodes[id].getRaw(key(i))
+			v, ok := live(env)
 			switch {
 			case deleted(i) && ok:
 				t.Fatalf("node %d resurrected deleted key %d as %q", id, i, v)

@@ -336,7 +336,8 @@ func TestRebalanceDeleteInEarlierChunkNoResurrect(t *testing.T) {
 				t.Fatalf("deleted key %d resurrected by a later chunk: %q", i, got)
 			}
 			for id, nd := range c.nodes {
-				if v, held := nd.get(key(i)); held {
+				env, _ := nd.getRaw(key(i))
+				if v, held := live(env); held {
 					t.Fatalf("deleted key %d survives on node %d as %q", i, id, v)
 				}
 			}

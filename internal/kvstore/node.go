@@ -99,34 +99,9 @@ type KV struct {
 
 // --- storage primitives (no latency; callers add simulation cost) ---
 
-// get returns the live value under key. A tombstone reads as absence.
-func (n *node) get(key []byte) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	env, ok := n.tree.Get(key)
-	if !ok || envIsTombstone(env) {
-		return nil, false
-	}
-	return envValue(env), true
-}
-
-// getVersioned is get plus the stored version. A tombstone reads as
-// absent but still reports its version (the zero Version means the key
-// was never written).
-func (n *node) getVersioned(key []byte) ([]byte, Version, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	env, ok := n.tree.Get(key)
-	if !ok {
-		return nil, Version{}, false
-	}
-	if envIsTombstone(env) {
-		return nil, envVersion(env), false
-	}
-	return envValue(env), envVersion(env), true
-}
-
-// getRaw returns the stored envelope, tombstones included.
+// getRaw returns the stored envelope, tombstones included: the one point
+// accessor. Callers strip it with live and read its version with
+// envVersion.
 func (n *node) getRaw(key []byte) ([]byte, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -28,6 +28,36 @@ func TestParallelImmediateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestImmediateRequestSetsBuildNoClosure: an immediate-mode request set
+// runs its per-node or per-partition method on the caller itself, so it
+// builds no closure, sequential or under ReadOpts.Parallel. A ReadBatch
+// spanning several nodes allocates its result and nothing else; a Count
+// across a split allocates nothing.
+func TestImmediateRequestSetsBuildNoClosure(t *testing.T) {
+	c, cl := newImmediate(4, 2)
+	loadAndSplit(c, 400)
+	keys := [][]byte{key(3), key(150), key(290), key(3), key(399)}
+	start, end := key(0), key(400)
+	for _, o := range []ReadOpts{{}, {Parallel: true}} {
+		if _, err := cl.ReadBatch(keys, o); err != nil {
+			t.Fatal(err)
+		}
+		if len(cl.ids) < 2 {
+			t.Fatalf("the batch visited %d node(s): it must span several", len(cl.ids))
+		}
+		if n := testing.AllocsPerRun(100, func() { cl.ReadBatch(keys, o) }); n != 1 {
+			t.Errorf("ReadBatch %+v over %d nodes: %v allocs, want 1 (its result)", o, len(cl.ids), n)
+		}
+		rt := c.routing.Load()
+		if lo, hi := rt.rangeParts(start, end); lo == hi {
+			t.Fatal("the count range lies in one partition: it must cross a split")
+		}
+		if n := testing.AllocsPerRun(100, func() { cl.Count(start, end, o) }); n != 0 {
+			t.Errorf("Count %+v across a split: %v allocs, want 0", o, n)
+		}
+	}
+}
+
 var childSink *Client
 
 func TestSimulatedChildAllocs(t *testing.T) {
@@ -90,8 +120,8 @@ func simTrace(seed int64) [][]traceEvent {
 func storedVersion(c *Cluster, k []byte) Version {
 	var newest Version
 	for _, nd := range c.nodes {
-		if _, v, _ := nd.getVersioned(k); v.After(newest) {
-			newest = v
+		if env, ok := nd.getRaw(k); ok && envVersion(env).After(newest) {
+			newest = envVersion(env)
 		}
 	}
 	return newest

@@ -120,20 +120,19 @@ func (cl *Client) writeUnder(rt *routing, key, env []byte) {
 	ids := rt.owners[rt.partitionOf(key)]
 	if cl.proc == nil || len(ids) == 1 {
 		for _, id := range ids {
-			cl.c.applyOrQueue(id, key, env)
-			cl.visit(id, 1, len(key))
+			cl.writeReplica(id, key, env)
 		}
 	} else {
-		var fns []func(*Client)
-		for _, id := range ids {
-			fns = append(fns, func(sub *Client) {
-				cl.c.applyOrQueue(id, key, env)
-				sub.visit(id, 1, len(key))
-			})
-		}
-		cl.Parallel(fns...)
+		cl.branches(len(ids), func(sub *Client, i int) { sub.writeReplica(ids[i], key, env) })
 	}
 	cl.doubleApply(coveringMove(rt, key), key, env, ids)
+}
+
+// writeReplica applies one envelope on replica id (or queues it there),
+// paying the visit.
+func (cl *Client) writeReplica(id int, key, env []byte) {
+	cl.c.applyOrQueue(id, key, env)
+	cl.visit(id, 1, len(key))
 }
 
 // coveringMove returns the in-flight move whose range contains key, or

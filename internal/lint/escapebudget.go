@@ -10,8 +10,9 @@ import "sort"
 // `go build -gcflags=-m`, attributes each "escapes to heap" /
 // "moved to heap" decision to its enclosing function (see escape.go),
 // and populates Unit.Escapes for the packages with budgeted
-// functions. Row decode, ReadBatch, the scatter merge, and the
-// envelope codec are the gated set; the budget file is the allowlist.
+// functions. Row decode, the store's reads (ReadBatch, Scan, Count),
+// and the envelope codec are the gated set; the budget file is the
+// allowlist.
 //
 // Unlike the other analyzers this one needs a build, so it only runs
 // under `piql-vet -escapebudget` (which make lint invokes); in the
