@@ -189,16 +189,27 @@ func (b *binder) bindKeyExpr(e parser.Expr, col schema.Column) (KeyExpr, error) 
 	}
 }
 
+// bindProjection sizes the projection lists once, each star counting its
+// tables' columns, then fills them.
 func (b *binder) bindProjection(q *boundQuery) error {
-	hasAgg := false
+	n := 0
 	for _, it := range b.stmt.Items {
-		if it.Agg != parser.AggNone {
-			hasAgg = true
+		switch {
+		case it.Agg != parser.AggNone:
+			return b.bindAggProjection(q)
+		case it.Star && it.StarOf == "":
+			for _, r := range b.rels {
+				n += len(r.table.Columns)
+			}
+		case it.Star:
+			if ri, ok := b.byName[strings.ToLower(it.StarOf)]; ok {
+				n += len(b.rels[ri].table.Columns)
+			}
+		default:
+			n++
 		}
 	}
-	if hasAgg {
-		return b.bindAggProjection(q)
-	}
+	q.projCols, q.projNames = make([]int, 0, n), make([]string, 0, n)
 	for _, it := range b.stmt.Items {
 		switch {
 		case it.Star && it.StarOf == "":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens.
@@ -26,24 +27,39 @@ type token struct {
 	pos  int    // byte offset in the input
 }
 
-// keywords recognized by the lexer (PIQL = SQL subset + extensions).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"JOIN": true, "ON": true, "ORDER": true, "BY": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "PAGINATE": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true,
-	"PRIMARY": true, "KEY": true, "FOREIGN": true, "REFERENCES": true,
-	"CARDINALITY": true, "NOT": true, "NULL": true, "TRUE": true,
-	"FALSE": true, "LIKE": true, "CONTAINS": true, "IN": true,
-	"AS": true, "GROUP": true, "COUNT": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "INT": true, "BIGINT": true,
-	"VARCHAR": true, "TEXT": true, "BOOLEAN": true, "DOUBLE": true,
-	"FLOAT": true, "BLOB": true, "TIMESTAMP": true, "UNIQUE": true,
-	"FIXED": true, "TOKEN": true,
-}
+// keywords maps each keyword recognized by the lexer (PIQL = SQL subset +
+// extensions), upper-cased, to itself: the value is the canonical text a
+// keyword token carries, so emitting it allocates nothing.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE AND OR JOIN ON ORDER BY ASC DESC LIMIT PAGINATE
+		INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE INDEX PRIMARY KEY
+		FOREIGN REFERENCES CARDINALITY NOT NULL TRUE FALSE LIKE CONTAINS IN
+		AS GROUP COUNT SUM AVG MIN MAX INT BIGINT VARCHAR TEXT BOOLEAN
+		DOUBLE FLOAT BLOB TIMESTAMP UNIQUE FIXED TOKEN`) {
+		if len(kw) > maxKeywordLen {
+			panic("parser: keyword " + kw + " is longer than maxKeywordLen")
+		}
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = len("CARDINALITY")
+
+// symbols are the one-byte symbol tokens.
+const symbols = "(),.;*=[]:+-"
 
 // lexer splits a PIQL statement into tokens.
+//
+// Keywords match ASCII-case-insensitively: an identifier with a byte
+// outside ASCII is never a keyword. Identifiers are Unicode letters,
+// digits and '_', decoded as UTF-8; invalid UTF-8 is a syntax error. A
+// token's text is a slice of the source, except a keyword's (its
+// canonical upper-case spelling) and that of a string literal escaping
+// a quote by doubling it, whose text is built with each pair unescaped.
 type lexer struct {
 	src  string
 	pos  int
@@ -51,8 +67,11 @@ type lexer struct {
 }
 
 // lex tokenizes src, returning a syntax error with position on failure.
+// The token slice is its one allocation, sized from the source's length:
+// a token every three bytes, plus eight, holds every statement
+// TestLexAllocations pins; a denser one grows the slice.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+8)}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -61,8 +80,9 @@ func lex(src string) ([]token, error) {
 		}
 		start := l.pos
 		c := l.src[l.pos]
+		r, _ := l.runeAt(l.pos)
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			l.lexIdent(start)
 		case c >= '0' && c <= '9':
 			if err := l.lexNumber(start); err != nil {
@@ -83,11 +103,11 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			l.emit(tokSymbol, l.src[start:l.pos], start)
-		case strings.ContainsRune("(),.;*=[]:+-", rune(c)):
+		case strings.IndexByte(symbols, c) >= 0:
 			l.pos++
-			l.emit(tokSymbol, string(c), start)
+			l.emit(tokSymbol, l.src[start:l.pos], start)
 		default:
-			return nil, fmt.Errorf("syntax error at offset %d: unexpected character %q", start, c)
+			return nil, fmt.Errorf("syntax error at offset %d: unexpected character %q", start, r)
 		}
 	}
 }
@@ -112,6 +132,16 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// runeAt decodes the rune at byte offset i and its width: an ASCII byte
+// is itself, and an invalid encoding is utf8.RuneError, which is neither
+// a letter nor a digit.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
+}
+
 func isIdentStart(r rune) bool {
 	return unicode.IsLetter(r) || r == '_'
 }
@@ -121,16 +151,31 @@ func isIdentPart(r rune) bool {
 }
 
 func (l *lexer) lexIdent(start int) {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, size := l.runeAt(l.pos)
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += size
 	}
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		l.emit(tokKeyword, upper, start)
-	} else {
-		l.emit(tokIdent, text, start)
+	if len(text) <= maxKeywordLen {
+		// Fold ASCII case only: a byte outside ASCII stays as it is and
+		// matches no keyword.
+		var upper [maxKeywordLen]byte
+		for i := 0; i < len(text); i++ {
+			c := text[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			upper[i] = c
+		}
+		if kw, ok := keywords[string(upper[:len(text)])]; ok {
+			l.emit(tokKeyword, kw, start)
+			return
+		}
 	}
+	l.emit(tokIdent, text, start)
 }
 
 func (l *lexer) lexNumber(start int) error {
@@ -154,23 +199,27 @@ func (l *lexer) lexNumber(start int) error {
 	return nil
 }
 
+// lexString lexes a quoted literal. Its text is the source between the
+// quotes; only a literal holding a doubled quote (the escape for one
+// quote) builds a new string.
 func (l *lexer) lexString(start int) error {
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'') // doubled quote escape
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.emit(tokString, sb.String(), start)
-			return nil
+	escaped := false
+	for l.pos = start + 1; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
 		}
-		sb.WriteByte(c)
-		l.pos++
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			escaped = true
+			l.pos++ // doubled quote escape
+			continue
+		}
+		text := l.src[start+1 : l.pos]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		l.pos++ // closing quote
+		l.emit(tokString, text, start)
+		return nil
 	}
 	return fmt.Errorf("syntax error at offset %d: unterminated string literal", start)
 }

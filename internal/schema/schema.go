@@ -178,6 +178,7 @@ type Index struct {
 	Primary bool
 
 	layout *EntryLayout
+	sig    string // Signature(), computed when a catalog registers the index
 }
 
 // EntryLayout is what AddIndex compiles, once, about the entry keys of a
@@ -205,9 +206,10 @@ type EntryLayout struct {
 // declared over exactly the primary key.)
 func (ix *Index) EntryLayout() *EntryLayout { return ix.layout }
 
-// compileLayout fills ix.layout for table t, whose columns AddIndex has
-// already checked the fields against.
+// compileLayout fills ix.layout and ix.sig for table t, whose columns
+// AddIndex has already checked the fields against.
 func (ix *Index) compileLayout(t *Table) {
+	ix.sig = ix.signature()
 	lay := &EntryLayout{Desc: []bool{false}, Column: []int{-1}, PK: make([]int, len(t.PrimaryKey))}
 	for _, f := range ix.Fields {
 		if f.Token {
@@ -290,8 +292,17 @@ func (st IndexState) String() string {
 }
 
 // Signature identifies an index by its structure, ignoring the name, so
-// the engine can deduplicate compiler-requested indexes.
+// the engine can deduplicate compiler-requested indexes. A registered
+// index returns the signature computed when it was registered; any
+// other builds it on each call.
 func (ix *Index) Signature() string {
+	if ix.sig != "" {
+		return ix.sig
+	}
+	return ix.signature()
+}
+
+func (ix *Index) signature() string {
 	var sb strings.Builder
 	sb.WriteString(strings.ToLower(ix.Table))
 	for _, f := range ix.Fields {

@@ -163,6 +163,39 @@ func TestIndexStringAndSignature(t *testing.T) {
 	}
 }
 
+// TestRegisteredIndexStateAllocatesNothing: a registered index carries
+// the signature its catalog computed when it took it, so the compiler's
+// IndexState question per candidate index builds no string, while an
+// unregistered index still answers with the same signature, computed.
+func TestRegisteredIndexStateAllocatesNothing(t *testing.T) {
+	c := NewCatalog()
+	if err := c.AddTable(users()); err != nil {
+		t.Fatal(err)
+	}
+	fields := []IndexField{{Column: "Bio", Token: true}, {Column: "age", Desc: true}}
+	ix, err := c.AddIndex(&Index{Name: "a", Table: "users", Fields: fields})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetIndexReady(ix)
+	pk := c.Indexes("users")[0]
+	for _, reg := range []*Index{pk, ix} {
+		if got := testing.AllocsPerRun(100, func() { c.IndexState(reg) }); got != 0 {
+			t.Errorf("IndexState(%s): %v allocations, want 0", reg, got)
+		}
+		if c.IndexState(reg) != StateReady {
+			t.Errorf("IndexState(%s) = %s, want ready", reg, c.IndexState(reg))
+		}
+	}
+	twin := &Index{Table: "USERS", Fields: fields}
+	if twin.Signature() != ix.Signature() || c.IndexState(twin) != StateReady {
+		t.Errorf("unregistered twin: signature %q, state %s; want %q, ready", twin.Signature(), c.IndexState(twin), ix.Signature())
+	}
+	if other := (&Index{Table: "users", Fields: fields[:1]}); c.IndexState(other) != StateBuilding {
+		t.Errorf("unregistered index reports %s, want building", c.IndexState(other))
+	}
+}
+
 func TestRowSizeEstimate(t *testing.T) {
 	tab := users()
 	c := NewCatalog()
