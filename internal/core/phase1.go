@@ -167,7 +167,7 @@ func insertDataStop(r *rel, joined bool) {
 		coverCols = r.table.PrimaryKey
 	} else if c := r.table.CardinalityFor(eqCols); c > 0 {
 		card = c
-		coverCols = tightestConstraint(r, eqCols)
+		coverCols = r.table.CardinalityConstraint(eqCols).Columns
 	}
 	if card == 0 {
 		// No data-stop: every predicate stays above the relation.
@@ -192,20 +192,6 @@ func insertDataStop(r *rel, joined bool) {
 	r.abovePreds = append(r.abovePreds, r.otherPreds...)
 }
 
-// tightestConstraint returns the column set of the smallest-limit
-// constraint covered by eqCols (primary key handled by the caller).
-func tightestConstraint(r *rel, eqCols []string) []string {
-	bestLimit := 0
-	var best []string
-	for _, c := range r.table.Cardinalities {
-		if coversAllFold(eqCols, c.Columns) && (bestLimit == 0 || c.Limit < bestLimit) {
-			bestLimit = c.Limit
-			best = c.Columns
-		}
-	}
-	return best
-}
-
 func containsFold(xs []string, x string) bool {
 	for _, v := range xs {
 		if strings.EqualFold(v, x) {
@@ -213,15 +199,6 @@ func containsFold(xs []string, x string) bool {
 		}
 	}
 	return false
-}
-
-func coversAllFold(have, want []string) bool {
-	for _, w := range want {
-		if !containsFold(have, w) {
-			return false
-		}
-	}
-	return true
 }
 
 // NotScaleIndependentError reports a query the compiler cannot bound,

@@ -187,17 +187,6 @@ func (n *SortedIndexJoin) Label() string {
 		n.Ascending, n.PerKeyLimit, stop, residualStr(n.Residual))
 }
 
-// LocalSelection filters tuples in the application tier.
-type LocalSelection struct {
-	ChildPlan Physical
-	Preds     []LocalPred
-}
-
-func (n *LocalSelection) Child() Physical { return n.ChildPlan }
-func (n *LocalSelection) Label() string {
-	return fmt.Sprintf("LocalSelection(%s)", predsStr(n.Preds))
-}
-
 // LocalSort sorts the (bounded) input in the application tier.
 type LocalSort struct {
 	ChildPlan Physical

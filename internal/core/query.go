@@ -128,7 +128,10 @@ func (e KeyExpr) Eval(params []value.Value, outer value.Row) (value.Value, error
 // LocalPred is a predicate evaluated in the application tier against the
 // combined row: Col <Op> RHS, or Col IN InList.
 type LocalPred struct {
-	Col    int // combined-row index
+	// Col is the column read: the binder stores the relation's own
+	// ordinal, and shiftPreds rebases an operator's Residual onto the
+	// combined row, where the relation's columns start at its offset.
+	Col    int
 	Name   string
 	Op     parser.CompareOp
 	RHS    KeyExpr

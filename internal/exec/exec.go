@@ -147,8 +147,6 @@ func (e *executor) run(n core.Physical) ([]value.Row, error) {
 		return e.runFKJoin(n)
 	case *core.SortedIndexJoin:
 		return e.runSortedJoin(n)
-	case *core.LocalSelection:
-		return e.runSelection(n)
 	case *core.LocalSort:
 		return e.runSort(n)
 	case *core.LocalStop:

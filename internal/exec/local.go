@@ -9,15 +9,6 @@ import (
 	"piql/internal/value"
 )
 
-// runSelection filters in the application tier.
-func (e *executor) runSelection(n *core.LocalSelection) ([]value.Row, error) {
-	rows, err := e.run(n.ChildPlan)
-	if err != nil {
-		return nil, err
-	}
-	return e.filterResidual(rows, n.Preds)
-}
-
 // runSort orders the bounded input.
 func (e *executor) runSort(n *core.LocalSort) ([]value.Row, error) {
 	rows, err := e.run(n.ChildPlan)

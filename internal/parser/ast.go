@@ -2,6 +2,12 @@
 // recursive-descent parser for the SQL subset extended with PAGINATE,
 // CARDINALITY LIMIT (DDL), named parameters ([1: name]), and token
 // search (CONTAINS), producing the AST consumed by internal/core.
+//
+// Each construct is read in one place: every comma list by list (or
+// parenList), every count (LIMIT, PAGINATE, CARDINALITY LIMIT, VARCHAR(n),
+// [n]) by positiveInt, and each positional '?' is numbered as it is read.
+// The printers share writeList. testdata/parse.golden pins what every
+// FuzzParse seed and every TestSyntaxErrors input parses to.
 package parser
 
 import (
@@ -133,11 +139,11 @@ type Predicate struct {
 
 func (p Predicate) String() string {
 	if p.InList != nil {
-		parts := make([]string, len(p.InList))
-		for i, e := range p.InList {
-			parts[i] = e.String()
-		}
-		return fmt.Sprintf("%s IN (%s)", p.Left, strings.Join(parts, ", "))
+		var sb strings.Builder
+		sb.WriteString(p.Left.String() + " IN (")
+		writeList(&sb, ", ", p.InList)
+		sb.WriteString(")")
+		return sb.String()
 	}
 	return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Right)
 }
@@ -157,21 +163,15 @@ const (
 	AggMax
 )
 
+// aggKeywords are the aggregate keywords, indexed by AggKind: the
+// parser reads them and String prints them.
+var aggKeywords = [...]string{AggCount: "COUNT", AggSum: "SUM", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX"}
+
 func (a AggKind) String() string {
-	switch a {
-	case AggCount:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
+	if a < AggNone || a > AggMax {
 		return ""
 	}
+	return aggKeywords[a]
 }
 
 // SelectItem is one projection: a column, table.*, or an aggregate.
@@ -252,45 +252,17 @@ func (*Select) stmt() {}
 func (s *Select) String() string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(it.String())
-	}
+	writeList(&sb, ", ", s.Items)
 	sb.WriteString(" FROM ")
-	for i, t := range s.From {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(t.String())
-	}
-	if len(s.Where) > 0 {
-		sb.WriteString(" WHERE ")
-		for i, p := range s.Where {
-			if i > 0 {
-				sb.WriteString(" AND ")
-			}
-			sb.WriteString(p.String())
-		}
-	}
+	writeList(&sb, ", ", s.From)
+	writeWhere(&sb, s.Where)
 	if len(s.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")
-		for i, c := range s.GroupBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(c.String())
-		}
+		writeList(&sb, ", ", s.GroupBy)
 	}
 	if len(s.OrderBy) > 0 {
 		sb.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(o.String())
-		}
+		writeList(&sb, ", ", s.OrderBy)
 	}
 	if s.Limit > 0 {
 		fmt.Fprintf(&sb, " LIMIT %d", s.Limit)
@@ -319,12 +291,7 @@ func (s *Insert) String() string {
 		fmt.Fprintf(&sb, " (%s)", strings.Join(s.Columns, ", "))
 	}
 	sb.WriteString(" VALUES (")
-	for i, e := range s.Values {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(e.String())
-	}
+	writeList(&sb, ", ", s.Values)
 	sb.WriteString(")")
 	return sb.String()
 }
@@ -334,6 +301,8 @@ type Assignment struct {
 	Column string
 	Value  Expr
 }
+
+func (a Assignment) String() string { return a.Column + " = " + a.Value.String() }
 
 // Update is UPDATE t SET ... WHERE <primary key equality>.
 type Update struct {
@@ -347,12 +316,7 @@ func (*Update) stmt() {}
 func (s *Update) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "UPDATE %s SET ", s.Table)
-	for i, a := range s.Set {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s = %s", a.Column, a.Value)
-	}
+	writeList(&sb, ", ", s.Set)
 	writeWhere(&sb, s.Where)
 	return sb.String()
 }
@@ -377,11 +341,16 @@ func writeWhere(sb *strings.Builder, where []Predicate) {
 		return
 	}
 	sb.WriteString(" WHERE ")
-	for i, p := range where {
+	writeList(sb, " AND ", where)
+}
+
+// writeList writes items separated by sep.
+func writeList[T fmt.Stringer](sb *strings.Builder, sep string, items []T) {
+	for i, it := range items {
 		if i > 0 {
-			sb.WriteString(" AND ")
+			sb.WriteString(sep)
 		}
-		sb.WriteString(p.String())
+		sb.WriteString(it.String())
 	}
 }
 

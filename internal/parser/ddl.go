@@ -1,8 +1,6 @@
 package parser
 
 import (
-	"strconv"
-
 	"piql/internal/schema"
 	"piql/internal/value"
 )
@@ -43,17 +41,17 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &schema.Table{Name: name.text}
+	t := &schema.Table{Name: name}
 	if _, err := p.expect(tokSymbol, "("); err != nil {
 		return nil, err
 	}
-	for {
+	for more := true; more; more = p.accept(tokSymbol, ",") {
 		switch {
 		case p.accept(tokKeyword, "PRIMARY"):
 			if _, err := p.expect(tokKeyword, "KEY"); err != nil {
 				return nil, err
 			}
-			cols, err := p.parseColumnNameList()
+			cols, err := parenList(p, p.expectIdent)
 			if err != nil {
 				return nil, err
 			}
@@ -65,7 +63,7 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 			if _, err := p.expect(tokKeyword, "KEY"); err != nil {
 				return nil, err
 			}
-			cols, err := p.parseColumnNameList()
+			cols, err := parenList(p, p.expectIdent)
 			if err != nil {
 				return nil, err
 			}
@@ -76,20 +74,16 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.ForeignKeys = append(t.ForeignKeys, schema.ForeignKey{Columns: cols, RefTable: ref.text})
+			t.ForeignKeys = append(t.ForeignKeys, schema.ForeignKey{Columns: cols, RefTable: ref})
 		case p.accept(tokKeyword, "CARDINALITY"):
 			if _, err := p.expect(tokKeyword, "LIMIT"); err != nil {
 				return nil, err
 			}
-			num, err := p.expect(tokNumber, "")
+			limit, err := p.positiveInt("CARDINALITY LIMIT")
 			if err != nil {
 				return nil, err
 			}
-			limit, err := strconv.Atoi(num.text)
-			if err != nil || limit <= 0 {
-				return nil, p.errorf("CARDINALITY LIMIT must be a positive integer, got %q", num.text)
-			}
-			cols, err := p.parseColumnNameList()
+			cols, err := parenList(p, p.expectIdent)
 			if err != nil {
 				return nil, err
 			}
@@ -101,10 +95,6 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 			}
 			t.Columns = append(t.Columns, col)
 		}
-		if p.accept(tokSymbol, ",") {
-			continue
-		}
-		break
 	}
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
@@ -112,36 +102,15 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 	return &CreateTable{Table: t}, nil
 }
 
-func (p *parser) parseColumnNameList() ([]string, error) {
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	var cols []string
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, col.text)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
 func (p *parser) parseColumnDef() (schema.Column, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return schema.Column{}, err
 	}
-	col := schema.Column{Name: name.text}
+	col := schema.Column{Name: name}
 	typ := p.next()
 	if typ.kind != tokKeyword {
-		return schema.Column{}, p.errorf("expected a type for column %q, found %q", name.text, typ.text)
+		return schema.Column{}, p.errorf("expected a type for column %q, found %q", name, typ.text)
 	}
 	switch typ.text {
 	case "INT", "BIGINT", "TIMESTAMP":
@@ -153,15 +122,9 @@ func (p *parser) parseColumnDef() (schema.Column, error) {
 	case "VARCHAR":
 		col.Type = value.TypeString
 		if p.accept(tokSymbol, "(") {
-			num, err := p.expect(tokNumber, "")
-			if err != nil {
+			if col.MaxLen, err = p.positiveInt("VARCHAR length"); err != nil {
 				return schema.Column{}, err
 			}
-			n, err := strconv.Atoi(num.text)
-			if err != nil || n <= 0 {
-				return schema.Column{}, p.errorf("VARCHAR length must be positive")
-			}
-			col.MaxLen = n
 			if _, err := p.expect(tokSymbol, ")"); err != nil {
 				return schema.Column{}, err
 			}
@@ -171,7 +134,7 @@ func (p *parser) parseColumnDef() (schema.Column, error) {
 	case "BLOB":
 		col.Type = value.TypeBytes
 	default:
-		return schema.Column{}, p.errorf("unknown type %q for column %q", typ.text, name.text)
+		return schema.Column{}, p.errorf("unknown type %q for column %q", typ.text, name)
 	}
 	// Tolerated no-op modifiers.
 	for {
@@ -201,43 +164,30 @@ func (p *parser) parseCreateIndex() (*CreateIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
+	fields, err := parenList(p, p.parseIndexField)
+	if err != nil {
 		return nil, err
 	}
-	ix := &schema.Index{Name: name.text, Table: table.text}
-	for {
-		var f schema.IndexField
-		if p.accept(tokKeyword, "TOKEN") {
-			if _, err := p.expect(tokSymbol, "("); err != nil {
-				return nil, err
-			}
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			f = schema.IndexField{Column: col.text, Token: true}
-		} else {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			f = schema.IndexField{Column: col.text}
-		}
-		if p.accept(tokKeyword, "DESC") {
-			f.Desc = true
-		} else {
-			p.accept(tokKeyword, "ASC")
-		}
-		ix.Fields = append(ix.Fields, f)
-		if !p.accept(tokSymbol, ",") {
-			break
+	return &CreateIndex{Index: &schema.Index{Name: name, Table: table, Fields: fields}}, nil
+}
+
+// parseIndexField parses `col` or `TOKEN(col)`, either followed by an
+// optional ASC or DESC.
+func (p *parser) parseIndexField() (schema.IndexField, error) {
+	tokenized := p.accept(tokKeyword, "TOKEN")
+	if tokenized {
+		if _, err := p.expect(tokSymbol, "("); err != nil {
+			return schema.IndexField{}, err
 		}
 	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
+	col, err := p.expectIdent()
+	if err != nil {
+		return schema.IndexField{}, err
 	}
-	return &CreateIndex{Index: ix}, nil
+	if tokenized {
+		if _, err := p.expect(tokSymbol, ")"); err != nil {
+			return schema.IndexField{}, err
+		}
+	}
+	return schema.IndexField{Column: col, Token: tokenized, Desc: p.parseDesc()}, nil
 }

@@ -107,7 +107,7 @@ func lex(src string) ([]token, error) {
 			l.pos++
 			l.emit(tokSymbol, l.src[start:l.pos], start)
 		default:
-			return nil, fmt.Errorf("syntax error at offset %d: unexpected character %q", start, r)
+			return nil, &syntaxError{pos: start, msg: fmt.Sprintf("unexpected character %q", r)}
 		}
 	}
 }
@@ -184,7 +184,7 @@ func (l *lexer) lexNumber(start int) error {
 		c := l.src[l.pos]
 		if c == '.' {
 			if seenDot {
-				return fmt.Errorf("syntax error at offset %d: malformed number", start)
+				return &syntaxError{pos: start, msg: "malformed number"}
 			}
 			seenDot = true
 			l.pos++
@@ -221,5 +221,5 @@ func (l *lexer) lexString(start int) error {
 		l.emit(tokString, text, start)
 		return nil
 	}
-	return fmt.Errorf("syntax error at offset %d: unterminated string literal", start)
+	return &syntaxError{pos: start, msg: "unterminated string literal"}
 }

@@ -24,54 +24,17 @@ func Parse(src string) (Statement, error) {
 	if !p.at(tokEOF, "") {
 		return nil, p.errorf("unexpected %q after statement", p.peek().text)
 	}
-	normalizeParams(stmt)
 	return stmt, nil
-}
-
-// normalizeParams assigns 1-based indexes to positional '?' parameters in
-// textual order across the whole statement. Bracketed parameters keep
-// their explicit indexes.
-func normalizeParams(stmt Statement) {
-	n := 0
-	visit := func(e Expr) Expr {
-		if p, ok := e.(Param); ok && p.Index == 0 {
-			n++
-			p.Index = n
-			return p
-		}
-		return e
-	}
-	visitPreds := func(preds []Predicate) {
-		for i := range preds {
-			if preds[i].Right != nil {
-				preds[i].Right = visit(preds[i].Right)
-			}
-			for j := range preds[i].InList {
-				preds[i].InList[j] = visit(preds[i].InList[j])
-			}
-		}
-	}
-	switch s := stmt.(type) {
-	case *Select:
-		visitPreds(s.Where)
-	case *Insert:
-		for i := range s.Values {
-			s.Values[i] = visit(s.Values[i])
-		}
-	case *Update:
-		for i := range s.Set {
-			s.Set[i].Value = visit(s.Set[i].Value)
-		}
-		visitPreds(s.Where)
-	case *Delete:
-		visitPreds(s.Where)
-	}
 }
 
 type parser struct {
 	src  string
 	toks []token
 	pos  int
+	// params counts the positional '?' parameters read so far: each is
+	// numbered as it is read, 1-based, in textual order across the whole
+	// statement. Bracketed parameters keep their explicit indexes.
+	params int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -114,7 +77,62 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("syntax error at offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
+	return &syntaxError{pos: p.peek().pos, msg: fmt.Sprintf(format, args...)}
+}
+
+// syntaxError is a lexer or parser error at a byte offset of the source.
+type syntaxError struct {
+	pos int
+	msg string
+}
+
+func (e *syntaxError) Error() string {
+	return fmt.Sprintf("syntax error at offset %d: %s", e.pos, e.msg)
+}
+
+// list reads one or more items separated by commas.
+func list[T any](p *parser, item func() (T, error)) ([]T, error) {
+	var items []T
+	for {
+		it, err := item()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, it)
+		if !p.accept(tokSymbol, ",") {
+			return items, nil
+		}
+	}
+}
+
+// parenList reads a parenthesised list: ( item [, item]... ).
+func parenList[T any](p *parser, item func() (T, error)) ([]T, error) {
+	if _, err := p.expect(tokSymbol, "("); err != nil {
+		return nil, err
+	}
+	items, err := list(p, item)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokSymbol, ")"); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// positiveInt reads the positive integer literal what requires (LIMIT,
+// PAGINATE, CARDINALITY LIMIT, a VARCHAR length, a parameter index),
+// reporting a bad one at its own offset.
+func (p *parser) positiveInt(what string) (int, error) {
+	if !p.at(tokNumber, "") {
+		_, err := p.expect(tokNumber, "")
+		return 0, err
+	}
+	if n, err := strconv.Atoi(p.peek().text); err == nil && n > 0 {
+		p.next()
+		return n, nil
+	}
+	return 0, p.errorf("%s requires a positive integer literal, got %q", what, p.peek().text)
 }
 
 // identKeywords are keywords that may double as identifiers (column and
@@ -127,19 +145,18 @@ var identKeywords = map[string]bool{
 }
 
 // expectIdent consumes an identifier, also accepting keywords that are
-// legal identifiers in context.
-func (p *parser) expectIdent() (token, error) {
+// legal identifiers in context, and returns its source spelling.
+func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
 	if t.kind == tokIdent {
-		return p.next(), nil
+		return p.next().text, nil
 	}
 	if t.kind == tokKeyword && identKeywords[t.text] {
-		t = p.next()
+		p.next()
 		// Keyword tokens are upper-cased; restore the source spelling.
-		t.text = p.src[t.pos : t.pos+len(t.text)]
-		return t, nil
+		return p.src[t.pos : t.pos+len(t.text)], nil
 	}
-	return token{}, p.errorf("expected identifier, found %q", t.text)
+	return "", p.errorf("expected identifier, found %q", t.text)
 }
 
 func (p *parser) parseStatement() (Statement, error) {
@@ -164,106 +181,56 @@ func (p *parser) parseStatement() (Statement, error) {
 func (p *parser) parseSelect() (*Select, error) {
 	p.next() // SELECT
 	s := &Select{}
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		s.Items = append(s.Items, item)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
+	var err error
+	if s.Items, err = list(p, p.parseSelectItem); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
 		return nil, err
 	}
-	first, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	s.From = append(s.From, first)
-	for {
-		switch {
-		case p.accept(tokSymbol, ","):
-			ref, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			s.From = append(s.From, ref)
-		case p.accept(tokKeyword, "JOIN"):
-			ref, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			s.From = append(s.From, ref)
-			if p.accept(tokKeyword, "ON") {
-				preds, err := p.parsePredicates()
-				if err != nil {
-					return nil, err
-				}
-				s.Where = append(s.Where, preds...)
-			}
-		default:
-			goto fromDone
-		}
-	}
-fromDone:
-	if p.accept(tokKeyword, "WHERE") {
-		preds, err := p.parsePredicates()
+	// Tables are separated by ',' or JOIN; a JOIN's ON conditions join
+	// the WHERE conjunction.
+	for joined, more := false, true; more; more = joined || p.accept(tokSymbol, ",") {
+		ref, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
-		s.Where = append(s.Where, preds...)
+		s.From = append(s.From, ref)
+		if joined && p.accept(tokKeyword, "ON") {
+			if s.Where, err = p.parsePredicates(s.Where); err != nil {
+				return nil, err
+			}
+		}
+		joined = p.accept(tokKeyword, "JOIN")
+	}
+	if s.Where, err = p.parseWhere(s.Where); err != nil {
+		return nil, err
 	}
 	if p.accept(tokKeyword, "GROUP") {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
-			col, err := p.parseColumnRef()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, col)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		if s.GroupBy, err = list(p, p.parseColumnRef); err != nil {
+			return nil, err
 		}
 	}
 	if p.accept(tokKeyword, "ORDER") {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
-			col, err := p.parseColumnRef()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Col: col}
-			if p.accept(tokKeyword, "DESC") {
-				item.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
-			}
-			s.OrderBy = append(s.OrderBy, item)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		if s.OrderBy, err = list(p, p.parseOrderItem); err != nil {
+			return nil, err
 		}
 	}
 	if p.accept(tokKeyword, "LIMIT") {
-		n, err := p.parsePositiveInt("LIMIT")
-		if err != nil {
+		if s.Limit, err = p.positiveInt("LIMIT"); err != nil {
 			return nil, err
 		}
-		s.Limit = n
 	}
 	if p.accept(tokKeyword, "PAGINATE") {
-		n, err := p.parsePositiveInt("PAGINATE")
-		if err != nil {
+		if s.Paginate, err = p.positiveInt("PAGINATE"); err != nil {
 			return nil, err
 		}
-		s.Paginate = n
 	}
 	if s.Limit > 0 && s.Paginate > 0 {
 		return nil, p.errorf("LIMIT and PAGINATE are mutually exclusive")
@@ -271,50 +238,33 @@ fromDone:
 	return s, nil
 }
 
-func (p *parser) parsePositiveInt(clause string) (int, error) {
-	t, err := p.expect(tokNumber, "")
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(t.text)
-	if err != nil || n <= 0 {
-		return 0, p.errorf("%s requires a positive integer literal, got %q", clause, t.text)
-	}
-	return n, nil
-}
-
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	if p.accept(tokSymbol, "*") {
 		return SelectItem{Star: true}, nil
 	}
+	var err error
 	// Aggregates.
-	for kw, agg := range map[string]AggKind{
-		"COUNT": AggCount, "SUM": AggSum, "AVG": AggAvg, "MIN": AggMin, "MAX": AggMax,
-	} {
-		if p.at(tokKeyword, kw) {
-			p.next()
-			if _, err := p.expect(tokSymbol, "("); err != nil {
-				return SelectItem{}, err
-			}
-			item := SelectItem{Agg: agg}
-			if p.accept(tokSymbol, "*") {
-				if agg != AggCount {
-					return SelectItem{}, p.errorf("%s(*) is not valid", kw)
-				}
-				item.AggStar = true
-			} else {
-				col, err := p.parseColumnRef()
-				if err != nil {
-					return SelectItem{}, err
-				}
-				item.Col = col
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return SelectItem{}, err
-			}
-			item.Alias = p.parseOptionalAlias()
-			return item, nil
+	for agg := AggCount; agg <= AggMax; agg++ {
+		if !p.accept(tokKeyword, agg.String()) {
+			continue
 		}
+		if _, err := p.expect(tokSymbol, "("); err != nil {
+			return SelectItem{}, err
+		}
+		item := SelectItem{Agg: agg}
+		if p.accept(tokSymbol, "*") {
+			if agg != AggCount {
+				return SelectItem{}, p.errorf("%s(*) is not valid", agg)
+			}
+			item.AggStar = true
+		} else if item.Col, err = p.parseColumnRef(); err != nil {
+			return SelectItem{}, err
+		}
+		if _, err := p.expect(tokSymbol, ")"); err != nil {
+			return SelectItem{}, err
+		}
+		item.Alias, err = p.parseOptionalAlias()
+		return item, err
 	}
 	col, err := p.parseColumnRef()
 	if err != nil {
@@ -324,20 +274,19 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	if col.Column == "*" {
 		return SelectItem{Star: true, StarOf: col.Table}, nil
 	}
-	return SelectItem{Col: col, Alias: p.parseOptionalAlias()}, nil
+	alias, err := p.parseOptionalAlias()
+	return SelectItem{Col: col, Alias: alias}, err
 }
 
-func (p *parser) parseOptionalAlias() string {
+// parseOptionalAlias reads [AS] alias: after AS the alias is required.
+func (p *parser) parseOptionalAlias() (string, error) {
 	if p.accept(tokKeyword, "AS") {
-		if t, err := p.expectIdent(); err == nil {
-			return t.text
-		}
-		return ""
+		return p.expectIdent()
 	}
 	if p.at(tokIdent, "") {
-		return p.next().text
+		return p.next().text, nil
 	}
-	return ""
+	return "", nil
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
@@ -345,17 +294,8 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	if err != nil {
 		return TableRef{}, err
 	}
-	ref := TableRef{Table: name.text}
-	if p.accept(tokKeyword, "AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return TableRef{}, err
-		}
-		ref.Alias = alias.text
-	} else if p.at(tokIdent, "") {
-		ref.Alias = p.next().text
-	}
-	return ref, nil
+	alias, err := p.parseOptionalAlias()
+	return TableRef{Table: name, Alias: alias}, err
 }
 
 // parseColumnRef parses ident[.ident] or ident.* (Column == "*").
@@ -366,22 +306,47 @@ func (p *parser) parseColumnRef() (ColumnRef, error) {
 	}
 	if p.accept(tokSymbol, ".") {
 		if p.accept(tokSymbol, "*") {
-			return ColumnRef{Table: first.text, Column: "*"}, nil
+			return ColumnRef{Table: first, Column: "*"}, nil
 		}
 		second, err := p.expectIdent()
 		if err != nil {
 			return ColumnRef{}, err
 		}
-		return ColumnRef{Table: first.text, Column: second.text}, nil
+		return ColumnRef{Table: first, Column: second}, nil
 	}
-	return ColumnRef{Column: first.text}, nil
+	return ColumnRef{Column: first}, nil
 }
 
-// parsePredicates parses a conjunction of comparisons joined with AND.
-// OR is rejected: PIQL restricts queries to conjunctive predicates so
-// bounds remain statically computable.
-func (p *parser) parsePredicates() ([]Predicate, error) {
-	var preds []Predicate
+// parseOrderItem parses col [ASC | DESC].
+func (p *parser) parseOrderItem() (OrderItem, error) {
+	col, err := p.parseColumnRef()
+	if err != nil {
+		return OrderItem{}, err
+	}
+	return OrderItem{Col: col, Desc: p.parseDesc()}, nil
+}
+
+// parseDesc reads an optional ASC or DESC, reporting whether it was DESC.
+func (p *parser) parseDesc() bool {
+	if p.accept(tokKeyword, "DESC") {
+		return true
+	}
+	p.accept(tokKeyword, "ASC")
+	return false
+}
+
+// parseWhere appends the conjuncts of an optional WHERE clause to where.
+func (p *parser) parseWhere(where []Predicate) ([]Predicate, error) {
+	if !p.accept(tokKeyword, "WHERE") {
+		return where, nil
+	}
+	return p.parsePredicates(where)
+}
+
+// parsePredicates appends a conjunction of comparisons joined with AND
+// to preds. OR is rejected: PIQL restricts queries to conjunctive
+// predicates so bounds remain statically computable.
+func (p *parser) parsePredicates(preds []Predicate) ([]Predicate, error) {
 	for {
 		pred, err := p.parsePredicate()
 		if err != nil {
@@ -422,7 +387,11 @@ func (p *parser) parsePredicate() (Predicate, error) {
 	case p.accept(tokKeyword, "CONTAINS"):
 		op = OpContains
 	case p.accept(tokKeyword, "IN"):
-		return p.parseInList(left)
+		in, err := parenList(p, p.parseExpr)
+		if err != nil {
+			return Predicate{}, err
+		}
+		return Predicate{Left: left, Op: OpEq, InList: in}, nil
 	default:
 		return Predicate{}, p.errorf("expected comparison operator, found %q", p.peek().text)
 	}
@@ -433,36 +402,13 @@ func (p *parser) parsePredicate() (Predicate, error) {
 	return Predicate{Left: left, Op: op, Right: right}, nil
 }
 
-func (p *parser) parseInList(left ColumnRef) (Predicate, error) {
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return Predicate{}, err
-	}
-	var list []Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return Predicate{}, err
-		}
-		list = append(list, e)
-		if p.accept(tokSymbol, ",") {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return Predicate{}, err
-	}
-	return Predicate{Left: left, Op: OpEq, InList: list}, nil
-}
-
 // parseExpr parses a literal, parameter, or column reference.
 func (p *parser) parseExpr() (Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tokNumber:
 		p.next()
-		neg := false
-		return numberLiteral(t.text, neg)
+		return numberLiteral(t.text, false)
 	case t.kind == tokSymbol && t.text == "-":
 		p.next()
 		num, err := p.expect(tokNumber, "")
@@ -484,7 +430,8 @@ func (p *parser) parseExpr() (Expr, error) {
 		return Literal{Val: value.Null()}, nil
 	case t.kind == tokParam:
 		p.next()
-		return Param{}, nil // positional; indexes assigned by the binder
+		p.params++
+		return Param{Index: p.params}, nil // positional; numbered as read
 	case t.kind == tokSymbol && t.text == "[":
 		return p.parseBracketParam()
 	case t.kind == tokIdent:
@@ -519,21 +466,15 @@ func numberLiteral(text string, neg bool) (Expr, error) {
 // or [1].
 func (p *parser) parseBracketParam() (Expr, error) {
 	p.next() // [
-	num, err := p.expect(tokNumber, "")
+	idx, err := p.positiveInt("parameter index")
 	if err != nil {
 		return nil, err
 	}
-	idx, err := strconv.Atoi(num.text)
-	if err != nil || idx <= 0 {
-		return nil, p.errorf("parameter index must be a positive integer")
-	}
 	param := Param{Index: idx}
 	if p.accept(tokSymbol, ":") {
-		name, err := p.expectIdent()
-		if err != nil {
+		if param.Name, err = p.expectIdent(); err != nil {
 			return nil, err
 		}
-		param.Name = name.text
 	}
 	if _, err := p.expect(tokSymbol, "]"); err != nil {
 		return nil, err
@@ -552,39 +493,16 @@ func (p *parser) parseInsert() (*Insert, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins := &Insert{Table: table.text}
-	if p.accept(tokSymbol, "(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, col.text)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
+	ins := &Insert{Table: table}
+	if p.at(tokSymbol, "(") {
+		if ins.Columns, err = parenList(p, p.expectIdent); err != nil {
 			return nil, err
 		}
 	}
 	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ins.Values = append(ins.Values, e)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
+	if ins.Values, err = parenList(p, p.parseExpr); err != nil {
 		return nil, err
 	}
 	if len(ins.Columns) > 0 && len(ins.Columns) != len(ins.Values) {
@@ -599,35 +517,30 @@ func (p *parser) parseUpdate() (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	upd := &Update{Table: table.text}
+	upd := &Update{Table: table}
 	if _, err := p.expect(tokKeyword, "SET"); err != nil {
 		return nil, err
 	}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		upd.Set = append(upd.Set, Assignment{Column: col.text, Value: e})
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
+	if upd.Set, err = list(p, p.parseAssignment); err != nil {
+		return nil, err
 	}
-	if p.accept(tokKeyword, "WHERE") {
-		preds, err := p.parsePredicates()
-		if err != nil {
-			return nil, err
-		}
-		upd.Where = preds
+	if upd.Where, err = p.parseWhere(nil); err != nil {
+		return nil, err
 	}
 	return upd, nil
+}
+
+// parseAssignment parses col = expr.
+func (p *parser) parseAssignment() (Assignment, error) {
+	col, err := p.expectIdent()
+	if err != nil {
+		return Assignment{}, err
+	}
+	if _, err := p.expect(tokSymbol, "="); err != nil {
+		return Assignment{}, err
+	}
+	e, err := p.parseExpr()
+	return Assignment{Column: col, Value: e}, err
 }
 
 func (p *parser) parseDelete() (*Delete, error) {
@@ -639,13 +552,9 @@ func (p *parser) parseDelete() (*Delete, error) {
 	if err != nil {
 		return nil, err
 	}
-	del := &Delete{Table: table.text}
-	if p.accept(tokKeyword, "WHERE") {
-		preds, err := p.parsePredicates()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = preds
+	del := &Delete{Table: table}
+	if del.Where, err = p.parseWhere(nil); err != nil {
+		return nil, err
 	}
 	return del, nil
 }

@@ -230,32 +230,53 @@ func TestCreateIndexDDL(t *testing.T) {
 	}
 }
 
+// syntaxErrorCases are statements Parse must refuse; TestParseGolden
+// pins the error each gets.
+var syntaxErrorCases = []string{
+	``,
+	`SELECT`,
+	`SELECT * FROM`,
+	`SELECT * FROM t WHERE`,
+	`SELECT * FROM t WHERE a OR b`,
+	`SELECT * FROM t WHERE a = 1 OR b = 2`,
+	`SELECT * FROM t LIMIT 0`,
+	`SELECT * FROM t LIMIT -5`,
+	`SELECT * FROM t WHERE a = 'unterminated`,
+	`SELECT * FROM t WHERE a = [0: x]`,
+	`SELECT * FROM t WHERE a = [1: x`,
+	`SELECT * FROM t; SELECT * FROM u`,
+	`INSERT INTO t (a, b) VALUES (1)`,
+	`CREATE TABLE t (a FOO)`,
+	`CREATE TABLE t (a INT, PRIMARY KEY (a), PRIMARY KEY (a))`,
+	`CREATE TABLE t (a INT, CARDINALITY LIMIT 0 (a))`,
+	`CREATE NONSENSE x`,
+	`SELECT SUM(*) FROM t`,
+	`SELECT * FROM t WHERE a @ 1`,
+	`SELECT * FROM t WHERE a = 1.2.3`,
+	`SELECT a AS FROM t`,
+	`SELECT COUNT(*) AS FROM t`,
+}
+
 func TestSyntaxErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`SELECT`,
-		`SELECT * FROM`,
-		`SELECT * FROM t WHERE`,
-		`SELECT * FROM t WHERE a OR b`,
-		`SELECT * FROM t WHERE a = 1 OR b = 2`,
-		`SELECT * FROM t LIMIT 0`,
-		`SELECT * FROM t LIMIT -5`,
-		`SELECT * FROM t WHERE a = 'unterminated`,
-		`SELECT * FROM t WHERE a = [0: x]`,
-		`SELECT * FROM t WHERE a = [1: x`,
-		`SELECT * FROM t; SELECT * FROM u`,
-		`INSERT INTO t (a, b) VALUES (1)`,
-		`CREATE TABLE t (a FOO)`,
-		`CREATE TABLE t (a INT, PRIMARY KEY (a), PRIMARY KEY (a))`,
-		`CREATE TABLE t (a INT, CARDINALITY LIMIT 0 (a))`,
-		`CREATE NONSENSE x`,
-		`SELECT SUM(*) FROM t`,
-		`SELECT * FROM t WHERE a @ 1`,
-		`SELECT * FROM t WHERE a = 1.2.3`,
-	}
-	for _, src := range cases {
+	for _, src := range syntaxErrorCases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestPositiveIntErrors: a count that is not a positive integer is
+// reported at the number itself, naming the clause that wanted it.
+func TestPositiveIntErrors(t *testing.T) {
+	for src, want := range map[string]string{
+		`SELECT * FROM t LIMIT 0`:                         `syntax error at offset 22: LIMIT requires a positive integer literal, got "0"`,
+		`SELECT * FROM t PAGINATE 1.5`:                    `syntax error at offset 25: PAGINATE requires a positive integer literal, got "1.5"`,
+		`CREATE TABLE t (a INT, CARDINALITY LIMIT 0 (a))`: `syntax error at offset 41: CARDINALITY LIMIT requires a positive integer literal, got "0"`,
+		`CREATE TABLE t (a VARCHAR(0))`:                   `syntax error at offset 26: VARCHAR length requires a positive integer literal, got "0"`,
+		`SELECT * FROM t WHERE a = [0: x]`:                `syntax error at offset 27: parameter index requires a positive integer literal, got "0"`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
 		}
 	}
 }

@@ -164,7 +164,6 @@ func (p *Proc) Parallel(fns ...func(c *Proc)) {
 		return
 	}
 	for _, fn := range fns {
-		fn := fn
 		p.env.Spawn(func(c *Proc) {
 			fn(c)
 			remaining--

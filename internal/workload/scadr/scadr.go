@@ -2,7 +2,7 @@
 // a Twitter-like microblogging service with users, subscriptions
 // (cardinality-limited per the PIQL DDL extension), and 140-character
 // thoughts. The workload simulates rendering the SCADr home page: all
-// five queries per interaction, plus a 1% chance of posting a thought.
+// four read queries per interaction, plus a 1% chance of posting a thought.
 package scadr
 
 import (
@@ -63,7 +63,7 @@ func DDL(cfg Config) []string {
 	}
 }
 
-// The five SCADr queries (Section 8.1.2).
+// The four SCADr read queries (Section 8.1.2).
 func queries(cfg Config) map[string]string {
 	return map[string]string{
 		"usersFollowed": `

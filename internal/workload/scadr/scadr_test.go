@@ -33,7 +33,7 @@ func TestLoadAndAllQueriesCompileAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All five queries run across many interactions without error.
+	// All four queries run across many interactions without error.
 	for i := 0; i < 50; i++ {
 		if err := w.Interaction(); err != nil {
 			t.Fatalf("interaction %d: %v", i, err)
