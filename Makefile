@@ -180,12 +180,14 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # profile runs one workload with both profiles on (into .bench_build/)
-# and prints what lies under the workload's interactions: CPU by
+# and prints what lies under the workload's interactions, and under the
+# simulator's scheduler loop (sim.(*Env).Run, which runs scadr_sim's
+# events on the main goroutine, outside any interaction): CPU by
 # cumulative time, then objects and bytes allocated. TOP is the number of
 # lines of each.
 #   make profile W=tpcw_order [TOP=40]
 TOP ?= 40
-PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction' -nodecount $(TOP)
+PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction|sim\.\(\*Env\)\.Run' -nodecount $(TOP)
 
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>   (one of: $(BENCH_WORKLOADS))"; exit 2; }

@@ -9,15 +9,18 @@
 package sim
 
 import (
-	"container/heap"
 	"runtime"
 	"time"
 )
 
-// event wakes a parked process at a virtual time. seq breaks ties FIFO.
-// yield marks a poll wakeup scheduled by Yield: other yielders ignore it
-// when choosing their own wake time, so two polling processes can never
-// keep each other — and the virtual clock — spinning at one instant.
+// event wakes a parked process at a virtual time. Events leave the heap
+// in (at, seq) order: earliest at first, and among equal at the lowest
+// seq, which Env numbers uniquely in scheduling order, so ties go FIFO.
+// The order is strict and total, so every heap yields the same pop
+// sequence (TestEventHeapMatchesContainerHeap). yield marks a poll
+// wakeup scheduled by Yield: other yielders ignore it when choosing
+// their own wake time, so two polling processes can never keep each
+// other — and the virtual clock — spinning at one instant.
 type event struct {
 	at    time.Duration
 	seq   int64
@@ -25,18 +28,57 @@ type event struct {
 	yield bool
 }
 
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events in (at, seq) order. It works
+// on the slice directly, so no event is boxed into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(&s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any           { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// pop removes and returns the first event. It zeroes the vacated slot,
+// so the backing array keeps no wake channel alive.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = event{}
+	s = s[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s[l].before(&s[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s[r].before(&s[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
+}
+
 func (h eventHeap) peek() time.Duration { return h[0].at }
 
 // Env is a simulation environment. Create with NewEnv, add processes with
@@ -99,7 +141,7 @@ func (e *Env) Spawn(fn func(p *Proc)) {
 // schedule queues a wakeup without transferring control.
 func (e *Env) schedule(at time.Duration, wake chan struct{}) {
 	e.seq++
-	heap.Push(&e.events, event{at: at, seq: e.seq, wake: wake})
+	e.events.push(event{at: at, seq: e.seq, wake: wake})
 }
 
 // park hands the scheduler token back and blocks until woken. Must only
@@ -150,7 +192,7 @@ func (p *Proc) Yield() {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: at, seq: e.seq, wake: p.wake, yield: true})
+	e.events.push(event{at: at, seq: e.seq, wake: p.wake, yield: true})
 	p.park()
 }
 
@@ -185,7 +227,7 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			e.now = until
 			return e.now
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.at
 		ev.wake <- struct{}{}
 		<-e.yield
@@ -199,7 +241,7 @@ func (e *Env) Run(until time.Duration) time.Duration {
 func (e *Env) Stop() {
 	e.stopped = true
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		ev.wake <- struct{}{}
 		<-e.yield
 	}

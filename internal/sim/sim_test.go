@@ -1,11 +1,93 @@
 package sim
 
 import (
+	"container/heap"
+	"math/rand"
 	"testing"
 	"time"
 )
 
 const ms = time.Millisecond
+
+// refHeap is the standard library's heap over the (at, seq) order, the
+// reference eventHeap is checked against. Less spells the order out
+// rather than calling event.before, so the two do not share a mistake.
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// TestEventHeapMatchesContainerHeap runs seeded streams of interleaved
+// pushes and pops through eventHeap and through container/heap: the two
+// must pop the same events in the same order. Times are drawn from a few
+// values, so most events tie on at and the order rests on seq; some are
+// yield events, which the heap orders like any other.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		var got eventHeap
+		var want refHeap
+		var seq int64
+		pops := 0
+		for step := 0; step < 20000; step++ {
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: %d events in eventHeap, %d in container/heap", seed, step, len(got), len(want))
+			}
+			if len(got) > 0 && rng.Intn(5) < 2 {
+				g, w := got.pop(), heap.Pop(&want).(event)
+				if g != w {
+					t.Fatalf("seed %d pop %d: eventHeap gave %+v, container/heap %+v", seed, pops, g, w)
+				}
+				pops++
+				continue
+			}
+			seq++
+			ev := event{at: time.Duration(rng.Intn(8)) * ms, seq: seq, yield: rng.Intn(4) == 0}
+			got.push(ev)
+			heap.Push(&want, ev)
+		}
+		for len(want) > 0 {
+			if g, w := got.pop(), heap.Pop(&want).(event); g != w {
+				t.Fatalf("seed %d draining: eventHeap gave %+v, container/heap %+v", seed, g, w)
+			}
+			pops++
+		}
+		if len(got) != 0 || pops < 10000 {
+			t.Fatalf("seed %d: %d events left, %d popped", seed, len(got), pops)
+		}
+	}
+}
+
+// TestScheduleAllocations pins the scheduler at zero allocations a
+// wakeup: once the heap has grown, a schedule and the pop that fires it
+// box nothing. A process sleeps in a loop, and each Run delivers one
+// wakeup, which schedules the next.
+func TestScheduleAllocations(t *testing.T) {
+	e := NewEnv()
+	e.Spawn(func(p *Proc) {
+		for {
+			p.Sleep(ms)
+		}
+	})
+	defer e.Stop()
+	step := func() { e.Run(e.Now() + ms) }
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Fatalf("a schedule and pop cycle made %v allocations, want 0", got)
+	}
+}
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	e := NewEnv()
