@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint build test race chaos chaos-faults bench-check bench bench-compare profile experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults mutants bench-check bench bench-compare profile experiments
 
 all: ci
 
@@ -20,8 +20,9 @@ vet:
 # experiment rig (no non-test file of internal/harness but rig.go calls
 # kvstore.New or engine.New), one branch runner (no non-test code of
 # internal/kvstore but (*Client).branches calls proc.Parallel), and
-# piql-vet (the project's own analyzers, then the escape budget) —
-# see "Static analysis" in README.md. After deliberately changing a hot
+# piql-vet (the project's own analyzers, each package analyzed on its
+# own, then the escape budget) — see "Static analysis" in README.md;
+# `make mutants` shows what the analyzers catch. After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
 # `bin/piql-vet -escapebudget -update` and review the diff like any
 # other file.
@@ -122,6 +123,15 @@ CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
 
 chaos-faults:
 	$(call raced-gate,$(CHAOS_FAULTS_TESTS))
+
+# mutants applies each row of cmd/piql-vet/testdata/mutants.ledger — a
+# seeded bug and the gate that must catch it: piql-vet:<analyzer>,
+# test:<pkg>:<Test> or race:<pkg>:<Test> — alone to a `git archive HEAD`
+# copy of the tree, runs only that gate, and fails any row whose old
+# text does not occur exactly once or whose gate passes. It mutates
+# HEAD, so commit first. Plain `go test` checks only the old texts.
+mutants:
+	$(GO) test -count=1 -timeout 30m -run '^TestMutantLedger$$' ./cmd/piql-vet -mutants
 
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (replace piql => ../, so this runs offline) and is frozen, so

@@ -2,19 +2,16 @@
 // (internal/lint) over the module that contains the working directory:
 //
 //	piql-vet [-C dir] ./...              # analyze every package
-//	piql-vet [-C dir] -lockgraph ./...   # ...and print the lock hierarchy
 //	piql-vet [-C dir] -escapebudget      # hot-path heap-escape gate
 //	piql-vet [-C dir] -escapebudget -update
 //
 // There is one analysis path: the module is parsed and typechecked from
-// source (lint.Loader — no export data, no go vet handshake), packages
-// are analyzed in dependency order, and each package's function
-// summaries (may-block, lock-acquisition sets, transient-error returns,
-// net acquires/releases — see internal/lint) stay in memory for the
-// packages that import it, so diagnostics see across package
-// boundaries. -escapebudget is the one analyzer that needs a build
-// instead: it runs `go build -gcflags=-m` and compares the compiler's
-// escape decisions with escape.budget.
+// source (lint.Loader — no export data, no go vet handshake) and each
+// package is analyzed on its own; no summary crosses a package boundary
+// (internal/lint's interproc.go says why none has to). -escapebudget is
+// the one analyzer that needs a build instead: it runs
+// `go build -gcflags=-m` and compares the compiler's escape decisions
+// with escape.budget.
 //
 // Violations print as file:line:col diagnostics on stderr. Exit status:
 // 0 clean, 1 operational error, 2 findings. A site that is allowed to
@@ -35,15 +32,14 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
 // run is the whole tool; main only binds it to the process.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("piql-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	chdir := fs.String("C", ".", "analyze the module containing `dir`")
-	lockgraph := fs.Bool("lockgraph", false, "print the inferred lock hierarchy")
+	chdir := fs.String("C", ".", "analyze the module containing `dir`, one package at a time")
 	escBudget := fs.Bool("escapebudget", false, "run only the heap-escape gate (go build -gcflags=-m against escape.budget)")
 	update := fs.Bool("update", false, "with -escapebudget: rewrite escape.budget to the measured counts")
 	if err := fs.Parse(args); err != nil {
@@ -67,30 +63,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *escBudget {
 		return runEscapeBudget(loader, *update, stderr)
 	}
-	return runAnalyzers(loader, *lockgraph, stdout, stderr)
+	return runAnalyzers(loader, stderr)
 }
 
-// runAnalyzers runs every analyzer over every package of the module in
-// dependency order, threading facts in memory.
-func runAnalyzers(loader *lint.Loader, lockgraph bool, stdout, stderr io.Writer) int {
+// runAnalyzers runs every analyzer over each package of the module.
+func runAnalyzers(loader *lint.Loader, stderr io.Writer) int {
 	pkgs, err := loader.LoadAll()
 	if err != nil {
 		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
 		return 1
 	}
-	store := lint.NewFactStore()
 	findings := 0
 	for _, lp := range pkgs {
-		lp.Unit.Facts = store
-		diags, facts := lint.RunUnit(lp.Unit, lint.Analyzers)
-		findings += report(diags, stderr)
-		store.Add(lp.Unit.ImportPath, facts)
-	}
-	if lockgraph {
-		fmt.Fprintln(stdout, "lock hierarchy (acquired-while-held, roots first):")
-		for _, line := range lint.LockHierarchy(store.AllLockEdges(nil)) {
-			fmt.Fprintln(stdout, "  "+line)
-		}
+		findings += report(lint.RunUnit(lp.Unit, lint.Analyzers), stderr)
 	}
 	if findings > 0 {
 		return 2
@@ -184,8 +169,7 @@ func runEscapeBudget(loader *lint.Loader, update bool, stderr io.Writer) int {
 			ImportPath: ip,
 			Escapes:    &lint.EscapeInfo{Budget: byPkg[ip], Sites: sites},
 		}
-		over, _ := lint.RunUnit(unit, []*lint.Analyzer{lint.EscapeBudget})
-		diags = append(diags, over...)
+		diags = append(diags, lint.RunUnit(unit, []*lint.Analyzer{lint.EscapeBudget})...)
 	}
 
 	if update {

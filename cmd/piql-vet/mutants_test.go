@@ -1,0 +1,148 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var mutants = flag.Bool("mutants", false, "apply each row of testdata/mutants.ledger to a `git archive HEAD` copy and run its gate (make mutants)")
+
+// mutant is one row of testdata/mutants.ledger: a seeded bug and the
+// gate that must catch it.
+type mutant struct {
+	name     string
+	file     string
+	old, new string
+	gate     string
+}
+
+// readLedger parses testdata/mutants.ledger; its header gives the
+// format.
+func readLedger(t *testing.T) []mutant {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "mutants.ledger"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []mutant
+	name := ""
+	for i, line := range strings.Split(string(data), "\n") {
+		if c, ok := strings.CutPrefix(line, "# "); ok {
+			name, _, _ = strings.Cut(c, ":")
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		m, err := parseRow(name, line)
+		if err != nil {
+			t.Fatalf("mutants.ledger:%d: %v", i+1, err)
+		}
+		rows = append(rows, m)
+	}
+	return rows
+}
+
+// parseRow parses `<file> <old> <new> <gate>`, old and new being Go
+// string literals.
+func parseRow(name, line string) (mutant, error) {
+	m := mutant{name: name}
+	file, rest, _ := strings.Cut(line, " ")
+	m.file = file
+	for _, field := range []*string{&m.old, &m.new} {
+		rest = strings.TrimLeft(rest, " ")
+		lit, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return m, fmt.Errorf("want a Go string literal at %q", rest)
+		}
+		*field, _ = strconv.Unquote(lit)
+		rest = rest[len(lit):]
+	}
+	m.gate = strings.TrimSpace(rest)
+	if m.gate == "" {
+		return m, fmt.Errorf("row has no gate")
+	}
+	return m, nil
+}
+
+// TestMutantLedger checks that every ledger row still applies: its old
+// text occurs exactly once in its file. With -mutants it also applies
+// each row alone to a fresh `git archive HEAD` copy of the tree and
+// runs the row's gate there; a gate that passes on its mutant fails
+// the row.
+func TestMutantLedger(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range readLedger(t) {
+		t.Run(m.name, func(t *testing.T) {
+			dir := root
+			if *mutants {
+				dir = archiveHead(t, root)
+			}
+			path := filepath.Join(dir, filepath.FromSlash(m.file))
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), m.old); n != 1 {
+				t.Fatalf("%s: old text occurs %d times, want exactly once: %q", m.file, n, m.old)
+			}
+			if !*mutants {
+				return
+			}
+			mutated := strings.Replace(string(src), m.old, m.new, 1)
+			if err := os.WriteFile(path, []byte(mutated), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			if caught, out := runGate(t, dir, m.gate); !caught {
+				t.Errorf("survived: gate %s passes on the mutant\n%s", m.gate, out)
+			}
+		})
+	}
+}
+
+// archiveHead extracts `git archive HEAD` of the repository at root into
+// a fresh temporary directory.
+func archiveHead(t *testing.T, root string) string {
+	t.Helper()
+	dir := t.TempDir()
+	cmd := exec.Command("sh", "-c", `git -C "$1" archive HEAD | tar -x -C "$2"`, "sh", root, dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("git archive: %v\n%s", err, out)
+	}
+	return dir
+}
+
+// runGate runs one gate over the module in dir and reports whether it
+// caught the mutant, with the gate's output.
+func runGate(t *testing.T, dir, gate string) (bool, string) {
+	t.Helper()
+	kind, arg, _ := strings.Cut(gate, ":")
+	switch kind {
+	case "piql-vet":
+		var out bytes.Buffer
+		run([]string{"-C", dir, "./..."}, &out)
+		return strings.Contains(out.String(), " ("+arg+")\n"), out.String()
+	case "test", "race":
+		pkg, name, _ := strings.Cut(arg, ":")
+		args := []string{"test", "-count=1"}
+		if kind == "race" {
+			args = append(args, "-race")
+		}
+		cmd := exec.Command("go", append(args, "-run", "^"+name+"$", "./"+pkg)...)
+		cmd.Dir = dir
+		out, _ := cmd.CombinedOutput()
+		return bytes.Contains(out, []byte("--- FAIL: "+name)), string(out)
+	}
+	t.Fatalf("unknown gate %q", gate)
+	return false, ""
+}

@@ -9,8 +9,8 @@ import "go/ast"
 // switch/select clause merges with default-totality, and a single exit
 // enumeration (every return plus the implicit fall-through at the
 // closing brace) — rather than a full basic-block CFG. It carries the
-// held-lock walk of interproc.go, which lockorder, holdblock,
-// releasepath and errtaxonomy read.
+// held-lock walk of interproc.go, which lockorder, holdblock and
+// releasepath read.
 
 // flowWalker drives the held-lock walk (interproc.go) through one
 // function body: the walker owns all control flow, its leafStmt /
@@ -97,7 +97,6 @@ func (w *flowWalker) stmt(st ast.Stmt, fs *held) bool {
 		for _, e := range s.Results {
 			w.expr(e, fs)
 		}
-		w.ip.recordReturn(w.fi, s)
 		w.ip.recordExit(w.fi, s.Pos(), fs)
 		return true
 	case *ast.BranchStmt:

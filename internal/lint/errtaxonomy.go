@@ -24,12 +24,11 @@ import (
 //     to the taxonomy: allowed only for allowlisted functions and
 //     package-level sentinels.
 //
-// Consumer rules run everywhere and are fact-powered: an operand of a
-// ==/!= error comparison (or an Error()-text match) that traces to a
-// call whose summary — local, or imported from a dependency's facts
-// — says it may return a transient error is a bug: such errors
-// arrive wrapped, so identity comparison silently misclassifies them
-// as fatal.
+// Consumer rules run everywhere and are syntactic: an ==/!= between two
+// non-nil error operands, an Error()-text match, or a type assertion to
+// a concrete error type is a finding wherever it occurs. Errors arrive
+// wrapped, so identity comparison silently misclassifies them as fatal,
+// whatever call, function value or package the operand came from.
 var ErrTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
 	Doc:  "client/op errors must unwrap to ErrTransient or be allowlisted fatal; classify with errors.Is, not == or string matching",
@@ -55,11 +54,12 @@ var ErrTaxonomyFatalAllow = map[string]bool{
 }
 
 func runErrTaxonomy(pass *Pass) {
-	if pass.ip == nil {
+	pkg, info := pass.unit.Pkg, pass.unit.Info
+	if pkg == nil || info == nil {
 		return
 	}
-	if pass.ip.hasTransientSentinel {
-		runErrTaxonomyProducer(pass)
+	if transient, declared := findTransientTypes(pass.Files, pkg, info); declared {
+		runErrTaxonomyProducer(pass, transient)
 	}
 	runErrTaxonomyConsumer(pass)
 }
@@ -67,12 +67,68 @@ func runErrTaxonomy(pass *Pass) {
 // ---------------------------------------------------------------------
 // Producer rules.
 
-func runErrTaxonomyProducer(pass *Pass) {
-	ip := pass.ip
-	pkgName := ip.pkg.Name()
+// findTransientTypes returns the package-local error types whose Unwrap
+// method mentions ErrTransient (directly or via a wrapped field), and
+// whether the package declares the sentinel itself.
+func findTransientTypes(files []*ast.File, pkg *types.Package, info *types.Info) (map[string]bool, bool) {
+	transient := map[string]bool{}
+	declared := false
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					for _, name := range vs.Names {
+						if name.Name == "ErrTransient" {
+							declared = true
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Name.Name != "Unwrap" || d.Recv == nil || d.Body == nil {
+					continue
+				}
+				mentions := false
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && id.Name == "ErrTransient" {
+						mentions = true
+					}
+					// Unwrap returning a wrapped field (chain continues
+					// through an inner error) also counts: the chain
+					// reaches whatever was wrapped, which the producer
+					// rule forces to be transient in turn.
+					if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+						if sel, ok2 := ret.Results[0].(*ast.SelectorExpr); ok2 {
+							if t := info.TypeOf(sel); t != nil && isErrorType(t) {
+								mentions = true
+							}
+						}
+					}
+					return !mentions
+				})
+				if mentions {
+					if obj, _ := info.Defs[d.Name].(*types.Func); obj != nil {
+						if key := recvTypeName(obj); key != "" {
+							transient["*"+pkg.Name()+"."+key] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return transient, declared
+}
+
+func runErrTaxonomyProducer(pass *Pass, transientTypes map[string]bool) {
+	pkg, info := pass.unit.Pkg, pass.unit.Info
+	pkgName := pkg.Name()
 	// Rule 1: every named error type unwraps to ErrTransient or is
 	// allowlisted.
-	scope := ip.pkg.Scope()
+	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() {
@@ -86,7 +142,7 @@ func runErrTaxonomyProducer(pass *Pass) {
 		if !implements {
 			continue
 		}
-		if ip.transientTypes["*"+pkgName+"."+name] || ip.transientTypes[pkgName+"."+name] {
+		if transientTypes["*"+pkgName+"."+name] || transientTypes[pkgName+"."+name] {
 			continue
 		}
 		if ErrTaxonomyFatalAllow[pkgName+"."+name] {
@@ -110,7 +166,7 @@ func runErrTaxonomyProducer(pass *Pass) {
 					continue
 				}
 				for i, v := range vs.Values {
-					if i >= len(vs.Names) || !isUntypedErrConstruct(ip, v) {
+					if i >= len(vs.Names) || !isUntypedErrConstruct(info, v) {
 						continue
 					}
 					name := vs.Names[i].Name
@@ -126,7 +182,7 @@ func runErrTaxonomyProducer(pass *Pass) {
 		// In-function constructions.
 		inspectStack(f, func(n ast.Node, stack []ast.Node) {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isUntypedErrConstruct(ip, call) {
+			if !ok || !isUntypedErrConstruct(info, call) {
 				return
 			}
 			fd := enclosingFunc(stack)
@@ -146,12 +202,12 @@ func runErrTaxonomyProducer(pass *Pass) {
 // isUntypedErrConstruct reports whether e is errors.New(...) or a
 // fmt.Errorf(...) whose format has no %w — the two constructions that
 // produce an error with no Unwrap chain.
-func isUntypedErrConstruct(ip *Interproc, e ast.Expr) bool {
+func isUntypedErrConstruct(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	fn := calleeOf(ip.info, call)
+	fn := calleeOf(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -164,6 +220,16 @@ func isUntypedErrConstruct(ip *Interproc, e ast.Expr) bool {
 	return false
 }
 
+// fmtWrapsError reports whether a fmt.Errorf call's format string
+// contains %w.
+func fmtWrapsError(call *ast.CallExpr) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
+	return ok && strings.Contains(lit.Value, "%w")
+}
+
 // ---------------------------------------------------------------------
 // Consumer rules.
 
@@ -172,50 +238,43 @@ func runErrTaxonomyConsumer(pass *Pass) {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) {
 			switch x := n.(type) {
 			case *ast.BinaryExpr:
-				checkErrCompare(pass, x, stack)
+				checkErrCompare(pass, x)
 			case *ast.CallExpr:
 				checkErrStringMatch(pass, x, stack)
 			case *ast.TypeAssertExpr:
-				checkErrAssert(pass, x, stack)
+				checkErrAssert(pass, x)
 			}
 		})
 	}
 }
 
-// checkErrCompare flags `err == other` / `err != other` where either
-// side traces to a call that may return a transient (wrapped) error.
-func checkErrCompare(pass *Pass, be *ast.BinaryExpr, stack []ast.Node) {
+// checkErrCompare flags `err == other` / `err != other` between two
+// non-nil error operands, wherever the operands came from.
+func checkErrCompare(pass *Pass, be *ast.BinaryExpr) {
 	if be.Op != token.EQL && be.Op != token.NEQ {
 		return
 	}
-	ip := pass.ip
-	tx, ty := ip.typeOf(be.X), ip.typeOf(be.Y)
-	if !isErrorOperand(tx) || !isErrorOperand(ty) {
+	info := pass.unit.Info
+	if !isErrorOperand(info.TypeOf(be.X)) || !isErrorOperand(info.TypeOf(be.Y)) {
 		return
 	}
 	if isNilIdent(be.X) || isNilIdent(be.Y) {
 		return
 	}
-	fd := enclosingFunc(stack)
-	for _, operand := range []ast.Expr{be.X, be.Y} {
-		if src := traceTransient(ip, operand, fd, 0); src != "" {
-			pass.Reportf(be.Pos(),
-				"error compared with %s, but %s — wrapped transient errors never compare equal; classify with errors.Is(err, ErrTransient) or engine.Retryable",
-				be.Op, src)
-			return
-		}
-	}
+	pass.Reportf(be.Pos(),
+		"error compared with %s — wrapped errors never compare equal; classify with errors.Is(err, ErrTransient) or engine.Retryable",
+		be.Op)
 }
 
 // checkErrStringMatch flags err.Error() used in a comparison or a
 // strings.Contains-style match.
 func checkErrStringMatch(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	ip := pass.ip
+	info := pass.unit.Info
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Error" || len(call.Args) != 0 {
 		return
 	}
-	if !isErrorOperand(ip.typeOf(sel.X)) {
+	if !isErrorOperand(info.TypeOf(sel.X)) {
 		return
 	}
 	// Interesting only when the text is being *matched*, not logged:
@@ -231,7 +290,7 @@ func checkErrStringMatch(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 				matched = true
 			}
 		case *ast.CallExpr:
-			if fn := calleeOf(ip.info, p); fn != nil && fn.Pkg() != nil &&
+			if fn := calleeOf(info, p); fn != nil && fn.Pkg() != nil &&
 				fn.Pkg().Path() == "strings" && stringsMatchers[fn.Name()] {
 				matched = true
 			}
@@ -240,11 +299,8 @@ func checkErrStringMatch(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 	if !matched {
 		return
 	}
-	msg := "matching on err.Error() text; error identity lives in the wrap chain — classify with errors.Is/errors.As or engine.Retryable"
-	if src := traceTransient(ip, sel.X, enclosingFunc(stack), 0); src != "" {
-		msg += " (" + src + ")"
-	}
-	pass.Reportf(call.Pos(), "%s", msg)
+	pass.Reportf(call.Pos(),
+		"matching on err.Error() text; error identity lives in the wrap chain — classify with errors.Is/errors.As or engine.Retryable")
 }
 
 var stringsMatchers = map[string]bool{
@@ -257,15 +313,15 @@ var stringsMatchers = map[string]bool{
 
 // checkErrAssert flags `x.(T)` type assertions on errors (type
 // switches are untouched: their assert has a nil Type).
-func checkErrAssert(pass *Pass, ta *ast.TypeAssertExpr, stack []ast.Node) {
+func checkErrAssert(pass *Pass, ta *ast.TypeAssertExpr) {
 	if ta.Type == nil {
 		return
 	}
-	ip := pass.ip
-	if !isErrorOperand(ip.typeOf(ta.X)) {
+	info := pass.unit.Info
+	if !isErrorOperand(info.TypeOf(ta.X)) {
 		return
 	}
-	asserted := ip.typeOf(ta.Type)
+	asserted := info.TypeOf(ta.Type)
 	if asserted == nil || !isErrorType(asserted) {
 		return
 	}
@@ -274,7 +330,16 @@ func checkErrAssert(pass *Pass, ta *ast.TypeAssertExpr, stack []ast.Node) {
 	}
 	pass.Reportf(ta.Pos(),
 		"type assertion on an error; a wrapped %s never matches — use errors.As",
-		types.TypeString(asserted, types.RelativeTo(ip.pkg)))
+		types.TypeString(asserted, types.RelativeTo(pass.unit.Pkg)))
+}
+
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+func isErrorType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	return types.Implements(t, errorIface) || types.Identical(t, errorIface)
 }
 
 // isErrorOperand reports whether t is the error interface itself (the
@@ -293,79 +358,4 @@ func isErrorOperand(t types.Type) bool {
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// traceTransient reports, as a human-readable provenance string, a
-// call whose summary says it may return a transient error and whose
-// result flows into e; "" if none is found. The trace follows direct
-// calls and local-variable assignments within the enclosing function.
-func traceTransient(ip *Interproc, e ast.Expr, fd *ast.FuncDecl, depth int) string {
-	if depth > 3 {
-		return ""
-	}
-	switch v := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		return calleeTransientFact(ip, v)
-	case *ast.Ident:
-		if fd == nil || fd.Body == nil {
-			return ""
-		}
-		obj := ip.info.ObjectOf(v)
-		if obj == nil || obj.Pkg() == nil || obj.Parent() == obj.Pkg().Scope() {
-			return "" // package-level sentinel, not a traced result
-		}
-		found := ""
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if found != "" {
-				return false
-			}
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok2 := lhs.(*ast.Ident)
-				if !ok2 || id.Name != v.Name {
-					continue
-				}
-				var rhs ast.Expr
-				if len(as.Rhs) == len(as.Lhs) {
-					rhs = as.Rhs[i]
-				} else if len(as.Rhs) == 1 {
-					rhs = as.Rhs[0]
-				}
-				if rhs != nil {
-					if src := traceTransient(ip, rhs, fd, depth+1); src != "" {
-						found = src
-					}
-				}
-			}
-			return true
-		})
-		return found
-	}
-	return ""
-}
-
-// calleeTransientFact renders the provenance of a transient-returning
-// callee, naming the exporting package when the summary crossed a
-// package boundary.
-func calleeTransientFact(ip *Interproc, call *ast.CallExpr) string {
-	fn := calleeOf(ip.info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	fact, ok := ip.calleeFact(fn)
-	if !ok || !fact.Transient {
-		return ""
-	}
-	kinds := "a transient error"
-	if len(fact.ErrTypes) > 0 {
-		kinds = strings.Join(fact.ErrTypes, ", ")
-	}
-	if fn.Pkg() == ip.pkg {
-		return calleeDisplay(fn) + " may return " + kinds + " (this package's summary)"
-	}
-	return calleeDisplay(fn) + " may return " + kinds +
-		" (per fact from " + fn.Pkg().Path() + ")"
 }

@@ -171,7 +171,7 @@ func TestEscapeBudgetAnalyzer(t *testing.T) {
 			Sites: sites,
 		},
 	}
-	diags, _ := lint.RunUnit(unit, []*lint.Analyzer{a})
+	diags := lint.RunUnit(unit, []*lint.Analyzer{a})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
@@ -186,7 +186,7 @@ func TestEscapeBudgetAnalyzer(t *testing.T) {
 
 	// No escape info → skipped entirely, no diagnostics.
 	plain := &lint.Unit{Fset: fset, Files: files, ImportPath: "piql/fix"}
-	if diags, _ := lint.RunUnit(plain, []*lint.Analyzer{a}); len(diags) != 0 {
+	if diags := lint.RunUnit(plain, []*lint.Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("skipped unit still produced diagnostics: %v", diags)
 	}
 }

@@ -9,10 +9,11 @@ import (
 // exclusively — the exact shape of the PR 4–7 hangs that chaos storms
 // only caught by luck. Blocking here means: a channel send or receive,
 // a select with no default, sync.Cond.Wait, sync.WaitGroup.Wait,
-// time.Sleep, or a call to any function whose summary says it may do
-// one of those — which, through the facts, includes cross-node
-// client calls ((*kvstore.Client).Get parks the simulated process in
-// sim.Resource.Use) and every sim primitive built on park/wake.
+// time.Sleep, a call into another package made on or passed a
+// *sim.Proc, *sim.Resource or *kvstore.Client (every park in the tree
+// goes through one: (*kvstore.Client).Read parks the simulated process
+// in sim.Resource.Use), or a call to a function of the same package
+// whose summary says it may do one of those.
 //
 // Under the cooperative simulator the stakes are total: a process that
 // parks while holding a mutex freezes virtual time for the whole
@@ -22,7 +23,7 @@ import (
 // writers take the other side with a cooperative TryLock spin.
 var HoldBlock = &Analyzer{
 	Name: "holdblock",
-	Doc:  "never block (channel op, Wait, Sleep, or a may-block call) while holding a mutex",
+	Doc:  "never block (channel op, Wait, Sleep, a park, or a may-block call) while holding a mutex",
 	Run:  runHoldBlock,
 }
 
@@ -45,17 +46,13 @@ func runHoldBlock(pass *Pass) {
 			if len(excl) == 0 {
 				continue
 			}
-			fact, ok := pass.ip.calleeFact(c.fn)
-			if !ok || !fact.Blocks {
+			callee := pass.ip.byObj[c.fn]
+			if callee == nil || !callee.mayBlock {
 				continue
 			}
-			via := ""
-			if fact.BlockPath != "" {
-				via = " (via " + fact.BlockPath + ")"
-			}
 			pass.Reportf(c.pos,
-				"call to %s may block%s while holding %s; release the mutex before the call",
-				calleeDisplay(c.fn), via, joinHeld(excl))
+				"call to %s may block (via %s) while holding %s; release the mutex before the call",
+				calleeDisplay(c.fn), callee.blockPath, joinHeld(excl))
 		}
 	}
 }

@@ -5,26 +5,32 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
-	"sort"
-	"strings"
 )
 
-// Interprocedural analysis.
+// Interprocedural analysis, one package at a time.
 //
 // This file builds, for one typechecked package, the summaries the
-// lockorder/holdblock/releasepath/errtaxonomy analyzers consume:
+// lockorder/holdblock/releasepath analyzers consume:
 //
 //   - a branch-sensitive walk of every function body tracking the
 //     multiset of sync.Mutex/RWMutex locks held at each statement,
 //     recording lock acquisitions (and the acquired-while-held edges
 //     they imply), direct blocking operations (channel ops, Cond.Wait,
-//     WaitGroup.Wait, time.Sleep), and every call to a module-local
-//     function together with the locks held at the call site;
-//   - a fixpoint over the package's call graph propagating "may
-//     block", "may acquire lock L", and "may return a transient
-//     error" through local calls, seeded across package boundaries by
-//     the dependency facts in the Unit's FactStore.
+//     WaitGroup.Wait, time.Sleep, and a call into another package made
+//     on or passed one of the parkTypes), and every call to a function
+//     of the same package together with the locks held at the call
+//     site;
+//   - a closure over the package's call graph propagating "may block"
+//     and "may acquire lock L" through those calls.
+//
+// No summary crosses a package boundary, and none has to. Go's import
+// graph is acyclic, no mutex in the tree is exported, and no function
+// returns holding a lock, so a lock edge between two packages can only
+// run from importer to importee and can never close a cycle. Every park
+// in the tree goes through one of the parkTypes, which the walk treats
+// as blocking wherever another package is handed one.
 //
 // Locks are named canonically so the same lock is one graph node no
 // matter which instance or alias acquired it: a struct field becomes
@@ -50,14 +56,11 @@ import (
 //     set; their blocking does not propagate to the spawning function
 //     (spawning does not block).
 //   - a helper that returns while still holding a lock it acquired is
-//     modeled only across package boundaries: its unbalanced
-//     acquisitions export as NetAcquires/NetReleases facts, which a
-//     dependent package's walk applies at the call site. Same-package
-//     helper pairs are not threaded back through the walk (the walk
-//     runs before the fixpoint); in-package discipline is covered by
-//     the direct sync-op and claim-pair tracking instead.
+//     not threaded back through its callers' walks: releasepath reports
+//     it at its own exit, where a justified acquire-helper carries
+//     //lint:allow releasepath.
+//   - calls through function values and interfaces are not followed.
 type Interproc struct {
-	unit *Unit
 	pkg  *types.Package
 	info *types.Info
 
@@ -66,12 +69,6 @@ type Interproc struct {
 	funcs []*funcInfo
 	// byObj maps a named function's object to its info.
 	byObj map[*types.Func]*funcInfo
-
-	// transientTypes names the package-local error types whose Unwrap
-	// chains to ErrTransient, e.g. "*kvstore.ErrNodeDown".
-	transientTypes map[string]bool
-	// hasTransientSentinel reports a package-level `var ErrTransient`.
-	hasTransientSentinel bool
 }
 
 // hold kinds: a real sync.Mutex/RWMutex, or a paired-call claim
@@ -191,66 +188,62 @@ type exitObs struct {
 	held []heldLock
 }
 
-// callObs is one call to a module-local function and the locks held at
-// the call site.
+// callObs is one call to a function of the same package and the locks
+// held at the call site.
 type callObs struct {
 	fn   *types.Func
 	pos  token.Pos
 	held []heldLock
 }
 
-// localEdge is one acquired-while-held observation with a real
-// position (facts carry the rendered form).
+// localEdge is one acquired-while-held observation.
 type localEdge struct {
 	from, to string
 	pos      token.Pos
 }
 
 // funcInfo is one function's summary: direct observations from the
-// walk, then fixpoint results.
+// walk, then closure results.
 type funcInfo struct {
-	key     string // facts key: "Func" or "(*Type).Method"
+	key     string // lock-ID scope: "Func" or "(*Type).Method"
 	display string // for messages: "kvstore.(*Client).Get" or "func literal in ..."
 	decl    *ast.FuncDecl
-	pseudo  bool // func literal / go body: not exported in facts
 
 	blocksDirect []blockObs
 	calls        []callObs
 	edges        []localEdge
 	acquires     map[string]bool
 
-	// release-path observations (for releasepath and the
-	// NetAcquires/NetReleases facts)
+	// release-path observations (for releasepath)
 	exits       []exitObs
 	releasedIDs map[string]bool   // ids released (or defer-released) on some path
-	netReleases map[string]bool   // ids released with no matching local hold
 	claimNames  map[string]string // claim id → human name ("routing claim kvstore.beginOp/endOp")
 
-	// error-return structure (for the transient fixpoint)
-	retTypes    map[string]bool // typed errors returned directly, "*pkg.T"
-	retSentinel bool            // returns ErrTransient itself
-	retWrap     bool            // returns fmt.Errorf("...%w...", transient-candidate)
-	retCallees  []*types.Func   // error results forwarded from these callees
-
-	// fixpoint results
-	mayBlock     bool
-	blockPath    string
-	allAcquires  map[string]bool
-	transient    bool
-	allErrTypes  map[string]bool
-	transientVia string // witness: callee chain or "returns *pkg.T"
+	// closure results
+	mayBlock    bool
+	blockPath   string
+	allAcquires map[string]bool
 }
 
-// buildInterproc runs the walk and fixpoint over the unit's non-test
+func newFuncInfo(key, display string, decl *ast.FuncDecl) *funcInfo {
+	return &funcInfo{
+		key:         key,
+		display:     display,
+		decl:        decl,
+		acquires:    map[string]bool{},
+		releasedIDs: map[string]bool{},
+		claimNames:  map[string]string{},
+	}
+}
+
+// buildInterproc runs the walk and closure over the unit's non-test
 // files. The unit must be typechecked (Pkg and Info non-nil).
 func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 	ip := &Interproc{
-		unit:  u,
 		pkg:   u.Pkg,
 		info:  u.Info,
 		byObj: map[*types.Func]*funcInfo{},
 	}
-	ip.findTransientTypes(files)
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -261,28 +254,20 @@ func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 			if obj == nil {
 				continue
 			}
-			fi := &funcInfo{
-				key:         funcKey(obj),
-				display:     ip.pkg.Name() + "." + funcKey(obj),
-				decl:        fd,
-				acquires:    map[string]bool{},
-				retTypes:    map[string]bool{},
-				releasedIDs: map[string]bool{},
-				netReleases: map[string]bool{},
-				claimNames:  map[string]string{},
-			}
+			fi := newFuncInfo(funcKey(obj), ip.pkg.Name()+"."+funcKey(obj), fd)
 			ip.funcs = append(ip.funcs, fi)
 			ip.byObj[obj] = fi
 		}
 	}
-	// Walk after registration so local calls resolve during the walk.
+	// The walk appends pseudo-functions to funcs; walk the declarations
+	// registered above.
 	for _, fi := range append([]*funcInfo(nil), ip.funcs...) {
 		h := &held{}
 		if !ip.walkStmt(fi, fi.decl.Body, h) {
 			ip.recordExit(fi, fi.decl.Body.Rbrace, h)
 		}
 	}
-	ip.fixpoint()
+	ip.closure()
 	return ip
 }
 
@@ -300,8 +285,7 @@ func (ip *Interproc) recordExit(fi *funcInfo, pos token.Pos, h *held) {
 }
 
 // funcKey renders a function the way a call site reads: "Func",
-// "(Type).Method", "(*Type).Method". It is the facts-file key, so it
-// must be stable across the exporting and importing packages.
+// "(Type).Method", "(*Type).Method".
 func funcKey(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -323,60 +307,6 @@ func funcKey(fn *types.Func) string {
 	return "(" + named.Obj().Name() + ")." + fn.Name()
 }
 
-// findTransientTypes records package-local error types whose Unwrap
-// method mentions ErrTransient (directly or via a wrapped field) and
-// whether the package declares the sentinel itself.
-func (ip *Interproc) findTransientTypes(files []*ast.File) {
-	ip.transientTypes = map[string]bool{}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, name := range vs.Names {
-						if name.Name == "ErrTransient" {
-							ip.hasTransientSentinel = true
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Name.Name != "Unwrap" || d.Recv == nil || d.Body == nil {
-					continue
-				}
-				mentions := false
-				ast.Inspect(d.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && id.Name == "ErrTransient" {
-						mentions = true
-					}
-					// Unwrap returning a wrapped field (chain continues
-					// through an inner error) also counts: the chain
-					// reaches whatever was wrapped, which the producer
-					// rule forces to be transient in turn.
-					if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
-						if sel, ok2 := ret.Results[0].(*ast.SelectorExpr); ok2 {
-							if t := ip.typeOf(sel); t != nil && isErrorType(t) {
-								mentions = true
-							}
-						}
-					}
-					return !mentions
-				})
-				if mentions {
-					if obj, _ := ip.info.Defs[d.Name].(*types.Func); obj != nil {
-						if key := recvTypeName(obj); key != "" {
-							ip.transientTypes["*"+ip.pkg.Name()+"."+key] = true
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // recvTypeName returns the bare receiver type name of a method object.
 func recvTypeName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
@@ -391,22 +321,6 @@ func recvTypeName(fn *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-func (ip *Interproc) typeOf(e ast.Expr) types.Type {
-	if tv, ok := ip.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Implements(t, errorIface) || types.Identical(t, errorIface)
 }
 
 // calleeOf resolves a call to its named function object, or nil for
@@ -481,7 +395,7 @@ func (w *flowWalker) leafStmt(st ast.Stmt, h *held) {
 }
 
 func (w *flowWalker) rangeObs(s *ast.RangeStmt, h *held) {
-	if t := w.ip.typeOf(s.X); t != nil {
+	if t := w.ip.info.TypeOf(s.X); t != nil {
 		if _, isChan := t.Underlying().(*types.Chan); isChan {
 			w.ip.block(w.fi, "range over channel", s.For, h)
 		}
@@ -569,31 +483,11 @@ func (ip *Interproc) walkDefer(fi *funcInfo, s *ast.DeferStmt, h *held) {
 		if h.markDeferred(id, true) {
 			fi.releasedIDs[id] = true
 		}
-		return
 	}
-	// A deferred cross-package releasing helper (NetReleases fact)
-	// likewise covers its ids on every exit.
-	if fn.Pkg() != nil && fn.Pkg().Path() != pkgPathOf(ip.pkg) && ip.moduleLocal(fn.Pkg().Path()) {
-		if fact, ok := ip.unit.Facts.Func(fn.Pkg().Path(), funcKey(fn)); ok {
-			for _, id := range fact.NetReleases {
-				if h.markDeferred(id, true) {
-					fi.releasedIDs[id] = true
-				}
-			}
-		}
-	}
-}
-
-// pkgPathOf is pkg.Path() tolerating nil.
-func pkgPathOf(p *types.Package) string {
-	if p == nil {
-		return ""
-	}
-	return p.Path()
 }
 
 // claimPairs maps a claim-acquiring call name to its releasing
-// counterpart. Claims are module-local paired calls with the semantics
+// counterpart. Claims are same-package paired calls with the semantics
 // of a resource hold — the kvstore routing claim (`beginOp` pins a
 // routing snapshot's refcount until `endOp`) is the one in this tree —
 // tracked branch-sensitively like locks but invisible to lockorder
@@ -606,7 +500,7 @@ var claimPairs = map[string]string{
 // claim's canonical ID ("kvstore.beginOp/endOp") and display name.
 func (ip *Interproc) claimAcquire(fn *types.Func) (id, desc string, ok bool) {
 	rel, found := claimPairs[fn.Name()]
-	if !found || fn.Pkg() == nil || !ip.moduleLocal(fn.Pkg().Path()) {
+	if !found || fn.Pkg() != ip.pkg {
 		return "", "", false
 	}
 	id = fn.Pkg().Name() + "." + fn.Name() + "/" + rel
@@ -616,7 +510,7 @@ func (ip *Interproc) claimAcquire(fn *types.Func) (id, desc string, ok bool) {
 // claimRelease reports whether fn releases a claim, returning the
 // claim's canonical ID.
 func (ip *Interproc) claimRelease(fn *types.Func) (string, bool) {
-	if fn.Pkg() == nil || !ip.moduleLocal(fn.Pkg().Path()) {
+	if fn.Pkg() != ip.pkg {
 		return "", false
 	}
 	for acq, rel := range claimPairs {
@@ -647,16 +541,7 @@ func (ip *Interproc) block(fi *funcInfo, desc string, pos token.Pos, h *held) {
 // pseudoFunc analyzes a func literal as its own function with an empty
 // held set (it runs on its own goroutine or at defer time).
 func (ip *Interproc) pseudoFunc(parent *funcInfo, lit *ast.FuncLit, kind string) {
-	fi := &funcInfo{
-		key:         "",
-		display:     fmt.Sprintf("%s in %s", kind, parent.display),
-		pseudo:      true,
-		acquires:    map[string]bool{},
-		retTypes:    map[string]bool{},
-		releasedIDs: map[string]bool{},
-		netReleases: map[string]bool{},
-		claimNames:  map[string]string{},
-	}
+	fi := newFuncInfo("", fmt.Sprintf("%s in %s", kind, parent.display), nil)
 	ip.funcs = append(ip.funcs, fi)
 	h := &held{}
 	if !ip.walkStmt(fi, lit.Body, h) {
@@ -705,9 +590,10 @@ func (ip *Interproc) walkExpr(fi *funcInfo, e ast.Expr, h *held) {
 	}
 }
 
-// walkCall classifies one call: mutex acquire/release, known standard-
-// library blocking primitive, immediately-invoked literal, or a call
-// to a (possibly module-local) named function.
+// walkCall classifies one call: mutex acquire/release, claim, known
+// standard-library blocking primitive, immediately-invoked literal, a
+// call to a function of this package, or a call into another package
+// that may park through one of the parkTypes.
 func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 	// Evaluate the callee expression and arguments first — they may
 	// themselves contain calls or receives.
@@ -751,7 +637,7 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 		ip.block(fi, "sync.WaitGroup.Wait", call.Pos(), h)
 	case path == "time" && fn.Name() == "Sleep":
 		ip.block(fi, "time.Sleep", call.Pos(), h)
-	case ip.moduleLocal(path):
+	case fn.Pkg() == ip.pkg:
 		// A loop body's second pass unions into the first's record, as
 		// in block.
 		if i := slices.IndexFunc(fi.calls, func(c callObs) bool { return c.pos == call.Pos() }); i >= 0 {
@@ -763,46 +649,42 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 				held: append([]heldLock(nil), h.locks...),
 			})
 		}
-		// Then apply an imported acquire/release summary to the held
-		// set: a cross-package helper that returns holding a lock
-		// (NetAcquires) extends the caller's critical section past the
-		// call; a releasing helper (NetReleases) closes it. After the
-		// observation, not before: what the helper itself acquires is
-		// not held while it is being called.
-		if path != pkgPathOf(ip.pkg) {
-			if fact, ok := ip.unit.Facts.Func(path, funcKey(fn)); ok {
-				for _, id := range fact.NetAcquires {
-					h.acquire(heldLock{id: id, exclusive: true})
-				}
-				for _, id := range fact.NetReleases {
-					if h.release(id, true) {
-						fi.releasedIDs[id] = true
-					}
-				}
-			}
+	default:
+		if t := ip.parkOperand(call); t != "" {
+			ip.block(fi, "call to "+calleeDisplay(fn)+" (parks through a "+t+")", call.Pos(), h)
 		}
 	}
 }
 
-// moduleLocal reports whether path is in this module (facts exist or
-// could exist for it). The module root is the first path element of
-// this package's own path — "piql" — which also covers the package
-// itself.
-func (ip *Interproc) moduleLocal(path string) bool {
-	if ip.pkg == nil {
-		return false
+// parkTypes are the types every park in the tree goes through: a
+// simulated process (sim.Proc's Sleep, Yield and Parallel), a node's
+// request queue (sim.Resource's Acquire and Use), and a store client,
+// whose every request may park its process. Keyed "<pkg>.<Type>".
+var parkTypes = map[string]bool{
+	"sim.Proc":       true,
+	"sim.Resource":   true,
+	"kvstore.Client": true,
+}
+
+// parkOperand names the parking type ("*sim.Proc") a call is made on
+// or passed, or returns "".
+func (ip *Interproc) parkOperand(call *ast.CallExpr) string {
+	operands := call.Args
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		operands = append([]ast.Expr{sel.X}, operands...)
 	}
-	self := ip.pkg.Path()
-	root := self
-	if i := strings.IndexByte(self, '/'); i >= 0 {
-		root = self[:i]
+	for _, e := range operands {
+		p, _ := ip.info.TypeOf(e).(*types.Pointer)
+		if p == nil {
+			continue
+		}
+		if n, ok := p.Elem().(*types.Named); ok && n.Obj().Pkg() != nil {
+			if name := n.Obj().Pkg().Name() + "." + n.Obj().Name(); parkTypes[name] {
+				return "*" + name
+			}
+		}
 	}
-	// Fixture packages run under fake import paths; treat same-package
-	// calls as module-local regardless.
-	if path == self {
-		return true
-	}
-	return path == root || strings.HasPrefix(path, root+"/")
+	return ""
 }
 
 // walkSyncOp handles Lock/RLock/Unlock/RUnlock/TryLock on a
@@ -821,17 +703,9 @@ func (ip *Interproc) walkSyncOp(fi *funcInfo, call *ast.CallExpr, fn *types.Func
 		}
 		fi.acquires[id] = true
 		h.acquire(heldLock{id: id, exclusive: excl})
-	case "Unlock":
-		if h.release(id, true) {
+	case "Unlock", "RUnlock":
+		if h.release(id, fn.Name() == "Unlock") {
 			fi.releasedIDs[id] = true
-		} else {
-			fi.netReleases[id] = true
-		}
-	case "RUnlock":
-		if h.release(id, false) {
-			fi.releasedIDs[id] = true
-		} else {
-			fi.netReleases[id] = true
 		}
 		// TryLock/TryRLock: ignored (see the package comment).
 	}
@@ -850,7 +724,7 @@ func (ip *Interproc) lockID(fi *funcInfo, x ast.Expr) string {
 		if selInfo, ok := ip.info.Selections[v]; ok && selInfo.Kind() == types.FieldVal {
 			// Owner is the named struct type holding the field (walk
 			// past pointers); instance-insensitive by construction.
-			t := ip.typeOf(v.X)
+			t := ip.info.TypeOf(v.X)
 			for {
 				if p, okp := t.(*types.Pointer); okp {
 					t = p.Elem()
@@ -890,181 +764,8 @@ func (ip *Interproc) lockID(fi *funcInfo, x ast.Expr) string {
 	}
 }
 
-// recordReturn classifies the error-position results of one return
-// statement for the transient fixpoint.
-func (ip *Interproc) recordReturn(fi *funcInfo, ret *ast.ReturnStmt) {
-	if fi.decl == nil {
-		return
-	}
-	obj, _ := ip.info.Defs[fi.decl.Name].(*types.Func)
-	if obj == nil {
-		return
-	}
-	sig := obj.Type().(*types.Signature)
-	results := sig.Results()
-	if results == nil {
-		return
-	}
-	errIdx := map[int]bool{}
-	for i := 0; i < results.Len(); i++ {
-		if isErrorType(results.At(i).Type()) {
-			errIdx[i] = true
-		}
-	}
-	if len(errIdx) == 0 {
-		return
-	}
-	if len(ret.Results) == 1 && results.Len() > 1 {
-		// return f() forwarding a multi-result call
-		if call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr); ok {
-			ip.classifyErrExpr(fi, call, 0)
-		}
-		return
-	}
-	for i, e := range ret.Results {
-		if errIdx[i] {
-			ip.classifyErrExpr(fi, e, 0)
-		}
-	}
-}
-
-// classifyErrExpr records what an error-position expression can be:
-// a typed error literal, the sentinel, a wrap, a forwarded call, or a
-// local variable (traced through its assignments).
-func (ip *Interproc) classifyErrExpr(fi *funcInfo, e ast.Expr, depth int) {
-	if depth > 4 {
-		return
-	}
-	e = ast.Unparen(e)
-	switch v := e.(type) {
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			if cl, ok := v.X.(*ast.CompositeLit); ok {
-				if name := ip.compositeTypeName(cl); name != "" {
-					fi.retTypes["*"+name] = true
-				}
-			}
-		}
-	case *ast.CompositeLit:
-		if name := ip.compositeTypeName(v); name != "" {
-			fi.retTypes[name] = true
-		}
-	case *ast.Ident:
-		if v.Name == "nil" {
-			return
-		}
-		obj := ip.info.ObjectOf(v)
-		if obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			if obj.Name() == "ErrTransient" {
-				fi.retSentinel = true
-			}
-			return
-		}
-		// Local variable: every call assigned to it is a candidate
-		// source (may-analysis; order does not matter).
-		ip.traceLocalErrVar(fi, v.Name, depth)
-	case *ast.SelectorExpr:
-		if obj, ok := ip.info.Uses[v.Sel]; ok && obj.Name() == "ErrTransient" {
-			fi.retSentinel = true
-		}
-	case *ast.CallExpr:
-		fn := calleeOf(ip.info, v)
-		if fn == nil || fn.Pkg() == nil {
-			return
-		}
-		if fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf" {
-			if fmtWrapsError(v) {
-				fi.retWrap = true
-				for _, a := range v.Args[1:] {
-					ip.classifyErrExpr(fi, a, depth+1)
-				}
-			}
-			return
-		}
-		if ip.moduleLocal(fn.Pkg().Path()) {
-			fi.retCallees = append(fi.retCallees, fn)
-		}
-	}
-}
-
-// compositeTypeName renders the qualified type name of a composite
-// literal ("kvstore.ErrNodeDown"), or "" for anonymous types.
-func (ip *Interproc) compositeTypeName(cl *ast.CompositeLit) string {
-	t := ip.typeOf(cl)
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	pkgName := ip.pkg.Name()
-	if named.Obj().Pkg() != nil {
-		pkgName = named.Obj().Pkg().Name()
-	}
-	return pkgName + "." + named.Obj().Name()
-}
-
-// fmtWrapsError reports whether a fmt.Errorf call's format string
-// contains %w.
-func fmtWrapsError(call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	return ok && strings.Contains(lit.Value, "%w")
-}
-
-// traceLocalErrVar unions in every call or literal assigned to a local
-// variable anywhere in the function body.
-func (ip *Interproc) traceLocalErrVar(fi *funcInfo, name string, depth int) {
-	if fi.decl == nil || fi.decl.Body == nil {
-		return
-	}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok2 := lhs.(*ast.Ident)
-			if !ok2 || id.Name != name {
-				continue
-			}
-			var rhs ast.Expr
-			if len(as.Rhs) == len(as.Lhs) {
-				rhs = as.Rhs[i]
-			} else if len(as.Rhs) == 1 {
-				rhs = as.Rhs[0]
-			}
-			if rhs != nil {
-				ip.classifyErrExpr(fi, rhs, depth+1)
-			}
-		}
-		return true
-	})
-}
-
 // ---------------------------------------------------------------------
-// Fixpoint.
-
-// calleeFact resolves a callee's fixpoint summary: local functions from
-// this package's in-progress state, module-local imports from the
-// dependency facts. The bool reports whether anything is known.
-func (ip *Interproc) calleeFact(fn *types.Func) (FuncFact, bool) {
-	if fi, ok := ip.byObj[fn]; ok {
-		return FuncFact{
-			Blocks:      fi.mayBlock,
-			BlockPath:   fi.blockPath,
-			Acquires:    sortedKeys(fi.allAcquires),
-			Transient:   fi.transient,
-			ErrTypes:    sortedKeys(fi.allErrTypes),
-			NetAcquires: fi.netAcquireIDs(),
-			NetReleases: sortedKeys(fi.netReleases),
-		}, true
-	}
-	if fn.Pkg() == nil {
-		return FuncFact{}, false
-	}
-	return ip.unit.Facts.Func(fn.Pkg().Path(), funcKey(fn))
-}
+// Closure.
 
 // calleeDisplay renders a callee for diagnostics: "kvstore.(*Client).Get".
 func calleeDisplay(fn *types.Func) string {
@@ -1074,44 +775,15 @@ func calleeDisplay(fn *types.Func) string {
 	return fn.Pkg().Name() + "." + funcKey(fn)
 }
 
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// fixpoint propagates blocks/acquires/transient through local calls
-// until stable. Imported facts are fixed inputs, so termination is
-// bounded by the finite lock-ID and error-type sets.
-func (ip *Interproc) fixpoint() {
+// closure propagates "may block" and "may acquire" through the
+// package's own calls until stable; the function and lock-ID sets are
+// finite, so it terminates.
+func (ip *Interproc) closure() {
 	for _, fi := range ip.funcs {
-		fi.allAcquires = map[string]bool{}
-		for id := range fi.acquires {
-			fi.allAcquires[id] = true
-		}
-		fi.allErrTypes = map[string]bool{}
-		for t := range fi.retTypes {
-			fi.allErrTypes[t] = true
-		}
+		fi.allAcquires = maps.Clone(fi.acquires)
 		if len(fi.blocksDirect) > 0 {
 			fi.mayBlock = true
 			fi.blockPath = fi.blocksDirect[0].desc
-		}
-		if fi.retSentinel {
-			fi.transient = true
-			fi.transientVia = "returns ErrTransient"
-		}
-		for t := range fi.retTypes {
-			if ip.transientTypes[t] {
-				fi.transient = true
-				fi.transientVia = "returns " + t
-			}
 		}
 	}
 	changed := true
@@ -1119,52 +791,21 @@ func (ip *Interproc) fixpoint() {
 		changed = false
 		for _, fi := range ip.funcs {
 			for _, c := range fi.calls {
-				fact, ok := ip.calleeFact(c.fn)
-				if !ok {
+				callee := ip.byObj[c.fn]
+				if callee == nil {
 					continue
 				}
-				if fact.Blocks && !fi.mayBlock {
+				if callee.mayBlock && !fi.mayBlock {
 					fi.mayBlock = true
 					fi.blockPath = calleeDisplay(c.fn)
-					if fact.BlockPath != "" && len(fact.BlockPath) < 120 {
-						fi.blockPath += " → " + fact.BlockPath
+					if len(callee.blockPath) < 120 {
+						fi.blockPath += " → " + callee.blockPath
 					}
 					changed = true
 				}
-				for _, id := range fact.Acquires {
+				for id := range callee.allAcquires {
 					if !fi.allAcquires[id] {
 						fi.allAcquires[id] = true
-						changed = true
-					}
-				}
-			}
-			for _, fn := range fi.retCallees {
-				fact, ok := ip.calleeFact(fn)
-				if !ok {
-					continue
-				}
-				if fact.Transient && !fi.transient {
-					fi.transient = true
-					fi.transientVia = "forwards " + calleeDisplay(fn)
-					changed = true
-				}
-				for _, t := range fact.ErrTypes {
-					if !fi.allErrTypes[t] {
-						fi.allErrTypes[t] = true
-						changed = true
-					}
-				}
-				// An error wrapped with %w stays transient if its
-				// source was; unwrapped forwarding keeps types too —
-				// both are unioned above.
-			}
-			// Typed errors whose types are transient make the function
-			// transient (a callee may have introduced new types).
-			if !fi.transient {
-				for t := range fi.allErrTypes {
-					if ip.transientTypes[t] {
-						fi.transient = true
-						fi.transientVia = "returns " + t
 						changed = true
 					}
 				}
@@ -1176,91 +817,20 @@ func (ip *Interproc) fixpoint() {
 // ---------------------------------------------------------------------
 // Results.
 
-// Facts exports this package's summaries for dependents: named
-// functions with a non-empty summary, plus the package's lock edges
-// (direct and call-derived).
-func (ip *Interproc) Facts() *PackageFacts {
-	pf := &PackageFacts{Funcs: map[string]FuncFact{}}
-	for _, fi := range ip.funcs {
-		if fi.pseudo {
-			continue
-		}
-		f := FuncFact{
-			Blocks:      fi.mayBlock,
-			BlockPath:   fi.blockPath,
-			Acquires:    sortedKeys(fi.allAcquires),
-			Transient:   fi.transient,
-			ErrTypes:    sortedKeys(fi.allErrTypes),
-			NetAcquires: fi.netAcquireIDs(),
-			NetReleases: sortedKeys(fi.netReleases),
-		}
-		if !f.Blocks && !f.Transient && len(f.Acquires) == 0 && len(f.ErrTypes) == 0 &&
-			len(f.NetAcquires) == 0 && len(f.NetReleases) == 0 {
-			continue
-		}
-		pf.Funcs[fi.key] = f
-	}
-	seen := map[[2]string]bool{}
-	for _, e := range ip.allEdges() {
-		k := [2]string{e.from, e.to}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		pf.LockEdges = append(pf.LockEdges, LockEdge{
-			From: e.from,
-			To:   e.to,
-			Pos:  ip.unit.Fset.Position(e.pos).String(),
-		})
-	}
-	sort.Slice(pf.LockEdges, func(i, j int) bool {
-		if pf.LockEdges[i].From != pf.LockEdges[j].From {
-			return pf.LockEdges[i].From < pf.LockEdges[j].From
-		}
-		return pf.LockEdges[i].To < pf.LockEdges[j].To
-	})
-	return pf
-}
-
-// netAcquireIDs returns the mutex IDs this function returns holding on
-// some exit without ever releasing them — the signature of an
-// intentional acquire-helper (the cross-package half of releasepath).
-// Early-return leaks (released on one path, held on another) are
-// excluded: those are bugs, not contracts, and releasepath flags them.
-func (fi *funcInfo) netAcquireIDs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range fi.exits {
-		for _, l := range e.held {
-			if l.kind != kindMutex || l.deferred || fi.releasedIDs[l.id] || seen[l.id] {
-				continue
-			}
-			seen[l.id] = true
-			out = append(out, l.id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// allEdges returns every local acquired-while-held edge: direct
-// acquisitions plus call-derived ones (locks held at a call site ×
-// locks the callee may acquire, per its summary or imported fact).
+// allEdges returns every acquired-while-held edge of the package:
+// direct acquisitions plus call-derived ones (locks held at a call site
+// × locks the callee may acquire).
 func (ip *Interproc) allEdges() []localEdge {
 	var out []localEdge
 	for _, fi := range ip.funcs {
 		out = append(out, fi.edges...)
 		for _, c := range fi.calls {
-			heldIDs := (&held{locks: c.held}).ids()
-			if len(heldIDs) == 0 {
+			callee := ip.byObj[c.fn]
+			if callee == nil {
 				continue
 			}
-			fact, ok := ip.calleeFact(c.fn)
-			if !ok {
-				continue
-			}
-			for _, from := range heldIDs {
-				for _, to := range fact.Acquires {
+			for _, from := range (&held{locks: c.held}).ids() {
+				for _, to := range slices.Sorted(maps.Keys(callee.allAcquires)) {
 					out = append(out, localEdge{from: from, to: to, pos: c.pos})
 				}
 			}

@@ -3,20 +3,21 @@
 // golang.org/x/tools/go/analysis for this repository — built on the
 // standard library's go/ast, go/token, and go/types only, because the
 // build must not fetch modules. There is one way in: a Loader
-// typechecks packages from source and RunUnit analyzes them in
-// dependency order with the dependencies' facts in memory; cmd/piql-vet
-// does that for the whole module, linttest for one fixture package.
+// typechecks packages from source and RunUnit analyzes one package at
+// a time, with nothing carried from one package to the next;
+// cmd/piql-vet does that for every package of the module, linttest for
+// one fixture package.
 //
 // The analyzers enforce structural invariants of the concurrent
 // engine/kvstore code that the type system cannot express: how routing
 // snapshots are claimed, that simulated processes never wait on the
 // real clock, that lease tables are swapped whole, that every
-// goroutine's lifetime is argued for at its spawn — and,
-// interprocedurally (see interproc.go), that the lock-acquisition graph
-// stays acyclic, that nothing blocks while holding a mutex, that every
-// acquire is released on all exits, and that client/op-path errors
-// conform to the ErrTransient taxonomy. Each analyzer documents its
-// invariant on its Analyzer value.
+// goroutine's lifetime is argued for at its spawn, that client/op-path
+// errors conform to the ErrTransient taxonomy — and, through each
+// package's own calls (see interproc.go), that the lock-acquisition
+// graph stays acyclic, that nothing blocks while holding a mutex, and
+// that every acquire is released on all exits. Each analyzer documents
+// its invariant on its Analyzer value.
 //
 // A site that violates the letter of a rule for a documented reason is
 // suppressed with a directive comment naming the analyzer:
@@ -57,8 +58,8 @@ type Analyzer struct {
 
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
-// unit — type information and interprocedural summaries. The syntactic
-// analyzers ignore the typed side; the interprocedural ones (lockorder,
+// unit — type information and the package's held-lock walk. The
+// syntactic analyzers ignore the typed side; the typed ones (lockorder,
 // holdblock, releasepath, errtaxonomy) no-op when it is absent.
 type Pass struct {
 	Analyzer *Analyzer
@@ -75,17 +76,14 @@ type Pass struct {
 }
 
 // Unit is one analysis unit: a package's parsed files, optionally
-// typechecked, plus the facts of its dependencies. Pkg == nil means
-// syntactic-only (the typed analyzers skip themselves).
+// typechecked. Pkg == nil means syntactic-only (the typed analyzers
+// skip themselves).
 type Unit struct {
 	Fset       *token.FileSet
 	Files      []*ast.File
 	ImportPath string
 	Pkg        *types.Package
 	Info       *types.Info
-	// Facts holds dependency summaries keyed by import path (nil is
-	// treated as empty).
-	Facts *FactStore
 	// Escapes carries the compiler's attributed heap-escape decisions
 	// for this package, when the driver ran `go build -gcflags=-m`
 	// (piql-vet -escapebudget). nil in the ordinary run, which makes the
@@ -125,9 +123,9 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 
 // Analyzers is the registry cmd/piql-vet and the tests run: four
 // syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
-// four interprocedural ones over the held-lock walk and its facts
-// (lockorder, holdblock, errtaxonomy, releasepath), and the
-// build-diagnostic escapebudget.
+// three over the package's held-lock walk (lockorder, holdblock,
+// releasepath), the typed errtaxonomy, and the build-diagnostic
+// escapebudget.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	SimClock,
@@ -161,15 +159,11 @@ func ByName(name string) *Analyzer {
 const StaleAllowName = "staleallow"
 
 // RunUnit applies every analyzer to the unit and returns the surviving
-// diagnostics sorted by position, plus the package's exported facts
-// (nil when the unit is untyped). Files named *_test.go are skipped —
+// diagnostics sorted by position. Files named *_test.go are skipped —
 // the invariants govern production code; tests deliberately poke at
 // internals (raw routing loads to assert convergence, wall-clock
 // sleeps around immediate-mode clusters).
-func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, *PackageFacts) {
-	if u.Facts == nil {
-		u.Facts = NewFactStore()
-	}
+func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 	var kept []*ast.File
 	for _, f := range u.Files {
 		if strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
@@ -178,10 +172,8 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, *PackageFacts) {
 		kept = append(kept, f)
 	}
 	var ip *Interproc
-	var facts *PackageFacts
 	if u.Pkg != nil && u.Info != nil {
 		ip = buildInterproc(u, kept)
-		facts = ip.Facts()
 	}
 	directives := collectDirectives(u.Fset, kept)
 	var out []Diagnostic
@@ -232,7 +224,7 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, *PackageFacts) {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, facts
+	return out
 }
 
 // allowRe matches a suppression directive; everything after the

@@ -99,10 +99,7 @@ func RunAnalyzers(t *testing.T, dir string, analyzers []*lint.Analyzer) {
 		}
 	}
 
-	unit := *lp.Unit
-	unit.Facts = lint.NewFactStore()
-	diags, _ := lint.RunUnit(&unit, analyzers)
-	for _, d := range diags {
+	for _, d := range lint.RunUnit(lp.Unit, analyzers) {
 		found := false
 		for _, ex := range expects {
 			if !ex.matched && ex.file == d.Pos.Filename && ex.line == d.Pos.Line && ex.pattern.MatchString(d.Message) {

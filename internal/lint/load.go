@@ -31,8 +31,7 @@ type Loader struct {
 	pkgs    map[string]*LoadedPackage
 	loading map[string]bool
 	// order records completion order: every package appears after all
-	// of its module-local dependencies, which is exactly the order
-	// facts must be computed in.
+	// of its module-local dependencies.
 	order []string
 }
 

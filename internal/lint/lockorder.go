@@ -7,10 +7,10 @@ import (
 
 // LockOrder proves deadlock-freedom of the mutex layer the way the
 // planner proves op bounds: statically, before anything runs. The
-// interprocedural walk (interproc.go) records every acquired-while-held
-// pair — directly, and through calls via each callee's transitive
-// acquire set, stitched across packages by the facts — and this
-// analyzer rejects any cycle in that graph. Locks are nodes by *class*
+// walk (interproc.go) records every acquired-while-held pair in one
+// package — directly, and through the package's own calls via each
+// callee's transitive acquire set — and this analyzer rejects any
+// cycle in that graph. Locks are nodes by *class*
 // (kvstore.Cluster.rebalanceMu, kvstore.move.mu, ...), so a cycle
 // means two code paths can take the same two lock classes in opposite
 // orders: a real interleaving away from a deadlock. A self-edge means
@@ -18,11 +18,12 @@ import (
 // instance order, which the code must establish and a //lint:allow
 // must cite.
 //
-// The acyclic graph that survives is the lock hierarchy, printable
-// with `piql-vet -lockgraph ./...` and documented in the README.
+// Checking one package at a time loses no cycle: Go's import graph is
+// acyclic and no mutex in the tree is exported, so an edge between two
+// packages only runs from importer to importee, and no path leads back.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the acquired-while-held graph over all mutexes must stay acyclic",
+	Doc:  "the acquired-while-held graph over each package's mutexes must stay acyclic",
 	Run:  runLockOrder,
 }
 
@@ -30,28 +31,19 @@ func runLockOrder(pass *Pass) {
 	if pass.ip == nil {
 		return
 	}
-	local := pass.ip.allEdges()
-	// The global graph: this package's edges plus every dependency's.
+	edges := pass.ip.allEdges()
 	type edgeKey struct{ from, to string }
-	succ := map[string]map[string]string{} // from -> to -> witness pos
-	addEdge := func(from, to, pos string) {
-		if succ[from] == nil {
-			succ[from] = map[string]string{}
+	succ := map[string]map[string]bool{}
+	for _, e := range edges {
+		if succ[e.from] == nil {
+			succ[e.from] = map[string]bool{}
 		}
-		if _, ok := succ[from][to]; !ok {
-			succ[from][to] = pos
-		}
-	}
-	for _, e := range local {
-		addEdge(e.from, e.to, pass.Fset.Position(e.pos).String())
-	}
-	for _, e := range pass.unit.Facts.AllLockEdges(nil) {
-		addEdge(e.From, e.To, e.Pos)
+		succ[e.from][e.to] = true
 	}
 
 	// Self-edges: instance nesting within one lock class.
 	reportedSelf := map[string]bool{}
-	for _, e := range local {
+	for _, e := range edges {
 		if e.from == e.to && !reportedSelf[e.from] {
 			reportedSelf[e.from] = true
 			pass.Reportf(e.pos,
@@ -60,10 +52,10 @@ func runLockOrder(pass *Pass) {
 		}
 	}
 
-	// Cross-class cycles: report each local edge that sits on a cycle,
-	// with the shortest return path as witness.
+	// Cross-class cycles: report each edge that sits on a cycle, with
+	// the shortest return path as witness.
 	reported := map[edgeKey]bool{}
-	for _, e := range local {
+	for _, e := range edges {
 		k := edgeKey{e.from, e.to}
 		if e.from == e.to || reported[k] {
 			continue
@@ -80,7 +72,7 @@ func runLockOrder(pass *Pass) {
 // shortestPath returns the node sequence from src to dst (inclusive of
 // both) following succ edges, or nil if unreachable. BFS, so the
 // witness is minimal.
-func shortestPath(succ map[string]map[string]string, src, dst string) []string {
+func shortestPath(succ map[string]map[string]bool, src, dst string) []string {
 	if src == dst {
 		return []string{src}
 	}
@@ -111,65 +103,4 @@ func shortestPath(succ map[string]map[string]string, src, dst string) []string {
 		}
 	}
 	return nil
-}
-
-// LockHierarchy renders the global acquired-while-held graph as an
-// indented forest in topological order: roots are locks never acquired
-// while another is held. Cycle participants (if any survive to here)
-// are listed flat at the end so the output stays total.
-func LockHierarchy(edges []LockEdge) []string {
-	succ := map[string][]string{}
-	indeg := map[string]int{}
-	nodes := map[string]bool{}
-	for _, e := range edges {
-		if e.From == e.To {
-			continue
-		}
-		succ[e.From] = append(succ[e.From], e.To)
-		indeg[e.To]++
-		nodes[e.From] = true
-		nodes[e.To] = true
-	}
-	var roots []string
-	for n := range nodes {
-		if indeg[n] == 0 {
-			roots = append(roots, n)
-		}
-	}
-	sort.Strings(roots)
-	var out []string
-	printed := map[string]bool{}
-	var walk func(n string, depth int, onPath map[string]bool)
-	walk = func(n string, depth int, onPath map[string]bool) {
-		out = append(out, strings.Repeat("  ", depth)+n)
-		printed[n] = true
-		if onPath[n] {
-			return
-		}
-		onPath[n] = true
-		kids := append([]string(nil), succ[n]...)
-		sort.Strings(kids)
-		seen := map[string]bool{}
-		for _, k := range kids {
-			if !seen[k] {
-				seen[k] = true
-				walk(k, depth+1, onPath)
-			}
-		}
-		delete(onPath, n)
-	}
-	for _, r := range roots {
-		walk(r, 0, map[string]bool{})
-	}
-	var rest []string
-	for n := range nodes {
-		if !printed[n] {
-			rest = append(rest, n)
-		}
-	}
-	sort.Strings(rest)
-	for _, n := range rest {
-		out = append(out, n+" (cycle participant)")
-	}
-	return out
 }

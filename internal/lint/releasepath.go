@@ -12,23 +12,19 @@ package lint
 //     return;
 //   - a mutex held at a return and never released anywhere is either a
 //     total leak or an intentional acquire-helper; it is reported too,
-//     and a justified helper carries //lint:allow releasepath, which
-//     also exports the hold as a NetAcquires fact so *callers* in
-//     other packages are checked for the matching release;
+//     and a justified helper carries //lint:allow releasepath;
 //   - paired-call claims (the kvstore beginOp/endOp routing claim —
 //     see claimPairs in interproc.go) are tracked exactly like locks:
 //     a routing snapshot whose refcount is never returned pins the old
 //     table across a rebalance forever.
 //
 // defer'd Unlock/RUnlock/endOp marks the hold released on every exit,
-// so the defer idiom passes without special cases. Cross-package
-// helper pairs are balanced through the NetAcquires/NetReleases facts
-// the walk applies at call sites, which is what
-// TestReleasePathCrossPackageFacts in cmd/piql-vet exercises: an
-// acquire in one package, the missing release witnessed from another.
+// so the defer idiom passes without special cases. The check is per
+// function: a helper's hold is not carried into its callers, and no
+// product code has an acquire-helper.
 var ReleasePath = &Analyzer{
 	Name: "releasepath",
-	Doc:  "every acquire (mutex, claim, imported net-acquire) must release on all exits",
+	Doc:  "every acquire (mutex, claim) must release on all exits",
 	Run:  runReleasePath,
 }
 

@@ -2,8 +2,8 @@
 // ErrTransient sentinel, so the producer rules apply — every error
 // type must unwrap to it (or be allowlisted fatal), untyped
 // constructions are rejected — and the consumer rules catch ==,
-// string matching, and type assertions on errors whose sources the
-// interprocedural summaries mark transient.
+// string matching, and type assertions on errors, wherever the error
+// came from.
 package errtaxfix
 
 import (
@@ -29,7 +29,7 @@ type ErrStuck struct{} // want `error type ErrStuck does not unwrap`
 
 func (e *ErrStuck) Error() string { return "stuck" }
 
-// flakyOp's summary: may return *errtaxfix.ErrNodeDown, transient.
+// flakyOp may return a transient *ErrNodeDown.
 func flakyOp(n int) error {
 	if n > 0 {
 		return &ErrNodeDown{Node: n}
@@ -58,6 +58,12 @@ func wrapped(n int) error {
 func badCompare(n int) bool {
 	err := flakyOp(n)
 	return err == ErrTransient // want `compared with ==`
+}
+
+// badCompareFuncValue: the error comes through a function value, which
+// no call summary covers; the comparison is wrong all the same.
+func badCompareFuncValue(op func() error) bool {
+	return op() == ErrTransient // want `compared with ==`
 }
 
 func badStringMatch(n int) bool {

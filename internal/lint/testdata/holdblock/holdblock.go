@@ -6,6 +6,10 @@ package holdblockfix
 import (
 	"sync"
 	"time"
+
+	"piql/internal/index"
+	"piql/internal/kvstore"
+	"piql/internal/sim"
 )
 
 type box struct {
@@ -99,6 +103,23 @@ func loopUnderMutex(b *box, n int) {
 		b.ch <- i         // want `channel send while holding`
 		blockingHelper(b) // want `may block .* while holding`
 	}
+}
+
+// parkUnderMutex: every simulated park goes through a *sim.Proc, so a
+// call on one while the mutex is held blocks like a channel send.
+func parkUnderMutex(b *box, p *sim.Proc) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	p.Yield() // want `sim\.\(\*Proc\)\.Yield .*\*sim\.Proc.* while holding`
+}
+
+// clientUnderMutex: a call into another package handed a
+// *kvstore.Client may send requests that park the client's process —
+// the shape of the engine's writer drain.
+func clientUnderMutex(b *box, m *index.Maintainer, cl *kvstore.Client) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return m.VerifyBuildSuspects(cl, nil, kvstore.Version{}, nil) // want `VerifyBuildSuspects .*\*kvstore\.Client.* while holding`
 }
 
 // lockLateInLoop: the first pass reaches the send with nothing held, the

@@ -104,8 +104,7 @@ func okClaimDeferred(t *table, bad bool) int {
 }
 
 // allowAcquireHelper: an intentional lock-and-return helper carries a
-// directive naming the contract; the hold is still exported as a
-// NetAcquires fact so cross-package callers are checked.
+// directive naming the contract.
 //
 //lint:allow releasepath — fixture: acquire-helper contract, callers must release
 func allowAcquireHelper(g *guarded) {
