@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"piql/internal/parser"
 	"piql/internal/schema"
@@ -16,63 +18,92 @@ type edge struct {
 	relB, colB int
 }
 
-// binder resolves a parsed SELECT against the catalog.
+// binder resolves a parsed SELECT against the catalog. It sizes what it
+// builds from the statement once: one relation per FROM entry, one slab
+// for every relation's predicate lists, one for every IN list.
 type binder struct {
-	cat    Catalog
-	stmt   *parser.Select
-	rels   []*rel
-	byName map[string]int // alias/table (lower) -> rel index
+	cat  Catalog
+	stmt *parser.Select
+	rels []rel
 
 	edges     []edge
 	numParams int
 }
 
-// bind produces a boundQuery plus the undirected join edges.
-func bind(cat Catalog, stmt *parser.Select) (*boundQuery, []edge, error) {
-	b := &binder{cat: cat, stmt: stmt, byName: make(map[string]int)}
+// bind produces a boundQuery plus what Phase I reads and no plan keeps:
+// the undirected join edges, and chains, the empty tail of the predicate
+// slab with room for as many predicates as the relations' eqPreds and
+// otherPreds hold — every relation's abovePreds and belowPreds.
+func bind(cat Catalog, stmt *parser.Select) (q *boundQuery, edges []edge, chains []LocalPred, err error) {
+	b := binder{cat: cat, stmt: stmt}
 	if err := b.bindFrom(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if err := b.bindWhere(); err != nil {
-		return nil, nil, err
+	if chains, err = b.bindWhere(); err != nil {
+		return nil, nil, nil, err
 	}
-	q := &boundQuery{stmt: stmt, rels: b.rels}
+	q = &boundQuery{stmt: stmt, rels: b.rels}
 	if err := b.bindProjection(q); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := b.bindOrderAndStop(q); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	q.numParams = b.numParams
-	return q, b.edges, nil
+	return q, b.edges, chains, nil
 }
 
 func (b *binder) bindFrom() error {
 	if len(b.stmt.From) == 0 {
 		return fmt.Errorf("core: query has no FROM clause")
 	}
+	b.rels = make([]rel, 0, len(b.stmt.From))
 	offset := 0
 	for _, ref := range b.stmt.From {
 		t := b.cat.Table(ref.Table)
 		if t == nil {
 			return fmt.Errorf("core: unknown table %q", ref.Table)
 		}
-		name := strings.ToLower(ref.Name())
-		if _, dup := b.byName[name]; dup {
+		if b.relIndex(ref.Name()) >= 0 {
 			return fmt.Errorf("core: duplicate table name or alias %q", ref.Name())
 		}
-		b.byName[name] = len(b.rels)
-		b.rels = append(b.rels, &rel{ref: ref, table: t, offset: offset})
+		b.rels = append(b.rels, rel{ref: ref, table: t, offset: offset})
 		offset += len(t.Columns)
 	}
 	return nil
 }
 
+// relIndex returns the index of the relation a table name or alias
+// names, or -1. Two names match when strings.ToLower makes them equal.
+func (b *binder) relIndex(name string) int {
+	for i := range b.rels {
+		if lowerEqual(b.rels[i].ref.Name(), name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// lowerEqual reports whether strings.ToLower(a) == strings.ToLower(b),
+// lower-casing neither: rune by rune, an invalid byte reading as
+// utf8.RuneError as it does in strings.ToLower.
+func lowerEqual(a, b string) bool {
+	for a != "" && b != "" {
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return a == b
+}
+
 // resolveColumn finds (relIdx, colIdx) for a column reference.
 func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 	if c.Table != "" {
-		ri, ok := b.byName[strings.ToLower(c.Table)]
-		if !ok {
+		ri := b.relIndex(c.Table)
+		if ri < 0 {
 			return 0, 0, fmt.Errorf("core: unknown table or alias %q", c.Table)
 		}
 		ci := b.rels[ri].table.ColumnIndex(c.Column)
@@ -82,7 +113,8 @@ func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 		return ri, ci, nil
 	}
 	foundRel, foundCol := -1, -1
-	for ri, r := range b.rels {
+	for ri := range b.rels {
+		r := &b.rels[ri]
 		if ci := r.table.ColumnIndex(c.Column); ci >= 0 {
 			if foundRel >= 0 {
 				return 0, 0, fmt.Errorf("core: column %q is ambiguous (in %q and %q)",
@@ -100,60 +132,109 @@ func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 // combined returns the combined-row index for (relIdx, colIdx).
 func (b *binder) combined(ri, ci int) int { return b.rels[ri].offset + ci }
 
-func (b *binder) colDisplay(ri, ci int) string {
-	return b.rels[ri].ref.Name() + "." + b.rels[ri].table.Columns[ci].Name
-}
-
-func (b *binder) bindWhere() error {
+// bindWhere binds the WHERE clause in its own order, so that the error
+// reported is the first the text holds. The lists it fills are sized
+// once, from the statement: the join edges, every IN list (one slab of
+// KeyExprs), and one slab of LocalPreds with two halves. Each local
+// predicate is bound into the second half, its Col the combined-row
+// index; then each relation's eqPreds and otherPreds are copied out, in
+// WHERE order and back in the relation's own numbering, as adjacent
+// windows of the first half. The second half, empty, is returned for
+// Phase I's chains.
+func (b *binder) bindWhere() ([]LocalPred, error) {
+	nLocal, nIn := 0, 0
+	for _, p := range b.stmt.Where {
+		if _, join := p.Right.(parser.ColumnRef); join {
+			continue
+		}
+		nLocal++
+		nIn += len(p.InList)
+	}
+	if n := len(b.stmt.Where) - nLocal; n > 0 {
+		b.edges = make([]edge, 0, n)
+	}
+	var ins []KeyExpr
+	if nIn > 0 {
+		ins = make([]KeyExpr, nIn)
+	}
+	slab := make([]LocalPred, 2*nLocal)
+	bound := slab[nLocal:nLocal]
 	for _, p := range b.stmt.Where {
 		ri, ci, err := b.resolveColumn(p.Left)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Column-to-column comparison: a join edge (must be equality).
 		if rc, ok := p.Right.(parser.ColumnRef); ok {
 			rj, cj, err := b.resolveColumn(rc)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if ri == rj {
-				return fmt.Errorf("core: predicate %s compares two columns of the same relation; not supported", p)
+				return nil, fmt.Errorf("core: predicate %s compares two columns of the same relation; not supported", p)
 			}
 			if p.Op != parser.OpEq {
-				return fmt.Errorf("core: non-equality join predicate %s is not scale-independent", p)
+				return nil, fmt.Errorf("core: non-equality join predicate %s is not scale-independent", p)
 			}
 			b.edges = append(b.edges, edge{relA: ri, colA: ci, relB: rj, colB: cj})
 			continue
 		}
-		lp, err := b.bindLocalPred(ri, ci, p)
+		lp, err := b.bindLocalPred(ri, ci, p, ins[:len(p.InList):len(p.InList)])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		r := b.rels[ri]
-		if lp.Op == parser.OpEq || lp.Op == parser.OpContains {
-			r.eqPreds = append(r.eqPreds, lp)
-		} else {
-			r.otherPreds = append(r.otherPreds, lp)
-		}
+		ins = ins[len(p.InList):]
+		lp.Col = b.combined(ri, ci)
+		bound = append(bound, lp)
 	}
-	return nil
+	free := slab[:0]
+	for ri := range b.rels {
+		r := &b.rels[ri]
+		r.eqPreds, free = cut(r.appendPreds(free, bound, true))
+		r.otherPreds, free = cut(r.appendPreds(free, bound, false))
+	}
+	return slab[nLocal:nLocal], nil
 }
 
-func (b *binder) bindLocalPred(ri, ci int, p parser.Predicate) (LocalPred, error) {
+// appendPreds appends to dst, rebased on r's own columns, the predicates
+// of bound on r that are (eq) or are not equalities and CONTAINS.
+func (r *rel) appendPreds(dst, bound []LocalPred, eq bool) []LocalPred {
+	for _, p := range bound {
+		if ci := p.Col - r.offset; ci >= 0 && ci < len(r.table.Columns) &&
+			(p.Op == parser.OpEq || p.Op == parser.OpContains) == eq {
+			p.Col = ci
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// cut ends a window that was filled by appending to the empty, unused
+// tail of a slab: it returns the window capped at its length, so that
+// appending to it cannot write into the next, and the tail after it.
+func cut[T any](filled []T) (window, tail []T) {
+	n := len(filled)
+	return filled[:n:n], filled[n:n]
+}
+
+// bindLocalPred binds p, on column ci of relation ri, its IN list into
+// in (len(p.InList) long).
+func (b *binder) bindLocalPred(ri, ci int, p parser.Predicate, in []KeyExpr) (LocalPred, error) {
 	col := b.rels[ri].table.Columns[ci]
-	lp := LocalPred{Col: ci, Name: b.colDisplay(ri, ci), Op: p.Op}
+	lp := LocalPred{Col: ci, name: b.rels[ri].display(ci), Op: p.Op}
 	if p.InList != nil {
-		for _, e := range p.InList {
+		for i, e := range p.InList {
 			ke, err := b.bindKeyExpr(e, col)
 			if err != nil {
 				return LocalPred{}, fmt.Errorf("core: in predicate %s: %w", p, err)
 			}
-			lp.InList = append(lp.InList, ke)
+			in[i] = ke
 		}
+		lp.InList = in
 		return lp, nil
 	}
 	if p.Op == parser.OpContains && col.Type != value.TypeString {
-		return LocalPred{}, fmt.Errorf("core: CONTAINS requires a string column, %s is %s", lp.Name, col.Type)
+		return LocalPred{}, fmt.Errorf("core: CONTAINS requires a string column, %s is %s", lp.name, col.Type)
 	}
 	ke, err := b.bindKeyExpr(p.Right, col)
 	if err != nil {
@@ -198,11 +279,11 @@ func (b *binder) bindProjection(q *boundQuery) error {
 		case it.Agg != parser.AggNone:
 			return b.bindAggProjection(q)
 		case it.Star && it.StarOf == "":
-			for _, r := range b.rels {
-				n += len(r.table.Columns)
+			for ri := range b.rels {
+				n += len(b.rels[ri].table.Columns)
 			}
 		case it.Star:
-			if ri, ok := b.byName[strings.ToLower(it.StarOf)]; ok {
+			if ri := b.relIndex(it.StarOf); ri >= 0 {
 				n += len(b.rels[ri].table.Columns)
 			}
 		default:
@@ -213,15 +294,15 @@ func (b *binder) bindProjection(q *boundQuery) error {
 	for _, it := range b.stmt.Items {
 		switch {
 		case it.Star && it.StarOf == "":
-			for ri, r := range b.rels {
-				for ci, c := range r.table.Columns {
+			for ri := range b.rels {
+				for ci, c := range b.rels[ri].table.Columns {
 					q.projCols = append(q.projCols, b.combined(ri, ci))
 					q.projNames = append(q.projNames, c.Name)
 				}
 			}
 		case it.Star:
-			ri, ok := b.byName[strings.ToLower(it.StarOf)]
-			if !ok {
+			ri := b.relIndex(it.StarOf)
+			if ri < 0 {
 				return fmt.Errorf("core: unknown table or alias %q in %s.*", it.StarOf, it.StarOf)
 			}
 			for ci, c := range b.rels[ri].table.Columns {
@@ -295,6 +376,9 @@ func (b *binder) bindAggProjection(q *boundQuery) error {
 }
 
 func (b *binder) bindOrderAndStop(q *boundQuery) error {
+	if len(b.stmt.OrderBy) > 0 {
+		q.sort = make([]SortKey, 0, len(b.stmt.OrderBy))
+	}
 	for _, o := range b.stmt.OrderBy {
 		ri, ci, err := b.resolveColumn(o.Col)
 		if err != nil {
@@ -302,8 +386,8 @@ func (b *binder) bindOrderAndStop(q *boundQuery) error {
 		}
 		q.sort = append(q.sort, SortKey{
 			Col:  b.combined(ri, ci),
-			Name: b.colDisplay(ri, ci),
 			Desc: o.Desc,
+			name: b.rels[ri].display(ci),
 		})
 	}
 	switch {

@@ -332,20 +332,23 @@ func TestLimitWithoutJoinIsClassI(t *testing.T) {
 	}
 }
 
+// rejectionCases are the unbounded queries TestRejections refuses; their
+// full errors are in testdata/refusals.golden.
+var rejectionCases = []struct {
+	src     string
+	wantSug string // substring expected in some suggestion
+}{
+	{`SELECT * FROM users`, "PAGINATE"},
+	{`SELECT * FROM thoughts WHERE owner = [1: u]`, "LIMIT"},
+	{`SELECT * FROM users WHERE hometown = 'SF'`, "CARDINALITY LIMIT"},
+	{`SELECT * FROM users WHERE username LIKE 'bob%' LIMIT 5`, "CONTAINS"},
+	{`SELECT * FROM users, thoughts LIMIT 5`, "join predicate"},
+	{`SELECT * FROM thoughts WHERE owner != 'x' LIMIT 5`, ""},
+}
+
 func TestRejections(t *testing.T) {
 	cat := scadrCatalog(t)
-	cases := []struct {
-		src     string
-		wantSug string // substring expected in some suggestion
-	}{
-		{`SELECT * FROM users`, "PAGINATE"},
-		{`SELECT * FROM thoughts WHERE owner = [1: u]`, "LIMIT"},
-		{`SELECT * FROM users WHERE hometown = 'SF'`, "CARDINALITY LIMIT"},
-		{`SELECT * FROM users WHERE username LIKE 'bob%' LIMIT 5`, "CONTAINS"},
-		{`SELECT * FROM users, thoughts LIMIT 5`, "join predicate"},
-		{`SELECT * FROM thoughts WHERE owner != 'x' LIMIT 5`, ""},
-	}
-	for _, c := range cases {
+	for _, c := range rejectionCases {
 		nsi := compileErr(t, cat, c.src)
 		if c.wantSug == "" {
 			continue
@@ -462,7 +465,8 @@ func TestKeyExprString(t *testing.T) {
 		{constExpr(value.Bytes([]byte{0x00, 0xff})), "x'00ff'"},
 		{paramExpr(parser.Param{Index: 1, Name: "uname"}), "[1: uname]"},
 		{paramExpr(parser.Param{Index: 3}), "[3]"},
-		{childColExpr(4, "s.target"), "s.target"},
+		{childColExpr(4, qualName{&parser.TableRef{Table: "subscriptions", Alias: "s"}, "target"}), "s.target"},
+		{childColExpr(2, qualName{col: "hometown"}), "hometown"},
 	} {
 		if got := tc.e.String(); got != tc.want {
 			t.Errorf("%+v: String() = %q, want %q", tc.e, got, tc.want)

@@ -27,15 +27,15 @@ func CompileCostBased(cat Catalog, stmt *parser.Select) (*Plan, error) {
 	if piqlErr == nil && piqlPlan.OpBound() <= scanCost {
 		return piqlPlan, nil
 	}
-	q, _, err := bind(cat, stmt)
+	q, _, chains, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.rels) != 1 {
 		return piqlPlan, piqlErr
 	}
-	r := q.rels[0]
-	order, err := phase1(q, nil)
+	r := &q.rels[0]
+	order, err := phase1(q, nil, chains)
 	if err != nil {
 		return nil, err
 	}

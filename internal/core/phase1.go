@@ -15,14 +15,15 @@ import (
 // the ones that caused its insertion.
 //
 // It returns the relations in join order with their access chains
-// normalized to: abovePreds → DataStop(card) → belowPreds → Relation.
-func phase1(q *boundQuery, edges []edge) ([]*rel, error) {
+// normalized to: abovePreds → DataStop(card) → belowPreds → Relation,
+// whose predicates it appends to chains, the binder's room for them.
+func phase1(q *boundQuery, edges []edge, chains []LocalPred) ([]*rel, error) {
 	order, err := joinOrder(q, edges)
 	if err != nil {
 		return nil, err
 	}
 	for i, r := range order {
-		insertDataStop(r, i > 0)
+		chains = insertDataStop(r, i > 0, chains)
 	}
 	return order, nil
 }
@@ -30,35 +31,42 @@ func phase1(q *boundQuery, edges []edge) ([]*rel, error) {
 // joinOrder picks a linear ordering (Line 1 of Algorithm 1): start from
 // the most constrained relation and repeatedly append a relation joined
 // to the prefix. Disconnected FROM lists (cartesian products) are
-// rejected as inherently unbounded.
+// rejected as inherently unbounded. Every edge becomes one join
+// predicate, of whichever of its relations comes later, so one slab
+// holds them all.
 func joinOrder(q *boundQuery, edges []edge) ([]*rel, error) {
 	n := len(q.rels)
-	chosen := make([]bool, n)
-	var order []*rel
+	var chosenBuf [8]bool
+	chosen := chosenBuf[:]
+	if n > len(chosenBuf) {
+		chosen = make([]bool, n)
+	}
+	order := make([]*rel, 0, n)
+	free := make([]joinPred, 0, len(edges))
 
 	start := 0
 	best := -1
-	for i, r := range q.rels {
-		s := accessScore(r)
+	for i := range q.rels {
+		s := accessScore(&q.rels[i])
 		if s > best {
 			best = s
 			start = i
 		}
 	}
 	chosen[start] = true
-	order = append(order, q.rels[start])
+	order = append(order, &q.rels[start])
 
 	for len(order) < n {
 		next := -1
 		nextScore := -1
-		for i, r := range q.rels {
+		for i := range q.rels {
 			if chosen[i] {
 				continue
 			}
 			if !connected(i, chosen, edges) {
 				continue
 			}
-			if s := accessScore(r); s > nextScore {
+			if s := accessScore(&q.rels[i]); s > nextScore {
 				nextScore = s
 				next = i
 			}
@@ -74,8 +82,8 @@ func joinOrder(q *boundQuery, edges []edge) ([]*rel, error) {
 			}
 		}
 		chosen[next] = true
-		r := q.rels[next]
-		orientEdges(q, r, next, chosen, edges)
+		r := &q.rels[next]
+		free = orientEdges(q, r, next, chosen, edges, free)
 		order = append(order, r)
 	}
 	return order, nil
@@ -84,7 +92,8 @@ func joinOrder(q *boundQuery, edges []edge) ([]*rel, error) {
 // accessScore ranks how tightly a relation's own predicates bound it:
 // full primary key (3) > cardinality constraint (2) > any equality (1).
 func accessScore(r *rel) int {
-	cols := eqColNames(r, true)
+	var buf [8]string
+	cols := eqColNames(buf[:0], r, true)
 	switch {
 	case len(cols) > 0 && r.table.IsPrimaryKey(cols):
 		return 3
@@ -97,12 +106,11 @@ func accessScore(r *rel) int {
 	}
 }
 
-// eqColNames returns the column names with simple equality or, with
-// inLists, IN predicates (CONTAINS is excluded: a token match is not
-// equality on the column, so it cannot satisfy key or cardinality
-// coverage).
-func eqColNames(r *rel, inLists bool) []string {
-	var cols []string
+// eqColNames appends to cols, a caller's buffer, the column names with
+// simple equality or, with inLists, IN predicates (CONTAINS is excluded:
+// a token match is not equality on the column, so it cannot satisfy key
+// or cardinality coverage).
+func eqColNames(cols []string, r *rel, inLists bool) []string {
 	for _, p := range r.eqPreds {
 		if p.Op == parser.OpEq && (inLists || p.InList == nil) {
 			cols = append(cols, r.table.Columns[p.Col].Name)
@@ -121,8 +129,9 @@ func connected(i int, chosen []bool, edges []edge) bool {
 }
 
 // orientEdges converts every edge between r (index ri) and an
-// already-chosen relation into a joinPred on r.
-func orientEdges(q *boundQuery, r *rel, ri int, chosen []bool, edges []edge) {
+// already-chosen relation into a joinPred on r, appended to free (the
+// join-predicate slab's unused tail), and returns the tail it left.
+func orientEdges(q *boundQuery, r *rel, ri int, chosen []bool, edges []edge, free []joinPred) []joinPred {
 	for _, e := range edges {
 		var myCol, otherRel, otherCol int
 		switch {
@@ -133,14 +142,16 @@ func orientEdges(q *boundQuery, r *rel, ri int, chosen []bool, edges []edge) {
 		default:
 			continue
 		}
-		or := q.rels[otherRel]
-		r.joinPreds = append(r.joinPreds, joinPred{
+		or := &q.rels[otherRel]
+		free = append(free, joinPred{
 			col:      myCol,
-			name:     r.ref.Name() + "." + r.table.Columns[myCol].Name,
 			outerCol: or.offset + otherCol,
-			outerStr: or.ref.Name() + "." + or.table.Columns[otherCol].Name,
+			name:     r.display(myCol),
+			outer:    or.display(otherCol),
 		})
 	}
+	r.joinPreds, free = cut(free)
+	return free
 }
 
 // insertDataStop implements Lines 3-12 of Algorithm 1 for one relation:
@@ -149,12 +160,15 @@ func orientEdges(q *boundQuery, r *rel, ri int, chosen []bool, edges []edge) {
 // a data-stop with the corresponding cardinality is inserted above the
 // covering predicates, then pushed past all other predicates — which is
 // legal precisely because the constraint bounds how many matching tuples
-// can exist in the database, not how many the query wants.
-func insertDataStop(r *rel, joined bool) {
+// can exist in the database, not how many the query wants. The chain's
+// predicates are appended to free (the unused tail of the predicate
+// slab's room for chains); it returns the tail it left.
+func insertDataStop(r *rel, joined bool, free []LocalPred) []LocalPred {
 	// A joined relation is read with one key per child row, and an IN
 	// list can be no part of such a key: there it neither covers a
 	// constraint nor multiplies one, and stays a selection above.
-	eqCols := eqColNames(r, !joined)
+	var buf [8]string
+	eqCols := eqColNames(buf[:0], r, !joined)
 	if joined {
 		for _, jp := range r.joinPreds {
 			eqCols = append(eqCols, r.table.Columns[jp.col].Name)
@@ -171,8 +185,8 @@ func insertDataStop(r *rel, joined bool) {
 	}
 	if card == 0 {
 		// No data-stop: every predicate stays above the relation.
-		r.abovePreds = append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...)
-		return
+		r.abovePreds, free = cut(append(append(free, r.eqPreds...), r.otherPreds...))
+		return free
 	}
 	// IN-lists on covering columns multiply the bound: each list element
 	// is a separate equality binding.
@@ -182,14 +196,22 @@ func insertDataStop(r *rel, joined bool) {
 		}
 	}
 	r.dataStopCard = card
+	below := func(p LocalPred) bool {
+		return p.Op == parser.OpEq && (p.InList == nil || !joined) && containsFold(coverCols, r.table.Columns[p.Col].Name)
+	}
 	for _, p := range r.eqPreds {
-		if p.Op == parser.OpEq && (p.InList == nil || !joined) && containsFold(coverCols, r.table.Columns[p.Col].Name) {
-			r.belowPreds = append(r.belowPreds, p)
-		} else {
-			r.abovePreds = append(r.abovePreds, p)
+		if below(p) {
+			free = append(free, p)
 		}
 	}
-	r.abovePreds = append(r.abovePreds, r.otherPreds...)
+	r.belowPreds, free = cut(free)
+	for _, p := range r.eqPreds {
+		if !below(p) {
+			free = append(free, p)
+		}
+	}
+	r.abovePreds, free = cut(append(free, r.otherPreds...))
+	return free
 }
 
 func containsFold(xs []string, x string) bool {

@@ -413,9 +413,9 @@ func (ctx *phase2Ctx) tighterBound(r *rel, p LocalPred, have, b *RangeBound, dir
 		return nil, &NotScaleIndependentError{
 			Query:   ctx.q.stmt.String(),
 			Segment: fmt.Sprintf("access to relation %s (%s)", r.ref.Name(), describePreds(r)),
-			Reason:  fmt.Sprintf("two bounds on one side of column %s, a parameter among them: which is tighter is unknown until run time", p.Name),
+			Reason:  fmt.Sprintf("two bounds on one side of column %s, a parameter among them: which is tighter is unknown until run time", p.name),
 			Suggestions: []string{
-				fmt.Sprintf("keep one lower and one upper bound on %s", p.Name),
+				fmt.Sprintf("keep one lower and one upper bound on %s", p.name),
 			},
 		}
 	}
@@ -713,7 +713,8 @@ func (ctx *phase2Ctx) noteRequired(ix *schema.Index) {
 // --- assistant feedback ---
 
 func (ctx *phase2Ctx) unboundedRelation(r *rel) error {
-	eqCols := eqColNames(r, true)
+	var buf [8]string
+	eqCols := eqColNames(buf[:0], r, true)
 	sug := []string{}
 	if len(eqCols) > 0 {
 		sug = append(sug, fmt.Sprintf("add `CARDINALITY LIMIT n (%s)` to table %s so the matching tuples are bounded",

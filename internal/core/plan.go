@@ -52,11 +52,11 @@ type Catalog interface {
 // listed in Plan.RequiredIndexes, for the caller to register and
 // backfill before running the plan.
 func Compile(cat Catalog, stmt *parser.Select) (*Plan, error) {
-	q, edges, err := bind(cat, stmt)
+	q, edges, chains, err := bind(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	order, err := phase1(q, edges)
+	order, err := phase1(q, edges, chains)
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +89,8 @@ func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, re
 		q:               q,
 	}
 	plan.tuples, plan.ops, _ = walkBound(root, nil, nil)
-	for _, r := range q.rels {
-		plan.RowWidth += len(r.table.Columns)
+	for i := range q.rels {
+		plan.RowWidth += len(q.rels[i].table.Columns)
 	}
 	var err error
 	if q.page {

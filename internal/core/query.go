@@ -62,15 +62,36 @@ func boundMin(a, b int) int {
 
 // --- expressions shared by the compiler and the execution engine ---
 
+// qualName is the display name of a column, relation.column, kept as
+// what it joins — the relation as the statement wrote it, whose Name is
+// its alias or table, and the column's name as the catalog holds it — so
+// that binding copies what already exists and only a reader of the text
+// joins them. The relation is held by pointer, into the bound query's
+// relations: a cached plan keeps each predicate twice (a relation's list
+// and its Phase I chain), and two strings would make a LocalPred 160
+// bytes where this keeps it at 144. A name with no relation reads as the
+// column alone.
+type qualName struct {
+	rel *parser.TableRef
+	col string
+}
+
+func (n qualName) String() string {
+	if n.rel == nil {
+		return n.col
+	}
+	return n.rel.Name() + "." + n.col
+}
+
 // KeyExpr is a value source for a key component or comparison: a
 // literal, a query parameter, or a column of the combined outer row.
 // Its text is rendered when asked for, not when it is bound.
 type KeyExpr struct {
 	kind     keyExprKind
 	constant value.Value
-	param    int    // 1-based
-	childCol int    // combined-row index
-	name     string // a parameter's name, or the child column's display name
+	param    int      // 1-based
+	childCol int      // combined-row index
+	name     qualName // a parameter's name (col only), or the child column's
 }
 
 type keyExprKind int
@@ -86,11 +107,11 @@ func constExpr(v value.Value) KeyExpr {
 }
 
 func paramExpr(p parser.Param) KeyExpr {
-	return KeyExpr{kind: keyParam, param: p.Index, name: p.Name}
+	return KeyExpr{kind: keyParam, param: p.Index, name: qualName{col: p.Name}}
 }
 
-func childColExpr(idx int, display string) KeyExpr {
-	return KeyExpr{kind: keyChildCol, childCol: idx, name: display}
+func childColExpr(idx int, name qualName) KeyExpr {
+	return KeyExpr{kind: keyChildCol, childCol: idx, name: name}
 }
 
 func (e KeyExpr) String() string {
@@ -98,9 +119,9 @@ func (e KeyExpr) String() string {
 	case keyConst:
 		return e.constant.String()
 	case keyParam:
-		return parser.Param{Index: e.param, Name: e.name}.String()
+		return parser.Param{Index: e.param, Name: e.name.col}.String()
 	default:
-		return e.name
+		return e.name.String()
 	}
 }
 
@@ -132,10 +153,10 @@ type LocalPred struct {
 	// ordinal, and shiftPreds rebases an operator's Residual onto the
 	// combined row, where the relation's columns start at its offset.
 	Col    int
-	Name   string
 	Op     parser.CompareOp
 	RHS    KeyExpr
 	InList []KeyExpr // IN-list; when set, Op is OpEq and RHS is unused
+	name   qualName
 }
 
 func (p LocalPred) String() string {
@@ -144,9 +165,9 @@ func (p LocalPred) String() string {
 		for i, e := range p.InList {
 			parts[i] = e.String()
 		}
-		return fmt.Sprintf("%s IN (%s)", p.Name, strings.Join(parts, ", "))
+		return fmt.Sprintf("%s IN (%s)", p.name, strings.Join(parts, ", "))
 	}
-	return fmt.Sprintf("%s %s %s", p.Name, p.Op, p.RHS)
+	return fmt.Sprintf("%s %s %s", p.name, p.Op, p.RHS)
 }
 
 // Eval evaluates the predicate against a combined row.
@@ -233,15 +254,15 @@ func Tokenize(text string) []string {
 // SortKey is a resolved ORDER BY component over the combined row.
 type SortKey struct {
 	Col  int
-	Name string
 	Desc bool
+	name qualName
 }
 
 func (k SortKey) String() string {
 	if k.Desc {
-		return k.Name + " DESC"
+		return k.name.String() + " DESC"
 	}
-	return k.Name + " ASC"
+	return k.name.String() + " ASC"
 }
 
 // AggSpec is one aggregate output column.
@@ -254,6 +275,9 @@ type AggSpec struct {
 // --- bound query: the binder's output, consumed by Phase I ---
 
 // rel is one relation in the query with its single-table predicates.
+// Its predicate lists are windows of one slab per statement (bindWhere,
+// insertDataStop), each capped at its own length, so that appending to
+// one can never write into the next.
 type rel struct {
 	ref    parser.TableRef
 	table  *schema.Table
@@ -273,31 +297,35 @@ type rel struct {
 // colName returns the relation-local column name for ordinal ci.
 func (r *rel) colName(ci int) string { return r.table.Columns[ci].Name }
 
+// display is column ci's display name: the relation's name, dot, the
+// column's.
+func (r *rel) display(ci int) qualName { return qualName{&r.ref, r.colName(ci)} }
+
 // joinPred is an equi-join predicate: this relation's column equals a
 // column of an earlier relation (identified by combined-row index).
 type joinPred struct {
 	col      int // column ordinal within this relation
-	name     string
 	outerCol int // combined-row index of the matching outer column
-	outerStr string
+	name     qualName
+	outer    qualName
 }
 
 // local is the join predicate as a predicate on the joined row, in the
 // relation's own column numbering: what an operator whose key has no
 // place for it checks as a residual.
 func (p joinPred) local() LocalPred {
-	return LocalPred{Col: p.col, Name: p.name, Op: parser.OpEq, RHS: childColExpr(p.outerCol, p.outerStr)}
+	return LocalPred{Col: p.col, name: p.name, Op: parser.OpEq, RHS: childColExpr(p.outerCol, p.outer)}
 }
 
 func (p joinPred) String() string {
-	return fmt.Sprintf("%s = %s", p.name, p.outerStr)
+	return fmt.Sprintf("%s = %s", p.name, p.outer)
 }
 
 // boundQuery is the binder output: relations in FROM order (offsets fixed
 // by FROM position), resolved sort/projection, and the query-level stop.
 type boundQuery struct {
 	stmt *parser.Select
-	rels []*rel
+	rels []rel
 
 	sort  []SortKey
 	stopK int  // LIMIT or PAGINATE page size; 0 = none

@@ -44,14 +44,14 @@ func BindWrite(cat Catalog, stmt parser.Statement) (*Write, error) {
 	default:
 		return nil, fmt.Errorf("core: %T is not an INSERT, UPDATE or DELETE", stmt)
 	}
-	b := &binder{cat: cat, stmt: sel, byName: make(map[string]int)}
+	b := binder{cat: cat, stmt: sel}
 	if err := b.bindFrom(); err != nil {
 		return nil, err
 	}
-	if err := b.bindWhere(); err != nil {
+	if _, err := b.bindWhere(); err != nil {
 		return nil, err
 	}
-	r := b.rels[0]
+	r := &b.rels[0]
 	t := r.table
 	w := &Write{Table: t}
 	var err error
@@ -74,7 +74,7 @@ func BindWrite(cat Catalog, stmt parser.Statement) (*Write, error) {
 		null := constExpr(value.Null())
 		w.Row, err = b.bindRow(t, assigns, func(int) KeyExpr { return null })
 	case *parser.Update:
-		keep := func(ci int) KeyExpr { return childColExpr(ci, t.Columns[ci].Name) }
+		keep := func(ci int) KeyExpr { return childColExpr(ci, qualName{col: t.Columns[ci].Name}) }
 		if w.Row, err = b.bindRow(t, s.Set, keep); err == nil {
 			w.Key, err = writeKey(r)
 		}

@@ -799,3 +799,58 @@ func TestLimitHintScanRefusesParameterPair(t *testing.T) {
 		t.Fatalf("one bound a side: %v (err %v)", res, err)
 	}
 }
+
+// TestRepeatedINValueNamesOneRow: an IN list on a primary-key column
+// that names one value twice — as two literals, or as a literal and a
+// parameter bound to it — names one row, and returns it once: to a plain
+// lookup, to COUNT(*), through a primary-key cross product, and as the
+// outer side of a join, which would otherwise fetch each match twice.
+func TestRepeatedINValueNamesOneRow(t *testing.T) {
+	_, s := newTestEngine(t, 3)
+	loadSCADr(t, s, 10, 2, 3)
+	subs, err := s.Query(`SELECT target FROM subscriptions WHERE owner = 'user001'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs.Rows) != 3 {
+		t.Fatalf("user001 has %d subscriptions, want 3", len(subs.Rows))
+	}
+	t1, t2 := subs.Rows[0][0], subs.Rows[1][0]
+	for _, tc := range []struct {
+		sql    string
+		params []value.Value
+		rows   int
+		count  int64  // COUNT(*)'s one value, or -1
+		first  string // the first column of the rows in order, if set
+	}{
+		{`SELECT * FROM users WHERE username IN ('user001', 'user001')`, nil, 1, -1, ""},
+		{`SELECT * FROM users WHERE username IN ('user001', ?)`, []value.Value{value.Str("user001")}, 1, -1, ""},
+		{`SELECT * FROM users WHERE username IN ('user001', ?, 'user002', ?)`,
+			[]value.Value{value.Str("user002"), value.Str("user001")}, 2, -1, "user001 user002"},
+		{`SELECT COUNT(*) FROM users WHERE username IN ('user001', 'user001')`, nil, 1, 1, ""},
+		{`SELECT * FROM subscriptions WHERE owner IN ('user001', 'user001') AND target IN (?, ?, ?)`,
+			[]value.Value{t1, t2, t1}, 2, -1, ""},
+		{`SELECT s.target FROM users u JOIN subscriptions s
+			WHERE s.owner = u.username AND u.username IN ('user001', 'user001')`, nil, 3, -1, ""},
+	} {
+		res, err := s.Query(tc.sql, tc.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if len(res.Rows) != tc.rows {
+			t.Errorf("%s: %d rows, want %d: %v", tc.sql, len(res.Rows), tc.rows, res.Rows)
+		}
+		if tc.count >= 0 && (len(res.Rows) != 1 || res.Rows[0][0].I != tc.count) {
+			t.Errorf("%s: COUNT(*) = %v, want %d", tc.sql, res.Rows, tc.count)
+		}
+		if tc.first != "" {
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, row[0].S)
+			}
+			if strings.Join(got, " ") != tc.first {
+				t.Errorf("%s: rows %v, want the first of each key, in list order: %s", tc.sql, got, tc.first)
+			}
+		}
+	}
+}

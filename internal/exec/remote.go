@@ -97,17 +97,38 @@ func pkSpec(specs []core.KeySpec, outer []value.Row, i int) (core.KeySpec, value
 	return specs[0], outer[i]
 }
 
-// runPKLookup fetches at most one record per key.
+// runPKLookup fetches at most one record per key, and one per distinct
+// key: an IN list that names a value twice, as two literals or once as a
+// parameter, names one row.
 func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 	keys, err := pkRecordKeys(n.Table, len(n.Keys), n.Keys, nil, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.fetchRecords(keys, n.TableOffset)
+	rows, err := e.fetchRecords(dropRepeatedKeys(keys), n.TableOffset)
 	if err != nil {
 		return nil, err
 	}
 	return e.filterResidual(rows, n.Residual)
+}
+
+// dropRepeatedKeys removes, in place, every key byte-equal to an earlier
+// one, keeping the first of each in order. The check is pairwise: a key
+// list is no longer than the plan's static bound on reads, and one key
+// costs nothing.
+func dropRepeatedKeys(keys [][]byte) [][]byte {
+	n := 0
+next:
+	for _, k := range keys {
+		for _, seen := range keys[:n] {
+			if bytes.Equal(seen, k) {
+				continue next
+			}
+		}
+		keys[n] = k
+		n++
+	}
+	return keys[:n]
 }
 
 // fetchRecords resolves keys in one batch and decodes each record found
