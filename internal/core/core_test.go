@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -789,5 +791,94 @@ func TestPaginateRefusedWithoutPager(t *testing.T) {
 			t.Errorf("%s: suggestions %q, want one with %q", tc.name, nsi.Suggestions, tc.suggestion)
 		}
 		compile(t, cat, tc.sql+" LIMIT 2")
+	}
+}
+
+// TestStopLimitsFetchPairsForeignKeyByPosition: FOREIGN KEY (x, y)
+// REFERENCES p joins x to p's first primary-key column and y to its
+// second. Only that pairing finds a row of p for every row of c; the
+// stop may then cap c's scan. Any other pairing of the same columns can
+// drop rows, and a capped scan would return a short page.
+func TestStopLimitsFetchPairsForeignKeyByPosition(t *testing.T) {
+	cat := schema.NewCatalog()
+	for _, ddl := range []string{
+		`CREATE TABLE p (a INT, b INT, name VARCHAR(10), PRIMARY KEY (a, b))`,
+		`CREATE TABLE c (owner VARCHAR(20), ts INT, x INT, y INT, PRIMARY KEY (owner, ts),
+			FOREIGN KEY (x, y) REFERENCES p)`,
+	} {
+		stmt, err := parser.Parse(ddl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const query = `SELECT c.ts, p.name FROM c JOIN p WHERE c.owner = [1: me] AND %s ORDER BY c.ts DESC LIMIT 5`
+	limited := func(join string) bool {
+		t.Helper()
+		stmt, err := parser.Parse(fmt.Sprintf(query, join))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Compile(cat, stmt.(*parser.Select))
+		if err != nil {
+			return false // refused: nothing else bounds c's scan
+		}
+		scan, ok := findOp[*IndexScan](plan)
+		return ok && scan.LimitHint == 5
+	}
+	if !limited(`p.a = c.x AND p.b = c.y`) {
+		t.Error("the declared pairing should let the stop limit c's scan")
+	}
+	for _, join := range []string{`p.a = c.y AND p.b = c.x`, `p.a = c.x AND p.b = c.x`, `p.a = c.x AND p.b = c.y AND p.name = c.owner`} {
+		if limited(join) {
+			t.Errorf("%s is not the foreign key, yet the stop limits c's scan", join)
+		}
+	}
+}
+
+// TestPKLookupKeyOrder: IN lists on two primary-key columns multiply out
+// earlier column major.
+func TestPKLookupKeyOrder(t *testing.T) {
+	plan := compile(t, scadrCatalog(t), `SELECT * FROM subscriptions WHERE owner IN ('a', 'b') AND target IN ('x', 'y')`)
+	lookup, ok := findOp[*PKLookup](plan)
+	if !ok {
+		t.Fatalf("want a PKLookup:\n%s", plan.Explain())
+	}
+	var got []string
+	for _, k := range lookup.Keys {
+		got = append(got, fmt.Sprintf("(%s,%s)", k[0], k[1]))
+	}
+	if want := `("a","x") ("a","y") ("b","x") ("b","y")`; strings.Join(got, " ") != want {
+		t.Errorf("keys %v, want %s", got, want)
+	}
+}
+
+// TestLimitHintScanSections: a limit-hint scan reads one index section.
+// Inequalities on a second column cannot narrow it, so the scan is
+// refused; two bounds on one side merge into the tighter, the exclusive
+// one at equal values; and a word index on a primary-key column still
+// ends with the column itself, which keeps its entries unique.
+func TestLimitHintScanSections(t *testing.T) {
+	cat := scadrCatalog(t)
+	compileErr(t, cat, `SELECT * FROM thoughts WHERE owner = [1: u] AND timestamp > 3 AND text < 'x' ORDER BY timestamp LIMIT 5`)
+
+	for _, where := range []string{
+		`timestamp >= 3 AND timestamp > 3 AND timestamp <= 9 AND timestamp < 9`,
+		`timestamp > 3 AND timestamp >= 3 AND timestamp < 9 AND timestamp <= 9`,
+	} {
+		plan := compile(t, cat, `SELECT * FROM thoughts WHERE owner = [1: u] AND `+where+` ORDER BY timestamp LIMIT 5`)
+		scan, ok := findOp[*IndexScan](plan)
+		if !ok || scan.Lower == nil || scan.Upper == nil || scan.Lower.Inclusive || scan.Upper.Inclusive {
+			t.Errorf("%s: want both bounds exclusive:\n%s", where, plan.Explain())
+		}
+	}
+
+	plan := compile(t, cat, `SELECT * FROM users WHERE username CONTAINS 'ann' LIMIT 5`)
+	scan, ok := findOp[*IndexScan](plan)
+	want := []schema.IndexField{{Column: "username", Token: true}, {Column: "username"}}
+	if !ok || !slices.Equal(scan.Index.Fields, want) {
+		t.Errorf("want an index on %v:\n%s", want, plan.Explain())
 	}
 }

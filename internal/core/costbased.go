@@ -50,7 +50,8 @@ func CompileCostBased(cat Catalog, stmt *parser.Select) (*Plan, error) {
 		// A covering index (the equality column followed by every other
 		// column) turns the scan into a single range RPC on average —
 		// the plan the paper's cost-based optimizer picks.
-		fields := []schema.IndexField{{Column: col}}
+		var buf [8]schema.IndexField
+		fields := append(buf[:0], schema.IndexField{Column: col})
 		for _, c := range r.table.Columns {
 			if !strings.EqualFold(c.Name, col) {
 				fields = append(fields, schema.IndexField{Column: c.Name})
@@ -58,11 +59,12 @@ func CompileCostBased(cat Catalog, stmt *parser.Select) (*Plan, error) {
 		}
 		ix, reversed := ctx.ensureIndex(r.table, fields, 1)
 		var residual []LocalPred
-		for _, o := range append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...) {
-			if o.Col == p.Col && o.Op == parser.OpEq && o.InList == nil {
-				continue
+		for _, preds := range r.ownPreds() {
+			for _, o := range preds {
+				if o.Col != p.Col || o.Op != parser.OpEq || o.InList != nil {
+					residual = append(residual, o)
+				}
 			}
-			residual = append(residual, o)
 		}
 		var plan Physical = &IndexScan{
 			Table:       r.table,

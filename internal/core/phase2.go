@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"piql/internal/parser"
@@ -54,28 +55,55 @@ func phase2(cat Catalog, q *boundQuery, order []*rel) (Physical, []*schema.Index
 	return plan, ctx.required, nil
 }
 
-// splitPreds partitions a relation's own predicates by the part of a
-// contiguous index section each can be (limitHintScan).
+// predSplit counts a relation's own predicates by the part of a
+// contiguous index section each can be (limitHintScan), and keeps the
+// one column the inequalities may bound.
 type predSplit struct {
-	eqSimple []LocalPred         // col = const/param
-	token    []LocalPred         // col CONTAINS word
-	ranges   map[int][]LocalPred // inequalities by column ordinal
-	other    []LocalPred         // IN lists, != and anything else that can be none
+	eq, token, other int  // col = const/param; col CONTAINS word; IN lists, != and anything else, which can be none
+	rangeCol         int  // the column of the first inequality, -1 when none
+	twoRanges        bool // an inequality bounds a second column
+}
+
+// sectionPart is the part of an index section a predicate can be.
+type sectionPart int
+
+const (
+	partEq sectionPart = iota
+	partToken
+	partRange
+	partNone
+)
+
+func partOf(p LocalPred) sectionPart {
+	switch {
+	case p.Op == parser.OpEq && p.InList == nil:
+		return partEq
+	case p.Op == parser.OpContains:
+		return partToken
+	case p.Op == parser.OpLt || p.Op == parser.OpLe || p.Op == parser.OpGt || p.Op == parser.OpGe:
+		return partRange
+	}
+	return partNone
 }
 
 func splitPreds(r *rel) predSplit {
-	s := predSplit{ranges: make(map[int][]LocalPred)}
-	all := append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...)
-	for _, p := range all {
-		switch {
-		case p.Op == parser.OpEq && p.InList == nil:
-			s.eqSimple = append(s.eqSimple, p)
-		case p.Op == parser.OpContains:
-			s.token = append(s.token, p)
-		case p.Op == parser.OpLt || p.Op == parser.OpLe || p.Op == parser.OpGt || p.Op == parser.OpGe:
-			s.ranges[p.Col] = append(s.ranges[p.Col], p)
-		default:
-			s.other = append(s.other, p)
+	s := predSplit{rangeCol: -1}
+	for _, preds := range r.ownPreds() {
+		for _, p := range preds {
+			switch partOf(p) {
+			case partEq:
+				s.eq++
+			case partToken:
+				s.token++
+			case partRange:
+				if s.rangeCol < 0 {
+					s.rangeCol = p.Col
+				} else if p.Col != s.rangeCol {
+					s.twoRanges = true
+				}
+			default:
+				s.other++
+			}
 		}
 	}
 	return s
@@ -108,7 +136,7 @@ func (ctx *phase2Ctx) matchBase(r *rel) (Physical, error) {
 
 // stopLimitsFetch reports whether the query-level stop may act as the
 // fetch limit of r's access: every relation after r must join 1:1
-// through a declared foreign key covering its primary key (guaranteed
+// through a declared foreign key onto its primary key (guaranteed
 // existence, so the join never drops rows) and carry no predicates of
 // its own, and no aggregate may sit between them and the stop. Under a
 // join that can drop rows the first stopK entries are not the first
@@ -127,55 +155,58 @@ func (ctx *phase2Ctx) stopLimitsFetch(r *rel) bool {
 		if len(later.eqPreds) > 0 || len(later.otherPreds) > 0 {
 			return false
 		}
-		// The join columns must cover the full primary key...
-		covered := make(map[string]bool)
-		var outerCols []int
-		for _, jp := range later.joinPreds {
-			covered[strings.ToLower(later.colName(jp.col))] = true
-			outerCols = append(outerCols, jp.outerCol)
-		}
-		for _, pk := range later.table.PrimaryKey {
-			if !covered[strings.ToLower(pk)] {
-				return false
-			}
-		}
-		// ...and come from a declared FOREIGN KEY on the source relation.
-		if !ctx.backedByForeignKey(later, outerCols) {
+		if !ctx.keyedByForeignKey(later) {
 			return false
 		}
 	}
 	return true
 }
 
-// backedByForeignKey reports whether the outer columns feeding the join
-// into r are a declared foreign key referencing r's table.
-func (ctx *phase2Ctx) backedByForeignKey(r *rel, outerCols []int) bool {
+// keyedByForeignKey reports whether the join into r follows a declared
+// FOREIGN KEY of one other relation of the plan onto r's primary key.
+func (ctx *phase2Ctx) keyedByForeignKey(r *rel) bool {
 	for _, src := range ctx.order {
 		if src == r {
 			continue
 		}
 		for _, fk := range src.table.ForeignKeys {
-			if !strings.EqualFold(fk.RefTable, r.table.Name) {
-				continue
-			}
-			all := true
-			for _, oc := range outerCols {
-				ci := oc - src.offset
-				if ci < 0 || ci >= len(src.table.Columns) {
-					all = false
-					break
-				}
-				if !containsFold(fk.Columns, src.table.Columns[ci].Name) {
-					all = false
-					break
-				}
-			}
-			if all && len(outerCols) > 0 {
+			if len(fk.Columns) == len(r.table.PrimaryKey) && strings.EqualFold(fk.RefTable, r.table.Name) &&
+				joinFollows(src, r, fk.Columns) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// joinFollows reports whether the join predicates into r pair r's
+// primary key with src's columns fkCols by position: primary-key column
+// i is joined to fkCols[i] for every i, and no join predicate is
+// anything else. Membership is not enough: against FOREIGN KEY (x, y),
+// p.a = c.y AND p.b = c.x names the key's columns, but a row of c need
+// not find its row of p that way.
+func joinFollows(src, r *rel, fkCols []string) bool {
+	pk := r.table.PrimaryKey
+	for _, jp := range r.joinPreds {
+		i := 0
+		for i < len(pk) && !lowerEqual(pk[i], r.colName(jp.col)) {
+			i++
+		}
+		oc := jp.outerCol - src.offset
+		if i == len(pk) || oc < 0 || oc >= len(src.table.Columns) || !lowerEqual(src.colName(oc), fkCols[i]) {
+			return false
+		}
+	}
+	for _, name := range pk {
+		joined := false
+		for _, jp := range r.joinPreds {
+			joined = joined || lowerEqual(name, r.colName(jp.col))
+		}
+		if !joined {
+			return false
+		}
+	}
+	return true
 }
 
 // keyPick chooses, column by column, the one predicate that supplies a
@@ -228,10 +259,44 @@ func (k *keyPick) take(ci int, inList bool) (LocalPred, bool) {
 	return k.r.eqPreds[at-joins], true
 }
 
-// rest returns the predicates no key component stands for, in r's own
-// column numbering: join predicates first, then r's own in their order.
-func (k *keyPick) rest() []LocalPred {
-	var rest []LocalPred
+// covers reports whether take finds a predicate for every primary-key
+// column of r, in key order, and into how many keys their IN lists
+// multiply out (1 without inList). It claims nothing: the caller sizes
+// what it builds first, then takes them.
+func (k keyPick) covers(inList bool) (keys int, ok bool) {
+	keys = 1
+	for _, col := range k.r.table.PrimaryKey {
+		p, ok := k.take(k.r.table.ColumnIndex(col), inList)
+		if !ok {
+			return 0, false
+		}
+		if p.InList != nil {
+			keys *= len(p.InList)
+		}
+	}
+	return keys, true
+}
+
+// left counts the predicates no key component stands for.
+func (k *keyPick) left() int {
+	n := len(k.r.otherPreds)
+	for i := range len(k.r.joinPreds) + len(k.r.eqPreds) {
+		if k.used&(1<<i) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// rest returns the predicates no key component stands for, join
+// predicates first, then r's own in their order, rebased onto the
+// combined row like shiftPreds does: r's columns start at offset.
+func (k *keyPick) rest(offset int) []LocalPred {
+	n := k.left()
+	if n == 0 {
+		return nil
+	}
+	rest := make([]LocalPred, 0, n)
 	for i, jp := range k.r.joinPreds {
 		if k.used&(1<<i) == 0 {
 			rest = append(rest, jp.local())
@@ -242,36 +307,44 @@ func (k *keyPick) rest() []LocalPred {
 			rest = append(rest, p)
 		}
 	}
-	return append(rest, k.r.otherPreds...)
+	rest = append(rest, k.r.otherPreds...)
+	for i := range rest {
+		rest[i].Col += offset
+	}
+	return rest
 }
 
 // pkLookup matches equality predicates (or IN lists, expanded to their
-// cartesian product) against the full primary key.
+// cartesian product) against the full primary key. Every key is carved
+// from one slab, earlier columns major: key k takes the element
+// k / stride % len of column j's IN list, stride being the number of
+// keys the columns after j multiply out to.
 func pkLookup(r *rel) (*PKLookup, bool) {
-	pick := keyPick{r: r}
-	keys := []KeySpec{{}}
-	for _, pk := range r.table.PrimaryKey {
-		p, ok := pick.take(r.table.ColumnIndex(pk), true)
-		if !ok {
-			return nil, false
-		}
+	n, ok := keyPick{r: r}.covers(true)
+	if !ok {
+		return nil, false
+	}
+	pk := r.table.PrimaryKey
+	w := len(pk)
+	slab, keys := make([]KeyExpr, n*w), make([]KeySpec, n)
+	for k := range keys {
+		keys[k] = slab[k*w : (k+1)*w : (k+1)*w]
+	}
+	pick, stride := keyPick{r: r}, n
+	for j, col := range pk {
+		p, _ := pick.take(r.table.ColumnIndex(col), true)
 		if p.InList == nil {
-			for i := range keys {
-				keys[i] = append(keys[i], p.RHS)
+			for k := range keys {
+				keys[k][j] = p.RHS
 			}
 			continue
 		}
-		expanded := make([]KeySpec, 0, len(keys)*len(p.InList))
-		for _, k := range keys {
-			for _, e := range p.InList {
-				nk := make(KeySpec, len(k), len(k)+1)
-				copy(nk, k)
-				expanded = append(expanded, append(nk, e))
-			}
+		stride /= len(p.InList)
+		for k := range keys {
+			keys[k][j] = p.InList[k/stride%len(p.InList)]
 		}
-		keys = expanded
 	}
-	return &PKLookup{Table: r.table, TableOffset: r.offset, Keys: keys, Residual: shiftPreds(pick.rest(), r.offset)}, true
+	return &PKLookup{Table: r.table, TableOffset: r.offset, Keys: keys, Residual: pick.rest(r.offset)}, true
 }
 
 // boundedIndexScan builds the access path when a data-stop bounds the
@@ -281,8 +354,9 @@ func pkLookup(r *rel) (*PKLookup, bool) {
 // paper's preferred shape, since it avoids indexing volatile attributes
 // like SCADr's `approved` flag.
 func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
-	var fields []schema.IndexField
-	var eq []KeyExpr
+	var buf [8]schema.IndexField
+	fields := buf[:0]
+	eq := make([]KeyExpr, 0, len(r.belowPreds))
 	for _, p := range r.belowPreds {
 		if p.InList != nil {
 			return nil, &NotScaleIndependentError{
@@ -297,20 +371,14 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
 		eq = append(eq, p.RHS)
 	}
-	residual := append([]LocalPred{}, r.abovePreds...)
 
 	limitHint := 0
 	sortSatisfied := false
-	if len(residual) == 0 {
-		sortCols, ok := ctx.sortOnRelation(r)
-		if ok {
-			// Extend the index with the sort columns: the scan then
-			// yields rows in query order and the stop can become a fetch
-			// limit.
-			fields = append(fields, sortCols...)
-			sortSatisfied = true
-		}
-		if (ok || len(ctx.q.sort) == 0) && ctx.stopLimitsFetch(r) {
+	if len(r.abovePreds) == 0 {
+		// Extend the index with the sort columns: the scan then yields
+		// rows in query order and the stop can become a fetch limit.
+		fields, sortSatisfied = ctx.sortOnRelation(r, fields)
+		if (sortSatisfied || len(ctx.q.sort) == 0) && ctx.stopLimitsFetch(r) {
 			limitHint = boundMin(ctx.q.stopK, r.dataStopCard)
 		}
 	}
@@ -323,7 +391,7 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 		Ascending:    !reversed,
 		LimitHint:    limitHint,
 		DataStopCard: r.dataStopCard,
-		Residual:     shiftPreds(residual, r.offset),
+		Residual:     shiftPreds(r.abovePreds, r.offset),
 		NeedDeref:    !ix.Primary,
 	}
 	ctx.ordered = sortSatisfied || len(ctx.q.sort) == 0
@@ -333,25 +401,33 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 // limitHintScan builds a purely limit-hint-bounded scan: every predicate
 // must be expressible as a contiguous index section.
 func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
-	if len(split.other) > 0 || len(split.token) > 1 || len(split.ranges) > 1 {
+	if split.other > 0 || split.token > 1 || split.twoRanges {
 		return nil, ctx.unboundedRelation(r)
 	}
-	var fields []schema.IndexField
+	var buf [8]schema.IndexField
+	fields := buf[:0]
 	var eq []KeyExpr
-	for _, p := range split.token {
-		fields = append(fields, schema.IndexField{Column: r.colName(p.Col), Token: true})
-		eq = append(eq, p.RHS)
+	if n := split.token + split.eq; n > 0 {
+		eq = make([]KeyExpr, 0, n)
 	}
-	for _, p := range split.eqSimple {
-		fields = append(fields, schema.IndexField{Column: r.colName(p.Col)})
-		eq = append(eq, p.RHS)
+	// The token field first, then the equality fields in predicate order.
+	for _, part := range [2]sectionPart{partToken, partEq} {
+		for _, preds := range r.ownPreds() {
+			for _, p := range preds {
+				if partOf(p) == part {
+					fields = append(fields, schema.IndexField{Column: r.colName(p.Col), Token: part == partToken})
+					eq = append(eq, p.RHS)
+				}
+			}
+		}
 	}
 	// The single range column, if any, and its one bound on each side.
-	var rangeCol = -1
 	var lower, upper *RangeBound
-	for ci, preds := range split.ranges {
-		rangeCol = ci
+	for _, preds := range r.ownPreds() {
 		for _, p := range preds {
+			if partOf(p) != partRange {
+				continue
+			}
 			b := &RangeBound{Expr: p.RHS, Inclusive: p.Op == parser.OpGe || p.Op == parser.OpLe}
 			var err error
 			if p.Op == parser.OpGt || p.Op == parser.OpGe {
@@ -364,23 +440,19 @@ func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
 			}
 		}
 	}
-	sortSatisfied := true
-	if sortCols, ok := ctx.sortOnRelation(r); ok {
+	var sorted bool
+	if fields, sorted = ctx.sortOnRelation(r, fields); sorted {
 		// The range column, if present, must be the first sort column
 		// (otherwise the matching entries are non-contiguous).
-		if rangeCol >= 0 {
-			first := ctx.q.sort[0]
-			if first.Col != r.offset+rangeCol {
-				return nil, ctx.unboundedRelation(r)
-			}
+		if split.rangeCol >= 0 && ctx.q.sort[0].Col != r.offset+split.rangeCol {
+			return nil, ctx.unboundedRelation(r)
 		}
-		fields = append(fields, sortCols...)
 	} else if len(ctx.q.sort) > 0 {
 		// Sort references other relations; with a bare limit hint we
 		// cannot fetch "the right" K rows before sorting.
 		return nil, ctx.unboundedRelation(r)
-	} else if rangeCol >= 0 {
-		fields = append(fields, schema.IndexField{Column: r.colName(rangeCol)})
+	} else if split.rangeCol >= 0 {
+		fields = append(fields, schema.IndexField{Column: r.colName(split.rangeCol)})
 	}
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(eq))
 	scan := &IndexScan{
@@ -394,7 +466,7 @@ func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
 		LimitHint:   ctx.q.stopK,
 		NeedDeref:   !ix.Primary,
 	}
-	ctx.ordered = sortSatisfied
+	ctx.ordered = true
 	return scan, nil
 }
 
@@ -458,14 +530,14 @@ func (ctx *phase2Ctx) matchJoin(child Physical, r *rel) (Physical, error) {
 }
 
 func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel) (Physical, bool) {
+	if _, ok := (keyPick{r: r}).covers(false); !ok {
+		return nil, false
+	}
 	pick := keyPick{r: r}
-	var keys KeySpec
-	for _, pk := range r.table.PrimaryKey {
-		p, ok := pick.take(r.table.ColumnIndex(pk), false)
-		if !ok {
-			return nil, false
-		}
-		keys = append(keys, p.RHS)
+	keys := make(KeySpec, len(r.table.PrimaryKey))
+	for i, col := range r.table.PrimaryKey {
+		p, _ := pick.take(r.table.ColumnIndex(col), false)
+		keys[i] = p.RHS
 	}
 	// A 1:1 join preserves the child's ordering; ctx.ordered unchanged.
 	return &IndexFKJoin{
@@ -473,13 +545,15 @@ func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel) (Physical, bool) {
 		Table:       r.table,
 		TableOffset: r.offset,
 		Keys:        keys,
-		Residual:    shiftPreds(pick.rest(), r.offset),
+		Residual:    pick.rest(r.offset),
 	}, true
 }
 
-// joinPrefix is the equality prefix of a sorted join's index: one
-// component per column, join columns first, then the columns of eqs.
-func joinPrefix(pick *keyPick, eqs []LocalPred) (fields []schema.IndexField, jk KeySpec) {
+// joinPrefix appends the equality prefix of a sorted join's index to
+// fields: one component per column, join columns first, then the
+// columns of eqs. jk holds the key expressions, one per field appended.
+func joinPrefix(pick *keyPick, eqs []LocalPred, fields []schema.IndexField) (_ []schema.IndexField, jk KeySpec) {
+	jk = make(KeySpec, 0, len(pick.r.joinPreds)+len(eqs))
 	add := func(ci int) {
 		if p, ok := pick.take(ci, false); ok {
 			fields = append(fields, schema.IndexField{Column: pick.r.colName(ci)})
@@ -502,19 +576,19 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel) (Physical, bool) {
 	if !ctx.stopLimitsFetch(r) || len(ctx.q.sort) == 0 {
 		return nil, false
 	}
-	sortCols, ok := ctx.sortOnRelation(r)
-	if !ok {
-		return nil, false
-	}
+	var buf [8]schema.IndexField
 	pick := keyPick{r: r}
-	fields, jk := joinPrefix(&pick, r.eqPreds)
+	fields, jk := joinPrefix(&pick, r.eqPreds, buf[:0])
 	// Anything left for a residual (IN lists, !=, inequalities, tokens, a
 	// second equality on a column) would invalidate the per-key top-K
 	// shortcut.
-	if len(pick.rest()) > 0 {
+	if pick.left() > 0 {
 		return nil, false
 	}
-	fields = append(fields, sortCols...)
+	fields, ok := ctx.sortOnRelation(r, fields)
+	if !ok {
+		return nil, false
+	}
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
 	ctx.ordered = true
 	// Every later join keeps each row and its order and nothing regroups
@@ -537,8 +611,9 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel) (Physical, bool) {
 // cardBoundedJoin fetches all (at most dataStopCard) matches per join
 // key and applies the remaining predicates locally.
 func (ctx *phase2Ctx) cardBoundedJoin(child Physical, r *rel) (Physical, error) {
+	var buf [8]schema.IndexField
 	pick := keyPick{r: r}
-	fields, jk := joinPrefix(&pick, r.belowPreds)
+	fields, jk := joinPrefix(&pick, r.belowPreds, buf[:0])
 	ix, reversed := ctx.ensureIndex(r.table, fields, len(jk))
 	ctx.ordered = false // per-key fetch order is not the query order
 	join := &SortedIndexJoin{
@@ -549,7 +624,7 @@ func (ctx *phase2Ctx) cardBoundedJoin(child Physical, r *rel) (Physical, error) 
 		JoinKey:     jk,
 		PerKeyLimit: r.dataStopCard,
 		Ascending:   !reversed,
-		Residual:    shiftPreds(pick.rest(), r.offset),
+		Residual:    pick.rest(r.offset),
 		NeedDeref:   !ix.Primary,
 	}
 	return join, nil
@@ -576,21 +651,19 @@ func shiftPreds(preds []LocalPred, offset int) []LocalPred {
 	return out
 }
 
-// sortOnRelation returns the ORDER BY columns as index fields when every
-// sort column belongs to relation r.
-func (ctx *phase2Ctx) sortOnRelation(r *rel) ([]schema.IndexField, bool) {
-	if len(ctx.q.sort) == 0 {
-		return nil, false
-	}
-	var fields []schema.IndexField
+// sortOnRelation appends the ORDER BY columns to fields as index fields
+// and reports true when every sort column belongs to relation r;
+// otherwise it returns fields as they were.
+func (ctx *phase2Ctx) sortOnRelation(r *rel, fields []schema.IndexField) ([]schema.IndexField, bool) {
+	n := len(fields)
 	for _, k := range ctx.q.sort {
 		ci := k.Col - r.offset
 		if ci < 0 || ci >= len(r.table.Columns) {
-			return nil, false
+			return fields[:n], false
 		}
 		fields = append(fields, schema.IndexField{Column: r.colName(ci), Desc: k.Desc})
 	}
-	return fields, true
+	return fields, len(ctx.q.sort) > 0
 }
 
 // ensureIndex finds or names an index serving the given fields, of
@@ -606,8 +679,22 @@ func (ctx *phase2Ctx) sortOnRelation(r *rel) ([]schema.IndexField, bool) {
 // When nothing serves the scan the index is only constructed: it joins
 // ctx.required, where a later scan of the same plan finds it again, and
 // the catalog hears of it from whoever registers Plan.RequiredIndexes.
+// fields may be the caller's buffer: it is completed in place and
+// copied only into an index built here.
 func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, prefixLen int) (*schema.Index, bool) {
-	fields = ctx.completeWithPK(t, fields)
+	fields = completeWithPK(t, fields)
+	ix, rev := ctx.findIndex(t, fields, prefixLen)
+	if ix == nil {
+		name := fmt.Sprintf("auto_%s_%s", strings.ToLower(t.Name), fieldsSlug(fields))
+		ix = &schema.Index{Name: name, Table: t.Name, Fields: slices.Clone(fields)}
+	}
+	ctx.noteRequired(ix)
+	return ix, rev
+}
+
+// findIndex returns the first ready index of the catalog or ctx.required
+// that serves fields, else the first building one, else nil.
+func (ctx *phase2Ctx) findIndex(t *schema.Table, fields []schema.IndexField, prefixLen int) (*schema.Index, bool) {
 	var building *schema.Index
 	var buildingRev bool
 	for _, ixs := range [2][]*schema.Index{ctx.cat.Indexes(t.Name), ctx.required} {
@@ -623,7 +710,6 @@ func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, p
 				rev = true
 			}
 			if ctx.cat.IndexState(ix) == schema.StateReady {
-				ctx.noteRequired(ix)
 				return ix, rev
 			}
 			if building == nil {
@@ -631,14 +717,7 @@ func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, p
 			}
 		}
 	}
-	if building != nil {
-		ctx.noteRequired(building)
-		return building, buildingRev
-	}
-	name := fmt.Sprintf("auto_%s_%s", strings.ToLower(t.Name), fieldsSlug(fields))
-	ix := &schema.Index{Name: name, Table: t.Name, Fields: fields}
-	ctx.required = append(ctx.required, ix)
-	return ix, false
+	return building, buildingRev
 }
 
 // matchIndex reports whether ix serves a scan over fields: identical
@@ -668,22 +747,21 @@ func matchIndex(ix *schema.Index, fields []schema.IndexField, prefixLen int, rev
 	return true
 }
 
-// completeWithPK appends any missing primary key columns so index
+// completeWithPK appends to fields any primary key column no plain
+// field names (a token field holds words, not the column), so index
 // entries are unique and dereferenceable.
-func (ctx *phase2Ctx) completeWithPK(t *schema.Table, fields []schema.IndexField) []schema.IndexField {
-	have := make(map[string]bool)
-	for _, f := range fields {
-		if !f.Token {
-			have[strings.ToLower(f.Column)] = true
-		}
-	}
-	out := append([]schema.IndexField{}, fields...)
+func completeWithPK(t *schema.Table, fields []schema.IndexField) []schema.IndexField {
+	n := len(fields)
 	for _, pk := range t.PrimaryKey {
-		if !have[strings.ToLower(pk)] {
-			out = append(out, schema.IndexField{Column: pk})
+		named := false
+		for _, f := range fields[:n] {
+			named = named || !f.Token && lowerEqual(f.Column, pk)
+		}
+		if !named {
+			fields = append(fields, schema.IndexField{Column: pk})
 		}
 	}
-	return out
+	return fields
 }
 
 func fieldsSlug(fields []schema.IndexField) string {
@@ -701,11 +779,16 @@ func fieldsSlug(fields []schema.IndexField) string {
 	return strings.Join(parts, "_")
 }
 
+// noteRequired adds ix to ctx.required once. A plan names at most an
+// index per relation, so the list is sized for that at its first entry.
 func (ctx *phase2Ctx) noteRequired(ix *schema.Index) {
 	for _, e := range ctx.required {
 		if e == ix {
 			return
 		}
+	}
+	if ctx.required == nil {
+		ctx.required = make([]*schema.Index, 0, len(ctx.order))
 	}
 	ctx.required = append(ctx.required, ix)
 }
@@ -761,9 +844,11 @@ func (ctx *phase2Ctx) unboundedJoin(r *rel) error {
 }
 
 func hasOp(r *rel, op parser.CompareOp) bool {
-	for _, p := range append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...) {
-		if p.Op == op {
-			return true
+	for _, preds := range r.ownPreds() {
+		for _, p := range preds {
+			if p.Op == op {
+				return true
+			}
 		}
 	}
 	return false
@@ -771,8 +856,10 @@ func hasOp(r *rel, op parser.CompareOp) bool {
 
 func describePreds(r *rel) string {
 	var parts []string
-	for _, p := range append(append([]LocalPred{}, r.eqPreds...), r.otherPreds...) {
-		parts = append(parts, p.String())
+	for _, preds := range r.ownPreds() {
+		for _, p := range preds {
+			parts = append(parts, p.String())
+		}
 	}
 	if len(parts) == 0 {
 		return "no predicates"

@@ -297,6 +297,10 @@ type rel struct {
 // colName returns the relation-local column name for ordinal ci.
 func (r *rel) colName(ci int) string { return r.table.Columns[ci].Name }
 
+// ownPreds is the relation's own predicates, equalities first: range
+// over both lists to visit them in order without joining them.
+func (r *rel) ownPreds() [2][]LocalPred { return [2][]LocalPred{r.eqPreds, r.otherPreds} }
+
 // display is column ci's display name: the relation's name, dot, the
 // column's.
 func (r *rel) display(ci int) qualName { return qualName{&r.ref, r.colName(ci)} }
