@@ -19,7 +19,8 @@ vet:
 # the AST: internal/core binds, the engine runs what it bound), one
 # experiment rig (no non-test file of internal/harness but rig.go calls
 # kvstore.New or engine.New), one branch runner (no non-test code of
-# internal/kvstore but (*Client).branches calls proc.Parallel), and
+# internal/kvstore but (*Client).branches calls proc.Parallel or
+# proc.Fork), and
 # piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
 # `make mutants` shows what the analyzers catch. After deliberately changing a hot
@@ -40,7 +41,7 @@ lint:
 		echo "layering: engine runs bound statements (core.BindWrite, core.Compile); it reads the AST only to tell DDL from DML from SELECT"; exit 1; fi
 	@if grep -nE '\b(kvstore|engine)\.New\(' $$(ls internal/harness/*.go | grep -v _test.go | grep -v '/rig.go$$'); then \
 		echo "layering: every experiment builds its cluster and engine with newRig (internal/harness/rig.go)"; exit 1; fi
-	@if awk '/^func /{fn=$$0} /^[^\/]*proc\.Parallel\(/ && fn !~ /\) branches\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
+	@if awk '/^func /{fn=$$0} /^[^\/]*proc\.(Parallel|Fork)\(/ && fn !~ /\) branches\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
 			$$(ls internal/kvstore/*.go | grep -v _test.go); then \
 		echo "layering: the store runs requests concurrently only in its branch runner, (*Client).branches"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
@@ -190,14 +191,16 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # profile runs one workload with both profiles on (into .bench_build/)
-# and prints what lies under the workload's interactions, and under the
+# and prints what lies under the workload's interactions, under the
 # simulator's scheduler loop (sim.(*Env).Run, which runs scadr_sim's
-# events on the main goroutine, outside any interaction): CPU by
+# events on the main goroutine, outside any interaction), and under the
+# entry frame of every pooled process goroutine (sim.(*Proc).loop, where
+# a fan-out's branches run, off the interaction's stack): CPU by
 # cumulative time, then objects and bytes allocated. TOP is the number of
 # lines of each.
 #   make profile W=tpcw_order [TOP=40]
 TOP ?= 40
-PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction|sim\.\(\*Env\)\.Run' -nodecount $(TOP)
+PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction|sim\.\(\*Env\)\.Run|sim\.\(\*Proc\)\.loop' -nodecount $(TOP)
 
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>   (one of: $(BENCH_WORKLOADS))"; exit 2; }

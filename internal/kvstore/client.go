@@ -30,9 +30,10 @@ import (
 // batches, Scan's and Count's per-partition reads, ScanRanges' ranges, a
 // write's replica fan-out — and Parallel, for callers whose branches are
 // not one store call (index maintenance, model training, the benchmark's
-// probes), run through it. It only runs on a simulated client, giving
-// each branch a child of its own (one allocation: the generator is a
-// value inside the struct); in immediate mode the same per-node or
+// probes), run through it. It only runs on a simulated client, as one
+// sim Fork on pooled processes, giving each branch a child of its own,
+// all carved from one slab per request set (the generator is a value
+// inside the struct); in immediate mode the same per-node or
 // per-partition method runs on the caller itself, one request after
 // another, and builds no closure.
 //
@@ -69,6 +70,8 @@ type Client struct {
 	ids    []int         // ReadBatch: deterministic node order; pickParts: each partition's serving node
 	order  []int         // ReadBatch: key indexes sorted for deduplication
 	dups   []int         // ReadBatch: flattened (dup, first) index pairs
+
+	fns []func(sub *Client) // Parallel: the branches of the call in flight, read by its children
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -615,32 +618,28 @@ func (cl *Client) Parallel(fns ...func(sub *Client)) {
 		}
 		return
 	}
-	cl.branches(len(fns), func(sub *Client, i int) { fns[i](sub) })
+	// The branch body reaches fns through the child's parent, so it
+	// captures nothing and the call allocates only what branches does.
+	cl.fns = fns
+	cl.branches(len(fns), parallelBranch)
+	cl.fns = nil
 }
+
+func parallelBranch(sub *Client, i int) { sub.parent.fns[i](sub) }
 
 // branches is the branch runner, the one place the store runs requests
 // concurrently: it runs body(sub, i) for every i in [0, n) as a branch
-// of this simulated client's process and returns when all have
-// completed, so the set costs its slowest branch. Each branch creates
-// its child client as it starts, in index order: the children's
-// generator streams, drawn from cl's, are a function of the seed.
+// of this simulated client's process (a sim Fork) and returns when all
+// have completed, so the set costs its slowest branch. The n child
+// clients are carved from one slab per call; each branch fills in its
+// own as it starts, in index order, drawing its generator stream from
+// cl's, so the streams are a function of the seed. A child shares cl's
+// id and rolls its op counts up into cl.
 func (cl *Client) branches(n int, body func(sub *Client, i int)) {
-	fns := make([]func(*sim.Proc), n)
-	for i := range fns {
-		fns[i] = func(p *sim.Proc) { body(cl.child(p), i) }
-	}
-	cl.proc.Parallel(fns...)
-}
-
-// child derives a client for a simulated parallel branch, with its own
-// RNG stream (seeded from two draws of the parent's) but op counts
-// rolled up into the parent.
-func (cl *Client) child(proc *sim.Proc) *Client {
-	return &Client{
-		c:      cl.c,
-		proc:   proc,
-		rng:    cl.rng.child(),
-		id:     cl.id,
-		parent: cl,
-	}
+	subs := make([]Client, n)
+	cl.proc.Fork(n, func(p *sim.Proc, i int) {
+		sub := &subs[i]
+		*sub = Client{c: cl.c, proc: p, rng: cl.rng.child(), id: cl.id, parent: cl}
+		body(sub, i)
+	})
 }

@@ -58,20 +58,32 @@ func TestImmediateRequestSetsBuildNoClosure(t *testing.T) {
 	}
 }
 
-var childSink *Client
-
-func TestSimulatedChildAllocs(t *testing.T) {
-	env := sim.NewEnv()
-	c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
-	var perChild float64
-	env.Spawn(func(p *sim.Proc) {
-		cl := c.NewClient(p)
-		perChild = testing.AllocsPerRun(100, func() { childSink = cl.child(p) })
-	})
-	env.Run(0)
-	env.Stop()
-	if perChild > 2 {
-		t.Errorf("simulated child: %v allocs, want <= 2", perChild)
+// TestSimulatedParallelAllocs: a simulated Parallel costs its request
+// set, not its branches. The child clients are one slab and the branches
+// run on the env's pooled processes, so once the pool is warm a call
+// allocates the same for 2 branches as for 10.
+func TestSimulatedParallelAllocs(t *testing.T) {
+	for _, n := range []int{2, 10} {
+		env := sim.NewEnv()
+		c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
+		branches := make([]func(*Client), n)
+		for i := range branches {
+			branches[i] = func(sub *Client) {
+				if sub.proc == nil || sub.parent == nil {
+					t.Error("a simulated branch ran without a child client")
+				}
+			}
+		}
+		var perCall float64
+		env.Spawn(func(p *sim.Proc) {
+			cl := c.NewClient(p)
+			cl.Parallel(branches...)
+			perCall = testing.AllocsPerRun(100, func() { cl.Parallel(branches...) })
+		})
+		env.Run(0)
+		if perCall > 2 {
+			t.Errorf("simulated Parallel with %d branches: %v allocs, want <= 2", n, perCall)
+		}
 	}
 }
 

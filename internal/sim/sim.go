@@ -5,7 +5,11 @@
 //
 // Processes are goroutines that run one at a time under a token-passing
 // scheduler, so a simulation with a fixed seed is fully deterministic
-// regardless of GOMAXPROCS.
+// regardless of GOMAXPROCS. The goroutines are pooled: when a process's
+// function returns, its goroutine, Proc and wake channel park in the
+// env's idle pool and run the next Spawn or Fork branch, so a fan-out
+// starts no goroutine and allocates nothing once the pool is warm. A Run
+// that drains the event queue, and Stop, end the pooled goroutines.
 package sim
 
 import (
@@ -90,7 +94,8 @@ type Env struct {
 	seq     int64
 	yield   chan struct{} // running process signals the scheduler here
 	stopped bool
-	procs   int // live processes (running or parked)
+	procs   int     // live processes (running or parked)
+	idle    []*Proc // finished processes, each goroutine waiting for a task
 
 	resources []*Resource // registered for cleanup in Stop
 }
@@ -104,10 +109,20 @@ func NewEnv() *Env {
 func (e *Env) Now() time.Duration { return e.now }
 
 // Proc is the handle a process uses to interact with virtual time. It is
-// only valid inside the process's own goroutine.
+// only valid inside the process's own goroutine, and only until the
+// process's function returns: the Proc then goes back to the idle pool.
 type Proc struct {
 	env  *Env
 	wake chan struct{}
+
+	// The task the goroutine runs when next woken: fn for a Spawn, or
+	// branch i of parent's Fork(body). All nil when the process is idle.
+	fn     func(p *Proc)
+	body   func(c *Proc, i int)
+	i      int
+	parent *Proc
+
+	pending int // branches of this process's Fork still running
 }
 
 // Env returns the environment the process runs in.
@@ -119,23 +134,83 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // Spawn registers fn as a new process starting at the current virtual
 // time. It may be called before Run or from inside a running process.
 func (e *Env) Spawn(fn func(p *Proc)) {
+	p := e.proc()
+	p.fn = fn
+	e.start(p)
+}
+
+// proc takes a process from the idle pool, or starts a new goroutine
+// when the pool is empty.
+func (e *Env) proc() *Proc {
+	if n := len(e.idle); n > 0 {
+		p := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return p
+	}
 	p := &Proc{env: e, wake: make(chan struct{})}
+	//lint:allow goroleak — lifetime bounded by the env: between tasks the goroutine parks in the idle pool, which a Run that drains the event queue and Stop both retire; a process parked mid-task ends when Stop wakes it unstarted or unwinds it (Goexit). It hands the token back on yield before it exits.
+	go p.loop()
+	return p
+}
+
+// start makes p live and queues its first wakeup at the current time.
+func (e *Env) start(p *Proc) {
 	e.procs++
 	e.schedule(e.now, p.wake)
-	//lint:allow goroleak — lifetime bounded by the scheduler: the goroutine ends when fn returns or when Stop wakes it unstarted or unwinds it parked (Goexit), and either way hands the token back on yield before it exits.
-	go func() {
-		// The token goes back only once fn has returned, or Stop has
-		// unwound it, defers and all, so Stop unwinds one process at a
-		// time.
-		defer func() {
+}
+
+// loop is a process goroutine: it runs one task per wakeup and, after
+// each, goes back to the idle pool and hands the scheduler token back.
+// Woken with no task (retired) or after Stop, it ends.
+func (p *Proc) loop() {
+	e := p.env
+	// The goroutine's last act is to hand the token back: once retired,
+	// once woken after Stop, or once Stop's Goexit has unwound its task,
+	// defers and all, so Stop unwinds one process at a time.
+	defer func() {
+		if p.fn != nil || p.body != nil {
 			e.procs--
-			e.yield <- struct{}{}
-		}()
-		<-p.wake
-		if !e.stopped {
-			fn(p)
 		}
+		e.yield <- struct{}{}
 	}()
+	for {
+		<-p.wake
+		if e.stopped || p.fn == nil && p.body == nil {
+			return
+		}
+		p.run()
+		e.procs--
+		e.idle = append(e.idle, p)
+		e.yield <- struct{}{}
+	}
+}
+
+// run runs the process's task and clears it. A Fork branch then counts
+// itself out of its parent's join, waking the parent after the last.
+func (p *Proc) run() {
+	if fn := p.fn; fn != nil {
+		fn(p)
+		p.fn = nil
+		return
+	}
+	p.body(p, p.i)
+	parent := p.parent
+	p.body, p.parent = nil, nil
+	parent.pending--
+	if parent.pending == 0 {
+		p.env.schedule(p.env.now, parent.wake)
+	}
+}
+
+// retire ends every idle process's goroutine, one at a time.
+func (e *Env) retire() {
+	for _, p := range e.idle {
+		p.wake <- struct{}{}
+		<-e.yield
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
 }
 
 // schedule queues a wakeup without transferring control.
@@ -196,31 +271,36 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Parallel runs fns as concurrent child processes and returns once all of
-// them have completed. It models a client issuing a batch of key/value
-// requests in parallel: elapsed virtual time is the max of the children,
-// not the sum.
-func (p *Proc) Parallel(fns ...func(c *Proc)) {
-	remaining := len(fns)
-	if remaining == 0 {
+// Fork runs body(c, i) for every i in [0, n) as concurrent child
+// processes, started in index order at the current time, and returns
+// once all of them have completed. It models a client issuing a batch of
+// key/value requests in parallel: elapsed virtual time is the max of the
+// children, not the sum. The children come from the idle pool, so a
+// Fork allocates nothing once the pool holds n processes.
+func (p *Proc) Fork(n int, body func(c *Proc, i int)) {
+	if n <= 0 {
 		return
 	}
-	for _, fn := range fns {
-		p.env.Spawn(func(c *Proc) {
-			fn(c)
-			remaining--
-			if remaining == 0 {
-				c.env.schedule(c.env.now, p.wake)
-			}
-		})
+	e := p.env
+	p.pending = n
+	for i := 0; i < n; i++ {
+		c := e.proc()
+		c.body, c.i, c.parent = body, i, p
+		e.start(c)
 	}
 	p.park()
 }
 
+// Parallel runs fns as concurrent child processes (see Fork) and returns
+// once all of them have completed.
+func (p *Proc) Parallel(fns ...func(c *Proc)) { p.Fork(len(fns), func(c *Proc, i int) { fns[i](c) }) }
+
 // Run executes events until the event queue empties or virtual time would
-// exceed until (if until > 0). It returns the final virtual time. After
-// Run returns, Stop must be called to release parked process goroutines
-// unless the caller will Run again.
+// exceed until (if until > 0). It returns the final virtual time. A Run
+// that empties the queue also ends the idle pool's goroutines, so when
+// no process is left parked the env needs no Stop and can run again.
+// Otherwise Stop must be called to release the parked process
+// goroutines unless the caller will Run again.
 func (e *Env) Run(until time.Duration) time.Duration {
 	for len(e.events) > 0 {
 		if until > 0 && e.events.peek() > until {
@@ -232,12 +312,14 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		ev.wake <- struct{}{}
 		<-e.yield
 	}
+	e.retire()
 	return e.now
 }
 
-// Stop terminates all remaining processes (parked on events or resources)
-// so their goroutines exit, one at a time: each process's deferred calls
-// run before the next is woken. The environment is unusable afterwards.
+// Stop terminates all remaining processes (parked on events or
+// resources, or idle in the pool) so their goroutines exit, one at a
+// time: each process's deferred calls run before the next is woken. The
+// environment is unusable afterwards.
 func (e *Env) Stop() {
 	e.stopped = true
 	for len(e.events) > 0 {
@@ -252,6 +334,7 @@ func (e *Env) Stop() {
 		}
 		r.waiters = nil
 	}
+	e.retire()
 }
 
 // Resource is a multi-server FIFO queue in virtual time: up to Servers

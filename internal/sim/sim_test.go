@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -266,6 +267,113 @@ func TestParallelOnSharedResource(t *testing.T) {
 	e.Run(0)
 	if elapsed != 40*ms {
 		t.Fatalf("elapsed = %v, want 40ms", elapsed)
+	}
+}
+
+// TestForkRunsBranchesInIndexOrder: Fork's branches start in index
+// order at the fork's instant, a branch may fork in turn, and the parent
+// resumes once the slowest branch is done.
+func TestForkRunsBranchesInIndexOrder(t *testing.T) {
+	e := NewEnv()
+	var order []int
+	var elapsed time.Duration
+	e.Spawn(func(p *Proc) {
+		p.Sleep(ms)
+		p.Fork(3, func(c *Proc, i int) {
+			order = append(order, i)
+			c.Fork(2, func(g *Proc, j int) { g.Sleep(time.Duration(10*i+j) * ms) })
+			order = append(order, 10+i)
+		})
+		elapsed = p.Now()
+	})
+	e.Run(0)
+	want := []int{0, 1, 2, 10, 11, 12}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if elapsed != 22*ms {
+		t.Fatalf("fork elapsed to %v, want 22ms", elapsed)
+	}
+}
+
+// TestForkReusesFinishedProcesses: a finished branch's goroutine parks in
+// the idle pool, so a warm 10-branch Fork allocates nothing: no Proc, no
+// wake channel, no closure, no goroutine.
+func TestForkReusesFinishedProcesses(t *testing.T) {
+	e := NewEnv()
+	var procs []*Proc
+	record := func(c *Proc, i int) { procs = append(procs, c) }
+	empty := func(*Proc, int) {}
+	var perFork float64
+	e.Spawn(func(p *Proc) {
+		p.Fork(10, record)
+		p.Fork(10, record)
+		perFork = testing.AllocsPerRun(100, func() { p.Fork(10, empty) })
+	})
+	e.Run(0)
+	if perFork != 0 {
+		t.Fatalf("a warm 10-branch Fork made %v allocations, want 0", perFork)
+	}
+	first := map[*Proc]bool{}
+	for _, c := range procs[:10] {
+		first[c] = true
+	}
+	for i, c := range procs[10:] {
+		if !first[c] {
+			t.Fatalf("branch %d of the second Fork started a new process", i)
+		}
+	}
+}
+
+// settles waits for runtime.NumGoroutine to come back to base: a process
+// goroutine hands the scheduler token back just before it exits.
+func settles(base int) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if runtime.NumGoroutine() <= base {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}
+
+// TestNoGoroutineOutlivesItsEnv: the idle pool holds goroutines between
+// tasks, and none of them outlives the env. A Run that drains the event
+// queue retires the pool, so the env needs no Stop and can run again;
+// Stop ends the idle goroutines beside the parked ones.
+func TestNoGoroutineOutlivesItsEnv(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fanOut := func(p *Proc) {
+		p.Fork(10, func(c *Proc, i int) { c.Sleep(time.Duration(i) * ms) })
+	}
+
+	e := NewEnv()
+	for round := 0; round < 2; round++ {
+		e.Spawn(fanOut)
+		e.Run(0)
+		if len(e.idle) != 0 {
+			t.Fatalf("round %d: %d processes idle after a draining Run", round, len(e.idle))
+		}
+		if !settles(base) {
+			t.Fatalf("round %d: %d goroutines after a draining Run, want %d", round, runtime.NumGoroutine(), base)
+		}
+	}
+
+	e = NewEnv()
+	e.Spawn(fanOut)
+	e.Spawn(func(p *Proc) { p.Sleep(time.Hour) })
+	e.Run(time.Minute)
+	if len(e.idle) != 11 {
+		t.Fatalf("%d processes idle before Stop, want 11", len(e.idle))
+	}
+	e.Stop()
+	if !settles(base) {
+		t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), base)
 	}
 }
 
