@@ -34,13 +34,7 @@ func (c *Cursor) Next(s *Session) (*exec.Result, error) {
 	if c.done {
 		return nil, nil
 	}
-	ctx := &exec.Ctx{
-		Client:   s.client,
-		Params:   c.params,
-		Strategy: s.strat,
-		Resume:   c.resume,
-	}
-	res, err := exec.Run(c.prepared.plan, ctx)
+	res, err := s.run(c.prepared.plan, c.params, c.resume)
 	if err != nil {
 		return nil, err
 	}

@@ -144,13 +144,15 @@ func (e *Engine) Catalog() *schema.Catalog { return e.cat.Load() }
 func (e *Engine) Cluster() *kvstore.Cluster { return e.cluster }
 
 // Session is a per-goroutine handle: it owns a key/value client (and
-// thus a virtual-time identity in simulated mode) and a strategy
-// override. Sessions are cheap; create one per goroutine rather than
-// sharing one across goroutines.
+// thus a virtual-time identity in simulated mode), a strategy override,
+// and the execution context every statement it runs goes through, whose
+// buffers a warm session reuses. Sessions are cheap; create one per
+// goroutine rather than sharing one across goroutines.
 type Session struct {
 	eng    *Engine
 	client *kvstore.Client
 	strat  exec.Strategy
+	ctx    exec.Ctx
 }
 
 // Session creates a session. proc may be nil for immediate mode.
@@ -567,7 +569,17 @@ func (p *Prepared) SQL() string { return p.sql }
 // Execute runs the query and returns all rows (the single page, for
 // paginated queries — use Paginate for cursors).
 func (p *Prepared) Execute(s *Session, params ...value.Value) (*exec.Result, error) {
-	return exec.Run(p.plan, &exec.Ctx{Client: s.client, Params: params, Strategy: s.strat})
+	return s.run(p.plan, params, nil)
+}
+
+// run executes plan through the session's reusable context. The Result
+// does not point into the context, so it outlives the session's next run.
+func (s *Session) run(plan *core.Plan, params []value.Value, resume []byte) (*exec.Result, error) {
+	ctx := &s.ctx
+	ctx.Client, ctx.Params, ctx.Strategy, ctx.Resume = s.client, params, s.strat, resume
+	res, err := exec.Run(plan, ctx)
+	ctx.Params, ctx.Resume = nil, nil // the caller's, not the session's to keep
+	return res, err
 }
 
 // Query is shorthand for Prepare + Execute.

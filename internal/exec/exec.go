@@ -21,7 +21,9 @@
 // into one buffer sized by codec.Size. The store answers a request set
 // from one result buffer too. An operator's cost is its slab, its string
 // arena, its key buffer and its result buffer, and nothing per row or per
-// request. The sorted join
+// request; the key and result buffers are carved from the Ctx's scratch,
+// which a warm Ctx already holds, so a warm run pays for its rows alone.
+// The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort
 // key, and only the entries the query keeps are dereferenced and
@@ -73,7 +75,11 @@ func (s Strategy) String() string {
 	}
 }
 
-// Ctx carries one execution's environment.
+// Ctx carries one execution's environment. It is reusable: a Ctx run
+// again keeps the buffers its earlier runs carved their keys and store
+// results from (engine.Session keeps one for all of its statements), so
+// a warm Ctx spends nothing on them. Like its Client, a Ctx is for one
+// goroutine at a time.
 type Ctx struct {
 	Client   *kvstore.Client
 	Params   []value.Value
@@ -82,7 +88,54 @@ type Ctx struct {
 	// Result.Resume, nil for the first. It may have been in the user's
 	// hands; the pager takes it only as a position inside its own range.
 	Resume []byte
+
+	sc scratch // the request side of every run of a bounded plan
 }
+
+// scratch is an execution's request side: the keys its operators send
+// and what the store returns for them. Run truncates it, and operators
+// carve from it bump-style, so a run never overwrites what it carved
+// earlier: a buffer without room is replaced (take) or regrown by the
+// store's append, and what was carved keeps pointing into the old array.
+// It keeps its high-water capacity between runs, which the plans' static
+// bounds keep finite. Nothing a Result holds points into it: every plan
+// root builds fresh rows, and a Resume is the store's key bytes or
+// freshly encoded.
+type scratch struct {
+	keys    []byte                 // key bytes
+	heads   [][]byte               // key headers, and ReadBatch's records
+	kvs     []kvstore.KV           // Scan's and ScanRanges' entries
+	ranges  [][]kvstore.KV         // ScanRanges' per-range entries
+	streams []stream               // a sorted join's streams
+	reqs    []kvstore.RangeRequest // and their requests
+}
+
+// reset truncates every buffer, keeping its capacity.
+func (sc *scratch) reset() {
+	sc.keys, sc.heads, sc.kvs = sc.keys[:0], sc.heads[:0], sc.kvs[:0]
+	sc.ranges, sc.streams, sc.reqs = sc.ranges[:0], sc.streams[:0], sc.reqs[:0]
+}
+
+// take carves the next n elements of *buf, capped at n, so that
+// appending to them can never run into what is carved after. A buffer
+// without room is replaced by one at least twice as large, not grown in
+// place. The elements may hold an earlier run's values: callers
+// overwrite them.
+func take[T any](buf *[]T, n int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = fresh[T](max(2*cap(b), n))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
+}
+
+// fresh is take's slow path, out of line so that the operators it is
+// inlined into allocate nothing themselves: escape.budget holds them to
+// what they allocate on every run.
+//
+//go:noinline
+func fresh[T any](capacity int) []T { return make([]T, 0, capacity) }
 
 // Result is one (fully materialized) query result page.
 type Result struct {
@@ -108,7 +161,14 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	if len(ctx.Params) < plan.NumParams {
 		return nil, fmt.Errorf("exec: query needs %d parameters, got %d", plan.NumParams, len(ctx.Params))
 	}
-	e := &executor{plan: plan, ctx: ctx, lazy: ctx.Strategy == Lazy, opts: kvstore.ReadOpts{Parallel: ctx.Strategy == Parallel}}
+	sc := &ctx.sc
+	if plan.OpBound() == core.Unbounded {
+		// The cost-based baseline's scans read whole tables: their buffers
+		// are this run's alone, so the Ctx keeps only what bounded plans need.
+		sc = new(scratch)
+	}
+	sc.reset()
+	e := &executor{plan: plan, ctx: ctx, sc: sc, lazy: ctx.Strategy == Lazy, opts: kvstore.ReadOpts{Parallel: ctx.Strategy == Parallel}}
 	rows, err := e.run(plan.Root)
 	if err != nil {
 		return nil, err
@@ -123,6 +183,7 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 type executor struct {
 	plan *core.Plan
 	ctx  *Ctx
+	sc   *scratch         // the request side: ctx's, or the run's own for an unbounded plan
 	cur  *cursor          // set by plan.Pager, rewound by runStop; nil without a pager
 	lazy bool             // the strategy is Lazy: remote operators walk tuple at a time
 	opts kvstore.ReadOpts // what every store read passes: the strategy, resolved once by Run
@@ -254,10 +315,15 @@ func degraded(err error) error {
 // issues them concurrently. Missing keys yield nil entries.
 func (e *executor) getBatch(keys [][]byte) ([][]byte, error) {
 	if !e.lazy {
-		recs, err := e.ctx.Client.ReadBatch(keys, e.opts)
-		return recs, degraded(err)
+		from := len(e.sc.heads)
+		recs, err := e.ctx.Client.ReadBatch(e.sc.heads, keys, e.opts)
+		if err != nil {
+			return nil, degraded(err)
+		}
+		e.sc.heads = recs
+		return recs[from:len(recs):len(recs)], nil
 	}
-	recs := make([][]byte, len(keys))
+	recs := take(&e.sc.heads, len(keys))
 	for i, k := range keys {
 		var err error // an absent key reads as a nil value
 		if recs[i], _, _, err = e.ctx.Client.Read(k, e.opts); err != nil {

@@ -104,7 +104,7 @@ func TestPKRecordKeysAreCarved(t *testing.T) {
 		}
 		want = append(want, index.RecordKeyFromPK(lookup.Table, value.Row{v}))
 	}
-	keys, err := pkRecordKeys(lookup.Table, len(lookup.Keys), lookup.Keys, nil, params)
+	keys, err := pkRecordKeys(new(scratch), lookup.Table, len(lookup.Keys), lookup.Keys, nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPKRecordKeysAreCarved(t *testing.T) {
 	ops, plan := keysPlan(t, `SELECT u.* FROM subs s JOIN users u WHERE u.username = s.target AND s.owner = ?`)
 	join := ops[1].(*core.IndexFKJoin)
 	rows := childRows(plan, ops[0].(*core.IndexScan))
-	keys, err = pkRecordKeys(join.Table, len(rows), []core.KeySpec{join.Keys}, rows, []value.Value{value.Str("me")})
+	keys, err = pkRecordKeys(new(scratch), join.Table, len(rows), []core.KeySpec{join.Keys}, rows, []value.Value{value.Str("me")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStreamKeysAreCarved(t *testing.T) {
 	} {
 		ops, plan := keysPlan(t, sql)
 		join := ops[1].(*core.SortedIndexJoin)
-		scans, reqs, err := openStreams(join, childRows(plan, ops[0].(*core.IndexScan)), []value.Value{value.Str("me")})
+		scans, reqs, err := openStreams(new(scratch), join, childRows(plan, ops[0].(*core.IndexScan)), []value.Value{value.Str("me")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestScanBoundsAreCarved(t *testing.T) {
 		ops, _ := keysPlan(t, tc.sql)
 		scan := ops[0].(*core.IndexScan)
 		owner := value.Str("b\x00b")
-		start, end, err := scanBounds(scan, []value.Value{owner, value.Int(tc.lo), value.Int(tc.hi)})
+		start, end, err := scanBounds(new(scratch), scan, []value.Value{owner, value.Int(tc.lo), value.Int(tc.hi)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,15 +72,14 @@ func (e *executor) runProject(n *core.LocalProject) ([]value.Row, error) {
 
 // aggState accumulates one group.
 type aggState struct {
-	groupVals value.Row
-	count     int64
-	sums      []float64
-	intSums   []int64
-	isFloat   []bool
-	mins      value.Row
-	maxs      value.Row
-	counts    []int64 // per-agg non-null counts (for AVG)
-	first     value.Row
+	count   int64
+	sums    []float64
+	intSums []int64
+	isFloat []bool
+	mins    value.Row
+	maxs    value.Row
+	counts  []int64 // per-agg non-null counts (for AVG)
+	first   value.Row
 }
 
 // runAgg computes grouped aggregates over the bounded input in the
@@ -92,26 +91,28 @@ func (e *executor) runAgg(n *core.LocalAgg) ([]value.Row, error) {
 	}
 	groups := make(map[string]*aggState)
 	var order []string
+	var gv [8]value.Value // the row's group values, on the stack for up to 8 columns
+	var key []byte        // and their encoding: a row costs nothing, a new group its state
 	for _, row := range rows {
-		gv := make(value.Row, len(n.GroupBy))
-		for i, c := range n.GroupBy {
-			gv[i] = row[c]
+		vals := gv[:0]
+		for _, c := range n.GroupBy {
+			vals = append(vals, row[c])
 		}
-		key := string(value.EncodeRow(gv))
-		st, ok := groups[key]
+		key = value.AppendRow(key[:0], vals)
+		st, ok := groups[string(key)]
 		if !ok {
+			k := string(key)
 			st = &aggState{
-				groupVals: gv,
-				sums:      make([]float64, len(n.Aggs)),
-				intSums:   make([]int64, len(n.Aggs)),
-				isFloat:   make([]bool, len(n.Aggs)),
-				mins:      make(value.Row, len(n.Aggs)),
-				maxs:      make(value.Row, len(n.Aggs)),
-				counts:    make([]int64, len(n.Aggs)),
-				first:     row,
+				sums:    make([]float64, len(n.Aggs)),
+				intSums: make([]int64, len(n.Aggs)),
+				isFloat: make([]bool, len(n.Aggs)),
+				mins:    make(value.Row, len(n.Aggs)),
+				maxs:    make(value.Row, len(n.Aggs)),
+				counts:  make([]int64, len(n.Aggs)),
+				first:   row,
 			}
-			groups[key] = st
-			order = append(order, key)
+			groups[k] = st
+			order = append(order, k)
 		}
 		st.count++
 		for i, a := range n.Aggs {

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,9 +19,10 @@ import (
 // An operator builds its keys in two passes. The first evaluates its key
 // specs into a row on its own stack (an [8]value.Value; a key of more
 // columns grows onto the heap) and sums codec.Size; the second encodes
-// every key into one buffer of that size and carves each key from it. An
-// operator's keys cost that buffer and the slice of their headers, never
-// an allocation per key. The row stays on the stack only while nothing it
+// every key into one buffer of that size, taken from the scratch, and
+// carves each key from it. An operator's keys cost that buffer and the
+// slice of their headers, never an allocation per key, and nothing once
+// the scratch has room for them. The row stays on the stack only while nothing it
 // is passed to keeps it: escape.budget gates the builders.
 
 // keySpace returns what every key of ix starts with — the table's record
@@ -64,7 +66,7 @@ func carve(buf []byte, from int) []byte {
 // pkRecordKeys builds n record keys of table t: key i is the values of
 // specs[i] or, given outer rows, of specs[0] against outer[i] — a lookup's
 // keys, or a join's one key on each child row.
-func pkRecordKeys(t *schema.Table, n int, specs []core.KeySpec, outer []value.Row, params []value.Value) ([][]byte, error) {
+func pkRecordKeys(sc *scratch, t *schema.Table, n int, specs []core.KeySpec, outer []value.Row, params []value.Value) ([][]byte, error) {
 	var scratch [8]value.Value
 	ns, size := index.RecordPrefix(t), 0
 	for i := 0; i < n; i++ {
@@ -75,7 +77,7 @@ func pkRecordKeys(t *schema.Table, n int, specs []core.KeySpec, outer []value.Ro
 		}
 		size += keySize(ns, pk)
 	}
-	buf, keys := make([]byte, 0, size), make([][]byte, n)
+	buf, keys := take(&sc.keys, size)[:0], take(&sc.heads, n)
 	for i := range keys {
 		spec, row := pkSpec(specs, outer, i)
 		pk, err := spec.AppendEval(scratch[:0], params, row)
@@ -101,7 +103,7 @@ func pkSpec(specs []core.KeySpec, outer []value.Row, i int) (core.KeySpec, value
 // key: an IN list that names a value twice, as two literals or once as a
 // parameter, names one row.
 func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
-	keys, err := pkRecordKeys(n.Table, len(n.Keys), n.Keys, nil, e.ctx.Params)
+	keys, err := pkRecordKeys(e.sc, n.Table, len(n.Keys), n.Keys, nil, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +162,7 @@ func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) 
 // prefix and optional inequality bounds, honoring the direction of the
 // range component's encoding. The prefix, its end and each bound (or its
 // end) share one buffer.
-func scanBounds(n *core.IndexScan, params []value.Value) (start, end []byte, err error) {
+func scanBounds(sc *scratch, n *core.IndexScan, params []value.Value) (start, end []byte, err error) {
 	var scratch [8]value.Value
 	eq, err := core.KeySpec(n.Eq).AppendEval(scratch[:0], params, nil)
 	if err != nil {
@@ -186,7 +188,7 @@ func scanBounds(n *core.IndexScan, params []value.Value) (start, end []byte, err
 		}
 		size += 2 * (keySize(ns, eq) + codec.Size(vals[i])) // the bound and its end
 	}
-	buf := appendKey(make([]byte, 0, size), ns, eq, desc)
+	buf := appendKey(take(&sc.keys, size)[:0], ns, eq, desc)
 	prefix := carve(buf, 0)
 	buf = codec.AppendPrefixEnd(buf, prefix)
 	start, end = prefix, carve(buf, len(prefix))
@@ -218,11 +220,15 @@ func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []
 // set to the store in one ScanRanges, which issues the ranges one after
 // another or concurrently.
 func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, error) {
+	out := take(&e.sc.ranges, len(reqs))
 	if !e.lazy {
-		out, err := e.ctx.Client.ScanRanges(reqs, e.opts)
-		return out, degraded(err)
+		kvs, err := e.ctx.Client.ScanRanges(e.sc.kvs, reqs, out, e.opts)
+		if err != nil {
+			return nil, degraded(err)
+		}
+		e.sc.kvs = kvs
+		return out, nil
 	}
-	out := make([][]kvstore.KV, len(reqs))
 	for i, r := range reqs {
 		var err error
 		if out[i], err = e.fetchRange(r.Start, r.End, r.Limit, r.Reverse); err != nil {
@@ -238,35 +244,39 @@ func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, err
 // scatter-gathers the per-partition scans concurrently. limit <= 0 means
 // "everything" (cost-based unbounded plans only).
 func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvstore.KV, error) {
+	from, kvs := len(e.sc.kvs), e.sc.kvs
+	req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
 	if !e.lazy || limit <= 0 {
-		req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
-		kvs, err := e.ctx.Client.Scan(req, e.opts)
-		return kvs, degraded(err)
+		var err error
+		if kvs, err = e.ctx.Client.Scan(kvs, req, e.opts); err != nil {
+			return nil, degraded(err)
+		}
+		e.sc.kvs = kvs
+		return kvs[from:len(kvs):len(kvs)], nil
 	}
 	// Tuple-at-a-time walk: each fetched key becomes the next request's
 	// start bound. The successor key lives in one buffer reused across
 	// the page's tuples. Rebinding it between iterations is safe: Scan
 	// reads its bounds only for the duration of the call.
 	var buf []byte
-	var out []kvstore.KV
-	for len(out) < limit {
-		kvs, err := e.ctx.Client.Scan(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse}, e.opts)
-		if err != nil {
+	for req.Limit = 1; len(kvs)-from < limit; {
+		n := len(kvs)
+		var err error
+		if kvs, err = e.ctx.Client.Scan(kvs, req, e.opts); err != nil {
 			return nil, degraded(err)
 		}
-		if len(kvs) == 0 {
+		if len(kvs) == n {
 			break
 		}
-		out = append(out, kvs[0])
 		if reverse {
-			end = kvs[0].Key
+			req.End = kvs[n].Key
 		} else {
-			buf = append(buf[:0], kvs[0].Key...)
-			buf = append(buf, 0x00)
-			start = buf
+			buf = append(append(buf[:0], kvs[n].Key...), 0x00)
+			req.Start = buf
 		}
 	}
-	return out, nil
+	e.sc.kvs = kvs
+	return kvs[from:len(kvs):len(kvs)], nil
 }
 
 // successor returns the smallest key greater than k.
@@ -276,7 +286,7 @@ func successor(k []byte) []byte {
 
 // runIndexScan reads one contiguous index section.
 func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
-	start, end, err := scanBounds(n, e.ctx.Params)
+	start, end, err := scanBounds(e.sc, n, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -398,12 +408,12 @@ func (c *cursor) position() []byte {
 // into the keys of the records they point at, all carved from one buffer.
 // A record key is never longer than the record prefix plus its entry key,
 // so the buffer is sized up front and does not regrow.
-func recordKeys(ix *schema.Index, table *schema.Table, n int, entryKey func(i int) []byte) ([][]byte, error) {
+func recordKeys(sc *scratch, ix *schema.Index, table *schema.Table, n int, entryKey func(i int) []byte) ([][]byte, error) {
 	size := n * len(index.RecordPrefix(table))
 	for i := 0; i < n; i++ {
 		size += len(entryKey(i))
 	}
-	buf, keys := make([]byte, 0, size), make([][]byte, n)
+	buf, keys := take(&sc.keys, size)[:0], take(&sc.heads, n)
 	for i := range keys {
 		from := len(buf)
 		var err error
@@ -419,7 +429,7 @@ func recordKeys(ix *schema.Index, table *schema.Table, n int, entryKey func(i in
 // batched request set, preserving entry order (rows whose record
 // vanished — dangling entries — are skipped).
 func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
-	keys, err := recordKeys(ix, table, len(kvs), func(i int) []byte { return kvs[i].Key })
+	keys, err := recordKeys(e.sc, ix, table, len(kvs), func(i int) []byte { return kvs[i].Key })
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +443,7 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := pkRecordKeys(n.Table, len(childRows), []core.KeySpec{n.Keys}, childRows, e.ctx.Params)
+	keys, err := pkRecordKeys(e.sc, n.Table, len(childRows), []core.KeySpec{n.Keys}, childRows, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +524,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	scans, reqs, err := openStreams(n, childRows, e.ctx.Params)
+	scans, reqs, err := openStreams(e.sc, n, childRows, e.ctx.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +583,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			break // fewer live matches than the page holds
 		}
 		if !n.Index.Primary {
-			keys, err := recordKeys(n.Index, n.Table, len(batch), func(i int) []byte { return batch[i].key })
+			keys, err := recordKeys(e.sc, n.Index, n.Table, len(batch), func(i int) []byte { return batch[i].key })
 			if err != nil {
 				return nil, err
 			}
@@ -633,7 +643,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 // stream's request: up to PerKeyLimit entries of the range of its join
 // key, in the join's direction. The prefix and the prefix's end of every
 // stream are carved from one buffer.
-func openStreams(n *core.SortedIndexJoin, childRows []value.Row, params []value.Value) ([]stream, []kvstore.RangeRequest, error) {
+func openStreams(sc *scratch, n *core.SortedIndexJoin, childRows []value.Row, params []value.Value) ([]stream, []kvstore.RangeRequest, error) {
 	var scratch [8]value.Value
 	ns, desc := keySpace(n.Index, n.Table)
 	size := 0
@@ -644,7 +654,7 @@ func openStreams(n *core.SortedIndexJoin, childRows []value.Row, params []value.
 		}
 		size += 2 * keySize(ns, jk) // the prefix and its end
 	}
-	buf, scans, reqs := make([]byte, 0, size), make([]stream, len(childRows)), make([]kvstore.RangeRequest, len(childRows))
+	buf, scans, reqs := take(&sc.keys, size)[:0], take(&sc.streams, len(childRows)), take(&sc.reqs, len(childRows))
 	for i, row := range childRows {
 		jk, err := n.JoinKey.AppendEval(scratch[:0], params, row)
 		if err != nil {
@@ -711,6 +721,9 @@ func encodeStreamResume(m map[string][]byte) []byte {
 	return buf
 }
 
+// errCorruptPosition refuses a sorted join's position that does not parse.
+var errCorruptPosition = errors.New("exec: corrupt cursor position")
+
 // decodeStreamResume parses encodeStreamResume output; no bytes at all
 // are a fresh cursor's empty map.
 func decodeStreamResume(b []byte) (map[string][]byte, error) {
@@ -718,22 +731,21 @@ func decodeStreamResume(b []byte) (map[string][]byte, error) {
 	if len(b) == 0 {
 		return m, nil
 	}
-	corrupt := fmt.Errorf("exec: corrupt cursor position")
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, corrupt
+		return nil, errCorruptPosition
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
 		kl, sz := binary.Uvarint(b)
 		if sz <= 0 || uint64(len(b)-sz) < kl {
-			return nil, corrupt
+			return nil, errCorruptPosition
 		}
 		k := string(b[sz : sz+int(kl)])
 		b = b[sz+int(kl):]
 		vl, sz := binary.Uvarint(b)
 		if sz <= 0 || uint64(len(b)-sz) < vl {
-			return nil, corrupt
+			return nil, errCorruptPosition
 		}
 		m[k] = append([]byte{}, b[sz:sz+int(vl)]...)
 		b = b[sz+int(vl):]

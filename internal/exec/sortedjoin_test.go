@@ -162,7 +162,7 @@ func sortedJoin(t *testing.T, q *engine.Prepared) *core.SortedIndexJoin {
 func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) bool {
 	t.Helper()
 	cl := fx.cluster.NewClient(nil)
-	all, err := cl.Scan(kvstore.RangeRequest{}, kvstore.ReadOpts{})
+	all, err := cl.Scan(nil, kvstore.RangeRequest{}, kvstore.ReadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -493,7 +493,7 @@ func runChaos(cfg ChaosConfig, limit time.Duration) (*ChaosResult, error) {
 		return fmt.Errorf("chaos: audit could not read %q: %w", key, err)
 	}
 	auditScan := func(prefix []byte) ([]kvstore.KV, error) {
-		kvs, err := auditCl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+		kvs, err := auditCl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
 		if err != nil {
 			return nil, unreadable(prefix, err)
 		}

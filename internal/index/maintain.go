@@ -288,7 +288,7 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 	// No efficient path: scan-count via the record range with a filter.
 	// Bounded in practice by the constraint itself once enforced.
 	prefix := RecordPrefix(t)
-	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -540,7 +540,7 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 	// read fails the build: the caller must never flip the index ready
 	// over a scan that skipped rows.
 	prefix := RecordPrefix(t)
-	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{From: kvstore.Primary})
+	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{From: kvstore.Primary})
 	if err != nil {
 		return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
 	}
@@ -574,7 +574,7 @@ func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, erro
 	}
 	prefix := IndexPrefix(ix)
 	fail := func(err error) error { return fmt.Errorf("index: gc of %s: %w", ix.Name, err) }
-	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
 	if err != nil {
 		return 0, fail(err)
 	}

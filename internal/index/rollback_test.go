@@ -238,7 +238,7 @@ func tab2Index(cat *schema.Catalog, table, name string) *schema.Index {
 // scanPrefix reads every key under prefix. The tests that use it inject
 // no fault, so an error is a bug and panics.
 func scanPrefix(cl *kvstore.Client, prefix []byte) []kvstore.KV {
-	kvs, err := cl.Scan(kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -14,17 +14,17 @@ func (cl *Client) Get(key []byte) ([]byte, bool) {
 }
 
 func (cl *Client) MultiGet(keys [][]byte) [][]byte {
-	out, _ := cl.ReadBatch(keys, ReadOpts{Parallel: true})
+	out, _ := cl.ReadBatch(nil, keys, ReadOpts{Parallel: true})
 	return out
 }
 
 func (cl *Client) GetRange(req RangeRequest) []KV {
-	kvs, _ := cl.Scan(req, ReadOpts{})
+	kvs, _ := cl.Scan(nil, req, ReadOpts{})
 	return kvs
 }
 
 func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
-	kvs, _ := cl.Scan(req, ReadOpts{Parallel: true})
+	kvs, _ := cl.Scan(nil, req, ReadOpts{Parallel: true})
 	return kvs
 }
 

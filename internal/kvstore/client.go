@@ -24,7 +24,12 @@ import (
 // Reads come in four shapes: Read (one key), ReadBatch (a set of keys),
 // Scan (one range) and ScanRanges (a request set of ranges, a sorted
 // join's one per key). Each is one call however its requests are issued;
-// ReadOpts says whether they go one after another or concurrently.
+// ReadOpts says whether they go one after another or concurrently. The
+// three set reads append what they return to a caller's dst and return
+// it grown, as append does: a caller that keeps its buffers between calls
+// (the executor keeps one per session) reads into memory it already has,
+// and one that passes nil gets a fresh result. The keys and values
+// appended alias the store's immutable copies, never the caller's buffer.
 // Concurrency lives in one place, the branch runner (branches): every
 // request set the store issues concurrently — ReadBatch's per-node
 // batches, Scan's and Count's per-partition reads, ScanRanges' ranges, a
@@ -282,16 +287,18 @@ func (cl *Client) Read(key []byte, o ReadOpts) (val []byte, ver Version, ok bool
 	return val, envVersion(env), ok, nil
 }
 
-// ReadBatch fetches several keys with one batched request per node —
-// issued concurrently under o.Parallel, the Parallel executor's fast
-// path, or one after another, the Simple executor's batching without
-// intra-operator parallelism. Repeated keys are deduplicated (fetched
-// once, fanned out to every requesting position). Missing keys yield nil
-// entries.
-func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
-	out := make([][]byte, len(keys))
+// ReadBatch appends to dst the values under keys, in order, fetched with
+// one batched request per node — issued concurrently under o.Parallel,
+// the Parallel executor's fast path, or one after another, the Simple
+// executor's batching without intra-operator parallelism — and returns
+// it grown. Repeated keys are deduplicated (fetched once, fanned out to
+// every requesting position). Missing keys yield nil entries.
+func (cl *Client) ReadBatch(dst [][]byte, keys [][]byte, o ReadOpts) ([][]byte, error) {
+	from := len(dst)
+	dst = grow(dst, len(keys))[:from+len(keys)]
+	out := dst[from:]
 	if len(keys) == 0 {
-		return out, nil
+		return dst, nil
 	}
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -302,7 +309,7 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 			return nil, err
 		}
 		out[0], _ = live(env)
-		return out, nil
+		return dst, nil
 	}
 	// Deduplicate repeated keys — FK joins re-fetch the same parent
 	// record constantly — by sorting the key indexes and aliasing runs of
@@ -350,7 +357,7 @@ func (cl *Client) ReadBatch(keys [][]byte, o ReadOpts) ([][]byte, error) {
 	for j := 0; j < len(cl.dups); j += 2 {
 		out[cl.dups[j]] = out[cl.dups[j+1]]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // readNodeBatch reads keys[i] for every i in idxs from node id into
@@ -391,13 +398,14 @@ type RangeRequest struct {
 // latency is the max of their round trips instead of their sum, at one
 // storage operation per intersecting partition. In immediate mode they
 // run one after the other, appending into the one result: they are
-// microseconds of in-memory work.
-func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
+// microseconds of in-memory work. Scan appends the items to dst and
+// returns it grown.
+func (cl *Client) Scan(dst []KV, req RangeRequest, o ReadOpts) ([]KV, error) {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
 	lo, hi := rt.rangeParts(req.Start, req.End)
 	if !o.Parallel || cl.proc == nil || lo == hi {
-		return cl.appendRange(scanBuf(req.Limit), rt, req, o)
+		return cl.appendRange(grow(dst, scanCap(req.Limit)), rt, req, o)
 	}
 	ids, err := cl.pickParts(rt, lo, hi, o.From)
 	if err != nil {
@@ -410,11 +418,14 @@ func (cl *Client) Scan(req RangeRequest, o ReadOpts) ([]KV, error) {
 	if req.Reverse {
 		slices.Reverse(parts)
 	}
-	out := slices.Concat(parts...)
-	if req.Limit > 0 && len(out) > req.Limit {
-		out = out[:req.Limit]
+	from := len(dst)
+	for _, part := range parts {
+		dst = append(dst, part...)
 	}
-	return out, nil
+	if req.Limit > 0 && len(dst)-from > req.Limit {
+		dst = dst[:from+req.Limit]
+	}
+	return dst, nil
 }
 
 // appendRange appends what Scan(req, o) returns to dst — the one body of
@@ -460,18 +471,19 @@ func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpt
 }
 
 // ScanRanges reads a request set of ranges — a sorted join's per-key
-// ranges — in one call: out[i] is what Scan(reqs[i], o) returns, at the
-// same operations and with the same draws from the client's generator.
-// Under o.Parallel on a simulated client each range is a concurrent
-// branch whose child client scans it as Scan does, so the set costs its
+// ranges — in one call: it sets out[i], for every request, to what
+// Scan(nil, reqs[i], o) returns, at the same operations and with the
+// same draws from the client's generator. Under o.Parallel on a
+// simulated client each range is a concurrent branch whose child client
+// scans it as Scan does into a buffer of its own, so the set costs its
 // slowest range. Otherwise the ranges are read one after another under
-// one routing snapshot and appended into one buffer, sized as their
-// Scans' results would be together. Every out[i] has its capacity at its
-// length, so appending to one range cannot overwrite the next. A range
-// that fails fails the set with the error of the first such range and no
-// data; in the sequential case the ranges after it are not read.
-func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
-	out := make([][]KV, len(reqs))
+// one routing snapshot and appended to dst, grown first by as much as
+// their Scans' results would start with together. It returns dst. Every
+// out[i] has its capacity at its length, so appending to one range
+// cannot overwrite the next. A range that fails fails the set with the
+// error of the first such range and no data; in the sequential case the
+// ranges after it are not read.
+func (cl *Client) ScanRanges(dst []KV, reqs []RangeRequest, out [][]KV, o ReadOpts) ([]KV, error) {
 	if o.Parallel && cl.proc != nil {
 		// The branches share first: they run one at a time on the
 		// cooperative scheduler.
@@ -480,7 +492,7 @@ func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
 			i   int // the range err came from
 		}
 		cl.branches(len(reqs), func(sub *Client, i int) {
-			kvs, err := sub.Scan(reqs[i], o)
+			kvs, err := sub.Scan(nil, reqs[i], o)
 			if err != nil && (first.err == nil || i < first.i) {
 				first.err, first.i = err, i
 			}
@@ -489,7 +501,7 @@ func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
 		if first.err != nil {
 			return nil, first.err
 		}
-		return out, nil
+		return dst, nil
 	}
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -497,17 +509,31 @@ func (cl *Client) ScanRanges(reqs []RangeRequest, o ReadOpts) ([][]KV, error) {
 	for _, req := range reqs {
 		size += scanCap(req.Limit)
 	}
-	buf := make([]KV, 0, size)
+	dst = grow(dst, size)
 	for i, req := range reqs {
-		from := len(buf)
+		from := len(dst)
 		var err error
-		if buf, err = cl.appendRange(buf, rt, req, o); err != nil {
+		if dst, err = cl.appendRange(dst, rt, req, o); err != nil {
 			return nil, err
 		}
-		out[i] = buf[from:len(buf):len(buf)]
+		out[i] = dst[from:len(dst):len(dst)]
 	}
-	return out, nil
+	return dst, nil
 }
+
+// grow is slices.Grow: dst with room for n more elements. A caller that
+// keeps its buffer between reads (the executor) has the room after its
+// first, and the reallocation is out of line, so escape.budget holds
+// each read to what it allocates on every call.
+func grow[T any](dst []T, n int) []T {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return regrow(dst, n)
+}
+
+//go:noinline
+func regrow[T any](dst []T, n int) []T { return slices.Grow(dst, n) }
 
 // scanPart appends to dst the slice of req that partition p holds on
 // node id (limit <= 0: all of it), paying the visit.

@@ -155,6 +155,12 @@ func TestReadBatch(t *testing.T) {
 	if out := batch(cl, nil); len(out) != 0 {
 		t.Fatalf("empty ReadBatch = %v", out)
 	}
+	// ReadBatch appends: what dst holds stays ahead of the values.
+	held := []byte("held")
+	if out := must(cl.ReadBatch([][]byte{held}, keys, ReadOpts{})); len(out) != 1+len(keys) ||
+		!bytes.Equal(out[0], held) || !bytes.Equal(out[2], val(250)) || out[3] != nil {
+		t.Fatalf("ReadBatch after one held entry = %q", out)
+	}
 }
 
 func TestTestAndSet(t *testing.T) {
@@ -419,11 +425,13 @@ func get(cl *Client, k []byte) ([]byte, bool) {
 }
 
 func batch(cl *Client, keys [][]byte) [][]byte {
-	return must(cl.ReadBatch(keys, ReadOpts{Parallel: true}))
+	return must(cl.ReadBatch(nil, keys, ReadOpts{Parallel: true}))
 }
-func batchSeq(cl *Client, keys [][]byte) [][]byte { return must(cl.ReadBatch(keys, ReadOpts{})) }
-func scan(cl *Client, req RangeRequest) []KV      { return must(cl.Scan(req, ReadOpts{})) }
-func scatter(cl *Client, req RangeRequest) []KV   { return must(cl.Scan(req, ReadOpts{Parallel: true})) }
+func batchSeq(cl *Client, keys [][]byte) [][]byte { return must(cl.ReadBatch(nil, keys, ReadOpts{})) }
+func scan(cl *Client, req RangeRequest) []KV      { return must(cl.Scan(nil, req, ReadOpts{})) }
+func scatter(cl *Client, req RangeRequest) []KV {
+	return must(cl.Scan(nil, req, ReadOpts{Parallel: true}))
+}
 func count(cl *Client, start, end []byte) int {
 	return must(cl.Count(start, end, ReadOpts{Parallel: true}))
 }

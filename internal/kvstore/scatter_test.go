@@ -146,19 +146,25 @@ func TestScanRangesMatchesScans(t *testing.T) {
 			for _, set := range [][]RangeRequest{reqs, reqs[:1], nil} {
 				what := fmt.Sprintf("simulated=%v parallel=%v, %d ranges", simulated, o.Parallel, len(set))
 				got := readScanSet(simulated, set, func(cl *Client, reqs []RangeRequest) [][]KV {
-					return must(cl.ScanRanges(reqs, o))
+					// What dst holds already stays where it is, ahead of the ranges.
+					sentinel := KV{Key: []byte("held")}
+					out := make([][]KV, len(reqs))
+					if dst := must(cl.ScanRanges([]KV{sentinel}, reqs, out, o)); string(dst[0].Key) != "held" {
+						t.Fatalf("ScanRanges overwrote its dst's first item with %q", dst[0].Key)
+					}
+					return out
 				})
 				want := readScanSet(simulated, set, func(cl *Client, reqs []RangeRequest) [][]KV {
 					out := make([][]KV, len(reqs))
 					if !o.Parallel {
 						for i := range reqs {
-							out[i] = must(cl.Scan(reqs[i], o))
+							out[i] = must(cl.Scan(nil, reqs[i], o))
 						}
 						return out
 					}
 					fns := make([]func(*Client), len(reqs))
 					for i := range reqs {
-						fns[i] = func(sub *Client) { out[i] = must(sub.Scan(reqs[i], o)) }
+						fns[i] = func(sub *Client) { out[i] = must(sub.Scan(nil, reqs[i], o)) }
 					}
 					cl.Parallel(fns...)
 					return out

@@ -15,7 +15,11 @@ import (
 // payload (bool: 1 byte; int: varint; float: 8 bytes; string/bytes:
 // uvarint length + raw bytes).
 func EncodeRow(r Row) []byte {
-	buf := make([]byte, 0, 16+r.Size())
+	return AppendRow(make([]byte, 0, 16+r.Size()), r)
+}
+
+// AppendRow appends EncodeRow(r) to buf and returns it.
+func AppendRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
 		buf = append(buf, byte(v.T))
