@@ -22,7 +22,7 @@
 // from one result buffer too. An operator's cost is its slab, its string
 // arena, its key buffer and its result buffer, and nothing per row or per
 // request; the key and result buffers are carved from the Ctx's scratch,
-// which a warm Ctx already holds, so a warm run pays for its rows alone.
+// which a warm Ctx already holds, so a warm run pays nothing for them.
 // The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort
@@ -163,8 +163,9 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	}
 	sc := &ctx.sc
 	if plan.OpBound() == core.Unbounded {
-		// The cost-based baseline's scans read whole tables: their buffers
-		// are this run's alone, so the Ctx keeps only what bounded plans need.
+		// The cost-based baseline's scan reads a section of any length: its
+		// buffers are this run's alone, and the Ctx keeps only what bounded
+		// plans need.
 		sc = new(scratch)
 	}
 	sc.reset()

@@ -22,8 +22,8 @@ import (
 // every key into one buffer of that size, taken from the scratch, and
 // carves each key from it. An operator's keys cost that buffer and the
 // slice of their headers, never an allocation per key, and nothing once
-// the scratch has room for them. The row stays on the stack only while nothing it
-// is passed to keeps it: escape.budget gates the builders.
+// the scratch has room for them. The row stays on the stack only while
+// nothing it is passed to keeps it: escape.budget gates the builders.
 
 // keySpace returns what every key of ix starts with — the table's record
 // prefix for the primary index, else the index's namespace — and the
@@ -259,7 +259,8 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvs
 	// the page's tuples. Rebinding it between iterations is safe: Scan
 	// reads its bounds only for the duration of the call.
 	var buf []byte
-	for req.Limit = 1; len(kvs)-from < limit; {
+	req.Limit = 1
+	for len(kvs)-from < limit {
 		n := len(kvs)
 		var err error
 		if kvs, err = e.ctx.Client.Scan(kvs, req, e.opts); err != nil {
