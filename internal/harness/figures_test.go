@@ -2,25 +2,30 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 	"time"
 
+	"piql/internal/exec"
 	"piql/internal/predict"
 	"piql/internal/workload/tpcw"
 )
 
 // TestFiguresGolden pins what the deterministic drivers print at tiny
-// configs: Table 1, Figs 1, 6 and 7, both scale sweeps, admission and
-// one partition storm. Every driver runs on the virtual clock, so the
+// configs: Table 1, Figs 1, 6 and 7, both scale sweeps, admission, one
+// partition storm, and Fig 12's New Products query alone under each
+// execution strategy. Every driver runs on the virtual clock, so the
 // output is a function of the code; a change to the latency model,
 // executor, planner or store is a reviewed diff of
 // testdata/figures.golden:
 //
 //	go test ./internal/harness -run TestFiguresGolden -update
 //
-// Fig 12 takes no config, so it has no tiny size, and concurrent
-// measures wall-clock time; neither is here.
+// Fig 12's mixes take no config, so only its fan-out query, which takes
+// the TPC-W config, is here: its p99 and requests per execution pin
+// each strategy on the virtual clock. concurrent measures wall-clock
+// time and is not here.
 func TestFiguresGolden(t *testing.T) {
 	model, err := predict.Train(predict.TrainConfig{
 		Nodes:             4,
@@ -103,6 +108,17 @@ func TestFiguresGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr.Print(&got)
+
+	fcfg := tpcw.DefaultConfig()
+	fcfg.CustomersPerNode = 20
+	fanP99, fanOps, err := measureFanOutQuery(fcfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(&got, "Fig 12: New Products WI alone by execution strategy (20 customers per node)")
+	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+		fmt.Fprintf(&got, "%18s: p99 = %v (%.2f reqs/exec)\n", strat, fanP99[strat], fanOps[strat])
+	}
 
 	const path = "testdata/figures.golden"
 	if *update {
