@@ -20,7 +20,8 @@ vet:
 # experiment rig (no non-test file of internal/harness but rig.go calls
 # kvstore.New or engine.New), one branch runner (no non-test code of
 # internal/kvstore but (*Client).branches calls proc.Parallel or
-# proc.Fork), and
+# proc.Fork), one issue point (non-test code of internal/exec names
+# Client. at exactly one site, (*executor).issue's Client.Issue), and
 # piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
 # `make mutants` shows what the analyzers catch. After deliberately changing a hot
@@ -44,6 +45,9 @@ lint:
 	@if awk '/^func /{fn=$$0} /^[^\/]*proc\.(Parallel|Fork)\(/ && fn !~ /\) branches\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
 			$$(ls internal/kvstore/*.go | grep -v _test.go); then \
 		echo "layering: the store runs requests concurrently only in its branch runner, (*Client).branches"; exit 1; fi
+	@sites=$$(grep -nE '^[^/]*Client\.' $$(ls internal/exec/*.go | grep -v _test.go)); \
+	if [ $$(printf '%s\n' "$$sites" | grep -c .) -ne 1 ]; then \
+		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget

@@ -130,11 +130,11 @@ func TestCreateIndexUnderConcurrentWrites(t *testing.T) {
 // scanPrefix reads every key under prefix. The tests that use it inject
 // no fault, so an error is a bug and panics.
 func scanPrefix(cl *kvstore.Client, prefix []byte) []kvstore.KV {
-	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: prefixEnd(prefix)}, kvstore.ReadOpts{})
-	if err != nil {
+	set := kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: prefix, End: prefixEnd(prefix)}}
+	if err := cl.Issue(&set, kvstore.ReadOpts{}); err != nil {
 		panic(err)
 	}
-	return kvs
+	return set.Items
 }
 
 func prefixEnd(prefix []byte) []byte {

@@ -228,7 +228,7 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 	}
 	// 56 until each operator decoded its strings into one arena, 32 until
 	// each encoded its keys into one buffer, 22 until the K ranges went to
-	// the store as one ScanRanges in place of a closure and a result
+	// the store as one request set in place of a closure and a result
 	// buffer per stream, 17 until the key buffers, the streams, their
 	// requests and the store's results came from the Ctx's scratch.
 	const want = 10

@@ -4,11 +4,11 @@
 // issue them in parallel; the three strategies of Section 8.5 —
 // LazyExecutor, SimpleExecutor, ParallelExecutor — differ only in how
 // those requests are issued. An operator hands each of its request sets
-// to the store in one call — its keys to ReadBatch, its range to Scan, a
-// sorted join's K per-key ranges to ScanRanges — and Run resolves the
-// strategy once, into that call's ReadOpts (Lazy: a tuple-at-a-time
-// walk). Whether the store issues a set's requests concurrently is its
-// branch runner's business, not the operator's, which builds no branch.
+// (kvstore.RequestSet: its keys, its range, a sorted join's K per-key
+// ranges) to issue, the executor's one call to the store, and Run
+// resolves the strategy once, into that call's ReadOpts (Lazy: one tuple
+// per call). Whether the store issues a set's requests concurrently is
+// the store's business, not the operator's, which builds no branch.
 //
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
@@ -51,13 +51,9 @@ const (
 	// hints but waits for each batch before issuing the next.
 	Simple
 	// Parallel batches and issues all of an operator's requests to the
-	// key/value store concurrently (the default). It hands each request
-	// set to the store in the same one call Simple does, with
-	// ReadOpts.Parallel set: a multiget's per-node batches, a range's
-	// per-partition scans and a sorted join's K per-key ranges then run
-	// as concurrent branches on a simulated client, so the set costs its
-	// slowest request. In immediate mode, where a request is in-memory
-	// work, the store runs them one after another.
+	// key/value store concurrently (the default): the same one call per
+	// request set as Simple, with ReadOpts.Parallel set, so that on a
+	// simulated client the set costs its slowest request.
 	Parallel
 )
 
@@ -103,9 +99,9 @@ type Ctx struct {
 // freshly encoded.
 type scratch struct {
 	keys    []byte                 // key bytes
-	heads   [][]byte               // key headers, and ReadBatch's records
-	kvs     []kvstore.KV           // Scan's and ScanRanges' entries
-	ranges  [][]kvstore.KV         // ScanRanges' per-range entries
+	heads   [][]byte               // key headers, and a Gets' values
+	kvs     []kvstore.KV           // ranges' items
+	ranges  [][]kvstore.KV         // PerKeyRanges' items by range
 	streams []stream               // a sorted join's streams
 	reqs    []kvstore.RangeRequest // and their requests
 }
@@ -299,37 +295,75 @@ func stringBytes(recs [][]byte) int {
 	return n
 }
 
-// degraded wraps a store read's error. Every store error is transient
-// (it unwraps to kvstore.ErrTransient), so a read that could not reach a
-// partition fails the query with a retryable error instead of quietly
-// subtracting that partition's rows from the result.
-func degraded(err error) error {
-	if err == nil {
-		return nil
+// issue hands one request set to the store in one call, its answers
+// appended to the scratch, and returns the set with its own answers,
+// each capped at its length. It is the executor's one call to the store.
+// Under Lazy a set of more than one tuple is read by lazily instead, one
+// tuple per call. Every store error is transient (it unwraps to
+// kvstore.ErrTransient), so a read that could not reach a partition
+// fails the query with a retryable error instead of quietly subtracting
+// that partition's rows from the result.
+func (e *executor) issue(set kvstore.RequestSet) (kvstore.RequestSet, error) {
+	sc := e.sc
+	vals, items, ranges := len(sc.heads), len(sc.kvs), len(sc.ranges)
+	if e.lazy && (len(set.Keys) > 1 || set.Range.Limit > 1 || set.Kind == kvstore.PerKeyRanges) {
+		if err := e.lazily(set); err != nil {
+			return set, err
+		}
+	} else {
+		set.Values, set.Items, set.PerRange = sc.heads, sc.kvs, sc.ranges
+		if err := e.ctx.Client.Issue(&set, e.opts); err != nil {
+			return set, fmt.Errorf("exec: degraded read: %w", err)
+		}
+		sc.heads, sc.kvs, sc.ranges = set.Values, set.Items, set.PerRange
 	}
-	return fmt.Errorf("exec: degraded read: %w", err)
+	set.Values = sc.heads[vals:len(sc.heads):len(sc.heads)]
+	set.Items = sc.kvs[items:len(sc.kvs):len(sc.kvs)]
+	set.PerRange = sc.ranges[ranges:len(sc.ranges):len(sc.ranges)]
+	return set, nil
 }
 
-// getBatch resolves record keys according to the strategy: Lazy issues
-// one read per key (tuple at a time, the paper's strawman); Simple issues
-// one batched request set with the per-node batches sequential; Parallel
-// issues them concurrently. Missing keys yield nil entries.
-func (e *executor) getBatch(keys [][]byte) ([][]byte, error) {
-	if !e.lazy {
-		from := len(e.sc.heads)
-		recs, err := e.ctx.Client.ReadBatch(e.sc.heads, keys, e.opts)
-		if err != nil {
-			return nil, degraded(err)
+// lazily reads set one tuple per call, like a traditional disk-based
+// engine: a one-key Gets per key, and each range tuple by tuple, a
+// Limit 1 Range that starts past the key before.
+func (e *executor) lazily(set kvstore.RequestSet) error {
+	switch set.Kind {
+	case kvstore.Gets:
+		for i := range set.Keys {
+			if _, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: set.Keys[i : i+1]}); err != nil {
+				return err
+			}
 		}
-		e.sc.heads = recs
-		return recs[from:len(recs):len(recs)], nil
-	}
-	recs := take(&e.sc.heads, len(keys))
-	for i, k := range keys {
-		var err error // an absent key reads as a nil value
-		if recs[i], _, _, err = e.ctx.Client.Read(k, e.opts); err != nil {
-			return nil, degraded(err)
+	case kvstore.PerKeyRanges:
+		for _, req := range set.Ranges {
+			one, err := e.issue(kvstore.RequestSet{Kind: kvstore.Range, Range: req})
+			if err != nil {
+				return err
+			}
+			e.sc.ranges = append(e.sc.ranges, one.Items)
+		}
+	default:
+		// The successor key lives in one buffer reused across the range's
+		// tuples. Rebinding it between calls is safe: the store reads a
+		// set's bounds only for the duration of the call.
+		var buf []byte
+		one := kvstore.RequestSet{Kind: kvstore.Range, Range: set.Range}
+		one.Range.Limit = 1
+		for n := 0; n < set.Range.Limit; n++ {
+			got, err := e.issue(one)
+			if err != nil {
+				return err
+			}
+			if len(got.Items) == 0 {
+				break
+			}
+			if next := got.Items[0].Key; one.Range.Reverse {
+				one.Range.End = next
+			} else {
+				buf = append(append(buf[:0], next...), 0x00)
+				one.Range.Start = buf
+			}
 		}
 	}
-	return recs, nil
+	return nil
 }

@@ -137,15 +137,15 @@ next:
 // into a fresh combined row at the table's offset, skipping the nil
 // entries of keys that had no record.
 func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) {
-	recs, err := e.getBatch(keys)
+	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]value.Row, 0, len(recs))
-	slab := e.rows(len(recs))
+	rows := make([]value.Row, 0, len(set.Values))
+	slab := e.rows(len(set.Values))
 	var arena strings.Builder
-	arena.Grow(stringBytes(recs))
-	for _, rec := range recs {
+	arena.Grow(stringBytes(set.Values))
+	for _, rec := range set.Values {
 		if rec == nil {
 			continue
 		}
@@ -215,71 +215,6 @@ func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []
 	return buf, carve(buf, end)
 }
 
-// fetchRanges reads a request set of ranges, honoring the strategy: Lazy
-// walks each range tuple at a time; Simple and Parallel hand the whole
-// set to the store in one ScanRanges, which issues the ranges one after
-// another or concurrently.
-func (e *executor) fetchRanges(reqs []kvstore.RangeRequest) ([][]kvstore.KV, error) {
-	out := take(&e.sc.ranges, len(reqs))
-	if !e.lazy {
-		kvs, err := e.ctx.Client.ScanRanges(e.sc.kvs, reqs, out, e.opts)
-		if err != nil {
-			return nil, degraded(err)
-		}
-		e.sc.kvs = kvs
-		return out, nil
-	}
-	for i, r := range reqs {
-		var err error
-		if out[i], err = e.fetchRange(r.Start, r.End, r.Limit, r.Reverse); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// fetchRange reads up to limit entries of [start, end), honoring the
-// strategy: Lazy fetches one entry per request; Simple fetches the whole
-// batch in one request, walking partitions sequentially; Parallel
-// scatter-gathers the per-partition scans concurrently. limit <= 0 means
-// "everything" (cost-based unbounded plans only).
-func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) ([]kvstore.KV, error) {
-	from, kvs := len(e.sc.kvs), e.sc.kvs
-	req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
-	if !e.lazy || limit <= 0 {
-		var err error
-		if kvs, err = e.ctx.Client.Scan(kvs, req, e.opts); err != nil {
-			return nil, degraded(err)
-		}
-		e.sc.kvs = kvs
-		return kvs[from:len(kvs):len(kvs)], nil
-	}
-	// Tuple-at-a-time walk: each fetched key becomes the next request's
-	// start bound. The successor key lives in one buffer reused across
-	// the page's tuples. Rebinding it between iterations is safe: Scan
-	// reads its bounds only for the duration of the call.
-	var buf []byte
-	req.Limit = 1
-	for len(kvs)-from < limit {
-		n := len(kvs)
-		var err error
-		if kvs, err = e.ctx.Client.Scan(kvs, req, e.opts); err != nil {
-			return nil, degraded(err)
-		}
-		if len(kvs) == n {
-			break
-		}
-		if reverse {
-			req.End = kvs[n].Key
-		} else {
-			buf = append(append(buf[:0], kvs[n].Key...), 0x00)
-			req.Start = buf
-		}
-	}
-	e.sc.kvs = kvs
-	return kvs[from:len(kvs):len(kvs)], nil
-}
-
 // successor returns the smallest key greater than k.
 func successor(k []byte) []byte {
 	return append(append([]byte{}, k...), 0x00)
@@ -306,10 +241,11 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		}
 	}
 	limit := n.FetchLimit()
-	kvs, err := e.fetchRange(start, end, limit, reverse)
+	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}})
 	if err != nil {
 		return nil, err
 	}
+	kvs := set.Items
 	if paging {
 		// A short fetch was the last. Otherwise the next page resumes after
 		// the last entry fetched — unless runStop cuts rows and rewinds that.
@@ -448,14 +384,14 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := e.getBatch(keys)
+	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
 	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
 	var arena strings.Builder
-	arena.Grow(stringBytes(recs))
-	for i, rec := range recs {
+	arena.Grow(stringBytes(set.Values))
+	for i, rec := range set.Values {
 		if rec == nil {
 			continue // no matching row: inner join drops it
 		}
@@ -540,11 +476,11 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		origin = make(map[*value.Value]*stream)
 	}
 
-	kvs, err := e.fetchRanges(reqs)
+	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.PerKeyRanges, Ranges: reqs})
 	if err != nil {
 		return nil, err
 	}
-	fetched := 0
+	kvs, fetched := set.PerRange, 0
 	for i := range scans {
 		sc := &scans[i]
 		sc.kvs, sc.full = kvs[i], len(kvs[i]) == n.PerKeyLimit
@@ -588,12 +524,12 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			recs, err := e.getBatch(keys)
+			recs, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 			if err != nil {
 				return nil, err
 			}
 			for i := range batch {
-				batch[i].rec = recs[i]
+				batch[i].rec = recs.Values[i]
 			}
 		}
 		// The round's arena holds its candidates' strings; the last round

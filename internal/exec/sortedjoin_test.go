@@ -162,10 +162,11 @@ func sortedJoin(t *testing.T, q *engine.Prepared) *core.SortedIndexJoin {
 func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) bool {
 	t.Helper()
 	cl := fx.cluster.NewClient(nil)
-	all, err := cl.Scan(nil, kvstore.RangeRequest{}, kvstore.ReadOpts{})
-	if err != nil {
+	set := kvstore.RequestSet{Kind: kvstore.Range}
+	if err := cl.Issue(&set, kvstore.ReadOpts{}); err != nil {
 		t.Fatal(err)
 	}
+	all := set.Items
 	a, b := 0, 0 // the stream's keys are all[a:b]
 	for _, target := range fx.approved {
 		prefix := index.ScanPrefix(join.Index, value.Row{value.Str(target)})

@@ -493,11 +493,11 @@ func runChaos(cfg ChaosConfig, limit time.Duration) (*ChaosResult, error) {
 		return fmt.Errorf("chaos: audit could not read %q: %w", key, err)
 	}
 	auditScan := func(prefix []byte) ([]kvstore.KV, error) {
-		kvs, err := auditCl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
-		if err != nil {
+		set := kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}}
+		if err := auditCl.Issue(&set, kvstore.ReadOpts{}); err != nil {
 			return nil, unreadable(prefix, err)
 		}
-		return kvs, nil
+		return set.Items, nil
 	}
 	// Serial model check of every conditional outcome: per key the
 	// accepted swaps must chain — one accept per state, starting from

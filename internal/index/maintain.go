@@ -264,6 +264,13 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	return nil
 }
 
+// readPrefix reads, as a request set of kind, every key under prefix.
+func readPrefix(cl *kvstore.Client, kind kvstore.RequestKind, prefix []byte, o kvstore.ReadOpts) (kvstore.RequestSet, error) {
+	set := kvstore.RequestSet{Kind: kind, Range: kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}}
+	err := cl.Issue(&set, o)
+	return set, err
+}
+
 // countMatching counts rows sharing the constraint column values with
 // row. It uses an index over the constraint columns when one exists
 // (the compiler will have created one for any constraint it exploits);
@@ -276,25 +283,27 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 			f := ix.Fields[i]
 			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(f.Column)], f.Desc)
 		}
-		return cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{Parallel: true})
+		set, err := readPrefix(cl, kvstore.Count, prefix, kvstore.ReadOpts{Parallel: true})
+		return set.N, err
 	}
 	if m.prefixesPrimaryKey(t, card.Columns) {
 		prefix := RecordPrefix(t)
 		for _, col := range card.Columns {
 			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(col)], false)
 		}
-		return cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{Parallel: true})
+		set, err := readPrefix(cl, kvstore.Count, prefix, kvstore.ReadOpts{Parallel: true})
+		return set.N, err
 	}
 	// No efficient path: scan-count via the record range with a filter.
 	// Bounded in practice by the constraint itself once enforced.
 	prefix := RecordPrefix(t)
-	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	set, err := readPrefix(cl, kvstore.Range, prefix, kvstore.ReadOpts{})
 	if err != nil {
 		return 0, err
 	}
 	n := 0
 	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
-	for _, kv := range kvs {
+	for _, kv := range set.Items {
 		// A record that does not decode may match: skipping it would
 		// undercount, as a skipped partition would.
 		if _, err := value.DecodeRowInto(other, kv.Value); err != nil {
@@ -540,11 +549,11 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 	// read fails the build: the caller must never flip the index ready
 	// over a scan that skipped rows.
 	prefix := RecordPrefix(t)
-	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{From: kvstore.Primary})
+	set, err := readPrefix(cl, kvstore.Range, prefix, kvstore.ReadOpts{From: kvstore.Primary})
 	if err != nil {
 		return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
 	}
-	for _, kv := range kvs {
+	for _, kv := range set.Items {
 		row, err := value.DecodeRow(kv.Value)
 		if err != nil {
 			return fmt.Errorf("index: corrupt record during backfill of %s: %w", ix.Name, err)
@@ -574,12 +583,12 @@ func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, erro
 	}
 	prefix := IndexPrefix(ix)
 	fail := func(err error) error { return fmt.Errorf("index: gc of %s: %w", ix.Name, err) }
-	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	set, err := readPrefix(cl, kvstore.Range, prefix, kvstore.ReadOpts{})
 	if err != nil {
 		return 0, fail(err)
 	}
 	removed := 0
-	for _, kv := range kvs {
+	for _, kv := range set.Items {
 		dangling, err := m.entryDangling(cl, ix, t, kv.Key)
 		if err != nil {
 			return removed, fail(err)

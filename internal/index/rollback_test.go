@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"piql/internal/codec"
 	"piql/internal/kvstore"
 	"piql/internal/schema"
 	"piql/internal/value"
@@ -173,8 +172,8 @@ func TestConstraintIndexAnyOrder(t *testing.T) {
 	// but assert directly via the index path: a count over the index
 	// prefix equals the rows sharing (owner, approved).
 	prefix := ScanPrefix(tab2Index(cat, "subs", "by_approved_owner"), value.Row{value.Str("yes"), value.Str("ann")})
-	if got, err := cl.Count(prefix, codec.PrefixEnd(prefix), kvstore.ReadOpts{}); err != nil || got != 2 {
-		t.Fatalf("index-prefix count = %d, want 2 surviving rows", got)
+	if set, err := readPrefix(cl, kvstore.Count, prefix, kvstore.ReadOpts{}); err != nil || set.N != 2 {
+		t.Fatalf("index-prefix count = %d (%v), want 2 surviving rows", set.N, err)
 	}
 	// A different owner is unaffected.
 	if err := insert("bob", "t1", "yes"); err != nil {
@@ -238,9 +237,9 @@ func tab2Index(cat *schema.Catalog, table, name string) *schema.Index {
 // scanPrefix reads every key under prefix. The tests that use it inject
 // no fault, so an error is a bug and panics.
 func scanPrefix(cl *kvstore.Client, prefix []byte) []kvstore.KV {
-	kvs, err := cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix)}, kvstore.ReadOpts{})
+	set, err := readPrefix(cl, kvstore.Range, prefix, kvstore.ReadOpts{})
 	if err != nil {
 		panic(err)
 	}
-	return kvs
+	return set.Items
 }

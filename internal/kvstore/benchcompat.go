@@ -2,11 +2,11 @@ package kvstore
 
 // This file exists only for bench/, the repo benchmark's module, which
 // is frozen between benchmark-archetype PRs and still calls the read
-// names Client had before its reads became Read, ReadBatch, Scan and
-// Count. Each wrapper discards the error, which is what those names
-// always did. Nothing in this module (tests included) may call them;
-// the next benchmark-archetype PR moves bench/ to the four reads and
-// deletes this file.
+// names Client had before its reads became Read and Issue. Each wrapper
+// discards the error, which is what those names always did. Nothing in
+// this module (tests included) may call them; the next
+// benchmark-archetype PR moves bench/ to Read and Issue and deletes this
+// file.
 
 func (cl *Client) Get(key []byte) ([]byte, bool) {
 	v, _, ok, _ := cl.Read(key, ReadOpts{})
@@ -14,21 +14,22 @@ func (cl *Client) Get(key []byte) ([]byte, bool) {
 }
 
 func (cl *Client) MultiGet(keys [][]byte) [][]byte {
-	out, _ := cl.ReadBatch(nil, keys, ReadOpts{Parallel: true})
-	return out
+	return cl.shim(RequestSet{Kind: Gets, Keys: keys}, true).Values
 }
 
 func (cl *Client) GetRange(req RangeRequest) []KV {
-	kvs, _ := cl.Scan(nil, req, ReadOpts{})
-	return kvs
+	return cl.shim(RequestSet{Kind: Range, Range: req}, false).Items
 }
 
 func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
-	kvs, _ := cl.Scan(nil, req, ReadOpts{Parallel: true})
-	return kvs
+	return cl.shim(RequestSet{Kind: Range, Range: req}, true).Items
 }
 
 func (cl *Client) CountRange(start, end []byte) int {
-	n, _ := cl.Count(start, end, ReadOpts{Parallel: true})
-	return n
+	return cl.shim(RequestSet{Kind: Count, Range: RangeRequest{Start: start, End: end}}, true).N
+}
+
+func (cl *Client) shim(set RequestSet, parallel bool) RequestSet {
+	cl.Issue(&set, ReadOpts{Parallel: parallel})
+	return set
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"piql/internal/sim"
@@ -21,26 +20,18 @@ import (
 // them is safe for any number of concurrent Clients, including while it
 // rebalances.
 //
-// Reads come in four shapes: Read (one key), ReadBatch (a set of keys),
-// Scan (one range) and ScanRanges (a request set of ranges, a sorted
-// join's one per key). Each is one call however its requests are issued;
-// ReadOpts says whether they go one after another or concurrently. The
-// three set reads append what they return to a caller's dst and return
-// it grown, as append does: a caller that keeps its buffers between calls
-// (the executor keeps one per session) reads into memory it already has,
-// and one that passes nil gets a fresh result. The keys and values
-// appended alias the store's immutable copies, never the caller's buffer.
-// Concurrency lives in one place, the branch runner (branches): every
-// request set the store issues concurrently — ReadBatch's per-node
-// batches, Scan's and Count's per-partition reads, ScanRanges' ranges, a
-// write's replica fan-out — and Parallel, for callers whose branches are
-// not one store call (index maintenance, model training, the benchmark's
-// probes), run through it. It only runs on a simulated client, as one
-// sim Fork on pooled processes, giving each branch a child of its own,
-// all carved from one slab per request set (the generator is a value
-// inside the struct); in immediate mode the same per-node or
-// per-partition method runs on the caller itself, one request after
-// another, and builds no closure.
+// A read is one call however many requests it takes: Read, the writers'
+// versioned point read, or Issue, which reads one request set into
+// buffers the caller owns. Concurrency lives in one place, the branch
+// runner (branches): a set's reads happen on the issuing client, and
+// when its requests are concurrent (ReadOpts.Parallel) their visits run
+// as branches, as do a write's replica visits, PerKeyRanges' ranges and
+// Parallel, for callers whose branches are not one store call (index
+// maintenance, model training, the benchmark's probes). Branches run
+// only on a simulated client, as one sim Fork on pooled processes, each
+// on a child client, all carved from one slab (the generator is a value
+// inside the struct). In immediate mode the visits are paid one after
+// another on the caller itself, and build no closure.
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
@@ -70,13 +61,14 @@ type Client struct {
 
 	// Scratch reused across operations to keep the per-request hot path
 	// allocation-lean. Safe because a Client is single-goroutine and the
-	// scratch is only read (never written) while branches run.
-	byNode map[int][]int // ReadBatch: unique-key indexes grouped by node
-	ids    []int         // ReadBatch: deterministic node order; pickParts: each partition's serving node
-	order  []int         // ReadBatch: key indexes sorted for deduplication
-	dups   []int         // ReadBatch: flattened (dup, first) index pairs
-
-	fns []func(sub *Client) // Parallel: the branches of the call in flight, read by its children
+	// scratch is only read (never written) while branches run, which
+	// reach it through their parent, so that a branch body captures
+	// nothing.
+	order []int               // Gets: key indexes sorted for deduplication; walk: each partition's serving node
+	dups  []int               // Gets: flattened (dup, first) index pairs
+	batch [][2]int            // Gets: (node, key index) of each distinct key, by node
+	costs []cost              // the visits pay held back for settle
+	fns   []func(sub *Client) // Parallel's branches
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -223,11 +215,11 @@ const (
 type ReadOpts struct {
 	// From selects the serving replica of each partition.
 	From Replicas
-	// Parallel issues the read's independent requests — ReadBatch's
-	// per-node batches, Scan's and Count's per-partition scans,
-	// ScanRanges' ranges — concurrently instead of one after another, so
-	// the latency is the slowest request rather than their sum, at the
-	// same operation count.
+	// Parallel issues a request set's independent requests — a Gets'
+	// per-node batches, the partitions of a range or count that spans
+	// several, PerKeyRanges' ranges — concurrently instead of one after
+	// another, so the latency is the slowest request rather than their
+	// sum, at the same operation count.
 	Parallel bool
 }
 
@@ -252,15 +244,6 @@ func live(env []byte) ([]byte, bool) {
 	return envValue(env), true
 }
 
-// readNode fetches key's stored envelope (nil if the node never saw the
-// key) from one node, paying the visit.
-func (cl *Client) readNode(id int, key []byte) []byte {
-	env, _ := cl.c.nodes[id].getRaw(key)
-	v, _ := live(env)
-	cl.visit(id, 1, len(v))
-	return env
-}
-
 // read is the one point-read path: it returns key's stored envelope on
 // the replica from selects, tombstones included (nil = never written),
 // so callers derive value, presence and version from one result.
@@ -270,7 +253,10 @@ func (cl *Client) read(rt *routing, key []byte, from Replicas) ([]byte, error) {
 	if id < 0 {
 		return nil, cl.c.downErr(rt.owners[p])
 	}
-	return cl.readNode(id, key), nil
+	env, _ := cl.c.nodes[id].getRaw(key)
+	v, _ := live(env)
+	cl.visit(id, 1, len(v))
+	return env, nil
 }
 
 // Read returns the value under key and the version it was written at.
@@ -287,91 +273,6 @@ func (cl *Client) Read(key []byte, o ReadOpts) (val []byte, ver Version, ok bool
 	return val, envVersion(env), ok, nil
 }
 
-// ReadBatch appends to dst the values under keys, in order, fetched with
-// one batched request per node — issued concurrently under o.Parallel,
-// the Parallel executor's fast path, or one after another, the Simple
-// executor's batching without intra-operator parallelism — and returns
-// it grown. Repeated keys are deduplicated (fetched once, fanned out to
-// every requesting position). Missing keys yield nil entries.
-func (cl *Client) ReadBatch(dst [][]byte, keys [][]byte, o ReadOpts) ([][]byte, error) {
-	from := len(dst)
-	dst = grow(dst, len(keys))[:from+len(keys)]
-	out := dst[from:]
-	if len(keys) == 0 {
-		return dst, nil
-	}
-	rt := cl.c.beginOp()
-	defer cl.c.endOp(rt)
-	if len(keys) == 1 {
-		// The point-lookup fast path: no grouping or dedup scratch.
-		env, err := cl.read(rt, keys[0], o.From)
-		if err != nil {
-			return nil, err
-		}
-		out[0], _ = live(env)
-		return dst, nil
-	}
-	// Deduplicate repeated keys — FK joins re-fetch the same parent
-	// record constantly — by sorting the key indexes and aliasing runs of
-	// equal keys to their first occurrence. Sort-based so dedup needs no
-	// per-key string allocation; all scratch is reused across calls.
-	cl.order = cl.order[:0]
-	for i := range keys {
-		cl.order = append(cl.order, i)
-	}
-	slices.SortFunc(cl.order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
-	cl.dups = cl.dups[:0]
-	if cl.byNode == nil {
-		cl.byNode = make(map[int][]int)
-	}
-	for id, idxs := range cl.byNode {
-		cl.byNode[id] = idxs[:0]
-	}
-	for j := 0; j < len(cl.order); {
-		rep := cl.order[j]
-		for j++; j < len(cl.order) && bytes.Equal(keys[cl.order[j]], keys[rep]); j++ {
-			cl.dups = append(cl.dups, cl.order[j], rep)
-		}
-		p := rt.partitionOf(keys[rep])
-		id := cl.pick(rt, p, o.From)
-		if id < 0 {
-			return nil, cl.c.downErr(rt.owners[p])
-		}
-		cl.byNode[id] = append(cl.byNode[id], rep)
-	}
-	// Deterministic node order for both modes.
-	cl.ids = cl.ids[:0]
-	for id, idxs := range cl.byNode {
-		if len(idxs) > 0 {
-			cl.ids = append(cl.ids, id)
-		}
-	}
-	sort.Ints(cl.ids)
-	if len(cl.ids) == 1 || cl.proc == nil || !o.Parallel {
-		for _, id := range cl.ids {
-			cl.readNodeBatch(id, cl.byNode[id], keys, out)
-		}
-	} else {
-		cl.branches(len(cl.ids), func(sub *Client, i int) { sub.readNodeBatch(cl.ids[i], cl.byNode[cl.ids[i]], keys, out) })
-	}
-	for j := 0; j < len(cl.dups); j += 2 {
-		out[cl.dups[j]] = out[cl.dups[j+1]]
-	}
-	return dst, nil
-}
-
-// readNodeBatch reads keys[i] for every i in idxs from node id into
-// out[i] in one batched request, paying its visit.
-func (cl *Client) readNodeBatch(id int, idxs []int, keys, out [][]byte) {
-	bytesTotal := 0
-	for _, i := range idxs {
-		env, _ := cl.c.nodes[id].getRaw(keys[i])
-		out[i], _ = live(env)
-		bytesTotal += len(out[i])
-	}
-	cl.visit(id, len(idxs), bytesTotal)
-}
-
 // RangeRequest describes a range read over [Start, End). A nil Start or
 // End leaves that side unbounded. Limit 0 means unlimited. Reverse
 // returns items in descending key order (from End side).
@@ -381,144 +282,250 @@ type RangeRequest struct {
 	Reverse    bool
 }
 
-// Scan reads a contiguous key range in order, visiting every partition
-// the range intersects; each partition visited costs one storage
-// operation. A partition with no replica the policy accepts reachable
-// fails the whole read with *ErrNodeDown — a range read is complete or
-// it is an error, never short.
-//
-// Sequentially, partitions are walked in key order and the walk stops as
-// soon as Limit items are in hand. Under o.Parallel, when the range
-// spans several partitions, every partition is visited speculatively —
-// each for up to Limit items, its serving node drawn up front — and the
-// results, in key order (partitions are disjoint, ordered byte ranges),
-// are truncated to Limit. Speculation is sound for PIQL because every
-// compiled plan is statically bounded: Limit is always a small constant.
-// On a simulated client the per-partition scans are concurrent, so the
-// latency is the max of their round trips instead of their sum, at one
-// storage operation per intersecting partition. In immediate mode they
-// run one after the other, appending into the one result: they are
-// microseconds of in-memory work. Scan appends the items to dst and
-// returns it grown.
-func (cl *Client) Scan(dst []KV, req RangeRequest, o ReadOpts) ([]KV, error) {
-	rt := cl.c.beginOp()
-	defer cl.c.endOp(rt)
-	lo, hi := rt.rangeParts(req.Start, req.End)
-	if !o.Parallel || cl.proc == nil || lo == hi {
-		return cl.appendRange(grow(dst, scanCap(req.Limit)), rt, req, o)
-	}
-	ids, err := cl.pickParts(rt, lo, hi, o.From)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]KV, len(ids))
-	cl.branches(len(ids), func(sub *Client, i int) {
-		parts[i] = sub.scanPart(scanBuf(req.Limit), rt, lo+i, ids[i], req, req.Limit)
-	})
-	if req.Reverse {
-		slices.Reverse(parts)
-	}
-	from := len(dst)
-	for _, part := range parts {
-		dst = append(dst, part...)
-	}
-	if req.Limit > 0 && len(dst)-from > req.Limit {
-		dst = dst[:from+req.Limit]
-	}
-	return dst, nil
+// RequestKind is the shape of a request set: the three a plan issues
+// (core.RequestKind) and the write path's Count.
+type RequestKind int
+
+const (
+	// Gets reads the value under each of Keys, one batched request per
+	// node.
+	Gets RequestKind = iota
+	// Range reads the items of Range, one request per partition visited.
+	Range
+	// PerKeyRanges reads each of Ranges (a sorted join's one per key) as
+	// a Range reads it.
+	PerKeyRanges
+	// Count counts the live keys of Range (its Limit and Reverse do not
+	// apply), one request per partition it spans. It backs cardinality
+	// constraints (Section 7.2): an undercount would admit an insert past
+	// its limit, so an unreachable partition is an error.
+	Count
+)
+
+// RequestSet is one read: what it asks and, once issued, its answers.
+// Issue appends the answers to the set's buffers, as append does: a
+// caller that keeps its buffers between sets (the executor keeps one per
+// session) reads into memory it already has. The keys and values
+// appended alias the store's immutable copies.
+type RequestSet struct {
+	Kind   RequestKind
+	Keys   [][]byte       // Gets
+	Range  RangeRequest   // Range and Count
+	Ranges []RangeRequest // PerKeyRanges
+
+	Values   [][]byte // Gets: the value under each key in order, nil if missing
+	Items    []KV     // Range: its items in its order
+	PerRange [][]KV   // PerKeyRanges: each range's items, capped at their length
+	N        int      // Count
 }
 
-// appendRange appends what Scan(req, o) returns to dst — the one body of
-// every range read but a simulated client's concurrent one. A
-// sequential read walks the partitions in req's direction and stops as
-// soon as Limit items are in hand. Under o.Parallel a range that spans
-// partitions is read as the concurrent one reads it, one partition after
-// another: every partition visited for up to Limit items, the serving
-// nodes drawn lo..hi up front, the result cut to Limit.
-func (cl *Client) appendRange(dst []KV, rt *routing, req RangeRequest, o ReadOpts) ([]KV, error) {
+// Issue reads one request set in one call. Its requests go one after
+// another or, under o.Parallel on a simulated client, concurrently, so
+// the set costs its slowest request, at the same operations (but see
+// walk's speculation). A set that cannot be read whole returns the error
+// of the first request that failed and leaves the answers as they were:
+// never a short result.
+func (cl *Client) Issue(set *RequestSet, o ReadOpts) error {
+	vals, items, ranges, n := set.Values, set.Items, set.PerRange, set.N
+	var err error
+	if set.Kind == PerKeyRanges && o.Parallel && cl.proc != nil {
+		err = cl.fork(set, o)
+	} else {
+		rt := cl.c.beginOp()
+		err = cl.readSet(rt, set, o)
+		cl.c.endOp(rt)
+	}
+	if err != nil {
+		set.Values, set.Items, set.PerRange, set.N = vals, items, ranges, n
+	}
+	return err
+}
+
+// readSet reads set under rt on the client itself.
+func (cl *Client) readSet(rt *routing, set *RequestSet, o ReadOpts) error {
+	switch set.Kind {
+	case Gets:
+		return cl.gets(rt, set, o)
+	case Range:
+		set.Items = grow(set.Items, scanCap(set.Range.Limit))
+		return cl.walk(rt, set, set.Range, o)
+	case Count:
+		set.N = 0
+		return cl.walk(rt, set, RangeRequest{Start: set.Range.Start, End: set.Range.End}, o)
+	}
+	size := 0
+	for _, req := range set.Ranges {
+		size += scanCap(req.Limit)
+	}
+	set.Items = grow(set.Items, size)
+	for _, req := range set.Ranges {
+		from := len(set.Items)
+		if err := cl.walk(rt, set, req, o); err != nil {
+			return err
+		}
+		set.PerRange = append(set.PerRange, set.Items[from:len(set.Items):len(set.Items)])
+	}
+	return nil
+}
+
+// fork reads PerKeyRanges set with a branch per range, whose child reads
+// it as a Range into a buffer of its own: even a set of one range forks.
+// The branches share failed: they run one at a time on the cooperative
+// scheduler.
+func (cl *Client) fork(set *RequestSet, o ReadOpts) error {
+	from := len(set.PerRange)
+	set.PerRange = grow(set.PerRange, len(set.Ranges))[:from+len(set.Ranges)]
+	reqs, out := set.Ranges, set.PerRange[from:]
+	var failed error
+	cl.branches(len(reqs), func(sub *Client, i int) {
+		one := RequestSet{Kind: Range, Range: reqs[i]}
+		rt := sub.c.beginOp()
+		if err := sub.readSet(rt, &one, o); err != nil && failed == nil {
+			failed = err
+		}
+		sub.c.endOp(rt)
+		out[i] = one.Items[:len(one.Items):len(one.Items)]
+	})
+	return failed
+}
+
+// gets reads set, a Gets, with one batched request per node, the nodes
+// in order. A repeated key (FK joins re-fetch the same parent
+// record constantly) is fetched once and fanned out to every position
+// that asks for it. The dedup sorts the key indexes and aliases runs of
+// equal keys to their first, so it needs no per-key allocation; its
+// scratch is reused across calls.
+func (cl *Client) gets(rt *routing, set *RequestSet, o ReadOpts) error {
+	keys, from := set.Keys, len(set.Values)
+	set.Values = grow(set.Values, len(keys))[:from+len(keys)]
+	out := set.Values[from:]
+	cl.order = cl.order[:0]
+	for i := range keys {
+		cl.order = append(cl.order, i)
+	}
+	slices.SortFunc(cl.order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	cl.dups, cl.batch = cl.dups[:0], cl.batch[:0]
+	for j := 0; j < len(cl.order); {
+		rep := cl.order[j]
+		for j++; j < len(cl.order) && bytes.Equal(keys[cl.order[j]], keys[rep]); j++ {
+			cl.dups = append(cl.dups, cl.order[j], rep)
+		}
+		p := rt.partitionOf(keys[rep])
+		id := cl.pick(rt, p, o.From)
+		if id < 0 {
+			return cl.c.downErr(rt.owners[p])
+		}
+		cl.batch = append(cl.batch, [2]int{id, rep})
+	}
+	slices.SortFunc(cl.batch, func(a, b [2]int) int { return a[0] - b[0] })
+	for j := 0; j < len(cl.batch); {
+		id, items, payload := cl.batch[j][0], 0, 0
+		for ; j < len(cl.batch) && cl.batch[j][0] == id; j, items = j+1, items+1 {
+			i := cl.batch[j][1]
+			env, _ := cl.c.nodes[id].getRaw(keys[i])
+			out[i], _ = live(env)
+			payload += len(out[i])
+		}
+		cl.pay(o.Parallel, id, items, payload)
+	}
+	cl.settle()
+	for j := 0; j < len(cl.dups); j += 2 {
+		out[cl.dups[j]] = out[cl.dups[j+1]]
+	}
+	return nil
+}
+
+// walk reads req, a range of set, partition by partition in its
+// direction: a Count adds their live keys to N, the other kinds append
+// their items to Items. Sequentially, each partition's node is
+// drawn as the walk reaches it, and the walk stops once Limit items are
+// in hand. Under o.Parallel a range spanning several partitions is read
+// speculatively: every partition's node drawn up front, in key order,
+// every partition read for up to Limit items and paid for concurrently,
+// and the items cut to Limit. That is sound for PIQL because a compiled
+// plan's Limit is a small constant.
+func (cl *Client) walk(rt *routing, set *RequestSet, req RangeRequest, o ReadOpts) error {
 	lo, hi := rt.rangeParts(req.Start, req.End)
-	var ids []int // speculating: the serving node of each partition
-	if o.Parallel && lo != hi {
-		var err error
-		if ids, err = cl.pickParts(rt, lo, hi, o.From); err != nil {
-			return nil, err
+	spec := o.Parallel && lo != hi
+	if spec {
+		cl.order = cl.order[:0]
+		for p := lo; p <= hi; p++ {
+			id := cl.pick(rt, p, o.From)
+			if id < 0 {
+				return cl.c.downErr(rt.owners[p])
+			}
+			cl.order = append(cl.order, id)
 		}
 	}
 	step, p, last := 1, lo, hi
 	if req.Reverse {
 		step, p, last = -1, hi, lo
 	}
-	from := len(dst)
+	from := len(set.Items)
 	for limit := req.Limit; ; p += step {
 		var id int
-		if ids != nil {
-			id = ids[p-lo]
+		if spec {
+			id = cl.order[p-lo]
 		} else if id = cl.pick(rt, p, o.From); id < 0 {
-			return nil, cl.c.downErr(rt.owners[p])
+			return cl.c.downErr(rt.owners[p])
 		}
-		n := len(dst)
-		if dst = cl.scanPart(dst, rt, p, id, req, limit); ids == nil {
-			limit -= len(dst) - n
+		start, end := clip(rt, p, req.Start, req.End)
+		n, payload := 0, 0
+		if set.Kind == Count {
+			n = cl.c.nodes[id].count(start, end)
+			set.N += n
+		} else {
+			at := len(set.Items)
+			set.Items = cl.c.nodes[id].scan(set.Items, start, end, limit, req.Reverse)
+			for _, kv := range set.Items[at:] {
+				payload += len(kv.Value)
+			}
+			n = len(set.Items) - at
+		}
+		cl.pay(spec, id, max(1, n), payload)
+		if !spec {
+			limit -= n
 		}
 		if p == last || (req.Limit > 0 && limit <= 0) {
 			break
 		}
 	}
-	if req.Limit > 0 && len(dst)-from > req.Limit {
-		dst = dst[:from+req.Limit]
+	if req.Limit > 0 && len(set.Items)-from > req.Limit {
+		set.Items = set.Items[:from+req.Limit]
 	}
-	return dst, nil
+	if spec && req.Reverse {
+		slices.Reverse(cl.costs) // a branch per partition, in key order
+	}
+	cl.settle()
+	return nil
 }
 
-// ScanRanges reads a request set of ranges — a sorted join's per-key
-// ranges — in one call: it sets out[i], for every request, to what
-// Scan(nil, reqs[i], o) returns, at the same operations and with the
-// same draws from the client's generator. Under o.Parallel on a
-// simulated client each range is a concurrent branch whose child client
-// scans it as Scan does into a buffer of its own, so the set costs its
-// slowest range. Otherwise the ranges are read one after another under
-// one routing snapshot and appended to dst, grown first by as much as
-// their Scans' results would start with together. It returns dst. Every
-// out[i] has its capacity at its length, so appending to one range
-// cannot overwrite the next. A range that fails fails the set with the
-// error of the first such range and no data; in the sequential case the
-// ranges after it are not read.
-func (cl *Client) ScanRanges(dst []KV, reqs []RangeRequest, out [][]KV, o ReadOpts) ([]KV, error) {
-	if o.Parallel && cl.proc != nil {
-		// The branches share first: they run one at a time on the
-		// cooperative scheduler.
-		var first struct {
-			err error
-			i   int // the range err came from
-		}
-		cl.branches(len(reqs), func(sub *Client, i int) {
-			kvs, err := sub.Scan(nil, reqs[i], o)
-			if err != nil && (first.err == nil || i < first.i) {
-				first.err, first.i = err, i
-			}
-			out[i] = kvs[:len(kvs):len(kvs)]
+// cost is the visit one request owes: its node, the items it touched
+// and the bytes it returned.
+type cost struct{ id, items, bytes int }
+
+// pay pays the visit a request owes node id: at once, or, for a
+// concurrent set on a simulated client, when settle pays the set's.
+func (cl *Client) pay(concurrent bool, id, items, bytes int) {
+	if concurrent && cl.proc != nil {
+		cl.costs = append(cl.costs, cost{id, items, bytes})
+		return
+	}
+	cl.visit(id, items, bytes)
+}
+
+// settle pays the visits pay held back: one on the client itself,
+// several each on a branch of its own.
+func (cl *Client) settle() {
+	if len(cl.costs) == 1 {
+		cl.visit(cl.costs[0].id, cl.costs[0].items, cl.costs[0].bytes)
+	} else if len(cl.costs) > 1 {
+		cl.branches(len(cl.costs), func(sub *Client, i int) {
+			c := sub.parent.costs[i]
+			sub.visit(c.id, c.items, c.bytes)
 		})
-		if first.err != nil {
-			return nil, first.err
-		}
-		return dst, nil
 	}
-	rt := cl.c.beginOp()
-	defer cl.c.endOp(rt)
-	size := 0
-	for _, req := range reqs {
-		size += scanCap(req.Limit)
-	}
-	dst = grow(dst, size)
-	for i, req := range reqs {
-		from := len(dst)
-		var err error
-		if dst, err = cl.appendRange(dst, rt, req, o); err != nil {
-			return nil, err
-		}
-		out[i] = dst[from:len(dst):len(dst)]
-	}
-	return dst, nil
+	cl.costs = cl.costs[:0]
 }
 
 // grow is slices.Grow: dst with room for n more elements. A caller that
@@ -535,102 +542,19 @@ func grow[T any](dst []T, n int) []T {
 //go:noinline
 func regrow[T any](dst []T, n int) []T { return slices.Grow(dst, n) }
 
-// scanPart appends to dst the slice of req that partition p holds on
-// node id (limit <= 0: all of it), paying the visit.
-func (cl *Client) scanPart(dst []KV, rt *routing, p, id int, req RangeRequest, limit int) []KV {
-	from := len(dst)
-	dst = cl.c.nodes[id].scan(dst, boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), limit, req.Reverse)
-	payload := 0
-	for _, kv := range dst[from:] {
-		payload += len(kv.Value)
-	}
-	cl.visit(id, max(1, len(dst)-from), payload)
-	return dst
-}
-
-// pickParts draws the serving node of every partition in [lo, hi] up
-// front, in partition order on this client's generator: concurrent
-// branches must not touch it, and the draw order stays deterministic.
-// The result is the client's scratch, which ReadBatch shares: good until
-// the client's next read.
-func (cl *Client) pickParts(rt *routing, lo, hi int, from Replicas) ([]int, error) {
-	cl.ids = slices.Grow(cl.ids[:0], hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		id := cl.pick(rt, p, from)
-		if id < 0 {
-			return nil, cl.c.downErr(rt.owners[p])
-		}
-		cl.ids = append(cl.ids, id)
-	}
-	return cl.ids, nil
-}
-
-// Count returns the number of keys in [start, end), visiting every
-// partition the range intersects. This backs cardinality-constraint
-// enforcement (Section 7.2), which is why an unreachable partition is an
-// error and never a smaller number: an undercount would admit an insert
-// past its limit. Under o.Parallel in simulated mode the per-partition
-// counts are gathered concurrently (counts are additive, so merge order
-// is irrelevant), making the write path's constraint check cost one
-// round trip instead of one per partition.
-func (cl *Client) Count(start, end []byte, o ReadOpts) (int, error) {
-	rt := cl.c.beginOp()
-	defer cl.c.endOp(rt)
-	lo, hi := rt.rangeParts(start, end)
-	if !o.Parallel || cl.proc == nil || lo == hi {
-		total := 0
-		for p := lo; p <= hi; p++ {
-			id := cl.pick(rt, p, o.From)
-			if id < 0 {
-				return 0, cl.c.downErr(rt.owners[p])
-			}
-			total += cl.countPart(rt, p, id, start, end)
-		}
-		return total, nil
-	}
-	ids, err := cl.pickParts(rt, lo, hi, o.From)
-	if err != nil {
-		return 0, err
-	}
-	// The branches share total: they run one at a time on the cooperative
-	// scheduler.
-	total := 0
-	cl.branches(len(ids), func(sub *Client, i int) { total += sub.countPart(rt, lo+i, ids[i], start, end) })
-	return total, nil
-}
-
-// countPart counts the live keys of [start, end) that partition p holds
-// on node id, paying the visit.
-func (cl *Client) countPart(rt *routing, p, id int, start, end []byte) int {
-	n := cl.c.nodes[id].count(boundedStart(rt, p, start), boundedEnd(rt, p, end))
-	cl.visit(id, max(1, n), 0)
-	return n
-}
-
-// boundedStart clips start to partition p's lower bound. Since replicas
-// hold whole partitions this is equivalent to the raw bound, but clipping
+// clip clips [start, end) to partition p's bounds. Since replicas hold
+// whole partitions this is equivalent to the raw bounds, but clipping
 // keeps per-partition scans from double-counting items replicated onto
 // successor nodes.
-func boundedStart(rt *routing, p int, start []byte) []byte {
-	if p == 0 {
-		return start
+func clip(rt *routing, p int, start, end []byte) ([]byte, []byte) {
+	lo, hi := rt.bounds(p)
+	if lo != nil && (start == nil || bytes.Compare(lo, start) > 0) {
+		start = lo
 	}
-	lower := rt.splits[p-1]
-	if start == nil || bytes.Compare(lower, start) > 0 {
-		return lower
+	if hi != nil && (end == nil || bytes.Compare(hi, end) < 0) {
+		end = hi
 	}
-	return start
-}
-
-func boundedEnd(rt *routing, p int, end []byte) []byte {
-	if p >= len(rt.splits) {
-		return end
-	}
-	upper := rt.splits[p]
-	if end == nil || bytes.Compare(upper, end) < 0 {
-		return upper
-	}
-	return end
+	return start, end
 }
 
 // Parallel runs fns concurrently (virtual-time children sharing this

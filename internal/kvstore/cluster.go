@@ -530,8 +530,7 @@ func (c *Cluster) copyMove(old *routing, mv *move, proc *sim.Proc) {
 		if src < 0 {
 			continue // whole replica set unreachable; nothing to copy from
 		}
-		cursor := boundedStart(old, p, mv.lo)
-		end := boundedEnd(old, p, mv.hi)
+		cursor, end := clip(old, p, mv.lo, mv.hi)
 		for {
 			kvs := c.nodes[src].scanRaw(cursor, end, chunk)
 			for _, kv := range kvs {

@@ -150,16 +150,19 @@ func TestReadBatch(t *testing.T) {
 	keys := [][]byte{key(5), key(250), []byte("missing"), key(99)}
 	got := batch(cl, keys)
 	if !bytes.Equal(got[0], val(5)) || !bytes.Equal(got[1], val(250)) || got[2] != nil || !bytes.Equal(got[3], val(99)) {
-		t.Fatalf("ReadBatch = %q", got)
+		t.Fatalf("Gets = %q", got)
 	}
 	if out := batch(cl, nil); len(out) != 0 {
-		t.Fatalf("empty ReadBatch = %v", out)
+		t.Fatalf("empty Gets = %v", out)
 	}
-	// ReadBatch appends: what dst holds stays ahead of the values.
+	// A Gets appends: what Values holds stays ahead of the values.
 	held := []byte("held")
-	if out := must(cl.ReadBatch([][]byte{held}, keys, ReadOpts{})); len(out) != 1+len(keys) ||
-		!bytes.Equal(out[0], held) || !bytes.Equal(out[2], val(250)) || out[3] != nil {
-		t.Fatalf("ReadBatch after one held entry = %q", out)
+	set := RequestSet{Kind: Gets, Keys: keys, Values: [][]byte{held}}
+	if err := cl.Issue(&set, ReadOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if out := set.Values; len(out) != 1+len(keys) || !bytes.Equal(out[0], held) || !bytes.Equal(out[2], val(250)) || out[3] != nil {
+		t.Fatalf("Gets after one held entry = %q", out)
 	}
 }
 
@@ -345,7 +348,7 @@ func TestSimulatedReadBatchParallelFasterThanSerial(t *testing.T) {
 	env2.Run(0)
 
 	if batched*3 > serial {
-		t.Fatalf("ReadBatch (%v) not substantially faster than serial gets (%v)", batched, serial)
+		t.Fatalf("Gets (%v) not substantially faster than serial gets (%v)", batched, serial)
 	}
 }
 
@@ -406,8 +409,7 @@ func TestClusterString(t *testing.T) {
 }
 
 // The tests' reads. No fault is in play unless a test injects one — and
-// those tests call Read/ReadBatch/Scan/Count themselves to look at the
-// error — so here an error is a bug and panics (tests read from
+// those tests call Read or Issue themselves to look at the error — so here an error is a bug and panics (tests read from
 // goroutines and simulated processes, where t.Fatal is off limits).
 func must[T any](v T, err error) T {
 	if err != nil {
@@ -424,14 +426,26 @@ func get(cl *Client, k []byte) ([]byte, bool) {
 	return v, ok
 }
 
-func batch(cl *Client, keys [][]byte) [][]byte {
-	return must(cl.ReadBatch(nil, keys, ReadOpts{Parallel: true}))
+// issue reads set through cl under o and returns it answered.
+func issue(cl *Client, set RequestSet, o ReadOpts) RequestSet {
+	if err := cl.Issue(&set, o); err != nil {
+		panic(err)
+	}
+	return set
 }
-func batchSeq(cl *Client, keys [][]byte) [][]byte { return must(cl.ReadBatch(nil, keys, ReadOpts{})) }
-func scan(cl *Client, req RangeRequest) []KV      { return must(cl.Scan(nil, req, ReadOpts{})) }
+
+func batch(cl *Client, keys [][]byte) [][]byte {
+	return issue(cl, RequestSet{Kind: Gets, Keys: keys}, ReadOpts{Parallel: true}).Values
+}
+func batchSeq(cl *Client, keys [][]byte) [][]byte {
+	return issue(cl, RequestSet{Kind: Gets, Keys: keys}, ReadOpts{}).Values
+}
+func scan(cl *Client, req RangeRequest) []KV {
+	return issue(cl, RequestSet{Kind: Range, Range: req}, ReadOpts{}).Items
+}
 func scatter(cl *Client, req RangeRequest) []KV {
-	return must(cl.Scan(nil, req, ReadOpts{Parallel: true}))
+	return issue(cl, RequestSet{Kind: Range, Range: req}, ReadOpts{Parallel: true}).Items
 }
 func count(cl *Client, start, end []byte) int {
-	return must(cl.Count(start, end, ReadOpts{Parallel: true}))
+	return issue(cl, RequestSet{Kind: Count, Range: RangeRequest{Start: start, End: end}}, ReadOpts{Parallel: true}).N
 }

@@ -276,14 +276,6 @@ func (n *node) scan(dst []KV, start, end []byte, limit int, reverse bool) []KV {
 	return dst
 }
 
-// scanBuf pre-sizes a limited scan's result: scanCap(limit) items.
-func scanBuf(limit int) []KV {
-	if limit <= 0 {
-		return nil
-	}
-	return make([]KV, 0, scanCap(limit))
-}
-
 // scanCap is the room a range read of limit items starts with. The cap
 // is deliberate: a plan's limit is its static bound (a cardinality limit
 // can be in the thousands) while the range typically holds a page of
@@ -301,7 +293,7 @@ func scanCap(limit int) int {
 func (n *node) scanRaw(start, end []byte, limit int) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := scanBuf(limit)
+	out := make([]KV, 0, scanCap(limit))
 	n.tree.Ascend(start, end, func(it btree.Item) bool {
 		out = append(out, KV{Key: it.Key, Value: it.Value})
 		return limit <= 0 || len(out) < limit

@@ -13,65 +13,39 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
-// setCase is one request set of the golden: its kind and its keys or
-// ranges.
-type setCase struct {
-	kind   string
-	keys   [][]byte
-	ranges []RangeRequest
-}
-
-// answer is what one read of a request set returned: a Gets' values,
-// the items of each range (one for Range), or a Count's number.
-type answer struct {
-	vals [][]byte
-	kvs  [][]KV
-	n    int
-}
+// kindNames names the kinds in the golden.
+var kindNames = map[RequestKind]string{Gets: "Gets", Range: "Range", PerKeyRanges: "PerKeyRanges", Count: "Count"}
 
 // held is what a caller's buffer holds before a read appends to it.
 var held = []byte("held")
 
-// readSet reads set c through cl under o, into buffers that already
+// readSet issues set c through cl under o, into buffers that already
 // hold one item each, and checks the read left that item where it was
-// and capped every range at its length.
-func readSet(t *testing.T, cl *Client, c setCase, o ReadOpts) answer {
-	var a answer
-	switch c.kind {
-	case "Gets":
-		vals := must(cl.ReadBatch([][]byte{held}, c.keys, o))
-		if !bytes.Equal(vals[0], held) {
-			t.Errorf("ReadBatch overwrote its dst's first item with %q", vals[0])
-		}
-		a.vals = vals[1:]
-	case "Range":
-		kvs := must(cl.Scan([]KV{{Key: held}}, c.ranges[0], o))
-		if !bytes.Equal(kvs[0].Key, held) {
-			t.Errorf("Scan overwrote its dst's first item with %q", kvs[0].Key)
-		}
-		a.kvs = [][]KV{kvs[1:]}
-	case "PerKeyRanges":
-		a.kvs = make([][]KV, len(c.ranges))
-		if dst := must(cl.ScanRanges([]KV{{Key: held}}, c.ranges, a.kvs, o)); !bytes.Equal(dst[0].Key, held) {
-			t.Errorf("ScanRanges overwrote its dst's first item with %q", dst[0].Key)
-		}
-		for i, kvs := range a.kvs {
-			if cap(kvs) != len(kvs) {
-				t.Errorf("range %d has cap %d past its %d items", i, cap(kvs), len(kvs))
-			}
-		}
-	case "Count":
-		a.n = must(cl.Count(c.ranges[0].Start, c.ranges[0].End, o))
+// and capped every range at its length. It returns c answered, its
+// buffers past the held items.
+func readSet(t *testing.T, cl *Client, c RequestSet, o ReadOpts) RequestSet {
+	c.Values, c.Items, c.PerRange = [][]byte{held}, []KV{{Key: held}}, [][]KV{{{Key: held}}}
+	if err := cl.Issue(&c, o); err != nil {
+		t.Fatal(err)
 	}
-	return a
+	if !bytes.Equal(c.Values[0], held) || !bytes.Equal(c.Items[0].Key, held) || !bytes.Equal(c.PerRange[0][0].Key, held) {
+		t.Errorf("%s overwrote a held item: %q, %q, %q", kindNames[c.Kind], c.Values[0], c.Items[0].Key, c.PerRange[0][0].Key)
+	}
+	c.Values, c.Items, c.PerRange = c.Values[1:], c.Items[1:], c.PerRange[1:]
+	for i, kvs := range c.PerRange {
+		if cap(kvs) != len(kvs) {
+			t.Errorf("range %d has cap %d past its %d items", i, cap(kvs), len(kvs))
+		}
+	}
+	return c
 }
 
-// setRun is what one read of a request set left behind: its answer, the
-// operations it counted on its client and on the cluster, and the
-// virtual time at return (zero on an immediate client) and the client's
-// next draw.
+// setRun is what one read of a request set left behind: the set
+// answered, the operations it counted on its client and on the cluster,
+// and the virtual time at return (zero on an immediate client) and the
+// client's next draw.
 type setRun struct {
-	answer
+	set           RequestSet
 	ops, totalOps int64
 	now           time.Duration
 	next          uint64
@@ -80,7 +54,7 @@ type setRun struct {
 // runSet loads and splits a fresh cluster, the same one on every call,
 // and reads c through a client of its own, on a simulated process when
 // simulated.
-func runSet(t *testing.T, simulated bool, c setCase, o ReadOpts) setRun {
+func runSet(t *testing.T, simulated bool, c RequestSet, o ReadOpts) setRun {
 	var env *sim.Env
 	if simulated {
 		env = sim.NewEnv()
@@ -90,7 +64,7 @@ func runSet(t *testing.T, simulated bool, c setCase, o ReadOpts) setRun {
 	var r setRun
 	body := func(p *sim.Proc) {
 		cl := cluster.NewClient(p)
-		r.answer = readSet(t, cl, c, o)
+		r.set = readSet(t, cl, c, o)
 		r.ops, r.now, r.next = cl.Ops(), cl.Now(), cl.rng.src.Uint64()
 	}
 	if env == nil {
@@ -109,12 +83,12 @@ func runSet(t *testing.T, simulated bool, c setCase, o ReadOpts) setRun {
 // split, in both directions, at limits 0, 1, 3 and 50; key sets with
 // repeats, misses, a single key and keys spread over several nodes; and
 // counts across a split.
-func goldenSets(t *testing.T) []setCase {
+func goldenSets(t *testing.T) []RequestSet {
 	probe := New(Config{Nodes: 5, ReplicationFactor: 2, Seed: 11}, nil)
 	loadAndSplit(probe, 500)
 	rt := probe.routing.Load()
 	var ranges, straddling []RangeRequest
-	var counts []setCase
+	var counts []RequestSet
 	spread := [][]byte{key(0)}
 	for _, split := range probe.Splits() {
 		var s int
@@ -124,7 +98,7 @@ func goldenSets(t *testing.T) []setCase {
 		spread = append(spread, key(s+1), key(s-1))
 		for _, r := range [][2]int{{s - 5, s + 5}, {s + 10, s + 20}} {
 			lo, hi := rt.rangeParts(key(r[0]), key(r[1]))
-			counts = append(counts, setCase{kind: "Count", ranges: []RangeRequest{{Start: key(r[0]), End: key(r[1])}}})
+			counts = append(counts, RequestSet{Kind: Count, Range: RangeRequest{Start: key(r[0]), End: key(r[1])}})
 			for _, reverse := range []bool{false, true} {
 				for _, limit := range []int{0, 1, 3, 50} {
 					req := RangeRequest{Start: key(r[0]), End: key(r[1]), Limit: limit, Reverse: reverse}
@@ -140,14 +114,14 @@ func goldenSets(t *testing.T) []setCase {
 		t.Fatalf("%d of %d ranges straddle a split: want some of each", len(straddling), len(ranges))
 	}
 
-	sets := []setCase{
-		{kind: "Gets"},
-		{kind: "Gets", keys: [][]byte{key(5)}},
-		{kind: "Gets", keys: [][]byte{[]byte("missing")}},
-		{kind: "Gets", keys: [][]byte{key(3), key(7), key(3), key(3), key(19), key(7), key(3)}},
-		{kind: "Gets", keys: [][]byte{key(9), []byte("missing"), key(5), key(9), key(600)}},
-		{kind: "Gets", keys: spread},
-		{kind: "Gets", keys: append(append([][]byte{}, spread...), spread[3], key(250), spread[1])},
+	sets := []RequestSet{
+		{Kind: Gets},
+		{Kind: Gets, Keys: [][]byte{key(5)}},
+		{Kind: Gets, Keys: [][]byte{[]byte("missing")}},
+		{Kind: Gets, Keys: [][]byte{key(3), key(7), key(3), key(3), key(19), key(7), key(3)}},
+		{Kind: Gets, Keys: [][]byte{key(9), []byte("missing"), key(5), key(9), key(600)}},
+		{Kind: Gets, Keys: spread},
+		{Kind: Gets, Keys: append(append([][]byte{}, spread...), spread[3], key(250), spread[1])},
 	}
 	for _, req := range append(ranges,
 		RangeRequest{Limit: 33},
@@ -155,15 +129,15 @@ func goldenSets(t *testing.T) []setCase {
 		RangeRequest{Start: key(490), End: key(10)},
 		RangeRequest{Start: key(123), End: key(456), Limit: 50, Reverse: true},
 	) {
-		sets = append(sets, setCase{kind: "Range", ranges: []RangeRequest{req}})
+		sets = append(sets, RequestSet{Kind: Range, Range: req})
 	}
 	for _, set := range [][]RangeRequest{nil, ranges[:1], straddling[:1], straddling, ranges} {
-		sets = append(sets, setCase{kind: "PerKeyRanges", ranges: set})
+		sets = append(sets, RequestSet{Kind: PerKeyRanges, Ranges: set})
 	}
 	return append(sets, append(counts,
-		setCase{kind: "Count", ranges: []RangeRequest{{}}},
-		setCase{kind: "Count", ranges: []RangeRequest{{Start: key(600)}}},
-		setCase{kind: "Count", ranges: []RangeRequest{{Start: key(490), End: key(10)}}},
+		RequestSet{Kind: Count},
+		RequestSet{Kind: Count, Range: RangeRequest{Start: key(600)}},
+		RequestSet{Kind: Count, Range: RangeRequest{Start: key(490), End: key(10)}},
 	)...)
 }
 
@@ -180,8 +154,8 @@ func goldenSets(t *testing.T) []setCase {
 func TestRequestSetsGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, c := range goldenSets(t) {
-		writeSetCase(&got, c)
-		var first setRun
+		writeSet(&got, c)
+		var first string
 		for i, mode := range []struct {
 			name      string
 			simulated bool
@@ -193,11 +167,11 @@ func TestRequestSetsGolden(t *testing.T) {
 			{"parallel   simulated", true, ReadOpts{Parallel: true}},
 		} {
 			r := runSet(t, mode.simulated, c, mode.o)
-			if i == 0 {
-				first = r
-				got.WriteString(answerText(c, r.answer))
-			} else if a, b := answerText(c, r.answer), answerText(c, first.answer); a != b {
-				t.Errorf("%s %s: answer\n%s\ndiffers from the sequential immediate read's\n%s", c.kind, mode.name, a, b)
+			if a := answerText(r.set); i == 0 {
+				first = a
+				got.WriteString(a)
+			} else if a != first {
+				t.Errorf("%s %s: answer\n%s\ndiffers from the sequential immediate read's\n%s", kindNames[c.Kind], mode.name, a, first)
 			}
 			fmt.Fprintf(&got, "  %s: ops %d, cluster %d, at %v, next %016x\n", mode.name, r.ops, r.totalOps, r.now, r.next)
 		}
@@ -219,36 +193,44 @@ func TestRequestSetsGolden(t *testing.T) {
 	}
 }
 
-// writeSetCase writes c's kind and its keys or ranges.
-func writeSetCase(w *bytes.Buffer, c setCase) {
-	fmt.Fprintf(w, "%s", c.kind)
-	if c.kind == "Gets" {
-		fmt.Fprintf(w, " %q\n", c.keys)
+// writeSet writes c's kind and its keys or ranges.
+func writeSet(w *bytes.Buffer, c RequestSet) {
+	fmt.Fprintf(w, "%s", kindNames[c.Kind])
+	ranges := c.Ranges
+	switch c.Kind {
+	case Gets:
+		fmt.Fprintf(w, " %q\n", c.Keys)
 		return
+	case Range, Count:
+		ranges = []RangeRequest{c.Range}
 	}
-	fmt.Fprintf(w, " (%d)\n", len(c.ranges))
-	for _, r := range c.ranges {
+	fmt.Fprintf(w, " (%d)\n", len(ranges))
+	for _, r := range ranges {
 		fmt.Fprintf(w, "  [%q, %q) limit %d reverse %v\n", r.Start, r.End, r.Limit, r.Reverse)
 	}
 }
 
-// answerText renders a: a Gets' values, each range's items as
-// key=value, or a Count's number.
-func answerText(c setCase, a answer) string {
+// answerText renders an answered set: a Gets' values, each range's items
+// as key=value, or a Count's number.
+func answerText(c RequestSet) string {
 	var b bytes.Buffer
-	switch c.kind {
-	case "Gets":
-		fmt.Fprintf(&b, "  = %q\n", a.vals)
-	case "Count":
-		fmt.Fprintf(&b, "  = %d\n", a.n)
-	default:
-		for _, kvs := range a.kvs {
-			b.WriteString("  =")
-			for _, kv := range kvs {
-				fmt.Fprintf(&b, " %s=%s", kv.Key, kv.Value)
-			}
-			b.WriteString("\n")
+	ranges := c.PerRange
+	switch c.Kind {
+	case Gets:
+		fmt.Fprintf(&b, "  = %q\n", c.Values)
+		return b.String()
+	case Count:
+		fmt.Fprintf(&b, "  = %d\n", c.N)
+		return b.String()
+	case Range:
+		ranges = [][]KV{c.Items}
+	}
+	for _, kvs := range ranges {
+		b.WriteString("  =")
+		for _, kv := range kvs {
+			fmt.Fprintf(&b, " %s=%s", kv.Key, kv.Value)
 		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -29,33 +29,35 @@ func TestParallelImmediateAllocatesNothing(t *testing.T) {
 }
 
 // TestImmediateRequestSetsBuildNoClosure: an immediate-mode request set
-// runs its per-node or per-partition method on the caller itself, so it
-// builds no closure, sequential or under ReadOpts.Parallel. A ReadBatch
-// spanning several nodes into a buffer that already has room (the
-// executor's, after its first run) allocates nothing, and neither does a
-// Count across a split.
+// pays its visits on the caller itself, so it builds no closure,
+// sequential or under ReadOpts.Parallel. A Gets spanning several nodes
+// into a buffer that already has room (the executor's, after its first
+// run) allocates nothing, and neither does a Count across a split.
 func TestImmediateRequestSetsBuildNoClosure(t *testing.T) {
 	c, cl := newImmediate(4, 2)
 	loadAndSplit(c, 400)
 	keys := [][]byte{key(3), key(150), key(290), key(3), key(399)}
 	start, end := key(0), key(400)
 	for _, o := range []ReadOpts{{}, {Parallel: true}} {
-		dst, err := cl.ReadBatch(nil, keys, o)
-		if err != nil {
+		gets := RequestSet{Kind: Gets, Keys: keys}
+		before := cl.Ops()
+		if err := cl.Issue(&gets, o); err != nil {
 			t.Fatal(err)
 		}
-		if len(cl.ids) < 2 {
-			t.Fatalf("the batch visited %d node(s): it must span several", len(cl.ids))
+		nodes := cl.Ops() - before
+		if nodes < 2 {
+			t.Fatalf("the batch visited %d node(s): it must span several", nodes)
 		}
 		// 1, its result, until the result went into the caller's buffer.
-		if n := testing.AllocsPerRun(100, func() { dst, _ = cl.ReadBatch(dst[:0], keys, o) }); n != 0 {
-			t.Errorf("ReadBatch %+v over %d nodes into a warm buffer: %v allocs, want 0", o, len(cl.ids), n)
+		if n := testing.AllocsPerRun(100, func() { gets.Values = gets.Values[:0]; cl.Issue(&gets, o) }); n != 0 {
+			t.Errorf("Gets %+v over %d nodes into a warm buffer: %v allocs, want 0", o, nodes, n)
 		}
 		rt := c.routing.Load()
 		if lo, hi := rt.rangeParts(start, end); lo == hi {
 			t.Fatal("the count range lies in one partition: it must cross a split")
 		}
-		if n := testing.AllocsPerRun(100, func() { cl.Count(start, end, o) }); n != 0 {
+		count := RequestSet{Kind: Count, Range: RangeRequest{Start: start, End: end}}
+		if n := testing.AllocsPerRun(100, func() { cl.Issue(&count, o) }); n != 0 {
 			t.Errorf("Count %+v across a split: %v allocs, want 0", o, n)
 		}
 	}

@@ -115,24 +115,16 @@ func (cl *Client) stampOn(rt *routing, key []byte) int64 {
 // writeUnder applies one envelope under a specific routing table. Down
 // targets get the envelope queued for catch-up replay instead of
 // applied (applyOrQueue); the visit is paid either way — the attempt
-// is part of the operation's cost.
+// is part of the operation's cost — and the replicas' visits are one
+// concurrent set.
 func (cl *Client) writeUnder(rt *routing, key, env []byte) {
 	ids := rt.owners[rt.partitionOf(key)]
-	if cl.proc == nil || len(ids) == 1 {
-		for _, id := range ids {
-			cl.writeReplica(id, key, env)
-		}
-	} else {
-		cl.branches(len(ids), func(sub *Client, i int) { sub.writeReplica(ids[i], key, env) })
+	for _, id := range ids {
+		cl.c.applyOrQueue(id, key, env)
+		cl.pay(true, id, 1, len(key))
 	}
+	cl.settle()
 	cl.doubleApply(coveringMove(rt, key), key, env, ids)
-}
-
-// writeReplica applies one envelope on replica id (or queues it there),
-// paying the visit.
-func (cl *Client) writeReplica(id int, key, env []byte) {
-	cl.c.applyOrQueue(id, key, env)
-	cl.visit(id, 1, len(key))
 }
 
 // coveringMove returns the in-flight move whose range contains key, or

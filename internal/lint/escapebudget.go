@@ -10,7 +10,7 @@ import "sort"
 // `go build -gcflags=-m`, attributes each "escapes to heap" /
 // "moved to heap" decision to its enclosing function (see escape.go),
 // and populates Unit.Escapes for the packages with budgeted
-// functions. Row decode, the store's reads (ReadBatch, Scan, Count),
+// functions. Row decode, the store's reads (Client.Issue and its paths),
 // and the envelope codec are the gated set; the budget file is the
 // allowlist.
 //

@@ -191,15 +191,13 @@ func Train(cfg TrainConfig) (*Model, error) {
 							keys[i] = calKey(beta, false, rng.Intn(shallowPrefixes), rng.Intn(maxAlphaJ))
 						}
 						t0 := p.Now()
-						_, err := cl.ReadBatch(nil, keys, kvstore.ReadOpts{Parallel: true})
-						note(err)
+						note(cl.Issue(&kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys}, kvstore.ReadOpts{Parallel: true}))
 						histFor(gridKey{kind: KindLookup, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
 
 						// Scan(α, β): one contiguous range read.
 						prefix := calPrefix(beta, true, rng.Intn(deepPrefixes))
 						t0 = p.Now()
-						_, err = cl.Scan(nil, kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha}, kvstore.ReadOpts{})
-						note(err)
+						note(cl.Issue(&kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha}}, kvstore.ReadOpts{}))
 						histFor(gridKey{kind: KindScan, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
 
 						// SortedJoin(αc, αj, β): αc parallel bounded ranges.
@@ -209,7 +207,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 							for i := range fns {
 								pfx := calPrefix(beta, false, rng.Intn(shallowPrefixes))
 								fns[i] = func(sub *kvstore.Client) {
-									_, errs[i] = sub.Scan(nil, kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: alphaJ, Reverse: true}, kvstore.ReadOpts{})
+									errs[i] = sub.Issue(&kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: alphaJ, Reverse: true}}, kvstore.ReadOpts{})
 								}
 							}
 							t0 = p.Now()
