@@ -321,10 +321,11 @@ type RequestSet struct {
 
 // Issue reads one request set in one call. Its requests go one after
 // another or, under o.Parallel on a simulated client, concurrently, so
-// the set costs its slowest request, at the same operations (but see
-// walk's speculation). A set that cannot be read whole returns the error
-// of the first request that failed and leaves the answers as they were:
-// never a short result.
+// the set costs its slowest request. Under o.Parallel a range spanning
+// several partitions visits every one of them for up to Limit items.
+// A set that cannot be read whole returns the error of the first
+// request that failed and leaves the answers as they were: never a
+// short result.
 func (cl *Client) Issue(set *RequestSet, o ReadOpts) error {
 	vals, items, ranges, n := set.Values, set.Items, set.PerRange, set.N
 	var err error
