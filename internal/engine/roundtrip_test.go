@@ -190,9 +190,10 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K streams of 10 primary-index entries
 // merged to a page of 10, at K=3 and at K=10, on one warm Ctx. Only the
-// page is decoded, into one slab and one string arena per operator, and
-// the K ranges are one request set read into the Ctx's result buffer,
-// so the count moves with the number of operators, never with the
+// page is decoded, into one slab and one string arena per operator; the
+// K ranges are one request set read into the Ctx's result buffer, and the
+// candidates and the headers of the rows an operator hands its parent are
+// carved from the Ctx's scratch, so the count moves with the number of operators, never with the
 // streams, the entries fetched or the strings of the 10 rows kept; a
 // change that brings back a per-entry, per-row, per-string, per-stream
 // or per-branch allocation shows here as an exact difference, and K=10
@@ -230,8 +231,9 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 	// each encoded its keys into one buffer, 22 until the K ranges went to
 	// the store as one request set in place of a closure and a result
 	// buffer per stream, 17 until the key buffers, the streams, their
-	// requests and the store's results came from the Ctx's scratch.
-	const want = 10
+	// requests and the store's results came from the Ctx's scratch, 10
+	// until the intermediate row headers and the candidate batch did too.
+	const want = 7
 	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
 		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
 	}
@@ -534,8 +536,8 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 // through a foreign key (TPC-W's searchByTitle), at 10 and at 50 matching
 // entries, on one warm Ctx. Every key an operator sends — the scan's
 // bounds, the record keys of its dereference, the join's record keys —
-// is carved from the Ctx's scratch, and so is what the store returns; no
-// entry is decoded and a decoded row's strings land in its operator's one
+// is carved from the Ctx's scratch, and so are what the store returns and
+// the headers of the rows the scan and the join hand on; no entry is decoded and a decoded row's strings land in its operator's one
 // arena, so 40 more entries cost nothing per entry or per kept row, scan
 // and join alike. Until the store read into the scratch, Client.Scan's
 // result outgrew its 16-entry pre-size twice on the way to 50: two
@@ -571,9 +573,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql string
 		at10      float64 // allocations at 10 entries, and at 50
 	}{
-		{name: "token scan", at10: 7, // 12 until the keys and the store's results came from the scratch
+		{name: "token scan", at10: 6, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 8, // 16 until then
+		{name: "token scan + fk join", at10: 7, // 16 and 8 until then
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -10,6 +11,7 @@ import (
 
 	"piql/internal/core"
 	"piql/internal/exec"
+	"piql/internal/index"
 	"piql/internal/value"
 )
 
@@ -20,7 +22,10 @@ import (
 
 // warmFixture is newRoundTripFixture plus a hometown of one user and an
 // owner with one subscription, so that every shape below can be run on
-// fewer and on more entries (or streams).
+// fewer and on more entries (or streams). Owners d2 and d3 follow two and
+// three of the authors v01–v03, each of 12 articles, and the newest
+// article of v01 dangles: its index entry outlives its record, so a
+// sorted join's page of 10 loses it and takes a second round.
 func warmFixture(t *testing.T) *Session {
 	t.Helper()
 	s := newRoundTripFixture(t)
@@ -32,8 +37,43 @@ func warmFixture(t *testing.T) *Session {
 			t.Fatal(err)
 		}
 	}
+	for v := 1; v <= 3; v++ {
+		author := value.Str(fmt.Sprintf("v%02d", v))
+		if err := s.Exec(`INSERT INTO users VALUES (?, 'h3', 'hi')`, author); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			id := value.Str(fmt.Sprintf("a-%s-%02d", author.S, i))
+			if err := s.Exec(`INSERT INTO articles VALUES (?, ?, ?, 'title')`, id, author, value.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		owners := []string{"d2", "d3"}
+		if v == 3 {
+			owners = owners[1:] // d2 follows two authors, d3 all three
+		}
+		for _, owner := range owners {
+			if err := s.Exec(`INSERT INTO subscriptions VALUES (?, ?, true)`, value.Str(owner), author); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The index is built by the first Prepare that needs it, from the
+	// records then stored: build it before the record goes.
+	if _, err := s.Prepare(articlesByFollowed); err != nil {
+		t.Fatal(err)
+	}
+	articles := s.eng.Catalog().Table("articles")
+	if err := s.Client().Delete(index.RecordKeyFromPK(articles, value.Row{value.Str("a-v01-11")})); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
+
+// articlesByFollowed is a page of the articles of the authors an owner
+// follows: a sorted join through a secondary index.
+const articlesByFollowed = `SELECT a.* FROM subscriptions s JOIN articles a
+	WHERE a.author = s.target AND s.owner = ? ORDER BY a.ts DESC LIMIT 10`
 
 // warmAllocs returns the exact mean number of heap allocations of runs
 // calls of f, after a few calls that warm it. testing.AllocsPerRun rounds
@@ -57,11 +97,13 @@ func warmAllocs(runs int, f func()) float64 {
 }
 
 // TestWarmExecuteAllocations pins what one Prepared.Execute allocates on
-// a warm session, per plan shape: its rows (row headers, slabs, string
-// arenas), an aggregate's groups, and the Result — its keys and the
-// store's results come from the session's scratch. Each shape runs on
-// fewer and on more entries, or child rows, or streams, and costs the
-// same on both: nothing is paid per key, per entry or per stream.
+// a warm session, per plan shape: its rows' values (each operator's slab
+// and string arena), the answer (the root's row headers and slab), an
+// aggregate's groups, and the Result — its keys, the store's results,
+// the intermediate row headers and a sorted join's candidates come from
+// the session's scratch. Each shape runs on fewer and on more entries, or
+// child rows, or streams, and costs the same on both: nothing is paid per
+// key, per entry or per stream.
 func TestWarmExecuteAllocations(t *testing.T) {
 	s := warmFixture(t)
 	str := value.Str
@@ -75,27 +117,34 @@ func TestWarmExecuteAllocations(t *testing.T) {
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.PKLookup); return ok },
-			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 6},
+			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 5},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
-			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 6},
+			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 5},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
-			[]value.Value{str("h2")}, []value.Value{str("h0")}, 6},
+			[]value.Value{str("h2")}, []value.Value{str("h0")}, 5},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
-			few, more, 7},
+			few, more, 6},
 		{"primary sorted join", `SELECT thoughts.* FROM subscriptions s JOIN thoughts
 			WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Index.Primary },
-			few, more, 10},
-		{"secondary sorted join", `SELECT a.* FROM subscriptions s JOIN articles a
-			WHERE a.author = s.target AND s.owner = ? ORDER BY a.ts DESC LIMIT 10`,
+			few, more, 7},
+		{"secondary sorted join", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && !j.Index.Primary },
-			few, more, 10},
+			few, more, 7},
+		// The page of 10 loses v01's dangling newest article, so a second
+		// dereference round takes every other entry fetched: 10 of 2
+		// streams, 20 of 3. The candidate batch has room for all of them
+		// from the first round on; the second round pays its own slab and
+		// string arena, like any round.
+		{"secondary sorted join, two rounds", articlesByFollowed,
+			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Stop == 10 },
+			[]value.Value{str("d2")}, []value.Value{str("d3")}, 9},
 		{"aggregate", `SELECT COUNT(*), MAX(target) FROM subscriptions WHERE owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.IndexScan); return ok },
-			few, more, 15},
+			few, more, 14},
 	} {
 		p, err := s.Prepare(tc.sql)
 		if err != nil {
@@ -108,6 +157,36 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		if fewer != tc.want || more != tc.want {
 			t.Errorf("%s: %v allocs on the smaller input, %v on the larger; pinned at %v for both", tc.name, fewer, more, tc.want)
 		}
+	}
+
+	// A resumed page of a paginated primary scan carves the key it starts
+	// past from the scratch too: the second page reads 5 entries, the
+	// third 2, and each costs what an executed scan does.
+	pages, err := s.Prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pages.Paginate(str("u01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after [2][]byte // where the second and the third page resume
+	for i := range after {
+		if _, err := c.Next(s); err != nil {
+			t.Fatal(err)
+		}
+		after[i] = c.resume
+	}
+	next := func(at []byte, rows int) float64 {
+		return warmAllocs(100, func() {
+			c.resume, c.done = at, false
+			if res, err := c.Next(s); err != nil || len(res.Rows) != rows {
+				t.Fatalf("a resumed page: %v, %v; want %d rows", res, err, rows)
+			}
+		})
+	}
+	if fewer, more := next(after[1], 2), next(after[0], 5); fewer != 6 || more != 6 {
+		t.Errorf("Cursor.Next: %v allocs on the third page, %v on the second; pinned at 6 for both", fewer, more)
 	}
 
 	// The covering scan is the cost-based baseline's, and unbounded: it

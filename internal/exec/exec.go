@@ -19,14 +19,13 @@
 // and blob of the batch into it; and it knows the keys it is about to
 // send, so it evaluates them into a row on its stack and encodes them all
 // into one buffer sized by codec.Size. The store answers a request set
-// from one result buffer too. An operator's cost is its slab, its string
-// arena, its key buffer and its result buffer, and nothing per row or per
-// request; the key and result buffers are carved from the Ctx's scratch,
-// which a warm Ctx already holds, so a warm run pays nothing for them.
-// The sorted join
-// materializes the page, not the candidates: its streams are merged on
-// their entry keys, which the order-preserving codec makes the sort
-// key, and only the entries the query keeps are dereferenced and
+// from one result buffer too. An operator's cost is its slab and its
+// string arena, and nothing per row or per request: its key buffer, the
+// store's result buffer and the headers of the rows it hands its parent
+// are carved from the Ctx's scratch, which a warm Ctx already holds. The
+// sorted join materializes the page, not the candidates: its streams are
+// merged on their entry keys, which the order-preserving codec makes the
+// sort key, and only the entries the query keeps are dereferenced and
 // decoded.
 package exec
 
@@ -85,18 +84,19 @@ type Ctx struct {
 	// hands; the pager takes it only as a position inside its own range.
 	Resume []byte
 
-	sc scratch // the request side of every run of a bounded plan
+	sc scratch // the bookkeeping of every run of a bounded plan
 }
 
-// scratch is an execution's request side: the keys its operators send
-// and what the store returns for them. Run truncates it, and operators
-// carve from it bump-style, so a run never overwrites what it carved
-// earlier: a buffer without room is replaced (take) or regrown by the
-// store's append, and what was carved keeps pointing into the old array.
-// It keeps its high-water capacity between runs, which the plans' static
-// bounds keep finite. Nothing a Result holds points into it: every plan
-// root builds fresh rows, and a Resume is the store's key bytes or
-// freshly encoded.
+// scratch is an execution's bookkeeping: the keys its operators send,
+// what the store returns for them, the headers of the rows an operator
+// hands its parent and a sorted join's candidates. Run truncates it, and
+// operators carve from it bump-style, so a run never overwrites what it
+// carved earlier: a buffer without room is replaced (take) or regrown by
+// the store's append, and what was carved keeps pointing into the old
+// array. It keeps its high-water capacity between runs, which the plans'
+// static bounds keep finite. Nothing a Result holds points into it: every
+// plan root builds fresh rows (the values stay in the operators' slabs,
+// never here), and a Resume is the store's key bytes or freshly encoded.
 type scratch struct {
 	keys    []byte                 // key bytes
 	heads   [][]byte               // key headers, and a Gets' values
@@ -104,12 +104,15 @@ type scratch struct {
 	ranges  [][]kvstore.KV         // PerKeyRanges' items by range
 	streams []stream               // a sorted join's streams
 	reqs    []kvstore.RangeRequest // and their requests
+	rows    []value.Row            // remote operators' row headers
+	cands   []candidate            // a sorted join's candidate batch
 }
 
 // reset truncates every buffer, keeping its capacity.
 func (sc *scratch) reset() {
 	sc.keys, sc.heads, sc.kvs = sc.keys[:0], sc.heads[:0], sc.kvs[:0]
 	sc.ranges, sc.streams, sc.reqs = sc.ranges[:0], sc.streams[:0], sc.reqs[:0]
+	sc.rows, sc.cands = sc.rows[:0], sc.cands[:0]
 }
 
 // take carves the next n elements of *buf, capped at n, so that
@@ -180,7 +183,7 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 type executor struct {
 	plan *core.Plan
 	ctx  *Ctx
-	sc   *scratch         // the request side: ctx's, or the run's own for an unbounded plan
+	sc   *scratch         // ctx's, or the run's own for an unbounded plan
 	cur  *cursor          // set by plan.Pager, rewound by runStop; nil without a pager
 	lazy bool             // the strategy is Lazy: remote operators walk tuple at a time
 	opts kvstore.ReadOpts // what every store read passes: the strategy, resolved once by Run

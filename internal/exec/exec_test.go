@@ -67,17 +67,20 @@ func TestStreamResumeCorruptInputs(t *testing.T) {
 }
 
 func TestSuccessor(t *testing.T) {
-	k := []byte{1, 2}
-	s := successor(k)
-	if bytes.Compare(s, k) <= 0 {
+	var sc scratch
+	copy(take(&sc.keys, 3), []byte{0xFF, 0xFF, 0xFF})
+	sc.reset() // an earlier run's bytes, which the successor reuses
+	prefix, k := []byte{1}, []byte{2}
+	s := successor(&sc, prefix, k)
+	if bytes.Compare(s, []byte{1, 2}) <= 0 {
 		t.Fatal("successor not greater")
 	}
 	if bytes.Compare(s, []byte{1, 2, 1}) >= 0 {
 		t.Fatal("successor not tight")
 	}
-	// Input must not be aliased.
+	// Inputs must not be aliased, and the result is capped.
 	s[0] = 99
-	if k[0] != 1 {
-		t.Fatal("successor aliased its input")
+	if prefix[0] != 1 || k[0] != 2 || cap(s) != 3 {
+		t.Fatal("successor aliased its input or is not capped")
 	}
 }

@@ -135,13 +135,14 @@ next:
 
 // fetchRecords resolves keys in one batch and decodes each record found
 // into a fresh combined row at the table's offset, skipping the nil
-// entries of keys that had no record.
+// entries of keys that had no record. The rows' headers are the
+// scratch's.
 func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) {
 	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]value.Row, 0, len(set.Values))
+	rows := take(&e.sc.rows, len(set.Values))[:0]
 	slab := e.rows(len(set.Values))
 	var arena strings.Builder
 	arena.Grow(stringBytes(set.Values))
@@ -215,12 +216,17 @@ func appendBound(buf, prefix []byte, v value.Value, desc, past bool) ([]byte, []
 	return buf, carve(buf, end)
 }
 
-// successor returns the smallest key greater than k.
-func successor(k []byte) []byte {
-	return append(append([]byte{}, k...), 0x00)
+// successor returns the smallest key greater than prefix+k, carved from
+// the scratch: a request bound, read only while its set is issued.
+func successor(sc *scratch, prefix, k []byte) []byte {
+	buf := take(&sc.keys, len(prefix)+len(k)+1)
+	copy(buf[copy(buf, prefix):], k)
+	buf[len(buf)-1] = 0x00
+	return buf
 }
 
-// runIndexScan reads one contiguous index section.
+// runIndexScan reads one contiguous index section into rows whose
+// headers are the scratch's.
 func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	start, end, err := scanBounds(e.sc, n, e.ctx.Params)
 	if err != nil {
@@ -237,7 +243,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		if reverse {
 			end = at
 		} else {
-			start = successor(at)
+			start = successor(e.sc, nil, at)
 		}
 	}
 	limit := n.FetchLimit()
@@ -257,7 +263,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	var rows []value.Row
 	switch {
 	case n.Index.Primary:
-		rows = make([]value.Row, len(kvs))
+		rows = take(&e.sc.rows, len(kvs))
 		slab := e.rows(len(kvs))
 		var arena strings.Builder
 		size := 0
@@ -273,7 +279,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		}
 	case !n.NeedDeref:
 		// Covering index: every column is embedded in the entry key.
-		rows = make([]value.Row, len(kvs))
+		rows = take(&e.sc.rows, len(kvs))
 		slab := e.rows(len(kvs))
 		for i, kv := range kvs {
 			rows[i] = slab.row()
@@ -472,7 +478,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		if at, err = decodeStreamResume(e.ctx.Resume); err != nil {
 			return nil, err
 		}
-		resumeStreams(scans, reqs, at)
+		resumeStreams(e.sc, scans, reqs, at)
 		origin = make(map[*value.Value]*stream)
 	}
 
@@ -494,17 +500,14 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	// A round takes entries off the merge and resolves them with one
 	// batched request set across streams: the first want of them, then —
 	// if that left the page short — all the rest. With Stop == 0 the first
-	// round is everything fetched.
-	type candidate struct {
-		sc       *stream
-		key, rec []byte // the entry's key and the record it resolves to (nil: dangling)
-	}
-	joined := make([]value.Row, 0, want)
-	batch := make([]candidate, 0, want)
+	// round is everything fetched. The batch has room for everything
+	// fetched, so the second round never regrows it.
+	joined := take(&e.sc.rows, want)[:0]
+	batch := take(&e.sc.cands, fetched)[:0]
 	consumed, blocked := 0, false
-	for take, live := want, scans; len(joined) < want; take = fetched {
+	for quota, live := want, scans; len(joined) < want; quota = fetched {
 		batch = batch[:0]
-		for len(batch) < take && !blocked {
+		for len(batch) < quota && !blocked {
 			for len(live) > 0 && len(live[0].kvs) == 0 {
 				live = live[1:]
 			}
@@ -576,6 +579,12 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	return joined, nil
 }
 
+// candidate is an entry the sorted join took off its merge.
+type candidate struct {
+	sc       *stream
+	key, rec []byte // the entry's key and the record it resolves to (nil: dangling)
+}
+
 // openStreams opens the stream of each child row and, beside it, the
 // stream's request: up to PerKeyLimit entries of the range of its join
 // key, in the join's direction. The prefix and the prefix's end of every
@@ -610,21 +619,22 @@ func openStreams(sc *scratch, n *core.SortedIndexJoin, childRows []value.Row, pa
 // resumeStreams names each stream's position in the cursor (streamKey)
 // and moves the bound of its request to just past the last entry an
 // earlier page consumed of it; prefix + suffix cannot leave the stream's
-// range.
-func resumeStreams(scans []stream, reqs []kvstore.RangeRequest, at map[string][]byte) {
+// range. The bound is carved from the scratch.
+func resumeStreams(sc *scratch, scans []stream, reqs []kvstore.RangeRequest, at map[string][]byte) {
 	seen := make(map[string]int) // streams so far with each prefix
 	for i := range scans {
-		sc := &scans[i]
-		sc.key = streamKey(sc.prefix, seen[string(sc.prefix)])
-		seen[string(sc.prefix)]++
-		suffix, ok := at[sc.key]
+		s := &scans[i]
+		s.key = streamKey(s.prefix, seen[string(s.prefix)])
+		seen[string(s.prefix)]++
+		suffix, ok := at[s.key]
 		if !ok {
 			continue
 		}
-		if pos := append(append([]byte{}, sc.prefix...), suffix...); reqs[i].Reverse {
-			reqs[i].End = pos
+		next := successor(sc, s.prefix, suffix) // the position is next but its last byte
+		if reqs[i].Reverse {
+			reqs[i].End = next[: len(next)-1 : len(next)-1]
 		} else {
-			reqs[i].Start = successor(pos)
+			reqs[i].Start = next
 		}
 	}
 }
