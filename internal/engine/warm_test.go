@@ -161,7 +161,7 @@ func TestWarmExecuteAllocations(t *testing.T) {
 
 	// A resumed page of a paginated primary scan carves the key it starts
 	// past from the scratch too: the second page reads 5 entries, the
-	// third 2, and each costs what an executed scan does.
+	// third 2, and each costs an executed scan's 5 and its cursor.
 	pages, err := s.Prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 5`)
 	if err != nil {
 		t.Fatal(err)
