@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,38 +81,66 @@ var chaosSeeds = []int64{1, 2, 3}
 // TestChaosStormsRepeatFromOneSeed: a storm runs on the virtual clock,
 // so two runs of one seed — faults included — end in the same result,
 // counter for counter, and another seed changes at least one counter.
+// Every run's result is pinned in testdata/chaos.golden, so a change to
+// the storm, the store or the engine that moves a counter is a reviewed
+// diff:
+//
+//	go test ./internal/harness -run TestChaosStormsRepeatFromOneSeed -update
 func TestChaosStormsRepeatFromOneSeed(t *testing.T) {
 	t.Parallel()
-	for _, sc := range []struct {
+	storms := []struct {
 		name string
 		f    *FaultSchedule
 	}{
 		{"none", nil},
 		{"kill", &FaultSchedule{KillRestart: true, LeaseMs: 60_000}},
 		{"partition", &FaultSchedule{Partition: true, LeaseMs: 40}},
-	} {
+	}
+	runs := make([][3]*ChaosResult, len(storms))
+	for i, sc := range storms {
 		t.Run(sc.name, func(t *testing.T) {
-			t.Parallel()
 			cfg := quickChaosConfig()
 			cfg.Faults = sc.f
-			var runs [3]*ChaosResult
-			for i := range runs {
-				if i == 2 {
+			for j := range runs[i] {
+				if j == 2 {
 					cfg.Seed++
 				}
 				res, err := RunChaos(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				runs[i] = res
+				runs[i][j] = res
 			}
-			if !reflect.DeepEqual(runs[0], runs[1]) {
-				t.Fatalf("two storms from one seed differ:\n%+v\n%+v", runs[0], runs[1])
+			if !reflect.DeepEqual(runs[i][0], runs[i][1]) {
+				t.Fatalf("two storms from one seed differ:\n%+v\n%+v", runs[i][0], runs[i][1])
 			}
-			if reflect.DeepEqual(runs[0], runs[2]) {
-				t.Fatalf("seeds %d and %d gave the same storm: the seed is not reaching it\n%+v", cfg.Seed-1, cfg.Seed, runs[0])
+			if reflect.DeepEqual(runs[i][0], runs[i][2]) {
+				t.Fatalf("seeds %d and %d gave the same storm: the seed is not reaching it\n%+v", cfg.Seed-1, cfg.Seed, runs[i][0])
 			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	var got bytes.Buffer
+	for i, sc := range storms {
+		seed := quickChaosConfig().Seed
+		fmt.Fprintf(&got, "%s seed %d: %+v\n", sc.name, seed, *runs[i][0])
+		fmt.Fprintf(&got, "%s seed %d: %+v\n", sc.name, seed+1, *runs[i][2])
+	}
+	const path = "testdata/chaos.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("storms differ from %s (regenerate with -update and review the diff)\n--- got\n%s\n--- want\n%s", path, got.Bytes(), want)
 	}
 }
 
