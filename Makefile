@@ -21,8 +21,9 @@ vet:
 # kvstore.New or engine.New), one branch runner (no non-test code of
 # internal/kvstore but (*Client).branches calls proc.Parallel or
 # proc.Fork), one issue point (non-test code of internal/exec names
-# Client. at exactly one site, (*executor).issue's Client.Issue), and
-# piql-vet (the project's own analyzers, each package analyzed on its
+# Client. at exactly one site, (*executor).issue's Client.Issue), one
+# fault driver (no non-test code but internal/harness/chaos.go calls
+# Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
 # `make mutants` shows what the analyzers catch. After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
@@ -48,6 +49,9 @@ lint:
 	@sites=$$(grep -nE '^[^/]*Client\.' $$(ls internal/exec/*.go | grep -v _test.go)); \
 	if [ $$(printf '%s\n' "$$sites" | grep -c .) -ne 1 ]; then \
 		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.(Kill|Restart|Partition|Heal)\(' cmd internal examples *.go | \
+			grep -v '^internal/harness/chaos.go:'; then \
+		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 	$(VETTOOL) -escapebudget
@@ -111,15 +115,18 @@ chaos:
 # Its real-goroutine input is TestKillRacingRebalanceUnderTraffic (a
 # replica killed while a rebalance copies under writer goroutines, and
 # restarted a rebalance later). The rest: the simulated chaos storms with
-# a node crashed or partitioned mid-rebalance, each on several seeds
-# (plus the falsification subtests proving read failover and catch-up
-# replay are each load-bearing, on a named seed), the same two
-# mechanisms falsified at unit level, lease-expiry fencing recovery,
+# a node crashed or partitioned mid-rebalance, each on several seeds,
+# every storm's counters pinned by chaos.golden, read failover and
+# catch-up replay at unit level, lease-expiry fencing recovery,
 # ownership at rejoin (also across two crashes on the virtual clock),
 # and the kill-during-write table (every write with a partition
-# unreachable ends in a Retryable error or its full effect).
+# unreachable ends in a Retryable error or its full effect). That
+# failover, replay and the lease check are load-bearing is shown by
+# `make mutants`: their ledger rows (failover-off*, replay-off*,
+# lease-check) take each one out and name the test above that fails.
 CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
-	TestChaosSurvivesPartitionedReplica TestCatchUpReplayAndFailoverAreLoadBearing \
+	TestChaosSurvivesPartitionedReplica TestChaosStormsRepeatFromOneSeed \
+	TestCatchUpReplayAndFailoverAreLoadBearing \
 	TestKillRacingRebalanceUnderTraffic \
 	TestLeaseExpiryUnwedgesTestAndSet TestRejoinPurgesRangesMovedWhileDown \
 	TestErrorChainsRoundTrip TestRetryableClassification \

@@ -22,10 +22,12 @@
 // per session count — the engine-concurrency proof, not a paper figure.
 // It is excluded from "all" since its numbers depend on host cores.
 //
-// -experiment faults runs the failure-injection chaos storms (node
-// crash/restart mid-rebalance and partition with lease reclaim) on the
-// simulated cluster and reports the recovery evidence: catch-ups queued
-// and replayed, ops retried, and the post-heal integrity audits. Each
+// -experiment faults runs the chaos storm under each of its two faults,
+// harness.KillRestart (a node crashed mid-rebalance and restarted two
+// rebalances later) and harness.Partition (a node partitioned away past
+// its lease, its ranges reclaimed, then healed), on the simulated
+// cluster, and reports the recovery evidence: catch-ups queued and
+// replayed, ops retried, and the oracle's post-recovery audits. Each
 // storm is a function of its seed.
 //
 // Absolute numbers come from the latency model of the simulated
@@ -231,15 +233,14 @@ func runExperiments(out io.Writer, experiment string, quick bool, slo time.Durat
 	if run("faults") {
 		for _, sc := range []struct {
 			name string
-			f    harness.FaultSchedule
+			f    harness.Fault
 		}{
-			{"node crash mid-rebalance, restart after two more", harness.FaultSchedule{KillRestart: true, LeaseMs: 60_000}},
-			{"partition with lease expiry + reclaim, then heal", harness.FaultSchedule{Partition: true, LeaseMs: 40}},
+			{"node crash mid-rebalance, restart after two more", harness.KillRestart},
+			{"partition with lease expiry + reclaim, then heal", harness.Partition},
 		} {
 			fmt.Fprintf(out, "fault injection: %s\n", sc.name)
 			cfg := harness.DefaultChaosConfig()
-			f := sc.f
-			cfg.Faults = &f
+			cfg.Fault = sc.f
 			res, err := harness.RunChaos(cfg)
 			if err != nil {
 				return err

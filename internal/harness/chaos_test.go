@@ -90,17 +90,13 @@ func TestChaosStormsRepeatFromOneSeed(t *testing.T) {
 	t.Parallel()
 	storms := []struct {
 		name string
-		f    *FaultSchedule
-	}{
-		{"none", nil},
-		{"kill", &FaultSchedule{KillRestart: true, LeaseMs: 60_000}},
-		{"partition", &FaultSchedule{Partition: true, LeaseMs: 40}},
-	}
+		f    Fault
+	}{{"none", NoFault}, {"kill", KillRestart}, {"partition", Partition}}
 	runs := make([][3]*ChaosResult, len(storms))
 	for i, sc := range storms {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := quickChaosConfig()
-			cfg.Faults = sc.f
+			cfg.Fault = sc.f
 			for j := range runs[i] {
 				if j == 2 {
 					cfg.Seed++
@@ -150,7 +146,7 @@ func TestChaosStormsRepeatFromOneSeed(t *testing.T) {
 func TestChaosWedgeFailsAtTheTimeLimit(t *testing.T) {
 	t.Parallel()
 	cfg := quickChaosConfig()
-	cfg.Faults = &FaultSchedule{KillRestart: true, LeaseMs: 60_000}
+	cfg.Fault = KillRestart
 	_, err := runChaos(cfg, time.Second)
 	if err == nil {
 		t.Fatal("a storm cut off at 1s of virtual time passed")
@@ -170,9 +166,10 @@ func TestChaosWedgeFailsAtTheTimeLimit(t *testing.T) {
 // catch-up replay at restart. Zero acked writes may be lost
 // (read-your-writes on every op), the CAS serial model must explain
 // every accepted swap, and all replicas must converge byte-for-byte
-// after recovery. The falsification subtests prove both mechanisms are
-// load-bearing: disabling either one breaks the same run, on
-// faultChaosConfig's seed, every time.
+// after recovery. That both mechanisms are load-bearing is the mutant
+// ledger's business (cmd/piql-vet/testdata/mutants.ledger): this test
+// fails with the failover taken out of pickReplica (failover-off) and
+// with rejoin's catch-up drain a no-op (replay-off).
 func TestChaosSurvivesKillRestartMidRebalance(t *testing.T) {
 	t.Parallel()
 	for _, seed := range chaosSeeds {
@@ -180,7 +177,7 @@ func TestChaosSurvivesKillRestartMidRebalance(t *testing.T) {
 			t.Parallel()
 			cfg := faultChaosConfig()
 			cfg.Seed = seed
-			cfg.Faults = &FaultSchedule{KillRestart: true, LeaseMs: 60_000}
+			cfg.Fault = KillRestart
 			res, err := RunChaos(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -198,22 +195,6 @@ func TestChaosSurvivesKillRestartMidRebalance(t *testing.T) {
 		})
 	}
 
-	t.Run("FailsWithoutCatchUpReplay", func(t *testing.T) {
-		t.Parallel()
-		cfg := faultChaosConfig()
-		cfg.Faults = &FaultSchedule{KillRestart: true, LeaseMs: 60_000, DisableCatchUpReplay: true}
-		if _, err := RunChaos(cfg); err == nil {
-			t.Fatal("run passed with catch-up replay disabled: the survival test does not actually depend on replay")
-		}
-	})
-	t.Run("FailsWithoutFailover", func(t *testing.T) {
-		t.Parallel()
-		cfg := faultChaosConfig()
-		cfg.Faults = &FaultSchedule{KillRestart: true, LeaseMs: 60_000, DisableFailover: true}
-		if _, err := RunChaos(cfg); err == nil {
-			t.Fatal("run passed with read failover disabled: the survival test does not actually depend on failover")
-		}
-	})
 }
 
 // TestChaosSurvivesPartitionedReplica partitions a node away mid-storm
@@ -222,7 +203,8 @@ func TestChaosSurvivesKillRestartMidRebalance(t *testing.T) {
 // heal then rejoins a node whose queued catch-ups partly target ranges
 // it no longer owns. Same integrity bar as the kill test: no lost
 // acked writes, a serially-consistent CAS history, byte-identical
-// replicas after heal.
+// replicas after heal. It fails with the failover taken out of
+// pickReplica (the mutant ledger's failover-off-partition).
 func TestChaosSurvivesPartitionedReplica(t *testing.T) {
 	t.Parallel()
 	for _, seed := range chaosSeeds {
@@ -230,7 +212,7 @@ func TestChaosSurvivesPartitionedReplica(t *testing.T) {
 			t.Parallel()
 			cfg := faultChaosConfig()
 			cfg.Seed = seed
-			cfg.Faults = &FaultSchedule{Partition: true, LeaseMs: 40}
+			cfg.Fault = Partition
 			res, err := RunChaos(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -245,12 +227,4 @@ func TestChaosSurvivesPartitionedReplica(t *testing.T) {
 		})
 	}
 
-	t.Run("FailsWithoutFailover", func(t *testing.T) {
-		t.Parallel()
-		cfg := faultChaosConfig()
-		cfg.Faults = &FaultSchedule{Partition: true, LeaseMs: 40, DisableFailover: true}
-		if _, err := RunChaos(cfg); err == nil {
-			t.Fatal("run passed with read failover disabled: the survival test does not actually depend on failover")
-		}
-	})
 }

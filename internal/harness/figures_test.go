@@ -102,7 +102,7 @@ func TestFiguresGolden(t *testing.T) {
 	PrintAdmission(&got, ad, ar)
 
 	ch := quickChaosConfig()
-	ch.Faults = &FaultSchedule{Partition: true, LeaseMs: 40}
+	ch.Fault = Partition
 	cr, err := RunChaos(ch)
 	if err != nil {
 		t.Fatal(err)

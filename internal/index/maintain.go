@@ -604,6 +604,53 @@ func (m *Maintainer) GCDangling(cl *kvstore.Client, ix *schema.Index) (int, erro
 	return removed, nil
 }
 
+// AuditMirror checks that index ix holds exactly the entries its
+// table's records produce: no record is missing an entry, and no entry
+// lacks the record that produces it. It returns how many records and
+// entries it read. Only a ready index mirrors its table, and only with
+// no write in flight, so the caller quiesces writers first and collects
+// what a crash-tolerant write may leave dangling (GCDangling) before
+// the audit. A read that fails is returned as such, never taken for a
+// missing entry.
+func (m *Maintainer) AuditMirror(cl *kvstore.Client, ix *schema.Index) (records, entries int, err error) {
+	fail := func(err error) (int, int, error) {
+		return records, entries, fmt.Errorf("index: audit of %s: %w", ix.Name, err)
+	}
+	t := m.src.Catalog().Table(ix.Table)
+	if t == nil {
+		return fail(fmt.Errorf("unknown table %q", ix.Table))
+	}
+	set, err := readPrefix(cl, kvstore.Range, RecordPrefix(t), kvstore.ReadOpts{})
+	if err != nil {
+		return fail(err)
+	}
+	want := make(map[string]bool)
+	for _, kv := range set.Items {
+		row, err := value.DecodeRow(kv.Value)
+		if err != nil {
+			return fail(fmt.Errorf("corrupt record %q: %w", kv.Key, err))
+		}
+		records++
+		for _, key := range EntryKeys(ix, t, row) {
+			want[string(key)] = true
+		}
+	}
+	if set, err = readPrefix(cl, kvstore.Range, IndexPrefix(ix), kvstore.ReadOpts{}); err != nil {
+		return fail(err)
+	}
+	for _, kv := range set.Items {
+		entries++
+		if !want[string(kv.Key)] {
+			return fail(fmt.Errorf("entry %q has no record behind it", kv.Key))
+		}
+		delete(want, string(kv.Key))
+	}
+	for key := range want {
+		return fail(fmt.Errorf("a record is missing its entry %q", key))
+	}
+	return records, entries, nil
+}
+
 // entryDangling reports whether the index entry key points at a record
 // that no longer exists or no longer produces it (stale after a
 // half-completed update). An undecodable record is not dangling — its

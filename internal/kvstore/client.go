@@ -152,18 +152,16 @@ const readRetryAttempts = 3
 // choice over the partition's owners, failing over to the next live
 // owner when the chosen one is unreachable. When every owner is
 // unreachable it retries with backoff a bounded number of times (a
-// restart may be in flight) before giving up with -1. With failover
-// disabled (Cluster.SetFailover(false), the chaos falsification knob)
-// the uniform choice is final: an unreachable pick is an immediate -1.
+// restart may be in flight) before giving up with -1. The fall-through
+// to the other owners is what keeps reads up through an outage: the
+// mutant ledger's failover-off rows take it out, and the chaos storms
+// fail.
 func (cl *Client) pickReplica(rt *routing, p int) int {
 	owners := rt.owners[p]
 	for attempt := 0; ; attempt++ {
 		r := cl.rng.intn(len(owners))
 		if id := owners[r]; cl.c.reachable(id) {
 			return id
-		}
-		if !cl.c.failover() {
-			return -1
 		}
 		for i := 1; i < len(owners); i++ {
 			if id := owners[(r+i)%len(owners)]; cl.c.reachable(id) {

@@ -97,10 +97,8 @@ type Cluster struct {
 	faultMu sync.Mutex
 	pending [][]catchUp // per-node writes queued while unreachable
 
-	noFailover   atomic.Bool // test knob: disable read failover
-	noAutoReplay atomic.Bool // test knob: skip catch-up replay on rejoin
-	cuQueued     atomic.Int64
-	cuReplayed   atomic.Int64
+	cuQueued   atomic.Int64
+	cuReplayed atomic.Int64
 
 	// chunkHook, when set (tests only), runs after each non-final chunk
 	// of a move lands, with the cursor the next chunk will start from.

@@ -26,7 +26,7 @@ var ErrTransient = errors.New("kvstore: transient cluster condition")
 
 // ErrNodeDown reports an operation that could not reach a required
 // node: it is killed or partitioned away, and no live replica could
-// absorb the work (or failover is disabled).
+// absorb the work.
 type ErrNodeDown struct {
 	Node        int  // the unreachable node
 	Partitioned bool // partitioned rather than crashed
@@ -220,7 +220,7 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 	for {
 		c.faultMu.Lock()
 		queued := c.pending[id]
-		if len(queued) == 0 || !c.autoReplay() {
+		if len(queued) == 0 {
 			nd.down.Store(0)
 			c.faultMu.Unlock()
 			break
@@ -278,20 +278,6 @@ func (c *Cluster) regrantLeases(id int, rt *routing) {
 	}
 	c.nodes[id].leases.Store(&leaseTable{leases: leases})
 }
-
-// SetFailover toggles read failover (default on). Disabling it makes a
-// read whose uniformly-chosen replica is unreachable fail instead of
-// rerouting — the chaos falsification knob that demonstrates the fault
-// tests actually depend on failover.
-func (c *Cluster) SetFailover(on bool) { c.noFailover.Store(!on) }
-
-// SetCatchUpReplay toggles automatic catch-up replay on rejoin
-// (default on). With it off, a restarted/healed node serves its stale
-// state — the falsification tests' knob.
-func (c *Cluster) SetCatchUpReplay(on bool) { c.noAutoReplay.Store(!on) }
-
-func (c *Cluster) failover() bool   { return !c.noFailover.Load() }
-func (c *Cluster) autoReplay() bool { return !c.noAutoReplay.Load() }
 
 // CatchUpsQueued returns how many writes have been queued for
 // unreachable nodes since the cluster was created.
