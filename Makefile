@@ -142,8 +142,10 @@ chaos-faults:
 # copy of the tree, runs only that gate, and fails any row whose old
 # text does not occur exactly once or whose gate passes. It mutates
 # HEAD, so commit first. Plain `go test` checks only the old texts.
+# `make mutants ROW=<name>` runs the one row named <name> (the comment
+# line above it names it); with no ROW, every row runs.
 mutants:
-	$(GO) test -count=1 -timeout 30m -run '^TestMutantLedger$$' ./cmd/piql-vet -mutants
+	$(GO) test -count=1 -timeout 30m -run '^TestMutantLedger$$$(if $(ROW),/^$(ROW)$$)' ./cmd/piql-vet -mutants
 
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (replace piql => ../, so this runs offline) and is frozen, so

@@ -537,9 +537,10 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 // entries, on one warm Ctx. Every key an operator sends — the scan's
 // bounds, the record keys of its dereference, the join's record keys —
 // is carved from the Ctx's scratch, and so are what the store returns and
-// the headers of the rows the scan and the join hand on; no entry is decoded and a decoded row's strings land in its operator's one
-// arena, so 40 more entries cost nothing per entry or per kept row, scan
-// and join alike. Until the store read into the scratch, Client.Scan's
+// the headers of the rows the scan and the join hand on, and the values
+// the dereference decodes; no entry is decoded and a decoded row's
+// strings land in its operator's one arena, so 40 more entries cost
+// nothing per entry or per kept row, scan and join alike. Until the store read into the scratch, Client.Scan's
 // result outgrew its 16-entry pre-size twice on the way to 50: two
 // allocations more at 50 than at 10.
 func TestDerefRunAllocations(t *testing.T) {
@@ -573,9 +574,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql string
 		at10      float64 // allocations at 10 entries, and at 50
 	}{
-		{name: "token scan", at10: 6, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did
+		{name: "token scan", at10: 5, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did, 6 until the dereference's values did
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 7, // 16 and 8 until then
+		{name: "token scan + fk join", at10: 6, // 16, 8 and 7 until then
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

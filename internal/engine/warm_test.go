@@ -97,13 +97,15 @@ func warmAllocs(runs int, f func()) float64 {
 }
 
 // TestWarmExecuteAllocations pins what one Prepared.Execute allocates on
-// a warm session, per plan shape: its rows' values (each operator's slab
-// and string arena), the answer (the root's row headers and slab), an
-// aggregate's groups, and the Result — its keys, the store's results,
-// the intermediate row headers and a sorted join's candidates come from
-// the session's scratch. Each shape runs on fewer and on more entries, or
-// child rows, or streams, and costs the same on both: nothing is paid per
-// key, per entry or per stream.
+// a warm session, per plan shape: its rows' values (a range scan's and a
+// sorted join's slab, and each operator's string arena), the answer (the
+// root's row headers and slab), an aggregate's groups, and the Result —
+// its keys, the store's results, the intermediate row headers, a sorted
+// join's candidates and the values a record fetch (a primary-key lookup,
+// a dereference, not a join's) decodes come from the session's scratch.
+// Each shape runs on fewer and on more entries, or child rows, or
+// streams, and costs the same on both: nothing is paid per key, per entry
+// or per stream.
 func TestWarmExecuteAllocations(t *testing.T) {
 	s := warmFixture(t)
 	str := value.Str
@@ -117,13 +119,13 @@ func TestWarmExecuteAllocations(t *testing.T) {
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.PKLookup); return ok },
-			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 5},
+			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
 			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 5},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
-			[]value.Value{str("h2")}, []value.Value{str("h0")}, 5},
+			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
 			few, more, 6},
@@ -251,6 +253,9 @@ func TestResultOutlivesNextRun(t *testing.T) {
 	stream := prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
 		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`)
 	byHome := prepare(`SELECT * FROM users WHERE hometown = ?`)
+	// An aggregate's input is the dereference's rows, whose values lie in
+	// the scratch; its answer must not.
+	homeRange := prepare(`SELECT MIN(username), MAX(bio) FROM users WHERE hometown = ?`)
 	lookup := prepare(`SELECT * FROM users WHERE username IN (?, ?)`)
 	friends := prepare(`SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`)
 	scanPages := prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 4`)
@@ -286,6 +291,8 @@ func TestResultOutlivesNextRun(t *testing.T) {
 		keep("thoughtstream("+owner+")", res, err)
 		res, err = byHome.Execute(s, value.Str([]string{"h0", "h1"}[round]))
 		keep("users by hometown", res, err)
+		res, err = homeRange.Execute(s, value.Str([]string{"h0", "h1"}[round]))
+		keep("an aggregate over users by hometown", res, err)
 		res, err = lookup.Execute(s, value.Str([]string{"u01", "u04"}[round]), value.Str([]string{"u02", "u05"}[round]))
 		keep("users by name", res, err)
 		res, err = friends.Execute(s, value.Str(owner))
@@ -304,5 +311,52 @@ func TestResultOutlivesNextRun(t *testing.T) {
 		if now := freeze(h.res); !reflect.DeepEqual(now, h.was) {
 			t.Errorf("%s changed after the session ran on:\nwas %v\nnow %v", h.what, h.was, now)
 		}
+	}
+}
+
+// TestRecordOfWrongArityIsRefused: a stored record holds exactly its
+// table's values, or the statement that reads it fails as corrupt. A
+// short one used to come back padded with NULLs, and with a reused slab
+// would come back with an earlier run's cells; a long one spilled its
+// extra value into the cells of the table joined after it. Each
+// statement runs once on the intact record first, so the failing run is
+// a warm one.
+func TestRecordOfWrongArityIsRefused(t *testing.T) {
+	str := value.Str
+	const friends = `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`
+	for _, tc := range []struct {
+		name, table string
+		rec         value.Row // stored under its own primary key
+		sql         string
+		param       string
+	}{
+		{"short record, primary-key lookup", "users", value.Row{str("u01"), str("h0")},
+			`SELECT * FROM users WHERE username = ?`, "u01"},
+		{"short record, foreign-key join", "users", value.Row{str("u01"), str("h0")}, friends, "u00"},
+		{"long record, a join's child scan", "subscriptions", value.Row{str("u00"), str("u01"), value.Bool(true), str("spill")},
+			friends, "u00"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newRoundTripFixture(t)
+			p, err := s.Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Execute(s, str(tc.param)); err != nil {
+				t.Fatalf("on the intact record: %v", err)
+			}
+			table := s.eng.Catalog().Table(tc.table)
+			if err := s.Client().Put(index.RecordKey(table, tc.rec), value.EncodeRow(tc.rec)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Execute(s, str(tc.param))
+			if err == nil || !strings.Contains(err.Error(), "exec: corrupt record") {
+				var rows []value.Row
+				if res != nil {
+					rows = res.Rows
+				}
+				t.Fatalf("a %s record of %d values: rows %v, error %v; want a corrupt record", tc.table, len(tc.rec), rows, err)
+			}
+		})
 	}
 }

@@ -22,7 +22,10 @@
 // from one result buffer too. An operator's cost is its slab and its
 // string arena, and nothing per row or per request: its key buffer, the
 // store's result buffer and the headers of the rows it hands its parent
-// are carved from the Ctx's scratch, which a warm Ctx already holds. The
+// are carved from the Ctx's scratch, which a warm Ctx already holds. A
+// record fetch (a primary-key lookup, an index scan's dereference) carves
+// its slab from the scratch too, so it costs its string arena alone; a
+// range scan and a sorted join still make theirs. The
 // sorted join materializes the page, not the candidates: its streams are
 // merged on their entry keys, which the order-preserving codec makes the
 // sort key, and only the entries the query keeps are dereferenced and
@@ -30,6 +33,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -89,14 +93,16 @@ type Ctx struct {
 
 // scratch is an execution's bookkeeping: the keys its operators send,
 // what the store returns for them, the headers of the rows an operator
-// hands its parent and a sorted join's candidates. Run truncates it, and
-// operators carve from it bump-style, so a run never overwrites what it
-// carved earlier: a buffer without room is replaced (take) or regrown by
-// the store's append, and what was carved keeps pointing into the old
-// array. It keeps its high-water capacity between runs, which the plans'
-// static bounds keep finite. Nothing a Result holds points into it: every
-// plan root builds fresh rows (the values stay in the operators' slabs,
-// never here), and a Resume is the store's key bytes or freshly encoded.
+// hands its parent, a sorted join's candidates and the values of the
+// records a fetch decodes. Run truncates it, and operators carve from it
+// bump-style, so a run never overwrites what it carved earlier: a buffer
+// without room is replaced (take) or regrown by the store's append, and
+// what was carved keeps pointing into the old array. It keeps its
+// high-water capacity between runs, which the plans' static bounds keep
+// finite. Nothing a Result holds points into it: every plan root copies
+// the values it returns into rows of its own, the strings those values
+// hold lie in their operator's per-run arena, never here, and a Resume is
+// the store's key bytes or freshly encoded.
 type scratch struct {
 	keys    []byte                 // key bytes
 	heads   [][]byte               // key headers, and a Gets' values
@@ -106,13 +112,14 @@ type scratch struct {
 	reqs    []kvstore.RangeRequest // and their requests
 	rows    []value.Row            // remote operators' row headers
 	cands   []candidate            // a sorted join's candidate batch
+	vals    []value.Value          // a record fetch's values (e.rows)
 }
 
 // reset truncates every buffer, keeping its capacity.
 func (sc *scratch) reset() {
 	sc.keys, sc.heads, sc.kvs = sc.keys[:0], sc.heads[:0], sc.kvs[:0]
 	sc.ranges, sc.streams, sc.reqs = sc.ranges[:0], sc.streams[:0], sc.reqs[:0]
-	sc.rows, sc.cands = sc.rows[:0], sc.cands[:0]
+	sc.rows, sc.cands, sc.vals = sc.rows[:0], sc.cands[:0], sc.vals[:0]
 }
 
 // take carves the next n elements of *buf, capped at n, so that
@@ -269,8 +276,15 @@ func newSlab(count, width int) slab {
 	return slab{vals: make([]value.Value, count*width), width: width}
 }
 
-// rows is newSlab for combined rows of the plan's width.
-func (e *executor) rows(count int) slab { return newSlab(count, e.plan.RowWidth) }
+// rows is newSlab for combined rows of the plan's width, carved from the
+// scratch instead of allocated. The carved values are cleared, so they
+// start as a fresh slab's do and the scratch keeps no earlier run's
+// strings, nor their arenas, alive.
+func (e *executor) rows(count int) slab {
+	vals := take(&e.sc.vals, count*e.plan.RowWidth)
+	clear(vals)
+	return slab{vals: vals, width: e.plan.RowWidth}
+}
 
 func (s *slab) row() value.Row {
 	r := s.vals[:s.width:s.width]
@@ -280,13 +294,22 @@ func (s *slab) row() value.Row {
 
 // placeRecord decodes a stored record directly into the combined row at
 // the table's offset — no intermediate row allocation — with its strings
-// in the operator's arena.
-func placeRecord(row value.Row, offset int, rec []byte, arena *strings.Builder) error {
-	if _, err := value.DecodeRowArena(row[offset:], rec, arena); err != nil {
+// in the operator's arena. The record must hold exactly the table's width
+// of values: a short one would leave cells of the row as they were, a
+// long one would spill into the next table's.
+func placeRecord(row value.Row, offset, width int, rec []byte, arena *strings.Builder) error {
+	n, err := value.DecodeRowArena(row[offset:offset+width], rec, arena)
+	if err == nil && n != width {
+		err = errRecordArity
+	}
+	if err != nil {
 		return fmt.Errorf("exec: corrupt record: %w", err)
 	}
 	return nil
 }
+
+// errRecordArity refuses a record whose value count is not its table's.
+var errRecordArity = errors.New("record's value count is not its table's column count")
 
 // stringBytes sizes an operator's string arena: the exact payload of the
 // strings and blobs of the records it decodes (nil ones are none).

@@ -107,7 +107,7 @@ func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.fetchRecords(dropRepeatedKeys(keys), n.TableOffset)
+	rows, err := e.fetchRecords(dropRepeatedKeys(keys), n.Table, n.TableOffset)
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +133,11 @@ next:
 	return keys[:n]
 }
 
-// fetchRecords resolves keys in one batch and decodes each record found
-// into a fresh combined row at the table's offset, skipping the nil
-// entries of keys that had no record. The rows' headers are the
-// scratch's.
-func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) {
+// fetchRecords resolves keys in one batch and decodes each record of t
+// found into a combined row at the table's offset, skipping the nil
+// entries of keys that had no record. The rows, headers and values, are
+// the scratch's; their strings are in the fetch's own arena.
+func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int) ([]value.Row, error) {
 	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (e *executor) fetchRecords(keys [][]byte, offset int) ([]value.Row, error) 
 			continue
 		}
 		row := slab.row()
-		if err := placeRecord(row, offset, rec, &arena); err != nil {
+		if err := placeRecord(row, offset, len(t.Columns), rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -264,7 +264,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	switch {
 	case n.Index.Primary:
 		rows = take(&e.sc.rows, len(kvs))
-		slab := e.rows(len(kvs))
+		slab := newSlab(len(kvs), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
 		var arena strings.Builder
 		size := 0
 		for _, kv := range kvs {
@@ -273,14 +273,14 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		arena.Grow(size)
 		for i, kv := range kvs {
 			rows[i] = slab.row()
-			if err := placeRecord(rows[i], n.TableOffset, kv.Value, &arena); err != nil {
+			if err := placeRecord(rows[i], n.TableOffset, len(n.Table.Columns), kv.Value, &arena); err != nil {
 				return nil, err
 			}
 		}
 	case !n.NeedDeref:
 		// Covering index: every column is embedded in the entry key.
 		rows = take(&e.sc.rows, len(kvs))
-		slab := e.rows(len(kvs))
+		slab := newSlab(len(kvs), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
 		for i, kv := range kvs {
 			rows[i] = slab.row()
 			if err := index.RowFromCoveringEntry(n.Index, kv.Key, rows[i], n.TableOffset); err != nil {
@@ -376,7 +376,7 @@ func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset in
 	if err != nil {
 		return nil, err
 	}
-	return e.fetchRecords(keys, offset) // a nil record is a dangling entry awaiting GC
+	return e.fetchRecords(keys, table, offset) // a nil record is a dangling entry awaiting GC
 }
 
 // runFKJoin extends each child row with at most one record of the
@@ -401,7 +401,7 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 		if rec == nil {
 			continue // no matching row: inner join drops it
 		}
-		if err := placeRecord(childRows[i], n.TableOffset, rec, &arena); err != nil {
+		if err := placeRecord(childRows[i], n.TableOffset, len(n.Table.Columns), rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, childRows[i])
@@ -543,7 +543,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			size += value.StringBytes(c.rec)
 		}
 		arena.Grow(size)
-		slab := e.rows(len(batch))
+		slab := newSlab(len(batch), e.plan.RowWidth) // its own for now: e.rows' scratch comes after the range scan's
 		for _, c := range batch {
 			if len(joined) == want {
 				break
@@ -555,7 +555,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			}
 			row := slab.row()
 			copy(row, c.sc.row)
-			if err := placeRecord(row, n.TableOffset, c.rec, &arena); err != nil {
+			if err := placeRecord(row, n.TableOffset, len(n.Table.Columns), c.rec, &arena); err != nil {
 				return nil, err
 			}
 			keep, err := e.evalPreds(row, n.Residual)

@@ -14,8 +14,8 @@ import (
 
 // capacities is every buffer's capacity: what the scratch keeps between
 // runs.
-func (sc *scratch) capacities() [8]int {
-	return [8]int{cap(sc.keys), cap(sc.heads), cap(sc.kvs), cap(sc.ranges), cap(sc.streams), cap(sc.reqs), cap(sc.rows), cap(sc.cands)}
+func (sc *scratch) capacities() [9]int {
+	return [9]int{cap(sc.keys), cap(sc.heads), cap(sc.kvs), cap(sc.ranges), cap(sc.streams), cap(sc.reqs), cap(sc.rows), cap(sc.cands), cap(sc.vals)}
 }
 
 // TestTake: take carves consecutive pieces, each capped at its length,
