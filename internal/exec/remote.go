@@ -136,7 +136,7 @@ next:
 // fetchRecords resolves keys in one batch and decodes each record of t
 // found into a combined row at the table's offset, skipping the nil
 // entries of keys that had no record. The rows, headers and values, are
-// the scratch's; their strings are in the fetch's own arena.
+// the scratch's; their strings lie in the fetch's own arena.
 func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int) ([]value.Row, error) {
 	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
