@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint build test race chaos chaos-faults mutants bench-check bench bench-compare profile experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults mutants fuzz bench-check bench bench-compare profile experiments
 
 all: ci
 
@@ -146,6 +146,23 @@ chaos-faults:
 # line above it names it); with no ROW, every row runs.
 mutants:
 	$(GO) test -count=1 -timeout 30m -run '^TestMutantLedger$$$(if $(ROW),/^$(ROW)$$)' ./cmd/piql-vet -mutants
+
+# fuzz runs every fuzz target of ./internal/... for FUZZTIME each and
+# fails on the first finding, which go test writes under the target's
+# testdata/fuzz/ (plain `go test` replays the checked-in corpora, and
+# nothing more). `go test -list` finds the targets, so a new one joins
+# without an edit here. Not in ci: what a fuzzer finds in a given time is
+# not deterministic.
+#   make fuzz [FUZZTIME=10s]
+FUZZTIME ?= 10s
+
+fuzz:
+	@targets=$$($(GO) test -list '^Fuzz' ./internal/...) || { echo "$$targets"; exit 1; }; \
+	echo "$$targets" | awk '/^Fuzz/ { names = names " " $$1; next } /^ok/ { if (names != "") print $$2 names; names = "" }' | \
+	while read pkg names; do for name in $$names; do \
+		echo "fuzz: $$pkg $$name for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done; done
 
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (replace piql => ../, so this runs offline) and is frozen, so

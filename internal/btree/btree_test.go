@@ -148,88 +148,327 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
-// TestAgainstReferenceModel drives the tree with a random op sequence and
-// compares every observable against a map + sorted-slice reference model.
+// refTree is a tree beside its reference model, a map. Each method does
+// one operation to both and reports where they disagree.
+type refTree struct {
+	tr  *Tree
+	ref map[string]string
+}
+
+func newRefTree() *refTree { return &refTree{tr: New(), ref: map[string]string{}} }
+
+func (m *refTree) put(k, v []byte) error {
+	_, existed := m.ref[string(k)]
+	if inserted := m.tr.Put(k, v); inserted == existed {
+		return fmt.Errorf("Put(%q) reports inserted %v; the model held the key: %v", k, inserted, existed)
+	}
+	m.ref[string(k)] = string(v)
+	return nil
+}
+
+func (m *refTree) delete(k []byte) error {
+	_, existed := m.ref[string(k)]
+	if removed := m.tr.Delete(k); removed != existed {
+		return fmt.Errorf("Delete(%q) reports %v; the model held the key: %v", k, removed, existed)
+	}
+	delete(m.ref, string(k))
+	return nil
+}
+
+func (m *refTree) get(k []byte) error {
+	v, ok := m.tr.Get(k)
+	if rv, rok := m.ref[string(k)]; ok != rok || string(v) != rv {
+		return fmt.Errorf("Get(%q) = %q, %v; the model holds %q, %v", k, v, ok, rv, rok)
+	}
+	return nil
+}
+
+// scan compares Ascend, Descend and Count over [lo, hi) — a nil bound is
+// open, an empty one is not — with the model.
+func (m *refTree) scan(lo, hi []byte) error {
+	var want []string
+	for k := range m.ref {
+		if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) {
+			want = append(want, k)
+		}
+	}
+	sort.Strings(want)
+	var asc, desc []Item
+	m.tr.Ascend(lo, hi, func(it Item) bool { asc = append(asc, it); return true })
+	m.tr.Descend(lo, hi, func(it Item) bool { desc = append(desc, it); return true })
+	if len(asc) != len(want) || len(desc) != len(want) {
+		return fmt.Errorf("[%q, %q): Ascend visits %d items, Descend %d; the model holds %d", lo, hi, len(asc), len(desc), len(want))
+	}
+	for i, k := range want {
+		a, d := asc[i], desc[len(want)-1-i]
+		if string(a.Key) != k || string(a.Value) != m.ref[k] || string(d.Key) != k || string(d.Value) != m.ref[k] {
+			return fmt.Errorf("[%q, %q): item %d is %q=%q ascending, %q=%q descending; the model's is %q=%q",
+				lo, hi, i, a.Key, a.Value, d.Key, d.Value, k, m.ref[k])
+		}
+	}
+	if n := m.tr.Count(lo, hi); n != len(want) {
+		return fmt.Errorf("Count(%q, %q) = %d; the model holds %d", lo, hi, n, len(want))
+	}
+	return nil
+}
+
+// check compares the length and a whole scan with the model, and checks
+// the tree's shape (checkNode).
+func (m *refTree) check() error {
+	if m.tr.Len() != len(m.ref) {
+		return fmt.Errorf("Len = %d; the model holds %d", m.tr.Len(), len(m.ref))
+	}
+	if _, err := checkNode(m.tr.root, true, nil, nil); err != nil {
+		return err
+	}
+	return m.scan(nil, nil)
+}
+
+// checkNode checks the subtree at n: every node but the root holds
+// degree-1 to maxItems items, an internal node one child more than
+// items, keys ascend strictly and lie inside (lo, hi) — the separators
+// around the subtree, nil for none — and every leaf lies at one depth,
+// which it returns.
+func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
+	if len(n.items) > maxItems || (!root && len(n.items) < degree-1) {
+		return 0, fmt.Errorf("a node holds %d items", len(n.items))
+	}
+	prev := lo
+	for _, it := range n.items {
+		if prev != nil && bytes.Compare(it.Key, prev) <= 0 || hi != nil && bytes.Compare(it.Key, hi) >= 0 {
+			return 0, fmt.Errorf("key %q lies outside (%q, %q)", it.Key, prev, hi)
+		}
+		prev = it.Key
+	}
+	if n.leaf() {
+		return 1, nil
+	}
+	if len(n.children) != len(n.items)+1 {
+		return 0, fmt.Errorf("a node of %d items has %d children", len(n.items), len(n.children))
+	}
+	depth := 0
+	for i, c := range n.children {
+		clo, chi := lo, hi
+		if i > 0 {
+			clo = n.items[i-1].Key
+		}
+		if i < len(n.items) {
+			chi = n.items[i].Key
+		}
+		d, err := checkNode(c, false, clo, chi)
+		if err != nil {
+			return 0, err
+		}
+		if i > 0 && d != depth {
+			return 0, fmt.Errorf("leaves at depths %d and %d", depth, d)
+		}
+		depth = d
+	}
+	return depth + 1, nil
+}
+
+// height is the number of levels of the tree.
+func height(tr *Tree) int {
+	h := 1
+	for n := tr.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// storeKey is key i of a key space shaped like a storage node's: an
+// escaped namespace string (a table's t:<table>, an index's x:<index>),
+// then the leading key columns, so that neighbouring keys share most of
+// their bytes. Five namespaces split the space evenly.
+func storeKey(i, space int) []byte {
+	per := (space + len(namespaces) - 1) / len(namespaces)
+	return fmt.Appendf(nil, "%s\x00\x01owner-%05d\x00\x01%08d", namespaces[i/per], i%per/16, i%16)
+}
+
+var namespaces = []string{"t:subscriptions", "t:thoughts", "t:users", "x:subscriptions_by_target", "x:thoughts_by_owner_timestamp"}
+
+// storeBound is a range bound of the kind the store sends: nil (open), or
+// a prefix of a key of the space — none of its bytes, the namespace, part
+// of a column or all of it.
+func storeBound(r *rand.Rand, space int) []byte {
+	if r.Intn(4) == 0 {
+		return nil
+	}
+	k := storeKey(r.Intn(space), space)
+	return k[:r.Intn(len(k)+1)]
+}
+
+// TestAgainstReferenceModel drives the tree with random op sequences and
+// compares every observable against a map. The small part keeps 200
+// four-byte keys, a tree of one or two levels. The deep part grows
+// store-shaped keys (storeKey) past three levels, churns them and
+// deletes them all, so that a delete borrows from and merges internal
+// nodes too; it checks the tree's shape (checkNode) and ranges whose
+// bounds are prefixes of stored keys, empty or open, along the way.
 func TestAgainstReferenceModel(t *testing.T) {
-	f := func(seed int64) bool {
+	small := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := New()
-		ref := map[string]string{}
+		m := newRefTree()
 		const keySpace = 200
+		k := func() []byte { return fmt.Appendf(nil, "k%03d", r.Intn(keySpace)) }
 		for op := 0; op < 500; op++ {
-			k := fmt.Sprintf("k%03d", r.Intn(keySpace))
+			var err error
 			switch r.Intn(4) {
-			case 0, 1: // put
-				v := fmt.Sprintf("v%d", op)
-				_, existed := ref[k]
-				if ins := tr.Put([]byte(k), []byte(v)); ins == existed {
-					return false
-				}
-				ref[k] = v
-			case 2: // delete
-				_, existed := ref[k]
-				if tr.Delete([]byte(k)) != existed {
-					return false
-				}
-				delete(ref, k)
-			default: // get
-				v, ok := tr.Get([]byte(k))
-				rv, rok := ref[k]
-				if ok != rok || (ok && string(v) != rv) {
-					return false
-				}
+			case 0, 1:
+				err = m.put(k(), fmt.Appendf(nil, "v%d", op))
+			case 2:
+				err = m.delete(k())
+			default:
+				err = m.get(k())
 			}
-		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		// Full ascending scan must equal the sorted reference.
-		keys := make([]string, 0, len(ref))
-		for k := range ref {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		i := 0
-		okScan := true
-		tr.Ascend(nil, nil, func(it Item) bool {
-			if i >= len(keys) || string(it.Key) != keys[i] || string(it.Value) != ref[keys[i]] {
-				okScan = false
+			if err != nil {
+				t.Log(err)
 				return false
 			}
-			i++
-			return true
-		})
-		if !okScan || i != len(keys) {
+		}
+		if err := m.check(); err != nil {
+			t.Log(err)
 			return false
 		}
-		// Random subrange, both directions.
-		lo := []byte(fmt.Sprintf("k%03d", r.Intn(keySpace)))
-		hi := []byte(fmt.Sprintf("k%03d", r.Intn(keySpace)))
-		if bytes.Compare(lo, hi) > 0 {
-			lo, hi = hi, lo
-		}
-		var want []string
-		for _, k := range keys {
-			if k >= string(lo) && k < string(hi) {
-				want = append(want, k)
-			}
-		}
-		var gotAsc, gotDesc []string
-		tr.Ascend(lo, hi, func(it Item) bool { gotAsc = append(gotAsc, string(it.Key)); return true })
-		tr.Descend(lo, hi, func(it Item) bool { gotDesc = append(gotDesc, string(it.Key)); return true })
-		if len(gotAsc) != len(want) || len(gotDesc) != len(want) {
+		if err := m.scan(k(), k()); err != nil {
+			t.Log(err)
 			return false
-		}
-		for i := range want {
-			if gotAsc[i] != want[i] || gotDesc[i] != want[len(want)-1-i] {
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(small, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		if err := deepRun(seed); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// deepRun is the deep part of TestAgainstReferenceModel on one seed.
+func deepRun(seed int64) error {
+	const space, grown = 5000, 3600
+	r := rand.New(rand.NewSource(seed))
+	m := newRefTree()
+	ops, tallest := 0, 0
+	// step does one random operation: a put with chance puts in 10, else a
+	// delete or, one time in 10, a get. Every 1000 operations it checks the
+	// whole tree and a range.
+	step := func(puts int) error {
+		k := storeKey(r.Intn(space), space)
+		var err error
+		switch c := r.Intn(10); {
+		case c < puts:
+			err = m.put(k, fmt.Appendf(nil, "v%d", ops))
+		case c < 9:
+			err = m.delete(k)
+		default:
+			err = m.get(k)
+		}
+		if ops++; err == nil && ops%1000 == 0 {
+			tallest = max(tallest, height(m.tr))
+			if err = m.check(); err == nil {
+				err = m.scan(storeBound(r, space), storeBound(r, space))
+			}
+		}
+		return err
+	}
+	for m.tr.Len() < grown {
+		if err := step(8); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if err := step(4); err != nil {
+			return err
+		}
+	}
+	// Every key goes, in random order, a random delete or get between two.
+	left := make([]string, 0, len(m.ref))
+	for k := range m.ref {
+		left = append(left, k)
+	}
+	sort.Strings(left)
+	r.Shuffle(len(left), func(i, j int) { left[i], left[j] = left[j], left[i] })
+	for _, k := range left {
+		if err := m.delete([]byte(k)); err != nil {
+			return err
+		}
+		if err := step(0); err != nil {
+			return err
+		}
+	}
+	if err := m.check(); err != nil {
+		return err
+	}
+	if m.tr.Len() != 0 || height(m.tr) != 1 {
+		return fmt.Errorf("%d items in %d levels after every key was deleted", m.tr.Len(), height(m.tr))
+	}
+	if tallest < 3 {
+		return fmt.Errorf("the tree grew to %d levels; the run needs 3", tallest)
+	}
+	return nil
+}
+
+// FuzzTreeOps runs an op sequence against the reference model. Each op
+// is four bytes, [op, hi, lo, n], on key (hi<<8|lo) of a store-shaped
+// space (storeKey): a put, a delete, a get, a range whose bounds are
+// prefixes of two keys n bytes long (n past a key's length: open), or a
+// put or delete of the n*32 consecutive keys from the key on, so that a
+// short input grows or shrinks a tree of three levels. Each op's answer
+// is checked; the whole tree and its shape after every bulk op and at
+// the end. The checked-in corpus (testdata/fuzz/FuzzTreeOps) replays
+// under plain `go test`.
+func FuzzTreeOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		const space = 1 << 13
+		m := newRefTree()
+		key := func(hi, lo byte) (int, []byte) {
+			i := (int(hi)<<8 | int(lo)) % space
+			return i, storeKey(i, space)
+		}
+		bound := func(k []byte, n byte) []byte {
+			if int(n) > len(k) {
+				return nil
+			}
+			return k[:n]
+		}
+		for op := 0; op+4 <= len(b) && op < 4*64; op += 4 {
+			i, k := key(b[op+1], b[op+2])
+			n := b[op+3]
+			var err error
+			switch b[op] % 8 {
+			case 0, 1:
+				err = m.put(k, []byte{byte(op), n})
+			case 2:
+				err = m.delete(k)
+			case 3:
+				err = m.get(k)
+			case 4, 5:
+				_, k2 := key(n, b[op+1])
+				err = m.scan(bound(k, n), bound(k2, n^b[op+2]))
+			case 6, 7:
+				for j := i; j < min(i+int(n)*32, space) && err == nil; j++ {
+					if b[op]%8 == 6 {
+						err = m.put(storeKey(j, space), []byte{byte(op)})
+					} else {
+						err = m.delete(storeKey(j, space))
+					}
+				}
+				if err == nil {
+					err = m.check()
+				}
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op/4, err)
+			}
+		}
+		if err := m.check(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkPut(b *testing.B) {
@@ -253,5 +492,26 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(key(i % n))
+	}
+}
+
+// BenchmarkGetSharedPrefix is Get on a tree of 100 000 store-shaped keys
+// (storeKey), whose neighbours share most of their bytes, as the keys of
+// one node of a storage node do: what each probe of a search compares
+// before it finds a difference.
+func BenchmarkGetSharedPrefix(b *testing.B) {
+	const n = 100000
+	tr := New()
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = storeKey(i, n)
+		tr.Put(keys[i], keys[i])
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tr.Get(keys[i%n]); !ok {
+			b.Fatal("a stored key is missing")
+		}
 	}
 }

@@ -190,10 +190,11 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K streams of 10 primary-index entries
 // merged to a page of 10, at K=3 and at K=10, on one warm Ctx. Only the
-// page is decoded, into one slab and one string arena per operator; the
-// K ranges are one request set read into the Ctx's result buffer, and the
-// candidates and the headers of the rows an operator hands its parent are
-// carved from the Ctx's scratch, so the count moves with the number of operators, never with the
+// page is decoded, into the join's slab and one string arena per
+// operator; the K ranges are one request set read into the Ctx's result
+// buffer, and the candidates, the child scan's values and the headers of
+// the rows an operator hands its parent are carved from the Ctx's
+// scratch, so the count moves with the number of operators, never with the
 // streams, the entries fetched or the strings of the 10 rows kept; a
 // change that brings back a per-entry, per-row, per-string, per-stream
 // or per-branch allocation shows here as an exact difference, and K=10
@@ -232,8 +233,9 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 	// the store as one request set in place of a closure and a result
 	// buffer per stream, 17 until the key buffers, the streams, their
 	// requests and the store's results came from the Ctx's scratch, 10
-	// until the intermediate row headers and the candidate batch did too.
-	const want = 7
+	// until the intermediate row headers and the candidate batch did too, 7
+	// until the child scan carved its values from the scratch as well.
+	const want = 6
 	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
 		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
 	}

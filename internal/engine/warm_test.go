@@ -8,6 +8,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"piql/internal/core"
 	"piql/internal/exec"
@@ -97,12 +99,13 @@ func warmAllocs(runs int, f func()) float64 {
 }
 
 // TestWarmExecuteAllocations pins what one Prepared.Execute allocates on
-// a warm session, per plan shape: its rows' values (a range scan's and a
-// sorted join's slab, and each operator's string arena), the answer (the
-// root's row headers and slab), an aggregate's groups, and the Result —
-// its keys, the store's results, the intermediate row headers, a sorted
-// join's candidates and the values a record fetch (a primary-key lookup,
-// a dereference, not a join's) decodes come from the session's scratch.
+// a warm session, per plan shape: its rows' values (a sorted join's slab,
+// and each operator's string arena), the answer (the root's row headers
+// and slab), an aggregate's groups, and the Result — its keys, the
+// store's results, the intermediate row headers, a sorted join's
+// candidates and the values a record fetch (a primary-key lookup, a
+// dereference, not a join's) or a range scan decodes come from the
+// session's scratch.
 // Each shape runs on fewer and on more entries, or child rows, or
 // streams, and costs the same on both: nothing is paid per key, per entry
 // or per stream.
@@ -122,20 +125,20 @@ func TestWarmExecuteAllocations(t *testing.T) {
 			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
-			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 5},
+			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
 			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
-			few, more, 6},
+			few, more, 5},
 		{"primary sorted join", `SELECT thoughts.* FROM subscriptions s JOIN thoughts
 			WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Index.Primary },
-			few, more, 7},
+			few, more, 6},
 		{"secondary sorted join", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && !j.Index.Primary },
-			few, more, 7},
+			few, more, 6},
 		// The page of 10 loses v01's dangling newest article, so a second
 		// dereference round takes every other entry fetched: 10 of 2
 		// streams, 20 of 3. The candidate batch has room for all of them
@@ -143,10 +146,10 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		// string arena, like any round.
 		{"secondary sorted join, two rounds", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Stop == 10 },
-			[]value.Value{str("d2")}, []value.Value{str("d3")}, 9},
+			[]value.Value{str("d2")}, []value.Value{str("d3")}, 8},
 		{"aggregate", `SELECT COUNT(*), MAX(target) FROM subscriptions WHERE owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.IndexScan); return ok },
-			few, more, 14},
+			few, more, 13},
 	} {
 		p, err := s.Prepare(tc.sql)
 		if err != nil {
@@ -163,7 +166,7 @@ func TestWarmExecuteAllocations(t *testing.T) {
 
 	// A resumed page of a paginated primary scan carves the key it starts
 	// past from the scratch too: the second page reads 5 entries, the
-	// third 2, and each costs an executed scan's 5 and its cursor.
+	// third 2, and each costs an executed scan's 4 and its cursor.
 	pages, err := s.Prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 5`)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +190,8 @@ func TestWarmExecuteAllocations(t *testing.T) {
 			}
 		})
 	}
-	if fewer, more := next(after[1], 2), next(after[0], 5); fewer != 6 || more != 6 {
-		t.Errorf("Cursor.Next: %v allocs on the third page, %v on the second; pinned at 6 for both", fewer, more)
+	if fewer, more := next(after[1], 2), next(after[0], 5); fewer != 5 || more != 5 {
+		t.Errorf("Cursor.Next: %v allocs on the third page, %v on the second; pinned at 5 for both", fewer, more)
 	}
 
 	// The covering scan is the cost-based baseline's, and unbounded: it
@@ -311,6 +314,62 @@ func TestResultOutlivesNextRun(t *testing.T) {
 		if now := freeze(h.res); !reflect.DeepEqual(now, h.was) {
 			t.Errorf("%s changed after the session ran on:\nwas %v\nnow %v", h.what, h.was, now)
 		}
+	}
+}
+
+// TestScratchKeepsNoArenaAlive: once a session's run returns, nothing
+// the session keeps points at that run's strings. Each statement runs on
+// more entries, its Result is dropped, and it runs again on fewer: a
+// string of the first Result, and with it the string arena it lies in,
+// must then be unreachable, though the session — which may sit idle in
+// piql.DB's pool for as long as it likes — still holds the scratch the
+// first run carved its rows from. The narrower run rewrites fewer cells
+// and row headers than the first one carved.
+func TestScratchKeepsNoArenaAlive(t *testing.T) {
+	s := warmFixture(t)
+	str := value.Str
+	for _, tc := range []struct {
+		name, sql   string
+		more, fewer []value.Value
+	}{
+		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
+			[]value.Value{str("u01"), str("u02"), str("u03")}, []value.Value{str("u01"), str("u01"), str("u01")}},
+		{"range scan page", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
+			[]value.Value{str("u01"), value.Int(12)}, []value.Value{str("u01"), value.Int(2)}},
+		{"sorted join page", articlesByFollowed, []value.Value{str("d3")}, []value.Value{str("w1")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := s.Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last string of the last row: a run's strings lie in arenas
+			// of that run alone, so it is reachable only from the Result and
+			// from whatever the session kept.
+			last := func(params []value.Value) weak.Pointer[byte] {
+				res, err := p.Execute(s, params...)
+				if err != nil || len(res.Rows) == 0 {
+					t.Fatalf("%v: %v, %v", params, res, err)
+				}
+				row := res.Rows[len(res.Rows)-1]
+				for i := len(row) - 1; i >= 0; i-- {
+					if len(row[i].S) > 0 {
+						return weak.Make(unsafe.StringData(row[i].S))
+					}
+				}
+				t.Fatalf("%v: the last row %v holds no string", params, row)
+				return weak.Pointer[byte]{}
+			}
+			last(tc.more) // warms the scratch to the wider run's size
+			wide := last(tc.more)
+			last(tc.fewer)
+			for i := 0; i < 3; i++ {
+				runtime.GC()
+			}
+			if wide.Value() != nil {
+				t.Errorf("a string of the run on more entries is still reachable after a run on fewer")
+			}
+		})
 	}
 }
 

@@ -23,10 +23,9 @@
 // string arena, and nothing per row or per request: its key buffer, the
 // store's result buffer and the headers of the rows it hands its parent
 // are carved from the Ctx's scratch, which a warm Ctx already holds. A
-// record fetch (a primary-key lookup, an index scan's dereference) carves
-// its slab from the scratch too, so it costs its string arena alone; a
-// range scan and a sorted join still make theirs. The
-// sorted join materializes the page, not the candidates: its streams are
+// record fetch (a primary-key lookup, an index scan's dereference) and a
+// range scan carve their slabs from the scratch too, so each costs its
+// string arena alone; a sorted join still makes its own. The sorted join materializes the page, not the candidates: its streams are
 // merged on their entry keys, which the order-preserving codec makes the
 // sort key, and only the entries the query keeps are dereferenced and
 // decoded.
@@ -94,15 +93,16 @@ type Ctx struct {
 // scratch is an execution's bookkeeping: the keys its operators send,
 // what the store returns for them, the headers of the rows an operator
 // hands its parent, a sorted join's candidates and the values of the
-// records a fetch decodes. Run truncates it, and operators carve from it
-// bump-style, so a run never overwrites what it carved earlier: a buffer
-// without room is replaced (take) or regrown by the store's append, and
-// what was carved keeps pointing into the old array. It keeps its
-// high-water capacity between runs, which the plans' static bounds keep
-// finite. Nothing a Result holds points into it: every plan root copies
-// the values it returns into rows of its own, the strings those values
-// hold lie in their operator's per-run arena, never here, and a Resume is
-// the store's key bytes or freshly encoded.
+// records a fetch or a range scan decodes. Run truncates it, and
+// operators carve from it bump-style, so a run never overwrites what it
+// carved earlier: a buffer without room is replaced (take) or regrown by
+// the store's append, and what was carved keeps pointing into the old
+// array. It keeps its high-water capacity between runs, which the plans'
+// static bounds keep finite. Nothing a Result holds points into it: every
+// plan root copies the values it returns into rows of its own, the
+// strings those values hold lie in their operator's per-run arena, never
+// here, and a Resume is the store's key bytes or freshly encoded. Nor
+// does it hold on to a Result's strings: Run releases what it carved.
 type scratch struct {
 	keys    []byte                 // key bytes
 	heads   [][]byte               // key headers, and a Gets' values
@@ -112,7 +112,7 @@ type scratch struct {
 	reqs    []kvstore.RangeRequest // and their requests
 	rows    []value.Row            // remote operators' row headers
 	cands   []candidate            // a sorted join's candidate batch
-	vals    []value.Value          // a record fetch's values (e.rows)
+	vals    []value.Value          // a record fetch's and a range scan's values (e.rows)
 }
 
 // reset truncates every buffer, keeping its capacity.
@@ -120,6 +120,20 @@ func (sc *scratch) reset() {
 	sc.keys, sc.heads, sc.kvs = sc.keys[:0], sc.heads[:0], sc.kvs[:0]
 	sc.ranges, sc.streams, sc.reqs = sc.ranges[:0], sc.streams[:0], sc.reqs[:0]
 	sc.rows, sc.cands, sc.vals = sc.rows[:0], sc.cands[:0], sc.vals[:0]
+}
+
+// release clears what the run since reset carved into the values and
+// the row headers, so that a session idle between runs keeps no run's
+// strings, nor their arenas, alive: the values hold the strings of a
+// record fetch and a range scan, the headers point into a sorted join's
+// slab. A run carves its values once, so they all lie in the buffer's
+// array, and whatever lies past a buffer's length was cleared by the run
+// that carved it, or never carved: every cell is cleared once. The other
+// buffers hold keys, the store's answers, and headers that point into
+// the values or the store's answers.
+func (sc *scratch) release() {
+	clear(sc.vals)
+	clear(sc.rows)
 }
 
 // take carves the next n elements of *buf, capped at n, so that
@@ -175,6 +189,7 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 		sc = new(scratch)
 	}
 	sc.reset()
+	defer sc.release()
 	e := &executor{plan: plan, ctx: ctx, sc: sc, lazy: ctx.Strategy == Lazy, opts: kvstore.ReadOpts{Parallel: ctx.Strategy == Parallel}}
 	rows, err := e.run(plan.Root)
 	if err != nil {
@@ -277,13 +292,11 @@ func newSlab(count, width int) slab {
 }
 
 // rows is newSlab for combined rows of the plan's width, carved from the
-// scratch instead of allocated. The carved values are cleared, so they
-// start as a fresh slab's do and the scratch keeps no earlier run's
-// strings, nor their arenas, alive.
+// scratch instead of allocated. The carved values start as a fresh
+// slab's do, all zero: the run that carved them before cleared them when
+// it returned (scratch.release).
 func (e *executor) rows(count int) slab {
-	vals := take(&e.sc.vals, count*e.plan.RowWidth)
-	clear(vals)
-	return slab{vals: vals, width: e.plan.RowWidth}
+	return slab{vals: take(&e.sc.vals, count*e.plan.RowWidth), width: e.plan.RowWidth}
 }
 
 func (s *slab) row() value.Row {

@@ -226,7 +226,8 @@ func successor(sc *scratch, prefix, k []byte) []byte {
 }
 
 // runIndexScan reads one contiguous index section into rows whose
-// headers are the scratch's.
+// headers and values are the scratch's; their strings lie in the scan's
+// own arena.
 func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	start, end, err := scanBounds(e.sc, n, e.ctx.Params)
 	if err != nil {
@@ -264,7 +265,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	switch {
 	case n.Index.Primary:
 		rows = take(&e.sc.rows, len(kvs))
-		slab := newSlab(len(kvs), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
+		slab := e.rows(len(kvs))
 		var arena strings.Builder
 		size := 0
 		for _, kv := range kvs {
@@ -280,7 +281,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	case !n.NeedDeref:
 		// Covering index: every column is embedded in the entry key.
 		rows = take(&e.sc.rows, len(kvs))
-		slab := newSlab(len(kvs), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
+		slab := e.rows(len(kvs))
 		for i, kv := range kvs {
 			rows[i] = slab.row()
 			if err := index.RowFromCoveringEntry(n.Index, kv.Key, rows[i], n.TableOffset); err != nil {
@@ -543,7 +544,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			size += value.StringBytes(c.rec)
 		}
 		arena.Grow(size)
-		slab := newSlab(len(batch), e.plan.RowWidth) // its own for now: e.rows' scratch comes after the range scan's
+		slab := newSlab(len(batch), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
 		for _, c := range batch {
 			if len(joined) == want {
 				break
