@@ -279,6 +279,15 @@ func TestResultOutlivesNextRun(t *testing.T) {
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s: no rows", what)
 		}
+		// The fixture stores no NULL, so a NULL here is a cell the session
+		// cleared under the Result: Run clears what it carved as it returns.
+		for _, row := range res.Rows {
+			for _, v := range row {
+				if v.IsNull() {
+					t.Fatalf("%s: row %v holds a NULL", what, row)
+				}
+			}
+		}
 		results = append(results, held{what, res, freeze(res)})
 	}
 	cursor := func(p *Prepared, owner string) *Cursor {
