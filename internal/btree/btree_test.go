@@ -415,7 +415,7 @@ func deepRun(seed int64) error {
 // FuzzTreeOps runs an op sequence against the reference model. Each op
 // is four bytes, [op, hi, lo, n], on key (hi<<8|lo) of a store-shaped
 // space (storeKey): a put, a delete, a get, a range whose bounds are
-// prefixes of two keys n bytes long (n past a key's length: open), or a
+// prefixes of two keys (a length past a key's is an open bound), or a
 // put or delete of the n*32 consecutive keys from the key on, so that a
 // short input grows or shrinks a tree of three levels. Each op's answer
 // is checked; the whole tree and its shape after every bulk op and at
@@ -508,8 +508,7 @@ func BenchmarkGetSharedPrefix(b *testing.B) {
 		tr.Put(keys[i], keys[i])
 	}
 	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, ok := tr.Get(keys[i%n]); !ok {
 			b.Fatal("a stored key is missing")
 		}

@@ -25,10 +25,10 @@
 // are carved from the Ctx's scratch, which a warm Ctx already holds. A
 // record fetch (a primary-key lookup, an index scan's dereference) and a
 // range scan carve their slabs from the scratch too, so each costs its
-// string arena alone; a sorted join still makes its own. The sorted join materializes the page, not the candidates: its streams are
-// merged on their entry keys, which the order-preserving codec makes the
-// sort key, and only the entries the query keeps are dereferenced and
-// decoded.
+// string arena alone; a sorted join still makes its own. The sorted join
+// materializes the page, not the candidates: its streams are merged on
+// their entry keys, which the order-preserving codec makes the sort key,
+// and only the entries the query keeps are dereferenced and decoded.
 package exec
 
 import (
