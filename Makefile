@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint build test race chaos chaos-faults mutants fuzz bench-check bench bench-compare profile experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults mutants fuzz bench-check bench-micro bench bench-compare profile experiments
 
 all: ci
 
@@ -167,9 +167,20 @@ fuzz:
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (replace piql => ../, so this runs offline) and is frozen, so
 # nothing above compiles it: a PR that renames or deletes something the
-# harness calls would otherwise only find out in the pipeline.
+# harness calls would otherwise only find out in the pipeline. It then
+# runs every micro-benchmark once (bench-micro at BENCHTIME=1x), so one
+# that panics or no longer compiles fails ci too.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+	@$(MAKE) --no-print-directory bench-micro BENCHTIME=1x
+
+# bench-micro runs the per-package micro-benchmarks of ./internal/...
+# (the layer-by-layer side of the repo benchmark), with allocations.
+#   make bench-micro [BENCHTIME=1s]
+BENCHTIME ?= 1s
+
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/...
 
 # bench records the repo benchmark (BENCHMARK.json, bench/) as the
 # perf-trajectory artifacts BENCH_$(N).parent.json and BENCH_$(N).json,

@@ -23,7 +23,7 @@ import (
 // newRoundTripFixture builds a deterministic dataset whose fan-outs are
 // known: user "u00" has K=3 approved subscriptions; each target user
 // owns 12 thoughts and authors 12 articles; hometown "h0" has 3 users.
-func newRoundTripFixture(t *testing.T) *Session {
+func newRoundTripFixture(t testing.TB) *Session {
 	t.Helper()
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2}, nil)
 	s := New(cluster).Session(nil)
@@ -190,35 +190,17 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K streams of 10 primary-index entries
 // merged to a page of 10, at K=3 and at K=10, on one warm Ctx. Only the
-// page is decoded, into the join's slab and one string arena per
-// operator; the K ranges are one request set read into the Ctx's result
-// buffer, and the candidates, the child scan's values and the headers of
-// the rows an operator hands its parent are carved from the Ctx's
-// scratch, so the count moves with the number of operators, never with the
+// page is decoded, into one string arena per operator; the K ranges are
+// one request set read into the Ctx's result buffer, and the candidates,
+// the child scan's and the join's values and the headers of the rows an
+// operator hands its parent are carved from the Ctx's scratch, so the
+// count moves with the number of operators, never with the
 // streams, the entries fetched or the strings of the 10 rows kept; a
 // change that brings back a per-entry, per-row, per-string, per-stream
 // or per-branch allocation shows here as an exact difference, and K=10
 // costing more than K=3 is one per stream.
 func TestSortedJoinRunAllocations(t *testing.T) {
-	s := newRoundTripFixture(t)
-	// "w10" subscribes to ten users, each of whom owns 12 thoughts.
-	for u := 0; u < 10; u++ {
-		name := fmt.Sprintf("u%02d", u)
-		for i := 0; u >= 6 && i < 12; i++ {
-			if err := s.Exec(`INSERT INTO thoughts VALUES (?, ?, 'txt')`, value.Str(name), value.Int(int64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Exec(`INSERT INTO subscriptions VALUES ('w10', ?, true)`, value.Str(name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
-		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
-		ORDER BY thoughts.timestamp DESC LIMIT 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, q := thoughtstreamFixture(t)
 	run := func(owner string) float64 {
 		ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str(owner)}, Strategy: exec.Parallel}
 		return testing.AllocsPerRun(200, func() {
@@ -234,10 +216,58 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 	// buffer per stream, 17 until the key buffers, the streams, their
 	// requests and the store's results came from the Ctx's scratch, 10
 	// until the intermediate row headers and the candidate batch did too, 7
-	// until the child scan carved its values from the scratch as well.
-	const want = 6
+	// until the child scan carved its values from the scratch as well, 6
+	// until the join's rounds did too.
+	const want = 5
 	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
 		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
+	}
+}
+
+// thoughtstreamFixture is newRoundTripFixture plus "w10", who subscribes
+// to ten users, each of whom owns 12 thoughts, and the thoughtstream
+// query: "u00" reads K=3 streams, "w10" K=10.
+func thoughtstreamFixture(tb testing.TB) (*Session, *Prepared) {
+	tb.Helper()
+	s := newRoundTripFixture(tb)
+	for u := 0; u < 10; u++ {
+		name := fmt.Sprintf("u%02d", u)
+		for i := 0; u >= 6 && i < 12; i++ {
+			if err := s.Exec(`INSERT INTO thoughts VALUES (?, ?, 'txt')`, value.Str(name), value.Int(int64(i))); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := s.Exec(`INSERT INTO subscriptions VALUES ('w10', ?, true)`, value.Str(name)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	q, err := s.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+		ORDER BY thoughts.timestamp DESC LIMIT 10`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, q
+}
+
+// BenchmarkSortedJoinRun is one exec.Run of the thoughtstream on a warm
+// Ctx, TestSortedJoinRunAllocations' shape, at K=3 and K=10 streams: the
+// executor's and the store's time for one page, layer by layer beside the
+// end-to-end scadr_home interaction.
+func BenchmarkSortedJoinRun(b *testing.B) {
+	s, q := thoughtstreamFixture(b)
+	for _, k := range []struct {
+		name, owner string
+	}{{"K=3", "u00"}, {"K=10", "w10"}} {
+		b.Run(k.name, func(b *testing.B) {
+			ctx := &exec.Ctx{Client: s.Client(), Params: []value.Value{value.Str(k.owner)}, Strategy: exec.Parallel}
+			b.ReportAllocs()
+			for b.Loop() {
+				if res, err := exec.Run(q.Plan(), ctx); err != nil || len(res.Rows) != 10 {
+					b.Fatalf("thoughtstream(%s): %v, %v", k.owner, res, err)
+				}
+			}
+		})
 	}
 }
 

@@ -12,20 +12,17 @@
 //
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
-// it is about to produce before it produces them, so it makes one
-// allocation for all of their values (a slab) and carves the rows out
-// of it; it knows the records it is about to decode too, so it grows one
+// it is about to produce before it produces them, so it takes room for
+// all of their values at once (a slab) and carves the rows out of it; it knows the records it is about to decode too, so it grows one
 // string arena by their exact value.StringBytes and decodes every string
 // and blob of the batch into it; and it knows the keys it is about to
 // send, so it evaluates them into a row on its stack and encodes them all
 // into one buffer sized by codec.Size. The store answers a request set
-// from one result buffer too. An operator's cost is its slab and its
-// string arena, and nothing per row or per request: its key buffer, the
-// store's result buffer and the headers of the rows it hands its parent
-// are carved from the Ctx's scratch, which a warm Ctx already holds. A
-// record fetch (a primary-key lookup, an index scan's dereference) and a
-// range scan carve their slabs from the scratch too, so each costs its
-// string arena alone; a sorted join still makes its own. The sorted join
+// from one result buffer too. An operator's cost is its string arena, and
+// nothing per row or per request: its slab, its key buffer, the store's
+// result buffer and the headers of the rows it hands its parent are
+// carved from the Ctx's scratch, which a warm Ctx already holds. Only the
+// root makes rows of its own, for the answer it returns. The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort key,
 // and only the entries the query keeps are dereferenced and decoded.
@@ -93,7 +90,7 @@ type Ctx struct {
 // scratch is an execution's bookkeeping: the keys its operators send,
 // what the store returns for them, the headers of the rows an operator
 // hands its parent, a sorted join's candidates and the values of the
-// records a fetch or a range scan decodes. Run truncates it, and
+// records a fetch, a range scan or a sorted join decodes. Run truncates it, and
 // operators carve from it bump-style, so a run never overwrites what it
 // carved earlier: a buffer without room is replaced (take) or regrown by
 // the store's append, and what was carved keeps pointing into the old
@@ -112,7 +109,7 @@ type scratch struct {
 	reqs    []kvstore.RangeRequest // and their requests
 	rows    []value.Row            // remote operators' row headers
 	cands   []candidate            // a sorted join's candidate batch
-	vals    []value.Value          // a record fetch's and a range scan's values (e.rows)
+	vals    []value.Value          // every remote operator's values (e.rows)
 }
 
 // reset truncates every buffer, keeping its capacity.
@@ -122,18 +119,22 @@ func (sc *scratch) reset() {
 	sc.rows, sc.cands, sc.vals = sc.rows[:0], sc.cands[:0], sc.vals[:0]
 }
 
-// release clears what the run since reset carved into the values and
-// the row headers, so that a session idle between runs keeps no run's
-// strings, nor their arenas, alive: the values hold the strings of a
-// record fetch and a range scan, the headers point into a sorted join's
-// slab. A run carves its values once, so they all lie in the buffer's
-// array, and whatever lies past a buffer's length was cleared by the run
-// that carved it, or never carved: every cell is cleared once. The other
-// buffers hold keys, the store's answers, and headers that point into
-// the values or the store's answers.
+// release clears what the run since reset carved into the values, the
+// row headers and the streams, so that a session idle between runs keeps
+// no run's strings, nor their arenas, alive. The values hold every remote
+// operator's strings. A run carves them more than once (a sorted join's
+// child, then each of its rounds), and take may replace the array
+// between two carves: the replaced array keeps the earlier carves' cells
+// uncleared, and only the row headers and the streams' child rows point
+// into it, so clearing those leaves it unreachable. Whatever lies past a
+// buffer's length was cleared by the run that carved it, or never carved:
+// every cell is cleared once. The other buffers hold keys, the store's
+// answers, requests, and candidates that point into the streams.
 func (sc *scratch) release() {
 	clear(sc.vals)
 	clear(sc.rows)
+	clear(sc.streams)
+	clear(sc.cands)
 }
 
 // take carves the next n elements of *buf, capped at n, so that
@@ -283,10 +284,11 @@ type slab struct {
 	width int
 }
 
-// newSlab allocates room for count rows. Callers size it from the
-// number of rows actually fetched, never from the plan's static bound:
-// a scan limited by a cardinality constraint in the thousands usually
-// returns a page.
+// newSlab allocates room for count rows: the answer's, which runProject
+// returns and so must not carve from the scratch. Callers size it from
+// the number of rows actually fetched, never from the plan's static
+// bound: a scan limited by a cardinality constraint in the thousands
+// usually returns a page.
 func newSlab(count, width int) slab {
 	return slab{vals: make([]value.Value, count*width), width: width}
 }

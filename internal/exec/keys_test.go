@@ -25,9 +25,8 @@ var keysDDL = []string{
 	`CREATE TABLE articles (id VARCHAR(20), author VARCHAR(20), ts INT, PRIMARY KEY (id))`,
 }
 
-// keysPlan compiles sql over keysDDL's catalog, registers the indexes it
-// reads, and returns its remote operators and the plan.
-func keysPlan(t *testing.T, sql string) ([]core.Physical, *core.Plan) {
+// keysCatalog is a catalog of keysDDL's tables.
+func keysCatalog(t *testing.T) *schema.Catalog {
 	t.Helper()
 	cat := schema.NewCatalog()
 	for _, ddl := range keysDDL {
@@ -39,11 +38,18 @@ func keysPlan(t *testing.T, sql string) ([]core.Physical, *core.Plan) {
 			t.Fatal(err)
 		}
 	}
+	return cat
+}
+
+// compileOn compiles sql over cat with compiler and registers the
+// indexes the plan reads.
+func compileOn(t *testing.T, cat *schema.Catalog, sql string, compiler func(core.Catalog, *parser.Select) (*core.Plan, error)) *core.Plan {
+	t.Helper()
 	stmt, err := parser.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.Compile(cat, stmt.(*parser.Select))
+	plan, err := compiler(cat, stmt.(*parser.Select))
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -52,6 +58,14 @@ func keysPlan(t *testing.T, sql string) ([]core.Physical, *core.Plan) {
 			t.Fatal(err)
 		}
 	}
+	return plan
+}
+
+// keysPlan compiles sql over keysDDL's catalog, registers the indexes it
+// reads, and returns its remote operators and the plan.
+func keysPlan(t *testing.T, sql string) ([]core.Physical, *core.Plan) {
+	t.Helper()
+	plan := compileOn(t, keysCatalog(t), sql, core.Compile)
 	return plan.RemoteOps(), plan
 }
 

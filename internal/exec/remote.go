@@ -544,7 +544,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			size += value.StringBytes(c.rec)
 		}
 		arena.Grow(size)
-		slab := newSlab(len(batch), e.plan.RowWidth) // its own for now: e.rows' scratch is the next step
+		slab := e.rows(len(batch))
 		for _, c := range batch {
 			if len(joined) == want {
 				break

@@ -2,12 +2,14 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"piql/internal/core"
 	"piql/internal/index"
 	"piql/internal/kvstore"
-	"piql/internal/parser"
 	"piql/internal/schema"
 	"piql/internal/value"
 )
@@ -47,34 +49,9 @@ func TestTake(t *testing.T) {
 // warm Ctx keeps only what its bounded plans needed — a session that
 // once runs a scan over a long section does not hold it afterwards.
 func TestUnboundedPlanLeavesScratch(t *testing.T) {
-	cat := schema.NewCatalog()
-	for _, ddl := range keysDDL {
-		stmt, err := parser.Parse(ddl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.AddTable(stmt.(*parser.CreateTable).Table); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compile := func(sql string, compiler func(core.Catalog, *parser.Select) (*core.Plan, error)) *core.Plan {
-		stmt, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := compiler(cat, stmt.(*parser.Select))
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		for _, ix := range plan.RequiredIndexes {
-			if _, err := cat.AddIndex(ix); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return plan
-	}
-	bounded := compile(`SELECT * FROM thoughts WHERE owner = ? ORDER BY ts LIMIT 10`, core.Compile)
-	unbounded := compile(`SELECT * FROM articles WHERE author = ?`, core.CompileCostBased)
+	cat := keysCatalog(t)
+	bounded := compileOn(t, cat, `SELECT * FROM thoughts WHERE owner = ? ORDER BY ts LIMIT 10`, core.Compile)
+	unbounded := compileOn(t, cat, `SELECT * FROM articles WHERE author = ?`, core.CompileCostBased)
 	if bounded.OpBound() == core.Unbounded || unbounded.OpBound() != core.Unbounded {
 		t.Fatalf("bounds %d and %d: want a bounded plan and an unbounded one", bounded.OpBound(), unbounded.OpBound())
 	}
@@ -113,4 +90,63 @@ func TestUnboundedPlanLeavesScratch(t *testing.T) {
 	if got := ctx.sc.capacities(); got != warm {
 		t.Fatalf("the unbounded plan moved the scratch's capacities from %v to %v", warm, got)
 	}
+}
+
+// TestReleaseLeavesNoReplacedStreamsReachable: a plan with two sorted
+// joins carves streams twice, and take replaces the streams' array when
+// the second join's streams do not fit. The candidate batch, with room
+// for both joins' candidates, still points into the replaced array, whose
+// streams hold the child scan's rows, which lie in a values array the
+// first join's round replaced in turn. So release clears the candidates
+// as well as the streams, or the idle Ctx keeps the child's strings, and
+// their arena, alive.
+func TestReleaseLeavesNoReplacedStreamsReachable(t *testing.T) {
+	cat := keysCatalog(t)
+	plan := compileOn(t, cat, `SELECT s.target, t.ts FROM subs s JOIN subs s2 JOIN thoughts t
+		WHERE s2.owner = s.target AND t.owner = s2.target AND s.owner = ? ORDER BY t.ts DESC LIMIT 10`, core.Compile)
+	joins := 0
+	for _, op := range plan.RemoteOps() {
+		if _, ok := op.(*core.SortedIndexJoin); ok {
+			joins++
+		}
+	}
+	if joins != 2 {
+		t.Fatalf("not the shape under test:\n%s", plan.Explain())
+	}
+
+	// Names of 16 bytes and more, so that no string arena is a tiny
+	// allocation sharing its block with something that outlives it.
+	const owner, middle = "the-chain-starts-here", "the-chain-goes-through-here"
+	cl := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 1}, nil).NewClient(nil)
+	m := index.NewMaintainer(cat)
+	subs, thoughts := cat.Table("subs"), cat.Table("thoughts")
+	insert := func(table *schema.Table, row ...value.Value) {
+		if err := m.Insert(cl, table, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(subs, value.Str(owner), value.Int(0), value.Str(middle))
+	for i := 0; i < 3; i++ {
+		end := value.Str(fmt.Sprintf("the-chain-ends-here-%d", i))
+		insert(subs, value.Str(middle), value.Int(int64(i)), end)
+		for ts := 0; ts < 4; ts++ {
+			insert(thoughts, end, value.Int(int64(ts)))
+		}
+	}
+
+	ctx := &Ctx{Client: cl, Params: []value.Value{value.Str(owner)}, Strategy: Parallel}
+	ctx.sc.cands = make([]candidate, 0, 64) // room for both joins' candidates
+	res, err := Run(plan, ctx)
+	if err != nil || len(res.Rows) != 10 {
+		t.Fatalf("%v, %v; want 10 rows", res, err)
+	}
+	child := weak.Make(unsafe.StringData(res.Rows[0][0].S))
+	res = nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if child.Value() != nil {
+		t.Errorf("a string of the child scan is still reachable from the idle Ctx")
+	}
+	runtime.KeepAlive(ctx)
 }
