@@ -13,11 +13,12 @@
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
 // it is about to produce before it produces them, so it takes room for
-// all of their values at once (a slab) and carves the rows out of it; it knows the records it is about to decode too, so it grows one
-// string arena by their exact value.StringBytes and decodes every string
-// and blob of the batch into it; and it knows the keys it is about to
-// send, so it evaluates them into a row on its stack and encodes them all
-// into one buffer sized by codec.Size. The store answers a request set
+// all of their values at once (a slab) and carves the rows out of it; it
+// knows the records it is about to decode too, so it grows one string
+// arena by their exact value.StringBytes and decodes every string and
+// blob of the batch into it; and it knows the keys it is about to send,
+// so it evaluates them into a row on its stack and encodes them all into
+// one buffer sized by codec.Size. The store answers a request set
 // from one result buffer too. An operator's cost is its string arena, and
 // nothing per row or per request: its slab, its key buffer, the store's
 // result buffer and the headers of the rows it hands its parent are
@@ -90,7 +91,7 @@ type Ctx struct {
 // scratch is an execution's bookkeeping: the keys its operators send,
 // what the store returns for them, the headers of the rows an operator
 // hands its parent, a sorted join's candidates and the values of the
-// records a fetch, a range scan or a sorted join decodes. Run truncates it, and
+// records every remote operator decodes. Run truncates it, and
 // operators carve from it bump-style, so a run never overwrites what it
 // carved earlier: a buffer without room is replaced (take) or regrown by
 // the store's append, and what was carved keeps pointing into the old
@@ -120,16 +121,18 @@ func (sc *scratch) reset() {
 }
 
 // release clears what the run since reset carved into the values, the
-// row headers and the streams, so that a session idle between runs keeps
-// no run's strings, nor their arenas, alive. The values hold every remote
-// operator's strings. A run carves them more than once (a sorted join's
-// child, then each of its rounds), and take may replace the array
-// between two carves: the replaced array keeps the earlier carves' cells
-// uncleared, and only the row headers and the streams' child rows point
-// into it, so clearing those leaves it unreachable. Whatever lies past a
-// buffer's length was cleared by the run that carved it, or never carved:
-// every cell is cleared once. The other buffers hold keys, the store's
-// answers, requests, and candidates that point into the streams.
+// row headers, the streams and the candidates, so that a session idle
+// between runs keeps no run's strings, nor their arenas, alive. The
+// values hold every remote operator's strings. A run carves values more
+// than once (a sorted join's child, then each of its rounds) and streams
+// once per sorted join, and take may replace a buffer's array between two
+// carves; the replaced array keeps the earlier carves' cells. Only the
+// row headers and the streams' child rows point into a replaced values
+// array, and only the candidates into a replaced streams array, so
+// clearing these four leaves every replaced array unreachable. Whatever
+// lies past a buffer's length was cleared by the run that carved it, or
+// never carved: every cell is cleared once. The other buffers hold keys,
+// the store's answers and requests.
 func (sc *scratch) release() {
 	clear(sc.vals)
 	clear(sc.rows)
