@@ -410,7 +410,8 @@ func TestScratchKeepsNoArenaAlive(t *testing.T) {
 	// strings, and only the row headers and the streams still point into
 	// it. A fresh session whose first statement warmed its row headers but
 	// not its values replaces the values in the join's first round. The
-	// string checked is the child's first column, s.target.
+	// string checked is each answer's first: the join's is s.target, a
+	// string of its child scan.
 	t.Run("a sorted join that regrows the values", func(t *testing.T) {
 		fresh := s.eng.Session(nil)
 		for _, st := range []struct {
