@@ -5,7 +5,10 @@
 // The tree is not safe for concurrent use; kvstore.Node serializes access.
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // degree is the minimum number of children of an internal node. Nodes hold
 // between degree-1 and 2*degree-1 items (except the root).
@@ -79,7 +82,7 @@ func (t *Tree) Put(key, val []byte) bool {
 	if len(t.root.items) == maxItems {
 		old := t.root
 		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0)
+		t.root.splitChild(0, key)
 	}
 	inserted := t.root.insert(key, val)
 	if inserted {
@@ -102,7 +105,7 @@ func (n *node) insert(key, val []byte) bool {
 		return true
 	}
 	if len(n.children[i].items) == maxItems {
-		n.splitChild(i)
+		n.splitChild(i, key)
 		switch c := bytes.Compare(key, n.items[i].Key); {
 		case c == 0:
 			n.items[i].Value = val
@@ -115,17 +118,21 @@ func (n *node) insert(key, val []byte) bool {
 }
 
 // splitChild splits the full child at index i, moving its median item up.
-func (n *node) splitChild(i int) {
+// key is the key about to be inserted: the half it falls in keeps the
+// child's arrays, grown to hold a full node, and the other half gets
+// exact copies. A load in key order then fills every node: an
+// ascending load never writes a left half again, a descending one never
+// a right half, and each keeps a copy of just its size while the growing
+// half refills the full-sized array.
+func (n *node) splitChild(i int, key []byte) {
 	child := n.children[i]
 	median := child.items[degree-1]
-	right := &node{
-		items: append([]Item(nil), child.items[degree:]...),
-	}
+	toRight := bytes.Compare(key, median.Key) > 0
+	right := &node{}
+	child.items, right.items = halve(child.items, degree-1, degree, toRight)
 	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[degree:]...)
-		child.children = child.children[:degree]
+		child.children, right.children = halve(child.children, degree, degree, toRight)
 	}
-	child.items = child.items[:degree-1]
 
 	n.items = append(n.items, Item{})
 	copy(n.items[i+1:], n.items[i:])
@@ -133,6 +140,24 @@ func (n *node) splitChild(i int) {
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
+}
+
+// halve splits s into s[:lo] and s[hi:]. The right half keeps s's array
+// if keepRight, moved to its front, and the left half does otherwise; the
+// other half is a copy. halve clears every slot of the array past the
+// half that keeps it, so that no item or child it held (the median, the
+// copied half) stays reachable from there.
+func halve[T any](s []T, lo, hi int, keepRight bool) (left, right []T) {
+	kept := lo
+	if keepRight {
+		left = slices.Clone(s[:lo])
+		kept = copy(s, s[hi:])
+		right = s[:kept]
+	} else {
+		left, right = s[:lo], slices.Clone(s[hi:])
+	}
+	clear(s[kept:])
+	return left, right
 }
 
 // Delete removes key from the tree and reports whether it was present.
@@ -153,7 +178,7 @@ func (n *node) remove(key []byte) bool {
 		if !found {
 			return false
 		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return true
 	}
 	if found {
@@ -206,11 +231,14 @@ func (n *node) borrowFromLeft(i int) {
 	child.items = append(child.items, Item{})
 	copy(child.items[1:], child.items)
 	child.items[0] = n.items[i-1]
-	n.items[i-1] = left.items[len(left.items)-1]
-	left.items = left.items[:len(left.items)-1]
+	last := len(left.items) - 1
+	n.items[i-1], left.items[last] = left.items[last], Item{}
+	left.items = left.items[:last]
 	if !left.leaf() {
-		moved := left.children[len(left.children)-1]
-		left.children = left.children[:len(left.children)-1]
+		last := len(left.children) - 1
+		moved := left.children[last]
+		left.children[last] = nil
+		left.children = left.children[:last]
 		child.children = append(child.children, nil)
 		copy(child.children[1:], child.children)
 		child.children[0] = moved
@@ -221,10 +249,10 @@ func (n *node) borrowFromRight(i int) {
 	child, right := n.children[i], n.children[i+1]
 	child.items = append(child.items, n.items[i])
 	n.items[i] = right.items[0]
-	right.items = append(right.items[:0], right.items[1:]...)
+	right.items = slices.Delete(right.items, 0, 1)
 	if !right.leaf() {
 		moved := right.children[0]
-		right.children = append(right.children[:0], right.children[1:]...)
+		right.children = slices.Delete(right.children, 0, 1)
 		child.children = append(child.children, moved)
 	}
 }
@@ -235,8 +263,8 @@ func (n *node) mergeChildren(i int) {
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.items = slices.Delete(n.items, i, i+1)
+	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
 func (n *node) min() Item {

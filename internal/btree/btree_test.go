@@ -2,11 +2,15 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"weak"
 )
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
@@ -148,6 +152,88 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
+// TestDeletedItemIsReleased loads 100 keys in order, deletes one and
+// requires the key's bytes to be collectable while the tree lives: no
+// slot of a node's array past its length may keep the deleted item, nor a
+// copy of it that a split moved to another node. The victims are key 99,
+// the last of its leaf; key 50, whose copy the first split left in the
+// old array's tail; and key 0, the first. A key is 16 bytes, past the
+// runtime's tiny allocator, which packs smaller pointer-free objects into
+// one block that lives while any of them does.
+func TestDeletedItemIsReleased(t *testing.T) {
+	keyAt := func(i int) *[16]byte {
+		k := new([16]byte)
+		binary.BigEndian.PutUint64(k[:], uint64(i))
+		return k
+	}
+	for _, victim := range []int{99, 50, 0} {
+		tr := New()
+		var released weak.Pointer[[16]byte]
+		for i := 0; i < 100; i++ {
+			k := keyAt(i)
+			if i == victim {
+				released = weak.Make(k)
+			}
+			tr.Put(k[:], nil)
+		}
+		if !tr.Delete(keyAt(victim)[:]) {
+			t.Fatalf("Delete(%d) = false", victim)
+		}
+		runtime.GC()
+		runtime.GC()
+		if released.Value() != nil {
+			t.Errorf("key %d is still reachable from the tree after its delete", victim)
+		}
+		runtime.KeepAlive(tr)
+	}
+}
+
+// fill returns the number of items a tree holds and the number of slots
+// its nodes' item arrays have room for.
+func fill(tr *Tree) (items, slots int) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		items += len(n.items)
+		slots += cap(n.items)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	return items, slots
+}
+
+// TestInOrderLoadFillsNodes loads 100 000 store-shaped keys (storeKey)
+// in ascending and in descending order, as the store's loaders do, and
+// requires the nodes' item arrays to be at least 95 % full: a split
+// leaves the full-sized array to the half the load goes on filling. A
+// load in random order is logged, not checked.
+func TestInOrderLoadFillsNodes(t *testing.T) {
+	const n = 100000
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	for _, load := range []struct {
+		name    string
+		key     func(i int) int
+		minFill float64
+	}{
+		{"ascending", func(i int) int { return i }, 0.95},
+		{"descending", func(i int) int { return n - 1 - i }, 0.95},
+		{"random", func(i int) int { return perm[i] }, 0},
+	} {
+		tr := New()
+		for i := 0; i < n; i++ {
+			k := storeKey(load.key(i), n)
+			tr.Put(k, k)
+		}
+		items, slots := fill(tr)
+		share := float64(items) / float64(slots)
+		t.Logf("%s: %d items in %d slots, %.3f full", load.name, items, slots, share)
+		if share < load.minFill {
+			t.Errorf("a load in %s order leaves the item arrays %.3f full; want at least %.2f", load.name, share, load.minFill)
+		}
+	}
+}
+
 // refTree is a tree beside its reference model, a map. Each method does
 // one operation to both and reports where they disagree.
 type refTree struct {
@@ -226,12 +312,24 @@ func (m *refTree) check() error {
 
 // checkNode checks the subtree at n: every node but the root holds
 // degree-1 to maxItems items, an internal node one child more than
-// items, keys ascend strictly and lie inside (lo, hi) — the separators
-// around the subtree, nil for none — and every leaf lies at one depth,
-// which it returns.
+// items, no slot of an array past its length holds an item or a child (a
+// deleted key, a dead subtree or a half moved to another node, kept
+// reachable), keys ascend strictly and lie inside (lo, hi) — the
+// separators around the subtree, nil for none — and every leaf lies at
+// one depth, which it returns.
 func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
 	if len(n.items) > maxItems || (!root && len(n.items) < degree-1) {
 		return 0, fmt.Errorf("a node holds %d items", len(n.items))
+	}
+	for j, it := range n.items[len(n.items):cap(n.items)] {
+		if it.Key != nil || it.Value != nil {
+			return 0, fmt.Errorf("a node of %d items holds %q in vacated slot %d", len(n.items), it.Key, len(n.items)+j)
+		}
+	}
+	for j, c := range n.children[len(n.children):cap(n.children)] {
+		if c != nil {
+			return 0, fmt.Errorf("a node of %d children holds a child in vacated slot %d", len(n.children), len(n.children)+j)
+		}
 	}
 	prev := lo
 	for _, it := range n.items {
@@ -471,15 +569,32 @@ func FuzzTreeOps(f *testing.F) {
 	})
 }
 
+// BenchmarkPut inserts b.N keys into an empty tree in ascending,
+// descending and random order, and reports the slots of the nodes' item
+// arrays per item the tree ends with (slots/item; 1 is full).
 func BenchmarkPut(b *testing.B) {
-	tr := New()
-	keys := make([][]byte, b.N)
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Put(keys[i], keys[i])
+	for _, order := range []string{"ascending", "descending", "random"} {
+		b.Run(order, func(b *testing.B) {
+			keys := make([][]byte, b.N)
+			for i := range keys {
+				keys[i] = key(i)
+			}
+			switch order {
+			case "descending":
+				slices.Reverse(keys)
+			case "random":
+				rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			tr := New()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, k := range keys {
+				tr.Put(k, k)
+			}
+			b.StopTimer()
+			items, slots := fill(tr)
+			b.ReportMetric(float64(slots)/float64(items), "slots/item")
+		})
 	}
 }
 
