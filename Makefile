@@ -22,6 +22,8 @@ vet:
 # internal/kvstore but (*Client).branches calls proc.Parallel or
 # proc.Fork), one issue point (non-test code of internal/exec names
 # Client. at exactly one site, (*executor).issue's Client.Issue), one
+# write call per set (no non-test code of internal/index calls
+# .Parallel(: the maintainer writes each set through Client.Apply), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
@@ -49,6 +51,8 @@ lint:
 	@sites=$$(grep -nE '^[^/]*Client\.' $$(ls internal/exec/*.go | grep -v _test.go)); \
 	if [ $$(printf '%s\n' "$$sites" | grep -c .) -ne 1 ]; then \
 		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
+	@if grep -nE '^[^/]*\.Parallel\(' $$(ls internal/index/*.go | grep -v _test.go); then \
+		echo "layering: internal/index writes each set of keys through one Client.Apply call, not a branch per key"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.(Kill|Restart|Partition|Heal)\(' cmd internal examples *.go | \
 			grep -v '^internal/harness/chaos.go:'; then \
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi

@@ -183,9 +183,9 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	// behind as benign dangling entries that index GC collects — the same
 	// class a crash at that point leaves — and the caller retries.
 	fail := func(err error) error { return fmt.Errorf("index: insert %s: %w", t.Name, err) }
-	// (1) Insert all secondary index entries (in parallel: ordering only
-	// matters between the entries and the record, not among entries).
-	if err := putEntries(cl, entryKeysFor(ixs, t, row)); err != nil {
+	// (1) Insert all secondary index entries, one set: ordering only
+	// matters between the entries and the record, not among entries.
+	if err := cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, row)}); err != nil {
 		return fail(err)
 	}
 	// (2) Insert the record if absent (uniqueness via test-and-set).
@@ -218,9 +218,9 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 		}
 		if ok {
 			if old, derr := value.DecodeRow(existing); derr == nil {
-				err = m.deleteStaleEntries(cl, ixs, t, row, old)
+				err = cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, row, old), Del: true})
 			}
-		} else if err = m.deleteRowEntries(cl, ixs, t, row); err == nil {
+		} else if err = cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true}); err == nil {
 			// A concurrent insert of the same key may have committed while
 			// we were deleting — and its entry keys can coincide with the
 			// ones just removed. Restore whatever the winner's row needs.
@@ -231,7 +231,7 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 			var rec2 []byte
 			if rec2, _, ok, err = cl.Read(rkey, kvstore.ReadOpts{}); ok {
 				if winner, derr := value.DecodeRow(rec2); derr == nil {
-					err = putEntries(cl, entryKeysFor(ixs, t, winner))
+					err = cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, winner)})
 				}
 			}
 		}
@@ -256,7 +256,7 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 		// the row would stay past the limit every static bound rests on.
 		// Undo the insert (record first so readers stop seeing it, then
 		// entries).
-		if err := errors.Join(err, cl.Delete(rkey), m.deleteRowEntries(cl, ixs, t, row)); err != nil {
+		if err := errors.Join(err, cl.Delete(rkey), cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true})); err != nil {
 			return fail(err)
 		}
 		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
@@ -401,8 +401,8 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 	ixs := m.secondaryIndexes(t)
 	rkey := RecordKey(t, newRow)
 	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
-	// (1) New entries, in parallel.
-	if err := putEntries(cl, entryKeysFor(ixs, t, newRow)); err != nil {
+	// (1) New entries, one set.
+	if err := cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, newRow)}); err != nil {
 		return fail(err)
 	}
 	// (2) Record.
@@ -410,15 +410,15 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 		return fail(err)
 	}
 	// (3) Stale entries.
-	if err := m.deleteStaleEntries(cl, ixs, t, oldRow, newRow); err != nil {
+	if err := cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, oldRow, newRow), Del: true}); err != nil {
 		return fail(err)
 	}
 	return nil
 }
 
-// deleteStaleEntries removes index entries produced by oldRow but not by
-// keepRow.
-func (m *Maintainer) deleteStaleEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, oldRow, keepRow value.Row) error {
+// staleEntries returns the entries oldRow produces and keepRow does not,
+// for the caller to delete, recording build tombstones as rowEntries does.
+func (m *Maintainer) staleEntries(ixs []*schema.Index, t *schema.Table, oldRow, keepRow value.Row) [][]byte {
 	var stale [][]byte
 	for _, ix := range ixs {
 		keep := make(map[string]bool)
@@ -434,19 +434,19 @@ func (m *Maintainer) deleteStaleEntries(cl *kvstore.Client, ixs []*schema.Index,
 		m.recordBuildTombstones(ix, ixStale)
 		stale = append(stale, ixStale...)
 	}
-	return deleteEntries(cl, stale)
+	return stale
 }
 
-// deleteRowEntries removes every entry row produces, recording build
-// tombstones first for any index whose backfill is in flight.
-func (m *Maintainer) deleteRowEntries(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, row value.Row) error {
+// rowEntries returns every entry row produces, for the caller to delete,
+// recording build tombstones first for any index whose backfill is in flight.
+func (m *Maintainer) rowEntries(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
 	var keys [][]byte
 	for _, ix := range ixs {
 		eks := EntryKeys(ix, t, row)
 		m.recordBuildTombstones(ix, eks)
 		keys = append(keys, eks...)
 	}
-	return deleteEntries(cl, keys)
+	return keys
 }
 
 // Delete removes a row and its index entries (record first, so readers
@@ -469,7 +469,7 @@ func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) e
 	if err := cl.Delete(rkey); err != nil {
 		return fail(err)
 	}
-	if err := m.deleteRowEntries(cl, ixs, t, row); err != nil {
+	if err := cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true}); err != nil {
 		return fail(err)
 	}
 	return nil
@@ -484,34 +484,6 @@ func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte 
 	return keys
 }
 
-// putEntries writes entry keys concurrently.
-func putEntries(cl *kvstore.Client, keys [][]byte) error {
-	return writeEntries(cl, keys, func(sub *kvstore.Client, k []byte) error { return sub.Put(k, nil) })
-}
-
-// deleteEntries removes entry keys concurrently.
-func deleteEntries(cl *kvstore.Client, keys [][]byte) error {
-	return writeEntries(cl, keys, (*kvstore.Client).Delete)
-}
-
-// writeEntries issues one write per key, concurrently when there are
-// several; each Parallel branch reports into its own slot.
-func writeEntries(cl *kvstore.Client, keys [][]byte, write func(*kvstore.Client, []byte) error) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if len(keys) == 1 {
-		return write(cl, keys[0])
-	}
-	errs := make([]error, len(keys))
-	fns := make([]func(*kvstore.Client), len(keys))
-	for i, k := range keys {
-		fns[i] = func(sub *kvstore.Client) { errs[i] = write(sub, k) }
-	}
-	cl.Parallel(fns...)
-	return errors.Join(errs...)
-}
-
 // BackfillAt builds a newly created secondary index from the existing
 // records of its table. It is the scan half of the online build
 // protocol: the index is registered (building) before the scan starts,
@@ -520,7 +492,7 @@ func writeEntries(cl *kvstore.Client, keys [][]byte, write func(*kvstore.Client,
 // still hold a pre-registration catalog snapshot).
 //
 // Every entry the backfill writes is stamped at snap, a version the
-// caller drew before the scan reads anything (PutStamped). That makes
+// caller drew before the scan reads anything (WriteSet.At). That makes
 // the scan a consistent "as of" replay: any write racing the build — in
 // particular a delete whose entries the stale scan would re-put —
 // carries a later version and outranks the backfill on every replica,
@@ -558,10 +530,8 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 		if err != nil {
 			return fmt.Errorf("index: corrupt record during backfill of %s: %w", ix.Name, err)
 		}
-		for _, key := range EntryKeys(ix, t, row) {
-			if err := cl.PutStamped(key, nil, snap); err != nil {
-				return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
-			}
+		if err := cl.Apply(&kvstore.WriteSet{Keys: EntryKeys(ix, t, row), At: &snap}); err != nil {
+			return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
 		}
 	}
 	return nil

@@ -33,9 +33,9 @@ func TestBackfillStampLosesToRacingDelete(t *testing.T) {
 	row := value.Row{value.Str("ann"), value.Int(7), value.Str("x")}
 	ekey := EntryKeys(ix, tab, row)[0]
 
-	snap := cl.StampVersion()      // the backfill's scan-begin stamp
-	cl.Delete(ekey)                // a writer's racing delete, stamped later
-	cl.PutStamped(ekey, nil, snap) // the backfill's stale re-put lands last
+	snap := cl.StampVersion()                                    // the backfill's scan-begin stamp
+	cl.Delete(ekey)                                              // a writer's racing delete, stamped later
+	cl.Apply(&kvstore.WriteSet{Keys: [][]byte{ekey}, At: &snap}) // the backfill's stale re-put lands last
 	if _, _, ok, err := cl.Read(ekey, kvstore.ReadOpts{}); err != nil || ok {
 		t.Fatal("backfill's stale stamped put resurrected a deleted entry")
 	}
@@ -59,7 +59,7 @@ func TestBackfillStampLosesToRacingDelete(t *testing.T) {
 	old := cl.StampVersion()
 	snap2 := cl.StampVersion()
 	ghost := EntryKeys(ix, tab, value.Row{value.Str("bob"), value.Int(1), value.Str("y")})[0]
-	cl.PutStamped(ghost, nil, old)
+	cl.Apply(&kvstore.WriteSet{Keys: [][]byte{ghost}, At: &old})
 	err = m.VerifyBuildSuspects(cl, ix, snap2, [][]byte{ghost})
 	if err == nil || !strings.Contains(err.Error(), "build ghost") {
 		t.Fatalf("invariant check missed a scan-age ghost: %v", err)

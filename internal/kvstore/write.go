@@ -5,20 +5,14 @@ import (
 	"slices"
 )
 
-// The write path of Client: plain versioned writes (Put, Delete,
-// PutStamped) and the linearizable conditional write (TestAndSet).
+// The write path of Client: the set-shaped versioned write (Apply, and
+// Put and Delete over it) and the linearizable conditional write
+// (TestAndSet).
 
-// Put stores value under key on every replica, synchronously (the
-// replicas in parallel in simulated mode). The write is
-// stamped from the key's primary clock, so racing Puts/Deletes from
-// any number of clients converge every replica to the same winner.
-// An outage never fails a write: a replica that is down gets the
-// envelope queued as a versioned catch-up and replays it on rejoin, so
-// an acknowledged write survives it. The one error is
-// *ErrFenceExhausted, from a rebalance storm that outlasted
-// writeRetryBudget (see writeStamped).
+// Put stores value under key on every replica, as a set of one (see
+// Apply). The one error is *ErrFenceExhausted.
 func (cl *Client) Put(key, value []byte) error {
-	return cl.writeStamped(key, value, false, nil)
+	return cl.Apply(&WriteSet{Keys: [][]byte{key}, Vals: [][]byte{value}})
 }
 
 // Delete removes key from every replica by writing a versioned
@@ -26,7 +20,7 @@ func (cl *Client) Put(key, value []byte) error {
 // racing an older Put wins on every replica regardless of arrival
 // order. It fails only as Put does.
 func (cl *Client) Delete(key []byte) error {
-	return cl.writeStamped(key, nil, true, nil)
+	return cl.Apply(&WriteSet{Keys: [][]byte{key}, Del: true})
 }
 
 // StampVersion draws a snapshot-barrier version: a timestamp strictly
@@ -35,27 +29,31 @@ func (cl *Client) Delete(key []byte) error {
 // stamped strictly newer. The index backfill uses it as its snapshot
 // stamp (draw, drain in-flight writers, scan, replay at the stamp);
 // per-write stamping goes through the key's primary clock instead
-// (see writeStamped) and does not pay the all-nodes round.
+// (see Apply) and does not pay the all-nodes round.
 func (cl *Client) StampVersion() Version {
 	return Version{TS: cl.c.barrierStamp(), Client: cl.id}
 }
 
-// PutStamped stores value under key at a caller-chosen version instead
-// of a fresh stamp. It loses to every write stamped after ver was
-// drawn, which is the point: a bulk writer replaying data "as of" a
-// snapshot (the index backfill) stamps everything at the snapshot
-// version, and any live write that raced it — including a delete —
-// outranks the replay on every replica.
-func (cl *Client) PutStamped(key, value []byte, ver Version) error {
-	return cl.writeStamped(key, value, false, &ver)
+// WriteSet is one write: every one of Keys put, with the value of the
+// same index in Vals (an empty value when Vals is nil, as index entries
+// are) or, under Del, deleted. A nil At stamps each key from its
+// primary clock. A non-nil At pins every key to *At instead, so the set
+// loses to every write stamped after *At was drawn: a bulk writer
+// replaying data "as of" a snapshot (the index backfill) stamps
+// everything at the snapshot version, and any live write that raced it,
+// a delete included, outranks the replay on every replica.
+type WriteSet struct {
+	Keys, Vals [][]byte
+	Del        bool
+	At         *Version
 }
 
-// writeRetryBudget bounds the routing-revalidation loop in
-// writeStamped: the write re-applies itself only while rebalances keep
-// flipping the table mid-operation, so the budget is only ever
-// approached under a pathological rebalance storm — at which point the
-// write (already applied under some table) stops retrying and returns
-// a *ErrFenceExhausted instead of spinning forever.
+// writeRetryBudget bounds the routing-revalidation loop in Apply: the
+// set re-applies itself only while rebalances keep flipping the table
+// mid-operation, so the budget is only ever approached under a
+// pathological rebalance storm — at which point the set (already
+// applied under some table) stops retrying and returns a
+// *ErrFenceExhausted instead of spinning forever.
 const writeRetryBudget = 64
 
 // fenceRetryBudget bounds how many times TestAndSet retries after an
@@ -63,32 +61,44 @@ const writeRetryBudget = 64
 // with *ErrFenceExhausted.
 const fenceRetryBudget = 64
 
-// writeStamped routes one versioned put/delete. Unpinned writes (pin ==
-// nil) are stamped from the key's primary clock — the node that orders
-// the key's writes; observe-on-apply keeps the order intact across
-// fail-overs — falling back to a cluster barrier stamp when the whole
-// replica set is unreachable. The envelope is built once and applied
-// with put-if-newer on every target — current replicas and the
-// destinations of any in-flight move covering the key — and the
-// operation retries (bounded by writeRetryBudget) if the routing table
-// changed while it ran, so a concurrent rebalance can never strand it
-// on a node that is no longer the key's owner.
-// Re-application is naturally idempotent: the same envelope applied
-// twice is a no-op.
-func (cl *Client) writeStamped(key, val []byte, del bool, pin *Version) error {
-	var env []byte
+// Apply writes one set in one call. Every key reaches every owner
+// synchronously, and the set's owner visits, keys × replicas, are one
+// concurrent set. Each key is stamped from its primary clock (the node
+// that orders the key's writes; observe-on-apply keeps the order across
+// fail-overs), or from a cluster barrier when its whole replica set is
+// unreachable, unless At pins it. Its envelope is built once and applied
+// with put-if-newer on the owners, then on the destinations of any
+// in-flight move covering the key, and the set re-applies itself
+// (bounded by writeRetryBudget) if the routing table changed while it
+// ran, so a rebalance can never strand a key on a former owner.
+//
+// An outage never fails a write: an owner that is down gets the envelope
+// queued as a versioned catch-up and replays it on rejoin, and the visit
+// is paid either way. The one error is *ErrFenceExhausted, from a
+// rebalance storm that outlasted writeRetryBudget. An empty set costs
+// nothing.
+func (cl *Client) Apply(set *WriteSet) error {
+	if len(set.Keys) == 0 {
+		return nil
+	}
+	var small [4][]byte // a set's envelopes, on the stack up to four keys
+	envs := append(small[:0], make([][]byte, len(set.Keys))...)
 	for attempt := 0; ; attempt++ {
 		rt := cl.c.beginOp()
-		if env == nil {
-			ver := Version{Client: cl.id}
-			if pin != nil {
-				ver = *pin
-			} else {
-				ver.TS = cl.stampOn(rt, key)
+		for i, key := range set.Keys {
+			if envs[i] == nil {
+				envs[i] = cl.envelope(rt, set, i)
 			}
-			env = makeEnvelope(ver, del, val)
+			for _, id := range rt.owners[rt.partitionOf(key)] {
+				cl.c.applyOrQueue(id, key, envs[i])
+				cl.pay(true, id, 1, len(key))
+			}
 		}
-		cl.writeUnder(rt, key, env)
+		cl.settle()
+		for i, env := range envs {
+			key := set.Keys[i]
+			cl.doubleApply(coveringMove(rt, key), key, env, rt.owners[rt.partitionOf(key)])
+		}
 		settled := cl.c.routing.Load() == rt
 		cl.c.endOp(rt)
 		if settled {
@@ -98,6 +108,21 @@ func (cl *Client) writeStamped(key, val []byte, del bool, pin *Version) error {
 			return &ErrFenceExhausted{Op: "write", Attempts: attempt + 1, Last: ErrTransient}
 		}
 	}
+}
+
+// envelope builds the envelope of set's key i, stamped under rt.
+func (cl *Client) envelope(rt *routing, set *WriteSet, i int) []byte {
+	ver := Version{Client: cl.id}
+	if set.At != nil {
+		ver = *set.At
+	} else {
+		ver.TS = cl.stampOn(rt, set.Keys[i])
+	}
+	var val []byte
+	if set.Vals != nil && !set.Del {
+		val = set.Vals[i]
+	}
+	return makeEnvelope(ver, set.Del, val)
 }
 
 // stampOn draws a write timestamp from the key's primary clock (first
@@ -110,21 +135,6 @@ func (cl *Client) stampOn(rt *routing, key []byte) int64 {
 		}
 	}
 	return cl.c.barrierStamp()
-}
-
-// writeUnder applies one envelope under a specific routing table. Down
-// targets get the envelope queued for catch-up replay instead of
-// applied (applyOrQueue); the visit is paid either way — the attempt
-// is part of the operation's cost — and the replicas' visits are one
-// concurrent set.
-func (cl *Client) writeUnder(rt *routing, key, env []byte) {
-	ids := rt.owners[rt.partitionOf(key)]
-	for _, id := range ids {
-		cl.c.applyOrQueue(id, key, env)
-		cl.pay(true, id, 1, len(key))
-	}
-	cl.settle()
-	cl.doubleApply(coveringMove(rt, key), key, env, ids)
 }
 
 // coveringMove returns the in-flight move whose range contains key, or
