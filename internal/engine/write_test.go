@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"piql/internal/exec"
+	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -225,5 +227,41 @@ func TestCachedWriteSeesNewIndex(t *testing.T) {
 	}
 	if res, err = p.Execute(s, value.Str("SF")); err != nil || len(res.Rows) != 0 {
 		t.Errorf("after both deletes the index still yields %v (%v)", res, err)
+	}
+}
+
+// TestUpdatePastCardinalityLimitIsRefused: an UPDATE that moves a row
+// into a group already at its CARDINALITY LIMIT is refused as an insert
+// there would be, and the row stays where it was. Admitted, the move
+// would put three rows under owner 'a', and a read bounded by the limit
+// would silently return two of them. The refusal holds whether the
+// count reads the records (before any index on owner exists) or the
+// index the first query builds; a move within the limit goes through.
+func TestUpdatePastCardinalityLimitIsRefused(t *testing.T) {
+	s := newEngine(t, `CREATE TABLE sub (id INT, owner VARCHAR(10), target VARCHAR(10), PRIMARY KEY (id), CARDINALITY LIMIT 2 (owner))`)
+	for i, owner := range []string{"a", "a", "b"} {
+		if err := s.Exec(`INSERT INTO sub VALUES (?, ?, 'x')`, value.Int(int64(i+1)), value.Str(owner)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, counted := range []string{"over the records", "over the index"} {
+		err := s.Exec(`UPDATE sub SET owner = 'a' WHERE id = 3`)
+		var card *index.ErrCardinalityExceeded
+		if !errors.As(err, &card) {
+			t.Fatalf("counted %s: moving row 3 to owner a: err = %v, want *index.ErrCardinalityExceeded", counted, err)
+		}
+		for owner, want := range map[string]string{"a": `[(1, "a") (2, "a")]`, "b": `[(3, "b")]`} {
+			if got := queryRows(t, s, `SELECT id, owner FROM sub WHERE owner = ?`, value.Str(owner)); got != want {
+				t.Fatalf("counted %s: owner %s holds %s after the refused move, want %s", counted, owner, got, want)
+			}
+		}
+	}
+	if err := s.Exec(`UPDATE sub SET owner = 'c' WHERE id = 3`); err != nil {
+		t.Fatalf("a move within the limit: %v", err)
+	}
+	for owner, want := range map[string]string{"b": `[]`, "c": `[(3, "c")]`} {
+		if got := queryRows(t, s, `SELECT id, owner FROM sub WHERE owner = ?`, value.Str(owner)); got != want {
+			t.Fatalf("owner %s holds %s after the move, want %s", owner, got, want)
+		}
 	}
 }

@@ -395,10 +395,11 @@ func (m *Maintainer) prefixesPrimaryKey(t *schema.Table, cols []string) bool {
 
 // Update rewrites an existing row from oldRow, as the caller just read
 // it, to newRow (same primary key): new index entries first, then the
-// record, then stale entry deletion — the ordering that tolerates a
-// crash at any point with only dangling entries as fallout.
+// record, then the count-check of every cardinality constraint the row
+// moved under, then stale entry deletion — the ordering that tolerates
+// a crash at any point with only dangling entries as fallout.
 func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow value.Row) error {
-	ixs := m.secondaryIndexes(t)
+	cat, ixs := m.snapshot(t)
 	rkey := RecordKey(t, newRow)
 	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
 	// (1) New entries, one set.
@@ -409,11 +410,38 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 	if err := cl.Put(rkey, value.EncodeRow(newRow)); err != nil {
 		return fail(err)
 	}
-	// (3) Stale entries.
+	// (3) A row that moves into another group of a cardinality
+	// constraint counts against that group's limit, as an insert does.
+	// Over the limit, or uncounted, the move is undone: the old record
+	// back first, then the entries only the new row made.
+	for _, card := range t.Cardinalities {
+		if !moved(t, card.Columns, oldRow, newRow) {
+			continue
+		}
+		n, err := m.countMatching(cl, cat, ixs, t, card, newRow)
+		if err == nil && n <= card.Limit {
+			continue
+		}
+		if err := errors.Join(err, cl.Put(rkey, value.EncodeRow(oldRow)), cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, newRow, oldRow), Del: true})); err != nil {
+			return fail(err)
+		}
+		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
+	}
+	// (4) Stale entries.
 	if err := cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, oldRow, newRow), Del: true}); err != nil {
 		return fail(err)
 	}
 	return nil
+}
+
+// moved reports whether a and b differ in any of cols.
+func moved(t *schema.Table, cols []string, a, b value.Row) bool {
+	for _, col := range cols {
+		if ci := t.ColumnIndex(col); !value.Equal(a[ci], b[ci]) {
+			return true
+		}
+	}
+	return false
 }
 
 // staleEntries returns the entries oldRow produces and keepRow does not,
