@@ -22,12 +22,14 @@ import (
 //
 // A read is one call however many requests it takes: Read, the writers'
 // versioned point read, or Issue, which reads one request set into
-// buffers the caller owns. Concurrency lives in one place, the branch
-// runner (branches): a set's reads happen on the issuing client, and
-// when its requests are concurrent (ReadOpts.Parallel) their visits run
-// as branches, as do a write's replica visits, PerKeyRanges' ranges and
-// Parallel, for callers whose branches are not one store call (index
-// maintenance, model training, the benchmark's probes). Branches run
+// buffers the caller owns. A write is one call too: Apply writes a set
+// of keys, and Put and Delete are sets of one. Concurrency lives in one
+// place, the branch runner (branches): a set's reads and writes happen
+// on the issuing client, and when its requests are concurrent
+// (ReadOpts.Parallel, or a write's owner visits) their visits run as
+// branches, as do PerKeyRanges' ranges and Parallel, for callers whose
+// branches are not one store call (model training, the benchmark's
+// probes). Branches run
 // only on a simulated client, as one sim Fork on pooled processes, each
 // on a child client, all carved from one slab (the generator is a value
 // inside the struct). In immediate mode the visits are paid one after

@@ -119,7 +119,7 @@ func (cl *Client) envelope(rt *routing, set *WriteSet, i int) []byte {
 		ver.TS = cl.stampOn(rt, set.Keys[i])
 	}
 	var val []byte
-	if set.Vals != nil && !set.Del {
+	if set.Vals != nil {
 		val = set.Vals[i]
 	}
 	return makeEnvelope(ver, set.Del, val)
