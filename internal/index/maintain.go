@@ -422,7 +422,8 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 		if err == nil && n <= card.Limit {
 			continue
 		}
-		if err := errors.Join(err, cl.Put(rkey, value.EncodeRow(oldRow)), cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, newRow, oldRow), Del: true})); err != nil {
+		undo := kvstore.WriteSet{Keys: m.staleEntries(ixs, t, newRow, oldRow), Del: true}
+		if err := errors.Join(err, cl.Put(rkey, value.EncodeRow(oldRow)), cl.Apply(&undo)); err != nil {
 			return fail(err)
 		}
 		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
