@@ -24,6 +24,10 @@ vet:
 # Client. at exactly one site, (*executor).issue's Client.Issue), one
 # write call per set (no non-test code of internal/index calls
 # .Parallel(: the maintainer writes each set through Client.Apply), one
+# set of item writers (no non-test function of internal/btree but
+# insertAt, setAt, deleteAt, splitChild and mergeChildren assigns, copies
+# into or clears a node's items, a .Value = aside: they keep the heads in
+# step), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
@@ -53,6 +57,10 @@ lint:
 		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
 	@if grep -nE '^[^/]*\.Parallel\(' $$(ls internal/index/*.go | grep -v _test.go); then \
 		echo "layering: internal/index writes each set of keys through one Client.Apply call, not a branch per key"; exit 1; fi
+	@if awk '/^func /{fn=$$0} /^[^\/]*(\.items(\[[^]]*\])?( *, *[^=]*)? *=[^=]|(copy|clear)\([a-z]+\.items)/ && !/\.Value *=/ && \
+			fn !~ /\) (insertAt|setAt|deleteAt|splitChild|mergeChildren)\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
+			$$(ls internal/btree/*.go | grep -v _test.go); then \
+		echo "layering: a btree node's items change only in insertAt, setAt, deleteAt, splitChild and mergeChildren, which keep its heads in step"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.(Kill|Restart|Partition|Heal)\(' cmd internal examples *.go | \
 			grep -v '^internal/harness/chaos.go:'; then \
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi

@@ -7,6 +7,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 )
 
@@ -22,9 +23,23 @@ type Item struct {
 	Value []byte
 }
 
+// maxPrefix is the most bytes of its keys' shared prefix a node copies.
+// It makes a node exactly 128 bytes, one size class.
+const maxPrefix = 48
+
+// A node keeps, beside its items, what a search compares: every key
+// starts with pre[:lcp], and heads[i] is the 4 bytes of items[i].Key
+// after that prefix (headOf). A search checks the probe against pre once
+// and then compares heads, small integers held in the node, reading a key
+// only where two heads tie. Every write to items goes through insertAt,
+// setAt, deleteAt, splitChild or mergeChildren, which keep the heads in
+// step (`make lint` holds to that).
 type node struct {
-	items    []Item  // sorted by key
-	children []*node // len(children) == len(items)+1 for internal nodes
+	items    []Item   // sorted by key
+	children []*node  // len(children) == len(items)+1 for internal nodes
+	heads    []uint32 // heads[i] == headOf(items[i].Key, lcp)
+	lcp      int      // every key starts with pre[:lcp]; lcp <= maxPrefix
+	pre      [maxPrefix]byte
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -48,7 +63,7 @@ func (t *Tree) Len() int { return t.size }
 func (t *Tree) Get(key []byte) ([]byte, bool) {
 	n := t.root
 	for {
-		i, found := search(n.items, key)
+		i, found := n.search(key)
 		if found {
 			return n.items[i].Value, true
 		}
@@ -59,25 +74,117 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	}
 }
 
-// search returns the index of the first item >= key and whether it equals key.
-func search(items []Item, key []byte) (int, bool) {
+// search returns the index of the first item >= key and whether it equals
+// key. A key that leaves the node's prefix lies before or after every
+// item, which one compare with the prefix tells; one inside it is found
+// by its head, and only where heads tie by the bytes past the prefix.
+func (n *node) search(key []byte) (int, bool) {
+	items, lcp := n.items, n.lcp
+	if len(key) < lcp || !bytes.Equal(key[:lcp], n.pre[:lcp]) {
+		if bytes.Compare(key, n.pre[:lcp]) < 0 {
+			return 0, false
+		}
+		return len(items), false
+	}
+	h, rest := headOf(key, lcp), key[lcp:]
 	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(items[mid].Key, key) < 0 {
+		if m := n.heads[mid]; m < h || m == h && bytes.Compare(items[mid].Key[lcp:], rest) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && bytes.Equal(items[lo].Key, key) {
+	if lo < len(items) && n.heads[lo] == h && bytes.Equal(items[lo].Key[lcp:], rest) {
 		return lo, true
 	}
 	return lo, false
 }
 
+// headOf is the 4 bytes of key after its first lcp, big-endian and
+// zero-padded. Zero-padding keeps the order: a key below another has a
+// head no greater, so unequal heads order their keys.
+func headOf(key []byte, lcp int) uint32 {
+	rest := key[lcp:]
+	if len(rest) < 4 {
+		var b [4]byte
+		copy(b[:], rest)
+		rest = b[:]
+	}
+	return binary.BigEndian.Uint32(rest)
+}
+
+// admit readies n for key, which is about to join its items: an empty
+// node takes key's leading bytes as its prefix, and a key that leaves the
+// prefix lowers it to the bytes they share and re-derives every head.
+func (n *node) admit(key []byte) {
+	if len(n.items) == 0 {
+		n.lcp = copy(n.pre[:], key)
+		return
+	}
+	if !bytes.HasPrefix(key, n.pre[:n.lcp]) {
+		n.lcp = sharedLen(n.pre[:n.lcp], key)
+		n.rehead()
+	}
+}
+
+// reprefix sets n's prefix to the longest its first and last keys share,
+// which every key between them shares too, and re-derives its heads. A
+// split and a merge call it on the nodes they make.
+func (n *node) reprefix() {
+	first, last := n.items[0].Key, n.items[len(n.items)-1].Key
+	n.lcp = copy(n.pre[:], first[:sharedLen(first, last)])
+	n.rehead()
+}
+
+// rehead re-derives every head from the node's keys and prefix.
+func (n *node) rehead() {
+	n.heads = n.heads[:0]
+	for _, it := range n.items {
+		n.heads = append(n.heads, headOf(it.Key, n.lcp))
+	}
+}
+
+// sharedLen is the length of the longest common prefix of a and b.
+func sharedLen(a, b []byte) int {
+	l := min(len(a), len(b))
+	for i := range l {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return l
+}
+
+// insertAt inserts it at index i of n's items.
+func (n *node) insertAt(i int, it Item) {
+	n.admit(it.Key)
+	n.items = append(n.items, Item{})
+	copy(n.items[i+1:], n.items[i:])
+	n.items[i] = it
+	n.heads = append(n.heads, 0)
+	copy(n.heads[i+1:], n.heads[i:])
+	n.heads[i] = headOf(it.Key, n.lcp)
+}
+
+// setAt replaces item i of n with it.
+func (n *node) setAt(i int, it Item) {
+	n.admit(it.Key)
+	n.items[i] = it
+	n.heads[i] = headOf(it.Key, n.lcp)
+}
+
+// deleteAt removes item i of n, clearing the slot it vacates.
+func (n *node) deleteAt(i int) {
+	n.items = slices.Delete(n.items, i, i+1)
+	n.heads = slices.Delete(n.heads, i, i+1)
+}
+
 // Put inserts or replaces the value under key and reports whether the key
-// was newly inserted. Key and value slices are retained, not copied.
+// was newly inserted. Key and value slices are retained, not copied. A
+// node does copy up to 48 bytes of the prefix its keys share, into an
+// array of its own.
 func (t *Tree) Put(key, val []byte) bool {
 	if len(t.root.items) == maxItems {
 		old := t.root
@@ -93,15 +200,13 @@ func (t *Tree) Put(key, val []byte) bool {
 
 // insert adds key into the (non-full) subtree rooted at n.
 func (n *node) insert(key, val []byte) bool {
-	i, found := search(n.items, key)
+	i, found := n.search(key)
 	if found {
 		n.items[i].Value = val
 		return false // replaced, not newly inserted
 	}
 	if n.leaf() {
-		n.items = append(n.items, Item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = Item{Key: key, Value: val}
+		n.insertAt(i, Item{Key: key, Value: val})
 		return true
 	}
 	if len(n.children[i].items) == maxItems {
@@ -130,13 +235,14 @@ func (n *node) splitChild(i int, key []byte) {
 	toRight := bytes.Compare(key, median.Key) > 0
 	right := &node{}
 	child.items, right.items = halve(child.items, degree-1, degree, toRight)
+	child.heads, right.heads = halve(child.heads, degree-1, degree, toRight)
+	child.reprefix()
+	right.reprefix()
 	if !child.leaf() {
 		child.children, right.children = halve(child.children, degree, degree, toRight)
 	}
 
-	n.items = append(n.items, Item{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
+	n.insertAt(i, median)
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
@@ -173,12 +279,12 @@ func (t *Tree) Delete(key []byte) bool {
 }
 
 func (n *node) remove(key []byte) bool {
-	i, found := search(n.items, key)
+	i, found := n.search(key)
 	if n.leaf() {
 		if !found {
 			return false
 		}
-		n.items = slices.Delete(n.items, i, i+1)
+		n.deleteAt(i)
 		return true
 	}
 	if found {
@@ -186,13 +292,13 @@ func (n *node) remove(key []byte) bool {
 		left := n.children[i]
 		if len(left.items) >= degree {
 			pred := left.max()
-			n.items[i] = pred
+			n.setAt(i, pred)
 			return left.remove(pred.Key)
 		}
 		right := n.children[i+1]
 		if len(right.items) >= degree {
 			succ := right.min()
-			n.items[i] = succ
+			n.setAt(i, succ)
 			return right.remove(succ.Key)
 		}
 		n.mergeChildren(i)
@@ -228,12 +334,10 @@ func (n *node) fill(i int) int {
 
 func (n *node) borrowFromLeft(i int) {
 	child, left := n.children[i], n.children[i-1]
-	child.items = append(child.items, Item{})
-	copy(child.items[1:], child.items)
-	child.items[0] = n.items[i-1]
+	child.insertAt(0, n.items[i-1])
 	last := len(left.items) - 1
-	n.items[i-1], left.items[last] = left.items[last], Item{}
-	left.items = left.items[:last]
+	n.setAt(i-1, left.items[last])
+	left.deleteAt(last)
 	if !left.leaf() {
 		last := len(left.children) - 1
 		moved := left.children[last]
@@ -247,9 +351,9 @@ func (n *node) borrowFromLeft(i int) {
 
 func (n *node) borrowFromRight(i int) {
 	child, right := n.children[i], n.children[i+1]
-	child.items = append(child.items, n.items[i])
-	n.items[i] = right.items[0]
-	right.items = slices.Delete(right.items, 0, 1)
+	child.insertAt(len(child.items), n.items[i])
+	n.setAt(i, right.items[0])
+	right.deleteAt(0)
 	if !right.leaf() {
 		moved := right.children[0]
 		right.children = slices.Delete(right.children, 0, 1)
@@ -262,8 +366,9 @@ func (n *node) mergeChildren(i int) {
 	left, right := n.children[i], n.children[i+1]
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
+	left.reprefix()
 	left.children = append(left.children, right.children...)
-	n.items = slices.Delete(n.items, i, i+1)
+	n.deleteAt(i)
 	n.children = slices.Delete(n.children, i+1, i+2)
 }
 

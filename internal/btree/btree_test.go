@@ -8,8 +8,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 	"weak"
 )
 
@@ -315,11 +317,26 @@ func (m *refTree) check() error {
 // items, no slot of an array past its length holds an item or a child (a
 // deleted key, a dead subtree or a half moved to another node, kept
 // reachable), keys ascend strictly and lie inside (lo, hi) — the
-// separators around the subtree, nil for none — and every leaf lies at
-// one depth, which it returns.
+// separators around the subtree, nil for none — every key starts with
+// the node's prefix, which is at most maxPrefix bytes, each item has its
+// head, and every leaf lies at one depth, which it returns.
 func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
 	if len(n.items) > maxItems || (!root && len(n.items) < degree-1) {
 		return 0, fmt.Errorf("a node holds %d items", len(n.items))
+	}
+	if len(n.heads) != len(n.items) {
+		return 0, fmt.Errorf("a node of %d items has %d heads", len(n.items), len(n.heads))
+	}
+	if n.lcp < 0 || n.lcp > maxPrefix {
+		return 0, fmt.Errorf("a node's prefix is %d bytes; at most %d fit", n.lcp, maxPrefix)
+	}
+	for i, it := range n.items {
+		if !bytes.HasPrefix(it.Key, n.pre[:n.lcp]) {
+			return 0, fmt.Errorf("key %q does not start with its node's prefix %q", it.Key, n.pre[:n.lcp])
+		}
+		if h := headOf(it.Key, n.lcp); n.heads[i] != h {
+			return 0, fmt.Errorf("key %q past prefix %q has head %#08x; its node holds %#08x", it.Key, n.pre[:n.lcp], h, n.heads[i])
+		}
 	}
 	for j, it := range n.items[len(n.items):cap(n.items)] {
 		if it.Key != nil || it.Value != nil {
@@ -363,6 +380,153 @@ func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
 		depth = d
 	}
 	return depth + 1, nil
+}
+
+// TestNodeIsOneSizeClass holds a node at 128 bytes, the size its
+// inline prefix is chosen to fill: a field more moves every node to the
+// next size class.
+func TestNodeIsOneSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size != 128 {
+		t.Errorf("a node is %d bytes; want 128", size)
+	}
+}
+
+// TestSearchAtPrefixEdges runs Get, Ascend, Descend and Count against the
+// reference model where a search leans on the node's prefix and heads:
+// keys that are prefixes of one another, whose zero-padded heads tie;
+// probes that stop inside the prefix, leave it below or above, or equal
+// it; keys that share more than maxPrefix bytes, as TPC-W's do; an insert
+// that lowers a full leaf's prefix; and a merge of two nodes with
+// different prefixes.
+func TestSearchAtPrefixEdges(t *testing.T) {
+	// probeAll gets every probe and scans between every two of them and
+	// the open bound, then checks the whole tree.
+	probeAll := func(t *testing.T, m *refTree, probes [][]byte) {
+		t.Helper()
+		bounds := append([][]byte{nil}, probes...)
+		for _, p := range probes {
+			if err := m.get(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				if err := m.scan(lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m.check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(t *testing.T, m *refTree, keys ...[]byte) {
+		t.Helper()
+		for _, k := range keys {
+			if err := m.put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const shared = "t:thoughts\x00\x01owner-00042\x00\x01"
+
+	t.Run("keys that prefix one another", func(t *testing.T) {
+		m := newRefTree()
+		var probes [][]byte
+		for _, k := range []string{"k", "k\x00", "k\x00\x00", "k\x00\x00\x00", "k\x00\x00\x00\x00", "k\x00\x01", "k\x01"} {
+			probes = append(probes, []byte(shared+k))
+		}
+		put(t, m, probes[0], probes[2], probes[4], probes[6])
+		probes = append(probes, []byte(shared), []byte(shared+"j\xff"), []byte(shared+"k\x00\x00\x00\x00\x00"))
+		probeAll(t, m, probes)
+		put(t, m, probes[1], probes[3], probes[5])
+		probeAll(t, m, probes)
+	})
+
+	t.Run("probes at the prefix", func(t *testing.T) {
+		m := newRefTree()
+		for i := range 40 {
+			put(t, m, fmt.Appendf(nil, "%s%08d", shared, i))
+		}
+		if m.tr.root.lcp < len(shared) {
+			t.Fatalf("a leaf of keys that share %d bytes keeps a prefix of %d", len(shared), m.tr.root.lcp)
+		}
+		p := []byte(shared)
+		below, above := bytes.Clone(p), bytes.Clone(p)
+		below[5]--
+		above[5]++
+		probes := [][]byte{{}, p[:1], p[:5], p[:len(p)-1], p, below, above,
+			append(bytes.Clone(p[:len(p)-1]), 0), append(bytes.Clone(p), 0xff),
+			fmt.Appendf(nil, "%s%08d", shared, 7), fmt.Appendf(nil, "%s%07d", shared, 7), fmt.Appendf(nil, "%s%09d", shared, 7)}
+		probeAll(t, m, probes)
+	})
+
+	t.Run("keys that share more than the node holds", func(t *testing.T) {
+		m := newRefTree()
+		long := strings.Repeat("x:orders_by_customer\x00\x01", 3)[:60]
+		key := func(i int) []byte { return fmt.Appendf(nil, "%s%07d", long, i) }
+		r := rand.New(rand.NewSource(1))
+		for _, i := range r.Perm(500) {
+			put(t, m, key(i*2))
+		}
+		if height(m.tr) < 2 {
+			t.Fatalf("the tree has %d levels; the case needs 2", height(m.tr))
+		}
+		probes := [][]byte{[]byte(long), []byte(long[:maxPrefix]), []byte(long[:maxPrefix+1]), key(0), key(1), key(500), key(501), key(998), key(999)}
+		probeAll(t, m, probes)
+		for i := range 500 {
+			if err := m.delete(key(i * 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		probeAll(t, m, probes)
+	})
+
+	t.Run("an insert that lowers a full leaf's prefix", func(t *testing.T) {
+		m := newRefTree()
+		for i := range maxItems - 1 {
+			put(t, m, fmt.Appendf(nil, "%s%08d", shared, i*2))
+		}
+		before := m.tr.root.lcp
+		stray := []byte("t:thoughts\x00\x01owner-00041\x00\x01")
+		put(t, m, stray)
+		if len(m.tr.root.items) != maxItems || m.tr.root.lcp >= before {
+			t.Fatalf("the leaf holds %d items under a prefix of %d bytes (%d before the insert); want %d items under a shorter one",
+				len(m.tr.root.items), m.tr.root.lcp, before, maxItems)
+		}
+		probeAll(t, m, [][]byte{stray, []byte(shared), fmt.Appendf(nil, "%s%08d", shared, 3), fmt.Appendf(nil, "%s%08d", shared, 4)})
+	})
+
+	t.Run("a merge of nodes with different prefixes", func(t *testing.T) {
+		m := newRefTree()
+		left := func(i int) []byte { return fmt.Appendf(nil, "t:thoughts\x00\x01%08d", i) }
+		right := func(i int) []byte { return fmt.Appendf(nil, "t:users\x00\x01%08d", i) }
+		for i := range degree {
+			put(t, m, left(i))
+		}
+		for i := range degree {
+			put(t, m, right(i))
+		}
+		if height(m.tr) != 2 || len(m.tr.root.items) != 1 {
+			t.Fatalf("the tree has %d levels and %d separators; the case needs two leaves", height(m.tr), len(m.tr.root.items))
+		}
+		for _, c := range m.tr.root.children {
+			if c.lcp <= len("t:") {
+				t.Fatalf("a leaf of one table keeps a prefix of %d bytes", c.lcp)
+			}
+		}
+		// The right leaf drops to degree-1 items, so a delete on the
+		// left can borrow from neither side and merges the two.
+		for _, k := range [][]byte{right(0), left(0)} {
+			if err := m.delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if height(m.tr) != 1 || m.tr.root.lcp != len("t:") {
+			t.Fatalf("after the merge the tree has %d levels and a prefix of %d bytes; want 1 level and %d", height(m.tr), m.tr.root.lcp, len("t:"))
+		}
+		probeAll(t, m, [][]byte{left(0), left(5), right(0), right(5), []byte("t:"), []byte("t:thoughts"), []byte("t:u"), []byte("t:zz")})
+	})
 }
 
 // height is the number of levels of the tree.
@@ -626,6 +790,35 @@ func BenchmarkGetSharedPrefix(b *testing.B) {
 	for i := 0; b.Loop(); i++ {
 		if _, ok := tr.Get(keys[i%n]); !ok {
 			b.Fatal("a stored key is missing")
+		}
+	}
+}
+
+// BenchmarkDescendSharedPrefix is a 10-item descending scan bounded by
+// one owner's prefix, scadr_home's recent-thoughts read, on a tree of
+// 100 000 store-shaped keys (storeKey). Each level's search for the end
+// bound lands inside the node's shared prefix.
+func BenchmarkDescendSharedPrefix(b *testing.B) {
+	const n = 100000
+	tr := New()
+	for i := range n {
+		k := storeKey(i, n)
+		tr.Put(k, k)
+	}
+	const bounds = 1024
+	starts, ends := make([][]byte, bounds), make([][]byte, bounds)
+	r := rand.New(rand.NewSource(1))
+	for j := range bounds {
+		k := storeKey(r.Intn(n), n)
+		starts[j] = k[:len(k)-len("00000000")]
+		ends[j] = bytes.Clone(starts[j])
+		ends[j][len(ends[j])-1]++
+	}
+	for i := 0; b.Loop(); i++ {
+		got := 0
+		tr.Descend(starts[i%bounds], ends[i%bounds], func(Item) bool { got++; return got < 10 })
+		if got != 10 {
+			b.Fatalf("the scan visited %d items; want 10", got)
 		}
 	}
 }

@@ -12,7 +12,7 @@ func (t *Tree) Ascend(start, end []byte, fn func(Item) bool) {
 func (n *node) ascend(start, end []byte, fn func(Item) bool) bool {
 	i := 0
 	if start != nil {
-		i, _ = search(n.items, start)
+		i, _ = n.search(start)
 	}
 	for ; i < len(n.items); i++ {
 		it := n.items[i]
@@ -21,17 +21,15 @@ func (n *node) ascend(start, end []byte, fn func(Item) bool) bool {
 				return false
 			}
 		}
-		if start != nil && bytes.Compare(it.Key, start) < 0 {
-			continue
-		}
 		if end != nil && bytes.Compare(it.Key, end) >= 0 {
 			return false
 		}
 		if !fn(it) {
 			return false
 		}
-		// Items after the first visited one are all >= start; skip the
-		// bound check on deeper recursion by clearing start.
+		// search put i at the first item >= start, so every item and
+		// subtree from here on lies past it: the children to come need
+		// not search for start.
 		start = nil
 	}
 	if !n.leaf() {
@@ -50,7 +48,7 @@ func (t *Tree) Descend(start, end []byte, fn func(Item) bool) {
 func (n *node) descend(start, end []byte, fn func(Item) bool) bool {
 	i := len(n.items)
 	if end != nil {
-		i, _ = search(n.items, end)
+		i, _ = n.search(end)
 	}
 	for ; i > 0; i-- {
 		it := n.items[i-1]
@@ -59,15 +57,14 @@ func (n *node) descend(start, end []byte, fn func(Item) bool) bool {
 				return false
 			}
 		}
-		if end != nil && bytes.Compare(it.Key, end) >= 0 {
-			continue
-		}
 		if start != nil && bytes.Compare(it.Key, start) < 0 {
 			return false
 		}
 		if !fn(it) {
 			return false
 		}
+		// search put i past the last item < end, so, as in ascend, the
+		// children to come need not search for end.
 		end = nil
 	}
 	if !n.leaf() {
