@@ -327,7 +327,7 @@ func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
 	if len(n.heads) != len(n.items) {
 		return 0, fmt.Errorf("a node of %d items has %d heads", len(n.items), len(n.heads))
 	}
-	if n.lcp < 0 || n.lcp > maxPrefix {
+	if n.lcp > maxPrefix {
 		return 0, fmt.Errorf("a node's prefix is %d bytes; at most %d fit", n.lcp, maxPrefix)
 	}
 	for i, it := range n.items {
