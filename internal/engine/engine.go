@@ -153,6 +153,11 @@ type Session struct {
 	client *kvstore.Client
 	strat  exec.Strategy
 	ctx    exec.Ctx
+	// key and row are the write path's scratch: the key a write names and
+	// the row it assembles, reused by the session's next write. The
+	// maintainer keeps neither, and write clears both when it returns, so
+	// an idle session keeps no write's strings alive.
+	key, row value.Row
 }
 
 // Session creates a session. proc may be nil for immediate mode.
@@ -606,13 +611,15 @@ func (s *Session) write(w *core.Write, params []value.Value) error {
 	s.awaitDrains()
 	s.eng.writeGate.RLock()
 	defer s.eng.writeGate.RUnlock()
+	defer func() { clear(s.key); clear(s.row) }()
 	t := w.Table
 	var pk, old value.Row // what an UPDATE or DELETE names: its key, the row under it
 	if w.Key != nil {
 		var err error
-		if pk, err = w.Key.AppendEval(make(value.Row, 0, len(w.Key)), params, nil); err != nil {
+		if pk, err = w.Key.AppendEval(s.key[:0], params, nil); err != nil {
 			return err
 		}
+		s.key = pk
 		if w.Row == nil { // DELETE
 			return s.eng.maint.Delete(s.client, t, pk)
 		}
@@ -631,10 +638,11 @@ func (s *Session) write(w *core.Write, params []value.Value) error {
 			return fmt.Errorf("engine: corrupt record: %w", err)
 		}
 	}
-	row, err := w.Row.AppendEval(make(value.Row, 0, len(w.Row)), params, old)
+	row, err := w.Row.AppendEval(s.row[:0], params, old)
 	if err != nil {
 		return err
 	}
+	s.row = row
 	if err := checkTypes(t, row); err != nil {
 		return err
 	}

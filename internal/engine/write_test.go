@@ -3,10 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"piql/internal/exec"
 	"piql/internal/index"
@@ -163,7 +166,12 @@ func TestUnusedEqualityStaysResidual(t *testing.T) {
 // TestExecAllocations pins what Exec of a text it has seen costs: the
 // cache lookup and the write, no parse and no bind. The parse of this
 // INSERT and DELETE is 32 allocations more, so one that comes back
-// shows here and not first in the benchmark.
+// shows here and not first in the benchmark. The write assembles its
+// key and row in the session's scratch, so the 6 left are the record
+// key each statement builds, the envelopes of the insert's record and
+// the delete's tombstone, and the delete's decode of the row it removes
+// (9 when each statement made its own key and row, and the insert
+// encoded its record on the heap).
 func TestExecAllocations(t *testing.T) {
 	if info, _ := debug.ReadBuildInfo(); info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("allocation counts differ under -race")
@@ -184,7 +192,7 @@ func TestExecAllocations(t *testing.T) {
 		}
 	}
 	pair() // binds both texts
-	if got, want := testing.AllocsPerRun(200, pair), 9.0; got > want {
+	if got, want := testing.AllocsPerRun(200, pair), 6.0; got > want {
 		t.Errorf("cached INSERT + DELETE: %v allocations, want at most %v", got, want)
 	}
 }
@@ -262,6 +270,55 @@ func TestUpdatePastCardinalityLimitIsRefused(t *testing.T) {
 	for owner, want := range map[string]string{"b": `[]`, "c": `[(3, "c")]`} {
 		if got := queryRows(t, s, `SELECT id, owner FROM sub WHERE owner = ?`, value.Str(owner)); got != want {
 			t.Fatalf("owner %s holds %s after the move, want %s", owner, got, want)
+		}
+	}
+}
+
+// TestCardinalityWithTokenIndexIsEnforced: an index whose fields start
+// with the constraint column but that also tokenizes a column stores the
+// token first, so it cannot count the constraint's group. Chosen for the
+// count, its prefix matched no entry and every insert counted 0: all
+// four rows for ann went in, and a read bounded by the limit returned
+// two of them without a word. The count must pass such an index by.
+func TestCardinalityWithTokenIndexIsEnforced(t *testing.T) {
+	s := newEngine(t,
+		`CREATE TABLE th (id INT, owner VARCHAR(10), text VARCHAR(20), PRIMARY KEY (id), CARDINALITY LIMIT 2 (owner))`,
+		`CREATE INDEX byowner ON th (owner, TOKEN(text))`)
+	for i, text := range []string{"apple", "bread", "cider", "dates"} {
+		err := s.Exec(`INSERT INTO th VALUES (?, 'ann', ?)`, value.Int(int64(i+1)), value.Str(text))
+		var card *index.ErrCardinalityExceeded
+		switch {
+		case i < 2 && err != nil:
+			t.Fatalf("insert %d of 2 allowed: %v", i+1, err)
+		case i >= 2 && !errors.As(err, &card):
+			t.Fatalf("insert %d past CARDINALITY LIMIT 2: err = %v, want *index.ErrCardinalityExceeded", i+1, err)
+		}
+	}
+	if got, want := queryRows(t, s, `SELECT id FROM th WHERE owner = [1: o]`, value.Str("ann")), `[(1) (2)]`; got != want {
+		t.Fatalf("owner ann holds %s, want %s", got, want)
+	}
+}
+
+// TestWriteScratchKeepsNoStringAlive: a write assembles its key and row
+// in the session's scratch and clears both when it returns, so a string
+// it was handed is collectable once the caller drops it; the store and
+// the statement cache keep copies, not the caller's strings.
+func TestWriteScratchKeepsNoStringAlive(t *testing.T) {
+	s := newEngine(t, `CREATE TABLE items (name VARCHAR(40), qty INT, PRIMARY KEY (name))`)
+	exec := func(sql string) weak.Pointer[byte] {
+		name := strings.Repeat("w", 32) // a string of this write alone
+		if err := s.Exec(sql, value.Str(name)); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return weak.Make(unsafe.StringData(name))
+	}
+	for _, sql := range []string{`INSERT INTO items VALUES (?, 1)`, `DELETE FROM items WHERE name = ?`} {
+		p := exec(sql)
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		if p.Value() != nil {
+			t.Errorf("%s: the session still holds the string it was handed", sql)
 		}
 	}
 }

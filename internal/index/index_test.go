@@ -11,7 +11,7 @@ import (
 	"piql/internal/value"
 )
 
-func thoughtsTable(t *testing.T) (*schema.Catalog, *schema.Table) {
+func thoughtsTable(t testing.TB) (*schema.Catalog, *schema.Table) {
 	t.Helper()
 	cat := schema.NewCatalog()
 	tab := &schema.Table{

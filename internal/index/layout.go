@@ -9,6 +9,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -50,16 +51,23 @@ func RecordPrefix(t *schema.Table) []byte {
 // RecordKey builds the storage key of the row's record: the table
 // namespace followed by the encoded primary key values.
 func RecordKey(t *schema.Table, row value.Row) []byte {
-	key := RecordPrefix(t)
-	for _, pk := range t.PrimaryKey {
-		key = codec.AppendValue(key, row[t.ColumnIndex(pk)], false)
+	var buf [4]value.Value // the key's values stay on the stack for any key this wide
+	pk := buf[:0]
+	for _, col := range t.PrimaryKey {
+		pk = append(pk, row[t.ColumnIndex(col)])
 	}
-	return key
+	return RecordKeyFromPK(t, pk)
 }
 
-// RecordKeyFromPK builds a record key from primary key values directly.
+// RecordKeyFromPK builds a record key from primary key values directly,
+// in one allocation of the key's exact size: the store keeps the key.
 func RecordKeyFromPK(t *schema.Table, pk value.Row) []byte {
-	key := RecordPrefix(t)
+	prefix := RecordPrefix(t)
+	n := len(prefix)
+	for _, v := range pk {
+		n += codec.Size(v)
+	}
+	key := append(make([]byte, 0, n), prefix...)
 	for _, v := range pk {
 		key = codec.AppendValue(key, v, false)
 	}
@@ -82,42 +90,51 @@ func IndexPrefix(ix *schema.Index) []byte {
 // one entry per distinct token of the column text (the inverted
 // full-text index of Section 7.3).
 func EntryKeys(ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
-	suffix := make([]byte, 0, 64)
-	var tokenField *schema.IndexField
-	for i := range ix.Fields {
-		f := &ix.Fields[i]
-		if f.Token {
-			if tokenField != nil {
-				// Multiple token fields per index are rejected by the
-				// catalog; defensive guard.
-				panic("index: multiple token fields")
-			}
-			tokenField = f
-			continue
-		}
-		suffix = codec.AppendValue(suffix, row[t.ColumnIndex(f.Column)], f.Desc)
+	return appendEntryKeys(nil, ix, t, row)
+}
+
+// appendEntryKeys appends EntryKeys(ix, t, row) to dst.
+func appendEntryKeys(dst [][]byte, ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
+	i := slices.IndexFunc(ix.Fields, func(f schema.IndexField) bool { return f.Token })
+	if i < 0 {
+		return append(dst, entryKey(ix, row, value.Value{}))
 	}
-	if tokenField == nil {
-		key := append(IndexPrefix(ix), suffix...)
-		return [][]byte{key}
-	}
-	text := row[t.ColumnIndex(tokenField.Column)]
-	toks := core.Tokenize(text.S)
+	toks := core.Tokenize(row[t.ColumnIndex(ix.Fields[i].Column)].S)
 	seen := make(map[string]bool, len(toks))
-	var keys [][]byte
-	prefix := IndexPrefix(ix)
 	for _, tok := range toks {
 		if seen[tok] {
 			continue
 		}
 		seen[tok] = true
-		key := make([]byte, 0, len(prefix)+1+len(tok)+len(suffix))
-		key = append(key, prefix...)
-		key = codec.AppendValue(key, value.Str(tok), tokenField.Desc)
-		key = append(key, suffix...)
-		keys = append(keys, key)
+		dst = append(dst, entryKey(ix, row, value.Str(tok)))
 	}
-	return keys
+	return dst
+}
+
+// entryKey builds one entry key of ix in one allocation of its exact
+// size, the store keeping the key: the namespace, then each component of
+// the entry layout, tok standing for the token field's.
+func entryKey(ix *schema.Index, row value.Row, tok value.Value) []byte {
+	lay := ix.EntryLayout()
+	prefix := IndexPrefix(ix)
+	n := len(prefix)
+	for _, c := range lay.Column[1:] {
+		n += codec.Size(component(row, c, tok))
+	}
+	key := append(make([]byte, 0, n), prefix...)
+	for i, c := range lay.Column[1:] {
+		key = codec.AppendValue(key, component(row, c, tok), lay.Desc[1+i])
+	}
+	return key
+}
+
+// component is the value an entry component of column c carries: the
+// row's, or tok for the token (c < 0 past the namespace).
+func component(row value.Row, c int, tok value.Value) value.Value {
+	if c < 0 {
+		return tok
+	}
+	return row[c]
 }
 
 // AppendRecordKey appends to dst the key of the record a secondary index

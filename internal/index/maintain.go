@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,14 +157,14 @@ func (m *Maintainer) secondaryIndexes(t *schema.Table) []*schema.Index {
 }
 
 // snapshot loads the catalog once and returns it with the table's
-// secondary indexes — the per-operation view.
+// secondary indexes — the per-operation view. Only AddTable makes a
+// primary index, and it registers it before any other, so the secondary
+// indexes are the rest of the catalog's list, which is read, not copied.
 func (m *Maintainer) snapshot(t *schema.Table) (*schema.Catalog, []*schema.Index) {
 	cat := m.src.Catalog()
-	var ixs []*schema.Index
-	for _, ix := range cat.Indexes(t.Name) {
-		if !ix.Primary {
-			ixs = append(ixs, ix)
-		}
+	ixs := cat.Indexes(t.Name)
+	if len(ixs) > 0 && ixs[0].Primary {
+		ixs = ixs[1:]
 	}
 	return cat, ixs
 }
@@ -177,7 +178,8 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 		return fmt.Errorf("index: row has %d values, table %s has %d columns", len(row), t.Name, len(t.Columns))
 	}
 	cat, ixs := m.snapshot(t)
-	rec := value.EncodeRow(row)
+	var buf [256]byte // TestAndSet copies the record into its envelope
+	rec := value.AppendRow(buf[:0], row)
 	// Every store error below is transient and returned wrapped (so
 	// engine.Retryable holds): whatever this insert already wrote stays
 	// behind as benign dangling entries that index GC collects — the same
@@ -185,7 +187,8 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	fail := func(err error) error { return fmt.Errorf("index: insert %s: %w", t.Name, err) }
 	// (1) Insert all secondary index entries, one set: ordering only
 	// matters between the entries and the record, not among entries.
-	if err := cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, row)}); err != nil {
+	entries := entryKeysFor(ixs, t, row)
+	if err := cl.Apply(&kvstore.WriteSet{Keys: entries}); err != nil {
 		return fail(err)
 	}
 	// (2) Insert the record if absent (uniqueness via test-and-set).
@@ -246,7 +249,7 @@ func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) 
 	}
 	// (3) Check cardinality constraints with count-range requests.
 	for _, card := range t.Cardinalities {
-		n, err := m.countMatching(cl, cat, ixs, t, card, row)
+		n, err := m.countMatching(cl, cat, ixs, t, card, row, rkey, entries)
 		if err == nil && n <= card.Limit {
 			continue
 		}
@@ -272,26 +275,21 @@ func readPrefix(cl *kvstore.Client, kind kvstore.RequestKind, prefix []byte, o k
 }
 
 // countMatching counts rows sharing the constraint column values with
-// row. It uses an index over the constraint columns when one exists
+// row, whose record key the write built as rkey and whose entry keys as
+// entries. It uses an index over the constraint columns when one exists
 // (the compiler will have created one for any constraint it exploits);
 // otherwise it falls back to counting over the record range, which is
-// only valid when the constraint columns prefix the primary key.
-func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality, row value.Row) (int, error) {
-	if ix := constraintIndex(cat, ixs, card); ix != nil {
-		prefix := IndexPrefix(ix)
-		for i := range card.Columns {
-			f := ix.Fields[i]
-			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(f.Column)], f.Desc)
-		}
-		set, err := readPrefix(cl, kvstore.Count, prefix, kvstore.ReadOpts{Parallel: true})
+// only valid when the constraint columns prefix the primary key. Either
+// way the count's prefix is a prefix of a key already built.
+func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality, row value.Row, rkey []byte, entries [][]byte) (int, error) {
+	if ix := constraintIndex(cat, ixs, t, card); ix != nil {
+		prefix := IndexPrefix(ix) // ix is one of ixs, so its one entry is among entries
+		i := slices.IndexFunc(entries, func(key []byte) bool { return bytes.HasPrefix(key, prefix) })
+		set, err := readPrefix(cl, kvstore.Count, groupPrefix(entries[i], len(prefix), t, card, row), kvstore.ReadOpts{Parallel: true})
 		return set.N, err
 	}
 	if m.prefixesPrimaryKey(t, card.Columns) {
-		prefix := RecordPrefix(t)
-		for _, col := range card.Columns {
-			prefix = codec.AppendValue(prefix, row[t.ColumnIndex(col)], false)
-		}
-		set, err := readPrefix(cl, kvstore.Count, prefix, kvstore.ReadOpts{Parallel: true})
+		set, err := readPrefix(cl, kvstore.Count, groupPrefix(rkey, len(RecordPrefix(t)), t, card, row), kvstore.ReadOpts{Parallel: true})
 		return set.N, err
 	}
 	// No efficient path: scan-count via the record range with a filter.
@@ -324,58 +322,53 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 	return n, nil
 }
 
-// constraintIndex finds a ready secondary index whose leading non-token
-// fields are exactly the constraint columns, in any order: the count
+// groupPrefix returns the first bytes of key, a record or entry key
+// whose components past its ns-byte namespace lead with the constraint's
+// columns in some order: the prefix the keys of every row in row's group
+// share. A component's size does not depend on its direction or place,
+// so the sizes of row's constraint values sum to the prefix's length.
+// The prefix's capacity is clipped, so no append reaches into key, which
+// the store keeps.
+func groupPrefix(key []byte, ns int, t *schema.Table, card schema.Cardinality, row value.Row) []byte {
+	end := ns
+	for _, col := range card.Columns {
+		end += codec.Size(row[t.ColumnIndex(col)])
+	}
+	return key[:end:end]
+}
+
+// constraintIndex finds a ready secondary index whose leading entry
+// components are exactly the constraint columns, in any order: the count
 // scans a prefix bound by equality on every constraint column, so the
-// order the index stores them in does not matter. (The match used to be
-// positional, rejecting indexes that permute the constraint columns even
-// though they serve the count just as well.) A building index must not
-// be used — its backfill may not have reached every pre-existing row
-// yet, and an undercount would admit constraint-violating inserts; the
-// callers' fallback paths count over the records, which are always
-// complete.
-func constraintIndex(cat *schema.Catalog, ixs []*schema.Index, card schema.Cardinality) *schema.Index {
+// order the index stores them in does not matter. The components are
+// matched in the entry layout's order, in which a token comes first
+// whatever the field order declared, so an index with a token field is
+// never chosen: a count under its owner prefix would match no entry. A
+// building index must not be used — its backfill may not have reached
+// every pre-existing row yet, and an undercount would admit
+// constraint-violating inserts; the callers' fallback paths count over
+// the records, which are always complete.
+func constraintIndex(cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality) *schema.Index {
 	for _, ix := range ixs {
-		if cat.IndexState(ix) != schema.StateReady {
+		lead := ix.EntryLayout().Column[1:] // past the namespace
+		if cat.IndexState(ix) != schema.StateReady || len(lead) < len(card.Columns) {
 			continue
 		}
-		if len(ix.Fields) < len(card.Columns) {
-			continue
-		}
-		ok := true
-		for i := range card.Columns {
-			f := ix.Fields[i]
-			if f.Token || !containsFold(card.Columns, f.Column) {
-				ok = false
-				break
-			}
-		}
-		if ok && distinctFold(ix.Fields[:len(card.Columns)]) {
+		if covers(t, card.Columns, lead[:len(card.Columns)]) {
 			return ix
 		}
 	}
 	return nil
 }
 
-// containsFold reports whether cols contains s, case-insensitively.
-func containsFold(cols []string, s string) bool {
-	for _, c := range cols {
-		if strings.EqualFold(c, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// distinctFold reports whether the fields name pairwise-distinct columns
-// (so "leading fields drawn from the constraint columns" implies they
-// cover all of them).
-func distinctFold(fields []schema.IndexField) bool {
-	for i := range fields {
-		for j := i + 1; j < len(fields); j++ {
-			if strings.EqualFold(fields[i].Column, fields[j].Column) {
-				return false
-			}
+// covers reports whether the components, columns of t by ordinal (a
+// token's is -1, which names no column), are pairwise distinct and each
+// one of cols — so, being as many, they are all of cols.
+func covers(t *schema.Table, cols []string, components []int) bool {
+	for i, c := range components {
+		named := slices.ContainsFunc(cols, func(col string) bool { return t.ColumnIndex(col) == c })
+		if !named || slices.Contains(components[:i], c) {
+			return false
 		}
 	}
 	return true
@@ -403,7 +396,8 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 	rkey := RecordKey(t, newRow)
 	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
 	// (1) New entries, one set.
-	if err := cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, newRow)}); err != nil {
+	entries := entryKeysFor(ixs, t, newRow)
+	if err := cl.Apply(&kvstore.WriteSet{Keys: entries}); err != nil {
 		return fail(err)
 	}
 	// (2) Record.
@@ -418,7 +412,7 @@ func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow 
 		if !moved(t, card.Columns, oldRow, newRow) {
 			continue
 		}
-		n, err := m.countMatching(cl, cat, ixs, t, card, newRow)
+		n, err := m.countMatching(cl, cat, ixs, t, card, newRow, rkey, entries)
 		if err == nil && n <= card.Limit {
 			continue
 		}
@@ -469,11 +463,11 @@ func (m *Maintainer) staleEntries(ixs []*schema.Index, t *schema.Table, oldRow, 
 // rowEntries returns every entry row produces, for the caller to delete,
 // recording build tombstones first for any index whose backfill is in flight.
 func (m *Maintainer) rowEntries(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
-	var keys [][]byte
+	keys := make([][]byte, 0, len(ixs))
 	for _, ix := range ixs {
-		eks := EntryKeys(ix, t, row)
-		m.recordBuildTombstones(ix, eks)
-		keys = append(keys, eks...)
+		from := len(keys)
+		keys = appendEntryKeys(keys, ix, t, row)
+		m.recordBuildTombstones(ix, keys[from:])
 	}
 	return keys
 }
@@ -504,11 +498,13 @@ func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) e
 	return nil
 }
 
-// entryKeysFor collects every secondary index entry key a row produces.
+// entryKeysFor collects every secondary index entry key a row produces,
+// in index order. A plain index makes one key, so the header is sized
+// at one key an index.
 func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
-	var keys [][]byte
+	keys := make([][]byte, 0, len(ixs))
 	for _, ix := range ixs {
-		keys = append(keys, EntryKeys(ix, t, row)...)
+		keys = appendEntryKeys(keys, ix, t, row)
 	}
 	return keys
 }
