@@ -301,11 +301,11 @@ func TestCardinalityWithTokenIndexIsEnforced(t *testing.T) {
 
 // TestWriteScratchKeepsNoStringAlive: a write assembles its key and row
 // in the session's scratch and clears both when it returns, so a string
-// it was handed is collectable once the caller drops it; the store and
-// the statement cache keep copies, not the caller's strings.
+// it was handed is collectable once the caller drops it; the store keeps
+// encoded copies, not the caller's strings.
 func TestWriteScratchKeepsNoStringAlive(t *testing.T) {
 	s := newEngine(t, `CREATE TABLE items (name VARCHAR(40), qty INT, PRIMARY KEY (name))`)
-	exec := func(sql string) weak.Pointer[byte] {
+	write := func(sql string) weak.Pointer[byte] {
 		name := strings.Repeat("w", 32) // a string of this write alone
 		if err := s.Exec(sql, value.Str(name)); err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -313,7 +313,7 @@ func TestWriteScratchKeepsNoStringAlive(t *testing.T) {
 		return weak.Make(unsafe.StringData(name))
 	}
 	for _, sql := range []string{`INSERT INTO items VALUES (?, 1)`, `DELETE FROM items WHERE name = ?`} {
-		p := exec(sql)
+		p := write(sql)
 		for i := 0; i < 3; i++ {
 			runtime.GC()
 		}
