@@ -28,6 +28,9 @@ vet:
 # insertAt, setAt, deleteAt, splitChild and mergeChildren assigns, copies
 # into or clears a node's items, a .Value = aside: they keep the heads in
 # step), one
+# write protocol (no non-test function of internal/index but
+# (*Maintainer).write calls .Put(rkey, .TestAndSet(rkey or .Delete(rkey:
+# Insert, Update and Delete are thin entry points over it), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
 # own, then the escape budget) — see "Static analysis" in README.md;
@@ -61,6 +64,9 @@ lint:
 			fn !~ /\) (insertAt|setAt|deleteAt|splitChild|mergeChildren)\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
 			$$(ls internal/btree/*.go | grep -v _test.go); then \
 		echo "layering: a btree node's items change only in insertAt, setAt, deleteAt, splitChild and mergeChildren, which keep its heads in step"; exit 1; fi
+	@if awk '/^func /{fn=$$0} /^[^\/]*\.(Put|TestAndSet|Delete)\(rkey/ && fn !~ /\) write\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
+			$$(ls internal/index/*.go | grep -v _test.go); then \
+		echo "layering: internal/index writes a record only in its write protocol, (*Maintainer).write, so Insert, Update and Delete cannot fork it"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.(Kill|Restart|Partition|Heal)\(' cmd internal examples *.go | \
 			grep -v '^internal/harness/chaos.go:'; then \
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi

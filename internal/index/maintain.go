@@ -142,24 +142,18 @@ func (e *ErrCardinalityExceeded) Error() string {
 		e.Limit, e.Table, strings.Join(e.Columns, ", "))
 }
 
-// secondaryIndexes returns the table's non-primary indexes from one
-// catalog snapshot. Each write operation loads the snapshot once and
-// threads the index list through, so a concurrent copy-on-write catalog
-// publish cannot make one operation see two different index sets (e.g.
-// writing entries for one set and rolling back a different one).
+// snapshot loads the catalog once and returns it with the table's
+// secondary indexes — the per-operation view. Each write loads it once
+// and threads the index list through, so a concurrent copy-on-write
+// catalog publish cannot make one write see two different index sets
+// (e.g. writing entries for one set and rolling back a different one).
+// Only AddTable makes a primary index, and it registers it before any
+// other, so the secondary indexes are the rest of the catalog's list,
+// which is read, not copied.
 //
 // Building indexes are included: the write path maintains an index from
 // the moment it is registered, which is what lets the backfill flip it
 // ready without a write gap (see engine.ensureBuilt).
-func (m *Maintainer) secondaryIndexes(t *schema.Table) []*schema.Index {
-	_, ixs := m.snapshot(t)
-	return ixs
-}
-
-// snapshot loads the catalog once and returns it with the table's
-// secondary indexes — the per-operation view. Only AddTable makes a
-// primary index, and it registers it before any other, so the secondary
-// indexes are the rest of the catalog's list, which is read, not copied.
 func (m *Maintainer) snapshot(t *schema.Table) (*schema.Catalog, []*schema.Index) {
 	cat := m.src.Catalog()
 	ixs := cat.Indexes(t.Name)
@@ -169,102 +163,216 @@ func (m *Maintainer) snapshot(t *schema.Table) (*schema.Catalog, []*schema.Index
 	return cat, ixs
 }
 
-// Insert writes a full row following the paper's protocol: secondary
-// index entries first, then the record via test-and-set (uniqueness),
-// then the cardinality count-check (deleting the row again on
-// violation).
+// Insert writes a full row through the write protocol, its record put by
+// test-and-set, so a row already under its primary key fails it as a
+// duplicate.
 func (m *Maintainer) Insert(cl *kvstore.Client, t *schema.Table, row value.Row) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("index: row has %d values, table %s has %d columns", len(row), t.Name, len(t.Columns))
 	}
 	cat, ixs := m.snapshot(t)
-	var buf [256]byte // TestAndSet copies the record into its envelope
-	rec := value.AppendRow(buf[:0], row)
-	// Every store error below is transient and returned wrapped (so
-	// engine.Retryable holds): whatever this insert already wrote stays
-	// behind as benign dangling entries that index GC collects — the same
-	// class a crash at that point leaves — and the caller retries.
-	fail := func(err error) error { return fmt.Errorf("index: insert %s: %w", t.Name, err) }
-	// (1) Insert all secondary index entries, one set: ordering only
-	// matters between the entries and the record, not among entries.
-	entries := entryKeysFor(ixs, t, row)
-	if err := cl.Apply(&kvstore.WriteSet{Keys: entries}); err != nil {
+	return m.write(cl, cat, ixs, t, RecordKey(t, row), nil, row)
+}
+
+// Update rewrites an existing row from old, as the caller just read it,
+// to row (same primary key), through the write protocol.
+func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, old, row value.Row) error {
+	cat, ixs := m.snapshot(t)
+	return m.write(cl, cat, ixs, t, RecordKey(t, row), old, row)
+}
+
+// Delete removes the row under pk, if there is one, through the write
+// protocol. The stored row is decoded only to rebuild its entries, so in
+// a table with no secondary index a record that does not decode is
+// deleted like any other, and in one with an index it is refused as
+// corrupt.
+func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) error {
+	cat, ixs := m.snapshot(t)
+	rkey := RecordKeyFromPK(t, pk)
+	rec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
+	if err != nil {
+		return fmt.Errorf("index: delete %s: %w", t.Name, err) // unreachable is not missing: nothing was deleted, say so
+	}
+	if !ok {
+		return nil // idempotent
+	}
+	old := value.Row{} // a row no index reads, which still names a delete
+	if len(ixs) > 0 {
+		if old, err = value.DecodeRow(rec); err != nil {
+			return fmt.Errorf("index: corrupt record in %s: %w", t.Name, err)
+		}
+	}
+	return m.write(cl, cat, ixs, t, rkey, old, nil)
+}
+
+// write is the paper's write protocol, the one path every write takes
+// from the row old stored under rkey to new, against one catalog
+// snapshot: old is nil for an insert and new is nil for a delete.
+//
+//  1. Put every entry new makes, as one set: ordering only matters
+//     between the entries and the record, not among entries.
+//  2. Write the record: test-and-set for an insert (uniqueness), put for
+//     an update, delete for a delete.
+//  3. Count each cardinality group new moved into (every group for an
+//     insert). Over the limit, or uncounted, undo: old's record back (or
+//     deleted), then the entries only new made.
+//  4. Delete the entries only old made, as one set.
+//
+// The order tolerates a crash between any two steps with only dangling
+// entries as fallout. Every store error is transient and returned
+// wrapped (so engine.Retryable holds): whatever the write already did
+// stays behind as the same benign dangling entries, which index GC
+// collects, and the caller retries.
+func (m *Maintainer) write(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, rkey []byte, old, new value.Row) error {
+	verb := "update"
+	if old == nil {
+		verb = "insert"
+	} else if new == nil {
+		verb = "delete"
+	}
+	fail := func(err error) error { return fmt.Errorf("index: %s %s: %w", verb, t.Name, err) }
+	// record writes row's record under rkey, or deletes it for no row.
+	record := func(row value.Row) error {
+		if row == nil {
+			return cl.Delete(rkey)
+		}
+		return cl.Put(rkey, value.EncodeRow(row))
+	}
+	news, olds := entryKeysFor(ixs, t, new), entryKeysFor(ixs, t, old)
+	// (1)
+	if err := cl.Apply(&kvstore.WriteSet{Keys: news}); err != nil {
 		return fail(err)
 	}
-	// (2) Insert the record if absent (uniqueness via test-and-set).
-	// TestAndSet is linearizable across rebalances: the store absorbs
+	// (2) TestAndSet is linearizable across rebalances: the store absorbs
 	// epoch-fencing retries internally (a fenced decision was never made,
 	// so re-running the test is safe), which means a false, error-free
 	// return here is always a genuine duplicate — decided by the one
 	// authoritative primary — never a routing artifact. Duplicate-key
-	// detection and the rollback below rely on that exactness. An error
-	// (retry budget exhausted against a dead primary) means no decision
-	// was made: surface it without the duplicate rollback.
-	rkey := RecordKey(t, row)
-	swapped, err := cl.TestAndSet(rkey, nil, rec)
+	// detection and its rollback rely on that exactness. An error (retry
+	// budget exhausted against a dead primary) means no decision was
+	// made: surface it without the duplicate rollback.
+	var err error
+	if old == nil {
+		var buf [256]byte // TestAndSet copies the record into its envelope
+		var swapped bool
+		if swapped, err = cl.TestAndSet(rkey, nil, value.AppendRow(buf[:0], new)); err == nil && !swapped {
+			return m.unwindDuplicate(cl, ixs, t, rkey, new, news, fail)
+		}
+	} else {
+		err = record(new)
+	}
 	if err != nil {
 		return fail(err)
 	}
-	if !swapped {
-		// Roll back the entries we just wrote. While the colliding row
-		// still exists its entries may be shared with ours, so only
-		// delete ones the stored row does not also produce. If it was
-		// deleted between the failed test-and-set and this read, nothing
-		// is shared anymore — delete everything this insert wrote, or the
-		// entries would dangle forever. A read that failed is neither:
-		// which entries are shared is unknown, so none is deleted —
-		// taking "unreachable" for "deleted" would strip a surviving row
-		// of the entries it shares with this one.
-		existing, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
-		if err != nil {
-			return fail(err)
-		}
-		if ok {
-			if old, derr := value.DecodeRow(existing); derr == nil {
-				err = cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, row, old), Del: true})
-			}
-		} else if err = cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true}); err == nil {
-			// A concurrent insert of the same key may have committed while
-			// we were deleting — and its entry keys can coincide with the
-			// ones just removed. Restore whatever the winner's row needs.
-			// (A winner whose record lands after this read but whose entry
-			// puts preceded our deletions remains exposed for that sliver;
-			// the alternative — never rolling back — leaked the entries
-			// permanently.)
-			var rec2 []byte
-			if rec2, _, ok, err = cl.Read(rkey, kvstore.ReadOpts{}); ok {
-				if winner, derr := value.DecodeRow(rec2); derr == nil {
-					err = cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, winner)})
-				}
-			}
-		}
-		if err != nil {
-			return fail(err)
-		}
-		pk := make(value.Row, len(t.PrimaryKey))
-		for i, col := range t.PrimaryKey {
-			pk[i] = row[t.ColumnIndex(col)]
-		}
-		return &ErrDuplicateKey{Table: t.Name, PK: pk}
-	}
-	// (3) Check cardinality constraints with count-range requests.
+	// (3) A count that could not be completed must not admit either: one
+	// that skipped an unreachable partition or a record it could not
+	// decode is an undercount, and the row would stay past the limit
+	// every static bound rests on. The undo writes the record first, so
+	// readers stop seeing new, then deletes new's entries.
 	for _, card := range t.Cardinalities {
-		n, err := m.countMatching(cl, cat, ixs, t, card, row, rkey, entries)
+		if new == nil || old != nil && !moved(t, card.Columns, old, new) {
+			continue
+		}
+		n, err := m.countMatching(cl, cat, ixs, t, card, new, rkey, news)
 		if err == nil && n <= card.Limit {
 			continue
 		}
-		// Over the limit — or the count could not be completed, which
-		// must not admit either: a count that skipped an unreachable
-		// partition or a record it could not decode is an undercount, and
-		// the row would stay past the limit every static bound rests on.
-		// Undo the insert (record first so readers stop seeing it, then
-		// entries).
-		if err := errors.Join(err, cl.Delete(rkey), cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true})); err != nil {
+		if err := errors.Join(err, record(old), cl.Apply(&kvstore.WriteSet{Keys: m.only(ixs, news, olds), Del: true})); err != nil {
 			return fail(err)
 		}
 		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
 	}
+	// (4)
+	if err := cl.Apply(&kvstore.WriteSet{Keys: m.only(ixs, olds, news), Del: true}); err != nil {
+		return fail(err)
+	}
 	return nil
+}
+
+// unwindDuplicate rolls back the entries, news, that an insert of row
+// wrote before its test-and-set found a row under rkey, and returns the
+// insert's error. While the colliding row still exists its entries may
+// be shared with ours, so only delete ones the stored row does not also
+// produce. If it was deleted between the failed test-and-set and this
+// read, nothing is shared anymore — delete everything this insert wrote,
+// or the entries would dangle forever. A read that failed is neither:
+// which entries are shared is unknown, so none is deleted — taking
+// "unreachable" for "deleted" would strip a surviving row of the entries
+// it shares with this one.
+func (m *Maintainer) unwindDuplicate(cl *kvstore.Client, ixs []*schema.Index, t *schema.Table, rkey []byte, row value.Row, news [][]byte, fail func(error) error) error {
+	existing, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
+	if err != nil {
+		return fail(err)
+	}
+	if ok {
+		if old, derr := value.DecodeRow(existing); derr == nil {
+			err = cl.Apply(&kvstore.WriteSet{Keys: m.only(ixs, news, entryKeysFor(ixs, t, old)), Del: true})
+		}
+	} else if err = cl.Apply(&kvstore.WriteSet{Keys: m.only(ixs, news, nil), Del: true}); err == nil {
+		// A concurrent insert of the same key may have committed while
+		// we were deleting — and its entry keys can coincide with the
+		// ones just removed. Restore whatever the winner's row needs.
+		// (A winner whose record lands after this read but whose entry
+		// puts preceded our deletions remains exposed for that sliver;
+		// the alternative — never rolling back — leaked the entries
+		// permanently.)
+		var rec2 []byte
+		if rec2, _, ok, err = cl.Read(rkey, kvstore.ReadOpts{}); ok {
+			if winner, derr := value.DecodeRow(rec2); derr == nil {
+				err = cl.Apply(&kvstore.WriteSet{Keys: entryKeysFor(ixs, t, winner)})
+			}
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	pk := make(value.Row, len(t.PrimaryKey))
+	for i, col := range t.PrimaryKey {
+		pk[i] = row[t.ColumnIndex(col)]
+	}
+	return &ErrDuplicateKey{Table: t.Name, PK: pk}
+}
+
+// moved reports whether a and b differ in any of cols.
+func moved(t *schema.Table, cols []string, a, b value.Row) bool {
+	for _, col := range cols {
+		if ci := t.ColumnIndex(col); !value.Equal(a[ci], b[ci]) {
+			return true
+		}
+	}
+	return false
+}
+
+// entryKeysFor collects every secondary index entry key a row produces,
+// in index order; none for no row. A plain index makes one key, so the
+// header is sized at one key an index.
+func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
+	if row == nil {
+		return nil
+	}
+	keys := make([][]byte, 0, len(ixs))
+	for _, ix := range ixs {
+		keys = appendEntryKeys(keys, ix, t, row)
+	}
+	return keys
+}
+
+// only returns the keys of keys, a row's entries as entryKeysFor built
+// them, that other does not hold: the entries to delete. It takes them
+// in place, so keys is spent, and records them index by index as build
+// tombstones before the caller deletes them.
+func (m *Maintainer) only(ixs []*schema.Index, keys, other [][]byte) [][]byte {
+	out, i := keys[:0], 0
+	for _, ix := range ixs {
+		from, prefix := len(out), IndexPrefix(ix)
+		for ; i < len(keys) && bytes.HasPrefix(keys[i], prefix); i++ {
+			if !slices.ContainsFunc(other, func(key []byte) bool { return bytes.Equal(key, keys[i]) }) {
+				out = append(out, keys[i])
+			}
+		}
+		m.recordBuildTombstones(ix, out[from:])
+	}
+	return out
 }
 
 // readPrefix reads, as a request set of kind, every key under prefix.
@@ -384,129 +492,6 @@ func (m *Maintainer) prefixesPrimaryKey(t *schema.Table, cols []string) bool {
 		}
 	}
 	return true
-}
-
-// Update rewrites an existing row from oldRow, as the caller just read
-// it, to newRow (same primary key): new index entries first, then the
-// record, then the count-check of every cardinality constraint the row
-// moved under, then stale entry deletion — the ordering that tolerates
-// a crash at any point with only dangling entries as fallout.
-func (m *Maintainer) Update(cl *kvstore.Client, t *schema.Table, oldRow, newRow value.Row) error {
-	cat, ixs := m.snapshot(t)
-	rkey := RecordKey(t, newRow)
-	fail := func(err error) error { return fmt.Errorf("index: update %s: %w", t.Name, err) }
-	// (1) New entries, one set.
-	entries := entryKeysFor(ixs, t, newRow)
-	if err := cl.Apply(&kvstore.WriteSet{Keys: entries}); err != nil {
-		return fail(err)
-	}
-	// (2) Record.
-	if err := cl.Put(rkey, value.EncodeRow(newRow)); err != nil {
-		return fail(err)
-	}
-	// (3) A row that moves into another group of a cardinality
-	// constraint counts against that group's limit, as an insert does.
-	// Over the limit, or uncounted, the move is undone: the old record
-	// back first, then the entries only the new row made.
-	for _, card := range t.Cardinalities {
-		if !moved(t, card.Columns, oldRow, newRow) {
-			continue
-		}
-		n, err := m.countMatching(cl, cat, ixs, t, card, newRow, rkey, entries)
-		if err == nil && n <= card.Limit {
-			continue
-		}
-		undo := kvstore.WriteSet{Keys: m.staleEntries(ixs, t, newRow, oldRow), Del: true}
-		if err := errors.Join(err, cl.Put(rkey, value.EncodeRow(oldRow)), cl.Apply(&undo)); err != nil {
-			return fail(err)
-		}
-		return &ErrCardinalityExceeded{Table: t.Name, Columns: card.Columns, Limit: card.Limit}
-	}
-	// (4) Stale entries.
-	if err := cl.Apply(&kvstore.WriteSet{Keys: m.staleEntries(ixs, t, oldRow, newRow), Del: true}); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// moved reports whether a and b differ in any of cols.
-func moved(t *schema.Table, cols []string, a, b value.Row) bool {
-	for _, col := range cols {
-		if ci := t.ColumnIndex(col); !value.Equal(a[ci], b[ci]) {
-			return true
-		}
-	}
-	return false
-}
-
-// staleEntries returns the entries oldRow produces and keepRow does not,
-// for the caller to delete, recording build tombstones as rowEntries does.
-func (m *Maintainer) staleEntries(ixs []*schema.Index, t *schema.Table, oldRow, keepRow value.Row) [][]byte {
-	var stale [][]byte
-	for _, ix := range ixs {
-		keep := make(map[string]bool)
-		for _, key := range EntryKeys(ix, t, keepRow) {
-			keep[string(key)] = true
-		}
-		var ixStale [][]byte
-		for _, key := range EntryKeys(ix, t, oldRow) {
-			if !keep[string(key)] {
-				ixStale = append(ixStale, key)
-			}
-		}
-		m.recordBuildTombstones(ix, ixStale)
-		stale = append(stale, ixStale...)
-	}
-	return stale
-}
-
-// rowEntries returns every entry row produces, for the caller to delete,
-// recording build tombstones first for any index whose backfill is in flight.
-func (m *Maintainer) rowEntries(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
-	keys := make([][]byte, 0, len(ixs))
-	for _, ix := range ixs {
-		from := len(keys)
-		keys = appendEntryKeys(keys, ix, t, row)
-		m.recordBuildTombstones(ix, keys[from:])
-	}
-	return keys
-}
-
-// Delete removes a row and its index entries (record first, so readers
-// immediately stop seeing it; entries become dangling until removed).
-func (m *Maintainer) Delete(cl *kvstore.Client, t *schema.Table, pk value.Row) error {
-	ixs := m.secondaryIndexes(t)
-	rkey := RecordKeyFromPK(t, pk)
-	fail := func(err error) error { return fmt.Errorf("index: delete %s: %w", t.Name, err) }
-	rec, _, ok, err := cl.Read(rkey, kvstore.ReadOpts{})
-	if err != nil {
-		return fail(err) // unreachable is not missing: nothing was deleted, say so
-	}
-	if !ok {
-		return nil // idempotent
-	}
-	row, err := value.DecodeRow(rec)
-	if err != nil {
-		return fmt.Errorf("index: corrupt record in %s: %w", t.Name, err)
-	}
-	if err := cl.Delete(rkey); err != nil {
-		return fail(err)
-	}
-	if err := cl.Apply(&kvstore.WriteSet{Keys: m.rowEntries(ixs, t, row), Del: true}); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// entryKeysFor collects every secondary index entry key a row produces,
-// in index order. A plain index makes one key, so the header is sized
-// at one key an index.
-func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte {
-	keys := make([][]byte, 0, len(ixs))
-	for _, ix := range ixs {
-		keys = appendEntryKeys(keys, ix, t, row)
-	}
-	return keys
 }
 
 // BackfillAt builds a newly created secondary index from the existing

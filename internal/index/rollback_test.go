@@ -114,17 +114,18 @@ func TestConstraintIndexAnyOrder(t *testing.T) {
 
 	cluster := kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 1, Seed: 3}, nil)
 	m := NewMaintainer(cat)
+	_, ixs := m.snapshot(tab)
 	// While the index is still building its backfill may undercount, so
 	// the constraint check must not use it (the record-scan fallback is
 	// always complete).
-	if got := constraintIndex(cat, m.secondaryIndexes(tab), tab, tab.Cardinalities[0]); got != nil {
+	if got := constraintIndex(cat, ixs, tab, tab.Cardinalities[0]); got != nil {
 		t.Fatalf("constraintIndex used building index %v", got)
 	}
 	cat.SetIndexReady(tab2Index(cat, "subs", "by_approved_owner"))
 	// Once ready, the permuted index serves the constraint (the
 	// positional matcher returned nil here and fell back to
 	// scan-counting).
-	if got := constraintIndex(cat, m.secondaryIndexes(tab), tab, tab.Cardinalities[0]); got == nil || got.Name != "by_approved_owner" {
+	if got := constraintIndex(cat, ixs, tab, tab.Cardinalities[0]); got == nil || got.Name != "by_approved_owner" {
 		t.Fatalf("constraintIndex = %v, want by_approved_owner", got)
 	}
 	cl := cluster.NewClient(nil)
