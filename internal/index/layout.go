@@ -1,10 +1,12 @@
 // Package index owns the physical storage layout of PIQL data in the
 // key/value store — record keys and secondary index entries — and the
-// write-path maintenance protocol of Section 7.2: index entries are
-// inserted before the record and stale entries deleted after, so a crash
-// leaves at worst dangling index entries (never missing ones);
-// cardinality constraints are enforced with a count-range check after
-// insert; uniqueness uses test-and-set.
+// write-path maintenance protocol of Section 7.2, one routine for an
+// insert, an update and a delete: index entries are put before the
+// record and stale entries deleted after, so a crash leaves at worst
+// dangling index entries (never missing ones); cardinality constraints
+// are enforced with a count-range check after the record is written, by
+// an insert or by an update that moves the row into another group;
+// uniqueness uses test-and-set.
 package index
 
 import (

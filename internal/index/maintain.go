@@ -100,18 +100,24 @@ func (m *Maintainer) TakeBuildTombstones(ix *schema.Index) [][]byte {
 }
 
 // recordBuildTombstones notes entry keys a writer is about to delete,
-// when ix has an open backfill registry. Must be called before the
-// deletes are issued: a key recorded after the builder collected the
-// registry is guaranteed to be deleted after every backfill put of that
-// key, which cannot leave a dangle.
-func (m *Maintainer) recordBuildTombstones(ix *schema.Index, keys [][]byte) {
+// each under the index among ixs whose entry it is, when that index has
+// an open backfill registry. Must be called before the deletes are
+// issued: a key recorded after the builder collected the registry is
+// guaranteed to be deleted after every backfill put of that key, which
+// cannot leave a dangle.
+func (m *Maintainer) recordBuildTombstones(ixs []*schema.Index, keys [][]byte) {
 	if len(keys) == 0 || m.activeBuilds.Load() == 0 {
 		return
 	}
 	m.tombMu.Lock()
-	if set, ok := m.buildTombs[ix.Signature()]; ok {
-		for _, k := range keys {
-			set[string(k)] = struct{}{}
+	for _, ix := range ixs {
+		if set, ok := m.buildTombs[ix.Signature()]; ok {
+			prefix := IndexPrefix(ix)
+			for _, k := range keys {
+				if bytes.HasPrefix(k, prefix) {
+					set[string(k)] = struct{}{}
+				}
+			}
 		}
 	}
 	m.tombMu.Unlock()
@@ -128,9 +134,11 @@ func (e *ErrDuplicateKey) Error() string {
 	return fmt.Sprintf("duplicate primary key %s in table %s", e.PK, e.Table)
 }
 
-// ErrCardinalityExceeded is returned when an insert would violate a
-// CARDINALITY LIMIT; per Section 7.2 the record is inserted first,
-// checked with a count-range request, and removed again on violation.
+// ErrCardinalityExceeded is returned when an insert, or an update that
+// moves a row into another group, would violate a CARDINALITY LIMIT; per
+// Section 7.2 the record is written first, checked with a count-range
+// request, and undone on violation (an insert's deleted, an update's
+// old record put back).
 type ErrCardinalityExceeded struct {
 	Table   string
 	Columns []string
@@ -359,19 +367,16 @@ func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte 
 
 // only returns the keys of keys, a row's entries as entryKeysFor built
 // them, that other does not hold: the entries to delete. It takes them
-// in place, so keys is spent, and records them index by index as build
-// tombstones before the caller deletes them.
+// in place, so keys is spent, and records them as build tombstones
+// before the caller deletes them.
 func (m *Maintainer) only(ixs []*schema.Index, keys, other [][]byte) [][]byte {
-	out, i := keys[:0], 0
-	for _, ix := range ixs {
-		from, prefix := len(out), IndexPrefix(ix)
-		for ; i < len(keys) && bytes.HasPrefix(keys[i], prefix); i++ {
-			if !slices.ContainsFunc(other, func(key []byte) bool { return bytes.Equal(key, keys[i]) }) {
-				out = append(out, keys[i])
-			}
+	out := keys[:0]
+	for _, key := range keys {
+		if !slices.ContainsFunc(other, func(o []byte) bool { return bytes.Equal(o, key) }) {
+			out = append(out, key)
 		}
-		m.recordBuildTombstones(ix, out[from:])
 	}
+	m.recordBuildTombstones(ixs, out)
 	return out
 }
 
