@@ -212,12 +212,14 @@ func TestWritesMirrorEveryIndex(t *testing.T) {
 		var err error
 		switch {
 		case !ok:
-			err, stored[ts] = m.Insert(cl, tab, row), row
+			err = m.Insert(cl, tab, row)
+			stored[ts] = row
 		case rng.Intn(3) == 0:
 			err = m.Delete(cl, tab, row[:2])
 			delete(stored, ts)
 		default:
-			err, stored[ts] = m.Update(cl, tab, old, row), row
+			err = m.Update(cl, tab, old, row)
+			stored[ts] = row
 		}
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
