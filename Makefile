@@ -33,8 +33,10 @@ vet:
 # Insert, Update and Delete are thin entry points over it), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
-# own, then the escape budget) — see "Static analysis" in README.md;
-# `make mutants` shows what the analyzers catch. After deliberately changing a hot
+# own, then the escape budget) — see "Static
+# analysis" in README.md; `make mutants` shows what the analyzers catch,
+# and which tests catch what no analyzer checks (lock order, a park under
+# a lock: a simulated test wedges). After deliberately changing a hot
 # path's allocation profile, rewrite escape.budget with
 # `bin/piql-vet -escapebudget -update` and review the diff like any
 # other file.
@@ -158,8 +160,11 @@ chaos-faults:
 # seeded bug and the gate that must catch it: piql-vet:<analyzer>,
 # test:<pkg>:<Test> or race:<pkg>:<Test> — alone to a `git archive HEAD`
 # copy of the tree, runs only that gate, and fails any row whose old
-# text does not occur exactly once or whose gate passes. It mutates
-# HEAD, so commit first. Plain `go test` checks only the old texts.
+# text does not occur exactly once or whose gate passes. A test gate
+# runs with -timeout 60s, and one that hangs with its test still running
+# has caught its mutant. It mutates HEAD, so commit first. Plain
+# `go test` checks only the old texts and that each piql-vet gate names
+# a registered analyzer.
 # `make mutants ROW=<name>` runs the one row named <name> (the comment
 # line above it names it); with no ROW, every row runs.
 mutants:

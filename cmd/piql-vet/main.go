@@ -7,11 +7,10 @@
 //
 // There is one analysis path: the module is parsed and typechecked from
 // source (lint.Loader — no export data, no go vet handshake) and each
-// package is analyzed on its own; no summary crosses a package boundary
-// (internal/lint's interproc.go says why none has to). -escapebudget is
-// the one analyzer that needs a build instead: it runs
-// `go build -gcflags=-m` and compares the compiler's escape decisions
-// with escape.budget.
+// package is analyzed on its own; no summary is carried from a callee
+// into its caller or from one package to the next. -escapebudget is the
+// one analyzer that needs a build instead: it runs `go build -gcflags=-m`
+// and compares the compiler's escape decisions with escape.budget.
 //
 // Violations print as file:line:col diagnostics on stderr. Exit status:
 // 0 clean, 1 operational error, 2 findings. A site that is allowed to

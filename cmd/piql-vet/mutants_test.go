@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"piql/internal/lint"
 )
 
 var mutants = flag.Bool("mutants", false, "apply each row of testdata/mutants.ledger to a `git archive HEAD` copy and run its gate (make mutants)")
@@ -73,10 +75,11 @@ func parseRow(name, line string) (mutant, error) {
 }
 
 // TestMutantLedger checks that every ledger row still applies: its old
-// text occurs exactly once in its file. With -mutants it also applies
-// each row alone to a fresh `git archive HEAD` copy of the tree and
-// runs the row's gate there; a gate that passes on its mutant fails
-// the row.
+// text occurs exactly once in its file, and a piql-vet gate names a
+// registered analyzer (a row left behind by a deleted analyzer would
+// otherwise always survive). With -mutants it also applies each row
+// alone to a fresh `git archive HEAD` copy of the tree and runs the
+// row's gate there; a gate that passes on its mutant fails the row.
 func TestMutantLedger(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -84,6 +87,9 @@ func TestMutantLedger(t *testing.T) {
 	}
 	for _, m := range readLedger(t) {
 		t.Run(m.name, func(t *testing.T) {
+			if name, ok := strings.CutPrefix(m.gate, "piql-vet:"); ok && lint.ByName(name) == nil {
+				t.Fatalf("gate %s: no analyzer %q is registered in lint.Analyzers", m.gate, name)
+			}
 			dir := root
 			if *mutants {
 				dir = archiveHead(t, root)
@@ -122,8 +128,14 @@ func archiveHead(t *testing.T, root string) string {
 	return dir
 }
 
+// gateTimeout bounds one test or race gate. The gated tests pass
+// unmutated in a few seconds; a mutant that wedges one runs until this
+// fires.
+const gateTimeout = "60s"
+
 // runGate runs one gate over the module in dir and reports whether it
-// caught the mutant, with the gate's output.
+// caught the mutant, with the gate's output. A test gate catches it by
+// failing, or by hanging: timing out with the gate test still running.
 func runGate(t *testing.T, dir, gate string) (bool, string) {
 	t.Helper()
 	kind, arg, _ := strings.Cut(gate, ":")
@@ -134,15 +146,57 @@ func runGate(t *testing.T, dir, gate string) (bool, string) {
 		return strings.Contains(out.String(), " ("+arg+")\n"), out.String()
 	case "test", "race":
 		pkg, name, _ := strings.Cut(arg, ":")
-		args := []string{"test", "-count=1"}
+		args := []string{"test", "-count=1", "-timeout", gateTimeout}
 		if kind == "race" {
 			args = append(args, "-race")
 		}
 		cmd := exec.Command("go", append(args, "-run", "^"+name+"$", "./"+pkg)...)
 		cmd.Dir = dir
 		out, _ := cmd.CombinedOutput()
-		return bytes.Contains(out, []byte("--- FAIL: "+name)), string(out)
+		return bytes.Contains(out, []byte("--- FAIL: "+name)) || hungIn(string(out), name), string(out)
 	}
 	t.Fatalf("unknown gate %q", gate)
 	return false, ""
+}
+
+// hungIn reports whether out is a test binary's timeout panic whose
+// `running tests:` list names the test name or one of its subtests.
+func hungIn(out, name string) bool {
+	if !strings.Contains(out, "panic: test timed out after") {
+		return false
+	}
+	_, running, ok := strings.Cut(out, "running tests:\n")
+	if !ok {
+		return false
+	}
+	for _, line := range strings.Split(running, "\n") {
+		test, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		if test == "" {
+			return false // the list ends at a blank line
+		}
+		if test == name || strings.HasPrefix(test, name+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHungIn reads a timed-out test binary's report the way runGate
+// does: the gate test, or a subtest of it, must be among the running.
+func TestHungIn(t *testing.T) {
+	const timedOut = "panic: test timed out after 1m0s\n\trunning tests:\n\t\tTestStorm (1m0s)\n\t\tTestStorm/seed-2 (1m0s)\n\ngoroutine 17 [running]:\nTestOther\n"
+	for _, tc := range []struct {
+		out, name string
+		want      bool
+	}{
+		{timedOut, "TestStorm", true},
+		{timedOut, "TestStor", false},
+		{timedOut, "TestOther", false},
+		{"--- FAIL: TestStorm (0.01s)\nFAIL\n", "TestStorm", false},
+		{"ok  \tpiql/internal/harness\t1.2s\n", "TestStorm", false},
+	} {
+		if got := hungIn(tc.out, tc.name); got != tc.want {
+			t.Errorf("hungIn(%q, %s) = %v, want %v", tc.out, tc.name, got, tc.want)
+		}
+	}
 }

@@ -682,7 +682,7 @@ func (ctx *phase2Ctx) sortOnRelation(r *rel, fields []schema.IndexField) ([]sche
 // fields may be the caller's buffer: it is completed in place and
 // copied only into an index built here.
 func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, prefixLen int) (*schema.Index, bool) {
-	fields = completeWithPK(t, fields)
+	fields = schema.CompleteWithPK(t, fields)
 	ix, rev := ctx.findIndex(t, fields, prefixLen)
 	if ix == nil {
 		name := fmt.Sprintf("auto_%s_%s", strings.ToLower(t.Name), fieldsSlug(fields))
@@ -745,23 +745,6 @@ func matchIndex(ix *schema.Index, fields []schema.IndexField, prefixLen int, rev
 		}
 	}
 	return true
-}
-
-// completeWithPK appends to fields any primary key column no plain
-// field names (a token field holds words, not the column), so index
-// entries are unique and dereferenceable.
-func completeWithPK(t *schema.Table, fields []schema.IndexField) []schema.IndexField {
-	n := len(fields)
-	for _, pk := range t.PrimaryKey {
-		named := false
-		for _, f := range fields[:n] {
-			named = named || !f.Token && lowerEqual(f.Column, pk)
-		}
-		if !named {
-			fields = append(fields, schema.IndexField{Column: pk})
-		}
-	}
-	return fields
 }
 
 func fieldsSlug(fields []schema.IndexField) string {

@@ -424,7 +424,6 @@ func (e *Engine) verifyBackfillRace(s *Session, ix *schema.Index, snap kvstore.V
 	// could never run again.
 	e.writeGate.Lock()
 	defer e.writeGate.Unlock()
-	//lint:allow holdblock — intentional writer drain; real-clock branch only
 	return e.maint.VerifyBuildSuspects(s.client, ix, snap, suspects)
 }
 

@@ -177,7 +177,9 @@ func TestDeleteOfCorruptRecord(t *testing.T) {
 
 // TestWritesMirrorEveryIndex runs a seeded mix of inserts, updates and
 // deletes through the write protocol, over a plain, a descending and a
-// tokenized index whose rows share tokens, and audits after each write
+// tokenized index whose rows share tokens, and one declared without the
+// primary key (the catalog completes it, or rows sharing a text would
+// share an entry), and audits after each write
 // that every index holds exactly the entries its table's records make:
 // the entries a write puts and the stale ones it deletes are the right
 // difference of the two rows' lists. Every index's build registry is open
@@ -190,6 +192,7 @@ func TestWritesMirrorEveryIndex(t *testing.T) {
 		{Name: "by_time", Table: "thoughts", Fields: []schema.IndexField{{Column: "timestamp"}, {Column: "owner"}}},
 		{Name: "by_word", Table: "thoughts", Fields: []schema.IndexField{{Column: "text", Token: true}, {Column: "owner"}, {Column: "timestamp"}}},
 		{Name: "by_owner_desc", Table: "thoughts", Fields: []schema.IndexField{{Column: "owner"}, {Column: "timestamp", Desc: true}}},
+		{Name: "by_text", Table: "thoughts", Fields: []schema.IndexField{{Column: "text"}}},
 	} {
 		ix, err := cat.AddIndex(ix)
 		if err != nil {

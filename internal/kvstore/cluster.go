@@ -406,7 +406,6 @@ func (cl *Client) Rebalance() { cl.c.rebalance(cl.proc) }
 // only the rebalancing process may take it: rebalance, Restart, Heal.
 //
 //lint:allow routingclaim
-//lint:allow holdblock — a simulated rebalance yields under rebalanceMu, which no other process takes
 func (c *Cluster) rebalance(proc *sim.Proc) {
 	c.rebalanceMu.Lock()
 	defer c.rebalanceMu.Unlock()
@@ -490,7 +489,6 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 	// rebalanceMu: a single global instance order, so no opposing
 	// acquisition can exist.
 	for _, mv := range moves {
-		//lint:allow lockorder — instance nesting under rebalanceMu, moves-slice order
 		mv.mu.Lock()
 	}
 	c.installLeases(next)

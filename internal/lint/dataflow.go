@@ -9,23 +9,16 @@ import "go/ast"
 // switch/select clause merges with default-totality, and a single exit
 // enumeration (every return plus the implicit fall-through at the
 // closing brace) — rather than a full basic-block CFG. It carries the
-// held-lock walk of interproc.go, which lockorder, holdblock and
-// releasepath read.
+// held-lock walk of heldlocks.go, which releasepath reads.
 
-// flowWalker drives the held-lock walk (interproc.go) through one
-// function body: the walker owns all control flow, its leafStmt /
-// comm / *Obs methods there own statement and expression semantics.
-// Branches clone the held set, joins union it (a lock is may-held after
-// a join if either arm held it).
+// flowWalker drives the held-lock walk (heldlocks.go) through one
+// function body: the walker owns all control flow, its leafStmt and
+// expr methods there own statement and expression semantics. Branches
+// clone the held set, joins union it (a lock is may-held after a join
+// if either arm held it).
 type flowWalker struct {
-	ip *Interproc
+	*heldWalk
 	fi *funcInfo
-}
-
-func (w *flowWalker) expr(e ast.Expr, h *held) {
-	if e != nil {
-		w.ip.walkExpr(w.fi, e, h)
-	}
 }
 
 // stmt walks one statement, mutating fs, and reports whether control
@@ -76,7 +69,6 @@ func (w *flowWalker) stmt(st ast.Stmt, fs *held) bool {
 		*fs = *unionHeld(fs, again)
 	case *ast.RangeStmt:
 		w.expr(s.X, fs)
-		w.rangeObs(s, fs)
 		body := fs.clone()
 		w.stmt(s.Body, body)
 		again := unionHeld(fs, body)
@@ -91,13 +83,12 @@ func (w *flowWalker) stmt(st ast.Stmt, fs *held) bool {
 		w.stmt(s.Assign, fs)
 		w.cases(s.Body, fs)
 	case *ast.SelectStmt:
-		w.selectObs(s, fs)
 		w.cases(s.Body, fs)
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.expr(e, fs)
 		}
-		w.ip.recordExit(w.fi, s.Pos(), fs)
+		w.recordExit(s.Pos(), fs)
 		return true
 	case *ast.BranchStmt:
 		// break/continue/goto: stops fall-through here; the loop's
@@ -145,9 +136,7 @@ func (w *flowWalker) cases(body *ast.BlockStmt, fs *held) {
 			if cc.Comm == nil {
 				hasDefault = true
 			}
-			if cc.Comm != nil {
-				w.comm(cc.Comm, clauseSt)
-			}
+			w.stmt(cc.Comm, clauseSt)
 			for _, st := range cc.Body {
 				if term = w.stmt(st, clauseSt); term {
 					break

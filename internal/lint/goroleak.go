@@ -14,8 +14,8 @@ import "go/ast"
 // and a directive left behind by a deleted spawn is reported stale.
 //
 // The census is syntactic: the spawned body is not inspected (a
-// literal's body is still walked, as a pseudo-function, by holdblock,
-// lockorder and releasepath).
+// literal's body is still walked, as a pseudo-function, for
+// releasepath).
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc:  "every go statement carries //lint:allow goroleak naming what bounds the goroutine's lifetime",

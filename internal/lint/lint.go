@@ -13,11 +13,12 @@
 // snapshots are claimed, that simulated processes never wait on the
 // real clock, that lease tables are swapped whole, that every
 // goroutine's lifetime is argued for at its spawn, that client/op-path
-// errors conform to the ErrTransient taxonomy — and, through each
-// package's own calls (see interproc.go), that the lock-acquisition
-// graph stays acyclic, that nothing blocks while holding a mutex, and
-// that every acquire is released on all exits. Each analyzer documents
-// its invariant on its Analyzer value.
+// errors conform to the ErrTransient taxonomy, and, function by
+// function (see heldlocks.go), that every acquire is released on all
+// exits. Each analyzer documents its invariant on its Analyzer value.
+// What a lock held across a park or two locks taken in opposite orders
+// would do — wedge a run — the simulated tests show directly: their
+// mutants are gated by tests (cmd/piql-vet/testdata/mutants.ledger).
 //
 // A site that violates the letter of a rule for a documented reason is
 // suppressed with a directive comment naming the analyzer:
@@ -59,8 +60,8 @@ type Analyzer struct {
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
 // unit — type information and the package's held-lock walk. The
-// syntactic analyzers ignore the typed side; the typed ones (lockorder,
-// holdblock, releasepath, errtaxonomy) no-op when it is absent.
+// syntactic analyzers ignore the typed side; the typed ones
+// (releasepath, errtaxonomy) no-op when it is absent.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -70,7 +71,9 @@ type Pass struct {
 	ImportPath string
 
 	unit *Unit
-	ip   *Interproc
+	// funcs is the held-lock walk of every function (nil when the unit
+	// is not typechecked).
+	funcs []*funcInfo
 
 	diags []Diagnostic
 }
@@ -123,15 +126,12 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 
 // Analyzers is the registry cmd/piql-vet and the tests run: four
 // syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
-// three over the package's held-lock walk (lockorder, holdblock,
-// releasepath), the typed errtaxonomy, and the build-diagnostic
-// escapebudget.
+// releasepath over the held-lock walk, the typed errtaxonomy, and the
+// build-diagnostic escapebudget.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	SimClock,
 	LeaseSwap,
-	LockOrder,
-	HoldBlock,
 	ErrTaxonomy,
 	GoroLeak,
 	ReleasePath,
@@ -171,9 +171,9 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 		}
 		kept = append(kept, f)
 	}
-	var ip *Interproc
+	var funcs []*funcInfo
 	if u.Pkg != nil && u.Info != nil {
-		ip = buildInterproc(u, kept)
+		funcs = walkHeldLocks(u, kept)
 	}
 	directives := collectDirectives(u.Fset, kept)
 	var out []Diagnostic
@@ -189,7 +189,7 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 			Files:      kept,
 			ImportPath: u.ImportPath,
 			unit:       u,
-			ip:         ip,
+			funcs:      funcs,
 		}
 		a.Run(pass)
 		for _, d := range pass.diags {

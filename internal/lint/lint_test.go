@@ -44,14 +44,6 @@ func TestLeaseSwap(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "leaseswap"), byName(t, "leaseswap"))
 }
 
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "lockorder"), byName(t, "lockorder"))
-}
-
-func TestHoldBlock(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "holdblock"), byName(t, "holdblock"))
-}
-
 func TestErrTaxonomy(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "errtaxonomy"), byName(t, "errtaxonomy"))
 }

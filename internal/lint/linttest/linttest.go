@@ -13,8 +13,8 @@
 //
 // Fixture packages are fully typechecked by the same lint.Loader
 // cmd/piql-vet uses (so they may import piql/... packages), which is
-// what lets the interprocedural analyzers run against them exactly as
-// they run over the tree.
+// what lets the typed analyzers run against them exactly as they run
+// over the tree.
 package linttest
 
 import (

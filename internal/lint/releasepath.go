@@ -2,9 +2,8 @@ package lint
 
 // ReleasePath verifies, branch-sensitively, that every acquire has a
 // release on *all* exits of the acquiring function — the
-// release-on-all-paths analyzer. It reads the same held-lock walk as
-// lockorder/holdblock, but instead of asking what is held at blocking
-// points it asks what is still held at each return:
+// release-on-all-paths analyzer. It reads the held-lock walk
+// (heldlocks.go) and asks what is still held at each return:
 //
 //   - a mutex (or RWMutex side) held at one return but released on
 //     another path is an early-return leak — the classic
@@ -14,7 +13,7 @@ package lint
 //     total leak or an intentional acquire-helper; it is reported too,
 //     and a justified helper carries //lint:allow releasepath;
 //   - paired-call claims (the kvstore beginOp/endOp routing claim —
-//     see claimPairs in interproc.go) are tracked exactly like locks:
+//     see claimPairs in heldlocks.go) are tracked exactly like locks:
 //     a routing snapshot whose refcount is never returned pins the old
 //     table across a rebalance forever.
 //
@@ -29,10 +28,7 @@ var ReleasePath = &Analyzer{
 }
 
 func runReleasePath(pass *Pass) {
-	if pass.ip == nil {
-		return
-	}
-	for _, fi := range pass.ip.funcs {
+	for _, fi := range pass.funcs {
 		// The two-pass loop walk can surface the same leak under both the
 		// shared and exclusive rows of a union: the same report twice,
 		// which RunUnit keeps once.
@@ -43,10 +39,7 @@ func runReleasePath(pass *Pass) {
 				}
 				what := "mutex " + l.id
 				if l.kind == kindClaim {
-					what = fi.claimNames[l.id]
-					if what == "" {
-						what = "claim " + l.id
-					}
+					what = "claim " + l.id
 				}
 				if fi.releasedIDs[l.id] {
 					pass.Reportf(e.pos,

@@ -76,7 +76,7 @@ func leakRLock(g *guarded, bad bool) int {
 }
 
 // routing-claim pair: beginOp hands out a routing-table claim that
-// endOp must return (see claimPairs in interproc.go).
+// endOp must return (see claimPairs in heldlocks.go).
 type table struct{ gen int }
 
 func beginOp(t *table) int  { return t.gen }

@@ -7,6 +7,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"piql/internal/value"
@@ -446,7 +447,8 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
-// AddIndex registers an index after validating it, deduplicating by
+// AddIndex registers an index after validating it and completing its
+// fields with the primary key (CompleteWithPK), deduplicating by
 // structural signature. It returns the canonical index (the existing one
 // if a structural duplicate was already present).
 func (c *Catalog) AddIndex(ix *Index) (*Index, error) {
@@ -466,6 +468,7 @@ func (c *Catalog) AddIndex(ix *Index) (*Index, error) {
 			return nil, fmt.Errorf("schema: index %q: Token() requires a string column, %q is %s", ix.Name, f.Column, col.Type)
 		}
 	}
+	ix.Fields = CompleteWithPK(t, slices.Clip(ix.Fields))
 	sig := ix.Signature()
 	for _, existing := range c.indexes[strings.ToLower(ix.Table)] {
 		if existing.Signature() == sig {
@@ -479,6 +482,24 @@ func (c *Catalog) AddIndex(ix *Index) (*Index, error) {
 	// flip it ready (engine.ensureBuilt).
 	c.state[sig] = StateBuilding
 	return ix, nil
+}
+
+// CompleteWithPK appends to fields any primary key column no plain
+// field names (a token field holds words, not the column), so index
+// entries are unique and dereferenceable. fields is completed in place:
+// an append may write into its spare capacity.
+func CompleteWithPK(t *Table, fields []IndexField) []IndexField {
+	n := len(fields)
+	for _, pk := range t.PrimaryKey {
+		named := false
+		for _, f := range fields[:n] {
+			named = named || !f.Token && strings.EqualFold(f.Column, pk)
+		}
+		if !named {
+			fields = append(fields, IndexField{Column: pk})
+		}
+	}
+	return fields
 }
 
 // Indexes returns the indexes on a table.

@@ -130,6 +130,20 @@ func TestIndexValidationAndDedup(t *testing.T) {
 	if len(c.Indexes("users")) != 2 { // primary + one secondary
 		t.Errorf("indexes = %v", c.Indexes("users"))
 	}
+	// An index that leaves out a primary-key column is completed with
+	// it, so each row makes an entry of its own, and it is a structural
+	// duplicate of the index that names the column.
+	ix3, err := c.AddIndex(&Index{Name: "c", Table: "users", Fields: []IndexField{{Column: "age"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix4, err := c.AddIndex(&Index{Name: "d", Table: "users", Fields: []IndexField{{Column: "age"}, {Column: "username"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix3 != ix4 || ix3.Signature() != "users|age|username" {
+		t.Errorf("(age) registered as %s, (age, username) as %s", ix3.Signature(), ix4.Signature())
+	}
 	// Validation failures.
 	bad := []*Index{
 		{Name: "x", Table: "zzz", Fields: []IndexField{{Column: "a"}}},
@@ -172,7 +186,7 @@ func TestRegisteredIndexStateAllocatesNothing(t *testing.T) {
 	if err := c.AddTable(users()); err != nil {
 		t.Fatal(err)
 	}
-	fields := []IndexField{{Column: "Bio", Token: true}, {Column: "age", Desc: true}}
+	fields := []IndexField{{Column: "Bio", Token: true}, {Column: "age", Desc: true}, {Column: "username"}}
 	ix, err := c.AddIndex(&Index{Name: "a", Table: "users", Fields: fields})
 	if err != nil {
 		t.Fatal(err)
