@@ -33,7 +33,8 @@ vet:
 # Insert, Update and Delete are thin entry points over it), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
-# own, then the escape budget) — see "Static
+# own — releasepath one block at a time: each acquire released in its
+# own block, no exit in between — then the escape budget) — see "Static
 # analysis" in README.md; `make mutants` shows what the analyzers catch,
 # and which tests catch what no analyzer checks (lock order, a park under
 # a lock: a simulated test wedges). After deliberately changing a hot

@@ -154,10 +154,7 @@ func AppendRecordKey(dst []byte, ix *schema.Index, t *schema.Table, entryKey []b
 		return nil, fmt.Errorf("index %s: %w", ix.Name, err)
 	}
 	dst = append(dst, RecordPrefix(t)...)
-	for i, c := range lay.PK {
-		if c < 0 {
-			return nil, fmt.Errorf("index %s does not embed primary key column %s", ix.Name, t.PrimaryKey[i])
-		}
+	for _, c := range lay.PK {
 		from := len(dst)
 		dst = append(dst, entryKey[ends[c-1]:ends[c]]...) // c >= 1: component 0 is the namespace
 		if lay.Desc[c] {

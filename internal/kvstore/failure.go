@@ -179,14 +179,16 @@ func (c *Cluster) applyOrQueue(id int, key, env []byte) {
 // and applies directly — never neither.
 func (c *Cluster) queueCatchUp(id int, key, env []byte) {
 	c.faultMu.Lock()
-	if c.nodes[id].down.Load() == 0 {
-		c.faultMu.Unlock()
-		c.nodes[id].applyIfNewer(key, env)
+	queued := c.nodes[id].down.Load() != 0
+	if queued {
+		c.pending[id] = append(c.pending[id], catchUp{key: key, env: env})
+	}
+	c.faultMu.Unlock()
+	if queued {
+		c.cuQueued.Add(1)
 		return
 	}
-	c.pending[id] = append(c.pending[id], catchUp{key: key, env: env})
-	c.faultMu.Unlock()
-	c.cuQueued.Add(1)
+	c.nodes[id].applyIfNewer(key, env)
 }
 
 // rejoin clears one down bit on node id and, when that makes the node
@@ -213,20 +215,23 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 		// Still unreachable for another reason (e.g. killed and
 		// partitioned): drop this bit only; the final clear replays.
 		nd.down.Store(rest)
-		c.faultMu.Unlock()
-		return
 	}
 	c.faultMu.Unlock()
+	if rest != 0 {
+		return
+	}
 	for {
 		c.faultMu.Lock()
 		queued := c.pending[id]
 		if len(queued) == 0 {
 			nd.down.Store(0)
-			c.faultMu.Unlock()
+		} else {
+			c.pending[id] = nil
+		}
+		c.faultMu.Unlock()
+		if len(queued) == 0 {
 			break
 		}
-		c.pending[id] = nil
-		c.faultMu.Unlock()
 		c.replayOn(id, queued)
 	}
 	// Self-clean: purge anything the node holds but no longer owns —

@@ -212,69 +212,11 @@ func (cl *Client) doubleApply(mv *move, key, env []byte, written []int) {
 func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
 	var last error
 	for attempt := 0; attempt < fenceRetryBudget; attempt++ {
-		rt := cl.c.beginOp()
-		p := rt.partitionOf(key)
-		ids := rt.owners[p]
-		primary := ids[0]
-		if !cl.c.reachable(primary) {
-			// Dead primary whose lease has not yet expired (Rebalance
-			// would have reclaimed the range otherwise): no other node
-			// may decide, so back off and retry — a restart or the
-			// post-expiry reclaim unwedges the key.
-			last = cl.c.downErr(ids[:1])
-			cl.c.endOp(rt)
-			cl.backoff(attempt)
-			continue
-		}
-		mv := coveringMove(rt, key)
-		var env []byte // the accepted swap's stamped envelope
-		var ok bool
-		var err error
-		if mv == nil {
-			env, ok, err = cl.c.nodes[primary].testAndSet(key, rt.epoch, expect, update, cl.id)
-			cl.visit(primary, 1, len(key)+len(update))
-			if ok {
-				// Propagate the primary's stamped envelope: its version
-				// was drawn after the decision read the current value, so
-				// put-if-newer can never let an older plain Put — whenever
-				// it arrives — clobber the accepted swap on any replica.
-				// A down replica gets it queued for rejoin replay.
-				for _, id := range ids[1:] {
-					cl.c.applyOrQueue(id, key, env)
-					cl.visit(id, 1, len(update))
-				}
-			}
-		} else {
-			mv.mu.Lock()
-			env, ok, err = cl.c.nodes[primary].testAndSet(key, rt.epoch, expect, update, cl.id)
-			if ok {
-				// Accepted swap in a moving range: land the envelope on
-				// every old owner and move destination inside the move
-				// window, so the epoch flip never observes a
-				// half-propagated decision. (The range copy itself needs
-				// no coordination — its older envelopes lose to this one.)
-				for _, id := range ids[1:] {
-					cl.c.applyOrQueue(id, key, env)
-				}
-				for _, id := range mv.dst {
-					if !slices.Contains(ids, id) {
-						cl.c.applyOrQueue(id, key, env)
-					}
-				}
-			}
-			mv.mu.Unlock()
-			cl.visit(primary, 1, len(key)+len(update))
-			if ok {
-				for _, id := range ids[1:] {
-					cl.visit(id, 1, len(update))
-				}
-				cl.visitDsts(mv, ids, key)
-			}
-		}
+		ok, err := cl.testAndSetOnce(key, expect, update)
 		if err != nil {
-			// Fenced (stale claim) or the primary died mid-contact.
-			// Account the reject and retry under a fresh table — the
-			// publish that moved ownership lands at most a few
+			// Fenced (stale claim), or the primary is down or died
+			// mid-contact. Account a fence and retry under a fresh table
+			// — the publish that moved ownership lands at most a few
 			// instructions after the fence install.
 			var fencedErr *ErrFenced
 			if errors.As(err, &fencedErr) {
@@ -282,11 +224,9 @@ func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
 				cl.fenceRetries++
 			}
 			last = err
-			cl.c.endOp(rt)
 			cl.backoff(attempt)
 			continue
 		}
-		cl.c.endOp(rt)
 		// No re-application when the routing changed mid-operation (the
 		// pre-fencing protocol re-ran the accepted value as a plain write
 		// under the new table): an accepted swap has already reached every
@@ -299,6 +239,69 @@ func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
 		return ok, nil
 	}
 	return false, &ErrFenceExhausted{Op: "testandset", Attempts: fenceRetryBudget, Last: last}
+}
+
+// testAndSetOnce is one attempt of TestAndSet under one routing claim,
+// returned on every exit. An error means the attempt decided nothing.
+func (cl *Client) testAndSetOnce(key, expect, update []byte) (bool, error) {
+	rt := cl.c.beginOp()
+	defer cl.c.endOp(rt)
+	p := rt.partitionOf(key)
+	ids := rt.owners[p]
+	primary := ids[0]
+	if !cl.c.reachable(primary) {
+		// Dead primary whose lease has not yet expired (Rebalance
+		// would have reclaimed the range otherwise): no other node
+		// may decide, so back off and retry — a restart or the
+		// post-expiry reclaim unwedges the key.
+		return false, cl.c.downErr(ids[:1])
+	}
+	mv := coveringMove(rt, key)
+	var env []byte // the accepted swap's stamped envelope
+	var ok bool
+	var err error
+	if mv == nil {
+		env, ok, err = cl.c.nodes[primary].testAndSet(key, rt.epoch, expect, update, cl.id)
+		cl.visit(primary, 1, len(key)+len(update))
+		if ok {
+			// Propagate the primary's stamped envelope: its version
+			// was drawn after the decision read the current value, so
+			// put-if-newer can never let an older plain Put — whenever
+			// it arrives — clobber the accepted swap on any replica.
+			// A down replica gets it queued for rejoin replay.
+			for _, id := range ids[1:] {
+				cl.c.applyOrQueue(id, key, env)
+				cl.visit(id, 1, len(update))
+			}
+		}
+	} else {
+		mv.mu.Lock()
+		env, ok, err = cl.c.nodes[primary].testAndSet(key, rt.epoch, expect, update, cl.id)
+		if ok {
+			// Accepted swap in a moving range: land the envelope on
+			// every old owner and move destination inside the move
+			// window, so the epoch flip never observes a
+			// half-propagated decision. (The range copy itself needs
+			// no coordination — its older envelopes lose to this one.)
+			for _, id := range ids[1:] {
+				cl.c.applyOrQueue(id, key, env)
+			}
+			for _, id := range mv.dst {
+				if !slices.Contains(ids, id) {
+					cl.c.applyOrQueue(id, key, env)
+				}
+			}
+		}
+		mv.mu.Unlock()
+		cl.visit(primary, 1, len(key)+len(update))
+		if ok {
+			for _, id := range ids[1:] {
+				cl.visit(id, 1, len(update))
+			}
+			cl.visitDsts(mv, ids, key)
+		}
+	}
+	return ok, err
 }
 
 // FenceRetries returns how many times this client's conditional

@@ -142,7 +142,7 @@ func AttributeEscapes(fset *token.FileSet, files []*ast.File, importPath string,
 	return out
 }
 
-// declKey renders a FuncDecl the way funcKey renders its object —
+// declKey renders a FuncDecl the way a call site names it —
 // "Func", "(Type).Method", "(*Type).Method" — from syntax alone (the
 // escape driver does not typecheck).
 func declKey(fd *ast.FuncDecl) string {

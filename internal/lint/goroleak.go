@@ -13,9 +13,9 @@ import "go/ast"
 // A new spawn fails the gate until someone writes its argument down,
 // and a directive left behind by a deleted spawn is reported stale.
 //
-// The census is syntactic: the spawned body is not inspected (a
-// literal's body is still walked, as a pseudo-function, for
-// releasepath).
+// The census is syntactic: the spawned body is not inspected here (a
+// literal's blocks still fall under releasepath, like any other
+// block).
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc:  "every go statement carries //lint:allow goroleak naming what bounds the goroutine's lifetime",

@@ -13,9 +13,9 @@
 // snapshots are claimed, that simulated processes never wait on the
 // real clock, that lease tables are swapped whole, that every
 // goroutine's lifetime is argued for at its spawn, that client/op-path
-// errors conform to the ErrTransient taxonomy, and, function by
-// function (see heldlocks.go), that every acquire is released on all
-// exits. Each analyzer documents its invariant on its Analyzer value.
+// errors conform to the ErrTransient taxonomy, and, block by block, that
+// every acquire is released in its own block with no exit before the
+// release. Each analyzer documents its invariant on its Analyzer value.
 // What a lock held across a park or two locks taken in opposite orders
 // would do — wedge a run — the simulated tests show directly: their
 // mutants are gated by tests (cmd/piql-vet/testdata/mutants.ledger).
@@ -40,7 +40,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -59,9 +58,9 @@ type Analyzer struct {
 
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
-// unit — type information and the package's held-lock walk. The
-// syntactic analyzers ignore the typed side; the typed ones
-// (releasepath, errtaxonomy) no-op when it is absent.
+// unit — type information. The syntactic analyzers ignore the typed
+// side; the typed ones (releasepath, errtaxonomy) no-op when it is
+// absent.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -71,9 +70,6 @@ type Pass struct {
 	ImportPath string
 
 	unit *Unit
-	// funcs is the held-lock walk of every function (nil when the unit
-	// is not typechecked).
-	funcs []*funcInfo
 
 	diags []Diagnostic
 }
@@ -113,21 +109,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ReportAt records a violation at an already-resolved position —
 // for diagnostics whose site comes from outside the FileSet, like the
 // compiler's escape-analysis output. Suppression directives match on
-// the position, so //lint:allow works for these too. A (position,
-// message) pair is recorded once: the walkers visit a loop body twice
-// and keep both rows of a held-set union, so an analyzer can reach the
-// same finding more than once.
+// the position, so //lint:allow works for these too.
 func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	d := Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)}
-	if !slices.Contains(p.diags, d) {
-		p.diags = append(p.diags, d)
-	}
+	p.diags = append(p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // Analyzers is the registry cmd/piql-vet and the tests run: four
 // syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
-// releasepath over the held-lock walk, the typed errtaxonomy, and the
-// build-diagnostic escapebudget.
+// the typed releasepath and errtaxonomy, and the build-diagnostic
+// escapebudget.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	SimClock,
@@ -171,10 +161,6 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 		}
 		kept = append(kept, f)
 	}
-	var funcs []*funcInfo
-	if u.Pkg != nil && u.Info != nil {
-		funcs = walkHeldLocks(u, kept)
-	}
 	directives := collectDirectives(u.Fset, kept)
 	var out []Diagnostic
 	ran := map[string]bool{}
@@ -189,7 +175,6 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 			Files:      kept,
 			ImportPath: u.ImportPath,
 			unit:       u,
-			funcs:      funcs,
 		}
 		a.Run(pass)
 		for _, d := range pass.diags {
@@ -400,4 +385,34 @@ func resolveIdent(fn *ast.FuncDecl, name string, pos token.Pos) ast.Expr {
 		return true
 	})
 	return rhs
+}
+
+// recvTypeName returns the bare receiver type name of a method object.
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, okp := t.(*types.Pointer); okp {
+		t = p.Elem()
+	}
+	if n, okn := t.(*types.Named); okn {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// calleeOf resolves a call to its named function object, or nil for
+// builtins, conversions, and calls through function values.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }

@@ -194,7 +194,7 @@ type EntryLayout struct {
 	// namespace and the token (a word of its column, not the column).
 	Column []int
 	// PK is, per primary-key column in key order, the component that
-	// carries it, or -1 when the index does not embed that column.
+	// carries it (AddIndex completes every index with the primary key).
 	PK []int
 	// Uncovered names a table column no component carries; "" when the
 	// index covers the table.
