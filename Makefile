@@ -140,9 +140,13 @@ chaos:
 # every storm's counters pinned by chaos.golden, read failover and
 # catch-up replay at unit level, lease-expiry fencing recovery,
 # ownership at rejoin (also across two crashes on the virtual clock),
-# and the kill-during-write table (every write with a partition
-# unreachable ends in a Retryable error or its full effect). That
-# failover, replay and the lease check are load-bearing is shown by
+# the kill-during-write table (every write with a partition
+# unreachable ends in a Retryable error or its full effect), and the
+# error taxonomy: TestErrorChainsRoundTrip (every transient error
+# unwraps to kvstore.ErrTransient through any wrapping) and
+# TestApplyRetryBudgetExhaustsUnderRoutingFlips (a write whose routing
+# table flips under every attempt ends in a typed *ErrFenceExhausted).
+# That failover, replay and the lease check are load-bearing is shown by
 # `make mutants`: their ledger rows (failover-off*, replay-off*,
 # lease-check) take each one out and name the test above that fails.
 CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
@@ -150,7 +154,8 @@ CHAOS_FAULTS_TESTS = TestChaosSurvivesKillRestartMidRebalance \
 	TestCatchUpReplayAndFailoverAreLoadBearing \
 	TestKillRacingRebalanceUnderTraffic \
 	TestLeaseExpiryUnwedgesTestAndSet TestRejoinPurgesRangesMovedWhileDown \
-	TestErrorChainsRoundTrip TestRetryableClassification \
+	TestErrorChainsRoundTrip TestApplyRetryBudgetExhaustsUnderRoutingFlips \
+	TestRetryableClassification \
 	TestDegradedReadSurfacesRetryable TestKillDuringWrite \
 	TestAsyncCatchUpKillRestartInterleaving
 
@@ -162,7 +167,7 @@ chaos-faults:
 # test:<pkg>:<Test> or race:<pkg>:<Test> — alone to a `git archive HEAD`
 # copy of the tree, runs only that gate, and fails any row whose old
 # text does not occur exactly once or whose gate passes. A test gate
-# runs with -timeout 60s, and one that hangs with its test still running
+# runs with -timeout 20s, and one that hangs with its test still running
 # has caught its mutant. It mutates HEAD, so commit first. Plain
 # `go test` checks only the old texts and that each piql-vet gate names
 # a registered analyzer.

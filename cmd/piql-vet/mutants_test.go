@@ -129,9 +129,9 @@ func archiveHead(t *testing.T, root string) string {
 }
 
 // gateTimeout bounds one test or race gate. The gated tests pass
-// unmutated in a few seconds; a mutant that wedges one runs until this
-// fires.
-const gateTimeout = "60s"
+// unmutated in under 4 s each (TestFiguresGolden, the slowest, in about
+// 3.5 s on 2 CPUs); a mutant that wedges one runs until this fires.
+const gateTimeout = "20s"
 
 // runGate runs one gate over the module in dir and reports whether it
 // caught the mutant, with the gate's output. A test gate catches it by

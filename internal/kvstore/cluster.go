@@ -602,7 +602,10 @@ func (c *Cluster) GCTombstones() int {
 // same value bytes, same versions (a tombstone and a swept/absent key
 // are equivalent, both meaning "deleted"). It is meaningful on a
 // quiesced cluster (writers joined, every node rejoined); the chaos
-// harness runs it after every storm. Returns nil when converged.
+// harness runs it after every storm. Returns nil when converged. Its
+// error is deliberately fatal (it does not unwrap to ErrTransient):
+// replicas that diverged after quiescence are a bug, not a transient
+// condition, and re-running the audit cannot help and must not hide it.
 // It audits a quiesced cluster — no rebalance can run concurrently, so
 // there is no snapshot lifecycle to join.
 //

@@ -44,13 +44,17 @@ func (e *ErrNodeDown) Unwrap() error { return ErrTransient }
 
 // ErrFenceExhausted reports a bounded retry loop that ran out of
 // budget: every attempt was fenced or found the authoritative primary
-// unreachable. No decision was made — the caller may safely retry the
+// unreachable, or, for a write, found the routing table changed under
+// it. No decision was made — the caller may safely retry the
 // whole operation later (a lease expiry plus Rebalance reclaim, or a
 // node restart, unwedges it). Last preserves the final attempt's cause.
 type ErrFenceExhausted struct {
 	Op       string // "testandset" or "write"
 	Attempts int
-	Last     error // cause of the final attempt (*ErrFenced or *ErrNodeDown)
+	// Last is the final attempt's cause: *ErrFenced or *ErrNodeDown from
+	// TestAndSet, ErrTransient from Apply (routing churn has no per-node
+	// cause).
+	Last error
 }
 
 func (e *ErrFenceExhausted) Error() string {

@@ -51,6 +51,43 @@ func TestErrorChainsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyRetryBudgetExhaustsUnderRoutingFlips drives Apply's
+// revalidation loop past writeRetryBudget: a second process republishes
+// the routing table every 10 µs of virtual time, so every attempt of
+// the Put finds the table changed under it. The Put must then fail as a
+// typed transient error, *ErrFenceExhausted for "write" after the whole
+// budget, never as an untyped one the retry layer would take for fatal.
+func TestApplyRetryBudgetExhaustsUnderRoutingFlips(t *testing.T) {
+	env := sim.NewEnv()
+	c := New(Config{Nodes: 2, ReplicationFactor: 2, Seed: 1}, env)
+	var err error
+	done := false
+	env.Spawn(func(p *sim.Proc) {
+		err = c.NewClient(p).Put([]byte("k"), []byte("v"))
+		done = true
+	})
+	env.Spawn(func(p *sim.Proc) {
+		for !done {
+			old := c.routing.Load()
+			c.routing.Store(&routing{epoch: old.epoch + 1, splits: old.splits, owners: old.owners})
+			p.Sleep(10 * time.Microsecond)
+		}
+	})
+	env.Run(0)
+	env.Stop()
+
+	var ex *ErrFenceExhausted
+	if !errors.As(err, &ex) {
+		t.Fatalf("Put under routing flips returned %v, want *ErrFenceExhausted", err)
+	}
+	if ex.Op != "write" || ex.Attempts != writeRetryBudget+1 {
+		t.Errorf("exhaustion is %+v, want Op write after %d attempts", ex, writeRetryBudget+1)
+	}
+	if !errors.Is(err, ErrTransient) {
+		t.Errorf("exhausted write is not transient: %v", err)
+	}
+}
+
 // TestLeaseExpiryUnwedgesTestAndSet: killing a key's authoritative
 // primary wedges conditional ops on it — inside the lease window no
 // other node may decide, so TestAndSet burns its retry budget and

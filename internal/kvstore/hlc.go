@@ -142,6 +142,9 @@ func envIsTombstone(env []byte) bool { return env[16]&envTombstone != 0 }
 // returned slice aliases env.
 func envValue(env []byte) []byte { return env[envHeader:] }
 
+// The envelope corruption errors are deliberately fatal: they do not
+// unwrap to ErrTransient, because a corrupt 17-byte header is still
+// corrupt on a retry.
 var (
 	errEnvelopeShort = errors.New("kvstore: envelope shorter than its 17-byte header")
 	errEnvelopeFlags = errors.New("kvstore: envelope header has unknown flag bits")

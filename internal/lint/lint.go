@@ -12,13 +12,14 @@
 // engine/kvstore code that the type system cannot express: how routing
 // snapshots are claimed, that simulated processes never wait on the
 // real clock, that lease tables are swapped whole, that every
-// goroutine's lifetime is argued for at its spawn, that client/op-path
-// errors conform to the ErrTransient taxonomy, and, block by block, that
-// every acquire is released in its own block with no exit before the
-// release. Each analyzer documents its invariant on its Analyzer value.
-// What a lock held across a park or two locks taken in opposite orders
-// would do — wedge a run — the simulated tests show directly: their
-// mutants are gated by tests (cmd/piql-vet/testdata/mutants.ledger).
+// goroutine's lifetime is argued for at its spawn, and, block by block,
+// that every acquire is released in its own block with no exit before
+// the release. Each analyzer documents its invariant on its Analyzer
+// value. What a lock held across a park or two locks taken in opposite
+// orders would do — wedge a run — the simulated tests show directly, and
+// so do the error-chain tests for an op error the retry layer would take
+// for fatal: their mutants are gated by tests
+// (cmd/piql-vet/testdata/mutants.ledger).
 //
 // A site that violates the letter of a rule for a documented reason is
 // suppressed with a directive comment naming the analyzer:
@@ -59,8 +60,7 @@ type Analyzer struct {
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
 // unit — type information. The syntactic analyzers ignore the typed
-// side; the typed ones (releasepath, errtaxonomy) no-op when it is
-// absent.
+// side; the typed one (releasepath) no-ops when it is absent.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -116,13 +116,11 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 
 // Analyzers is the registry cmd/piql-vet and the tests run: four
 // syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
-// the typed releasepath and errtaxonomy, and the build-diagnostic
-// escapebudget.
+// the typed releasepath, and the build-diagnostic escapebudget.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	SimClock,
 	LeaseSwap,
-	ErrTaxonomy,
 	GoroLeak,
 	ReleasePath,
 	EscapeBudget,

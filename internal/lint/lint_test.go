@@ -44,10 +44,6 @@ func TestLeaseSwap(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "leaseswap"), byName(t, "leaseswap"))
 }
 
-func TestErrTaxonomy(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "errtaxonomy"), byName(t, "errtaxonomy"))
-}
-
 func TestGoroLeak(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "goroleak"), byName(t, "goroleak"))
 }
