@@ -99,7 +99,9 @@ func lowerEqual(a, b string) bool {
 	return a == b
 }
 
-// resolveColumn finds (relIdx, colIdx) for a column reference.
+// resolveColumn finds (relIdx, colIdx) for a column reference and marks
+// the column read: every clause names the columns it reads through here,
+// so what no reference marked is what a plan's operators may skip.
 func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 	if c.Table != "" {
 		ri := b.relIndex(c.Table)
@@ -110,6 +112,7 @@ func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 		if ci < 0 {
 			return 0, 0, fmt.Errorf("core: column %q does not exist in %q", c.Column, b.rels[ri].ref.Name())
 		}
+		b.rels[ri].read |= 1 << ci
 		return ri, ci, nil
 	}
 	foundRel, foundCol := -1, -1
@@ -126,6 +129,7 @@ func (b *binder) resolveColumn(c parser.ColumnRef) (int, int, error) {
 	if foundRel < 0 {
 		return 0, 0, fmt.Errorf("core: unknown column %q", c.Column)
 	}
+	b.rels[foundRel].read |= 1 << foundCol
 	return foundRel, foundCol, nil
 }
 
@@ -295,6 +299,7 @@ func (b *binder) bindProjection(q *boundQuery) error {
 		switch {
 		case it.Star && it.StarOf == "":
 			for ri := range b.rels {
+				b.rels[ri].read = ^uint64(0)
 				for ci, c := range b.rels[ri].table.Columns {
 					q.projCols = append(q.projCols, b.combined(ri, ci))
 					q.projNames = append(q.projNames, c.Name)
@@ -305,6 +310,7 @@ func (b *binder) bindProjection(q *boundQuery) error {
 			if ri < 0 {
 				return fmt.Errorf("core: unknown table or alias %q in %s.*", it.StarOf, it.StarOf)
 			}
+			b.rels[ri].read = ^uint64(0)
 			for ci, c := range b.rels[ri].table.Columns {
 				q.projCols = append(q.projCols, b.combined(ri, ci))
 				q.projNames = append(q.projNames, c.Name)

@@ -344,7 +344,7 @@ func pkLookup(r *rel) (*PKLookup, bool) {
 			keys[k][j] = p.InList[k/stride%len(p.InList)]
 		}
 	}
-	return &PKLookup{Table: r.table, TableOffset: r.offset, Keys: keys, Residual: pick.rest(r.offset)}, true
+	return &PKLookup{Table: r.table, TableOffset: r.offset, Skip: r.skip(), Keys: keys, Residual: pick.rest(r.offset)}, true
 }
 
 // boundedIndexScan builds the access path when a data-stop bounds the
@@ -386,6 +386,7 @@ func (ctx *phase2Ctx) boundedIndexScan(r *rel) (Physical, error) {
 	scan := &IndexScan{
 		Table:        r.table,
 		TableOffset:  r.offset,
+		Skip:         r.skip(),
 		Index:        ix,
 		Eq:           eq,
 		Ascending:    !reversed,
@@ -458,6 +459,7 @@ func (ctx *phase2Ctx) limitHintScan(r *rel, split predSplit) (Physical, error) {
 	scan := &IndexScan{
 		Table:       r.table,
 		TableOffset: r.offset,
+		Skip:        r.skip(),
 		Index:       ix,
 		Eq:          eq,
 		Lower:       lower,
@@ -544,6 +546,7 @@ func (ctx *phase2Ctx) tryFKJoin(child Physical, r *rel) (Physical, bool) {
 		ChildPlan:   child,
 		Table:       r.table,
 		TableOffset: r.offset,
+		Skip:        r.skip(),
 		Keys:        keys,
 		Residual:    pick.rest(r.offset),
 	}, true
@@ -598,6 +601,7 @@ func (ctx *phase2Ctx) trySortedJoin(child Physical, r *rel) (Physical, bool) {
 		ChildPlan:   child,
 		Table:       r.table,
 		TableOffset: r.offset,
+		Skip:        r.skip(),
 		Index:       ix,
 		JoinKey:     jk,
 		PerKeyLimit: ctx.q.stopK,
@@ -620,6 +624,7 @@ func (ctx *phase2Ctx) cardBoundedJoin(child Physical, r *rel) (Physical, error) 
 		ChildPlan:   child,
 		Table:       r.table,
 		TableOffset: r.offset,
+		Skip:        r.skip(),
 		Index:       ix,
 		JoinKey:     jk,
 		PerKeyLimit: r.dataStopCard,

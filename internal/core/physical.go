@@ -34,8 +34,13 @@ type KeySpec []KeyExpr
 type PKLookup struct {
 	Table       *schema.Table
 	TableOffset int
-	Keys        []KeySpec // cartesian expansion of IN lists
-	Residual    []LocalPred
+	// Skip is the set of the table's columns (bit i: column i) whose
+	// values no reader above needs: each record is decoded without them,
+	// their cells left zero and their strings out of the arena. It names
+	// what to leave out, so the zero value decodes every column.
+	Skip     uint64
+	Keys     []KeySpec // cartesian expansion of IN lists
+	Residual []LocalPred
 }
 
 func (n *PKLookup) Child() Physical { return nil }
@@ -49,8 +54,11 @@ func (n *PKLookup) Label() string {
 // is secondary, matching records are dereferenced through the primary
 // key (one extra batched round of gets).
 type IndexScan struct {
-	Table        *schema.Table
-	TableOffset  int
+	Table       *schema.Table
+	TableOffset int
+	// Skip is as PKLookup's. A pager's keeps the columns its position is
+	// rebuilt from (keepPosition).
+	Skip         uint64
 	Index        *schema.Index
 	Eq           []KeyExpr   // values for the index prefix (token value first if the index is tokenized)
 	Lower        *RangeBound // on the component after the prefix
@@ -128,6 +136,7 @@ type IndexFKJoin struct {
 	ChildPlan   Physical
 	Table       *schema.Table
 	TableOffset int
+	Skip        uint64  // as PKLookup's
 	Keys        KeySpec // child columns / constants forming the target primary key
 	Residual    []LocalPred
 }
@@ -151,6 +160,7 @@ type SortedIndexJoin struct {
 	ChildPlan   Physical
 	Table       *schema.Table
 	TableOffset int
+	Skip        uint64 // as IndexScan's
 	Index       *schema.Index
 	JoinKey     KeySpec // child columns / constants forming the index prefix
 	PerKeyLimit int

@@ -96,8 +96,42 @@ func newPlan(root Physical, stmt *parser.Select, q *boundQuery, order []*rel, re
 	if q.page {
 		plan.PageSize = q.stopK
 		plan.Pager, err = pagerOf(root, q)
+		keepPosition(plan.Pager)
 	}
 	return plan, err
+}
+
+// keepPosition clears from a pager's Skip the columns a page's position
+// is rebuilt from when a stop cuts the page short (exec's entryKeyOf):
+// its index's fields and its table's primary key, whether or not the
+// statement names them.
+func keepPosition(pager Physical) {
+	var skip *uint64
+	var t *schema.Table
+	var ix *schema.Index
+	switch n := pager.(type) {
+	case *IndexScan:
+		skip, t, ix = &n.Skip, n.Table, n.Index
+	case *SortedIndexJoin:
+		skip, t, ix = &n.Skip, n.Table, n.Index
+	default:
+		return
+	}
+	for _, f := range ix.Fields {
+		*skip &^= columnBit(t, f.Column)
+	}
+	for _, c := range t.PrimaryKey {
+		*skip &^= columnBit(t, c)
+	}
+}
+
+// columnBit is column name's bit of a Skip over t (0 if t has no such
+// column).
+func columnBit(t *schema.Table, name string) uint64 {
+	if ci := t.ColumnIndex(name); ci >= 0 {
+		return 1 << ci
+	}
+	return 0
 }
 
 // pagerOf chooses a paginated plan's pager. A cursor is a position in

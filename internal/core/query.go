@@ -281,7 +281,8 @@ type AggSpec struct {
 type rel struct {
 	ref    parser.TableRef
 	table  *schema.Table
-	offset int // column offset of this relation in the combined row
+	offset int    // column offset of this relation in the combined row
+	read   uint64 // bit i: a reference of the statement names column i
 
 	eqPreds    []LocalPred // equality against literal/param (incl. IN, CONTAINS)
 	otherPreds []LocalPred // inequalities and anything else single-table
@@ -292,6 +293,17 @@ type rel struct {
 	belowPreds   []LocalPred // predicates that caused the data-stop
 	abovePreds   []LocalPred // predicates the data-stop pushed past
 	joinPreds    []joinPred  // equi-join predicates linking to earlier rels
+}
+
+// skip is the Skip of an operator that decodes r's records: every column
+// of the table that no reference of the statement named. A table wider
+// than 64 columns skips none.
+func (r *rel) skip() uint64 {
+	n := len(r.table.Columns)
+	if n > 64 {
+		return 0
+	}
+	return ^r.read & (uint64(1)<<n - 1)
 }
 
 // colName returns the relation-local column name for ordinal ci.

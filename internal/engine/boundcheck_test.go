@@ -29,83 +29,7 @@ import (
 // is 1 bounded operation but 10 lazy requests).
 func TestStaticBoundCoversMeasuredOps(t *testing.T) {
 	s := newRoundTripFixture(t)
-	cases := []struct {
-		name string
-		sql  string
-		arg  value.Value
-		// bound pins the analyzer's static operation bound; slack is the
-		// maximum allowed bound/measured ratio with its derivation.
-		bound int
-		slack int
-	}{
-		{
-			// Exact: one key, one get.
-			name: "pk lookup", arg: value.Str("u01"),
-			sql:   `SELECT * FROM users WHERE username = ?`,
-			bound: 1, slack: 1,
-		},
-		{
-			// Exact: one range request regardless of LIMIT.
-			name: "primary index scan", arg: value.Str("u01"),
-			sql:   `SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp DESC LIMIT 10`,
-			bound: 1, slack: 1,
-		},
-		{
-			// 1 scan + card(hometown)=5 derefs = 6 vs 2 requests: the
-			// deref batch is one request (5x), actual matches are 3 of 5.
-			name: "secondary scan deref", arg: value.Str("h0"),
-			sql:   `SELECT * FROM users WHERE hometown = ?`,
-			bound: 6, slack: 3,
-		},
-		{
-			// 1 scan + card(owner)=100 join gets = 101 vs 2 requests:
-			// the join batch is one request and K=3 of the declared 100
-			// subscriptions exist.
-			name: "fk join", arg: value.Str("u00"),
-			sql:   `SELECT u.* FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
-			bound: 101, slack: 51,
-		},
-		{
-			// 1 child scan + card(owner)=100 per-stream ranges = 101 vs
-			// 1 + K = 4 requests (K=3 actual streams).
-			name: "sorted join primary", arg: value.Str("u00"),
-			sql: `SELECT thoughts.* FROM subscriptions s JOIN thoughts
-			      WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
-			      ORDER BY thoughts.timestamp DESC LIMIT 10`,
-			bound: 101, slack: 26,
-		},
-		{
-			// 1 + 100 ranges + 100x10 derefs = 1101 vs 1 + K + 1 = 5
-			// requests: K=3 streams, one cross-stream deref batch.
-			name: "sorted join secondary", arg: value.Str("u00"),
-			sql: `SELECT a.* FROM subscriptions s JOIN articles a
-			      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
-			      ORDER BY a.ts DESC LIMIT 10`,
-			bound: 1101, slack: 221,
-		},
-		{
-			// 1 + 100 ranges + 10 join gets = 111 vs 1 + K + 1 = 5
-			// requests: the join above a sorted join that stops at the page
-			// is booked (and run) at LIMIT 10 rows, not 100 x 10.
-			name: "fk join above sorted join", arg: value.Str("u00"),
-			sql: `SELECT thoughts.*, u.* FROM subscriptions s JOIN thoughts JOIN users u
-			      WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
-			        AND u.username = s.target
-			      ORDER BY thoughts.timestamp DESC LIMIT 10`,
-			bound: 111, slack: 23,
-		},
-		{
-			// 1 + 100 ranges + 100x10 derefs (worst case: danglers refill)
-			// + 10 join gets = 1111 vs 1 + K + 1 + 1 = 6 requests.
-			name: "fk join above secondary sorted join", arg: value.Str("u00"),
-			sql: `SELECT a.*, u.* FROM subscriptions s JOIN articles a JOIN users u
-			      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
-			        AND u.username = s.target
-			      ORDER BY a.ts DESC LIMIT 10`,
-			bound: 1111, slack: 186,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range measuredShapes {
 		q, err := s.Prepare(tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -133,4 +57,83 @@ func TestStaticBoundCoversMeasuredOps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// measuredShapes are the plans TestStaticBoundCoversMeasuredOps measures
+// on newRoundTripFixture, each with its argument.
+var measuredShapes = []struct {
+	name string
+	sql  string
+	arg  value.Value
+	// bound pins the analyzer's static operation bound; slack is the
+	// maximum allowed bound/measured ratio with its derivation.
+	bound int
+	slack int
+}{
+	{
+		// Exact: one key, one get.
+		name: "pk lookup", arg: value.Str("u01"),
+		sql:   `SELECT * FROM users WHERE username = ?`,
+		bound: 1, slack: 1,
+	},
+	{
+		// Exact: one range request regardless of LIMIT.
+		name: "primary index scan", arg: value.Str("u01"),
+		sql:   `SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp DESC LIMIT 10`,
+		bound: 1, slack: 1,
+	},
+	{
+		// 1 scan + card(hometown)=5 derefs = 6 vs 2 requests: the
+		// deref batch is one request (5x), actual matches are 3 of 5.
+		name: "secondary scan deref", arg: value.Str("h0"),
+		sql:   `SELECT * FROM users WHERE hometown = ?`,
+		bound: 6, slack: 3,
+	},
+	{
+		// 1 scan + card(owner)=100 join gets = 101 vs 2 requests:
+		// the join batch is one request and K=3 of the declared 100
+		// subscriptions exist.
+		name: "fk join", arg: value.Str("u00"),
+		sql:   `SELECT u.* FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
+		bound: 101, slack: 51,
+	},
+	{
+		// 1 child scan + card(owner)=100 per-stream ranges = 101 vs
+		// 1 + K = 4 requests (K=3 actual streams).
+		name: "sorted join primary", arg: value.Str("u00"),
+		sql: `SELECT thoughts.* FROM subscriptions s JOIN thoughts
+		      WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+		      ORDER BY thoughts.timestamp DESC LIMIT 10`,
+		bound: 101, slack: 26,
+	},
+	{
+		// 1 + 100 ranges + 100x10 derefs = 1101 vs 1 + K + 1 = 5
+		// requests: K=3 streams, one cross-stream deref batch.
+		name: "sorted join secondary", arg: value.Str("u00"),
+		sql: `SELECT a.* FROM subscriptions s JOIN articles a
+		      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
+		      ORDER BY a.ts DESC LIMIT 10`,
+		bound: 1101, slack: 221,
+	},
+	{
+		// 1 + 100 ranges + 10 join gets = 111 vs 1 + K + 1 = 5
+		// requests: the join above a sorted join that stops at the page
+		// is booked (and run) at LIMIT 10 rows, not 100 x 10.
+		name: "fk join above sorted join", arg: value.Str("u00"),
+		sql: `SELECT thoughts.*, u.* FROM subscriptions s JOIN thoughts JOIN users u
+		      WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+		        AND u.username = s.target
+		      ORDER BY thoughts.timestamp DESC LIMIT 10`,
+		bound: 111, slack: 23,
+	},
+	{
+		// 1 + 100 ranges + 100x10 derefs (worst case: danglers refill)
+		// + 10 join gets = 1111 vs 1 + K + 1 + 1 = 6 requests.
+		name: "fk join above secondary sorted join", arg: value.Str("u00"),
+		sql: `SELECT a.*, u.* FROM subscriptions s JOIN articles a JOIN users u
+		      WHERE a.author = s.target AND s.owner = ? AND s.approved = true
+		        AND u.username = s.target
+		      ORDER BY a.ts DESC LIMIT 10`,
+		bound: 1111, slack: 186,
+	},
 }

@@ -15,8 +15,10 @@
 // it is about to produce before it produces them, so it takes room for
 // all of their values at once (a slab) and carves the rows out of it; it
 // knows the records it is about to decode too, so it grows one string
-// arena by their exact value.StringBytes and decodes every string and
-// blob of the batch into it; and it knows the keys it is about to send,
+// arena by their exact value.StringBytes and decodes into it every string
+// and blob of the batch that the plan reads (an operator's Skip names the
+// columns of its table that no reader above needs, and those stay out of
+// both the row and the arena); and it knows the keys it is about to send,
 // so it evaluates them into a row on its stack and encodes them all into
 // one buffer sized by codec.Size. The store answers a request set
 // from one result buffer too. An operator's cost is its string arena, and
@@ -312,11 +314,14 @@ func (s *slab) row() value.Row {
 
 // placeRecord decodes a stored record directly into the combined row at
 // the table's offset — no intermediate row allocation — with its strings
-// in the operator's arena. The record must hold exactly the table's width
-// of values: a short one would leave cells of the row as they were, a
-// long one would spill into the next table's.
-func placeRecord(row value.Row, offset, width int, rec []byte, arena *strings.Builder) error {
-	n, err := value.DecodeRowArena(row[offset:offset+width], rec, arena)
+// in the operator's arena. The columns set in skip, the operator's Skip,
+// are left out: their cells stay as the carve left them, zero, and their
+// strings never reach the arena, though the decoder still checks them.
+// The record must hold exactly the table's width of values: a short one
+// would leave cells of the row as they were, a long one would spill into
+// the next table's.
+func placeRecord(row value.Row, offset, width int, skip uint64, rec []byte, arena *strings.Builder) error {
+	n, err := value.DecodeRowArena(row[offset:offset+width], rec, skip, arena)
 	if err == nil && n != width {
 		err = errRecordArity
 	}
@@ -330,11 +335,12 @@ func placeRecord(row value.Row, offset, width int, rec []byte, arena *strings.Bu
 var errRecordArity = errors.New("record's value count is not its table's column count")
 
 // stringBytes sizes an operator's string arena: the exact payload of the
-// strings and blobs of the records it decodes (nil ones are none).
-func stringBytes(recs [][]byte) int {
+// strings and blobs of the records it decodes with skip (nil records are
+// none).
+func stringBytes(recs [][]byte, skip uint64) int {
 	n := 0
 	for _, rec := range recs {
-		n += value.StringBytes(rec)
+		n += value.StringBytes(rec, skip)
 	}
 	return n
 }

@@ -107,7 +107,7 @@ func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.fetchRecords(dropRepeatedKeys(keys), n.Table, n.TableOffset)
+	rows, err := e.fetchRecords(dropRepeatedKeys(keys), n.Table, n.TableOffset, n.Skip)
 	if err != nil {
 		return nil, err
 	}
@@ -134,10 +134,11 @@ next:
 }
 
 // fetchRecords resolves keys in one batch and decodes each record of t
-// found into a combined row at the table's offset, skipping the nil
-// entries of keys that had no record. The rows, headers and values, are
-// the scratch's; their strings lie in the fetch's own arena.
-func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int) ([]value.Row, error) {
+// found, but for the columns in skip, into a combined row at the table's
+// offset, skipping the nil entries of keys that had no record. The rows,
+// headers and values, are the scratch's; their strings lie in the fetch's
+// own arena.
+func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int, skip uint64) ([]value.Row, error) {
 	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
 		return nil, err
@@ -145,13 +146,13 @@ func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int) ([]v
 	rows := take(&e.sc.rows, len(set.Values))[:0]
 	slab := e.rows(len(set.Values))
 	var arena strings.Builder
-	arena.Grow(stringBytes(set.Values))
+	arena.Grow(stringBytes(set.Values, skip))
 	for _, rec := range set.Values {
 		if rec == nil {
 			continue
 		}
 		row := slab.row()
-		if err := placeRecord(row, offset, len(t.Columns), rec, &arena); err != nil {
+		if err := placeRecord(row, offset, len(t.Columns), skip, rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -269,12 +270,12 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		var arena strings.Builder
 		size := 0
 		for _, kv := range kvs {
-			size += value.StringBytes(kv.Value)
+			size += value.StringBytes(kv.Value, n.Skip)
 		}
 		arena.Grow(size)
 		for i, kv := range kvs {
 			rows[i] = slab.row()
-			if err := placeRecord(rows[i], n.TableOffset, len(n.Table.Columns), kv.Value, &arena); err != nil {
+			if err := placeRecord(rows[i], n.TableOffset, len(n.Table.Columns), n.Skip, kv.Value, &arena); err != nil {
 				return nil, err
 			}
 		}
@@ -289,7 +290,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 			}
 		}
 	default:
-		rows, err = e.derefEntries(n.Index, n.Table, n.TableOffset, kvs)
+		rows, err = e.derefEntries(n.Index, n.Table, n.TableOffset, n.Skip, kvs)
 		if err != nil {
 			return nil, err
 		}
@@ -369,15 +370,15 @@ func recordKeys(sc *scratch, ix *schema.Index, table *schema.Table, n int, entry
 	return keys, nil
 }
 
-// derefEntries resolves secondary index entries to full records with one
-// batched request set, preserving entry order (rows whose record
-// vanished — dangling entries — are skipped).
-func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
+// derefEntries resolves secondary index entries to records, decoded but
+// for the columns in skip, with one batched request set, preserving entry
+// order (rows whose record vanished — dangling entries — are skipped).
+func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, skip uint64, kvs []kvstore.KV) ([]value.Row, error) {
 	keys, err := recordKeys(e.sc, ix, table, len(kvs), func(i int) []byte { return kvs[i].Key })
 	if err != nil {
 		return nil, err
 	}
-	return e.fetchRecords(keys, table, offset) // a nil record is a dangling entry awaiting GC
+	return e.fetchRecords(keys, table, offset, skip) // a nil record is a dangling entry awaiting GC
 }
 
 // runFKJoin extends each child row with at most one record of the
@@ -397,12 +398,12 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 	}
 	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
 	var arena strings.Builder
-	arena.Grow(stringBytes(set.Values))
+	arena.Grow(stringBytes(set.Values, n.Skip))
 	for i, rec := range set.Values {
 		if rec == nil {
 			continue // no matching row: inner join drops it
 		}
-		if err := placeRecord(childRows[i], n.TableOffset, len(n.Table.Columns), rec, &arena); err != nil {
+		if err := placeRecord(childRows[i], n.TableOffset, len(n.Table.Columns), n.Skip, rec, &arena); err != nil {
 			return nil, err
 		}
 		rows = append(rows, childRows[i])
@@ -541,7 +542,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		var arena strings.Builder
 		size := 0
 		for _, c := range batch {
-			size += value.StringBytes(c.rec)
+			size += value.StringBytes(c.rec, n.Skip)
 		}
 		arena.Grow(size)
 		slab := e.rows(len(batch))
@@ -556,7 +557,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			}
 			row := slab.row()
 			copy(row, c.sc.row)
-			if err := placeRecord(row, n.TableOffset, len(n.Table.Columns), c.rec, &arena); err != nil {
+			if err := placeRecord(row, n.TableOffset, len(n.Table.Columns), n.Skip, c.rec, &arena); err != nil {
 				return nil, err
 			}
 			keep, err := e.evalPreds(row, n.Residual)

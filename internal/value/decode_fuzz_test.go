@@ -13,26 +13,38 @@ import (
 // -0 all decode). It is differential across the arena: the input decoded
 // twice into one shared arena and once by DecodeRow agrees three ways, the
 // second decode leaves the first's strings as they were, and StringBytes
-// counts exactly the bytes the strings and blobs decode to. The checked-in
-// corpus (testdata/fuzz/FuzzDecodeRow) replays under plain `go test`.
+// counts exactly the bytes the strings and blobs decode to. It is
+// differential across the skip mask too: decoded with skip, the input
+// fails with the very error the whole decode gives, or else yields the
+// whole decode's values with every skipped cell left zero, and
+// StringBytes(b, skip) counts exactly what that decode wrote to its arena.
+// The checked-in corpus (testdata/fuzz/FuzzDecodeRow) replays under plain
+// `go test`; its skipped-* seeds hide a fault in a value the mask skips.
 func FuzzDecodeRow(f *testing.F) {
-	f.Add(EncodeRow(Row{Int(-7), Str("a\x00\xff"), Bool(true), Null(), Float(-0.5), Bytes([]byte{0xC3, 0x28, 0})}))
-	f.Add(EncodeRow(Row{Str(""), Int(1)}))
-	f.Add(EncodeRow(Row{Bytes(nil), Str("x")}))
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Add(EncodeRow(Row{Int(-7), Str("a\x00\xff"), Bool(true), Null(), Float(-0.5), Bytes([]byte{0xC3, 0x28, 0})}), uint64(0b100010))
+	f.Add(EncodeRow(Row{Str(""), Int(1)}), uint64(0))
+	f.Add(EncodeRow(Row{Bytes(nil), Str("x")}), ^uint64(0))
+	f.Fuzz(func(t *testing.T, b []byte, skip uint64) {
 		// One arena, grown for one decode: the second regrows it.
 		var arena strings.Builder
-		arena.Grow(StringBytes(b))
+		arena.Grow(StringBytes(b, 0))
 		first, second := make(Row, len(b)+1), make(Row, len(b)+1)
-		n1, err1 := DecodeRowArena(first, b, &arena)
+		n1, err1 := DecodeRowArena(first, b, 0, &arena)
 		kept := make(Row, n1)
 		for i, v := range first[:n1] {
 			kept[i] = Value{T: v.T, I: v.I, S: strings.Clone(v.S)}
 		}
-		n2, err2 := DecodeRowArena(second, b, &arena)
+		n2, err2 := DecodeRowArena(second, b, 0, &arena)
 		row, err := DecodeRow(b)
 		if (err1 == nil) != (err == nil) || (err2 == nil) != (err == nil) {
 			t.Fatalf("%x: DecodeRow says %v, the arena decodes %v and %v", b, err, err1, err2)
+		}
+
+		var masked strings.Builder
+		part := make(Row, len(b)+1)
+		nm, errm := DecodeRowArena(part, b, skip, &masked)
+		if (errm == nil) != (err1 == nil) || errm != nil && errm.Error() != err1.Error() {
+			t.Fatalf("%x: skipping %b the decode says %v, the whole decode %v", b, skip, errm, err1)
 		}
 		if err != nil {
 			return
@@ -49,8 +61,24 @@ func FuzzDecodeRow(f *testing.F) {
 				payload += len(v.S)
 			}
 		}
-		if got := StringBytes(b); got != payload {
+		if got := StringBytes(b, 0); got != payload {
 			t.Fatalf("%x: StringBytes = %d, its strings and blobs hold %d bytes", b, got, payload)
+		}
+
+		if nm != len(row) {
+			t.Fatalf("%x: skipping %b the decode counts %d values, the whole decode %d", b, skip, nm, len(row))
+		}
+		for i, v := range part[:nm] {
+			want := first[i]
+			if skip>>i&1 != 0 {
+				want = Value{}
+			}
+			if v != want {
+				t.Fatalf("%x: skipping %b value %d decodes to %#v, want %#v", b, skip, i, v, want)
+			}
+		}
+		if got := StringBytes(b, skip); got != masked.Len() {
+			t.Fatalf("%x: StringBytes(skip %b) = %d, the decode wrote %d bytes", b, skip, got, masked.Len())
 		}
 
 		enc := EncodeRow(row)

@@ -55,18 +55,19 @@ func DecodeRow(b []byte) (Row, error) {
 	return row, nil
 }
 
-// StringBytes returns the payload bytes of a record's strings and blobs:
-// what decoding it writes into an arena. It walks the value headers and
-// copies nothing; on a corrupt record it stops where the decoder fails,
-// so it never exceeds len(b).
-func StringBytes(b []byte) int {
+// StringBytes returns the payload bytes of a record's strings and blobs
+// that DecodeRowArena with the same skip mask writes into an arena: a
+// value whose bit is set in skip counts nothing. It walks the value
+// headers and copies nothing; on a corrupt record it stops where the
+// decoder fails, so it never exceeds len(b).
+func StringBytes(b []byte, skip uint64) int {
 	count, i := binary.Uvarint(b)
 	if i <= 0 {
 		return 0
 	}
 	total := 0
 	// i may run past len(b) on a truncated record; the loop then ends.
-	for ; count > 0 && i < len(b); count-- {
+	for v := 0; uint64(v) < count && i < len(b); v++ {
 		t := Type(b[i])
 		i++
 		switch t {
@@ -85,7 +86,9 @@ func StringBytes(b []byte) int {
 			if n <= 0 || uint64(len(b)-i-n) < l {
 				return total
 			}
-			total += int(l)
+			if skip>>v&1 == 0 {
+				total += int(l)
+			}
 			i += n + int(l)
 		default:
 			return total
@@ -96,12 +99,13 @@ func StringBytes(b []byte) int {
 
 // DecodeRowInto decodes a record payload produced by EncodeRow directly
 // into dst[0:count], returning the number of values written. dst must be
-// at least as wide as the stored row. It is the one-record DecodeRowArena:
-// its own arena, sized by StringBytes, holds all of the record's strings.
+// at least as wide as the stored row. It is the one-record DecodeRowArena
+// with nothing skipped: its own arena, sized by StringBytes, holds all of
+// the record's strings.
 func DecodeRowInto(dst Row, b []byte) (int, error) {
 	var arena strings.Builder
-	arena.Grow(StringBytes(b))
-	return DecodeRowArena(dst, b, &arena)
+	arena.Grow(StringBytes(b, 0))
+	return DecodeRowArena(dst, b, 0, &arena)
 }
 
 // DecodeRowArena is DecodeRowInto for a batch of records: each string and
@@ -111,7 +115,13 @@ func DecodeRowInto(dst Row, b []byte) (int, error) {
 // A builder's strings stay valid when it regrows, so an arena sized short
 // costs an allocation, never a wrong value. A decoded string keeps the
 // whole arena alive, as a row keeps its slab.
-func DecodeRowArena(dst Row, b []byte, arena *strings.Builder) (int, error) {
+//
+// Value i is left out when bit i of skip is set (a value past the 64th is
+// never left out): its cell of dst is not written and its payload is not
+// copied. It is still read and checked as every other value is, so a
+// record is refused, with the same error, whatever the mask. The count
+// returned is the record's whole count.
+func DecodeRowArena(dst Row, b []byte, skip uint64, arena *strings.Builder) (int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, fmt.Errorf("value: corrupt row header")
@@ -129,39 +139,45 @@ func DecodeRowArena(dst Row, b []byte, arena *strings.Builder) (int, error) {
 		}
 		t := Type(b[0])
 		b = b[1:]
+		keep := skip>>i&1 == 0
+		var v Value
 		switch t {
 		case TypeNull:
-			dst[i] = Null()
 		case TypeBool:
 			if len(b) < 1 {
 				return 0, fmt.Errorf("value: truncated bool")
 			}
-			dst[i] = Bool(b[0] != 0)
+			v = Bool(b[0] != 0)
 			b = b[1:]
 		case TypeInt:
 			x, n := binary.Varint(b)
 			if n <= 0 {
 				return 0, fmt.Errorf("value: corrupt int")
 			}
-			dst[i] = Int(x)
+			v = Int(x)
 			b = b[n:]
 		case TypeFloat:
 			if len(b) < 8 {
 				return 0, fmt.Errorf("value: truncated float")
 			}
-			dst[i] = Float(math.Float64frombits(binary.BigEndian.Uint64(b)))
+			v = Float(math.Float64frombits(binary.BigEndian.Uint64(b)))
 			b = b[8:]
 		case TypeString, TypeBytes:
 			l, n := binary.Uvarint(b)
 			if n <= 0 || uint64(len(b)-n) < l {
 				return 0, fmt.Errorf("value: corrupt %s", t)
 			}
-			from := arena.Len()
-			arena.Write(b[n : n+int(l)])
-			dst[i] = Value{T: t, S: arena.String()[from:]}
+			if keep {
+				from := arena.Len()
+				arena.Write(b[n : n+int(l)])
+				v = Value{T: t, S: arena.String()[from:]}
+			}
 			b = b[n+int(l):]
 		default:
 			return 0, fmt.Errorf("value: unknown type tag %d", t)
+		}
+		if keep {
+			dst[i] = v
 		}
 	}
 	if len(b) != 0 {

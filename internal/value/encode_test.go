@@ -127,11 +127,11 @@ func TestDecodeBatchAllocations(t *testing.T) {
 		var arena strings.Builder
 		size := 0
 		for _, rec := range recs {
-			size += StringBytes(rec)
+			size += StringBytes(rec, 0)
 		}
 		arena.Grow(size)
 		for i, rec := range recs {
-			if _, err := DecodeRowArena(dst[i*width:(i+1)*width], rec, &arena); err != nil {
+			if _, err := DecodeRowArena(dst[i*width:(i+1)*width], rec, 0, &arena); err != nil {
 				t.Fatal(err)
 			}
 		}
