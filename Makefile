@@ -34,13 +34,10 @@ vet:
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
 # own — releasepath one block at a time: each acquire released in its
-# own block, no exit in between — then the escape budget) — see "Static
+# own block, no exit in between) — see "Static
 # analysis" in README.md; `make mutants` shows what the analyzers catch,
 # and which tests catch what no analyzer checks (lock order, a park under
-# a lock: a simulated test wedges). After deliberately changing a hot
-# path's allocation profile, rewrite escape.budget with
-# `bin/piql-vet -escapebudget -update` and review the diff like any
-# other file.
+# a lock: a simulated test wedges).
 VETTOOL = bin/piql-vet
 
 lint:
@@ -75,7 +72,6 @@ lint:
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
-	$(VETTOOL) -escapebudget
 
 build:
 	$(GO) build ./...
@@ -169,8 +165,8 @@ chaos-faults:
 # text does not occur exactly once or whose gate passes. A test gate
 # runs with -timeout 20s, and one that hangs with its test still running
 # has caught its mutant. It mutates HEAD, so commit first. Plain
-# `go test` checks only the old texts and that each piql-vet gate names
-# a registered analyzer.
+# `go test` checks only the old texts and that each gate names a
+# registered analyzer or a test its package declares.
 # `make mutants ROW=<name>` runs the one row named <name> (the comment
 # line above it names it); with no ROW, every row runs.
 mutants:

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -75,9 +78,10 @@ func parseRow(name, line string) (mutant, error) {
 }
 
 // TestMutantLedger checks that every ledger row still applies: its old
-// text occurs exactly once in its file, and a piql-vet gate names a
-// registered analyzer (a row left behind by a deleted analyzer would
-// otherwise always survive). With -mutants it also applies each row
+// text occurs exactly once in its file, a piql-vet gate names a
+// registered analyzer, and a test or race gate names a test its package
+// declares (a row left behind by a deleted analyzer or a renamed test
+// would otherwise always survive). With -mutants it also applies each row
 // alone to a fresh `git archive HEAD` copy of the tree and runs the
 // row's gate there; a gate that passes on its mutant fails the row.
 func TestMutantLedger(t *testing.T) {
@@ -89,6 +93,9 @@ func TestMutantLedger(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			if name, ok := strings.CutPrefix(m.gate, "piql-vet:"); ok && lint.ByName(name) == nil {
 				t.Fatalf("gate %s: no analyzer %q is registered in lint.Analyzers", m.gate, name)
+			}
+			if err := gateTestExists(root, m.gate); err != nil {
+				t.Fatal(err)
 			}
 			dir := root
 			if *mutants {
@@ -114,6 +121,49 @@ func TestMutantLedger(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gateTestExists reports an error when gate is a test or race gate whose
+// package, under root, declares no such test: `go test -run '^Name$'`
+// runs nothing and passes when Name is gone, so the row would survive
+// every mutant. A test is a func TestName(t *testing.T) or
+// FuzzName(f *testing.F) in one of the package's _test.go files.
+func gateTestExists(root, gate string) error {
+	kind, arg, _ := strings.Cut(gate, ":")
+	if kind != "test" && kind != "race" {
+		return nil
+	}
+	pkg, name, _ := strings.Cut(arg, ":")
+	want := "T"
+	if strings.HasPrefix(name, "Fuzz") {
+		want = "F"
+	}
+	dir := filepath.Join(root, filepath.FromSlash(pkg))
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		return err
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Name.Name != name || len(fd.Type.Params.List) != 1 {
+				continue
+			}
+			if star, ok := fd.Type.Params.List[0].Type.(*ast.StarExpr); ok {
+				if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == want {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "testing" {
+						return nil
+					}
+				}
+			}
+		}
+	}
+	return fmt.Errorf("gate %s: ./%s declares no func %s(*testing.%s)", gate, pkg, name, want)
 }
 
 // archiveHead extracts `git archive HEAD` of the repository at root into
@@ -197,6 +247,34 @@ func TestHungIn(t *testing.T) {
 	} {
 		if got := hungIn(tc.out, tc.name); got != tc.want {
 			t.Errorf("hungIn(%q, %s) = %v, want %v", tc.out, tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGateTestExists: a test or race gate must name a test its package
+// declares, a Test with a *testing.T or a Fuzz with a *testing.F; a
+// helper of the same package, a misspelt name or a Test in another
+// package is not one.
+func TestGateTestExists(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		gate string
+		ok   bool
+	}{
+		{"test:internal/engine:TestWarmExecuteAllocations", true},
+		{"race:internal/kvstore:TestErrorChainsRoundTrip", true},
+		{"test:internal/value:FuzzDecodeRow", true},
+		{"piql-vet:releasepath", true},
+		{"test:internal/engine:TestWarmExecuteAllocationz", false},
+		{"race:internal/kvstore:TestWarmExecuteAllocations", false},
+		{"test:internal/engine:warmAllocs", false},
+		{"test:cmd/piql-vet:TestHungIn", true},
+	} {
+		if err := gateTestExists(root, tc.gate); (err == nil) != tc.ok {
+			t.Errorf("gateTestExists(%s) = %v, want ok %v", tc.gate, err, tc.ok)
 		}
 	}
 }

@@ -107,6 +107,13 @@ func warmAllocs(runs int, f func()) float64 {
 // Each shape runs on fewer and on more entries, or child rows, or
 // streams, and costs the same on both: nothing is paid per key, per entry
 // or per stream.
+//
+// Each shape runs under the Lazy strategy too, which reads a set tuple at
+// a time (lazily) and pays one allocation more per ascending range it
+// walks, the buffer of the successor key the next tuple starts at: a
+// scan's, a join's child scan's, and one per stream of a sorted join
+// whose streams ascend, so that shape's Lazy count grows with its
+// streams. A descending range walks by its End and pays nothing.
 func TestWarmExecuteAllocations(t *testing.T) {
 	s := warmFixture(t)
 	str := value.Str
@@ -117,26 +124,27 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		fewer     []value.Value // params that fetch fewer entries
 		more      []value.Value // than these
 		want      float64
+		lazy      [2]float64 // under Lazy, on fewer and on more
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.PKLookup); return ok },
-			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4},
+			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4, [2]float64{4, 4}},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
-			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4},
+			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4, [2]float64{5, 5}},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
-			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4},
+			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4, [2]float64{5, 5}},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
-			few, more, 5},
+			few, more, 5, [2]float64{6, 6}},
 		{"primary sorted join", `SELECT thoughts.* FROM subscriptions s JOIN thoughts
 			WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Index.Primary },
-			few, more, 5},
+			few, more, 5, [2]float64{6, 6}},
 		{"secondary sorted join", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && !j.Index.Primary },
-			few, more, 5},
+			few, more, 5, [2]float64{7, 9}},
 		// The page of 10 loses v01's dangling newest article, so a second
 		// dereference round takes every other entry fetched: 10 of 2
 		// streams, 20 of 3. The candidate batch has room for all of them
@@ -145,10 +153,10 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		// any round.
 		{"secondary sorted join, two rounds", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Stop == 10 },
-			[]value.Value{str("d2")}, []value.Value{str("d3")}, 6},
+			[]value.Value{str("d2")}, []value.Value{str("d3")}, 6, [2]float64{9, 10}},
 		{"aggregate", `SELECT COUNT(*), MAX(target) FROM subscriptions WHERE owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.IndexScan); return ok },
-			few, more, 13},
+			few, more, 13, [2]float64{14, 14}},
 	} {
 		p, err := s.Prepare(tc.sql)
 		if err != nil {
@@ -161,6 +169,11 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		if fewer != tc.want || more != tc.want {
 			t.Errorf("%s: %v allocs on the smaller input, %v on the larger; pinned at %v for both", tc.name, fewer, more, tc.want)
 		}
+		s.SetStrategy(exec.Lazy)
+		if lazy := [2]float64{executeAllocs(t, s, p, tc.fewer), executeAllocs(t, s, p, tc.more)}; lazy != tc.lazy {
+			t.Errorf("%s under Lazy: %v allocs on the smaller input, %v on the larger; pinned at %v", tc.name, lazy[0], lazy[1], tc.lazy)
+		}
+		s.SetStrategy(exec.Parallel)
 	}
 
 	// A resumed page of a paginated primary scan carves the key it starts

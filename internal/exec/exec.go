@@ -157,8 +157,8 @@ func take[T any](buf *[]T, n int) []T {
 }
 
 // fresh is take's slow path, out of line so that the operators it is
-// inlined into allocate nothing themselves: escape.budget holds them to
-// what they allocate on every run.
+// inlined into allocate nothing themselves: TestWarmExecuteAllocations
+// holds each plan shape to what it allocates on every run.
 //
 //go:noinline
 func fresh[T any](capacity int) []T { return make([]T, 0, capacity) }

@@ -23,7 +23,8 @@ import (
 // carves each key from it. An operator's keys cost that buffer and the
 // slice of their headers, never an allocation per key, and nothing once
 // the scratch has room for them. The row stays on the stack only while
-// nothing it is passed to keeps it: escape.budget gates the builders.
+// nothing it is passed to keeps it: TestWarmExecuteAllocations pins every
+// shape's run, the same on one key as on three.
 
 // keySpace returns what every key of ix starts with — the table's record
 // prefix for the primary index, else the index's namespace — and the

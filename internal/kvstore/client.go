@@ -531,8 +531,8 @@ func (cl *Client) settle() {
 
 // grow is slices.Grow: dst with room for n more elements. A caller that
 // keeps its buffer between reads (the executor) has the room after its
-// first, and the reallocation is out of line, so escape.budget holds
-// each read to what it allocates on every call.
+// first, and the reallocation is out of line, so a read into warm
+// buffers allocates nothing (TestImmediateRequestSetsBuildNoClosure).
 func grow[T any](dst []T, n int) []T {
 	if cap(dst)-len(dst) >= n {
 		return dst

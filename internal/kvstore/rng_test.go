@@ -1,7 +1,9 @@
 package kvstore
 
 import (
+	"bytes"
 	"math"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -88,6 +90,55 @@ func TestSimulatedParallelAllocs(t *testing.T) {
 		env.Run(0)
 		if perCall > 2 {
 			t.Errorf("simulated Parallel with %d branches: %v allocs, want <= 2", n, perCall)
+		}
+	}
+}
+
+// TestSimulatedPerKeyRangesAllocs pins what a simulated PerKeyRanges set
+// read under Parallel (a sorted join's, under the Parallel strategy)
+// allocates: fork's 4 — the branch closure and the error the branches
+// share, and the child slab and the Fork closure of the branch runner —
+// and 2 per range, the branch's own buffer for its items and the one
+// visit's service-time draw (volatility seeds a math/rand generator).
+// Each range lies inside one partition, so it costs one visit. Not under
+// the race detector, whose instrumentation allocates on its own account.
+func TestSimulatedPerKeyRangesAllocs(t *testing.T) {
+	if info, _ := debug.ReadBuildInfo(); info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts differ under -race")
+	}
+	for _, tc := range []struct{ ranges, want int }{{2, 8}, {10, 24}} {
+		env := sim.NewEnv()
+		c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
+		loadAndSplit(c, 400)
+		ranges := make([]RangeRequest, tc.ranges)
+		for i := range ranges {
+			ranges[i] = RangeRequest{Start: key(i * 37), End: key(i*37 + 3), Limit: 3}
+		}
+		set := RequestSet{Kind: PerKeyRanges, Ranges: ranges}
+		read := func(cl *Client) {
+			set.PerRange = set.PerRange[:0]
+			if err := cl.Issue(&set, ReadOpts{Parallel: true}); err != nil {
+				t.Error(err)
+			}
+		}
+		var perCall float64
+		env.Spawn(func(p *sim.Proc) {
+			cl := c.NewClient(p)
+			read(cl)
+			perCall = testing.AllocsPerRun(100, func() { read(cl) })
+		})
+		env.Run(0)
+		env.Stop()
+		if len(set.PerRange) != tc.ranges {
+			t.Fatalf("%d ranges: read %d", tc.ranges, len(set.PerRange))
+		}
+		for i, items := range set.PerRange {
+			if len(items) != 3 || !bytes.Equal(items[0].Key, key(i*37)) {
+				t.Fatalf("%d ranges: range %d read %d items, want 3 from %q", tc.ranges, i, len(items), key(i*37))
+			}
+		}
+		if perCall != float64(tc.want) {
+			t.Errorf("simulated PerKeyRanges set of %d ranges: %v allocs, pinned at %d", tc.ranges, perCall, tc.want)
 		}
 	}
 }

@@ -18,8 +18,8 @@
 // value. What a lock held across a park or two locks taken in opposite
 // orders would do — wedge a run — the simulated tests show directly, and
 // so do the error-chain tests for an op error the retry layer would take
-// for fatal: their mutants are gated by tests
-// (cmd/piql-vet/testdata/mutants.ledger).
+// for fatal, and the allocation pins for a heap escape on a hot path:
+// their mutants are gated by tests (cmd/piql-vet/testdata/mutants.ledger).
 //
 // A site that violates the letter of a rule for a documented reason is
 // suppressed with a directive comment naming the analyzer:
@@ -45,49 +45,32 @@ import (
 	"strings"
 )
 
-// Analyzer is one named invariant check. Skip, when non-nil, excuses
-// the analyzer from a unit entirely (it is then not counted as having
-// run, so its //lint:allow directives are not audited for staleness
-// there) — escapebudget uses it to run only when the driver supplied
-// build diagnostics.
+// Analyzer is one named invariant check.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
-	Skip func(*Unit) bool
 }
 
 // Pass is one analyzer's view of one package: parsed files (comments
-// included) sharing a FileSet, plus — when the driver typechecked the
-// unit — type information. The syntactic analyzers ignore the typed
-// side; the typed one (releasepath) no-ops when it is absent.
+// included) sharing a FileSet, plus the unit's type information. The
+// syntactic analyzers ignore the typed side; releasepath reads it.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	// ImportPath is the package's import path ("" when unknown, e.g.
-	// ad-hoc file sets in tests).
-	ImportPath string
 
 	unit *Unit
 
 	diags []Diagnostic
 }
 
-// Unit is one analysis unit: a package's parsed files, optionally
-// typechecked. Pkg == nil means syntactic-only (the typed analyzers
-// skip themselves).
+// Unit is one analysis unit: a package's parsed and typechecked files.
 type Unit struct {
-	Fset       *token.FileSet
-	Files      []*ast.File
-	ImportPath string
-	Pkg        *types.Package
-	Info       *types.Info
-	// Escapes carries the compiler's attributed heap-escape decisions
-	// for this package, when the driver ran `go build -gcflags=-m`
-	// (piql-vet -escapebudget). nil in the ordinary run, which makes the
-	// escapebudget analyzer skip itself.
-	Escapes *EscapeInfo
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // Diagnostic is one reported violation.
@@ -103,27 +86,18 @@ func (d Diagnostic) String() string {
 
 // Reportf records a violation at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportAt(p.Fset.Position(pos), format, args...)
-}
-
-// ReportAt records a violation at an already-resolved position —
-// for diagnostics whose site comes from outside the FileSet, like the
-// compiler's escape-analysis output. Suppression directives match on
-// the position, so //lint:allow works for these too.
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.diags = append(p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // Analyzers is the registry cmd/piql-vet and the tests run: four
-// syntactic invariants (routingclaim, simclock, leaseswap, goroleak),
-// the typed releasepath, and the build-diagnostic escapebudget.
+// syntactic invariants (routingclaim, simclock, leaseswap, goroleak)
+// and the typed releasepath.
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	SimClock,
 	LeaseSwap,
 	GoroLeak,
 	ReleasePath,
-	EscapeBudget,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.
@@ -163,16 +137,12 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	ran := map[string]bool{}
 	for _, a := range analyzers {
-		if a.Skip != nil && a.Skip(u) {
-			continue
-		}
 		ran[a.Name] = true
 		pass := &Pass{
-			Analyzer:   a,
-			Fset:       u.Fset,
-			Files:      kept,
-			ImportPath: u.ImportPath,
-			unit:       u,
+			Analyzer: a,
+			Fset:     u.Fset,
+			Files:    kept,
+			unit:     u,
 		}
 		a.Run(pass)
 		for _, d := range pass.diags {

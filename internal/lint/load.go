@@ -123,16 +123,6 @@ func (l *Loader) loadImportPath(path string) (*LoadedPackage, error) {
 	return l.LoadDir(dir, path)
 }
 
-// ParsePackage parses, without typechecking, the non-test .go files of
-// a module-local package — all the escape-budget gate needs.
-func (l *Loader) ParsePackage(path string) ([]*ast.File, error) {
-	dir, err := l.dirOf(path)
-	if err != nil {
-		return nil, err
-	}
-	return l.parseDir(dir)
-}
-
 // parseDir parses the non-test .go files of dir, comments included.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
@@ -188,11 +178,10 @@ func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 	}
 	lp := &LoadedPackage{
 		Unit: &Unit{
-			Fset:       l.fset,
-			Files:      files,
-			ImportPath: path,
-			Pkg:        pkg,
-			Info:       info,
+			Fset:  l.fset,
+			Files: files,
+			Pkg:   pkg,
+			Info:  info,
 		},
 		Dir: dir,
 	}

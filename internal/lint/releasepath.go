@@ -42,9 +42,6 @@ type section struct {
 }
 
 func runReleasePath(pass *Pass) {
-	if pass.unit.Pkg == nil || pass.unit.Info == nil {
-		return
-	}
 	for _, f := range pass.Files {
 		// opened is every acquire in statement position, so the call
 		// visit below can tell one buried in an expression.
