@@ -109,11 +109,9 @@ func warmAllocs(runs int, f func()) float64 {
 // or per stream.
 //
 // Each shape runs under the Lazy strategy too, which reads a set tuple at
-// a time (lazily) and pays one allocation more per ascending range it
-// walks, the buffer of the successor key the next tuple starts at: a
-// scan's, a join's child scan's, and one per stream of a sorted join
-// whose streams ascend, so that shape's Lazy count grows with its
-// streams. A descending range walks by its End and pays nothing.
+// a time (lazily), and costs the same there: the successor key each
+// tuple of an ascending range starts at is carved from the scratch, like
+// every other request bound.
 func TestWarmExecuteAllocations(t *testing.T) {
 	s := warmFixture(t)
 	str := value.Str
@@ -123,28 +121,27 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		shape     func(ops []core.Physical) bool
 		fewer     []value.Value // params that fetch fewer entries
 		more      []value.Value // than these
-		want      float64
-		lazy      [2]float64 // under Lazy, on fewer and on more
+		want      float64       // under both strategies
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.PKLookup); return ok },
-			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4, [2]float64{4, 4}},
+			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
-			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4, [2]float64{5, 5}},
+			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
-			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4, [2]float64{5, 5}},
+			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
-			few, more, 5, [2]float64{6, 6}},
+			few, more, 5},
 		{"primary sorted join", `SELECT thoughts.* FROM subscriptions s JOIN thoughts
 			WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Index.Primary },
-			few, more, 5, [2]float64{6, 6}},
+			few, more, 5},
 		{"secondary sorted join", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && !j.Index.Primary },
-			few, more, 5, [2]float64{7, 9}},
+			few, more, 5},
 		// The page of 10 loses v01's dangling newest article, so a second
 		// dereference round takes every other entry fetched: 10 of 2
 		// streams, 20 of 3. The candidate batch has room for all of them
@@ -153,10 +150,10 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		// any round.
 		{"secondary sorted join, two rounds", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Stop == 10 },
-			[]value.Value{str("d2")}, []value.Value{str("d3")}, 6, [2]float64{9, 10}},
+			[]value.Value{str("d2")}, []value.Value{str("d3")}, 6},
 		{"aggregate", `SELECT COUNT(*), MAX(target) FROM subscriptions WHERE owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.IndexScan); return ok },
-			few, more, 13, [2]float64{14, 14}},
+			few, more, 13},
 	} {
 		p, err := s.Prepare(tc.sql)
 		if err != nil {
@@ -165,13 +162,12 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		if !tc.shape(p.Plan().RemoteOps()) {
 			t.Fatalf("%s: not the shape under test:\n%s", tc.name, p.Plan().Explain())
 		}
-		fewer, more := executeAllocs(t, s, p, tc.fewer), executeAllocs(t, s, p, tc.more)
-		if fewer != tc.want || more != tc.want {
-			t.Errorf("%s: %v allocs on the smaller input, %v on the larger; pinned at %v for both", tc.name, fewer, more, tc.want)
-		}
-		s.SetStrategy(exec.Lazy)
-		if lazy := [2]float64{executeAllocs(t, s, p, tc.fewer), executeAllocs(t, s, p, tc.more)}; lazy != tc.lazy {
-			t.Errorf("%s under Lazy: %v allocs on the smaller input, %v on the larger; pinned at %v", tc.name, lazy[0], lazy[1], tc.lazy)
+		for _, strategy := range []exec.Strategy{exec.Parallel, exec.Lazy} {
+			s.SetStrategy(strategy)
+			fewer, more := executeAllocs(t, s, p, tc.fewer), executeAllocs(t, s, p, tc.more)
+			if fewer != tc.want || more != tc.want {
+				t.Errorf("%s under %v: %v allocs on the smaller input, %v on the larger; pinned at %v for both", tc.name, strategy, fewer, more, tc.want)
+			}
 		}
 		s.SetStrategy(exec.Parallel)
 	}

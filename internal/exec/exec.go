@@ -393,10 +393,6 @@ func (e *executor) lazily(set kvstore.RequestSet) error {
 			e.sc.ranges = append(e.sc.ranges, one.Items)
 		}
 	default:
-		// The successor key lives in one buffer reused across the range's
-		// tuples. Rebinding it between calls is safe: the store reads a
-		// set's bounds only for the duration of the call.
-		var buf []byte
 		one := kvstore.RequestSet{Kind: kvstore.Range, Range: set.Range}
 		one.Range.Limit = 1
 		for n := 0; n < set.Range.Limit; n++ {
@@ -410,8 +406,7 @@ func (e *executor) lazily(set kvstore.RequestSet) error {
 			if next := got.Items[0].Key; one.Range.Reverse {
 				one.Range.End = next
 			} else {
-				buf = append(append(buf[:0], next...), 0x00)
-				one.Range.Start = buf
+				one.Range.Start = successor(e.sc, nil, next)
 			}
 		}
 	}

@@ -25,13 +25,13 @@ import (
 // buffers the caller owns. A write is one call too: Apply writes a set
 // of keys, and Put and Delete are sets of one. Concurrency lives in one
 // place, the branch runner (branches): a set's reads and writes happen
-// on the issuing client, and when its requests are concurrent
-// (ReadOpts.Parallel, or a write's owner visits) their visits run as
-// branches, as do PerKeyRanges' ranges and Parallel, for callers whose
-// branches are not one store call (model training, the benchmark's
-// probes). Branches run
-// only on a simulated client, as one sim Fork on pooled processes, each
-// on a child client, all carved from one slab (the generator is a value
+// on the issuing client under one routing claim, and when its requests
+// are concurrent (ReadOpts.Parallel, or a write's owner visits) their
+// visits, across all of a PerKeyRanges' ranges, run as the branches of
+// one settle; so do Parallel's, for callers whose branches are not one
+// store call (model training, the benchmark's probes). Branches run only
+// on a simulated client, as one sim Fork on pooled processes, each on a
+// child client, all carved from one slab (the generator is a value
 // inside the struct). In immediate mode the visits are paid one after
 // another on the caller itself, and build no closure.
 //
@@ -319,23 +319,21 @@ type RequestSet struct {
 	N        int      // Count
 }
 
-// Issue reads one request set in one call. Its requests go one after
-// another or, under o.Parallel on a simulated client, concurrently, so
-// the set costs its slowest request. Under o.Parallel a range spanning
-// several partitions visits every one of them for up to Limit items.
-// A set that cannot be read whole returns the error of the first
-// request that failed and leaves the answers as they were: never a
-// short result.
+// Issue reads one request set in one call, under one routing claim. Its
+// requests go one after another or, under o.Parallel on a simulated
+// client, concurrently: every visit of the set, across all its ranges, is
+// held and paid by one settle, so the set costs its slowest request.
+// Under o.Parallel a range spanning several partitions visits every one
+// of them for up to Limit items. A set that cannot be read whole returns
+// the error of the first request that failed and leaves the answers as
+// they were (the visits already made are still paid): never a short
+// result.
 func (cl *Client) Issue(set *RequestSet, o ReadOpts) error {
 	vals, items, ranges, n := set.Values, set.Items, set.PerRange, set.N
-	var err error
-	if set.Kind == PerKeyRanges && o.Parallel && cl.proc != nil {
-		err = cl.fork(set, o)
-	} else {
-		rt := cl.c.beginOp()
-		err = cl.readSet(rt, set, o)
-		cl.c.endOp(rt)
-	}
+	rt := cl.c.beginOp()
+	err := cl.readSet(rt, set, o)
+	cl.settle()
+	cl.c.endOp(rt)
 	if err != nil {
 		set.Values, set.Items, set.PerRange, set.N = vals, items, ranges, n
 	}
@@ -367,27 +365,6 @@ func (cl *Client) readSet(rt *routing, set *RequestSet, o ReadOpts) error {
 		set.PerRange = append(set.PerRange, set.Items[from:len(set.Items):len(set.Items)])
 	}
 	return nil
-}
-
-// fork reads PerKeyRanges set with a branch per range, whose child reads
-// it as a Range into a buffer of its own: even a set of one range forks.
-// The branches share failed: they run one at a time on the cooperative
-// scheduler.
-func (cl *Client) fork(set *RequestSet, o ReadOpts) error {
-	from := len(set.PerRange)
-	set.PerRange = grow(set.PerRange, len(set.Ranges))[:from+len(set.Ranges)]
-	reqs, out := set.Ranges, set.PerRange[from:]
-	var failed error
-	cl.branches(len(reqs), func(sub *Client, i int) {
-		one := RequestSet{Kind: Range, Range: reqs[i]}
-		rt := sub.c.beginOp()
-		if err := sub.readSet(rt, &one, o); err != nil && failed == nil {
-			failed = err
-		}
-		sub.c.endOp(rt)
-		out[i] = one.Items[:len(one.Items):len(one.Items)]
-	})
-	return failed
 }
 
 // gets reads set, a Gets, with one batched request per node, the nodes
@@ -429,7 +406,6 @@ func (cl *Client) gets(rt *routing, set *RequestSet, o ReadOpts) error {
 		}
 		cl.pay(o.Parallel, id, items, payload)
 	}
-	cl.settle()
 	for j := 0; j < len(cl.dups); j += 2 {
 		out[cl.dups[j]] = out[cl.dups[j+1]]
 	}
@@ -442,12 +418,13 @@ func (cl *Client) gets(rt *routing, set *RequestSet, o ReadOpts) error {
 // drawn as the walk reaches it, and the walk stops once Limit items are
 // in hand. Under o.Parallel a range spanning several partitions is read
 // speculatively: every partition's node drawn up front, in key order,
-// every partition read for up to Limit items and paid for concurrently,
-// and the items cut to Limit. That is sound for PIQL because a compiled
-// plan's Limit is a small constant.
+// every partition read for up to Limit items, and the items cut to
+// Limit. That is sound for PIQL because a compiled plan's Limit is a
+// small constant. Under o.Parallel every visit is held for Issue's
+// settle, with the set's others.
 func (cl *Client) walk(rt *routing, set *RequestSet, req RangeRequest, o ReadOpts) error {
 	lo, hi := rt.rangeParts(req.Start, req.End)
-	spec := o.Parallel && lo != hi
+	spec, mark := o.Parallel && lo != hi, len(cl.costs)
 	if spec {
 		cl.order = cl.order[:0]
 		for p := lo; p <= hi; p++ {
@@ -483,7 +460,7 @@ func (cl *Client) walk(rt *routing, set *RequestSet, req RangeRequest, o ReadOpt
 			}
 			n = len(set.Items) - at
 		}
-		cl.pay(spec, id, max(1, n), payload)
+		cl.pay(o.Parallel, id, max(1, n), payload)
 		if !spec {
 			limit -= n
 		}
@@ -495,9 +472,8 @@ func (cl *Client) walk(rt *routing, set *RequestSet, req RangeRequest, o ReadOpt
 		set.Items = set.Items[:from+req.Limit]
 	}
 	if spec && req.Reverse {
-		slices.Reverse(cl.costs) // a branch per partition, in key order
+		slices.Reverse(cl.costs[mark:]) // a branch per partition, in key order
 	}
-	cl.settle()
 	return nil
 }
 

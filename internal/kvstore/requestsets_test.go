@@ -141,6 +141,18 @@ func goldenSets(t *testing.T) []RequestSet {
 	)...)
 }
 
+// modes are the four ways the golden reads each set.
+var modes = []struct {
+	name      string
+	simulated bool
+	o         ReadOpts
+}{
+	{"sequential immediate", false, ReadOpts{}},
+	{"sequential simulated", true, ReadOpts{}},
+	{"parallel   immediate", false, ReadOpts{Parallel: true}},
+	{"parallel   simulated", true, ReadOpts{Parallel: true}},
+}
+
 // TestRequestSetsGolden pins how the store answers every kind of
 // request set, sequentially and under ReadOpts.Parallel, on an immediate
 // and on a simulated client: the items, the operations counted on the
@@ -151,22 +163,20 @@ func goldenSets(t *testing.T) []RequestSet {
 // of testdata/requestsets.golden:
 //
 //	go test ./internal/kvstore -run TestRequestSetsGolden -update
+//
+// One path reads every kind, so a PerKeyRanges set of one range reads
+// exactly as the Range set with its bounds in every mode, which the test
+// checks by code as well.
 func TestRequestSetsGolden(t *testing.T) {
 	var got bytes.Buffer
+	twins := map[string][]setRun{} // each Range set's runs, by its bounds
 	for _, c := range goldenSets(t) {
 		writeSet(&got, c)
 		var first string
-		for i, mode := range []struct {
-			name      string
-			simulated bool
-			o         ReadOpts
-		}{
-			{"sequential immediate", false, ReadOpts{}},
-			{"sequential simulated", true, ReadOpts{}},
-			{"parallel   immediate", false, ReadOpts{Parallel: true}},
-			{"parallel   simulated", true, ReadOpts{Parallel: true}},
-		} {
+		runs := make([]setRun, len(modes))
+		for i, mode := range modes {
 			r := runSet(t, mode.simulated, c, mode.o)
+			runs[i] = r
 			if a := answerText(r.set); i == 0 {
 				first = a
 				got.WriteString(a)
@@ -174,6 +184,25 @@ func TestRequestSetsGolden(t *testing.T) {
 				t.Errorf("%s %s: answer\n%s\ndiffers from the sequential immediate read's\n%s", kindNames[c.Kind], mode.name, a, first)
 			}
 			fmt.Fprintf(&got, "  %s: ops %d, cluster %d, at %v, next %016x\n", mode.name, r.ops, r.totalOps, r.now, r.next)
+		}
+		switch {
+		case c.Kind == Range:
+			twins[rangeText(c.Range)] = runs
+		case c.Kind == PerKeyRanges && len(c.Ranges) == 1:
+			name := rangeText(c.Ranges[0])
+			twin := twins[name]
+			if twin == nil {
+				t.Fatalf("no Range set has the bounds of the one-range PerKeyRanges %s", name)
+			}
+			if answerText(runs[0].set) != answerText(twin[0].set) {
+				t.Errorf("one-range PerKeyRanges %s reads other items than its Range twin", name)
+			}
+			for i, r := range runs {
+				if w := twin[i]; r.ops != w.ops || r.totalOps != w.totalOps || r.now != w.now || r.next != w.next {
+					t.Errorf("one-range PerKeyRanges %s %s: ops %d, cluster %d, at %v, next %016x; its Range twin ops %d, cluster %d, at %v, next %016x",
+						name, modes[i].name, r.ops, r.totalOps, r.now, r.next, w.ops, w.totalOps, w.now, w.next)
+				}
+			}
 		}
 	}
 
@@ -206,8 +235,13 @@ func writeSet(w *bytes.Buffer, c RequestSet) {
 	}
 	fmt.Fprintf(w, " (%d)\n", len(ranges))
 	for _, r := range ranges {
-		fmt.Fprintf(w, "  [%q, %q) limit %d reverse %v\n", r.Start, r.End, r.Limit, r.Reverse)
+		fmt.Fprintf(w, "  %s\n", rangeText(r))
 	}
+}
+
+// rangeText renders a range's bounds, limit and direction.
+func rangeText(r RangeRequest) string {
+	return fmt.Sprintf("[%q, %q) limit %d reverse %v", r.Start, r.End, r.Limit, r.Reverse)
 }
 
 // answerText renders an answered set: a Gets' values, each range's items

@@ -96,17 +96,19 @@ func TestSimulatedParallelAllocs(t *testing.T) {
 
 // TestSimulatedPerKeyRangesAllocs pins what a simulated PerKeyRanges set
 // read under Parallel (a sorted join's, under the Parallel strategy)
-// allocates: fork's 4 — the branch closure and the error the branches
-// share, and the child slab and the Fork closure of the branch runner —
-// and 2 per range, the branch's own buffer for its items and the one
-// visit's service-time draw (volatility seeds a math/rand generator).
-// Each range lies inside one partition, so it costs one visit. Not under
-// the race detector, whose instrumentation allocates on its own account.
+// allocates: its visits, across all its ranges, are paid by one settle,
+// which forks them through the branch runner (2: the child slab and the
+// Fork closure), and each visit draws its service time once (1 each:
+// volatility seeds a math/rand generator). Each range lies inside one
+// partition, so it costs one visit, and a set of one range is paid on the
+// client itself and forks nothing. The items go into the set's warm
+// buffers. Not under the race detector, whose instrumentation allocates
+// on its own account.
 func TestSimulatedPerKeyRangesAllocs(t *testing.T) {
 	if info, _ := debug.ReadBuildInfo(); info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("allocation counts differ under -race")
 	}
-	for _, tc := range []struct{ ranges, want int }{{2, 8}, {10, 24}} {
+	for _, tc := range []struct{ ranges, want int }{{1, 1}, {2, 4}, {10, 12}} {
 		env := sim.NewEnv()
 		c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
 		loadAndSplit(c, 400)
@@ -116,7 +118,7 @@ func TestSimulatedPerKeyRangesAllocs(t *testing.T) {
 		}
 		set := RequestSet{Kind: PerKeyRanges, Ranges: ranges}
 		read := func(cl *Client) {
-			set.PerRange = set.PerRange[:0]
+			set.Items, set.PerRange = set.Items[:0], set.PerRange[:0]
 			if err := cl.Issue(&set, ReadOpts{Parallel: true}); err != nil {
 				t.Error(err)
 			}

@@ -62,45 +62,55 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScanParallelConcurrency: a bounded range spanning P partitions
+// TestScanParallelConcurrency: a request set of P independent requests
 // must cost P storage operations but roughly ONE round trip of virtual
-// time — the per-partition scans are issued concurrently, so elapsed
-// time is the max of the scans, not the sum (the sequential walk pays
-// the sum).
+// time under Parallel — its visits are paid concurrently, so elapsed
+// time is the max of them, not the sum (the sequential read pays the
+// sum). Two sets of 8 requests: a bounded range spanning all 8
+// partitions, and a PerKeyRanges set of 8 ranges, one inside each
+// partition, whose visits across all its ranges are paid together.
 func TestScanParallelConcurrency(t *testing.T) {
 	env := sim.NewEnv()
 	c := New(Config{Nodes: 8, ReplicationFactor: 1, Seed: 3}, env)
 	loadAndSplit(c, 800)
-	if parts := len(c.Splits()) + 1; parts != 8 {
+	splits := c.Splits()
+	if parts := len(splits) + 1; parts != 8 {
 		t.Fatalf("expected 8 partitions after rebalance, got %d", parts)
 	}
-
 	// The full range intersects all 8 partitions; Limit exceeds the total
 	// so the sequential walk cannot early-stop — both variants visit all 8.
-	req := RangeRequest{Start: key(0), End: key(800), Limit: 1000}
-	var seqT, scatT time.Duration
-	var seqOps, scatOps int64
-	env.Spawn(func(p *sim.Proc) {
-		cl := c.NewClient(p)
-		t0 := p.Now()
-		scan(cl, req)
-		seqT, seqOps = p.Now()-t0, cl.ResetOps()
-		t0 = p.Now()
-		scatter(cl, req)
-		scatT, scatOps = p.Now()-t0, cl.ResetOps()
-	})
-	env.Run(0)
-	env.Stop()
+	full := RangeRequest{Start: key(0), End: key(800), Limit: 1000}
+	bounds := append(append([][]byte{key(0)}, splits...), key(800))
+	perPart := make([]RangeRequest, len(splits)+1)
+	for i := range perPart {
+		perPart[i] = RangeRequest{Start: bounds[i], End: bounds[i+1], Limit: 1000}
+	}
+	for _, set := range []RequestSet{{Kind: Range, Range: full}, {Kind: PerKeyRanges, Ranges: perPart}} {
+		var seqT, parT time.Duration
+		var seqOps, parOps int64
+		env.Spawn(func(p *sim.Proc) {
+			cl := c.NewClient(p)
+			t0 := p.Now()
+			issue(cl, set, ReadOpts{})
+			seqT, seqOps = p.Now()-t0, cl.ResetOps()
+			t0 = p.Now()
+			issue(cl, set, ReadOpts{Parallel: true})
+			parT, parOps = p.Now()-t0, cl.ResetOps()
+		})
+		env.Run(0)
 
-	if seqOps != 8 || scatOps != 8 {
-		t.Fatalf("ops: sequential %d, scatter %d, want 8 each", seqOps, scatOps)
+		if seqOps != 8 || parOps != 8 {
+			t.Fatalf("%s ops: sequential %d, parallel %d, want 8 each", kindNames[set.Kind], seqOps, parOps)
+		}
+		// 8 sequential round trips vs the max of 8 concurrent ones: the
+		// parallel read must be far faster, not marginally (conservative
+		// 2x to stay robust against latency-sampling noise; the typical
+		// ratio is ~6-8x).
+		if parT*2 >= seqT {
+			t.Fatalf("%s under Parallel %v not ~concurrent vs sequential %v", kindNames[set.Kind], parT, seqT)
+		}
 	}
-	// 8 sequential round trips vs the max of 8 concurrent ones: scatter
-	// must be far faster, not marginally (conservative 2x to stay robust
-	// against latency-sampling noise; the typical ratio is ~6-8x).
-	if scatT*2 >= seqT {
-		t.Fatalf("scatter %v not ~concurrent vs sequential %v", scatT, seqT)
-	}
+	env.Stop()
 }
 
 // TestCountParallel: the partition counts are gathered concurrently
@@ -262,4 +272,55 @@ func TestScatterConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkIssue is the read layer's cost: one Issue under Parallel of
+// each kind of request set a plan reads, into warm buffers, on an
+// immediate client and on a simulated one, where the time includes the
+// scheduler's hand-offs to the branches that pay the visits. The Gets
+// spans several nodes, the Range straddles a split, and the
+// PerKeyRanges set is 10 ranges of 3 items, each inside one partition.
+func BenchmarkIssue(b *testing.B) {
+	ranges := make([]RangeRequest, 10)
+	for i := range ranges {
+		ranges[i] = RangeRequest{Start: key(i * 37), End: key(i*37 + 3), Limit: 3}
+	}
+	for _, set := range []RequestSet{
+		{Kind: Gets, Keys: [][]byte{key(3), key(150), key(290), key(3), key(399)}},
+		{Kind: Range, Range: RangeRequest{Start: key(90), End: key(110), Limit: 10}},
+		{Kind: PerKeyRanges, Ranges: ranges},
+	} {
+		for _, mode := range []string{"immediate", "simulated"} {
+			b.Run(kindNames[set.Kind]+"/"+mode, func(b *testing.B) {
+				var env *sim.Env
+				if mode == "simulated" {
+					env = sim.NewEnv()
+				}
+				c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
+				loadAndSplit(c, 400)
+				read := func(cl *Client) {
+					set.Values, set.Items, set.PerRange = set.Values[:0], set.Items[:0], set.PerRange[:0]
+					if err := cl.Issue(&set, ReadOpts{Parallel: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				body := func(p *sim.Proc) {
+					cl := c.NewClient(p)
+					read(cl)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						read(cl)
+					}
+				}
+				if env == nil {
+					body(nil)
+					return
+				}
+				env.Spawn(body)
+				env.Run(0)
+				env.Stop()
+			})
+		}
+	}
 }
