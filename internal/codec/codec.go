@@ -188,6 +188,26 @@ func ComponentEnds(dst []int, key []byte, desc []bool) ([]int, error) {
 	return dst, nil
 }
 
+// GroupLen returns the length of key's group: its first two components,
+// the namespace (a table's or an index's) and the leading key component,
+// which together name the entity group a range pinned by equality reads.
+// Each component is read in the direction its tag byte states: a DESC
+// component's tag is an ascending tag's complement. ok is false for
+// bytes that do not start with two well-formed components.
+func GroupLen(key []byte) (n int, ok bool) {
+	for range 2 {
+		if n >= len(key) {
+			return 0, false
+		}
+		m, err := componentLen(key[n:], key[n] > 0x7F)
+		if err != nil {
+			return 0, false
+		}
+		n += m
+	}
+	return n, true
+}
+
 // componentLen returns the length of the component b starts with. It is
 // the only place a component is validated — decodeValue decodes what it
 // measured — so the walker and the decoder cannot disagree.

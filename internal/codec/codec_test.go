@@ -282,6 +282,38 @@ func TestDecodeKeyErrors(t *testing.T) {
 	}
 }
 
+// TestGroupLen: a key's group is its namespace and its leading key
+// component, each read in the direction its tag states; bytes that do not
+// start with two components have none.
+func TestGroupLen(t *testing.T) {
+	ns := EncodeKey(value.Row{value.Str("t:thoughts")}, nil)
+	owner := AppendValue(bytes.Clone(ns), value.Str("u01"), Asc)
+	newest := AppendValue(EncodeKey(value.Row{value.Str("x:newest")}, nil), value.Int(7), Desc)
+	cases := []struct {
+		name string
+		key  []byte
+		want int // -1: no group
+	}{
+		{"ascending leading component", AppendValue(bytes.Clone(owner), value.Int(3), Asc), len(owner)},
+		{"DESC leading component", AppendValue(bytes.Clone(newest), value.Str("u01"), Desc), len(newest)},
+		{"DESC leading string with an escaped 0x00",
+			EncodeKey(value.Row{value.Str("x:by"), value.Str("a\x00b"), value.Int(1)}, []bool{Asc, Desc, Asc}),
+			len(EncodeKey(value.Row{value.Str("x:by"), value.Str("a\x00b")}, []bool{Asc, Desc}))},
+		{"single-component record key", owner, len(owner)},
+		{"namespace alone", ns, -1},
+		{"empty", nil, -1},
+		{"byte key", []byte("key-00042"), -1},
+		{"pad below every table", []byte("\x00pad000001"), -1},
+		{"truncated leading component", owner[:len(owner)-1], -1},
+	}
+	for _, c := range cases {
+		n, ok := GroupLen(c.key)
+		if want := c.want >= 0; ok != want || (ok && n != c.want) {
+			t.Errorf("%s: GroupLen(%x) = %d, %v; want %d", c.name, c.key, n, ok, c.want)
+		}
+	}
+}
+
 // TestComponentEndsAllocatesNothing: the walk is what the dereference
 // path runs per index entry, into a buffer its caller keeps on the stack.
 func TestComponentEndsAllocatesNothing(t *testing.T) {

@@ -12,7 +12,10 @@ import (
 // and where they succeed every walked end is a boundary DecodeKey agrees
 // with and every span re-encodes to itself: only canonical encodings are
 // accepted, which is what lets the dereference path copy a span into a
-// record key without decoding it. Neither may panic. The
+// record key without decoding it. Neither may panic. Wherever the walk
+// accepts two leading components in the directions their tags state,
+// GroupLen ends at the second of them, and a group GroupLen reports is
+// two components the walk accepts. The
 // checked-in corpus (testdata/fuzz/FuzzComponentWalk) replays under plain
 // `go test`.
 func FuzzComponentWalk(f *testing.F) {
@@ -26,6 +29,7 @@ func FuzzComponentWalk(f *testing.F) {
 		for i := range desc {
 			desc[i] = descBits>>i&1 == 1
 		}
+		checkGroupLen(t, b)
 		ends, werr := ComponentEnds(nil, b, desc)
 		vals, derr := DecodeKey(b, len(desc), desc)
 		if werr != nil || derr != nil {
@@ -44,5 +48,27 @@ func FuzzComponentWalk(f *testing.F) {
 			}
 			from = end
 		}
+		if len(ends) >= 2 && desc[0] == (b[0] > 0x7F) && desc[1] == (b[ends[0]] > 0x7F) {
+			if n, ok := GroupLen(b); !ok || n != ends[1] {
+				t.Fatalf("key %x desc %v: GroupLen = %d, %v; the walk ends the second component at %d", b, desc, n, ok, ends[1])
+			}
+		}
 	})
+}
+
+// checkGroupLen holds a group GroupLen reports to the walker: two
+// components, in the directions their tags state, that end where it says.
+func checkGroupLen(t *testing.T, b []byte) {
+	n, ok := GroupLen(b)
+	if !ok {
+		return
+	}
+	first, err := componentLen(b, b[0] > 0x7F)
+	if err != nil || first >= n {
+		t.Fatalf("key %x: GroupLen = %d, but its first component is %d, %v", b, n, first, err)
+	}
+	dirs := []bool{b[0] > 0x7F, b[first] > 0x7F}
+	if ends, err := ComponentEnds(nil, b[:n], dirs); err != nil || ends[0] != first {
+		t.Fatalf("key %x: GroupLen = %d, but the walk over %v says %v, %v", b, n, dirs, ends, err)
+	}
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"testing"
 
 	"piql/internal/exec"
+	"piql/internal/index"
+	"piql/internal/kvstore"
 	"piql/internal/value"
 )
 
@@ -28,7 +31,55 @@ import (
 // tuple, and so may exceed the operation bound (e.g. a LIMIT 10 scan
 // is 1 bounded operation but 10 lazy requests).
 func TestStaticBoundCoversMeasuredOps(t *testing.T) {
-	s := newRoundTripFixture(t)
+	checkBoundCoversMeasuredOps(t, newRoundTripFixture(t))
+}
+
+// TestStaticBoundCoversMeasuredOpsAfterRebalance holds the same shapes to
+// their bounds on four nodes at RF 2 after three rebalances. u01, whose
+// thoughts the index scan and the sorted joins read, is made hot: its
+// thoughts hold most of the keys, so every key the rebalance samples as a
+// split falls inside that group. A bounded range read is booked at one
+// operation; only splits on group boundaries keep it to one partition
+// (a Parallel scan reads every partition its range touches).
+func TestStaticBoundCoversMeasuredOpsAfterRebalance(t *testing.T) {
+	s := newRoundTripFixtureOn(t, kvstore.Config{Nodes: 4, ReplicationFactor: 2, Seed: 2})
+	for ts := 12; ts < 600; ts++ {
+		if err := s.Exec(`INSERT INTO thoughts VALUES ('u01', ?, 'txt')`, value.Int(int64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Preparing builds the indexes the plans need, so their entries are
+	// among the keys the rebalances sample.
+	for _, tc := range measuredShapes {
+		if _, err := s.Prepare(tc.sql); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	hot := index.RecordKeyFromPK(s.eng.Catalog().Table("thoughts"), value.Row{value.Str("u01")})
+	cluster := s.eng.Cluster()
+	for round := 0; round < 3; round++ {
+		// The rebalance samples its i-th split at keys[i*len(keys)/nodes].
+		set := kvstore.RequestSet{Kind: kvstore.Range}
+		if err := s.Client().Issue(&set, kvstore.ReadOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		keys, n := set.Items, cluster.NumNodes()
+		for i := 1; i < n; i++ {
+			at := i * len(keys) / n
+			if !bytes.HasPrefix(keys[at-1].Key, hot) || !bytes.HasPrefix(keys[at].Key, hot) {
+				t.Fatalf("round %d: sampled split %d of %d keys, %x, is not inside u01's thoughts", round, at, len(keys), keys[at].Key)
+			}
+		}
+		cluster.Rebalance()
+	}
+	checkBoundCoversMeasuredOps(t, s)
+}
+
+// checkBoundCoversMeasuredOps runs every measured shape on s under Simple
+// and Parallel and holds the measured operations to the static bound and
+// the documented slack.
+func checkBoundCoversMeasuredOps(t *testing.T, s *Session) {
+	t.Helper()
 	for _, tc := range measuredShapes {
 		q, err := s.Prepare(tc.sql)
 		if err != nil {

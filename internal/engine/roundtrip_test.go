@@ -25,8 +25,14 @@ import (
 // owns 12 thoughts and authors 12 articles; hometown "h0" has 3 users.
 func newRoundTripFixture(t testing.TB) *Session {
 	t.Helper()
-	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2}, nil)
-	s := New(cluster).Session(nil)
+	return newRoundTripFixtureOn(t, kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 2})
+}
+
+// newRoundTripFixtureOn loads newRoundTripFixture's tables and rows into
+// a cluster built from cfg.
+func newRoundTripFixtureOn(t testing.TB, cfg kvstore.Config) *Session {
+	t.Helper()
+	s := New(kvstore.New(cfg, nil)).Session(nil)
 	for _, ddl := range []string{
 		`CREATE TABLE users (username VARCHAR(20), hometown VARCHAR(20), bio VARCHAR(140),
 			PRIMARY KEY (username), CARDINALITY LIMIT 5 (hometown))`,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ type joinFixture struct {
 	thoughts, articles []match
 	approved           []string
 	streams            int
-	pads               int // keys splitInside wrote outside every table
+	pads               int // keys splitAtStream wrote outside every table
 }
 
 func newJoinFixture(t *testing.T, rng *rand.Rand, targets, maxPerTarget int) *joinFixture {
@@ -151,15 +152,17 @@ func sortedJoin(t *testing.T, q *engine.Prepared) *core.SortedIndexJoin {
 	return nil
 }
 
-// splitInside rebalances the cluster so that a partition boundary falls
-// inside one of join's streams — the approved target whose range holds
-// the most keys, between its first and its last — and reports whether
-// one held two keys or more. Rebalance splits at every third of the
-// sorted keys (three nodes), so it first pads the key space below or
-// above every table's keys until the first split lands there: a pad
-// below moves the stream up by one key and the split by a third, a pad
-// above moves only the split.
-func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) bool {
+// splitAtStream rebalances the cluster with a sampled split inside one of
+// join's streams — the approved target whose range holds the most keys,
+// between its first and its last — and requires the split to land on
+// the stream's group start, so the whole stream stays in one partition.
+// It reports whether a stream held two keys or more. Rebalance samples
+// its splits at every third of the sorted keys (three nodes), so it first
+// pads the key space below or above every table's keys until the first
+// sample lands inside the stream: a pad below moves the stream up by one
+// key and the sample by a third, a pad above moves only the sample.
+// Ranges a split cuts in two are requestsets.golden's byte-key ranges.
+func (fx *joinFixture) splitAtStream(t *testing.T, join *core.SortedIndexJoin) bool {
 	t.Helper()
 	cl := fx.cluster.NewClient(nil)
 	set := kvstore.RequestSet{Kind: kvstore.Range}
@@ -168,6 +171,7 @@ func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) boo
 	}
 	all := set.Items
 	a, b := 0, 0 // the stream's keys are all[a:b]
+	var group []byte
 	for _, target := range fx.approved {
 		prefix := index.ScanPrefix(join.Index, value.Row{value.Str(target)})
 		if join.Index.Primary {
@@ -179,7 +183,7 @@ func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) boo
 			to++
 		}
 		if to-from > b-a {
-			a, b = from, to
+			a, b, group = from, to, prefix
 		}
 	}
 	if b-a < 2 {
@@ -190,7 +194,7 @@ func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) boo
 	}
 	n, keys := fx.cluster.NumNodes(), len(all)
 	for pad := 0; ; pad++ {
-		below, above := (keys+pad)/n-pad, (keys+pad)/n // the split's position among the unpadded keys
+		below, above := (keys+pad)/n-pad, (keys+pad)/n // the sample's position among the unpadded keys
 		var at byte
 		switch {
 		case a < below && below < b:
@@ -209,13 +213,16 @@ func (fx *joinFixture) splitInside(t *testing.T, join *core.SortedIndexJoin) boo
 		break
 	}
 	fx.cluster.Rebalance()
-	for _, split := range fx.cluster.Splits() {
-		if bytes.Compare(all[a].Key, split) < 0 && bytes.Compare(split, all[b-1].Key) <= 0 {
-			return true
+	splits := fx.cluster.Splits()
+	for _, split := range splits {
+		if bytes.Compare(group, split) < 0 && bytes.Compare(split, all[b-1].Key) <= 0 {
+			t.Fatalf("split %q of %q lands inside the stream (%q, %q]", split, splits, group, all[b-1].Key)
 		}
 	}
-	t.Fatalf("no split of %q lands inside (%q, %q]", fx.cluster.Splits(), all[a].Key, all[b-1].Key)
-	return false
+	if !slices.ContainsFunc(splits, func(split []byte) bool { return bytes.Equal(split, group) }) {
+		t.Fatalf("no split of %q lands on the stream's group start %q", splits, group)
+	}
+	return true
 }
 
 // run executes q under every strategy, requires the three results to be
@@ -277,8 +284,8 @@ func checkAgainstReference(t *testing.T, what string, got, all []match, desc boo
 }
 
 func TestSortedJoinDifferential(t *testing.T) {
-	scans := map[string]bool{}    // which (index kind, direction) pairs ran
-	straddled := map[string]int{} // and how often over a stream split in two
+	scans := map[string]bool{}  // which (index kind, direction) pairs ran
+	atStart := map[string]int{} // and how often with a split at a stream's start
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		fx := newJoinFixture(t, rng, 1+rng.IntN(12), 20)
@@ -297,11 +304,12 @@ func TestSortedJoinDifferential(t *testing.T) {
 				scans[pair] = true
 				checkAgainstReference(t, what+fmt.Sprintf(" LIMIT %d", limit), fx.run(t, sh, q), sh.all(fx), dir == "DESC", limit)
 
-				// A rebalance splits one stream's range in two: each strategy
-				// now reads it from two partitions — Parallel speculatively,
-				// both in full — and every check from here on runs over it.
-				if fx.splitInside(t, join) {
-					straddled[pair]++
+				// A rebalance samples a split inside one stream's range and
+				// rounds it to the stream's start: the streams now lie in
+				// several partitions, each whole, and every check from here
+				// on runs over that layout.
+				if fx.splitAtStream(t, join) {
+					atStart[pair]++
 					checkAgainstReference(t, what+fmt.Sprintf(" LIMIT %d, split", limit), fx.run(t, sh, q), sh.all(fx), dir == "DESC", limit)
 				}
 
@@ -344,8 +352,8 @@ func TestSortedJoinDifferential(t *testing.T) {
 			}
 		}
 	}
-	if len(scans) != 4 || len(straddled) != 4 {
-		t.Errorf("want forward and reversed scans of a primary and a secondary index, each over a split stream; ran %v, split %v", scans, straddled)
+	if len(scans) != 4 || len(atStart) != 4 {
+		t.Errorf("want forward and reversed scans of a primary and a secondary index, each with a split at a stream's start; ran %v, split %v", scans, atStart)
 	}
 }
 

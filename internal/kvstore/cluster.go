@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"piql/internal/codec"
 	"piql/internal/sim"
 )
 
@@ -360,7 +361,13 @@ func (c *Cluster) barrierStamp() int64 {
 }
 
 // Rebalance recomputes partition split points so that data is spread
-// evenly over nodes, then moves ranges to their new owners. It models
+// evenly over nodes, then moves ranges to their new owners. No split
+// falls strictly inside a key group (codec.GroupLen: a namespace and its
+// leading key component): each sampled split is rounded down to the
+// start of its group, so a range pinned by equality on the leading
+// component — the one the static bound books at one operation — lies in
+// one partition. Bytes that are not a codec key split where they were
+// sampled. It models
 // the SCADS Director's live repartitioning and is safe to run under
 // concurrent read/write traffic:
 //
@@ -429,16 +436,19 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 	// keys is globally sorted: per-partition scans are ordered and the
 	// partitions are disjoint, ascending ranges.
 
+	// A split equal to the one before it is dropped: every sample inside
+	// one group rounds to the group's start, and the group stays whole.
 	n := len(c.nodes)
 	splits := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		idx := i * len(keys) / n
-		if idx >= len(keys) {
-			idx = len(keys) - 1
+	for i := 1; i < n && len(keys) > 0; i++ {
+		split := keys[min(i*len(keys)/n, len(keys)-1)]
+		if g, ok := codec.GroupLen(split); ok {
+			split = split[:g:g]
 		}
-		if len(keys) > 0 {
-			splits = append(splits, keys[idx])
+		if len(splits) > 0 && bytes.Equal(split, splits[len(splits)-1]) {
+			continue
 		}
+		splits = append(splits, split)
 	}
 	next := &routing{epoch: old.epoch + 2, splits: splits}
 	next.owners = make([][]int, next.parts())

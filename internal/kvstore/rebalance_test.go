@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"piql/internal/codec"
+	"piql/internal/value"
 )
 
 // TestRebalanceUnderTraffic is the online-rebalance proof: writer
@@ -183,6 +186,108 @@ func TestRebalanceRangeReadsUnderTraffic(t *testing.T) {
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
+}
+
+// groupKey is the i-th key of a group: namespace ns, the leading
+// component lead in direction desc, then i.
+func groupKey(ns string, lead value.Value, desc bool, i int) []byte {
+	k := codec.EncodeKey(value.Row{value.Str(ns)}, nil)
+	k = codec.AppendValue(k, lead, desc)
+	return codec.AppendValue(k, value.Int(int64(i)), codec.Asc)
+}
+
+// checkGroupsWhole fails if a key routes to another partition than its
+// group's start does: a split strictly inside the group.
+func checkGroupsWhole(t *testing.T, c *Cluster, keys [][]byte) {
+	t.Helper()
+	rt := c.routing.Load()
+	for _, k := range keys {
+		g, ok := codec.GroupLen(k)
+		if !ok {
+			t.Fatalf("%x is not a codec key", k)
+		}
+		if p, q := rt.partitionOf(k[:g]), rt.partitionOf(k); p != q {
+			t.Fatalf("splits %x cut the group %x: its start is in partition %d, %x in %d", rt.splits, k[:g], p, k, q)
+		}
+	}
+}
+
+// TestRebalanceSplitsOnGroupBoundaries: no split falls strictly inside a
+// key group, so a range pinned to one group visits one partition, and a
+// group holding most of the keys collapses the quantiles that fall in it
+// into one split at its start.
+func TestRebalanceSplitsOnGroupBoundaries(t *testing.T) {
+	t.Run("groups stay whole", func(t *testing.T) {
+		c, cl := newImmediate(4, 2)
+		rng := rand.New(rand.NewSource(7))
+		var keys [][]byte
+		for g := 0; g < 30; g++ {
+			// A table's groups ascend by owner; an index's by a DESC int.
+			for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+				keys = append(keys,
+					groupKey("t:thoughts", value.Str(fmt.Sprintf("u%03d", g)), codec.Asc, i),
+					groupKey("x:newest", value.Int(int64(g)), codec.Desc, i))
+			}
+		}
+		for i, k := range keys {
+			if err := cl.Put(k, val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			c.Rebalance()
+			if parts := len(c.Splits()) + 1; parts != 4 {
+				t.Fatalf("round %d: %d partitions, want 4", round, parts)
+			}
+			checkGroupsWhole(t, c, keys)
+			// Drop a third of the keys so the next round samples anew.
+			for i := round; i < len(keys); i += 3 {
+				if err := cl.Delete(keys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+
+	t.Run("one hot group is one split", func(t *testing.T) {
+		c, cl := newImmediate(4, 2)
+		var keys [][]byte
+		for i := 0; i < 10; i++ {
+			keys = append(keys, groupKey("t:articles", value.Str(fmt.Sprintf("a%02d", i)), codec.Asc, 0))
+		}
+		for i := 0; i < 300; i++ {
+			keys = append(keys, groupKey("t:thoughts", value.Str("hot"), codec.Asc, i))
+		}
+		for i := 0; i < 10; i++ {
+			keys = append(keys, groupKey("t:users", value.Str(fmt.Sprintf("u%02d", i)), codec.Asc, 0))
+		}
+		for i, k := range keys {
+			if err := cl.Put(k, val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hot := keys[10]
+		g, _ := codec.GroupLen(hot)
+		for round := 0; round < 3; round++ {
+			c.Rebalance()
+			if splits := c.Splits(); len(splits) != 1 || !bytes.Equal(splits[0], hot[:g]) {
+				t.Fatalf("round %d: splits %x, want the hot group's start %x alone", round, splits, hot[:g])
+			}
+		}
+		for i, k := range keys {
+			if v, ok := get(cl, k); !ok || !bytes.Equal(v, val(i)) {
+				t.Fatalf("key %x reads back %q, %v", k, v, ok)
+			}
+		}
+		cl.ResetOps()
+		got := scatter(cl, RangeRequest{Start: hot[:g], End: codec.PrefixEnd(hot[:g]), Limit: 10, Reverse: true})
+		if ops := cl.ResetOps(); len(got) != 10 || ops != 1 {
+			t.Fatalf("the hot group's newest 10: %d items in %d ops, want 10 in 1", len(got), ops)
+		}
+		if !bytes.Equal(got[0].Key, keys[309]) {
+			t.Fatalf("the hot group's newest key is %x, want %x", got[0].Key, keys[309])
+		}
+	})
 }
 
 // TestRebalanceEpochAdvances pins the epoch protocol: two publishes per
