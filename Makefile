@@ -32,7 +32,9 @@ vet:
 # (*Maintainer).write calls .Put(rkey, .TestAndSet(rkey or .Delete(rkey:
 # Insert, Update and Delete are thin entry points over it), one
 # fault driver (no non-test code but internal/harness/chaos.go calls
-# Kill, Restart, Partition or Heal on a cluster), and piql-vet (the project's own analyzers, each package analyzed on its
+# Kill, Restart, Partition or Heal on a cluster), one package that
+# imports unsafe (internal/value, whose decoder points strings into the
+# record bytes: no other non-test code imports it), and piql-vet (the project's own analyzers, each package analyzed on its
 # own — releasepath one block at a time: each acquire released in its
 # own block, no exit in between) — see "Static
 # analysis" in README.md; `make mutants` shows what the analyzers catch,
@@ -70,6 +72,8 @@ lint:
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.(Kill|Restart|Partition|Heal)\(' cmd internal examples *.go | \
 			grep -v '^internal/harness/chaos.go:'; then \
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi
+	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -E ' unsafe( |$$)' | grep -v '^piql/internal/value:'; then \
+		echo "layering: only internal/value imports unsafe, for the decoder's strings that point into record bytes"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 

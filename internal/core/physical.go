@@ -36,8 +36,8 @@ type PKLookup struct {
 	TableOffset int
 	// Skip is the set of the table's columns (bit i: column i) whose
 	// values no reader above needs: each record is decoded without them,
-	// their cells left zero and their strings out of the arena. It names
-	// what to leave out, so the zero value decodes every column.
+	// their cells left zero. It names what to leave out, so the zero
+	// value decodes every column.
 	Skip     uint64
 	Keys     []KeySpec // cartesian expansion of IN lists
 	Residual []LocalPred

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -71,10 +72,14 @@ func (c *Cursor) Serialize() []byte {
 // in the user's hands: the layout is checked here, the statement goes
 // through Prepare — compiler and admission — like any other, and the
 // position is checked by the pager against its own range on the next page.
+// The cursor keeps a copy of data, taken once: its parameters' strings
+// and its position point into that copy, never into the caller's bytes,
+// which the caller may write over.
 func (e *Engine) RestoreCursor(s *Session, data []byte) (*Cursor, error) {
 	if len(data) < 2 || data[0] != cursorVersion {
 		return nil, fmt.Errorf("engine: unsupported cursor version")
 	}
+	data = bytes.Clone(data)
 	var fields [3][]byte // query text, parameters, position
 	rest := data[2:]
 	for i := range fields {

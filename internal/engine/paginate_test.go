@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -201,6 +202,53 @@ func TestForgedCursorStaysInItsSection(t *testing.T) {
 				t.Errorf("%s: o1's cursor at a position of %s returns %v, want an error and no row", order, other, page.Rows)
 			}
 		}
+	}
+}
+
+// TestRestoredCursorOwnsItsBytes: a restored cursor does not read the
+// bytes it was restored from again. The caller's buffer is written over
+// with another owner's cursor of the same length after the restore; the
+// next page is still the one an untouched restore returns, where it used
+// to be read at the other owner's position.
+func TestRestoredCursorOwnsItsBytes(t *testing.T) {
+	s := warmFixture(t)
+	q, err := s.Prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := func(owner string) []byte {
+		c, err := q.Paginate(value.Str(owner))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Next(s); err != nil {
+			t.Fatal(err)
+		}
+		return c.Serialize()
+	}
+	mine, theirs := blob("u01"), blob("u02")
+	if len(mine) != len(theirs) {
+		t.Fatalf("cursors of %d and %d bytes: the overwrite needs one length", len(mine), len(theirs))
+	}
+	page := func(c *Cursor) string {
+		res, err := c.Next(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	untouched, err := s.eng.RestoreCursor(s, bytes.Clone(mine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := page(untouched)
+	restored, err := s.eng.RestoreCursor(s, mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(mine, theirs)
+	if got := page(restored); got != want {
+		t.Errorf("after the caller's bytes changed the restored cursor returns\n %s\nan untouched restore\n %s", got, want)
 	}
 }
 

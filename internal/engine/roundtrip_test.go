@@ -199,7 +199,7 @@ func TestUpdateReadsItsRowOnce(t *testing.T) {
 // TestSortedJoinRunAllocations pins what one exec.Run of the
 // thoughtstream shape allocates: K streams of 10 primary-index entries
 // merged to a page of 10, at K=3 and at K=10, on one warm Ctx. Only the
-// page is decoded, into one string arena per operator; the K ranges are
+// page is decoded, its strings pointing into the store's records; the K ranges are
 // one request set read into the Ctx's result buffer, and the candidates,
 // the child scan's and the join's values and the headers of the rows an
 // operator hands its parent are carved from the Ctx's scratch, so the
@@ -226,8 +226,9 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 	// requests and the store's results came from the Ctx's scratch, 10
 	// until the intermediate row headers and the candidate batch did too, 7
 	// until the child scan carved its values from the scratch as well, 6
-	// until the join's rounds did too.
-	const want = 5
+	// until the join's rounds did too, 5 until decoded strings pointed into
+	// the store's records in place of an arena per operator.
+	const want = 3
 	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
 		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
 	}
@@ -580,7 +581,7 @@ func TestSortedJoinStopWithResidual(t *testing.T) {
 // is carved from the Ctx's scratch, and so are what the store returns and
 // the headers of the rows the scan and the join hand on, and the values
 // the dereference decodes; no entry is decoded and a decoded row's
-// strings land in its operator's one arena, so 40 more entries cost
+// strings point into its record, so 40 more entries cost
 // nothing per entry or per kept row, scan and join alike. Until the store read into the scratch, Client.Scan's
 // result outgrew its 16-entry pre-size twice on the way to 50: two
 // allocations more at 50 than at 10.
@@ -615,9 +616,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql string
 		at10      float64 // allocations at 10 entries, and at 50
 	}{
-		{name: "token scan", at10: 5, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did, 6 until the dereference's values did
+		{name: "token scan", at10: 4, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did, 6 until the dereference's values did, 5 until its strings pointed into the records
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 6, // 16, 8 and 7 until then
+		{name: "token scan + fk join", at10: 4, // 16, 8, 7 and 6 until then
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

@@ -99,11 +99,11 @@ func warmAllocs(runs int, f func()) float64 {
 }
 
 // TestWarmExecuteAllocations pins what one Prepared.Execute allocates on
-// a warm session, per plan shape: each operator's string arena (a sorted
-// join's, one a round), the answer (the root's row headers and slab), an
-// aggregate's groups, and the Result — its keys, the store's results, the
-// intermediate row headers, a sorted join's candidates and the values
-// every remote operator decodes come from the session's scratch.
+// a warm session, per plan shape: the answer (the root's row headers and
+// slab), an aggregate's groups, and the Result — its keys, the store's
+// results, the intermediate row headers, a sorted join's candidates and
+// the values every remote operator decodes come from the session's
+// scratch, and a decoded string points into the store's record.
 // Each shape runs on fewer and on more entries, or child rows, or
 // streams, and costs the same on both: nothing is paid per key, per entry
 // or per stream.
@@ -125,35 +125,34 @@ func TestWarmExecuteAllocations(t *testing.T) {
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.PKLookup); return ok },
-			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 4},
+			[]value.Value{str("u01"), str("u01"), str("u01")}, []value.Value{str("u01"), str("u02"), str("u03")}, 3},
 		{"primary index scan", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.Index.Primary },
-			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 4},
+			[]value.Value{str("u01"), value.Int(2)}, []value.Value{str("u01"), value.Int(12)}, 3},
 		{"dereferencing index scan", `SELECT * FROM users WHERE hometown = ?`,
 			func(ops []core.Physical) bool { sc, ok := ops[0].(*core.IndexScan); return ok && sc.NeedDeref },
-			[]value.Value{str("h2")}, []value.Value{str("h0")}, 4},
+			[]value.Value{str("h2")}, []value.Value{str("h0")}, 3},
 		{"fk join", `SELECT u.username, u.bio FROM subscriptions s JOIN users u WHERE u.username = s.target AND s.owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[1].(*core.IndexFKJoin); return ok },
-			few, more, 5},
+			few, more, 3},
 		{"primary sorted join", `SELECT thoughts.* FROM subscriptions s JOIN thoughts
 			WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true ORDER BY thoughts.timestamp DESC LIMIT 10`,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Index.Primary },
-			few, more, 5},
+			few, more, 3},
 		{"secondary sorted join", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && !j.Index.Primary },
-			few, more, 5},
+			few, more, 3},
 		// The page of 10 loses v01's dangling newest article, so a second
 		// dereference round takes every other entry fetched: 10 of 2
 		// streams, 20 of 3. The candidate batch has room for all of them
 		// from the first round on, and each round carves its values from
-		// the scratch; the second round pays its string arena alone, like
-		// any round.
+		// the scratch: the second round costs nothing.
 		{"secondary sorted join, two rounds", articlesByFollowed,
 			func(ops []core.Physical) bool { j, ok := ops[1].(*core.SortedIndexJoin); return ok && j.Stop == 10 },
-			[]value.Value{str("d2")}, []value.Value{str("d3")}, 6},
+			[]value.Value{str("d2")}, []value.Value{str("d3")}, 3},
 		{"aggregate", `SELECT COUNT(*), MAX(target) FROM subscriptions WHERE owner = ?`,
 			func(ops []core.Physical) bool { _, ok := ops[0].(*core.IndexScan); return ok },
-			few, more, 13},
+			few, more, 12},
 	} {
 		p, err := s.Prepare(tc.sql)
 		if err != nil {
@@ -174,7 +173,7 @@ func TestWarmExecuteAllocations(t *testing.T) {
 
 	// A resumed page of a paginated primary scan carves the key it starts
 	// past from the scratch too: the second page reads 5 entries, the
-	// third 2, and each costs an executed scan's 4 and its cursor.
+	// third 2, and each costs an executed scan's 3 and its cursor.
 	pages, err := s.Prepare(`SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp PAGINATE 5`)
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +197,12 @@ func TestWarmExecuteAllocations(t *testing.T) {
 			}
 		})
 	}
-	if fewer, more := next(c, after[1], 2), next(c, after[0], 5); fewer != 5 || more != 5 {
-		t.Errorf("Cursor.Next: %v allocs on the third page, %v on the second; pinned at 5 for both", fewer, more)
+	if fewer, more := next(c, after[1], 2), next(c, after[0], 5); fewer != 4 || more != 4 {
+		t.Errorf("Cursor.Next: %v allocs on the third page, %v on the second; pinned at 4 for both", fewer, more)
 	}
 
 	// A resumed page of a paginated sorted join pays per stream, 5
-	// allocations a stream on top of the page's 13: the stream's name and
+	// allocations a stream on top of the page's 11: the stream's name and
 	// position decoded from the resume (decodeStreamResume, 2), its name
 	// in the cursor (streamKey), its prefix as a key of resumeStreams'
 	// count, and the growth of the next resume's buffer
@@ -222,8 +221,8 @@ func TestWarmExecuteAllocations(t *testing.T) {
 		}
 		return next(c, c.resume, 4)
 	}
-	if two, three := second("d2"), second("d3"); two != 23 || three != 28 {
-		t.Errorf("Cursor.Next of a sorted join: %v allocs at 2 streams, %v at 3; pinned at 23 and 28", two, three)
+	if two, three := second("d2"), second("d3"); two != 21 || three != 26 {
+		t.Errorf("Cursor.Next of a sorted join: %v allocs at 2 streams, %v at 3; pinned at 21 and 26", two, three)
 	}
 
 	// The covering scan is the cost-based baseline's, and unbounded: it
@@ -358,51 +357,110 @@ func TestResultOutlivesNextRun(t *testing.T) {
 	}
 }
 
+// TestResultOutlivesWritesToItsRows: a Result's strings point into the
+// records the store answered with, so the store must never write a
+// record it has stored: a write stores a new envelope in place of the
+// old. Each Result is kept while its rows get a same-length UPDATE, which
+// fits the old envelope's array exactly, and then a DELETE, and it must
+// stay what it was.
+func TestResultOutlivesWritesToItsRows(t *testing.T) {
+	s := warmFixture(t)
+	for _, tc := range []struct {
+		name, sql string
+		params    []value.Value
+		writes    []string
+	}{
+		{"pk lookup", `SELECT * FROM users WHERE username = ?`, []value.Value{value.Str("u04")},
+			[]string{`UPDATE users SET bio = 'yo' WHERE username = 'u04'`, `DELETE FROM users WHERE username = 'u04'`}},
+		{"range scan", `SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp LIMIT 2`, []value.Value{value.Str("u05")},
+			[]string{`UPDATE thoughts SET text = 'new' WHERE owner = 'u05' AND timestamp = 1`, `DELETE FROM thoughts WHERE owner = 'u05' AND timestamp = 1`}},
+	} {
+		p, err := s.Prepare(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Execute(s, tc.params...)
+		if err != nil || len(res.Rows) == 0 {
+			t.Fatalf("%s: %v, %v", tc.name, res, err)
+		}
+		was := freeze(res)
+		for _, w := range tc.writes {
+			if err := s.Exec(w); err != nil {
+				t.Fatalf("%s: %v", w, err)
+			}
+			if now := freeze(res); !reflect.DeepEqual(now, was) {
+				t.Errorf("%s changed after %s:\nwas %v\nnow %v", tc.name, w, was.rows, now.rows)
+			}
+		}
+		if again, err := p.Execute(s, tc.params...); err != nil || reflect.DeepEqual(freeze(again), was) {
+			t.Errorf("%s: the writes left the answer as it was (%v, %v): not the writes under test", tc.name, again, err)
+		}
+	}
+}
+
 // TestScratchKeepsNoArenaAlive: once a session's run returns, nothing
-// the session keeps points at that run's strings. Each statement runs on
-// more entries, its Result is dropped, and it runs again on fewer: a
-// string of the first Result, and with it the string arena it lies in,
-// must then be unreachable, though the session — which may sit idle in
-// piql.DB's pool for as long as it likes — still holds the scratch the
-// first run carved its rows from. The narrower run rewrites fewer cells
-// and row headers than the first one carved.
+// the session keeps points at that run's strings, nor at the records
+// they lie in. A decoded string points into the store's record, so each
+// probe is a string of a row that the test then deletes from the store:
+// the store holds a tombstone in its place, and only the Result and the
+// session can keep the record alive. Each statement runs on more entries,
+// its Result is dropped, the probed row is deleted, and the statement
+// runs again on fewer: the probe must then be unreachable, though the
+// session — which may sit idle in piql.DB's pool for as long as it likes —
+// still holds the scratch the first run carved its rows from and read
+// the store's answers into. The narrower run rewrites fewer cells, row
+// headers and answers than the first one carved.
 func TestScratchKeepsNoArenaAlive(t *testing.T) {
 	s := warmFixture(t)
 	str := value.Str
+	drop := func(t *testing.T, sql string, key ...value.Value) {
+		t.Helper()
+		if err := s.Exec(sql, key...); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
 	for _, tc := range []struct {
 		name, sql   string
 		more, fewer []value.Value
+		del         string // deletes the last row of the run on more entries
+		key         []int  // by these of its columns
 	}{
 		{"pk lookup", `SELECT * FROM users WHERE username IN (?, ?, ?)`,
-			[]value.Value{str("u01"), str("u02"), str("u03")}, []value.Value{str("u01"), str("u01"), str("u01")}},
+			[]value.Value{str("u01"), str("u02"), str("u03")}, []value.Value{str("u01"), str("u01"), str("u01")},
+			`DELETE FROM users WHERE username = ?`, []int{0}},
 		{"range scan page", `SELECT * FROM thoughts WHERE owner = ? AND timestamp < ? ORDER BY timestamp LIMIT 10`,
-			[]value.Value{str("u01"), value.Int(12)}, []value.Value{str("u01"), value.Int(2)}},
-		{"sorted join page", articlesByFollowed, []value.Value{str("d3")}, []value.Value{str("w1")}},
+			[]value.Value{str("u01"), value.Int(12)}, []value.Value{str("u01"), value.Int(2)},
+			`DELETE FROM thoughts WHERE owner = ? AND timestamp = ?`, []int{0, 1}},
+		{"sorted join page", articlesByFollowed, []value.Value{str("d3")}, []value.Value{str("w1")},
+			`DELETE FROM articles WHERE id = ?`, []int{0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := s.Prepare(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The last string of the last row: a run's strings lie in arenas
-			// of that run alone, so it is reachable only from the Result and
-			// from whatever the session kept.
-			last := func(params []value.Value) weak.Pointer[byte] {
+			// A string of the last row, and the values of its key.
+			last := func(params []value.Value) (weak.Pointer[byte], []value.Value) {
 				res, err := p.Execute(s, params...)
 				if err != nil || len(res.Rows) == 0 {
 					t.Fatalf("%v: %v, %v", params, res, err)
 				}
 				row := res.Rows[len(res.Rows)-1]
+				var key []value.Value
+				for _, c := range tc.key {
+					key = append(key, row[c])
+				}
 				for i := len(row) - 1; i >= 0; i-- {
 					if len(row[i].S) > 0 {
-						return weak.Make(unsafe.StringData(row[i].S))
+						return weak.Make(unsafe.StringData(row[i].S)), key
 					}
 				}
 				t.Fatalf("%v: the last row %v holds no string", params, row)
-				return weak.Pointer[byte]{}
+				return weak.Pointer[byte]{}, nil
 			}
 			last(tc.more) // warms the scratch to the wider run's size
-			wide := last(tc.more)
+			wide, key := last(tc.more)
+			drop(t, tc.del, key...)
 			last(tc.fewer)
 			for i := 0; i < 3; i++ {
 				runtime.GC()
@@ -420,15 +478,18 @@ func TestScratchKeepsNoArenaAlive(t *testing.T) {
 	// it. A fresh session whose first statement warmed its row headers but
 	// not its values replaces the values in the join's first round. The
 	// string checked is each answer's first: the join's is s.target, a
-	// string of its child scan.
+	// string of its child scan, and its subscription is deleted.
 	t.Run("a sorted join that regrows the values", func(t *testing.T) {
 		fresh := s.eng.Session(nil)
 		for _, st := range []struct {
-			what, sql, param string
+			what, sql, param, del string
+			key                   int // the column of the first row that keys its record after param
 		}{
-			{"the scan", `SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp LIMIT 20`, "u01"},
+			{"the scan", `SELECT * FROM thoughts WHERE owner = ? ORDER BY timestamp LIMIT 20`, "u01",
+				`DELETE FROM thoughts WHERE owner = ? AND timestamp = ?`, 1},
 			{"the join", `SELECT s.target, a.* FROM subscriptions s JOIN articles a
-				WHERE a.author = s.target AND s.owner = ? ORDER BY a.ts DESC LIMIT 10`, "d3"},
+				WHERE a.author = s.target AND s.owner = ? ORDER BY a.ts DESC LIMIT 10`, "d3",
+				`DELETE FROM subscriptions WHERE owner = ? AND target = ?`, 0},
 		} {
 			p, err := fresh.Prepare(st.sql)
 			if err != nil {
@@ -439,6 +500,7 @@ func TestScratchKeepsNoArenaAlive(t *testing.T) {
 				t.Fatalf("%s: %v, %v", st.what, res, err)
 			}
 			first := weak.Make(unsafe.StringData(res.Rows[0][0].S))
+			drop(t, st.del, str(st.param), res.Rows[0][st.key])
 			res = nil
 			for i := 0; i < 3; i++ {
 				runtime.GC()

@@ -13,18 +13,18 @@
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs. Each operator knows how many rows
 // it is about to produce before it produces them, so it takes room for
-// all of their values at once (a slab) and carves the rows out of it; it
-// knows the records it is about to decode too, so it grows one string
-// arena by their exact value.StringBytes and decodes into it every string
-// and blob of the batch that the plan reads (an operator's Skip names the
-// columns of its table that no reader above needs, and those stay out of
-// both the row and the arena); and it knows the keys it is about to send,
-// so it evaluates them into a row on its stack and encodes them all into
-// one buffer sized by codec.Size. The store answers a request set
-// from one result buffer too. An operator's cost is its string arena, and
-// nothing per row or per request: its slab, its key buffer, the store's
-// result buffer and the headers of the rows it hands its parent are
-// carved from the Ctx's scratch, which a warm Ctx already holds. Only the
+// all of their values at once (a slab) and carves the rows out of it,
+// decoding into them the columns the plan reads (an operator's Skip
+// names the columns of its table that no reader above needs, and those
+// stay zero). A decoded string is not copied: it points into the record
+// the store answered with, which the store never writes again, so a kept
+// string keeps its record's envelope alive. An operator knows the keys
+// it is about to send too, so it evaluates them into a row on its stack
+// and encodes them all into one buffer sized by codec.Size. The store
+// answers a request set from one result buffer too. An operator costs
+// nothing per row or per request, and nothing at all on a warm Ctx: its
+// slab, its key buffer, the store's result buffer and the headers of the
+// rows it hands its parent are carved from the Ctx's scratch. Only the
 // root makes rows of its own, for the answer it returns. The sorted join
 // materializes the page, not the candidates: its streams are merged on
 // their entry keys, which the order-preserving codec makes the sort key,
@@ -34,7 +34,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"piql/internal/core"
 	"piql/internal/kvstore"
@@ -100,9 +99,10 @@ type Ctx struct {
 // array. It keeps its high-water capacity between runs, which the plans'
 // static bounds keep finite. Nothing a Result holds points into it: every
 // plan root copies the values it returns into rows of its own, the
-// strings those values hold lie in their operator's per-run arena, never
-// here, and a Resume is the store's key bytes or freshly encoded. Nor
-// does it hold on to a Result's strings: Run releases what it carved.
+// strings those values hold lie in the store's records, never here, and
+// a Resume is the store's key bytes or freshly encoded. Nor does it hold
+// on to a Result's strings, or to the records they lie in: Run releases
+// what it carved.
 type scratch struct {
 	keys    []byte                 // key bytes
 	heads   [][]byte               // key headers, and a Gets' values
@@ -123,23 +123,30 @@ func (sc *scratch) reset() {
 }
 
 // release clears what the run since reset carved into the values, the
-// row headers, the streams and the candidates, so that a session idle
-// between runs keeps no run's strings, nor their arenas, alive. The
-// values hold every remote operator's strings. A run carves values more
-// than once (a sorted join's child, then each of its rounds) and streams
-// once per sorted join, and take may replace a buffer's array between two
-// carves; the replaced array keeps the earlier carves' cells. Only the
-// row headers and the streams' child rows point into a replaced values
-// array, and only the candidates into a replaced streams array, so
-// clearing these four leaves every replaced array unreachable. Whatever
-// lies past a buffer's length was cleared by the run that carved it, or
-// never carved: every cell is cleared once. The other buffers hold keys,
-// the store's answers and requests.
+// row headers, the streams, the candidates and the store's answers (the
+// heads, items and ranges), so that a session idle between runs keeps no
+// record it read alive: one the store has since overwritten or deleted
+// is held by the Results that kept its strings alone. The values hold
+// every remote operator's strings, which point into those records. A run
+// carves values more than once (a sorted join's child, then each of its
+// rounds) and streams once per sorted join, and take may replace a
+// buffer's array between two carves; the replaced array keeps the
+// earlier carves' cells. Only the row headers and the streams' child rows
+// point into a replaced values array, only the candidates into a
+// replaced streams array, and only the ranges and the streams into a
+// replaced items array, so clearing these leaves every replaced array
+// unreachable.
+// Whatever lies past a buffer's length was cleared by the run that
+// carved it, or never carved: every cell is cleared once. The other
+// buffers hold key bytes and requests.
 func (sc *scratch) release() {
 	clear(sc.vals)
 	clear(sc.rows)
 	clear(sc.streams)
 	clear(sc.cands)
+	clear(sc.heads)
+	clear(sc.kvs)
+	clear(sc.ranges)
 }
 
 // take carves the next n elements of *buf, capped at n, so that
@@ -314,14 +321,14 @@ func (s *slab) row() value.Row {
 
 // placeRecord decodes a stored record directly into the combined row at
 // the table's offset — no intermediate row allocation — with its strings
-// in the operator's arena. The columns set in skip, the operator's Skip,
-// are left out: their cells stay as the carve left them, zero, and their
-// strings never reach the arena, though the decoder still checks them.
+// pointing into rec. The columns set in skip, the operator's Skip, are
+// left out: their cells stay as the carve left them, zero, though the
+// decoder still checks them.
 // The record must hold exactly the table's width of values: a short one
 // would leave cells of the row as they were, a long one would spill into
 // the next table's.
-func placeRecord(row value.Row, offset, width int, skip uint64, rec []byte, arena *strings.Builder) error {
-	n, err := value.DecodeRowArena(row[offset:offset+width], rec, skip, arena)
+func placeRecord(row value.Row, offset, width int, skip uint64, rec []byte) error {
+	n, err := value.DecodeRowSkip(row[offset:offset+width], rec, skip)
 	if err == nil && n != width {
 		err = errRecordArity
 	}
@@ -333,17 +340,6 @@ func placeRecord(row value.Row, offset, width int, skip uint64, rec []byte, aren
 
 // errRecordArity refuses a record whose value count is not its table's.
 var errRecordArity = errors.New("record's value count is not its table's column count")
-
-// stringBytes sizes an operator's string arena: the exact payload of the
-// strings and blobs of the records it decodes with skip (nil records are
-// none).
-func stringBytes(recs [][]byte, skip uint64) int {
-	n := 0
-	for _, rec := range recs {
-		n += value.StringBytes(rec, skip)
-	}
-	return n
-}
 
 // issue hands one request set to the store in one call, its answers
 // appended to the scratch, and returns the set with its own answers,

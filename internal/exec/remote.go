@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"piql/internal/codec"
 	"piql/internal/core"
@@ -137,8 +136,7 @@ next:
 // fetchRecords resolves keys in one batch and decodes each record of t
 // found, but for the columns in skip, into a combined row at the table's
 // offset, skipping the nil entries of keys that had no record. The rows,
-// headers and values, are the scratch's; their strings lie in the fetch's
-// own arena.
+// headers and values, are the scratch's; their strings lie in the records.
 func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int, skip uint64) ([]value.Row, error) {
 	set, err := e.issue(kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys})
 	if err != nil {
@@ -146,14 +144,12 @@ func (e *executor) fetchRecords(keys [][]byte, t *schema.Table, offset int, skip
 	}
 	rows := take(&e.sc.rows, len(set.Values))[:0]
 	slab := e.rows(len(set.Values))
-	var arena strings.Builder
-	arena.Grow(stringBytes(set.Values, skip))
 	for _, rec := range set.Values {
 		if rec == nil {
 			continue
 		}
 		row := slab.row()
-		if err := placeRecord(row, offset, len(t.Columns), skip, rec, &arena); err != nil {
+		if err := placeRecord(row, offset, len(t.Columns), skip, rec); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -228,8 +224,7 @@ func successor(sc *scratch, prefix, k []byte) []byte {
 }
 
 // runIndexScan reads one contiguous index section into rows whose
-// headers and values are the scratch's; their strings lie in the scan's
-// own arena.
+// headers and values are the scratch's; their strings lie in the records.
 func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	start, end, err := scanBounds(e.sc, n, e.ctx.Params)
 	if err != nil {
@@ -268,15 +263,9 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 	case n.Index.Primary:
 		rows = take(&e.sc.rows, len(kvs))
 		slab := e.rows(len(kvs))
-		var arena strings.Builder
-		size := 0
-		for _, kv := range kvs {
-			size += value.StringBytes(kv.Value, n.Skip)
-		}
-		arena.Grow(size)
 		for i, kv := range kvs {
 			rows[i] = slab.row()
-			if err := placeRecord(rows[i], n.TableOffset, len(n.Table.Columns), n.Skip, kv.Value, &arena); err != nil {
+			if err := placeRecord(rows[i], n.TableOffset, len(n.Table.Columns), n.Skip, kv.Value); err != nil {
 				return nil, err
 			}
 		}
@@ -398,13 +387,11 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 		return nil, err
 	}
 	rows := childRows[:0] // compacted in place: a kept row never moves past its own slot
-	var arena strings.Builder
-	arena.Grow(stringBytes(set.Values, n.Skip))
 	for i, rec := range set.Values {
 		if rec == nil {
 			continue // no matching row: inner join drops it
 		}
-		if err := placeRecord(childRows[i], n.TableOffset, len(n.Table.Columns), n.Skip, rec, &arena); err != nil {
+		if err := placeRecord(childRows[i], n.TableOffset, len(n.Table.Columns), n.Skip, rec); err != nil {
 			return nil, err
 		}
 		rows = append(rows, childRows[i])
@@ -538,14 +525,6 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 				batch[i].rec = recs.Values[i]
 			}
 		}
-		// The round's arena holds its candidates' strings; the last round
-		// may stop before its last candidate, whose bytes then go unused.
-		var arena strings.Builder
-		size := 0
-		for _, c := range batch {
-			size += value.StringBytes(c.rec, n.Skip)
-		}
-		arena.Grow(size)
 		slab := e.rows(len(batch))
 		for _, c := range batch {
 			if len(joined) == want {
@@ -558,7 +537,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 			}
 			row := slab.row()
 			copy(row, c.sc.row)
-			if err := placeRecord(row, n.TableOffset, len(n.Table.Columns), n.Skip, c.rec, &arena); err != nil {
+			if err := placeRecord(row, n.TableOffset, len(n.Table.Columns), n.Skip, c.rec); err != nil {
 				return nil, err
 			}
 			keep, err := e.evalPreds(row, n.Residual)

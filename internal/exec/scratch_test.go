@@ -97,9 +97,12 @@ func TestUnboundedPlanLeavesScratch(t *testing.T) {
 // the second join's streams do not fit. The candidate batch, with room
 // for both joins' candidates, still points into the replaced array, whose
 // streams hold the child scan's rows, which lie in a values array the
-// first join's round replaced in turn. So release clears the candidates
-// as well as the streams, or the idle Ctx keeps the child's strings, and
-// their arena, alive.
+// first join's round replaced in turn. The first join's ranges likewise
+// point into an items array, holding the child scan's item, that the
+// second join's answer replaced. So release clears the candidates and
+// the ranges as well as the streams, or the idle Ctx keeps the child's
+// strings, and the record they point into, alive. The test deletes that record from
+// the store after the run, so only the Result and the Ctx can keep it.
 func TestReleaseLeavesNoReplacedStreamsReachable(t *testing.T) {
 	cat := keysCatalog(t)
 	plan := compileOn(t, cat, `SELECT s.target, t.ts FROM subs s JOIN subs s2 JOIN thoughts t
@@ -114,8 +117,6 @@ func TestReleaseLeavesNoReplacedStreamsReachable(t *testing.T) {
 		t.Fatalf("not the shape under test:\n%s", plan.Explain())
 	}
 
-	// Names of 16 bytes and more, so that no string arena is a tiny
-	// allocation sharing its block with something that outlives it.
 	const owner, middle = "the-chain-starts-here", "the-chain-goes-through-here"
 	cl := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 1}, nil).NewClient(nil)
 	m := index.NewMaintainer(cat)
@@ -141,6 +142,9 @@ func TestReleaseLeavesNoReplacedStreamsReachable(t *testing.T) {
 		t.Fatalf("%v, %v; want 10 rows", res, err)
 	}
 	child := weak.Make(unsafe.StringData(res.Rows[0][0].S))
+	if err := m.Delete(cl, subs, value.Row{value.Str(owner), value.Int(0)}); err != nil {
+		t.Fatal(err)
+	}
 	res = nil
 	for i := 0; i < 3; i++ {
 		runtime.GC()

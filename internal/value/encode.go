@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
+	"unsafe"
 )
 
 // EncodeRow serializes a row into a compact binary record payload. The
@@ -39,7 +39,8 @@ func AppendRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// DecodeRow parses a record payload produced by EncodeRow.
+// DecodeRow parses a record payload produced by EncodeRow. Its strings
+// and blobs point into b (see DecodeRowSkip).
 func DecodeRow(b []byte) (Row, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -55,73 +56,26 @@ func DecodeRow(b []byte) (Row, error) {
 	return row, nil
 }
 
-// StringBytes returns the payload bytes of a record's strings and blobs
-// that DecodeRowArena with the same skip mask writes into an arena: a
-// value whose bit is set in skip counts nothing. It walks the value
-// headers and copies nothing; on a corrupt record it stops where the
-// decoder fails, so it never exceeds len(b).
-func StringBytes(b []byte, skip uint64) int {
-	count, i := binary.Uvarint(b)
-	if i <= 0 {
-		return 0
-	}
-	total := 0
-	// i may run past len(b) on a truncated record; the loop then ends.
-	for v := 0; uint64(v) < count && i < len(b); v++ {
-		t := Type(b[i])
-		i++
-		switch t {
-		case TypeNull:
-		case TypeBool:
-			i++
-		case TypeInt:
-			for i < len(b) && b[i] >= 0x80 {
-				i++
-			}
-			i++
-		case TypeFloat:
-			i += 8
-		case TypeString, TypeBytes:
-			l, n := binary.Uvarint(b[i:])
-			if n <= 0 || uint64(len(b)-i-n) < l {
-				return total
-			}
-			if skip>>v&1 == 0 {
-				total += int(l)
-			}
-			i += n + int(l)
-		default:
-			return total
-		}
-	}
-	return total
-}
-
 // DecodeRowInto decodes a record payload produced by EncodeRow directly
 // into dst[0:count], returning the number of values written. dst must be
-// at least as wide as the stored row. It is the one-record DecodeRowArena
-// with nothing skipped: its own arena, sized by StringBytes, holds all of
-// the record's strings.
+// at least as wide as the stored row. It is DecodeRowSkip with nothing
+// skipped.
 func DecodeRowInto(dst Row, b []byte) (int, error) {
-	var arena strings.Builder
-	arena.Grow(StringBytes(b, 0))
-	return DecodeRowArena(dst, b, 0, &arena)
+	return DecodeRowSkip(dst, b, 0)
 }
 
-// DecodeRowArena is DecodeRowInto for a batch of records: each string and
-// blob payload is appended to arena and the value's S is sliced out of
-// arena.String(), so the strings of every record decoded into one arena
-// grown beforehand by their StringBytes cost one allocation between them.
-// A builder's strings stay valid when it regrows, so an arena sized short
-// costs an allocation, never a wrong value. A decoded string keeps the
-// whole arena alive, as a row keeps its slab.
+// DecodeRowSkip is the record decoder. A decoded string or blob is not
+// copied: its S points into b, so b must never be written again while a
+// value decoded from it lives, and a kept string keeps all of b alive.
+// The store's answers meet that: a stored envelope is never written
+// after it is stored, a write stores a new one.
 //
 // Value i is left out when bit i of skip is set (a value past the 64th is
-// never left out): its cell of dst is not written and its payload is not
-// copied. It is still read and checked as every other value is, so a
-// record is refused, with the same error, whatever the mask. The count
-// returned is the record's whole count.
-func DecodeRowArena(dst Row, b []byte, skip uint64, arena *strings.Builder) (int, error) {
+// never left out): its cell of dst is not written. It is still read and
+// checked as every other value is, so a record is refused, with the same
+// error, whatever the mask. The count returned is the record's whole
+// count.
+func DecodeRowSkip(dst Row, b []byte, skip uint64) (int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, fmt.Errorf("value: corrupt row header")
@@ -168,9 +122,7 @@ func DecodeRowArena(dst Row, b []byte, skip uint64, arena *strings.Builder) (int
 				return 0, fmt.Errorf("value: corrupt %s", t)
 			}
 			if keep {
-				from := arena.Len()
-				arena.Write(b[n : n+int(l)])
-				v = Value{T: t, S: arena.String()[from:]}
+				v = Value{T: t, S: alias(b[n : n+int(l)])}
 			}
 			b = b[n+int(l):]
 		default:
@@ -184,4 +136,13 @@ func DecodeRowArena(dst Row, b []byte, skip uint64, arena *strings.Builder) (int
 		return 0, fmt.Errorf("value: %d trailing bytes after row", len(b))
 	}
 	return int(count), nil
+}
+
+// alias returns b's bytes as a string without copying them. An empty b
+// is the empty string: &b[0] would lie past b, maybe in the next object.
+func alias(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }

@@ -6,11 +6,11 @@
 // TestCompareAgreesWithKeyOrder holds the two together): NULL < bool <
 // int < float < string < bytes, with natural ordering within a type.
 //
-// A batch of records decodes its strings and blobs into one arena
-// (DecodeRowArena), so a decoded string shares memory with every other
-// string of its batch: keeping one keeps the batch's strings alive, as a
-// kept row keeps its executor slab. That is bounded by the plan's tuple
-// bound times the declared VARCHAR widths.
+// A decoded string or blob points into the record bytes it came from
+// (DecodeRowSkip), which must never be written again: a kept string
+// keeps its whole record alive, for a store answer the stored envelope,
+// as a kept row keeps its executor slab. That is bounded by the plan's
+// tuple bound times the declared row widths.
 package value
 
 import (
