@@ -22,9 +22,10 @@ vet:
 # internal/kvstore but (*Client).branches calls proc.Parallel or
 # proc.Fork), one issue point (non-test code of internal/exec names
 # Client. at exactly one site, (*executor).issue's Client.Issue), one
-# write call per set (no non-test code of internal/index calls
-# .Parallel(: the maintainer writes each set through Client.Apply), one
-# set of item writers (no non-test function of internal/btree but
+# call per set (no non-test code calls .Parallel(: a read of a set is one
+# Client.Issue, a write one Client.Apply, and Client.Parallel and
+# sim.Proc.Parallel exist only for the frozen bench), one set of item
+# writers (no non-test function of internal/btree but
 # insertAt, setAt, deleteAt, splitChild and mergeChildren assigns, copies
 # into or clears a node's items, a .Value = aside: they keep the heads in
 # step), one
@@ -60,8 +61,8 @@ lint:
 	@sites=$$(grep -nE '^[^/]*Client\.' $$(ls internal/exec/*.go | grep -v _test.go)); \
 	if [ $$(printf '%s\n' "$$sites" | grep -c .) -ne 1 ]; then \
 		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
-	@if grep -nE '^[^/]*\.Parallel\(' $$(ls internal/index/*.go | grep -v _test.go); then \
-		echo "layering: internal/index writes each set of keys through one Client.Apply call, not a branch per key"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\.Parallel\(' cmd internal examples *.go; then \
+		echo "layering: Client.Parallel and sim.Proc.Parallel exist only for the frozen bench; read a set with Client.Issue, write one with Client.Apply"; exit 1; fi
 	@if awk '/^func /{fn=$$0} /^[^\/]*(\.items(\[[^]]*\])?( *, *[^=]*)? *=[^=]|(copy|clear)\([a-z]+\.items)/ && !/\.Value *=/ && \
 			fn !~ /\) (insertAt|setAt|deleteAt|splitChild|mergeChildren)\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
 			$$(ls internal/btree/*.go | grep -v _test.go); then \

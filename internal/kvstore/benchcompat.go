@@ -1,12 +1,14 @@
 package kvstore
 
 // This file exists only for bench/, the repo benchmark's module, which
-// is frozen between benchmark-archetype PRs and still calls the read
-// names Client had before its reads became Read and Issue. Each wrapper
-// discards the error, which is what those names always did. Nothing in
-// this module (tests included) may call them; the next
-// benchmark-archetype PR moves bench/ to Read and Issue and deletes this
-// file.
+// is frozen between benchmark-archetype PRs and still calls names Client
+// had before its reads became Read and Issue: Get, MultiGet, GetRange,
+// GetRangeScatter and CountRange, each wrapper discarding the error,
+// which is what those names always did, and Parallel, which runs
+// arbitrary branches. Nothing in this module (tests included) may call
+// them (`make lint` refuses a .Parallel( call in non-test code); the
+// next benchmark-archetype PR moves bench/ to Read and Issue and deletes
+// this file.
 
 func (cl *Client) Get(key []byte) ([]byte, bool) {
 	v, _, ok, _ := cl.Read(key, ReadOpts{})
@@ -32,4 +34,17 @@ func (cl *Client) CountRange(start, end []byte) int {
 func (cl *Client) shim(set RequestSet, parallel bool) RequestSet {
 	cl.Issue(&set, ReadOpts{Parallel: parallel})
 	return set
+}
+
+// Parallel runs fns concurrently, as the branches of one branch runner
+// call, and returns when all complete. In immediate mode they run one
+// after another on cl itself.
+func (cl *Client) Parallel(fns ...func(sub *Client)) {
+	if cl.proc == nil {
+		for _, fn := range fns {
+			fn(cl)
+		}
+		return
+	}
+	cl.branches(len(fns), func(sub *Client, i int) { fns[i](sub) })
 }

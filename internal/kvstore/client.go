@@ -28,12 +28,11 @@ import (
 // on the issuing client under one routing claim, and when its requests
 // are concurrent (ReadOpts.Parallel, or a write's owner visits) their
 // visits, across all of a PerKeyRanges' ranges, run as the branches of
-// one settle; so do Parallel's, for callers whose branches are not one
-// store call (model training, the benchmark's probes). Branches run only
-// on a simulated client, as one sim Fork on pooled processes, each on a
-// child client, all carved from one slab (the generator is a value
-// inside the struct). In immediate mode the visits are paid one after
-// another on the caller itself, and build no closure.
+// one settle. Branches run only on a simulated client, as one sim Fork
+// on pooled processes, each on a child client, all carved from one slab
+// (the generator is a value inside the struct). In immediate mode the
+// visits are paid one after another on the caller itself, and build no
+// closure.
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
@@ -66,11 +65,10 @@ type Client struct {
 	// scratch is only read (never written) while branches run, which
 	// reach it through their parent, so that a branch body captures
 	// nothing.
-	order []int               // Gets: key indexes sorted for deduplication; walk: each partition's serving node
-	dups  []int               // Gets: flattened (dup, first) index pairs
-	batch [][2]int            // Gets: (node, key index) of each distinct key, by node
-	costs []cost              // the visits pay held back for settle
-	fns   []func(sub *Client) // Parallel's branches
+	order []int    // Gets: key indexes sorted for deduplication; walk: each partition's serving node
+	dups  []int    // Gets: flattened (dup, first) index pairs
+	batch [][2]int // Gets: (node, key index) of each distinct key, by node
+	costs []cost   // the visits pay held back for settle
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -533,26 +531,6 @@ func clip(rt *routing, p int, start, end []byte) ([]byte, []byte) {
 	}
 	return start, end
 }
-
-// Parallel runs fns concurrently (virtual-time children sharing this
-// client's op counter) and returns when all complete. In immediate mode
-// the functions run sequentially on cl itself: there is no concurrency
-// to isolate, so no child is created.
-func (cl *Client) Parallel(fns ...func(sub *Client)) {
-	if cl.proc == nil {
-		for _, fn := range fns {
-			fn(cl)
-		}
-		return
-	}
-	// The branch body reaches fns through the child's parent, so it
-	// captures nothing and the call allocates only what branches does.
-	cl.fns = fns
-	cl.branches(len(fns), parallelBranch)
-	cl.fns = nil
-}
-
-func parallelBranch(sub *Client, i int) { sub.parent.fns[i](sub) }
 
 // branches is the branch runner, the one place the store runs requests
 // concurrently: it runs body(sub, i) for every i in [0, n) as a branch

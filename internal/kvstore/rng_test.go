@@ -11,24 +11,9 @@ import (
 	"piql/internal/sim"
 )
 
-// The read path's random source is a value inside the Client, so neither
-// a Parallel branch nor a child costs a generator: these pin the
-// allocation counts the bounded read path was profiled down to.
-
-func TestParallelImmediateAllocatesNothing(t *testing.T) {
-	_, cl := newImmediate(4, 2)
-	branches := make([]func(*Client), 10)
-	for i := range branches {
-		branches[i] = func(sub *Client) {
-			if sub != cl {
-				t.Error("immediate-mode branch ran on a child, not on the caller")
-			}
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { cl.Parallel(branches...) }); n != 0 {
-		t.Fatalf("immediate Parallel with 10 empty branches: %v allocs, want 0", n)
-	}
-}
+// The read path's random source is a value inside the Client, so no
+// child costs a generator: these pin the allocation counts the bounded
+// read path was profiled down to.
 
 // TestImmediateRequestSetsBuildNoClosure: an immediate-mode request set
 // pays its visits on the caller itself, so it builds no closure,
@@ -61,35 +46,6 @@ func TestImmediateRequestSetsBuildNoClosure(t *testing.T) {
 		count := RequestSet{Kind: Count, Range: RangeRequest{Start: start, End: end}}
 		if n := testing.AllocsPerRun(100, func() { cl.Issue(&count, o) }); n != 0 {
 			t.Errorf("Count %+v across a split: %v allocs, want 0", o, n)
-		}
-	}
-}
-
-// TestSimulatedParallelAllocs: a simulated Parallel costs its request
-// set, not its branches. The child clients are one slab and the branches
-// run on the env's pooled processes, so once the pool is warm a call
-// allocates the same for 2 branches as for 10.
-func TestSimulatedParallelAllocs(t *testing.T) {
-	for _, n := range []int{2, 10} {
-		env := sim.NewEnv()
-		c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 42}, env)
-		branches := make([]func(*Client), n)
-		for i := range branches {
-			branches[i] = func(sub *Client) {
-				if sub.proc == nil || sub.parent == nil {
-					t.Error("a simulated branch ran without a child client")
-				}
-			}
-		}
-		var perCall float64
-		env.Spawn(func(p *sim.Proc) {
-			cl := c.NewClient(p)
-			cl.Parallel(branches...)
-			perCall = testing.AllocsPerRun(100, func() { cl.Parallel(branches...) })
-		})
-		env.Run(0)
-		if perCall > 2 {
-			t.Errorf("simulated Parallel with %d branches: %v allocs, want <= 2", n, perCall)
 		}
 	}
 }

@@ -164,6 +164,29 @@ func TestPredictionConservativeOrdering(t *testing.T) {
 	}
 }
 
+// TestTrainedSortedJoinIsConcurrent: training reads a sorted join's αc
+// ranges as one set under Parallel, as the executor's default strategy
+// does, so its latency is the slowest range's, not their sum: 50 ranges
+// cost a small multiple of one range, where one after another they cost
+// over 20 times as much.
+func TestTrainedSortedJoinIsConcurrent(t *testing.T) {
+	model, err := Train(quickTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := model.PredictOps([]Op{{Kind: KindSortedJoin, Alpha: 1, AlphaJ: 1, Beta: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifty, err := model.PredictOps([]Op{{Kind: KindSortedJoin, Alpha: 50, AlphaJ: 1, Beta: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fifty.Max99 >= 4*one.Max99 {
+		t.Fatalf("SortedJoin(αc=50, αj=1) p99 %v, SortedJoin(αc=1, αj=1) %v: 50 ranges must cost under 4 times one range", fifty.Max99, one.Max99)
+	}
+}
+
 func TestHistogramSizeReported(t *testing.T) {
 	h := NewHistogram()
 	h.Add(ms(100))

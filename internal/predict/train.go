@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -78,17 +77,7 @@ func quickTrainConfig() TrainConfig {
 
 // calibration key layout: cal:<beta>:<kind>:<prefix>:<item>.
 func calKey(beta int, deep bool, prefix, item int) []byte {
-	kind := int64(0)
-	if deep {
-		kind = 1
-	}
-	return codec.EncodeKey(value.Row{
-		value.Str("cal"),
-		value.Int(int64(beta)),
-		value.Int(kind),
-		value.Int(int64(prefix)),
-		value.Int(int64(item)),
-	}, nil)
+	return codec.AppendValue(calPrefix(beta, deep, prefix), value.Int(int64(item)), false)
 }
 
 func calPrefix(beta int, deep bool, prefix int) []byte {
@@ -180,40 +169,37 @@ func Train(cfg TrainConfig) (*Model, error) {
 	}
 	env.Spawn(func(p *sim.Proc) {
 		cl := cluster.NewClient(p)
+		// issue reads one set as the default Parallel strategy issues it
+		// and returns the virtual time it took.
+		issue := func(set *kvstore.RequestSet) time.Duration {
+			t0 := p.Now()
+			note(cl.Issue(set, kvstore.ReadOpts{Parallel: true}))
+			return p.Now() - t0
+		}
 		for interval := 0; interval < cfg.Intervals && trainErr == nil; interval++ {
 			intervalEnd := time.Duration(interval+1) * cfg.IntervalLength
 			for rep := 0; rep < cfg.RepsPerInterval && trainErr == nil; rep++ {
 				for _, beta := range cfg.Betas {
 					for _, alpha := range cfg.Alphas {
-						// Lookup(α, β): batched parallel random gets.
+						// Lookup(α, β): α random gets, one batch per node.
 						keys := make([][]byte, alpha)
 						for i := range keys {
 							keys[i] = calKey(beta, false, rng.Intn(shallowPrefixes), rng.Intn(maxAlphaJ))
 						}
-						t0 := p.Now()
-						note(cl.Issue(&kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys}, kvstore.ReadOpts{Parallel: true}))
-						histFor(gridKey{kind: KindLookup, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
+						histFor(gridKey{kind: KindLookup, alpha: alpha, beta: beta}, interval).Add(issue(&kvstore.RequestSet{Kind: kvstore.Gets, Keys: keys}))
 
 						// Scan(α, β): one contiguous range read.
 						prefix := calPrefix(beta, true, rng.Intn(deepPrefixes))
-						t0 = p.Now()
-						note(cl.Issue(&kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha}}, kvstore.ReadOpts{}))
-						histFor(gridKey{kind: KindScan, alpha: alpha, beta: beta}, interval).Add(p.Now() - t0)
+						histFor(gridKey{kind: KindScan, alpha: alpha, beta: beta}, interval).Add(issue(&kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: prefix, End: codec.PrefixEnd(prefix), Limit: alpha}}))
 
-						// SortedJoin(αc, αj, β): αc parallel bounded ranges.
+						// SortedJoin(αc, αj, β): αc bounded ranges, one set.
 						for _, alphaJ := range cfg.AlphaJs {
-							fns := make([]func(*kvstore.Client), alpha)
-							errs := make([]error, alpha) // one slot per branch
-							for i := range fns {
+							ranges := make([]kvstore.RangeRequest, alpha)
+							for i := range ranges {
 								pfx := calPrefix(beta, false, rng.Intn(shallowPrefixes))
-								fns[i] = func(sub *kvstore.Client) {
-									errs[i] = sub.Issue(&kvstore.RequestSet{Kind: kvstore.Range, Range: kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: alphaJ, Reverse: true}}, kvstore.ReadOpts{})
-								}
+								ranges[i] = kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: alphaJ, Reverse: true}
 							}
-							t0 = p.Now()
-							cl.Parallel(fns...)
-							note(errors.Join(errs...))
-							histFor(gridKey{kind: KindSortedJoin, alpha: alpha, alphaJ: alphaJ, beta: beta}, interval).Add(p.Now() - t0)
+							histFor(gridKey{kind: KindSortedJoin, alpha: alpha, alphaJ: alphaJ, beta: beta}, interval).Add(issue(&kvstore.RequestSet{Kind: kvstore.PerKeyRanges, Ranges: ranges}))
 						}
 					}
 				}
