@@ -20,7 +20,10 @@ vet:
 # experiment rig (no non-test file of internal/harness but rig.go calls
 # kvstore.New or engine.New), one branch runner (no non-test code of
 # internal/kvstore but (*Client).branches calls proc.Parallel or
-# proc.Fork), one issue point (non-test code of internal/exec names
+# proc.Fork), one tree per namespace (no non-test file of
+# internal/kvstore but directory.go names package btree: a node's records
+# are its directory, one B-tree per table and index), one issue point
+# (non-test code of internal/exec names
 # Client. at exactly one site, (*executor).issue's Client.Issue), one
 # call per set (no non-test code calls .Parallel(: a read of a set is one
 # Client.Issue, a write one Client.Apply, and Client.Parallel and
@@ -58,6 +61,8 @@ lint:
 	@if awk '/^func /{fn=$$0} /^[^\/]*proc\.(Parallel|Fork)\(/ && fn !~ /\) branches\(/ {print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' \
 			$$(ls internal/kvstore/*.go | grep -v _test.go); then \
 		echo "layering: the store runs requests concurrently only in its branch runner, (*Client).branches"; exit 1; fi
+	@if grep -nE '^[^/]*(\bbtree\.|"piql/internal/btree")' $$(ls internal/kvstore/*.go | grep -v _test.go | grep -v '/directory.go$$'); then \
+		echo "layering: internal/kvstore names package btree only in directory.go, whose directory keeps one tree per namespace"; exit 1; fi
 	@sites=$$(grep -nE '^[^/]*Client\.' $$(ls internal/exec/*.go | grep -v _test.go)); \
 	if [ $$(printf '%s\n' "$$sites" | grep -c .) -ne 1 ]; then \
 		echo "layering: internal/exec reaches the store from one site, (*executor).issue; found:"; echo "$$sites"; exit 1; fi
@@ -165,7 +170,8 @@ chaos-faults:
 
 # mutants applies each row of cmd/piql-vet/testdata/mutants.ledger — a
 # seeded bug and the gate that must catch it: piql-vet:<analyzer>,
-# test:<pkg>:<Test> or race:<pkg>:<Test> — alone to a `git archive HEAD`
+# test:<pkg>:<Test>, race:<pkg>:<Test> or lint:<rule> (make lint fails
+# printing "layering: <rule>") — alone to a `git archive HEAD`
 # copy of the tree, runs only that gate, and fails any row whose old
 # text does not occur exactly once or whose gate passes. A test gate
 # runs with -timeout 20s, and one that hangs with its test still running

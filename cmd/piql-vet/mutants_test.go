@@ -97,6 +97,9 @@ func TestMutantLedger(t *testing.T) {
 			if err := gateTestExists(root, m.gate); err != nil {
 				t.Fatal(err)
 			}
+			if err := gateRuleExists(root, m.gate); err != nil {
+				t.Fatal(err)
+			}
 			dir := root
 			if *mutants {
 				dir = archiveHead(t, root)
@@ -166,6 +169,24 @@ func gateTestExists(root, gate string) error {
 	return fmt.Errorf("gate %s: ./%s declares no func %s(*testing.%s)", gate, pkg, name, want)
 }
 
+// gateRuleExists reports an error when gate is a lint gate, lint:<rule>,
+// and no rule of the Makefile's lint target prints "layering: <rule>":
+// a reworded rule would otherwise leave the row catching nothing.
+func gateRuleExists(root, gate string) error {
+	rule, ok := strings.CutPrefix(gate, "lint:")
+	if !ok {
+		return nil
+	}
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return err
+	}
+	if !bytes.Contains(mk, []byte(`echo "layering: `+rule)) {
+		return fmt.Errorf("gate %s: no rule of the Makefile prints %q", gate, "layering: "+rule)
+	}
+	return nil
+}
+
 // archiveHead extracts `git archive HEAD` of the repository at root into
 // a fresh temporary directory.
 func archiveHead(t *testing.T, root string) string {
@@ -186,6 +207,7 @@ const gateTimeout = "20s"
 // runGate runs one gate over the module in dir and reports whether it
 // caught the mutant, with the gate's output. A test gate catches it by
 // failing, or by hanging: timing out with the gate test still running.
+// A lint gate catches it when `make lint` fails with its rule's words.
 func runGate(t *testing.T, dir, gate string) (bool, string) {
 	t.Helper()
 	kind, arg, _ := strings.Cut(gate, ":")
@@ -194,6 +216,11 @@ func runGate(t *testing.T, dir, gate string) (bool, string) {
 		var out bytes.Buffer
 		run([]string{"-C", dir, "./..."}, &out)
 		return strings.Contains(out.String(), " ("+arg+")\n"), out.String()
+	case "lint":
+		cmd := exec.Command("make", "--no-print-directory", "lint")
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		return err != nil && bytes.Contains(out, []byte("layering: "+arg)), string(out)
 	case "test", "race":
 		pkg, name, _ := strings.Cut(arg, ":")
 		args := []string{"test", "-count=1", "-timeout", gateTimeout}

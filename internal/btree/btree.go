@@ -1,8 +1,10 @@
-// Package btree implements the in-memory ordered map that backs each
-// simulated storage node in the key/value store: a classic B-tree over
-// []byte keys with ascending and descending range iteration.
+// Package btree implements an in-memory ordered map: a classic B-tree
+// over []byte keys with ascending and descending range iteration. A
+// simulated storage node of the key/value store keeps one per table and
+// per index (kvstore's directory).
 //
-// The tree is not safe for concurrent use; kvstore.Node serializes access.
+// The tree is not safe for concurrent use; the storage node serializes
+// access.
 package btree
 
 import (
@@ -12,8 +14,10 @@ import (
 )
 
 // degree is the minimum number of children of an internal node. Nodes hold
-// between degree-1 and 2*degree-1 items (except the root).
-const degree = 32
+// between degree-1 and 2*degree-1 items (except the root). At 64 a table
+// of up to about 16 000 rows, as a storage node holds one, is two levels
+// deep.
+const degree = 64
 
 const maxItems = 2*degree - 1
 

@@ -609,9 +609,13 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// deepRun is the deep part of TestAgainstReferenceModel on one seed.
+// deepRun is the deep part of TestAgainstReferenceModel on one seed. Two
+// levels hold at most (2·degree)² keys, and a random load leaves its
+// nodes about 70 % full, so grown keys take the tree past two levels
+// (3 584 at degree 32, 14 336 at 64) out of a space a little larger.
 func deepRun(seed int64) error {
-	const space, grown = 5000, 3600
+	const grown = 7 * degree * degree / 2
+	const space, churn = 7 * grown / 5, grown / 2
 	r := rand.New(rand.NewSource(seed))
 	m := newRefTree()
 	ops, tallest := 0, 0
@@ -642,7 +646,7 @@ func deepRun(seed int64) error {
 			return err
 		}
 	}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < churn; i++ {
 		if err := step(4); err != nil {
 			return err
 		}
@@ -678,14 +682,15 @@ func deepRun(seed int64) error {
 // is four bytes, [op, hi, lo, n], on key (hi<<8|lo) of a store-shaped
 // space (storeKey): a put, a delete, a get, a range whose bounds are
 // prefixes of two keys (a length past a key's is an open bound), or a
-// put or delete of the n*32 consecutive keys from the key on, so that a
-// short input grows or shrinks a tree of three levels. Each op's answer
+// put or delete of the n·2·degree consecutive keys from the key on, so
+// that a short input grows or shrinks a tree of three levels (an
+// ascending load of (2·degree)² keys fills two). Each op's answer
 // is checked; the whole tree and its shape after every bulk op and at
 // the end. The checked-in corpus (testdata/fuzz/FuzzTreeOps) replays
 // under plain `go test`.
 func FuzzTreeOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		const space = 1 << 13
+		const space, bulk = 1 << 15, 2 * degree
 		m := newRefTree()
 		key := func(hi, lo byte) (int, []byte) {
 			i := (int(hi)<<8 | int(lo)) % space
@@ -712,7 +717,7 @@ func FuzzTreeOps(f *testing.F) {
 				_, k2 := key(n, b[op+1])
 				err = m.scan(bound(k, n), bound(k2, n^b[op+2]))
 			case 6, 7:
-				for j := i; j < min(i+int(n)*32, space) && err == nil; j++ {
+				for j := i; j < min(i+int(n)*bulk, space) && err == nil; j++ {
 					if b[op]%8 == 6 {
 						err = m.put(storeKey(j, space), []byte{byte(op)})
 					} else {

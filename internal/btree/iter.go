@@ -4,9 +4,11 @@ import "bytes"
 
 // Ascend visits items with start <= key < end in ascending order, calling
 // fn for each; iteration stops early when fn returns false. A nil start
-// means "from the beginning"; a nil end means "to the end".
-func (t *Tree) Ascend(start, end []byte, fn func(Item) bool) {
-	t.root.ascend(start, end, fn)
+// means "from the beginning"; a nil end means "to the end". It reports
+// whether it stopped early, at end or where fn said so: a caller walking
+// several trees in key order goes on to the next only when it did not.
+func (t *Tree) Ascend(start, end []byte, fn func(Item) bool) (stopped bool) {
+	return !t.root.ascend(start, end, fn)
 }
 
 func (n *node) ascend(start, end []byte, fn func(Item) bool) bool {
@@ -40,9 +42,9 @@ func (n *node) ascend(start, end []byte, fn func(Item) bool) bool {
 
 // Descend visits items with start <= key < end in descending order
 // (greatest first), calling fn for each; stops early when fn returns
-// false. Bounds have the same meaning as in Ascend.
-func (t *Tree) Descend(start, end []byte, fn func(Item) bool) {
-	t.root.descend(start, end, fn)
+// false. Bounds and the report have the same meaning as in Ascend.
+func (t *Tree) Descend(start, end []byte, fn func(Item) bool) (stopped bool) {
+	return !t.root.descend(start, end, fn)
 }
 
 func (n *node) descend(start, end []byte, fn func(Item) bool) bool {

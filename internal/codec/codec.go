@@ -194,13 +194,36 @@ func ComponentEnds(dst []int, key []byte, desc []bool) ([]int, error) {
 // Each component is read in the direction its tag byte states: a DESC
 // component's tag is an ascending tag's complement. ok is false for
 // bytes that do not start with two well-formed components.
-func GroupLen(key []byte) (n int, ok bool) {
-	for range 2 {
+func GroupLen(key []byte) (n int, ok bool) { return leadingLen(key, 2) }
+
+// NamespaceLen returns the length of key's namespace: its first
+// component (a table's t:<table>, an index's x:<index>). Bytes that are
+// not a codec key group by their first byte when it is no component's
+// tag; otherwise the whole key is its namespace, and ok is false. So a
+// namespace reported ok is shared by every key that starts with it, one
+// reported !ok holds that one key alone, and either way a namespace is
+// one contiguous run of keys. It allocates nothing, malformed bytes
+// included.
+func NamespaceLen(key []byte) (n int, ok bool) {
+	if n, ok := leadingLen(key, 1); ok {
+		return n, true
+	}
+	if len(key) > 0 && !isTag(key[0]) {
+		return 1, true
+	}
+	return len(key), false
+}
+
+// leadingLen is the walker under GroupLen and NamespaceLen: the length of
+// key's first k components, each read in the direction its tag byte
+// states, and whether key starts with k well-formed ones.
+func leadingLen(key []byte, k int) (n int, ok bool) {
+	for range k {
 		if n >= len(key) {
 			return 0, false
 		}
-		m, err := componentLen(key[n:], key[n] > 0x7F)
-		if err != nil {
+		m, why, _ := measure(key[n:], key[n] > 0x7F)
+		if why != "" {
 			return 0, false
 		}
 		n += m
@@ -208,12 +231,37 @@ func GroupLen(key []byte) (n int, ok bool) {
 	return n, true
 }
 
-// componentLen returns the length of the component b starts with. It is
-// the only place a component is validated — decodeValue decodes what it
-// measured — so the walker and the decoder cannot disagree.
+// isTag reports whether b is a component's tag in either direction.
+func isTag(b byte) bool {
+	if b > 0x7F {
+		b = ^b
+	}
+	return b >= tagNull && b <= tagBytes
+}
+
+// componentLen returns the length of the component b starts with, or
+// measure's reason as an error. measure is the only place a component is
+// validated — decodeValue decodes what it measured — so the walkers and
+// the decoder cannot disagree.
 func componentLen(b []byte, desc bool) (int, error) {
+	n, why, bits := measure(b, desc)
+	switch {
+	case why == "":
+		return n, nil
+	case strings.Contains(why, "%"):
+		return 0, fmt.Errorf(why, bits)
+	default:
+		return 0, errors.New(why)
+	}
+}
+
+// measure returns the length of the component b starts with, or why it
+// is malformed: a constant text, which componentLen formats with bits
+// where it has a verb. Only componentLen words the error, so a walker
+// that needs no words allocates nothing.
+func measure(b []byte, desc bool) (n int, why string, bits uint64) {
 	if len(b) == 0 {
-		return 0, errors.New("truncated key")
+		return 0, "truncated key", 0
 	}
 	var inv byte // xor mask that un-inverts a descending component
 	if desc {
@@ -221,54 +269,54 @@ func componentLen(b []byte, desc bool) (int, error) {
 	}
 	switch tag := b[0] ^ inv; tag {
 	case tagNull:
-		return 1, nil
+		return 1, "", 0
 	case tagBool:
 		if len(b) < 2 {
-			return 0, errors.New("truncated bool")
+			return 0, "truncated bool", 0
 		}
 		if v := b[1] ^ inv; v > 1 {
-			return 0, fmt.Errorf("bad bool 0x%02x", v)
+			return 0, "bad bool 0x%02x", uint64(v)
 		}
-		return 2, nil
+		return 2, "", 0
 	case tagInt:
 		if len(b) < 9 {
-			return 0, errors.New("truncated int")
+			return 0, "truncated int", 0
 		}
-		return 9, nil
+		return 9, "", 0
 	case tagFloat:
 		if len(b) < 9 {
-			return 0, errors.New("truncated float")
+			return 0, "truncated float", 0
 		}
 		u := binary.BigEndian.Uint64(b[1:])
 		if desc {
 			u = ^u
 		}
 		if u != 0 && math.IsNaN(floatFromSortBits(u)) {
-			return 0, fmt.Errorf("non-canonical NaN 0x%016x in float key", u)
+			return 0, "non-canonical NaN 0x%016x in float key", u
 		}
 		if u == 1<<63-1 { // what -0 would sort as; value.Float stores +0
-			return 0, errors.New("negative zero in float key")
+			return 0, "negative zero in float key", 0
 		}
-		return 9, nil
+		return 9, "", 0
 	case tagString, tagBytes:
 		for i := 1; ; {
 			j := bytes.IndexByte(b[i:], escByte^inv)
 			if j < 0 {
-				return 0, errors.New("unterminated string key")
+				return 0, "unterminated string key", 0
 			}
 			if i += j + 2; i > len(b) {
-				return 0, errors.New("dangling escape in string key")
+				return 0, "dangling escape in string key", 0
 			}
 			switch next := b[i-1] ^ inv; next {
 			case escPad:
 			case termByte:
-				return i, nil
+				return i, "", 0
 			default:
-				return 0, fmt.Errorf("bad escape 0x%02x in string key", next)
+				return 0, "bad escape 0x%02x in string key", uint64(next)
 			}
 		}
 	default:
-		return 0, fmt.Errorf("unknown key tag 0x%02x", tag)
+		return 0, "unknown key tag 0x%02x", uint64(tag)
 	}
 }
 

@@ -314,6 +314,41 @@ func TestGroupLen(t *testing.T) {
 	}
 }
 
+// TestNamespaceLen: a key's namespace is its first component; bytes that
+// are not a codec key group by a first byte that is no tag, and are
+// their own namespace (not ok) when it is one. None of it allocates,
+// malformed bytes included.
+func TestNamespaceLen(t *testing.T) {
+	ns := EncodeKey(value.Row{value.Str("t:thoughts")}, nil)
+	record := AppendValue(bytes.Clone(ns), value.Str("u01"), Asc)
+	descNS := EncodeKey(value.Row{value.Str("x:newest")}, []bool{Desc})
+	cases := []struct {
+		name string
+		key  []byte
+		want int
+		ok   bool
+	}{
+		{"record key", record, len(ns), true},
+		{"namespace alone", ns, len(ns), true},
+		{"DESC namespace", AppendValue(bytes.Clone(descNS), value.Int(7), Asc), len(descNS), true},
+		{"byte key", []byte("key-00042"), 1, true},
+		{"pad below every table", []byte("\x00pad000001"), 1, true},
+		{"untagged high byte", []byte{0x80, 0x06}, 1, true},
+		{"truncated namespace", ns[:len(ns)-1], len(ns) - 1, false},
+		{"bad bool", []byte{tagBool, 2, 0x41}, 3, false},
+		{"empty", nil, 0, false},
+	}
+	for _, c := range cases {
+		n, ok := NamespaceLen(c.key)
+		if n != c.want || ok != c.ok {
+			t.Errorf("%s: NamespaceLen(%x) = %d, %v; want %d, %v", c.name, c.key, n, ok, c.want, c.ok)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { NamespaceLen(c.key); GroupLen(c.key) }); allocs != 0 {
+			t.Errorf("%s: NamespaceLen and GroupLen allocated %v times", c.name, allocs)
+		}
+	}
+}
+
 // TestComponentEndsAllocatesNothing: the walk is what the dereference
 // path runs per index entry, into a buffer its caller keeps on the stack.
 func TestComponentEndsAllocatesNothing(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // record key without decoding it. Neither may panic. Wherever the walk
 // accepts two leading components in the directions their tags state,
 // GroupLen ends at the second of them, and a group GroupLen reports is
-// two components the walk accepts. The
-// checked-in corpus (testdata/fuzz/FuzzComponentWalk) replays under plain
+// two components the walk accepts. NamespaceLen never panics, is at most
+// GroupLen, and names a namespace that is its own. The checked-in corpus (testdata/fuzz/FuzzComponentWalk) replays under plain
 // `go test`.
 func FuzzComponentWalk(f *testing.F) {
 	row := value.Row{value.Str("a\x00b"), value.Int(-7), value.Bool(true), value.Null(), value.Float(-0.5), value.Bytes([]byte{0xFF, 0})}
@@ -30,6 +30,7 @@ func FuzzComponentWalk(f *testing.F) {
 			desc[i] = descBits>>i&1 == 1
 		}
 		checkGroupLen(t, b)
+		checkNamespaceLen(t, b)
 		ends, werr := ComponentEnds(nil, b, desc)
 		vals, derr := DecodeKey(b, len(desc), desc)
 		if werr != nil || derr != nil {
@@ -70,5 +71,22 @@ func checkGroupLen(t *testing.T, b []byte) {
 	dirs := []bool{b[0] > 0x7F, b[first] > 0x7F}
 	if ends, err := ComponentEnds(nil, b[:n], dirs); err != nil || ends[0] != first {
 		t.Fatalf("key %x: GroupLen = %d, but the walk over %v says %v, %v", b, n, dirs, ends, err)
+	}
+}
+
+// checkNamespaceLen holds NamespaceLen to its rule: a namespace lies
+// within the key and within its group, where the key has one, and is its
+// own namespace, so that the store's directory can find a key's tree by
+// the names it holds.
+func checkNamespaceLen(t *testing.T, b []byte) {
+	n, ok := NamespaceLen(b)
+	if n < 0 || n > len(b) || (n == 0) != (len(b) == 0) {
+		t.Fatalf("key %x: NamespaceLen = %d, %v", b, n, ok)
+	}
+	if g, gok := GroupLen(b); gok && (!ok || n >= g) {
+		t.Fatalf("key %x: NamespaceLen = %d, %v, past GroupLen %d", b, n, ok, g)
+	}
+	if m, mok := NamespaceLen(b[:n]); m != n || mok != ok {
+		t.Fatalf("key %x: NamespaceLen = %d, %v, but its namespace %x has %d, %v", b, n, ok, b[:n], m, mok)
 	}
 }

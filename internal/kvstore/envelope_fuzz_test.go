@@ -52,7 +52,7 @@ func TestApplyIfNewerRejectsMalformed(t *testing.T) {
 	if n.applyIfNewer([]byte("k"), []byte("short")) {
 		t.Error("malformed envelope applied")
 	}
-	if got, ok := n.tree.Get([]byte("k")); ok {
+	if got, ok := n.trees.Get([]byte("k")); ok {
 		t.Errorf("malformed envelope stored: %x", got)
 	}
 	env := makeEnvelope(Version{TS: 5, Client: 1}, false, []byte("v"))

@@ -6,14 +6,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"piql/internal/btree"
 	"piql/internal/sim"
 )
 
-// node is one simulated storage server: an ordered in-memory record store
-// plus a bounded-capacity request queue and a service-time sampler.
+// node is one simulated storage server: an ordered in-memory record store,
+// one B-tree per table and per index (directory.go), plus a
+// bounded-capacity request queue and a service-time sampler.
 //
-// Every value in the tree is a version envelope (see hlc.go): mutations
+// Every value in the trees is a version envelope (see hlc.go): mutations
 // go through applyIfNewer, which keeps whichever envelope carries the
 // newest version, and deletes are versioned tombstones rather than
 // removals — the pair of rules that makes replicas converge no matter
@@ -23,7 +23,7 @@ type node struct {
 	id int
 
 	mu        sync.Mutex
-	tree      *btree.Tree
+	trees     directory
 	rng       rng           // service-time sampling; guarded by mu
 	tombs     int           // live tombstone count; guarded by mu
 	lastSweep time.Duration // clock reading at the last inline tombstone sweep; guarded by mu
@@ -75,7 +75,6 @@ const tombstoneGCAge = 5 * time.Second
 func newNode(id int, seed int64, clk *clock) *node {
 	n := &node{
 		id:    id,
-		tree:  btree.New(),
 		rng:   seededRNG(uint64(seed), ^uint64(id)),
 		clock: clk,
 		hlc:   &HLC{},
@@ -105,7 +104,7 @@ type KV struct {
 func (n *node) getRaw(key []byte) ([]byte, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.tree.Get(key)
+	return n.trees.Get(key)
 }
 
 // applyIfNewer stores the envelope unless the node already holds a newer
@@ -126,7 +125,7 @@ func (n *node) applyIfNewer(key, env []byte) bool {
 	n.hlc.Observe(envVersion(env).TS)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cur, ok := n.tree.Get(key)
+	cur, ok := n.trees.Get(key)
 	if ok && !envVersion(env).After(envVersion(cur)) {
 		return false
 	}
@@ -142,7 +141,7 @@ func (n *node) applyIfNewer(key, env []byte) bool {
 // tree under mu on every further delete would turn the burst quadratic.
 // Caller holds mu.
 func (n *node) storeLocked(key, env, cur []byte, ok bool) {
-	n.tree.Put(key, env)
+	n.trees.Put(key, env)
 	wasTomb := ok && envIsTombstone(cur)
 	isTomb := envIsTombstone(env)
 	if isTomb && !wasTomb {
@@ -165,14 +164,14 @@ func (n *node) storeLocked(key, env, cur []byte, ok bool) {
 func (n *node) purge(key []byte) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	env, ok := n.tree.Get(key)
+	env, ok := n.trees.Get(key)
 	if !ok {
 		return false
 	}
 	if envIsTombstone(env) {
 		n.tombs--
 	}
-	return n.tree.Delete(key)
+	return n.trees.Delete(key)
 }
 
 // sweepTombstonesLocked removes tombstones stamped before cutoff,
@@ -185,14 +184,14 @@ func (n *node) purge(key []byte) bool {
 // tradeoff; within it, convergence is unconditional.
 func (n *node) sweepTombstonesLocked(cutoff int64) int {
 	var dead [][]byte
-	n.tree.Ascend(nil, nil, func(it btree.Item) bool {
+	n.trees.Ascend(nil, nil, func(it item) bool {
 		if envIsTombstone(it.Value) && envVersion(it.Value).TS < cutoff {
 			dead = append(dead, it.Key)
 		}
 		return true
 	})
 	for _, k := range dead {
-		n.tree.Delete(k)
+		n.trees.Delete(k)
 	}
 	n.tombs -= len(dead)
 	return len(dead)
@@ -237,7 +236,7 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 	if claimedEpoch < l.epoch {
 		return nil, false, &ErrFenced{Node: n.id, Claimed: claimedEpoch, Need: l.epoch, Owner: true}
 	}
-	curEnv, ok := n.tree.Get(key)
+	curEnv, ok := n.trees.Get(key)
 	live := ok && !envIsTombstone(curEnv)
 	if expect == nil {
 		if live {
@@ -261,7 +260,7 @@ func (n *node) scan(dst []KV, start, end []byte, limit int, reverse bool) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	from := len(dst)
-	visit := func(it btree.Item) bool {
+	visit := func(it item) bool {
 		if envIsTombstone(it.Value) {
 			return true
 		}
@@ -269,9 +268,9 @@ func (n *node) scan(dst []KV, start, end []byte, limit int, reverse bool) []KV {
 		return limit <= 0 || len(dst)-from < limit
 	}
 	if reverse {
-		n.tree.Descend(start, end, visit)
+		n.trees.Descend(start, end, visit)
 	} else {
-		n.tree.Ascend(start, end, visit)
+		n.trees.Ascend(start, end, visit)
 	}
 	return dst
 }
@@ -294,7 +293,7 @@ func (n *node) scanRaw(start, end []byte, limit int) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]KV, 0, scanCap(limit))
-	n.tree.Ascend(start, end, func(it btree.Item) bool {
+	n.trees.Ascend(start, end, func(it item) bool {
 		out = append(out, KV{Key: it.Key, Value: it.Value})
 		return limit <= 0 || len(out) < limit
 	})
@@ -306,7 +305,7 @@ func (n *node) count(start, end []byte) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	total := 0
-	n.tree.Ascend(start, end, func(it btree.Item) bool {
+	n.trees.Ascend(start, end, func(it item) bool {
 		if !envIsTombstone(it.Value) {
 			total++
 		}
@@ -319,7 +318,7 @@ func (n *node) count(start, end []byte) int {
 func (n *node) size() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.tree.Len() - n.tombs
+	return n.trees.Len() - n.tombs
 }
 
 // sampleService draws a service time for a request (items tuples, payload
