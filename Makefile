@@ -271,10 +271,10 @@ bench-compare:
 # and prints what lies under the workload's interactions, under the
 # simulator's scheduler loop (sim.(*Env).Run, which runs scadr_sim's
 # events on the main goroutine, outside any interaction), and under the
-# entry frame of every pooled process goroutine (sim.(*Proc).loop, where
-# a fan-out's branches run, off the interaction's stack): CPU by
-# cumulative time, then objects and bytes allocated. TOP is the number of
-# lines of each.
+# entry frame of every pooled process coroutine (sim.(*Proc).loop, just
+# under iter.Pull's runtime.corostart, where a fan-out's branches run, off
+# the interaction's stack): CPU by cumulative time, then objects and bytes
+# allocated. TOP is the number of lines of each.
 #   make profile W=tpcw_order [TOP=40]
 TOP ?= 40
 PPROF = $(GO) tool pprof -top -cum -focus '[iI]nteraction|sim\.\(\*Env\)\.Run|sim\.\(\*Proc\)\.loop' -nodecount $(TOP)

@@ -3,10 +3,15 @@
 // the line above, or in the enclosing function's doc comment — names
 // what bounds the goroutine's lifetime. What the goroutine does is not
 // the census's business: a spawn that plainly terminates is reported
-// like one that plainly leaks.
+// like one that plainly leaks. An iter.Pull or iter.Pull2 call starts
+// a coroutine on a goroutine of its own, so it is a spawn too; a
+// function of another package named Pull is not.
 package goroleakfix
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 // leak parks forever on a channel nobody sends on.
 func leak() {
@@ -72,5 +77,34 @@ func stale() {
 	//lint:allow goroleak — fixture: excused a spawn since deleted // want `suppresses no diagnostic`
 	busyStep()
 }
+
+// pulled never calls stop, so the coroutine outlives the function
+// whenever the sequence has more to give.
+func pulled(seq iter.Seq[int]) int {
+	next, _ := iter.Pull(seq) // want `iter.Pull with no stated lifetime`
+	v, _ := next()
+	return v
+}
+
+// pulled2 is the two-value form.
+func pulled2(seq iter.Seq2[int, int]) {
+	next, stop := iter.Pull2(seq) // want `iter.Pull2 with no stated lifetime`
+	defer stop()
+	next()
+}
+
+// pulledAllowed carries its argument: the deferred stop ends it.
+func pulledAllowed(seq iter.Seq[int]) int {
+	//lint:allow goroleak — fixture: the deferred stop ends the coroutine
+	next, stop := iter.Pull(seq)
+	defer stop()
+	v, _ := next()
+	return v
+}
+
+// Pull is no spawn: only the iter package's Pull starts a coroutine.
+func Pull(seq iter.Seq[int]) {}
+
+func notIter(seq iter.Seq[int]) { Pull(seq) }
 
 func busyStep() {}

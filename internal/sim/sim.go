@@ -3,17 +3,16 @@
 // processes (client machines, load generators), and multi-server FIFO
 // resources (storage-node request queues).
 //
-// Processes are goroutines that run one at a time under a token-passing
-// scheduler, so a simulation with a fixed seed is fully deterministic
-// regardless of GOMAXPROCS. The goroutines are pooled: when a process's
-// function returns, its goroutine, Proc and wake channel park in the
-// env's idle pool and run the next Spawn or Fork branch, so a fan-out
-// starts no goroutine and allocates nothing once the pool is warm. A Run
-// that drains the event queue, and Stop, end the pooled goroutines.
+// Processes are pooled iter.Pull coroutines: Run pops an event and
+// switches to its process, which runs until it parks and switches back,
+// so a seeded run is deterministic regardless of GOMAXPROCS. A finished
+// process parks in the env's idle pool to run the next Spawn or Fork
+// branch, so a warm fan-out starts no coroutine and allocates nothing;
+// a Run that drains the event queue, and Stop, end the pool.
 package sim
 
 import (
-	"runtime"
+	"iter"
 	"time"
 )
 
@@ -28,7 +27,7 @@ import (
 type event struct {
 	at    time.Duration
 	seq   int64
-	wake  chan struct{}
+	p     *Proc
 	yield bool
 }
 
@@ -57,7 +56,7 @@ func (h *eventHeap) push(ev event) {
 }
 
 // pop removes and returns the first event. It zeroes the vacated slot,
-// so the backing array keeps no wake channel alive.
+// so the backing array keeps no process alive.
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
@@ -89,33 +88,33 @@ func (h eventHeap) peek() time.Duration { return h[0].at }
 // Spawn, then call Run. Not safe for use from multiple OS threads except
 // through the process API.
 type Env struct {
-	now     time.Duration
-	events  eventHeap
-	seq     int64
-	yield   chan struct{} // running process signals the scheduler here
-	stopped bool
-	procs   int     // live processes (running or parked)
-	idle    []*Proc // finished processes, each goroutine waiting for a task
+	now    time.Duration
+	events eventHeap
+	seq    int64
+	procs  int     // live processes (running or parked)
+	idle   []*Proc // finished processes, each coroutine waiting for a task
 
 	resources []*Resource // registered for cleanup in Stop
 }
 
 // NewEnv returns an empty environment at virtual time zero.
-func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
 
 // Proc is the handle a process uses to interact with virtual time. It is
-// only valid inside the process's own goroutine, and only until the
+// only valid inside the process's own coroutine, and only until the
 // process's function returns: the Proc then goes back to the idle pool.
 type Proc struct {
-	env  *Env
-	wake chan struct{}
+	env *Env
 
-	// The task the goroutine runs when next woken: fn for a Spawn, or
+	// The coroutine: resume runs it to its next park (yield), stop ends it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+
+	// The task the coroutine runs when next resumed: fn for a Spawn, or
 	// branch i of parent's Fork(body). All nil when the process is idle.
 	fn     func(p *Proc)
 	body   func(c *Proc, i int)
@@ -139,8 +138,8 @@ func (e *Env) Spawn(fn func(p *Proc)) {
 	e.start(p)
 }
 
-// proc takes a process from the idle pool, or starts a new goroutine
-// when the pool is empty.
+// proc takes a process from the idle pool or makes one, run to its first
+// park, so that even a stop before its first task unwinds through loop.
 func (e *Env) proc() *Proc {
 	if n := len(e.idle); n > 0 {
 		p := e.idle[n-1]
@@ -148,41 +147,47 @@ func (e *Env) proc() *Proc {
 		e.idle = e.idle[:n-1]
 		return p
 	}
-	p := &Proc{env: e, wake: make(chan struct{})}
-	//lint:allow goroleak — lifetime bounded by the env: between tasks the goroutine parks in the idle pool, which a Run that drains the event queue and Stop both retire; a process parked mid-task ends when Stop wakes it unstarted or unwinds it (Goexit). It hands the token back on yield before it exits.
-	go p.loop()
+	p := &Proc{env: e}
+	//lint:allow goroleak — lifetime bounded by the env: the coroutine runs only while Run or Stop has switched to it; between tasks it parks in the idle pool, which a Run that drains the event queue and Stop both end with stop; a process parked mid-task ends when Stop calls its stop, which unwinds it.
+	p.resume, p.stop = iter.Pull(p.loop)
+	p.resume()
 	return p
 }
 
 // start makes p live and queues its first wakeup at the current time.
 func (e *Env) start(p *Proc) {
 	e.procs++
-	e.schedule(e.now, p.wake)
+	e.schedule(e.now, p)
 }
 
-// loop is a process goroutine: it runs one task per wakeup and, after
-// each, goes back to the idle pool and hands the scheduler token back.
-// Woken with no task (retired) or after Stop, it ends.
-func (p *Proc) loop() {
-	e := p.env
-	// The goroutine's last act is to hand the token back: once retired,
-	// once woken after Stop, or once Stop's Goexit has unwound its task,
-	// defers and all, so Stop unwinds one process at a time.
-	defer func() {
-		if p.fn != nil || p.body != nil {
-			e.procs--
-		}
-		e.yield <- struct{}{}
-	}()
+// loop is a process coroutine: it parks until it has a task, runs it,
+// then goes back to the idle pool and parks again, until stopped.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	defer p.unwound()
 	for {
-		<-p.wake
-		if e.stopped || p.fn == nil && p.body == nil {
-			return
-		}
+		p.park()
 		p.run()
-		e.procs--
-		e.idle = append(e.idle, p)
-		e.yield <- struct{}{}
+		p.env.procs--
+		p.env.idle = append(p.env.idle, p)
+	}
+}
+
+// stopped is park's panic in a stopped coroutine; loop's root recovers it.
+type stopped struct{}
+
+// unwound is the coroutine's root. A task cut short counts itself out
+// and, as a Fork branch, stops its parent, which would wait in Fork for
+// ever. Any panic but stopped goes on, out of the resume that ran it.
+func (p *Proc) unwound() {
+	if r := recover(); r != nil && r != (stopped{}) {
+		panic(r)
+	}
+	if p.fn != nil || p.body != nil {
+		p.env.procs--
+		if p.parent != nil {
+			p.parent.stop()
+		}
 	}
 }
 
@@ -199,34 +204,30 @@ func (p *Proc) run() {
 	p.body, p.parent = nil, nil
 	parent.pending--
 	if parent.pending == 0 {
-		p.env.schedule(p.env.now, parent.wake)
+		p.env.schedule(p.env.now, parent)
 	}
 }
 
-// retire ends every idle process's goroutine, one at a time.
+// retire ends every idle process's coroutine, one at a time.
 func (e *Env) retire() {
 	for _, p := range e.idle {
-		p.wake <- struct{}{}
-		<-e.yield
+		p.stop()
 	}
 	clear(e.idle)
 	e.idle = e.idle[:0]
 }
 
-// schedule queues a wakeup without transferring control.
-func (e *Env) schedule(at time.Duration, wake chan struct{}) {
+// schedule queues a wakeup of p without transferring control.
+func (e *Env) schedule(at time.Duration, p *Proc) {
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, wake: wake})
+	e.events.push(event{at: at, seq: e.seq, p: p})
 }
 
-// park hands the scheduler token back and blocks until woken. Must only
-// be called from a process goroutine that has already scheduled its own
-// wakeup (or expects another process to schedule one).
+// park switches back until the process is resumed, or panics once it is
+// stopped. Its wakeup must already be queued, or be another's to queue.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.wake
-	if p.env.stopped {
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
 	}
 }
 
@@ -235,7 +236,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now+d, p.wake)
+	p.env.schedule(p.env.now+d, p)
 	p.park()
 }
 
@@ -267,7 +268,7 @@ func (p *Proc) Yield() {
 		at = e.now
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, wake: p.wake, yield: true})
+	e.events.push(event{at: at, seq: e.seq, p: p, yield: true})
 	p.park()
 }
 
@@ -296,11 +297,10 @@ func (p *Proc) Fork(n int, body func(c *Proc, i int)) {
 func (p *Proc) Parallel(fns ...func(c *Proc)) { p.Fork(len(fns), func(c *Proc, i int) { fns[i](c) }) }
 
 // Run executes events until the event queue empties or virtual time would
-// exceed until (if until > 0). It returns the final virtual time. A Run
-// that empties the queue also ends the idle pool's goroutines, so when
-// no process is left parked the env needs no Stop and can run again.
-// Otherwise Stop must be called to release the parked process
-// goroutines unless the caller will Run again.
+// exceed until (if until > 0), and returns the final virtual time. A Run
+// that empties the queue also ends the idle pool's coroutines, so the env
+// needs no Stop and can run again; after any other Run, call Stop (or Run
+// again) to end the parked coroutines.
 func (e *Env) Run(until time.Duration) time.Duration {
 	for len(e.events) > 0 {
 		if until > 0 && e.events.peek() > until {
@@ -309,30 +309,30 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		}
 		ev := e.events.pop()
 		e.now = ev.at
-		ev.wake <- struct{}{}
-		<-e.yield
+		ev.p.resume()
 	}
 	e.retire()
 	return e.now
 }
 
-// Stop terminates all remaining processes (parked on events or
-// resources, or idle in the pool) so their goroutines exit, one at a
-// time: each process's deferred calls run before the next is woken. The
-// environment is unusable afterwards.
+// Stop ends all remaining processes (parked on events, on resources or in
+// Fork, or idle in the pool) one at a time: each one's deferred calls run
+// before the next is stopped, and may queue more wakeups, so Stop repeats
+// until none is left. The environment is unusable afterwards.
 func (e *Env) Stop() {
-	e.stopped = true
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		ev.wake <- struct{}{}
-		<-e.yield
-	}
-	for _, r := range e.resources {
-		for _, w := range r.waiters {
-			w <- struct{}{}
-			<-e.yield
+	for more := true; more; {
+		more = false
+		for len(e.events) > 0 {
+			e.events.pop().p.stop()
 		}
-		r.waiters = nil
+		for _, r := range e.resources {
+			for len(r.waiters) > 0 {
+				w := r.waiters[0]
+				r.waiters = r.waiters[1:]
+				w.stop()
+				more = true
+			}
+		}
 	}
 	e.retire()
 }
@@ -344,7 +344,7 @@ type Resource struct {
 	env     *Env
 	servers int
 	busy    int
-	waiters []chan struct{}
+	waiters []*Proc
 	// Busy time accounting for utilization reports.
 	busyTime   time.Duration
 	lastChange time.Duration
@@ -372,7 +372,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.busy++
 		return
 	}
-	r.waiters = append(r.waiters, p.wake)
+	r.waiters = append(r.waiters, p)
 	p.park()
 	// The releaser incremented busy on our behalf before waking us.
 }

@@ -301,9 +301,9 @@ func TestForkRunsBranchesInIndexOrder(t *testing.T) {
 	}
 }
 
-// TestForkReusesFinishedProcesses: a finished branch's goroutine parks in
+// TestForkReusesFinishedProcesses: a finished branch's coroutine parks in
 // the idle pool, so a warm 10-branch Fork allocates nothing: no Proc, no
-// wake channel, no closure, no goroutine.
+// closure, no coroutine.
 func TestForkReusesFinishedProcesses(t *testing.T) {
 	e := NewEnv()
 	var procs []*Proc
@@ -330,8 +330,8 @@ func TestForkReusesFinishedProcesses(t *testing.T) {
 	}
 }
 
-// settles waits for runtime.NumGoroutine to come back to base: a process
-// goroutine hands the scheduler token back just before it exits.
+// settles waits for runtime.NumGoroutine to come back to base: a stopped
+// coroutine switches back to its stopper just before its goroutine exits.
 func settles(base int) bool {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if runtime.NumGoroutine() <= base {
@@ -342,10 +342,11 @@ func settles(base int) bool {
 	return false
 }
 
-// TestNoGoroutineOutlivesItsEnv: the idle pool holds goroutines between
-// tasks, and none of them outlives the env. A Run that drains the event
-// queue retires the pool, so the env needs no Stop and can run again;
-// Stop ends the idle goroutines beside the parked ones.
+// TestNoGoroutineOutlivesItsEnv: the idle pool holds coroutines, each on
+// a goroutine of its own, between tasks, and none of them outlives the
+// env. A Run that drains the event queue retires the pool, so the env
+// needs no Stop and can run again; Stop ends the idle coroutines beside
+// the parked ones.
 func TestNoGoroutineOutlivesItsEnv(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fanOut := func(p *Proc) {
@@ -446,5 +447,116 @@ func TestQueueLen(t *testing.T) {
 	e.Run(0)
 	if sawQueue != 2 {
 		t.Fatalf("QueueLen at t=5ms = %d, want 2", sawQueue)
+	}
+}
+
+// TestProcessPanicReachesRun: a panic in a process, or in a Fork branch,
+// comes out of the Run that resumed it with the value it was raised with.
+func TestProcessPanicReachesRun(t *testing.T) {
+	type boom struct{ at time.Duration }
+	for _, tc := range []struct {
+		name string
+		fn   func(p *Proc)
+		want boom
+	}{
+		{"process", func(p *Proc) { p.Sleep(ms); panic(boom{p.Now()}) }, boom{ms}},
+		{"branch", func(p *Proc) {
+			p.Fork(2, func(c *Proc, i int) {
+				c.Sleep(time.Duration(i+1) * ms)
+				if i == 1 {
+					panic(boom{c.Now()})
+				}
+			})
+		}, boom{2 * ms}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv()
+			e.Spawn(tc.fn)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				e.Run(0)
+				return "Run returned"
+			}()
+			if got != tc.want {
+				t.Fatalf("Run panicked with %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestStopUnwindsAProcessThatParksInADefer: a process Stop unwinds may
+// park again in a deferred call. A deferred Sleep or Acquire returns at
+// once into the unwind, and a deferred Release hands its server to a
+// waiter, which Stop then ends too: Stop returns with no process left
+// and no coroutine running.
+func TestStopUnwindsAProcessThatParksInADefer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after func(p *Proc, r *Resource)
+	}{
+		{"sleep", func(p *Proc, _ *Resource) { p.Sleep(ms) }},
+		{"acquire", func(p *Proc, r *Resource) { r.Acquire(p) }},
+		{"release", func(_ *Proc, r *Resource) { r.Release() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEnv()
+			r1, r2 := e.NewResource(1), e.NewResource(1)
+			unwound := 0
+			// The first process holds r1 and sleeps. The second holds r2
+			// and waits on r1, and the third waits on r2, so the second's
+			// deferred call runs as Stop ends r1's waiters, and a Release
+			// there hands r2 to the third after Stop has passed the events.
+			e.Spawn(func(p *Proc) {
+				defer func() { unwound++ }()
+				r1.Acquire(p)
+				p.Sleep(time.Hour)
+			})
+			e.Spawn(func(p *Proc) {
+				defer func() { unwound++ }()
+				r2.Acquire(p)
+				defer tc.after(p, r2)
+				p.Sleep(ms)
+				r1.Acquire(p)
+			})
+			e.Spawn(func(p *Proc) {
+				defer func() { unwound++ }()
+				defer tc.after(p, r2)
+				p.Sleep(ms)
+				r2.Acquire(p)
+			})
+			e.Run(10 * ms)
+			e.Stop()
+			if e.procs != 0 || unwound != 3 {
+				t.Fatalf("after Stop: procs = %d, %d of 3 processes unwound", e.procs, unwound)
+			}
+			if !settles(base) {
+				t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), base)
+			}
+		})
+	}
+}
+
+// TestStopEndsAForkWaitingOnItsBranches: a process parked in Fork waits
+// on no event and no resource; Stop ends it when it ends its branches,
+// at every level of a nested fork, and runs its defers.
+func TestStopEndsAForkWaitingOnItsBranches(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	unwound := 0
+	e.Spawn(func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Fork(3, func(c *Proc, i int) {
+			defer func() { unwound++ }()
+			c.Fork(2, func(g *Proc, j int) { g.Sleep(time.Hour) })
+		})
+	})
+	e.Run(ms)
+	e.Stop()
+	if e.procs != 0 || unwound != 4 {
+		t.Fatalf("after Stop: procs = %d, %d of 4 forking processes unwound", e.procs, unwound)
+	}
+	if !settles(base) {
+		t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), base)
 	}
 }
