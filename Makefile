@@ -38,7 +38,9 @@ vet:
 # fault driver (no non-test code but internal/harness/chaos.go calls
 # Kill, Restart, Partition or Heal on a cluster), one package that
 # imports unsafe (internal/value, whose decoder points strings into the
-# record bytes: no other non-test code imports it), and piql-vet (the project's own analyzers, each package analyzed on its
+# record bytes: no other non-test code imports it), one manual (no
+# README.md heading names a PR: a PR's history goes in CHANGES.md and
+# its BENCH files), and piql-vet (the project's own analyzers, each package analyzed on its
 # own — releasepath one block at a time: each acquire released in its
 # own block, no exit in between) — see "Static
 # analysis" in README.md; `make mutants` shows what the analyzers catch,
@@ -80,6 +82,8 @@ lint:
 		echo "layering: faults are injected by one driver, the chaos storm (internal/harness/chaos.go)"; exit 1; fi
 	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -E ' unsafe( |$$)' | grep -v '^piql/internal/value:'; then \
 		echo "layering: only internal/value imports unsafe, for the decoder's strings that point into record bytes"; exit 1; fi
+	@if grep -nE '^#+ PR [0-9]' README.md; then \
+		echo "layering: README.md is the manual; a PR's history goes in CHANGES.md"; exit 1; fi
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
 	$(VETTOOL) ./...
 

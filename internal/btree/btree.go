@@ -3,6 +3,10 @@
 // simulated storage node of the key/value store keeps one per table and
 // per index (kvstore's directory).
 //
+// A node searches by 4-byte key heads past the prefix its keys share
+// (see node), and a split keeps the full arrays on the side the incoming
+// key falls in, so a load in key order fills every node (see splitChild).
+//
 // The tree is not safe for concurrent use; the storage node serializes
 // access.
 package btree

@@ -414,6 +414,10 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 	}
 	n := 0
 	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
+	cols := make([]int, len(card.Columns))   // the constraint's ordinals, resolved once
+	for i, col := range card.Columns {
+		cols[i] = t.ColumnIndex(col)
+	}
 	for _, kv := range set.Items {
 		// A record that does not decode may match: skipping it would
 		// undercount, as a skipped partition would.
@@ -421,8 +425,7 @@ func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs 
 			return 0, fmt.Errorf("count for %s's cardinality limit: record %q: %w", t.Name, kv.Key, err)
 		}
 		match := true
-		for _, col := range card.Columns {
-			ci := t.ColumnIndex(col)
+		for _, ci := range cols {
 			if !value.Equal(other[ci], row[ci]) {
 				match = false
 				break
