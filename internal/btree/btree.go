@@ -194,40 +194,63 @@ func (n *node) deleteAt(i int) {
 // node does copy up to 48 bytes of the prefix its keys share, into an
 // array of its own.
 func (t *Tree) Put(key, val []byte) bool {
-	if len(t.root.items) == maxItems {
-		old := t.root
-		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0, key)
-	}
-	inserted := t.root.insert(key, val)
-	if inserted {
-		t.size++
-	}
-	return inserted
+	_, found, _ := t.PutUnless(key, val, nil)
+	return !found
 }
 
-// insert adds key into the (non-full) subtree rooted at n.
-func (n *node) insert(key, val []byte) bool {
-	i, found := n.search(key)
-	if found {
-		n.items[i].Value = val
-		return false // replaced, not newly inserted
-	}
-	if n.leaf() {
-		n.insertAt(i, Item{Key: key, Value: val})
-		return true
-	}
-	if len(n.children[i].items) == maxItems {
-		n.splitChild(i, key)
-		switch c := bytes.Compare(key, n.items[i].Key); {
-		case c == 0:
+// maxHeight is more levels than a tree grows: each level below the root
+// holds at least degree times the nodes of the one above.
+const maxHeight = 16
+
+// PutUnless stores val under key unless the key is present and keep(old,
+// val) reports that its value old stays; a nil keep keeps nothing, which
+// is Put. It returns old, whether the key was present, and whether val
+// was stored. It descends once: the search records the position it took
+// at each level, and only an insert goes down again, by those positions,
+// splitting each full node on its path as it goes (splitChild). So a
+// value kept or replaced splits no node.
+func (t *Tree) PutUnless(key, val []byte, keep func(old, val []byte) bool) (old []byte, found, stored bool) {
+	var at [maxHeight + 1]int // at[d]: key's position in the node at depth d
+	n, d := t.root, 0
+	for {
+		i, ok := n.search(key)
+		if ok {
+			old = n.items[i].Value
+			if keep != nil && keep(old, val) {
+				return old, true, false
+			}
 			n.items[i].Value = val
-			return false
-		case c > 0:
-			i++
+			return old, true, true
 		}
+		at[d] = i
+		if n.leaf() {
+			break
+		}
+		n, d = n.children[i], d+1
 	}
-	return n.children[i].insert(key, val)
+	if len(t.root.items) == maxItems {
+		// The full root becomes child 0 of a new root, one level up.
+		t.root = &node{children: []*node{t.root}}
+		copy(at[1:d+2], at[:d+1])
+		at[0], d = 0, d+1
+	}
+	n = t.root
+	for l := 0; l < d; l++ {
+		i := at[l]
+		if len(n.children[i].items) == maxItems {
+			n.splitChild(i, key)
+			if bytes.Compare(key, n.items[i].Key) > 0 {
+				// Past the median: the right half holds the full
+				// node's items and children from degree on.
+				i++
+				at[l+1] -= degree
+			}
+		}
+		n = n.children[i]
+	}
+	n.insertAt(at[d], Item{Key: key, Value: val})
+	t.size++
+	return nil, false, true
 }
 
 // splitChild splits the full child at index i, moving its median item up.

@@ -254,6 +254,23 @@ func (m *refTree) put(k, v []byte) error {
 	return nil
 }
 
+// putUnless is PutUnless keeping an old value that does not sort below
+// the new one (keepNotBelow), as a store keeps the newer of two versions.
+func (m *refTree) putUnless(k, v []byte) error {
+	rv, existed := m.ref[string(k)]
+	kept := existed && rv >= string(v)
+	old, found, stored := m.tr.PutUnless(k, v, keepNotBelow)
+	if found != existed || string(old) != rv || stored == kept {
+		return fmt.Errorf("PutUnless(%q, %q) = %q, found %v, stored %v; the model holds %q, %v", k, v, old, found, stored, rv, existed)
+	}
+	if !kept {
+		m.ref[string(k)] = string(v)
+	}
+	return nil
+}
+
+func keepNotBelow(old, val []byte) bool { return bytes.Compare(old, val) >= 0 }
+
 func (m *refTree) delete(k []byte) error {
 	_, existed := m.ref[string(k)]
 	if removed := m.tr.Delete(k); removed != existed {
@@ -575,10 +592,12 @@ func TestAgainstReferenceModel(t *testing.T) {
 		k := func() []byte { return fmt.Appendf(nil, "k%03d", r.Intn(keySpace)) }
 		for op := 0; op < 500; op++ {
 			var err error
-			switch r.Intn(4) {
+			switch r.Intn(5) {
 			case 0, 1:
 				err = m.put(k(), fmt.Appendf(nil, "v%d", op))
 			case 2:
+				err = m.putUnless(k(), fmt.Appendf(nil, "v%d", op))
+			case 3:
 				err = m.delete(k())
 			default:
 				err = m.get(k())
@@ -619,13 +638,15 @@ func deepRun(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	m := newRefTree()
 	ops, tallest := 0, 0
-	// step does one random operation: a put with chance puts in 10, else a
-	// delete or, one time in 10, a get. Every 1000 operations it checks the
-	// whole tree and a range.
+	// step does one random operation: a put with chance puts in 10 (half
+	// of them conditional), else a delete or, one time in 10, a get. Every
+	// 1000 operations it checks the whole tree and a range.
 	step := func(puts int) error {
 		k := storeKey(r.Intn(space), space)
 		var err error
 		switch c := r.Intn(10); {
+		case c < puts && c%2 == 1:
+			err = m.putUnless(k, fmt.Appendf(nil, "v%d", ops))
 		case c < puts:
 			err = m.put(k, fmt.Appendf(nil, "v%d", ops))
 		case c < 9:
@@ -680,7 +701,7 @@ func deepRun(seed int64) error {
 
 // FuzzTreeOps runs an op sequence against the reference model. Each op
 // is four bytes, [op, hi, lo, n], on key (hi<<8|lo) of a store-shaped
-// space (storeKey): a put, a delete, a get, a range whose bounds are
+// space (storeKey): a put, a conditional put (PutUnless), a delete, a get, a range whose bounds are
 // prefixes of two keys (a length past a key's is an open bound), or a
 // put or delete of the n·2·degree consecutive keys from the key on, so
 // that a short input grows or shrinks a tree of three levels (an
@@ -707,8 +728,10 @@ func FuzzTreeOps(f *testing.F) {
 			n := b[op+3]
 			var err error
 			switch b[op] % 8 {
-			case 0, 1:
+			case 0:
 				err = m.put(k, []byte{byte(op), n})
+			case 1:
+				err = m.putUnless(k, []byte{n, byte(op)})
 			case 2:
 				err = m.delete(k)
 			case 3:

@@ -219,15 +219,7 @@ func TestSortedJoinRunAllocations(t *testing.T) {
 			}
 		})
 	}
-	// 56 until each operator decoded its strings into one arena, 32 until
-	// each encoded its keys into one buffer, 22 until the K ranges went to
-	// the store as one request set in place of a closure and a result
-	// buffer per stream, 17 until the key buffers, the streams, their
-	// requests and the store's results came from the Ctx's scratch, 10
-	// until the intermediate row headers and the candidate batch did too, 7
-	// until the child scan carved its values from the scratch as well, 6
-	// until the join's rounds did too, 5 until decoded strings pointed into
-	// the store's records in place of an arena per operator.
+	// One count for both K: it moves with the operators, not the streams.
 	const want = 3
 	if k3, k10 := run("u00"), run("w10"); k3 != want || k10 != want {
 		t.Fatalf("exec.Run(thoughtstream): %v allocs at K=3, %v at K=10, pinned at %d for both", k3, k10, want)
@@ -616,9 +608,9 @@ func TestDerefRunAllocations(t *testing.T) {
 		name, sql string
 		at10      float64 // allocations at 10 entries, and at 50
 	}{
-		{name: "token scan", at10: 4, // 12 until the keys and the store's results came from the scratch, 7 until the row headers did, 6 until the dereference's values did, 5 until its strings pointed into the records
+		{name: "token scan", at10: 4, // the same at 50 entries: nothing per entry dereferenced
 			sql: `SELECT i_title, i_id FROM item WHERE i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
-		{name: "token scan + fk join", at10: 4, // 16, 8, 7 and 6 until then
+		{name: "token scan + fk join", at10: 4, // the join's fetches allocate nothing per row either
 			sql: `SELECT i_title, i_id, a_name FROM item JOIN author
 			      WHERE i_a_id = a_id AND i_title CONTAINS ? ORDER BY i_title LIMIT 50`},
 	} {

@@ -419,29 +419,42 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 	old := c.routing.Load()
 
 	// Sample the key distribution from each partition's primary replica
-	// (or the first live owner when the primary is down). Scans are
-	// clipped to the partition's own range so replica-held data of
-	// neighboring partitions is not double-counted.
-	var keys [][]byte
-	for p := 0; p < old.parts(); p++ {
+	// (or the first live owner when the primary is down): count each
+	// partition's live keys, clipped to the partition's own range so
+	// replica-held data of neighboring partitions is not double-counted,
+	// then walk again only as far as the n−1 quantile keys of their
+	// concatenation, which is globally sorted: the partitions are
+	// disjoint, ascending ranges.
+	n := len(c.nodes)
+	srcs := make([]int, old.parts())
+	counts := make([]int, old.parts())
+	total := 0
+	for p := range srcs {
 		lo, hi := old.bounds(p)
-		src := c.liveOwner(old, p)
-		if src < 0 {
-			continue // whole replica set unreachable; sample what we can
-		}
-		for _, kv := range c.nodes[src].scan(nil, lo, hi, 0, false) {
-			keys = append(keys, kv.Key)
-		}
+		if srcs[p] = c.liveOwner(old, p); srcs[p] >= 0 {
+			counts[p] = c.nodes[srcs[p]].count(lo, hi)
+		} // else the whole replica set is unreachable; sample what we can
+		total += counts[p]
 	}
-	// keys is globally sorted: per-partition scans are ordered and the
-	// partitions are disjoint, ascending ranges.
+	at := make([]int, 0, n-1) // each quantile's position among the sampled keys
+	for i := 1; i < n && total > 0; i++ {
+		at = append(at, min(i*total/n, total-1))
+	}
+	keys := make([][]byte, 0, len(at))
+	for p, base := 0, 0; p < len(srcs) && len(at) > 0; p++ {
+		if end := base + counts[p]; srcs[p] >= 0 && at[0] < end {
+			lo, hi := old.bounds(p)
+			picked := len(keys)
+			keys = c.nodes[srcs[p]].liveKeysAt(keys, lo, hi, base, at)
+			at = at[len(keys)-picked:]
+		}
+		base += counts[p]
+	}
 
 	// A split equal to the one before it is dropped: every sample inside
 	// one group rounds to the group's start, and the group stays whole.
-	n := len(c.nodes)
 	splits := make([][]byte, 0, n-1)
-	for i := 1; i < n && len(keys) > 0; i++ {
-		split := keys[min(i*len(keys)/n, len(keys)-1)]
+	for _, split := range keys {
 		if g, ok := codec.GroupLen(split); ok {
 			split = split[:g:g]
 		}
@@ -570,24 +583,42 @@ func (c *Cluster) liveOwner(rt *routing, p int) int {
 	return -1
 }
 
-// cleanup purges every key a node holds but does not own under rt.
-// Concurrent writes are safe: a write routed by rt only lands on owners,
-// which cleanup never touches for that key's range. Purging (rather
-// than tombstoning) is correct precisely because the node is not an
-// owner — no read routes to it, and a later rebalance copies from
-// owners, never from it.
+// cleanup purges, from every reachable node, each range the node does
+// not own under rt (disown). Concurrent writes are safe: a write routed
+// by rt only lands on owners, which cleanup never touches for that key's
+// range. Purging (rather than tombstoning) is correct precisely because
+// the node is not an owner — no read routes to it, and a later rebalance
+// copies from owners, never from it.
 func (c *Cluster) cleanup(rt *routing) {
-	for id, nd := range c.nodes {
+	for id := range c.nodes {
 		if !c.reachable(id) {
 			// An unreachable node can't be purged remotely; rejoin runs
-			// the same sweep for it before it serves again.
+			// the same purge for it before it serves again.
 			continue
 		}
-		for _, kv := range nd.scanRaw(nil, nil, 0) {
-			if !rt.isOwner(rt.partitionOf(kv.Key), id) {
-				nd.purge(kv.Key)
-			}
+		c.disown(id, rt)
+	}
+}
+
+// disown removes from node id every key of the ranges it does not own
+// under rt: each run of consecutive partitions it does not own is one
+// range, removed with one directory range delete (node.purgeRange),
+// which drops a namespace lying wholly inside the range without
+// visiting its keys and deletes the keys of a namespace the range cuts.
+// So it costs what leaves the node, plus a search per range and per cut
+// namespace, not a walk of everything the node holds. Rebalance's
+// cleanup and rejoin's self-clean both run it.
+func (c *Cluster) disown(id int, rt *routing) {
+	for p := 0; p < rt.parts(); p++ {
+		if rt.isOwner(p, id) {
+			continue
 		}
+		lo, _ := rt.bounds(p)
+		for p+1 < rt.parts() && !rt.isOwner(p+1, id) {
+			p++
+		}
+		_, hi := rt.bounds(p)
+		c.nodes[id].purgeRange(lo, hi)
 	}
 }
 

@@ -94,6 +94,14 @@ func (d *directory) Get(key []byte) ([]byte, bool) {
 // Put stores env under key, opening key's namespace if the directory
 // lacks it.
 func (d *directory) Put(key, env []byte) {
+	d.PutUnless(key, env, nil)
+}
+
+// PutUnless stores env under key unless the key holds an envelope old
+// that keep(old, env) keeps, as btree.Tree.PutUnless does, opening key's
+// namespace if the directory lacks it. It returns old, whether the key
+// was present, and whether env was stored.
+func (d *directory) PutUnless(key, env []byte, keep func(old, env []byte) bool) (old []byte, found, stored bool) {
 	s := d.find(key)
 	if s == nil {
 		n, ok := codec.NamespaceLen(key)
@@ -101,7 +109,7 @@ func (d *directory) Put(key, env []byte) {
 		d.spaces = slices.Insert(d.spaces, d.at(key)+1, s)
 		d.last = s
 	}
-	s.tree.Put(key, env)
+	return s.tree.PutUnless(key, env, keep)
 }
 
 // Delete removes key and reports whether it was present; the last key of
@@ -117,6 +125,63 @@ func (d *directory) Delete(key []byte) bool {
 		d.last = nil
 	}
 	return true
+}
+
+// purgeChunk is how many keys DeleteRange collects from a tree before it
+// deletes them: a tree cannot be walked while keys leave it, and a
+// bounded chunk keeps the collected keys' memory from growing with the
+// range.
+const purgeChunk = 256
+
+// DeleteRange removes every item with start <= key < end (nil bounds
+// are open), calling gone, when it is not nil, with each item it
+// removes. A namespace that lies wholly inside the range leaves the
+// directory with its tree, no key deleted; in a namespace the range
+// cuts, the keys inside it are deleted purgeChunk at a time, and a tree
+// that empties takes its namespace with it.
+func (d *directory) DeleteRange(start, end []byte, gone func(item)) {
+	i := 0
+	if start != nil {
+		i = max(d.at(start), 0)
+	}
+	var chunk [purgeChunk][]byte
+	for i < len(d.spaces) {
+		s := d.spaces[i]
+		if end != nil && bytes.Compare(s.name, end) >= 0 {
+			return // every key from here on is at or past end
+		}
+		inside := (start == nil || bytes.Compare(start, s.name) <= 0) &&
+			(end == nil || s.one || !bytes.HasPrefix(end, s.name))
+		if !inside {
+			for {
+				keys := chunk[:0]
+				s.tree.Ascend(start, end, func(it item) bool {
+					if gone != nil {
+						gone(it)
+					}
+					keys = append(keys, it.Key)
+					return len(keys) < purgeChunk
+				})
+				for _, k := range keys {
+					s.tree.Delete(k)
+				}
+				if len(keys) < purgeChunk {
+					break
+				}
+			}
+		} else if gone != nil {
+			s.tree.Ascend(nil, nil, func(it item) bool {
+				gone(it)
+				return true
+			})
+		}
+		if inside || s.tree.Len() == 0 {
+			d.spaces = slices.Delete(d.spaces, i, i+1)
+			d.last = nil
+			continue
+		}
+		i++
+	}
 }
 
 // Ascend visits the items with start <= key < end in ascending order

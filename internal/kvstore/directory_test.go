@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"piql/internal/btree"
 	"piql/internal/codec"
@@ -229,4 +230,93 @@ func FuzzDirectory(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// purgeKeys is dirKeys plus 600 keys of one namespace, so that a range
+// cutting it deletes more than one chunk (purgeChunk).
+func purgeKeys() [][]byte {
+	keys := dirKeys()
+	for u := range 30 {
+		for j := range 20 {
+			keys = append(keys, codec.EncodeKey(value.Row{value.Str("t:thoughts"), value.Str(fmt.Sprintf("v%03d", u)), value.Int(int64(j))}, nil))
+		}
+	}
+	return keys
+}
+
+// purgeBound is a range bound of each kind a purge is given: nil, a key
+// (inside its namespace, or a malformed one-key space), the start of a
+// key's namespace, or the end of one.
+func purgeBound(r *rand.Rand, keys [][]byte) []byte {
+	k := keys[r.Intn(len(keys))]
+	n, _ := codec.NamespaceLen(k)
+	switch r.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return k
+	case 2:
+		return k[:n]
+	default:
+		return codec.PrefixEnd(k[:n])
+	}
+}
+
+// TestPurgeRangeMatchesPerKey holds node.purgeRange, the range delete a
+// node runs on what it does not own, to deleting each key of the range
+// alone. Each random node holds keys of several namespaces, malformed
+// one-key spaces and tombstones; each range's bounds are open, inside a
+// namespace, at a namespace's start or end, and often span several. The
+// node must hold what the reference holds, in one non-empty space per
+// namespace, with Len equal and n.tombs equal to a recount.
+func TestPurgeRangeMatchesPerKey(t *testing.T) {
+	keys := purgeKeys()
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nd := newNode(0, 1, &clock{born: time.Now()})
+		m := newDirRef()
+		for i, k := range keys {
+			if r.Intn(3) == 0 {
+				continue
+			}
+			env := makeEnvelope(Version{TS: int64(i + 1)}, r.Intn(4) == 0, []byte{byte(i)})
+			nd.applyIfNewer(k, env)
+			m.ref.Put(k, env)
+		}
+		lo, hi := purgeBound(r, keys), purgeBound(r, keys)
+		if lo != nil && hi != nil && bytes.Compare(lo, hi) > 0 {
+			lo, hi = hi, lo
+		}
+		nd.purgeRange(lo, hi)
+		var gone [][]byte
+		m.ref.Ascend(lo, hi, func(it item) bool {
+			gone = append(gone, it.Key)
+			return true
+		})
+		for _, k := range gone {
+			m.ref.Delete(k)
+		}
+
+		m.d = nd.trees
+		err := m.check()
+		if err == nil {
+			err = m.scan(nil, nil, 0, false)
+		}
+		if err == nil && m.d.Len() != m.ref.Len() {
+			err = fmt.Errorf("Len() = %d; the reference holds %d", m.d.Len(), m.ref.Len())
+		}
+		tombs := 0
+		m.ref.Ascend(nil, nil, func(it item) bool {
+			if envIsTombstone(it.Value) {
+				tombs++
+			}
+			return true
+		})
+		if err == nil && nd.tombs != tombs {
+			err = fmt.Errorf("n.tombs = %d; the node holds %d tombstones", nd.tombs, tombs)
+		}
+		if err != nil {
+			t.Fatalf("seed %d, purge [%x, %x) of %d keys: %v", seed, lo, hi, len(gone), err)
+		}
+	}
 }

@@ -238,18 +238,15 @@ func (c *Cluster) rejoin(id int, clearBit int32) {
 		}
 		c.replayOn(id, queued)
 	}
-	// Self-clean: purge anything the node holds but no longer owns —
-	// catch-ups replayed for ranges moved away during the outage, and
-	// what the rebalance cleanups that ran meanwhile could not reach.
-	// Stale non-owned envelopes must never survive to a future
-	// rebalance that re-places the range here. This is the one place
-	// rejoin enforces ownership.
+	// Self-clean: purge every range the node no longer owns (disown,
+	// which rebalance's cleanup runs too) — catch-ups replayed for
+	// ranges moved away during the outage, and what the rebalance
+	// cleanups that ran meanwhile could not reach. Stale non-owned
+	// envelopes must never survive to a future rebalance that re-places
+	// the range here. This is the one place rejoin enforces ownership,
+	// and it costs what leaves the node, not a walk of all it holds.
 	rt := c.routing.Load()
-	for _, kv := range nd.scanRaw(nil, nil, 0) {
-		if !rt.isOwner(rt.partitionOf(kv.Key), id) {
-			nd.purge(kv.Key)
-		}
-	}
+	c.disown(id, rt)
 	c.regrantLeases(id, rt)
 }
 

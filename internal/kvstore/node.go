@@ -125,23 +125,24 @@ func (n *node) applyIfNewer(key, env []byte) bool {
 	n.hlc.Observe(envVersion(env).TS)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cur, ok := n.trees.Get(key)
-	if ok && !envVersion(env).After(envVersion(cur)) {
-		return false
+	cur, ok, stored := n.trees.PutUnless(key, env, keepNewer)
+	if stored {
+		n.countLocked(cur, ok, env)
 	}
-	n.storeLocked(key, env, cur, ok)
-	return true
+	return stored
 }
 
-// storeLocked writes env over the current envelope (cur/ok from a prior
-// Get), maintaining the tombstone count and triggering the inline sweep
-// when tombstones pile up. The sweep is rate-limited to one per grace
-// period of the cluster's clock per node: a delete burst inside one
-// grace window has nothing collectible yet, and re-scanning the whole
-// tree under mu on every further delete would turn the burst quadratic.
-// Caller holds mu.
-func (n *node) storeLocked(key, env, cur []byte, ok bool) {
-	n.trees.Put(key, env)
+// keepNewer keeps a stored envelope whose version is not older than the
+// incoming one's.
+func keepNewer(cur, env []byte) bool { return !envVersion(env).After(envVersion(cur)) }
+
+// countLocked maintains the tombstone count after env replaced cur (ok:
+// the key held it) and triggers the inline sweep when tombstones pile
+// up. The sweep is rate-limited to one per grace period of the cluster's
+// clock per node: a delete burst inside one grace window has nothing
+// collectible yet, and re-scanning the whole tree under mu on every
+// further delete would turn the burst quadratic. Caller holds mu.
+func (n *node) countLocked(cur []byte, ok bool, env []byte) {
 	wasTomb := ok && envIsTombstone(cur)
 	isTomb := envIsTombstone(env)
 	if isTomb && !wasTomb {
@@ -157,21 +158,23 @@ func (n *node) storeLocked(key, env, cur []byte, ok bool) {
 	}
 }
 
-// purge hard-removes key, envelope and all. Only for data the node does
-// not own (rebalance cleanup, rejoin's self-clean): purging an owned key
-// would forget its version and let an older write still in flight
-// resurrect it.
-func (n *node) purge(key []byte) bool {
+// purgeRange hard-removes every key in [start, end), envelopes and
+// tombstones alike, in one directory range delete (DeleteRange). Only
+// for a range the node does not own (disown): purging an owned key would
+// forget its version and let an older write still in flight resurrect
+// it.
+func (n *node) purgeRange(start, end []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	env, ok := n.trees.Get(key)
-	if !ok {
-		return false
+	var gone func(item)
+	if n.tombs > 0 {
+		gone = func(it item) {
+			if envIsTombstone(it.Value) {
+				n.tombs--
+			}
+		}
 	}
-	if envIsTombstone(env) {
-		n.tombs--
-	}
-	return n.trees.Delete(key)
+	n.trees.DeleteRange(start, end, gone)
 }
 
 // sweepTombstonesLocked removes tombstones stamped before cutoff,
@@ -249,7 +252,8 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 	}
 	ver := Version{TS: n.stamp(), Client: client}
 	env := makeEnvelope(ver, update == nil, update)
-	n.storeLocked(key, env, curEnv, ok)
+	n.trees.Put(key, env)
+	n.countLocked(curEnv, ok, env)
 	return env, true, nil
 }
 
@@ -312,6 +316,28 @@ func (n *node) count(start, end []byte) int {
 		return true
 	})
 	return total
+}
+
+// liveKeysAt appends to dst the key of the live item at each position of
+// at (ascending, repeats allowed) among the live items of [start, end),
+// the first of which is at position first, and returns it. It walks only
+// as far as the last position; one the walk has passed (the range lost
+// items since they were counted) takes the item it is at.
+func (n *node) liveKeysAt(dst [][]byte, start, end []byte, first int, at []int) [][]byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	pos := first
+	n.trees.Ascend(start, end, func(it item) bool {
+		if envIsTombstone(it.Value) {
+			return true
+		}
+		for len(at) > 0 && at[0] <= pos {
+			dst, at = append(dst, it.Key), at[1:]
+		}
+		pos++
+		return len(at) > 0
+	})
+	return dst
 }
 
 // size returns the number of live items the node stores.

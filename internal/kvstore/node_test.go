@@ -10,22 +10,13 @@ import (
 	"piql/internal/value"
 )
 
-// scadrNode loads one storage node with a SCADr-shaped key set in the
-// loader's order: each of users users followed by their ten thoughts,
-// then ten subscriptions per user with random targets, 21 items a user
-// over three tables. It returns the node, every key it holds and each
-// user's thoughts prefix.
-func scadrNode(users int) (n *node, keys, thoughts [][]byte) {
-	n = newNode(0, 1, &clock{born: time.Now()})
+// scadrKeys is a SCADr-shaped key set in the loader's order: each of
+// users users followed by their ten thoughts, then ten subscriptions per
+// user with random targets, 21 keys a user over three tables. It returns
+// the keys and each user's thoughts prefix.
+func scadrKeys(users int) (keys, thoughts [][]byte) {
 	r := rand.New(rand.NewSource(1))
-	rec := []byte("a record of about forty bytes, like SCADr's")
-	ts := int64(0)
-	put := func(vals ...value.Value) {
-		ts++
-		k := codec.EncodeKey(vals, nil)
-		n.applyIfNewer(k, makeEnvelope(Version{TS: ts}, false, rec))
-		keys = append(keys, k)
-	}
+	put := func(vals ...value.Value) { keys = append(keys, codec.EncodeKey(vals, nil)) }
 	name := func(u int) value.Value { return value.Str(fmt.Sprintf("u%07d", u)) }
 	for u := range users {
 		put(value.Str("t:users"), name(u))
@@ -38,6 +29,20 @@ func scadrNode(users int) (n *node, keys, thoughts [][]byte) {
 		for range 10 {
 			put(value.Str("t:subscriptions"), name(u), name(r.Intn(users)))
 		}
+	}
+	return keys, thoughts
+}
+
+// scadrRecord is the value of every scadrKeys item.
+var scadrRecord = []byte("a record of about forty bytes, like SCADr's")
+
+// scadrNode loads one storage node with scadrKeys(users), in order. It
+// returns the node, every key it holds and each user's thoughts prefix.
+func scadrNode(users int) (n *node, keys, thoughts [][]byte) {
+	n = newNode(0, 1, &clock{born: time.Now()})
+	keys, thoughts = scadrKeys(users)
+	for i, k := range keys {
+		n.applyIfNewer(k, makeEnvelope(Version{TS: int64(i + 1)}, false, scadrRecord))
 	}
 	return n, keys, thoughts
 }
@@ -72,4 +77,30 @@ func BenchmarkNodeRead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRebalance is one Rebalance of a fresh immediate cluster of 4
+// nodes at RF 2 that holds scadrKeys(1000), 21 000 keys, all written
+// before it (so on the one partition of epoch 0): the sampling, the copy
+// of three quarters of the keys to their new owners and the purge of
+// what each node no longer owns. Loading is not timed.
+func BenchmarkRebalance(b *testing.B) {
+	keys, _ := scadrKeys(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := New(Config{Nodes: 4, ReplicationFactor: 2, Seed: 1}, nil)
+		cl := c.NewClient(nil)
+		for _, k := range keys {
+			if err := cl.Put(k, scadrRecord); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		c.Rebalance()
+		if parts := len(c.Splits()) + 1; parts != 4 {
+			b.Fatalf("%d partitions, want 4", parts)
+		}
+	}
 }

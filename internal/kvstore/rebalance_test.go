@@ -290,6 +290,101 @@ func TestRebalanceSplitsOnGroupBoundaries(t *testing.T) {
 	})
 }
 
+// wantSplits is the split rule applied to materialized keys: every live
+// key of each partition read whole from its first live owner, the n−1
+// quantiles of their concatenation rounded down to their group's start,
+// each split equal to the one before it dropped.
+func wantSplits(c *Cluster) [][]byte {
+	rt := c.routing.Load()
+	var keys [][]byte
+	for p := 0; p < rt.parts(); p++ {
+		lo, hi := rt.bounds(p)
+		if src := c.liveOwner(rt, p); src >= 0 {
+			for _, kv := range c.nodes[src].scan(nil, lo, hi, 0, false) {
+				keys = append(keys, kv.Key)
+			}
+		}
+	}
+	n := len(c.nodes)
+	var splits [][]byte
+	for i := 1; i < n && len(keys) > 0; i++ {
+		split := keys[min(i*len(keys)/n, len(keys)-1)]
+		if g, ok := codec.GroupLen(split); ok {
+			split = split[:g]
+		}
+		if len(splits) == 0 || !bytes.Equal(split, splits[len(splits)-1]) {
+			splits = append(splits, split)
+		}
+	}
+	return splits
+}
+
+// TestRebalanceSplitsAreQuantilesOfLiveKeys: Rebalance counts each
+// partition's live keys and then walks only as far as the quantile keys,
+// and what it picks is what the split rule picks from every live key
+// materialized (wantSplits): with tombstones on the nodes, byte keys
+// and codec groups of uneven sizes, and one partition whose whole
+// replica set is down, so its keys are not sampled. The last rounds
+// sample fewer keys than there are nodes.
+func TestRebalanceSplitsAreQuantilesOfLiveKeys(t *testing.T) {
+	c, cl := newImmediate(5, 2)
+	r := rand.New(rand.NewSource(5))
+	var keys [][]byte
+	for i := 0; i < 400; i++ {
+		keys = append(keys, key(r.Intn(100000)))
+	}
+	for g := 0; g < 40; g++ {
+		for i, n := 0, 1+r.Intn(12); i < n; i++ {
+			keys = append(keys, groupKey("t:thoughts", value.Str(fmt.Sprintf("u%03d", g)), codec.Asc, i))
+		}
+	}
+	for i, k := range keys {
+		if err := cl.Put(k, val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Rebalance()
+	for i := 0; i < len(keys); i += 3 {
+		if err := cl.Delete(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tombs := 0
+	for _, nd := range c.nodes {
+		tombs += nd.tombs
+	}
+	if tombs == 0 {
+		t.Fatal("no node holds a tombstone: the deletes exercise nothing")
+	}
+	check := func(round string) {
+		t.Helper()
+		want := wantSplits(c)
+		c.Rebalance()
+		if got := c.Splits(); fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+			t.Fatalf("%s: splits %x, want the live keys' quantiles %x", round, got, want)
+		}
+	}
+	check("tombstones")
+	// Partition 1's replica set is nodes 1 and 2.
+	if owners := c.routing.Load().owners[1]; fmt.Sprint(owners) != "[1 2]" {
+		t.Fatalf("partition 1 is owned by %v", owners)
+	}
+	c.Kill(1)
+	c.Kill(2)
+	check("partition 1 down")
+	c.Restart(1)
+	c.Restart(2)
+	for i := 1; i < len(keys); i++ {
+		if i%3 != 0 && i > 4 {
+			if err := cl.Delete(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("three live keys")
+	check("three live keys, again")
+}
+
 // TestRebalanceEpochAdvances pins the epoch protocol: two publishes per
 // rebalance (move table, then flip), and the quiescence requirement is
 // gone — Rebalance while clients exist is just another operation.

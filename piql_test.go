@@ -435,13 +435,11 @@ func findUserQuery(t *testing.T) *Query {
 // TestExecuteFindUserAllocs pins the point lookup's deterministic
 // number: one execution through the public API, parameter formatting
 // included, is exactly 6 allocations (bench/ times the same path as
-// exec.run_us.pk_lookup); 14 until the row's two strings shared one
-// arena, 13 until the key's values stopped taking a row of their own, 12
-// until a pooled session's execution reused its key buffer and the
-// store's result slice, 7 until decoded strings pointed into the store's
-// records. An exact pin, so a saving shows as a failure too and moves
-// the number down. Not under the race detector, whose instrumentation
-// allocates on its own account.
+// exec.run_us.pk_lookup), none of them for the row's strings, which
+// point into the store's records, nor for the key or the store's
+// result, which reuse a pooled session's buffers. An exact pin, so a
+// saving shows as a failure too and moves the number down. Not under
+// the race detector, whose instrumentation allocates on its own account.
 func TestExecuteFindUserAllocs(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts differ under -race")
