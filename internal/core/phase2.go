@@ -698,13 +698,15 @@ func (ctx *phase2Ctx) ensureIndex(t *schema.Table, fields []schema.IndexField, p
 }
 
 // findIndex returns the first ready index of the catalog or ctx.required
-// that serves fields, else the first building one, else nil.
+// that serves fields, else the first building one, else nil. A limit
+// index serves no plan: it is retired once another index counts its
+// limit, and a plan must not outlive the index it reads.
 func (ctx *phase2Ctx) findIndex(t *schema.Table, fields []schema.IndexField, prefixLen int) (*schema.Index, bool) {
 	var building *schema.Index
 	var buildingRev bool
 	for _, ixs := range [2][]*schema.Index{ctx.cat.Indexes(t.Name), ctx.required} {
 		for _, ix := range ixs {
-			if !strings.EqualFold(ix.Table, t.Name) {
+			if ix.Limit || !strings.EqualFold(ix.Table, t.Name) {
 				continue
 			}
 			rev := false

@@ -255,7 +255,8 @@ type indexBuild struct {
 // first passes the read-only ghost assertion (deletes racing the
 // backfill scan must have outranked its stamped re-puts on every
 // suspect; see verifyBackfillRace) and only then flips the index to
-// ready through a copy-on-write catalog publish; a failed or
+// ready through a copy-on-write catalog publish, retiring any limit
+// index it makes redundant (markReady); a failed or
 // assertion-violating build is forgotten so a later Prepare can retry
 // it.
 func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
@@ -325,8 +326,9 @@ func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
 			b.err = verr
 		}
 		if b.err == nil {
-			e.markReady(ix)
-		} else {
+			b.err = e.markReady(s, ix)
+		}
+		if b.err != nil {
 			e.buildMu.Lock()
 			delete(e.builds, sig)
 			e.buildMu.Unlock()
@@ -428,12 +430,17 @@ func (e *Engine) verifyBackfillRace(s *Session, ix *schema.Index, snap kvstore.V
 }
 
 // markReady publishes a catalog snapshot with the index flipped to
-// ready. Idempotent.
-func (e *Engine) markReady(ix *schema.Index) {
-	_ = e.updateCatalog(func(next *schema.Catalog) error {
-		next.SetIndexReady(ix)
-		return nil
-	})
+// ready, then retires the limit indexes it leaves no write counting
+// through (index.(*Maintainer).MarkReady), with s's client and drains.
+// Idempotent.
+func (e *Engine) markReady(s *Session, ix *schema.Index) error {
+	publish := func(fn func(next *schema.Catalog)) {
+		_ = e.updateCatalog(func(next *schema.Catalog) error {
+			fn(next)
+			return nil
+		})
+	}
+	return e.maint.MarkReady(s.client, ix, publish, func() { e.drainWriters(s) })
 }
 
 // Prepared is a compiled, reusable query.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +123,94 @@ func TestCreateIndexUnderConcurrentWrites(t *testing.T) {
 		}
 		if len(res.Rows) != records {
 			t.Fatalf("round %d: index query returned %d rows, want %d", round, len(res.Rows), records)
+		}
+	}
+}
+
+// TestRetiringALimitIndexUnderConcurrentInserts: writers insert into an
+// orders table whose CARDINALITY LIMIT 3 (owner) only its limit index
+// counts, far more rows than the limit admits, while a Prepare builds
+// (owner, at DESC, id), which counts the limit too and retires the limit
+// index under them. No owner ends with more than three rows, every
+// insert was admitted or refused by the limit, the catalog holds no
+// limit index, its namespace no live key, and the new index mirrors the
+// table. Run under -race.
+func TestRetiringALimitIndexUnderConcurrentInserts(t *testing.T) {
+	const writers, perWriter, owners, limit = 4, 300, 40, 3
+	for round := 0; round < 3; round++ {
+		cluster := kvstore.New(kvstore.Config{Nodes: 4, ReplicationFactor: 2, Seed: int64(round + 1)}, nil)
+		eng := New(cluster)
+		s := eng.Session(nil)
+		if err := s.Exec(`CREATE TABLE orders (id INT, owner VARCHAR(10), at INT, PRIMARY KEY (id), CARDINALITY LIMIT 3 (owner))`); err != nil {
+			t.Fatal(err)
+		}
+		var limitIx *schema.Index
+		for _, ix := range eng.Catalog().Indexes("orders") {
+			if ix.Limit {
+				limitIx = ix
+			}
+		}
+		if limitIx == nil {
+			t.Fatal("orders was created without a limit index")
+		}
+		var started atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ws := eng.Session(nil)
+				for i := 0; i < perWriter; i++ {
+					started.Add(1)
+					err := ws.Exec(`INSERT INTO orders VALUES (?, ?, ?)`,
+						value.Int(int64(g*perWriter+i)), value.Str(fmt.Sprintf("o%02d", (g+i*writers)%owners)), value.Int(int64(i)))
+					var card *index.ErrCardinalityExceeded
+					if err != nil && !errors.As(err, &card) {
+						t.Errorf("writer %d insert %d: %v", g, i, err)
+						return
+					}
+				}
+			}(g)
+		}
+		for started.Load() < 50 {
+			runtime.Gosched()
+		}
+		const last = `SELECT id FROM orders WHERE owner = ? ORDER BY at DESC LIMIT 1`
+		if _, err := s.Prepare(last); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		var cover *schema.Index
+		for _, ix := range eng.Catalog().Indexes("orders") {
+			switch {
+			case ix.Limit:
+				t.Fatalf("round %d: the catalog still holds limit index %s", round, ix.Name)
+			case !ix.Primary:
+				cover = ix
+			}
+		}
+		cl := cluster.NewClient(nil)
+		if keys := scanPrefix(cl, index.IndexPrefix(limitIx)); len(keys) != 0 {
+			t.Errorf("round %d: the retired limit index's namespace holds %d live keys", round, len(keys))
+		}
+		perOwner := make(map[string]int)
+		for _, kv := range scanPrefix(cl, index.RecordPrefix(eng.Catalog().Table("orders"))) {
+			row, err := value.DecodeRow(kv.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perOwner[row[1].S]++
+		}
+		for owner, n := range perOwner {
+			if n > limit {
+				t.Errorf("round %d: owner %s holds %d rows, past CARDINALITY LIMIT %d", round, owner, n, limit)
+			}
+		}
+		if _, _, err := index.NewMaintainer(eng).AuditMirror(cl, cover); err != nil {
+			t.Errorf("round %d: %v", round, err)
 		}
 	}
 }

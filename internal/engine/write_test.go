@@ -244,8 +244,9 @@ func TestCachedWriteSeesNewIndex(t *testing.T) {
 // there would be, and the row stays where it was. Admitted, the move
 // would put three rows under owner 'a', and a read bounded by the limit
 // would silently return two of them. The refusal holds whether the
-// count reads the records (before any index on owner exists) or the
-// index the first query builds; a move within the limit goes through.
+// count reads the limit index the table was created with or the index
+// the first query builds, which retires it; a move within the limit
+// goes through.
 func TestUpdatePastCardinalityLimitIsRefused(t *testing.T) {
 	s := newEngine(t, `CREATE TABLE sub (id INT, owner VARCHAR(10), target VARCHAR(10), PRIMARY KEY (id), CARDINALITY LIMIT 2 (owner))`)
 	for i, owner := range []string{"a", "a", "b"} {
@@ -253,7 +254,7 @@ func TestUpdatePastCardinalityLimitIsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, counted := range []string{"over the records", "over the index"} {
+	for _, counted := range []string{"over the limit index", "over the query's index"} {
 		err := s.Exec(`UPDATE sub SET owner = 'a' WHERE id = 3`)
 		var card *index.ErrCardinalityExceeded
 		if !errors.As(err, &card) {
@@ -297,6 +298,45 @@ func TestCardinalityWithTokenIndexIsEnforced(t *testing.T) {
 	}
 	if got, want := queryRows(t, s, `SELECT id FROM th WHERE owner = [1: o]`, value.Str("ann")), `[(1) (2)]`; got != want {
 		t.Fatalf("owner ann holds %s, want %s", got, want)
+	}
+}
+
+// TestLoadWithALimitIsLinear: loading a table shaped like TPC-W's orders
+// as it loads — a CARDINALITY LIMIT that prefixes no primary key, no
+// index but the limit index the table was created with, every row its
+// own group — costs the same per insert at 4× the rows as at 1×, in
+// store operations and in bytes allocated: each insert counts its group
+// with one bounded range on the limit index. A count that read and
+// decoded every record of the table would allocate in proportion to the
+// rows before it, and the load would be quadratic.
+func TestLoadWithALimitIsLinear(t *testing.T) {
+	perInsert := func(rows int) (ops, bytes float64) {
+		s := newEngine(t, `CREATE TABLE orders (o_id INT, o_c_uname VARCHAR(20), o_date_time INT, o_total INT,
+			PRIMARY KEY (o_id), CARDINALITY LIMIT 500 (o_c_uname))`)
+		unames := make([]value.Value, rows)
+		for i := range unames {
+			unames[i] = value.Str(fmt.Sprintf("c%07d", i))
+		}
+		const insert = `INSERT INTO orders VALUES (?, ?, ?, ?)`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Client().ResetOps()
+		for i, uname := range unames {
+			if err := s.Exec(insert, value.Int(int64(i)), uname, value.Int(30000000+int64(i)), value.Int(1000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(s.Client().Ops()) / float64(rows), float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+	}
+	const small = 500
+	ops1, bytes1 := perInsert(small)
+	ops4, bytes4 := perInsert(4 * small)
+	if ops4 > 1.25*ops1 {
+		t.Errorf("store operations per insert: %.2f at %d rows, %.2f at %d, want within 1.25×", ops1, small, ops4, 4*small)
+	}
+	if bytes4 > 1.25*bytes1 {
+		t.Errorf("bytes allocated per insert: %.0f at %d rows, %.0f at %d, want within 1.25×", bytes1, small, bytes4, 4*small)
 	}
 }
 

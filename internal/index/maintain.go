@@ -273,15 +273,15 @@ func (m *Maintainer) write(cl *kvstore.Client, cat *schema.Catalog, ixs []*schem
 		return fail(err)
 	}
 	// (3) A count that could not be completed must not admit either: one
-	// that skipped an unreachable partition or a record it could not
-	// decode is an undercount, and the row would stay past the limit
-	// every static bound rests on. The undo writes the record first, so
-	// readers stop seeing new, then deletes new's entries.
+	// that skipped an unreachable partition is an undercount, and the row
+	// would stay past the limit every static bound rests on. The undo
+	// writes the record first, so readers stop seeing new, then deletes
+	// new's entries.
 	for _, card := range t.Cardinalities {
 		if new == nil || old != nil && !moved(t, card.Columns, old, new) {
 			continue
 		}
-		n, err := m.countMatching(cl, cat, ixs, t, card, new, rkey, news)
+		n, err := countMatching(cl, cat, t, card, new, rkey, news)
 		if err == nil && n <= card.Limit {
 			continue
 		}
@@ -388,54 +388,26 @@ func readPrefix(cl *kvstore.Client, kind kvstore.RequestKind, prefix []byte, o k
 }
 
 // countMatching counts rows sharing the constraint column values with
-// row, whose record key the write built as rkey and whose entry keys as
-// entries. It uses an index over the constraint columns when one exists
-// (the compiler will have created one for any constraint it exploits);
-// otherwise it falls back to counting over the record range, which is
-// only valid when the constraint columns prefix the primary key. Either
-// way the count's prefix is a prefix of a key already built.
-func (m *Maintainer) countMatching(cl *kvstore.Client, cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality, row value.Row, rkey []byte, entries [][]byte) (int, error) {
-	if ix := constraintIndex(cat, ixs, t, card); ix != nil {
-		prefix := IndexPrefix(ix) // ix is one of ixs, so its one entry is among entries
+// row, whose record key the write built as rkey and whose entry keys, in
+// the order of cat's secondary indexes, as entries: one count over the
+// group's prefix in the index cat counts card through (CountingIndex),
+// which is the primary index or one of those secondary indexes, so the
+// prefix is a prefix of a key already built. Every table has one such
+// index from AddTable on: a limit the record keys cannot count gets a
+// limit index, retired only once another ready index counts the limit.
+func countMatching(cl *kvstore.Client, cat *schema.Catalog, t *schema.Table, card schema.Cardinality, row value.Row, rkey []byte, entries [][]byte) (int, error) {
+	ix := cat.CountingIndex(t, card)
+	if ix == nil {
+		return 0, fmt.Errorf("no index counts %s's %s", t.Name, card.String())
+	}
+	key, ns := rkey, len(RecordPrefix(t))
+	if !ix.Primary {
+		prefix := IndexPrefix(ix)
 		i := slices.IndexFunc(entries, func(key []byte) bool { return bytes.HasPrefix(key, prefix) })
-		set, err := readPrefix(cl, kvstore.Count, groupPrefix(entries[i], len(prefix), t, card, row), kvstore.ReadOpts{Parallel: true})
-		return set.N, err
+		key, ns = entries[i], len(prefix)
 	}
-	if m.prefixesPrimaryKey(t, card.Columns) {
-		set, err := readPrefix(cl, kvstore.Count, groupPrefix(rkey, len(RecordPrefix(t)), t, card, row), kvstore.ReadOpts{Parallel: true})
-		return set.N, err
-	}
-	// No efficient path: scan-count via the record range with a filter.
-	// Bounded in practice by the constraint itself once enforced.
-	prefix := RecordPrefix(t)
-	set, err := readPrefix(cl, kvstore.Range, prefix, kvstore.ReadOpts{})
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	other := make(value.Row, len(t.Columns)) // one scratch row for the whole scan
-	cols := make([]int, len(card.Columns))   // the constraint's ordinals, resolved once
-	for i, col := range card.Columns {
-		cols[i] = t.ColumnIndex(col)
-	}
-	for _, kv := range set.Items {
-		// A record that does not decode may match: skipping it would
-		// undercount, as a skipped partition would.
-		if _, err := value.DecodeRowInto(other, kv.Value); err != nil {
-			return 0, fmt.Errorf("count for %s's cardinality limit: record %q: %w", t.Name, kv.Key, err)
-		}
-		match := true
-		for _, ci := range cols {
-			if !value.Equal(other[ci], row[ci]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			n++
-		}
-	}
-	return n, nil
+	set, err := readPrefix(cl, kvstore.Count, groupPrefix(key, ns, t, card, row), kvstore.ReadOpts{Parallel: true})
+	return set.N, err
 }
 
 // groupPrefix returns the first bytes of key, a record or entry key
@@ -451,55 +423,6 @@ func groupPrefix(key []byte, ns int, t *schema.Table, card schema.Cardinality, r
 		end += codec.Size(row[t.ColumnIndex(col)])
 	}
 	return key[:end:end]
-}
-
-// constraintIndex finds a ready secondary index whose leading entry
-// components are exactly the constraint columns, in any order: the count
-// scans a prefix bound by equality on every constraint column, so the
-// order the index stores them in does not matter. The components are
-// matched in the entry layout's order, in which a token comes first
-// whatever the field order declared, so an index with a token field is
-// never chosen: a count under its owner prefix would match no entry. A
-// building index must not be used — its backfill may not have reached
-// every pre-existing row yet, and an undercount would admit
-// constraint-violating inserts; the callers' fallback paths count over
-// the records, which are always complete.
-func constraintIndex(cat *schema.Catalog, ixs []*schema.Index, t *schema.Table, card schema.Cardinality) *schema.Index {
-	for _, ix := range ixs {
-		lead := ix.EntryLayout().Column[1:] // past the namespace
-		if cat.IndexState(ix) != schema.StateReady || len(lead) < len(card.Columns) {
-			continue
-		}
-		if covers(t, card.Columns, lead[:len(card.Columns)]) {
-			return ix
-		}
-	}
-	return nil
-}
-
-// covers reports whether the components, columns of t by ordinal (a
-// token's is -1, which names no column), are pairwise distinct and each
-// one of cols — so, being as many, they are all of cols.
-func covers(t *schema.Table, cols []string, components []int) bool {
-	for i, c := range components {
-		named := slices.ContainsFunc(cols, func(col string) bool { return t.ColumnIndex(col) == c })
-		if !named || slices.Contains(components[:i], c) {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Maintainer) prefixesPrimaryKey(t *schema.Table, cols []string) bool {
-	if len(cols) > len(t.PrimaryKey) {
-		return false
-	}
-	for i, col := range cols {
-		if !strings.EqualFold(t.PrimaryKey[i], col) {
-			return false
-		}
-	}
-	return true
 }
 
 // BackfillAt builds a newly created secondary index from the existing
@@ -550,6 +473,50 @@ func (m *Maintainer) BackfillAt(cl *kvstore.Client, ix *schema.Index, snap kvsto
 		}
 		if err := cl.Apply(&kvstore.WriteSet{Keys: EntryKeys(ix, t, row), At: &snap}); err != nil {
 			return fmt.Errorf("index: backfill of %s: %w", ix.Name, err)
+		}
+	}
+	return nil
+}
+
+// MarkReady publishes ix ready, then retires each limit index of its
+// table that no write counts through any more (schema.RetiredLimits), in
+// this order:
+//
+//  1. publish ix ready: a write that starts from here counts through ix,
+//     and still puts the limit index's entries;
+//  2. drain: no write still counts through the limit index;
+//  3. publish the catalog without it: a write that starts from here no
+//     longer puts its entries;
+//  4. drain: no write still puts them;
+//  5. delete its entries, as one set.
+//
+// So no write that counts through the limit index overlaps one that no
+// longer writes it. Dropped in step 1's publish, it would: each of two
+// inserts into a group one short of its limit counts its own row and
+// not the other's, and both go in past the limit. publish runs one
+// copy-on-write catalog update and publishes it; drain returns once
+// every write that started before the call has finished. A failed read
+// or delete leaves the retired entries in a namespace no catalog names.
+func (m *Maintainer) MarkReady(cl *kvstore.Client, ix *schema.Index, publish func(func(next *schema.Catalog)), drain func()) error {
+	publish(func(next *schema.Catalog) { next.SetIndexReady(ix) })
+	cat := m.src.Catalog()
+	for _, limit := range cat.RetiredLimits(cat.Table(ix.Table)) {
+		drain()
+		publish(func(next *schema.Catalog) { next.DropIndex(limit) })
+		drain()
+		// Read from each partition's primary, which takes every write
+		// first, as the backfill does; it also leaves the client's replica
+		// draws to the reads its session goes on to issue.
+		set, err := readPrefix(cl, kvstore.Range, IndexPrefix(limit), kvstore.ReadOpts{From: kvstore.Primary})
+		if err == nil {
+			keys := make([][]byte, len(set.Items))
+			for i, kv := range set.Items {
+				keys[i] = kv.Key
+			}
+			err = cl.Apply(&kvstore.WriteSet{Keys: keys, Del: true})
+		}
+		if err != nil {
+			return fmt.Errorf("index: retiring %s: %w", limit.Name, err)
 		}
 	}
 	return nil

@@ -114,19 +114,17 @@ func TestConstraintIndexAnyOrder(t *testing.T) {
 
 	cluster := kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 1, Seed: 3}, nil)
 	m := NewMaintainer(cat)
-	_, ixs := m.snapshot(tab)
 	// While the index is still building its backfill may undercount, so
-	// the constraint check must not use it (the record-scan fallback is
-	// always complete).
-	if got := constraintIndex(cat, ixs, tab, tab.Cardinalities[0]); got != nil {
-		t.Fatalf("constraintIndex used building index %v", got)
+	// the constraint check must not use it: it counts through the limit
+	// index the table was created with, which is always complete.
+	if got := cat.CountingIndex(tab, tab.Cardinalities[0]); got == nil || !got.Limit {
+		t.Fatalf("CountingIndex = %v while by_approved_owner builds, want the limit index", got)
 	}
 	cat.SetIndexReady(tab2Index(cat, "subs", "by_approved_owner"))
 	// Once ready, the permuted index serves the constraint (the
-	// positional matcher returned nil here and fell back to
-	// scan-counting).
-	if got := constraintIndex(cat, ixs, tab, tab.Cardinalities[0]); got == nil || got.Name != "by_approved_owner" {
-		t.Fatalf("constraintIndex = %v, want by_approved_owner", got)
+	// positional matcher passed it by).
+	if got := cat.CountingIndex(tab, tab.Cardinalities[0]); got == nil || got.Name != "by_approved_owner" {
+		t.Fatalf("CountingIndex = %v, want by_approved_owner", got)
 	}
 	cl := cluster.NewClient(nil)
 	insert := func(owner, target, approved string) error {
@@ -160,50 +158,6 @@ func TestConstraintIndexAnyOrder(t *testing.T) {
 	// A different owner is unaffected.
 	if err := insert("bob", "t1", "yes"); err != nil {
 		t.Fatalf("unrelated owner hit the limit: %v", err)
-	}
-}
-
-// TestCountRefusesUndecodableRecord: a constraint that neither an index
-// nor a primary-key prefix covers is counted over every record of the
-// table. A record the count cannot decode may match, so it fails the
-// count as an unreachable partition does, and the insert is undone and
-// returns the error — skipping the record admitted the insert past its
-// limit.
-func TestCountRefusesUndecodableRecord(t *testing.T) {
-	cat := schema.NewCatalog()
-	tab := &schema.Table{
-		Name: "posts",
-		Columns: []schema.Column{
-			{Name: "id", Type: value.TypeString, MaxLen: 20},
-			{Name: "author", Type: value.TypeString, MaxLen: 20},
-		},
-		PrimaryKey:    []string{"id"},
-		Cardinalities: []schema.Cardinality{{Limit: 1, Columns: []string{"author"}}},
-	}
-	if err := cat.AddTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	cluster := kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 1, Seed: 5}, nil)
-	cl := cluster.NewClient(nil)
-	m := NewMaintainer(cat)
-	if err := m.Insert(cl, tab, value.Row{value.Str("p1"), value.Str("ann")}); err != nil {
-		t.Fatal(err)
-	}
-	// Bytes no row encodes to, under the table's record prefix.
-	corrupt := RecordKeyFromPK(tab, value.Row{value.Str("p0")})
-	if err := cl.Put(corrupt, []byte{0xff, 0xff, 0xff}); err != nil {
-		t.Fatal(err)
-	}
-	row := value.Row{value.Str("p2"), value.Str("bob")}
-	err := m.Insert(cl, tab, row)
-	if err == nil {
-		t.Fatal("an insert counted over an undecodable record was admitted")
-	}
-	if _, ok := err.(*ErrCardinalityExceeded); ok {
-		t.Fatalf("err = %v: the count did not complete, so the limit was not what refused it", err)
-	}
-	if _, _, ok, err := cl.Read(RecordKey(tab, row), kvstore.ReadOpts{}); err != nil || ok {
-		t.Fatalf("the refused insert's record is still there (ok %v, err %v)", ok, err)
 	}
 }
 

@@ -537,9 +537,12 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 // chunk bound (Config.MoveChunkKeys) only limits the scan's memory;
 // no per-chunk coordination with writers remains (the pre-versioning
 // protocol needed a published chunk window plus delete-tombstone
-// bookkeeping here). A simulated rebalancer yields after each chunk.
+// bookkeeping here). Every chunk is scanned into one buffer, which the
+// destinations' puts do not keep. A simulated rebalancer yields after
+// each chunk.
 func (c *Cluster) copyMove(old *routing, mv *move, proc *sim.Proc) {
 	chunk := c.cfg.MoveChunkKeys
+	var kvs []KV
 	plo, phi := old.rangeParts(mv.lo, mv.hi)
 	for p := plo; p <= phi; p++ {
 		// Copy from the primary, or the first live owner when it is
@@ -551,7 +554,7 @@ func (c *Cluster) copyMove(old *routing, mv *move, proc *sim.Proc) {
 		}
 		cursor, end := clip(old, p, mv.lo, mv.hi)
 		for {
-			kvs := c.nodes[src].scanRaw(cursor, end, chunk)
+			kvs = c.nodes[src].scanRaw(kvs[:0], cursor, end, chunk)
 			for _, kv := range kvs {
 				for _, id := range mv.dst {
 					c.applyOrQueue(id, kv.Key, kv.Value)
@@ -657,14 +660,14 @@ func (c *Cluster) AuditConvergence() error {
 		lo, hi := rt.bounds(p)
 		ids := rt.owners[p]
 		ref := make(map[string][]byte)
-		for _, kv := range c.nodes[ids[0]].scanRaw(lo, hi, 0) {
+		for _, kv := range c.nodes[ids[0]].scanRaw(nil, lo, hi, 0) {
 			if !envIsTombstone(kv.Value) {
 				ref[string(kv.Key)] = kv.Value
 			}
 		}
 		for _, id := range ids[1:] {
 			live := 0
-			for _, kv := range c.nodes[id].scanRaw(lo, hi, 0) {
+			for _, kv := range c.nodes[id].scanRaw(nil, lo, hi, 0) {
 				if envIsTombstone(kv.Value) {
 					continue
 				}

@@ -128,7 +128,7 @@ func assertOwnedOnly(t *testing.T, c *Cluster) {
 	t.Helper()
 	rt := c.routing.Load()
 	for id, nd := range c.nodes {
-		for _, kv := range nd.scanRaw(nil, nil, 0) {
+		for _, kv := range nd.scanRaw(nil, nil, nil, 0) {
 			if !envIsTombstone(kv.Value) && !rt.isOwner(rt.partitionOf(kv.Key), id) {
 				t.Fatalf("node %d holds %q outside its ranges", id, kv.Key)
 			}

@@ -290,18 +290,18 @@ func scanCap(limit int) int {
 	return min(limit, 16)
 }
 
-// scanRaw returns up to limit stored envelopes in [start, end),
+// scanRaw appends to dst up to limit stored envelopes in [start, end),
 // tombstones included — the rebalance copy's view, which must carry
-// versions (and deletions) to the destination nodes.
-func (n *node) scanRaw(start, end []byte, limit int) []KV {
+// versions (and deletions) to the destination nodes — and returns it.
+func (n *node) scanRaw(dst []KV, start, end []byte, limit int) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]KV, 0, scanCap(limit))
+	from := len(dst)
 	n.trees.Ascend(start, end, func(it item) bool {
-		out = append(out, KV{Key: it.Key, Value: it.Value})
-		return limit <= 0 || len(out) < limit
+		dst = append(dst, KV{Key: it.Key, Value: it.Value})
+		return limit <= 0 || len(dst)-from < limit
 	})
-	return out
+	return dst
 }
 
 // count returns the number of live items in [start, end).

@@ -6,6 +6,7 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -177,6 +178,12 @@ type Index struct {
 	Table   string
 	Fields  []IndexField
 	Primary bool
+	// Limit marks a limit index: the one AddTable registers, ready, for a
+	// CARDINALITY LIMIT the primary index does not count (CountingIndex),
+	// so that every write counts its group with one bounded range. No
+	// plan reads it, and it is retired once another ready index counts
+	// every limit it counts (RetiredLimits).
+	Limit bool
 
 	layout *EntryLayout
 	sig    string // Signature(), computed when a catalog registers the index
@@ -305,6 +312,9 @@ func (ix *Index) Signature() string {
 
 func (ix *Index) signature() string {
 	var sb strings.Builder
+	if ix.Limit {
+		sb.WriteByte('#') // no identifier starts so: no index a plan asks for shares it
+	}
 	sb.WriteString(strings.ToLower(ix.Table))
 	for _, f := range ix.Fields {
 		sb.WriteByte('|')
@@ -414,9 +424,12 @@ func (c *Catalog) AddTable(t *Table) error {
 		if len(card.Columns) == 0 {
 			return fmt.Errorf("schema: table %q: cardinality limit without columns", t.Name)
 		}
-		for _, col := range card.Columns {
+		for i, col := range card.Columns {
 			if t.ColumnIndex(col) < 0 {
 				return fmt.Errorf("schema: table %q: cardinality column %q does not exist", t.Name, col)
+			}
+			if slices.ContainsFunc(card.Columns[:i], func(c string) bool { return strings.EqualFold(c, col) }) {
+				return fmt.Errorf("schema: table %q: cardinality limit names column %q twice", t.Name, col)
 			}
 		}
 	}
@@ -427,10 +440,33 @@ func (c *Catalog) AddTable(t *Table) error {
 	for _, col := range t.PrimaryKey {
 		pk.Fields = append(pk.Fields, IndexField{Column: col})
 	}
-	pk.compileLayout(t)
-	c.indexes[key] = append(c.indexes[key], pk)
-	c.state[pk.Signature()] = StateReady // the record layout needs no backfill
+	c.register(t, pk)
+	// A limit the record keys cannot count gets a limit index, ready at
+	// once: the table is empty, so there is nothing to backfill.
+	for _, card := range t.Cardinalities {
+		if c.CountingIndex(t, card) != nil {
+			continue
+		}
+		fields := make([]IndexField, len(card.Columns), len(card.Columns)+len(t.PrimaryKey))
+		for i, col := range card.Columns {
+			fields[i] = IndexField{Column: col}
+		}
+		c.register(t, &Index{
+			Name:   fmt.Sprintf("limit#%s_%s", key, strings.ToLower(strings.Join(card.Columns, "_"))),
+			Table:  t.Name,
+			Fields: CompleteWithPK(t, fields),
+			Limit:  true,
+		})
+	}
 	return nil
+}
+
+// register adds ix, an index AddTable made, to t's list, ready.
+func (c *Catalog) register(t *Table, ix *Index) {
+	ix.compileLayout(t)
+	key := strings.ToLower(t.Name)
+	c.indexes[key] = append(c.indexes[key], ix)
+	c.state[ix.Signature()] = StateReady
 }
 
 // Table returns the named table, or nil.
@@ -505,6 +541,74 @@ func CompleteWithPK(t *Table, fields []IndexField) []IndexField {
 // Indexes returns the indexes on a table.
 func (c *Catalog) Indexes(table string) []*Index {
 	return c.indexes[strings.ToLower(table)]
+}
+
+// Counts reports whether ix can count the groups of card, a limit of its
+// table t: its leading entry components past the namespace are card's
+// columns, pairwise distinct, in any order. A count reads a prefix bound
+// by equality on every one of them, so the order does not matter. A
+// token component (an ordinal of -1, which names no column) leads the
+// layout whatever the declared field order, so an index with a token
+// field never counts: its owner prefix would match no entry. ix must be
+// registered: the answer is read off its entry layout.
+func (ix *Index) Counts(t *Table, card Cardinality) bool {
+	lead := ix.layout.Column[1:] // past the namespace
+	if len(lead) < len(card.Columns) {
+		return false
+	}
+	for i, c := range lead[:len(card.Columns)] {
+		named := slices.ContainsFunc(card.Columns, func(col string) bool { return t.ColumnIndex(col) == c })
+		if !named || slices.Contains(lead[:i], c) {
+			return false
+		}
+	}
+	return true
+}
+
+// CountingIndex returns the index a write counts card's groups through,
+// card being a limit of t: a ready secondary index that counts it, else
+// the primary index when it does (the constraint's columns prefix the
+// primary key), else the table's limit index that does; nil when none
+// does. A building index is never one: its backfill may not have reached
+// every row yet, and an undercount admits a row past the limit.
+func (c *Catalog) CountingIndex(t *Table, card Cardinality) *Index {
+	var pk, limit *Index
+	for _, ix := range c.Indexes(t.Name) {
+		switch {
+		case !ix.Counts(t, card) || c.IndexState(ix) != StateReady:
+		case ix.Primary:
+			pk = ix
+		case ix.Limit:
+			limit = cmp.Or(limit, ix)
+		default:
+			return ix
+		}
+	}
+	return cmp.Or(pk, limit)
+}
+
+// RetiredLimits returns the limit indexes of t that no write counts
+// through any more: every limit of t that one counts, CountingIndex
+// answers with an index that is not a limit index.
+func (c *Catalog) RetiredLimits(t *Table) []*Index {
+	var out []*Index
+	for _, ix := range c.Indexes(t.Name) {
+		if ix.Limit && !slices.ContainsFunc(t.Cardinalities, func(card Cardinality) bool {
+			return ix.Counts(t, card) && c.CountingIndex(t, card).Limit
+		}) {
+			out = append(out, ix)
+		}
+	}
+	return out
+}
+
+// DropIndex removes ix from the catalog. Like every catalog mutation it
+// must only run on an unpublished clone (copy-on-write); Clone copied
+// the index list, so it is cut in place.
+func (c *Catalog) DropIndex(ix *Index) {
+	key := strings.ToLower(ix.Table)
+	c.indexes[key] = slices.DeleteFunc(c.indexes[key], func(o *Index) bool { return o == ix })
+	delete(c.state, ix.Signature())
 }
 
 // IndexState returns the lifecycle state of an index in this catalog.

@@ -61,6 +61,8 @@ func TestAddTableValidation(t *testing.T) {
 			Cardinalities: []Cardinality{{Limit: 5}}}},
 		{"card bad col", &Table{Name: "t", Columns: []Column{{Name: "a", Type: value.TypeInt}}, PrimaryKey: []string{"a"},
 			Cardinalities: []Cardinality{{Limit: 5, Columns: []string{"b"}}}}},
+		{"card col twice", &Table{Name: "t", Columns: []Column{{Name: "a", Type: value.TypeInt}, {Name: "b", Type: value.TypeInt}}, PrimaryKey: []string{"a"},
+			Cardinalities: []Cardinality{{Limit: 5, Columns: []string{"b", "B"}}}}},
 	}
 	for _, c := range cases {
 		cat := NewCatalog()
@@ -219,5 +221,68 @@ func TestRowSizeEstimate(t *testing.T) {
 	// username 21 + age 9 + unbounded bio 256.
 	if got := tab.RowSizeEstimate(); got != 21+9+256 {
 		t.Errorf("RowSizeEstimate = %d", got)
+	}
+}
+
+// TestLimitIndexes: AddTable registers a ready limit index for each
+// CARDINALITY LIMIT the primary index cannot count, and none for one
+// whose columns prefix the primary key, in any order. A limit index's
+// fields are the limit's columns completed with the primary key; its
+// signature is no index a plan can ask for, so AddIndex of the same
+// fields registers a second index. Once that one is ready it counts the
+// limit, and the limit index is retired; dropped, it is gone from the
+// catalog and reports building.
+func TestLimitIndexes(t *testing.T) {
+	c := NewCatalog()
+	tab := &Table{
+		Name: "posts",
+		Columns: []Column{
+			{Name: "id", Type: value.TypeInt},
+			{Name: "author", Type: value.TypeString},
+			{Name: "day", Type: value.TypeInt},
+		},
+		PrimaryKey: []string{"day", "id"},
+		Cardinalities: []Cardinality{
+			{Limit: 9, Columns: []string{"id", "day"}}, // the primary key's columns, permuted
+			{Limit: 5, Columns: []string{"author"}},
+		},
+	}
+	if err := c.AddTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	ixs := c.Indexes("posts")
+	if len(ixs) != 2 || !ixs[1].Limit || ixs[1].String() != "posts(author, day, id)" || c.IndexState(ixs[1]) != StateReady {
+		t.Fatalf("indexes %v: want the primary index and a ready limit index posts(author, day, id)", ixs)
+	}
+	pk, limit := ixs[0], ixs[1]
+	if got := c.CountingIndex(tab, tab.Cardinalities[0]); got != pk {
+		t.Errorf("CountingIndex(%s) = %v, want the primary index", tab.Cardinalities[0].String(), got)
+	}
+	if got := c.CountingIndex(tab, tab.Cardinalities[1]); got != limit {
+		t.Errorf("CountingIndex(%s) = %v, want the limit index", tab.Cardinalities[1].String(), got)
+	}
+	if got := c.RetiredLimits(tab); len(got) != 0 {
+		t.Errorf("RetiredLimits = %v with no other index counting author", got)
+	}
+	twin, err := c.AddIndex(&Index{Name: "by_author", Table: "posts", Fields: []IndexField{{Column: "author"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin == limit || twin.Signature() == limit.Signature() {
+		t.Fatalf("AddIndex of the limit index's fields returned %v, signature %q: want an index of its own", twin, twin.Signature())
+	}
+	if got := c.RetiredLimits(tab); len(got) != 0 {
+		t.Errorf("RetiredLimits = %v while by_author builds", got)
+	}
+	c.SetIndexReady(twin)
+	if got := c.CountingIndex(tab, tab.Cardinalities[1]); got != twin {
+		t.Errorf("CountingIndex = %v with by_author ready, want by_author", got)
+	}
+	if got := c.RetiredLimits(tab); len(got) != 1 || got[0] != limit {
+		t.Fatalf("RetiredLimits = %v, want the limit index", got)
+	}
+	c.DropIndex(limit)
+	if got := c.Indexes("posts"); len(got) != 2 || got[0] != pk || got[1] != twin || c.IndexState(limit) != StateBuilding {
+		t.Errorf("after DropIndex: indexes %v, limit index %s", got, c.IndexState(limit))
 	}
 }
