@@ -4,8 +4,10 @@
 // per index (kvstore's directory).
 //
 // A node searches by 4-byte key heads past the prefix its keys share
-// (see node), and a split keeps the full arrays on the side the incoming
-// key falls in, so a load in key order fills every node (see splitChild).
+// (see node). A full leaf that an insert reaches at its end splits there,
+// not at the median, so a load in key order leaves the leaves it passes
+// full; and a split leaves the node's arrays to the half the incoming
+// key falls in, so those arrays are full too (see splitChild).
 //
 // The tree is not safe for concurrent use; the storage node serializes
 // access.
@@ -17,10 +19,12 @@ import (
 	"slices"
 )
 
-// degree is the minimum number of children of an internal node. Nodes hold
-// between degree-1 and 2*degree-1 items (except the root). At 64 a table
-// of up to about 16 000 rows, as a storage node holds one, is two levels
-// deep.
+// degree is the minimum number of children of an internal node but the
+// root. An internal node but the root holds between degree-1 and
+// 2*degree-1 items, a leaf but the root between 1 and 2*degree-1: a leaf
+// split at its end (splitChild) starts the new leaf with one item. At 64
+// a table of up to about 16 000 rows loaded in key order, as a storage
+// node holds one, is two levels deep.
 const degree = 64
 
 const maxItems = 2*degree - 1
@@ -139,10 +143,15 @@ func (n *node) admit(key []byte) {
 
 // reprefix sets n's prefix to the longest its first and last keys share,
 // which every key between them shares too, and re-derives its heads. A
-// split and a merge call it on the nodes they make.
+// split and a merge call it on the nodes they make. An empty node (the
+// half of a leaf split at its end that the key is about to start) keeps
+// no prefix: admit takes the key's.
 func (n *node) reprefix() {
-	first, last := n.items[0].Key, n.items[len(n.items)-1].Key
-	n.lcp = copy(n.pre[:], first[:sharedLen(first, last)])
+	n.lcp = 0
+	if len(n.items) > 0 {
+		first, last := n.items[0].Key, n.items[len(n.items)-1].Key
+		n.lcp = copy(n.pre[:], first[:sharedLen(first, last)])
+	}
 	n.rehead()
 }
 
@@ -198,8 +207,9 @@ func (t *Tree) Put(key, val []byte) bool {
 	return !found
 }
 
-// maxHeight is more levels than a tree grows: each level below the root
-// holds at least degree times the nodes of the one above.
+// maxHeight is more levels than a tree grows: the root has at least two
+// children and every other internal node at least degree, so h levels
+// have at least 2·degree^(h-2) leaves, and every leaf holds an item.
 const maxHeight = 16
 
 // PutUnless stores val under key unless the key is present and keep(old,
@@ -238,12 +248,11 @@ func (t *Tree) PutUnless(key, val []byte, keep func(old, val []byte) bool) (old 
 	for l := 0; l < d; l++ {
 		i := at[l]
 		if len(n.children[i].items) == maxItems {
-			n.splitChild(i, key)
-			if bytes.Compare(key, n.items[i].Key) > 0 {
-				// Past the median: the right half holds the full
-				// node's items and children from degree on.
+			if s := n.splitChild(i, at[l+1]); at[l+1] > s {
+				// Past the item that went up: the right half holds
+				// the full node's items and children from s+1 on.
 				i++
-				at[l+1] -= degree
+				at[l+1] -= s + 1
 			}
 		}
 		n = n.children[i]
@@ -253,30 +262,46 @@ func (t *Tree) PutUnless(key, val []byte, keep func(old, val []byte) bool) (old 
 	return nil, false, true
 }
 
-// splitChild splits the full child at index i, moving its median item up.
-// key is the key about to be inserted: the half it falls in keeps the
-// child's arrays, grown to hold a full node, and the other half gets
-// exact copies. A load in key order then fills every node: an
-// ascending load never writes a left half again, a descending one never
-// a right half, and each keeps a copy of just its size while the growing
-// half refills the full-sized array.
-func (n *node) splitChild(i int, key []byte) {
+// splitChild splits the full child at index i, in which the key about
+// to be inserted falls at position at, moves item s of the child up and
+// returns s. s is the median, but for a leaf the key reaches at an end:
+// past its last item (an ascending run) the left keeps every item but
+// the last, which goes up, and the key starts the right leaf; before its
+// first (a descending run) the first goes up and the key starts the
+// left. A load in key order never writes the half it leaves again, so
+// that half stays full. An internal node always splits at the median, so
+// that it keeps degree-1 items and the tree its height (maxHeight).
+//
+// The half the key falls in keeps the child's arrays, grown to hold a
+// full node, and the other half gets exact copies, so that an in-order
+// load leaves its item arrays as full as its nodes.
+func (n *node) splitChild(i, at int) int {
 	child := n.children[i]
-	median := child.items[degree-1]
-	toRight := bytes.Compare(key, median.Key) > 0
+	s := degree - 1
+	if child.leaf() {
+		switch at {
+		case 0:
+			s = 0
+		case maxItems:
+			s = maxItems - 1
+		}
+	}
+	up := child.items[s]
+	toRight := at > s
 	right := &node{}
-	child.items, right.items = halve(child.items, degree-1, degree, toRight)
-	child.heads, right.heads = halve(child.heads, degree-1, degree, toRight)
+	child.items, right.items = halve(child.items, s, s+1, toRight)
+	child.heads, right.heads = halve(child.heads, s, s+1, toRight)
 	child.reprefix()
 	right.reprefix()
 	if !child.leaf() {
-		child.children, right.children = halve(child.children, degree, degree, toRight)
+		child.children, right.children = halve(child.children, s+1, s+1, toRight)
 	}
 
-	n.insertAt(i, median)
+	n.insertAt(i, up)
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
+	return s
 }
 
 // halve splits s into s[:lo] and s[hi:]. The right half keeps s's array
@@ -343,9 +368,12 @@ func (n *node) remove(key []byte) bool {
 	return child.remove(key)
 }
 
-// fill ensures child i has at least degree items before descending,
-// borrowing from a sibling or merging. Returns the (possibly shifted)
-// child index to descend into.
+// fill gives child i, which holds fewer than degree items, one more item
+// at least before a delete descends into it, borrowing from a sibling
+// that holds degree or more or merging with one that holds fewer (at
+// most maxItems together): an internal child then keeps degree-1 after
+// the delete, a leaf one. Returns the (possibly shifted) child index to
+// descend into.
 func (n *node) fill(i int) int {
 	if i > 0 && len(n.children[i-1].items) >= degree {
 		n.borrowFromLeft(i)

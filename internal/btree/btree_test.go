@@ -190,50 +190,151 @@ func TestDeletedItemIsReleased(t *testing.T) {
 	}
 }
 
-// fill returns the number of items a tree holds and the number of slots
-// its nodes' item arrays have room for.
-func fill(tr *Tree) (items, slots int) {
+// census returns the number of items a tree holds, the number of slots
+// its nodes' item arrays have room for, and the number of its nodes.
+func census(tr *Tree) (items, slots, nodes int) {
 	var walk func(n *node)
 	walk = func(n *node) {
 		items += len(n.items)
 		slots += cap(n.items)
+		nodes++
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(tr.root)
-	return items, slots
+	return items, slots, nodes
+}
+
+// leastHeight is the fewest levels that hold n items: h levels of full
+// nodes hold (maxItems+1)^h - 1.
+func leastHeight(n int) int {
+	h := 1
+	for held := maxItems; held < n; held = held*(maxItems+1) + maxItems {
+		h++
+	}
+	return h
 }
 
 // TestInOrderLoadFillsNodes loads 100 000 store-shaped keys (storeKey)
-// in ascending and in descending order, as the store's loaders do, and
-// requires the nodes' item arrays to be at least 95 % full: a split
-// leaves the full-sized array to the half the load goes on filling. A
-// load in random order is logged, not checked.
+// in ascending and in descending order, as the store's loaders do. The
+// nodes must be at least 95 % full (items ÷ (nodes × maxItems)), since
+// a leaf split where the load goes leaves the other half full, and the
+// tree no taller than n items need. The nodes' item arrays must be at
+// least 95 % full too, since a split leaves the full-sized array to the
+// half the load goes on filling and the other an exact copy. A load in
+// random order is logged, not checked.
 func TestInOrderLoadFillsNodes(t *testing.T) {
 	const n = 100000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, load := range []struct {
 		name    string
 		key     func(i int) int
-		minFill float64
+		inOrder bool
 	}{
-		{"ascending", func(i int) int { return i }, 0.95},
-		{"descending", func(i int) int { return n - 1 - i }, 0.95},
-		{"random", func(i int) int { return perm[i] }, 0},
+		{"ascending", func(i int) int { return i }, true},
+		{"descending", func(i int) int { return n - 1 - i }, true},
+		{"random", func(i int) int { return perm[i] }, false},
 	} {
 		tr := New()
 		for i := 0; i < n; i++ {
 			k := storeKey(load.key(i), n)
 			tr.Put(k, k)
 		}
-		items, slots := fill(tr)
-		share := float64(items) / float64(slots)
-		t.Logf("%s: %d items in %d slots, %.3f full", load.name, items, slots, share)
-		if share < load.minFill {
-			t.Errorf("a load in %s order leaves the item arrays %.3f full; want at least %.2f", load.name, share, load.minFill)
+		items, slots, nodes := census(tr)
+		occupancy, fill := float64(items)/float64(nodes*maxItems), float64(items)/float64(slots)
+		t.Logf("%s: %d items in %d nodes of %d levels, %.3f occupied; %d slots, %.3f full",
+			load.name, items, nodes, height(tr), occupancy, slots, fill)
+		if !load.inOrder {
+			continue
+		}
+		if occupancy < 0.95 {
+			t.Errorf("a load in %s order leaves the nodes %.3f occupied; want at least 0.95", load.name, occupancy)
+		}
+		if h := height(tr); h != leastHeight(n) {
+			t.Errorf("a load in %s order grows %d levels; %d items need %d", load.name, h, n, leastHeight(n))
+		}
+		if fill < 0.95 {
+			t.Errorf("a load in %s order leaves the item arrays %.3f full; want at least 0.95", load.name, fill)
 		}
 	}
+}
+
+// TestSparseLeaves inserts pairs of keys into the gap below a leaf's
+// upper separator, each pair below the last: the first key of a pair
+// lands at the leaf's end and fills it, the second lands past it and
+// splits the full leaf at its end, leaving a leaf of one item. So every
+// second insert splits a leaf at its end, and the tree grows thousands
+// of one-item leaves under internal nodes that fill from their start.
+// Along the way and while every key is deleted again in random order,
+// which borrows into and merges one-item leaves, the tree must match
+// its model and its shape (checkNode: internal nodes keep degree-1
+// items), and be at most one level taller than its items need.
+func TestSparseLeaves(t *testing.T) {
+	const pairs = 20000
+	const gap = 2*pairs + 2
+	k := func(i int) []byte { return fmt.Appendf(nil, "k%09d", i) }
+	m := newRefTree()
+	check := func(when string) {
+		t.Helper()
+		if err := m.check(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if h, least := height(m.tr), leastHeight(m.tr.Len()); h > least+1 {
+			t.Fatalf("%s: %d items in %d levels; they need %d", when, m.tr.Len(), h, least)
+		}
+	}
+	put := func(i int) {
+		t.Helper()
+		if err := m.put(k(i), k(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An ascending load of maxItems+1 keys splits the full leaf at its
+	// end: the leaf keeps maxItems-1 items, up to k(125·gap), below the
+	// separator k(126·gap).
+	for i := range maxItems + 1 {
+		put(i * gap)
+	}
+	top := (maxItems - 1) * gap
+	for j := 1; j <= pairs; j++ {
+		put(top - 2*j)
+		put(top - 2*j + 1)
+		if j%2000 == 0 {
+			check(fmt.Sprintf("after %d pairs", j))
+		}
+	}
+	ones := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf() && len(n.items) == 1 {
+			ones++
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(m.tr.root)
+	if ones < pairs {
+		t.Fatalf("%d pairs left %d leaves of one item; want one a pair", pairs, ones)
+	}
+	t.Logf("%d items in %d levels (%d needed), %d leaves of one item", m.tr.Len(), height(m.tr), leastHeight(m.tr.Len()), ones)
+
+	left := make([]string, 0, len(m.ref))
+	for key := range m.ref {
+		left = append(left, key)
+	}
+	sort.Strings(left)
+	rand.New(rand.NewSource(1)).Shuffle(len(left), func(i, j int) { left[i], left[j] = left[j], left[i] })
+	for i, key := range left {
+		if err := m.delete([]byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		if i%4000 == 0 {
+			check(fmt.Sprintf("after %d deletes", i))
+		}
+	}
+	check("after every delete")
 }
 
 // refTree is a tree beside its reference model, a map. Each method does
@@ -329,16 +430,20 @@ func (m *refTree) check() error {
 	return m.scan(nil, nil)
 }
 
-// checkNode checks the subtree at n: every node but the root holds
-// degree-1 to maxItems items, an internal node one child more than
-// items, no slot of an array past its length holds an item or a child (a
+// checkNode checks the subtree at n: an internal node but the root holds
+// degree-1 to maxItems items and one child more than items, a leaf but
+// the root 1 to maxItems (a leaf split at its end keeps one), no slot of an array past its length holds an item or a child (a
 // deleted key, a dead subtree or a half moved to another node, kept
 // reachable), keys ascend strictly and lie inside (lo, hi) — the
 // separators around the subtree, nil for none — every key starts with
 // the node's prefix, which is at most maxPrefix bytes, each item has its
 // head, and every leaf lies at one depth, which it returns.
 func checkNode(n *node, root bool, lo, hi []byte) (int, error) {
-	if len(n.items) > maxItems || (!root && len(n.items) < degree-1) {
+	least := degree - 1
+	if n.leaf() {
+		least = 1
+	}
+	if len(n.items) > maxItems || (!root && len(n.items) < least) {
 		return 0, fmt.Errorf("a node holds %d items", len(n.items))
 	}
 	if len(n.heads) != len(n.items) {
@@ -518,12 +623,16 @@ func TestSearchAtPrefixEdges(t *testing.T) {
 		m := newRefTree()
 		left := func(i int) []byte { return fmt.Appendf(nil, "t:thoughts\x00\x01%08d", i) }
 		right := func(i int) []byte { return fmt.Appendf(nil, "t:users\x00\x01%08d", i) }
+		// The last insert lands inside the full leaf, not at its end, so
+		// the leaf splits at its median, left(degree-1), into one leaf
+		// of each table.
 		for i := range degree {
 			put(t, m, left(i))
 		}
-		for i := range degree {
+		for i := 1; i < degree; i++ {
 			put(t, m, right(i))
 		}
+		put(t, m, right(0))
 		if height(m.tr) != 2 || len(m.tr.root.items) != 1 {
 			t.Fatalf("the tree has %d levels and %d separators; the case needs two leaves", height(m.tr), len(m.tr.root.items))
 		}
@@ -580,9 +689,9 @@ func storeBound(r *rand.Rand, space int) []byte {
 // TestAgainstReferenceModel drives the tree with random op sequences and
 // compares every observable against a map. The small part keeps 200
 // four-byte keys, a tree of one or two levels. The deep part grows
-// store-shaped keys (storeKey) past three levels, churns them and
-// deletes them all, so that a delete borrows from and merges internal
-// nodes too; it checks the tree's shape (checkNode) and ranges whose
+// store-shaped keys (storeKey) past three levels, with sorted runs among
+// its random puts, churns them and deletes them all, so that a delete
+// borrows from and merges internal nodes and sparse leaves too; it checks the tree's shape (checkNode) and ranges whose
 // bounds are prefixes of stored keys, empty or open, along the way.
 func TestAgainstReferenceModel(t *testing.T) {
 	small := func(seed int64) bool {
@@ -639,12 +748,26 @@ func deepRun(seed int64) error {
 	m := newRefTree()
 	ops, tallest := 0, 0
 	// step does one random operation: a put with chance puts in 10 (half
-	// of them conditional), else a delete or, one time in 10, a get. Every
-	// 1000 operations it checks the whole tree and a range.
+	// of them conditional), else a delete or, one time in 10, a get. One
+	// time in 200 while it puts, it puts a sorted run instead: up to
+	// 2·maxItems consecutive keys from the drawn one, ascending or
+	// descending, a load into the middle of the tree that splits the
+	// leaves it fills at their ends. Every 1000 operations it checks the
+	// whole tree and a range.
 	step := func(puts int) error {
-		k := storeKey(r.Intn(space), space)
+		i := r.Intn(space)
+		k := storeKey(i, space)
 		var err error
 		switch c := r.Intn(10); {
+		case puts > 0 && r.Intn(200) == 0:
+			end, down := min(i+1+r.Intn(2*maxItems), space), r.Intn(2) == 0
+			for j := i; j < end && err == nil; j++ {
+				at := j
+				if down {
+					at = i + end - 1 - j
+				}
+				err = m.put(storeKey(at, space), fmt.Appendf(nil, "v%d", ops))
+			}
 		case c < puts && c%2 == 1:
 			err = m.putUnless(k, fmt.Appendf(nil, "v%d", ops))
 		case c < puts:
@@ -761,30 +884,36 @@ func FuzzTreeOps(f *testing.F) {
 	})
 }
 
-// BenchmarkPut inserts b.N keys into an empty tree in ascending,
-// descending and random order, and reports the slots of the nodes' item
-// arrays per item the tree ends with (slots/item; 1 is full).
-func BenchmarkPut(b *testing.B) {
+// BenchmarkLoad loads 10 000 store-shaped keys (storeKey), a table the
+// size of TPC-W's items, into an empty tree in ascending, descending and
+// random order; an op is one whole load. It reports the nodes the tree
+// ends with per 1 000 keys (nodes/1k-keys; 1000/maxItems, 7.9, is every
+// node full) and the slots of the nodes' item arrays per item
+// (slots/item; 1 is every array full).
+func BenchmarkLoad(b *testing.B) {
+	const n = 10000
 	for _, order := range []string{"ascending", "descending", "random"} {
 		b.Run(order, func(b *testing.B) {
-			keys := make([][]byte, b.N)
+			keys := make([][]byte, n)
 			for i := range keys {
-				keys[i] = key(i)
+				keys[i] = storeKey(i, n)
 			}
 			switch order {
 			case "descending":
 				slices.Reverse(keys)
 			case "random":
-				rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			}
-			tr := New()
 			b.ReportAllocs()
-			b.ResetTimer()
-			for _, k := range keys {
-				tr.Put(k, k)
+			var tr *Tree
+			for b.Loop() {
+				tr = New()
+				for _, k := range keys {
+					tr.Put(k, k)
+				}
 			}
-			b.StopTimer()
-			items, slots := fill(tr)
+			items, slots, nodes := census(tr)
+			b.ReportMetric(float64(nodes)*1000/n, "nodes/1k-keys")
 			b.ReportMetric(float64(slots)/float64(items), "slots/item")
 		})
 	}
