@@ -126,8 +126,13 @@ space := $(subst ,, )
 # outcome of a racing fleet across repeated chunked rebalances,
 # TestReplicasConvergeUnderRacingWrites races unordered Put/Delete
 # across rebalances, plus the chunked-copy regressions and the index
-# build tests. TestChaosOnlineOperations runs the same model check and
-# RunChaos's byte-for-byte per-key replica audit on the virtual clock;
+# build tests, among them the drains and waits of the engine's write
+# barrier and single-flight build
+# (TestRetiringALimitIndexUnderConcurrentInserts,
+# TestColdPreparesRaceForOneIndex,
+# TestSimulatedSessionsColdPrepareSameIndex). TestChaosOnlineOperations
+# runs the same model check and RunChaos's byte-for-byte per-key replica
+# audit on the virtual clock;
 # TestRejoinPurgesRangesMovedWhileDown and
 # TestAsyncCatchUpRespectsOwnership cover the ranges a node lost while it
 # was down.
@@ -137,7 +142,9 @@ CHAOS_TESTS = TestChaosOnlineOperations TestRebalanceUnderTraffic \
 	TestRebalanceChunkedCopy TestRebalanceDeleteInEarlierChunkNoResurrect \
 	TestCreateIndexRacingDeletesNoDangling TestSimulatedCreateIndexDrainsWriters \
 	TestReplicasConvergeUnderRacingWrites TestRejoinPurgesRangesMovedWhileDown \
-	TestAsyncCatchUpRespectsOwnership TestBackfillStampLosesToRacingDelete
+	TestAsyncCatchUpRespectsOwnership TestBackfillStampLosesToRacingDelete \
+	TestRetiringALimitIndexUnderConcurrentInserts TestColdPreparesRaceForOneIndex \
+	TestSimulatedSessionsColdPrepareSameIndex
 
 chaos:
 	$(call raced-gate,$(CHAOS_TESTS))

@@ -165,14 +165,12 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestSimulatedSessionsColdPrepareSameIndex regression-tests a
-// deadlock: two virtual-time processes cold-Prepare the same SQL
-// needing a new secondary index. The first parks mid-backfill on
-// simulated store latency; the second must not block on the
-// single-flight channel (it holds the sim scheduler's only token — the
-// builder could never resume). It polls the build with a virtual-time
-// Yield instead, waiting for the same single-flight result as a real
-// goroutine would.
+// TestSimulatedSessionsColdPrepareSameIndex: two virtual-time processes
+// cold-Prepare the same SQL needing a new secondary index. The first
+// parks mid-backfill on simulated store latency; the second must wait
+// for that single-flight build without blocking (it holds the sim
+// scheduler's only token, so a blocked waiter would leave the builder
+// unable to resume), and both must read the built index.
 func TestSimulatedSessionsColdPrepareSameIndex(t *testing.T) {
 	env := sim.NewEnv()
 	cluster := kvstore.New(kvstore.Config{Nodes: 2, ReplicationFactor: 2, Seed: 7}, env)

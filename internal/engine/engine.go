@@ -39,11 +39,12 @@
 // window remains between registration and the backfill scan: a writer
 // that loaded the catalog before the index was published would neither
 // maintain the index nor be seen by a scan that already passed its row.
-// The engine closes it by draining in-flight write operations (a brief
-// exclusive acquire of writeGate) after publishing the index and before
-// scanning: any write that starts after the drain sees the published
-// index and maintains it; any write that started before finishes before
-// the scan and is picked up by it.
+// The engine closes it with a write barrier: every write statement holds
+// a claim for its duration (Session.beginOp), and after publishing the
+// index and before scanning, the builder holds new writes at the door and
+// waits out the claimed ones (Engine.drain): any write that starts after
+// the drain sees the published index and maintains it; any write that
+// started before finishes before the scan and is picked up by it.
 package engine
 
 import (
@@ -87,22 +88,13 @@ type Engine struct {
 	buildMu sync.Mutex
 	builds  map[string]*indexBuild // in-flight/completed backfills by signature
 
-	// writeGate closes the index-build write-gap window: every write
-	// operation holds it shared for the op's duration (loading the
-	// catalog inside), and a backfill acquires it exclusively — once,
-	// briefly — after its index is published and before its scan, so no
-	// writer can still be acting on a pre-index catalog snapshot.
-	writeGate sync.RWMutex
-
-	// simDrains is the cooperative-mode analogue of a pending exclusive
-	// writeGate acquisition. A simulated builder cannot block in Lock()
-	// (it holds the scheduler token), and a bare TryLock spin never
-	// wins under sustained writers — a simulated writer is parked only
-	// while it is *inside* an op holding the gate, so the gate is never
-	// observably free. While simDrains > 0, simulated write operations
-	// yield before taking the gate, so only in-flight ops separate the
-	// drainer from its barrier.
-	simDrains atomic.Int32
+	// The write gate closes the index-build write-gap window. writing
+	// counts the write statements in progress, each claimed for its whole
+	// duration (beginOp/endOp, loading the catalog inside); draining
+	// counts the pending barriers (drain), which hold new writes at the
+	// door until no write is in progress, so no writer can still be
+	// acting on a catalog snapshot taken before the barrier.
+	writing, draining atomic.Int32
 
 	// admission is the SLO admission-control policy applied by Prepare
 	// (Section 6: queries whose static bound or predicted latency
@@ -241,17 +233,16 @@ func (e *Engine) createIndex(s *Session, ix *schema.Index) error {
 }
 
 // indexBuild is one in-flight or completed backfill: err is written
-// before done is closed, so waiters that return from <-done see it.
+// before done is stored, so a waiter that loads done true sees it.
 type indexBuild struct {
-	done chan struct{}
 	err  error
+	done atomic.Bool
 }
 
 // ensureBuilt backfills any indexes not yet ready in the catalog.
 // Builds are single-flight per index signature: the first session to
-// request an index runs the backfill while racing sessions block until
-// it completes (previously two sessions could race the signature map,
-// with the loser reading the index mid-backfill). A successful build
+// request an index runs the backfill while racing sessions wait until
+// it completes, so none reads the index mid-backfill. A successful build
 // first passes the read-only ghost assertion (deletes racing the
 // backfill scan must have outranked its stamped re-puts on every
 // suspect; see verifyBackfillRace) and only then flips the index to
@@ -271,24 +262,15 @@ func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
 		e.buildMu.Lock()
 		b, inFlight := e.builds[sig]
 		if !inFlight {
-			b = &indexBuild{done: make(chan struct{})}
+			b = &indexBuild{}
 			e.builds[sig] = b
 		}
 		e.buildMu.Unlock()
 		if inFlight {
-			// A simulated-mode session holds the sim scheduler's token:
-			// blocking on the channel would deadlock the whole virtual-
-			// time environment. Poll instead, parking for zero virtual
-			// time between attempts so the builder — simulated or real —
-			// makes progress. (The old workaround duplicated the whole
-			// backfill; now sim waiters get the same single-flight wait
-			// as real goroutines.)
-			if s.client.Simulated() {
-				for !b.finished() {
-					s.client.Yield()
-				}
-			} else {
-				<-b.done
+			// Poll, yielding between attempts: a simulated session holds
+			// the scheduler's token, which the builder needs to finish.
+			for !b.done.Load() {
+				s.client.Yield()
 			}
 			if b.err != nil {
 				return b.err
@@ -311,7 +293,7 @@ func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
 		// genuinely lose to its re-put.)
 		snap := s.client.StampVersion()
 		e.maint.BeginBuildTombstones(ix)
-		e.drainWriters(s)
+		e.drain(s, func() {})
 		b.err = e.maint.BackfillAt(s.client, ix, snap)
 		suspects := e.maint.TakeBuildTombstones(ix)
 		// Assert before publishing, and even after a failed backfill:
@@ -333,7 +315,7 @@ func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
 			delete(e.builds, sig)
 			e.buildMu.Unlock()
 		}
-		close(b.done)
+		b.done.Store(true)
 		if b.err != nil {
 			return b.err
 		}
@@ -341,54 +323,42 @@ func (e *Engine) ensureBuilt(s *Session, ixs []*schema.Index) error {
 	return nil
 }
 
-// finished reports whether the build's done channel is closed, without
-// blocking — the poll a cooperative simulated waiter needs.
-func (b *indexBuild) finished() bool {
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// drainWriters blocks until every write operation that started before
-// the call has finished: one brief exclusive acquire of writeGate. A
-// simulated session cannot block on the gate — it holds the cooperative
-// scheduler's token, and the writers it is waiting for are parked
-// processes that need that token to finish — so it raises simDrains
-// (new simulated write ops yield instead of starting, exactly as a
-// pending real Lock blocks new readers) and spins on TryLock, parking
-// until the next event between attempts; the in-flight gate holders
-// run to completion in between. This gives sim runs the same bounded,
-// building→ready drain as real goroutines.
-func (e *Engine) drainWriters(s *Session) {
-	if s.client.Simulated() {
-		e.simDrains.Add(1)
-		for !e.writeGate.TryLock() {
-			s.client.Yield()
-		}
-		e.writeGate.Unlock()
-		e.simDrains.Add(-1)
-		return
-	}
-	e.writeGate.Lock()
-	//lint:ignore SA2001 empty critical section is the drain barrier
-	e.writeGate.Unlock()
-}
-
-// awaitDrains holds a simulated write operation at the door while a
-// drain is pending — the cooperative counterpart of sync.RWMutex's
-// writer preference. Called before every shared writeGate acquisition;
-// immediate-mode sessions rely on the RWMutex itself.
-func (s *Session) awaitDrains() {
-	if !s.client.Simulated() {
-		return
-	}
-	for s.eng.simDrains.Load() != 0 {
+// drain is the write barrier: it holds new writes at the door, waits
+// until no write is in progress, runs fn with writes excluded, and
+// reopens the door. A write that starts after drain began sees every
+// catalog snapshot published before it; a write from before has
+// finished. Waiting yields s's client: a simulated builder parks until
+// the next event, because the writers it waits for are processes that
+// need the scheduler's token to finish. Drains may overlap; each
+// excludes writes, not other drains.
+func (e *Engine) drain(s *Session, fn func()) {
+	e.draining.Add(1)
+	defer e.draining.Add(-1)
+	for e.writing.Load() != 0 {
 		s.client.Yield()
 	}
+	fn()
 }
+
+// beginOp claims a write for drain: it waits while a drain is pending,
+// counts itself in, and backs out when a drain began in between, so a
+// drain that has seen no write in progress sees none start. endOp
+// releases the claim.
+func (s *Session) beginOp() {
+	e := s.eng
+	for {
+		for e.draining.Load() != 0 {
+			s.client.Yield()
+		}
+		e.writing.Add(1)
+		if e.draining.Load() == 0 {
+			return
+		}
+		e.writing.Add(-1)
+	}
+}
+
+func (s *Session) endOp() { s.eng.writing.Add(-1) }
 
 // verifyBackfillRace asserts the delete-racing-backfill invariant: a
 // row deleted while the backfill scan ran can have its entry re-put by
@@ -398,35 +368,22 @@ func (s *Session) awaitDrains() {
 // suspects are the build-tombstone registry's contents — exactly the
 // entry keys writers deleted while the backfill ran, with no index
 // re-scan — and the check is a version comparison per suspect
-// (Maintainer.VerifyBuildSuspects), run under a writer drain so no
-// delete is still mid-propagation when the versions are read. The
-// pre-versioning protocol had to confirm-and-delete the ghosts here;
-// now a non-nil return means the store broke its ordering invariant.
+// (Maintainer.VerifyBuildSuspects), run inside a drain so no delete is
+// still mid-propagation when the versions are read. A non-nil return
+// means the store broke its ordering invariant. The versions are read
+// through an immediate (zero-latency) client, which never parks: a
+// simulated builder keeps the scheduler's token for the whole check,
+// and its requests pay no virtual time (maintenance cost is not part of
+// the modeled workload).
 func (e *Engine) verifyBackfillRace(s *Session, ix *schema.Index, snap kvstore.Version, suspects [][]byte) error {
 	if len(suspects) == 0 {
 		return nil
 	}
-	if s.client.Simulated() {
-		// A simulated check must not hold the gate across virtual-time
-		// parks (writers blocked on the held gate could never run
-		// again). Instead: drain writers in virtual time, then read the
-		// versions through an immediate (zero-latency) client. The
-		// builder holds the cooperative scheduler's only token and never
-		// parks during the check, so no writer can interleave with it —
-		// the same exclusion the write gate provides for real
-		// goroutines. (The check's requests pay no virtual time;
-		// maintenance cost is not part of the modeled workload.)
-		e.drainWriters(s)
-		return e.maint.VerifyBuildSuspects(e.cluster.NewClient(nil), ix, snap, suspects)
-	}
-	// Blocking writers on the held gate while the suspect versions are
-	// read is this branch's entire point (the drain semantic); real
-	// goroutines keep the holder running, and the virtual-time case
-	// above avoids the gate precisely because parked writers there
-	// could never run again.
-	e.writeGate.Lock()
-	defer e.writeGate.Unlock()
-	return e.maint.VerifyBuildSuspects(s.client, ix, snap, suspects)
+	var err error
+	e.drain(s, func() {
+		err = e.maint.VerifyBuildSuspects(e.cluster.NewClient(nil), ix, snap, suspects)
+	})
+	return err
 }
 
 // markReady publishes a catalog snapshot with the index flipped to
@@ -440,7 +397,7 @@ func (e *Engine) markReady(s *Session, ix *schema.Index) error {
 			return nil
 		})
 	}
-	return e.maint.MarkReady(s.client, ix, publish, func() { e.drainWriters(s) })
+	return e.maint.MarkReady(s.client, ix, publish, func() { e.drain(s, func() {}) })
 }
 
 // Prepared is a compiled, reusable query.
@@ -604,19 +561,17 @@ func (s *Session) Query(sql string, params ...value.Value) (*exec.Result, error)
 
 // --- write path ---
 
-// write runs a bound INSERT, UPDATE or DELETE. It holds writeGate shared
+// write runs a bound INSERT, UPDATE or DELETE. It holds a write claim
 // for its whole duration, so an index backfill can drain it (see
 // ensureBuilt): the binding names the table only, and the maintainer
-// reads the table's indexes from the live catalog inside the gate, so a
-// text bound before a CREATE INDEX maintains the new index. Shared
-// acquisition is uncontended in the steady state.
+// reads the table's indexes from the live catalog inside the claim, so a
+// text bound before a CREATE INDEX maintains the new index.
 func (s *Session) write(w *core.Write, params []value.Value) error {
 	if len(params) < w.NumParams {
 		return fmt.Errorf("engine: statement needs %d parameters, got %d", w.NumParams, len(params))
 	}
-	s.awaitDrains()
-	s.eng.writeGate.RLock()
-	defer s.eng.writeGate.RUnlock()
+	s.beginOp()
+	defer s.endOp()
 	defer func() { clear(s.key); clear(s.row) }()
 	t := w.Table
 	var pk, old value.Row // what an UPDATE or DELETE names: its key, the row under it

@@ -241,13 +241,11 @@ func prefixEnd(prefix []byte) []byte {
 // TestSimulatedCreateIndexDrainsWriters is the sim-mode half of the
 // online-build guarantee: virtual-time writer processes insert rows
 // (parking mid-operation on store latency, catalog snapshot in hand)
-// while another process runs CREATE INDEX. The builder used to skip the
-// writer drain in simulated mode — blocking on the gate would deadlock
-// the cooperative scheduler — so a writer still acting on a pre-index
-// snapshot could insert a row the backfill scan had already passed.
-// With the yield-based drain the builder waits the writers out in
-// virtual time, and the ready index must cover every row, exactly as
-// under real goroutines.
+// while another process runs CREATE INDEX. A writer still acting on a
+// pre-index snapshot when the backfill scan passes its row would leave
+// that row unindexed, so the builder must wait the writers out in
+// virtual time: the ready index must cover every row, exactly as under
+// real goroutines.
 func TestSimulatedCreateIndexDrainsWriters(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		env := sim.NewEnv()
@@ -334,12 +332,64 @@ func TestSimulatedCreateIndexDrainsWriters(t *testing.T) {
 	}
 }
 
-// TestCreateIndexRacingDeletesNoDangling proves the post-flip sweep: a
-// delete racing the backfill scan can have its entry re-put after the
-// row is gone, which previously dangled until a lazy GCDangling pass.
-// ensureBuilt now sweeps suspects after the flip and confirms them under
-// a writer drain, so once CREATE INDEX and the deleters finish, the
-// index must mirror the records exactly — with no GC call here.
+// TestSimulatedDrainHoldsSustainedWriters: simulated writers insert back
+// to back until CREATE INDEX returns, so whenever the builder looks,
+// some write is in progress. The barrier must hold new writes at the
+// door so the ones in progress can finish: the build returns within a
+// bounded stretch of virtual time, and the index covers every row.
+func TestSimulatedDrainHoldsSustainedWriters(t *testing.T) {
+	env := sim.NewEnv()
+	cluster := kvstore.New(kvstore.Config{Nodes: 4, ReplicationFactor: 2, Seed: 17}, env)
+	eng := New(cluster)
+	if err := eng.Session(nil).Exec(`CREATE TABLE steady (name VARCHAR(30), town VARCHAR(30), PRIMARY KEY (name))`); err != nil {
+		t.Fatal(err)
+	}
+	var built bool
+	var procErr error
+	for g := 0; g < 2; g++ {
+		env.Spawn(func(p *sim.Proc) {
+			s := eng.Session(p)
+			for i := 0; !built; i++ {
+				if err := s.Exec(`INSERT INTO steady VALUES (?, 'Berkeley')`,
+					value.Str(fmt.Sprintf("w%d-%05d", g, i))); err != nil {
+					procErr = fmt.Errorf("writer %d: %v", g, err)
+					return
+				}
+			}
+		})
+	}
+	env.Spawn(func(p *sim.Proc) {
+		p.Sleep(20 * time.Millisecond) // land mid-stream
+		if err := eng.Session(p).Exec(`CREATE INDEX steady_town ON steady (town, name)`); err != nil {
+			procErr = fmt.Errorf("create index: %v", err)
+		}
+		built = true
+	})
+	env.Run(time.Second)
+	env.Stop()
+	if procErr != nil {
+		t.Fatal(procErr)
+	}
+	if !built {
+		t.Fatal("CREATE INDEX still waiting on the write barrier after 1s of virtual time under sustained writers")
+	}
+	for _, ix := range eng.Catalog().Indexes("steady") {
+		if ix.Primary {
+			continue
+		}
+		if _, _, err := eng.maint.AuditMirror(cluster.NewClient(nil), ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCreateIndexRacingDeletesNoDangling: goroutines delete rows while
+// CREATE INDEX backfills their table, so the scan can re-put an entry
+// after its row's delete removed it. The re-put is stamped at the scan's
+// version and loses to the later delete, and the build's ghost check
+// runs inside a write drain before the flip, so once CREATE INDEX and
+// the deleters finish, the index must mirror the records exactly, with
+// no GCDangling call.
 func TestCreateIndexRacingDeletesNoDangling(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		cluster := kvstore.New(kvstore.Config{Nodes: 4, ReplicationFactor: 2, Seed: int64(round + 41)}, nil)

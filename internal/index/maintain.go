@@ -637,18 +637,16 @@ func (m *Maintainer) entryDangling(cl *kvstore.Client, ix *schema.Index, t *sche
 // the backfill ran. Under versioned storage the backfill's re-put of
 // such a key is stamped at the scan-begin version (snap) and the
 // writer's delete tombstone is stamped later, so put-if-newer already
-// guarantees the re-put cannot survive — the pre-versioning protocol
-// re-fetched every suspect's record and deleted confirmed dangles here,
-// which also had to re-converge replica-diverged ghosts. What remains
-// is a version comparison per suspect: each must be absent (the
-// tombstone won) or carry a version newer than snap (a live writer
-// legitimately re-created it). A suspect still stamped at or before
-// snap means a backfill write survived a later delete — a protocol
-// violation, returned as an error, never silently repaired.
+// guarantees the re-put cannot survive, and the check is a version
+// comparison per suspect: each must be absent (the tombstone won) or
+// carry a version newer than snap (a live writer legitimately
+// re-created it). A suspect still stamped at or before snap means a
+// backfill write survived a later delete — a protocol violation,
+// returned as an error, never silently repaired.
 //
 // For the check to be free of false positives the caller must exclude
-// concurrent writers (e.g. hold the engine's write gate exclusively, or
-// drain them), so no delete is mid-propagation when the versions are
+// concurrent writes for its whole run (the engine runs it inside its
+// write barrier), so no delete is mid-propagation when the versions are
 // read. The read goes to each key's authoritative primary — the
 // replica every write reaches first — so a replica trailing it can
 // never masquerade as a ghost.

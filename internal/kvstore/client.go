@@ -93,23 +93,13 @@ func (cl *Client) ResetOps() int64 {
 	return v
 }
 
-// Simulated reports whether the client runs on a virtual-time process.
-// Simulated clients are cooperative — one process runs at a time — so
-// code holding the scheduler token must never block on channels or
-// locks another simulated process needs to make progress.
-func (cl *Client) Simulated() bool { return cl.proc != nil }
-
-// Yield parks the simulated process until the next pending event,
-// letting every other runnable process advance before it resumes — the
-// cooperative scheduler's runtime.Gosched. It is how simulated code
-// waits for a condition another process must establish (e.g. the index
-// backfill's writer drain) without blocking on a channel or lock while
-// holding the scheduler token. No-op in immediate mode.
-func (cl *Client) Yield() {
-	if cl.proc != nil {
-		cl.proc.Yield()
-	}
-}
+// Yield lets others run while the caller polls for a condition another
+// process or goroutine must establish (the engine's write barrier, an
+// index build's waiters): it parks a simulated process until the next
+// pending event, or calls runtime.Gosched in immediate mode. A simulated
+// process holds the scheduler's token, so it must poll this way rather
+// than block on a channel or lock another process needs.
+func (cl *Client) Yield() { yield(cl.proc) }
 
 // Now returns the process's virtual time, or 0 in immediate mode.
 func (cl *Client) Now() time.Duration {

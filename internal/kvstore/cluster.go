@@ -251,11 +251,17 @@ func (c *Cluster) endOp(rt *routing) { rt.active.Add(-1) }
 // parked processes that need the scheduler's token to finish.
 func (c *Cluster) drain(rt *routing, proc *sim.Proc) {
 	for rt.active.Load() > 0 {
-		if proc != nil {
-			proc.Yield()
-		} else {
-			runtime.Gosched()
-		}
+		yield(proc)
+	}
+}
+
+// yield is one poll's pause: proc parks until the next pending event,
+// or, with proc nil, the goroutine yields its thread.
+func yield(proc *sim.Proc) {
+	if proc != nil {
+		proc.Yield()
+	} else {
+		runtime.Gosched()
 	}
 }
 
@@ -289,15 +295,11 @@ func (c *Cluster) TotalItems() int {
 // is the routing table's owners, computed by placeOwners at each
 // rebalance.
 func (c *Cluster) replicaNodes(p int) []int {
-	return c.replicaNodesInto(make([]int, 0, c.cfg.ReplicationFactor), p)
-}
-
-// replicaNodesInto is replicaNodes appending into a caller-owned buffer.
-func (c *Cluster) replicaNodesInto(buf []int, p int) []int {
+	ids := make([]int, 0, c.cfg.ReplicationFactor)
 	for r := 0; r < c.cfg.ReplicationFactor; r++ {
-		buf = append(buf, (p+r)%len(c.nodes))
+		ids = append(ids, (p+r)%len(c.nodes))
 	}
-	return buf
+	return ids
 }
 
 // placeOwners computes partition p's replica set, primary first: the
@@ -534,12 +536,10 @@ func (c *Cluster) rebalance(proc *sim.Proc) {
 // a writer's fresher put or delete outranks the copied envelope whether
 // it arrives before or after it, and a copied tombstone carries the
 // deletion to destinations the writer's own double-apply missed. The
-// chunk bound (Config.MoveChunkKeys) only limits the scan's memory;
-// no per-chunk coordination with writers remains (the pre-versioning
-// protocol needed a published chunk window plus delete-tombstone
-// bookkeeping here). Every chunk is scanned into one buffer, which the
-// destinations' puts do not keep. A simulated rebalancer yields after
-// each chunk.
+// chunk bound (Config.MoveChunkKeys) only limits the scan's memory; no
+// chunk needs coordination with writers. Every chunk is scanned into
+// one buffer, which the destinations' puts do not keep. A simulated
+// rebalancer yields after each chunk.
 func (c *Cluster) copyMove(old *routing, mv *move, proc *sim.Proc) {
 	chunk := c.cfg.MoveChunkKeys
 	var kvs []KV

@@ -388,31 +388,6 @@ func TestScanParallelImmediateConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReplicaNodesIntoMatches: the allocation-free routing variant must
-// agree with the allocating one and actually not allocate.
-func TestReplicaNodesIntoMatches(t *testing.T) {
-	c, _ := newImmediate(5, 3)
-	buf := make([]int, 0, 3)
-	for p := 0; p < 5; p++ {
-		want := c.replicaNodes(p)
-		got := c.replicaNodesInto(buf[:0], p)
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: len %d vs %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: %v vs %v", p, got, want)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = c.replicaNodesInto(buf[:0], 3)
-	})
-	if allocs != 0 {
-		t.Fatalf("replicaNodesInto allocates %.1f per run", allocs)
-	}
-}
-
 // TestTombstoneGCBounded: a node that accumulates tombstones past the
 // sweep threshold collects the expired ones inline, without any
 // explicit GC call, on the cluster's clock: here virtual time, which a

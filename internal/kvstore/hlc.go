@@ -37,7 +37,7 @@ func (k *clock) now() time.Duration {
 // catch-up replays and rebalance copies alike — converge to the same
 // winner regardless of the order writes arrive in. This is what turns the
 // store's Put/Delete from "last writer wins per replica" (which could
-// diverge replicas permanently; see ROADMAP, PR 4 follow-ons) into
+// diverge replicas permanently) into
 // convergent last-writer-wins.
 
 // hlcLogicalBits is how many low bits of a hybrid timestamp hold the

@@ -35,10 +35,9 @@ type node struct {
 	// timestamp of every envelope the node applies (observe-on-apply),
 	// so a node that has seen a write can never issue a stamp that
 	// loses to it — the property that keeps per-key ordering intact
-	// when a replica is promoted to primary after a crash. Per-node
-	// clocks replaced the original shared cluster clock when nodes
-	// learned to fail: a crashed node's clock must not be consultable
-	// by live traffic.
+	// when a replica is promoted to primary after a crash. It is the
+	// node's own, not shared by the cluster, because a crashed node's
+	// clock must not be consultable by live traffic.
 	hlc *HLC
 
 	// down marks the node unreachable (killed/partitioned bits, see

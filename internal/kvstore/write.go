@@ -162,8 +162,7 @@ func (cl *Client) visitDsts(mv *move, ids []int, key []byte) {
 // (skipping any already written as current replicas). Put-if-newer on
 // both sides makes the double-write commute with the range copy: the
 // writer's fresher envelope — value or tombstone — wins regardless of
-// interleaving, which is what retired the pre-versioning chunk-window
-// tombstone protocol.
+// interleaving, so the copy needs no coordination with writers.
 func (cl *Client) doubleApply(mv *move, key, env []byte, written []int) {
 	if mv == nil {
 		return
@@ -227,15 +226,14 @@ func (cl *Client) TestAndSet(key, expect, update []byte) (bool, error) {
 			cl.backoff(attempt)
 			continue
 		}
-		// No re-application when the routing changed mid-operation (the
-		// pre-fencing protocol re-ran the accepted value as a plain write
-		// under the new table): an accepted swap has already reached every
-		// new owner — through the move window's double-write when the
-		// range was moving, or through the copy, which only starts after
-		// the pre-move table drains, when it was not. Re-applying here
-		// would in fact break linearizability: a swap accepted by the new
-		// primary in the meantime would be clobbered by this operation's
-		// older value. The decision — either way — is final.
+		// No re-application when the routing changed mid-operation: an
+		// accepted swap has already reached every new owner — through the
+		// move window's double-write when the range was moving, or through
+		// the copy, which only starts after the pre-move table drains, when
+		// it was not. Re-applying here would in fact break
+		// linearizability: a swap accepted by the new primary in the
+		// meantime would be clobbered by this operation's older value. The
+		// decision — either way — is final.
 		return ok, nil
 	}
 	return false, &ErrFenceExhausted{Op: "testandset", Attempts: fenceRetryBudget, Last: last}

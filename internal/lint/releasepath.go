@@ -8,12 +8,13 @@ import (
 )
 
 // ReleasePath is the critical-section rule. An acquire is a
-// sync.Mutex/RWMutex Lock or RLock, or a beginOp routing claim (a
-// same-package call named beginOp, which pins a routing snapshot's
-// refcount until endOp returns it). Each acquire is a statement of a
-// block, and a later statement of that same block is either a defer of
-// its release or the release itself; no return or goto, and no break
-// or continue that leaves the block, comes between the two. A func
+// sync.Mutex/RWMutex Lock or RLock, or a claim: a same-package call
+// named beginOp, which counts an operation in until endOp counts it out
+// (the store's claim on a routing snapshot, the engine's write claim
+// that its index-build barrier waits out). Each acquire is a statement
+// of a block, and a later statement of that same block is either a
+// defer of its release or the release itself; no return or goto, and no
+// break or continue that leaves the block, comes between the two. A func
 // literal's body is not between them (it runs later, or on its own
 // goroutine), and neither is a break bound to a loop, switch or select
 // nested there.
@@ -25,8 +26,7 @@ import (
 // section spread over two loops, carries //lint:allow releasepath
 // naming its contract. The release matches the acquire's receiver as
 // written (Unlock for Lock, RUnlock for RLock); a claim's release is any
-// same-package endOp call. TryLock is not an acquire: the spin loops it
-// guards release where they succeed.
+// same-package endOp call. TryLock is not an acquire.
 var ReleasePath = &Analyzer{
 	Name: "releasepath",
 	Doc:  "every acquire (mutex, claim) is released in its own block, with no exit in between",
